@@ -326,3 +326,26 @@ fn the_workspace_itself_is_clean() {
         a.order
     );
 }
+
+/// Every fixture's `.rs` file, sorted by name, analysed as ONE workspace.
+fn analyze_all_fixtures() -> Analysis {
+    let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".rs"))
+        .collect();
+    names.sort();
+    analyze_fixtures(&names.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+#[test]
+fn every_rule_output_over_all_fixtures_is_pinned_byte_for_byte() {
+    // The golden was rendered by the two-engine code before the passes
+    // were merged onto `flow.rs`; any refactor of the analyser must keep
+    // every finding, lock edge and verdict chain of every rule identical.
+    let got = road_analysis::json::render(&analyze_all_fixtures());
+    let path = format!("{}/tests/fixtures/all.expected.json", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    assert_eq!(got, want.trim_end(), "report over all fixtures drifted from {path}");
+}
