@@ -67,40 +67,32 @@ fn main() -> ExitCode {
     };
 
     let status = if analysis.findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    let summary = format!(
+        "roadlint: {} file(s), {} finding(s)",
+        analysis.files_scanned,
+        analysis.findings.len()
+    );
 
-    if json {
-        // Stdout is the artifact; everything human-facing goes to stderr.
-        println!("{}", road_analysis::json::render(&analysis));
+    if json || dag || order_dag {
+        // Stdout is exactly the artifact, for `diff` against the committed
+        // lockgraph.expected / determinism.expected or for CI to archive;
+        // everything human-facing goes to stderr.
+        if json {
+            println!("{}", road_analysis::json::render(&analysis));
+        } else if dag {
+            for (from, to) in analysis.graph.edges.keys() {
+                println!("{from} -> {to}");
+            }
+        } else {
+            for v in &analysis.order {
+                println!("{} => {} => {}", v.source, v.sanitizer, v.sink);
+            }
+        }
         for f in &analysis.findings {
             eprintln!("{f}");
         }
-        eprintln!(
-            "roadlint: {} file(s), {} finding(s)",
-            analysis.files_scanned,
-            analysis.findings.len()
-        );
-        return status;
-    }
-
-    if dag {
-        // Stdout is exactly the canonical edge list, for `diff`.
-        for (from, to) in analysis.graph.edges.keys() {
-            println!("{from} -> {to}");
-        }
-        for f in &analysis.findings {
-            eprintln!("{f}");
-        }
-        return status;
-    }
-
-    if order_dag {
-        // Stdout is exactly the canonical chain list, for `diff` against
-        // the committed determinism.expected.
-        for v in &analysis.order {
-            println!("{} => {} => {}", v.source, v.sanitizer, v.sink);
-        }
-        for f in &analysis.findings {
-            eprintln!("{f}");
+        if json {
+            eprintln!("{summary}");
         }
         return status;
     }
@@ -111,28 +103,20 @@ fn main() -> ExitCode {
             println!("  {from} -> {to}   (e.g. {}:{} in {})", site.file, site.line, site.function);
         }
     }
-
-    if taint {
-        println!("taint verdicts (source -> sanitizer -> sink):");
-        for v in &analysis.taint {
-            println!("  {}\n    -> sanitized by {}\n    -> {}", v.source, v.sanitizer, v.sink);
+    for (on, table, verb, rows) in [
+        (taint, "taint", "sanitized", &analysis.taint),
+        (order, "order", "ordered", &analysis.order),
+    ] {
+        if on {
+            println!("{table} verdicts (source -> sanitizer -> sink):");
+            for v in rows {
+                println!("  {}\n    -> {verb} by {}\n    -> {}", v.source, v.sanitizer, v.sink);
+            }
         }
     }
-
-    if order {
-        println!("order verdicts (source -> sanitizer -> sink):");
-        for v in &analysis.order {
-            println!("  {}\n    -> ordered by {}\n    -> {}", v.source, v.sanitizer, v.sink);
-        }
-    }
-
     for f in &analysis.findings {
         println!("{f}");
     }
-    println!(
-        "roadlint: {} file(s), {} finding(s)",
-        analysis.files_scanned,
-        analysis.findings.len()
-    );
+    println!("{summary}");
     status
 }

@@ -1,607 +1,140 @@
-//! Pass A: untrusted-input taint for the decode path.
+//! Rule 6: untrusted-input taint for the decode path — the taint rule
+//! table of the [`crate::flow`] engine.
 //!
-//! A per-function forward dataflow over the token stream tracks the
-//! provenance of let-bound locals through a three-point lattice:
-//!
-//! * **tainted** — produced by `from_le_bytes` (every raw byte reader in
-//!   the workspace bottoms out there) or by a `taint-source`-marked
-//!   function, directly or through calls and field/element reads;
-//! * **sanitized** — a tainted value that flowed through a bound check:
-//!   a comparison guard whose body can fail the function
+//! * **Sources**: `from_le_bytes` (every raw byte reader in the
+//!   workspace bottoms out there) and `taint-source`-marked functions,
+//!   directly or through calls and field/element reads.
+//! * **Sanitizers**: a comparison guard whose body can fail the function
 //!   (`if n > limit { return Err(…) }`), a sanitizing callee (one whose
-//!   own body bound-checks its parameter, like `Reader::require`),
-//!   `.min(…)` / `.clamp(…)`, `% n`, or `& MASK`;
-//! * **clean** — everything else.
+//!   own body bound-checks its parameter — `Reader::require` is
+//!   discovered from its body, not hardcoded), `.min(…)` / `.clamp(…)`,
+//!   `% n`, `& MASK`, and `partition_point` / `binary_search` indices.
+//! * **Sinks**: allocation sizes (`with_capacity`, `reserve`,
+//!   `reserve_exact`, `resize`, `set_len`), slice index/range
+//!   expressions, and `for … in 0..n` loop bounds. A tainted value at a
+//!   sink is a finding unless the line carries
+//!   `// roadlint: sanitized reason="…"`; a sanitized one is a row of the
+//!   taint verdict table (`roadlint --taint`).
 //!
-//! **Sinks**: allocation sizes (`with_capacity`, `reserve`,
-//! `reserve_exact`, `resize`, `set_len`), slice index/range expressions,
-//! and `for … in 0..n` loop bounds. A tainted value at a sink is a
-//! finding unless the line carries `// roadlint: sanitized reason="…"`;
-//! a sanitized value at a sink becomes a row of the taint verdict table
-//! (`source → sanitizer → sink`, printed by `roadlint --taint`).
-//!
-//! **Interprocedural**: per-function summaries — return provenance,
-//! parameters that reach sinks, parameters the function sanitizes — are
-//! computed to a fixpoint over the workspace call graph, so a helper in
-//! another crate that indexes with its parameter is a sink for every
-//! caller passing tainted values, and `Reader::require` is discovered as
-//! a sanitizer from its own body rather than hardcoded.
-//!
-//! Documented approximations: values inside containers are tracked only
-//! via receiver taint (`v.push(tainted)` taints `v`, and everything read
-//! out of `v` afterwards); closure parameters are untracked; `while`
-//! loop bounds are not sinks; a guard sanitizes its operands from the
-//! guard line onward without branch sensitivity. Taint resolution uses
-//! [`CallGraph::resolve_confident`] only — an unknown callee propagates
-//! its arguments' provenance instead of borrowing summaries from
-//! same-named functions elsewhere.
+//! Documented approximations beyond the engine's: `while` loop bounds
+//! are not sinks; a guard sanitizes its operands from the guard line
+//! onward without branch sensitivity.
 
-use crate::callgraph::{self, CallGraph, FnId};
+use crate::callgraph::{self, CallGraph, CallSite, FnInfo};
+use crate::flow::{self, FnCx, Prov, Rule, Verdict};
 use crate::lexer::{Tok, Token};
+use crate::markers::Marker;
 use crate::syntax;
 use crate::{FileData, Finding};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Allocation-size sinks recognized by callee name.
 const SINK_FNS: &[&str] = &["with_capacity", "reserve", "reserve_exact", "resize", "set_len"];
-
-/// Methods that write their arguments into the receiver: a tainted
-/// argument taints the receiver (container-level tracking).
-const MUTATORS: &[&str] =
-    &["push", "insert", "extend", "extend_from_slice", "push_str", "copy_from_slice", "append"];
 
 /// Divergence evidence inside a guard's body.
 const DIVERGES: &[&str] =
     &["return", "Err", "None", "break", "continue", "panic", "unreachable", "todo", "bail"];
 
-/// Pattern/binder tokens that are never variable binders.
-const NON_BINDERS: &[&str] = &["mut", "ref", "box", "self", "_"];
-
-/// Provenance of one value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Val {
-    Clean,
-    /// Derived from parameter `i` of the enclosing fn, unsanitized.
-    Param(usize),
-    /// Untrusted, with the origin description.
-    Tainted(String),
-    /// Untrusted but bounded: `(origin, sanitizer)`.
-    Sanitized(String, String),
-}
-
-impl Val {
-    fn rank(&self) -> u8 {
-        match self {
-            Val::Clean => 0,
-            Val::Sanitized(..) => 1,
-            Val::Param(_) => 2,
-            Val::Tainted(_) => 3,
-        }
-    }
-
-    /// Worst-wins merge; ties keep the first operand (scan order is
-    /// deterministic, so summaries converge).
-    fn merge(a: Val, b: Val) -> Val {
-        if b.rank() > a.rank() {
-            b
-        } else {
-            a
-        }
-    }
-}
-
-/// Return provenance of a function.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Ret {
-    #[default]
-    Clean,
-    FromParam(usize),
-    Tainted(String),
-    Sanitized(String, String),
-}
-
-/// The interprocedural summary of one function.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Summary {
-    pub ret: Ret,
-    /// Parameters that reach a sink inside this fn (or transitively),
-    /// with the sink's description.
-    pub param_sinks: BTreeSet<(usize, String)>,
-    /// Parameters this fn bound-checks with a failing guard.
-    pub sanitizes: BTreeSet<usize>,
-}
-
-/// One row of the taint verdict table.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TaintVerdict {
-    pub source: String,
-    pub sanitizer: String,
-    pub sink: String,
-}
-
-#[derive(Default)]
-struct Emit {
-    findings: BTreeSet<Finding>,
-    verdicts: BTreeSet<TaintVerdict>,
-}
-
 /// Runs the taint pass over the workspace.
-pub fn check(files: &[FileData], cg: &CallGraph) -> (Vec<Finding>, Vec<TaintVerdict>) {
-    let mut sums: Vec<Summary> = vec![Summary::default(); cg.fns.len()];
-    // Summaries to a fixpoint (the lattice is finite; the cap guards
-    // against rank flip-flops in mutually recursive code).
-    for _ in 0..12 {
-        let mut changed = false;
-        for id in 0..cg.fns.len() {
-            if cg.fns[id].in_test_mod || cg.fns[id].body.is_none() {
-                continue;
-            }
-            let s = FnCx::new(files, cg, id, &sums, None).run();
-            if s != sums[id] {
-                sums[id] = s;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut emit = Emit::default();
-    for id in 0..cg.fns.len() {
-        if cg.fns[id].in_test_mod || cg.fns[id].body.is_none() {
-            continue;
-        }
-        FnCx::new(files, cg, id, &sums, Some(&mut emit)).run();
-    }
-    (emit.findings.into_iter().collect(), emit.verdicts.into_iter().collect())
+pub fn check(files: &[FileData], cg: &CallGraph) -> (Vec<Finding>, Vec<Verdict>) {
+    flow::run::<Taint>(files, cg).into_sorted()
 }
 
-/// The per-function dataflow engine.
-struct FnCx<'a> {
-    cg: &'a CallGraph,
-    sums: &'a [Summary],
-    me: FnId,
-    fd: &'a FileData,
-    vars: BTreeMap<String, Val>,
-    ret: Val,
-    param_sinks: BTreeSet<(usize, String)>,
-    sanitizes: BTreeSet<usize>,
-    emit: Option<&'a mut Emit>,
-}
+/// The taint rule: `Raw` is tainted, `Fixed` is bounded.
+#[derive(Default)]
+pub struct Taint;
 
-impl<'a> FnCx<'a> {
-    fn new(
-        files: &'a [FileData],
-        cg: &'a CallGraph,
-        me: FnId,
-        sums: &'a [Summary],
-        emit: Option<&'a mut Emit>,
-    ) -> FnCx<'a> {
-        let info = &cg.fns[me];
-        let mut vars = BTreeMap::new();
-        for (i, p) in info.params.iter().enumerate() {
-            vars.insert(p.clone(), Val::Param(i));
-        }
-        FnCx {
-            cg,
-            sums,
-            me,
-            fd: &files[info.file_idx],
-            vars,
-            ret: Val::Clean,
-            param_sinks: BTreeSet::new(),
-            sanitizes: BTreeSet::new(),
-            emit,
+impl Rule for Taint {
+    const ID: &'static str = "taint";
+    const MUTATORS: &'static [&'static str] =
+        &["push", "insert", "extend", "extend_from_slice", "push_str", "copy_from_slice", "append"];
+
+    fn message(origin: &str, sink: &str) -> String {
+        format!(
+            "tainted value from {origin} reaches {sink} without a sanitizer; \
+             bound it first or mark `// roadlint: sanitized reason=\"…\"`"
+        )
+    }
+
+    fn escape(m: &Marker) -> Option<&str> {
+        match m {
+            Marker::Sanitized(reason) => Some(reason),
+            _ => None,
         }
     }
 
-    fn toks(&self) -> &'a [Token] {
-        &self.fd.lexed.tokens
+    fn source_callee(info: &FnInfo) -> bool {
+        info.taint_source
     }
 
-    fn run(mut self) -> Summary {
-        if let Some((bs, be)) = self.cg.fns[self.me].body {
-            self.stmts(bs + 1, be);
-        }
-        let ret = match self.ret {
-            Val::Clean => Ret::Clean,
-            Val::Param(p) => Ret::FromParam(p),
-            Val::Tainted(o) => Ret::Tainted(o),
-            Val::Sanitized(o, s) => Ret::Sanitized(o, s),
-        };
-        Summary { ret, param_sinks: self.param_sinks, sanitizes: self.sanitizes }
-    }
-
-    /// Statement-by-statement scan of a block region.
-    fn stmts(&mut self, a: usize, b: usize) {
-        let mut i = a;
-        while i < b {
-            let t = &self.toks()[i];
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct(',') {
-                i += 1;
-                continue;
+    fn prim_call(cx: &mut FnCx<Self>, site: &CallSite, close: usize) -> Option<(Prov, bool)> {
+        match site.name.as_str() {
+            "from_le_bytes" => {
+                let origin = cx.origin(cx.me, cx.cg.fns[cx.me].line);
+                return Some((Prov::Raw(origin), false));
             }
-            match t.ident() {
-                Some("let") => i = self.handle_let(i, b),
-                Some("for") => i = self.handle_for(i, b),
-                Some("if") => i = self.handle_if(i, b),
-                Some("while") | Some("match") => {
-                    let open = self.find_block_open(i + 1, b);
-                    self.eval(i + 1, open, true);
-                    i = open + 1;
-                }
-                Some("return") => {
-                    let (end, _) = self.stmt_limit(i + 1, b);
-                    let v = self.eval(i + 1, end, true);
-                    self.ret = Val::merge(self.ret.clone(), v);
-                    i = end + 1;
-                }
-                Some("else") | Some("loop") | Some("unsafe") => i += 1,
-                _ => {
-                    let (end, closed) = self.stmt_limit(i, b);
-                    let v = self.handle_expr_stmt(i, end);
-                    if closed {
-                        // Block-final expression: a (possible) tail value.
-                        self.ret = Val::merge(self.ret.clone(), v);
-                    }
-                    i = end + 1;
-                }
+            // Lengths/capacities of real containers are trusted sizes,
+            // and `partition_point` / `binary_search` indices are bounded
+            // by the container they searched.
+            "len" | "capacity" | "is_empty" | "partition_point" | "binary_search" => {}
+            // `x.min(…)` / `x.clamp(…)` return a bounded value (the
+            // receiver's demotion already happened); don't let the bound
+            // argument's provenance leak into the result.
+            "min" | "clamp" => {
+                args_prov(cx, site, close);
             }
+            name if SINK_FNS.contains(&name) => {
+                let av = args_prov(cx, site, close);
+                cx.sink(av, cx.here(&format!("{name}()"), site.line), site.line);
+            }
+            _ => return None,
         }
+        Some((Prov::Clean, true))
     }
 
-    /// End of the statement starting at `a`: the `;` (or match-arm `,`)
-    /// at relative depth 0, or the `}` closing the enclosing block.
-    /// `closed` = ended without a `;` (tail-position expression).
-    fn stmt_limit(&self, a: usize, b: usize) -> (usize, bool) {
-        let mut depth = 0i64;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    return (j, true);
-                }
-            } else if t.is_punct(';') && depth == 0 {
-                return (j, false);
-            } else if t.is_punct(',') && depth == 0 {
-                return (j, true);
-            }
-            j += 1;
-        }
-        (b, true)
-    }
-
-    /// The `{` opening the body of an `if`/`for`/`while`/`match` whose
-    /// header starts at `a`.
-    fn find_block_open(&self, a: usize, b: usize) -> usize {
-        let mut depth = 0i64;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('{') {
-                if depth == 0 {
-                    return j;
-                }
-                depth += 1;
-            } else if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        b
-    }
-
-    /// Binder identifiers of a pattern region (lowercase-initial, not
-    /// `mut`/`ref`/`_`/`self`).
-    fn pattern_binders(&self, a: usize, b: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        for k in a..b {
-            if let Some(id) = self.toks()[k].ident() {
-                if !NON_BINDERS.contains(&id)
-                    && id.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-                {
-                    out.push(id.to_owned());
-                }
-            }
-        }
-        out
-    }
-
-    fn handle_let(&mut self, i: usize, b: usize) -> usize {
-        // Pattern region: up to the depth-0 `=`, stopping binder
-        // collection at a depth-0 `:` (type ascription).
-        let mut depth = 0i64;
-        let mut j = i + 1;
-        let mut pattern_end = None;
-        let mut eq = None;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    break;
-                }
-            } else if depth == 0 {
-                if t.is_punct(';') {
-                    // `let x;` — uninitialized.
-                    let binders = self.pattern_binders(i + 1, j);
-                    for bnd in binders {
-                        self.vars.insert(bnd, Val::Clean);
-                    }
-                    return j + 1;
-                }
-                if t.is_punct(':')
-                    && !self.toks().get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && !(j > 0 && self.toks()[j - 1].is_punct(':'))
-                {
-                    pattern_end.get_or_insert(j);
-                }
-                if t.is_punct('=')
-                    && !self.toks().get(j + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-                    && !(j > 0 && is_cmp_prefix(&self.toks()[j - 1]))
-                {
-                    eq = Some(j);
-                    break;
-                }
-            }
-            j += 1;
-        }
-        let Some(eq) = eq else {
-            return j + 1;
-        };
-        let binders = self.pattern_binders(i + 1, pattern_end.unwrap_or(eq));
-        let (end, _) = self.stmt_limit(eq + 1, b);
-        let v = self.eval(eq + 1, end, true);
-        for bnd in binders {
-            self.vars.insert(bnd, v.clone());
-        }
-        end + 1
-    }
-
-    fn handle_for(&mut self, i: usize, b: usize) -> usize {
-        let mut j = i + 1;
-        while j < b && self.toks()[j].ident() != Some("in") && !self.toks()[j].is_punct('{') {
-            j += 1;
-        }
-        let binders = self.pattern_binders(i + 1, j);
-        let start = j + 1;
-        let open = self.find_block_open(start, b);
-        let v = self.eval(start, open, true);
+    fn for_loop(cx: &mut FnCx<Self>, at: usize, binders: Vec<String>, start: usize, open: usize) {
+        let toks = cx.toks();
+        let v = cx.eval(start, open);
         // `for … in 0..n` — `n` is a loop bound (a sink); iterator loops
         // are bounded by the container and stay quiet.
-        let is_range = (start..open.saturating_sub(1)).any(|k| {
-            self.toks()[k].is_punct('.') && self.toks().get(k + 1).is_some_and(|t| t.is_punct('.'))
-        });
+        let is_range = (start..open.saturating_sub(1))
+            .any(|k| toks[k].is_punct('.') && toks[k + 1].is_punct('.'));
         if is_range {
-            self.sink(v.clone(), "loop bound", self.toks()[i].line, true);
+            let line = toks[at].line;
+            cx.sink(v.clone(), cx.here("loop bound", line), line);
         }
-        for bnd in binders {
-            self.vars.insert(bnd, v.clone());
-        }
-        open + 1
+        cx.bind(binders, v);
     }
 
-    fn handle_if(&mut self, i: usize, b: usize) -> usize {
-        if self.toks().get(i + 1).is_some_and(|t| t.ident() == Some("let")) {
-            // `if let PAT = expr {` / `while let`: bind and move on.
-            let open = self.find_block_open(i + 2, b);
-            let eq = (i + 2..open).find(|&k| {
-                self.toks()[k].is_punct('=')
-                    && !self.toks().get(k + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-                    && !is_cmp_prefix(&self.toks()[k - 1])
-            });
-            if let Some(eq) = eq {
-                let binders = self.pattern_binders(i + 2, eq);
-                let v = self.eval(eq + 1, open, true);
-                for bnd in binders {
-                    self.vars.insert(bnd, v.clone());
-                }
-            }
-            return open + 1;
+    /// A comparison guard whose body can fail the function sanitizes
+    /// every tracked operand it compares.
+    fn guard(cx: &mut FnCx<Self>, at: usize, open: usize) {
+        let toks = cx.toks();
+        let close = syntax::match_delim(toks, open);
+        let diverges =
+            (open..close).any(|k| toks[k].ident().is_some_and(|id| DIVERGES.contains(&id)));
+        if diverges && (at + 1..open).any(|k| is_cmp_at(toks, k)) {
+            let by = format!("guard ({}:{})", cx.fd.path, toks[at].line);
+            cx.sanitize_region(at + 1, open, &by);
         }
-        let open = self.find_block_open(i + 1, b);
-        self.eval(i + 1, open, true);
-        let has_cmp = (i + 1..open).any(|k| self.is_cmp_at(k));
-        if has_cmp && self.block_diverges(open) {
-            // The guard sanitizes every tracked operand it compares.
-            let line = self.toks()[i].line;
-            let desc = format!("guard ({}:{line})", self.fd.path);
-            self.sanitize_region(i + 1, open, &desc);
-        }
-        open + 1
     }
 
-    fn block_diverges(&self, open: usize) -> bool {
-        let close = syntax::match_delim(self.toks(), open);
-        (open..close).any(|k| self.toks()[k].ident().is_some_and(|id| DIVERGES.contains(&id)))
-    }
-
-    fn is_cmp_at(&self, k: usize) -> bool {
-        let toks = self.toks();
-        let t = &toks[k];
-        if t.is_punct('<') {
-            return !(k > 0 && toks[k - 1].is_punct(':'));
-        }
-        if t.is_punct('>') {
-            return !(k > 0 && (toks[k - 1].is_punct('-') || toks[k - 1].is_punct('=')));
-        }
-        t.is_punct('=') && k > 0 && is_cmp_prefix(&toks[k - 1])
-    }
-
-    /// Expression statement: assignment tracking, else plain eval.
-    fn handle_expr_stmt(&mut self, a: usize, b: usize) -> Val {
-        let toks = self.toks();
-        let mut k = a;
-        while k < b && toks[k].is_punct('*') {
-            k += 1;
-        }
-        if let Some(name) = toks.get(k).and_then(|t| t.ident()) {
-            let plain = toks.get(k + 1).is_some_and(|t| t.is_punct('='))
-                && !toks.get(k + 2).is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
-            let compound = toks
-                .get(k + 1)
-                .is_some_and(|t| matches!(t.tok, Tok::Punct(c) if "+-*/%&|^".contains(c)))
-                && toks.get(k + 2).is_some_and(|t| t.is_punct('='));
-            if plain || compound {
-                let eq = if plain { k + 1 } else { k + 2 };
-                let v = self.eval(eq + 1, b, true);
-                let name = name.to_owned();
-                let old = self.vars.get(&name).cloned().unwrap_or(Val::Clean);
-                let nv = if compound { Val::merge(old, v) } else { v };
-                self.vars.insert(name, nv);
-                return Val::Clean;
+    /// A slice index/range expression is a sink.
+    fn event_at(cx: &mut FnCx<Self>, j: usize, b: usize) -> Option<(Prov, usize)> {
+        let toks = cx.toks();
+        if toks[j].is_punct('[') && j > 0 {
+            let prev = &toks[j - 1];
+            let is_macro = prev.ident().is_some() && j >= 2 && toks[j - 2].is_punct('!');
+            let indexes = (prev.ident().is_some() && !is_macro)
+                || prev.is_punct(')')
+                || prev.is_punct(']')
+                || prev.is_punct('?');
+            let close = syntax::match_delim(toks, j);
+            if indexes && close <= b {
+                let iv = cx.eval_quiet(j + 1, close);
+                cx.sink(iv, cx.here("slice index/range", toks[j].line), toks[j].line);
             }
         }
-        self.eval(a, b, true)
-    }
-
-    /// The expression walker: merges provenance contributions, resolves
-    /// calls against summaries, and checks sinks.
-    fn eval(&mut self, a: usize, b: usize, emit: bool) -> Val {
-        let mut val = Val::Clean;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if let Some(site) = callgraph::call_at(self.toks(), j) {
-                let close = syntax::match_delim(self.toks(), site.args_open);
-                if close < b {
-                    let (c, skip) = self.eval_call(&site, close, emit);
-                    let c = self.demote(c, close, b);
-                    val = Val::merge(val, c);
-                    j = if skip { close + 1 } else { site.args_open + 1 };
-                    continue;
-                }
-            }
-            if t.is_punct('[') && j > 0 {
-                let prev = &self.toks()[j - 1];
-                let is_macro = prev.ident().is_some() && j >= 2 && self.toks()[j - 2].is_punct('!');
-                let indexes = (prev.ident().is_some() && !is_macro)
-                    || prev.is_punct(')')
-                    || prev.is_punct(']')
-                    || prev.is_punct('?');
-                if indexes {
-                    let close = syntax::match_delim(self.toks(), j);
-                    if close <= b {
-                        let iv = self.eval(j + 1, close, false);
-                        self.sink(iv, "slice index/range", t.line, emit);
-                    }
-                }
-                j += 1;
-                continue;
-            }
-            if let Some(name) = t.ident() {
-                // A field read (`x.name`) — but not a range bound
-                // (`0..name`, where the previous two tokens are `.`s).
-                let is_field = j > 0
-                    && self.toks()[j - 1].is_punct('.')
-                    && !(j >= 2 && self.toks()[j - 2].is_punct('.'));
-                if !is_field {
-                    if let Some(v) = self.vars.get(name).cloned() {
-                        if let Some((m, margs)) = method_after(self.toks(), j) {
-                            if MUTATORS.contains(&m) {
-                                // `v.push(tainted)` taints `v`.
-                                let mclose = syntax::match_delim(self.toks(), margs);
-                                if mclose < b {
-                                    let av = self.eval(margs + 1, mclose, emit);
-                                    let nv = Val::merge(v, av);
-                                    self.vars.insert(name.to_owned(), nv);
-                                    j = mclose + 1;
-                                    continue;
-                                }
-                            }
-                        }
-                        let v = self.demote(v, j, b);
-                        val = Val::merge(val, v);
-                    }
-                }
-            }
-            j += 1;
-        }
-        val
-    }
-
-    /// Applies a call's summaries. Returns `(contribution, skip_args)`:
-    /// resolved calls skip their argument region in the caller's walk
-    /// (the summary is precise), unresolved calls let it be walked
-    /// (arguments' provenance propagates through unknown callees).
-    fn eval_call(&mut self, site: &callgraph::CallSite, close: usize, emit: bool) -> (Val, bool) {
-        let toks = self.toks();
-        if site.name == "from_le_bytes" {
-            let me = &self.cg.fns[self.me];
-            let origin = format!("{} ({}:{})", self.cg.qualified(self.me), self.fd.path, me.line);
-            return (Val::Tainted(origin), false);
-        }
-        // Lengths/capacities of real containers are trusted sizes, and
-        // `partition_point` / `binary_search` indices are bounded by the
-        // container they searched.
-        if matches!(
-            site.name.as_str(),
-            "len" | "capacity" | "is_empty" | "partition_point" | "binary_search"
-        ) {
-            return (Val::Clean, true);
-        }
-        // `x.min(…)` / `x.clamp(…)` return a bounded value (the receiver's
-        // demotion already happened); don't let the bound argument's
-        // provenance leak into the result.
-        if matches!(site.name.as_str(), "min" | "clamp") {
-            let args = callgraph::split_args(toks, site.args_open, close);
-            for &(x, y) in &args {
-                self.eval(x, y, emit);
-            }
-            return (Val::Clean, true);
-        }
-        if SINK_FNS.contains(&site.name.as_str()) {
-            let args = callgraph::split_args(toks, site.args_open, close);
-            let mut av = Val::Clean;
-            for &(x, y) in &args {
-                av = Val::merge(av, self.eval(x, y, emit));
-            }
-            self.sink(av, &format!("{}()", site.name), site.line, emit);
-            return (Val::Clean, true);
-        }
-        let callees = self.cg.resolve_confident(self.me, site);
-        if callees.is_empty() {
-            return (Val::Clean, false);
-        }
-        let args = callgraph::split_args(toks, site.args_open, close);
-        let arg_vals: Vec<Val> = args.iter().map(|&(x, y)| self.eval(x, y, emit)).collect();
-        let mut out = Val::Clean;
-        for &cid in &callees {
-            let info = &self.cg.fns[cid];
-            if info.taint_source {
-                let origin = format!("{} ({}:{})", self.cg.qualified(cid), self.fd.path, site.line);
-                out = Val::merge(out, Val::Tainted(origin));
-            }
-            let sum = self.sums[cid].clone();
-            let rv = match sum.ret {
-                Ret::Clean => Val::Clean,
-                Ret::Tainted(o) => Val::Tainted(o),
-                Ret::Sanitized(o, s) => Val::Sanitized(o, s),
-                Ret::FromParam(p) => arg_vals.get(p).cloned().unwrap_or(Val::Clean),
-            };
-            out = Val::merge(out, rv);
-            for (p, desc) in &sum.param_sinks {
-                if let Some(av) = arg_vals.get(*p) {
-                    self.sink_named(av.clone(), desc.clone(), site.line, emit);
-                }
-            }
-            for p in &sum.sanitizes {
-                if let Some(&(x, y)) = args.get(*p) {
-                    let cinfo = &self.cg.fns[cid];
-                    let desc = format!("{} (line {})", self.cg.qualified(cid), cinfo.line);
-                    self.sanitize_region(x, y, &desc);
-                }
-            }
-        }
-        (out, true)
+        None
     }
 
     /// A bounding operation directly after a tainted value demotes it:
@@ -610,15 +143,17 @@ impl<'a> FnCx<'a> {
     /// `.binary_search(…)` — the last two through any number of field
     /// reads, so `node.keys.partition_point(…)` on a tainted `node`
     /// yields a bounded index, not a tainted one).
-    fn demote(&self, v: Val, after: usize, b: usize) -> Val {
-        let Val::Tainted(o) = &v else { return v };
-        let toks = self.toks();
-        let mut k = after + 1;
+    fn after(cx: &FnCx<Self>, v: Prov, at: usize, b: usize) -> Prov {
+        if !matches!(v, Prov::Raw(_)) {
+            return v;
+        }
+        let toks = cx.toks();
+        let mut k = at + 1;
         while k < b && toks[k].is_punct('?') {
             k += 1;
         }
         if k < b && toks[k].is_punct('%') {
-            return Val::Sanitized(o.clone(), format!("% bound (line {})", toks[k].line));
+            return v.fixed_by(|| format!("% bound (line {})", toks[k].line));
         }
         if k + 1 < b && toks[k].is_punct('&') {
             let next = &toks[k + 1];
@@ -627,14 +162,14 @@ impl<'a> FnCx<'a> {
                     id.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
                 });
             if is_mask {
-                return Val::Sanitized(o.clone(), format!("& mask (line {})", toks[k].line));
+                return v.fixed_by(|| format!("& mask (line {})", toks[k].line));
             }
         }
         while k + 1 < b && toks[k].is_punct('.') {
             let Some(m) = toks[k + 1].ident() else { break };
             if k + 2 < b && toks[k + 2].is_punct('(') {
                 if matches!(m, "min" | "clamp" | "partition_point" | "binary_search") {
-                    return Val::Sanitized(o.clone(), format!("{m}() (line {})", toks[k + 1].line));
+                    return v.fixed_by(|| format!("{m}() (line {})", toks[k + 1].line));
                 }
                 break;
             }
@@ -643,97 +178,28 @@ impl<'a> FnCx<'a> {
         }
         v
     }
-
-    /// Marks every tracked operand in a region sanitized (guard or
-    /// sanitizing-callee argument).
-    fn sanitize_region(&mut self, a: usize, b: usize, desc: &str) {
-        let mut updates = Vec::new();
-        for k in a..b {
-            let t = &self.toks()[k];
-            if k > 0 && self.toks()[k - 1].is_punct('.') {
-                continue;
-            }
-            if let Some(name) = t.ident() {
-                match self.vars.get(name) {
-                    Some(Val::Tainted(o)) => {
-                        updates.push((name.to_owned(), Val::Sanitized(o.clone(), desc.to_owned())));
-                    }
-                    Some(Val::Param(p)) => {
-                        self.sanitizes.insert(*p);
-                        updates.push((name.to_owned(), Val::Clean));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (name, v) in updates {
-            self.vars.insert(name, v);
-        }
-    }
-
-    fn sink(&mut self, v: Val, what: &str, line: u32, emit: bool) {
-        let me = self.cg.qualified(self.me);
-        let desc = format!("{what} at {}:{line} in {me}", self.fd.path);
-        self.sink_named(v, desc, line, emit);
-    }
-
-    fn sink_named(&mut self, v: Val, desc: String, line: u32, emit: bool) {
-        match v {
-            Val::Clean => {}
-            Val::Param(p) => {
-                self.param_sinks.insert((p, desc));
-            }
-            Val::Sanitized(o, s) => {
-                if emit {
-                    if let Some(e) = self.emit.as_deref_mut() {
-                        e.verdicts.insert(TaintVerdict { source: o, sanitizer: s, sink: desc });
-                    }
-                }
-            }
-            Val::Tainted(o) => {
-                if let Some(reason) = self.fd.markers.sanitized_reason_near(line) {
-                    if emit {
-                        if let Some(e) = self.emit.as_deref_mut() {
-                            e.verdicts.insert(TaintVerdict {
-                                source: o,
-                                sanitizer: format!("marker: {reason}"),
-                                sink: desc,
-                            });
-                        }
-                    }
-                } else if emit {
-                    if let Some(e) = self.emit.as_deref_mut() {
-                        e.findings.insert(Finding {
-                            file: self.fd.path.clone(),
-                            line,
-                            rule: "taint",
-                            message: format!(
-                                "tainted value from {o} reaches {desc} without a sanitizer; \
-                                 bound it first or mark `// roadlint: sanitized reason=\"…\"`"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// `ident . m (` directly after token `j` → `(m, index of the "(")`.
-fn method_after(toks: &[Token], j: usize) -> Option<(&str, usize)> {
-    if toks.get(j + 1).is_some_and(|t| t.is_punct('.')) {
-        let m = toks.get(j + 2)?.ident()?;
-        if toks.get(j + 3).is_some_and(|t| t.is_punct('(')) {
-            return Some((m, j + 3));
-        }
+/// Merged provenance of a call's arguments.
+fn args_prov(cx: &mut FnCx<Taint>, site: &CallSite, close: usize) -> Prov {
+    let mut av = Prov::Clean;
+    for (x, y) in callgraph::split_args(cx.toks(), site.args_open, close) {
+        av.merge(cx.eval(x, y));
     }
-    None
+    av
 }
 
-/// True when `t` makes a following `=` a comparison (`==`, `!=`, `<=`,
-/// `>=`) rather than an assignment.
-fn is_cmp_prefix(t: &Token) -> bool {
-    t.is_punct('=') || t.is_punct('!') || t.is_punct('<') || t.is_punct('>')
+/// True when token `k` is a comparison operator (`<`, `>`, `==`, `!=`,
+/// `<=`, `>=`) rather than a path, arrow or generic bracket.
+fn is_cmp_at(toks: &[Token], k: usize) -> bool {
+    let t = &toks[k];
+    if t.is_punct('<') {
+        return !(k > 0 && toks[k - 1].is_punct(':'));
+    }
+    if t.is_punct('>') {
+        return !(k > 0 && (toks[k - 1].is_punct('-') || toks[k - 1].is_punct('=')));
+    }
+    t.is_punct('=') && k > 0 && flow::is_cmp_prefix(&toks[k - 1])
 }
 
 #[cfg(test)]
@@ -741,7 +207,7 @@ mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
 
-    fn run(srcs: &[(&str, &str)]) -> (Vec<Finding>, Vec<TaintVerdict>) {
+    fn run(srcs: &[(&str, &str)]) -> (Vec<Finding>, Vec<Verdict>) {
         let files: Vec<FileData> = srcs.iter().map(|(p, s)| FileData::new(p, s)).collect();
         let cg = CallGraph::build(&files);
         check(&files, &cg)
@@ -759,11 +225,19 @@ mod tests {
                  let mut out = Vec::with_capacity(n);
                  for i in 0..n { out.push(read_u32(b, 4 + 4 * i)); }
                  out
+             }
+             fn decode_opt(b: &[u8]) -> Vec<u32> {
+                 let n: Option<usize> = Some(read_u32(b, 0) as usize);
+                 let m = n.unwrap_or(0);
+                 Vec::with_capacity(m)
              }",
         )]);
         let msgs: String = f.iter().map(|x| x.message.as_str()).collect();
         assert!(msgs.contains("with_capacity"), "{f:?}");
         assert!(msgs.contains("loop bound"), "{f:?}");
+        // The `>` before `=` closes the ascription's generic: `n` is
+        // bound, and its taint reaches the allocation through `m`.
+        assert!(msgs.contains("in decode_opt"), "{f:?}");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! exempt.
 
 use crate::callgraph::{self, CallGraph};
+use crate::flow::stmt_semi;
 use crate::lexer::Token;
 use crate::markers::Marker;
 use crate::syntax;
@@ -113,24 +114,6 @@ pub fn check(files: &[FileData], cg: &CallGraph) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// Index of the `;` ending the statement starting at `a` (depth-aware).
-fn stmt_semi(toks: &[Token], a: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(a) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return j;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return j;
-        }
-    }
-    toks.len()
 }
 
 /// The first call in the region whose exact resolution says it returns

@@ -3,6 +3,7 @@
 //! strings and integers, not worth a dependency the container may not
 //! have.
 
+use crate::flow::Verdict;
 use crate::Analysis;
 use std::fmt::Write;
 
@@ -48,33 +49,27 @@ pub fn render(a: &Analysis) -> String {
         );
     }
     s.push_str("]},\"taint\":[");
-    for (i, v) in a.taint.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"source\":{},\"sanitizer\":{},\"sink\":{}}}",
-            esc(&v.source),
-            esc(&v.sanitizer),
-            esc(&v.sink)
-        );
-    }
+    verdicts(&mut s, &a.taint);
     s.push_str("],\"order\":[");
-    for (i, v) in a.order.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"source\":{},\"sanitizer\":{},\"sink\":{}}}",
-            esc(&v.source),
-            esc(&v.sanitizer),
-            esc(&v.sink)
-        );
-    }
+    verdicts(&mut s, &a.order);
     s.push_str("]}");
     s
+}
+
+/// The rows of one verdict table, comma-separated.
+fn verdicts(s: &mut String, rows: &[Verdict]) {
+    for (i, v) in rows.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = write!(
+            s,
+            "{{\"source\":{},\"sanitizer\":{},\"sink\":{}}}",
+            esc(&v.source),
+            esc(&v.sanitizer),
+            esc(&v.sink)
+        );
+    }
 }
 
 /// JSON string literal with the mandatory escapes.

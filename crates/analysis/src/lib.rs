@@ -16,19 +16,30 @@
 //!    dominated by a bound/error check on the decoded count;
 //! 6. **taint** — integers decoded from untrusted bytes must flow
 //!    through a sanitizer before sizing an allocation, indexing a slice
-//!    or bounding a loop ([`dataflow`], interprocedural);
+//!    or bounding a loop ([`dataflow`]: the taint rule table of
+//!    [`flow`]);
 //! 7. **guard-io** — no guard other than the buffer pool's own stripe
 //!    is held across `PageStore` IO ([`lockgraph`]);
 //! 8. **swallowed-error** — `Result`s on the serving/decode path are
 //!    not silently discarded ([`discard`]);
 //! 9. **unordered-iter** — iteration over hash-ordered containers must
 //!    not reach byte output or order-sensitive commits unsorted
-//!    ([`order`], interprocedural);
+//!    ([`order`]: the order rule table of [`flow`]);
 //! 10. **float-order** — float reductions over unordered domains are
-//!     flagged: reassociation breaks byte-identical builds ([`order`]);
+//!     flagged: reassociation breaks byte-identical builds (a second
+//!     sink kind of the same table);
 //! 11. **sched-order** — `thread::scope` fan-outs must deposit results
 //!     into index-addressed slots or join in spawn order, never consume
-//!     in thread-completion order ([`order`]).
+//!     in thread-completion order (a scan [`order`] runs beside the
+//!     engine).
+//!
+//! **One engine, two rule tables.** Rules 6, 9 and 10 are the same
+//! interprocedural dataflow — [`flow`]: one provenance lattice
+//! (`Clean < Fixed < Param < Raw`), one statement walker, one
+//! per-function summary, one capped fixpoint over [`callgraph`] (which
+//! the lock pass shares for its footprints). [`dataflow`] and [`order`]
+//! hold only what makes each a rule: its sources, sanitizers, sinks and
+//! event hooks, as the two implementors of [`flow::Rule`].
 //!
 //! Rules 6–11 resolve calls across files and crates via [`callgraph`].
 //! The pass walks every `.rs` file of the workspace (skipping `target`,
@@ -40,6 +51,7 @@
 pub mod callgraph;
 pub mod dataflow;
 pub mod discard;
+pub mod flow;
 pub mod json;
 pub mod lexer;
 pub mod lockgraph;
@@ -102,11 +114,11 @@ pub struct Analysis {
     pub graph: lockgraph::LockGraph,
     /// The taint verdict table: every sanitized flow that reached a sink
     /// (for `--taint`).
-    pub taint: Vec<dataflow::TaintVerdict>,
+    pub taint: Vec<flow::Verdict>,
     /// The order verdict table: every sanitized unordered flow that
     /// reached a byte-output or commit sink, plus the clean fan-out
     /// shapes (for `--order` / `--order-dag`).
-    pub order: Vec<order::OrderVerdict>,
+    pub order: Vec<flow::Verdict>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }

@@ -36,6 +36,7 @@
 //! `// roadlint: allow(io-under-lock) reason="…"`.
 
 use crate::callgraph::{self, CallGraph, FnId};
+use crate::flow;
 use crate::lexer::Token;
 use crate::markers::Marker;
 use crate::syntax;
@@ -118,6 +119,14 @@ pub struct Site {
     pub file: String,
     pub line: u32,
     pub function: String,
+}
+
+/// What calling a function may do, transitively: the lock classes it may
+/// acquire and whether it may do PageStore IO.
+#[derive(Clone, PartialEq, Default)]
+struct Footprint {
+    may: BTreeSet<String>,
+    io: bool,
 }
 
 /// The acquired-while-held graph.
@@ -303,82 +312,47 @@ fn statement_is_let(toks: &[Token], at: usize, body_start: usize) -> bool {
 /// reports ordering violations (cycles, including self-edges) and
 /// guard-across-IO sites in serving files.
 pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
-    // May-acquire sets per FnId, to a fixpoint over the resolved call
-    // graph.
-    let mut may: Vec<BTreeSet<String>> = vec![BTreeSet::new(); cg.fns.len()];
-    for file in locks {
-        for f in &file.fns {
-            for e in &f.events {
-                if let LockEvent::Acquire { class, .. } = e {
-                    may[f.id].insert(class.clone());
-                }
-            }
-        }
-    }
-    loop {
-        let mut changed = false;
-        for file in locks {
-            for f in &file.fns {
-                let mut add = BTreeSet::new();
-                for e in &f.events {
-                    if let LockEvent::Call { callees, .. } = e {
-                        for &c in callees {
-                            add.extend(may[c].iter().cloned());
-                        }
-                    }
-                }
-                let before = may[f.id].len();
-                may[f.id].extend(add);
-                changed |= may[f.id].len() != before;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // May-do-IO per FnId, propagated only over the *exact* (typed)
-    // resolution — the guard-io rule must not attribute a `Vec::insert`
-    // to a same-named workspace fn the way the broad edges above
+    // Lock footprints per FnId, to a fixpoint over the resolved call
+    // graph. IO propagates only over the *exact* (typed) resolution —
+    // the guard-io rule must not attribute a `Vec::insert` to a
+    // same-named workspace fn the way the broad may-acquire edges
     // deliberately do.
-    let mut may_io: Vec<bool> = vec![false; cg.fns.len()];
-    for file in locks {
-        for f in &file.fns {
-            for e in &f.events {
-                if let LockEvent::Acquire { class, .. } = e {
-                    if class == IO_CLASS {
-                        may_io[f.id] = true;
-                    }
-                }
-            }
-        }
+    let mut events: Vec<&[LockEvent]> = vec![&[]; cg.fns.len()];
+    for f in locks.iter().flat_map(|file| &file.fns) {
+        events[f.id] = &f.events;
     }
-    loop {
-        let mut changed = false;
-        for file in locks {
-            for f in &file.fns {
-                if may_io[f.id] {
-                    continue;
+    let mut foot = vec![Footprint::default(); cg.fns.len()];
+    let converged = flow::fixpoint(&mut foot, |id, foot| {
+        let mut s = foot[id].clone();
+        for e in events[id] {
+            match e {
+                LockEvent::Acquire { class, .. } => {
+                    s.io |= class == IO_CLASS;
+                    s.may.insert(class.clone());
                 }
-                for e in &f.events {
-                    if let LockEvent::Call { io_callees, .. } = e {
-                        if io_callees.iter().any(|&c| may_io[c]) {
-                            may_io[f.id] = true;
-                            changed = true;
-                            break;
-                        }
-                    }
+                LockEvent::Call { callees, io_callees, .. } => {
+                    s.may.extend(callees.iter().flat_map(|&c| foot[c].may.iter().cloned()));
+                    s.io |= io_callees.iter().any(|&c| foot[c].io);
                 }
+                _ => {}
             }
         }
-        if !changed {
-            break;
-        }
+        Some(s)
+    });
+    let mut findings = Vec::new();
+    if !converged {
+        // Footprints only grow, so this means a call chain deeper than
+        // the round cap — and a graph that may be missing edges.
+        findings.push(Finding {
+            file: String::new(),
+            line: 0,
+            rule: "lock-order",
+            message: format!("lock footprints did not converge in {} rounds", flow::ROUNDS),
+        });
     }
 
     // Edge emission by linear simulation of each serving-file function.
     let mut graph = LockGraph::default();
-    let mut findings = Vec::new();
     for file in locks {
         if !file.serving {
             continue;
@@ -428,10 +402,8 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
                         }
                     }
                     LockEvent::Call { callees, io_callees, let_bound, line, depth, io_escape } => {
-                        let mut acquired = BTreeSet::new();
-                        for &c in callees {
-                            acquired.extend(may[c].iter().cloned());
-                        }
+                        let acquired: BTreeSet<String> =
+                            callees.iter().flat_map(|&c| foot[c].may.iter().cloned()).collect();
                         if acquired.is_empty() {
                             continue;
                         }
@@ -451,13 +423,9 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
                                 }
                             }
                         }
-                        if io_callees.iter().any(|&c| may_io[c]) && !io_escape {
-                            let callee = io_callees
-                                .iter()
-                                .find(|&&c| may_io[c])
-                                .map(|&c| cg.qualified(c))
-                                .unwrap_or_default();
-                            io_finding(&held, *line, &format!("call to {callee}"));
+                        let io_callee = io_callees.iter().find(|&&c| foot[c].io);
+                        if let Some(&c) = io_callee.filter(|_| !io_escape) {
+                            io_finding(&held, *line, &format!("call to {}", cg.qualified(c)));
                         }
                         if *let_bound && callees.iter().any(|&c| cg.fns[c].guard_returning) {
                             held.extend(acquired.iter().map(|c| (c.clone(), *depth)));

@@ -89,24 +89,15 @@ impl Markers {
         })
     }
 
-    /// The reason of a `sanitized` marker on line `l` or the line above.
-    pub fn sanitized_reason_near(&self, l: u32) -> Option<&str> {
-        self.markers.iter().find_map(|m| match &m.marker {
-            Marker::Sanitized(reason) if m.line == l || (l > 0 && m.line == l - 1) => {
-                Some(reason.as_str())
-            }
-            _ => None,
-        })
-    }
-
-    /// The reason of an `ordered` marker on line `l` or the line above.
-    pub fn ordered_reason_near(&self, l: u32) -> Option<&str> {
-        self.markers.iter().find_map(|m| match &m.marker {
-            Marker::Ordered(reason) if m.line == l || (l > 0 && m.line == l - 1) => {
-                Some(reason.as_str())
-            }
-            _ => None,
-        })
+    /// The reason of an escape marker on line `l` or the line above;
+    /// `pick` extracts the reason from the marker kind the caller honours.
+    pub fn reason_near<'m>(
+        &'m self,
+        l: u32,
+        pick: impl Fn(&'m Marker) -> Option<&'m str>,
+    ) -> Option<&'m str> {
+        let near = |m: &&MarkerAt| m.line == l || (l > 0 && m.line == l - 1);
+        self.markers.iter().filter(near).find_map(|m| pick(&m.marker))
     }
 
     /// Hot-path fence line ranges `(start, end)`, inclusive. Unbalanced
@@ -283,8 +274,9 @@ mod tests {
              // roadlint: ordered\n",
         );
         assert!(m.has_on_line(&Marker::OrderSink, 1));
-        assert_eq!(m.ordered_reason_near(3), Some("commutative integer sum"));
-        assert_eq!(m.ordered_reason_near(4), Some("commutative integer sum"));
+        let ordered = |l| m.reason_near(l, <crate::order::Order as crate::flow::Rule>::escape);
+        assert_eq!(ordered(3), Some("commutative integer sum"));
+        assert_eq!(ordered(4), Some("commutative integer sum"));
         assert_eq!(m.hygiene.len(), 1, "{:?}", m.hygiene);
         assert!(m.hygiene[0].message.contains("`ordered`"));
     }

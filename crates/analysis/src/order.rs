@@ -1,5 +1,5 @@
-//! Pass B: the determinism prover — unordered-iteration taint over the
-//! byte-output and commit surface.
+//! Rules 9–11: the determinism prover — the order rule table of the
+//! [`crate::flow`] engine, plus the scheduling check.
 //!
 //! The workspace's load-bearing invariant since the parallel-build PRs is
 //! that serialized `ShortcutStore`s are **byte-identical** across thread
@@ -9,12 +9,13 @@
 //!
 //! * **unordered-iter** (rule 9) — iterating a hash-ordered container
 //!   (`FastMap`/`FastSet`/`HashMap`/`HashSet`, via `.iter()`, `.keys()`,
-//!   `.values()`, `.drain()`, `into_iter()` or `for … in &map`) must not
-//!   reach a byte-output sink (`extend_from_slice`, `write_all`,
-//!   `serialize_into`, or any function that transitively emits) or an
-//!   order-sensitive commit (a function carrying the `order-sink`
-//!   marker). Sanitizers: collect-then-`sort*`, a `BTreeMap`/`BTreeSet`
-//!   rebind, or a reasoned `// roadlint: ordered reason="…"` escape.
+//!   `.values()`, `.drain()`, `into_iter()` or `for … in &map`) is the
+//!   source; it must not reach a byte-output sink (`extend_from_slice`,
+//!   `write_all`, `serialize_into`, or any function that transitively
+//!   emits) or an order-sensitive commit (a function carrying the
+//!   `order-sink` marker). Sanitizers: collect-then-`sort*`, a
+//!   `BTreeMap`/`BTreeSet` rebind, or a reasoned
+//!   `// roadlint: ordered reason="…"` escape.
 //! * **float-order** (rule 10) — float accumulation whose iteration
 //!   domain is unordered (`.sum::<f64>()`, `+=` on an `f64`/`f32`/
 //!   `Weight` accumulator inside the loop, `min_by`/`max_by` via
@@ -26,34 +27,26 @@
 //!   joined in spawn order, never consumed in thread-completion order
 //!   (`.recv()` loops, `Mutex<Vec>::push`).
 //!
-//! **Interprocedural**: per-function summaries — return-order provenance,
-//! whether the function (transitively) emits bytes, and parameters whose
-//! iteration order reaches a sink — are computed to a fixpoint over the
-//! workspace call graph, so a helper in another crate that loops over its
-//! slice parameter and emits bytes is an order sink for every caller
-//! passing an unsorted hash-map collection.
-//!
 //! Every *sanitized* flow that reaches a sink becomes a row of the order
 //! verdict table (`source → sanitizer → sink`, printed by
 //! `roadlint --order` and pinned canonically in `determinism.expected`).
 //!
-//! Documented approximations: container typing comes from type
-//! ascriptions, struct-field declarations, known constructors
+//! Documented approximations beyond the engine's: container typing comes
+//! from type ascriptions, struct-field declarations, known constructors
 //! (`FastMap::default()`, `fast_map_with_capacity`, …) and resolved
-//! callee return types; closure parameters are untracked; a method chain
-//! on an unresolved call result is not a source; pushing into a local
-//! `Vec` inside an unordered loop marks that `Vec` unordered only within
-//! the loop's token range. Resolution uses
-//! [`CallGraph::resolve_confident`] for summaries (never borrowing a
-//! same-named fn's summary across types) and the over-approximating
-//! [`CallGraph::resolve`] for *typing only* (binding a local from a
-//! cross-crate `-> FastMap<…>` callee).
+//! callee return types; a method chain on an unresolved call result is
+//! not a source; pushing into a local `Vec` inside an unordered loop
+//! marks that `Vec` unordered only within the loop's token range.
+//! *Typing only* (binding a local from a cross-crate `-> FastMap<…>`
+//! callee) uses the over-approximating [`CallGraph::resolve`].
 
-use crate::callgraph::{self, CallGraph, FnId};
+use crate::callgraph::{self, CallGraph, CallSite, FnId};
+use crate::flow::{self, FnCx, Prov, Report, Rule, Verdict};
 use crate::lexer::Token;
+use crate::markers::Marker;
 use crate::syntax;
 use crate::{FileData, Finding};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Hash-ordered container types: iterating one yields an unordered
 /// stream.
@@ -113,86 +106,11 @@ const CLEAN_REDUCERS: &[&str] =
 /// enclosing statement order-observable in the serialized output.
 const EMIT_PRIMS: &[&str] = &["extend_from_slice", "write_all", "serialize_into"];
 
-/// Receiver methods that write their argument's elements into the
-/// receiver in iteration order.
-const SEQ_MUTATORS: &[&str] = &["push", "extend", "append", "insert"];
-
 /// Constructors of unordered containers by free-fn name.
 const UNORDERED_CTORS: &[&str] = &["fast_map_with_capacity", "fast_set_with_capacity"];
 
 /// Accumulator types whose `+=` is float addition.
 const FLOAT_TYPES: &[&str] = &["f64", "f32", "Weight"];
-
-/// Order provenance of one value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum OVal {
-    /// Deterministic order (or not an iteration-ordered value at all).
-    Ordered,
-    /// Hash-unordered origin whose order was fixed: `(origin, sanitizer)`.
-    Sorted(String, String),
-    /// Order inherited from parameter `i` of the enclosing fn.
-    Param(usize),
-    /// Hash-unordered, with the origin description.
-    Unordered(String),
-}
-
-impl OVal {
-    fn rank(&self) -> u8 {
-        match self {
-            OVal::Ordered => 0,
-            OVal::Sorted(..) => 1,
-            OVal::Param(_) => 2,
-            OVal::Unordered(_) => 3,
-        }
-    }
-
-    /// Worst-wins merge; ties keep the first operand (scan order is
-    /// deterministic, so summaries converge).
-    fn merge(a: OVal, b: OVal) -> OVal {
-        if b.rank() > a.rank() {
-            b
-        } else {
-            a
-        }
-    }
-}
-
-/// Return-order provenance of a function.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-enum ORet {
-    #[default]
-    Ordered,
-    FromParam(usize),
-    Sorted(String, String),
-    Unordered(String),
-}
-
-/// The interprocedural summary of one function.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct OrderSummary {
-    ret: ORet,
-    /// Calling this fn produces externally visible byte output or an
-    /// order-sensitive commit — calls to it inside a loop make the
-    /// loop's iteration order observable.
-    emits: bool,
-    /// Parameters whose iteration order reaches a sink inside this fn
-    /// (or transitively), with the sink's description.
-    param_sinks: BTreeSet<(usize, String)>,
-}
-
-/// One row of the order verdict table.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct OrderVerdict {
-    pub source: String,
-    pub sanitizer: String,
-    pub sink: String,
-}
-
-#[derive(Default)]
-struct Emit {
-    findings: BTreeSet<Finding>,
-    verdicts: BTreeSet<OrderVerdict>,
-}
 
 /// How a type chain iterates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,41 +153,18 @@ fn classify(chain: &[String]) -> Shape {
 }
 
 /// Runs the determinism pass over the workspace.
-pub fn check(files: &[FileData], cg: &CallGraph) -> (Vec<Finding>, Vec<OrderVerdict>) {
-    let mut sums: Vec<OrderSummary> = vec![OrderSummary::default(); cg.fns.len()];
-    for _ in 0..12 {
-        let mut changed = false;
-        for id in 0..cg.fns.len() {
-            if cg.fns[id].in_test_mod || cg.fns[id].body.is_none() {
-                continue;
-            }
-            let s = FnCx::new(files, cg, id, &sums, None).run();
-            if s != sums[id] {
-                sums[id] = s;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+pub fn check(files: &[FileData], cg: &CallGraph) -> (Vec<Finding>, Vec<Verdict>) {
+    let mut report = flow::run::<Order>(files, cg);
+    for id in (0..cg.fns.len()).filter(|&id| !cg.fns[id].in_test_mod) {
+        sched_check(files, cg, id, &mut report);
     }
-    let mut emit = Emit::default();
-    for id in 0..cg.fns.len() {
-        if cg.fns[id].in_test_mod || cg.fns[id].body.is_none() {
-            continue;
-        }
-        FnCx::new(files, cg, id, &sums, Some(&mut emit)).run();
-        sched_check(files, cg, id, &mut emit);
-    }
-    (emit.findings.into_iter().collect(), emit.verdicts.into_iter().collect())
+    report.into_sorted()
 }
 
-/// The per-function order-dataflow engine.
-struct FnCx<'a> {
-    cg: &'a CallGraph,
-    sums: &'a [OrderSummary],
-    me: FnId,
-    fd: &'a FileData,
+/// The order rule: `Raw` is hash-unordered, `Fixed` is sorted. Its
+/// per-function state is the container typing of the locals.
+#[derive(Default)]
+pub struct Order {
     /// Locals that *are* unordered containers (iterating them is the
     /// source event; using them by key is not).
     map_vars: BTreeSet<String>,
@@ -278,278 +173,206 @@ struct FnCx<'a> {
     seq_vars: BTreeSet<String>,
     /// Float accumulators (by ascription).
     float_vars: BTreeSet<String>,
-    /// Order provenance of iteration-derived locals.
-    vars: BTreeMap<String, OVal>,
     /// Open unordered-loop contexts as `(body_close, origin)`: pushes
     /// into a `Vec` inside such a loop order it by the loop's domain.
     loop_ctx: Vec<(usize, String)>,
-    ret: OVal,
-    emits: bool,
-    param_sinks: BTreeSet<(usize, String)>,
-    emit: Option<&'a mut Emit>,
 }
 
-impl<'a> FnCx<'a> {
-    fn new(
-        files: &'a [FileData],
-        cg: &'a CallGraph,
-        me: FnId,
-        sums: &'a [OrderSummary],
-        emit: Option<&'a mut Emit>,
-    ) -> FnCx<'a> {
-        let info = &cg.fns[me];
-        let mut cx = FnCx {
-            cg,
-            sums,
-            me,
-            fd: &files[info.file_idx],
-            map_vars: BTreeSet::new(),
-            seq_vars: BTreeSet::new(),
-            float_vars: BTreeSet::new(),
-            vars: BTreeMap::new(),
-            loop_ctx: Vec::new(),
-            ret: OVal::Ordered,
-            emits: info.order_sink,
-            param_sinks: BTreeSet::new(),
-            emit,
+impl Order {
+    /// Types `binders` as containers when `shape` is one.
+    fn typed(&mut self, shape: Shape, binders: &[String]) -> bool {
+        let set = match shape {
+            Shape::Map => &mut self.map_vars,
+            Shape::SeqOfMaps => &mut self.seq_vars,
+            _ => return false,
         };
+        set.extend(binders.iter().cloned());
+        true
+    }
+}
+
+fn is_float(chain: &[String]) -> bool {
+    chain.iter().any(|id| FLOAT_TYPES.contains(&id.as_str()))
+}
+
+fn float_message(origin: &str, sink: &str) -> String {
+    format!(
+        "float reduction over the hash-ordered domain {origin}: {sink}; \
+         reassociation breaks byte-identical builds — sort the domain, \
+         use integer/total_cmp reductions, or mark \
+         `// roadlint: ordered reason=\"…\"`"
+    )
+}
+
+impl Rule for Order {
+    const ID: &'static str = "unordered-iter";
+    /// These write their argument's elements into the receiver in
+    /// iteration order.
+    const MUTATORS: &'static [&'static str] = &["push", "extend", "append", "insert"];
+
+    fn message(origin: &str, sink: &str) -> String {
+        format!(
+            "hash-ordered iteration from {origin} reaches {sink}; sort the domain \
+             first, rebind through a BTreeMap, or mark \
+             `// roadlint: ordered reason=\"…\"`"
+        )
+    }
+
+    fn escape(m: &Marker) -> Option<&str> {
+        match m {
+            Marker::Ordered(reason) => Some(reason),
+            _ => None,
+        }
+    }
+
+    fn enter(cx: &mut FnCx<Self>) {
+        let cg = cx.cg;
+        let info = &cg.fns[cx.me];
+        cx.sum.emits = info.order_sink;
         for (i, p) in info.params.iter().enumerate() {
             let chain = info.param_chains.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            match classify(chain) {
-                Shape::Map => {
-                    cx.map_vars.insert(p.clone());
-                }
-                Shape::SeqOfMaps => {
-                    cx.seq_vars.insert(p.clone());
-                }
+            let binder = std::slice::from_ref(p);
+            if !cx.rule.typed(classify(chain), binder) {
                 // Slices, vecs, iterators: order inherited from the
                 // caller.
-                _ => {
-                    cx.vars.insert(p.clone(), OVal::Param(i));
-                }
+                cx.vars.insert(p.clone(), Prov::Param(i));
             }
-            if chain.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
-                cx.float_vars.insert(p.clone());
+            if is_float(chain) {
+                cx.rule.float_vars.insert(p.clone());
             }
         }
-        cx
     }
 
-    fn toks(&self) -> &'a [Token] {
-        &self.fd.lexed.tokens
-    }
-
-    fn run(mut self) -> OrderSummary {
-        if let Some((bs, be)) = self.cg.fns[self.me].body {
-            self.stmts(bs + 1, be);
+    fn bind_let(
+        cx: &mut FnCx<Self>,
+        binders: Vec<String>,
+        ascription: Option<(usize, usize)>,
+        rhs: (usize, usize),
+        v: Prov,
+    ) {
+        let chain = ascription.map(|(a, b)| ascription_chain(cx.toks(), a, b)).unwrap_or_default();
+        if is_float(&chain) {
+            cx.rule.float_vars.extend(binders.iter().cloned());
         }
-        let ret = match self.ret {
-            OVal::Ordered => ORet::Ordered,
-            OVal::Param(p) => ORet::FromParam(p),
-            OVal::Sorted(o, s) => ORet::Sorted(o, s),
-            OVal::Unordered(o) => ORet::Unordered(o),
+        // The ascription decides the binding when it names a container;
+        // otherwise the RHS may type it.
+        let shape = match classify(&chain) {
+            Shape::Other if cx.rhs_is_map(rhs.0, rhs.1) => Shape::Map,
+            shape => shape,
         };
-        OrderSummary { ret, emits: self.emits, param_sinks: self.param_sinks }
-    }
-
-    /// Statement-by-statement scan of a block region.
-    fn stmts(&mut self, a: usize, b: usize) {
-        let mut i = a;
-        while i < b {
-            let t = &self.toks()[i];
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct(',') {
-                i += 1;
-                continue;
-            }
-            match t.ident() {
-                Some("let") => i = self.handle_let(i, b),
-                Some("for") => i = self.handle_for(i, b),
-                Some("if") => i = self.handle_if(i, b),
-                Some("while") | Some("match") => {
-                    let open = self.find_block_open(i + 1, b);
-                    self.eval(i + 1, open);
-                    i = open + 1;
-                }
-                Some("return") => {
-                    let (end, _) = self.stmt_limit(i + 1, b);
-                    let v = self.eval(i + 1, end);
-                    self.ret = OVal::merge(self.ret.clone(), v);
-                    i = end + 1;
-                }
-                Some("else") | Some("loop") | Some("unsafe") => i += 1,
-                _ => {
-                    let (end, closed) = self.stmt_limit(i, b);
-                    let v = self.handle_expr_stmt(i, end);
-                    if closed {
-                        // Block-final expression: a (possible) tail value.
-                        self.ret = OVal::merge(self.ret.clone(), v);
-                    }
-                    i = end + 1;
-                }
-            }
+        if cx.rule.typed(shape, &binders) {
+            return;
         }
-    }
-
-    /// End of the statement starting at `a` (same shape as the taint
-    /// pass): the depth-0 `;` or match-arm `,`, or the enclosing `}`.
-    fn stmt_limit(&self, a: usize, b: usize) -> (usize, bool) {
-        let mut depth = 0i64;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    return (j, true);
-                }
-            } else if t.is_punct(';') && depth == 0 {
-                return (j, false);
-            } else if t.is_punct(',') && depth == 0 {
-                return (j, true);
-            }
-            j += 1;
-        }
-        (b, true)
-    }
-
-    /// The `{` opening the body of an `if`/`for`/`while`/`match` whose
-    /// header starts at `a`.
-    fn find_block_open(&self, a: usize, b: usize) -> usize {
-        let mut depth = 0i64;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('{') {
-                if depth == 0 {
-                    return j;
-                }
-                depth += 1;
-            } else if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        b
-    }
-
-    /// Binder identifiers of a pattern region.
-    fn pattern_binders(&self, a: usize, b: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        for k in a..b {
-            if let Some(id) = self.toks()[k].ident() {
-                if !matches!(id, "mut" | "ref" | "box" | "self" | "_")
-                    && id.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-                {
-                    out.push(id.to_owned());
-                }
-            }
-        }
-        out
-    }
-
-    fn handle_let(&mut self, i: usize, b: usize) -> usize {
-        let mut depth = 0i64;
-        let mut j = i + 1;
-        let mut pattern_end = None;
-        let mut eq = None;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    break;
-                }
-            } else if depth == 0 {
-                if t.is_punct(';') {
-                    // `let x;` — uninitialized.
-                    for bnd in self.pattern_binders(i + 1, j) {
-                        self.vars.insert(bnd, OVal::Ordered);
-                    }
-                    return j + 1;
-                }
-                if t.is_punct(':')
-                    && !self.toks().get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && !(j > 0 && self.toks()[j - 1].is_punct(':'))
-                {
-                    pattern_end.get_or_insert(j);
-                }
-                if t.is_punct('=')
-                    && !self.toks().get(j + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-                {
-                    // After an ascription, a preceding `>` closes its
-                    // generic (`let m: FastMap<u32, u32> = …`), not a
-                    // `>=` comparison.
-                    let generic_close =
-                        pattern_end.is_some() && j > 0 && self.toks()[j - 1].is_punct('>');
-                    if generic_close || !(j > 0 && is_cmp_prefix(&self.toks()[j - 1])) {
-                        eq = Some(j);
-                        break;
-                    }
-                }
-            }
-            j += 1;
-        }
-        let Some(eq) = eq else {
-            return j + 1;
+        // A BTree rebind of an unordered stream is sorted.
+        let v = match shape {
+            Shape::BTree => v.fixed_by(|| "BTreeMap rebind".to_owned()),
+            _ => v,
         };
-        let binders = self.pattern_binders(i + 1, pattern_end.unwrap_or(eq));
-        let (end, _) = self.stmt_limit(eq + 1, b);
-        let v = self.eval(eq + 1, end);
-        // The ascription decides the binding when it names a container.
-        let chain =
-            pattern_end.map(|pe| ascription_chain(self.toks(), pe + 1, eq)).unwrap_or_default();
-        if chain.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
-            for bnd in &binders {
-                self.float_vars.insert(bnd.clone());
-            }
-        }
-        match classify(&chain) {
-            Shape::Map => {
-                for bnd in binders {
-                    self.map_vars.insert(bnd);
-                }
-                return end + 1;
-            }
-            Shape::SeqOfMaps => {
-                for bnd in binders {
-                    self.seq_vars.insert(bnd);
-                }
-                return end + 1;
-            }
-            Shape::BTree => {
-                // A BTree rebind of an unordered stream is sorted.
-                let nv = match v {
-                    OVal::Unordered(o) => OVal::Sorted(o, "BTreeMap rebind".to_owned()),
-                    other => other,
-                };
-                for bnd in binders {
-                    self.vars.insert(bnd, nv.clone());
-                }
-                return end + 1;
-            }
-            Shape::Other => {}
-        }
-        // No deciding ascription: type the binding from the RHS — a
-        // known constructor, a map-var alias, or a callee whose return
-        // type is an unordered container.
-        if self.rhs_is_map(eq + 1, end) {
-            for bnd in binders {
-                self.map_vars.insert(bnd);
-            }
-            return end + 1;
-        }
-        for bnd in binders {
-            self.vars.insert(bnd, v.clone());
-        }
-        end + 1
+        cx.bind(binders, v);
     }
 
+    fn assign(cx: &mut FnCx<Self>, name: &str, rhs: (usize, usize)) -> bool {
+        let is_map = cx.rhs_is_map(rhs.0, rhs.1);
+        if is_map {
+            cx.rule.map_vars.insert(name.to_owned());
+        }
+        is_map
+    }
+
+    fn for_loop(cx: &mut FnCx<Self>, at: usize, binders: Vec<String>, start: usize, open: usize) {
+        let toks = cx.toks();
+        let close = syntax::match_delim(toks, open);
+        let line = toks[at].line;
+        let (v, elem_is_map) = cx.domain(start, open);
+        if elem_is_map {
+            cx.rule.map_vars.extend(binders);
+        } else {
+            cx.bind(binders, Prov::Clean);
+        }
+        // Scan the loop body for order-observable events before the
+        // statements inside are walked individually.
+        let emission = cx.body_emission(open, close);
+        let floats = cx.body_float_events(open, close);
+        if let Some(sink) = emission {
+            cx.sink(v.clone(), sink, line);
+        }
+        for (desc, fline) in floats {
+            cx.float_event(v.clone(), desc, fline);
+        }
+        if let Prov::Raw(origin) = v {
+            // Pushes into locals inside this body inherit the domain's
+            // unorderedness.
+            cx.rule.loop_ctx.push((close, origin));
+        }
+    }
+
+    /// An unordered-container iteration source: `map.keys()…`,
+    /// `self.objects.values()…`.
+    fn event_at(cx: &mut FnCx<Self>, j: usize, b: usize) -> Option<(Prov, usize)> {
+        let (origin, after) = cx.map_iter_at(j, b)?;
+        Some((cx.chain(Prov::Raw(origin), after, b), after))
+    }
+
+    fn prim_call(cx: &mut FnCx<Self>, site: &CallSite, _close: usize) -> Option<(Prov, bool)> {
+        // A byte-output primitive; its argument region is walked
+        // normally.
+        EMIT_PRIMS.contains(&site.name.as_str()).then(|| {
+            cx.sum.emits = true;
+            (Prov::Clean, false)
+        })
+    }
+
+    /// A call to an `order-sink` fn: every argument's order is committed.
+    fn sink_call(
+        cx: &mut FnCx<Self>,
+        site: &CallSite,
+        callees: &[FnId],
+        args: &[(usize, usize)],
+    ) -> bool {
+        let Some(&cid) = callees.iter().find(|&&c| cx.cg.fns[c].order_sink) else {
+            return false;
+        };
+        cx.sum.emits = true;
+        for (i, &(x, y)) in args.iter().enumerate() {
+            let av = cx.eval(x, y);
+            let desc = format!(
+                "order-sensitive commit {} (arg {}) at {}:{}",
+                cx.cg.qualified(cid),
+                i + 1,
+                cx.fd.path,
+                site.line
+            );
+            cx.sink(av, desc, site.line);
+        }
+        true
+    }
+
+    fn var_method(cx: &mut FnCx<Self>, name: &str, v: &Prov, m: &str, at: usize) -> bool {
+        if SORTS.contains(&m) {
+            // `v.sort_unstable()` fixes the order; a sorted Param domain
+            // is deterministic regardless of the caller's ordering.
+            let sorted = match v {
+                Prov::Param(_) => Prov::Clean,
+                v => v.clone().fixed_by(|| format!("{m}()")),
+            };
+            cx.vars.insert(name.to_owned(), sorted);
+            return true;
+        }
+        if Self::MUTATORS.contains(&m) {
+            // Inside an unordered loop, `out.push(x)` orders `out` by
+            // the loop's domain.
+            cx.rule.loop_ctx.retain(|&(close, _)| at < close);
+            if let Some((_, origin)) = cx.rule.loop_ctx.last() {
+                let mut pushed = v.clone();
+                pushed.merge(Prov::Raw(origin.clone()));
+                cx.vars.insert(name.to_owned(), pushed);
+            }
+        }
+        false
+    }
+}
+
+impl FnCx<'_, Order> {
     /// True when the let-RHS region evidently produces an unordered
     /// container: `FastMap::default()`, `fast_map_with_capacity(…)`, a
     /// `.clone()` of a map var, or a call resolving (over-approximately,
@@ -562,7 +385,7 @@ impl<'a> FnCx<'a> {
         }
         // `m` / `m.clone()` for a known map var.
         if let Some(name) = toks.get(j).and_then(|t| t.ident()) {
-            if self.map_vars.contains(name) {
+            if self.rule.map_vars.contains(name) {
                 let bare = j + 1 >= b;
                 let cloned = toks.get(j + 1).is_some_and(|t| t.is_punct('.'))
                     && toks.get(j + 2).is_some_and(|t| t.ident() == Some("clone"));
@@ -572,8 +395,7 @@ impl<'a> FnCx<'a> {
             }
         }
         for k in j..b {
-            let t = &toks[k];
-            if let Some(id) = t.ident() {
+            if let Some(id) = toks[k].ident() {
                 if UNORDERED.contains(&id)
                     && toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
                     && toks.get(k + 2).is_some_and(|n| n.is_punct(':'))
@@ -596,48 +418,10 @@ impl<'a> FnCx<'a> {
         false
     }
 
-    fn handle_for(&mut self, i: usize, b: usize) -> usize {
-        let mut j = i + 1;
-        while j < b && self.toks()[j].ident() != Some("in") && !self.toks()[j].is_punct('{') {
-            j += 1;
-        }
-        let binders = self.pattern_binders(i + 1, j);
-        let start = j + 1;
-        let open = self.find_block_open(start, b);
-        let close = syntax::match_delim(self.toks(), open);
-        let line = self.toks()[i].line;
-        let (v, elem_is_map) = self.domain(start, open);
-        if elem_is_map {
-            for bnd in binders {
-                self.map_vars.insert(bnd);
-            }
-        } else {
-            for bnd in binders {
-                self.vars.insert(bnd, OVal::Ordered);
-            }
-        }
-        // Scan the loop body for order-observable events before the
-        // statements inside are walked individually.
-        let emission = self.body_emission(open, close);
-        let floats = self.body_float_events(open, close);
-        if let Some(sink) = emission {
-            self.order_sink_event(v.clone(), sink, line);
-        }
-        for (desc, fline) in floats {
-            self.float_event(v.clone(), desc, fline);
-        }
-        if let OVal::Unordered(o) = &v {
-            // Pushes into locals inside this body inherit the domain's
-            // unorderedness.
-            self.loop_ctx.push((close, o.clone()));
-        }
-        open + 1
-    }
-
     /// Evaluates a `for`-loop domain region. Returns the domain's order
     /// provenance plus whether the loop *binder* is itself an unordered
     /// container (iterating a `Vec<FastMap<…>>`).
-    fn domain(&mut self, a: usize, open: usize) -> (OVal, bool) {
+    fn domain(&mut self, a: usize, open: usize) -> (Prov, bool) {
         let toks = self.toks();
         let mut j = a;
         while j < open && (toks[j].is_punct('&') || toks[j].ident() == Some("mut")) {
@@ -646,28 +430,18 @@ impl<'a> FnCx<'a> {
         // Resolve a bare base: `var` or `self.field`.
         let (shape, base_end, origin) = self.base_at(j);
         match shape {
+            // `for (k, v) in &map` — direct unordered iteration.
+            Shape::Map if base_end >= open => return (Prov::Raw(origin), false),
+            // `for k in map.keys().…` — source plus adapter chain.
             Shape::Map => {
-                if base_end >= open {
-                    // `for (k, v) in &map` — direct unordered iteration.
-                    return (OVal::Unordered(origin), false);
+                if let Some((origin, after)) = self.map_iter_at(j, open) {
+                    return (self.chain(Prov::Raw(origin), after, open), false);
                 }
-                // `for k in map.keys().…` — source plus adapter chain.
-                if let Some((m, margs)) = method_after_gap(toks, base_end - 1) {
-                    if ITER_SOURCES.contains(&m) {
-                        let mclose = syntax::match_delim(toks, margs);
-                        let origin = origin.replacen(" in ", &format!(".{m}() in "), 1);
-                        let v = self.chain(OVal::Unordered(origin), mclose + 1, open);
-                        return (v, false);
-                    }
-                }
-                return (self.eval(j, open), false);
             }
-            Shape::SeqOfMaps => {
-                // `for map in &self.per_rnet` (or `.iter()` on it): the
-                // sequence iterates deterministically, the binder is an
-                // unordered container.
-                return (OVal::Ordered, true);
-            }
+            // `for map in &self.per_rnet` (or `.iter()` on it): the
+            // sequence iterates deterministically, the binder is an
+            // unordered container.
+            Shape::SeqOfMaps => return (Prov::Clean, true),
             _ => {}
         }
         (self.eval(j, open), false)
@@ -690,158 +464,25 @@ impl<'a> FnCx<'a> {
                     .as_deref()
                     .and_then(|t| self.cg.field_chain(t, field))
                     .unwrap_or(&[]);
-                let shape = classify(chain);
                 let origin = format!(
-                    "self.{field} ({}) in {} ({}:{line})",
+                    "self.{field} ({}) in {}",
                     chain.first().map(String::as_str).unwrap_or("?"),
-                    self.cg.qualified(self.me),
-                    self.fd.path,
+                    self.origin(self.me, line),
                 );
-                return (shape, j + 3, origin);
+                return (classify(chain), j + 3, origin);
             }
             let prev_is_dot = j > 0 && toks[j - 1].is_punct('.');
             if !prev_is_dot {
-                if self.map_vars.contains(name) {
-                    let origin = format!(
-                        "`{name}` in {} ({}:{line})",
-                        self.cg.qualified(self.me),
-                        self.fd.path
-                    );
+                if self.rule.map_vars.contains(name) {
+                    let origin = format!("`{name}` in {}", self.origin(self.me, line));
                     return (Shape::Map, j + 1, origin);
                 }
-                if self.seq_vars.contains(name) {
+                if self.rule.seq_vars.contains(name) {
                     return (Shape::SeqOfMaps, j + 1, String::new());
                 }
             }
         }
         (Shape::Other, j, String::new())
-    }
-
-    fn handle_if(&mut self, i: usize, b: usize) -> usize {
-        if self.toks().get(i + 1).is_some_and(|t| t.ident() == Some("let")) {
-            let open = self.find_block_open(i + 2, b);
-            let eq = (i + 2..open).find(|&k| {
-                self.toks()[k].is_punct('=')
-                    && !self.toks().get(k + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-                    && !is_cmp_prefix(&self.toks()[k - 1])
-            });
-            if let Some(eq) = eq {
-                let binders = self.pattern_binders(i + 2, eq);
-                let v = self.eval(eq + 1, open);
-                for bnd in binders {
-                    self.vars.insert(bnd, v.clone());
-                }
-            }
-            return open + 1;
-        }
-        let open = self.find_block_open(i + 1, b);
-        self.eval(i + 1, open);
-        open + 1
-    }
-
-    /// Expression statement: assignment tracking, else plain eval.
-    fn handle_expr_stmt(&mut self, a: usize, b: usize) -> OVal {
-        let toks = self.toks();
-        let mut k = a;
-        while k < b && toks[k].is_punct('*') {
-            k += 1;
-        }
-        if let Some(name) = toks.get(k).and_then(|t| t.ident()) {
-            let plain = toks.get(k + 1).is_some_and(|t| t.is_punct('='))
-                && !toks.get(k + 2).is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
-            let compound = toks.get(k + 1).is_some_and(
-                |t| matches!(&t.tok, crate::lexer::Tok::Punct(c) if "+-*/%&|^".contains(*c)),
-            ) && toks.get(k + 2).is_some_and(|t| t.is_punct('='));
-            if plain || compound {
-                let eq = if plain { k + 1 } else { k + 2 };
-                let v = self.eval(eq + 1, b);
-                let name = name.to_owned();
-                if self.rhs_is_map(eq + 1, b) {
-                    self.map_vars.insert(name);
-                    return OVal::Ordered;
-                }
-                let old = self.vars.get(&name).cloned().unwrap_or(OVal::Ordered);
-                let nv = if compound { OVal::merge(old, v) } else { v };
-                self.vars.insert(name, nv);
-                return OVal::Ordered;
-            }
-        }
-        self.eval(a, b)
-    }
-
-    /// The expression walker: merges order-provenance contributions,
-    /// resolves calls against summaries, and fires sinks.
-    fn eval(&mut self, a: usize, b: usize) -> OVal {
-        let mut val = OVal::Ordered;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            // An unordered-container iteration source: `map.keys()…`,
-            // `self.objects.values()…`.
-            if let Some((origin, after)) = self.map_iter_at(j, b) {
-                let v = self.chain(OVal::Unordered(origin), after, b);
-                val = OVal::merge(val, v);
-                j = after;
-                continue;
-            }
-            if let Some(site) = callgraph::call_at(self.toks(), j) {
-                let close = syntax::match_delim(self.toks(), site.args_open);
-                if close < b {
-                    let (c, skip) = self.eval_call(&site, close);
-                    val = OVal::merge(val, c);
-                    j = if skip { close + 1 } else { site.args_open + 1 };
-                    continue;
-                }
-            }
-            if let Some(name) = t.ident() {
-                let is_field = j > 0
-                    && self.toks()[j - 1].is_punct('.')
-                    && !(j >= 2 && self.toks()[j - 2].is_punct('.'));
-                if !is_field {
-                    if let Some(v) = self.vars.get(name).cloned() {
-                        if let Some((m, margs)) = method_after_gap(self.toks(), j) {
-                            if SORTS.contains(&m) {
-                                // `v.sort_unstable()` fixes the order.
-                                let nv = match v {
-                                    OVal::Unordered(o) => OVal::Sorted(o, format!("{m}()")),
-                                    // A sorted Param domain is
-                                    // deterministic regardless of the
-                                    // caller's ordering.
-                                    OVal::Param(_) => OVal::Ordered,
-                                    other => other,
-                                };
-                                self.vars.insert(name.to_owned(), nv);
-                                let mclose = syntax::match_delim(self.toks(), margs);
-                                j = mclose + 1;
-                                continue;
-                            }
-                            if SEQ_MUTATORS.contains(&m) {
-                                // Inside an unordered loop, `out.push(x)`
-                                // orders `out` by the loop's domain.
-                                if let Some(origin) = self.loop_origin(j) {
-                                    let nv =
-                                        OVal::merge(v.clone(), OVal::Unordered(origin.clone()));
-                                    self.vars.insert(name.to_owned(), nv);
-                                }
-                                // And pushing an unordered stream into a
-                                // sequence makes the sequence unordered.
-                                let mclose = syntax::match_delim(self.toks(), margs);
-                                if mclose < b {
-                                    let av = self.eval(margs + 1, mclose);
-                                    let cur = self.vars.get(name).cloned().unwrap_or(OVal::Ordered);
-                                    self.vars.insert(name.to_owned(), OVal::merge(cur, av));
-                                    j = mclose + 1;
-                                    continue;
-                                }
-                            }
-                        }
-                        val = OVal::merge(val, v);
-                    }
-                }
-            }
-            j += 1;
-        }
-        val
     }
 
     /// Recognizes an iteration source rooted at a typed unordered
@@ -857,7 +498,7 @@ impl<'a> FnCx<'a> {
         if shape != Shape::Map || base_end >= b {
             return None;
         }
-        let (m, margs) = method_after_gap(toks, base_end - 1)?;
+        let (m, margs) = flow::method_after(toks, base_end - 1)?;
         if !ITER_SOURCES.contains(&m) {
             return None;
         }
@@ -873,7 +514,7 @@ impl<'a> FnCx<'a> {
     /// stream's order evolves: adapters preserve it, sorts and BTree
     /// collects fix it, clean reducers terminate it, float reductions
     /// fire rule 10.
-    fn chain(&mut self, mut cur: OVal, mut k: usize, b: usize) -> OVal {
+    fn chain(&mut self, mut cur: Prov, mut k: usize, b: usize) -> Prov {
         let toks = self.toks();
         while k + 1 < b && toks[k].is_punct('.') {
             let Some(m) = toks[k + 1].ident() else { break };
@@ -881,7 +522,7 @@ impl<'a> FnCx<'a> {
             // Optional turbofish: `collect::<BTreeMap<…>>(`,
             // `sum::<f64>(`.
             let mut p = k + 2;
-            let mut turbofish: Vec<String> = Vec::new();
+            let mut turbofish: Vec<&str> = Vec::new();
             if toks.get(p).is_some_and(|t| t.is_punct(':'))
                 && toks.get(p + 1).is_some_and(|t| t.is_punct(':'))
                 && toks.get(p + 2).is_some_and(|t| t.is_punct('<'))
@@ -894,7 +535,7 @@ impl<'a> FnCx<'a> {
                     } else if toks[q].is_punct('>') && !toks[q - 1].is_punct('-') {
                         angle -= 1;
                     } else if let Some(id) = toks[q].ident() {
-                        turbofish.push(id.to_owned());
+                        turbofish.push(id);
                     }
                     q += 1;
                 }
@@ -911,47 +552,26 @@ impl<'a> FnCx<'a> {
             }
             let args_have = |needle: &str| (p..argclose).any(|q| toks[q].ident() == Some(needle));
             if SORTS.contains(&m) {
-                if let OVal::Unordered(o) = cur {
-                    cur = OVal::Sorted(o, format!("{m}()"));
-                }
+                cur = cur.fixed_by(|| format!("{m}()"));
             } else if m == "collect"
-                && turbofish.iter().any(|id| id == "BTreeMap" || id == "BTreeSet")
+                && turbofish.iter().any(|id| matches!(*id, "BTreeMap" | "BTreeSet"))
             {
-                if let OVal::Unordered(o) = cur {
-                    cur = OVal::Sorted(o, "BTreeMap rebind".to_owned());
-                }
-            } else if m == "sum" && turbofish.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
-                self.float_event(
-                    cur.clone(),
-                    format!(
-                        "float `.sum()` at {}:{line} in {}",
-                        self.fd.path,
-                        self.cg.qualified(self.me)
-                    ),
-                    line,
-                );
-                cur = OVal::Ordered;
+                cur = cur.fixed_by(|| "BTreeMap rebind".to_owned());
+            } else if m == "sum" && turbofish.iter().any(|id| FLOAT_TYPES.contains(id)) {
+                self.float_event(cur, self.here("float `.sum()`", line), line);
+                cur = Prov::Clean;
             } else if matches!(m, "min_by" | "max_by" | "min_by_key" | "max_by_key") {
                 if args_have("total_cmp") {
                     // The sanctioned deterministic tie-break.
-                    if let OVal::Unordered(o) = cur {
-                        cur = OVal::Sorted(o, "total_cmp tie-break".to_owned());
-                    }
+                    cur = cur.fixed_by(|| "total_cmp tie-break".to_owned());
                 } else if args_have("partial_cmp") {
-                    self.float_event(
-                        cur.clone(),
-                        format!(
-                            "float `.{m}(partial_cmp)` at {}:{line} in {}",
-                            self.fd.path,
-                            self.cg.qualified(self.me)
-                        ),
-                        line,
-                    );
-                    cur = OVal::Ordered;
+                    let desc = self.here(&format!("float `.{m}(partial_cmp)`"), line);
+                    self.float_event(cur, desc, line);
+                    cur = Prov::Clean;
                 }
             } else if CLEAN_REDUCERS.contains(&m) {
                 // Order-insensitive terminal reduction.
-                cur = OVal::Ordered;
+                cur = Prov::Clean;
             }
             // Everything else (map/filter/collect/copied/enumerate/…)
             // preserves the stream's order provenance.
@@ -960,93 +580,18 @@ impl<'a> FnCx<'a> {
         cur
     }
 
-    /// Applies a call's summaries: order-sink args, emitted-bytes
-    /// propagation, return-order mapping, parameter sinks.
-    fn eval_call(&mut self, site: &callgraph::CallSite, close: usize) -> (OVal, bool) {
-        let toks = self.toks();
-        if EMIT_PRIMS.contains(&site.name.as_str()) {
-            self.emits = true;
-            // Let the argument region be walked normally.
-            return (OVal::Ordered, false);
-        }
-        let callees = self.cg.resolve_confident(self.me, site);
-        if callees.is_empty() {
-            return (OVal::Ordered, false);
-        }
-        let args = callgraph::split_args(toks, site.args_open, close);
-        if callees.iter().any(|&c| self.cg.fns[c].order_sink) {
-            self.emits = true;
-            let cid = callees.iter().copied().find(|&c| self.cg.fns[c].order_sink).unwrap_or(0);
-            for (i, &(x, y)) in args.iter().enumerate() {
-                let av = self.eval(x, y);
-                let desc = format!(
-                    "order-sensitive commit {} (arg {}) at {}:{}",
-                    self.cg.qualified(cid),
-                    i + 1,
-                    self.fd.path,
-                    site.line
-                );
-                self.order_sink_event(av, desc, site.line);
-            }
-            return (OVal::Ordered, true);
-        }
-        let arg_vals: Vec<OVal> = args.iter().map(|&(x, y)| self.eval(x, y)).collect();
-        let mut out = OVal::Ordered;
-        for &cid in &callees {
-            let sum = self.sums[cid].clone();
-            if sum.emits {
-                self.emits = true;
-            }
-            let rv = match sum.ret {
-                ORet::Ordered => OVal::Ordered,
-                ORet::Sorted(o, s) => OVal::Sorted(o, s),
-                ORet::Unordered(o) => OVal::Unordered(o),
-                ORet::FromParam(p) => arg_vals.get(p).cloned().unwrap_or(OVal::Ordered),
-            };
-            out = OVal::merge(out, rv);
-            for (p, desc) in &sum.param_sinks {
-                if let Some(av) = arg_vals.get(*p) {
-                    self.order_sink_event(av.clone(), desc.clone(), site.line);
-                }
-            }
-        }
-        (out, true)
-    }
-
-    /// The innermost open unordered-loop origin covering token `j`.
-    fn loop_origin(&mut self, j: usize) -> Option<String> {
-        self.loop_ctx.retain(|&(close, _)| j < close);
-        self.loop_ctx.last().map(|(_, o)| o.clone())
-    }
-
     /// The first byte-output event in a loop body, as a sink description.
-    fn body_emission(&mut self, open: usize, close: usize) -> Option<String> {
+    fn body_emission(&self, open: usize, close: usize) -> Option<String> {
         let toks = self.toks();
-        for k in open..close {
-            let Some(site) = callgraph::call_at(toks, k) else { continue };
+        (open..close).filter_map(|k| callgraph::call_at(toks, k)).find_map(|site| {
             if EMIT_PRIMS.contains(&site.name.as_str()) {
-                return Some(format!(
-                    "byte output (`{}`) at {}:{} in {}",
-                    site.name,
-                    self.fd.path,
-                    site.line,
-                    self.cg.qualified(self.me)
-                ));
+                return Some(self.here(&format!("byte output (`{}`)", site.name), site.line));
             }
             let callees = self.cg.resolve_confident(self.me, &site);
-            if let Some(&c) =
-                callees.iter().find(|&&c| self.cg.fns[c].order_sink || self.sums[c].emits)
-            {
-                return Some(format!(
-                    "order-observable call to {} at {}:{} in {}",
-                    self.cg.qualified(c),
-                    self.fd.path,
-                    site.line,
-                    self.cg.qualified(self.me)
-                ));
-            }
-        }
-        None
+            let c = *callees.iter().find(|&&c| self.cg.fns[c].order_sink || self.sums[c].emits)?;
+            let what = format!("order-observable call to {}", self.cg.qualified(c));
+            Some(self.here(&what, site.line))
+        })
     }
 
     /// Float-accumulation events in a loop body: `acc += …` on a float
@@ -1058,205 +603,107 @@ impl<'a> FnCx<'a> {
         let mut out = Vec::new();
         for k in open..close {
             let Some(name) = toks[k].ident() else { continue };
-            if self.float_vars.contains(name)
+            if self.rule.float_vars.contains(name)
                 && toks.get(k + 1).is_some_and(|t| t.is_punct('+') || t.is_punct('*'))
                 && toks.get(k + 2).is_some_and(|t| t.is_punct('='))
             {
-                out.push((
-                    format!(
-                        "float accumulation `{name} {}=` at {}:{} in {}",
-                        if toks[k + 1].is_punct('+') { "+" } else { "*" },
-                        self.fd.path,
-                        toks[k].line,
-                        self.cg.qualified(self.me)
-                    ),
-                    toks[k].line,
-                ));
+                let op = if toks[k + 1].is_punct('+') { "+" } else { "*" };
+                let what = format!("float accumulation `{name} {op}=`");
+                out.push((self.here(&what, toks[k].line), toks[k].line));
             }
         }
         out
     }
 
-    /// An order-sensitive sink saw provenance `v`.
-    fn order_sink_event(&mut self, v: OVal, desc: String, line: u32) {
-        match v {
-            OVal::Ordered => {}
-            OVal::Param(p) => {
-                self.param_sinks.insert((p, desc));
-            }
-            OVal::Sorted(o, s) => {
-                if let Some(e) = self.emit.as_deref_mut() {
-                    e.verdicts.insert(OrderVerdict { source: o, sanitizer: s, sink: desc });
-                }
-            }
-            OVal::Unordered(o) => {
-                if let Some(reason) = self.fd.markers.ordered_reason_near(line) {
-                    let reason = reason.to_owned();
-                    if let Some(e) = self.emit.as_deref_mut() {
-                        e.verdicts.insert(OrderVerdict {
-                            source: o,
-                            sanitizer: format!("marker: {reason}"),
-                            sink: desc,
-                        });
-                    }
-                } else if let Some(e) = self.emit.as_deref_mut() {
-                    e.findings.insert(Finding {
-                        file: self.fd.path.clone(),
-                        line,
-                        rule: "unordered-iter",
-                        message: format!(
-                            "hash-ordered iteration from {o} reaches {desc}; sort the domain \
-                             first, rebind through a BTreeMap, or mark \
-                             `// roadlint: ordered reason=\"…\"`"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
     /// A float accumulation saw domain provenance `v` (rule 10).
-    fn float_event(&mut self, v: OVal, desc: String, line: u32) {
-        match v {
-            OVal::Ordered => {}
-            OVal::Param(p) => {
-                self.param_sinks.insert((p, format!("{desc} (float reduction)")));
-            }
-            OVal::Sorted(o, s) => {
-                if let Some(e) = self.emit.as_deref_mut() {
-                    e.verdicts.insert(OrderVerdict { source: o, sanitizer: s, sink: desc });
-                }
-            }
-            OVal::Unordered(o) => {
-                if let Some(reason) = self.fd.markers.ordered_reason_near(line) {
-                    let reason = reason.to_owned();
-                    if let Some(e) = self.emit.as_deref_mut() {
-                        e.verdicts.insert(OrderVerdict {
-                            source: o,
-                            sanitizer: format!("marker: {reason}"),
-                            sink: desc,
-                        });
-                    }
-                } else if let Some(e) = self.emit.as_deref_mut() {
-                    e.findings.insert(Finding {
-                        file: self.fd.path.clone(),
-                        line,
-                        rule: "float-order",
-                        message: format!(
-                            "float reduction over the hash-ordered domain {o}: {desc}; \
-                             reassociation breaks byte-identical builds — sort the domain, \
-                             use integer/total_cmp reductions, or mark \
-                             `// roadlint: ordered reason=\"…\"`"
-                        ),
-                    });
-                }
-            }
-        }
+    fn float_event(&mut self, v: Prov, desc: String, line: u32) {
+        let desc = match v {
+            Prov::Param(_) => format!("{desc} (float reduction)"),
+            _ => desc,
+        };
+        self.sink_as("float-order", float_message, v, desc, line);
     }
 }
 
 /// Rule 11: scheduling-dependence inside `std::thread::scope` fan-outs.
 /// Results must land in index-addressed slots or be joined in spawn
 /// order — never consumed in thread-completion order.
-fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, emit: &mut Emit) {
+fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, report: &mut Report) {
     let info = &cg.fns[id];
     let Some((open, close)) = info.body else { return };
     let fd = &files[info.file_idx];
     let toks = &fd.lexed.tokens;
-    let scope_at = (open..close).find(|&k| {
-        toks[k].ident() == Some("scope") && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-    });
-    let Some(scope_at) = scope_at else { return };
-    let mut dirty = false;
-    for k in open..close {
-        let Some(site) = callgraph::call_at(toks, k) else { continue };
+    let calls = |name: &str, k: usize| {
+        toks[k].ident() == Some(name) && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
+    };
+    let Some(scope_at) = (open..close).find(|&k| calls("scope", k)) else { return };
+    let source = format!(
+        "thread::scope fan-out in {} ({}:{})",
+        cg.qualified(id),
+        fd.path,
+        toks[scope_at].line
+    );
+    let escape = |line: u32| fd.markers.reason_near(line, Order::escape);
+    let mut found = Vec::new();
+    for site in (open..close).filter_map(|k| callgraph::call_at(toks, k)) {
         if site.name == "recv" || site.name == "try_recv" {
-            if let Some(reason) = fd.markers.ordered_reason_near(site.line) {
-                emit.verdicts.insert(OrderVerdict {
-                    source: format!(
-                        "thread::scope fan-out in {} ({}:{})",
-                        cg.qualified(id),
-                        fd.path,
-                        toks[scope_at].line
-                    ),
-                    sanitizer: format!("marker: {reason}"),
-                    sink: format!("channel receive at {}:{}", fd.path, site.line),
-                });
-            } else {
-                dirty = true;
-                emit.findings.insert(Finding {
-                    file: fd.path.clone(),
-                    line: site.line,
-                    rule: "sched-order",
-                    message: format!(
+            match escape(site.line) {
+                Some(reason) => {
+                    report.verdicts.insert(Verdict {
+                        source: source.clone(),
+                        sanitizer: format!("marker: {reason}"),
+                        sink: format!("channel receive at {}:{}", fd.path, site.line),
+                    });
+                }
+                None => found.push((
+                    site.line,
+                    format!(
                         "`{}()` near a thread::scope fan-out consumes results in \
                          thread-completion order; deposit into index-addressed slots \
                          (the chunks_mut pattern) and commit in deterministic order, or \
                          mark `// roadlint: ordered reason=\"…\"`",
                         site.name
                     ),
-                });
+                )),
             }
         }
-        if site.name == "lock" {
-            // `….lock()…push(…)` within the same statement: a shared
-            // Vec accumulates in completion order.
-            let end = stmt_semi(toks, k);
-            let pushes = (k..end).any(|q| {
-                toks[q].ident() == Some("push") && toks.get(q + 1).is_some_and(|t| t.is_punct('('))
-            });
-            if pushes && fd.markers.ordered_reason_near(site.line).is_none() {
-                dirty = true;
-                emit.findings.insert(Finding {
-                    file: fd.path.clone(),
-                    line: site.line,
-                    rule: "sched-order",
-                    message: "`lock().…push(…)` inside a thread::scope fan-out accumulates \
-                              in thread-completion order; deposit into index-addressed \
-                              slots instead, or mark `// roadlint: ordered reason=\"…\"`"
-                        .to_owned(),
-                });
-            }
+        // `….lock()…push(…)` within the same statement: a shared Vec
+        // accumulates in completion order.
+        if site.name == "lock"
+            && (site.name_idx..flow::stmt_semi(toks, site.name_idx)).any(|q| calls("push", q))
+            && escape(site.line).is_none()
+        {
+            found.push((
+                site.line,
+                "`lock().…push(…)` inside a thread::scope fan-out accumulates \
+                 in thread-completion order; deposit into index-addressed \
+                 slots instead, or mark `// roadlint: ordered reason=\"…\"`"
+                    .to_owned(),
+            ));
         }
     }
-    if dirty {
+    if !found.is_empty() {
+        report.findings.extend(found.into_iter().map(|(line, message)| Finding {
+            file: fd.path.clone(),
+            line,
+            rule: "sched-order",
+            message,
+        }));
         return;
     }
     // The fan-out is clean: record which sanctioned shape it uses.
     let sanitizer = if (open..close).any(|k| toks[k].ident() == Some("chunks_mut")) {
-        Some("indexed per-slot deposit (chunks_mut)")
-    } else if (open..close).any(|k| {
-        toks[k].ident() == Some("join") && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-    }) {
-        Some("worker handles joined in spawn order")
+        "indexed per-slot deposit (chunks_mut)"
+    } else if (open..close).any(|k| calls("join", k)) {
+        "worker handles joined in spawn order"
     } else {
-        None
+        return;
     };
-    if let Some(sanitizer) = sanitizer {
-        emit.verdicts.insert(OrderVerdict {
-            source: format!(
-                "thread::scope fan-out in {} ({}:{})",
-                cg.qualified(id),
-                fd.path,
-                toks[scope_at].line
-            ),
-            sanitizer: sanitizer.to_owned(),
-            sink: format!("deterministic commit order in {}", cg.qualified(id)),
-        });
-    }
-}
-
-/// `ident . m (` (or `… . m (`) directly after token `j` → `(m, index of
-/// the "(")` — the gap variant also accepts `j` pointing at the last
-/// token of a longer base like `self.field`.
-fn method_after_gap(toks: &[Token], j: usize) -> Option<(&str, usize)> {
-    if toks.get(j + 1).is_some_and(|t| t.is_punct('.')) {
-        let m = toks.get(j + 2)?.ident()?;
-        if toks.get(j + 3).is_some_and(|t| t.is_punct('(')) {
-            return Some((m, j + 3));
-        }
-    }
-    None
+    report.verdicts.insert(Verdict {
+        source,
+        sanitizer: sanitizer.to_owned(),
+        sink: format!("deterministic commit order in {}", cg.qualified(id)),
+    });
 }
 
 /// The uppercase idents of a let-ascription region, in order.
@@ -1272,36 +719,12 @@ fn ascription_chain(toks: &[Token], a: usize, b: usize) -> Vec<String> {
         .collect()
 }
 
-/// Index of the `;` ending the statement starting at `a` (depth-aware).
-fn stmt_semi(toks: &[Token], a: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(a) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return j;
-            }
-        } else if t.is_punct(';') && depth <= 0 {
-            return j;
-        }
-    }
-    toks.len()
-}
-
-/// True when `t` makes a following `=` a comparison rather than an
-/// assignment.
-fn is_cmp_prefix(t: &Token) -> bool {
-    t.is_punct('=') || t.is_punct('!') || t.is_punct('<') || t.is_punct('>')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
 
-    fn run(srcs: &[(&str, &str)]) -> (Vec<Finding>, Vec<OrderVerdict>) {
+    fn run(srcs: &[(&str, &str)]) -> (Vec<Finding>, Vec<Verdict>) {
         let files: Vec<FileData> = srcs.iter().map(|(p, s)| FileData::new(p, s)).collect();
         let cg = CallGraph::build(&files);
         check(&files, &cg)

@@ -19,7 +19,6 @@ use crate::workspace::SearchWorkspace;
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::hash::FastSet;
-use road_network::partition::PartitionOptions;
 use road_network::{EdgeId, NodeId, Point, Weight};
 use std::sync::Arc;
 
@@ -757,12 +756,6 @@ impl RoadBuilder {
     /// pure speed knob: it never changes a single output byte.
     pub fn shortcut_threads(mut self, threads: usize) -> Self {
         self.cfg.shortcuts.threads = threads;
-        self
-    }
-
-    /// Overrides partitioner tuning.
-    pub fn partition_options(mut self, opts: PartitionOptions) -> Self {
-        self.cfg.hierarchy.partition = opts;
         self
     }
 

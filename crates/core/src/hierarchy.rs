@@ -361,18 +361,6 @@ impl RnetHierarchy {
         self.bordered_rnets(n).first().map(|&r| self.level_of(r))
     }
 
-    /// Distinct Rnets at `level` containing edges incident to `n`.
-    pub fn node_rnets_at_level(&self, g: &RoadNetwork, n: NodeId, level: u32) -> Vec<RnetId> {
-        let mut out = Vec::new();
-        for (e, _) in g.neighbors(n) {
-            let r = self.rnet_of_edge_at(e, level);
-            if r.is_valid() && !out.contains(&r) {
-                out.push(r);
-            }
-        }
-        out
-    }
-
     /// Computes the Rnets `n` should border from its current incident
     /// edges: for each level from the coarsest where its edges span two
     /// Rnets down to the finest, every Rnet containing one of its edges.

@@ -21,7 +21,7 @@
 //!   keeps answering on exactly the state it was published with, no
 //!   matter what the writer does next. Readers drive the same zero-alloc
 //!   [`knn_with`](Snapshot::knn_with) / [`range_with`](Snapshot::range_with)
-//!   hot path as [`QueryEngine`].
+//!   hot path as [`QueryEngine`](crate::QueryEngine).
 //!
 //! Publication swaps an `Arc` behind a mutex held only for the pointer
 //! exchange: readers never wait on a repair in progress, and the writer
@@ -64,7 +64,6 @@
 // roadlint: serving-path
 
 use crate::association::AssociationDirectory;
-use crate::engine::QueryEngine;
 use crate::framework::{RoadFramework, UpdateOutcome};
 use crate::model::{CategoryId, Object, ObjectId};
 use crate::search::{KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats};
@@ -138,13 +137,6 @@ impl Snapshot {
     /// Point-to-point network distance through the overlay.
     pub fn network_distance(&self, from: NodeId, to: NodeId) -> Result<Option<Weight>, RoadError> {
         self.fw.network_distance(from, to)
-    }
-
-    /// A [`QueryEngine`] pinned to this snapshot — for handing a frozen
-    /// state to the batch fan-out entry points (`batch_knn` /
-    /// `batch_range`). Shares the snapshot's framework and directory.
-    pub fn query_engine(&self) -> QueryEngine {
-        QueryEngine::from_shared(Arc::clone(&self.fw), Arc::clone(&self.ad))
     }
 }
 

@@ -378,3 +378,79 @@ fn contraction_refresh_equals_fresh_rebuild_after_mixed_churn() {
         "incrementally repaired store diverged from a from-scratch rebuild"
     );
 }
+
+/// The composition no other suite exercises end to end: a live update
+/// history (one batched weight wave, object insert / move / remove) is
+/// published, the published framework is persisted, and the bytes are
+/// reopened both whole (a fresh `QueryEngine`) and page by page (a lazily
+/// loading `PagedEngine`). All three must give the plain-Dijkstra answer.
+/// Weights and offsets are dyadic, so every path sum is exact: distances
+/// must match the oracle bit for bit, and the unit grid's many
+/// equal-length routes put exact ties at the k-th place that only the
+/// canonical (distance, id) order resolves the same way everywhere.
+#[test]
+fn published_persisted_and_lazily_reopened_history_agrees_with_oracle() {
+    let fw = RoadFramework::builder(simple::grid(12, 12, 1.0)).fanout(4).levels(2).build().unwrap();
+    let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(0xC0_4405E);
+    let random_edge = |rng: &mut StdRng| edges[rng.random_range(0..edges.len())];
+    let mut ad = AssociationDirectory::new(fw.hierarchy());
+    for i in 0..40u64 {
+        let o = Object::new(ObjectId(i), random_edge(&mut rng), 0.5, CategoryId((i % 3) as u16));
+        ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+    }
+    let (live, mut writer) = LiveEngine::new(fw, ad);
+
+    let wave: Vec<(EdgeId, Weight)> = (0..24)
+        .map(|_| (random_edge(&mut rng), Weight::new([0.5, 2.0, 4.0][rng.random_range(0..3)])))
+        .collect();
+    assert!(writer.set_edge_weights(&wave).unwrap().rnets_refreshed > 0);
+    for i in 40..48u64 {
+        let o = Object::new(ObjectId(i), random_edge(&mut rng), 0.25, CategoryId(1));
+        writer.insert_object(o).unwrap();
+    }
+    for i in 0..8u64 {
+        writer.move_object(ObjectId(i), random_edge(&mut rng), 0.75).unwrap();
+        writer.remove_object(ObjectId(8 + i)).unwrap();
+    }
+    writer.publish();
+
+    let snap = live.snapshot();
+    let (fw, ad) = (snap.framework(), snap.directory());
+    let bytes = fw.to_bytes();
+    let objects: Vec<Object> = ad.objects().cloned().collect();
+    let reopened = RoadFramework::from_bytes(&bytes).unwrap();
+    let mut reopened_ad = AssociationDirectory::new(reopened.hierarchy());
+    for o in &objects {
+        reopened_ad.insert(reopened.network(), reopened.hierarchy(), o.clone()).unwrap();
+    }
+    let fresh = QueryEngine::new(reopened, reopened_ad);
+    let image = PagedImage::open(bytes).unwrap();
+    let paged = PagedEngine::open(image, objects, PagedOptions::with_buffer_pages(8)).unwrap();
+    assert!(paged.is_lazy() && paged.rnets_loaded() == 0);
+
+    let num_nodes = fw.network().num_nodes() as u32;
+    let mut tied_at_k = 0;
+    for i in 0..80 {
+        let node = NodeId(rng.random_range(0..num_nodes));
+        let mut knn = KnnQuery::new(node, rng.random_range(1..8));
+        let mut range = RangeQuery::new(node, Weight::new(rng.random_range(1..12u32) as f64 * 0.5));
+        if i % 4 == 0 {
+            knn = knn.with_filter(ObjectFilter::Category(CategoryId(1)));
+            range = range.with_filter(ObjectFilter::Category(CategoryId(2)));
+        }
+        let want = oracle_knn(fw, ad, &knn);
+        assert_eq!(snap.knn(&knn).unwrap().hits, want, "snapshot knn {knn:?}");
+        assert_eq!(fresh.knn(&knn).unwrap().hits, want, "reopened knn {knn:?}");
+        assert_eq!(paged.knn(&knn).unwrap().hits, want, "paged knn {knn:?}");
+        let next = oracle_knn(fw, ad, &KnnQuery { k: knn.k + 1, ..knn.clone() });
+        tied_at_k +=
+            (next.len() > want.len() && next[knn.k].distance == next[knn.k - 1].distance) as usize;
+        let want = oracle_range(fw, ad, &range);
+        assert_eq!(snap.range(&range).unwrap().hits, want, "snapshot range {range:?}");
+        assert_eq!(fresh.range(&range).unwrap().hits, want, "reopened range {range:?}");
+        assert_eq!(paged.range(&range).unwrap().hits, want, "paged range {range:?}");
+    }
+    assert!(tied_at_k > 0, "no query had an exact tie at the k-th place");
+    assert!(paged.rnets_loaded() > 0, "the paged engine never loaded an Rnet lazily");
+}

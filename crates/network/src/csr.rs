@@ -2,14 +2,14 @@
 //!
 //! The shortcut builder and the contraction pass (see [`crate::contractor`])
 //! work over *local* graphs — an Rnet's borders and interiors renumbered to a
-//! dense `0..n` id space.  The legacy representation was a pointer-rich
-//! `Vec<Vec<LocalEdge>>`; this module replaces it with a single contiguous
-//! arena: arc targets, weights and labels live in three parallel flat vectors
-//! indexed by a per-node offset table.  That layout is what every contraction
-//! hierarchy implementation converges on (Nannicini et al., *Fast paths in
-//! large-scale dynamic road networks*): one cache line holds several arcs, a
-//! rebuild is three `memcpy`-shaped passes, and there is no per-node heap
-//! allocation at all.
+//! dense `0..n` id space.  A pointer-rich per-node adjacency list would cost
+//! one heap allocation per node; this module holds a local graph in a single
+//! contiguous arena: arc targets, weights and labels live in three parallel
+//! flat vectors indexed by a per-node offset table.  That layout is what every
+//! contraction hierarchy implementation converges on (Nannicini et al., *Fast
+//! paths in large-scale dynamic road networks*): one cache line holds several
+//! arcs, a rebuild is three `memcpy`-shaped passes, and there is no per-node
+//! heap allocation at all.
 //!
 //! [`CsrBuilder`] accepts arcs in any order and finalises them with a stable
 //! counting sort, so arcs of one source node keep their insertion order — the

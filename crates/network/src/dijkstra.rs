@@ -330,18 +330,11 @@ pub fn estimate_diameter(g: &RoadNetwork, kind: WeightKind) -> Weight {
 // Local (dense-relabelled) Dijkstra over small virtual graphs.
 // ---------------------------------------------------------------------------
 
-/// An edge of a *local* graph: Rnet-internal subgraphs and the border-node
-/// overlay graphs used to compose shortcuts level by level (Lemma 2).
-/// `label` is an opaque caller-supplied tag carried into predecessor links
-/// (e.g. "physical edge id" or "child shortcut id").
-#[derive(Clone, Copy, Debug)]
-pub struct LocalEdge {
-    pub to: u32,
-    pub weight: Weight,
-    pub label: u32,
-}
-
-/// Reusable Dijkstra over caller-provided local adjacency lists.
+/// Reusable Dijkstra over *local* graphs held as flat CSR arenas:
+/// Rnet-internal subgraphs and the border-node overlay graphs used to
+/// compose shortcuts level by level (Lemma 2). Arc labels are opaque
+/// caller-supplied tags carried into predecessor links (e.g. "physical
+/// edge id" or "child shortcut id").
 pub struct LocalDijkstra {
     dist: Vec<Weight>,
     pred_node: Vec<u32>,
@@ -373,73 +366,11 @@ impl LocalDijkstra {
         }
     }
 
-    /// Runs from `src` over `adj`. When `targets` is non-empty the run
-    /// terminates early once all of them are settled.
-    pub fn run(&mut self, adj: &[Vec<LocalEdge>], src: u32, targets: &[u32]) {
-        let n = adj.len();
-        if n > self.dist.len() {
-            self.dist.resize(n, Weight::INFINITY);
-            self.pred_node.resize(n, NO_PRED);
-            self.pred_label.resize(n, NO_PRED);
-            self.stamp.resize(n, 0);
-            self.target_stamp.resize(n, 0);
-        }
-        self.round = self.round.wrapping_add(1);
-        if self.round == 0 {
-            self.stamp.fill(0);
-            self.target_stamp.fill(0);
-            self.round = 1;
-        }
-        self.heap.clear();
-
-        let mut pending = targets.len();
-        for &t in targets {
-            self.target_stamp[t as usize] = self.round;
-        }
-
-        self.dist[src as usize] = Weight::ZERO;
-        self.pred_node[src as usize] = NO_PRED;
-        self.stamp[src as usize] = self.round;
-        self.heap.push(Reverse((Weight::ZERO, src)));
-
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            let ui = u as usize;
-            if self.stamp[ui] != self.round || d > self.dist[ui] {
-                continue;
-            }
-            if pending > 0 && self.target_stamp[ui] == self.round {
-                // A target can be pushed twice; only count its settlement once.
-                self.target_stamp[ui] = self.round.wrapping_sub(1);
-                pending -= 1;
-                if pending == 0 {
-                    return;
-                }
-            }
-            for le in &adj[ui] {
-                if le.weight.is_infinite() {
-                    continue;
-                }
-                let nd = d + le.weight;
-                let vi = le.to as usize;
-                let cur =
-                    if self.stamp[vi] == self.round { self.dist[vi] } else { Weight::INFINITY };
-                if nd < cur {
-                    self.dist[vi] = nd;
-                    self.pred_node[vi] = u;
-                    self.pred_label[vi] = le.label;
-                    self.stamp[vi] = self.round;
-                    self.heap.push(Reverse((nd, le.to)));
-                }
-            }
-        }
-    }
-
-    /// Runs from `src` over a flat CSR arena (see [`crate::csr`]).  Same
-    /// semantics and tie discipline as [`run`](Self::run) — arc labels are
-    /// carried into predecessor links, infinite arcs are skipped, and when
-    /// `targets` is non-empty the run stops once all of them are settled —
-    /// plus one extra knob: nodes with id `< seal_below` (other than `src`)
-    /// are *sealed*.  A sealed node is settled normally but never relaxed
+    /// Runs from `src` over a flat CSR arena (see [`crate::csr`]).  Arc
+    /// labels are carried into predecessor links, infinite arcs are
+    /// skipped, and when `targets` is non-empty the run stops once all of
+    /// them are settled.  One extra knob: nodes with id `< seal_below`
+    /// (other than `src`) are *sealed*.  A sealed node is settled normally but never relaxed
     /// out of, so every returned path is internally free of sealed nodes.
     /// Pass `seal_below = 0` for an ordinary run.
     ///
@@ -725,54 +656,48 @@ mod tests {
         assert_eq!(estimate_diameter(&g, WeightKind::Distance), Weight::new(8.0));
     }
 
-    #[test]
-    fn local_dijkstra_matches_dense() {
-        let g = diamond();
-        // Build the same graph as local adjacency.
-        let mut adj: Vec<Vec<LocalEdge>> = vec![Vec::new(); 4];
-        for e in g.edge_ids() {
-            let (a, b) = g.edge(e).endpoints();
-            let w = g.weight(e, WeightKind::Distance);
-            adj[a.index()].push(LocalEdge { to: b.0, weight: w, label: e.0 });
-            adj[b.index()].push(LocalEdge { to: a.0, weight: w, label: e.0 });
-        }
-        let mut ld = LocalDijkstra::new();
-        ld.run(&adj, 0, &[]);
-        assert_eq!(ld.dist(3), Weight::new(2.0));
-        assert_eq!(ld.dist(2), Weight::new(3.0));
-        assert_eq!(ld.labels_to(3), Some(vec![0, 1]));
-        // early-exit variant still produces correct labels for the target
-        ld.run(&adj, 0, &[1]);
-        assert_eq!(ld.dist(1), Weight::new(1.0));
-        // reuse across rounds
-        ld.run(&adj, 3, &[]);
-        assert_eq!(ld.dist(0), Weight::new(2.0));
-    }
-
-    #[test]
-    fn run_csr_matches_adjacency_run_and_seals_borders() {
-        let g = diamond();
-        let mut adj: Vec<Vec<LocalEdge>> = vec![Vec::new(); 4];
+    /// The diamond as a local CSR graph, arcs labelled by edge id.
+    fn diamond_csr(g: &RoadNetwork) -> crate::csr::CsrGraph {
         let mut b = crate::csr::CsrBuilder::default();
         for e in g.edge_ids() {
             let (a, bb) = g.edge(e).endpoints();
             let w = g.weight(e, WeightKind::Distance);
-            adj[a.index()].push(LocalEdge { to: bb.0, weight: w, label: e.0 });
-            adj[bb.index()].push(LocalEdge { to: a.0, weight: w, label: e.0 });
             b.push(a.0, bb.0, w, e.0);
             b.push(bb.0, a.0, w, e.0);
         }
         let mut csr = crate::csr::CsrGraph::default();
         b.finish_into(4, &mut csr);
+        csr
+    }
 
+    #[test]
+    fn local_dijkstra_matches_dense() {
+        let g = diamond();
+        let csr = diamond_csr(&g);
         let mut ld = LocalDijkstra::new();
+        ld.run_csr(&csr, 0, &[], 0);
+        assert_eq!(ld.dist(3), Weight::new(2.0));
+        assert_eq!(ld.dist(2), Weight::new(3.0));
+        assert_eq!(ld.labels_to(3), Some(vec![0, 1]));
+        // early-exit variant still produces correct labels for the target
+        ld.run_csr(&csr, 0, &[1], 0);
+        assert_eq!(ld.dist(1), Weight::new(1.0));
+        // reuse across rounds
+        ld.run_csr(&csr, 3, &[], 0);
+        assert_eq!(ld.dist(0), Weight::new(2.0));
+    }
+
+    #[test]
+    fn run_csr_matches_network_dijkstra_and_seals_borders() {
+        let g = diamond();
+        let csr = diamond_csr(&g);
+        let mut d = Dijkstra::for_network(&g);
         let mut lc = LocalDijkstra::new();
         for src in 0..4u32 {
-            ld.run(&adj, src, &[]);
             lc.run_csr(&csr, src, &[], 0);
             for n in 0..4u32 {
-                assert_eq!(ld.dist(n), lc.dist(n), "src {src} node {n}");
-                assert_eq!(ld.pred(n), lc.pred(n), "src {src} node {n}");
+                let want = d.one_to_one(&g, WeightKind::Distance, NodeId(src), NodeId(n));
+                assert_eq!(Some(lc.dist(n)), want, "src {src} node {n}");
             }
         }
 

@@ -74,11 +74,6 @@ impl BufferPool {
         BufferPool { store, frames: LruCache::new(capacity), stats: BufferStats::default() }
     }
 
-    /// A pool over a fresh store with the paper's 50-frame default.
-    pub fn default_sized() -> Self {
-        BufferPool::new(PageStore::new(), crate::DEFAULT_BUFFER_PAGES)
-    }
-
     /// Allocates a fresh zeroed page (cached clean).
     pub fn alloc(&mut self) -> PageId {
         let id = self.store.alloc();
