@@ -19,7 +19,7 @@ use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::hash::FastMap;
 use road_network::{EdgeId, NodeId, Weight};
 use road_storage::ccam::NodeClustering;
-use road_storage::pagemap::IoTracker;
+use road_storage::IoTracker;
 
 const NO_HOP: u32 = u32::MAX;
 

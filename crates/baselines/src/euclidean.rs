@@ -20,7 +20,7 @@ use road_network::hash::FastMap;
 use road_network::{EdgeId, NodeId, Weight};
 use road_spatial::RTree;
 use road_storage::ccam::NodeClustering;
-use road_storage::pagemap::IoTracker;
+use road_storage::IoTracker;
 
 /// The Euclidean-bound engine.
 pub struct EuclideanEngine {

@@ -13,10 +13,12 @@
 //!   distance signatures with one entry (distance + next hop) per object.
 //! * [`road_engine`] — ROAD behind the same [`Engine`] trait.
 //!
-//! Every engine owns its copy of the network, its disk layout (CCAM node
-//! pages, object/R-tree/directory pages) and a cold-start LRU I/O tracker,
-//! mirroring the paper's measurement methodology: 4 KB pages, 50-page LRU
-//! buffer, queries starting with an empty cache.
+//! Every engine owns its copy of the network and follows the paper's
+//! measurement methodology: 4 KB pages, 50-page LRU buffer, queries
+//! starting with an empty cache. ROAD reads real pages through
+//! `road_core`'s `PagedEngine` and reports the buffer pool's fault count;
+//! the three comparison engines *model* their layout (CCAM node pages,
+//! object/R-tree pages) and count faults with `road_storage::IoTracker`.
 
 pub mod distidx;
 pub mod euclidean;
@@ -32,7 +34,7 @@ use road_core::model::{Object, ObjectFilter, ObjectId};
 use road_core::search::SearchHit;
 use road_network::{EdgeId, NodeId, Weight};
 
-/// Layout constants shared by the engines' disk-size models.
+/// Layout constants shared by the comparison engines' disk-size models.
 pub mod layout {
     /// Node record header: id + coordinates.
     pub const NODE_BASE_BYTES: usize = 16;
@@ -42,14 +44,10 @@ pub mod layout {
     pub const OBJECT_BYTES: usize = 32;
     /// One distance-signature entry: f32 distance + object ref + next hop.
     pub const SIG_ENTRY_BYTES: usize = 12;
-    /// One shortcut-tree entry in a ROAD node record.
-    pub const TREE_ENTRY_BYTES: usize = 8;
 
     /// Page namespaces for the I/O tracker.
     pub const NS_NODES: u32 = 0;
-    pub const NS_OBJECTS: u32 = 1;
     pub const NS_RTREE: u32 = 2;
-    pub const NS_DIRECTORY: u32 = 3;
 }
 
 /// Outcome of one query run through an engine.
@@ -57,7 +55,9 @@ pub mod layout {
 pub struct QueryCost {
     /// Answer objects in non-descending network distance.
     pub hits: Vec<SearchHit>,
-    /// Simulated page faults (cold 50-page LRU buffer) — the paper's I/O.
+    /// Page faults through a cold 50-page LRU buffer — the paper's I/O.
+    /// Counted by the buffer pool for ROAD, by the `IoTracker` layout
+    /// model for the three comparison engines.
     pub page_faults: u64,
     /// Network nodes whose records the query touched.
     pub nodes_visited: usize,
@@ -73,7 +73,7 @@ pub struct UpdateCost {
 /// The uniform interface the experiment harness drives.
 ///
 /// Engines take `&mut self` everywhere because they reuse search state and
-/// the I/O tracker across queries. Queries on nodes outside the network
+/// the page buffer across queries. Queries on nodes outside the network
 /// panic — harness inputs are constructed valid.
 pub trait Engine {
     /// Label used in figures ("NetExp", "Euclidean", "DistIdx", "ROAD").
@@ -97,8 +97,9 @@ pub trait Engine {
     /// Current weight of an edge (for restore-style experiments).
     fn edge_weight(&self, e: EdgeId) -> Weight;
 
-    /// Modelled on-disk index size in bytes (node pages + object pages +
-    /// any index-specific structures).
+    /// On-disk index size in bytes (node pages + object pages + any
+    /// index-specific structures): the page store's size for ROAD, the
+    /// layout model's for the comparison engines.
     fn index_size_bytes(&self) -> usize;
 
     /// Wall-clock seconds spent building the index.

@@ -16,7 +16,7 @@ use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::hash::{FastMap, FastSet};
 use road_network::{EdgeId, NodeId, Weight};
 use road_storage::ccam::NodeClustering;
-use road_storage::pagemap::IoTracker;
+use road_storage::IoTracker;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -1,27 +1,24 @@
 //! ROAD behind the uniform [`Engine`] interface.
 //!
 //! Wraps [`RoadFramework`] + [`AssociationDirectory`] together with the
-//! paper's disk layout: node records (adjacency + shortcut tree + the
-//! node's outgoing shortcuts) clustered into CCAM pages, object records
-//! and non-empty Rnet abstracts packed into directory pages. Search
-//! events reported by the framework's [`SearchObserver`] hook are mapped
-//! onto those pages through a cold LRU tracker, yielding the same I/O
-//! numbers the paper reports for ROAD.
+//! disk-resident engine we ship: a [`PagedEngine`] laid out from them
+//! (CCAM-clustered node and shortcut records, B+-tree-indexed directory
+//! records, 4 KB pages). A query clears the buffer pool and runs through
+//! those pages, so the I/O reported for ROAD is the pool's own fault count
+//! — not a model of it. Updates repair the framework and directory; the
+//! page layout is not incremental, so an update drops the image and the
+//! next query (or size request) lays it out again, outside every timer.
 
-use crate::layout::{
-    ADJ_ENTRY_BYTES, NODE_BASE_BYTES, NS_DIRECTORY, NS_NODES, NS_OBJECTS, OBJECT_BYTES,
-    TREE_ENTRY_BYTES,
-};
 use crate::{timed, Engine, QueryCost, UpdateCost};
 use road_core::association::AssociationDirectory;
 use road_core::framework::RoadFramework;
-use road_core::hierarchy::RnetId;
 use road_core::model::{Object, ObjectFilter, ObjectId};
-use road_core::search::{KnnQuery, RangeQuery, SearchObserver};
+use road_core::paged::{PagedEngine, PagedOptions};
+use road_core::search::{KnnQuery, RangeQuery};
+use road_core::{RoadError, SearchResult};
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, NodeId, Weight};
-use road_storage::ccam::NodeClustering;
-use road_storage::pagemap::{IoTracker, PageMap};
+use std::cell::OnceCell;
 
 /// Hierarchy shape for the wrapped framework.
 #[derive(Clone, Copy, Debug)]
@@ -44,12 +41,10 @@ impl Default for RoadEngineConfig {
 pub struct RoadEngine {
     fw: RoadFramework,
     ad: AssociationDirectory,
-    clustering: NodeClustering,
-    obj_pages: PageMap,
-    dir_pages: PageMap,
-    /// Out-of-line shortcut path details (bytes); cold during queries.
-    path_bytes: usize,
-    io: IoTracker,
+    /// The page image of `fw` + `ad`; empty after an update until the next
+    /// query or size request lays it out again.
+    paged: OnceCell<PagedEngine>,
+    opts: PagedOptions,
     build_seconds: f64,
 }
 
@@ -61,8 +56,8 @@ impl RoadEngine {
         objects: Vec<Object>,
         buffer_pages: usize,
         cfg: RoadEngineConfig,
-    ) -> Result<Self, road_core::RoadError> {
-        let (engine, build_seconds) = timed(|| -> Result<_, road_core::RoadError> {
+    ) -> Result<Self, RoadError> {
+        let (engine, build_seconds) = timed(|| -> Result<_, RoadError> {
             let fw = RoadFramework::builder(g)
                 .fanout(cfg.fanout)
                 .levels(cfg.levels)
@@ -73,19 +68,9 @@ impl RoadEngine {
             for o in objects {
                 ad.insert(fw.network(), fw.hierarchy(), o)?;
             }
-            let clustering = Self::cluster(&fw);
-            let (obj_pages, dir_pages) = Self::directory_pages(&fw, &ad);
-            let path_bytes = Self::path_bytes(&fw);
-            Ok(RoadEngine {
-                fw,
-                ad,
-                clustering,
-                obj_pages,
-                dir_pages,
-                path_bytes,
-                io: IoTracker::new(buffer_pages),
-                build_seconds: 0.0,
-            })
+            let opts = PagedOptions::with_buffer_pages(buffer_pages);
+            let paged = PagedEngine::new(&fw, &ad, opts)?;
+            Ok(RoadEngine { fw, ad, paged: paged.into(), opts, build_seconds: 0.0 })
         });
         let mut engine = engine?;
         engine.build_seconds = build_seconds;
@@ -102,120 +87,36 @@ impl RoadEngine {
         &self.ad
     }
 
-    /// ROAD node record: header + adjacency + shortcut-tree entries + the
-    /// node's outgoing shortcuts across all Rnets it borders.
-    ///
-    /// A shortcut entry in the *node record* is only what traversal needs —
-    /// target border node and distance (12 bytes). The shortcut's detailed
-    /// path (its `via` waypoints) is stored out of line in dedicated path
-    /// pages ([`Self::path_bytes`]) that queries never touch; they are read
-    /// only when a result path is materialised. This mirrors the paper's
-    /// storage discussion (reverse-path details and in-Rnet transitive
-    /// shortcuts are elided from hot records to "save memory").
-    fn cluster(fw: &RoadFramework) -> NodeClustering {
-        let g = fw.network();
-        let hier = fw.hierarchy();
-        let sc = fw.shortcuts();
-        NodeClustering::build(g, |n| {
-            let mut bytes = NODE_BASE_BYTES + ADJ_ENTRY_BYTES * g.degree(n);
-            for &r in hier.bordered_rnets(n) {
-                bytes += TREE_ENTRY_BYTES + 12 * sc.from(r, n).len();
-            }
-            bytes
+    /// The current page image, laid out on demand.
+    fn paged(&self) -> &PagedEngine {
+        self.paged.get_or_init(|| {
+            PagedEngine::new(&self.fw, &self.ad, self.opts).expect("a built framework lays out")
         })
     }
 
-    /// Out-of-line shortcut path details: 4 bytes per waypoint plus a
-    /// 12-byte header per stored path.
-    fn path_bytes(fw: &RoadFramework) -> usize {
-        let hier = fw.hierarchy();
-        let sc = fw.shortcuts();
-        let mut bytes = 0usize;
-        for lv in 1..=hier.levels() {
-            for r in hier.rnets_at_level(lv) {
-                for &b in hier.borders(r) {
-                    for edge in sc.from(r, b) {
-                        bytes += 12 + 4 * edge.via.len();
-                    }
-                }
-            }
-        }
-        bytes
-    }
-
-    /// Object records and non-empty Rnet abstracts → directory pages.
-    fn directory_pages(fw: &RoadFramework, ad: &AssociationDirectory) -> (PageMap, PageMap) {
-        let mut obj_pages = PageMap::new();
-        let mut objs: Vec<ObjectId> = ad.objects().map(|o| o.id).collect();
-        objs.sort();
-        for id in objs {
-            obj_pages.insert(id.0, OBJECT_BYTES);
-        }
-        let mut dir_pages = PageMap::new();
-        let hier = fw.hierarchy();
-        for lv in 1..=hier.levels() {
-            for r in hier.rnets_at_level(lv) {
-                let a = ad.abstract_of(r);
-                if !a.is_empty() {
-                    dir_pages.insert(r.0 as u64, a.size_bytes() + 8);
-                }
-            }
-        }
-        (obj_pages, dir_pages)
-    }
-
-    fn refresh_directory_pages(&mut self) {
-        let (obj_pages, dir_pages) = Self::directory_pages(&self.fw, &self.ad);
-        self.obj_pages = obj_pages;
-        self.dir_pages = dir_pages;
-    }
-
+    /// One cold-cache query through the pages.
     fn run(
-        &mut self,
-        query: impl FnOnce(&RoadFramework, &AssociationDirectory, &mut Obs) -> road_core::SearchResult,
+        &self,
+        query: impl FnOnce(&PagedEngine) -> Result<SearchResult, RoadError>,
     ) -> QueryCost {
-        self.io.reset();
-        let mut obs = Obs {
-            clustering: &self.clustering,
-            obj_pages: &self.obj_pages,
-            dir_pages: &self.dir_pages,
-            io: &mut self.io,
-        };
-        let res = query(&self.fw, &self.ad, &mut obs);
+        let paged = self.paged();
+        paged.clear_cache().expect("pool locks are never poisoned here");
+        let res = query(paged).expect("valid query");
         QueryCost {
             hits: res.hits,
-            page_faults: self.io.faults(),
+            page_faults: res.stats.page_faults as u64,
             nodes_visited: res.stats.nodes_settled,
         }
     }
-}
 
-/// Maps framework search events onto simulated pages.
-struct Obs<'a> {
-    clustering: &'a NodeClustering,
-    obj_pages: &'a PageMap,
-    dir_pages: &'a PageMap,
-    io: &'a mut IoTracker,
-}
-
-impl SearchObserver for Obs<'_> {
-    fn node_settled(&mut self, n: NodeId) {
-        let (start, span) = self.clustering.span_of(n);
-        self.io.touch_span(NS_NODES, start, span);
-    }
-
-    fn abstract_checked(&mut self, r: RnetId) {
-        match self.dir_pages.lookup(r.0 as u64) {
-            Some((start, span)) => self.io.touch_span(NS_DIRECTORY, start, span),
-            // Absent key: the B+-tree lookup still reads the (hot) root.
-            None => self.io.touch(NS_DIRECTORY, u32::MAX),
-        }
-    }
-
-    fn object_read(&mut self, o: ObjectId) {
-        if let Some((start, span)) = self.obj_pages.lookup(o.0) {
-            self.io.touch_span(NS_OBJECTS, start, span);
-        }
+    /// Times `repair` alone, then drops the page image it invalidated.
+    fn update(
+        &mut self,
+        repair: impl FnOnce(&mut RoadFramework, &mut AssociationDirectory),
+    ) -> UpdateCost {
+        let (_, seconds) = timed(|| repair(&mut self.fw, &mut self.ad));
+        self.paged.take();
+        UpdateCost { seconds }
     }
 }
 
@@ -226,42 +127,32 @@ impl Engine for RoadEngine {
 
     fn knn(&mut self, node: NodeId, k: usize, filter: &ObjectFilter) -> QueryCost {
         let q = KnnQuery::new(node, k).with_filter(filter.clone());
-        self.run(|fw, ad, obs| fw.knn_observed(ad, &q, obs).expect("valid query"))
+        self.run(|paged| paged.knn(&q))
     }
 
     fn range(&mut self, node: NodeId, radius: Weight, filter: &ObjectFilter) -> QueryCost {
         let q = RangeQuery::new(node, radius).with_filter(filter.clone());
-        self.run(|fw, ad, obs| fw.range_observed(ad, &q, obs).expect("valid query"))
+        self.run(|paged| paged.range(&q))
     }
 
     fn insert_object(&mut self, object: Object) -> UpdateCost {
-        let (_, seconds) = timed(|| {
-            self.ad.insert(self.fw.network(), self.fw.hierarchy(), object).expect("valid object");
-            self.refresh_directory_pages();
-        });
-        UpdateCost { seconds }
+        self.update(|fw, ad| {
+            ad.insert(fw.network(), fw.hierarchy(), object).expect("valid object");
+        })
     }
 
     fn remove_object(&mut self, id: ObjectId) -> UpdateCost {
-        let (_, seconds) = timed(|| {
+        self.update(|fw, ad| {
             // Tolerate unknown ids for trait uniformity (the other engines
             // treat removal of a missing object as a no-op).
-            if self.ad.remove(self.fw.network(), self.fw.hierarchy(), id).is_ok() {
-                self.refresh_directory_pages();
-            }
-        });
-        UpdateCost { seconds }
+            let _ = ad.remove(fw.network(), fw.hierarchy(), id);
+        })
     }
 
     fn set_edge_weight(&mut self, e: EdgeId, w: Weight) -> UpdateCost {
-        let (_, seconds) = timed(|| {
-            self.fw.set_edge_weight(e, w).expect("live edge");
-            // Shortcut sets may have changed; repack node records and the
-            // out-of-line path store.
-            self.clustering = Self::cluster(&self.fw);
-            self.path_bytes = Self::path_bytes(&self.fw);
-        });
-        UpdateCost { seconds }
+        self.update(|fw, _| {
+            fw.set_edge_weight(e, w).expect("live edge");
+        })
     }
 
     fn edge_weight(&self, e: EdgeId) -> Weight {
@@ -269,10 +160,7 @@ impl Engine for RoadEngine {
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.clustering.size_bytes()
-            + self.obj_pages.size_bytes()
-            + self.dir_pages.size_bytes()
-            + road_storage::page::pages_for(self.path_bytes) * road_storage::PAGE_SIZE
+        self.paged().disk_size_bytes()
     }
 
     fn build_seconds(&self) -> f64 {
@@ -284,9 +172,11 @@ impl Engine for RoadEngine {
 mod tests {
     use super::*;
     use road_core::model::CategoryId;
+    use road_core::search::{oracle_knn, oracle_range};
+    use road_core::QueryEngine;
     use road_network::generator::simple;
 
-    fn engine() -> RoadEngine {
+    fn engine_with(buffer_pages: usize) -> RoadEngine {
         let g = simple::grid(12, 12, 1.0);
         let objects = vec![
             Object::new(ObjectId(1), EdgeId(0), 0.5, CategoryId(0)),
@@ -297,10 +187,14 @@ mod tests {
             g,
             WeightKind::Distance,
             objects,
-            50,
+            buffer_pages,
             RoadEngineConfig { fanout: 4, levels: 2, prune_transitive: true },
         )
         .unwrap()
+    }
+
+    fn engine() -> RoadEngine {
+        engine_with(50)
     }
 
     #[test]
@@ -319,30 +213,99 @@ mod tests {
         assert_eq!(res.hits.len(), 2);
     }
 
+    /// The figures' ROAD column is the shipped engines: faults are a cold
+    /// `PagedEngine` query's, hits are `QueryEngine`'s, size is the page
+    /// store's. A 3-page buffer makes the fault count depend on eviction.
     #[test]
-    fn object_churn_keeps_directory_pages_fresh() {
-        let mut e = engine();
-        let before = e.index_size_bytes();
-        for i in 10..60u64 {
-            e.insert_object(Object::new(ObjectId(i), EdgeId((i * 3) as u32), 0.5, CategoryId(2)));
+    fn faults_hits_and_size_are_the_shipped_engines() {
+        let mut e = engine_with(3);
+        let paged =
+            PagedEngine::new(e.framework(), e.directory(), PagedOptions::with_buffer_pages(3))
+                .unwrap();
+        let mem = QueryEngine::new(e.framework().clone(), e.directory().clone());
+        assert_eq!(e.index_size_bytes(), paged.disk_size_bytes());
+        let cat0 = ObjectFilter::Category(CategoryId(0));
+        for n in (0..144).step_by(13).map(NodeId) {
+            for filter in [&ObjectFilter::Any, &cat0] {
+                let q = KnnQuery::new(n, 2).with_filter(filter.clone());
+                let got = e.knn(n, 2, filter);
+                paged.clear_cache().unwrap();
+                let cold = paged.knn(&q).unwrap();
+                assert!(cold.stats.page_faults > 3, "buffer too large to evict");
+                assert_eq!(got.page_faults, cold.stats.page_faults as u64, "knn at {n}");
+                assert_eq!(got.nodes_visited, cold.stats.nodes_settled);
+                assert_eq!(got.hits, mem.knn(&q).unwrap().hits);
+
+                let q = RangeQuery::new(n, Weight::new(9.0)).with_filter(filter.clone());
+                let got = e.range(n, q.radius, filter);
+                paged.clear_cache().unwrap();
+                let cold = paged.range(&q).unwrap();
+                assert_eq!(got.page_faults, cold.stats.page_faults as u64, "range at {n}");
+                assert_eq!(got.hits, mem.range(&q).unwrap().hits);
+            }
         }
-        assert!(e.index_size_bytes() >= before);
-        let res = e.knn(NodeId(0), 50, &ObjectFilter::Category(CategoryId(2)));
-        assert_eq!(res.hits.len(), 50);
-        e.remove_object(ObjectId(10));
-        let res = e.knn(NodeId(0), 50, &ObjectFilter::Category(CategoryId(2)));
-        assert_eq!(res.hits.len(), 49);
+    }
+
+    fn assert_oracle_knn(e: &mut RoadEngine, node: NodeId, k: usize, filter: &ObjectFilter) {
+        let got = e.knn(node, k, filter).hits;
+        let q = KnnQuery::new(node, k).with_filter(filter.clone());
+        assert_eq!(got, oracle_knn(e.framework(), e.directory(), &q));
     }
 
     #[test]
-    fn weight_updates_flow_through() {
+    fn object_churn_never_answers_from_a_stale_image() {
         let mut e = engine();
-        let before = e.knn(NodeId(140), 1, &ObjectFilter::Any).hits[0];
-        // Cut the answer's vicinity off with heavy weights.
-        let o = e.directory().object(before.object).unwrap().clone();
-        let w = Weight::new(200.0);
-        e.set_edge_weight(o.edge, w);
-        let after = e.knn(NodeId(140), 1, &ObjectFilter::Any).hits[0];
-        assert!(after.distance > before.distance || after.object != before.object);
+        let cat2 = ObjectFilter::Category(CategoryId(2));
+        for i in 10..60u64 {
+            e.insert_object(Object::new(ObjectId(i), EdgeId((i * 3) as u32), 0.5, CategoryId(2)));
+        }
+        assert_eq!(e.knn(NodeId(0), 50, &cat2).hits.len(), 50);
+        assert_oracle_knn(&mut e, NodeId(0), 50, &cat2);
+        e.remove_object(ObjectId(10));
+        assert_eq!(e.knn(NodeId(0), 50, &cat2).hits.len(), 49);
+        assert_oracle_knn(&mut e, NodeId(0), 50, &cat2);
+        let q = RangeQuery::new(NodeId(70), Weight::new(6.0)).with_filter(cat2.clone());
+        let want = oracle_range(e.framework(), e.directory(), &q);
+        assert_eq!(e.range(q.node, q.radius, &cat2).hits, want);
+    }
+
+    #[test]
+    fn weight_updates_never_answer_from_a_stale_image() {
+        let mut e = engine();
+        let nearest = e.knn(NodeId(140), 1, &ObjectFilter::Any).hits[0];
+        let edge = e.directory().object(nearest.object).unwrap().edge;
+        let open = e.edge_weight(edge);
+        // Closing the nearest object's edge makes it unreachable...
+        e.set_edge_weight(edge, Weight::INFINITY);
+        let closed = e.knn(NodeId(140), 3, &ObjectFilter::Any).hits;
+        assert_eq!(closed.len(), 2);
+        assert!(closed.iter().all(|h| h.object != nearest.object));
+        assert_oracle_knn(&mut e, NodeId(140), 3, &ObjectFilter::Any);
+        // ...and restoring the weight brings it back at its old distance.
+        e.set_edge_weight(edge, open);
+        assert_eq!(e.knn(NodeId(140), 3, &ObjectFilter::Any).hits[0], nearest);
+        assert_oracle_knn(&mut e, NodeId(140), 3, &ObjectFilter::Any);
+    }
+
+    /// Update timers cover the overlay/directory repair only: every update
+    /// leaves the engine without a page image, and it is the next query or
+    /// size request (untimed) that lays one out.
+    #[test]
+    fn updates_drop_the_image_and_the_next_reader_lays_it_out() {
+        let mut e = engine();
+        assert!(e.paged.get().is_some(), "build lays the pages out");
+        e.insert_object(Object::new(ObjectId(9), EdgeId(7), 0.5, CategoryId(0)));
+        assert!(e.paged.get().is_none());
+        let with_nine = e.index_size_bytes();
+        assert!(e.paged.get().is_some());
+        e.remove_object(ObjectId(9));
+        assert!(e.paged.get().is_none());
+        e.knn(NodeId(3), 1, &ObjectFilter::Any);
+        assert!(e.paged.get().is_some());
+        assert!(e.index_size_bytes() <= with_nine);
+        e.set_edge_weight(EdgeId(5), Weight::new(4.0));
+        assert!(e.paged.get().is_none());
+        e.range(NodeId(3), Weight::new(2.0), &ObjectFilter::Any);
+        assert!(e.paged.get().is_some());
     }
 }

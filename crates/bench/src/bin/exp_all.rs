@@ -1,7 +1,8 @@
-//! Runs the complete experiment suite in paper order; the output of
-//! `--scale medium` is what EXPERIMENTS.md records. Besides the printed
-//! markdown, the run is captured as `BENCH_<scale>.json` in the working
-//! directory (CI archives the `--scale small` one as an artifact).
+//! Runs the complete experiment suite in paper order (README's
+//! reproduction verdict quotes `--scale small` and `--scale medium`).
+//! Besides the printed markdown, the run is captured as
+//! `BENCH_<scale>.json` in the working directory (CI archives the
+//! `--scale small` one as an artifact).
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -16,7 +17,7 @@ fn main() {
         println!("fig18_range          range time vs r / |O| / network");
         println!("fig19_levels         hierarchy depth sweep (index vs query time)");
         println!("ablation             distribution / pruning / abstract ablations");
-        println!("exp_disk             disk-resident serving: real page I/O vs buffer size and k");
+        println!("exp_disk             warm paged serving: faults vs buffer size, lazy open");
         println!("exp_live             LiveEngine reader QPS under a concurrent update writer");
         println!("exp_throughput       QueryEngine QPS: workspace reuse + thread scaling");
         println!("                     (separate binary; not part of the exp_all suite)");

@@ -107,11 +107,6 @@ pub struct Params {
     pub metric: WeightKind,
     /// Master seed; every derived workload offsets from it.
     pub seed: u64,
-    /// Simulated disk latency charged per page fault, in milliseconds.
-    /// The paper ran on 2009 spinning disks; its reported times are
-    /// dominated by I/O (e.g. Figure 11: 475 ms for 230 pages ≈ 2 ms per
-    /// fault). "Processing time" below = measured CPU + faults × this.
-    pub io_ms_per_fault: f64,
 }
 
 impl Default for Params {
@@ -124,7 +119,6 @@ impl Default for Params {
             buffer_pages: road_storage::DEFAULT_BUFFER_PAGES,
             metric: WeightKind::Distance,
             seed: 0xEDB7_2009,
-            io_ms_per_fault: 2.0,
         }
     }
 }

@@ -43,26 +43,22 @@ fn distribution(ctx: &Ctx) {
             workload::clustered_objects(&g, count, 4, ctx.params.seed + 33),
         ),
     ] {
-        let mut row = vec![label.to_string()];
-        let mut times = Vec::new();
-        for kind in [EngineKind::NetExp, EngineKind::Road] {
+        let [netexp, road] = [EngineKind::NetExp, EngineKind::Road].map(|kind| {
             let mut engine = runner::build_engine(kind, &g, &objects, &ctx.params, levels);
-            let stats = runner::measure_knn(
-                engine.as_mut(),
-                &nodes,
-                ctx.params.k,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            times.push(stats.avg_ms);
-            row.push(fmt_ms(stats.avg_ms));
-        }
-        row.push(format!("{:.1}x", times[0] / times[1].max(1e-9)));
-        rows.push(row);
+            runner::measure_knn(engine.as_mut(), &nodes, ctx.params.k, &ObjectFilter::Any)
+        });
+        rows.push(vec![
+            label.to_string(),
+            fmt_ms(netexp.avg_cpu_ms),
+            fmt_ms(road.avg_cpu_ms),
+            format!("{:.1}x", netexp.avg_cpu_ms / road.avg_cpu_ms.max(1e-9)),
+            fmt_f(netexp.avg_faults),
+            fmt_f(road.avg_faults),
+        ]);
     }
     print_table(
-        "Ablation 1 — object distribution (CA, 5NN): time (ms)",
-        &["distribution", "NetExp", "ROAD", "ROAD speedup"],
+        "Ablation 1 — object distribution (CA, 5NN): CPU time (ms) and I/O (pages)",
+        &["distribution", "NetExp", "ROAD", "ROAD speedup", "NetExp io", "ROAD io"],
         &rows,
     );
 }
@@ -86,25 +82,19 @@ fn pruning(ctx: &Ctx) {
             RoadEngineConfig { fanout: ctx.params.fanout, levels, prune_transitive: prune },
         )
         .expect("framework builds");
-        let stats = runner::measure_knn(
-            &mut engine,
-            &nodes,
-            ctx.params.k,
-            &ObjectFilter::Any,
-            ctx.params.io_ms_per_fault,
-        );
+        let stats = runner::measure_knn(&mut engine, &nodes, ctx.params.k, &ObjectFilter::Any);
         rows.push(vec![
             label.to_string(),
             engine.framework().shortcuts().num_shortcuts().to_string(),
             fmt_mb(engine.index_size_bytes()),
             fmt_secs(engine.build_seconds()),
-            fmt_ms(stats.avg_ms),
+            fmt_ms(stats.avg_cpu_ms),
             fmt_f(stats.avg_faults),
         ]);
     }
     print_table(
         "Ablation 2 — Lemma-4 transitive-shortcut pruning (CA, 5NN)",
-        &["variant", "shortcuts", "index size", "build (s)", "query (ms)", "query I/O"],
+        &["variant", "shortcuts", "index size", "build (s)", "query CPU (ms)", "query I/O"],
         &rows,
     );
 }

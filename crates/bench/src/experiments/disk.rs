@@ -2,10 +2,11 @@
 //!
 //! The paper's headline numbers are page accesses through a 4 KB-page,
 //! 50-frame LRU buffer (Section 6 methodology; Figures 15–18 report I/O).
-//! The other experiments *model* that traffic by replaying search events
-//! through an [`road_storage::IoTracker`]; this one serves queries from
-//! **actual serialized pages** via [`road_core::paged::PagedEngine`] and
-//! reports what the buffer pool really did. Three views:
+//! The figure experiments report ROAD's cold per-query faults from the
+//! same [`road_core::paged::PagedEngine`] (behind `baselines::RoadEngine`);
+//! this one looks at what the paper does not: **warm** serving, lazy
+//! open and sharing, always from actual serialized pages and reporting
+//! what the buffer pool really did. Three views:
 //!
 //! 1. **Buffer sweep** (memory-constrained serving): a warm serving loop
 //!    over the Figure 17 kNN workload at increasing pool sizes. Page
@@ -13,14 +14,10 @@
 //!    monotonically as the pool grows — LRU's inclusion property, checked
 //!    here and in the `paged_tests` suite. Every sweep point also asserts
 //!    the paged hit lists equal the in-memory `QueryEngine`'s.
-//! 2. **Cold per-query I/O vs k**: the paper's discipline (empty cache
-//!    before every query), ROAD's real page faults next to the modelled
-//!    faults of the NetExp and Distance Index baselines — the Figure
-//!    17(a)-shaped comparison.
-//! 3. **Page-granular open**: serving straight from a `ROADFW01` image,
+//! 2. **Page-granular open**: serving straight from a `ROADFW01` image,
 //!    reporting how few Rnet shortcut sections the first queries page in
 //!    and the first-touch vs steady-state fault cost.
-//! 4. **Thread scaling** (beyond the paper): warm-cache kNN throughput of
+//! 3. **Thread scaling** (beyond the paper): warm-cache kNN throughput of
 //!    one *shared* `PagedEngine` (`&self` queries, lock-striped buffer
 //!    pool) at 1..N threads, against the explicitly rejected baseline —
 //!    the same engine behind one big `Mutex`, which serializes every
@@ -29,14 +26,12 @@
 //!    either way.
 
 use super::Ctx;
-use crate::runner::{build_engine, EngineKind};
 use crate::table::{fmt_f, fmt_mb, print_table};
 use crate::{config, workload};
 use road_core::paged::{PagedEngine, PagedOptions};
 use road_core::prelude::*;
 use road_core::{PagedImage, QueryEngine, SearchStats};
 use road_network::generator::Dataset;
-use road_network::NodeId;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -104,18 +99,6 @@ pub fn sweep_buffer_sizes(
     points
 }
 
-/// Cold-cache per-query faults of the paged ROAD engine (the paper's
-/// measurement discipline: every query starts with an empty buffer).
-fn cold_knn_faults(disk: &PagedEngine, nodes: &[NodeId], k: usize) -> f64 {
-    let mut faults = 0u64;
-    for &n in nodes {
-        disk.clear_cache().expect("healthy pool");
-        let res = disk.knn(&KnnQuery::new(n, k)).expect("valid query");
-        faults += res.stats.page_faults as u64;
-    }
-    faults as f64 / nodes.len().max(1) as f64
-}
-
 /// One thread-scaling measurement point.
 pub struct ScalingPoint {
     pub threads: usize,
@@ -155,7 +138,7 @@ fn serving_qps(
     (passes * queries.len()) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// Runs the warm-cache thread-scaling comparison (view 4): the shared
+/// Runs the warm-cache thread-scaling comparison (view 3): the shared
 /// `&self` engine against the rejected baseline — the same engine behind
 /// one global `Mutex`, which is what sharing a `&mut self` engine would
 /// have required. Every point serves the same stream; answers were
@@ -262,32 +245,7 @@ pub fn run(ctx: &Ctx) {
          accesses stay constant because the expansion is identical."
     );
 
-    // --- 2: cold per-query I/O vs k, ROAD real vs modelled baselines ----
-    let ks = [1usize, 5, 10, 20];
-    let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(ctx.params.buffer_pages))
-        .expect("paged engine builds");
-    let mut netexp = build_engine(EngineKind::NetExp, &g, &objects, &ctx.params, levels);
-    let mut distidx = build_engine(EngineKind::DistIdx, &g, &objects, &ctx.params, levels);
-    let mut rows = Vec::new();
-    for &k in &ks {
-        let road_faults = cold_knn_faults(&disk, &nodes, k);
-        let mut ne = 0.0;
-        let mut di = 0.0;
-        for &n in &nodes {
-            ne += netexp.knn(n, k, &ObjectFilter::Any).page_faults as f64;
-            di += distidx.knn(n, k, &ObjectFilter::Any).page_faults as f64;
-        }
-        let q = nodes.len().max(1) as f64;
-        rows.push(vec![k.to_string(), fmt_f(road_faults), fmt_f(di / q), fmt_f(ne / q)]);
-    }
-    print_table(
-        "Cold per-query page faults vs k (paper discipline; ROAD pages are real, \
-         baselines modelled)",
-        &["k", "ROAD (paged)", "DistIdx", "NetExp"],
-        &rows,
-    );
-
-    // --- 3: page-granular open ------------------------------------------
+    // --- 2: page-granular open ------------------------------------------
     let image_bytes = fw.to_bytes();
     let image_mb = image_bytes.len();
     let image = PagedImage::open(image_bytes).expect("image opens");
@@ -337,7 +295,7 @@ pub fn run(ctx: &Ctx) {
         lazy.node_region_pages(),
     );
 
-    // --- 4: warm-cache thread scaling, shared vs Mutex baseline ---------
+    // --- 3: warm-cache thread scaling, shared vs Mutex baseline ---------
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let points = thread_scaling(&fw, &ad, &queries, ctx.params.buffer_pages, 20, true);
     let rows: Vec<Vec<String>> = points

@@ -1,5 +1,7 @@
-//! Figure 11 — anatomy of one 3NN query on CA with 5 objects: search
-//! time, simulated I/O and node records touched, per approach.
+//! Figure 11 — anatomy of one 3NN query on CA with 5 objects: CPU time,
+//! page faults through a cold 50-page buffer and node records touched,
+//! per approach. ROAD's faults are counted by the `PagedEngine`'s pool;
+//! the three comparison engines' by their layout model.
 
 use super::Ctx;
 use crate::runner::EngineKind;

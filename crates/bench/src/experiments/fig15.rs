@@ -2,7 +2,10 @@
 //! repeated; average deletion and insertion time per approach and network.
 //!
 //! DistIdx pays a full network expansion plus a rewrite of every node's
-//! signature per change; the other three are sub-millisecond.
+//! signature per change; the other three are sub-millisecond. ROAD's time
+//! is the Association Directory repair (object map + abstracts up the
+//! Rnet chain); its page image is not incremental — it is dropped and
+//! laid out again by the next query — and is not timed.
 
 use super::Ctx;
 use crate::runner::EngineKind;

@@ -3,7 +3,10 @@
 //! (the paper's protocol); average per approach and network.
 //!
 //! ROAD repairs only the shortcuts of the enclosing Rnet chain; DistIdx
-//! re-expands every affected object column.
+//! re-expands every affected object column. ROAD's time is that overlay
+//! repair (filter-and-refresh) alone: the page image is not incremental
+//! — an update drops it, the next query lays it out again — and the
+//! re-layout is not timed.
 
 use super::Ctx;
 use crate::runner::EngineKind;

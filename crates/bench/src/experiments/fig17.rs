@@ -3,7 +3,7 @@
 
 use super::Ctx;
 use crate::runner::EngineKind;
-use crate::table::{fmt_f, fmt_ms, print_table};
+use crate::table::print_table;
 use crate::{config, runner, workload};
 use road_core::model::ObjectFilter;
 use road_network::generator::Dataset;
@@ -57,35 +57,15 @@ fn run_vary_k(ctx: &Ctx) {
         .map(|&k| runner::build_engine(k, &g, &objects, &ctx.params, levels))
         .collect();
     for k in [1usize, 5, 10] {
-        let mut row = vec![format!("k={k}")];
-        let mut io = vec![format!("k={k}")];
-        for engine in engines.iter_mut() {
-            let stats = runner::measure_knn(
-                engine.as_mut(),
-                &nodes,
-                k,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            row.push(fmt_ms(stats.avg_ms));
-            io.push(fmt_f(stats.avg_faults));
-        }
-        row.extend(io.into_iter().skip(1));
-        rows.push(row);
+        let stats: Vec<_> = engines
+            .iter_mut()
+            .map(|e| runner::measure_knn(e.as_mut(), &nodes, k, &ObjectFilter::Any))
+            .collect();
+        rows.push(runner::time_io_row(format!("k={k}"), &stats));
     }
     print_table(
-        &format!("Figure 17a — kNN on {} (|O| = 100): time (ms) and I/O (pages)", ds.name()),
-        &[
-            "k",
-            "NetExp",
-            "Euclidean",
-            "DistIdx",
-            "ROAD",
-            "NetExp io",
-            "Euclidean io",
-            "DistIdx io",
-            "ROAD io",
-        ],
+        &format!("Figure 17a — kNN on {} (|O| = 100): CPU time (ms) and I/O (pages)", ds.name()),
+        &runner::time_io_header("k"),
         &rows,
     );
 }
@@ -101,23 +81,18 @@ fn run_vary_objects(ctx: &Ctx) {
     for base in super::fig13::CARDINALITIES {
         let count = ctx.scaled_count(base, factor);
         let objects = workload::uniform_objects(&g, count, ctx.params.seed + base as u64);
-        let mut row = vec![format!("{base}")];
-        for kind in EngineKind::ALL {
+        let stats = EngineKind::ALL.map(|kind| {
             let mut engine = runner::build_engine(kind, &g, &objects, &ctx.params, levels);
-            let stats = runner::measure_knn(
-                engine.as_mut(),
-                &nodes,
-                ctx.params.k,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            row.push(fmt_ms(stats.avg_ms));
-        }
-        rows.push(row);
+            runner::measure_knn(engine.as_mut(), &nodes, ctx.params.k, &ObjectFilter::Any)
+        });
+        rows.push(runner::time_io_row(format!("{base}"), &stats));
     }
     print_table(
-        &format!("Figure 17b — kNN on {} (k = 5) vs object cardinality: time (ms)", ds.name()),
-        &["|O|", "NetExp", "Euclidean", "DistIdx", "ROAD"],
+        &format!(
+            "Figure 17b — kNN on {} (k = 5) vs object cardinality: CPU time (ms) and I/O (pages)",
+            ds.name()
+        ),
+        &runner::time_io_header("|O|"),
         &rows,
     );
 }
@@ -130,23 +105,15 @@ fn run_vary_network(ctx: &Ctx) {
         let count = ctx.scaled_count(ctx.params.objects, ctx.scale.factor(ds));
         let objects = workload::uniform_objects(&g, count, ctx.params.seed + 17);
         let nodes = workload::query_nodes(&g, ctx.scale.queries, ctx.params.seed + 173);
-        let mut row = vec![ds.name().to_string()];
-        for kind in EngineKind::ALL {
+        let stats = EngineKind::ALL.map(|kind| {
             let mut engine = runner::build_engine(kind, &g, &objects, &ctx.params, levels);
-            let stats = runner::measure_knn(
-                engine.as_mut(),
-                &nodes,
-                ctx.params.k,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            row.push(fmt_ms(stats.avg_ms));
-        }
-        rows.push(row);
+            runner::measure_knn(engine.as_mut(), &nodes, ctx.params.k, &ObjectFilter::Any)
+        });
+        rows.push(runner::time_io_row(ds.name().to_string(), &stats));
     }
     print_table(
-        "Figure 17c — kNN across networks (|O| = 100, k = 5): time (ms)",
-        &["network", "NetExp", "Euclidean", "DistIdx", "ROAD"],
+        "Figure 17c — kNN across networks (|O| = 100, k = 5): CPU time (ms) and I/O (pages)",
+        &runner::time_io_header("network"),
         &rows,
     );
 }

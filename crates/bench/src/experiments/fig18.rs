@@ -4,7 +4,7 @@
 use super::fig17::Axis;
 use super::Ctx;
 use crate::runner::EngineKind;
-use crate::table::{fmt_ms, print_table};
+use crate::table::print_table;
 use crate::{config, runner, workload};
 use road_core::model::ObjectFilter;
 use road_network::dijkstra::estimate_diameter;
@@ -40,22 +40,18 @@ fn run_vary_r(ctx: &Ctx) {
     let mut rows = Vec::new();
     for frac in [0.05f64, 0.1, 0.2] {
         let radius = Weight::new(diameter.get() * frac);
-        let mut row = vec![format!("r={frac}·diam")];
-        for engine in engines.iter_mut() {
-            let stats = runner::measure_range(
-                engine.as_mut(),
-                &nodes,
-                radius,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            row.push(fmt_ms(stats.avg_ms));
-        }
-        rows.push(row);
+        let stats: Vec<_> = engines
+            .iter_mut()
+            .map(|e| runner::measure_range(e.as_mut(), &nodes, radius, &ObjectFilter::Any))
+            .collect();
+        rows.push(runner::time_io_row(format!("r={frac}·diam"), &stats));
     }
     print_table(
-        &format!("Figure 18a — range query on {} (|O| = 100): time (ms)", ds.name()),
-        &["range", "NetExp", "Euclidean", "DistIdx", "ROAD"],
+        &format!(
+            "Figure 18a — range query on {} (|O| = 100): CPU time (ms) and I/O (pages)",
+            ds.name()
+        ),
+        &runner::time_io_header("range"),
         &rows,
     );
 }
@@ -73,26 +69,19 @@ fn run_vary_objects(ctx: &Ctx) {
     for base in super::fig13::CARDINALITIES {
         let count = ctx.scaled_count(base, factor);
         let objects = workload::uniform_objects(&g, count, ctx.params.seed + base as u64);
-        let mut row = vec![format!("{base}")];
-        for kind in EngineKind::ALL {
+        let stats = EngineKind::ALL.map(|kind| {
             let mut engine = runner::build_engine(kind, &g, &objects, &ctx.params, levels);
-            let stats = runner::measure_range(
-                engine.as_mut(),
-                &nodes,
-                radius,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            row.push(fmt_ms(stats.avg_ms));
-        }
-        rows.push(row);
+            runner::measure_range(engine.as_mut(), &nodes, radius, &ObjectFilter::Any)
+        });
+        rows.push(runner::time_io_row(format!("{base}"), &stats));
     }
     print_table(
         &format!(
-            "Figure 18b — range query on {} (r = 0.1·diam) vs object cardinality: time (ms)",
+            "Figure 18b — range query on {} (r = 0.1·diam) vs object cardinality: \
+             CPU time (ms) and I/O (pages)",
             ds.name()
         ),
-        &["|O|", "NetExp", "Euclidean", "DistIdx", "ROAD"],
+        &runner::time_io_header("|O|"),
         &rows,
     );
 }
@@ -107,23 +96,16 @@ fn run_vary_network(ctx: &Ctx) {
         let count = ctx.scaled_count(ctx.params.objects, ctx.scale.factor(ds));
         let objects = workload::uniform_objects(&g, count, ctx.params.seed + 18);
         let nodes = workload::query_nodes(&g, ctx.scale.queries, ctx.params.seed + 183);
-        let mut row = vec![ds.name().to_string()];
-        for kind in EngineKind::ALL {
+        let stats = EngineKind::ALL.map(|kind| {
             let mut engine = runner::build_engine(kind, &g, &objects, &ctx.params, levels);
-            let stats = runner::measure_range(
-                engine.as_mut(),
-                &nodes,
-                radius,
-                &ObjectFilter::Any,
-                ctx.params.io_ms_per_fault,
-            );
-            row.push(fmt_ms(stats.avg_ms));
-        }
-        rows.push(row);
+            runner::measure_range(engine.as_mut(), &nodes, radius, &ObjectFilter::Any)
+        });
+        rows.push(runner::time_io_row(ds.name().to_string(), &stats));
     }
     print_table(
-        "Figure 18c — range query across networks (|O| = 100, r = 0.1·diam): time (ms)",
-        &["network", "NetExp", "Euclidean", "DistIdx", "ROAD"],
+        "Figure 18c — range query across networks (|O| = 100, r = 0.1·diam): \
+         CPU time (ms) and I/O (pages)",
+        &runner::time_io_header("network"),
         &rows,
     );
 }

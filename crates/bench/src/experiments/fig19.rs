@@ -32,23 +32,17 @@ fn run_dataset(ctx: &Ctx, ds: Dataset) {
     let mut rows = Vec::new();
     for l in lo..=hi {
         let mut engine = runner::build_engine(EngineKind::Road, &g, &objects, &ctx.params, l);
-        let stats = runner::measure_knn(
-            engine.as_mut(),
-            &nodes,
-            ctx.params.k,
-            &ObjectFilter::Any,
-            ctx.params.io_ms_per_fault,
-        );
+        let stats = runner::measure_knn(engine.as_mut(), &nodes, ctx.params.k, &ObjectFilter::Any);
         rows.push(vec![
             format!("l={l}"),
             fmt_secs(engine.build_seconds()),
-            fmt_ms(stats.avg_ms),
+            fmt_ms(stats.avg_cpu_ms),
             fmt_f(stats.avg_faults),
         ]);
     }
     print_table(
         &format!("Figure 19 — Rnet hierarchy depth on {} (p = 4, |O| = 100, 5NN)", ds.name()),
-        &["levels", "index time (s)", "query time (ms)", "query I/O (pages)"],
+        &["levels", "index time (s)", "query CPU (ms)", "query I/O (pages)"],
         &rows,
     );
 }

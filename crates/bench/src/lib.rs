@@ -2,9 +2,11 @@
 //!
 //! Experiment harness reproducing every table and figure of the ROAD
 //! paper's evaluation (Section 6). Each `fig*` binary regenerates one
-//! figure; `exp_all` runs the whole suite (that output is what
-//! `EXPERIMENTS.md` records). Criterion microbenches for the hot paths
-//! live under `benches/`.
+//! figure; `exp_all` runs the whole suite and records it as
+//! `BENCH_<scale>.json`. Criterion microbenches for the hot paths live
+//! under `benches/`. The figures answer the paper's questions; a
+//! *performance claim* about this code base is made with roadbench
+//! (`benchmark/`), which pairs runs and gates on them.
 //!
 //! ```text
 //! cargo run --release -p road-bench --bin exp_all -- --scale medium

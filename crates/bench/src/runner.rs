@@ -1,6 +1,7 @@
 //! Engine factory and measurement helpers.
 
 use crate::config::Params;
+use crate::table::{fmt_f, fmt_ms};
 use road_baselines::road_engine::RoadEngineConfig;
 use road_baselines::{DistIdxEngine, Engine, EuclideanEngine, NetExpEngine, RoadEngine};
 use road_core::model::{Object, ObjectFilter};
@@ -76,13 +77,10 @@ pub fn build_engine(
 /// Averages over a query batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryStats {
-    /// Mean *processing* time in milliseconds: measured CPU time plus
-    /// simulated disk latency for the page faults (the paper's metric is
-    /// end-to-end time on a disk-resident index).
-    pub avg_ms: f64,
-    /// Mean measured CPU milliseconds only.
+    /// Mean measured wall-clock milliseconds per query (CPU only: every
+    /// engine's "disk" is in RAM, so I/O is reported as faults, not time).
     pub avg_cpu_ms: f64,
-    /// Mean simulated page faults.
+    /// Mean page faults through the cold buffer.
     pub avg_faults: f64,
     /// Mean node records touched.
     pub avg_nodes: f64,
@@ -90,7 +88,6 @@ pub struct QueryStats {
 
 fn measure(
     nodes: &[NodeId],
-    io_ms_per_fault: f64,
     mut run: impl FnMut(NodeId) -> road_baselines::QueryCost,
 ) -> QueryStats {
     let mut total_ms = 0.0;
@@ -104,12 +101,9 @@ fn measure(
         visited += cost.nodes_visited;
     }
     let q = nodes.len().max(1) as f64;
-    let avg_cpu_ms = total_ms / q;
-    let avg_faults = faults as f64 / q;
     QueryStats {
-        avg_ms: avg_cpu_ms + avg_faults * io_ms_per_fault,
-        avg_cpu_ms,
-        avg_faults,
+        avg_cpu_ms: total_ms / q,
+        avg_faults: faults as f64 / q,
         avg_nodes: visited as f64 / q,
     }
 }
@@ -120,9 +114,8 @@ pub fn measure_knn(
     nodes: &[NodeId],
     k: usize,
     filter: &ObjectFilter,
-    io_ms_per_fault: f64,
 ) -> QueryStats {
-    measure(nodes, io_ms_per_fault, |n| engine.knn(n, k, filter))
+    measure(nodes, |n| engine.knn(n, k, filter))
 }
 
 /// Runs `range` at every query node and averages.
@@ -131,9 +124,23 @@ pub fn measure_range(
     nodes: &[NodeId],
     radius: Weight,
     filter: &ObjectFilter,
-    io_ms_per_fault: f64,
 ) -> QueryStats {
-    measure(nodes, io_ms_per_fault, |n| engine.range(n, radius, filter))
+    measure(nodes, |n| engine.range(n, radius, filter))
+}
+
+/// Header of a table built from [`time_io_row`]s: the row label, the four
+/// approaches' CPU times, then their page faults (Fig. 17a's shape).
+pub fn time_io_header(label: &'static str) -> [&'static str; 9] {
+    let [a, b, c, d] = EngineKind::ALL.map(EngineKind::name);
+    [label, a, b, c, d, "NetExp io", "Euclidean io", "DistIdx io", "ROAD io"]
+}
+
+/// One row of such a table from the approaches' stats in figure order.
+pub fn time_io_row(label: String, stats: &[QueryStats]) -> Vec<String> {
+    let mut row = vec![label];
+    row.extend(stats.iter().map(|s| fmt_ms(s.avg_cpu_ms)));
+    row.extend(stats.iter().map(|s| fmt_f(s.avg_faults)));
+    row
 }
 
 #[cfg(test)]
@@ -151,11 +158,24 @@ mod tests {
         for kind in EngineKind::ALL {
             let mut e = build_engine(kind, &g, &objects, &params, 2);
             assert_eq!(e.name(), kind.name());
-            let stats = measure_knn(e.as_mut(), &nodes, 3, &ObjectFilter::Any, 2.0);
-            assert!(stats.avg_ms >= 0.0);
-            let stats =
-                measure_range(e.as_mut(), &nodes, Weight::new(5.0), &ObjectFilter::Any, 2.0);
+            let stats = measure_knn(e.as_mut(), &nodes, 3, &ObjectFilter::Any);
+            assert!(stats.avg_cpu_ms >= 0.0);
+            let stats = measure_range(e.as_mut(), &nodes, Weight::new(5.0), &ObjectFilter::Any);
             assert!(stats.avg_faults >= 0.0);
         }
+    }
+
+    #[test]
+    fn time_io_rows_line_up_with_their_header() {
+        let stats = EngineKind::ALL.map(|_| QueryStats {
+            avg_cpu_ms: 0.5,
+            avg_faults: 12.7,
+            avg_nodes: 3.0,
+        });
+        let row = time_io_row("k=5".into(), &stats);
+        let header = time_io_header("k");
+        assert_eq!(row.len(), header.len());
+        assert_eq!((header[4], row[4].as_str()), ("ROAD", "0.500"));
+        assert_eq!((header[8], row[8].as_str()), ("ROAD io", "12.7"));
     }
 }

@@ -64,12 +64,6 @@ impl QueryEngine {
         QueryEngine { fw: Arc::new(fw), ad: Arc::new(ad) }
     }
 
-    /// Builds from already-shared parts (e.g. a directory shared with a
-    /// maintenance pipeline).
-    pub fn from_shared(fw: Arc<RoadFramework>, ad: Arc<AssociationDirectory>) -> Self {
-        QueryEngine { fw, ad }
-    }
-
     /// The wrapped framework.
     pub fn framework(&self) -> &RoadFramework {
         &self.fw

@@ -11,9 +11,7 @@
 use crate::arena::QueryArena;
 use crate::association::AssociationDirectory;
 use crate::hierarchy::{HierarchyConfig, RnetHierarchy, RnetId};
-use crate::search::{
-    self, KnnQuery, NoopObserver, RangeQuery, SearchHit, SearchObserver, SearchResult, SearchStats,
-};
+use crate::search::{self, KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats};
 use crate::shortcut::{BuildScratch, ShortcutOptions, ShortcutStore};
 use crate::workspace::SearchWorkspace;
 use crate::RoadError;
@@ -269,23 +267,12 @@ impl RoadFramework {
         ad: &AssociationDirectory,
         query: &KnnQuery,
     ) -> Result<SearchResult, RoadError> {
-        self.knn_observed(ad, query, &mut NoopObserver)
-    }
-
-    /// kNN with an I/O-accounting observer.
-    pub fn knn_observed(
-        &self,
-        ad: &AssociationDirectory,
-        query: &KnnQuery,
-        observer: &mut dyn SearchObserver,
-    ) -> Result<SearchResult, RoadError> {
         search::execute(
             self,
             Some(ad),
             query.node,
             &query.filter,
             search::Mode::Knn(query.k, query.max_distance),
-            observer,
         )
     }
 
@@ -307,7 +294,6 @@ impl RoadFramework {
             query.node,
             &query.filter,
             search::Mode::Knn(query.k, query.max_distance),
-            &mut NoopObserver,
             ws,
             hits,
         )
@@ -327,7 +313,6 @@ impl RoadFramework {
             query.node,
             &query.filter,
             search::Mode::Range(query.radius),
-            &mut NoopObserver,
             ws,
             hits,
         )
@@ -339,23 +324,12 @@ impl RoadFramework {
         ad: &AssociationDirectory,
         query: &RangeQuery,
     ) -> Result<SearchResult, RoadError> {
-        self.range_observed(ad, query, &mut NoopObserver)
-    }
-
-    /// Range query with an I/O-accounting observer.
-    pub fn range_observed(
-        &self,
-        ad: &AssociationDirectory,
-        query: &RangeQuery,
-        observer: &mut dyn SearchObserver,
-    ) -> Result<SearchResult, RoadError> {
         search::execute(
             self,
             Some(ad),
             query.node,
             &query.filter,
             search::Mode::Range(query.radius),
-            observer,
         )
     }
 
@@ -408,14 +382,7 @@ impl RoadFramework {
                 mode: search::Mode,
                 with_directory: bool,
             ) -> Result<SearchResult, RoadError> {
-                search::execute(
-                    self.fw,
-                    with_directory.then_some(self.ad),
-                    node,
-                    filter,
-                    mode,
-                    &mut NoopObserver,
-                )
+                search::execute(self.fw, with_directory.then_some(self.ad), node, filter, mode)
             }
         }
         search::aggregate_knn_backend(&mut MemoryBackend { fw: self, ad }, query)
@@ -432,7 +399,6 @@ impl RoadFramework {
             from,
             &crate::model::ObjectFilter::Any,
             search::Mode::ToNode(to),
-            &mut NoopObserver,
         )?;
         Ok(res.distance_to_node(to))
     }
@@ -450,7 +416,6 @@ impl RoadFramework {
             from,
             &crate::model::ObjectFilter::Any,
             search::Mode::ToNode(to),
-            &mut NoopObserver,
         )?;
         Ok(res.path_to_node(self, to))
     }

@@ -70,9 +70,7 @@ pub use live::{LiveEngine, LiveStats, Snapshot, UpdateHandle};
 pub use model::{CategoryId, Object, ObjectFilter, ObjectId};
 pub use paged::{PagedEngine, PagedOptions};
 pub use persist::PagedImage;
-pub use search::{
-    KnnQuery, NoopObserver, RangeQuery, SearchHit, SearchObserver, SearchResult, SearchStats,
-};
+pub use search::{KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats};
 pub use shortcut::{ShortcutEdge, ShortcutOptions, ShortcutStore};
 pub use workspace::SearchWorkspace;
 

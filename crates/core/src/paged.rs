@@ -101,8 +101,8 @@ use crate::hierarchy::{RnetHierarchy, RnetId};
 use crate::model::{CategoryId, Object, ObjectFilter};
 use crate::persist::PagedImage;
 use crate::search::{
-    self, AggregateKnnQuery, KnnQuery, Mode, NoopObserver, RangeQuery, SearchHit, SearchResult,
-    SearchSource, SearchStats,
+    self, AggregateKnnQuery, KnnQuery, Mode, RangeQuery, SearchHit, SearchResult, SearchSource,
+    SearchStats,
 };
 use crate::workspace::SearchWorkspace;
 use crate::{AbstractKind, RoadError};
@@ -768,14 +768,14 @@ impl PagedEngine {
     pub fn knn(&self, query: &KnnQuery) -> Result<SearchResult, RoadError> {
         let mode = Mode::Knn(query.k, query.max_distance);
         let mut src = PagedSource::new(self, true);
-        search::execute_source(&mut src, query.node, &query.filter, mode, &mut NoopObserver)
+        search::execute_source(&mut src, query.node, &query.filter, mode)
     }
 
     /// Evaluates a range query from pages.
     pub fn range(&self, query: &RangeQuery) -> Result<SearchResult, RoadError> {
         let mode = Mode::Range(query.radius);
         let mut src = PagedSource::new(self, true);
-        search::execute_source(&mut src, query.node, &query.filter, mode, &mut NoopObserver)
+        search::execute_source(&mut src, query.node, &query.filter, mode)
     }
 
     /// Allocation-free kNN into caller-owned scratch; see
@@ -788,15 +788,7 @@ impl PagedEngine {
     ) -> Result<SearchStats, RoadError> {
         let mode = Mode::Knn(query.k, query.max_distance);
         let mut src = PagedSource::new(self, true);
-        search::execute_source_into(
-            &mut src,
-            query.node,
-            &query.filter,
-            mode,
-            &mut NoopObserver,
-            ws,
-            hits,
-        )
+        search::execute_source_into(&mut src, query.node, &query.filter, mode, ws, hits)
     }
 
     /// Allocation-free range query into caller-owned scratch.
@@ -808,15 +800,7 @@ impl PagedEngine {
     ) -> Result<SearchStats, RoadError> {
         let mode = Mode::Range(query.radius);
         let mut src = PagedSource::new(self, true);
-        search::execute_source_into(
-            &mut src,
-            query.node,
-            &query.filter,
-            mode,
-            &mut NoopObserver,
-            ws,
-            hits,
-        )
+        search::execute_source_into(&mut src, query.node, &query.filter, mode, ws, hits)
     }
 
     /// Evaluates a batch of kNN queries on up to `threads` scoped worker
@@ -865,7 +849,7 @@ impl PagedEngine {
                 with_directory: bool,
             ) -> Result<SearchResult, RoadError> {
                 let mut src = PagedSource::new(self.0, with_directory);
-                search::execute_source(&mut src, node, filter, mode, &mut NoopObserver)
+                search::execute_source(&mut src, node, filter, mode)
             }
         }
         search::aggregate_knn_backend(&mut PagedBackend(self), query)
@@ -874,13 +858,7 @@ impl PagedEngine {
     /// Point-to-point network distance through the paged overlay.
     pub fn network_distance(&self, from: NodeId, to: NodeId) -> Result<Option<Weight>, RoadError> {
         let mut src = PagedSource::new(self, false);
-        let res = search::execute_source(
-            &mut src,
-            from,
-            &ObjectFilter::Any,
-            Mode::ToNode(to),
-            &mut NoopObserver,
-        )?;
+        let res = search::execute_source(&mut src, from, &ObjectFilter::Any, Mode::ToNode(to))?;
         Ok(res.distance_to_node(to))
     }
 

@@ -209,21 +209,6 @@ impl SearchStats {
     }
 }
 
-/// Hook for I/O accounting: the experiment harness maps these events onto
-/// simulated pages. All methods default to no-ops.
-pub trait SearchObserver {
-    /// A node record was loaded (adjacency + shortcut tree).
-    fn node_settled(&mut self, _n: NodeId) {}
-    /// An Rnet abstract was consulted in the Association Directory.
-    fn abstract_checked(&mut self, _r: RnetId) {}
-    /// An object record was read.
-    fn object_read(&mut self, _o: ObjectId) {}
-}
-
-/// The default do-nothing observer.
-pub struct NoopObserver;
-impl SearchObserver for NoopObserver {}
-
 /// Result of a kNN or range search.
 ///
 /// Holds the workspace that ran the query (recycled into a per-thread pool
@@ -484,9 +469,8 @@ pub(crate) fn execute(
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
-    observer: &mut dyn SearchObserver,
 ) -> Result<SearchResult, RoadError> {
-    execute_source(&mut MemorySource { fw, ad }, source, filter, mode, observer)
+    execute_source(&mut MemorySource { fw, ad }, source, filter, mode)
 }
 
 /// [`execute`] over an arbitrary [`SearchSource`] (the paged engine routes
@@ -496,11 +480,10 @@ pub(crate) fn execute_source(
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
-    observer: &mut dyn SearchObserver,
 ) -> Result<SearchResult, RoadError> {
     let mut ws = workspace::acquire();
     let mut hits = Vec::new();
-    match execute_source_into(src, source, filter, mode, observer, &mut ws, &mut hits) {
+    match execute_source_into(src, source, filter, mode, &mut ws, &mut hits) {
         Ok(stats) => Ok(SearchResult { hits, stats, source, ws: PooledWorkspace::new(ws) }),
         Err(e) => {
             workspace::release(ws);
@@ -512,28 +495,24 @@ pub(crate) fn execute_source(
 /// Allocation-free core expansion: every scratch container lives in `ws`
 /// and answers land in the caller's `hits` buffer (cleared first). After
 /// the call, `ws` still holds this query's distance/predecessor labels.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_into(
     fw: &RoadFramework,
     ad: Option<&AssociationDirectory>,
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
-    observer: &mut dyn SearchObserver,
     ws: &mut SearchWorkspace,
     hits: &mut Vec<SearchHit>,
 ) -> Result<SearchStats, RoadError> {
-    execute_source_into(&mut MemorySource { fw, ad }, source, filter, mode, observer, ws, hits)
+    execute_source_into(&mut MemorySource { fw, ad }, source, filter, mode, ws, hits)
 }
 
 /// The one expansion loop behind every engine (see [`SearchSource`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_source_into(
     src: &mut dyn SearchSource,
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
-    observer: &mut dyn SearchObserver,
     ws: &mut SearchWorkspace,
     hits: &mut Vec<SearchHit>,
 ) -> Result<SearchStats, RoadError> {
@@ -589,7 +568,6 @@ pub(crate) fn execute_source_into(
                     continue;
                 }
                 stats.nodes_settled += 1;
-                observer.node_settled(NodeId(n));
                 if let Some(b) = bound {
                     if d > b {
                         break; // expansion front passed the cap
@@ -605,11 +583,15 @@ pub(crate) fn execute_source_into(
                     let (stats_ref, ws_ref) = (&mut stats, &mut *ws);
                     src.objects_at(NodeId(n), &mut |oid, category, offset| {
                         stats_ref.objects_read += 1;
-                        observer.object_read(ObjectId(oid));
                         if !filter.accepts_category(category) || ws_ref.object_seen(oid) {
                             return;
                         }
                         let total = d + offset;
+                        // An object on a closed (infinite-weight) edge is
+                        // unreachable, not a hit at distance inf.
+                        if !total.is_finite() {
+                            return;
+                        }
                         if let Some(b) = bound {
                             if total > b {
                                 return;
@@ -646,7 +628,6 @@ pub(crate) fn execute_source_into(
                 let mut failed: Option<RoadError> = None;
                 while let Some(r) = stack.pop() {
                     stats.abstract_checks += 1;
-                    observer.abstract_checked(r);
                     let may_match = if has_directory {
                         match src.rnet_may_match(r, filter) {
                             Ok(m) => m,

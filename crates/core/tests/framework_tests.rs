@@ -11,6 +11,7 @@ use road_core::prelude::*;
 use road_core::search::{oracle_knn, oracle_range};
 use road_network::generator::{simple, Dataset};
 use road_network::graph::RoadNetwork;
+use road_network::EdgeId;
 
 /// Deterministically scatters `count` objects over the network's edges.
 fn scatter_objects(
@@ -691,6 +692,45 @@ fn disconnected_component_objects_are_unreachable() {
     // Range across the gap likewise finds nothing extra.
     let res = fw.range(&ad, &RangeQuery::new(NodeId(0), Weight::new(1e6))).unwrap();
     assert_eq!(res.hits.len(), 1);
+}
+
+/// Closing an edge (Fig. 16's "deletion") strands the objects on it: they
+/// are unreachable, not hits at distance `inf` — for the in-memory and the
+/// paged engine alike, since both run one loop.
+fn closed_edge_world() -> (RoadFramework, AssociationDirectory, road_core::PagedEngine) {
+    let mut fw = build(simple::grid(8, 8, 1.0), 4, 2);
+    let mut ad = AssociationDirectory::new(fw.hierarchy());
+    for (id, e) in [(1, EdgeId(0)), (2, EdgeId(40))] {
+        let o = Object::new(ObjectId(id), e, 0.5, CategoryId(0));
+        ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+    }
+    fw.set_edge_weight(EdgeId(40), Weight::INFINITY).unwrap();
+    let paged = road_core::PagedEngine::new(&fw, &ad, Default::default()).unwrap();
+    (fw, ad, paged)
+}
+
+#[test]
+fn objects_on_closed_edges_are_unreachable_not_infinitely_far() {
+    let (fw, ad, paged) = closed_edge_world();
+    let reachable = [SearchHit { object: ObjectId(1), distance: Weight::new(2.5) }];
+    let knn = KnnQuery::new(NodeId(3), 5);
+    assert_eq!(oracle_knn(&fw, &ad, &knn), reachable);
+    assert_eq!(fw.knn(&ad, &knn).unwrap().hits, reachable);
+    assert_eq!(paged.knn(&knn).unwrap().hits, reachable);
+    let range = RangeQuery::new(NodeId(3), Weight::INFINITY);
+    assert_eq!(oracle_range(&fw, &ad, &range), reachable);
+    assert_eq!(fw.range(&ad, &range).unwrap().hits, reachable);
+    assert_eq!(paged.range(&range).unwrap().hits, reachable);
+}
+
+#[test]
+fn aggregate_knn_skips_objects_on_closed_edges() {
+    let (fw, ad, paged) = closed_edge_world();
+    // Sum over the group {n3, n5}: o1 sits 2.5 and 4.5 away.
+    let q = road_core::search::AggregateKnnQuery::new(vec![NodeId(3), NodeId(5)], 5);
+    let reachable = [SearchHit { object: ObjectId(1), distance: Weight::new(7.0) }];
+    assert_eq!(fw.aggregate_knn(&ad, &q).unwrap(), reachable);
+    assert_eq!(paged.aggregate_knn(&q).unwrap(), reachable);
 }
 
 #[test]

@@ -399,12 +399,18 @@ fn published_persisted_and_lazily_reopened_history_agrees_with_oracle() {
         let o = Object::new(ObjectId(i), random_edge(&mut rng), 0.5, CategoryId((i % 3) as u16));
         ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
     }
+    // Objects 20 and 21 survive the churn below; their edges get closed.
+    let closed = [ObjectId(20), ObjectId(21)];
+    let closed_edges = closed.map(|o| ad.object(o).unwrap().edge);
     let (live, mut writer) = LiveEngine::new(fw, ad);
 
     let wave: Vec<(EdgeId, Weight)> = (0..24)
         .map(|_| (random_edge(&mut rng), Weight::new([0.5, 2.0, 4.0][rng.random_range(0..3)])))
         .collect();
     assert!(writer.set_edge_weights(&wave).unwrap().rnets_refreshed > 0);
+    // Fig. 16's way of deleting an edge: an object on it becomes
+    // unreachable, which is not the same as "a hit at distance inf".
+    writer.set_edge_weights(&closed_edges.map(|e| (e, Weight::INFINITY))).unwrap();
     for i in 40..48u64 {
         let o = Object::new(ObjectId(i), random_edge(&mut rng), 0.25, CategoryId(1));
         writer.insert_object(o).unwrap();
@@ -419,6 +425,7 @@ fn published_persisted_and_lazily_reopened_history_agrees_with_oracle() {
     let (fw, ad) = (snap.framework(), snap.directory());
     let bytes = fw.to_bytes();
     let objects: Vec<Object> = ad.objects().cloned().collect();
+    let reachable = objects.iter().filter(|o| !closed_edges.contains(&o.edge)).count();
     let reopened = RoadFramework::from_bytes(&bytes).unwrap();
     let mut reopened_ad = AssociationDirectory::new(reopened.hierarchy());
     for o in &objects {
@@ -439,7 +446,17 @@ fn published_persisted_and_lazily_reopened_history_agrees_with_oracle() {
             knn = knn.with_filter(ObjectFilter::Category(CategoryId(1)));
             range = range.with_filter(ObjectFilter::Category(CategoryId(2)));
         }
+        // Every tenth query asks for more than is reachable.
+        let ask_all = i % 10 == 5;
+        if ask_all {
+            knn.k = 100;
+            range.radius = Weight::INFINITY;
+        }
         let want = oracle_knn(fw, ad, &knn);
+        if ask_all {
+            assert_eq!(want.len(), reachable, "the oracle answers every reachable object");
+            assert!(want.iter().all(|h| h.distance.is_finite() && !closed.contains(&h.object)));
+        }
         assert_eq!(snap.knn(&knn).unwrap().hits, want, "snapshot knn {knn:?}");
         assert_eq!(fresh.knn(&knn).unwrap().hits, want, "reopened knn {knn:?}");
         assert_eq!(paged.knn(&knn).unwrap().hits, want, "paged knn {knn:?}");

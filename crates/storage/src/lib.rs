@@ -1,11 +1,11 @@
 //! # road-storage
 //!
-//! Paged-storage simulator reproducing the disk model of the ROAD paper's
+//! The paged storage stack behind the disk model of the ROAD paper's
 //! evaluation (Section 6): every index is disk-resident with a **4 KB page
 //! size** and queries run through a **50-page LRU buffer** that starts cold.
 //! The paper's I/O metric counts page faults through exactly this stack, so
-//! simulating the same stack lets the reproduction report comparable
-//! numbers deterministically.
+//! reading real records through it reports comparable numbers
+//! deterministically.
 //!
 //! Components:
 //!
@@ -26,16 +26,17 @@
 //! * [`ccam`] — connectivity-clustered node-to-page assignment after
 //!   Shekhar & Liu's CCAM (ref \[18\]), used for node records by every
 //!   evaluated approach;
-//! * [`pagemap`] — record-to-page packing plus the per-query
-//!   [`pagemap::IoTracker`] used by the experiment harness.
+//! * [`io_tracker`] — the per-query [`IoTracker`]: a cold LRU over
+//!   *modelled* page ids, used only by the three comparison engines
+//!   (NetExp, Euclidean, DistIdx) of the experiment harness.
 
 pub mod bptree;
 pub mod buffer;
 pub mod ccam;
 pub mod error;
+pub mod io_tracker;
 pub mod lru;
 pub mod page;
-pub mod pagemap;
 pub mod store;
 pub mod striped;
 
@@ -43,9 +44,9 @@ pub use bptree::BPlusTree;
 pub use buffer::{BufferPool, BufferStats, PagePool};
 pub use ccam::{NodeClustering, RecordLocation};
 pub use error::StorageError;
+pub use io_tracker::IoTracker;
 pub use lru::LruCache;
 pub use page::{PageId, PAGE_SIZE};
-pub use pagemap::{IoTracker, PageMap};
 pub use store::PageStore;
 pub use striped::{IoTally, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_STRIPES};
 

@@ -9,8 +9,7 @@ use road_network::generator::simple;
 use road_spatial::{CountingBloom, Signature};
 use road_storage::ccam::NodeClustering;
 use road_storage::lru::LruCache;
-use road_storage::pagemap::{IoTracker, PageMap};
-use road_storage::{BPlusTree, BufferPool, PageStore, DEFAULT_BUFFER_PAGES, PAGE_SIZE};
+use road_storage::{BPlusTree, BufferPool, IoTracker, PageStore, DEFAULT_BUFFER_PAGES, PAGE_SIZE};
 
 #[test]
 fn bptree_as_association_directory_index() {
@@ -18,10 +17,10 @@ fn bptree_as_association_directory_index() {
     // pointer for 10k nodes, under a 50-page buffer.
     let mut pool = BufferPool::new(PageStore::new(), DEFAULT_BUFFER_PAGES);
     let mut tree = BPlusTree::new(&mut pool).unwrap();
-    let mut pages = PageMap::new();
-    for node in (0..10_000u64).step_by(7) {
-        let (pg, _) = pages.insert(node, 32);
-        tree.insert(&mut pool, node, pg as u64).unwrap();
+    // 32-byte object records packed in insertion order.
+    let per_page = (PAGE_SIZE / 32) as u64;
+    for (i, node) in (0..10_000u64).step_by(7).enumerate() {
+        tree.insert(&mut pool, node, i as u64 / per_page).unwrap();
     }
     pool.clear_cache();
     pool.reset_stats();
@@ -326,31 +325,5 @@ proptest! {
         let got = tree.entries(&mut pool).unwrap();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
-    }
-
-    /// PageMap never overlaps records and counts pages consistently.
-    #[test]
-    fn pagemap_spans_are_disjoint(sizes in prop::collection::vec(1usize..9000, 1..60)) {
-        let mut m = PageMap::new();
-        let mut spans = Vec::new();
-        for (i, s) in sizes.iter().enumerate() {
-            spans.push((m.insert(i as u64, *s), *s));
-        }
-        // Multi-page records own their pages exclusively.
-        for (i, &((start, span), size)) in spans.iter().enumerate() {
-            prop_assert!(span >= 1);
-            prop_assert!(size <= span as usize * PAGE_SIZE);
-            if span > 1 {
-                for (j, &((s2, sp2), _)) in spans.iter().enumerate() {
-                    if i != j {
-                        let a = start..start + span;
-                        let b = s2..s2 + sp2;
-                        prop_assert!(a.end <= b.start || b.end <= a.start,
-                            "record {i} span {a:?} overlaps record {j} span {b:?}");
-                    }
-                }
-            }
-        }
-        prop_assert!(m.num_pages() as u32 >= spans.iter().map(|&((s, sp), _)| s + sp).max().unwrap_or(0));
     }
 }
