@@ -68,10 +68,6 @@ const TRANSPARENT: &[&str] = &[
     "Result",
 ];
 
-/// Ordered sequences: iterating one is deterministic, but its *elements*
-/// may be unordered containers (`Vec<Arc<FastMap<…>>>`).
-const SEQS: &[&str] = &["Vec", "VecDeque"];
-
 /// Container methods that start an iteration over the receiver.
 const ITER_SOURCES: &[&str] = &[
     "iter",
@@ -117,8 +113,6 @@ const FLOAT_TYPES: &[&str] = &["f64", "f32", "Weight"];
 enum Shape {
     /// A hash-ordered container.
     Map,
-    /// An ordered sequence whose elements are hash-ordered containers.
-    SeqOfMaps,
     /// A `BTreeMap`/`BTreeSet` (iterates in key order).
     BTree,
     /// Anything else.
@@ -135,19 +129,6 @@ fn classify(chain: &[String]) -> Shape {
     }
     if first == "BTreeMap" || first == "BTreeSet" {
         return Shape::BTree;
-    }
-    if SEQS.contains(&first.as_str()) {
-        // `Vec<Arc<FastMap<…>>>`: the sequence iterates deterministically
-        // but each element is an unordered container.
-        for id in it {
-            if SEQS.contains(&id.as_str()) {
-                continue;
-            }
-            if UNORDERED.contains(&id.as_str()) {
-                return Shape::SeqOfMaps;
-            }
-            break;
-        }
     }
     Shape::Other
 }
@@ -168,9 +149,6 @@ pub struct Order {
     /// Locals that *are* unordered containers (iterating them is the
     /// source event; using them by key is not).
     map_vars: BTreeSet<String>,
-    /// Locals that are ordered sequences of unordered containers:
-    /// iterating them binds map-typed elements.
-    seq_vars: BTreeSet<String>,
     /// Float accumulators (by ascription).
     float_vars: BTreeSet<String>,
     /// Open unordered-loop contexts as `(body_close, origin)`: pushes
@@ -179,15 +157,12 @@ pub struct Order {
 }
 
 impl Order {
-    /// Types `binders` as containers when `shape` is one.
+    /// Types `binders` as unordered containers when `shape` is one.
     fn typed(&mut self, shape: Shape, binders: &[String]) -> bool {
-        let set = match shape {
-            Shape::Map => &mut self.map_vars,
-            Shape::SeqOfMaps => &mut self.seq_vars,
-            _ => return false,
-        };
-        set.extend(binders.iter().cloned());
-        true
+        if shape == Shape::Map {
+            self.map_vars.extend(binders.iter().cloned());
+        }
+        shape == Shape::Map
     }
 }
 
@@ -283,12 +258,8 @@ impl Rule for Order {
         let toks = cx.toks();
         let close = syntax::match_delim(toks, open);
         let line = toks[at].line;
-        let (v, elem_is_map) = cx.domain(start, open);
-        if elem_is_map {
-            cx.rule.map_vars.extend(binders);
-        } else {
-            cx.bind(binders, Prov::Clean);
-        }
+        let v = cx.domain(start, open);
+        cx.bind(binders, Prov::Clean);
         // Scan the loop body for order-observable events before the
         // statements inside are walked individually.
         let emission = cx.body_emission(open, close);
@@ -418,10 +389,8 @@ impl FnCx<'_, Order> {
         false
     }
 
-    /// Evaluates a `for`-loop domain region. Returns the domain's order
-    /// provenance plus whether the loop *binder* is itself an unordered
-    /// container (iterating a `Vec<FastMap<…>>`).
-    fn domain(&mut self, a: usize, open: usize) -> (Prov, bool) {
+    /// Evaluates a `for`-loop domain region: the domain's order provenance.
+    fn domain(&mut self, a: usize, open: usize) -> Prov {
         let toks = self.toks();
         let mut j = a;
         while j < open && (toks[j].is_punct('&') || toks[j].ident() == Some("mut")) {
@@ -431,20 +400,16 @@ impl FnCx<'_, Order> {
         let (shape, base_end, origin) = self.base_at(j);
         match shape {
             // `for (k, v) in &map` — direct unordered iteration.
-            Shape::Map if base_end >= open => return (Prov::Raw(origin), false),
+            Shape::Map if base_end >= open => return Prov::Raw(origin),
             // `for k in map.keys().…` — source plus adapter chain.
             Shape::Map => {
                 if let Some((origin, after)) = self.map_iter_at(j, open) {
-                    return (self.chain(Prov::Raw(origin), after, open), false);
+                    return self.chain(Prov::Raw(origin), after, open);
                 }
             }
-            // `for map in &self.per_rnet` (or `.iter()` on it): the
-            // sequence iterates deterministically, the binder is an
-            // unordered container.
-            Shape::SeqOfMaps => return (Prov::Clean, true),
             _ => {}
         }
-        (self.eval(j, open), false)
+        self.eval(j, open)
     }
 
     /// The shape of the bare base expression at `j`: `(shape, tokens
@@ -472,14 +437,9 @@ impl FnCx<'_, Order> {
                 return (classify(chain), j + 3, origin);
             }
             let prev_is_dot = j > 0 && toks[j - 1].is_punct('.');
-            if !prev_is_dot {
-                if self.rule.map_vars.contains(name) {
-                    let origin = format!("`{name}` in {}", self.origin(self.me, line));
-                    return (Shape::Map, j + 1, origin);
-                }
-                if self.rule.seq_vars.contains(name) {
-                    return (Shape::SeqOfMaps, j + 1, String::new());
-                }
+            if !prev_is_dot && self.rule.map_vars.contains(name) {
+                let origin = format!("`{name}` in {}", self.origin(self.me, line));
+                return (Shape::Map, j + 1, origin);
             }
         }
         (Shape::Other, j, String::new())
@@ -854,31 +814,6 @@ mod tests {
         let (fa, _) = run(&[("emitter.rs", emitter)]);
         let (fb, _) = run(&[("caller.rs", caller)]);
         assert!(fa.is_empty() && fb.is_empty(), "{fa:?} {fb:?}");
-    }
-
-    #[test]
-    fn seq_of_maps_iterates_deterministically_but_elements_do_not() {
-        let (f, v) = run(&[(
-            "t.rs",
-            "struct Store { per: Vec<Arc<FastMap<u32, u32>>> }
-             impl Store {
-                 fn dump(&self, out: &mut Vec<u8>) {
-                     for map in &self.per {
-                         let mut ks: Vec<u32> = map.keys().copied().collect();
-                         ks.sort_unstable();
-                         for k in ks { out.extend_from_slice(&k.to_le_bytes()); }
-                     }
-                 }
-                 fn bad(&self, out: &mut Vec<u8>) {
-                     for map in &self.per {
-                         for k in map.keys() { out.extend_from_slice(&k.to_le_bytes()); }
-                     }
-                 }
-             }",
-        )]);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("keys()"), "{f:?}");
-        assert!(v.iter().any(|r| r.sanitizer.contains("sort_unstable")), "{v:?}");
     }
 
     #[test]

@@ -553,7 +553,7 @@ impl RoadFramework {
             .unwrap_or_else(|| self.nearest_leaf_rnet(a, b));
         let e = Arc::make_mut(&mut self.g).add_edge(a, b, weights.0, weights.1, weights.2)?;
         Arc::make_mut(&mut self.hier).assign_edge(e, leaf);
-        Ok((e, self.repair_after_topology_change(&[a, b], leaf)))
+        Ok((e, self.repair_after_topology_change(&[a, b], leaf)?))
     }
 
     /// The finest Rnet whose edges come geometrically closest to the
@@ -603,13 +603,17 @@ impl RoadFramework {
         let leaf = self.hier.leaf_of_edge(e);
         Arc::make_mut(&mut self.g).remove_edge(e)?;
         Arc::make_mut(&mut self.hier).unassign_edge(e);
-        Ok(self.repair_after_topology_change(&[a, b], leaf))
+        self.repair_after_topology_change(&[a, b], leaf)
     }
 
     /// After a topology change touching `nodes` and leaf Rnet `leaf`:
     /// refresh border bookkeeping, then recompute shortcuts for the
     /// ancestor closure of every affected Rnet, finest level first.
-    fn repair_after_topology_change(&mut self, nodes: &[NodeId], leaf: RnetId) -> UpdateOutcome {
+    fn repair_after_topology_change(
+        &mut self,
+        nodes: &[NodeId],
+        leaf: RnetId,
+    ) -> Result<UpdateOutcome, RoadError> {
         fn add_chain(hier: &RnetHierarchy, mut r: RnetId, set: &mut FastSet<u32>) {
             while r.is_valid() {
                 set.insert(r.0);
@@ -629,7 +633,7 @@ impl RoadFramework {
             add_chain(hier, leaf, &mut affected);
         }
         for &n in nodes {
-            let (gained, lost) = hier.refresh_node_borders(&self.g, n);
+            let (gained, lost) = hier.refresh_node_borders(&self.g, n)?;
             outcome.borders_promoted += usize::from(!gained.is_empty());
             outcome.borders_demoted += usize::from(!lost.is_empty());
             for r in gained.into_iter().chain(lost) {
@@ -657,7 +661,7 @@ impl RoadFramework {
             &mut self.scratch,
         );
         outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
-        outcome
+        Ok(outcome)
     }
 
     /// Full consistency check against fresh rebuilds (tests only — this is

@@ -12,13 +12,19 @@
 //! (`index / p^(l - level)`), which is also what makes the Route Overlay's
 //! "flattened" storage possible. Border-node sets are maintained per Rnet,
 //! and per node we keep the list of Rnets it borders ordered by level —
-//! exactly the *shortcut tree* shape of Figure 6.
+//! exactly the *shortcut tree* shape of Figure 6 — together with that tree
+//! flattened into the order `ChoosePath` walks it (see [`TreeEntry`]).
+
+mod tree;
+
+pub use tree::TreeEntry;
 
 use road_network::graph::RoadNetwork;
 use road_network::hash::{FastMap, FastSet};
 use road_network::partition::{partition_edges, PartitionOptions};
 use road_network::{EdgeId, NodeId};
 use std::fmt;
+use tree::{LevelTable, ShortcutTrees};
 
 /// Identifier of an Rnet in the hierarchy (level-order numbering).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,6 +93,10 @@ pub struct RnetHierarchy {
     borders: Vec<Vec<NodeId>>,
     /// For each border node: the Rnets it borders, sorted by level asc.
     node_rnets: FastMap<u32, Vec<RnetId>>,
+    /// Level and parent per Rnet id (what `level_offsets` implies, O(1)).
+    table: LevelTable,
+    /// For each border node: `node_rnets[n]` as a flattened shortcut tree.
+    trees: ShortcutTrees,
 }
 
 impl RnetHierarchy {
@@ -146,19 +156,18 @@ impl RnetHierarchy {
             }
         }
 
-        let mut hier = RnetHierarchy {
+        RnetHierarchy {
             fanout: p,
             levels: l,
+            borders: vec![Vec::new(); acc as usize],
+            node_rnets: FastMap::default(),
+            table: LevelTable::new(&level_offsets, p),
+            trees: ShortcutTrees::default(),
             level_offsets,
             leaf_edges,
             leaf_of_edge,
-            borders: vec![Vec::new(); acc as usize],
-            node_rnets: FastMap::default(),
-        };
-        for n in g.node_ids() {
-            hier.install_node_borders(g, n);
         }
-        Ok(hier)
+        .with_borders_installed(g)
     }
 
     /// Builds a hierarchy from an *explicit* leaf assignment instead of the
@@ -211,19 +220,18 @@ impl RnetHierarchy {
             leaf_edges[idx as usize].push(e);
             leaf_of_edge[e.index()] = RnetId(leaf_base + idx);
         }
-        let mut hier = RnetHierarchy {
+        RnetHierarchy {
             fanout: p,
             levels,
+            borders: vec![Vec::new(); acc as usize],
+            node_rnets: FastMap::default(),
+            table: LevelTable::new(&level_offsets, p),
+            trees: ShortcutTrees::default(),
             level_offsets,
             leaf_edges,
             leaf_of_edge,
-            borders: vec![Vec::new(); acc as usize],
-            node_rnets: FastMap::default(),
-        };
-        for n in g.node_ids() {
-            hier.install_node_borders(g, n);
         }
-        Ok(hier)
+        .with_borders_installed(g)
     }
 
     /// Leaf index (within the finest level) of a live edge; used by
@@ -260,13 +268,11 @@ impl RnetHierarchy {
         (lo..hi).map(RnetId)
     }
 
-    /// The level (1-based) of an Rnet.
+    /// The level (1-based) of an Rnet; 0 for an id outside the hierarchy
+    /// ([`RnetId::NONE`] included).
+    #[inline]
     pub fn level_of(&self, r: RnetId) -> u32 {
-        debug_assert!(r.is_valid());
-        match self.level_offsets.binary_search(&r.0) {
-            Ok(i) => i as u32 + 1,
-            Err(i) => i as u32,
-        }
+        self.table.level_of(r)
     }
 
     /// Index of `r` within its level.
@@ -274,28 +280,27 @@ impl RnetHierarchy {
         r.0 - self.level_offsets[self.level_of(r) as usize - 1]
     }
 
-    /// The parent Rnet (NONE for level-1 Rnets).
+    /// The parent Rnet (NONE for level-1 Rnets and for ids outside the
+    /// hierarchy).
+    #[inline]
     pub fn parent(&self, r: RnetId) -> RnetId {
-        let lv = self.level_of(r);
-        if lv <= 1 {
-            return RnetId::NONE;
-        }
-        let idx = self.index_in_level(r) / self.fanout;
-        RnetId(self.level_offsets[lv as usize - 2] + idx)
+        self.table.parent(r)
     }
 
-    /// Child Rnets (empty for finest-level Rnets).
-    pub fn children(&self, r: RnetId) -> Vec<RnetId> {
+    /// Child Rnets (none for finest-level Rnets).
+    pub fn children(&self, r: RnetId) -> impl ExactSizeIterator<Item = RnetId> {
         let lv = self.level_of(r);
-        if lv >= self.levels {
-            return Vec::new();
-        }
-        let idx = self.index_in_level(r);
-        let base = self.level_offsets[lv as usize] + idx * self.fanout;
-        (base..base + self.fanout).map(RnetId).collect()
+        let ids = if lv == 0 || lv >= self.levels {
+            0..0
+        } else {
+            let base = self.level_offsets[lv as usize] + self.index_in_level(r) * self.fanout;
+            base..base + self.fanout
+        };
+        ids.map(RnetId)
     }
 
     /// `true` for finest-level Rnets.
+    #[inline]
     pub fn is_leaf(&self, r: RnetId) -> bool {
         self.level_of(r) == self.levels
     }
@@ -337,11 +342,13 @@ impl RnetHierarchy {
     /// The Rnets `n` borders, **sorted by level ascending** (the shape of
     /// the node's shortcut tree); empty for interior nodes.
     ///
-    /// The ordering is a load-bearing invariant, not a convenience:
-    /// `ChoosePath` seeds its top-down descent from the *first* entry's
-    /// level, so a list not led by the coarsest level would silently skip
-    /// entire subtrees. [`RnetHierarchy::validate`] checks it for every
-    /// node; here it is asserted in debug builds on every access.
+    /// The ordering is a load-bearing invariant, not a convenience: the
+    /// flattened [`RnetHierarchy::shortcut_tree`] roots itself at the
+    /// *first* entry's level, so a list not led by the coarsest level would
+    /// silently drop entire subtrees, and the paged engine places a node's
+    /// shortcut records in this order. [`RnetHierarchy::validate`] checks
+    /// it for every node; here it is asserted in debug builds on every
+    /// access.
     pub fn bordered_rnets(&self, n: NodeId) -> &[RnetId] {
         let rnets = self.node_rnets.get(&n.0).map(Vec::as_slice).unwrap_or(&[]);
         debug_assert!(
@@ -349,6 +356,14 @@ impl RnetHierarchy {
             "bordered_rnets({n}) not sorted by level ascending: {rnets:?}"
         );
         rnets
+    }
+
+    /// The shortcut tree of `n` (Figure 6) flattened into `ChoosePath`
+    /// visit order — [`RnetHierarchy::bordered_rnets`] rearranged so the
+    /// top-down walk is one forward scan; empty for interior nodes.
+    #[inline]
+    pub fn shortcut_tree(&self, n: NodeId) -> &[TreeEntry] {
+        self.trees.of(n)
     }
 
     /// `true` if `n` is a border node of `r`.
@@ -394,15 +409,22 @@ impl RnetHierarchy {
         out
     }
 
-    fn install_node_borders(&mut self, g: &RoadNetwork, n: NodeId) {
-        let rnets = self.compute_node_borders(g, n);
-        if rnets.is_empty() {
-            return;
+    /// Derives every node's borders and shortcut tree (construction).
+    fn with_borders_installed(mut self, g: &RoadNetwork) -> Result<Self, crate::RoadError> {
+        let mut tree = Vec::new();
+        for n in g.node_ids() {
+            let rnets = self.compute_node_borders(g, n);
+            if rnets.is_empty() {
+                continue;
+            }
+            self.table.flatten(&rnets, &mut tree)?;
+            self.trees.set(n, &tree)?;
+            for &r in &rnets {
+                self.borders[r.index()].push(n);
+            }
+            self.node_rnets.insert(n.0, rnets);
         }
-        for &r in &rnets {
-            self.borders[r.index()].push(n);
-        }
-        self.node_rnets.insert(n.0, rnets);
+        Ok(self)
     }
 
     // -----------------------------------------------------------------
@@ -433,14 +455,19 @@ impl RnetHierarchy {
         self.leaf_edges[idx].retain(|&x| x != e);
     }
 
-    /// Recomputes which Rnets `n` borders after its incident edges changed.
-    /// Returns `(gained, lost)` Rnet lists (promotion / demotion).
+    /// Recomputes which Rnets `n` borders after its incident edges changed,
+    /// and with them its shortcut tree. Returns `(gained, lost)` Rnet lists
+    /// (promotion / demotion). `Err` only when the tree arena would outgrow
+    /// its 32-bit offsets, before anything is changed.
     pub(crate) fn refresh_node_borders(
         &mut self,
         g: &RoadNetwork,
         n: NodeId,
-    ) -> (Vec<RnetId>, Vec<RnetId>) {
+    ) -> Result<(Vec<RnetId>, Vec<RnetId>), crate::RoadError> {
         let new = self.compute_node_borders(g, n);
+        let mut tree = Vec::new();
+        self.table.flatten(&new, &mut tree)?;
+        self.trees.set(n, &tree)?;
         let old = self.node_rnets.get(&n.0).cloned().unwrap_or_default();
         let gained: Vec<RnetId> = new.iter().copied().filter(|r| !old.contains(r)).collect();
         let lost: Vec<RnetId> = old.iter().copied().filter(|r| !new.contains(r)).collect();
@@ -455,7 +482,7 @@ impl RnetHierarchy {
         } else {
             self.node_rnets.insert(n.0, new);
         }
-        (gained, lost)
+        Ok((gained, lost))
     }
 
     /// Checks Definition 4 and the border-node derivation. Test helper.
@@ -492,6 +519,7 @@ impl RnetHierarchy {
             }
         }
         // 3. Border derivation matches Definition 1/4 at every level.
+        let (mut fresh, mut open) = (Vec::new(), Vec::<usize>::new());
         for n in g.node_ids() {
             let expect = self.compute_node_borders(g, n);
             let got = self.bordered_rnets(n);
@@ -511,6 +539,26 @@ impl RnetHierarchy {
                 if !self.borders(r).contains(&n) {
                     return Err(format!("border list of {r:?} is missing {n}"));
                 }
+            }
+            // The flattened tree is the border list in ChoosePath order,
+            // every `skip` one past its subtree: forward, inside the tree,
+            // and nested within its parent's.
+            let tree = self.shortcut_tree(n);
+            self.table.flatten(got, &mut fresh).map_err(|e| e.to_string())?;
+            if tree != fresh.as_slice() {
+                return Err(format!("node {n} shortcut tree {tree:?} is stale; want {fresh:?}"));
+            }
+            open.clear(); // ends of the subtrees enclosing entry `i`
+            for (i, entry) in tree.iter().enumerate() {
+                open.retain(|&end| end > i);
+                let enclosing = open.last().copied().unwrap_or(tree.len());
+                if entry.skip() <= i || entry.skip() > enclosing {
+                    return Err(format!("node {n} shortcut tree {tree:?}: bad skip at {i}"));
+                }
+                if entry.is_leaf() != self.is_leaf(entry.rnet) {
+                    return Err(format!("node {n} shortcut tree {tree:?}: leaf flag at {i}"));
+                }
+                open.push(entry.skip());
             }
         }
         // 4. Rnet border lists contain only genuine borders.
@@ -558,7 +606,7 @@ mod tests {
                 if lv > 1 {
                     let p = hier.parent(r);
                     assert_eq!(hier.level_of(p), lv - 1);
-                    assert!(hier.children(p).contains(&r));
+                    assert!(hier.children(p).any(|c| c == r));
                     assert_eq!(hier.ancestor_at(r, lv - 1), p);
                     assert_eq!(hier.ancestor_at(r, lv), r);
                 }
@@ -568,12 +616,21 @@ mod tests {
                     }
                 } else {
                     assert!(hier.is_leaf(r));
-                    assert!(hier.children(r).is_empty());
+                    assert_eq!(hier.children(r).len(), 0);
                 }
             }
         }
         let top = hier.rnets_at_level(1).next().unwrap();
         assert_eq!(hier.parent(top), RnetId::NONE);
+        // Total on ids outside the hierarchy: no level, no parent, no
+        // children, not a leaf — where the binary search used to return
+        // garbage for `NONE`.
+        for outside in [RnetId::NONE, RnetId(hier.num_rnets() as u32)] {
+            assert_eq!(hier.level_of(outside), 0);
+            assert_eq!(hier.parent(outside), RnetId::NONE);
+            assert_eq!(hier.children(outside).len(), 0);
+            assert!(!hier.is_leaf(outside));
+        }
     }
 
     #[test]
@@ -657,8 +714,8 @@ mod tests {
         let (a, b) = g.edge(e).endpoints();
         g.remove_edge(e).unwrap();
         hier.unassign_edge(e);
-        hier.refresh_node_borders(&g, a);
-        hier.refresh_node_borders(&g, b);
+        hier.refresh_node_borders(&g, a).unwrap();
+        hier.refresh_node_borders(&g, b).unwrap();
         hier.validate(&g).unwrap();
         // Add a fresh edge far away and assign it to the leaf of a
         // neighbouring edge.
@@ -667,8 +724,206 @@ mod tests {
         let new_e = g.add_edge(u, v, ew, ew, road_network::Weight::ZERO).unwrap();
         let leaf = hier.leaf_of_edge(g.neighbors(u).next().unwrap().0);
         hier.assign_edge(new_e, leaf);
-        hier.refresh_node_borders(&g, u);
-        hier.refresh_node_borders(&g, v);
+        hier.refresh_node_borders(&g, u).unwrap();
+        hier.refresh_node_borders(&g, v).unwrap();
         hier.validate(&g).unwrap();
+    }
+
+    /// The Rnets `ChoosePath` consults at `n`, in order, under a bypass
+    /// verdict per Rnet — by the stack descent over `bordered_rnets` the
+    /// search loop ran before the tree was flattened (levels by binary
+    /// search, parents by id arithmetic, as then), kept as the reference.
+    fn stack_descent(
+        hier: &RnetHierarchy,
+        n: NodeId,
+        bypass: &impl Fn(RnetId) -> bool,
+    ) -> Vec<RnetId> {
+        let level_of = |r: RnetId| match hier.level_offsets.binary_search(&r.0) {
+            Ok(i) => i as u32 + 1,
+            Err(i) => i as u32,
+        };
+        let parent = |r: RnetId| {
+            let lv = level_of(r) as usize;
+            let idx = (r.0 - hier.level_offsets[lv - 1]) / hier.fanout;
+            RnetId(hier.level_offsets[lv - 2] + idx)
+        };
+        let bordered = hier.bordered_rnets(n);
+        let Some(&top) = bordered.first() else { return Vec::new() };
+        let top_level = level_of(top);
+        let mut stack: Vec<RnetId> =
+            bordered.iter().copied().filter(|&r| level_of(r) == top_level).collect();
+        let mut visited = Vec::new();
+        while let Some(r) = stack.pop() {
+            visited.push(r);
+            if bypass(r) || level_of(r) == hier.levels {
+                continue;
+            }
+            let lv = level_of(r);
+            for &c in bordered {
+                if level_of(c) == lv + 1 && parent(c) == r {
+                    stack.push(c);
+                }
+            }
+        }
+        visited
+    }
+
+    /// The same sequence by the forward scan the search loop runs now.
+    fn tree_scan(hier: &RnetHierarchy, n: NodeId, bypass: &impl Fn(RnetId) -> bool) -> Vec<RnetId> {
+        let tree = hier.shortcut_tree(n);
+        let mut visited = Vec::new();
+        let mut at = 0;
+        while let Some(entry) = tree.get(at) {
+            visited.push(entry.rnet);
+            at = if bypass(entry.rnet) { entry.skip() } else { at + 1 };
+        }
+        visited
+    }
+
+    /// Every node, under all-descend, all-bypass and three seeded verdict
+    /// mixes: the flattened tree must visit what the stack descent visits.
+    fn assert_visit_order_pinned(g: &RoadNetwork, hier: &RnetHierarchy, seed: u64) {
+        hier.validate(g).unwrap();
+        for n in g.node_ids() {
+            assert_eq!(
+                tree_scan(hier, n, &|_| false).len(),
+                hier.bordered_rnets(n).len(),
+                "{n}: descending everywhere must visit every bordered Rnet"
+            );
+            for mix in 0..5u64 {
+                let bypass = |r: RnetId| match mix {
+                    0 => false,
+                    1 => true,
+                    _ => {
+                        let h =
+                            (seed ^ mix ^ ((r.0 as u64) << 20)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        h >> 63 == 1
+                    }
+                };
+                assert_eq!(
+                    tree_scan(hier, n, &bypass),
+                    stack_descent(hier, n, &bypass),
+                    "{n} (verdict mix {mix}): tree {:?} over {:?}",
+                    hier.shortcut_tree(n),
+                    hier.bordered_rnets(n)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_tree_that_is_not_its_border_list() {
+        let (g, hier) = build_grid(8, 8, 4, 2);
+        let deep = g
+            .node_ids()
+            .find(|&n| hier.shortcut_tree(n).len() > 2 && !hier.shortcut_tree(n)[0].is_leaf())
+            .expect("a node bordering two levels");
+        let own = hier.shortcut_tree(deep).to_vec();
+        // Cut short, the first subtree's `skip` points past the end.
+        let mut cut = hier.clone();
+        cut.trees.set(deep, &own[..own.len() - 1]).unwrap();
+        assert!(cut.validate(&g).unwrap_err().contains("shortcut tree"));
+        // Siblings in `bordered_rnets` order instead of reversed: same
+        // Rnets, another visit order, other ties.
+        let mut reversed = hier.clone();
+        let top_len = own[0].skip();
+        let mut swapped = own[top_len..].to_vec();
+        swapped.extend_from_slice(&own[..top_len]);
+        reversed.trees.set(deep, &swapped).unwrap();
+        assert!(reversed.validate(&g).unwrap_err().contains("shortcut tree"));
+        let mut gone = hier.clone();
+        gone.trees.set(deep, &[]).unwrap();
+        assert!(gone.validate(&g).unwrap_err().contains("shortcut tree"));
+        hier.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn tree_entries_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<TreeEntry>(), 8);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Visit order is pinned, not hoped for: random grids x fanout
+        /// {2, 4} x levels 1-4.
+        #[test]
+        fn flattened_tree_visits_in_stack_descent_order(
+            w in 3usize..11,
+            h in 3usize..11,
+            fanout_log2 in 1u32..3,
+            levels in 1u32..5,
+            seed in 0u64..1_000_000,
+        ) {
+            let (g, hier) = build_grid(w, h, 1 << fanout_log2, levels);
+            assert_visit_order_pinned(&g, &hier, seed);
+        }
+
+        /// ... and stays pinned through `add_edge` / `remove_edge`
+        /// histories, which promote interior nodes to borders, demote
+        /// borders, and rewrite trees in the middle of the arena.
+        #[test]
+        fn flattened_tree_survives_topology_histories(
+            side in 4usize..8,
+            fanout_log2 in 1u32..3,
+            levels in 1u32..4,
+            seed in 0u64..1_000_000,
+        ) {
+            use crate::framework::RoadFramework;
+            use rand::rngs::StdRng;
+            use rand::{RngExt, SeedableRng};
+            use road_network::Weight;
+            let g = simple::grid(side, side, 1.0);
+            let mut fw =
+                RoadFramework::builder(g).fanout(1 << fanout_log2).levels(levels).build().unwrap();
+            let num_nodes = fw.network().num_nodes() as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut next = |bound: u64| rng.random_range(0..bound);
+            // An interior node of another leaf Rnet than any at `a`: an
+            // edge to it is hosted on `a`'s side and promotes it; taking
+            // the edge away again demotes it.
+            let far_interior = |fw: &RoadFramework, a: NodeId, from: u64| {
+                let hier = fw.hierarchy();
+                let leaves_at = |n: NodeId| -> Vec<RnetId> {
+                    fw.network().neighbors(n).map(|(e, _)| hier.leaf_of_edge(e)).collect()
+                };
+                let at_a = leaves_at(a);
+                (0..num_nodes).map(|i| NodeId(((from + i) % num_nodes) as u32)).find(|&b| {
+                    hier.bordered_rnets(b).is_empty()
+                        && leaves_at(b).iter().all(|leaf| !at_a.contains(leaf))
+                })
+            };
+            let (mut promoted, mut demoted) = (0, 0);
+            let mut added = Vec::new();
+            for step in 0..6 {
+                let a = NodeId(next(num_nodes) as u32);
+                let Some(b) = far_interior(&fw, a, next(num_nodes)) else { continue };
+                let w = Weight::new(1.5);
+                let (e, outcome) = fw.add_edge(a, b, (w, w, Weight::ZERO)).unwrap();
+                added.push(e);
+                promoted += outcome.borders_promoted;
+                assert_visit_order_pinned(fw.network(), fw.hierarchy(), seed ^ step);
+            }
+            let connectors = added.len();
+            for step in 0..connectors + 3 {
+                // The added connectors first, then a few original streets.
+                let e = added.pop().unwrap_or_else(|| {
+                    let live: Vec<EdgeId> = fw.network().edge_ids().collect();
+                    live[next(live.len() as u64) as usize]
+                });
+                demoted += fw.remove_edge(e, &[]).unwrap().borders_demoted;
+                assert_visit_order_pinned(fw.network(), fw.hierarchy(), seed ^ step as u64);
+            }
+            // Deep hierarchies over small grids have no interior node left
+            // to promote; everywhere else the history must move borders.
+            assert!(
+                connectors == 0 || (promoted > 0 && demoted > 0),
+                "{connectors} connectors promoted {promoted} and demoted {demoted} nodes"
+            );
+            // A node added after the last border change lies past the
+            // tree table: interior, like any node without a tree.
+            let fresh = fw.add_node(road_network::Point::new(0.5, 0.5));
+            assert!(fw.hierarchy().shortcut_tree(fresh).is_empty());
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! The paper evaluates ROAD as a **disk-resident** index — its headline
 //! numbers count 4 KB page accesses through a 50-page LRU buffer, not CPU
 //! time. The in-memory [`QueryEngine`](crate::engine::QueryEngine) cannot
-//! reproduce that cost model: it serves from deserialized hash maps. This
+//! reproduce that cost model: it serves from deserialized flat arenas. This
 //! module lays the same data onto real pages and serves queries through
 //! the buffer pool of the [`road_storage`] crate, reproducing the paper's
 //! storage stack (Section 3.4 + Section 6 methodology):
@@ -107,7 +107,6 @@ use crate::search::{
 use crate::workspace::SearchWorkspace;
 use crate::{AbstractKind, RoadError};
 use road_network::graph::{RoadNetwork, WeightKind};
-use road_network::hash::FastMap;
 use road_network::{EdgeId, NodeId, Weight};
 use road_storage::{
     BPlusTree, BufferStats, IoTally, NodeClustering, PageId, PageStore, StorageError,
@@ -188,7 +187,7 @@ fn encode_node_record(
     }
 }
 
-fn encode_shortcut_record(list: &[crate::shortcut::ShortcutEdge], out: &mut Vec<u8>) {
+fn encode_shortcut_record(list: &[crate::shortcut::ShortcutHead], out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&(list.len() as u32).to_le_bytes());
     for sc in list {
@@ -278,6 +277,16 @@ fn record_count(buf: &[u8], entry: usize) -> Result<usize, RoadError> {
         return Err(StorageError::CorruptPage("record entry count exceeds record length").into());
     }
     Ok(count)
+}
+
+/// A node id read off a page, checked against the network before anything
+/// is indexed with it.
+#[inline]
+fn node_on_page(id: u32, num_nodes: usize, what: &'static str) -> Result<u32, RoadError> {
+    if id as usize >= num_nodes {
+        return Err(StorageError::CorruptPage(what).into());
+    }
+    Ok(id)
 }
 
 // ---------------------------------------------------------------------------
@@ -370,11 +379,11 @@ pub struct PagedEngine {
     /// Per node: packed location of its adjacency record (immutable after
     /// build).
     node_loc: Vec<u64>,
-    /// Per Rnet: `border node -> shortcut-record location`. Set exactly
-    /// once — at build time for eager engines, under the per-Rnet lock on
-    /// first query touch for lazily opened ones. Readers go through the
-    /// lock-free `get`; a `Some` map is always complete.
-    rnet_shortcuts: Vec<OnceLock<FastMap<u32, u64>>>,
+    /// Per Rnet: `(border node, shortcut-record location)`, ascending by
+    /// node. Set exactly once — at build time for eager engines, under the
+    /// per-Rnet lock on first query touch for lazily opened ones. Readers
+    /// go through the lock-free `get`; a `Some` table is always complete.
+    rnet_shortcuts: Vec<OnceLock<Vec<(u32, u64)>>>,
     /// Node id -> association-record location.
     assoc_index: BPlusTree,
     /// Rnet id -> abstract-record location.
@@ -488,25 +497,25 @@ impl PagedEngine {
 
     /// Lays the node region: every node's adjacency record, plus (eagerly)
     /// its outgoing shortcut records, CCAM-clustered so that BFS-adjacent
-    /// nodes share pages. Returns the per-Rnet shortcut-record locations
-    /// (empty maps when `shortcuts` is `None` — the lazy path fills them
-    /// at first touch instead).
+    /// nodes share pages. Returns the per-Rnet shortcut-record locations,
+    /// ascending by node (empty when `shortcuts` is `None` — the lazy path
+    /// fills them at first touch instead).
     fn lay_node_region(
         &mut self,
         g: &RoadNetwork,
         shortcuts: Option<&crate::shortcut::ShortcutStore>,
-    ) -> Result<Vec<FastMap<u32, u64>>, RoadError> {
+    ) -> Result<Vec<Vec<(u32, u64)>>, RoadError> {
         let hier = Arc::clone(&self.hier);
         let kind = self.kind;
         let mut tally = IoTally::default();
         let mut rec = Vec::new();
-        let mut per_rnet: Vec<FastMap<u32, u64>> = vec![FastMap::default(); hier.num_rnets()];
+        let mut per_rnet: Vec<Vec<(u32, u64)>> = vec![Vec::new(); hier.num_rnets()];
         // Blob size = node record + (eager only) its shortcut records.
         let blob_size = |n: NodeId| -> usize {
             let mut bytes = 4 + ADJ_ENTRY * g.neighbors(n).count();
             if let Some(sc) = shortcuts {
                 for &r in hier.bordered_rnets(n) {
-                    let list = sc.from(r, n);
+                    let list = sc.heads(r, n);
                     if !list.is_empty() {
                         bytes += 4 + SC_ENTRY * list.len();
                     }
@@ -532,7 +541,7 @@ impl PagedEngine {
             offset += rec.len() as u32;
             if let Some(sc) = shortcuts {
                 for &r in hier.bordered_rnets(n) {
-                    let list = sc.from(r, n);
+                    let list = sc.heads(r, n);
                     if list.is_empty() {
                         continue;
                     }
@@ -541,8 +550,9 @@ impl PagedEngine {
                     // the page/offset split for this record's start.
                     let (p, o) = (page + offset / PAGE_SIZE as u32, offset % PAGE_SIZE as u32);
                     self.write_bytes(p, o as usize, &rec, &mut tally)?;
-                    if let Some(map) = per_rnet.get_mut(r.0 as usize) {
-                        map.insert(n.0, pack_loc(p, o, rec.len())?);
+                    // Nodes arrive in ascending order, so each table does.
+                    if let Some(locs) = per_rnet.get_mut(r.0 as usize) {
+                        locs.push((n.0, pack_loc(p, o, rec.len())?));
                     }
                     offset += rec.len() as u32;
                 }
@@ -726,20 +736,17 @@ impl PagedEngine {
         })?;
         // Decode outside the image lock so other Rnets can load in
         // parallel; the per-Rnet guard already excludes duplicate work.
-        let map = image.shortcuts_of_rnet(idx)?;
-        let mut sources: Vec<u32> = map.keys().copied().collect();
-        sources.sort_unstable();
+        let shortcuts = image.shortcuts_of_rnet(idx)?;
         let mut rec = Vec::new();
-        let mut locs = FastMap::default();
-        for from in sources {
-            let Some(list) = map.get(&from) else { continue };
+        let mut locs = Vec::new();
+        for (from, list) in shortcuts.by_source() {
             encode_shortcut_record(list, &mut rec);
             // roadlint: allow(io-under-lock) reason="the per-Rnet decode guard exists precisely to serialize this one-time page-in; only queries for the same unloaded Rnet wait on it"
             let loc = self.append_record(&rec, tally)?;
-            locs.insert(from, loc);
+            locs.push((from, loc));
         }
         // Publish only after every record is on its page: readers that
-        // win the `get` race see a complete map or none at all. The
+        // win the `get` race see a complete table or none at all. The
         // per-Rnet guard excludes a concurrent set; a lost race would
         // mean the guard is broken, so it surfaces as an error.
         slot.set(locs)
@@ -1051,7 +1058,7 @@ impl SearchSource for PagedSource<'_> {
     fn objects_at(
         &mut self,
         n: NodeId,
-        visit: &mut dyn FnMut(u64, CategoryId, Weight),
+        mut visit: impl FnMut(u64, CategoryId, Weight),
     ) -> Result<(), RoadError> {
         let eng = self.eng;
         let Some(loc) = eng
@@ -1106,7 +1113,7 @@ impl SearchSource for PagedSource<'_> {
         &mut self,
         n: NodeId,
         leaf: Option<RnetId>,
-        visit: &mut dyn FnMut(EdgeId, u32, Weight),
+        mut visit: impl FnMut(EdgeId, u32, Weight),
     ) -> Result<(), RoadError> {
         let loc = self
             .eng
@@ -1129,7 +1136,11 @@ impl SearchSource for PagedSource<'_> {
                 continue; // closed edge: stored for containment, never relaxed
             }
             let e = EdgeId(read_u32_at(buf, at));
-            let v = read_u32_at(buf, at + 4);
+            let v = node_on_page(
+                read_u32_at(buf, at + 4),
+                self.eng.num_nodes,
+                "adjacency record names a node outside the network",
+            )?;
             visit(e, v, w);
         }
         Ok(())
@@ -1139,15 +1150,14 @@ impl SearchSource for PagedSource<'_> {
         &mut self,
         r: RnetId,
         n: NodeId,
-        visit: &mut dyn FnMut(u32, Weight),
+        mut visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError> {
         let eng = self.eng;
         eng.ensure_rnet_loaded(r, &mut self.tally)?;
-        let Some(&loc) = eng
-            .rnet_shortcuts
-            .get(r.0 as usize)
-            .and_then(|slot| slot.get())
-            .and_then(|locs| locs.get(&n.0))
+        let Some(&(_, loc)) =
+            eng.rnet_shortcuts.get(r.0 as usize).and_then(|slot| slot.get()).and_then(|locs| {
+                locs.binary_search_by_key(&n.0, |&(from, _)| from).ok().and_then(|i| locs.get(i))
+            })
         else {
             return Ok(());
         };
@@ -1156,7 +1166,12 @@ impl SearchSource for PagedSource<'_> {
         let count = record_count(buf, SC_ENTRY)?;
         for i in 0..count {
             let at = 4 + i * SC_ENTRY;
-            visit(read_u32_at(buf, at), Weight::new(read_f64_at(buf, at + 4)));
+            let to = node_on_page(
+                read_u32_at(buf, at),
+                eng.num_nodes,
+                "shortcut record names a node outside the network",
+            )?;
+            visit(to, Weight::new(read_f64_at(buf, at + 4)));
         }
         Ok(())
     }
@@ -1330,6 +1345,87 @@ mod tests {
         // The corrupt Rnets must not be marked resident.
         assert!(disk.rnets_loaded() < disk.hierarchy().num_rnets());
         assert!(disk.load_all_rnets().is_err(), "prefetch must also surface the corruption");
+    }
+
+    /// Overwrites the `u32` at byte `at` of the record at `loc` through the
+    /// pool (a page gone bad under a validated engine) and returns what
+    /// was there.
+    fn stomp_u32(disk: &PagedEngine, loc: u64, at: usize, value: u32) -> u32 {
+        let (page, offset, len) = unpack_loc(loc);
+        assert!(at + 4 <= len, "field outside the record");
+        let pos = offset as usize + at;
+        let (page, off) = (page + (pos / PAGE_SIZE) as u32, pos % PAGE_SIZE);
+        assert!(off + 4 <= PAGE_SIZE, "field straddles a page boundary");
+        let mut old = [0u8; 4];
+        disk.pool
+            .with_page_mut(PageId(page), &mut IoTally::default(), |pg| {
+                old.copy_from_slice(&pg.bytes()[off..off + 4]);
+                pg.bytes_mut()[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            })
+            .unwrap();
+        u32::from_le_bytes(old)
+    }
+
+    fn assert_corrupt_page<T>(res: Result<T, RoadError>, what: &str) {
+        match res {
+            Err(RoadError::Storage(StorageError::CorruptPage(_))) => {}
+            Err(other) => panic!("{what}: expected CorruptPage, got {other}"),
+            Ok(_) => panic!("{what}: a node id outside the network was served"),
+        }
+    }
+
+    /// Satellite regression: a node id read off a page is checked against
+    /// the network before it indexes anything. A neighbour id gone bad in
+    /// node 0's adjacency record used to panic the serving thread inside
+    /// the workspace's label array; it must surface as `CorruptPage`
+    /// through every query door, and the pool must keep serving once the
+    /// page is good again.
+    #[test]
+    fn out_of_range_neighbour_on_a_page_is_an_error_not_a_panic() {
+        let (fw, ad) = setup(12);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let knn = KnnQuery::new(NodeId(0), 3);
+        let range = RangeQuery::new(NodeId(0), Weight::new(4.0));
+        // First adjacency entry of node 0: count header, edge id, then `v`.
+        let good = stomp_u32(&disk, disk.node_loc[0], 4 + 4, disk.num_nodes as u32);
+        assert_corrupt_page(disk.knn(&knn), "knn");
+        assert_corrupt_page(disk.range(&range), "range");
+        assert_corrupt_page(disk.batch_knn(&[knn.clone(), knn.clone()], 2), "batch_knn");
+        assert_corrupt_page(disk.batch_range(std::slice::from_ref(&range), 1), "batch_range");
+        stomp_u32(&disk, disk.node_loc[0], 4 + 4, u32::MAX);
+        assert_corrupt_page(disk.knn(&knn), "knn, id far outside");
+        stomp_u32(&disk, disk.node_loc[0], 4 + 4, good);
+        assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+        assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
+    }
+
+    /// The same for a shortcut target: with no object anywhere every Rnet
+    /// is bypassed, so the first settle relaxes the stomped record.
+    #[test]
+    fn out_of_range_shortcut_target_on_a_page_is_an_error_not_a_panic() {
+        let (fw, ad) = setup(0);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let top = fw.hierarchy().rnets_at_level(1).next().unwrap();
+        let &(from, loc) = disk.rnet_shortcuts[top.0 as usize]
+            .get()
+            .and_then(|locs| locs.first())
+            .expect("a level-1 Rnet of the grid has shortcuts");
+        let knn = KnnQuery::new(NodeId(from), 1);
+        let range = RangeQuery::new(NodeId(from), Weight::new(6.0));
+        // First shortcut entry: count header, then `to`.
+        let good = stomp_u32(&disk, loc, 4, disk.num_nodes as u32);
+        assert_corrupt_page(disk.knn(&knn), "knn");
+        assert_corrupt_page(disk.range(&range), "range");
+        assert_corrupt_page(disk.batch_knn(std::slice::from_ref(&knn), 1), "batch_knn");
+        assert_corrupt_page(disk.batch_range(&[range.clone(), range.clone()], 2), "batch_range");
+        stomp_u32(&disk, loc, 4, good);
+        assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+        assert_eq!(
+            disk.network_distance(NodeId(from), NodeId(63)).unwrap(),
+            fw.network_distance(NodeId(from), NodeId(63)).unwrap()
+        );
     }
 
     /// Closed roads (infinite weight) must not change the paged engine's

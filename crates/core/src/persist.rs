@@ -304,7 +304,7 @@ impl PagedImage {
         end - start
     }
 
-    /// Decodes one Rnet's shortcut map — the per-Rnet unit of lazy
+    /// Decodes one Rnet's shortcut arena — the per-Rnet unit of lazy
     /// loading. Cheap for object-free Rnets, and never touches any other
     /// Rnet's bytes.
     ///
@@ -317,8 +317,7 @@ impl PagedImage {
     pub(crate) fn shortcuts_of_rnet(
         &self,
         r: usize,
-    ) -> Result<road_network::hash::FastMap<u32, Vec<crate::shortcut::ShortcutEdge>>, RoadError>
-    {
+    ) -> Result<crate::shortcut::RnetShortcuts, RoadError> {
         let (start, _) = self.rnet_ranges[r];
         let mut pos = start;
         ShortcutStore::decode_rnet_section(&self.bytes, &mut pos, self.g.num_nodes() as u32)

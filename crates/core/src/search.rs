@@ -5,11 +5,12 @@
 //! queue holds pending *nodes and objects* in non-descending distance
 //! order. Settling a node looks its objects up in the Association
 //! Directory and then runs `ChoosePath`, which walks the node's shortcut
-//! tree top-down: an Rnet whose object abstract cannot match the query's
-//! filter is **bypassed** — its border nodes are enqueued through
-//! shortcuts without visiting anything inside — while Rnets that may
-//! contain matches are *descended* level by level until physical edges are
-//! relaxed. The first `k` objects popped are the kNNs; a range search
+//! tree top-down — one forward scan over the flattened tree the hierarchy
+//! keeps per border node: an Rnet whose object abstract cannot match the
+//! query's filter is **bypassed** — its border nodes are enqueued through
+//! shortcuts without visiting anything inside, and the scan jumps past its
+//! subtree — while Rnets that may contain matches are *descended* level by
+//! level until physical edges are relaxed. The first `k` objects popped are the kNNs; a range search
 //! terminates when the expansion front passes the radius.
 // roadlint: serving-path
 
@@ -322,7 +323,9 @@ pub(crate) enum Mode {
 /// Visitor methods take `&mut self` because paged reads mutate the buffer
 /// pool (faults, LRU order, lazy Rnet loads). Visit order is part of the
 /// contract: implementations must yield records in the same order the
-/// in-memory structures iterate them, or tie-breaking diverges.
+/// in-memory structures iterate them, or tie-breaking diverges. The loop is
+/// compiled once per source and the visitors are `impl FnMut`, so the
+/// per-record relaxation inlines into the source's record walk.
 pub(crate) trait SearchSource {
     /// Number of nodes in the served network (sizes the workspace).
     fn num_nodes(&self) -> usize;
@@ -339,7 +342,7 @@ pub(crate) trait SearchSource {
     fn objects_at(
         &mut self,
         n: NodeId,
-        visit: &mut dyn FnMut(u64, crate::model::CategoryId, Weight),
+        visit: impl FnMut(u64, crate::model::CategoryId, Weight),
     ) -> Result<(), RoadError>;
     /// May Rnet `r` contain objects matching `filter`? (Abstract lookup.)
     fn rnet_may_match(&mut self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError>;
@@ -350,7 +353,7 @@ pub(crate) trait SearchSource {
         &mut self,
         n: NodeId,
         leaf: Option<RnetId>,
-        visit: &mut dyn FnMut(EdgeId, u32, Weight),
+        visit: impl FnMut(EdgeId, u32, Weight),
     ) -> Result<(), RoadError>;
     /// Visits the outgoing shortcuts of `n` within Rnet `r` as
     /// `(target border node, shortcut distance)`. Fallible: a paged source
@@ -363,7 +366,7 @@ pub(crate) trait SearchSource {
         &mut self,
         r: RnetId,
         n: NodeId,
-        visit: &mut dyn FnMut(u32, Weight),
+        visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError>;
     /// Does Rnet `r` contain node `t` (as member or border)? Drives
     /// [`Mode::ToNode`] routing.
@@ -398,7 +401,7 @@ impl SearchSource for MemorySource<'_> {
     fn objects_at(
         &mut self,
         n: NodeId,
-        visit: &mut dyn FnMut(u64, crate::model::CategoryId, Weight),
+        mut visit: impl FnMut(u64, crate::model::CategoryId, Weight),
     ) -> Result<(), RoadError> {
         let Some(ad) = self.ad else { return Ok(()) };
         let g = self.fw.network();
@@ -417,7 +420,7 @@ impl SearchSource for MemorySource<'_> {
         &mut self,
         n: NodeId,
         leaf: Option<RnetId>,
-        visit: &mut dyn FnMut(EdgeId, u32, Weight),
+        mut visit: impl FnMut(EdgeId, u32, Weight),
     ) -> Result<(), RoadError> {
         // Stream the framework's pre-joined flat arena (see [`crate::arena`]):
         // edge id, head, metric weight and owning leaf live in parallel flat
@@ -441,9 +444,9 @@ impl SearchSource for MemorySource<'_> {
         &mut self,
         r: RnetId,
         n: NodeId,
-        visit: &mut dyn FnMut(u32, Weight),
+        mut visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError> {
-        for sc in self.fw.shortcuts().from(r, n) {
+        for sc in self.fw.shortcuts().heads(r, n) {
             visit(sc.to.0, sc.dist);
         }
         Ok(())
@@ -476,7 +479,7 @@ pub(crate) fn execute(
 /// [`execute`] over an arbitrary [`SearchSource`] (the paged engine routes
 /// its pooled-workspace queries through here).
 pub(crate) fn execute_source(
-    src: &mut dyn SearchSource,
+    src: &mut impl SearchSource,
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
@@ -509,7 +512,7 @@ pub(crate) fn execute_into(
 
 /// The one expansion loop behind every engine (see [`SearchSource`]).
 pub(crate) fn execute_source_into(
-    src: &mut dyn SearchSource,
+    src: &mut impl SearchSource,
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
@@ -560,12 +563,8 @@ pub(crate) fn execute_source_into(
                 }
             }
             QueueKey::Node(n) => {
-                if ws.is_settled(n) {
+                if !ws.settle(n, d) {
                     continue; // stale entry
-                }
-                ws.mark_settled(n);
-                if d > ws.label_of(n).unwrap_or(Weight::INFINITY) {
-                    continue;
                 }
                 stats.nodes_settled += 1;
                 if let Some(b) = bound {
@@ -580,10 +579,9 @@ pub(crate) fn execute_source_into(
                 }
                 // --- SearchObject: collect objects at this node --------
                 if has_directory {
-                    let (stats_ref, ws_ref) = (&mut stats, &mut *ws);
-                    src.objects_at(NodeId(n), &mut |oid, category, offset| {
-                        stats_ref.objects_read += 1;
-                        if !filter.accepts_category(category) || ws_ref.object_seen(oid) {
+                    src.objects_at(NodeId(n), |oid, category, offset| {
+                        stats.objects_read += 1;
+                        if !filter.accepts_category(category) || ws.object_seen(oid) {
                             return;
                         }
                         let total = d + offset;
@@ -597,98 +595,58 @@ pub(crate) fn execute_source_into(
                                 return;
                             }
                         }
-                        ws_ref.push(total, QueueKey::Object(oid));
-                        stats_ref.heap_pushes += 1;
+                        ws.push(total, QueueKey::Object(oid));
+                        stats.heap_pushes += 1;
                     })?;
                 }
                 // --- ChoosePath: pick edges and shortcuts to relax -----
-                // `bordered_rnets` lists Rnets by level ascending (an
-                // invariant it debug_asserts and `validate()` checks), so
-                // the first entry carries the coarsest (topmost) level and
-                // seeding the descent from it covers every subtree.
-                let bordered = hier.bordered_rnets(NodeId(n));
-                let Some(&top) = bordered.first() else {
+                // One forward scan over the node's flattened shortcut tree
+                // (see `hierarchy::TreeEntry`): entries come in the order
+                // the top-down walk visits them, a bypass continues past
+                // the bypassed Rnet's subtree.
+                let tree = hier.shortcut_tree(NodeId(n));
+                if tree.is_empty() {
                     // Interior node: the shortcut tree is a single leaf
                     // holding the physical edges.
-                    let (stats_ref, ws_ref) = (&mut stats, &mut *ws);
-                    src.edges_at(NodeId(n), None, &mut |e, v, w| {
-                        stats_ref.edges_relaxed += 1;
-                        if ws_ref.relax(n, v, d + w, Hop::Edge(e)) {
-                            stats_ref.heap_pushes += 1;
+                    src.edges_at(NodeId(n), None, |e, v, w| {
+                        stats.edges_relaxed += 1;
+                        if ws.relax(n, v, d + w, Hop::Edge(e)) {
+                            stats.heap_pushes += 1;
                         }
                     })?;
                     continue;
-                };
-                let top_level = hier.level_of(top);
-                let mut stack = ws.take_stack();
-                stack.extend(bordered.iter().copied().filter(|&r| hier.level_of(r) == top_level));
-                // Paged accessors can fail mid-descent (lazy shortcut
-                // decode, poisoned pool lock); remember the error and
-                // break so the stack still returns to the workspace.
-                let mut failed: Option<RoadError> = None;
-                while let Some(r) = stack.pop() {
+                }
+                let mut at = 0;
+                while let Some(&entry) = tree.get(at) {
+                    let r = entry.rnet;
                     stats.abstract_checks += 1;
-                    let may_match = if has_directory {
-                        match src.rnet_may_match(r, filter) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                    } else {
-                        false
-                    };
+                    let may_match = has_directory && src.rnet_may_match(r, filter)?;
                     let must_enter = match mode {
-                        Mode::ToNode(t) => match src.rnet_contains_node(r, t) {
-                            Ok(c) => c,
-                            Err(e) => {
-                                failed = Some(e);
-                                break;
-                            }
-                        },
+                        Mode::ToNode(t) => src.rnet_contains_node(r, t)?,
                         _ => false,
                     };
                     if !may_match && !must_enter {
                         // Bypass: jump to the Rnet's other borders.
                         stats.rnets_bypassed += 1;
-                        let (stats_ref, ws_ref) = (&mut stats, &mut *ws);
-                        let visited = src.shortcuts_at(r, NodeId(n), &mut |to, dist| {
-                            stats_ref.shortcuts_taken += 1;
-                            if ws_ref.relax(n, to, d + dist, Hop::Shortcut(r)) {
-                                stats_ref.heap_pushes += 1;
+                        src.shortcuts_at(r, NodeId(n), |to, dist| {
+                            stats.shortcuts_taken += 1;
+                            if ws.relax(n, to, d + dist, Hop::Shortcut(r)) {
+                                stats.heap_pushes += 1;
                             }
-                        });
-                        if let Err(e) = visited {
-                            failed = Some(e);
-                            break;
-                        }
-                    } else if hier.is_leaf(r) {
-                        stats.rnets_descended += 1;
-                        let (stats_ref, ws_ref) = (&mut stats, &mut *ws);
-                        let visited = src.edges_at(NodeId(n), Some(r), &mut |e, v, w| {
-                            stats_ref.edges_relaxed += 1;
-                            if ws_ref.relax(n, v, d + w, Hop::Edge(e)) {
-                                stats_ref.heap_pushes += 1;
-                            }
-                        });
-                        if let Err(e) = visited {
-                            failed = Some(e);
-                            break;
-                        }
-                    } else {
-                        stats.rnets_descended += 1;
-                        let lv = hier.level_of(r);
-                        for &c in bordered {
-                            if hier.level_of(c) == lv + 1 && hier.parent(c) == r {
-                                stack.push(c);
-                            }
-                        }
+                        })?;
+                        at = entry.skip();
+                        continue;
                     }
-                }
-                ws.put_back_stack(stack);
-                if let Some(e) = failed {
-                    return Err(e);
+                    stats.rnets_descended += 1;
+                    if entry.is_leaf() {
+                        src.edges_at(NodeId(n), Some(r), |e, v, w| {
+                            stats.edges_relaxed += 1;
+                            if ws.relax(n, v, d + w, Hop::Edge(e)) {
+                                stats.heap_pushes += 1;
+                            }
+                        })?;
+                    }
+                    at += 1;
                 }
             }
         }

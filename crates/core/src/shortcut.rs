@@ -43,11 +43,19 @@
 //! [`ShortcutStore::expand`] turns a shortcut back into a full physical
 //! [`Path`].
 //!
-//! Each Rnet's shortcut map sits behind its own [`Arc`], so cloning the
-//! store is an `O(#Rnets)` pointer copy and a refresh of one Rnet leaves
-//! every other Rnet's map physically shared with prior clones. This is
-//! what makes snapshot publication in [`crate::live`] cheap: an update
-//! clones only the affected Rnets' shortcut data.
+//! An Rnet's shortcuts live in one flat arena (`RnetShortcuts`): source
+//! border nodes sorted ascending, an offset table, contiguous 16-byte
+//! heads `(dist, to, via_end)` in per-source order, and one waypoint
+//! vector the heads index into. That is the shape the search loop reads —
+//! a bypass is a binary search and a linear scan over heads, no hash, no
+//! per-shortcut allocation — and the shape the file format writes, so
+//! serializing needs no sort.
+//!
+//! Each Rnet's arena sits behind its own [`Arc`], so cloning the store is
+//! an `O(#Rnets)` pointer copy and a refresh of one Rnet leaves every other
+//! Rnet's arena physically shared with prior clones. This is what makes
+//! snapshot publication in [`crate::live`] cheap: an update clones only
+//! the affected Rnets' shortcut data.
 
 use crate::hierarchy::{RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
@@ -70,16 +78,141 @@ const WITNESS_SETTLE_LIMIT: usize = 64;
 /// neither constant changes a single output byte.
 const WITNESS_MIN_NODES: usize = 256;
 
-/// One directed shortcut out of a border node.
-#[derive(Clone, Debug)]
-pub struct ShortcutEdge {
+/// One directed shortcut out of a border node, borrowed from its Rnet's
+/// arena.
+#[derive(Clone, Copy, Debug)]
+pub struct ShortcutEdge<'a> {
     /// Target border node.
     pub to: NodeId,
     /// Shortest-path distance within the Rnet.
     pub dist: Weight,
     /// Intermediate waypoints: physical nodes (finest level) or child
     /// border nodes (upper levels); endpoints excluded.
-    pub via: Vec<NodeId>,
+    pub via: &'a [NodeId],
+}
+
+/// The fixed-size part of a stored shortcut — all a bypass reads. 16 bytes,
+/// the header size [`ShortcutStore::size_bytes`] models.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ShortcutHead {
+    pub(crate) dist: Weight,
+    pub(crate) to: NodeId,
+    /// End of this shortcut's waypoints in the Rnet's waypoint vector;
+    /// they start where the previous head's end.
+    via_end: u32,
+}
+
+/// All shortcuts of one Rnet, flat (see the module docs): `sources[i]`'s
+/// shortcuts are `heads[head_offsets[i]..head_offsets[i + 1]]`, stored in
+/// the order the builder kept them, and head `k`'s waypoints are
+/// `vias[heads[k - 1].via_end..heads[k].via_end]`. `head_offsets` is empty
+/// when `sources` is, so an Rnet without shortcuts allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RnetShortcuts {
+    sources: Vec<u32>,
+    head_offsets: Vec<u32>,
+    heads: Vec<ShortcutHead>,
+    vias: Vec<NodeId>,
+}
+
+/// Arena offsets are `u32`. The builder can only get past that by holding
+/// 64 GiB of heads or 16 GiB of waypoints for a single Rnet.
+fn arena_offset(len: usize) -> u32 {
+    assert!(len <= u32::MAX as usize, "one Rnet's shortcut arena outgrew its 32-bit offsets");
+    len as u32
+}
+
+impl RnetShortcuts {
+    fn num_shortcuts(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Modelled serialized bytes: 16 per head, 4 per waypoint.
+    fn size_bytes(&self) -> usize {
+        16 * self.heads.len() + 4 * self.vias.len()
+    }
+
+    /// Index range in `heads` of the `i`-th source's shortcuts.
+    fn run(&self, i: usize) -> std::ops::Range<usize> {
+        match (self.head_offsets.get(i), self.head_offsets.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// Index range in `heads` of the shortcuts leaving border node `n`;
+    /// empty when it has none in this Rnet.
+    #[inline]
+    fn run_of(&self, n: u32) -> std::ops::Range<usize> {
+        match self.sources.binary_search(&n) {
+            Ok(i) => self.run(i),
+            Err(_) => 0..0,
+        }
+    }
+
+    /// The heads of the shortcuts leaving border node `n`.
+    #[inline]
+    pub(crate) fn heads_of(&self, n: u32) -> &[ShortcutHead] {
+        self.heads.get(self.run_of(n)).unwrap_or(&[])
+    }
+
+    /// Every source in ascending order with its heads — the order the file
+    /// format and the paged engine's lazy page-in write them.
+    pub(crate) fn by_source(&self) -> impl Iterator<Item = (u32, &[ShortcutHead])> {
+        self.sources
+            .iter()
+            .enumerate()
+            .map(|(i, &from)| (from, self.heads.get(self.run(i)).unwrap_or(&[])))
+    }
+
+    /// The `k`-th head with its waypoints.
+    fn edge(&self, k: usize) -> Option<ShortcutEdge<'_>> {
+        let head = self.heads.get(k)?;
+        let via_start = match k.checked_sub(1) {
+            Some(before) => self.heads.get(before)?.via_end,
+            None => 0,
+        };
+        let via = self.vias.get(via_start as usize..head.via_end as usize)?;
+        Some(ShortcutEdge { to: head.to, dist: head.dist, via })
+    }
+
+    /// The shortcuts leaving `n`, waypoints included.
+    fn edges_of(&self, n: u32) -> impl Iterator<Item = ShortcutEdge<'_>> {
+        self.run_of(n).filter_map(|k| self.edge(k))
+    }
+
+    /// The shortcut `from -> to`, found over the heads alone.
+    fn between(&self, from: u32, to: NodeId) -> Option<ShortcutEdge<'_>> {
+        let run = self.run_of(from);
+        let at = self.heads.get(run.clone())?.iter().position(|sc| sc.to == to)?;
+        self.edge(run.start + at)
+    }
+
+    /// Appends a shortcut of the source being written; its waypoints are
+    /// whatever the caller pushed onto `vias` since the previous head.
+    fn push_head(&mut self, to: NodeId, dist: Weight) {
+        self.heads.push(ShortcutHead { dist, to, via_end: arena_offset(self.vias.len()) });
+    }
+
+    /// Closes the run of heads pushed since the previous source. Sources
+    /// must arrive in strictly ascending order.
+    fn end_source(&mut self, from: u32) {
+        debug_assert!(self.sources.last().is_none_or(|&last| last < from));
+        if self.head_offsets.is_empty() {
+            self.head_offsets.push(0);
+        }
+        self.sources.push(from);
+        self.head_offsets.push(arena_offset(self.heads.len()));
+    }
+
+    /// Gives back the growth slack of a finished arena: it lives as long
+    /// as the store (and every snapshot sharing it) does.
+    fn shrink_to_fit(&mut self) {
+        self.sources.shrink_to_fit();
+        self.head_offsets.shrink_to_fit();
+        self.heads.shrink_to_fit();
+        self.vias.shrink_to_fit();
+    }
 }
 
 /// Shortcut construction options.
@@ -135,13 +268,13 @@ fn resolve_threads(threads: usize) -> usize {
 /// All shortcuts of the hierarchy, grouped per Rnet and source node.
 ///
 /// Cloning the store is cheap (`O(#Rnets)` [`Arc`] bumps) and shares every
-/// per-Rnet map with the original; a refresh then replaces only the
-/// refreshed Rnet's map, which is the structural-sharing contract the
+/// per-Rnet arena with the original; a refresh then replaces only the
+/// refreshed Rnet's arena, which is the structural-sharing contract the
 /// live engine's snapshots rely on.
 #[derive(Clone)]
 pub struct ShortcutStore {
-    /// `per_rnet[r]` maps a border-node id to its outgoing shortcuts in `r`.
-    per_rnet: Vec<Arc<FastMap<u32, Vec<ShortcutEdge>>>>,
+    /// `per_rnet[r]` holds the shortcuts of Rnet `r`, by source border node.
+    per_rnet: Vec<Arc<RnetShortcuts>>,
     num_shortcuts: usize,
     /// Modelled serialized bytes of every stored shortcut, maintained
     /// incrementally by [`ShortcutStore::replace_rnet`] exactly like
@@ -167,11 +300,7 @@ impl ShortcutStore {
         kind: WeightKind,
         opts: &ShortcutOptions,
     ) -> Self {
-        let mut store = ShortcutStore {
-            per_rnet: (0..hier.num_rnets()).map(|_| Arc::new(FastMap::default())).collect(),
-            num_shortcuts: 0,
-            num_bytes: 0,
-        };
+        let mut store = ShortcutStore::empty(hier.num_rnets());
         let mut scratch = BuildScratch::default();
         for level in (1..=hier.levels()).rev() {
             let rnets: Vec<RnetId> = hier.rnets_at_level(level).collect();
@@ -181,6 +310,14 @@ impl ShortcutStore {
             }
         }
         store
+    }
+
+    fn empty(num_rnets: usize) -> Self {
+        ShortcutStore {
+            per_rnet: (0..num_rnets).map(|_| Arc::default()).collect(),
+            num_shortcuts: 0,
+            num_bytes: 0,
+        }
     }
 
     /// Computes the shortcut maps of one level's (or more generally, of
@@ -198,10 +335,10 @@ impl ShortcutStore {
         rnets: &[RnetId],
         opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
-    ) -> Vec<FastMap<u32, Vec<ShortcutEdge>>> {
+    ) -> Vec<RnetShortcuts> {
         let threads = resolve_threads(opts.threads).min(rnets.len().max(1));
-        let mut maps: Vec<FastMap<u32, Vec<ShortcutEdge>>> = Vec::new();
-        maps.resize_with(rnets.len(), FastMap::default);
+        let mut maps: Vec<RnetShortcuts> = Vec::new();
+        maps.resize_with(rnets.len(), RnetShortcuts::default);
         if threads <= 1 {
             for (&r, slot) in rnets.iter().zip(maps.iter_mut()) {
                 *slot = self.compute_rnet_map(g, hier, kind, r, opts, scratch);
@@ -222,15 +359,22 @@ impl ShortcutStore {
         maps
     }
 
-    /// Outgoing shortcuts of node `n` within Rnet `r`.
+    /// Outgoing shortcuts of node `n` within Rnet `r`, in stored order.
+    pub fn from(&self, r: RnetId, n: NodeId) -> impl Iterator<Item = ShortcutEdge<'_>> {
+        self.per_rnet[r.0 as usize].edges_of(n.0)
+    }
+
+    /// `(target, distance)` of the shortcuts [`ShortcutStore::from`] yields,
+    /// without their waypoints: what a bypass relaxes and what the paged
+    /// engine lays onto its hot records.
     #[inline]
-    pub fn from(&self, r: RnetId, n: NodeId) -> &[ShortcutEdge] {
-        self.per_rnet[r.0 as usize].get(&n.0).map(Vec::as_slice).unwrap_or(&[])
+    pub(crate) fn heads(&self, r: RnetId, n: NodeId) -> &[ShortcutHead] {
+        self.per_rnet.get(r.0 as usize).map_or(&[], |rnet| rnet.heads_of(n.0))
     }
 
     /// The stored shortcut `from -> to` within `r`, if kept.
-    pub fn between(&self, r: RnetId, from: NodeId, to: NodeId) -> Option<&ShortcutEdge> {
-        self.from(r, from).iter().find(|sc| sc.to == to)
+    pub fn between(&self, r: RnetId, from: NodeId, to: NodeId) -> Option<ShortcutEdge<'_>> {
+        self.per_rnet[r.0 as usize].between(from.0, to)
     }
 
     /// Total number of stored (directed) shortcuts.
@@ -246,30 +390,14 @@ impl ShortcutStore {
         self.num_bytes
     }
 
-    /// Shortcut count and modelled bytes of one Rnet's map — the per-Rnet
-    /// delta [`ShortcutStore::replace_rnet`] applies to the store totals.
-    fn map_stats(map: &FastMap<u32, Vec<ShortcutEdge>>) -> (usize, usize) {
-        let mut count = 0;
-        let mut bytes = 0;
-        for list in map.values() {
-            count += list.len();
-            for sc in list {
-                bytes += 16 + 4 * sc.via.len();
-            }
-        }
-        (count, bytes)
-    }
-
-    fn replace_rnet(&mut self, r: RnetId, map: FastMap<u32, Vec<ShortcutEdge>>) {
+    fn replace_rnet(&mut self, r: RnetId, new: RnetShortcuts) {
         let slot = &mut self.per_rnet[r.0 as usize];
-        let (old, old_bytes) = Self::map_stats(slot);
-        let (new, new_bytes) = Self::map_stats(&map);
-        *slot = Arc::new(map);
-        self.num_shortcuts = self.num_shortcuts - old + new;
-        self.num_bytes = self.num_bytes - old_bytes + new_bytes;
+        self.num_shortcuts = self.num_shortcuts - slot.num_shortcuts() + new.num_shortcuts();
+        self.num_bytes = self.num_bytes - slot.size_bytes() + new.size_bytes();
+        *slot = Arc::new(new);
     }
 
-    /// How many Rnets' shortcut maps this store physically shares with
+    /// How many Rnets' shortcut arenas this store physically shares with
     /// `other` (same allocation, not merely equal contents). Two stores
     /// related by snapshot forks share every Rnet that no intervening
     /// maintenance refreshed — the quantity the live-serving tests and
@@ -343,21 +471,35 @@ impl ShortcutStore {
         changed
     }
 
-    fn maps_equivalent(
-        a: &FastMap<u32, Vec<ShortcutEdge>>,
-        b: &FastMap<u32, Vec<ShortcutEdge>>,
-    ) -> bool {
-        let flatten = |m: &FastMap<u32, Vec<ShortcutEdge>>| {
-            let mut v: Vec<(u32, u32, Weight)> = m
-                .iter()
-                .flat_map(|(&from, list)| list.iter().map(move |sc| (from, sc.to.0, sc.dist)))
-                .collect();
-            v.sort_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)).then(x.2.cmp(&y.2)));
-            v
-        };
-        let (fa, fb) = (flatten(a), flatten(b));
-        fa.len() == fb.len()
-            && fa.iter().zip(&fb).all(|(x, y)| x.0 == y.0 && x.1 == y.1 && x.2.approx_eq(y.2))
+    /// Same `(from, to)` pairs at approximately equal distances? List order
+    /// within a source follows `hier.borders(r)`, which a border change
+    /// between the two builds may have permuted, so a target is looked for
+    /// in place first and anywhere in the list second. Targets are unique
+    /// within a source (one matrix cell each), which makes the equal-length
+    /// one-way match a bijection.
+    fn maps_equivalent(a: &RnetShortcuts, b: &RnetShortcuts) -> bool {
+        let non_empty =
+            |rnet| RnetShortcuts::by_source(rnet).filter(|(_, heads)| !heads.is_empty());
+        let (mut runs_a, mut runs_b) = (non_empty(a), non_empty(b));
+        loop {
+            let ((from_a, ha), (from_b, hb)) = match (runs_a.next(), runs_b.next()) {
+                (None, None) => return true,
+                (Some(ra), Some(rb)) => (ra, rb),
+                _ => return false,
+            };
+            if from_a != from_b || ha.len() != hb.len() {
+                return false;
+            }
+            for (k, x) in ha.iter().enumerate() {
+                let twin = match hb.get(k) {
+                    Some(y) if y.to == x.to => Some(y),
+                    _ => hb.iter().find(|y| y.to == x.to),
+                };
+                if !twin.is_some_and(|y| x.dist.approx_eq(y.dist)) {
+                    return false;
+                }
+            }
+        }
     }
 
     /// Computes the shortcut map of one Rnet from the network (finest
@@ -374,9 +516,9 @@ impl ShortcutStore {
         r: RnetId,
         opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
-    ) -> FastMap<u32, Vec<ShortcutEdge>> {
+    ) -> RnetShortcuts {
         let borders = hier.borders(r);
-        let mut out: FastMap<u32, Vec<ShortcutEdge>> = FastMap::default();
+        let mut out = RnetShortcuts::default();
         if borders.len() < 2 {
             return out;
         }
@@ -475,11 +617,12 @@ impl ShortcutStore {
         } else {
             for child in hier.children(r) {
                 for &from in hier.borders(child) {
-                    let Some(list) = self.per_rnet[child.0 as usize].get(&from.0) else {
+                    let heads = self.heads(child, from);
+                    if heads.is_empty() {
                         continue;
-                    };
+                    }
                     let lf = scratch.local(from.0);
-                    for sc in list {
+                    for sc in heads {
                         let lt = scratch.local(sc.to.0);
                         scratch.builder.push(lf, lt, sc.dist, 0);
                     }
@@ -496,35 +639,29 @@ impl ShortcutStore {
         &self,
         scratch: &mut BuildScratch,
         borders: &[NodeId],
-        out: &mut FastMap<u32, Vec<ShortcutEdge>>,
+        out: &mut RnetShortcuts,
     ) {
-        for (bi, &b) in borders.iter().enumerate() {
-            scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
-            let mut list: Vec<ShortcutEdge> = Vec::new();
+        scratch.sort_sources(borders);
+        for si in 0..borders.len() {
+            let bi = scratch.source_order[si];
+            scratch.dij.run_csr(&scratch.csr, bi, &scratch.border_locals, 0);
+            let first = out.heads.len();
             for (ti, &t) in borders.iter().enumerate() {
-                if ti == bi {
+                if ti as u32 == bi {
                     continue;
                 }
                 let dist = scratch.dij.dist(ti as u32);
                 if dist.is_infinite() {
                     continue; // internally disconnected Rnet: no shortcut
                 }
-                let mut via: Vec<NodeId> = Vec::new();
-                let mut cur = ti as u32;
-                while let Some((prev, _label)) = scratch.dij.pred(cur) {
-                    if prev == bi as u32 {
-                        break;
-                    }
-                    via.push(NodeId(scratch.global[prev as usize]));
-                    cur = prev;
-                }
-                via.reverse();
-                list.push(ShortcutEdge { to: t, dist, via });
+                scratch.push_via_chain(bi, ti as u32, &mut out.vias);
+                out.push_head(t, dist);
             }
-            if !list.is_empty() {
-                out.insert(b.0, list);
+            if out.heads.len() > first {
+                out.end_source(borders[bi as usize].0);
             }
         }
+        out.shrink_to_fit();
     }
 
     /// Shared finalisation of a pruned build: apply the matrix keep rule to
@@ -537,10 +674,14 @@ impl ShortcutStore {
         &self,
         scratch: &mut BuildScratch,
         borders: &[NodeId],
-        out: &mut FastMap<u32, Vec<ShortcutEdge>>,
+        out: &mut RnetShortcuts,
     ) {
         let nb = borders.len();
-        for (bi, &b) in borders.iter().enumerate() {
+        // Sources in ascending node order, the arena's and the file's; a
+        // source's list depends on nothing but its own matrix row.
+        scratch.sort_sources(borders);
+        for si in 0..nb {
+            let bi = scratch.source_order[si] as usize;
             scratch.kept.clear();
             for ti in 0..nb {
                 if ti == bi {
@@ -565,7 +706,7 @@ impl ShortcutStore {
                 continue;
             }
             scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.kept, nb as u32);
-            let mut list: Vec<ShortcutEdge> = Vec::with_capacity(scratch.kept.len());
+            let first = out.heads.len();
             for &t in &scratch.kept {
                 let dist = scratch.dij.dist(t);
                 if dist.is_infinite() {
@@ -578,22 +719,14 @@ impl ShortcutStore {
                     // exact arithmetic this branch is unreachable.
                     continue;
                 }
-                let mut via: Vec<NodeId> = Vec::new();
-                let mut cur = t;
-                while let Some((prev, _label)) = scratch.dij.pred(cur) {
-                    if prev == bi as u32 {
-                        break;
-                    }
-                    via.push(NodeId(scratch.global[prev as usize]));
-                    cur = prev;
-                }
-                via.reverse();
-                list.push(ShortcutEdge { to: NodeId(scratch.global[t as usize]), dist, via });
+                scratch.push_via_chain(bi as u32, t, &mut out.vias);
+                out.push_head(NodeId(scratch.global[t as usize]), dist);
             }
-            if !list.is_empty() {
-                out.insert(b.0, list);
+            if out.heads.len() > first {
+                out.end_source(borders[bi].0);
             }
         }
+        out.shrink_to_fit();
     }
 
     /// Legacy all-pairs construction, kept as the differential-testing
@@ -609,11 +742,7 @@ impl ShortcutStore {
         kind: WeightKind,
         opts: &ShortcutOptions,
     ) -> Self {
-        let mut store = ShortcutStore {
-            per_rnet: (0..hier.num_rnets()).map(|_| Arc::new(FastMap::default())).collect(),
-            num_shortcuts: 0,
-            num_bytes: 0,
-        };
+        let mut store = ShortcutStore::empty(hier.num_rnets());
         let mut scratch = BuildScratch::default();
         for level in (1..=hier.levels()).rev() {
             for r in hier.rnets_at_level(level) {
@@ -635,9 +764,9 @@ impl ShortcutStore {
         r: RnetId,
         opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
-    ) -> FastMap<u32, Vec<ShortcutEdge>> {
+    ) -> RnetShortcuts {
         let borders = hier.borders(r);
-        let mut out: FastMap<u32, Vec<ShortcutEdge>> = FastMap::default();
+        let mut out = RnetShortcuts::default();
         if borders.len() < 2 {
             return out;
         }
@@ -659,15 +788,6 @@ impl ShortcutStore {
         out
     }
 
-    /// Per-Rnet source-key *iteration* order of the underlying hash maps —
-    /// exposed so differential tests can pin not just serialized bytes
-    /// (which sort sources) but the in-memory traversal order two builders
-    /// produce.
-    #[cfg(any(test, feature = "oracle-build"))]
-    pub fn rnet_source_orders(&self) -> Vec<Vec<u32>> {
-        self.per_rnet.iter().map(|m| m.keys().copied().collect()).collect()
-    }
-
     /// Expands a shortcut of Rnet `r` starting at `from` into the full
     /// physical path, weighted under `kind` (the metric the store was
     /// built with). Returns `None` only on store inconsistency.
@@ -678,11 +798,11 @@ impl ShortcutStore {
         kind: WeightKind,
         r: RnetId,
         from: NodeId,
-        sc: &ShortcutEdge,
+        sc: ShortcutEdge<'_>,
     ) -> Option<Path> {
         let mut seq = Vec::with_capacity(sc.via.len() + 2);
         seq.push(from);
-        seq.extend_from_slice(&sc.via);
+        seq.extend_from_slice(sc.via);
         seq.push(sc.to);
         let mut path = Path::trivial(from);
         if hier.is_leaf(r) {
@@ -692,11 +812,10 @@ impl ShortcutStore {
                 path.extend(&seg);
             }
         } else {
-            let children = hier.children(r);
             for hop in seq.windows(2) {
                 // Pick the child providing the cheapest (u, v) shortcut.
-                let mut best: Option<(RnetId, &ShortcutEdge)> = None;
-                for &c in &children {
+                let mut best: Option<(RnetId, ShortcutEdge<'_>)> = None;
+                for c in hier.children(r) {
                     if let Some(s) = self.between(c, hop[0], hop[1]) {
                         if best.map(|(_, bs)| s.dist < bs.dist).unwrap_or(true) {
                             best = Some((c, s));
@@ -716,20 +835,18 @@ impl ShortcutStore {
     /// locate the store section inside a full image byte-for-byte.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.per_rnet.len() as u32).to_le_bytes());
-        for map in &self.per_rnet {
-            out.extend_from_slice(&(map.len() as u32).to_le_bytes());
-            // Deterministic order for reproducible files.
-            let mut sources: Vec<_> = map.keys().copied().collect();
-            sources.sort_unstable();
-            for from in sources {
-                let list = &map[&from];
+        for rnet in &self.per_rnet {
+            out.extend_from_slice(&(rnet.sources.len() as u32).to_le_bytes());
+            // Sources are stored ascending: reproducible files, no sort.
+            for (i, from) in rnet.sources.iter().enumerate() {
+                let run = rnet.run(i);
                 out.extend_from_slice(&from.to_le_bytes());
-                out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                for sc in list {
+                out.extend_from_slice(&(run.len() as u32).to_le_bytes());
+                for sc in run.filter_map(|k| rnet.edge(k)) {
                     out.extend_from_slice(&sc.to.0.to_le_bytes());
                     out.extend_from_slice(&sc.dist.get().to_le_bytes());
                     out.extend_from_slice(&(sc.via.len() as u32).to_le_bytes());
-                    for w in &sc.via {
+                    for w in sc.via {
                         out.extend_from_slice(&w.0.to_le_bytes());
                     }
                 }
@@ -756,11 +873,10 @@ impl ShortcutStore {
         let mut num_shortcuts = 0usize;
         let mut num_bytes = 0usize;
         for _ in 0..num_rnets {
-            let map = Self::decode_rnet_section(buf, pos, num_nodes)?;
-            let (count, bytes) = Self::map_stats(&map);
-            num_shortcuts += count;
-            num_bytes += bytes;
-            per_rnet.push(Arc::new(map));
+            let rnet = Self::decode_rnet_section(buf, pos, num_nodes)?;
+            num_shortcuts += rnet.num_shortcuts();
+            num_bytes += rnet.size_bytes();
+            per_rnet.push(Arc::new(rnet));
         }
         Ok(ShortcutStore { per_rnet, num_shortcuts, num_bytes })
     }
@@ -782,52 +898,56 @@ impl ShortcutStore {
         Ok(num_rnets)
     }
 
-    /// Assembles a store from already-decoded per-Rnet maps (the lazy
+    /// Assembles a store from already-decoded per-Rnet sections (the lazy
     /// image's "materialize everything" path).
-    pub(crate) fn from_rnet_maps(maps: Vec<FastMap<u32, Vec<ShortcutEdge>>>) -> Self {
-        let (mut num_shortcuts, mut num_bytes) = (0, 0);
-        for m in &maps {
-            let (count, bytes) = Self::map_stats(m);
-            num_shortcuts += count;
-            num_bytes += bytes;
-        }
+    pub(crate) fn from_rnet_maps(maps: Vec<RnetShortcuts>) -> Self {
         ShortcutStore {
+            num_shortcuts: maps.iter().map(RnetShortcuts::num_shortcuts).sum(),
+            num_bytes: maps.iter().map(RnetShortcuts::size_bytes).sum(),
             per_rnet: maps.into_iter().map(Arc::new).collect(),
-            num_shortcuts,
-            num_bytes,
         }
     }
 
     /// Decodes one Rnet's section of a serialized store, validating counts
-    /// against the remaining bytes and node ids against `num_nodes`.
+    /// against the remaining bytes, node ids against `num_nodes` and the
+    /// sources' strictly ascending order (which every writer of this
+    /// format has produced, and which rules out duplicate sources).
     // roadlint: decode-fn
     pub(crate) fn decode_rnet_section(
         buf: &[u8],
         pos: &mut usize,
         num_nodes: u32,
-    ) -> Result<FastMap<u32, Vec<ShortcutEdge>>, String> {
+    ) -> Result<RnetShortcuts, String> {
         let check_node = |id: u32| -> Result<NodeId, String> {
             if id >= num_nodes {
                 return Err(format!("shortcut references node {id} outside 0..{num_nodes}"));
             }
             Ok(NodeId(id))
         };
+        let start = *pos;
         let num_sources = read_u32(buf, pos)? as usize;
         // A source costs at least 8 bytes (node id + edge count); reject an
         // over-claimed count before looping on it.
         if num_sources > (buf.len() - *pos) / 8 {
             return Err("truncated shortcut store (source count exceeds buffer)".into());
         }
-        let mut map: FastMap<u32, Vec<ShortcutEdge>> = FastMap::default();
+        let mut out = RnetShortcuts::default();
+        if num_sources > 0 {
+            out.sources.reserve_exact(num_sources);
+            out.head_offsets.reserve_exact(num_sources + 1);
+        }
         for _ in 0..num_sources {
             let from = check_node(read_u32(buf, pos)?)?.0;
+            if out.sources.last().is_some_and(|&last| last >= from) {
+                return Err(format!("duplicate or unsorted shortcut source node {from}"));
+            }
             let num_edges = read_u32(buf, pos)? as usize;
             // A shortcut costs at least 16 bytes; an over-claimed count
             // must not drive a huge allocation.
             if num_edges > (buf.len() - *pos) / 16 {
                 return Err("truncated shortcut store (edge count exceeds buffer)".into());
             }
-            let mut list = Vec::with_capacity(num_edges);
+            out.heads.reserve(num_edges);
             for _ in 0..num_edges {
                 let to = check_node(read_u32(buf, pos)?)?;
                 let dist = read_f64(buf, pos)?;
@@ -838,25 +958,24 @@ impl ShortcutStore {
                 if via_len > (buf.len() - *pos) / 4 {
                     return Err("truncated shortcut store (via count exceeds buffer)".into());
                 }
-                let mut via = Vec::with_capacity(via_len);
+                out.vias.reserve(via_len);
                 for _ in 0..via_len {
-                    via.push(check_node(read_u32(buf, pos)?)?);
+                    out.vias.push(check_node(read_u32(buf, pos)?)?);
                 }
-                list.push(ShortcutEdge { to, dist: Weight::new(dist), via });
+                section_fits_arena(start, *pos)?;
+                out.push_head(to, Weight::new(dist));
             }
-            if map.insert(from, list).is_some() {
-                return Err(format!("duplicate shortcut source node {from}"));
-            }
+            out.end_source(from);
         }
-        Ok(map)
+        Ok(out)
     }
 
     /// Walks (and fully validates) one Rnet's section without building the
-    /// map — how a lazily-opened image records per-Rnet byte ranges up
+    /// arena — how a lazily-opened image records per-Rnet byte ranges up
     /// front at a fraction of the decode cost. Must reject everything
     /// [`ShortcutStore::decode_rnet_section`] rejects (including duplicate
-    /// source nodes), so a section that passes here can never fail to
-    /// decode later.
+    /// or unsorted source nodes), so a section that passes here can never
+    /// fail to decode later.
     pub(crate) fn skip_rnet_section(
         buf: &[u8],
         pos: &mut usize,
@@ -868,19 +987,21 @@ impl ShortcutStore {
             }
             Ok(())
         };
+        let start = *pos;
         let num_sources = read_u32(buf, pos)? as usize;
         // Same fail-fast bound as decode_rnet_section: at least 8 bytes per
         // source.
         if num_sources > (buf.len() - *pos) / 8 {
             return Err("truncated shortcut store (source count exceeds buffer)".into());
         }
-        let mut seen_sources: road_network::hash::FastSet<u32> = Default::default();
+        let mut last_source: Option<u32> = None;
         for _ in 0..num_sources {
             let from = read_u32(buf, pos)?;
             check_node(from)?;
-            if !seen_sources.insert(from) {
-                return Err(format!("duplicate shortcut source node {from}"));
+            if last_source.is_some_and(|last| last >= from) {
+                return Err(format!("duplicate or unsorted shortcut source node {from}"));
             }
+            last_source = Some(from);
             let num_edges = read_u32(buf, pos)? as usize;
             if num_edges > (buf.len() - *pos) / 16 {
                 return Err("truncated shortcut store (edge count exceeds buffer)".into());
@@ -900,6 +1021,7 @@ impl ShortcutStore {
                     check_node(read_u32(buf, pos)?)?;
                 }
                 debug_assert_eq!(*pos, end);
+                section_fits_arena(start, *pos)?;
             }
         }
         Ok(())
@@ -922,6 +1044,17 @@ impl ShortcutStore {
         }
         Ok(())
     }
+}
+
+/// An Rnet's arena addresses heads and waypoints by `u32`. A head takes 16
+/// bytes of its section and a waypoint 4, so a section of up to 16 GiB
+/// fits; both walkers refuse a longer one, shortcut by shortcut, before
+/// `arena_offset` could be asked for more.
+fn section_fits_arena(start: usize, pos: usize) -> Result<(), String> {
+    if (pos - start) / 4 > u32::MAX as usize {
+        return Err("shortcut section exceeds the 32-bit arena offsets".into());
+    }
+    Ok(())
 }
 
 fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32, String> {
@@ -959,6 +1092,9 @@ pub(crate) struct BuildScratch {
     dmat: Vec<Weight>,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
+    /// Border locals in ascending global node id: the order sources are
+    /// written into the Rnet's arena.
+    source_order: Vec<u32>,
 }
 
 impl BuildScratch {
@@ -977,6 +1113,29 @@ impl BuildScratch {
         self.local_of.insert(global, l);
         self.global.push(global);
         l
+    }
+
+    /// Fills `source_order` for `borders` (whose locals are `0..nb`).
+    fn sort_sources(&mut self, borders: &[NodeId]) {
+        self.source_order.clear();
+        self.source_order.extend(0..borders.len() as u32);
+        self.source_order.sort_unstable_by_key(|&bi| borders[bi as usize].0);
+    }
+
+    /// Appends the waypoints of the last Dijkstra's path `from -> to`
+    /// (both local ids, endpoints excluded) to `vias` as global node ids,
+    /// in travel order.
+    fn push_via_chain(&self, from: u32, to: u32, vias: &mut Vec<NodeId>) {
+        let start = vias.len();
+        let mut cur = to;
+        while let Some((prev, _label)) = self.dij.pred(cur) {
+            if prev == from {
+                break;
+            }
+            vias.push(NodeId(self.global[prev as usize]));
+            cur = prev;
+        }
+        vias[start..].reverse();
     }
 }
 
@@ -1114,7 +1273,7 @@ mod tests {
                 let borders = hier.borders(r);
                 for &b in borders {
                     for sc in store.from(r, b) {
-                        for w in &sc.via {
+                        for w in sc.via {
                             assert!(
                                 !borders.contains(w),
                                 "{r:?}: kept shortcut {b}->{} passes border {w}",
@@ -1169,6 +1328,94 @@ mod tests {
             r = hier.parent(r);
         }
         store.verify_against_rebuild(&g, &hier, WeightKind::Distance, &Default::default()).unwrap();
+    }
+
+    /// The structural-sharing contract behind snapshot publication: a fork
+    /// shares every Rnet's allocation, and refreshing one Rnet replaces
+    /// exactly that one.
+    #[test]
+    fn a_fork_shares_every_rnet_and_a_refresh_replaces_exactly_one() {
+        let g = simple::grid(8, 8, 1.0);
+        let (hier, store) = build(&g, 4, 2, true);
+        let mut fork = store.clone();
+        assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets());
+        let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
+        let mut scratch = BuildScratch::default();
+        let changed = fork.refresh_rnet(
+            &g,
+            &hier,
+            WeightKind::Distance,
+            leaf,
+            &Default::default(),
+            &mut scratch,
+        );
+        assert!(!changed);
+        assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets() - 1);
+        assert!(!Arc::ptr_eq(&fork.per_rnet[leaf.0 as usize], &store.per_rnet[leaf.0 as usize]));
+        assert_eq!(fork.num_shortcuts(), store.num_shortcuts());
+        assert_eq!(fork.size_bytes(), store.size_bytes());
+    }
+
+    /// `maps_equivalent` as it was over hash maps — flatten to `(from, to,
+    /// dist)`, sort, compare pairwise — kept as the reference for its
+    /// allocation-free successor's verdicts.
+    fn flatten_sort_equivalent(a: &RnetShortcuts, b: &RnetShortcuts) -> bool {
+        let flatten = |m: &RnetShortcuts| {
+            let mut v: Vec<(u32, u32, Weight)> = m
+                .by_source()
+                .flat_map(|(from, list)| list.iter().map(move |sc| (from, sc.to.0, sc.dist)))
+                .collect();
+            v.sort_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)).then(x.2.cmp(&y.2)));
+            v
+        };
+        let (fa, fb) = (flatten(a), flatten(b));
+        fa.len() == fb.len()
+            && fa.iter().zip(&fb).all(|(x, y)| x.0 == y.0 && x.1 == y.1 && x.2.approx_eq(y.2))
+    }
+
+    fn arena(lists: &[(u32, Vec<(u32, f64)>)]) -> RnetShortcuts {
+        let mut out = RnetShortcuts::default();
+        for (from, list) in lists {
+            for &(to, dist) in list {
+                out.vias.push(NodeId(to)); // a waypoint, so heads and vias differ in length
+                out.push_head(NodeId(to), Weight::new(dist));
+            }
+            out.end_source(*from);
+        }
+        out
+    }
+
+    #[test]
+    fn maps_equivalent_keeps_the_flatten_and_sort_verdicts() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let base = vec![(2, vec![(5, 1.0), (7, 2.5), (9, 4.0)]), (5, vec![(2, 1.0)]), (9, vec![])];
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut next = |bound: u64| rng.random_range(0..bound);
+        let (mut same, mut different) = (0, 0);
+        for _ in 0..400 {
+            let mut other = base.clone();
+            match next(7) {
+                0 => other[0].1.rotate_left(1 + next(2) as usize), // permuted list
+                1 => other[0].1[next(3) as usize].1 *= 1.0 + 1e-13, // rounding noise
+                2 => other[0].1[next(3) as usize].1 += 0.5,        // a real change
+                3 => other[0].1[next(3) as usize].0 = 11,          // another target
+                4 => drop(other[0].1.pop()),                       // a lost shortcut
+                5 => drop(other.remove(2)),                        // empty source == absent
+                _ => other.insert(1, (3, vec![(2, 1.0)])),         // a new source
+            }
+            let (a, b) = (arena(&base), arena(&other));
+            let verdict = ShortcutStore::maps_equivalent(&a, &b);
+            assert_eq!(verdict, flatten_sort_equivalent(&a, &b), "{base:?} vs {other:?}");
+            assert_eq!(verdict, ShortcutStore::maps_equivalent(&b, &a), "not symmetric");
+            if verdict {
+                same += 1;
+            } else {
+                different += 1;
+            }
+        }
+        assert!(same > 50 && different > 50, "{same} equivalent, {different} not");
+        assert!(ShortcutStore::maps_equivalent(&arena(&[]), &arena(&[(4, vec![])])));
     }
 
     /// The skip-scan must reject everything the decode rejects — a

@@ -1,17 +1,26 @@
 //! Reusable, allocation-free per-query search state.
 //!
 //! Every LDSQ evaluation needs the same scratch containers: tentative
-//! distance labels, predecessor links, a settled marker, a priority queue,
-//! a seen-object set and a small Rnet stack for `ChoosePath`. Allocating
-//! them per query (as hash maps, the original design) makes a heavy-traffic
-//! deployment pay allocator and hashing costs proportional to the query
-//! rate. [`SearchWorkspace`] replaces them with dense arrays indexed by
-//! node id and *invalidated by a bumped generation counter* instead of
-//! being cleared: starting a query is `O(1)`, and a label is valid only
-//! when its stamp equals the current round. The same reuse discipline
-//! already drives [`road_network::dijkstra::Dijkstra`]; this module applies
-//! it to the Route Overlay expansion, which additionally tracks objects and
-//! shortcut hops.
+//! distance labels, predecessor links, a settled marker, a priority queue
+//! and a seen-object set. Allocating them per query (as hash maps, the
+//! original design) makes a heavy-traffic deployment pay allocator and
+//! hashing costs proportional to the query rate. [`SearchWorkspace`]
+//! replaces them with dense arrays indexed by node id and *invalidated by
+//! a bumped generation counter* instead of being cleared: starting a query
+//! is `O(1)`, and a label is valid only when its stamp equals the current
+//! round. The same reuse discipline already drives
+//! [`road_network::dijkstra::Dijkstra`]; this module applies it to the
+//! Route Overlay expansion, which additionally tracks objects and shortcut
+//! hops.
+//!
+//! Distance, label stamp and settle stamp of a node share one 16-byte
+//! record: a relaxation reads all three, and from one cache line instead
+//! of three. Predecessor links stay in their own array — only an improving
+//! relaxation writes them and only path reconstruction reads them.
+//!
+//! Node ids reaching this module can come straight off a page (the paged
+//! engine's records), so every accessor is total: an id past the arrays is
+//! unlabelled, unsettled and never relaxed.
 //!
 //! Workspaces reach queries two ways:
 //!
@@ -26,6 +35,7 @@
 //!   distance/predecessor labels alive for `distance_to_node` /
 //!   `path_to_node` and recycles the workspace back into the pool when the
 //!   result is dropped.
+// roadlint: serving-path
 
 use crate::hierarchy::RnetId;
 use road_network::hash::FastSet;
@@ -56,6 +66,18 @@ pub(crate) enum QueueKey {
 }
 
 const NO_PRED: u32 = u32::MAX;
+const NO_LINK: (u32, Hop) = (NO_PRED, Hop::Edge(EdgeId(u32::MAX)));
+
+/// Per-node search state; `dist` means something only while `stamp` equals
+/// the workspace's round, and the node is settled while `settled` does.
+#[derive(Clone, Copy)]
+struct Label {
+    dist: Weight,
+    stamp: u32,
+    settled: u32,
+}
+
+const UNSEEN: Label = Label { dist: Weight::INFINITY, stamp: 0, settled: 0 };
 
 /// Reusable scratch state for one in-flight overlay search.
 ///
@@ -65,14 +87,10 @@ const NO_PRED: u32 = u32::MAX;
 /// it across queries; results are identical to a fresh workspace (a
 /// property the crate's proptests pin down).
 pub struct SearchWorkspace {
-    /// Tentative distance label per node; valid iff `stamp` matches.
-    dist: Vec<Weight>,
-    /// Predecessor link per node; valid iff `stamp` matches.
+    /// Tentative distance, label generation and settle generation per node.
+    labels: Vec<Label>,
+    /// Predecessor link per node; valid iff the node's label is.
     pred: Vec<(u32, Hop)>,
-    /// Label generation per node.
-    stamp: Vec<u32>,
-    /// Settle generation per node.
-    settled: Vec<u32>,
     /// Current round; bumped per query.
     round: u32,
     /// Pending nodes and objects in non-descending distance order.
@@ -80,8 +98,6 @@ pub struct SearchWorkspace {
     /// Objects already reported this round (object ids are sparse `u64`s,
     /// so this one stays a hash set; `clear()` keeps its capacity).
     seen_objects: FastSet<u64>,
-    /// `ChoosePath` descent stack, reused across settled nodes.
-    rnet_stack: Vec<RnetId>,
     /// Queries served so far (drives `SearchStats::workspace_reused`).
     runs: u64,
 }
@@ -101,14 +117,11 @@ impl SearchWorkspace {
     /// A workspace pre-sized for `num_nodes` nodes.
     pub fn with_node_capacity(num_nodes: usize) -> Self {
         SearchWorkspace {
-            dist: vec![Weight::INFINITY; num_nodes],
-            pred: vec![(NO_PRED, Hop::Edge(EdgeId(u32::MAX))); num_nodes],
-            stamp: vec![0; num_nodes],
-            settled: vec![0; num_nodes],
+            labels: vec![UNSEEN; num_nodes],
+            pred: vec![NO_LINK; num_nodes],
             round: 0,
             heap: BinaryHeap::new(),
             seen_objects: FastSet::default(),
-            rnet_stack: Vec::new(),
             runs: 0,
         }
     }
@@ -120,84 +133,79 @@ impl SearchWorkspace {
 
     /// Nodes the dense arrays are currently sized for.
     pub fn node_capacity(&self) -> usize {
-        self.dist.len()
+        self.labels.len()
     }
 
     /// Starts a new round: grows the arrays if the network did, bumps the
     /// generation, and clears the (capacity-retaining) containers.
     pub(crate) fn begin(&mut self, num_nodes: usize) {
-        if num_nodes > self.dist.len() {
-            self.dist.resize(num_nodes, Weight::INFINITY);
-            self.pred.resize(num_nodes, (NO_PRED, Hop::Edge(EdgeId(u32::MAX))));
-            self.stamp.resize(num_nodes, 0);
-            self.settled.resize(num_nodes, 0);
+        if num_nodes > self.labels.len() {
+            self.labels.resize(num_nodes, UNSEEN);
+            self.pred.resize(num_nodes, NO_LINK);
         }
         self.round = self.round.wrapping_add(1);
         if self.round == 0 {
             // Stamp wrap-around: invalidate everything explicitly once
             // every 2^32 queries.
-            self.stamp.fill(0);
-            self.settled.fill(0);
+            self.labels.fill(UNSEEN);
             self.round = 1;
         }
         self.heap.clear();
         self.seen_objects.clear();
-        self.rnet_stack.clear();
         self.runs += 1;
     }
 
     /// Distance label of `n` this round (`None` = unlabelled).
     #[inline]
     pub(crate) fn label_of(&self, n: u32) -> Option<Weight> {
-        let i = n as usize;
-        if i < self.stamp.len() && self.stamp[i] == self.round {
-            Some(self.dist[i])
-        } else {
-            None
-        }
+        self.labels.get(n as usize).filter(|l| l.stamp == self.round).map(|l| l.dist)
     }
 
     /// Predecessor link of `n` this round (`None` for sources and
     /// unlabelled nodes).
     #[inline]
     pub(crate) fn pred_of(&self, n: u32) -> Option<(u32, Hop)> {
-        let i = n as usize;
-        if i < self.stamp.len() && self.stamp[i] == self.round && self.pred[i].0 != NO_PRED {
-            Some(self.pred[i])
-        } else {
-            None
-        }
+        self.label_of(n)?;
+        self.pred.get(n as usize).copied().filter(|link| link.0 != NO_PRED)
     }
 
     /// Labels the source node at distance zero with no predecessor.
     #[inline]
     pub(crate) fn label_source(&mut self, n: u32) {
-        let i = n as usize;
-        self.dist[i] = Weight::ZERO;
-        self.pred[i] = (NO_PRED, Hop::Edge(EdgeId(u32::MAX)));
-        self.stamp[i] = self.round;
+        if let (Some(label), Some(link)) =
+            (self.labels.get_mut(n as usize), self.pred.get_mut(n as usize))
+        {
+            label.dist = Weight::ZERO;
+            label.stamp = self.round;
+            *link = NO_LINK;
+        }
     }
 
+    /// Settles `n`, popped off the queue at distance `d`. `false` for a
+    /// stale queue entry: `n` was settled before, or (never, with keys
+    /// pushed by [`Self::relax`]) `d` is behind its label.
     #[inline]
-    pub(crate) fn is_settled(&self, n: u32) -> bool {
-        self.settled[n as usize] == self.round
-    }
-
-    #[inline]
-    pub(crate) fn mark_settled(&mut self, n: u32) {
-        self.settled[n as usize] = self.round;
+    pub(crate) fn settle(&mut self, n: u32, d: Weight) -> bool {
+        let Some(label) = self.labels.get_mut(n as usize) else { return false };
+        if label.settled == self.round {
+            return false;
+        }
+        label.settled = self.round;
+        label.stamp != self.round || d <= label.dist
     }
 
     /// Relaxes a hop `from -> to` at new distance `nd`; returns `true` if
     /// the label improved and a heap entry was pushed.
     #[inline]
     pub(crate) fn relax(&mut self, from: u32, to: u32, nd: Weight, hop: Hop) -> bool {
-        let i = to as usize;
-        let cur = if self.stamp[i] == self.round { self.dist[i] } else { Weight::INFINITY };
-        if nd < cur && self.settled[i] != self.round {
-            self.dist[i] = nd;
-            self.pred[i] = (from, hop);
-            self.stamp[i] = self.round;
+        let Some(label) = self.labels.get_mut(to as usize) else { return false };
+        let cur = if label.stamp == self.round { label.dist } else { Weight::INFINITY };
+        if nd < cur && label.settled != self.round {
+            label.dist = nd;
+            label.stamp = self.round;
+            if let Some(link) = self.pred.get_mut(to as usize) {
+                *link = (from, hop);
+            }
             self.heap.push(Reverse((nd, QueueKey::Node(to))));
             true
         } else {
@@ -224,19 +232,6 @@ impl SearchWorkspace {
     #[inline]
     pub(crate) fn object_seen(&self, oid: u64) -> bool {
         self.seen_objects.contains(&oid)
-    }
-
-    /// Takes the `ChoosePath` stack out for the duration of one node's
-    /// descent (two `&mut` paths into the workspace would otherwise
-    /// conflict); return it with [`Self::put_back_stack`].
-    #[inline]
-    pub(crate) fn take_stack(&mut self) -> Vec<RnetId> {
-        std::mem::take(&mut self.rnet_stack)
-    }
-
-    #[inline]
-    pub(crate) fn put_back_stack(&mut self, stack: Vec<RnetId>) {
-        self.rnet_stack = stack;
     }
 }
 
@@ -315,8 +310,27 @@ mod tests {
         ws.begin(4);
         assert_eq!(ws.label_of(2), None);
         assert_eq!(ws.label_of(3), None);
-        assert!(!ws.is_settled(2));
         assert_eq!(ws.reuse_count(), 2);
+    }
+
+    #[test]
+    fn settling_is_once_per_round_and_ids_past_the_arrays_are_inert() {
+        let mut ws = SearchWorkspace::with_node_capacity(4);
+        ws.begin(4);
+        ws.label_source(1);
+        assert!(ws.relax(1, 2, Weight::new(2.0), Hop::Edge(EdgeId(7))));
+        assert!(!ws.relax(1, 2, Weight::new(2.0), Hop::Edge(EdgeId(8))), "a tie keeps the label");
+        assert!(ws.settle(2, Weight::new(2.0)));
+        assert!(!ws.settle(2, Weight::new(2.0)), "second pop of a settled node is stale");
+        assert!(!ws.relax(1, 2, Weight::new(1.0), Hop::Edge(EdgeId(9))), "settled stays settled");
+        assert!(matches!(ws.pred_of(2), Some((1, Hop::Edge(EdgeId(7))))));
+        // A node id read off a corrupt page must not index past the arrays.
+        assert!(!ws.relax(1, 4, Weight::new(1.0), Hop::Edge(EdgeId(0))));
+        assert!(!ws.settle(u32::MAX, Weight::ZERO));
+        assert_eq!(ws.label_of(9), None);
+        assert!(ws.pred_of(9).is_none());
+        ws.begin(4);
+        assert!(ws.settle(2, Weight::ZERO), "a new round forgets the settle");
     }
 
     #[test]

@@ -1,0 +1,319 @@
+//! "Same expansion", pinned inside tier-1: one seeded generator world and
+//! query mix, with golden values for a hash of every answer plus the eight
+//! expansion counters summed over the mix (and the page traffic of the
+//! paged engines), asserted for every engine that runs the search loop.
+//!
+//! The goldens were recorded on the commit *before* the Route Overlay was
+//! laid out search-shaped (flattened shortcut trees, per-Rnet shortcut
+//! arenas, one label record per node), so a layout change that moves what
+//! is expanded, in which order, or how ties break fails here to the digit
+//! — not only under roadbench's exact-count gate in CI.
+
+// Integration tests may unwrap freely; the workspace unwrap/expect denial
+// targets library code (see clippy.toml for the unit-test exemption).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use road_core::live::LiveEngine;
+use road_core::paged::{PagedEngine, PagedOptions};
+use road_core::prelude::*;
+use road_core::search::AggregateKnnQuery;
+use road_core::SearchStats;
+use road_network::generator::Dataset;
+use road_network::EdgeId;
+
+const SEED: u64 = 0x5EA2_C4C0;
+const OBJECTS: u64 = 30;
+const RARE: CategoryId = CategoryId(3);
+
+/// What one engine did over the whole mix.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// FNV-1a over every answer: object ids and exact distance bits, in
+    /// answer order, query after query.
+    hits_hash: u64,
+    /// `nodes_settled`, `edges_relaxed`, `shortcuts_taken`,
+    /// `rnets_bypassed`, `rnets_descended`, `abstract_checks`,
+    /// `objects_read`, `heap_pushes`, summed over the mix.
+    counters: [usize; 8],
+    /// `(pages_read, page_faults)` summed over the mix; zero in memory.
+    io: (usize, usize),
+}
+
+struct Tally {
+    hash: u64,
+    stats: SearchStats,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, continued from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+impl Tally {
+    fn word(&mut self, w: u64) {
+        self.hash = fnv1a(self.hash, &w.to_le_bytes());
+    }
+
+    fn answer(&mut self, hits: &[SearchHit], stats: &SearchStats) {
+        self.word(hits.len() as u64);
+        for h in hits {
+            self.word(h.object.0);
+            self.word(h.distance.get().to_bits());
+        }
+        self.stats.absorb(stats);
+    }
+
+    fn golden(self) -> Golden {
+        let s = self.stats;
+        Golden {
+            hits_hash: self.hash,
+            counters: [
+                s.nodes_settled,
+                s.edges_relaxed,
+                s.shortcuts_taken,
+                s.rnets_bypassed,
+                s.rnets_descended,
+                s.abstract_checks,
+                s.objects_read,
+                s.heap_pushes,
+            ],
+            io: (s.pages_read, s.page_faults),
+        }
+    }
+}
+
+fn world() -> (RoadFramework, AssociationDirectory) {
+    let net = Dataset::SfStreets.generate_scaled(0.012, SEED).unwrap();
+    let fw = RoadFramework::builder(net).fanout(4).levels(3).build().unwrap();
+    let mut ad = AssociationDirectory::new(fw.hierarchy());
+    let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(SEED ^ 1);
+    for i in 0..OBJECTS {
+        let e = edges[rng.random_range(0..edges.len())];
+        let category = if i % 6 == 0 { RARE } else { CategoryId((i % 3) as u16) };
+        let o = Object::new(ObjectId(i), e, rng.random_range(0.0..=1.0), category);
+        ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+    }
+    (fw, ad)
+}
+
+enum Query {
+    Knn(KnnQuery),
+    Range(RangeQuery),
+    /// Two-member aggregate kNN: the only public door to `ToNode` routing
+    /// that also reports its counters (member-to-member distance).
+    Group(AggregateKnnQuery),
+}
+
+/// k in {1, 5, 20}, category-filtered, bounded kNN, range, and `ToNode`.
+fn query_mix(num_nodes: u32) -> Vec<Query> {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 2);
+    let mut out = Vec::new();
+    for i in 0..96usize {
+        let node = NodeId(rng.random_range(0..num_nodes));
+        out.push(match i % 8 {
+            0 => Query::Knn(KnnQuery::new(node, 1)),
+            1 | 2 => Query::Knn(KnnQuery::new(node, 5)),
+            3 => Query::Knn(KnnQuery::new(node, 20)),
+            4 => Query::Knn(KnnQuery::new(node, 5).with_filter(ObjectFilter::Category(RARE))),
+            5 => Query::Range(RangeQuery::new(node, Weight::new(rng.random_range(300.0..1500.0)))),
+            6 => Query::Knn(
+                KnnQuery::new(node, 5).within(Weight::new(rng.random_range(200.0..900.0))),
+            ),
+            _ => Query::Group(AggregateKnnQuery::new(
+                vec![node, NodeId(rng.random_range(0..num_nodes))],
+                2,
+            )),
+        });
+    }
+    out
+}
+
+/// How one engine answers: plain queries into caller-owned scratch, the
+/// group query through its `_with_stats` door.
+trait Serve {
+    fn knn(&self, q: &KnnQuery, ws: &mut SearchWorkspace, hits: &mut Vec<SearchHit>)
+        -> SearchStats;
+    fn range(
+        &self,
+        q: &RangeQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> SearchStats;
+    fn group(&self, q: &AggregateKnnQuery) -> (Vec<SearchHit>, SearchStats);
+}
+
+impl Serve for (&RoadFramework, &AssociationDirectory) {
+    fn knn(
+        &self,
+        q: &KnnQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> SearchStats {
+        self.0.knn_with(self.1, q, ws, hits).unwrap()
+    }
+    fn range(
+        &self,
+        q: &RangeQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> SearchStats {
+        self.0.range_with(self.1, q, ws, hits).unwrap()
+    }
+    fn group(&self, q: &AggregateKnnQuery) -> (Vec<SearchHit>, SearchStats) {
+        self.0.aggregate_knn_with_stats(self.1, q).unwrap()
+    }
+}
+
+impl Serve for PagedEngine {
+    fn knn(
+        &self,
+        q: &KnnQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> SearchStats {
+        self.knn_with(q, ws, hits).unwrap()
+    }
+    fn range(
+        &self,
+        q: &RangeQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> SearchStats {
+        self.range_with(q, ws, hits).unwrap()
+    }
+    fn group(&self, q: &AggregateKnnQuery) -> (Vec<SearchHit>, SearchStats) {
+        self.aggregate_knn_with_stats(q).unwrap()
+    }
+}
+
+fn run(engine: &impl Serve, mix: &[Query]) -> Golden {
+    let mut tally = Tally { hash: FNV_OFFSET, stats: SearchStats::default() };
+    let mut ws = SearchWorkspace::new();
+    let mut hits = Vec::new();
+    for q in mix {
+        match q {
+            Query::Knn(q) => {
+                let stats = engine.knn(q, &mut ws, &mut hits);
+                tally.answer(&hits, &stats);
+            }
+            Query::Range(q) => {
+                let stats = engine.range(q, &mut ws, &mut hits);
+                tally.answer(&hits, &stats);
+            }
+            Query::Group(q) => {
+                let (hits, stats) = engine.group(q);
+                tally.answer(&hits, &stats);
+            }
+        }
+    }
+    tally.golden()
+}
+
+const MEMORY: Golden = Golden {
+    hits_hash: 13634855155528178901,
+    counters: [47572, 97993, 102403, 17421, 19833, 37254, 3151, 60904],
+    io: (0, 0),
+};
+
+#[test]
+fn query_engine_expands_exactly_as_recorded() {
+    let (fw, ad) = world();
+    let mix = query_mix(fw.network().num_nodes() as u32);
+    let engine = QueryEngine::new(fw, ad);
+    assert_eq!(run(&(engine.framework(), engine.directory()), &mix), MEMORY);
+}
+
+/// An update wave (reweights, a closure, object moves, an edge added and
+/// one removed so borders are promoted and demoted) and a publish: the
+/// snapshot is a copy-on-write fork whose hierarchy and refreshed Rnets
+/// were rebuilt in place.
+#[test]
+fn live_snapshot_after_an_update_wave_expands_exactly_as_recorded() {
+    let (fw, ad) = world();
+    let num_nodes = fw.network().num_nodes() as u32;
+    let mix = query_mix(num_nodes);
+    let (live, mut writer) = LiveEngine::new(fw, ad);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 3);
+    let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
+    let wave: Vec<(EdgeId, Weight)> = (0..24)
+        .map(|_| {
+            let e = edges[rng.random_range(0..edges.len())];
+            let w = writer.framework().network().weight(e, WeightKind::Distance);
+            (e, Weight::new(w.get() * rng.random_range(0.5..3.0)))
+        })
+        .collect();
+    writer.set_edge_weights(&wave).unwrap();
+    for _ in 0..8 {
+        let id = ObjectId(rng.random_range(0..OBJECTS));
+        let to = edges[rng.random_range(0..edges.len())];
+        writer.move_object(id, to, rng.random_range(0.0..=1.0)).unwrap();
+    }
+    let mut added = 0;
+    while added < 3 {
+        let (a, b) =
+            (NodeId(rng.random_range(0..num_nodes)), NodeId(rng.random_range(0..num_nodes)));
+        if a != b && writer.framework().network().edge_between(a, b).is_none() {
+            let w = Weight::new(rng.random_range(20.0..200.0));
+            writer.add_edge(a, b, (w, w, Weight::ZERO)).unwrap();
+            added += 1;
+        }
+    }
+    let mut removed = 0;
+    while removed < 3 {
+        let e = edges[rng.random_range(0..edges.len())];
+        if writer.remove_edge(e).is_ok() {
+            removed += 1;
+        }
+    }
+    writer.publish();
+    let snap = live.snapshot();
+    snap.framework().verify().unwrap();
+    let golden = Golden {
+        hits_hash: 9567276778457246924,
+        counters: [53321, 111824, 103003, 19013, 24155, 43168, 3082, 67470],
+        io: (0, 0),
+    };
+    assert_eq!(run(&(snap.framework(), snap.directory()), &mix), golden);
+}
+
+/// The paged engines run the same loop, so hash and counters are the
+/// in-memory goldens; only the page traffic is theirs. One thread and an
+/// LRU pool make that exact too.
+#[test]
+fn paged_engines_expand_exactly_as_recorded() {
+    let (fw, ad) = world();
+    let mix = query_mix(fw.network().num_nodes() as u32);
+    let opts = PagedOptions::with_buffer_pages(8);
+
+    let eager = PagedEngine::new(&fw, &ad, opts).unwrap();
+    assert_eq!(run(&eager, &mix), Golden { io: (167676, 45869), ..MEMORY });
+
+    let objects: Vec<Object> = ad.objects().cloned().collect();
+    let image = PagedImage::open(fw.to_bytes()).unwrap();
+    let lazy = PagedEngine::open(image, objects, opts).unwrap();
+    assert_eq!(run(&lazy, &mix), Golden { io: (168366, 47251), ..MEMORY });
+}
+
+/// The layout change is in memory only: the image `to_bytes` writes for the
+/// golden world is, byte for byte, the one the commit before it wrote (no
+/// `persist` version bump; either side opens the other's images), and
+/// after the live test's kind of history too.
+#[test]
+fn persisted_image_is_byte_identical_to_the_recorded_one() {
+    let (mut fw, _) = world();
+    let image = fw.to_bytes();
+    assert_eq!((image.len(), fnv1a(FNV_OFFSET, &image)), (265946, 675403485886745177));
+    let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
+    fw.set_edge_weights(&[(edges[7], Weight::new(333.0)), (edges[99], Weight::new(5.0))]).unwrap();
+    let w = Weight::new(40.0);
+    fw.add_edge(NodeId(3), NodeId(900), (w, w, Weight::ZERO)).unwrap();
+    fw.remove_edge(edges[250], &[]).unwrap();
+    let image = fw.to_bytes();
+    assert_eq!((image.len(), fnv1a(FNV_OFFSET, &image)), (268015, 16397612003796771485));
+    assert_eq!(RoadFramework::from_bytes(&image).unwrap().to_bytes(), image);
+}
