@@ -289,6 +289,13 @@ fn node_on_page(id: u32, num_nodes: usize, what: &'static str) -> Result<u32, Ro
     Ok(id)
 }
 
+/// A weight read off a page. NaN or negative bits are a corrupt page, not
+/// the assertion inside `Weight::new`.
+#[inline]
+fn weight_on_page(buf: &[u8], at: usize, what: &'static str) -> Result<Weight, RoadError> {
+    Weight::try_new(read_f64_at(buf, at)).map_err(|_| StorageError::CorruptPage(what).into())
+}
+
 // ---------------------------------------------------------------------------
 // Per-thread scratch buffers for record reads
 // ---------------------------------------------------------------------------
@@ -1074,7 +1081,8 @@ impl SearchSource for PagedSource<'_> {
             let at = 4 + i * OBJ_ENTRY;
             let id = read_u64_at(buf, at);
             let category = CategoryId(read_u16_at(buf, at + 8));
-            let offset = Weight::new(read_f64_at(buf, at + 10));
+            let offset =
+                weight_on_page(buf, at + 10, "association record holds an invalid offset")?;
             visit(id, category, offset);
         }
         Ok(())
@@ -1131,7 +1139,7 @@ impl SearchSource for PagedSource<'_> {
                     continue;
                 }
             }
-            let w = Weight::new(read_f64_at(buf, at + 12));
+            let w = weight_on_page(buf, at + 12, "adjacency record holds an invalid weight")?;
             if w.is_infinite() {
                 continue; // closed edge: stored for containment, never relaxed
             }
@@ -1171,7 +1179,8 @@ impl SearchSource for PagedSource<'_> {
                 eng.num_nodes,
                 "shortcut record names a node outside the network",
             )?;
-            visit(to, Weight::new(read_f64_at(buf, at + 4)));
+            let dist = weight_on_page(buf, at + 4, "shortcut record holds an invalid distance")?;
+            visit(to, dist);
         }
         Ok(())
     }
@@ -1215,7 +1224,11 @@ mod tests {
     use road_network::generator::simple;
 
     fn setup(objects: usize) -> (RoadFramework, AssociationDirectory) {
-        let g = simple::grid(8, 8, 1.0);
+        setup_on_grid(8, objects)
+    }
+
+    fn setup_on_grid(side: usize, objects: usize) -> (RoadFramework, AssociationDirectory) {
+        let g = simple::grid(side, side, 1.0);
         let fw = RoadFramework::builder(g).fanout(4).levels(2).build().unwrap();
         let mut ad = AssociationDirectory::new(fw.hierarchy());
         let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
@@ -1426,6 +1439,138 @@ mod tests {
             disk.network_distance(NodeId(from), NodeId(63)).unwrap(),
             fw.network_distance(NodeId(from), NodeId(63)).unwrap()
         );
+    }
+
+    /// `CorruptPage` through all four query doors.
+    fn assert_every_door_corrupt(disk: &PagedEngine, knn: &KnnQuery, range: &RangeQuery) {
+        assert_corrupt_page(disk.knn(knn), "knn");
+        assert_corrupt_page(disk.range(range), "range");
+        assert_corrupt_page(disk.batch_knn(&[knn.clone(), knn.clone()], 2), "batch_knn");
+        assert_corrupt_page(disk.batch_range(std::slice::from_ref(range), 1), "batch_range");
+    }
+
+    /// High words that make the `f64` they top NaN and negative.
+    const BAD_F64_HIGH_WORDS: [u32; 2] = [0x7ff8_0000, 0xbff0_0000];
+
+    /// Satellite regression: a weight read off a page goes through
+    /// `Weight::try_new`, not the asserting constructor. The high word of
+    /// node 0's first adjacency weight stomped to NaN used to panic the
+    /// serving thread at `weight.rs:32` ("weight must not be NaN").
+    #[test]
+    fn invalid_adjacency_weight_on_a_page_is_an_error_not_a_panic() {
+        let (fw, ad) = setup(12);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let knn = KnnQuery::new(NodeId(0), 3);
+        let range = RangeQuery::new(NodeId(0), Weight::new(4.0));
+        // First adjacency entry: count header, edge, neighbour, leaf, then
+        // the weight's low and high words.
+        let at = 4 + 12 + 4;
+        for bad in BAD_F64_HIGH_WORDS {
+            let good = stomp_u32(&disk, disk.node_loc[0], at, bad);
+            assert_every_door_corrupt(&disk, &knn, &range);
+            stomp_u32(&disk, disk.node_loc[0], at, good);
+            assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+            assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
+        }
+    }
+
+    /// The same for a shortcut distance (world and record as in the
+    /// shortcut-target regression above).
+    #[test]
+    fn invalid_shortcut_distance_on_a_page_is_an_error_not_a_panic() {
+        let (fw, ad) = setup(0);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let top = fw.hierarchy().rnets_at_level(1).next().unwrap();
+        let &(from, loc) = disk.rnet_shortcuts[top.0 as usize]
+            .get()
+            .and_then(|locs| locs.first())
+            .expect("a level-1 Rnet of the grid has shortcuts");
+        let knn = KnnQuery::new(NodeId(from), 1);
+        let range = RangeQuery::new(NodeId(from), Weight::new(6.0));
+        // First shortcut entry: count header, target, then the distance.
+        let at = 4 + 4 + 4;
+        for bad in BAD_F64_HIGH_WORDS {
+            let good = stomp_u32(&disk, loc, at, bad);
+            assert_every_door_corrupt(&disk, &knn, &range);
+            stomp_u32(&disk, loc, at, good);
+            assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+            assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
+        }
+    }
+
+    /// The location of node `n`'s association record, through the tree.
+    fn assoc_loc(disk: &PagedEngine, n: u32) -> Option<u64> {
+        let mut tally = IoTally::default();
+        disk.assoc_index
+            .get(&mut TalliedPool { pool: &disk.pool, tally: &mut tally }, n as u64)
+            .unwrap()
+    }
+
+    /// And for an object's offset in an association record.
+    #[test]
+    fn invalid_object_offset_on_a_page_is_an_error_not_a_panic() {
+        let (fw, ad) = setup(12);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let (n, loc) = (0..64u32)
+            .find_map(|n| Some((n, assoc_loc(&disk, n)?)))
+            .expect("twelve objects sit at some node");
+        let knn = KnnQuery::new(NodeId(n), 3);
+        let range = RangeQuery::new(NodeId(n), Weight::new(4.0));
+        // First association entry: count header, object id, category, then
+        // the offset.
+        let at = 4 + 8 + 2 + 4;
+        for bad in BAD_F64_HIGH_WORDS {
+            let good = stomp_u32(&disk, loc, at, bad);
+            assert_every_door_corrupt(&disk, &knn, &range);
+            stomp_u32(&disk, loc, at, good);
+            assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+            assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
+        }
+    }
+
+    /// Overwrites the `u32` at byte `at` of `page`; returns what was there.
+    fn stomp_page_u32(disk: &PagedEngine, page: PageId, at: usize, value: u32) -> u32 {
+        stomp_u32(disk, pack_loc(page.0, 0, PAGE_SIZE).unwrap(), at, value)
+    }
+
+    /// Satellite regression: a page id read off a page is checked where it
+    /// enters the store. A child pointer of the association tree gone bad,
+    /// or a leaf entry's packed record location, used to reach
+    /// `PageStore::read` and panic at `store.rs:61` ("index out of
+    /// bounds"); both are `CorruptPage` through every door, and nothing
+    /// stays poisoned behind them.
+    #[test]
+    fn wild_page_id_in_a_directory_tree_is_an_error_not_a_panic() {
+        use road_storage::bptree::DEFAULT_INT_CAP;
+        // Objects at more nodes than one leaf indexes: a two-level tree.
+        let (fw, ad) = setup_on_grid(20, 300);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        assert_eq!(disk.assoc_index.height(), 1);
+        let knn = KnnQuery::new(NodeId(0), 3);
+        let range = RangeQuery::new(NodeId(0), Weight::new(4.0));
+        let root = disk.assoc_index.root();
+        // The root's first child pointer: header, the key area, child 0.
+        let child = 8 + DEFAULT_INT_CAP * 8;
+        let good = stomp_page_u32(&disk, root, child, 0xFFFF_FF00);
+        assert_every_door_corrupt(&disk, &knn, &range);
+        stomp_page_u32(&disk, root, child, good);
+        assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+        // The first leaf's first entry: header, key, then the location,
+        // whose high word carries the record's page.
+        let leaf = PageId(good);
+        let page_bits = 8 + 8 + 4;
+        let good = stomp_page_u32(&disk, leaf, page_bits, 0xFFFF_FF00);
+        let first = (0..400u32).find(|&n| ad.objects_at_node(NodeId(n)).next().is_some()).unwrap();
+        let knn = KnnQuery::new(NodeId(first), 3);
+        let range = RangeQuery::new(NodeId(first), Weight::new(4.0));
+        assert_every_door_corrupt(&disk, &knn, &range);
+        stomp_page_u32(&disk, leaf, page_bits, good);
+        assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+        assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
     }
 
     /// Closed roads (infinite weight) must not change the paged engine's

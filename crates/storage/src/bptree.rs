@@ -18,10 +18,20 @@
 //! an internal free list.
 //!
 //! Every operation is fallible: the pool can report a poisoned lock, and a
-//! node decoded from a page whose header contradicts the page format (an
+//! node read from a page whose header contradicts the page format (an
 //! entry count larger than the page holds, an unknown tag) surfaces as
 //! [`StorageError::CorruptPage`] instead of sizing an allocation from
 //! hostile bytes or indexing out of range.
+//!
+//! Two read paths share that header check. Insert, remove and range —
+//! build-time work — decode a node into owned vectors, edit them and
+//! encode the node back. [`BPlusTree::get`], which a disk-resident query
+//! calls once per settled node and once per Rnet it consults, never
+//! decodes: it takes one page access per level and binary-searches the
+//! keys where they lie encoded in the page (8 bytes apart in an internal
+//! node, 16 in a leaf), allocating nothing. It touches the pages the
+//! decoded descent touched, in the same order, so page-access and fault
+//! counts are those of the textbook descent.
 // roadlint: serving-path
 
 use crate::buffer::PagePool;
@@ -59,7 +69,7 @@ struct BNode {
 }
 
 /// Reads a little-endian `u64` at `off`. Callers validate `off` against
-/// the page size first (the count checks in [`BNode::decode`]).
+/// the page size first (the count checks in [`node_header`]).
 // roadlint: allow(panic-fn) reason="offset bounded by the caller's count validation"
 fn le_u64(b: &[u8], off: usize) -> u64 {
     let mut buf = [0u8; 8];
@@ -73,6 +83,30 @@ fn le_u32(b: &[u8], off: usize) -> u32 {
     let mut buf = [0u8; 4];
     buf.copy_from_slice(&b[off..off + 4]);
     u32::from_le_bytes(buf)
+}
+
+/// Reads a node's header off its page: `(is a leaf, entry count)`. The
+/// count comes off raw page bytes, so it is validated here against what
+/// the page can physically hold (leaf) or the tree's fanout (internal)
+/// *before* anyone forms an offset or sizes an allocation from it — the
+/// one gate both the in-place lookup and [`BNode::decode`] go through.
+// roadlint: allow(panic-fn) reason="constant offsets into a PAGE_SIZE array"
+fn node_header(b: &[u8; PAGE_SIZE], int_cap: usize) -> Result<(bool, usize), StorageError> {
+    let tag = b[0];
+    let count = u16::from_le_bytes([b[2], b[3]]) as usize;
+    if tag == TAG_LEAF {
+        if 8 + count * 16 > PAGE_SIZE {
+            return Err(StorageError::CorruptPage("leaf entry count exceeds page capacity"));
+        }
+        Ok((true, count))
+    } else if tag == TAG_INTERNAL {
+        if count > int_cap {
+            return Err(StorageError::CorruptPage("internal key count exceeds fanout"));
+        }
+        Ok((false, count))
+    } else {
+        Err(StorageError::CorruptPage("unknown B+-tree node tag"))
+    }
 }
 
 impl BNode {
@@ -96,19 +130,16 @@ impl BNode {
         }
     }
 
-    /// Decodes one tree node from its page. The entry count comes off raw
-    /// page bytes, so it is validated against what the page can physically
-    /// hold *before* it sizes any allocation or offset arithmetic.
+    /// Decodes one tree node from its page into owned vectors — the
+    /// build-time form insert, remove and range work on. The header is
+    /// validated by [`node_header`] *before* the entry count sizes any
+    /// allocation or offset arithmetic.
     // roadlint: decode-fn
-    // roadlint: allow(panic-fn) reason="every offset below is bounded by the count validation at the top"
+    // roadlint: allow(panic-fn) reason="every offset below is bounded by node_header's count validation"
     fn decode(page: &Page, int_cap: usize) -> Result<Self, StorageError> {
         let b = page.bytes();
-        let tag = b[0];
-        let count = u16::from_le_bytes([b[2], b[3]]) as usize;
-        if tag == TAG_LEAF {
-            if 8 + count * 16 > PAGE_SIZE {
-                return Err(StorageError::CorruptPage("leaf entry count exceeds page capacity"));
-            }
+        let (leaf, count) = node_header(b, int_cap)?;
+        if leaf {
             let next = le_u32(b, 4);
             let mut keys = Vec::with_capacity(count);
             let mut vals = Vec::with_capacity(count);
@@ -118,10 +149,7 @@ impl BNode {
                 vals.push(le_u64(b, off + 8));
             }
             Ok(BNode { leaf: true, keys, vals, children: Vec::new(), next })
-        } else if tag == TAG_INTERNAL {
-            if count > int_cap {
-                return Err(StorageError::CorruptPage("internal key count exceeds fanout"));
-            }
+        } else {
             let mut keys = Vec::with_capacity(count);
             for i in 0..count {
                 let off = 8 + i * 8;
@@ -134,8 +162,6 @@ impl BNode {
                 children.push(le_u32(b, off));
             }
             Ok(BNode { leaf: false, keys, vals: Vec::new(), children, next: NO_PAGE })
-        } else {
-            Err(StorageError::CorruptPage("unknown B+-tree node tag"))
         }
     }
 
@@ -259,26 +285,9 @@ impl BPlusTree {
         self.height
     }
 
-    /// Looks up `key`. This is the serving read path: a corrupt node is an
-    /// `Err`, never an out-of-range index.
-    pub fn get(&self, pool: &mut impl PagePool, key: u64) -> Result<Option<u64>, StorageError> {
-        let mut page = self.root;
-        for _ in 0..self.height {
-            let node = self.read_node(pool, page)?;
-            let idx = node.keys.partition_point(|&k| k <= key);
-            let child = node
-                .children
-                .get(idx)
-                .copied()
-                .ok_or(StorageError::CorruptPage("internal node missing a child slot"))?;
-            page = PageId(child);
-        }
-        let leaf = self.read_node(pool, page)?;
-        let idx = leaf.keys.partition_point(|&k| k < key);
-        Ok(match (leaf.keys.get(idx), leaf.vals.get(idx)) {
-            (Some(&k), Some(&v)) if k == key => Some(v),
-            _ => None,
-        })
+    /// The page holding the root node, where every descent starts.
+    pub fn root(&self) -> PageId {
+        self.root
     }
 
     /// Inserts `key -> val`; returns the previous value if the key existed.
@@ -608,11 +617,84 @@ impl BPlusTree {
     }
 }
 
+// The serving read path. A directory lookup runs once per settled node and
+// once per consulted Rnet of every paged query, so it searches the encoded
+// page in place — no `BNode`, no allocation; the fence makes that roadlint's
+// business as well as this comment's.
+// roadlint: hot-path
+
+/// `partition_point` over the `count` encoded keys of a node, `stride`
+/// bytes apart from offset 8: the index of the first key failing `pred`.
+/// `count` has passed [`node_header`], which bounds every offset formed.
+fn key_partition_point(
+    b: &[u8; PAGE_SIZE],
+    count: usize,
+    stride: usize,
+    pred: impl Fn(u64) -> bool,
+) -> usize {
+    let (mut lo, mut hi) = (0, count);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(le_u64(b, 8 + mid * stride)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The child of the internal node encoded in `b` that covers `key`.
+fn child_covering(b: &[u8; PAGE_SIZE], int_cap: usize, key: u64) -> Result<PageId, StorageError> {
+    let (leaf, count) = node_header(b, int_cap)?;
+    if leaf {
+        return Err(StorageError::CorruptPage("leaf node above the tree's leaf level"));
+    }
+    // `idx <= count <= int_cap`, and `with_caps` checked that `int_cap`
+    // keys plus `int_cap + 1` children fit the page.
+    let idx = key_partition_point(b, count, 8, |k| k <= key);
+    Ok(PageId(le_u32(b, 8 + int_cap * 8 + idx * 4)))
+}
+
+/// The value stored under `key` in the leaf encoded in `b`.
+fn value_in_leaf(
+    b: &[u8; PAGE_SIZE],
+    int_cap: usize,
+    key: u64,
+) -> Result<Option<u64>, StorageError> {
+    let (leaf, count) = node_header(b, int_cap)?;
+    if !leaf {
+        return Err(StorageError::CorruptPage("internal node at the tree's leaf level"));
+    }
+    let idx = key_partition_point(b, count, 16, |k| k < key);
+    let at = 8 + idx * 16;
+    Ok((idx < count && le_u64(b, at) == key).then(|| le_u64(b, at + 8)))
+}
+
+impl BPlusTree {
+    /// Looks up `key`: one page access per level, `height + 1` in all, each
+    /// a binary search over the keys as they lie encoded in the page. A
+    /// corrupt node — a count the page cannot hold, an unknown tag, a node
+    /// of the wrong kind for its depth — is an `Err`, never an out-of-range
+    /// index.
+    pub fn get(&self, pool: &mut impl PagePool, key: u64) -> Result<Option<u64>, StorageError> {
+        let int_cap = self.int_cap;
+        let mut page = self.root;
+        for _ in 0..self.height {
+            page = pool.with_page(page, |p| child_covering(p.bytes(), int_cap, key))??;
+        }
+        pool.with_page(page, |p| value_in_leaf(p.bytes(), int_cap, key))?
+    }
+}
+// roadlint: end hot-path
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffer::BufferPool;
     use crate::store::PageStore;
+    use crate::striped::{IoTally, StripedBufferPool, TalliedPool};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -813,5 +895,206 @@ mod tests {
         // Unknown tag.
         p.with_page_mut(root, |pg| pg.bytes_mut()[0] = 9).unwrap();
         assert_eq!(t.get(&mut p, 1), Err(StorageError::CorruptPage("unknown B+-tree node tag")));
+    }
+
+    impl BPlusTree {
+        /// The lookup `get` replaced — decode every node on the path into a
+        /// `BNode` and search its vectors — kept as the reference the
+        /// in-place descent is held to.
+        fn get_decoded(
+            &self,
+            pool: &mut impl PagePool,
+            key: u64,
+        ) -> Result<Option<u64>, StorageError> {
+            let mut page = self.root;
+            for _ in 0..self.height {
+                let node = self.read_node(pool, page)?;
+                let idx = node.keys.partition_point(|&k| k <= key);
+                let child = node
+                    .children
+                    .get(idx)
+                    .copied()
+                    .ok_or(StorageError::CorruptPage("internal node missing a child slot"))?;
+                page = PageId(child);
+            }
+            let leaf = self.read_node(pool, page)?;
+            let idx = leaf.keys.partition_point(|&k| k < key);
+            Ok(match (leaf.keys.get(idx), leaf.vals.get(idx)) {
+                (Some(&k), Some(&v)) if k == key => Some(v),
+                _ => None,
+            })
+        }
+    }
+
+    /// Histories draw keys from `1..=KEYS` and store them tripled, so every
+    /// tree has absent keys between present ones, below its smallest and
+    /// above its largest.
+    const KEYS: u64 = 1000;
+    const FANOUTS: [usize; 4] = [3, 4, 5, 255];
+
+    /// Replays `ops` into a fresh tree and holds `get` to `get_decoded` on
+    /// every key the history could have touched and their neighbours —
+    /// through whatever the 8-frame pool happens to hold, and straight
+    /// after a `clear_cache` — and to `height + 1` page accesses a lookup.
+    fn in_place_get_matches_decoded<P: PagePool>(
+        pool: &mut P,
+        fanout: usize,
+        ops: &[(u8, u64)],
+        reads: impl Fn(&P) -> u64,
+        clear_cache: impl Fn(&mut P),
+    ) {
+        let mut t = BPlusTree::with_caps(pool, fanout, fanout).unwrap();
+        for &(op, k) in ops {
+            if op == 0 {
+                t.remove(pool, k * 3).unwrap();
+            } else {
+                t.insert(pool, k * 3, !k).unwrap();
+            }
+        }
+        let per_get = u64::from(t.height()) + 1;
+        for key in (0..=KEYS * 3 + 3).chain([u64::MAX - 1, u64::MAX]) {
+            let want = t.get_decoded(pool, key).unwrap();
+            if key % 7 == 0 {
+                clear_cache(pool);
+            }
+            let before = reads(pool);
+            assert_eq!(t.get(pool, key).unwrap(), want, "key {key}, fanout {fanout}");
+            assert_eq!(reads(pool) - before, per_get, "key {key}: one access per level");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Deep trees (fanout 3–5) and page-filling ones (255, two levels
+        /// once a history keeps more than 255 keys), through both pools.
+        #[test]
+        fn in_place_get_agrees_with_the_decoded_descent(
+            fanout in 0usize..FANOUTS.len(),
+            ops in prop::collection::vec((0u8..4, 1..=KEYS), 1..900),
+        ) {
+            let fanout = FANOUTS[fanout];
+            in_place_get_matches_decoded(
+                &mut BufferPool::new(PageStore::new(), 8),
+                fanout,
+                &ops,
+                |p| p.stats().logical_reads,
+                |p| p.clear_cache(),
+            );
+            let striped = StripedBufferPool::new(PageStore::new(), 8, 4);
+            in_place_get_matches_decoded(
+                &mut TalliedPool { pool: &striped, tally: &mut IoTally::default() },
+                fanout,
+                &ops,
+                |p| p.tally.logical_reads,
+                |p| p.pool.clear_cache().unwrap(),
+            );
+        }
+    }
+
+    /// Pages from the root down to the leaf covering `key`.
+    fn path_to(t: &BPlusTree, pool: &mut BufferPool, key: u64) -> Vec<PageId> {
+        let mut path = vec![t.root];
+        for _ in 0..t.height {
+            let node = t.read_node(pool, path[path.len() - 1]).unwrap();
+            path.push(PageId(node.children[node.keys.partition_point(|&k| k <= key)]));
+        }
+        path
+    }
+
+    /// Overwrites `len` bytes at `at` of `page`, returning what was there.
+    fn stomp(pool: &mut impl PagePool, page: PageId, at: usize, bytes: &[u8]) -> Vec<u8> {
+        pool.with_page_mut(page, |pg| {
+            let field = &mut pg.bytes_mut()[at..at + bytes.len()];
+            let old = field.to_vec();
+            field.copy_from_slice(bytes);
+            old
+        })
+        .unwrap()
+    }
+
+    fn header(tag: u8, count: u16) -> [u8; 4] {
+        let [lo, hi] = count.to_le_bytes();
+        [tag, 0, lo, hi]
+    }
+
+    /// Every header the decoded descent rejects, at every depth of a path,
+    /// is rejected with the same error in place; and the two shapes it only
+    /// survived by accident — a well-formed node of the wrong kind for its
+    /// depth — are now named.
+    #[test]
+    fn in_place_get_rejects_what_the_decoded_descent_rejects() {
+        let mut p = pool();
+        let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
+        for k in 0..200u64 {
+            t.insert(&mut p, k, k * 10).unwrap();
+        }
+        let path = path_to(&t, &mut p, 77);
+        assert!(path.len() >= 4, "height = {}", t.height());
+        for (depth, &page) in path.iter().enumerate() {
+            for (tag, count) in [
+                (TAG_LEAF, u16::MAX),
+                (TAG_LEAF, 256), // one entry more than a page holds
+                (TAG_INTERNAL, 5),
+                (TAG_INTERNAL, 100),
+                (9, 1),
+                (0xFF, 0),
+            ] {
+                let good = stomp(&mut p, page, 0, &header(tag, count));
+                let got = t.get(&mut p, 77);
+                assert!(matches!(got, Err(StorageError::CorruptPage(_))), "{got:?}");
+                assert_eq!(got, t.get_decoded(&mut p, 77), "depth {depth}: {tag}/{count}");
+                stomp(&mut p, page, 0, &good);
+                assert_eq!(t.get(&mut p, 77), Ok(Some(770)));
+            }
+        }
+        // An internal tag at leaf depth: the reference searched the decoded
+        // keys, found no value beside them and served a present key as absent.
+        let leaf = path[path.len() - 1];
+        let good = stomp(&mut p, leaf, 0, &header(TAG_INTERNAL, 2));
+        assert_eq!(
+            t.get(&mut p, 77),
+            Err(StorageError::CorruptPage("internal node at the tree's leaf level"))
+        );
+        assert_eq!(t.get_decoded(&mut p, 77), Ok(None));
+        stomp(&mut p, leaf, 0, &good);
+        // A leaf tag where the height expects an internal node: the
+        // reference failed only because a decoded leaf has no child slots.
+        let good = stomp(&mut p, path[1], 0, &header(TAG_LEAF, 2));
+        assert_eq!(
+            t.get(&mut p, 77),
+            Err(StorageError::CorruptPage("leaf node above the tree's leaf level"))
+        );
+        assert_eq!(
+            t.get_decoded(&mut p, 77),
+            Err(StorageError::CorruptPage("internal node missing a child slot"))
+        );
+        stomp(&mut p, path[1], 0, &good);
+        assert_eq!(t.get(&mut p, 77), Ok(Some(770)));
+    }
+
+    /// A page id read off a page is checked where it enters the store: a
+    /// child pointer gone bad used to index the store's page array and
+    /// panic the serving thread. It is `CorruptPage` through either pool,
+    /// and the pool keeps serving once the pointer is good again.
+    #[test]
+    fn wild_child_pointer_is_an_error_not_a_panic() {
+        fn check(pool: &mut impl PagePool) {
+            let mut t = BPlusTree::with_caps(pool, 4, 4).unwrap();
+            for k in 0..40u64 {
+                t.insert(pool, k, k + 100).unwrap();
+            }
+            assert!(t.height() >= 1);
+            let first_child = 8 + t.int_cap * 8;
+            let good = stomp(pool, t.root, first_child, &0xFFFF_FF00u32.to_le_bytes());
+            assert_eq!(t.get(pool, 0), Err(StorageError::CorruptPage("page id outside the store")));
+            stomp(pool, t.root, first_child, &good);
+            for k in 0..40u64 {
+                assert_eq!(t.get(pool, k), Ok(Some(k + 100)));
+            }
+        }
+        check(&mut pool());
+        let striped = StripedBufferPool::new(PageStore::new(), 8, 4);
+        check(&mut TalliedPool { pool: &striped, tally: &mut IoTally::default() });
     }
 }

@@ -90,19 +90,30 @@ impl BufferPool {
         }
     }
 
-    /// Faults `id` in if absent and returns its frame. The lookup after
-    /// the fault-in cannot miss (the LRU holds at least one frame and the
-    /// admitted page is the most recent), but the invariant is reported as
-    /// `Err` rather than unwound: serving threads must survive storage
-    /// bugs.
-    fn frame_mut(&mut self, id: PageId) -> Result<&mut Frame, StorageError> {
+    /// Runs `f` on the frame of page `id`. A hit is one LRU probe; only a
+    /// miss goes to the store, and that is where a page id enters it: ids
+    /// reach here off page bytes (a B+-tree child pointer, a packed record
+    /// location), so one the store never allocated is a corrupt page, not
+    /// an index. The lookup after the fault-in cannot miss (the LRU holds
+    /// at least one frame and the admitted page is the most recent), but
+    /// the invariant is reported as `Err` rather than unwound: serving
+    /// threads must survive storage bugs.
+    fn with_frame<R>(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&mut Frame) -> R,
+    ) -> Result<R, StorageError> {
         self.stats.logical_reads += 1;
-        if !self.frames.contains(&id.0) {
-            self.stats.page_faults += 1;
-            let page = self.store.read(id);
-            self.cache_insert(id.0, Frame { page, dirty: false });
+        if let Some(frame) = self.frames.get(&id.0) {
+            return Ok(f(frame));
         }
-        self.frames.get(&id.0).ok_or(StorageError::Internal("frame evicted during fault-in"))
+        if id.index() >= self.store.num_pages() {
+            return Err(StorageError::CorruptPage("page id outside the store"));
+        }
+        self.stats.page_faults += 1;
+        let page = self.store.read(id);
+        self.cache_insert(id.0, Frame { page, dirty: false });
+        self.frames.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
     }
 
     /// Reads page `id` through the cache.
@@ -111,8 +122,7 @@ impl BufferPool {
         id: PageId,
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R, StorageError> {
-        let frame = self.frame_mut(id)?;
-        Ok(f(&frame.page))
+        self.with_frame(id, |frame| f(&frame.page))
     }
 
     /// Mutates page `id` through the cache, marking it dirty.
@@ -121,9 +131,10 @@ impl BufferPool {
         id: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        let frame = self.frame_mut(id)?;
-        frame.dirty = true;
-        Ok(f(&mut frame.page))
+        self.with_frame(id, |frame| {
+            frame.dirty = true;
+            f(&mut frame.page)
+        })
     }
 
     /// Writes every dirty frame back to the store (frames stay cached).

@@ -169,41 +169,61 @@ impl StripedBufferPool {
         Ok(id)
     }
 
-    /// Faults `id` into its (locked) stripe if absent.
+    /// Faults `id` into its (locked) stripe, where it is not resident. This
+    /// is where a page id enters the store, and ids reach here off page
+    /// bytes (a B+-tree child pointer, a packed record location): one the
+    /// store never allocated is a corrupt page, not an index. A resident
+    /// page cannot be unallocated, so hits skip the check.
     fn fault_in(
         &self,
         stripe: &mut LruCache<u32, Frame>,
         id: PageId,
         tally: &mut IoTally,
     ) -> Result<(), StorageError> {
-        if !stripe.contains(&id.0) {
-            // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
-            self.page_faults.fetch_add(1, Ordering::Relaxed);
-            tally.page_faults += 1;
-            let page =
-                self.store.read().map_err(|_| StorageError::LockPoisoned("page store"))?.read(id);
-            self.insert_frame(stripe, id.0, Frame { page, dirty: false })?;
+        let page = {
+            let store = self.store.read().map_err(|_| StorageError::LockPoisoned("page store"))?;
+            if id.index() >= store.num_pages() {
+                return Err(StorageError::CorruptPage("page id outside the store"));
+            }
+            store.read(id)
+        };
+        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
+        self.page_faults.fetch_add(1, Ordering::Relaxed);
+        tally.page_faults += 1;
+        self.insert_frame(stripe, id.0, Frame { page, dirty: false })
+    }
+
+    /// Runs `f` on the frame of page `id`, charging `tally` (and the global
+    /// counters) one logical read plus a fault if the page was not
+    /// resident. A hit is one probe of the stripe's LRU.
+    fn with_frame<R>(
+        &self,
+        id: PageId,
+        tally: &mut IoTally,
+        f: impl FnOnce(&mut Frame) -> R,
+    ) -> Result<R, StorageError> {
+        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
+        self.logical_reads.fetch_add(1, Ordering::Relaxed);
+        tally.logical_reads += 1;
+        let mut stripe = self.stripe(id)?;
+        if let Some(frame) = stripe.get(&id.0) {
+            return Ok(f(frame));
         }
-        Ok(())
+        self.fault_in(&mut stripe, id, tally)?;
+        stripe.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
     }
 
     /// Reads page `id` through the cache, charging `tally` (and the global
     /// counters) one logical read plus a fault if the page was not
-    /// resident. `Err` when the stripe or store lock is poisoned.
+    /// resident. `Err` when the stripe or store lock is poisoned, or when
+    /// `id` names a page the store does not have.
     pub fn with_page<R>(
         &self,
         id: PageId,
         tally: &mut IoTally,
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R, StorageError> {
-        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
-        tally.logical_reads += 1;
-        let mut stripe = self.stripe(id)?;
-        self.fault_in(&mut stripe, id, tally)?;
-        let frame =
-            stripe.get(&id.0).ok_or(StorageError::Internal("frame evicted during fault-in"))?;
-        Ok(f(&frame.page))
+        self.with_frame(id, tally, |frame| f(&frame.page))
     }
 
     /// Mutates page `id` through the cache, marking it dirty; same
@@ -214,15 +234,10 @@ impl StripedBufferPool {
         tally: &mut IoTally,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
-        tally.logical_reads += 1;
-        let mut stripe = self.stripe(id)?;
-        self.fault_in(&mut stripe, id, tally)?;
-        let frame =
-            stripe.get(&id.0).ok_or(StorageError::Internal("frame evicted during fault-in"))?;
-        frame.dirty = true;
-        Ok(f(&mut frame.page))
+        self.with_frame(id, tally, |frame| {
+            frame.dirty = true;
+            f(&mut frame.page)
+        })
     }
 
     /// Writes every dirty frame back to the store (frames stay cached and
