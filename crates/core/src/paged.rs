@@ -30,6 +30,21 @@
 //! RAM-resident: it is the search skeleton, small and touched on every
 //! hop.
 //!
+//! A directory lookup costs what its page accesses cost and little more.
+//! [`BPlusTree::get`] searches each node where it lies in the page — one
+//! pool access per level, no decode, no allocation — and the search loop
+//! asks for an Rnet's abstract once per query however many border nodes
+//! reach the Rnet (the verdict memo of [`crate::workspace`]). What remains
+//! per settled node is one descent of the association tree.
+//!
+//! Everything read off a page is checked before it is used: entry counts
+//! against the record or page that holds them, node ids against the
+//! network, weights, distances and offsets through `Weight::try_new`, and
+//! page ids — a tree's child pointer, a record's packed location — by the
+//! pool where they enter the store. Each failure is
+//! [`StorageError::CorruptPage`] through the query, never a panic in the
+//! serving thread, and the pool keeps serving.
+//!
 //! ## Concurrent serving
 //!
 //! Queries take `&self`: one engine serves any number of threads at once,
@@ -1383,8 +1398,16 @@ mod tests {
         match res {
             Err(RoadError::Storage(StorageError::CorruptPage(_))) => {}
             Err(other) => panic!("{what}: expected CorruptPage, got {other}"),
-            Ok(_) => panic!("{what}: a node id outside the network was served"),
+            Ok(_) => panic!("{what}: a corrupt record was served"),
         }
+    }
+
+    /// `CorruptPage` through all four query doors.
+    fn assert_every_door_corrupt(disk: &PagedEngine, knn: &KnnQuery, range: &RangeQuery) {
+        assert_corrupt_page(disk.knn(knn), "knn");
+        assert_corrupt_page(disk.range(range), "range");
+        assert_corrupt_page(disk.batch_knn(&[knn.clone(), knn.clone()], 2), "batch_knn");
+        assert_corrupt_page(disk.batch_range(std::slice::from_ref(range), 1), "batch_range");
     }
 
     /// Satellite regression: a node id read off a page is checked against
@@ -1402,10 +1425,7 @@ mod tests {
         let range = RangeQuery::new(NodeId(0), Weight::new(4.0));
         // First adjacency entry of node 0: count header, edge id, then `v`.
         let good = stomp_u32(&disk, disk.node_loc[0], 4 + 4, disk.num_nodes as u32);
-        assert_corrupt_page(disk.knn(&knn), "knn");
-        assert_corrupt_page(disk.range(&range), "range");
-        assert_corrupt_page(disk.batch_knn(&[knn.clone(), knn.clone()], 2), "batch_knn");
-        assert_corrupt_page(disk.batch_range(std::slice::from_ref(&range), 1), "batch_range");
+        assert_every_door_corrupt(&disk, &knn, &range);
         stomp_u32(&disk, disk.node_loc[0], 4 + 4, u32::MAX);
         assert_corrupt_page(disk.knn(&knn), "knn, id far outside");
         stomp_u32(&disk, disk.node_loc[0], 4 + 4, good);
@@ -1429,24 +1449,13 @@ mod tests {
         let range = RangeQuery::new(NodeId(from), Weight::new(6.0));
         // First shortcut entry: count header, then `to`.
         let good = stomp_u32(&disk, loc, 4, disk.num_nodes as u32);
-        assert_corrupt_page(disk.knn(&knn), "knn");
-        assert_corrupt_page(disk.range(&range), "range");
-        assert_corrupt_page(disk.batch_knn(std::slice::from_ref(&knn), 1), "batch_knn");
-        assert_corrupt_page(disk.batch_range(&[range.clone(), range.clone()], 2), "batch_range");
+        assert_every_door_corrupt(&disk, &knn, &range);
         stomp_u32(&disk, loc, 4, good);
         assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
         assert_eq!(
             disk.network_distance(NodeId(from), NodeId(63)).unwrap(),
             fw.network_distance(NodeId(from), NodeId(63)).unwrap()
         );
-    }
-
-    /// `CorruptPage` through all four query doors.
-    fn assert_every_door_corrupt(disk: &PagedEngine, knn: &KnnQuery, range: &RangeQuery) {
-        assert_corrupt_page(disk.knn(knn), "knn");
-        assert_corrupt_page(disk.range(range), "range");
-        assert_corrupt_page(disk.batch_knn(&[knn.clone(), knn.clone()], 2), "batch_knn");
-        assert_corrupt_page(disk.batch_range(std::slice::from_ref(range), 1), "batch_range");
     }
 
     /// High words that make the `f64` they top NaN and negative.
@@ -1473,6 +1482,32 @@ mod tests {
             assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
             assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
         }
+    }
+
+    /// An `Err` mid-query leaves nothing behind in the caller's workspace.
+    /// The failing range query settles the whole grid before it meets the
+    /// bad record at node 0, so its verdict on every Rnet is memoised; the
+    /// next query on the same workspace filters by category, where most of
+    /// those verdicts would be wrong.
+    #[test]
+    fn a_query_that_failed_leaves_no_verdicts_behind() {
+        let (fw, ad) = setup(12);
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let mut ws = SearchWorkspace::new();
+        let mut hits = Vec::new();
+        let at = 4 + 12 + 4;
+        let good = stomp_u32(&disk, disk.node_loc[0], at, BAD_F64_HIGH_WORDS[0]);
+        let far = RangeQuery::new(NodeId(63), Weight::new(20.0));
+        assert_corrupt_page(disk.range_with(&far, &mut ws, &mut hits), "range_with");
+        stomp_u32(&disk, disk.node_loc[0], at, good);
+        let q = KnnQuery::new(NodeId(63), 3).with_filter(ObjectFilter::Category(CategoryId(1)));
+        let reused = disk.knn_with(&q, &mut ws, &mut hits).unwrap();
+        let mut fresh_hits = Vec::new();
+        let fresh = disk.knn_with(&q, &mut SearchWorkspace::new(), &mut fresh_hits).unwrap();
+        assert_eq!(hits, fresh_hits);
+        assert!(reused.rnets_bypassed > 0, "the filter must flip verdicts: {reused:?}");
+        let counted = |s: SearchStats| SearchStats { page_faults: 0, workspace_reused: false, ..s };
+        assert_eq!(counted(reused), counted(fresh));
     }
 
     /// The same for a shortcut distance (world and record as in the

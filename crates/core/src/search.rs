@@ -12,6 +12,18 @@
 //! subtree — while Rnets that may contain matches are *descended* level by
 //! level until physical edges are relaxed. The first `k` objects popped are the kNNs; a range search
 //! terminates when the expansion front passes the radius.
+//!
+//! Bypass or descend is decided once per Rnet per query. The verdict —
+//! the abstract may match, or (point-to-point routing) the Rnet contains
+//! the target — does not depend on which border node the scan reached the
+//! Rnet from, so the loop keeps it in the workspace's round-stamped
+//! per-Rnet table and asks its storage source only the first time.
+//! [`SearchStats::abstract_checks`] counts verdicts *consulted*, as it
+//! always has (every consulted Rnet is bypassed or descended, so it is
+//! their sum); [`SearchStats::abstract_lookups`] counts the ones fetched.
+//! The memo changes how often the source is asked, never what it answers:
+//! hits, tie order and every expansion counter are those of the loop that
+//! asked every time.
 // roadlint: serving-path
 
 use crate::association::AssociationDirectory;
@@ -162,8 +174,15 @@ pub struct SearchStats {
     pub rnets_bypassed: usize,
     /// Rnets descended into because their abstract may match.
     pub rnets_descended: usize,
-    /// Object abstracts consulted.
+    /// Enter-or-bypass verdicts consulted, one per shortcut-tree entry
+    /// the scan stopped at.
     pub abstract_checks: usize,
+    /// Verdicts that had to be fetched from the source — the Rnet's object
+    /// abstract and, for point-to-point routing, its containment test —
+    /// because this query had not asked about the Rnet before: the number
+    /// of distinct Rnets consulted. Never above `abstract_checks`; the
+    /// difference was answered from the workspace's per-Rnet memo.
+    pub abstract_lookups: usize,
     /// Objects read from the directory at settled nodes.
     pub objects_read: usize,
     /// Priority-queue pushes.
@@ -192,6 +211,7 @@ impl SearchStats {
         self.rnets_bypassed += other.rnets_bypassed;
         self.rnets_descended += other.rnets_descended;
         self.abstract_checks += other.abstract_checks;
+        self.abstract_lookups += other.abstract_lookups;
         self.objects_read += other.objects_read;
         self.heap_pushes += other.heap_pushes;
         self.pages_read += other.pages_read;
@@ -529,7 +549,7 @@ pub(crate) fn execute_source_into(
     let mut stats = SearchStats { workspace_reused: ws.reuse_count() > 0, ..Default::default() };
     let io_before = src.io_counters();
     hits.clear();
-    ws.begin(num_nodes);
+    ws.begin(num_nodes, hier.num_rnets());
 
     let want = match mode {
         Mode::Knn(k, _) => k,
@@ -620,12 +640,24 @@ pub(crate) fn execute_source_into(
                 while let Some(&entry) = tree.get(at) {
                     let r = entry.rnet;
                     stats.abstract_checks += 1;
-                    let may_match = has_directory && src.rnet_may_match(r, filter)?;
-                    let must_enter = match mode {
-                        Mode::ToNode(t) => src.rnet_contains_node(r, t)?,
-                        _ => false,
+                    // The verdict is a function of (query, Rnet) alone, so
+                    // the source is asked once per Rnet; every other border
+                    // node that reaches `r` reads the answer back.
+                    let enter = match ws.verdict(r) {
+                        Some(enter) => enter,
+                        None => {
+                            stats.abstract_lookups += 1;
+                            let may_match = has_directory && src.rnet_may_match(r, filter)?;
+                            let must_enter = match mode {
+                                Mode::ToNode(t) => src.rnet_contains_node(r, t)?,
+                                _ => false,
+                            };
+                            let enter = may_match || must_enter;
+                            ws.set_verdict(r, enter);
+                            enter
+                        }
                     };
-                    if !may_match && !must_enter {
+                    if !enter {
                         // Bypass: jump to the Rnet's other borders.
                         stats.rnets_bypassed += 1;
                         src.shortcuts_at(r, NodeId(n), |to, dist| {
@@ -832,4 +864,100 @@ fn oracle(
         hits.truncate(k);
     }
     hits
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{CategoryId, Object};
+    use road_network::generator::simple;
+
+    /// The in-memory source, noting every Rnet it is asked a verdict on.
+    struct Noting<'a> {
+        inner: MemorySource<'a>,
+        abstracts_asked: Vec<RnetId>,
+        containments_asked: Vec<RnetId>,
+    }
+
+    impl SearchSource for Noting<'_> {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn hierarchy(&self) -> &std::sync::Arc<crate::hierarchy::RnetHierarchy> {
+            self.inner.hierarchy()
+        }
+        fn has_directory(&self) -> bool {
+            self.inner.has_directory()
+        }
+        fn objects_at(
+            &mut self,
+            n: NodeId,
+            visit: impl FnMut(u64, CategoryId, Weight),
+        ) -> Result<(), RoadError> {
+            self.inner.objects_at(n, visit)
+        }
+        fn rnet_may_match(&mut self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError> {
+            self.abstracts_asked.push(r);
+            self.inner.rnet_may_match(r, filter)
+        }
+        fn edges_at(
+            &mut self,
+            n: NodeId,
+            leaf: Option<RnetId>,
+            visit: impl FnMut(EdgeId, u32, Weight),
+        ) -> Result<(), RoadError> {
+            self.inner.edges_at(n, leaf, visit)
+        }
+        fn shortcuts_at(
+            &mut self,
+            r: RnetId,
+            n: NodeId,
+            visit: impl FnMut(u32, Weight),
+        ) -> Result<(), RoadError> {
+            self.inner.shortcuts_at(r, n, visit)
+        }
+        fn rnet_contains_node(&mut self, r: RnetId, t: NodeId) -> Result<bool, RoadError> {
+            self.containments_asked.push(r);
+            self.inner.rnet_contains_node(r, t)
+        }
+    }
+
+    fn distinct(asked: &[RnetId]) -> usize {
+        asked.iter().collect::<std::collections::BTreeSet<_>>().len()
+    }
+
+    /// `abstract_lookups` is the number of distinct Rnets the query
+    /// consulted, and the source hears about each of them exactly once —
+    /// its abstract for an object query, its containment test (the
+    /// directory is off) for point-to-point routing — however many border
+    /// nodes reach it.
+    #[test]
+    fn the_source_is_asked_once_per_rnet_and_lookups_counts_those() {
+        let grid = simple::grid(12, 12, 1.0);
+        let fw = RoadFramework::builder(grid).fanout(4).levels(2).build().unwrap();
+        let mut ad = AssociationDirectory::new(fw.hierarchy());
+        let edge = fw.network().edge_ids().nth(200).unwrap();
+        ad.insert(fw.network(), fw.hierarchy(), Object::new(ObjectId(1), edge, 0.5, CategoryId(0)))
+            .unwrap();
+        let mut ws = SearchWorkspace::new();
+        let mut hits = Vec::new();
+        for (ad, mode) in [(Some(&ad), Mode::Knn(1, None)), (None, Mode::ToNode(NodeId(143)))] {
+            let mut src = Noting {
+                inner: MemorySource { fw: &fw, ad },
+                abstracts_asked: Vec::new(),
+                containments_asked: Vec::new(),
+            };
+            let any = ObjectFilter::Any;
+            let stats =
+                execute_source_into(&mut src, NodeId(0), &any, mode, &mut ws, &mut hits).unwrap();
+            let asked = match ad {
+                Some(_) => &src.abstracts_asked,
+                None => &src.containments_asked,
+            };
+            assert_eq!(asked.len(), distinct(asked), "an Rnet was asked about twice");
+            assert_eq!(stats.abstract_lookups, asked.len());
+            assert!(stats.abstract_lookups < stats.abstract_checks, "{stats:?}");
+            assert_eq!(stats.abstract_checks, stats.rnets_bypassed + stats.rnets_descended);
+        }
+    }
 }

@@ -18,6 +18,17 @@
 //! of three. Predecessor links stay in their own array — only an improving
 //! relaxation writes them and only path reconstruction reads them.
 //!
+//! A second stamped table, indexed by Rnet id, memoises the query's
+//! enter-or-bypass **verdict** on each Rnet. `ChoosePath` needs that
+//! verdict at every border node whose shortcut tree lists the Rnet, and it
+//! is a function of the query (filter, routing target) and the Rnet alone
+//! — not of the node — so the first border node that reaches an Rnet asks
+//! the source (an abstract lookup; on the paged engine a B+-tree descent
+//! and a record read) and every later one reads the table. The memo is
+//! exact, not a cache with a policy: within a round the source would
+//! return the same value, the round bump drops every entry at once, and a
+//! query that fails midway leaves nothing a later round can see.
+//!
 //! Node ids reaching this module can come straight off a page (the paged
 //! engine's records), so every accessor is total: an id past the arrays is
 //! unlabelled, unsettled and never relaxed.
@@ -79,6 +90,16 @@ struct Label {
 
 const UNSEEN: Label = Label { dist: Weight::INFINITY, stamp: 0, settled: 0 };
 
+/// Per-Rnet search state: the query's enter-or-bypass verdict on the Rnet,
+/// meaningful only while `stamp` equals the workspace's round.
+#[derive(Clone, Copy)]
+struct Verdict {
+    stamp: u32,
+    enter: bool,
+}
+
+const UNASKED: Verdict = Verdict { stamp: 0, enter: false };
+
 /// Reusable scratch state for one in-flight overlay search.
 ///
 /// All per-node arrays are generation-stamped: an entry is meaningful only
@@ -91,6 +112,8 @@ pub struct SearchWorkspace {
     labels: Vec<Label>,
     /// Predecessor link per node; valid iff the node's label is.
     pred: Vec<(u32, Hop)>,
+    /// Enter-or-bypass verdict per Rnet, stamped like the labels.
+    verdicts: Vec<Verdict>,
     /// Current round; bumped per query.
     round: u32,
     /// Pending nodes and objects in non-descending distance order.
@@ -119,6 +142,7 @@ impl SearchWorkspace {
         SearchWorkspace {
             labels: vec![UNSEEN; num_nodes],
             pred: vec![NO_LINK; num_nodes],
+            verdicts: Vec::new(),
             round: 0,
             heap: BinaryHeap::new(),
             seen_objects: FastSet::default(),
@@ -136,18 +160,23 @@ impl SearchWorkspace {
         self.labels.len()
     }
 
-    /// Starts a new round: grows the arrays if the network did, bumps the
-    /// generation, and clears the (capacity-retaining) containers.
-    pub(crate) fn begin(&mut self, num_nodes: usize) {
+    /// Starts a new round: grows the arrays if the network or its
+    /// hierarchy did, bumps the generation, and clears the
+    /// (capacity-retaining) containers.
+    pub(crate) fn begin(&mut self, num_nodes: usize, num_rnets: usize) {
         if num_nodes > self.labels.len() {
             self.labels.resize(num_nodes, UNSEEN);
             self.pred.resize(num_nodes, NO_LINK);
+        }
+        if num_rnets > self.verdicts.len() {
+            self.verdicts.resize(num_rnets, UNASKED);
         }
         self.round = self.round.wrapping_add(1);
         if self.round == 0 {
             // Stamp wrap-around: invalidate everything explicitly once
             // every 2^32 queries.
             self.labels.fill(UNSEEN);
+            self.verdicts.fill(UNASKED);
             self.round = 1;
         }
         self.heap.clear();
@@ -210,6 +239,21 @@ impl SearchWorkspace {
             true
         } else {
             false
+        }
+    }
+
+    /// This round's verdict on Rnet `r` — enter (`true`) or bypass — if
+    /// [`Self::set_verdict`] recorded one.
+    #[inline]
+    pub(crate) fn verdict(&self, r: RnetId) -> Option<bool> {
+        self.verdicts.get(r.0 as usize).filter(|v| v.stamp == self.round).map(|v| v.enter)
+    }
+
+    /// Records this round's verdict on Rnet `r`.
+    #[inline]
+    pub(crate) fn set_verdict(&mut self, r: RnetId, enter: bool) {
+        if let Some(v) = self.verdicts.get_mut(r.0 as usize) {
+            *v = Verdict { stamp: self.round, enter };
         }
     }
 
@@ -301,13 +345,13 @@ mod tests {
     #[test]
     fn generations_invalidate_without_clearing() {
         let mut ws = SearchWorkspace::with_node_capacity(4);
-        ws.begin(4);
+        ws.begin(4, 0);
         ws.label_source(2);
         assert_eq!(ws.label_of(2), Some(Weight::ZERO));
         assert!(ws.relax(2, 3, Weight::new(1.5), Hop::Edge(EdgeId(0))));
         assert_eq!(ws.label_of(3), Some(Weight::new(1.5)));
         // New round: every label is stale, nothing was cleared.
-        ws.begin(4);
+        ws.begin(4, 0);
         assert_eq!(ws.label_of(2), None);
         assert_eq!(ws.label_of(3), None);
         assert_eq!(ws.reuse_count(), 2);
@@ -316,7 +360,7 @@ mod tests {
     #[test]
     fn settling_is_once_per_round_and_ids_past_the_arrays_are_inert() {
         let mut ws = SearchWorkspace::with_node_capacity(4);
-        ws.begin(4);
+        ws.begin(4, 0);
         ws.label_source(1);
         assert!(ws.relax(1, 2, Weight::new(2.0), Hop::Edge(EdgeId(7))));
         assert!(!ws.relax(1, 2, Weight::new(2.0), Hop::Edge(EdgeId(8))), "a tie keeps the label");
@@ -329,8 +373,40 @@ mod tests {
         assert!(!ws.settle(u32::MAX, Weight::ZERO));
         assert_eq!(ws.label_of(9), None);
         assert!(ws.pred_of(9).is_none());
-        ws.begin(4);
+        ws.begin(4, 0);
         assert!(ws.settle(2, Weight::ZERO), "a new round forgets the settle");
+    }
+
+    #[test]
+    fn verdicts_last_one_round_and_the_stamp_wrap_clears_them() {
+        let mut ws = SearchWorkspace::new();
+        ws.begin(4, 3);
+        assert_eq!(ws.verdict(RnetId(2)), None);
+        ws.set_verdict(RnetId(2), true);
+        ws.set_verdict(RnetId(0), false);
+        assert_eq!(ws.verdict(RnetId(2)), Some(true));
+        assert_eq!(ws.verdict(RnetId(0)), Some(false));
+        // An id outside the hierarchy the round was sized for is inert.
+        ws.set_verdict(RnetId::NONE, true);
+        assert_eq!(ws.verdict(RnetId::NONE), None);
+        // A new round forgets; a bigger hierarchy grows the table, a
+        // smaller one leaves it be.
+        ws.begin(4, 6);
+        assert_eq!(ws.verdict(RnetId(2)), None);
+        ws.set_verdict(RnetId(5), true);
+        ws.begin(4, 2);
+        assert_eq!(ws.verdict(RnetId(5)), None);
+        // Round 1 again after the wrap: the verdict stamped in the first
+        // round 1 must be gone, like the labels.
+        ws.round = 0;
+        ws.begin(4, 6);
+        ws.set_verdict(RnetId(1), true);
+        ws.label_source(1);
+        ws.round = u32::MAX;
+        ws.begin(4, 6);
+        assert_eq!(ws.round, 1);
+        assert_eq!(ws.verdict(RnetId(1)), None);
+        assert_eq!(ws.label_of(1), None);
     }
 
     #[test]

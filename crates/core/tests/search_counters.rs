@@ -8,6 +8,14 @@
 //! arenas, one label record per node), so a layout change that moves what
 //! is expanded, in which order, or how ties break fails here to the digit
 //! — not only under roadbench's exact-count gate in CI.
+//!
+//! Two things were recorded later, by the change that made a query ask
+//! each Rnet's abstract once (the per-Rnet verdict memo in
+//! `SearchWorkspace`): the paged engines' `io` tuples, which that change
+//! exists to move — eager (167676, 45869) → (116721, 37078), lazy
+//! (168366, 47251) → (117411, 39861), hash and the eight counters beside
+//! them untouched — and `lookups`, the counter it added. The in-place
+//! B+-tree descent of the same change moved nothing here.
 
 // Integration tests may unwrap freely; the workspace unwrap/expect denial
 // targets library code (see clippy.toml for the unit-test exemption).
@@ -37,6 +45,9 @@ struct Golden {
     /// `rnets_bypassed`, `rnets_descended`, `abstract_checks`,
     /// `objects_read`, `heap_pushes`, summed over the mix.
     counters: [usize; 8],
+    /// `abstract_lookups` summed over the mix: of the `abstract_checks`
+    /// verdicts consulted, those the source was asked for.
+    lookups: usize,
     /// `(pages_read, page_faults)` summed over the mix; zero in memory.
     io: (usize, usize),
 }
@@ -81,14 +92,19 @@ impl Tally {
                 s.objects_read,
                 s.heap_pushes,
             ],
+            lookups: s.abstract_lookups,
             io: (s.pages_read, s.page_faults),
         }
     }
 }
 
 fn world() -> (RoadFramework, AssociationDirectory) {
-    let net = Dataset::SfStreets.generate_scaled(0.012, SEED).unwrap();
-    let fw = RoadFramework::builder(net).fanout(4).levels(3).build().unwrap();
+    world_of(0.012, 4, 3)
+}
+
+fn world_of(scale: f64, fanout: usize, levels: u32) -> (RoadFramework, AssociationDirectory) {
+    let net = Dataset::SfStreets.generate_scaled(scale, SEED).unwrap();
+    let fw = RoadFramework::builder(net).fanout(fanout).levels(levels).build().unwrap();
     let mut ad = AssociationDirectory::new(fw.hierarchy());
     let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
@@ -145,6 +161,7 @@ trait Serve {
         hits: &mut Vec<SearchHit>,
     ) -> SearchStats;
     fn group(&self, q: &AggregateKnnQuery) -> (Vec<SearchHit>, SearchStats);
+    fn distance(&self, from: NodeId, to: NodeId) -> Option<Weight>;
 }
 
 impl Serve for (&RoadFramework, &AssociationDirectory) {
@@ -166,6 +183,9 @@ impl Serve for (&RoadFramework, &AssociationDirectory) {
     }
     fn group(&self, q: &AggregateKnnQuery) -> (Vec<SearchHit>, SearchStats) {
         self.0.aggregate_knn_with_stats(self.1, q).unwrap()
+    }
+    fn distance(&self, from: NodeId, to: NodeId) -> Option<Weight> {
+        self.0.network_distance(from, to).unwrap()
     }
 }
 
@@ -189,27 +209,28 @@ impl Serve for PagedEngine {
     fn group(&self, q: &AggregateKnnQuery) -> (Vec<SearchHit>, SearchStats) {
         self.aggregate_knn_with_stats(q).unwrap()
     }
+    fn distance(&self, from: NodeId, to: NodeId) -> Option<Weight> {
+        self.network_distance(from, to).unwrap()
+    }
+}
+
+/// One query through `engine`, the plain ones on `ws`.
+fn ask(engine: &impl Serve, q: &Query, ws: &mut SearchWorkspace) -> (Vec<SearchHit>, SearchStats) {
+    let mut hits = Vec::new();
+    let stats = match q {
+        Query::Knn(q) => engine.knn(q, ws, &mut hits),
+        Query::Range(q) => engine.range(q, ws, &mut hits),
+        Query::Group(q) => return engine.group(q),
+    };
+    (hits, stats)
 }
 
 fn run(engine: &impl Serve, mix: &[Query]) -> Golden {
     let mut tally = Tally { hash: FNV_OFFSET, stats: SearchStats::default() };
     let mut ws = SearchWorkspace::new();
-    let mut hits = Vec::new();
     for q in mix {
-        match q {
-            Query::Knn(q) => {
-                let stats = engine.knn(q, &mut ws, &mut hits);
-                tally.answer(&hits, &stats);
-            }
-            Query::Range(q) => {
-                let stats = engine.range(q, &mut ws, &mut hits);
-                tally.answer(&hits, &stats);
-            }
-            Query::Group(q) => {
-                let (hits, stats) = engine.group(q);
-                tally.answer(&hits, &stats);
-            }
-        }
+        let (hits, stats) = ask(engine, q, &mut ws);
+        tally.answer(&hits, &stats);
     }
     tally.golden()
 }
@@ -217,6 +238,7 @@ fn run(engine: &impl Serve, mix: &[Query]) -> Golden {
 const MEMORY: Golden = Golden {
     hits_hash: 13634855155528178901,
     counters: [47572, 97993, 102403, 17421, 19833, 37254, 3151, 60904],
+    lookups: 4646,
     io: (0, 0),
 };
 
@@ -276,14 +298,15 @@ fn live_snapshot_after_an_update_wave_expands_exactly_as_recorded() {
     let golden = Golden {
         hits_hash: 9567276778457246924,
         counters: [53321, 111824, 103003, 19013, 24155, 43168, 3082, 67470],
+        lookups: 5335,
         io: (0, 0),
     };
     assert_eq!(run(&(snap.framework(), snap.directory()), &mix), golden);
 }
 
-/// The paged engines run the same loop, so hash and counters are the
-/// in-memory goldens; only the page traffic is theirs. One thread and an
-/// LRU pool make that exact too.
+/// The paged engines run the same loop, so hash, counters and lookups are
+/// the in-memory goldens; only the page traffic is theirs. One thread and
+/// an LRU pool make that exact too.
 #[test]
 fn paged_engines_expand_exactly_as_recorded() {
     let (fw, ad) = world();
@@ -291,12 +314,85 @@ fn paged_engines_expand_exactly_as_recorded() {
     let opts = PagedOptions::with_buffer_pages(8);
 
     let eager = PagedEngine::new(&fw, &ad, opts).unwrap();
-    assert_eq!(run(&eager, &mix), Golden { io: (167676, 45869), ..MEMORY });
+    assert_eq!(run(&eager, &mix), Golden { io: (116721, 37078), ..MEMORY });
 
     let objects: Vec<Object> = ad.objects().cloned().collect();
     let image = PagedImage::open(fw.to_bytes()).unwrap();
     let lazy = PagedEngine::open(image, objects, opts).unwrap();
-    assert_eq!(run(&lazy, &mix), Golden { io: (168366, 47251), ..MEMORY });
+    assert_eq!(run(&lazy, &mix), Golden { io: (117411, 39861), ..MEMORY });
+}
+
+/// [`ask`], with the counters less what legitimately depends on history:
+/// the reuse flag and, for a paged engine, how warm the pool was.
+/// `pages_read` stays — a verdict leaking in from an earlier query would
+/// save an abstract read.
+fn answer(
+    engine: &impl Serve,
+    q: &Query,
+    ws: &mut SearchWorkspace,
+) -> (Vec<SearchHit>, SearchStats) {
+    let (hits, mut stats) = ask(engine, q, ws);
+    assert!(stats.abstract_lookups <= stats.abstract_checks, "{stats:?}");
+    stats.workspace_reused = false;
+    stats.page_faults = 0;
+    (hits, stats)
+}
+
+/// The verdict memo is per-query state in a workspace that outlives the
+/// query, so nothing one query learned may reach the next: one
+/// `SearchWorkspace` (and, for the group queries and `network_distance`,
+/// whose `ToNode` expansions make `must_enter` part of the verdict, this
+/// thread's pooled ones) serves alternating filters, query kinds and two
+/// engines with different Rnet counts, and every answer and counter equals
+/// what a new thread with a new workspace gets for the same query.
+#[test]
+fn a_reused_workspace_answers_exactly_like_a_fresh_one() {
+    let (fw, ad) = world();
+    let (small_fw, small_ad) = world_of(0.004, 2, 3);
+    assert_ne!(fw.hierarchy().num_rnets(), small_fw.hierarchy().num_rnets());
+    let memory = (&fw, &ad);
+    let paged = PagedEngine::new(&small_fw, &small_ad, PagedOptions::with_buffer_pages(8)).unwrap();
+
+    /// The query on `ws` and the distance on this thread's pooled
+    /// workspace, against both from a thread that has served nothing.
+    fn check(
+        engine: &(impl Serve + Sync),
+        q: &Query,
+        (from, to): (NodeId, NodeId),
+        ws: &mut SearchWorkspace,
+        i: usize,
+    ) {
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| (answer(engine, q, &mut SearchWorkspace::new()), engine.distance(from, to)))
+                .join()
+                .unwrap()
+        });
+        assert_eq!((answer(engine, q, ws), engine.distance(from, to)), fresh, "query #{i}");
+    }
+
+    let mut rng = StdRng::seed_from_u64(SEED ^ 4);
+    let mut ws = SearchWorkspace::new();
+    let filters = [
+        ObjectFilter::Category(RARE),
+        ObjectFilter::Any,
+        ObjectFilter::AnyOf(vec![CategoryId(1), RARE]),
+    ];
+    for i in 0..54usize {
+        let num_nodes = if i % 2 == 0 { fw.network() } else { small_fw.network() }.num_nodes();
+        let mut node = || NodeId(rng.random_range(0..num_nodes as u32));
+        let filter = filters[i % 3].clone();
+        let q = match (i / 3) % 3 {
+            0 => Query::Knn(KnnQuery::new(node(), 5).with_filter(filter)),
+            1 => Query::Range(RangeQuery::new(node(), Weight::new(800.0)).with_filter(filter)),
+            _ => Query::Group(AggregateKnnQuery::new(vec![node(), node()], 2).with_filter(filter)),
+        };
+        let ends = (node(), node());
+        if i % 2 == 0 {
+            check(&memory, &q, ends, &mut ws, i);
+        } else {
+            check(&paged, &q, ends, &mut ws, i);
+        }
+    }
 }
 
 /// The layout change is in memory only: the image `to_bytes` writes for the
