@@ -20,42 +20,63 @@
 //! already pays for.  The arena sits behind an `Arc` in
 //! [`crate::framework::RoadFramework`], so forking a framework shares it
 //! until the next mutation (the same structural-sharing contract as the
-//! shortcut store).
+//! shortcut store) — and the un-sharing copy is cut the way
+//! [`RoadNetwork`]'s is: the four columns a weight update never writes
+//! stay behind their own `Arc`, only the weight column is copied.
 
 // roadlint: serving-path
 
 use crate::hierarchy::{RnetHierarchy, RnetId};
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, NodeId, Weight};
+use std::sync::Arc;
+
+/// The columns only a topology change rewrites.
+#[derive(Debug, Default)]
+struct ArcColumns {
+    offsets: Vec<u32>,
+    edges: Vec<u32>,
+    targets: Vec<u32>,
+    leaves: Vec<u32>,
+}
 
 /// Pre-joined adjacency for the query path: per-arc edge id, head node,
 /// framework-metric weight and owning finest Rnet, in CSR layout.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct QueryArena {
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
-    targets: Vec<u32>,
+    arcs: Arc<ArcColumns>,
     weights: Vec<Weight>,
-    leaves: Vec<u32>,
 }
 
 impl QueryArena {
     /// Builds the arena by streaming every node's `neighbors` list — the
     /// arc order the query path has always used.
     pub(crate) fn build(g: &RoadNetwork, hier: &RnetHierarchy, kind: WeightKind) -> Self {
-        let mut arena = QueryArena::default();
-        arena.offsets.reserve(g.num_nodes() + 1);
+        let mut arcs = ArcColumns::default();
+        let mut weights = Vec::new();
+        arcs.offsets.reserve(g.num_nodes() + 1);
         for n in 0..g.num_nodes() as u32 {
-            arena.offsets.push(arena.edges.len() as u32);
+            arcs.offsets.push(arcs.edges.len() as u32);
             for (e, v) in g.neighbors(NodeId(n)) {
-                arena.edges.push(e.0);
-                arena.targets.push(v.0);
-                arena.weights.push(g.weight(e, kind));
-                arena.leaves.push(hier.leaf_of_edge(e).0);
+                arcs.edges.push(e.0);
+                arcs.targets.push(v.0);
+                weights.push(g.weight(e, kind));
+                arcs.leaves.push(hier.leaf_of_edge(e).0);
             }
         }
-        arena.offsets.push(arena.edges.len() as u32);
-        arena
+        arcs.offsets.push(arcs.edges.len() as u32);
+        QueryArena { arcs: Arc::new(arcs), weights }
+    }
+
+    /// Index range of `n`'s arcs in the columns; empty for ids outside the
+    /// arena.
+    #[inline]
+    fn range(&self, n: usize) -> std::ops::Range<usize> {
+        let arcs = &self.arcs;
+        let lo = arcs.offsets.get(n).copied().unwrap_or(0) as usize;
+        let hi = arcs.offsets.get(n + 1).copied().unwrap_or(lo as u32) as usize;
+        let lo = lo.min(arcs.edges.len());
+        lo..hi.clamp(lo, arcs.edges.len())
     }
 
     /// Iterate the arcs of `n` as `(edge, head, weight, leaf Rnet)` in
@@ -65,17 +86,14 @@ impl QueryArena {
         &self,
         n: u32,
     ) -> impl Iterator<Item = (EdgeId, NodeId, Weight, RnetId)> + '_ {
-        let lo = self.offsets.get(n as usize).copied().unwrap_or(0) as usize;
-        let hi = self.offsets.get(n as usize + 1).copied().unwrap_or(lo as u32) as usize;
-        let lo = lo.min(self.edges.len());
-        let hi = hi.clamp(lo, self.edges.len());
-        self.edges
-            .get(lo..hi)
+        let (arcs, run) = (&*self.arcs, self.range(n as usize));
+        arcs.edges
+            .get(run.clone())
             .unwrap_or(&[])
             .iter()
-            .zip(self.targets.get(lo..hi).unwrap_or(&[]))
-            .zip(self.weights.get(lo..hi).unwrap_or(&[]))
-            .zip(self.leaves.get(lo..hi).unwrap_or(&[]))
+            .zip(arcs.targets.get(run.clone()).unwrap_or(&[]))
+            .zip(self.weights.get(run.clone()).unwrap_or(&[]))
+            .zip(arcs.leaves.get(run).unwrap_or(&[]))
             .map(|(((&e, &t), &w), &l)| (EdgeId(e), NodeId(t), w, RnetId(l)))
     }
 
@@ -89,10 +107,8 @@ impl QueryArena {
 
     /// Rewrites the weight slot(s) of edge `e` within one endpoint's range.
     fn patch_endpoint(&mut self, n: NodeId, e: EdgeId, weight: Weight) {
-        let lo = self.offsets.get(n.index()).copied().unwrap_or(0) as usize;
-        let hi = self.offsets.get(n.index() + 1).copied().unwrap_or(lo as u32) as usize;
-        for i in lo..hi.max(lo) {
-            if self.edges.get(i).copied() == Some(e.0) {
+        for i in self.range(n.index()) {
+            if self.arcs.edges.get(i).copied() == Some(e.0) {
                 if let Some(w) = self.weights.get_mut(i) {
                     *w = weight;
                 }

@@ -79,9 +79,10 @@ impl UpdateOutcome {
 /// maps live behind [`Arc`]s, so [`Clone`] is a cheap fork (`O(#Rnets)`
 /// pointer bumps) that shares every payload with the original. Maintenance
 /// methods un-share lazily — the first mutation after a fork copies only
-/// the component it touches (weight updates copy the network's flat edge
-/// arrays and the refreshed Rnets' shortcut maps; topology changes
-/// additionally copy the hierarchy) — which is what makes the live
+/// the component it touches (weight updates copy the network's edge
+/// records, the query arena's weight column and the refreshed Rnets'
+/// shortcut maps; topology changes additionally copy the network's
+/// adjacency and the hierarchy) — which is what makes the live
 /// engine's snapshot publication affordable under a sustained update
 /// stream (see [`crate::live`]).
 pub struct RoadFramework {

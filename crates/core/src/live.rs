@@ -30,11 +30,16 @@
 //! internally copy-on-write ([`RoadFramework`] docs): publishing clones
 //! `O(#Rnets)` `Arc` pointers, and the *next* update after a publish
 //! un-shares only the component it touches. A weight update therefore
-//! costs: one lazy copy of the network's flat edge arrays per publish
-//! cycle, plus fresh maps for the handful of refreshed Rnets — every
-//! other Rnet's shortcut data is physically shared across all live
-//! snapshots (asserted by `ShortcutStore::shared_rnet_count` in the test
-//! suite and reported by the `exp_live` benchmark).
+//! costs, per publish cycle: one copy of the network's edge records and
+//! one of the query arena's weight column — two flat `memcpy`s; node
+//! coordinates, adjacency lists and the arena's other columns are written
+//! by topology edits only and stay shared
+//! ([`RoadNetwork::shares_topology_with`](road_network::RoadNetwork::shares_topology_with))
+//! — plus fresh maps for the handful of refreshed Rnets. Every other
+//! Rnet's shortcut data is physically shared across all live snapshots
+//! (`ShortcutStore::shared_rnet_count`); both kinds of sharing are
+//! asserted in `tests/live_tests.rs`. Dropping a snapshot frees what it
+//! alone held, a handful of allocations, off the publication lock.
 //!
 //! ```
 //! use road_core::prelude::*;
@@ -267,10 +272,13 @@ impl UpdateHandle {
     /// already has mutates nothing and leaves the pending/stats state
     /// untouched (no spurious snapshot version on the next publish).
     ///
-    /// Repair cost is dominated by the contraction-based Rnet refreshes
-    /// (`ShortcutStore::refresh_rnet`); the query arena is patched in place
-    /// (`O(deg)`), so published snapshots keep serving from flat adjacency
-    /// without a rebuild.
+    /// Cost: the first change after a publish copies the network's edge
+    /// records and the query arena's weight column (flat copies; nothing
+    /// per node); every change then patches the arena in place (`O(deg)`)
+    /// and refreshes the affected Rnets (`ShortcutStore::refresh_rnet`) —
+    /// a dense elimination and one sealed Dijkstra per border each, the
+    /// Dijkstras being the larger share (ARCHITECTURE.md, "Live updates",
+    /// has the per-tick breakdown).
     pub fn set_edge_weight(
         &mut self,
         e: EdgeId,
@@ -411,7 +419,10 @@ impl UpdateHandle {
             fw: Arc::new(self.fw.clone()),
             ad: Arc::clone(&self.ad),
         });
-        *self.shared.lock() = snapshot;
+        // The guard is gone by the end of the statement: if no reader still
+        // holds the previous snapshot, it is freed here, off the lock.
+        let previous = std::mem::replace(&mut *self.shared.lock(), snapshot);
+        drop(previous);
         self.dirty = false;
         self.stats.publishes += 1;
         self.published_version

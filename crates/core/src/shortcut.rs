@@ -16,26 +16,38 @@
 //! used here is the *matrix rule*: with `dmat` the all-pairs border distance
 //! matrix of the Rnet's local graph, the pair `(b, t)` is kept iff
 //! `dmat[b][t]` is finite and no third border `m` satisfies
-//! `dmat[b][m] + dmat[m][t] <= dmat[b][t]` (ties drop — by the triangle
-//! inequality a covering pair splits at *exactly* the original distance, so
-//! chaining kept shortcuts reconstructs every border distance as long as
-//! edge weights are strictly positive, which road networks guarantee).
+//! `dmat[b][m] + dmat[m][t] <= dmat[b][t]` *with both legs strictly
+//! positive* (ties drop — by the triangle inequality a covering pair splits
+//! at *exactly* the original distance). Each leg of a cover is then
+//! strictly shorter than the pair it covers, so by induction on the
+//! distance, chaining kept shortcuts reconstructs every border distance for
+//! any non-negative weights. The positive-legs clause is what zero weights
+//! need — without it two borders at distance zero cover each other's
+//! shortcuts, each pair dropped in favour of the other — and on positive
+//! weights it only ever excludes `m == b` and `m == t`, the zero diagonal.
 //!
-//! Construction is contraction-based (ROADMAP item 1): instead of one full
-//! Dijkstra per border over the local graph, the interior nodes are
-//! *contracted* ([`road_network::contractor`]) and `dmat` is computed on the
-//! tiny border-only remainder graph, which preserves all pairwise border
-//! distances by construction. Kept pairs are then materialised by one
-//! *sealed* Dijkstra per source border over the local CSR arena
-//! ([`LocalDijkstra::run_csr`] with `seal_below` = the border count): border
-//! nodes are settled but never expanded, so the predecessor chains are
-//! border-free — Lemma 4's path shape — in a single pass. The legacy
-//! all-pairs sweep survives behind `#[cfg(any(test, feature =
-//! "oracle-build"))]` as [`ShortcutStore::build_with_oracle`]; because both
-//! builders share the canonical local-graph assembly, the matrix rule and
-//! the sealed finalisation pass, their outputs are **byte-identical**
-//! (pinned by `tests/construction_oracle.rs`), which is what makes the
-//! fast path safely swappable.
+//! Construction is by elimination: instead of one full Dijkstra per border
+//! over the local graph, the interior nodes are eliminated and `dmat` is
+//! closed over the borders alone, which preserves all pairwise border
+//! distances by construction. A local graph of at most
+//! [`DENSE_MAX_NODES`] nodes — every Rnet of a hierarchy of the suggested
+//! depth, and everything a weight update refreshes — is eliminated as a
+//! dense matrix ([`road_network::minplus`]); a larger one (the leaves of a
+//! shallow hierarchy run to thousands of nodes) is *contracted*
+//! ([`road_network::contractor`]) down to the border-only remainder graph.
+//! `dmat` only decides which pairs are kept: kept pairs are then
+//! materialised by one *sealed* Dijkstra per source border over the local
+//! CSR arena ([`LocalDijkstra::run_csr`] with `seal_below` = the border
+//! count): border nodes are settled but never expanded, so the predecessor
+//! chains are border-free — Lemma 4's path shape — in a single pass, and
+//! stored distances and waypoints are the same bytes whichever way `dmat`
+//! was computed. The legacy all-pairs sweep survives behind
+//! `#[cfg(any(test, feature = "oracle-build"))]` as
+//! [`ShortcutStore::build_with_oracle`]; because all builders share the
+//! canonical local-graph assembly, the matrix rule and the sealed
+//! finalisation pass, their outputs are **byte-identical** (pinned by
+//! `tests/construction_oracle.rs`), which is what makes the fast paths
+//! safely swappable.
 //!
 //! Each shortcut stores its intermediate *waypoints* — physical nodes at
 //! the finest level, child border nodes above — which is exactly the
@@ -63,20 +75,33 @@ use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::hash::FastMap;
+use road_network::minplus;
 use road_network::path::Path;
 use road_network::{NodeId, Weight};
 use std::sync::Arc;
 
-/// Settle bound for each witness search during contraction. Bounded witness
-/// searches only ever make the remainder graph denser (a missed witness adds
-/// a redundant arc), never wrong, so this is purely a speed knob.
-const WITNESS_SETTLE_LIMIT: usize = 64;
+/// Local graphs of at most this many nodes get their border-distance
+/// matrix from dense elimination ([`minplus::border_matrix`]); larger ones
+/// go through the contractor, since a leaf of thousands of nodes cannot be
+/// a matrix (this many nodes are a 2 MiB one). A speed switch on the
+/// input's size and nothing else: both arms compute the same border
+/// distances, and stored distances and waypoints come from the sealed
+/// Dijkstra either way.
+///
+/// The value is the measured crossover against the arm above it, on the
+/// graphs where that arm is at its best — sparse leaves (average degree
+/// 2.1–2.5, CONT@0.1 and SF@0.25 built 3 and 4 levels deep): dense
+/// elimination wins 2.2–3.1x at 257–448 nodes, 1.4x at 449–512, and loses
+/// (0.8x) at 513–640. On the upper levels' near-cliques of child shortcuts
+/// (65–192 nodes, average degree 16–62) it wins 70–138x at every size seen
+/// (ARCHITECTURE.md, "Shortcut construction", has the table).
+pub const DENSE_MAX_NODES: usize = 512;
 
-/// Local graphs below this node count contract with a witness budget of
-/// zero: their fill-in is already bounded by the (tiny) border count, so
-/// every witness search is pure overhead there.  Another speed knob —
-/// neither constant changes a single output byte.
-const WITNESS_MIN_NODES: usize = 256;
+/// Settle bound for each witness search of the contractor arm. Bounded
+/// witness searches only ever make the remainder graph denser (a missed
+/// witness adds a redundant arc), never wrong, so this is purely a speed
+/// knob — it never changes a single output byte.
+const WITNESS_SETTLE_LIMIT: usize = 64;
 
 /// One directed shortcut out of a border node, borrowed from its Rnet's
 /// arena.
@@ -221,16 +246,16 @@ pub struct ShortcutOptions {
     /// Apply Lemma 4: drop shortcuts covered by other shortcuts of the
     /// same Rnet. On by default; the ablation benchmark switches it off.
     pub prune_transitive: bool,
-    /// Order in which interior nodes are contracted. The final store is
-    /// independent of this choice (the remainder graph always preserves
-    /// border distances); differential tests vary it to prove exactly that.
+    /// Order in which the interior nodes of a local graph above
+    /// [`DENSE_MAX_NODES`] are contracted. The final store is independent
+    /// of this choice (the remainder graph always preserves border
+    /// distances); differential tests vary it to prove exactly that.
     pub contraction_order: ContractionOrder,
     /// Witness-search settle budget per contraction, or `None` for the
-    /// adaptive default: `WITNESS_SETTLE_LIMIT` (64) once the local graph
-    /// reaches `WITNESS_MIN_NODES` (256) nodes, zero below (tiny Rnets bound
-    /// fill-in by their border count, so searching there is pure overhead).
-    /// Like the order, the budget never changes a single output byte —
-    /// differential tests vary it to prove exactly that.
+    /// default, `WITNESS_SETTLE_LIMIT` (64). Like the order, the budget
+    /// never changes a single output byte — differential tests vary it to
+    /// prove exactly that — and like the order it is read only where
+    /// something is contracted: local graphs above [`DENSE_MAX_NODES`].
     pub witness_budget: Option<usize>,
     /// Worker threads for construction and multi-Rnet repair: Rnets of the
     /// same level are independent (Lemma 2 — a level reads only the level
@@ -505,9 +530,12 @@ impl ShortcutStore {
     /// Computes the shortcut map of one Rnet from the network (finest
     /// level) or from its children's current shortcuts (upper levels).
     ///
-    /// Pruned builds (the default) go through node contraction; unpruned
-    /// builds (the ablation baseline) keep the per-border sweep, since
-    /// without Lemma 4 every reachable pair is materialised anyway.
+    /// Pruned builds (the default) compute the all-pairs border distance
+    /// matrix `dmat` first — by dense elimination when the local graph has
+    /// at most [`DENSE_MAX_NODES`] nodes, by node contraction above — and
+    /// materialise what the keep rule leaves; unpruned builds (the ablation
+    /// baseline) keep the per-border sweep, since without Lemma 4 every
+    /// reachable pair is materialised anyway.
     fn compute_rnet_map(
         &self,
         g: &RoadNetwork,
@@ -516,6 +544,35 @@ impl ShortcutStore {
         r: RnetId,
         opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
+    ) -> RnetShortcuts {
+        // Either arm eliminates the interiors and closes over the borders;
+        // they differ in what holds the graph while it shrinks. Under exact
+        // arithmetic both reproduce the sweep's distances bit-for-bit (all
+        // three are exact sums of the same edge weights).
+        self.compute_rnet_map_with(g, hier, kind, r, opts, scratch, |scratch, nb| {
+            if scratch.csr.num_nodes() <= DENSE_MAX_NODES {
+                scratch.eliminate_into_dmat(nb);
+            } else {
+                scratch.contract_into_dmat(nb, opts);
+            }
+        })
+    }
+
+    /// [`ShortcutStore::compute_rnet_map`] with the way `scratch.dmat` is
+    /// filled from the assembled local graph left to the caller: everything
+    /// around it — canonical assembly, keep rule, sealed finalisation — is
+    /// shared by the size-switched build and the all-pairs oracle, which is
+    /// what pins their outputs byte-equal.
+    #[allow(clippy::too_many_arguments)]
+    fn compute_rnet_map_with(
+        &self,
+        g: &RoadNetwork,
+        hier: &RnetHierarchy,
+        kind: WeightKind,
+        r: RnetId,
+        opts: &ShortcutOptions,
+        scratch: &mut BuildScratch,
+        fill_dmat: impl FnOnce(&mut BuildScratch, usize),
     ) -> RnetShortcuts {
         let borders = hier.borders(r);
         let mut out = RnetShortcuts::default();
@@ -527,60 +584,7 @@ impl ShortcutStore {
             self.sweep_unpruned(scratch, borders, &mut out);
             return out;
         }
-        // Contract the interiors; the *remainder* graph lives on the borders
-        // alone and preserves all their pairwise distances, so the dmat
-        // closure is a tiny Floyd-Warshall over an `nb x nb` flat matrix
-        // instead of |borders| Dijkstras over the whole local graph.  Under
-        // exact arithmetic the closure reproduces the sweep's distances
-        // bit-for-bit (both are exact sums of the same edge weights).
-        scratch.remainder_builder.clear();
-        let witness_budget =
-            opts.witness_budget.unwrap_or(if scratch.csr.num_nodes() >= WITNESS_MIN_NODES {
-                WITNESS_SETTLE_LIMIT
-            } else {
-                0
-            });
-        scratch.contractor.contract(
-            &scratch.csr,
-            borders.len() as u32,
-            opts.contraction_order,
-            witness_budget,
-            &mut scratch.remainder_builder,
-        );
-        let nb = borders.len();
-        scratch.dmat.clear();
-        scratch.dmat.resize(nb * nb, Weight::INFINITY);
-        // Per-worker inner loop of the parallel build: everything below runs
-        // against this worker's own `BuildScratch` buffers (sized by the
-        // clear/resize above), so the closure must stay allocation-free.
-        // roadlint: hot-path
-        for bi in 0..nb {
-            scratch.dmat[bi * nb + bi] = Weight::ZERO;
-        }
-        // Fold the remainder arcs straight off the builder: the closure only
-        // needs the min weight per border pair, so freezing them into a CSR
-        // (a counting sort) would be pure overhead.
-        for (u, v, w) in scratch.remainder_builder.arcs() {
-            let slot = &mut scratch.dmat[u as usize * nb + v as usize];
-            if w < *slot {
-                *slot = w;
-            }
-        }
-        for k in 0..nb {
-            for i in 0..nb {
-                let dik = scratch.dmat[i * nb + k];
-                if dik.is_infinite() {
-                    continue;
-                }
-                for j in 0..nb {
-                    let via = dik + scratch.dmat[k * nb + j];
-                    if via < scratch.dmat[i * nb + j] {
-                        scratch.dmat[i * nb + j] = via;
-                    }
-                }
-            }
-        }
-        // roadlint: end hot-path
+        fill_dmat(scratch, borders.len());
         self.finalize_from_matrix(scratch, borders, &mut out);
         out
     }
@@ -682,26 +686,21 @@ impl ShortcutStore {
         scratch.sort_sources(borders);
         for si in 0..nb {
             let bi = scratch.source_order[si] as usize;
+            // Lemma 4 (matrix form): a pair is covered when some third
+            // border splits it, both legs positive, at no more than its
+            // distance — ties drop.
+            minplus::cover_row(&scratch.dmat, nb, bi, &mut scratch.cover);
             scratch.kept.clear();
-            for ti in 0..nb {
-                if ti == bi {
-                    continue;
-                }
-                let d = scratch.dmat[bi * nb + ti];
-                if d.is_infinite() {
-                    continue; // internally disconnected Rnet: no shortcut
-                }
-                // Lemma 4 (matrix form): covered through any third border,
-                // ties drop.
-                let covered = (0..nb).any(|mi| {
-                    mi != bi
-                        && mi != ti
-                        && scratch.dmat[bi * nb + mi] + scratch.dmat[mi * nb + ti] <= d
-                });
-                if !covered {
+            // roadlint: hot-path
+            let row = &scratch.dmat[bi * nb..(bi + 1) * nb];
+            for (ti, (&d, &cover)) in row.iter().zip(&scratch.cover).enumerate() {
+                // An infinite distance is an internally disconnected Rnet:
+                // no shortcut.
+                if ti != bi && d != f64::INFINITY && d < cover {
                     scratch.kept.push(ti as u32);
                 }
             }
+            // roadlint: end hot-path
             if scratch.kept.is_empty() {
                 continue;
             }
@@ -710,13 +709,13 @@ impl ShortcutStore {
             for &t in &scratch.kept {
                 let dist = scratch.dij.dist(t);
                 if dist.is_infinite() {
-                    // Float-tie fallout: every shortest path for this pair
-                    // runs through another border, but the covering sum
-                    // rounded one ulp above `d`, so the matrix rule kept
-                    // it. No interior-only path exists and the through-
-                    // border shortcuts already cover the pair — drop it
-                    // rather than materialise an infinite shortcut. Under
-                    // exact arithmetic this branch is unreachable.
+                    // Every path for this pair runs through another
+                    // border, and the matrix rule kept it all the same:
+                    // the border sits at distance zero from one end (a
+                    // zero leg covers nothing), or the covering sum
+                    // rounded one ulp above `d`. The through-border
+                    // shortcuts already carry the pair — drop it rather
+                    // than materialise an infinite shortcut.
                     continue;
                 }
                 scratch.push_via_chain(bi as u32, t, &mut out.vias);
@@ -731,10 +730,10 @@ impl ShortcutStore {
 
     /// Legacy all-pairs construction, kept as the differential-testing
     /// oracle: `dmat` comes from one *full* local-graph Dijkstra per border
-    /// (the pre-contraction sweep) instead of the contraction remainder.
+    /// (the pre-contraction sweep) instead of an elimination.
     /// Shares the canonical assembly, matrix rule and sealed finalisation
-    /// with [`ShortcutStore::build`], so the two are byte-identical — the
-    /// remainder graph preserves all pairwise border distances exactly.
+    /// with [`ShortcutStore::build`], so the two are byte-identical — either
+    /// elimination preserves all pairwise border distances exactly.
     #[cfg(any(test, feature = "oracle-build"))]
     pub fn build_with_oracle(
         g: &RoadNetwork,
@@ -742,50 +741,35 @@ impl ShortcutStore {
         kind: WeightKind,
         opts: &ShortcutOptions,
     ) -> Self {
+        Self::build_inline_with(g, hier, kind, opts, |scratch, nb| {
+            scratch.dmat.clear();
+            for bi in 0..nb {
+                scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
+                scratch.dmat.extend((0..nb).map(|ti| scratch.dij.dist(ti as u32).get()));
+            }
+        })
+    }
+
+    /// [`ShortcutStore::build`] on the calling thread, every Rnet's `dmat`
+    /// filled by `fill_dmat` (see [`ShortcutStore::compute_rnet_map_with`]).
+    #[cfg(any(test, feature = "oracle-build"))]
+    fn build_inline_with(
+        g: &RoadNetwork,
+        hier: &RnetHierarchy,
+        kind: WeightKind,
+        opts: &ShortcutOptions,
+        fill_dmat: impl Fn(&mut BuildScratch, usize),
+    ) -> Self {
         let mut store = ShortcutStore::empty(hier.num_rnets());
         let mut scratch = BuildScratch::default();
         for level in (1..=hier.levels()).rev() {
             for r in hier.rnets_at_level(level) {
-                let map = store.compute_rnet_map_oracle(g, hier, kind, r, opts, &mut scratch);
+                let map =
+                    store.compute_rnet_map_with(g, hier, kind, r, opts, &mut scratch, &fill_dmat);
                 store.replace_rnet(r, map);
             }
         }
         store
-    }
-
-    /// One Rnet of the oracle build (see
-    /// [`ShortcutStore::build_with_oracle`]).
-    #[cfg(any(test, feature = "oracle-build"))]
-    fn compute_rnet_map_oracle(
-        &self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        r: RnetId,
-        opts: &ShortcutOptions,
-        scratch: &mut BuildScratch,
-    ) -> RnetShortcuts {
-        let borders = hier.borders(r);
-        let mut out = RnetShortcuts::default();
-        if borders.len() < 2 {
-            return out;
-        }
-        self.assemble_local(g, hier, kind, r, scratch, borders);
-        if !opts.prune_transitive {
-            self.sweep_unpruned(scratch, borders, &mut out);
-            return out;
-        }
-        let nb = borders.len();
-        scratch.dmat.clear();
-        scratch.dmat.resize(nb * nb, Weight::INFINITY);
-        for bi in 0..nb {
-            scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
-            for ti in 0..nb {
-                scratch.dmat[bi * nb + ti] = scratch.dij.dist(ti as u32);
-            }
-        }
-        self.finalize_from_matrix(scratch, borders, &mut out);
-        out
     }
 
     /// Expands a shortcut of Rnet `r` starting at `from` into the full
@@ -1074,14 +1058,17 @@ fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
 }
 
 /// Reusable allocations for shortcut computation: the local-id interner,
-/// the CSR arena of the Rnet being built, the contraction state, the
-/// border-distance matrix and the shared Dijkstra.
+/// the CSR arena of the Rnet being built, the elimination matrix and the
+/// contraction state (one arm each), the border-distance matrix and the
+/// shared Dijkstra.
 #[derive(Default)]
 pub(crate) struct BuildScratch {
     local_of: FastMap<u32, u32>,
     global: Vec<u32>,
     builder: CsrBuilder,
     csr: CsrGraph,
+    /// The `n x n` arc matrix dense elimination works in (small graphs).
+    elim: Vec<f64>,
     contractor: Contractor,
     remainder_builder: CsrBuilder,
     dij: LocalDijkstra,
@@ -1089,7 +1076,10 @@ pub(crate) struct BuildScratch {
     /// target set handed to each matrix Dijkstra.
     border_locals: Vec<u32>,
     /// Row-major `nb x nb` all-pairs border distances of the current Rnet.
-    dmat: Vec<Weight>,
+    dmat: Vec<f64>,
+    /// The current source border's row of the keep rule: per target, the
+    /// cheapest split through a third border.
+    cover: Vec<f64>,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
     /// Border locals in ascending global node id: the order sources are
@@ -1113,6 +1103,29 @@ impl BuildScratch {
         self.local_of.insert(global, l);
         self.global.push(global);
         l
+    }
+
+    /// All-pairs distances of the assembled graph's `nb` borders into
+    /// `dmat`, interiors pivoted out of a dense matrix.
+    fn eliminate_into_dmat(&mut self, nb: usize) {
+        minplus::border_matrix(&self.csr, nb, &mut self.elim, &mut self.dmat);
+    }
+
+    /// The same matrix by node contraction. The *remainder* graph lives on
+    /// the borders alone and preserves all their pairwise distances; its
+    /// arcs are folded straight off the builder, since the closure only
+    /// needs the min weight per border pair and freezing them into a CSR
+    /// (a counting sort) would be pure overhead.
+    fn contract_into_dmat(&mut self, nb: usize, opts: &ShortcutOptions) {
+        self.remainder_builder.clear();
+        self.contractor.contract(
+            &self.csr,
+            nb as u32,
+            opts.contraction_order,
+            opts.witness_budget.unwrap_or(WITNESS_SETTLE_LIMIT),
+            &mut self.remainder_builder,
+        );
+        minplus::close_arcs(nb, self.remainder_builder.arcs(), &mut self.dmat);
     }
 
     /// Fills `source_order` for `borders` (whose locals are `0..nb`).
@@ -1471,7 +1484,9 @@ mod tests {
     /// The pruning rule, verified post hoc against restricted shortest-path
     /// distances on a unit grid (heavy with equal-weight ties): the store
     /// holds `(b, t)` **iff** the restricted distance is finite and no
-    /// third border `m` covers it with `d(b,m) + d(m,t) <= d(b,t)`.  Since
+    /// third border `m` covers it with `d(b,m) + d(m,t) <= d(b,t)`, both
+    /// legs positive (which on this grid every leg between distinct nodes
+    /// is).  Since
     /// `d` is a shortest-path distance, a covering split can only be
     /// *exactly equal* (triangle inequality), so every covered pair this
     /// test sees is an equal-weight tie — pinning that ties drop the
@@ -1508,7 +1523,8 @@ mod tests {
                         }
                         let d = dmat[bi * nb + ti];
                         let covered = (0..nb).any(|mi| {
-                            mi != bi && mi != ti && dmat[bi * nb + mi] + dmat[mi * nb + ti] <= d
+                            let (first, second) = (dmat[bi * nb + mi], dmat[mi * nb + ti]);
+                            first > Weight::ZERO && second > Weight::ZERO && first + second <= d
                         });
                         let keep = d.is_finite() && !covered;
                         let present = store.between(r, borders[bi], borders[ti]).is_some();
@@ -1561,5 +1577,61 @@ mod tests {
             RnetHierarchy::from_leaf_assignment(&g, 2, 1, |e| u32::from(e == edges[1])).unwrap();
         let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &Default::default());
         assert_eq!(store.num_shortcuts(), 0, "single-border Rnets keep no shortcuts");
+    }
+
+    /// The size switch picks a way to compute `dmat`, never what is stored:
+    /// on a world with local graphs on both sides of [`DENSE_MAX_NODES`],
+    /// dense elimination everywhere, contraction everywhere, the switched
+    /// build and the all-pairs oracle serialize to the same bytes. Weights
+    /// are dyadic, so every path sum is exact and "same distances" means
+    /// "same bits".
+    #[test]
+    fn either_arm_builds_the_same_bytes_on_a_world_straddling_the_switch() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // 27 x 26 grid: leaf 0 takes the left 21 columns (546 nodes), the
+        // other three share the rest by rows.
+        let (w, h) = (27u32, 26u32);
+        let mut g = simple::grid(w as usize, h as usize, 1.0);
+        let mut rng = StdRng::seed_from_u64(0xD1AD);
+        for e in g.edge_ids().collect::<Vec<_>>() {
+            let dyadic = Weight::new(f64::from(rng.random_range(1..=1024u32)) / 64.0);
+            g.set_weight(e, WeightKind::Distance, dyadic).unwrap();
+        }
+        let hier = RnetHierarchy::from_leaf_assignment(&g, 2, 2, |e| {
+            let (a, b) = g.edge(e).endpoints();
+            let (col, row) = (a.0.max(b.0) % w, a.0.max(b.0) / w);
+            if col <= 20 {
+                0
+            } else {
+                1 + row * 3 / h
+            }
+        })
+        .unwrap();
+
+        let opts = ShortcutOptions::default();
+        let bytes = |store: &ShortcutStore| {
+            let mut out = Vec::new();
+            store.serialize_into(&mut out);
+            out
+        };
+        let kind = WeightKind::Distance;
+        let switched = bytes(&ShortcutStore::build(&g, &hier, kind, &opts));
+        let sizes = std::cell::RefCell::new(Vec::new());
+        let dense = ShortcutStore::build_inline_with(&g, &hier, kind, &opts, |scratch, nb| {
+            sizes.borrow_mut().push(scratch.csr.num_nodes());
+            scratch.eliminate_into_dmat(nb)
+        });
+        let sizes = sizes.into_inner();
+        assert!(sizes.iter().any(|&n| n > DENSE_MAX_NODES), "nothing above the switch: {sizes:?}");
+        assert!(sizes.iter().any(|&n| n <= DENSE_MAX_NODES), "nothing below it: {sizes:?}");
+        let contracted = ShortcutStore::build_inline_with(&g, &hier, kind, &opts, |scratch, nb| {
+            scratch.contract_into_dmat(nb, &opts)
+        });
+        assert!(dense.num_shortcuts() > 0);
+        assert_eq!(bytes(&dense), switched, "dense elimination everywhere diverged");
+        assert_eq!(bytes(&contracted), switched, "contraction everywhere diverged");
+        let oracle = ShortcutStore::build_with_oracle(&g, &hier, kind, &opts);
+        assert_eq!(bytes(&oracle), switched, "the all-pairs oracle diverged");
     }
 }

@@ -20,13 +20,15 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::paged::{PagedEngine, PagedOptions};
 use road_core::prelude::*;
 use road_core::search::{Aggregate, AggregateKnnQuery};
-use road_core::shortcut::{ShortcutOptions, ShortcutStore};
+use road_core::shortcut::{ShortcutOptions, ShortcutStore, DENSE_MAX_NODES};
 use road_core::{HierarchyConfig, RnetHierarchy};
 use road_network::contractor::ContractionOrder;
 use road_network::generator::simple;
@@ -94,6 +96,14 @@ fn assert_stores_byte_equal(
 
 fn hier_for(g: &RoadNetwork, fanout: usize, levels: u32) -> RnetHierarchy {
     RnetHierarchy::build(g, &HierarchyConfig { fanout, levels, ..Default::default() }).unwrap()
+}
+
+/// [`common::two_arm_grid`] reweighted, under [`common::two_arm_hierarchy`].
+fn two_arm_world(seed: u64, closed: usize) -> (RoadNetwork, RnetHierarchy) {
+    let mut g = common::two_arm_grid();
+    reweight(&mut g, seed, false, closed);
+    let hier = common::two_arm_hierarchy(&g);
+    (g, hier)
 }
 
 proptest! {
@@ -212,9 +222,7 @@ fn multi_component_worlds_byte_agree() {
 /// distances they encode do not).
 #[test]
 fn store_is_contraction_order_independent() {
-    let mut g = simple::grid(9, 8, 1.0);
-    reweight(&mut g, 42, false, 2);
-    let hier = hier_for(&g, 4, 2);
+    let (g, hier) = two_arm_world(42, 2);
     let reference = serialize(&ShortcutStore::build(
         &g,
         &hier,
@@ -230,15 +238,12 @@ fn store_is_contraction_order_independent() {
 
 /// The witness-search budget is a pure speed knob: any forced budget —
 /// zero (witnessing disabled), tiny (almost every witness missed), or
-/// far beyond the adaptive default — must yield the same bytes as the
-/// adaptive policy and as the legacy sweep.  Missed witnesses only make
-/// the contraction remainder denser; the border distances it closes
-/// over are identical.
+/// far beyond the default — must yield the same bytes as the default and
+/// as the legacy sweep.  Missed witnesses only make the contraction
+/// remainder denser; the border distances it closes over are identical.
 #[test]
 fn store_is_witness_budget_independent() {
-    let mut g = simple::grid(9, 8, 1.0);
-    reweight(&mut g, 0x11ED, false, 2);
-    let hier = hier_for(&g, 2, 3);
+    let (g, hier) = two_arm_world(0x11ED, 2);
     let reference = serialize(&ShortcutStore::build(
         &g,
         &hier,
@@ -265,9 +270,10 @@ fn unpruned_builds_byte_agree() {
 }
 
 /// Medium-world stress diff (CI runs it under `--include-ignored`): a
-/// 1600-node grid with randomized integer weights, fanout 4, three
-/// levels, built both ways and diffed byte-for-byte — twice, under two
-/// different contraction orders.
+/// 1600-node grid with randomized integer weights, built both ways and
+/// diffed byte-for-byte — as 64 leaves under three levels of fanout 4
+/// (dense elimination throughout), and as two 800-node halves, which only
+/// the contractor can take, under two contraction orders.
 #[test]
 #[ignore = "medium-world construction diff; run with --include-ignored"]
 fn stress_medium_world_builds_byte_equal_both_ways() {
@@ -275,10 +281,13 @@ fn stress_medium_world_builds_byte_equal_both_ways() {
     reweight(&mut g, 0xEDB7, false, 5);
     let hier = hier_for(&g, 4, 3);
     assert_stores_byte_equal(&g, &hier, &ShortcutOptions::default(), "grid 40x40 fanout=4");
+    let halves = hier_for(&g, 2, 1);
+    assert!(halves.rnets_at_level(1).all(|r| halves.leaf_edge_list(r).len() > 2 * DENSE_MAX_NODES));
+    assert_stores_byte_equal(&g, &halves, &ShortcutOptions::default(), "grid 40x40 halves");
     let opts = ShortcutOptions {
         contraction_order: ContractionOrder::InputOrder,
         witness_budget: Some(64),
         ..Default::default()
     };
-    assert_stores_byte_equal(&g, &hier, &opts, "grid 40x40 fanout=4 input-order witnessed");
+    assert_stores_byte_equal(&g, &halves, &opts, "grid 40x40 halves input-order witnessed");
 }

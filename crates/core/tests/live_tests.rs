@@ -14,6 +14,7 @@ use rand::{RngExt, SeedableRng};
 use road_core::live::LiveEngine;
 use road_core::prelude::*;
 use road_core::search::{oracle_knn, oracle_range};
+use road_network::dijkstra::shortest_path_weight;
 use road_network::generator::simple;
 use road_network::EdgeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -299,6 +300,71 @@ fn snapshots_share_untouched_components() {
     assert!(s1.directory().object(ObjectId(900)).is_none());
 }
 
+/// What a weight update copies, held to account: after a publish and a
+/// batch of reweights the writer's network still shares its topology
+/// allocation (coordinates, adjacency lists) with the held snapshot, which
+/// keeps answering on the old weights while the next one answers on the
+/// new — each equal to its own oracle. A topology edit is what un-shares
+/// it, and a snapshot published before the edit keeps its adjacency.
+#[test]
+fn weight_updates_share_the_topology_and_topology_edits_unshare_it() {
+    let (live, mut writer) = grid_engine(17, 12);
+    let held = live.snapshot();
+    let shares = |writer: &road_core::UpdateHandle, snap: &road_core::live::Snapshot| {
+        writer.framework().network().shares_topology_with(snap.framework().network())
+    };
+    assert!(shares(&writer, &held));
+
+    let wave: Vec<(EdgeId, Weight)> =
+        held.framework().network().edge_ids().take(9).map(|e| (e, Weight::new(7.5))).collect();
+    writer.set_edge_weights(&wave).unwrap();
+    assert!(shares(&writer, &held), "a weight update copied the topology");
+    writer.publish();
+    let reweighted = live.snapshot();
+    assert!(reweighted.framework().network().shares_topology_with(held.framework().network()));
+    for snap in [&held, &reweighted] {
+        let want = if snap.version() == 0 { Weight::new(1.0) } else { Weight::new(7.5) };
+        for &(e, _) in &wave {
+            assert_eq!(snap.framework().network().weight(e, WeightKind::Distance), want);
+        }
+        for node in [0u32, 5, 77, 143] {
+            let q = KnnQuery::new(NodeId(node), 4);
+            let want = oracle_knn(snap.framework(), snap.directory(), &q);
+            assert_hits_match(&snap.knn(&q).unwrap().hits, &want, "knn on a sharing snapshot");
+            let r = RangeQuery::new(NodeId(node), Weight::new(6.0));
+            let want = oracle_range(snap.framework(), snap.directory(), &r);
+            assert_hits_match(&snap.range(&r).unwrap().hits, &want, "range on a sharing snapshot");
+        }
+    }
+
+    // A connector between two far corners, then its removal.
+    let (a, b) = (NodeId(0), NodeId(143));
+    let neighbours = |snap: &road_core::live::Snapshot| {
+        snap.framework().network().neighbors(a).collect::<Vec<_>>()
+    };
+    let adjacency_before = neighbours(&reweighted);
+    let w = Weight::new(2.0);
+    let (e, _) = writer.add_edge(a, b, (w, w, Weight::ZERO)).unwrap();
+    assert!(!shares(&writer, &reweighted), "add_edge wrote into a shared topology");
+    assert_eq!(neighbours(&reweighted), adjacency_before);
+    assert_eq!(neighbours(&held), adjacency_before);
+    assert!(reweighted.framework().network().edge_between(a, b).is_none());
+    writer.publish();
+    let connected = live.snapshot();
+    assert_eq!(connected.framework().network().edge_between(a, b), Some(e));
+
+    writer.remove_edge(e).unwrap();
+    assert!(!shares(&writer, &connected));
+    assert_eq!(connected.framework().network().edge_between(a, b), Some(e));
+    assert_eq!(neighbours(&connected).len(), adjacency_before.len() + 1);
+    assert_eq!(connected.network_distance(a, b).unwrap(), Some(w));
+    writer.publish();
+    let removed = live.snapshot();
+    let around = shortest_path_weight(removed.framework().network(), WeightKind::Distance, a, b);
+    assert!(around > Some(w));
+    assert_eq!(removed.network_distance(a, b).unwrap(), around);
+}
+
 /// `move_object` is atomic from the readers' perspective and rolls back
 /// cleanly when the destination is invalid.
 #[test]
@@ -470,4 +536,90 @@ fn published_persisted_and_lazily_reopened_history_agrees_with_oracle() {
     }
     assert!(tied_at_k > 0, "no query had an exact tie at the k-th place");
     assert!(paged.rnets_loaded() > 0, "the paged engine never loaded an Rnet lazily");
+}
+
+/// Forty random probes of one engine — `knn`, `range` and `distance` are
+/// its answers — against plain Dijkstra over (`fw`, `ad`), bit for bit.
+fn assert_answers_like_dijkstra(
+    rng: &mut StdRng,
+    (fw, ad): (&RoadFramework, &AssociationDirectory),
+    ctx: &str,
+    knn: impl Fn(&KnnQuery) -> Vec<SearchHit>,
+    range: impl Fn(&RangeQuery) -> Vec<SearchHit>,
+    distance: impl Fn(NodeId, NodeId) -> Option<Weight>,
+) {
+    let num_nodes = fw.network().num_nodes() as u32;
+    for _ in 0..40 {
+        let (from, to) =
+            (NodeId(rng.random_range(0..num_nodes)), NodeId(rng.random_range(0..num_nodes)));
+        let want = shortest_path_weight(fw.network(), WeightKind::Distance, from, to);
+        assert_eq!(distance(from, to), want, "{ctx}: distance {from} -> {to}");
+        let q = KnnQuery::new(from, rng.random_range(1..6));
+        assert_eq!(knn(&q), oracle_knn(fw, ad, &q), "{ctx}: {q:?}");
+        let q = RangeQuery::new(from, Weight::new(f64::from(rng.random_range(0..8u32)) * 0.5));
+        assert_eq!(range(&q), oracle_range(fw, ad, &q), "{ctx}: {q:?}");
+    }
+}
+
+/// Zero is a legal weight (a toll is zero on most edges), and two borders
+/// at distance zero used to cover each other's shortcuts — each pair
+/// dropped in favour of the other, both gone, answers too long. Zeros are
+/// present when the framework is built and keep arriving as updates; after
+/// every one of them the in-memory engine, the published snapshot and —
+/// at the end — a lazily reopened paged engine must answer kNN, range and
+/// point-to-point distance like plain Dijkstra. Unit grid, so every
+/// distance is exact.
+#[test]
+fn zero_weight_edges_answer_like_dijkstra_on_every_engine() {
+    let mut g = simple::grid(12, 12, 1.0);
+    let edges: Vec<EdgeId> = g.edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(0x2E80);
+    let random_edge = |rng: &mut StdRng| edges[rng.random_range(0..edges.len())];
+    for _ in 0..6 {
+        g.set_weight(random_edge(&mut rng), WeightKind::Distance, Weight::ZERO).unwrap();
+    }
+    let fw = RoadFramework::builder(g).fanout(4).levels(2).build().unwrap();
+    let mut ad = AssociationDirectory::new(fw.hierarchy());
+    for i in 0..30u64 {
+        let o = Object::new(ObjectId(i), random_edge(&mut rng), 0.5, CategoryId(0));
+        ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+    }
+
+    let engine = QueryEngine::new(fw.clone(), ad.clone());
+    assert_answers_like_dijkstra(
+        &mut rng,
+        (&fw, &ad),
+        "zeros at build time",
+        |q| engine.knn(q).unwrap().hits,
+        |q| engine.range(q).unwrap().hits,
+        |a, b| engine.network_distance(a, b).unwrap(),
+    );
+
+    let (live, mut writer) = LiveEngine::new(fw, ad);
+    for update in 0..12 {
+        writer.set_edge_weight(random_edge(&mut rng), Weight::ZERO).unwrap();
+        writer.publish();
+        let snap = live.snapshot();
+        assert_answers_like_dijkstra(
+            &mut rng,
+            (snap.framework(), snap.directory()),
+            &format!("snapshot after zero #{update}"),
+            |q| snap.knn(q).unwrap().hits,
+            |q| snap.range(q).unwrap().hits,
+            |a, b| snap.network_distance(a, b).unwrap(),
+        );
+    }
+
+    let snap = live.snapshot();
+    let objects: Vec<Object> = snap.directory().objects().cloned().collect();
+    let image = PagedImage::open(snap.framework().to_bytes()).unwrap();
+    let paged = PagedEngine::open(image, objects, PagedOptions::with_buffer_pages(8)).unwrap();
+    assert_answers_like_dijkstra(
+        &mut rng,
+        (snap.framework(), snap.directory()),
+        "reopened paged engine",
+        |q| paged.knn(q).unwrap().hits,
+        |q| paged.range(q).unwrap().hits,
+        |a, b| paged.network_distance(a, b).unwrap(),
+    );
 }

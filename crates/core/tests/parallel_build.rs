@@ -1,8 +1,9 @@
 //! Parallel-construction determinism harness: [`ShortcutStore::build`]
 //! with any worker-thread count must be **byte-identical** — same
 //! serialized bytes, which the in-memory arenas mirror entry for entry —
-//! to the fully sequential build, across random worlds, both contraction orders and
-//! forced witness budgets.  The scheduler owns *when* an Rnet's map is
+//! to the fully sequential build, across random worlds and, where the
+//! contractor runs, contraction orders and forced witness budgets.  The
+//! scheduler owns *when* an Rnet's map is
 //! computed, never *what* it contains or *where* it lands: workers write
 //! into per-Rnet indexed slots and the caller commits them in hierarchy
 //! order, which is the whole byte-equality argument (see
@@ -18,6 +19,8 @@
 //! up as a byte diff, not as an approx-eq near miss.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+mod common;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,9 +87,11 @@ fn assert_thread_counts_byte_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random connected worlds under every (contraction order × witness
-    /// budget × fanout) combination the sequential suite pins: thread
-    /// counts 1/2/4/8 all serialize to the same bytes.
+    /// Random connected worlds under either fanout the sequential suite
+    /// pins: thread counts 1/2/4/8 all serialize to the same bytes. (Worlds
+    /// this small are dense elimination throughout; contraction orders and
+    /// witness budgets are swept where they are read, in
+    /// `thread_counts_agree_across_orders_and_budgets`.)
     #[test]
     fn parallel_build_is_byte_identical(
         n in 16usize..70,
@@ -94,29 +99,13 @@ proptest! {
         seed in 0u64..1000,
         dyadic in (0u8..2).prop_map(|b| b == 1),
         fanout in (1u32..3).prop_map(|p| 1usize << p),
-        order in (0u8..3).prop_map(|o| match o {
-            0 => ContractionOrder::MinDegree,
-            1 => ContractionOrder::InputOrder,
-            _ => ContractionOrder::ReverseInput,
-        }),
-        budget in (0u8..4).prop_map(|b| match b {
-            0 => None,
-            1 => Some(0),
-            2 => Some(4),
-            _ => Some(1 << 20),
-        }),
     ) {
         let mut g = simple::random_connected(n, extra, seed);
         reweight(&mut g, seed, dyadic);
         let levels = if fanout >= 4 { 2 } else { 3 };
         let hier = hier_for(&g, fanout, levels);
-        let opts = ShortcutOptions {
-            contraction_order: order,
-            witness_budget: budget,
-            ..Default::default()
-        };
-        assert_thread_counts_byte_identical(&g, &hier, &opts,
-            &format!("n={n} extra={extra} seed={seed} dyadic={dyadic} fanout={fanout} order={order:?} budget={budget:?}"));
+        assert_thread_counts_byte_identical(&g, &hier, &ShortcutOptions::default(),
+            &format!("n={n} extra={extra} seed={seed} dyadic={dyadic} fanout={fanout}"));
     }
 
     /// Repair parity: a weight-update storm applied as one batched,
@@ -173,14 +162,18 @@ proptest! {
     }
 }
 
-/// The `threads` knob composes with the other output-independent knobs on
-/// a fixed world — the deterministic cousin of the proptest above, cheap
-/// enough to run on every push.
+/// The `threads` knob composes with the other output-independent knobs,
+/// on a world where those are read: one leaf large enough for the
+/// contractor beside Rnets that dense elimination takes, so every build
+/// below runs both arms. Every (order, budget) pair built on 4 workers
+/// must give the bytes of the sequential build at the defaults.
 #[test]
 fn thread_counts_agree_across_orders_and_budgets() {
-    let mut g = simple::grid(9, 8, 1.0);
+    let mut g = common::two_arm_grid();
     reweight(&mut g, 42, false);
-    let hier = hier_for(&g, 2, 3);
+    let hier = common::two_arm_hierarchy(&g);
+    let sequential = ShortcutOptions { threads: 1, ..Default::default() };
+    let reference = ShortcutStore::build(&g, &hier, WeightKind::Distance, &sequential);
     for order in
         [ContractionOrder::MinDegree, ContractionOrder::InputOrder, ContractionOrder::ReverseInput]
     {
@@ -188,14 +181,16 @@ fn thread_counts_agree_across_orders_and_budgets() {
             let opts = ShortcutOptions {
                 contraction_order: order,
                 witness_budget: budget,
+                threads: 4,
                 ..Default::default()
             };
-            assert_thread_counts_byte_identical(
-                &g,
-                &hier,
-                &opts,
-                &format!("grid 9x8 order={order:?} budget={budget:?}"),
+            let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
+            assert_eq!(
+                serialize(&store),
+                serialize(&reference),
+                "two-arm grid order={order:?} budget={budget:?} diverged on 4 workers"
             );
+            assert_eq!(store.size_bytes(), reference.size_bytes());
         }
     }
 }

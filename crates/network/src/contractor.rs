@@ -7,6 +7,15 @@
 //! al.; Sanders & Schultes): *contract* the interior nodes one at a time and
 //! keep the border nodes as the sealed remainder.
 //!
+//! It is the builder's arm for *large* local graphs — sparse leaves of
+//! hundreds to thousands of nodes, where adjacency lists stay short and a
+//! bounded witness search keeps them so.  Small local graphs, and above all
+//! the upper levels' near-cliques of child shortcuts, where witnesses find
+//! nothing and every contraction is fill-in through these lists' linear
+//! scans, are eliminated as dense matrices instead ([`crate::minplus`]);
+//! `road_core::shortcut::DENSE_MAX_NODES` is the measured crossover.  The
+//! remainder's closure is that module's [`crate::minplus::close_arcs`].
+//!
 //! Contracting a node `x` removes it from the overlay graph; for every pair
 //! of neighbours `(u, v)` the two-hop path `u -> x -> v` is replaced by a
 //! direct arc of the same weight **unless** a witness search from `u` (a

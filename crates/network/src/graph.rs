@@ -10,11 +10,24 @@
 //! The structure is mutable: the maintenance experiments (Section 5.2)
 //! change edge weights, add edges and delete edges at runtime. Deleted
 //! edges are tombstoned so that `EdgeId`s remain stable.
+//!
+//! A clone is a copy-on-write fork, cut where the two kinds of update
+//! differ. What a weight change never writes — node coordinates and the
+//! per-node adjacency lists, one heap vector per node — sits behind one
+//! shared [`Arc`]; the flat vector of edge records (endpoints, the three
+//! weights, the tombstone) is owned. Cloning a network therefore copies the
+//! edge records and nothing else, however many nodes it has, dropping a
+//! clone frees one allocation, and only `add_node` / `add_edge` /
+//! `remove_edge` / `restore_edge` un-share the topology
+//! ([`RoadNetwork::shares_topology_with`]). The live engine's snapshots
+//! (`road_core::live`) rest on this: a traffic update after a publish pays
+//! for one copy of the edge records, not for 100,000 adjacency vectors.
 
 use crate::error::NetworkError;
 use crate::geometry::{Point, Rect};
 use crate::ids::{EdgeId, NodeId};
 use crate::weight::Weight;
+use std::sync::Arc;
 
 /// Which per-edge metric a search or index should use.
 ///
@@ -38,7 +51,7 @@ impl WeightKind {
 }
 
 /// One road segment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct EdgeRecord {
     a: NodeId,
     b: NodeId,
@@ -78,12 +91,18 @@ struct AdjEntry {
     to: NodeId,
 }
 
+/// The part of a network no weight update writes; see the module docs.
+#[derive(Clone)]
+struct Topology {
+    coords: Vec<Point>,
+    adj: Vec<Vec<AdjEntry>>,
+}
+
 /// An undirected, multi-metric, mutable road network.
 #[derive(Clone)]
 pub struct RoadNetwork {
-    coords: Vec<Point>,
+    topo: Arc<Topology>,
     edges: Vec<EdgeRecord>,
-    adj: Vec<Vec<AdjEntry>>,
     live_edges: usize,
 }
 
@@ -96,7 +115,15 @@ impl RoadNetwork {
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.coords.len()
+        self.topo.coords.len()
+    }
+
+    /// `true` when the two networks physically share their coordinates
+    /// and adjacency lists (same allocation, not merely equal contents):
+    /// they are clones of one another and neither has had a node or an
+    /// edge added, removed or restored since — weight changes keep it.
+    pub fn shares_topology_with(&self, other: &RoadNetwork) -> bool {
+        Arc::ptr_eq(&self.topo, &other.topo)
     }
 
     /// Number of live (non-deleted) edges.
@@ -114,7 +141,7 @@ impl RoadNetwork {
     /// Coordinates of a node.
     #[inline]
     pub fn coord(&self, n: NodeId) -> Point {
-        self.coords[n.index()]
+        self.topo.coords[n.index()]
     }
 
     /// The full edge record (including tombstones).
@@ -147,19 +174,19 @@ impl RoadNetwork {
     /// Degree of a node (live edges only).
     #[inline]
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.index()].len()
+        self.topo.adj[n.index()].len()
     }
 
     /// Iterates the live incident edges of `n` as `(edge, neighbour)` pairs.
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.adj[n.index()].iter().map(|a| (a.edge, a.to))
+        self.topo.adj[n.index()].iter().map(|a| (a.edge, a.to))
     }
 
     /// All node ids.
     #[inline]
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.coords.len() as u32).map(NodeId)
+        (0..self.num_nodes() as u32).map(NodeId)
     }
 
     /// All live edge ids.
@@ -169,12 +196,12 @@ impl RoadNetwork {
 
     /// The live edge between `a` and `b`, if any.
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.adj[a.index()].iter().find(|entry| entry.to == b).map(|entry| entry.edge)
+        self.topo.adj[a.index()].iter().find(|entry| entry.to == b).map(|entry| entry.edge)
     }
 
     /// Bounding rectangle of all node coordinates.
     pub fn bounding_rect(&self) -> Rect {
-        Rect::covering(self.coords.iter().copied())
+        Rect::covering(self.topo.coords.iter().copied())
     }
 
     /// Straight-line length of an edge from its endpoint coordinates.
@@ -221,10 +248,10 @@ impl RoadNetwork {
         travel_time: Weight,
         toll: Weight,
     ) -> Result<EdgeId, NetworkError> {
-        if a.index() >= self.coords.len() {
+        if a.index() >= self.num_nodes() {
             return Err(NetworkError::NodeOutOfBounds(a));
         }
-        if b.index() >= self.coords.len() {
+        if b.index() >= self.num_nodes() {
             return Err(NetworkError::NodeOutOfBounds(b));
         }
         if a == b {
@@ -235,8 +262,9 @@ impl RoadNetwork {
         }
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeRecord { a, b, distance, travel_time, toll, deleted: false });
-        self.adj[a.index()].push(AdjEntry { edge: id, to: b });
-        self.adj[b.index()].push(AdjEntry { edge: id, to: a });
+        let adj = &mut Arc::make_mut(&mut self.topo).adj;
+        adj[a.index()].push(AdjEntry { edge: id, to: b });
+        adj[b.index()].push(AdjEntry { edge: id, to: a });
         self.live_edges += 1;
         Ok(id)
     }
@@ -244,9 +272,10 @@ impl RoadNetwork {
     /// Adds a new isolated node; returns its id. Used when road construction
     /// introduces new intersections.
     pub fn add_node(&mut self, at: Point) -> NodeId {
-        let id = NodeId(self.coords.len() as u32);
-        self.coords.push(at);
-        self.adj.push(Vec::new());
+        let id = NodeId(self.num_nodes() as u32);
+        let topo = Arc::make_mut(&mut self.topo);
+        topo.coords.push(at);
+        topo.adj.push(Vec::new());
         id
     }
 
@@ -258,8 +287,9 @@ impl RoadNetwork {
         }
         rec.deleted = true;
         let (a, b) = (rec.a, rec.b);
-        self.adj[a.index()].retain(|entry| entry.edge != e);
-        self.adj[b.index()].retain(|entry| entry.edge != e);
+        let adj = &mut Arc::make_mut(&mut self.topo).adj;
+        adj[a.index()].retain(|entry| entry.edge != e);
+        adj[b.index()].retain(|entry| entry.edge != e);
         self.live_edges -= 1;
         Ok(())
     }
@@ -272,8 +302,9 @@ impl RoadNetwork {
         }
         rec.deleted = false;
         let (a, b) = (rec.a, rec.b);
-        self.adj[a.index()].push(AdjEntry { edge: e, to: b });
-        self.adj[b.index()].push(AdjEntry { edge: e, to: a });
+        let adj = &mut Arc::make_mut(&mut self.topo).adj;
+        adj[a.index()].push(AdjEntry { edge: e, to: b });
+        adj[b.index()].push(AdjEntry { edge: e, to: a });
         self.live_edges += 1;
         Ok(())
     }
@@ -417,7 +448,8 @@ impl NetworkBuilder {
             adj[rec.b.index()].push(AdjEntry { edge: id, to: rec.a });
         }
         let live_edges = self.edges.len();
-        RoadNetwork { coords: self.coords, edges: self.edges, adj, live_edges }
+        let topo = Arc::new(Topology { coords: self.coords, adj });
+        RoadNetwork { topo, edges: self.edges, live_edges }
     }
 }
 

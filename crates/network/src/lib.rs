@@ -11,9 +11,10 @@
 //! * [`dijkstra`] / [`astar`] — network-expansion primitives (visitor-based
 //!   Dijkstra, one-to-one / one-to-many variants, A* with a Euclidean
 //!   admissible heuristic);
-//! * [`csr`] / [`contractor`] — flat CSR adjacency arenas and node
-//!   contraction with bounded witness search, the fast path for shortcut
-//!   construction;
+//! * [`csr`] / [`contractor`] / [`minplus`] — flat CSR adjacency arenas,
+//!   node contraction with bounded witness search and dense min-plus
+//!   elimination: the border-distance side of shortcut construction, for
+//!   large and for small local graphs respectively;
 //! * [`partition`] — edge-disjoint graph partitioning (geometric bisection
 //!   refined by a Kernighan–Lin pass) used to form Rnets;
 //! * [`generator`] — seeded synthetic road networks calibrated to the
@@ -33,6 +34,7 @@ pub mod geometry;
 pub mod graph;
 pub mod hash;
 pub mod ids;
+pub mod minplus;
 pub mod partition;
 pub mod path;
 pub mod unionfind;

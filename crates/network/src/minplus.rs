@@ -1,0 +1,247 @@
+//! Dense min-plus kernels over flat `f64` matrices.
+//!
+//! The shortcut builder needs, per Rnet, the all-pairs distances among the
+//! Rnet's border nodes.  [`crate::contractor`] gets there by eliminating the
+//! interior nodes from adjacency lists, which is the right shape for a leaf
+//! of thousands of nodes and the wrong one for what maintenance actually
+//! recomputes: local graphs of a few dozen to a couple of hundred nodes, at
+//! the upper levels nearly cliques of child shortcuts (average degree ≈ 25),
+//! where every contraction is pure fill-in through linear list scans.  On
+//! such a graph the same elimination over an `n x n` matrix is a run of
+//! `dst[j] = min(dst[j], a + src[j])` rows — no search, no branch, no
+//! allocation, and a loop the compiler vectorises.
+//!
+//! Everything here is that one row operation applied three ways:
+//!
+//! * [`border_matrix`] — seed the matrix from the local CSR, pivot the
+//!   interior nodes out last-to-first, close over the sealed prefix;
+//! * [`close_arcs`] — close a border-only arc set (the contractor's
+//!   remainder), for local graphs too large to be a matrix;
+//! * [`cover_row`] — the Lemma-4 keep rule, one source row at a time.
+//!
+//! Eliminating node `k` rewrites `d[i][j]` to `min(d[i][j], d[i][k] +
+//! d[k][j])` for all remaining `i, j` — exactly what contracting `k` with a
+//! witness budget of zero does to the overlay's adjacency lists — so after
+//! the last interior pivot the sealed prefix holds the contraction
+//! remainder, and Floyd–Warshall over that prefix finishes the job.  Every
+//! entry is a sum of arc weights along a real path, so on weights exact in
+//! `f64` the result equals the contractor's and a per-border Dijkstra's bit
+//! for bit (pinned by `tests/proptest_minplus.rs`).
+//!
+//! Weights enter as [`Weight`], hence non-negative and never NaN; `+∞`
+//! stands for "no arc" and is absorbing under `+`, so unreachable pairs
+//! need no special case.  Comparisons are written `if via < cur` — the
+//! exact semantics of the scalar loops these kernels replaced (and of
+//! `minpd`), so ties and signed zeros resolve as they always did.
+
+use crate::csr::CsrGraph;
+use crate::weight::Weight;
+
+// roadlint: hot-path (dense elimination: flat matrices, caller-owned scratch)
+
+/// `dst[j] = min(dst[j], a + src[j])`.
+#[inline]
+fn relax_row(dst: &mut [f64], a: f64, src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let via = a + s;
+        *d = if via < *d { via } else { *d };
+    }
+}
+
+/// [`relax_row`] over strictly positive second legs only: an entry of `src`
+/// that is zero relaxes nothing.
+#[inline]
+fn relax_row_positive_legs(dst: &mut [f64], a: f64, src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let via = if s > 0.0 { a + s } else { f64::INFINITY };
+        *d = if via < *d { via } else { *d };
+    }
+}
+
+/// Resets `mat` to the `n x n` matrix of a graph without arcs: zero on the
+/// diagonal, `+∞` elsewhere.
+fn reset(mat: &mut Vec<f64>, n: usize) {
+    mat.clear();
+    mat.resize(n * n, f64::INFINITY);
+    for i in 0..n {
+        mat[i * n + i] = 0.0;
+    }
+}
+
+/// Folds one arc into the matrix (min per pair; arcs leaving `0..n` are
+/// ignored, infinite ones are no-ops).
+#[inline]
+fn seed(mat: &mut [f64], n: usize, u: u32, v: u32, w: Weight) {
+    let (u, v) = (u as usize, v as usize);
+    if u < n && v < n && w.get() < mat[u * n + v] {
+        mat[u * n + v] = w.get();
+    }
+}
+
+/// Floyd–Warshall over the row-major `n x n` matrix `d`, in place.  The
+/// diagonal is zero and weights are non-negative, so relaxing the pivot
+/// row through itself is the identity and is skipped.
+fn close(d: &mut [f64], n: usize) {
+    for k in 0..n {
+        for i in 0..n {
+            let a = d[i * n + k];
+            if i == k || a == f64::INFINITY {
+                continue;
+            }
+            let (row, pivot) = if i < k {
+                let (lo, hi) = d.split_at_mut(k * n);
+                (&mut lo[i * n..(i + 1) * n], &hi[..n])
+            } else {
+                let (lo, hi) = d.split_at_mut(i * n);
+                (&mut hi[..n], &lo[k * n..(k + 1) * n])
+            };
+            relax_row(row, a, pivot);
+        }
+    }
+}
+
+/// All-pairs distances among the sealed nodes `0..sealed` of the local
+/// graph `g`, row-major `sealed x sealed` into `out`, by dense elimination:
+/// `elim` is seeded as the `n x n` arc matrix of `g`, the interior nodes
+/// `sealed..n` are pivoted out last-to-first — so the live part is always
+/// the prefix `0..k` and the whole pass is about `(n³ − sealed³) / 3`
+/// min-adds — and the sealed prefix is closed.  Self-loops and
+/// infinite-weight (closed) arcs of `g` are ignored, as in
+/// [`crate::contractor::Contractor::contract`].
+///
+/// Memory is `8 n²` bytes of `elim`; the caller bounds `n`.
+pub fn border_matrix(g: &CsrGraph, sealed: usize, elim: &mut Vec<f64>, out: &mut Vec<f64>) {
+    let n = g.num_nodes();
+    let sealed = sealed.min(n);
+    reset(elim, n);
+    for u in 0..n as u32 {
+        for (v, w, _) in g.out(u) {
+            seed(elim, n, u, v, w);
+        }
+    }
+    for k in (sealed..n).rev() {
+        let (live, rest) = elim.split_at_mut(k * n);
+        let pivot = &rest[..k];
+        for row in live.chunks_exact_mut(n) {
+            let a = row[k];
+            if a != f64::INFINITY {
+                relax_row(&mut row[..k], a, pivot);
+            }
+        }
+    }
+    out.clear();
+    for row in elim.chunks_exact(n.max(1)).take(sealed) {
+        out.extend_from_slice(&row[..sealed]);
+    }
+    close(out, sealed);
+}
+
+/// All-pairs distances over `0..n` of the graph given by `arcs`, row-major
+/// `n x n` into `out` — the closure of a contraction remainder, folded
+/// straight off the arc list (min per pair).
+pub fn close_arcs(n: usize, arcs: impl Iterator<Item = (u32, u32, Weight)>, out: &mut Vec<f64>) {
+    reset(out, n);
+    for (u, v, w) in arcs {
+        seed(out, n, u, v, w);
+    }
+    close(out, n);
+}
+
+/// The Lemma-4 cover of source `b` in the closed `n x n` matrix `d`:
+/// `cover[t] = min over m of d[b][m] + d[m][t]`, taken over the third nodes
+/// `m` whose *both* legs are strictly positive.  The diagonal of `d` is
+/// zero, so `m == b` and `m == t` are excluded by that same test — and so
+/// is a node at distance zero from either end, which could otherwise cover
+/// a pair that in turn covers it.  `cover` is overwritten (length `n`).
+pub fn cover_row(d: &[f64], n: usize, b: usize, cover: &mut Vec<f64>) {
+    cover.clear();
+    cover.resize(n, f64::INFINITY);
+    let first_legs = &d[b * n..(b + 1) * n];
+    for (m, &a) in first_legs.iter().enumerate() {
+        if a > 0.0 && a != f64::INFINITY {
+            relax_row_positive_legs(cover, a, &d[m * n..(m + 1) * n]);
+        }
+    }
+}
+
+// roadlint: end hot-path
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::csr::CsrBuilder;
+
+    const INF: f64 = f64::INFINITY;
+
+    fn csr(n: usize, edges: &[(u32, u32, f64)]) -> CsrGraph {
+        let mut b = CsrBuilder::default();
+        for &(u, v, w) in edges {
+            b.push(u, v, Weight::new(w), 0);
+            b.push(v, u, Weight::new(w), 0);
+        }
+        let mut g = CsrGraph::default();
+        b.finish_into(n, &mut g);
+        g
+    }
+
+    fn matrix(g: &CsrGraph, sealed: usize) -> Vec<f64> {
+        let (mut elim, mut out) = (Vec::new(), Vec::new());
+        border_matrix(g, sealed, &mut elim, &mut out);
+        out
+    }
+
+    #[test]
+    fn interiors_are_eliminated_and_the_prefix_closed() {
+        // 0 -1- 2 -1- 3 -1- 1, plus the direct arc 0 -5- 1: the interior
+        // chain wins, and the matrix is over the two sealed nodes only.
+        let g = csr(4, &[(0, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (0, 1, 5.0)]);
+        assert_eq!(matrix(&g, 2), vec![0.0, 3.0, 3.0, 0.0]);
+        // Sealing everything leaves only the closure: 0 -> 1 through 2, 3.
+        let all = matrix(&g, 4);
+        assert_eq!(all[1], 3.0);
+        assert_eq!(all[3], 2.0);
+    }
+
+    #[test]
+    fn closed_arcs_self_loops_and_disconnected_pairs() {
+        let mut b = CsrBuilder::default();
+        b.push(0, 2, Weight::INFINITY, 0); // closed edge: no arc
+        b.push(2, 0, Weight::INFINITY, 0);
+        b.push(2, 1, Weight::new(1.0), 0);
+        b.push(1, 2, Weight::new(1.0), 0);
+        b.push(1, 1, Weight::new(4.0), 0); // self-loop: ignored
+        let mut g = CsrGraph::default();
+        b.finish_into(3, &mut g);
+        assert_eq!(matrix(&g, 2), vec![0.0, INF, INF, 0.0]);
+        // No sealed node, a single one, and the empty graph.
+        assert!(matrix(&g, 0).is_empty());
+        assert_eq!(matrix(&g, 1), vec![0.0]);
+        assert!(matrix(&CsrGraph::default(), 0).is_empty());
+    }
+
+    #[test]
+    fn closing_an_arc_list_keeps_the_minimum_per_pair() {
+        let arcs = [(0u32, 1u32, 4.0), (0, 1, 2.0), (1, 2, 1.0), (7, 0, 1.0)];
+        let mut out = Vec::new();
+        close_arcs(3, arcs.iter().map(|&(u, v, w)| (u, v, Weight::new(w))), &mut out);
+        assert_eq!(out, vec![0.0, 2.0, 3.0, INF, 0.0, 1.0, INF, INF, 0.0]);
+    }
+
+    #[test]
+    fn a_cover_needs_two_positive_legs() {
+        // 0 and 1 at distance zero, both 5 away from 2.
+        let d = [0.0, 0.0, 5.0, 0.0, 0.0, 5.0, 5.0, 5.0, 0.0];
+        let mut cover = Vec::new();
+        cover_row(&d, 3, 0, &mut cover);
+        // 0 -> 2 is not covered through 1 (first leg zero); 0 -> 1 would be
+        // covered through 2 at 10, which is no cover of a zero distance.
+        assert_eq!(cover, vec![10.0, 10.0, INF]);
+        cover_row(&d, 3, 2, &mut cover);
+        // 2 -> 0 through 1 has a zero second leg, and vice versa.
+        assert_eq!(cover, vec![INF, INF, 10.0]);
+        // With positive legs a tie still covers: 0 -1- 1 -1- 2, d(0, 2) = 2.
+        let d = [0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0];
+        cover_row(&d, 3, 0, &mut cover);
+        assert_eq!(cover, vec![2.0, 3.0, 2.0]);
+    }
+}
