@@ -116,7 +116,7 @@ impl RoadFramework {
     /// Builds the framework: partitions the network into the Rnet
     /// hierarchy and computes all shortcuts bottom-up.
     pub fn build(g: RoadNetwork, cfg: RoadConfig) -> Result<Self, RoadError> {
-        let hier = RnetHierarchy::build(&g, &cfg.hierarchy)?;
+        let hier = RnetHierarchy::build_on(&g, &cfg.hierarchy, cfg.shortcuts.threads)?;
         let shortcuts = ShortcutStore::build(&g, &hier, cfg.metric, &cfg.shortcuts);
         let arena = Arc::new(QueryArena::build(&g, &hier, cfg.metric));
         Ok(RoadFramework {
@@ -721,9 +721,10 @@ impl RoadBuilder {
         self
     }
 
-    /// Sets the worker-thread count for shortcut construction and
-    /// multi-Rnet repair (`0` = all hardware threads, `1` = inline). A
-    /// pure speed knob: it never changes a single output byte.
+    /// Sets the worker-thread count of the build — the hierarchy's
+    /// partitioning rounds and shortcut construction — and of multi-Rnet
+    /// repair (`0` = all hardware threads, `1` = inline). A pure speed
+    /// knob: it never changes the partition or a single output byte.
     pub fn shortcut_threads(mut self, threads: usize) -> Self {
         self.cfg.shortcuts.threads = threads;
         self

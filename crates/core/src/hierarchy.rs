@@ -14,6 +14,13 @@
 //! and per node we keep the list of Rnets it borders ordered by level —
 //! exactly the *shortcut tree* shape of Figure 6 — together with that tree
 //! flattened into the order `ChoosePath` walks it (see [`TreeEntry`]).
+//!
+//! Construction is the partitioner's: `l` levels of fanout `2^x` are
+//! `l * x` binary rounds of [`road_network::partition::split_rounds`] over
+//! one flat list of groups — no per-level regrouping here — fanned out
+//! over the builder's worker threads; what comes back after the last round
+//! are the leaf Rnets in leaf-index order. The thread count changes
+//! nothing that is built (ARCHITECTURE.md, "Hierarchy construction").
 
 mod tree;
 
@@ -21,7 +28,7 @@ pub use tree::TreeEntry;
 
 use road_network::graph::RoadNetwork;
 use road_network::hash::{FastMap, FastSet};
-use road_network::partition::{partition_edges, PartitionOptions};
+use road_network::partition::{split_rounds, PartitionOptions};
 use road_network::{EdgeId, NodeId};
 use std::fmt;
 use tree::{LevelTable, ShortcutTrees};
@@ -99,75 +106,65 @@ pub struct RnetHierarchy {
     trees: ShortcutTrees,
 }
 
-impl RnetHierarchy {
-    /// Builds the hierarchy by recursive geometric + KL partitioning.
-    pub fn build(g: &RoadNetwork, cfg: &HierarchyConfig) -> Result<Self, crate::RoadError> {
-        if !cfg.fanout.is_power_of_two() || cfg.fanout < 2 {
-            return Err(crate::RoadError::InvalidConfig(format!(
-                "fanout must be a power of two >= 2, got {}",
-                cfg.fanout
-            )));
-        }
-        if cfg.levels == 0 || cfg.levels > 12 {
-            return Err(crate::RoadError::InvalidConfig(format!(
-                "levels must be in [1, 12], got {}",
-                cfg.levels
-            )));
-        }
-        let p = cfg.fanout as u32;
-        let l = cfg.levels;
-
-        // Level offsets: level lv has p^lv Rnets.
-        let mut level_offsets = Vec::with_capacity(l as usize + 1);
-        let mut acc = 0u64;
-        for lv in 1..=l {
-            level_offsets.push(acc as u32);
-            acc += (p as u64).pow(lv);
-            if acc > u32::MAX as u64 {
-                return Err(crate::RoadError::InvalidConfig(format!(
-                    "hierarchy too large: {acc} Rnets"
-                )));
-            }
-        }
+/// Checks a hierarchy's shape and lays out its Rnet ids: entry `lv - 1` is
+/// the id of the first Rnet at level `lv` (level `lv` has `fanout^lv`), a
+/// trailing entry holds the total. Every way of making a hierarchy goes
+/// through here, so a bad shape is an `InvalidConfig`, never a panic.
+fn checked_level_offsets(fanout: usize, levels: u32) -> Result<Vec<u32>, crate::RoadError> {
+    // The partitioner numbers parts in 16 bits (`partition_edges`).
+    if !fanout.is_power_of_two() || !(2..=1 << 16).contains(&fanout) {
+        return Err(crate::RoadError::InvalidConfig(format!(
+            "fanout must be a power of two in [2, 65536], got {fanout}"
+        )));
+    }
+    if levels == 0 || levels > 12 {
+        return Err(crate::RoadError::InvalidConfig(format!(
+            "levels must be in [1, 12], got {levels}"
+        )));
+    }
+    let mut level_offsets = Vec::with_capacity(levels as usize + 1);
+    let mut acc = 0u64;
+    for lv in 1..=levels {
         level_offsets.push(acc as u32);
-
-        // Recursive edge partitioning; group order defines child indexes.
-        let mut groups: Vec<Vec<EdgeId>> = vec![g.edge_ids().collect()];
-        for _lv in 1..=l {
-            let mut next = Vec::with_capacity(groups.len() * cfg.fanout);
-            for group in &groups {
-                let assignment = partition_edges(g, group, cfg.fanout, &cfg.partition);
-                let mut parts: Vec<Vec<EdgeId>> = vec![Vec::new(); cfg.fanout];
-                for (i, &e) in group.iter().enumerate() {
-                    parts[assignment[i] as usize].push(e);
-                }
-                next.extend(parts);
-            }
-            groups = next;
+        acc += (fanout as u64).pow(lv);
+        if acc > u32::MAX as u64 {
+            return Err(crate::RoadError::InvalidConfig(format!(
+                "hierarchy too large: {acc} Rnets"
+            )));
         }
-        let leaf_edges = groups;
-        debug_assert_eq!(leaf_edges.len() as u64, (p as u64).pow(l));
+    }
+    level_offsets.push(acc as u32);
+    Ok(level_offsets)
+}
 
-        let leaf_base = level_offsets[l as usize - 1];
-        let mut leaf_of_edge = vec![RnetId::NONE; g.edge_slots()];
-        for (leaf_idx, edges) in leaf_edges.iter().enumerate() {
-            for &e in edges {
-                leaf_of_edge[e.index()] = RnetId(leaf_base + leaf_idx as u32);
-            }
-        }
+impl RnetHierarchy {
+    /// Builds the hierarchy by recursive geometric + KL partitioning, on
+    /// all available hardware threads (the partition does not depend on
+    /// how many there are).
+    pub fn build(g: &RoadNetwork, cfg: &HierarchyConfig) -> Result<Self, crate::RoadError> {
+        Self::build_on(g, cfg, 0)
+    }
 
-        RnetHierarchy {
-            fanout: p,
-            levels: l,
-            borders: vec![Vec::new(); acc as usize],
-            node_rnets: FastMap::default(),
-            table: LevelTable::new(&level_offsets, p),
-            trees: ShortcutTrees::default(),
-            level_offsets,
-            leaf_edges,
-            leaf_of_edge,
-        }
-        .with_borders_installed(g)
+    /// [`RnetHierarchy::build`] on `threads` workers, read as
+    /// [`crate::shortcut::ShortcutOptions::threads`] is (`0` = all the
+    /// host has): the framework builds its hierarchy and its shortcuts
+    /// under the one setting.
+    ///
+    /// `l` levels of fanout `2^x` are `l * x` binary rounds over one flat
+    /// list of groups (see [`road_network::partition`]): the groups after
+    /// the last round are the leaf Rnets, in leaf-index order.
+    pub(crate) fn build_on(
+        g: &RoadNetwork,
+        cfg: &HierarchyConfig,
+        threads: usize,
+    ) -> Result<Self, crate::RoadError> {
+        let level_offsets = checked_level_offsets(cfg.fanout, cfg.levels)?;
+        let edges: Vec<EdgeId> = g.edge_ids().collect();
+        let rounds = cfg.levels * cfg.fanout.trailing_zeros();
+        let leaves = split_rounds(g, &edges, rounds, &cfg.partition, threads);
+        let leaf_edges =
+            leaves.iter().map(|leaf| leaf.iter().map(|&pos| edges[pos as usize]).collect());
+        Self::from_leaves(g, cfg.fanout, level_offsets, leaf_edges.collect())
     }
 
     /// Builds a hierarchy from an *explicit* leaf assignment instead of the
@@ -183,33 +180,10 @@ impl RnetHierarchy {
         levels: u32,
         leaf_index_of: impl Fn(EdgeId) -> u32,
     ) -> Result<Self, crate::RoadError> {
-        if !fanout.is_power_of_two() || fanout < 2 {
-            return Err(crate::RoadError::InvalidConfig(format!(
-                "fanout must be a power of two >= 2, got {fanout}"
-            )));
-        }
-        if levels == 0 || levels > 12 {
-            return Err(crate::RoadError::InvalidConfig(format!(
-                "levels must be in [1, 12], got {levels}"
-            )));
-        }
-        let p = fanout as u32;
-        let mut level_offsets = Vec::with_capacity(levels as usize + 1);
-        let mut acc = 0u64;
-        for lv in 1..=levels {
-            level_offsets.push(acc as u32);
-            acc += (p as u64).pow(lv);
-            if acc > u32::MAX as u64 {
-                return Err(crate::RoadError::InvalidConfig(format!(
-                    "hierarchy too large: {acc} Rnets"
-                )));
-            }
-        }
-        level_offsets.push(acc as u32);
-        let num_leaves = (p as u64).pow(levels) as usize;
+        let level_offsets = checked_level_offsets(fanout, levels)?;
+        let num_leaves =
+            (level_offsets[levels as usize] - level_offsets[levels as usize - 1]) as usize;
         let mut leaf_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); num_leaves];
-        let mut leaf_of_edge = vec![RnetId::NONE; g.edge_slots()];
-        let leaf_base = level_offsets[levels as usize - 1];
         for e in g.edge_ids() {
             let idx = leaf_index_of(e);
             if idx as usize >= num_leaves {
@@ -218,14 +192,35 @@ impl RnetHierarchy {
                 )));
             }
             leaf_edges[idx as usize].push(e);
-            leaf_of_edge[e.index()] = RnetId(leaf_base + idx);
+        }
+        Self::from_leaves(g, fanout, level_offsets, leaf_edges)
+    }
+
+    /// The hierarchy over the given leaf edge lists (one per leaf index, a
+    /// partition of the live edges), borders and shortcut trees derived.
+    fn from_leaves(
+        g: &RoadNetwork,
+        fanout: usize,
+        level_offsets: Vec<u32>,
+        leaf_edges: Vec<Vec<EdgeId>>,
+    ) -> Result<Self, crate::RoadError> {
+        let levels = level_offsets.len() - 1;
+        debug_assert_eq!(
+            leaf_edges.len() as u32,
+            level_offsets[levels] - level_offsets[levels - 1]
+        );
+        let mut leaf_of_edge = vec![RnetId::NONE; g.edge_slots()];
+        for (leaf, edges) in (level_offsets[levels - 1]..).zip(&leaf_edges) {
+            for &e in edges {
+                leaf_of_edge[e.index()] = RnetId(leaf);
+            }
         }
         RnetHierarchy {
-            fanout: p,
-            levels,
-            borders: vec![Vec::new(); acc as usize],
+            fanout: fanout as u32,
+            levels: levels as u32,
+            borders: vec![Vec::new(); level_offsets[levels] as usize],
             node_rnets: FastMap::default(),
-            table: LevelTable::new(&level_offsets, p),
+            table: LevelTable::new(&level_offsets, fanout as u32),
             trees: ShortcutTrees::default(),
             level_offsets,
             leaf_edges,
@@ -695,6 +690,61 @@ mod tests {
         assert!(RnetHierarchy::build(&g, &bad).is_err());
         let bad = HierarchyConfig { fanout: 4, levels: 0, partition: PartitionOptions::default() };
         assert!(RnetHierarchy::build(&g, &bad).is_err());
+    }
+
+    #[test]
+    fn a_fanout_no_part_index_can_number_is_a_config_error() {
+        // 2^17 passed the power-of-two check and panicked in the
+        // partitioner ("fanout too large").
+        let g = simple::grid(4, 4, 1.0);
+        let too_wide = 1usize << 17;
+        let cfg = HierarchyConfig { fanout: too_wide, levels: 1, ..Default::default() };
+        for result in [
+            RnetHierarchy::build(&g, &cfg),
+            RnetHierarchy::from_leaf_assignment(&g, too_wide, 1, |_| 0),
+        ] {
+            match result {
+                Err(crate::RoadError::InvalidConfig(why)) => {
+                    assert!(why.contains("fanout"), "{why}")
+                }
+                Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+                Ok(_) => panic!("fanout {too_wide} was accepted"),
+            }
+        }
+        // The widest fanout that is one still builds, by either way in.
+        let cfg = HierarchyConfig { fanout: 1 << 16, levels: 1, ..Default::default() };
+        let hier = RnetHierarchy::build(&g, &cfg).unwrap();
+        hier.validate(&g).unwrap();
+        let again = RnetHierarchy::from_leaf_assignment(&g, 1 << 16, 1, |e| {
+            hier.leaf_index_of_edge(e).unwrap()
+        })
+        .unwrap();
+        again.validate(&g).unwrap();
+        assert_eq!(again.num_rnets(), 1 << 16);
+    }
+
+    #[test]
+    fn the_hierarchy_does_not_depend_on_the_thread_count() {
+        let worlds = [
+            (simple::grid(17, 13, 1.0), 4, 3),
+            (simple::random_connected(300, 120, 9), 2, 7),
+            (simple::chain(3, 1.0), 4, 3), // nearly every group empty
+        ];
+        for (g, fanout, levels) in worlds {
+            let cfg = HierarchyConfig { fanout, levels, ..Default::default() };
+            let reference = RnetHierarchy::build_on(&g, &cfg, 1).unwrap();
+            reference.validate(&g).unwrap();
+            for threads in [0, 2, 4, 8] {
+                let hier = RnetHierarchy::build_on(&g, &cfg, threads).unwrap();
+                for e in g.edge_ids() {
+                    assert_eq!(hier.leaf_index_of_edge(e), reference.leaf_index_of_edge(e));
+                }
+                for r in (0..hier.num_rnets() as u32).map(RnetId) {
+                    assert_eq!(hier.borders(r), reference.borders(r), "{r:?}, {threads} threads");
+                }
+                assert_eq!(hier.leaf_edges, reference.leaf_edges);
+            }
+        }
     }
 
     #[test]

@@ -261,6 +261,10 @@ pub struct ShortcutOptions {
     /// same level are independent (Lemma 2 — a level reads only the level
     /// below), so each level fans out over scoped workers. `0` means "use
     /// [`std::thread::available_parallelism`]", `1` runs fully inline.
+    /// [`RoadFramework::build`](crate::RoadFramework::build) builds the
+    /// hierarchy under the same setting — each binary round of the
+    /// partitioner fans its groups out the same way — so this is the
+    /// thread count of the whole build.
     /// Like the order and the budget, the thread count never changes a
     /// single output byte: every worker writes its Rnet's map into a
     /// per-Rnet indexed slot and the slots are committed in hierarchy

@@ -9,6 +9,14 @@
 //! order, which is the whole byte-equality argument (see
 //! ARCHITECTURE.md, "Parallel construction").
 //!
+//! The hierarchy is built under the same thread setting
+//! ([`RoadBuilder::shortcut_threads`]) by the same argument one layer down
+//! — a round's groups are bisected into per-group slots — so the
+//! framework-level checks here vary its threads too: same leaf of every
+//! edge, same border lists, same image. (Under the shuffled hasher the
+//! partition differs from run to run, never within one: one process, one
+//! hasher seed, and the thread count still cannot matter.)
+//!
 //! The same must hold for maintenance: a batched, level-parallel repair
 //! ([`RoadFramework::set_edge_weights`]) has to leave the framework
 //! byte-identical to applying the same updates one at a time through the
@@ -58,29 +66,50 @@ fn hier_for(g: &RoadNetwork, fanout: usize, levels: u32) -> RnetHierarchy {
     RnetHierarchy::build(g, &HierarchyConfig { fanout, levels, ..Default::default() }).unwrap()
 }
 
-/// Builds sequentially, then with 2/4/8 workers, and diffs the bytes.
-fn assert_thread_counts_byte_identical(
-    g: &RoadNetwork,
-    hier: &RnetHierarchy,
-    opts: &ShortcutOptions,
-    label: &str,
-) {
-    let seq_opts = ShortcutOptions { threads: 1, ..*opts };
-    let reference = ShortcutStore::build(g, hier, WeightKind::Distance, &seq_opts);
-    let ref_bytes = serialize(&reference);
+/// Builds the framework — hierarchy and shortcuts — sequentially, then
+/// with 2/4/8 workers, and diffs partition, borders, store and image.
+fn assert_thread_counts_byte_identical(g: &RoadNetwork, fanout: usize, levels: u32, label: &str) {
+    let build = |threads: usize| {
+        RoadFramework::builder(g.clone())
+            .fanout(fanout)
+            .levels(levels)
+            .shortcut_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let reference = build(1);
+    let ref_store = serialize(reference.shortcuts());
+    let ref_image = reference.to_bytes();
     for threads in [2usize, 4, 8] {
-        let par_opts = ShortcutOptions { threads, ..*opts };
-        let store = ShortcutStore::build(g, hier, WeightKind::Distance, &par_opts);
+        let fw = build(threads);
+        let (hier, ref_hier) = (fw.hierarchy(), reference.hierarchy());
+        for e in g.edge_ids() {
+            assert_eq!(
+                hier.leaf_index_of_edge(e),
+                ref_hier.leaf_index_of_edge(e),
+                "{label}: {e} changed leaf at {threads} threads"
+            );
+        }
+        for level in 1..=levels {
+            for r in hier.rnets_at_level(level) {
+                assert_eq!(
+                    hier.borders(r),
+                    ref_hier.borders(r),
+                    "{label}: borders of {r:?} diverged at {threads} threads"
+                );
+            }
+        }
         assert_eq!(
-            serialize(&store),
-            ref_bytes,
+            serialize(fw.shortcuts()),
+            ref_store,
             "{label}: serialized bytes diverged at {threads} threads"
         );
         assert_eq!(
-            store.size_bytes(),
-            reference.size_bytes(),
+            fw.shortcuts().size_bytes(),
+            reference.shortcuts().size_bytes(),
             "{label}: incremental byte accounting diverged at {threads} threads"
         );
+        assert_eq!(fw.to_bytes(), ref_image, "{label}: image diverged at {threads} threads");
     }
 }
 
@@ -103,8 +132,7 @@ proptest! {
         let mut g = simple::random_connected(n, extra, seed);
         reweight(&mut g, seed, dyadic);
         let levels = if fanout >= 4 { 2 } else { 3 };
-        let hier = hier_for(&g, fanout, levels);
-        assert_thread_counts_byte_identical(&g, &hier, &ShortcutOptions::default(),
+        assert_thread_counts_byte_identical(&g, fanout, levels,
             &format!("n={n} extra={extra} seed={seed} dyadic={dyadic} fanout={fanout}"));
     }
 

@@ -413,3 +413,34 @@ fn persisted_image_is_byte_identical_to_the_recorded_one() {
     assert_eq!((image.len(), fnv1a(FNV_OFFSET, &image)), (268015, 16397612003796771485));
     assert_eq!(RoadFramework::from_bytes(&image).unwrap().to_bytes(), image);
 }
+
+/// `(image bytes, shortcuts, FNV-1a-64 of the image)` of a default build of
+/// a roadbench world (`benchmark/src/world.rs`: network seed `0xEDB72009`,
+/// fanout 4, 6 levels) on `threads` workers.
+fn roadbench_build(dataset: Dataset, scale: f64, threads: usize) -> (usize, usize, u64) {
+    let net = dataset.generate_scaled(scale, 0xEDB7_2009).unwrap();
+    assert_eq!(dataset.suggested_levels(net.num_edges(), 4), 6);
+    let fw =
+        RoadFramework::builder(net).fanout(4).levels(6).shortcut_threads(threads).build().unwrap();
+    let image = fw.to_bytes();
+    (image.len(), fw.shortcuts().num_shortcuts(), fnv1a(FNV_OFFSET, &image))
+}
+
+/// The whole build path at release scale: the images of the two roadbench
+/// worlds, recorded on the hash-map Kernighan–Lin partitioner — before the
+/// flat-array rewrite and the threaded binary rounds — and unchanged by
+/// them. `crates/network/tests/partition_golden.rs` holds the partitioner
+/// to 259 small edge sets inside tier-1; this holds the ~4,000 bisections
+/// of a real build, and what the shortcut builder and `persist` make of
+/// them, on the worlds `benchmark/baseline.json` counts. Half a minute
+/// unoptimised, so `#[ignore]`d: CI's stress step runs it.
+#[test]
+#[ignore = "release-scale build pins (roadbench worlds B and W); run via --include-ignored"]
+fn roadbench_worlds_build_the_recorded_images() {
+    let b = (8_475_348, 240_152, 0xd9bb_0214_263f_7938);
+    assert_eq!(roadbench_build(Dataset::SfStreets, 0.25, 0), b);
+    assert_eq!(roadbench_build(Dataset::SfStreets, 0.25, 1), b);
+    let w = (12_657_143, 250_868, 0x607f_49cb_68fe_6703);
+    assert_eq!(roadbench_build(Dataset::Continent, 0.1, 0), w);
+    assert_eq!(roadbench_build(Dataset::Continent, 0.1, 3), w);
+}

@@ -109,7 +109,7 @@ fn random_geometric(n: usize, width: f64, height: f64, radius: f64, seed: u64) -
                 continue;
             }
             made += 1;
-            let copies = 1 + (made % 5 == 0) as usize + (made % 11 == 0) as usize;
+            let copies = 1 + made.is_multiple_of(5) as usize + made.is_multiple_of(11) as usize;
             for _ in 0..copies {
                 // Half the copies run the other way round.
                 let (a, z) = if rng.random_range(0..2u32) == 0 { (i, j) } else { (j, i) };
