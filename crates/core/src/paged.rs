@@ -34,8 +34,55 @@
 //! [`BPlusTree::get`] searches each node where it lies in the page — one
 //! pool access per level, no decode, no allocation — and the search loop
 //! asks for an Rnet's abstract once per query however many border nodes
-//! reach the Rnet (the verdict memo of [`crate::workspace`]). What remains
-//! per settled node is one descent of the association tree.
+//! reach the Rnet (the verdict memo of [`crate::workspace`]).
+//!
+//! ## The page path: one access where the layout has one page
+//!
+//! The paper lays a node's adjacency and shortcut records side by side on
+//! one CCAM page and charges one access for that page. So does a query
+//! here, and a page travels from the store to the decode loop without
+//! being copied:
+//!
+//! * **The pin slot.** A query keeps one handle (`Arc<Page>`) — the page it
+//!   accessed last. Every page access of the query goes through that slot:
+//!   record reads directly, B+-tree descents through a read-only
+//!   [`PagePool`] view over it. A record on the page in the slot is served
+//!   from the handle; anything else is pinned from the pool
+//!   ([`StripedBufferPool::pin`]: the stripe lock is held for the LRU probe
+//!   and the handle clone, not while the record is decoded) and takes the
+//!   slot. The accesses this skips are re-touches of the page that is
+//!   already the most recent of its stripe, so LRU order — and every fault
+//!   — is what the full access stream produces. Per settled node that is
+//!   one access for the node record however many leaf Rnets `edges_at` is
+//!   asked for, none for a shortcut record co-clustered on the node's page,
+//!   and a new access only when something else (an abstract descent, a
+//!   record elsewhere) came in between.
+//! * **In-place decode.** Records are decoded where they lie, as `&[u8]`
+//!   into the pinned page. The per-thread scratch buffer survives only to
+//!   reassemble a record that straddles pages.
+//! * **The sealed-page watermark.** A handle is a snapshot: the pool
+//!   writes copy-on-write, so a page written after it was pinned is a
+//!   *newer copy* the handle never sees. A pinned page may therefore stand
+//!   in for the pool only if it can no longer be written. On a lazily
+//!   opened engine the append region can: a query reads an Rnet's abstract
+//!   record off the region's open page, pages the Rnet in, and the
+//!   shortcut records land on that same page — read through the old
+//!   handle they are zeros, a well-formed "0 shortcuts" record and a wrong
+//!   distance. The build epilogue records the watermark — the append
+//!   cursor's page, or the page count when nothing was appended — and a
+//!   page at or above it goes back to the pool on every access.
+//! * **The occupancy bitmap.** `objects_at` runs for every settled node,
+//!   and with 400 objects on 100,000 nodes more than 99% of those calls
+//!   used to descend the association tree to find nothing. One bit per
+//!   node, set at layout time beside the node locators, answers that
+//!   without a page: 12.5 KB of RAM on the 100,000-node serving world (one
+//!   `u64` per 64 nodes), no byte on any page, nothing in `index_mb`, and
+//!   every on-page check as strict as it was. A set bit whose record the
+//!   tree does not find is [`StorageError::CorruptPage`], not "no objects".
+//!
+//! What remains per settled node is its node record; the association tree
+//! is descended only for nodes that carry objects, an abstract tree once
+//! per Rnet per query.
 //!
 //! Everything read off a page is checked before it is used: entry counts
 //! against the record or page that holds them, node ids against the
@@ -54,17 +101,18 @@
 //! * the **lock-striped buffer pool**
 //!   ([`road_storage::StripedBufferPool`]) — the LRU sharded by page id
 //!   into independently locked stripes, so cache-warm readers rarely
-//!   contend; every access is charged both to atomic global counters and
-//!   to the query's private [`IoTally`], which is what keeps per-query
-//!   [`SearchStats`] exact under concurrency (tallies sum to the pool's
-//!   cumulative stats);
+//!   contend; every access is charged to the query's private [`IoTally`]
+//!   alone, which is what keeps per-query [`SearchStats`] exact under
+//!   concurrency, and the tally is settled into the pool's cumulative
+//!   counters once, when the query ends — with an answer or an error — so
+//!   the tallies of returned queries sum to the pool's stats;
 //! * **once-only lazy Rnet decode** — each Rnet's shortcut-record
 //!   locations live in a `OnceLock`, initialized under a per-Rnet mutex
 //!   (double-checked: the fast path is a lock-free `get`). Two threads
 //!   never decode the same section twice, and readers never observe a
 //!   half-decoded Rnet because the locations publish only after every
 //!   record is on its page;
-//! * **per-thread scratch** — record buffers and
+//! * **per-thread scratch** — reassembly buffers and
 //!   [`SearchWorkspace`]s come from thread-local pools, exactly like the
 //!   in-memory engine's hot path.
 //!
@@ -124,8 +172,9 @@ use crate::{AbstractKind, RoadError};
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, NodeId, Weight};
 use road_storage::{
-    BPlusTree, BufferStats, IoTally, NodeClustering, PageId, PageStore, StorageError,
-    StripedBufferPool, TalliedPool, DEFAULT_BUFFER_PAGES, DEFAULT_BUFFER_STRIPES, PAGE_SIZE,
+    BPlusTree, BufferStats, IoTally, NodeClustering, Page, PageId, PagePool, PageStore,
+    StorageError, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_PAGES, DEFAULT_BUFFER_STRIPES,
+    PAGE_SIZE,
 };
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -312,7 +361,7 @@ fn weight_on_page(buf: &[u8], at: usize, what: &'static str) -> Result<Weight, R
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread scratch buffers for record reads
+// Per-thread scratch buffers for records that straddle pages
 // ---------------------------------------------------------------------------
 
 /// Cap on pooled record buffers per thread (mirrors the workspace pool).
@@ -406,6 +455,10 @@ pub struct PagedEngine {
     /// per-Rnet lock on first query touch for lazily opened ones. Readers
     /// go through the lock-free `get`; a `Some` table is always complete.
     rnet_shortcuts: Vec<OnceLock<Vec<(u32, u64)>>>,
+    /// One bit per node: set iff the node carries objects, i.e. has an
+    /// association record and a key in `assoc_index`. RAM only (see the
+    /// module docs); immutable after build.
+    occupied: Vec<u64>,
     /// Node id -> association-record location.
     assoc_index: BPlusTree,
     /// Rnet id -> abstract-record location.
@@ -416,6 +469,11 @@ pub struct PagedEngine {
     /// lazily paged-in shortcut records. The mutex also serializes
     /// multi-page allocation runs (consecutive page ids).
     append: Mutex<Option<(u32, usize)>>,
+    /// The sealed-page watermark: no page below it is written after the
+    /// build, so a query may keep reading one from the handle it holds.
+    /// Pages at or above it — the append region's open page and whatever
+    /// is allocated after it — always go back to the pool.
+    sealed_pages: u32,
     node_region_pages: usize,
 }
 
@@ -509,10 +567,12 @@ impl PagedEngine {
             pool,
             node_loc: Vec::new(),
             rnet_shortcuts: (0..num_rnets).map(|_| OnceLock::new()).collect(),
+            occupied: vec![0; num_nodes.div_ceil(64)],
             assoc_index,
             abstract_index,
             lazy: None,
             append: Mutex::new(None),
+            sealed_pages: 0,
             node_region_pages: 0,
         })
     }
@@ -609,6 +669,9 @@ impl PagedEngine {
             encode_assoc_record(ad.objects_at_node(n), g, kind, n, &mut rec);
             let loc = self.append_record(&rec, &mut tally)?;
             assoc_entries.push((n.0 as u64, loc));
+            if let Some(word) = self.occupied.get_mut(i / 64) {
+                *word |= 1 << (i % 64);
+            }
         }
         // Abstract records in Rnet order; only non-empty abstracts (an
         // absent record answers "cannot match", same as an empty abstract).
@@ -645,11 +708,25 @@ impl PagedEngine {
     }
 
     /// Build epilogue: flush everything to the store and start cold, the
-    /// paper's measurement discipline.
+    /// paper's measurement discipline, and seal what can no longer be
+    /// written — every page below the append cursor's (a lazy page-in
+    /// continues on that one), or every page when nothing was appended.
     fn finish_build(&mut self) -> Result<(), RoadError> {
         self.pool.clear_cache()?;
         self.pool.reset_stats();
+        let cursor =
+            *self.append.get_mut().map_err(|_| StorageError::LockPoisoned("append cursor"))?;
+        self.sealed_pages = match cursor {
+            Some((page, _)) => page,
+            None => self.pool.num_pages() as u32,
+        };
         Ok(())
+    }
+
+    /// Does node `n` carry objects? One bit, no page.
+    #[inline]
+    fn node_occupied(&self, n: NodeId) -> bool {
+        self.occupied.get(n.index() / 64).is_some_and(|word| word >> (n.index() % 64) & 1 == 1)
     }
 
     /// Appends a record into the sequential region (directory records and
@@ -910,10 +987,10 @@ impl PagedEngine {
         self.num_nodes
     }
 
-    /// Cumulative buffer-pool counters since the last reset. Under
-    /// concurrency this equals the sum of every query's `SearchStats`
-    /// page deltas (plus any prefetch traffic) — a property the paged
-    /// tests assert.
+    /// Cumulative buffer-pool counters since the last reset: the sum of the
+    /// `SearchStats` page deltas of every query that has returned — with an
+    /// answer or an error; a query still running has not been counted yet —
+    /// plus any prefetch traffic. A property the paged tests assert.
     pub fn buffer_stats(&self) -> BufferStats {
         self.pool.stats()
     }
@@ -983,10 +1060,10 @@ impl PagedEngine {
     /// cumulative [`PagedEngine::buffer_stats`] but in no query's stats.
     pub fn load_all_rnets(&self) -> Result<(), RoadError> {
         let mut tally = IoTally::default();
-        for r in 0..self.hier.num_rnets() {
-            self.ensure_rnet_loaded(RnetId(r as u32), &mut tally)?;
-        }
-        Ok(())
+        let loaded = (0..self.hier.num_rnets())
+            .try_for_each(|r| self.ensure_rnet_loaded(RnetId(r as u32), &mut tally));
+        self.pool.settle(&tally);
+        loaded
     }
 }
 
@@ -1007,70 +1084,136 @@ impl std::fmt::Debug for PagedEngine {
 // The SearchSource implementation: records in, visits out
 // ---------------------------------------------------------------------------
 
-/// One query's private view of the engine: a shared engine reference plus
-/// the query's own I/O tally and a pooled record buffer. Creating one is
+// The page path and the per-query record accessors: run once per page
+// access / settled node / consulted Rnet, so fresh heap allocations are
+// banned from here on — records are decoded in the pinned page (a handle
+// clone is not an allocation), the one buffer is the pooled scratch and
+// every map lookup is lock-free.
+// roadlint: hot-path
+
+/// The page path of one query: the engine's pool, the query's own I/O
+/// tally, and one slot — the page the query accessed last, by handle.
+/// *Every* page access of the query goes through [`PageSlot::page`]: record
+/// reads directly, B+-tree descents through the read-only [`PagePool`]
+/// view below. An access to the page already in the slot is served from
+/// the handle and skips the pool; that page is the most recent of its
+/// stripe, so the skipped access would have been a hit that moved nothing:
+/// LRU order, and with it every fault, is what the full access stream
+/// produces.
+struct PageSlot<'a> {
+    eng: &'a PagedEngine,
+    /// This query's exact I/O deltas (never polluted by other threads),
+    /// settled into the pool's cumulative counters when the query ends.
+    tally: IoTally,
+    last: Option<(u32, Arc<Page>)>,
+}
+
+impl PageSlot<'_> {
+    /// Page `id`, from the slot when it is there and sealed, else pinned
+    /// from the pool (one logical read, a fault when cold). A handle is a
+    /// snapshot, so it may stand in for the pool only where the page can no
+    /// longer be written: on the append region of a lazily opened engine an
+    /// Rnet paged in after the pin — by this query or another thread —
+    /// lands its records on a newer copy of the page, and the old handle
+    /// would serve zeros: a well-formed "0 shortcuts" record. Unsealed
+    /// pages therefore go back to the pool every time.
+    fn page(&mut self, id: u32) -> Result<&Page, StorageError> {
+        let held =
+            id < self.eng.sealed_pages && self.last.as_ref().is_some_and(|(at, _)| *at == id);
+        if !held {
+            let page = self.eng.pool.pin(PageId(id), &mut self.tally)?;
+            self.last = Some((id, page));
+        }
+        match &self.last {
+            Some((_, page)) => Ok(page),
+            None => Err(StorageError::Internal("page slot empty after a pin")),
+        }
+    }
+}
+
+/// The read-only pool view a directory B+-tree descends through.
+impl PagePool for PageSlot<'_> {
+    fn alloc(&mut self) -> Result<PageId, StorageError> {
+        Err(StorageError::Internal("a query's page view is read-only"))
+    }
+
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, StorageError> {
+        self.page(id.0).map(f)
+    }
+
+    fn with_page_mut<R>(
+        &mut self,
+        _id: PageId,
+        _f: impl FnOnce(&mut Page) -> R,
+    ) -> Result<R, StorageError> {
+        Err(StorageError::Internal("a query's page view is read-only"))
+    }
+}
+
+/// The record at `loc`, where it lies: a slice of the slot's page. Only a
+/// record that straddles pages is reassembled, in `scratch`. Every page
+/// the record touches costs one access through the slot.
+// roadlint: allow(panic-fn) reason="page slices bounded by off + len <= PAGE_SIZE and take = min(left, page remainder); off < PAGE_SIZE by unpack_loc's 12-bit field"
+fn record<'s>(
+    pages: &'s mut PageSlot<'_>,
+    scratch: &'s mut Vec<u8>,
+    loc: u64,
+) -> Result<&'s [u8], RoadError> {
+    let (page, offset, len) = unpack_loc(loc);
+    let mut off = offset as usize;
+    if off + len <= PAGE_SIZE {
+        return Ok(&pages.page(page)?.bytes()[off..off + len]);
+    }
+    scratch.clear();
+    scratch.reserve(len);
+    let mut p = page;
+    let mut left = len;
+    while left > 0 {
+        let take = left.min(PAGE_SIZE - off);
+        scratch.extend_from_slice(&pages.page(p)?.bytes()[off..off + take]);
+        left -= take;
+        off = 0;
+        p += 1;
+    }
+    Ok(scratch)
+}
+
+/// One query's private view of the engine: the query's page path plus a
+/// pooled buffer for the rare record that straddles pages. Creating one is
 /// what makes `&self` queries possible — all mutable state is here, not in
 /// the engine.
 struct PagedSource<'a> {
-    eng: &'a PagedEngine,
+    pages: PageSlot<'a>,
     /// `false` for point-to-point routing: the directory is not consulted,
     /// matching the in-memory engine's `ad: None` behaviour.
     use_directory: bool,
-    /// This query's exact I/O deltas (never polluted by other threads).
-    tally: IoTally,
-    /// Reusable record read buffer (thread-local pool).
+    /// Reassembly buffer for straddling records (thread-local pool).
     scratch: Vec<u8>,
 }
 
 impl<'a> PagedSource<'a> {
     fn new(eng: &'a PagedEngine, use_directory: bool) -> Self {
-        PagedSource { eng, use_directory, tally: IoTally::default(), scratch: take_scratch() }
-    }
-
-    /// Reads the record at `loc` through the buffer pool into the scratch
-    /// buffer. Every page the record touches costs one logical pool read
-    /// (and a fault when cold), charged to this query's tally. `Err` when
-    /// a pool lock is poisoned.
-    // roadlint: allow(panic-fn) reason="page slice bounded by take = min(left, page remainder); offset < PAGE_SIZE by unpack_loc's 12-bit field"
-    fn read_record(&mut self, loc: u64) -> Result<(), RoadError> {
-        let (page, offset, len) = unpack_loc(loc);
-        let eng = self.eng;
-        let buf = &mut self.scratch;
-        buf.clear();
-        buf.reserve(len);
-        let mut p = page;
-        let mut off = offset as usize;
-        let mut left = len;
-        while left > 0 {
-            let take = left.min(PAGE_SIZE - off);
-            eng.pool.with_page(PageId(p), &mut self.tally, |pg| {
-                buf.extend_from_slice(&pg.bytes()[off..off + take]);
-            })?;
-            left -= take;
-            off = 0;
-            p += 1;
-        }
-        Ok(())
+        let pages = PageSlot { eng, tally: IoTally::default(), last: None };
+        PagedSource { pages, use_directory, scratch: take_scratch() }
     }
 }
 
+/// The end of a query, answer or error: its page traffic joins the pool's
+/// cumulative counters, once.
 impl Drop for PagedSource<'_> {
     fn drop(&mut self) {
+        self.pages.eng.pool.settle(&self.pages.tally);
         put_scratch(std::mem::take(&mut self.scratch));
     }
 }
 
-// Per-query record accessors: called once per settled node / consulted
-// Rnet, so fresh heap allocations are banned here — every buffer is the
-// pooled scratch and every map lookup is lock-free.
-// roadlint: hot-path
 impl SearchSource for PagedSource<'_> {
     fn num_nodes(&self) -> usize {
-        self.eng.num_nodes
+        self.pages.eng.num_nodes
     }
 
     fn hierarchy(&self) -> &Arc<RnetHierarchy> {
-        &self.eng.hier
+        &self.pages.eng.hier
     }
 
     fn has_directory(&self) -> bool {
@@ -1082,15 +1225,16 @@ impl SearchSource for PagedSource<'_> {
         n: NodeId,
         mut visit: impl FnMut(u64, CategoryId, Weight),
     ) -> Result<(), RoadError> {
-        let eng = self.eng;
-        let Some(loc) = eng
-            .assoc_index
-            .get(&mut TalliedPool { pool: &eng.pool, tally: &mut self.tally }, n.0 as u64)?
-        else {
-            return Ok(());
-        };
-        self.read_record(loc)?;
-        let buf = &self.scratch;
+        let eng = self.pages.eng;
+        if !eng.node_occupied(n) {
+            return Ok(()); // most nodes: no object, no descent
+        }
+        // The bit says there is a record; a tree that no longer finds it
+        // has gone bad, and "no objects" would be a silently wrong answer.
+        let loc = eng.assoc_index.get(&mut self.pages, n.0 as u64)?.ok_or(
+            StorageError::CorruptPage("association tree lost the record of an occupied node"),
+        )?;
+        let buf = record(&mut self.pages, &mut self.scratch, loc)?;
         let count = record_count(buf, OBJ_ENTRY)?;
         for i in 0..count {
             let at = 4 + i * OBJ_ENTRY;
@@ -1104,15 +1248,11 @@ impl SearchSource for PagedSource<'_> {
     }
 
     fn rnet_may_match(&mut self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError> {
-        let eng = self.eng;
-        let Some(loc) = eng
-            .abstract_index
-            .get(&mut TalliedPool { pool: &eng.pool, tally: &mut self.tally }, r.0 as u64)?
-        else {
+        let eng = self.pages.eng;
+        let Some(loc) = eng.abstract_index.get(&mut self.pages, r.0 as u64)? else {
             return Ok(false); // no record = empty abstract = cannot match
         };
-        self.read_record(loc)?;
-        let buf = &self.scratch;
+        let buf = record(&mut self.pages, &mut self.scratch, loc)?;
         if buf.len() < 8 {
             return Err(StorageError::CorruptPage("abstract record shorter than header").into());
         }
@@ -1138,14 +1278,13 @@ impl SearchSource for PagedSource<'_> {
         leaf: Option<RnetId>,
         mut visit: impl FnMut(EdgeId, u32, Weight),
     ) -> Result<(), RoadError> {
-        let loc = self
-            .eng
+        let eng = self.pages.eng;
+        let loc = eng
             .node_loc
             .get(n.index())
             .copied()
             .ok_or(StorageError::Internal("node id outside the node-record table"))?;
-        self.read_record(loc)?;
-        let buf = &self.scratch;
+        let buf = record(&mut self.pages, &mut self.scratch, loc)?;
         let count = record_count(buf, ADJ_ENTRY)?;
         for i in 0..count {
             let at = 4 + i * ADJ_ENTRY;
@@ -1161,7 +1300,7 @@ impl SearchSource for PagedSource<'_> {
             let e = EdgeId(read_u32_at(buf, at));
             let v = node_on_page(
                 read_u32_at(buf, at + 4),
-                self.eng.num_nodes,
+                eng.num_nodes,
                 "adjacency record names a node outside the network",
             )?;
             visit(e, v, w);
@@ -1175,8 +1314,8 @@ impl SearchSource for PagedSource<'_> {
         n: NodeId,
         mut visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError> {
-        let eng = self.eng;
-        eng.ensure_rnet_loaded(r, &mut self.tally)?;
+        let eng = self.pages.eng;
+        eng.ensure_rnet_loaded(r, &mut self.pages.tally)?;
         let Some(&(_, loc)) =
             eng.rnet_shortcuts.get(r.0 as usize).and_then(|slot| slot.get()).and_then(|locs| {
                 locs.binary_search_by_key(&n.0, |&(from, _)| from).ok().and_then(|i| locs.get(i))
@@ -1184,8 +1323,7 @@ impl SearchSource for PagedSource<'_> {
         else {
             return Ok(());
         };
-        self.read_record(loc)?;
-        let buf = &self.scratch;
+        let buf = record(&mut self.pages, &mut self.scratch, loc)?;
         let count = record_count(buf, SC_ENTRY)?;
         for i in 0..count {
             let at = 4 + i * SC_ENTRY;
@@ -1201,20 +1339,18 @@ impl SearchSource for PagedSource<'_> {
     }
 
     fn rnet_contains_node(&mut self, r: RnetId, t: NodeId) -> Result<bool, RoadError> {
-        let hier = &self.eng.hier;
+        let eng = self.pages.eng;
+        let hier = &eng.hier;
         if hier.is_border_of(t, r) {
             return Ok(true);
         }
         let lv = hier.level_of(r);
-        let loc = self
-            .eng
+        let loc = eng
             .node_loc
             .get(t.index())
             .copied()
             .ok_or(StorageError::Internal("node id outside the node-record table"))?;
-        self.read_record(loc)?;
-        let hier = &self.eng.hier;
-        let buf = &self.scratch;
+        let buf = record(&mut self.pages, &mut self.scratch, loc)?;
         let count = record_count(buf, ADJ_ENTRY)?;
         for i in 0..count {
             let leaf = RnetId(read_u32_at(buf, 4 + i * ADJ_ENTRY + 8));
@@ -1226,7 +1362,7 @@ impl SearchSource for PagedSource<'_> {
     }
 
     fn io_counters(&self) -> (u64, u64) {
-        (self.tally.logical_reads, self.tally.page_faults)
+        (self.pages.tally.logical_reads, self.pages.tally.page_faults)
     }
 }
 // roadlint: end hot-path
@@ -1660,6 +1796,426 @@ mod tests {
                 });
             }
         });
+    }
+
+    // ------------------------------------------------------------------
+    // The page path: what a query is charged, and what it may keep
+    // ------------------------------------------------------------------
+
+    /// What a query asked its source for, in order.
+    #[derive(Clone, Copy, Debug)]
+    enum Ask {
+        Objects(NodeId),
+        Verdict(RnetId),
+        Edges(NodeId),
+        Shortcuts(RnetId, NodeId),
+        Contains(RnetId, NodeId),
+    }
+
+    /// A `PagedSource` that writes down every call the search loop makes.
+    struct Recorded<'a> {
+        inner: PagedSource<'a>,
+        asks: Vec<Ask>,
+    }
+
+    impl SearchSource for Recorded<'_> {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn hierarchy(&self) -> &Arc<RnetHierarchy> {
+            self.inner.hierarchy()
+        }
+        fn has_directory(&self) -> bool {
+            self.inner.has_directory()
+        }
+        fn objects_at(
+            &mut self,
+            n: NodeId,
+            visit: impl FnMut(u64, CategoryId, Weight),
+        ) -> Result<(), RoadError> {
+            self.asks.push(Ask::Objects(n));
+            self.inner.objects_at(n, visit)
+        }
+        fn rnet_may_match(&mut self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError> {
+            self.asks.push(Ask::Verdict(r));
+            self.inner.rnet_may_match(r, filter)
+        }
+        fn edges_at(
+            &mut self,
+            n: NodeId,
+            leaf: Option<RnetId>,
+            visit: impl FnMut(EdgeId, u32, Weight),
+        ) -> Result<(), RoadError> {
+            self.asks.push(Ask::Edges(n));
+            self.inner.edges_at(n, leaf, visit)
+        }
+        fn shortcuts_at(
+            &mut self,
+            r: RnetId,
+            n: NodeId,
+            visit: impl FnMut(u32, Weight),
+        ) -> Result<(), RoadError> {
+            self.asks.push(Ask::Shortcuts(r, n));
+            self.inner.shortcuts_at(r, n, visit)
+        }
+        fn rnet_contains_node(&mut self, r: RnetId, t: NodeId) -> Result<bool, RoadError> {
+            self.asks.push(Ask::Contains(r, t));
+            self.inner.rnet_contains_node(r, t)
+        }
+        fn io_counters(&self) -> (u64, u64) {
+            self.inner.io_counters()
+        }
+    }
+
+    /// A pool view that writes down the pages a tree descent touches.
+    struct Trail<'a> {
+        pool: &'a StripedBufferPool,
+        pages: Vec<u32>,
+    }
+
+    impl PagePool for Trail<'_> {
+        fn alloc(&mut self) -> Result<PageId, StorageError> {
+            unreachable!("lookups do not allocate")
+        }
+        fn with_page<R>(
+            &mut self,
+            id: PageId,
+            f: impl FnOnce(&Page) -> R,
+        ) -> Result<R, StorageError> {
+            self.pages.push(id.0);
+            self.pool.with_page(id, &mut IoTally::default(), f)
+        }
+        fn with_page_mut<R>(
+            &mut self,
+            _: PageId,
+            _: impl FnOnce(&mut Page) -> R,
+        ) -> Result<R, StorageError> {
+            unreachable!("lookups do not write")
+        }
+    }
+
+    /// The pages the record at `loc` lies on.
+    fn pages_of(loc: u64) -> std::ops::RangeInclusive<u32> {
+        let (page, offset, len) = unpack_loc(loc);
+        page..=page + ((offset as usize + len - 1) / PAGE_SIZE) as u32
+    }
+
+    /// The page accesses the paper's layout has for `asks`, from the
+    /// engine's locators and the directory itself (not the occupancy
+    /// bitmap): one per page a record lies on, one per level of a tree
+    /// descent — and none at all for a node without objects.
+    fn layout_accesses(disk: &PagedEngine, ad: &AssociationDirectory, asks: &[Ask]) -> Vec<u32> {
+        let mut trail = Trail { pool: &disk.pool, pages: Vec::new() };
+        for &ask in asks {
+            match ask {
+                Ask::Objects(n) if ad.objects_at_node(n).next().is_none() => {}
+                Ask::Objects(n) => {
+                    let loc = disk.assoc_index.get(&mut trail, n.0 as u64).unwrap().unwrap();
+                    trail.pages.extend(pages_of(loc));
+                }
+                Ask::Verdict(r) => {
+                    if let Some(loc) = disk.abstract_index.get(&mut trail, r.0 as u64).unwrap() {
+                        trail.pages.extend(pages_of(loc));
+                    }
+                }
+                Ask::Contains(r, t) if disk.hier.is_border_of(t, r) => {}
+                Ask::Edges(n) | Ask::Contains(_, n) => {
+                    trail.pages.extend(pages_of(disk.node_loc[n.index()]));
+                }
+                Ask::Shortcuts(r, n) => {
+                    let locs = disk.rnet_shortcuts[r.0 as usize].get().unwrap();
+                    if let Ok(i) = locs.binary_search_by_key(&n.0, |&(from, _)| from) {
+                        trail.pages.extend(pages_of(locs[i].1));
+                    }
+                }
+            }
+        }
+        trail.pages
+    }
+
+    /// The access budget, to the page: a query is charged one access each
+    /// time the page it needs is not the page it touched last (always, on
+    /// the unsealed tail) — so a node record is read once however many leaf
+    /// Rnets `edges_at` is asked for, a shortcut record co-clustered on the
+    /// node's page is free, and a node without objects costs the directory
+    /// nothing. With a pool that never evicts, the faults are the distinct
+    /// pages. Checked against a model of the layout for kNN, filtered kNN,
+    /// range and point-to-point expansions, the directory two levels deep.
+    #[test]
+    fn a_query_is_charged_one_access_per_change_of_page() {
+        let (fw, ad) = setup_on_grid(20, 300);
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(4096)).unwrap();
+        assert_eq!(disk.assoc_index.height(), 1);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut ws = SearchWorkspace::new();
+        let mut hits = Vec::new();
+        let rare = ObjectFilter::Category(CategoryId(2));
+        let mut skipped = 0;
+        for i in 0..120u32 {
+            let n = NodeId((i * 37) % 400);
+            let (filter, mode, directory) = match i % 4 {
+                0 => (ObjectFilter::Any, Mode::Knn(3, None), true),
+                1 => (rare.clone(), Mode::Knn(5, None), true),
+                2 => (ObjectFilter::Any, Mode::Range(Weight::new(2.5)), true),
+                _ => (ObjectFilter::Any, Mode::ToNode(NodeId(399 - n.0)), false),
+            };
+            let mut src = Recorded { inner: PagedSource::new(&disk, directory), asks: Vec::new() };
+            let stats = search::execute_source_into(&mut src, n, &filter, mode, &mut ws, &mut hits)
+                .unwrap();
+            let accesses = layout_accesses(&disk, &ad, &src.asks);
+            let mut last = None;
+            let charged = accesses
+                .iter()
+                .filter(|&&p| last.replace(p) != Some(p) || p >= disk.sealed_pages)
+                .count();
+            assert_eq!(stats.pages_read, charged, "query #{i}: {:?}", src.asks);
+            let cold = accesses.iter().filter(|&&p| seen.insert(p)).count();
+            assert_eq!(stats.page_faults, cold, "query #{i}");
+            skipped += accesses.len() - charged;
+        }
+        assert!(skipped > 1000, "the slot must be doing the work: {skipped}");
+        assert_eq!(disk.pool.cached_pages(), seen.len(), "nothing evicted, every fault distinct");
+    }
+
+    /// An interior-only, object-free neighbourhood: no verdicts, no
+    /// directory, one node record per settled node at most.
+    #[test]
+    fn an_object_free_interior_costs_at_most_one_access_per_node() {
+        let (fw, ad) = setup_on_grid(20, 0);
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(4096)).unwrap();
+        let hier = fw.hierarchy();
+        let interior = |n: NodeId| hier.shortcut_tree(n).is_empty();
+        let centre = (0..400u32)
+            .map(NodeId)
+            .find(|&n| {
+                let around = || fw.network().neighbors(n);
+                interior(n) && around().count() == 4 && around().all(|(_, v)| interior(v))
+            })
+            .expect("a 20x20 grid in 16 leaf Rnets has interior neighbourhoods");
+        let res = disk.range(&RangeQuery::new(centre, Weight::new(1.0))).unwrap();
+        assert_eq!(res.stats.abstract_lookups, 0);
+        assert!(res.stats.nodes_settled >= 6, "{:?}", res.stats);
+        assert!((1..=res.stats.nodes_settled).contains(&res.stats.pages_read), "{:?}", res.stats);
+    }
+
+    /// Settle-per-query, on the `Err` path: the traffic of a query that
+    /// died on a stomped page reaches `buffer_stats()` like any other.
+    #[test]
+    fn a_failed_query_still_settles_its_page_traffic() {
+        let (fw, ad) = setup(12);
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        stomp_u32(&disk, disk.node_loc[0], 4 + 12 + 4, BAD_F64_HIGH_WORDS[0]);
+        disk.reset_io_stats();
+        let spent = {
+            let mut src = PagedSource::new(&disk, true);
+            let far = Mode::Range(Weight::new(20.0));
+            let res = search::execute_source(&mut src, NodeId(63), &ObjectFilter::Any, far);
+            assert_corrupt_page(res, "range");
+            assert_eq!(disk.buffer_stats().logical_reads, 0, "settled when the query ends");
+            src.pages.tally
+        };
+        assert!(spent.logical_reads > 10 && spent.page_faults > 0, "{spent:?}");
+        let pool = disk.buffer_stats();
+        assert_eq!(
+            (pool.logical_reads, pool.page_faults),
+            (spent.logical_reads, spent.page_faults)
+        );
+        // Through the public door, twice: the same again each time.
+        for _ in 0..2 {
+            assert_corrupt_page(disk.range(&RangeQuery::new(NodeId(63), Weight::new(20.0))), "");
+        }
+        assert_eq!(disk.buffer_stats().logical_reads, 3 * spent.logical_reads);
+    }
+
+    fn lazy_twin(fw: &RoadFramework, ad: &AssociationDirectory, pages: usize) -> PagedEngine {
+        let objects: Vec<Object> = ad.objects().cloned().collect();
+        let image = PagedImage::open(fw.to_bytes()).unwrap();
+        PagedEngine::open(image, objects, PagedOptions::with_buffer_pages(pages)).unwrap()
+    }
+
+    /// The append region's open page of a freshly opened lazy engine, and
+    /// the Rnets whose abstract record lies on it.
+    fn open_page_and_its_rnets(lazy: &PagedEngine) -> (u32, Vec<RnetId>) {
+        let open_page = lazy.append.lock().unwrap().expect("directory records were appended").0;
+        let mut trail = Trail { pool: &lazy.pool, pages: Vec::new() };
+        let rnets = (0..lazy.hier.num_rnets() as u32)
+            .map(RnetId)
+            .filter(|r| {
+                let loc = lazy.abstract_index.get(&mut trail, r.0 as u64).unwrap();
+                loc.is_some_and(|loc| unpack_loc(loc).0 == open_page)
+            })
+            .collect();
+        (open_page, rnets)
+    }
+
+    /// The stale-pin trap, one thread. A lazily opened engine, a pool that
+    /// evicts nothing, a filter no object passes: the query reads an Rnet's
+    /// abstract record off the append region's open page (that page is now
+    /// the one it holds), decides to bypass, pages the Rnet in — its
+    /// shortcut records land on the same page, which copy-on-write makes a
+    /// *newer copy* — and reads the first of them. Served from the handle
+    /// it held, that record is zeros: a well-formed "0 shortcuts", and a
+    /// wrong distance. The sealed-page watermark sends the read back to
+    /// the pool. (With the `sealed_pages` test taken out of
+    /// `PageSlot::page` this test fails; so did two proptests.)
+    #[test]
+    fn a_page_in_after_the_pin_is_not_read_through_the_pin() {
+        let (fw, ad) = setup(12);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let eager = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(256)).unwrap();
+        let lazy = lazy_twin(&fw, &ad, 256);
+        let (open_page, on_it) = open_page_and_its_rnets(&lazy);
+        assert_eq!(lazy.sealed_pages, open_page);
+        assert!(!on_it.is_empty(), "abstract records must end on the open page");
+        let counted = |s: SearchStats| SearchStats {
+            pages_read: 0,
+            page_faults: 0,
+            workspace_reused: false,
+            ..s
+        };
+        for n in 0..64u32 {
+            for cat in 0..4u16 {
+                let q = KnnQuery::new(NodeId(n), 2)
+                    .with_filter(ObjectFilter::Category(CategoryId(cat)));
+                let want = engine.knn(&q).unwrap();
+                let got = lazy.knn(&q).unwrap();
+                assert_eq!(got.hits, want.hits, "lazy, node {n}, category {cat}");
+                assert_eq!(counted(got.stats), counted(want.stats), "node {n}, category {cat}");
+                assert_eq!(eager.knn(&q).unwrap().hits, want.hits, "eager, node {n}");
+            }
+        }
+        let landed_on_it = on_it.iter().any(|r| {
+            let locs = lazy.rnet_shortcuts[r.0 as usize].get();
+            locs.is_some_and(|locs| locs.iter().any(|&(_, loc)| unpack_loc(loc).0 == open_page))
+        });
+        assert!(landed_on_it, "no page-in continued on the page its abstract was read from");
+        assert!(lazy.pool.cached_pages() < lazy.buffer_capacity(), "nothing was evicted");
+    }
+
+    /// The same trap with the page-in on another thread: this query's pin
+    /// of the open page predates the other thread's `append_record` to it.
+    #[test]
+    fn another_threads_page_in_after_the_pin_is_not_read_through_the_pin() {
+        let (fw, ad) = setup(12);
+        let lazy = lazy_twin(&fw, &ad, 256);
+        let (open_page, on_it) = open_page_and_its_rnets(&lazy);
+        let (r, n) = on_it
+            .iter()
+            .flat_map(|&r| fw.hierarchy().borders(r).iter().map(move |&n| (r, n)))
+            .find(|&(r, n)| !fw.shortcuts().heads(r, n).is_empty())
+            .expect("an Rnet with objects and shortcuts");
+        let mut reader = PagedSource::new(&lazy, true);
+        let nothing = ObjectFilter::Category(CategoryId(99));
+        assert!(!reader.rnet_may_match(r, &nothing).unwrap());
+        assert_eq!(reader.pages.last.as_ref().map(|(at, _)| *at), Some(open_page));
+        std::thread::scope(|scope| {
+            let paged_in = scope.spawn(|| {
+                let mut other = PagedSource::new(&lazy, true);
+                other.shortcuts_at(r, n, |_, _| ()).unwrap();
+            });
+            paged_in.join().unwrap();
+        });
+        let loc = lazy.rnet_shortcuts[r.0 as usize].get().unwrap()[0].1;
+        assert_eq!(unpack_loc(loc).0, open_page, "the page-in must continue on the pinned page");
+        let mut got = Vec::new();
+        reader.shortcuts_at(r, n, |to, dist| got.push((to, dist))).unwrap();
+        let want: Vec<(u32, Weight)> =
+            fw.shortcuts().heads(r, n).iter().map(|sc| (sc.to.0, sc.dist)).collect();
+        assert_eq!(got, want);
+    }
+
+    // ------------------------------------------------------------------
+    // Occupancy
+    // ------------------------------------------------------------------
+
+    fn assert_agree_everywhere(fw: &RoadFramework, ad: &AssociationDirectory, disk: &PagedEngine) {
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        for n in 0..fw.network().num_nodes() as u32 {
+            let q = KnnQuery::new(NodeId(n), 4);
+            assert_eq!(disk.knn(&q).unwrap().hits, engine.knn(&q).unwrap().hits, "node {n}");
+            let rq = RangeQuery::new(NodeId(n), Weight::new(2.0));
+            assert_eq!(disk.range(&rq).unwrap().hits, engine.range(&rq).unwrap().hits);
+        }
+    }
+
+    /// No object anywhere: no bit set, and the association tree is never
+    /// descended — its root can be garbage.
+    #[test]
+    fn no_objects_means_no_association_descent() {
+        let (fw, ad) = setup(0);
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        assert!(disk.occupied.iter().all(|&word| word == 0));
+        stomp_page_u32(&disk, disk.assoc_index.root(), 0, 0xFFFF_FFFF);
+        assert_agree_everywhere(&fw, &ad, &disk);
+    }
+
+    /// An object on every edge: every node occupied, every settle descends.
+    #[test]
+    fn an_object_on_every_edge_sets_every_bit() {
+        let g = simple::grid(6, 6, 1.0);
+        let fw = RoadFramework::builder(g).fanout(4).levels(2).build().unwrap();
+        let mut ad = AssociationDirectory::new(fw.hierarchy());
+        for (i, e) in fw.network().edge_ids().enumerate() {
+            let o = Object::new(ObjectId(i as u64), e, 0.25, CategoryId((i % 3) as u16));
+            ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+        }
+        for disk in [
+            PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap(),
+            lazy_twin(&fw, &ad, 8),
+        ] {
+            assert!((0..36).all(|n| disk.node_occupied(NodeId(n))));
+            assert!(!disk.node_occupied(NodeId(36)) && !disk.node_occupied(NodeId(u32::MAX)));
+            assert_agree_everywhere(&fw, &ad, &disk);
+        }
+    }
+
+    /// An object at offset 0 of its node is found from that node at
+    /// distance zero; the bit of every other node stays clear.
+    #[test]
+    fn an_object_at_offset_zero_of_its_node_is_found() {
+        let (fw, mut ad) = setup(0);
+        let e = fw.network().edge_ids().nth(20).unwrap();
+        ad.insert(fw.network(), fw.hierarchy(), Object::new(ObjectId(7), e, 0.0, CategoryId(0)))
+            .unwrap();
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let ends: Vec<u32> = (0..64).filter(|&n| disk.node_occupied(NodeId(n))).collect();
+        assert_eq!(ends.len(), 2, "an object is associated with both ends of its edge");
+        let at_zero = ends.iter().filter(|&&n| {
+            let res = disk.knn(&KnnQuery::new(NodeId(n), 1)).unwrap();
+            res.hits[0].distance == Weight::ZERO
+        });
+        assert_eq!(at_zero.count(), 1);
+        assert_agree_everywhere(&fw, &ad, &disk);
+    }
+
+    /// Point-to-point routing runs without the directory: neither the
+    /// bitmap nor the trees are consulted, so both trees can be garbage.
+    #[test]
+    fn network_distance_never_consults_the_directory() {
+        let (fw, ad) = setup(30);
+        let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        stomp_page_u32(&disk, disk.assoc_index.root(), 0, 0xFFFF_FFFF);
+        stomp_page_u32(&disk, disk.abstract_index.root(), 0, 0xFFFF_FFFF);
+        assert_corrupt_page(disk.knn(&KnnQuery::new(NodeId(0), 1)), "knn over a stomped tree");
+        for (a, b) in [(0u32, 63u32), (5, 40), (17, 18), (63, 7)] {
+            assert_eq!(
+                disk.network_distance(NodeId(a), NodeId(b)).unwrap(),
+                fw.network_distance(NodeId(a), NodeId(b)).unwrap(),
+            );
+        }
+    }
+
+    /// A set bit whose record the tree no longer finds is a corrupt page,
+    /// not "no objects here".
+    #[test]
+    fn an_occupied_node_the_tree_lost_is_an_error_not_an_empty_answer() {
+        let (fw, ad) = setup(12);
+        let mut disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+        let bare = (0..64u32).find(|&n| !disk.node_occupied(NodeId(n))).unwrap();
+        disk.occupied[bare as usize / 64] |= 1 << (bare % 64);
+        let knn = KnnQuery::new(NodeId(bare), 3);
+        let range = RangeQuery::new(NodeId(bare), Weight::new(4.0));
+        assert_every_door_corrupt(&disk, &knn, &range);
     }
 
     #[test]

@@ -277,7 +277,14 @@ fn stress_paged_agreement_large_network() {
 /// threads on one shared engine under the nastiest configurations —
 /// tiny pools with **one page per stripe** (maximum eviction churn, every
 /// read a likely fault) and lazily opened images whose Rnet sections
-/// race to load — must stay byte-identical to the in-memory engine.
+/// race to load — must stay byte-identical to the in-memory engine. The
+/// last case is the stale-pin trap under contention: a pool that evicts
+/// nothing and a fresh lazy engine per round, all threads released at
+/// once onto the same category-filtered queries, so that one thread's pin
+/// of the append region's open page predates another thread's
+/// `append_record` to it (the deterministic form of that interleaving is
+/// `another_threads_page_in_after_the_pin_is_not_read_through_the_pin` in
+/// `paged.rs`).
 #[test]
 #[ignore = "stress: concurrent paged serving sweep, run via --include-ignored"]
 fn stress_concurrent_paged_tiny_pools() {
@@ -329,6 +336,32 @@ fn stress_concurrent_paged_tiny_pools() {
                 });
             }
         }
+        let filtered: Vec<usize> =
+            (0..knns.len()).filter(|&i| knns[i].filter != ObjectFilter::Any).collect();
+        for round in 0..10 {
+            let image = PagedImage::open(image_bytes.clone()).unwrap();
+            let opts = PagedOptions::with_buffer_pages(4096);
+            let lazy = PagedEngine::open(image, objs.clone(), opts).unwrap();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (lazy, start, filtered) = (&lazy, &start, &filtered);
+                    let (knns, want_knn) = (&knns, &want_knn);
+                    scope.spawn(move || {
+                        let mut ws = SearchWorkspace::new();
+                        let mut hits = Vec::new();
+                        start.wait();
+                        for &idx in filtered {
+                            lazy.knn_with(&knns[idx], &mut ws, &mut hits).unwrap();
+                            assert_eq!(
+                                hits, want_knn[idx],
+                                "pins vs page-ins: seed {seed} round {round} thread {t} kNN #{idx}"
+                            );
+                        }
+                    });
+                }
+            });
+        }
     }
 }
 
@@ -352,7 +385,9 @@ fn per_query_stats_sum_to_pool_counters_under_threads() {
                     let mut ws = SearchWorkspace::new();
                     let mut hits = Vec::new();
                     let mut total = SearchStats::default();
-                    for i in 0..knns.len() {
+                    // 200 queries a thread: each settles its own tally into
+                    // the pool's counters when it returns.
+                    for i in 0..200 - ranges.len() {
                         let q = &knns[(i + t * 7) % knns.len()];
                         total.absorb(&disk.knn_with(q, &mut ws, &mut hits).unwrap());
                     }
@@ -377,6 +412,62 @@ fn per_query_stats_sum_to_pool_counters_under_threads() {
     let st = disk.buffer_stats();
     assert_eq!((st.logical_reads, st.page_faults, st.write_backs), (0, 0, 0));
     assert_eq!(st.hit_rate(), 1.0, "hit rate must be defined at zero reads");
+}
+
+/// Regression (lost write), the engine's form: `clear_cache(&self)` is
+/// public, and on a lazily opened engine serving threads *write* — an
+/// Rnet's shortcut records are appended on first touch. The pool used to
+/// flush and then empty its stripes in two passes; a record written in
+/// between was dropped with its frame, and the next read of it saw zeros —
+/// a well-formed "0 shortcuts" record and a silently wrong answer. Four
+/// threads page a fresh engine in while a fifth clears the cache
+/// throughout; every answer must be the in-memory engine's.
+#[test]
+fn clear_cache_beside_lazy_page_ins_loses_no_record() {
+    let (fw, ad) = build_world(simple::random_connected(120, 50, 21), 30, 21);
+    let (knns, ranges) = query_mix(fw.network().num_nodes() as u32, 24, 21);
+    let engine = QueryEngine::new(fw.clone(), ad.clone());
+    let want_knn: Vec<_> = knns.iter().map(|q| engine.knn(q).unwrap().hits).collect();
+    let want_range: Vec<_> = ranges.iter().map(|q| engine.range(q).unwrap().hits).collect();
+    let objs: Vec<Object> = ad.objects().cloned().collect();
+    let image_bytes = fw.to_bytes();
+    for round in 0..12 {
+        let image = PagedImage::open(image_bytes.clone()).unwrap();
+        let disk = PagedEngine::open(image, objs.clone(), PagedOptions::default()).unwrap();
+        std::thread::scope(|scope| {
+            let serving: Vec<_> = (0..4usize)
+                .map(|t| {
+                    let disk = &disk;
+                    let (knns, ranges) = (&knns, &ranges);
+                    let (want_knn, want_range) = (&want_knn, &want_range);
+                    scope.spawn(move || {
+                        let mut ws = SearchWorkspace::new();
+                        let mut hits = Vec::new();
+                        for pass in 0..2 {
+                            for i in 0..knns.len() {
+                                let idx = (i + t * 5) % knns.len();
+                                disk.knn_with(&knns[idx], &mut ws, &mut hits).unwrap();
+                                assert_eq!(
+                                    hits, want_knn[idx],
+                                    "round {round} pass {pass} thread {t} kNN #{idx}"
+                                );
+                            }
+                            for (idx, q) in ranges.iter().enumerate() {
+                                disk.range_with(q, &mut ws, &mut hits).unwrap();
+                                assert_eq!(
+                                    hits, want_range[idx],
+                                    "round {round} pass {pass} thread {t} range #{idx}"
+                                );
+                            }
+                        }
+                    })
+                })
+                .collect();
+            while !serving.iter().all(|thread| thread.is_finished()) {
+                disk.clear_cache().unwrap();
+            }
+        });
+    }
 }
 
 /// Workspace reuse composes with paged serving: one workspace carried

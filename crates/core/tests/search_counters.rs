@@ -314,12 +314,12 @@ fn paged_engines_expand_exactly_as_recorded() {
     let opts = PagedOptions::with_buffer_pages(8);
 
     let eager = PagedEngine::new(&fw, &ad, opts).unwrap();
-    assert_eq!(run(&eager, &mix), Golden { io: (116721, 37078), ..MEMORY });
+    assert_eq!(run(&eager, &mix), Golden { io: (57148, 31613), ..MEMORY });
 
     let objects: Vec<Object> = ad.objects().cloned().collect();
     let image = PagedImage::open(fw.to_bytes()).unwrap();
     let lazy = PagedEngine::open(image, objects, opts).unwrap();
-    assert_eq!(run(&lazy, &mix), Golden { io: (117411, 39861), ..MEMORY });
+    assert_eq!(run(&lazy, &mix), Golden { io: (67446, 32626), ..MEMORY });
 }
 
 /// [`ask`], with the counters less what legitimately depends on history:

@@ -8,6 +8,7 @@ use crate::error::StorageError;
 use crate::lru::LruCache;
 use crate::page::{Page, PageId};
 use crate::store::PageStore;
+use std::sync::Arc;
 
 /// Buffer-pool counters. `page_faults` is the paper's I/O metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,8 +57,10 @@ pub trait PagePool {
     ) -> Result<R, StorageError>;
 }
 
+/// A cached page: a handle shared with the store until the first write
+/// through the pool copies it.
 struct Frame {
-    page: Page,
+    page: Arc<Page>,
     dirty: bool,
 }
 
@@ -77,7 +80,7 @@ impl BufferPool {
     /// Allocates a fresh zeroed page (cached clean).
     pub fn alloc(&mut self) -> PageId {
         let id = self.store.alloc();
-        self.cache_insert(id.0, Frame { page: Page::zeroed(), dirty: false });
+        self.cache_insert(id.0, Frame { page: Arc::new(Page::zeroed()), dirty: false });
         id
     }
 
@@ -85,7 +88,7 @@ impl BufferPool {
         if let Some((evicted_id, evicted)) = self.frames.put(id, frame) {
             if evicted.dirty {
                 self.stats.write_backs += 1;
-                self.store.write(PageId(evicted_id), &evicted.page);
+                self.store.write(PageId(evicted_id), evicted.page);
             }
         }
     }
@@ -133,21 +136,21 @@ impl BufferPool {
     ) -> Result<R, StorageError> {
         self.with_frame(id, |frame| {
             frame.dirty = true;
-            f(&mut frame.page)
+            f(Arc::make_mut(&mut frame.page))
         })
     }
 
-    /// Writes every dirty frame back to the store (frames stay cached).
+    /// Writes every dirty frame back to the store (frames stay cached, in
+    /// the order they were).
     pub fn flush(&mut self) {
         // Collect dirty ids first; iteration cannot borrow mutably.
         let dirty: Vec<u32> =
             self.frames.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
         for id in dirty {
-            let Some(frame) = self.frames.get(&id) else { continue };
+            let Some(frame) = self.frames.peek_mut(&id) else { continue };
             frame.dirty = false;
-            let page = frame.page.clone();
             self.stats.write_backs += 1;
-            self.store.write(PageId(id), &page);
+            self.store.write(PageId(id), Arc::clone(&frame.page));
         }
     }
 

@@ -13,14 +13,16 @@
 //!   locks and corrupt pages instead of panicking a serving thread;
 //! * [`page`] — fixed 4 KB pages and page ids;
 //! * [`store`] — the simulated disk (a growable array of pages with
-//!   physical read/write counters);
+//!   physical read/write counters); pages are held by handle, so a read
+//!   hands out the stored page and nothing is copied until someone writes;
 //! * [`lru`] — a generic O(1) LRU cache;
 //! * [`buffer`] — the buffer pool: LRU page frames with dirty write-back,
 //!   plus the [`PagePool`] access trait;
 //! * [`striped`] — the concurrent buffer pool: the LRU sharded into lock
-//!   stripes keyed by page id, with atomic global counters and exact
-//!   per-query [`IoTally`] deltas (what lets one disk-resident engine
-//!   serve many threads);
+//!   stripes keyed by page id, frames that share the store's page handles
+//!   (copy-on-write), exact per-query [`IoTally`] deltas settled into the
+//!   cumulative counters once per query (what lets one disk-resident
+//!   engine serve many threads);
 //! * [`bptree`] — a real paged B+-tree (the paper's Route Overlay and
 //!   Association Directory both index by node/Rnet id through B+-trees);
 //! * [`ccam`] — connectivity-clustered node-to-page assignment after
@@ -46,7 +48,7 @@ pub use ccam::{NodeClustering, RecordLocation};
 pub use error::StorageError;
 pub use io_tracker::IoTracker;
 pub use lru::LruCache;
-pub use page::{PageId, PAGE_SIZE};
+pub use page::{Page, PageId, PAGE_SIZE};
 pub use store::PageStore;
 pub use striped::{IoTally, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_STRIPES};
 

@@ -101,6 +101,12 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.map.get(key).and_then(|&i| self.slots[i].value.as_ref())
     }
 
+    /// Mutable access to `key`'s value without touching recency.
+    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+        let &i = self.map.get(key)?;
+        self.slots[i].value.as_mut()
+    }
+
     /// `true` if `key` is cached (recency untouched).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)

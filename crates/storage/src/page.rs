@@ -36,14 +36,17 @@ impl fmt::Debug for PageId {
     }
 }
 
-/// One 4 KB page of raw bytes.
+/// One 4 KB page of raw bytes, held inline: the store and the buffer
+/// pools share pages as `Arc<Page>`, one allocation per page, and cloning
+/// a `Page` (what [`std::sync::Arc::make_mut`] does to a shared one) is
+/// the only 4 KB copy in the stack.
 #[derive(Clone)]
-pub struct Page(Box<[u8; PAGE_SIZE]>);
+pub struct Page([u8; PAGE_SIZE]);
 
 impl Page {
     /// An all-zero page.
     pub fn zeroed() -> Self {
-        Page(Box::new([0u8; PAGE_SIZE]))
+        Page([0u8; PAGE_SIZE])
     }
 
     /// Immutable view of the bytes.

@@ -27,13 +27,33 @@
 //! Pools smaller than the stripe count are rounded up to one frame per
 //! stripe ([`StripedBufferPool::capacity`] reports the effective size).
 //!
+//! ## Pages by handle
+//!
+//! A frame holds an `Arc<Page>`, the same handle the [`PageStore`] holds: a
+//! fault clones the handle instead of copying 4 KB, and a write-back hands
+//! the frame's handle to the store. [`StripedBufferPool::pin`] gives a
+//! reader that handle and releases the stripe: the lock is held for the
+//! bookkeeping — the LRU probe, a fault-in, the handle clone — never while
+//! a record is decoded or a B+-tree node searched. What makes that safe is
+//! **copy-on-write**, and it is the contract: [`with_page_mut`] goes
+//! through [`Arc::make_mut`], so a page somebody else still holds (the
+//! store, a pinned reader) is copied before the first byte changes. A
+//! pinned handle is a snapshot — it never shows a half-written page, and
+//! it never shows a write made after it was taken either; a reader that
+//! must see such writes pins again.
+//!
+//! [`with_page_mut`]: StripedBufferPool::with_page_mut
+//!
 //! ## Exact per-query accounting
 //!
-//! Global counters are atomics, but a concurrent query must not see other
-//! threads' traffic in its own `SearchStats` delta. Every access therefore
-//! also bumps a caller-owned [`IoTally`]; the tallies of all concurrent
-//! queries sum exactly to the pool's cumulative [`BufferStats`] (a
-//! property the core crate's paged tests pin down).
+//! A concurrent query must not see other threads' traffic in its own
+//! `SearchStats` delta, so every access bumps a caller-owned [`IoTally`]
+//! and nothing else — no shared counter is written on the access path. A
+//! caller hands its finished tally to [`StripedBufferPool::settle`] once
+//! (a query does when it returns, with an answer or an error), and the
+//! pool's cumulative [`BufferStats`] are the sum of the settled tallies (a
+//! property the core crate's paged tests pin down). Write-backs are
+//! pool-internal and counted where they happen.
 //!
 //! ## Lock order and poisoning
 //!
@@ -56,7 +76,7 @@ use crate::lru::LruCache;
 use crate::page::{Page, PageId};
 use crate::store::PageStore;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Default stripe count: enough to keep a handful of serving threads off
 /// each other's locks without fragmenting small pools.
@@ -64,8 +84,8 @@ pub const DEFAULT_BUFFER_STRIPES: usize = 8;
 
 /// Caller-owned I/O counters for one query (or one build phase): the
 /// pool's per-access delta sink. Under concurrency these are the *only*
-/// exact per-query numbers — diffing the global atomics would charge one
-/// query with another's traffic.
+/// exact per-query numbers, and the pool's cumulative counters are their
+/// sum once each has been [settled](StripedBufferPool::settle).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoTally {
     /// Page accesses through the pool.
@@ -74,8 +94,10 @@ pub struct IoTally {
     pub page_faults: u64,
 }
 
+/// A cached page: the store's own handle until the first write through the
+/// pool copies it (see the module docs).
 struct Frame {
-    page: Page,
+    page: Arc<Page>,
     dirty: bool,
 }
 
@@ -87,6 +109,9 @@ struct Frame {
 pub struct StripedBufferPool {
     store: RwLock<PageStore>,
     stripes: Vec<Mutex<LruCache<u32, Frame>>>,
+    /// `stripes.len()`, as the `u32` a page id is reduced by: the stripe of
+    /// every access is one 32-bit remainder.
+    num_stripes: u32,
     capacity: usize,
     logical_reads: AtomicU64,
     page_faults: AtomicU64,
@@ -104,12 +129,14 @@ impl StripedBufferPool {
     /// Wraps `store` with `capacity` frames sharded over `stripes` locks.
     ///
     /// # Panics
-    /// Panics when `capacity` or `stripes` is zero.
+    /// Panics when `capacity` or `stripes` is zero, or when `stripes` does
+    /// not fit the `u32` that page ids are.
     pub fn new(store: PageStore, capacity: usize, stripes: usize) -> Self {
         // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
         assert!(capacity > 0, "buffer-pool capacity must be positive");
+        let num_stripes = u32::try_from(stripes).unwrap_or(0);
         // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
-        assert!(stripes > 0, "stripe count must be positive");
+        assert!(num_stripes > 0, "stripe count must be positive (and no more than page ids)");
         let per_stripe =
             |i: usize| (capacity / stripes + usize::from(i < capacity % stripes)).max(1);
         let capacity = (0..stripes).map(per_stripe).sum();
@@ -118,6 +145,7 @@ impl StripedBufferPool {
         StripedBufferPool {
             store: RwLock::new(store),
             stripes,
+            num_stripes,
             capacity,
             logical_reads: AtomicU64::new(0),
             page_faults: AtomicU64::new(0),
@@ -130,7 +158,7 @@ impl StripedBufferPool {
     #[inline]
     fn stripe(&self, id: PageId) -> Result<MutexGuard<'_, LruCache<u32, Frame>>, StorageError> {
         // roadlint: allow(panic) reason="index is id % stripes.len(), in range by construction"
-        self.stripes[id.index() % self.stripes.len()]
+        self.stripes[(id.0 % self.num_stripes) as usize]
             .lock()
             .map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))
     }
@@ -151,7 +179,7 @@ impl StripedBufferPool {
                 self.store
                     .write()
                     .map_err(|_| StorageError::LockPoisoned("page store"))?
-                    .write(PageId(evicted_id), &evicted.page);
+                    .write(PageId(evicted_id), evicted.page);
             }
         }
         Ok(())
@@ -165,15 +193,17 @@ impl StripedBufferPool {
     pub fn alloc(&self) -> Result<PageId, StorageError> {
         let id = self.store.write().map_err(|_| StorageError::LockPoisoned("page store"))?.alloc();
         let mut stripe = self.stripe(id)?;
-        self.insert_frame(&mut stripe, id.0, Frame { page: Page::zeroed(), dirty: false })?;
+        let page = Arc::new(Page::zeroed());
+        self.insert_frame(&mut stripe, id.0, Frame { page, dirty: false })?;
         Ok(id)
     }
 
-    /// Faults `id` into its (locked) stripe, where it is not resident. This
-    /// is where a page id enters the store, and ids reach here off page
-    /// bytes (a B+-tree child pointer, a packed record location): one the
-    /// store never allocated is a corrupt page, not an index. A resident
-    /// page cannot be unallocated, so hits skip the check.
+    /// Faults `id` into its (locked) stripe, where it is not resident: the
+    /// frame takes a handle to the stored page, no bytes move. This is
+    /// where a page id enters the store, and ids reach here off page bytes
+    /// (a B+-tree child pointer, a packed record location): one the store
+    /// never allocated is a corrupt page, not an index. A resident page
+    /// cannot be unallocated, so hits skip the check.
     fn fault_in(
         &self,
         stripe: &mut LruCache<u32, Frame>,
@@ -187,23 +217,19 @@ impl StripedBufferPool {
             }
             store.read(id)
         };
-        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
-        self.page_faults.fetch_add(1, Ordering::Relaxed);
         tally.page_faults += 1;
         self.insert_frame(stripe, id.0, Frame { page, dirty: false })
     }
 
-    /// Runs `f` on the frame of page `id`, charging `tally` (and the global
-    /// counters) one logical read plus a fault if the page was not
-    /// resident. A hit is one probe of the stripe's LRU.
+    /// Runs `f` on the frame of page `id` under its stripe's lock, charging
+    /// `tally` one logical read plus a fault if the page was not resident.
+    /// A hit is one probe of the stripe's LRU.
     fn with_frame<R>(
         &self,
         id: PageId,
         tally: &mut IoTally,
         f: impl FnOnce(&mut Frame) -> R,
     ) -> Result<R, StorageError> {
-        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
         tally.logical_reads += 1;
         let mut stripe = self.stripe(id)?;
         if let Some(frame) = stripe.get(&id.0) {
@@ -213,10 +239,23 @@ impl StripedBufferPool {
         stripe.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
     }
 
-    /// Reads page `id` through the cache, charging `tally` (and the global
-    /// counters) one logical read plus a fault if the page was not
-    /// resident. `Err` when the stripe or store lock is poisoned, or when
-    /// `id` names a page the store does not have.
+    /// Hands out page `id` by handle: the stripe lock is held for the LRU
+    /// probe (a fault-in when the page is not resident) and the handle
+    /// clone, and released before the caller reads a byte. Same accounting
+    /// and error contract as [`StripedBufferPool::with_page`].
+    ///
+    /// The handle is a snapshot. Copy-on-write is the contract: a later
+    /// [`StripedBufferPool::with_page_mut`] on `id` writes to a copy, so the
+    /// handle keeps reading the bytes it was taken on — whole, never
+    /// half-written, and never newer. Pin again to see a later write.
+    pub fn pin(&self, id: PageId, tally: &mut IoTally) -> Result<Arc<Page>, StorageError> {
+        self.with_frame(id, tally, |frame| Arc::clone(&frame.page))
+    }
+
+    /// Reads page `id` through the cache, charging `tally` one logical read
+    /// plus a fault if the page was not resident; `f` runs under the
+    /// stripe's lock. `Err` when the stripe or store lock is poisoned, or
+    /// when `id` names a page the store does not have.
     pub fn with_page<R>(
         &self,
         id: PageId,
@@ -228,6 +267,8 @@ impl StripedBufferPool {
 
     /// Mutates page `id` through the cache, marking it dirty; same
     /// accounting and error contract as [`StripedBufferPool::with_page`].
+    /// A page shared with the store or a [pinned](StripedBufferPool::pin)
+    /// reader is copied first, so neither ever sees the write.
     pub fn with_page_mut<R>(
         &self,
         id: PageId,
@@ -236,48 +277,69 @@ impl StripedBufferPool {
     ) -> Result<R, StorageError> {
         self.with_frame(id, tally, |frame| {
             frame.dirty = true;
-            f(&mut frame.page)
+            f(Arc::make_mut(&mut frame.page))
         })
     }
 
+    /// Adds a caller's finished `tally` to the cumulative counters — once
+    /// per query or build phase, in place of a shared-counter write on
+    /// every access.
+    pub fn settle(&self, tally: &IoTally) {
+        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
+        self.logical_reads.fetch_add(tally.logical_reads, Ordering::Relaxed);
+        // roadlint: relaxed-ok reason="monotonic stats counter; exactness is per-caller via IoTally"
+        self.page_faults.fetch_add(tally.page_faults, Ordering::Relaxed);
+    }
+
+    /// Writes the dirty frames of a (locked) stripe back to the store. The
+    /// frames stay cached, clean and in the LRU order they were in, so a
+    /// later eviction will not write them again.
+    fn write_back_dirty(&self, stripe: &mut LruCache<u32, Frame>) -> Result<(), StorageError> {
+        let dirty: Vec<u32> = stripe.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
+        if dirty.is_empty() {
+            return Ok(());
+        }
+        let mut store = self.store.write().map_err(|_| StorageError::LockPoisoned("page store"))?;
+        for id in dirty {
+            let Some(frame) = stripe.peek_mut(&id) else { continue };
+            frame.dirty = false;
+            // roadlint: relaxed-ok reason="monotonic stats counter, read only by stats()"
+            self.write_backs.fetch_add(1, Ordering::Relaxed);
+            store.write(PageId(id), Arc::clone(&frame.page));
+        }
+        Ok(())
+    }
+
     /// Writes every dirty frame back to the store (frames stay cached and
-    /// become clean, so a later eviction will not write them again).
+    /// become clean).
     pub fn flush(&self) -> Result<(), StorageError> {
         for stripe in &self.stripes {
             let mut stripe =
                 stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
-            let dirty: Vec<u32> =
-                stripe.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
-            for id in dirty {
-                let Some(frame) = stripe.get(&id) else { continue };
-                frame.dirty = false;
-                let page = frame.page.clone();
-                // roadlint: relaxed-ok reason="monotonic stats counter, read only by stats()"
-                self.write_backs.fetch_add(1, Ordering::Relaxed);
-                self.store
-                    .write()
-                    .map_err(|_| StorageError::LockPoisoned("page store"))?
-                    .write(PageId(id), &page);
-            }
+            self.write_back_dirty(&mut stripe)?;
         }
         Ok(())
     }
 
     /// Flushes and empties every stripe — the paper initialises every
-    /// measured query with an empty cache. Faults after a clear are
-    /// counted once per access like any other cold read; the flush inside
-    /// marks frames clean first, so nothing is written back twice.
+    /// measured query with an empty cache. Each stripe is written back and
+    /// emptied under **one** acquisition of its lock: a write that lands
+    /// between a flush and a separate clear would be dropped with its
+    /// frame. Faults after a clear are counted once per access like any
+    /// other cold read.
     pub fn clear_cache(&self) -> Result<(), StorageError> {
-        self.flush()?;
         for stripe in &self.stripes {
-            stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?.clear();
+            let mut stripe =
+                stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
+            self.write_back_dirty(&mut stripe)?;
+            stripe.clear();
         }
         Ok(())
     }
 
-    /// Cumulative pool counters since the last reset. Under concurrency
-    /// this is the sum of every caller's [`IoTally`] deltas (plus
-    /// write-backs, which are pool-internal).
+    /// Cumulative pool counters since the last reset: the sum of every
+    /// [settled](StripedBufferPool::settle) [`IoTally`] (plus write-backs,
+    /// which are pool-internal).
     pub fn stats(&self) -> BufferStats {
         BufferStats {
             // roadlint: relaxed-ok reason="independent monotonic counters; no cross-counter ordering is promised"
@@ -337,8 +399,8 @@ impl StripedBufferPool {
 
 /// One caller's view of a [`StripedBufferPool`]: a shared pool reference
 /// plus that caller's private [`IoTally`]. Implements [`PagePool`], so a
-/// [`crate::BPlusTree`] descent through the concurrent pool charges the
-/// right query.
+/// [`crate::BPlusTree`] built or searched through the concurrent pool
+/// charges the right caller.
 pub struct TalliedPool<'a> {
     /// The shared pool.
     pub pool: &'a StripedBufferPool,
@@ -403,6 +465,8 @@ mod tests {
         }
         assert_eq!(tally.logical_reads, 24);
         assert_eq!(tally.page_faults, 12);
+        assert_eq!(p.stats(), BufferStats::default(), "nothing is counted before it is settled");
+        p.settle(&tally);
         let st = p.stats();
         assert_eq!((st.logical_reads, st.page_faults), (24, 12));
     }
@@ -447,6 +511,7 @@ mod tests {
         let mut tally = IoTally::default();
         p.with_page(a, &mut tally, |_| ()).unwrap();
         p.with_page(a, &mut tally, |_| ()).unwrap();
+        p.settle(&tally);
         let rate = p.stats().hit_rate();
         assert!((rate - 0.5).abs() < 1e-12, "one fault in two reads, got {rate}");
     }
@@ -473,6 +538,7 @@ mod tests {
                             })
                             .unwrap();
                         }
+                        p.settle(&tally);
                         tally
                     })
                 })
@@ -515,6 +581,104 @@ mod tests {
             })
             .unwrap();
         }
+    }
+
+    /// Regression (lost write): `clear_cache` used to flush every stripe and
+    /// then, in a second pass, lock each stripe again and empty it — a
+    /// write landing between the two passes was dropped with its frame and
+    /// never reached the store. One thread dirties 32 pages round after
+    /// round, each write to a byte of its own, while another clears the
+    /// cache in a loop; every one of the 6,400 writes must be there at the
+    /// end. (On the two-pass pool about 2% of them were not.)
+    #[test]
+    fn clear_cache_racing_a_writer_loses_no_write() {
+        use std::sync::atomic::AtomicBool;
+        const ROUNDS: usize = 200;
+        let p = pool(64, 4);
+        let ids: Vec<PageId> = (0..32).map(|_| p.alloc().unwrap()).collect();
+        let stamp = |i: usize| 0x80 | i as u8;
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    p.clear_cache().unwrap();
+                }
+            });
+            let mut tally = IoTally::default();
+            for round in 0..ROUNDS {
+                for (i, &id) in ids.iter().enumerate() {
+                    p.with_page_mut(id, &mut tally, |pg| pg.bytes_mut()[round] = stamp(i)).unwrap();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        p.clear_cache().unwrap();
+        let mut tally = IoTally::default();
+        let mut lost = 0;
+        for (i, &id) in ids.iter().enumerate() {
+            p.with_page(id, &mut tally, |pg| {
+                lost += pg.bytes()[..ROUNDS].iter().filter(|&&b| b != stamp(i)).count();
+            })
+            .unwrap();
+        }
+        assert_eq!(lost, 0, "{lost} of {} writes never reached the store", ROUNDS * ids.len());
+    }
+
+    /// `flush` cleans frames where they are: it must not promote the
+    /// frames it writes back, or a flush would change what the next miss
+    /// evicts.
+    #[test]
+    fn flush_leaves_the_lru_order_alone() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let (a, b, c) = (p.alloc().unwrap(), p.alloc().unwrap(), p.alloc().unwrap());
+        p.clear_cache().unwrap();
+        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[0] = 1).unwrap();
+        p.with_page(b, &mut tally, |_| ()).unwrap();
+        p.flush().unwrap();
+        assert_eq!(p.stats().write_backs, 1);
+        // `a` is still the least recent: `c` evicts it, `b` stays.
+        p.with_page(c, &mut tally, |_| ()).unwrap();
+        let before = tally.page_faults;
+        p.with_page(b, &mut tally, |_| ()).unwrap();
+        assert_eq!(tally.page_faults, before, "flush promoted the frame it cleaned");
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 1)).unwrap();
+        assert_eq!(tally.page_faults, before + 1);
+        assert_eq!(p.stats().write_backs, 1, "a flushed frame is clean when it is evicted");
+    }
+
+    /// Copy-on-write is the contract of `pin`: a handle keeps reading the
+    /// bytes it was taken on, whole, while `with_page_mut` on the same id
+    /// writes to a copy that the pool (and the next `pin`) sees — also
+    /// across an eviction and a `clear_cache`.
+    #[test]
+    fn a_pinned_handle_is_a_snapshot() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[..4].fill(1)).unwrap();
+        let old = p.pin(a, &mut tally).unwrap();
+        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[..4].fill(2)).unwrap();
+        assert_eq!(old.bytes()[..4], [1; 4], "a pinned page changed under its reader");
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[..4], [2; 4])).unwrap();
+        let new = p.pin(a, &mut tally).unwrap();
+        assert!(!Arc::ptr_eq(&old, &new));
+        // Unpinned and unshared, the frame is written in place.
+        drop(new);
+        let at = p.pin(a, &mut tally).map(|h| Arc::as_ptr(&h)).unwrap();
+        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[4] = 3).unwrap();
+        assert_eq!(p.pin(a, &mut tally).map(|h| Arc::as_ptr(&h)).unwrap(), at);
+        // The write survives eviction and a clear; the old handle still
+        // reads what it read.
+        p.alloc().unwrap();
+        p.alloc().unwrap();
+        p.clear_cache().unwrap();
+        let back = p.pin(a, &mut tally).unwrap();
+        assert_eq!(back.bytes()[..5], [2, 2, 2, 2, 3]);
+        assert_eq!(old.bytes()[..5], [1, 1, 1, 1, 0]);
+        // A fault shares the stored page instead of copying it.
+        p.clear_cache().unwrap();
+        assert!(Arc::ptr_eq(&back, &p.pin(a, &mut tally).unwrap()));
     }
 
     #[test]
