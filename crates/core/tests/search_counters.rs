@@ -414,6 +414,51 @@ fn persisted_image_is_byte_identical_to_the_recorded_one() {
     assert_eq!(RoadFramework::from_bytes(&image).unwrap().to_bytes(), image);
 }
 
+/// A `live_update`-shaped history (roadbench's writer: per tick 8 edges
+/// reweighted to their *original* weight times U[0.5, 2), 4 objects moved,
+/// one publish) of 300 ticks on a float-weight world one level deeper than
+/// the golden one, then the shortcut store's `serialize_into` bytes — the
+/// distances and waypoints every repaired Rnet was left with. Recorded on
+/// the commit before the dense arm took its waypoints from the elimination
+/// instead of one sealed Dijkstra per border: on float weights the
+/// shortest border-free path of a kept pair is unique, so either way
+/// stores the same path at the same bits.
+#[test]
+fn a_300_tick_update_history_leaves_the_recorded_store() {
+    let (fw, ad) = world_of(0.03, 4, 4);
+    let (live, mut writer) = LiveEngine::new(fw, ad);
+    let net = writer.framework().network();
+    let edges: Vec<EdgeId> = net.edge_ids().collect();
+    let base: Vec<Weight> = edges.iter().map(|&e| net.weight(e, WeightKind::Distance)).collect();
+    let mut rng = StdRng::seed_from_u64(SEED ^ 4);
+    let (mut refreshed, mut changed) = (0, 0);
+    for _ in 0..300 {
+        let tick: Vec<(EdgeId, Weight)> = (0..8)
+            .map(|_| {
+                let i = rng.random_range(0..edges.len());
+                (edges[i], Weight::new(base[i].get() * rng.random_range(0.5..2.0)))
+            })
+            .collect();
+        let outcome = writer.set_edge_weights(&tick).unwrap();
+        refreshed += outcome.rnets_refreshed;
+        changed += outcome.rnets_changed;
+        for _ in 0..4 {
+            let id = ObjectId(rng.random_range(0..OBJECTS));
+            let to = edges[rng.random_range(0..edges.len())];
+            writer.move_object(id, to, rng.random_range(0.0..1.0)).unwrap();
+        }
+        writer.publish();
+    }
+    let snap = live.snapshot();
+    let mut store = Vec::new();
+    snap.framework().shortcuts().serialize_into(&mut store);
+    assert_eq!(
+        (refreshed, changed, store.len(), fnv1a(FNV_OFFSET, &store)),
+        (6152, 4735, 446_740, 0x2895_319a_b433_6db2),
+        "Rnets refreshed, Rnets changed, store bytes, FNV-1a-64"
+    );
+}
+
 /// `(image bytes, shortcuts, FNV-1a-64 of the image)` of a default build of
 /// a roadbench world (`benchmark/src/world.rs`: network seed `0xEDB72009`,
 /// fanout 4, 6 levels) on `threads` workers.
