@@ -35,19 +35,38 @@
 //! dense matrix ([`road_network::minplus`]); a larger one (the leaves of a
 //! shallow hierarchy run to thousands of nodes) is *contracted*
 //! ([`road_network::contractor`]) down to the border-only remainder graph.
-//! `dmat` only decides which pairs are kept: kept pairs are then
-//! materialised by one *sealed* Dijkstra per source border over the local
-//! CSR arena ([`LocalDijkstra::run_csr`] with `seal_below` = the border
-//! count): border nodes are settled but never expanded, so the predecessor
-//! chains are border-free — Lemma 4's path shape — in a single pass, and
-//! stored distances and waypoints are the same bytes whichever way `dmat`
-//! was computed. The legacy all-pairs sweep survives behind
-//! `#[cfg(any(test, feature = "oracle-build"))]` as
-//! [`ShortcutStore::build_with_oracle`]; because all builders share the
-//! canonical local-graph assembly, the matrix rule and the sealed
-//! finalisation pass, their outputs are **byte-identical** (pinned by
-//! `tests/construction_oracle.rs`), which is what makes the fast paths
-//! safely swappable.
+//! `dmat` only decides which pairs are kept. What is stored for a kept
+//! pair is its shortest *border-free* path — Lemma 4's path shape, no
+//! other border of the Rnet inside — as waypoints, and the sum of that
+//! path's arc weights from the source onwards as distance. Where it comes
+//! from depends on the arm. The dense elimination already holds it: each
+//! interior pivot recorded which entries it strictly improved, which is
+//! the paper's `S(n1,n3) = (S(n1,nd), S(nd,n3))` read backwards, and the
+//! matrix before the closure holds the border-free distances, so the path
+//! is unpacked ([`minplus::Elimination::unpack`]) and nothing is searched.
+//! The contractor keeps no such record, so its arm runs one *sealed*
+//! Dijkstra per source border over the local CSR arena
+//! ([`LocalDijkstra::run_csr`] with `seal_below` = the border count):
+//! border nodes are settled but never expanded, so the predecessor chains
+//! are border-free in a single pass. The legacy all-pairs sweep survives
+//! behind `#[cfg(any(test, feature = "oracle-build"))]` as
+//! [`ShortcutStore::build_with_oracle`] and finalises the same way.
+//!
+//! All builders share the canonical local-graph assembly and the matrix
+//! rule, and both finalisations sum a path's arcs in travel order, so the
+//! same path is stored at the same bits: the builders' outputs are
+//! **byte-identical whenever the shortest border-free path of every kept
+//! pair is unique** — any world with real-valued weights, where two
+//! different paths do not add up to the same length (pinned by
+//! `tests/construction_oracle.rs`, and by the images and update histories
+//! of `tests/search_counters.rs`, which were recorded while the dense arm
+//! still searched). Where several border-free paths are equally short
+//! (integer weights on a grid) a sealed Dijkstra stores the one it settles
+//! first and the elimination the one its last strictly improving pivot
+//! left; the builders then still keep the same pairs in the same order at
+//! bit-equal distances, and every stored chain is a valid border-free
+//! path of exactly that length — which is all a search, or
+//! [`ShortcutStore::expand`], ever asks of it.
 //!
 //! Each shortcut stores its intermediate *waypoints* — physical nodes at
 //! the finest level, child border nodes above — which is exactly the
@@ -74,7 +93,6 @@ use road_network::contractor::{ContractionOrder, Contractor};
 use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
 use road_network::graph::{RoadNetwork, WeightKind};
-use road_network::hash::FastMap;
 use road_network::minplus;
 use road_network::path::Path;
 use road_network::{NodeId, Weight};
@@ -83,10 +101,13 @@ use std::sync::Arc;
 /// Local graphs of at most this many nodes get their border-distance
 /// matrix from dense elimination ([`minplus::border_matrix`]); larger ones
 /// go through the contractor, since a leaf of thousands of nodes cannot be
-/// a matrix (this many nodes are a 2 MiB one). A speed switch on the
-/// input's size and nothing else: both arms compute the same border
-/// distances, and stored distances and waypoints come from the sealed
-/// Dijkstra either way.
+/// a matrix (this many nodes are a 2 MiB one, and as much again for the
+/// pivots it records). A speed switch on the input's size and nothing
+/// else: both arms compute the same border distances, keep the same pairs
+/// and store each at the length of its shortest border-free path — read
+/// out of the elimination below the switch, searched for by a sealed
+/// Dijkstra above it (the module docs say when the two can differ in
+/// *which* equally short path they store).
 ///
 /// The value is the measured crossover against the arm above it, on the
 /// graphs where that arm is at its best — sparse leaves (average degree
@@ -351,11 +372,13 @@ impl ShortcutStore {
 
     /// Computes the shortcut maps of one level's (or more generally, of
     /// mutually independent) Rnets, fanned out over scoped worker threads.
-    /// Workers own contiguous chunks of `rnets` and one [`BuildScratch`]
-    /// each; every map lands in the slot indexed by its Rnet's position, so
-    /// the result is independent of scheduling. `self` is only read (the
-    /// children's maps), never written — commits happen afterwards, in
-    /// order, on the caller's thread.
+    /// Every thread owns a contiguous chunk of `rnets`: the calling thread
+    /// takes the first on the scratch it was handed — warm from the levels
+    /// and ticks before — and each other chunk gets a spawned worker with a
+    /// fresh [`BuildScratch`]. Every map lands in the slot indexed by its
+    /// Rnet's position, so the result is independent of scheduling. `self`
+    /// is only read (the children's maps), never written — commits happen
+    /// afterwards, in order, on the caller's thread.
     fn compute_level_maps(
         &self,
         g: &RoadNetwork,
@@ -368,21 +391,20 @@ impl ShortcutStore {
         let threads = resolve_threads(opts.threads).min(rnets.len().max(1));
         let mut maps: Vec<RnetShortcuts> = Vec::new();
         maps.resize_with(rnets.len(), RnetShortcuts::default);
-        if threads <= 1 {
-            for (&r, slot) in rnets.iter().zip(maps.iter_mut()) {
+        let fill = |chunk: &[RnetId], out: &mut [RnetShortcuts], scratch: &mut BuildScratch| {
+            for (&r, slot) in chunk.iter().zip(out) {
                 *slot = self.compute_rnet_map(g, hier, kind, r, opts, scratch);
             }
-            return maps;
-        }
-        let chunk_len = rnets.len().div_ceil(threads);
+        };
+        let chunk_len = rnets.len().div_ceil(threads).max(1);
+        let mut chunks = rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len));
+        let own = chunks.next();
         std::thread::scope(|scope| {
-            for (chunk, out) in rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len)) {
-                scope.spawn(move || {
-                    let mut scratch = BuildScratch::default();
-                    for (&r, slot) in chunk.iter().zip(out.iter_mut()) {
-                        *slot = self.compute_rnet_map(g, hier, kind, r, opts, &mut scratch);
-                    }
-                });
+            for (chunk, out) in chunks {
+                scope.spawn(move || fill(chunk, out, &mut BuildScratch::default()));
+            }
+            if let Some((chunk, out)) = own {
+                fill(chunk, out, scratch);
             }
         });
         maps
@@ -537,9 +559,10 @@ impl ShortcutStore {
     /// Pruned builds (the default) compute the all-pairs border distance
     /// matrix `dmat` first — by dense elimination when the local graph has
     /// at most [`DENSE_MAX_NODES`] nodes, by node contraction above — and
-    /// materialise what the keep rule leaves; unpruned builds (the ablation
-    /// baseline) keep the per-border sweep, since without Lemma 4 every
-    /// reachable pair is materialised anyway.
+    /// materialise what the keep rule leaves, from the elimination's own
+    /// record or by a sealed Dijkstra per border respectively; unpruned
+    /// builds (the ablation baseline) keep the per-border sweep, since
+    /// without Lemma 4 every reachable pair is materialised anyway.
     fn compute_rnet_map(
         &self,
         g: &RoadNetwork,
@@ -555,18 +578,19 @@ impl ShortcutStore {
         // three are exact sums of the same edge weights).
         self.compute_rnet_map_with(g, hier, kind, r, opts, scratch, |scratch, nb| {
             if scratch.csr.num_nodes() <= DENSE_MAX_NODES {
-                scratch.eliminate_into_dmat(nb);
+                scratch.eliminate_into_dmat(nb)
             } else {
-                scratch.contract_into_dmat(nb, opts);
+                scratch.contract_into_dmat(nb, opts)
             }
         })
     }
 
     /// [`ShortcutStore::compute_rnet_map`] with the way `scratch.dmat` is
-    /// filled from the assembled local graph left to the caller: everything
-    /// around it — canonical assembly, keep rule, sealed finalisation — is
-    /// shared by the size-switched build and the all-pairs oracle, which is
-    /// what pins their outputs byte-equal.
+    /// filled from the assembled local graph left to the caller, who also
+    /// says where that left the kept pairs' paths: everything around it —
+    /// canonical assembly, keep rule, emission — is shared by the
+    /// size-switched build and the all-pairs oracle, which is what pins
+    /// their outputs byte-equal wherever shortest paths are unique.
     #[allow(clippy::too_many_arguments)]
     fn compute_rnet_map_with(
         &self,
@@ -576,7 +600,7 @@ impl ShortcutStore {
         r: RnetId,
         opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
-        fill_dmat: impl FnOnce(&mut BuildScratch, usize),
+        fill_dmat: impl FnOnce(&mut BuildScratch, usize) -> PathSource,
     ) -> RnetShortcuts {
         let borders = hier.borders(r);
         let mut out = RnetShortcuts::default();
@@ -588,8 +612,8 @@ impl ShortcutStore {
             self.sweep_unpruned(scratch, borders, &mut out);
             return out;
         }
-        fill_dmat(scratch, borders.len());
-        self.finalize_from_matrix(scratch, borders, &mut out);
+        let paths = fill_dmat(scratch, borders.len());
+        self.finalize_from_matrix(scratch, borders, paths, &mut out);
         out
     }
 
@@ -609,7 +633,7 @@ impl ShortcutStore {
         scratch: &mut BuildScratch,
         borders: &[NodeId],
     ) {
-        scratch.clear();
+        scratch.clear(g.num_nodes());
         for &b in borders {
             scratch.local(b.0);
         }
@@ -673,15 +697,18 @@ impl ShortcutStore {
     }
 
     /// Shared finalisation of a pruned build: apply the matrix keep rule to
-    /// `scratch.dmat`, then materialise each source border's kept shortcuts
-    /// with one *sealed* Dijkstra over the local CSR (borders settle but
-    /// never expand), whose predecessor chains are border-free by
-    /// construction. Both the contraction build and the all-pairs oracle
-    /// funnel through here, which is what pins their outputs byte-equal.
+    /// `scratch.dmat`, then give each kept pair its border-free distance
+    /// and waypoints from wherever `paths` says they are — the elimination
+    /// that filled `dmat` (the dense arm), or one *sealed* Dijkstra per
+    /// source border over the local CSR (borders settle but never expand),
+    /// whose predecessor chains are border-free by construction. Either
+    /// way the distance is the sum of the path's arc weights from the
+    /// source onwards, so the same path is stored at the same bits.
     fn finalize_from_matrix(
         &self,
         scratch: &mut BuildScratch,
         borders: &[NodeId],
+        paths: PathSource,
         out: &mut RnetShortcuts,
     ) {
         let nb = borders.len();
@@ -708,22 +735,40 @@ impl ShortcutStore {
             if scratch.kept.is_empty() {
                 continue;
             }
-            scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.kept, nb as u32);
             let first = out.heads.len();
-            for &t in &scratch.kept {
-                let dist = scratch.dij.dist(t);
-                if dist.is_infinite() {
-                    // Every path for this pair runs through another
-                    // border, and the matrix rule kept it all the same:
-                    // the border sits at distance zero from one end (a
-                    // zero leg covers nothing), or the covering sum
-                    // rounded one ulp above `d`. The through-border
-                    // shortcuts already carry the pair — drop it rather
-                    // than materialise an infinite shortcut.
-                    continue;
+            // A kept pair may still have no border-free path: every path
+            // runs through another border, and the matrix rule kept it all
+            // the same — the border sits at distance zero from one end (a
+            // zero leg covers nothing), or the covering sum rounded one ulp
+            // above `d`. The through-border shortcuts already carry the
+            // pair, so it is dropped rather than stored as infinite.
+            match paths {
+                PathSource::Elimination => {
+                    let (elim, global) = (&mut scratch.elim, &scratch.global);
+                    // roadlint: hot-path
+                    for &t in &scratch.kept {
+                        let dist = elim
+                            .unpack(bi as u32, t, |k| out.vias.push(NodeId(global[k as usize])));
+                        if dist != f64::INFINITY {
+                            out.push_head(NodeId(global[t as usize]), Weight::new(dist));
+                        }
+                    }
+                    // roadlint: end hot-path
                 }
-                scratch.push_via_chain(bi as u32, t, &mut out.vias);
-                out.push_head(NodeId(scratch.global[t as usize]), dist);
+                PathSource::SealedDijkstra => {
+                    #[cfg(test)]
+                    {
+                        scratch.sealed_runs += 1;
+                    }
+                    scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.kept, nb as u32);
+                    for &t in &scratch.kept {
+                        let dist = scratch.dij.dist(t);
+                        if dist.is_finite() {
+                            scratch.push_via_chain(bi as u32, t, &mut out.vias);
+                            out.push_head(NodeId(scratch.global[t as usize]), dist);
+                        }
+                    }
+                }
             }
             if out.heads.len() > first {
                 out.end_source(borders[bi].0);
@@ -735,9 +780,12 @@ impl ShortcutStore {
     /// Legacy all-pairs construction, kept as the differential-testing
     /// oracle: `dmat` comes from one *full* local-graph Dijkstra per border
     /// (the pre-contraction sweep) instead of an elimination.
-    /// Shares the canonical assembly, matrix rule and sealed finalisation
-    /// with [`ShortcutStore::build`], so the two are byte-identical — either
-    /// elimination preserves all pairwise border distances exactly.
+    /// Shares the canonical assembly, the matrix rule and the contractor
+    /// arm's sealed finalisation with [`ShortcutStore::build`], and either
+    /// elimination preserves all pairwise border distances exactly, so the
+    /// two keep the same pairs at the same distances — and store the same
+    /// bytes wherever no kept pair has two equally short border-free paths
+    /// (the module docs have the tie case).
     #[cfg(any(test, feature = "oracle-build"))]
     pub fn build_with_oracle(
         g: &RoadNetwork,
@@ -751,6 +799,7 @@ impl ShortcutStore {
                 scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
                 scratch.dmat.extend((0..nb).map(|ti| scratch.dij.dist(ti as u32).get()));
             }
+            PathSource::SealedDijkstra
         })
     }
 
@@ -762,7 +811,7 @@ impl ShortcutStore {
         hier: &RnetHierarchy,
         kind: WeightKind,
         opts: &ShortcutOptions,
-        fill_dmat: impl Fn(&mut BuildScratch, usize),
+        fill_dmat: impl Fn(&mut BuildScratch, usize) -> PathSource,
     ) -> Self {
         let mut store = ShortcutStore::empty(hier.num_rnets());
         let mut scratch = BuildScratch::default();
@@ -1061,21 +1110,41 @@ fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
     Ok(f64::from_le_bytes(b))
 }
 
+/// Where [`ShortcutStore::finalize_from_matrix`] finds the border-free path
+/// of a kept pair: whatever filled `dmat` says which.
+#[derive(Clone, Copy)]
+enum PathSource {
+    /// In `scratch.elim`, which recorded its pivots: the path is unpacked.
+    Elimination,
+    /// Nowhere yet: one sealed Dijkstra per source border searches for it.
+    SealedDijkstra,
+}
+
 /// Reusable allocations for shortcut computation: the local-id interner,
-/// the CSR arena of the Rnet being built, the elimination matrix and the
+/// the CSR arena of the Rnet being built, the elimination matrices and the
 /// contraction state (one arm each), the border-distance matrix and the
 /// shared Dijkstra.
 #[derive(Default)]
 pub(crate) struct BuildScratch {
-    local_of: FastMap<u32, u32>,
+    /// Global → local ids of the graph being assembled, dense over the
+    /// network's node ids: `generation << 32 | local`, valid where the
+    /// upper half is the current generation — so starting the next graph
+    /// is one increment, and interning an arc endpoint one indexed load.
+    local_of: Vec<u64>,
+    generation: u32,
+    /// Local → global ids, in interning order.
     global: Vec<u32>,
     builder: CsrBuilder,
     csr: CsrGraph,
-    /// The `n x n` arc matrix dense elimination works in (small graphs).
-    elim: Vec<f64>,
+    /// The `n x n` arc matrix dense elimination works in, and the pivots
+    /// it recorded (small graphs).
+    elim: minplus::Elimination,
     contractor: Contractor,
     remainder_builder: CsrBuilder,
     dij: LocalDijkstra,
+    /// Sealed Dijkstras run by pruned finalisations so far.
+    #[cfg(test)]
+    sealed_runs: usize,
     /// The identity list `0..nb` (borders own the first local ids) — the
     /// target set handed to each matrix Dijkstra.
     border_locals: Vec<u32>,
@@ -1092,27 +1161,43 @@ pub(crate) struct BuildScratch {
 }
 
 impl BuildScratch {
-    fn clear(&mut self) {
-        self.local_of.clear();
+    /// Forgets the assembled graph; the next one interns node ids below
+    /// `num_nodes`.
+    fn clear(&mut self, num_nodes: usize) {
+        if self.local_of.is_empty() {
+            // Zeroed pages straight from the allocator: a worker's fresh
+            // scratch pays for the part of the table its Rnets touch.
+            self.local_of = vec![0; num_nodes];
+        } else if self.local_of.len() < num_nodes {
+            self.local_of.resize(num_nodes, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.local_of.fill(0);
+            self.generation = 1;
+        }
         self.global.clear();
         self.builder.clear();
         self.border_locals.clear();
     }
 
+    /// The local id of `global`: the one it was given first, else the next
+    /// free one.
+    #[inline]
     fn local(&mut self, global: u32) -> u32 {
-        if let Some(&l) = self.local_of.get(&global) {
-            return l;
+        let slot = &mut self.local_of[global as usize];
+        if (*slot >> 32) as u32 != self.generation {
+            *slot = u64::from(self.generation) << 32 | self.global.len() as u64;
+            self.global.push(global);
         }
-        let l = self.global.len() as u32;
-        self.local_of.insert(global, l);
-        self.global.push(global);
-        l
+        *slot as u32
     }
 
     /// All-pairs distances of the assembled graph's `nb` borders into
-    /// `dmat`, interiors pivoted out of a dense matrix.
-    fn eliminate_into_dmat(&mut self, nb: usize) {
+    /// `dmat`, interiors pivoted out of a dense matrix that remembers how.
+    fn eliminate_into_dmat(&mut self, nb: usize) -> PathSource {
         minplus::border_matrix(&self.csr, nb, &mut self.elim, &mut self.dmat);
+        PathSource::Elimination
     }
 
     /// The same matrix by node contraction. The *remainder* graph lives on
@@ -1120,7 +1205,7 @@ impl BuildScratch {
     /// arcs are folded straight off the builder, since the closure only
     /// needs the min weight per border pair and freezing them into a CSR
     /// (a counting sort) would be pure overhead.
-    fn contract_into_dmat(&mut self, nb: usize, opts: &ShortcutOptions) {
+    fn contract_into_dmat(&mut self, nb: usize, opts: &ShortcutOptions) -> PathSource {
         self.remainder_builder.clear();
         self.contractor.contract(
             &self.csr,
@@ -1130,6 +1215,7 @@ impl BuildScratch {
             &mut self.remainder_builder,
         );
         minplus::close_arcs(nb, self.remainder_builder.arcs(), &mut self.dmat);
+        PathSource::SealedDijkstra
     }
 
     /// Fills `source_order` for `borders` (whose locals are `0..nb`).
@@ -1583,12 +1669,15 @@ mod tests {
         assert_eq!(store.num_shortcuts(), 0, "single-border Rnets keep no shortcuts");
     }
 
-    /// The size switch picks a way to compute `dmat`, never what is stored:
-    /// on a world with local graphs on both sides of [`DENSE_MAX_NODES`],
-    /// dense elimination everywhere, contraction everywhere, the switched
-    /// build and the all-pairs oracle serialize to the same bytes. Weights
-    /// are dyadic, so every path sum is exact and "same distances" means
-    /// "same bits".
+    /// The size switch picks a way to compute `dmat` and to read a kept
+    /// pair's path, never what is stored: on a world with local graphs on
+    /// both sides of [`DENSE_MAX_NODES`], dense elimination everywhere,
+    /// contraction everywhere, the switched build and the all-pairs oracle
+    /// serialize to the same bytes. Weights are dyadic, so every path sum
+    /// is exact and "same distances" means "same bits", and each carries
+    /// its own random multiple of 2^-30, so no two paths are equally long
+    /// and "the shortest border-free path" means one path — an unpacked
+    /// elimination and a sealed Dijkstra are only bound to agree on that.
     #[test]
     fn either_arm_builds_the_same_bytes_on_a_world_straddling_the_switch() {
         use rand::rngs::StdRng;
@@ -1599,8 +1688,9 @@ mod tests {
         let mut g = simple::grid(w as usize, h as usize, 1.0);
         let mut rng = StdRng::seed_from_u64(0xD1AD);
         for e in g.edge_ids().collect::<Vec<_>>() {
-            let dyadic = Weight::new(f64::from(rng.random_range(1..=1024u32)) / 64.0);
-            g.set_weight(e, WeightKind::Distance, dyadic).unwrap();
+            let sixty_fourths = f64::from(rng.random_range(1..=1024u32)) / 64.0;
+            let tie_break = f64::from(rng.random_range(0..1u32 << 20)) / f64::from(1u32 << 30);
+            g.set_weight(e, WeightKind::Distance, Weight::new(sixty_fourths + tie_break)).unwrap();
         }
         let hier = RnetHierarchy::from_leaf_assignment(&g, 2, 2, |e| {
             let (a, b) = g.edge(e).endpoints();
@@ -1637,5 +1727,44 @@ mod tests {
         assert_eq!(bytes(&contracted), switched, "contraction everywhere diverged");
         let oracle = ShortcutStore::build_with_oracle(&g, &hier, kind, &opts);
         assert_eq!(bytes(&oracle), switched, "the all-pairs oracle diverged");
+    }
+
+    /// The dense arm searches for nothing: a world whose every local graph
+    /// is below the switch is repaired, Rnet by Rnet and bottom-up — which
+    /// is also how it is built — without one sealed Dijkstra. A leaf above
+    /// the switch still runs one per source border that keeps a pair.
+    #[test]
+    fn below_the_switch_no_sealed_dijkstra_runs() {
+        let kind = WeightKind::Distance;
+        let opts = ShortcutOptions { threads: 1, ..Default::default() };
+        let mut g = road_network::generator::Dataset::CaHighways.generate_scaled(0.02, 5).unwrap();
+        let cfg = HierarchyConfig { fanout: 4, levels: 3, ..Default::default() };
+        let hier = RnetHierarchy::build(&g, &cfg).unwrap();
+        let mut store = ShortcutStore::build(&g, &hier, kind, &opts);
+        for e in g.edge_ids().step_by(5).collect::<Vec<_>>() {
+            let slower = Weight::new(g.weight(e, kind).get() * 1.75);
+            g.set_weight(e, kind, slower).unwrap();
+        }
+        let mut scratch = BuildScratch::default();
+        let mut changed = 0;
+        for level in (1..=hier.levels()).rev() {
+            for r in hier.rnets_at_level(level) {
+                changed += usize::from(store.refresh_rnet(&g, &hier, kind, r, &opts, &mut scratch));
+                assert!(scratch.csr.num_nodes() <= DENSE_MAX_NODES, "{r:?} is above the switch");
+            }
+        }
+        assert!(changed > 0 && store.num_shortcuts() > 0);
+        assert_eq!(scratch.sealed_runs, 0);
+        store.verify_against_rebuild(&g, &hier, kind, &opts).unwrap();
+
+        // 1,200 nodes in two leaves: the contractor's, and its finalisation.
+        let g = simple::grid(40, 30, 1.0);
+        let cfg = HierarchyConfig { fanout: 2, levels: 1, ..Default::default() };
+        let hier = RnetHierarchy::build(&g, &cfg).unwrap();
+        let mut store = ShortcutStore::build(&g, &hier, kind, &opts);
+        let leaf = hier.rnets_at_level(1).next().unwrap();
+        store.refresh_rnet(&g, &hier, kind, leaf, &opts, &mut scratch);
+        assert!(scratch.csr.num_nodes() > DENSE_MAX_NODES);
+        assert!(scratch.sealed_runs > 0);
     }
 }

@@ -1,11 +1,13 @@
 //! Shared by the construction suites: a world that takes a build through
-//! both arms of the shortcut builder's size switch.
+//! both arms of the shortcut builder's size switch, and the comparison of
+//! two stores that a world with equally short paths still allows.
 
-use road_core::shortcut::DENSE_MAX_NODES;
-use road_core::RnetHierarchy;
+use road_core::shortcut::{ShortcutStore, DENSE_MAX_NODES};
+use road_core::{RnetHierarchy, RnetId};
 use road_network::generator::simple;
-use road_network::graph::RoadNetwork;
-use road_network::NodeId;
+use road_network::graph::{RoadNetwork, WeightKind};
+use road_network::{NodeId, Weight};
+use std::collections::HashMap;
 
 const WIDTH: u32 = 27;
 const HEIGHT: u32 = 26;
@@ -48,4 +50,88 @@ pub fn two_arm_hierarchy(g: &RoadNetwork) -> RnetHierarchy {
     assert!(sizes.iter().any(|&n| n > DENSE_MAX_NODES), "nothing for the contractor: {sizes:?}");
     assert!(sizes.iter().any(|&n| n <= DENSE_MAX_NODES), "nothing for the kernel: {sizes:?}");
     hier
+}
+
+/// The local graph Rnet `r`'s shortcuts of `store` were computed over, as
+/// the lightest open arc per ordered node pair: the Rnet's own edges at a
+/// leaf, its children's shortcuts above.
+fn local_arcs(
+    g: &RoadNetwork,
+    hier: &RnetHierarchy,
+    store: &ShortcutStore,
+    r: RnetId,
+) -> HashMap<(NodeId, NodeId), f64> {
+    let mut arcs = HashMap::new();
+    let mut arc = |u: NodeId, v: NodeId, w: Weight| {
+        if w.is_finite() {
+            let slot = arcs.entry((u, v)).or_insert(f64::INFINITY);
+            *slot = slot.min(w.get());
+        }
+    };
+    if hier.is_leaf(r) {
+        for &e in hier.leaf_edge_list(r) {
+            let (u, v) = g.edge(e).endpoints();
+            let w = g.weight(e, WeightKind::Distance);
+            arc(u, v, w);
+            arc(v, u, w);
+        }
+    } else {
+        for child in hier.children(r) {
+            for &from in hier.borders(child) {
+                for sc in store.from(child, from) {
+                    arc(from, sc.to, sc.dist);
+                }
+            }
+        }
+    }
+    arcs
+}
+
+/// Byte equality, less the one thing a world with equally short paths
+/// leaves open. The dense arm of the builder reads a kept pair's path out
+/// of its elimination, the contractor arm and the all-pairs oracle search
+/// for it with a sealed Dijkstra; where several border-free paths are
+/// equally short the two may store different ones. Everything else must
+/// still agree: per Rnet the same `(from, to)` pairs in the same order at
+/// bit-equal distances, and in either store every waypoint chain a real
+/// path of the Rnet's local graph that avoids the Rnet's other borders and
+/// sums, left to right, to the stored distance bit for bit.
+#[allow(dead_code)] // parallel_build.rs shares this module and compares one builder with itself
+pub fn assert_stores_equal_up_to_tied_paths(
+    g: &RoadNetwork,
+    hier: &RnetHierarchy,
+    a: &ShortcutStore,
+    b: &ShortcutStore,
+    label: &str,
+) {
+    assert_eq!(a.num_shortcuts(), b.num_shortcuts(), "{label}: shortcut counts diverged");
+    for r in (1..=hier.levels()).flat_map(|level| hier.rnets_at_level(level)) {
+        let borders = hier.borders(r);
+        for &from in borders {
+            let heads = |s: &ShortcutStore| -> Vec<(NodeId, u64)> {
+                s.from(r, from).map(|sc| (sc.to, sc.dist.get().to_bits())).collect()
+            };
+            assert_eq!(heads(a), heads(b), "{label}: {r:?} shortcuts of {from} diverged");
+        }
+        for (store, name) in [(a, "first"), (b, "second")] {
+            let arcs = local_arcs(g, hier, store, r);
+            for &from in borders {
+                for sc in store.from(r, from) {
+                    let at = format!(
+                        "{label}: {name} store, {r:?} {from} -> {} via {:?}",
+                        sc.to, sc.via
+                    );
+                    assert!(sc.via.iter().all(|w| !borders.contains(w)), "{at}: crosses a border");
+                    let mut walked = 0.0;
+                    let mut u = from;
+                    for &v in sc.via.iter().chain([&sc.to]) {
+                        let hop = arcs.get(&(u, v));
+                        walked += *hop.unwrap_or_else(|| panic!("{at}: no arc {u} -> {v}"));
+                        u = v;
+                    }
+                    assert_eq!(walked.to_bits(), sc.dist.get().to_bits(), "{at}: sums to {walked}");
+                }
+            }
+        }
+    }
 }

@@ -28,11 +28,23 @@
 //! `f64` the result equals the contractor's and a per-border Dijkstra's bit
 //! for bit (pinned by `tests/proptest_minplus.rs`).
 //!
+//! A pivot that improves `d[i][j]` is also *how* `i` reaches `j`: the
+//! paper stores a shortcut as two shorter ones joined at a node, `S(n1, n3)
+//! = (S(n1, nd), S(nd, n3))` (Definition 3, Lemma 2), and `k` is that
+//! `nd`.  The interior pivots of [`border_matrix`] therefore record, per
+//! entry, the last pivot that strictly improved it, and the matrix they
+//! leave — before the closure, which runs on a copy and records nothing —
+//! holds for every sealed pair its *border-free* distance, over paths
+//! through interior nodes only.  [`Elimination`] keeps both, and
+//! [`Elimination::unpack`] turns an entry back into its path: what the
+//! shortcut builder stores as a kept pair's waypoints, with no search.
+//!
 //! Weights enter as [`Weight`], hence non-negative and never NaN; `+∞`
 //! stands for "no arc" and is absorbing under `+`, so unreachable pairs
 //! need no special case.  Comparisons are written `if via < cur` — the
 //! exact semantics of the scalar loops these kernels replaced (and of
-//! `minpd`), so ties and signed zeros resolve as they always did.
+//! `minpd`), so ties and signed zeros resolve as they always did, and a
+//! recorded pivot is always a strict improvement.
 
 use crate::csr::CsrGraph;
 use crate::weight::Weight;
@@ -56,6 +68,37 @@ fn relax_row_positive_legs(dst: &mut [f64], a: f64, src: &[f64]) {
         let via = if s > 0.0 { a + s } else { f64::INFINITY };
         *d = if via < *d { via } else { *d };
     }
+}
+
+/// [`relax_row`] that also remembers who improved what: `mid[j] = pivot`
+/// exactly where `dst[j]` strictly dropped. `mid` is as wide as the
+/// distances, so the pair of selects shares one compare mask and the loop
+/// vectorises like the plain one.
+#[inline]
+fn relax_tracked(dst: &mut [f64], mid: &mut [u64], a: f64, src: &[f64], pivot: u64) {
+    for ((d, m), &s) in dst.iter_mut().zip(mid).zip(src) {
+        let via = a + s;
+        let better = via < *d;
+        *d = if better { via } else { *d };
+        *m = if better { pivot } else { *m };
+    }
+}
+
+/// [`relax_tracked`] a block at a time, blocks nothing improves in left
+/// unwritten: twice the stores of the plain kernel are worth a look first,
+/// since the later a pivot comes the fewer entries it still improves.
+#[inline]
+fn relax_row_tracked(dst: &mut [f64], mid: &mut [u64], a: f64, src: &[f64], pivot: u64) {
+    const BLOCK: usize = 8;
+    let mut rows = dst.chunks_exact_mut(BLOCK);
+    let mut mids = mid.chunks_exact_mut(BLOCK);
+    let mut srcs = src.chunks_exact(BLOCK);
+    for ((d, m), s) in rows.by_ref().zip(mids.by_ref()).zip(srcs.by_ref()) {
+        if d.iter().zip(s).fold(false, |any, (&d, &s)| any | (a + s < d)) {
+            relax_tracked(d, m, a, s, pivot);
+        }
+    }
+    relax_tracked(rows.into_remainder(), mids.into_remainder(), a, srcs.remainder(), pivot);
 }
 
 /// Resets `mat` to the `n x n` matrix of a graph without arcs: zero on the
@@ -100,37 +143,131 @@ fn close(d: &mut [f64], n: usize) {
     }
 }
 
+/// `mid` of an entry no pivot improved: it still holds its seeded arc.
+const NO_PIVOT: u64 = u64::MAX;
+
+/// What [`border_matrix`] works in and leaves behind: the arc matrix with
+/// the interiors pivoted out, and per entry the pivot that last improved
+/// it — the paper's `S(n1, n3) = (S(n1, nd), S(nd, n3))` (Definition 3),
+/// which is all a path needs. Reusable; sized by the last graph given.
+///
+/// After [`border_matrix`]`(g, sealed, ..)` the entry of a sealed pair
+/// `(b, t)` is its *border-free* distance, over paths whose inner nodes
+/// are all interior — what a Dijkstra from `b` that never expands another
+/// sealed node finds — and [`Elimination::unpack`] walks such a path.
+#[derive(Default)]
+pub struct Elimination {
+    n: usize,
+    /// Row-major `n x n`. Column `k` and row `k` are frozen once `k` is
+    /// pivoted out, so both legs every pivot combined stay readable.
+    dist: Vec<f64>,
+    /// Per entry the last pivot that *strictly* improved it, or
+    /// [`NO_PIVOT`]. Only interior pivots are recorded: the closure over
+    /// the sealed prefix works on a copy.
+    mid: Vec<u64>,
+    /// Segments still to be walked by [`Elimination::unpack`], rightmost
+    /// at the bottom.
+    stack: Vec<(u32, u32)>,
+}
+
+impl Elimination {
+    /// Border-free distance from sealed node `b` to sealed node `t`; `+∞`
+    /// when every path between them runs through a third sealed node (or
+    /// there is none).
+    ///
+    /// # Panics
+    /// When `b` or `t` is not a node of the last graph eliminated.
+    #[inline]
+    pub fn border_free(&self, b: u32, t: u32) -> f64 {
+        assert!(
+            (b as usize) < self.n && (t as usize) < self.n,
+            "node outside the eliminated graph"
+        );
+        self.dist[b as usize * self.n + t as usize]
+    }
+
+    /// Walks a shortest border-free path from sealed node `b` to sealed
+    /// node `t`: `waypoint` sees its inner nodes in travel order, and the
+    /// result is the sum of its arc weights *taken left to right* — the
+    /// additions a Dijkstra label makes, in its order, so the same bits as
+    /// the label of the same path (the matrix entry sums the same arcs as
+    /// two halves, which on inexact weights may round differently). An
+    /// infinite [`Elimination::border_free`] returns `+∞` with no waypoint.
+    ///
+    /// `(i, j)` splits at its recorded pivot `k` into `(i, k)` and
+    /// `(k, j)`. An entry in column or row `k` was last written before `k`
+    /// was pivoted out, by a pivot eliminated earlier — one with a larger
+    /// id — so pivot ids strictly increase down a branch, stay below `n`,
+    /// and the walk ends; an entry without a pivot is the arc it was seeded
+    /// with. Among equally short paths the one found is fixed by that
+    /// rule — the *last* pivot (the smallest id) that strictly improved
+    /// each entry — and need not be the one Dijkstra settles first.
+    ///
+    /// # Panics
+    /// When `b` or `t` is not a node of the last graph eliminated.
+    pub fn unpack(&mut self, b: u32, t: u32, mut waypoint: impl FnMut(u32)) -> f64 {
+        if self.border_free(b, t) == f64::INFINITY {
+            return f64::INFINITY;
+        }
+        let n = self.n;
+        let mut sum = 0.0;
+        self.stack.clear();
+        self.stack.push((b, t));
+        while let Some((i, j)) = self.stack.pop() {
+            let at = i as usize * n + j as usize;
+            let k = self.mid[at];
+            if k == NO_PIVOT {
+                sum += self.dist[at];
+                // Whatever is still stacked lies beyond `j`.
+                if !self.stack.is_empty() {
+                    waypoint(j);
+                }
+            } else {
+                self.stack.push((k as u32, j));
+                self.stack.push((i, k as u32));
+            }
+        }
+        sum
+    }
+}
+
 /// All-pairs distances among the sealed nodes `0..sealed` of the local
 /// graph `g`, row-major `sealed x sealed` into `out`, by dense elimination:
 /// `elim` is seeded as the `n x n` arc matrix of `g`, the interior nodes
 /// `sealed..n` are pivoted out last-to-first — so the live part is always
 /// the prefix `0..k` and the whole pass is about `(n³ − sealed³) / 3`
-/// min-adds — and the sealed prefix is closed.  Self-loops and
+/// min-adds — and a copy of the sealed prefix is closed. Self-loops and
 /// infinite-weight (closed) arcs of `g` are ignored, as in
 /// [`crate::contractor::Contractor::contract`].
 ///
-/// Memory is `8 n²` bytes of `elim`; the caller bounds `n`.
-pub fn border_matrix(g: &CsrGraph, sealed: usize, elim: &mut Vec<f64>, out: &mut Vec<f64>) {
+/// `elim` keeps the state before the closure, pivots included: see
+/// [`Elimination`] for what can be read from it afterwards.
+///
+/// Memory is `16 n²` bytes of `elim`; the caller bounds `n`.
+pub fn border_matrix(g: &CsrGraph, sealed: usize, elim: &mut Elimination, out: &mut Vec<f64>) {
     let n = g.num_nodes();
     let sealed = sealed.min(n);
-    reset(elim, n);
+    elim.n = n;
+    reset(&mut elim.dist, n);
+    elim.mid.clear();
+    elim.mid.resize(n * n, NO_PIVOT);
     for u in 0..n as u32 {
         for (v, w, _) in g.out(u) {
-            seed(elim, n, u, v, w);
+            seed(&mut elim.dist, n, u, v, w);
         }
     }
     for k in (sealed..n).rev() {
-        let (live, rest) = elim.split_at_mut(k * n);
+        let (live, rest) = elim.dist.split_at_mut(k * n);
         let pivot = &rest[..k];
-        for row in live.chunks_exact_mut(n) {
+        for (row, mid) in live.chunks_exact_mut(n).zip(elim.mid.chunks_exact_mut(n)) {
             let a = row[k];
             if a != f64::INFINITY {
-                relax_row(&mut row[..k], a, pivot);
+                relax_row_tracked(&mut row[..k], &mut mid[..k], a, pivot, k as u64);
             }
         }
     }
     out.clear();
-    for row in elim.chunks_exact(n.max(1)).take(sealed) {
+    for row in elim.dist.chunks_exact(n.max(1)).take(sealed) {
         out.extend_from_slice(&row[..sealed]);
     }
     close(out, sealed);
@@ -185,7 +322,7 @@ mod tests {
     }
 
     fn matrix(g: &CsrGraph, sealed: usize) -> Vec<f64> {
-        let (mut elim, mut out) = (Vec::new(), Vec::new());
+        let (mut elim, mut out) = (Elimination::default(), Vec::new());
         border_matrix(g, sealed, &mut elim, &mut out);
         out
     }
@@ -200,6 +337,56 @@ mod tests {
         let all = matrix(&g, 4);
         assert_eq!(all[1], 3.0);
         assert_eq!(all[3], 2.0);
+    }
+
+    fn unpacked(elim: &mut Elimination, b: u32, t: u32) -> (f64, Vec<u32>) {
+        let mut chain = Vec::new();
+        let sum = elim.unpack(b, t, |k| chain.push(k));
+        (sum, chain)
+    }
+
+    #[test]
+    fn the_elimination_remembers_its_paths() {
+        // The chain of the test above beside a shorter way through one more
+        // interior node, 0 -½- 4 -½- 1.
+        let g =
+            csr(5, &[(0, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (0, 1, 5.0), (0, 4, 0.5), (4, 1, 0.5)]);
+        let (mut elim, mut out) = (Elimination::default(), Vec::new());
+        border_matrix(&g, 2, &mut elim, &mut out);
+        assert_eq!(out, vec![0.0, 1.0, 1.0, 0.0]);
+        assert_eq!(unpacked(&mut elim, 0, 1), (1.0, vec![4]));
+        // The same graph with that node third and sealed: the closure still
+        // goes through it, a border-free path may not.
+        let g =
+            csr(5, &[(0, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0), (0, 1, 5.0), (0, 2, 0.5), (2, 1, 0.5)]);
+        border_matrix(&g, 3, &mut elim, &mut out);
+        assert_eq!(out[1], 1.0);
+        assert_eq!(elim.border_free(0, 1), 3.0);
+        assert_eq!(unpacked(&mut elim, 0, 1), (3.0, vec![3, 4]));
+        assert_eq!(unpacked(&mut elim, 1, 0), (3.0, vec![4, 3]));
+        assert_eq!(unpacked(&mut elim, 0, 2), (0.5, vec![]), "a seeded arc has no waypoint");
+        // Without the interior chain and the direct arc only the sealed
+        // node joins 0 and 1: closed distance 1, no border-free path.
+        let g = csr(3, &[(0, 2, 0.5), (2, 1, 0.5)]);
+        border_matrix(&g, 3, &mut elim, &mut out);
+        assert_eq!(out[1], 1.0);
+        assert_eq!(unpacked(&mut elim, 0, 1), (INF, vec![]));
+    }
+
+    #[test]
+    fn of_two_equally_short_paths_the_last_strict_improvement_stays() {
+        // 0 -> 1 through 2 or through 3, both 2 long. Pivot 3 goes first and
+        // improves the pair; pivot 2 ties and is not recorded. (A Dijkstra
+        // from 0 settles 2 before 3 and would say "through 2".)
+        let g = csr(4, &[(0, 2, 1.0), (2, 1, 1.0), (0, 3, 1.0), (3, 1, 1.0)]);
+        let (mut elim, mut out) = (Elimination::default(), Vec::new());
+        border_matrix(&g, 2, &mut elim, &mut out);
+        assert_eq!(unpacked(&mut elim, 0, 1), (2.0, vec![3]));
+        // A zero-weight detour ties too, and is not taken: 0 -1- 2 -1- 1
+        // stays, 2 -0- 3 leads nowhere shorter.
+        let g = csr(4, &[(0, 2, 1.0), (2, 1, 1.0), (2, 3, 0.0), (3, 1, 1.0)]);
+        border_matrix(&g, 2, &mut elim, &mut out);
+        assert_eq!(unpacked(&mut elim, 0, 1), (2.0, vec![2]));
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! `f64`, so "the same distance" has one representation), and within
 //! [`Weight::approx_eq`] on arbitrary floats, where the three sum the same
 //! arcs in different orders.
+//!
+//! And what the elimination leaves behind ([`minplus::Elimination`]) must
+//! be what one *sealed* Dijkstra per sealed node finds — the shortcut
+//! builder's dense arm stores the former where it used to run the latter:
+//! the same border-free distance for every sealed pair (both infinite
+//! together), an unpacked chain that is a real path of the graph through
+//! interior nodes only and sums, left to right, to that distance — and on
+//! floats without ties, where the shortest path is unique, Dijkstra's own
+//! predecessor chain node for node at Dijkstra's own bits.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,16 +41,29 @@ enum Density {
     Clique,
 }
 
+/// What the open edges of a graph weigh.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Weights {
+    /// `k/64`, one edge in eight free: every path sum is exact, ties abound.
+    Dyadic,
+    /// Arbitrary floats, one edge in eight free (so zero-length detours tie).
+    Float,
+    /// Arbitrary positive floats: no two paths are equally long.
+    TieFreeFloat,
+}
+
 /// A symmetric local graph over `0..n`: a random spanning forest (a tree
 /// unless `split`, which leaves two components and so disconnected
-/// borders), plus chords by `density`. One edge in eight is closed, one in
-/// eight is free; the rest are dyadic `k/64` or arbitrary floats.
-fn local_graph(n: usize, density: Density, split: bool, dyadic: bool, seed: u64) -> CsrGraph {
+/// borders), plus chords by `density`. One edge in eight is closed; the
+/// rest weigh what `weights` says.
+fn local_graph(n: usize, density: Density, split: bool, weights: Weights, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let weight = |rng: &mut StdRng| match rng.random_range(0..8u32) {
         0 => Weight::INFINITY,
-        1 => Weight::ZERO,
-        _ if dyadic => Weight::new(f64::from(rng.random_range(1..=1024u32)) / 64.0),
+        1 if weights != Weights::TieFreeFloat => Weight::ZERO,
+        _ if weights == Weights::Dyadic => {
+            Weight::new(f64::from(rng.random_range(1..=1024u32)) / 64.0)
+        }
         _ => Weight::new(rng.random_range(0.001..100.0)),
     };
     let mut b = CsrBuilder::default();
@@ -84,15 +106,45 @@ fn local_graph(n: usize, density: Density, split: bool, dyadic: bool, seed: u64)
     g
 }
 
+fn same_distance(x: f64, y: f64, exact: bool) -> bool {
+    if exact {
+        x.to_bits() == y.to_bits()
+    } else {
+        Weight::new(x).approx_eq(Weight::new(y))
+    }
+}
+
 fn same(a: &[f64], b: &[f64], exact: bool) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(&x, &y)| {
-            if exact {
-                x.to_bits() == y.to_bits()
-            } else {
-                Weight::new(x).approx_eq(Weight::new(y))
-            }
-        })
+    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same_distance(x, y, exact))
+}
+
+/// The graph size a case runs at: contraction and the cubic closure cost
+/// what the degree fill-in reaches, so sizes up to 300 are for the sparse
+/// classes.
+fn size_for(density: Density, size: usize) -> usize {
+    match density {
+        Density::Clique => 2 + size % 39,
+        Density::Dense => 2 + size % 99,
+        Density::Tree | Density::Sparse => size,
+    }
+}
+
+/// One border exactly, every so often (the degenerate matrix); otherwise
+/// the share asked for, in eighths.
+fn sealed_for(n: usize, sealed_eighths: usize, seed: u64) -> usize {
+    if seed.is_multiple_of(7) {
+        1
+    } else {
+        (n * sealed_eighths).div_ceil(8)
+    }
+}
+
+/// The lightest open arc `u -> v` of `g` — what the matrix was seeded with.
+fn arc(g: &CsrGraph, u: u32, v: u32) -> Option<f64> {
+    g.out(u)
+        .filter(|&(to, w, _)| to == v && w.is_finite())
+        .map(|(_, w, _)| w.get())
+        .reduce(f64::min)
 }
 
 proptest! {
@@ -112,18 +164,12 @@ proptest! {
         dyadic in (0u8..2).prop_map(|d| d == 1),
         seed in 0u64..1_000_000,
     ) {
-        // Contraction is cubic in the degree fill-in reaches: the sizes up
-        // to 300 are for the sparse classes.
-        let n = match density {
-            Density::Clique => 2 + size % 39,
-            Density::Dense => 2 + size % 99,
-            Density::Tree | Density::Sparse => size,
-        };
-        let g = local_graph(n, density, split, dyadic, seed);
-        // One border exactly, every so often: the degenerate matrix.
-        let sealed = if seed % 7 == 0 { 1 } else { (n * sealed_eighths).div_ceil(8) };
+        let n = size_for(density, size);
+        let weights = if dyadic { Weights::Dyadic } else { Weights::Float };
+        let g = local_graph(n, density, split, weights, seed);
+        let sealed = sealed_for(n, sealed_eighths, seed);
 
-        let (mut elim, mut dense) = (Vec::new(), Vec::new());
+        let (mut elim, mut dense) = (minplus::Elimination::default(), Vec::new());
         minplus::border_matrix(&g, sealed, &mut elim, &mut dense);
         prop_assert_eq!(dense.len(), sealed * sealed);
 
@@ -149,6 +195,67 @@ proptest! {
                 prop_assert!(same(&dense, &closed, dyadic),
                     "dense != contraction closure (n={} sealed={} {:?} split={} {:?} budget={})",
                     n, sealed, density, split, order, budget);
+            }
+        }
+    }
+
+    #[test]
+    fn unpacked_paths_are_what_a_sealed_dijkstra_finds(
+        size in prop_oneof![2usize..=24, 2usize..=96, 2usize..=300],
+        density in prop_oneof![
+            Just(Density::Tree), Just(Density::Sparse), Just(Density::Dense), Just(Density::Clique)
+        ],
+        sealed_eighths in 0usize..=8,
+        split in (0u8..4).prop_map(|s| s == 0),
+        weights in prop_oneof![
+            Just(Weights::Dyadic), Just(Weights::Float), Just(Weights::TieFreeFloat)
+        ],
+        seed in 0u64..1_000_000,
+    ) {
+        let n = size_for(density, size);
+        let g = local_graph(n, density, split, weights, seed);
+        let sealed = sealed_for(n, sealed_eighths, seed) as u32;
+        let exact = weights == Weights::Dyadic;
+
+        let (mut elim, mut closed) = (minplus::Elimination::default(), Vec::new());
+        minplus::border_matrix(&g, sealed as usize, &mut elim, &mut closed);
+        let mut dij = LocalDijkstra::new();
+        let mut chain = Vec::new();
+        for b in 0..sealed {
+            dij.run_csr(&g, b, &[], sealed);
+            for t in (0..sealed).filter(|&t| t != b) {
+                let at = format!("{b} -> {t} (n={n} sealed={sealed} {density:?} split={split})");
+                let want = dij.dist(t).get();
+                prop_assert!(same_distance(elim.border_free(b, t), want, exact),
+                    "border-free {} != sealed Dijkstra's {} for {}", elim.border_free(b, t), want, at);
+                chain.clear();
+                let sum = elim.unpack(b, t, |k| chain.push(k));
+                if want == f64::INFINITY {
+                    prop_assert!(sum == f64::INFINITY && chain.is_empty(), "no path, yet {}", at);
+                    continue;
+                }
+                prop_assert!(chain.iter().all(|&k| k >= sealed), "{:?} leaves the interior, {}", chain, at);
+                let mut walked = 0.0;
+                let mut from = b;
+                for &to in chain.iter().chain([&t]) {
+                    let hop = arc(&g, from, to);
+                    prop_assert!(hop.is_some(), "{:?} hops {} -> {} without an arc, {}", chain, from, to, at);
+                    walked += hop.unwrap_or(f64::NAN);
+                    from = to;
+                }
+                prop_assert_eq!(walked.to_bits(), sum.to_bits(), "{:?} is not summed left to right, {}", chain, at);
+                prop_assert!(same_distance(sum, want, exact), "{:?} is {} long, not {}, {}", chain, sum, want, at);
+                if weights == Weights::TieFreeFloat {
+                    let mut settled = Vec::new();
+                    let mut cur = t;
+                    while let Some((prev, _)) = dij.pred(cur).filter(|&(prev, _)| prev != b) {
+                        settled.push(prev);
+                        cur = prev;
+                    }
+                    settled.reverse();
+                    prop_assert_eq!(&chain, &settled, "not Dijkstra's path, {}", at);
+                    prop_assert_eq!(sum.to_bits(), want.to_bits(), "same path, other bits, {}", at);
+                }
             }
         }
     }
