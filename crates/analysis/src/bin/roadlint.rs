@@ -18,8 +18,9 @@
 //!   diffing against a committed `lockgraph.expected`); findings go to
 //!   stderr;
 //! * `--order-dag` prints ONLY canonical `source => sanitizer => sink`
-//!   lines to stdout (for diffing against a committed
-//!   `determinism.expected`); findings go to stderr;
+//!   lines to stdout, keyed by function and file without line numbers
+//!   (for diffing against a committed `determinism.expected`); findings
+//!   go to stderr;
 //! * `--json` prints ONLY the machine-readable report to stdout (for the
 //!   CI artifact); the human summary goes to stderr.
 //!
@@ -85,7 +86,7 @@ fn main() -> ExitCode {
             }
         } else {
             for v in &analysis.order {
-                println!("{} => {} => {}", v.source, v.sanitizer, v.sink);
+                println!("{}", v.chain_key());
             }
         }
         for f in &analysis.findings {

@@ -108,6 +108,24 @@ pub struct Verdict {
     pub sink: String,
 }
 
+impl Verdict {
+    /// The chain as `--order-dag` prints it: `source => sanitizer => sink`
+    /// with the `:line` after every file path dropped. A chain is then
+    /// keyed by function and file, and an edit above it in the same file
+    /// is no diff against the committed `determinism.expected` (the JSON
+    /// report and the `--order` table keep the lines).
+    pub fn chain_key(&self) -> String {
+        let chain = format!("{} => {} => {}", self.source, self.sanitizer, self.sink);
+        let mut parts = chain.split(".rs:");
+        let mut key = parts.next().unwrap_or_default().to_owned();
+        for after_path in parts {
+            key.push_str(".rs");
+            key.push_str(after_path.trim_start_matches(|c: char| c.is_ascii_digit()));
+        }
+        key
+    }
+}
+
 /// What a pass reports: findings and verdict rows, both canonically
 /// ordered.
 #[derive(Default)]

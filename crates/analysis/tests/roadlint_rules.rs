@@ -328,6 +328,29 @@ fn the_workspace_itself_is_clean() {
     );
 }
 
+/// `--order-dag` keys a chain by function and file: the `:line` after a
+/// path goes, wherever it stands, and nothing else does.
+#[test]
+fn order_dag_chains_carry_no_line_numbers() {
+    let v = road_analysis::flow::Verdict {
+        source: "`affected`.iter() in A::repair (crates/core/src/framework.rs:653)".to_owned(),
+        sanitizer: "sort_by_key()".to_owned(),
+        sink: "order-sensitive commit S::refresh (arg 4) at crates/core/src/framework.rs:656"
+            .to_owned(),
+    };
+    assert_eq!(
+        v.chain_key(),
+        "`affected`.iter() in A::repair (crates/core/src/framework.rs) => sort_by_key() => \
+         order-sensitive commit S::refresh (arg 4) at crates/core/src/framework.rs"
+    );
+    let other_colons = road_analysis::flow::Verdict {
+        source: "A::b".to_owned(),
+        sanitizer: "marker: x:12".to_owned(),
+        sink: "c.rs:7".to_owned(),
+    };
+    assert_eq!(other_colons.chain_key(), "A::b => marker: x:12 => c.rs");
+}
+
 /// Every fixture's `.rs` file, sorted by name, analysed as ONE workspace.
 fn analyze_all_fixtures() -> Analysis {
     let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));

@@ -17,10 +17,6 @@ fn main() {
         println!("fig18_range          range time vs r / |O| / network");
         println!("fig19_levels         hierarchy depth sweep (index vs query time)");
         println!("ablation             distribution / pruning / abstract ablations");
-        println!("exp_disk             warm paged serving: faults vs buffer size, lazy open");
-        println!("exp_live             LiveEngine reader QPS under a concurrent update writer");
-        println!("exp_throughput       QueryEngine QPS: workspace reuse + thread scaling");
-        println!("                     (separate binary; not part of the exp_all suite)");
         return;
     }
     let ctx = road_bench::experiments::Ctx::from_args();

@@ -2,7 +2,6 @@
 //! `--axis k|objects|network` for one sub-figure, `--scale` for size.
 
 fn main() {
-    let ctx = road_bench::experiments::Ctx::from_args();
-    let axis = road_bench::experiments::fig17::Axis::from_args();
+    let (ctx, axis) = road_bench::experiments::fig17::from_args();
     road_bench::experiments::fig17::run(&ctx, axis);
 }

@@ -37,21 +37,9 @@ pub const LARGE: ExpScale =
     ExpScale { name: "large", ca: 1.0, big: 1.0, continent: 1.0, queries: 100, trials: 100 };
 
 impl ExpScale {
-    /// Parses `--scale NAME` from argv (default `medium`); an unknown
-    /// name is a hard error — silently benching the wrong world would
+    /// Parses `--scale NAME` from an argument list (default `medium`); an
+    /// unknown name is an error — silently benching the wrong world would
     /// pollute the recorded perf trajectory.
-    pub fn from_args() -> ExpScale {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_arg_list(&args) {
-            Ok(scale) => scale,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses from an explicit argument list (testable).
     pub fn from_arg_list(args: &[String]) -> Result<ExpScale, String> {
         match args.iter().position(|a| a == "--scale") {
             Some(i) => match args.get(i + 1).map(String::as_str) {
@@ -88,6 +76,31 @@ impl ExpScale {
             _ => self.big,
         }
     }
+}
+
+/// Checks an argument list (program name first) against the flags its bin
+/// takes, each followed by one value: a misspelt flag must not run the
+/// default experiment in silence. The values are judged by the flags' own
+/// parsers.
+pub fn check_flags(args: &[String], valid: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !valid.contains(&arg.as_str()) {
+            return Err(format!("unknown argument '{arg}' (valid: {})", valid.join(", ")));
+        }
+        if rest.next().is_none() {
+            return Err(format!("'{arg}' needs a value"));
+        }
+    }
+    Ok(())
+}
+
+/// The value, or the message on stderr and exit status 2.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
 }
 
 /// Fixed parameters of the evaluation (Table 1 defaults).
@@ -146,13 +159,7 @@ pub fn try_network(ds: Dataset, scale: &ExpScale, params: &Params) -> Result<Roa
 /// the process exits with the [`try_network`] diagnostic instead of a
 /// context-free panic.
 pub fn network(ds: Dataset, scale: &ExpScale, params: &Params) -> RoadNetwork {
-    match try_network(ds, scale, params) {
-        Ok(g) => g,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    or_exit(try_network(ds, scale, params))
 }
 
 /// Hierarchy depth for a dataset at a scale: the paper's `l` at full
@@ -165,20 +172,39 @@ pub fn levels(ds: Dataset, g: &RoadNetwork, scale: &ExpScale, params: &Params) -
     }
 }
 
+/// `bin` followed by `rest`, as an owned argument list.
+#[cfg(test)]
+pub(crate) fn argv(rest: &[&str]) -> Vec<String> {
+    std::iter::once("bin").chain(rest.iter().copied()).map(String::from).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scale_parsing() {
-        let args = |s: &str| vec!["bin".to_string(), "--scale".to_string(), s.to_string()];
+        let args = |s: &str| argv(&["--scale", s]);
         assert_eq!(ExpScale::from_arg_list(&args("small")).unwrap().name, "small");
         assert_eq!(ExpScale::from_arg_list(&args("full")).unwrap().name, "full");
         assert_eq!(ExpScale::from_arg_list(&args("large")).unwrap().name, "large");
-        assert_eq!(ExpScale::from_arg_list(&["bin".to_string()]).unwrap().name, "medium");
+        assert_eq!(ExpScale::from_arg_list(&argv(&[])).unwrap().name, "medium");
         // A typo must not silently bench a different world.
         let err = ExpScale::from_arg_list(&args("larg")).unwrap_err();
         assert!(err.contains("larg") && err.contains("large"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        let valid = ["--scale", "--axis"];
+        assert!(check_flags(&argv(&[]), &valid).is_ok());
+        assert!(check_flags(&argv(&["--axis", "k", "--scale", "small"]), &valid).is_ok());
+        // A misspelt flag must not fall back to the default scale.
+        let err = check_flags(&argv(&["--sclae", "small"]), &valid).unwrap_err();
+        assert!(err.contains("--sclae") && err.contains("--scale, --axis"), "unhelpful: {err}");
+        assert!(check_flags(&argv(&["--axis", "k"]), &["--scale"]).is_err());
+        assert!(check_flags(&argv(&["small"]), &valid).is_err());
+        assert!(check_flags(&argv(&["--scale"]), &valid).unwrap_err().contains("needs a value"));
     }
 
     #[test]

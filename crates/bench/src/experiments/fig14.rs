@@ -1,17 +1,16 @@
-//! Figure 14 — index construction time and size across the three networks
-//! with |O| = 100.
+//! Figure 14 — index construction time and size across the networks of
+//! the scale (the paper's three; `--scale large` adds CONT) with |O| = 100.
 
 use super::Ctx;
 use crate::runner::EngineKind;
 use crate::table::{fmt_mb, fmt_secs, print_table};
 use crate::{config, runner, workload};
-use road_network::generator::Dataset;
 
 /// Runs the experiment and prints its two tables.
 pub fn run(ctx: &Ctx) {
     let mut time_rows = Vec::new();
     let mut size_rows = Vec::new();
-    for ds in Dataset::ALL {
+    for &ds in ctx.scale.datasets() {
         let g = config::network(ds, &ctx.scale, &ctx.params);
         let levels = config::levels(ds, &g, &ctx.scale, &ctx.params);
         let count = ctx.scaled_count(ctx.params.objects, ctx.scale.factor(ds));

@@ -17,17 +17,35 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// Parses `--axis k|objects|network` (None = all three).
-    pub fn from_args() -> Option<Axis> {
-        let args: Vec<String> = std::env::args().collect();
-        let i = args.iter().position(|a| a == "--axis")?;
+    /// Parses `--axis k|objects|network` from an argument list (no flag =
+    /// `None` = all three); an unknown axis is an error, not all three.
+    pub fn from_arg_list(args: &[String]) -> Result<Option<Axis>, String> {
+        let Some(i) = args.iter().position(|a| a == "--axis") else {
+            return Ok(None);
+        };
         match args.get(i + 1).map(String::as_str) {
-            Some("k") => Some(Axis::K),
-            Some("objects") => Some(Axis::Objects),
-            Some("network") => Some(Axis::Network),
-            _ => None,
+            Some("k") => Ok(Some(Axis::K)),
+            Some("objects") => Ok(Some(Axis::Objects)),
+            Some("network") => Ok(Some(Axis::Network)),
+            other => Err(format!(
+                "unknown axis '{}' (valid: k, objects, network)",
+                other.unwrap_or_default()
+            )),
         }
     }
+}
+
+/// Context and sub-figure of a `fig17_knn` / `fig18_range` run, from argv
+/// (`--scale NAME`, `--axis NAME`); anything else exits 2.
+pub fn from_args() -> (Ctx, Option<Axis>) {
+    let args: Vec<String> = std::env::args().collect();
+    config::or_exit(from_arg_list(&args))
+}
+
+/// [`from_args`] over an explicit argument list (testable).
+pub fn from_arg_list(args: &[String]) -> Result<(Ctx, Option<Axis>), String> {
+    let ctx = Ctx::from_arg_list(args, &["--axis"])?;
+    Ok((ctx, Axis::from_arg_list(args)?))
 }
 
 /// Runs the chosen sub-figures (all when `axis` is `None`).
@@ -116,4 +134,25 @@ fn run_vary_network(ctx: &Ctx) {
         &runner::time_io_header("network"),
         &rows,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn axis_parsing() {
+        use config::argv;
+        let (ctx, axis) = from_arg_list(&argv(&["--axis", "objects", "--scale", "small"])).unwrap();
+        assert_eq!((ctx.scale.name, axis), ("small", Some(Axis::Objects)));
+        assert_eq!(from_arg_list(&argv(&["--axis", "k"])).unwrap().1, Some(Axis::K));
+        assert_eq!(from_arg_list(&argv(&["--axis", "network"])).unwrap().1, Some(Axis::Network));
+        assert_eq!(from_arg_list(&argv(&[])).unwrap().1, None);
+        // A typo must not run all three sub-figures.
+        let err = from_arg_list(&argv(&["--axis", "foo"])).unwrap_err();
+        assert!(err.contains("foo") && err.contains("k, objects, network"), "unhelpful: {err}");
+        assert!(from_arg_list(&argv(&["--axes", "k"])).is_err());
+        // The bins without sub-figures do not take `--axis`.
+        assert!(Ctx::from_arg_list(&argv(&["--axis", "k"]), &[]).is_err());
+    }
 }

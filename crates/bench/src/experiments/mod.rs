@@ -1,10 +1,7 @@
 //! One module per figure of the paper's evaluation (Section 6), plus the
-//! design-choice ablations called out in ARCHITECTURE.md and the two
-//! serving experiments (`exp_throughput`, `exp_live`).
+//! design-choice ablations called out in ARCHITECTURE.md.
 
 pub mod ablation;
-pub mod construction;
-pub mod disk;
 pub mod fig11;
 pub mod fig13;
 pub mod fig14;
@@ -13,10 +10,8 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod fig19;
-pub mod live;
-pub mod throughput;
 
-use crate::config::{ExpScale, Params};
+use crate::config::{self, ExpScale, Params};
 
 /// Everything an experiment needs.
 #[derive(Clone, Debug)]
@@ -26,9 +21,18 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Context from argv (`--scale small|medium|full`).
+    /// Context from argv (`--scale small|medium|full|large`, default
+    /// `medium`); anything else on the command line exits 2.
     pub fn from_args() -> Self {
-        Ctx { scale: ExpScale::from_args(), params: Params::default() }
+        let args: Vec<String> = std::env::args().collect();
+        config::or_exit(Self::from_arg_list(&args, &[]))
+    }
+
+    /// Context from an argument list (testable); `also` names the flags
+    /// the calling bin parses itself.
+    pub fn from_arg_list(args: &[String], also: &[&str]) -> Result<Self, String> {
+        config::check_flags(args, &[&["--scale"], also].concat())?;
+        Ok(Ctx::with_scale(ExpScale::from_arg_list(args)?))
     }
 
     /// Context for a specific scale.
@@ -53,13 +57,10 @@ pub fn run_all(ctx: &Ctx) {
     fig11::run(ctx);
     fig13::run(ctx);
     fig14::run(ctx);
-    construction::run(ctx);
     fig15::run(ctx);
     fig16::run(ctx);
     fig17::run(ctx, None);
     fig18::run(ctx, None);
     fig19::run(ctx);
     ablation::run(ctx);
-    disk::run(ctx);
-    live::run(ctx);
 }

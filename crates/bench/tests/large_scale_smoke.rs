@@ -1,15 +1,15 @@
 //! `--scale large` construction smoke, `#[ignore]`d so it only runs in
-//! the CI `--include-ignored` step: drives the construction experiment
-//! over the large-scale dataset list — the paper's three networks *plus*
-//! the continental preset — at sharply reduced factors, so the whole
-//! `--scale large` code path (dataset selection, continent generation,
-//! sequential and parallel builds, table assembly) is exercised in
-//! seconds rather than the hours a true 10^6-node run takes.
+//! the CI `--include-ignored` step: drives Figure 14 (index time and size
+//! per network, all four engines) over the large-scale dataset list — the
+//! paper's three networks *plus* the continental preset — at sharply
+//! reduced factors, so the whole `--scale large` code path (dataset
+//! selection, continent generation, engine builds, table assembly) is
+//! exercised in seconds rather than the hours a true 10^6-node run takes.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use road_bench::config::{self, ExpScale, Params, LARGE};
-use road_bench::experiments::{construction, Ctx};
+use road_bench::experiments::{fig14, Ctx};
 use road_network::generator::Dataset;
 
 /// A `large`-shaped scale shrunk to CI size: same name (so the large
@@ -24,7 +24,7 @@ fn scale_large_construction_smoke() {
     let scale = shrunken_large();
     assert_eq!(scale.name, "large");
     assert!(scale.datasets().contains(&Dataset::Continent));
-    construction::run(&Ctx { scale, params: Params::default() });
+    fig14::run(&Ctx { scale, params: Params::default() });
 }
 
 /// The continental preset itself must generate and report cleanly at a

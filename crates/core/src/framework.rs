@@ -438,9 +438,7 @@ impl RoadFramework {
     }
 
     /// Applies a batch of weight updates and repairs every affected Rnet
-    /// once, level by level.  Same-level Rnets are independent (Lemma 2:
-    /// a level reads only the level below), so each level's refreshes fan
-    /// out across [`ShortcutOptions::threads`] workers; a parent joins the
+    /// once, level by level, on the calling thread; a parent joins the
     /// next frontier only while its children's shortcut sets keep changing,
     /// exactly the per-edge early-break of [`RoadFramework::set_edge_weight`].
     ///
@@ -649,7 +647,6 @@ impl RoadFramework {
         // Refresh finest-first so parents see up-to-date child shortcuts;
         // the id tiebreak keeps the commit order (and thus the store's
         // byte layout) independent of hash-set iteration order.
-        // `refresh_rnets` fans same-level Rnets out across workers.
         let mut order: Vec<RnetId> = affected.iter().map(|&r| RnetId(r)).collect();
         order.sort_by_key(|&r| (std::cmp::Reverse(self.hier.level_of(r)), r.0));
         outcome.rnets_refreshed += order.len();
@@ -722,9 +719,10 @@ impl RoadBuilder {
     }
 
     /// Sets the worker-thread count of the build — the hierarchy's
-    /// partitioning rounds and shortcut construction — and of multi-Rnet
-    /// repair (`0` = all hardware threads, `1` = inline). A pure speed
-    /// knob: it never changes the partition or a single output byte.
+    /// partitioning rounds and shortcut construction (`0` = all hardware
+    /// threads, `1` = inline); repair after an update always runs on the
+    /// calling thread. A pure speed knob: it never changes the partition
+    /// or a single output byte.
     pub fn shortcut_threads(mut self, threads: usize) -> Self {
         self.cfg.shortcuts.threads = threads;
         self

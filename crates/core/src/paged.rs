@@ -96,7 +96,7 @@
 //!
 //! Queries take `&self`: one engine serves any number of threads at once,
 //! like the in-memory `QueryEngine`. Three pieces make that safe without a
-//! wrapper mutex (the rejected baseline `exp_disk` measures against):
+//! wrapper mutex (the rejected design: one lock around a `&mut` engine):
 //!
 //! * the **lock-striped buffer pool**
 //!   ([`road_storage::StripedBufferPool`]) — the LRU sharded by page id

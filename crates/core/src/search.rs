@@ -196,8 +196,8 @@ pub struct SearchStats {
     pub page_faults: usize,
     /// `true` when this query ran on a [`SearchWorkspace`] that had
     /// already served earlier queries — i.e. its scratch containers were
-    /// recycled instead of freshly allocated. The `exp_throughput`
-    /// experiment sums this to report allocations avoided.
+    /// recycled instead of freshly allocated (`tests/engine_tests.rs`
+    /// holds every query of a serving loop after the first to it).
     pub workspace_reused: bool,
 }
 

@@ -49,8 +49,8 @@
 //! ([`LocalDijkstra::run_csr`] with `seal_below` = the border count):
 //! border nodes are settled but never expanded, so the predecessor chains
 //! are border-free in a single pass. The legacy all-pairs sweep survives
-//! behind `#[cfg(any(test, feature = "oracle-build"))]` as
-//! [`ShortcutStore::build_with_oracle`] and finalises the same way.
+//! as `ShortcutStore::build_with_oracle` (`#[doc(hidden)]`: the reference
+//! the differential tests compare against) and finalises the same way.
 //!
 //! All builders share the canonical local-graph assembly and the matrix
 //! rule, and both finalisations sum a path's arcs in travel order, so the
@@ -120,8 +120,12 @@ pub const DENSE_MAX_NODES: usize = 512;
 
 /// Settle bound for each witness search of the contractor arm. Bounded
 /// witness searches only ever make the remainder graph denser (a missed
-/// witness adds a redundant arc), never wrong, so this is purely a speed
-/// knob — it never changes a single output byte.
+/// witness adds a redundant arc), never wrong, so this — like the
+/// contraction order beside it, [`ContractionOrder::MinDegree`] — is purely
+/// a speed constant: the border distances are the same under every order
+/// and budget (`crates/network/tests/proptest_minplus.rs` holds the
+/// contractor to one Dijkstra per border under three orders and budgets
+/// 0 / 64 / unbounded).
 const WITNESS_SETTLE_LIMIT: usize = 64;
 
 /// One directed shortcut out of a border node, borrowed from its Rnet's
@@ -267,41 +271,27 @@ pub struct ShortcutOptions {
     /// Apply Lemma 4: drop shortcuts covered by other shortcuts of the
     /// same Rnet. On by default; the ablation benchmark switches it off.
     pub prune_transitive: bool,
-    /// Order in which the interior nodes of a local graph above
-    /// [`DENSE_MAX_NODES`] are contracted. The final store is independent
-    /// of this choice (the remainder graph always preserves border
-    /// distances); differential tests vary it to prove exactly that.
-    pub contraction_order: ContractionOrder,
-    /// Witness-search settle budget per contraction, or `None` for the
-    /// default, `WITNESS_SETTLE_LIMIT` (64). Like the order, the budget
-    /// never changes a single output byte — differential tests vary it to
-    /// prove exactly that — and like the order it is read only where
-    /// something is contracted: local graphs above [`DENSE_MAX_NODES`].
-    pub witness_budget: Option<usize>,
-    /// Worker threads for construction and multi-Rnet repair: Rnets of the
-    /// same level are independent (Lemma 2 — a level reads only the level
-    /// below), so each level fans out over scoped workers. `0` means "use
+    /// Worker threads for construction: Rnets of the same level are
+    /// independent (Lemma 2 — a level reads only the level below), so each
+    /// level of a build fans out over scoped workers. `0` means "use
     /// [`std::thread::available_parallelism`]", `1` runs fully inline.
     /// [`RoadFramework::build`](crate::RoadFramework::build) builds the
     /// hierarchy under the same setting — each binary round of the
     /// partitioner fans its groups out the same way — so this is the
-    /// thread count of the whole build.
-    /// Like the order and the budget, the thread count never changes a
-    /// single output byte: every worker writes its Rnet's map into a
-    /// per-Rnet indexed slot and the slots are committed in hierarchy
-    /// order, so scheduling cannot reorder anything observable
-    /// (differential tests sweep 1/2/4/8 threads to prove it).
+    /// thread count of the whole build, and of nothing else: repair after
+    /// an update runs on the calling thread whatever it says (a repair
+    /// level is a handful of Rnets of tens of microseconds each, less than
+    /// a worker costs to start). The thread count never changes a single
+    /// output byte: every worker writes its Rnet's map into a per-Rnet
+    /// indexed slot and the slots are committed in hierarchy order, so
+    /// scheduling cannot reorder anything observable (differential tests
+    /// sweep 1/2/4/8 threads to prove it).
     pub threads: usize,
 }
 
 impl Default for ShortcutOptions {
     fn default() -> Self {
-        ShortcutOptions {
-            prune_transitive: true,
-            contraction_order: ContractionOrder::MinDegree,
-            witness_budget: None,
-            threads: 0,
-        }
+        ShortcutOptions { prune_transitive: true, threads: 0 }
     }
 }
 
@@ -371,11 +361,11 @@ impl ShortcutStore {
     }
 
     /// Computes the shortcut maps of one level's (or more generally, of
-    /// mutually independent) Rnets, fanned out over scoped worker threads.
-    /// Every thread owns a contiguous chunk of `rnets`: the calling thread
-    /// takes the first on the scratch it was handed — warm from the levels
-    /// and ticks before — and each other chunk gets a spawned worker with a
-    /// fresh [`BuildScratch`]. Every map lands in the slot indexed by its
+    /// mutually independent) Rnets of a build, fanned out over scoped
+    /// worker threads. Every thread owns a contiguous chunk of `rnets`: the
+    /// calling thread takes the first on the scratch it was handed — warm
+    /// from the levels before — and each other chunk gets a spawned worker
+    /// with a fresh [`BuildScratch`]. Every map lands in the slot indexed by its
     /// Rnet's position, so the result is independent of scheduling. `self`
     /// is only read (the children's maps), never written — commits happen
     /// afterwards, in order, on the caller's thread.
@@ -452,7 +442,8 @@ impl ShortcutStore {
     /// `other` (same allocation, not merely equal contents). Two stores
     /// related by snapshot forks share every Rnet that no intervening
     /// maintenance refreshed — the quantity the live-serving tests and
-    /// `exp_live` use to prove updates never fall back to full rebuilds.
+    /// roadbench's `core.live.shared_rnets_share` use to prove updates
+    /// never fall back to full rebuilds.
     pub fn shared_rnet_count(&self, other: &ShortcutStore) -> usize {
         self.per_rnet.iter().zip(&other.per_rnet).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
@@ -475,14 +466,15 @@ impl ShortcutStore {
         changed
     }
 
-    /// Recomputes several Rnets' shortcuts, fanning out within each level:
-    /// `rnets` must be sorted finest level first (ties in any order — Rnets
-    /// of one level are independent). Runs of equal level are computed
-    /// concurrently via [`ShortcutStore::compute_level_maps`] and committed
-    /// in input order before the next (coarser) run starts, so parents
-    /// always read fully repaired children and the outcome is byte-equal
-    /// to refreshing every Rnet sequentially in the same order. Returns the
-    /// per-Rnet "shortcut set changed" flags, aligned with `rnets`.
+    /// Recomputes several Rnets' shortcuts one after the other, on the
+    /// calling thread: `rnets` must be sorted finest level first (ties in
+    /// any order — Rnets of one level are independent), so parents always
+    /// read fully repaired children. Returns the per-Rnet "shortcut set
+    /// changed" flags, aligned with `rnets`.
+    ///
+    /// Unlike a build, repair does not fan a level out: a level of a tick
+    /// is 4–8 Rnets of tens of microseconds each, less than a worker and
+    /// its cold scratch cost (ARCHITECTURE.md, "Parallel construction").
     // roadlint: order-sink
     pub(crate) fn refresh_rnets(
         &mut self,
@@ -497,29 +489,7 @@ impl ShortcutStore {
             rnets.windows(2).all(|w| hier.level_of(w[0]) >= hier.level_of(w[1])),
             "refresh_rnets input must be sorted finest level first"
         );
-        let mut changed = Vec::with_capacity(rnets.len());
-        let mut start = 0;
-        while start < rnets.len() {
-            let level = hier.level_of(rnets[start]);
-            let mut end = start + 1;
-            while end < rnets.len() && hier.level_of(rnets[end]) == level {
-                end += 1;
-            }
-            let run = &rnets[start..end];
-            if let [r] = *run {
-                // Single-Rnet run (the common ancestor-chain repair): skip
-                // the per-level slot vector entirely.
-                changed.push(self.refresh_rnet(g, hier, kind, r, opts, scratch));
-            } else {
-                let maps = self.compute_level_maps(g, hier, kind, run, opts, scratch);
-                for (&r, map) in run.iter().zip(maps) {
-                    changed.push(!Self::maps_equivalent(&self.per_rnet[r.0 as usize], &map));
-                    self.replace_rnet(r, map);
-                }
-            }
-            start = end;
-        }
-        changed
+        rnets.iter().map(|&r| self.refresh_rnet(g, hier, kind, r, opts, scratch)).collect()
     }
 
     /// Same `(from, to)` pairs at approximately equal distances? List order
@@ -580,7 +550,7 @@ impl ShortcutStore {
             if scratch.csr.num_nodes() <= DENSE_MAX_NODES {
                 scratch.eliminate_into_dmat(nb)
             } else {
-                scratch.contract_into_dmat(nb, opts)
+                scratch.contract_into_dmat(nb)
             }
         })
     }
@@ -786,7 +756,7 @@ impl ShortcutStore {
     /// two keep the same pairs at the same distances — and store the same
     /// bytes wherever no kept pair has two equally short border-free paths
     /// (the module docs have the tie case).
-    #[cfg(any(test, feature = "oracle-build"))]
+    #[doc(hidden)]
     pub fn build_with_oracle(
         g: &RoadNetwork,
         hier: &RnetHierarchy,
@@ -805,7 +775,6 @@ impl ShortcutStore {
 
     /// [`ShortcutStore::build`] on the calling thread, every Rnet's `dmat`
     /// filled by `fill_dmat` (see [`ShortcutStore::compute_rnet_map_with`]).
-    #[cfg(any(test, feature = "oracle-build"))]
     fn build_inline_with(
         g: &RoadNetwork,
         hier: &RnetHierarchy,
@@ -1205,13 +1174,13 @@ impl BuildScratch {
     /// arcs are folded straight off the builder, since the closure only
     /// needs the min weight per border pair and freezing them into a CSR
     /// (a counting sort) would be pure overhead.
-    fn contract_into_dmat(&mut self, nb: usize, opts: &ShortcutOptions) -> PathSource {
+    fn contract_into_dmat(&mut self, nb: usize) -> PathSource {
         self.remainder_builder.clear();
         self.contractor.contract(
             &self.csr,
             nb as u32,
-            opts.contraction_order,
-            opts.witness_budget.unwrap_or(WITNESS_SETTLE_LIMIT),
+            ContractionOrder::MinDegree,
+            WITNESS_SETTLE_LIMIT,
             &mut self.remainder_builder,
         );
         minplus::close_arcs(nb, self.remainder_builder.arcs(), &mut self.dmat);
@@ -1720,7 +1689,7 @@ mod tests {
         assert!(sizes.iter().any(|&n| n > DENSE_MAX_NODES), "nothing above the switch: {sizes:?}");
         assert!(sizes.iter().any(|&n| n <= DENSE_MAX_NODES), "nothing below it: {sizes:?}");
         let contracted = ShortcutStore::build_inline_with(&g, &hier, kind, &opts, |scratch, nb| {
-            scratch.contract_into_dmat(nb, &opts)
+            scratch.contract_into_dmat(nb)
         });
         assert!(dense.num_shortcuts() > 0);
         assert_eq!(bytes(&dense), switched, "dense elimination everywhere diverged");

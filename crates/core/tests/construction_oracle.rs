@@ -23,11 +23,6 @@
 //! (same pairs, same order, same distance bits, every chain a valid
 //! border-free path) and ask for the bytes once [`jitter`] has broken the
 //! ties.
-//!
-//! This target needs the `oracle-build` feature (declared via
-//! `[[test]] required-features` in Cargo.toml); workspace builds enable
-//! it through the bench crate's dependency, so plain `cargo test` at the
-//! workspace root runs it.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -41,7 +36,6 @@ use road_core::prelude::*;
 use road_core::search::{Aggregate, AggregateKnnQuery};
 use road_core::shortcut::{ShortcutOptions, ShortcutStore, DENSE_MAX_NODES};
 use road_core::{HierarchyConfig, RnetHierarchy};
-use road_network::contractor::ContractionOrder;
 use road_network::generator::simple;
 use road_network::graph::{NetworkBuilder, RoadNetwork};
 use road_network::Point;
@@ -263,62 +257,53 @@ fn multi_component_worlds_byte_agree() {
     }
 }
 
-/// The final store is independent of the contraction order: every order
-/// yields the same bytes (the remainder graphs differ, the border
-/// distances they encode do not).
+/// The two-arm world — one leaf large enough for the contractor beside
+/// Rnets dense elimination takes — builds the same bytes at every thread
+/// count. (This test used to sweep `ShortcutOptions::contraction_order`;
+/// the option is gone, the contractor arm always contracts min-degree
+/// first, and that the border distances it closes over are the same under
+/// every order stays pinned where they are computed:
+/// `crates/network/tests/proptest_minplus.rs`, three orders × budgets
+/// 0 / 64 / unbounded against one Dijkstra per border.)
 #[test]
 fn store_is_contraction_order_independent() {
     let (g, hier) = two_arm_world(42, 2);
-    let reference = serialize(&ShortcutStore::build(
-        &g,
-        &hier,
-        WeightKind::Distance,
-        &ShortcutOptions::default(),
-    ));
-    for order in [ContractionOrder::InputOrder, ContractionOrder::ReverseInput] {
-        let opts = ShortcutOptions { contraction_order: order, ..Default::default() };
-        let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
-        assert_eq!(serialize(&store), reference, "order {order:?} diverged");
+    let build = |threads: usize| {
+        let opts = ShortcutOptions { threads, ..Default::default() };
+        serialize(&ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts))
+    };
+    let reference = build(1);
+    for threads in [2usize, 4, 8] {
+        assert_eq!(build(threads), reference, "{threads} threads diverged");
     }
 }
 
-const WITNESS_BUDGETS: [Option<usize>; 4] = [Some(0), Some(1), Some(4), Some(1 << 20)];
-
-/// The witness-search budget is a pure speed knob: any forced budget —
-/// zero (witnessing disabled), tiny (almost every witness missed), or
-/// far beyond the default — must yield the same bytes as the default.
-/// Missed witnesses only make the contraction remainder denser; the border
-/// distances it closes over are identical. Against the legacy sweep this
-/// integer-weight grid leaves tied paths open, and nothing else.
+/// Against the legacy sweep this integer-weight grid leaves tied paths
+/// open, and nothing else: same pairs, same order, same distance bits,
+/// every chain a valid border-free path. (This test used to force
+/// `ShortcutOptions::witness_budget` to 0 / 1 / 4 / 2^20; the option is
+/// gone, the contractor arm always searches 64 settles deep, and that a
+/// missed witness only makes the remainder denser — never a border
+/// distance different — stays pinned in
+/// `crates/network/tests/proptest_minplus.rs`, as above.)
 #[test]
 fn store_is_witness_budget_independent() {
     let (g, hier) = two_arm_world(0x11ED, 2);
-    let reference = serialize(&ShortcutStore::build(
-        &g,
-        &hier,
-        WeightKind::Distance,
-        &ShortcutOptions::default(),
-    ));
-    for budget in WITNESS_BUDGETS {
-        let opts = ShortcutOptions { witness_budget: budget, ..Default::default() };
-        assert_stores_equal_up_to_tied_paths(&g, &hier, &opts, "witness budget");
-        let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
-        assert_eq!(serialize(&store), reference, "budget {budget:?} diverged");
-    }
+    assert_stores_equal_up_to_tied_paths(&g, &hier, &ShortcutOptions::default(), "two-arm world");
 }
 
 /// The same world with its ties broken ([`jitter`]): shortest border-free
 /// paths are unique, so the elimination's paths (the three small leaves
 /// and both level-1 Rnets), the contractor arm's sealed Dijkstras (the
 /// large leaf) and the legacy sweep store the same bytes again, at every
-/// budget.
+/// thread count.
 #[test]
 fn jittered_two_arm_world_builds_the_same_bytes_every_way() {
     let (mut g, hier) = two_arm_world(0x11ED, 2);
     jitter(&mut g, 0x11ED);
-    for budget in WITNESS_BUDGETS.into_iter().chain([None]) {
-        let opts = ShortcutOptions { witness_budget: budget, ..Default::default() };
-        assert_stores_byte_equal(&g, &hier, &opts, "jittered witness budget");
+    for threads in [1usize, 2, 4, 8] {
+        let opts = ShortcutOptions { threads, ..Default::default() };
+        assert_stores_byte_equal(&g, &hier, &opts, "jittered two-arm world");
     }
 }
 
@@ -338,7 +323,7 @@ fn unpruned_builds_byte_agree() {
 /// leaves under three levels of fanout 4 (dense elimination throughout, so
 /// equal up to which of the grid's tied paths is stored), and as two
 /// 800-node halves, which only the contractor can take and which are
-/// diffed byte-for-byte, under two contraction orders.
+/// diffed byte-for-byte.
 #[test]
 #[ignore = "medium-world construction diff; run with --include-ignored"]
 fn stress_medium_world_builds_byte_equal_both_ways() {
@@ -349,11 +334,5 @@ fn stress_medium_world_builds_byte_equal_both_ways() {
     assert_stores_equal_up_to_tied_paths(&g, &hier, &opts, "grid 40x40 fanout=4");
     let halves = hier_for(&g, 2, 1);
     assert!(halves.rnets_at_level(1).all(|r| halves.leaf_edge_list(r).len() > 2 * DENSE_MAX_NODES));
-    assert_stores_byte_equal(&g, &halves, &ShortcutOptions::default(), "grid 40x40 halves");
-    let opts = ShortcutOptions {
-        contraction_order: ContractionOrder::InputOrder,
-        witness_budget: Some(64),
-        ..Default::default()
-    };
-    assert_stores_byte_equal(&g, &halves, &opts, "grid 40x40 halves input-order witnessed");
+    assert_stores_byte_equal(&g, &halves, &opts, "grid 40x40 halves");
 }

@@ -1,12 +1,11 @@
 //! Parallel-construction determinism harness: [`ShortcutStore::build`]
 //! with any worker-thread count must be **byte-identical** — same
 //! serialized bytes, which the in-memory arenas mirror entry for entry —
-//! to the fully sequential build, across random worlds and, where the
-//! contractor runs, contraction orders and forced witness budgets.  The
-//! scheduler owns *when* an Rnet's map is
-//! computed, never *what* it contains or *where* it lands: workers write
-//! into per-Rnet indexed slots and the caller commits them in hierarchy
-//! order, which is the whole byte-equality argument (see
+//! to the fully sequential build, across random worlds and on a world
+//! that runs both arms of the builder.  The scheduler owns *when* an
+//! Rnet's map is computed, never *what* it contains or *where* it lands:
+//! workers write into per-Rnet indexed slots and the caller commits them
+//! in hierarchy order, which is the whole byte-equality argument (see
 //! ARCHITECTURE.md, "Parallel construction").
 //!
 //! The hierarchy is built under the same thread setting
@@ -17,10 +16,11 @@
 //! partition differs from run to run, never within one: one process, one
 //! hasher seed, and the thread count still cannot matter.)
 //!
-//! The same must hold for maintenance: a batched, level-parallel repair
+//! The same must hold for maintenance: a batched, level-by-level repair
 //! ([`RoadFramework::set_edge_weights`]) has to leave the framework
 //! byte-identical to applying the same updates one at a time through the
-//! sequential per-Rnet refresh chain.
+//! per-Rnet refresh chain, whatever thread count the framework was built
+//! under (repair itself runs on the calling thread).
 //!
 //! Weights are exact in f64 (small integers / dyadic rationals), so
 //! "equivalent" and "bit-identical" coincide — any scheduling leak shows
@@ -36,7 +36,6 @@ use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
 use road_core::shortcut::{ShortcutOptions, ShortcutStore};
 use road_core::{HierarchyConfig, RnetHierarchy, UpdateOutcome};
-use road_network::contractor::ContractionOrder;
 use road_network::generator::simple;
 use road_network::graph::RoadNetwork;
 use road_network::ids::EdgeId;
@@ -118,9 +117,8 @@ proptest! {
 
     /// Random connected worlds under either fanout the sequential suite
     /// pins: thread counts 1/2/4/8 all serialize to the same bytes. (Worlds
-    /// this small are dense elimination throughout; contraction orders and
-    /// witness budgets are swept where they are read, in
-    /// `thread_counts_agree_across_orders_and_budgets`.)
+    /// this small are dense elimination throughout; the contractor arm is
+    /// run by `thread_counts_agree_across_orders_and_budgets`.)
     #[test]
     fn parallel_build_is_byte_identical(
         n in 16usize..70,
@@ -137,10 +135,10 @@ proptest! {
     }
 
     /// Repair parity: a weight-update storm applied as one batched,
-    /// level-parallel repair leaves the framework byte-identical to the
-    /// same updates applied one edge at a time through the sequential
-    /// refresh chain — and both frameworks still verify against a fresh
-    /// rebuild.
+    /// level-by-level repair to a framework built on 4 workers leaves it
+    /// byte-identical to the same updates applied one edge at a time to a
+    /// framework built inline — and both frameworks still verify against a
+    /// fresh rebuild.
     #[test]
     fn batched_parallel_repair_matches_sequential(
         n in 20usize..60,
@@ -190,11 +188,16 @@ proptest! {
     }
 }
 
-/// The `threads` knob composes with the other output-independent knobs,
-/// on a world where those are read: one leaf large enough for the
-/// contractor beside Rnets that dense elimination takes, so every build
-/// below runs both arms. Every (order, budget) pair built on 4 workers
-/// must give the bytes of the sequential build at the defaults.
+/// The thread count cannot matter where both arms of the builder run
+/// either: one leaf large enough for the contractor beside Rnets that dense
+/// elimination takes, built on 2, 4 and 8 workers, gives the bytes of the
+/// sequential build. (The name is from when this swept
+/// `ShortcutOptions::contraction_order` × `witness_budget` on 4 workers;
+/// both options are gone — the contractor arm runs min-degree first, 64
+/// settles per witness search — and that neither moves a border distance
+/// stays pinned where `dmat` is computed:
+/// `crates/network/tests/proptest_minplus.rs`, three orders × budgets
+/// 0 / 64 / unbounded against one Dijkstra per border.)
 #[test]
 fn thread_counts_agree_across_orders_and_budgets() {
     let mut g = common::two_arm_grid();
@@ -202,24 +205,15 @@ fn thread_counts_agree_across_orders_and_budgets() {
     let hier = common::two_arm_hierarchy(&g);
     let sequential = ShortcutOptions { threads: 1, ..Default::default() };
     let reference = ShortcutStore::build(&g, &hier, WeightKind::Distance, &sequential);
-    for order in
-        [ContractionOrder::MinDegree, ContractionOrder::InputOrder, ContractionOrder::ReverseInput]
-    {
-        for budget in [None, Some(0), Some(4)] {
-            let opts = ShortcutOptions {
-                contraction_order: order,
-                witness_budget: budget,
-                threads: 4,
-                ..Default::default()
-            };
-            let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
-            assert_eq!(
-                serialize(&store),
-                serialize(&reference),
-                "two-arm grid order={order:?} budget={budget:?} diverged on 4 workers"
-            );
-            assert_eq!(store.size_bytes(), reference.size_bytes());
-        }
+    for threads in [2usize, 4, 8] {
+        let opts = ShortcutOptions { threads, ..Default::default() };
+        let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
+        assert_eq!(
+            serialize(&store),
+            serialize(&reference),
+            "two-arm grid diverged on {threads} workers"
+        );
+        assert_eq!(store.size_bytes(), reference.size_bytes());
     }
 }
 

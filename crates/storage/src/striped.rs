@@ -20,9 +20,11 @@
 //! * every stripe's capacity is **monotone** in the requested capacity,
 //!   so for pools with the **same stripe count** LRU's inclusion property
 //!   holds per stripe and total page faults cannot increase when the
-//!   buffer grows — the invariant `exp_disk` asserts (its sweeps pin one
-//!   stripe count across all sizes; comparing pools with *different*
-//!   stripe counts re-partitions the pages and voids the guarantee).
+//!   buffer grows — the invariant
+//!   `paged_tests::faults_decrease_monotonically_with_buffer_size` asserts
+//!   (its sweep pins one stripe count across all sizes; comparing pools
+//!   with *different* stripe counts re-partitions the pages and voids the
+//!   guarantee).
 //!
 //! Pools smaller than the stripe count are rounded up to one frame per
 //! stripe ([`StripedBufferPool::capacity`] reports the effective size).
