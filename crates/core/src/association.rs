@@ -10,6 +10,17 @@
 //! Object insertion and deletion (Section 5.1) touch only this structure:
 //! the node associations of the edge's endpoints and the abstracts of the
 //! enclosing Rnet chain, `O(l)` work per update.
+//!
+//! The directory is copy-on-write by the shard, so the live engine can
+//! publish it every tick (`crate::live`): the objects sit in
+//! [`OBJECT_SHARDS`] maps by the low bits of their id, the per-node and
+//! per-edge object lists in one map per range of [`LIST_SHARD`] ids, and
+//! the abstracts in chunks of [`ABSTRACT_CHUNK`] Rnets — each shard or
+//! chunk behind its own `Arc`, all of them [`CowChunks`] columns. A clone
+//! is one pointer per shard and chunk; an object update then copies the
+//! shards and chunks it writes, a few maps of a handful of entries each,
+//! and every other one stays shared
+//! ([`AssociationDirectory::shared_shards`]).
 
 use crate::abstracts::{AbstractKind, ObjectAbstract};
 use crate::hierarchy::{RnetHierarchy, RnetId};
@@ -17,21 +28,82 @@ use crate::model::{CategoryId, Object, ObjectFilter, ObjectId};
 use crate::RoadError;
 use road_network::graph::RoadNetwork;
 use road_network::hash::FastMap;
-use road_network::{EdgeId, NodeId};
+use road_network::{CowChunks, EdgeId, NodeId};
+
+/// Maps of the object table, each holding the objects whose id has its
+/// index in the low bits. Ids are arbitrary `u64`s, so the table cannot be
+/// cut by id range the way the lists are.
+pub const OBJECT_SHARDS: usize = 64;
+/// Node (or edge) ids per shard of the object lists.
+pub const LIST_SHARD: usize = 1 << LIST_SHARD_SHIFT;
+const LIST_SHARD_SHIFT: u32 = 10;
+/// Rnet abstracts per copy-on-write chunk.
+pub const ABSTRACT_CHUNK: usize = 1 << ABSTRACT_CHUNK_SHIFT;
+const ABSTRACT_CHUNK_SHIFT: u32 = 3;
+
+/// The objects listed per node (or per edge) id, sharded by id range:
+/// shard `id >> LIST_SHARD_SHIFT` is one map behind its own `Arc`, and a
+/// list leaves its map when its last object does.
+#[derive(Clone)]
+struct Lists {
+    shards: CowChunks<FastMap<u32, Vec<ObjectId>>>,
+}
+
+impl Lists {
+    fn new() -> Self {
+        Lists { shards: CowChunks::new(0) }
+    }
+
+    fn shard_of(id: u32) -> usize {
+        (id >> LIST_SHARD_SHIFT) as usize
+    }
+
+    fn get(&self, id: u32) -> &[ObjectId] {
+        let list = self.shards.get(Self::shard_of(id)).and_then(|shard| shard.get(&id));
+        list.map_or(&[], Vec::as_slice)
+    }
+
+    fn push(&mut self, id: u32, object: ObjectId) {
+        let shard = Self::shard_of(id);
+        while self.shards.len() <= shard {
+            self.shards.push(FastMap::default());
+        }
+        if let Some(map) = self.shards.make_mut(shard) {
+            map.entry(id).or_default().push(object);
+        }
+    }
+
+    fn remove(&mut self, id: u32, object: ObjectId) {
+        if let Some(map) = self.shards.make_mut(Self::shard_of(id)) {
+            if let Some(list) = map.get_mut(&id) {
+                list.retain(|&o| o != object);
+                if list.is_empty() {
+                    map.remove(&id);
+                }
+            }
+        }
+    }
+
+    /// Every non-empty list with its id (arbitrary order).
+    fn iter(&self) -> impl Iterator<Item = (u32, &Vec<ObjectId>)> {
+        self.shards.iter().flat_map(|shard| shard.iter().map(|(&id, list)| (id, list)))
+    }
+}
 
 /// An object directory over one Rnet hierarchy.
 ///
-/// `Clone` is a deep copy proportional to the object count; the live
-/// engine holds directories behind [`std::sync::Arc`] and only pays it on
-/// the first object mutation after a snapshot fork (network-side updates
-/// never touch the directory).
+/// `Clone` is a fork: one pointer per shard and chunk (see the module
+/// docs), after which either copy writes only the shards it touches — the
+/// live engine forks its writer's directory at every publish that changed
+/// an object, and a network-side update never touches it.
 #[derive(Clone)]
 pub struct AssociationDirectory {
     kind: AbstractKind,
-    objects: FastMap<u64, Object>,
-    node_objects: FastMap<u32, Vec<ObjectId>>,
-    edge_objects: FastMap<u32, Vec<ObjectId>>,
-    abstracts: Vec<ObjectAbstract>,
+    len: usize,
+    objects: CowChunks<FastMap<u64, Object>>,
+    node_objects: Lists,
+    edge_objects: Lists,
+    abstracts: CowChunks<ObjectAbstract>,
 }
 
 impl AssociationDirectory {
@@ -42,12 +114,14 @@ impl AssociationDirectory {
 
     /// An empty directory with the chosen abstract representation.
     pub fn with_kind(hier: &RnetHierarchy, kind: AbstractKind) -> Self {
+        let abstracts = (0..hier.num_rnets()).map(|_| ObjectAbstract::new(kind)).collect();
         AssociationDirectory {
             kind,
-            objects: FastMap::default(),
-            node_objects: FastMap::default(),
-            edge_objects: FastMap::default(),
-            abstracts: (0..hier.num_rnets()).map(|_| ObjectAbstract::new(kind)).collect(),
+            len: 0,
+            objects: CowChunks::from_vec(vec![FastMap::default(); OBJECT_SHARDS], 0),
+            node_objects: Lists::new(),
+            edge_objects: Lists::new(),
+            abstracts: CowChunks::from_vec(abstracts, ABSTRACT_CHUNK_SHIFT),
         }
     }
 
@@ -58,22 +132,26 @@ impl AssociationDirectory {
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.len
     }
 
     /// `true` when the directory holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len == 0
+    }
+
+    fn object_shard(id: ObjectId) -> usize {
+        (id.0 % OBJECT_SHARDS as u64) as usize
     }
 
     /// Looks an object up by id.
     pub fn object(&self, id: ObjectId) -> Option<&Object> {
-        self.objects.get(&id.0)
+        self.objects.get(Self::object_shard(id))?.get(&id.0)
     }
 
     /// Iterates all objects (arbitrary order).
     pub fn objects(&self) -> impl Iterator<Item = &Object> {
-        self.objects.values()
+        self.objects.iter().flat_map(|shard| shard.values())
     }
 
     /// Inserts an object (Section 5.1): associates it with both endpoint
@@ -84,7 +162,7 @@ impl AssociationDirectory {
         hier: &RnetHierarchy,
         object: Object,
     ) -> Result<(), RoadError> {
-        if self.objects.contains_key(&object.id.0) {
+        if self.object(object.id).is_some() {
             return Err(RoadError::DuplicateObject(object.id));
         }
         if object.edge.index() >= g.edge_slots() || g.edge(object.edge).is_deleted() {
@@ -104,15 +182,14 @@ impl AssociationDirectory {
             )));
         }
         let (a, b) = g.edge(object.edge).endpoints();
-        self.node_objects.entry(a.0).or_default().push(object.id);
-        self.node_objects.entry(b.0).or_default().push(object.id);
-        self.edge_objects.entry(object.edge.0).or_default().push(object.id);
-        let mut r = leaf;
-        while r.is_valid() {
-            self.abstracts[r.0 as usize].insert(object.category);
-            r = hier.parent(r);
+        self.node_objects.push(a.0, object.id);
+        self.node_objects.push(b.0, object.id);
+        self.edge_objects.push(object.edge.0, object.id);
+        self.update_chain(hier, leaf, |a| a.insert(object.category));
+        if let Some(shard) = self.objects.make_mut(Self::object_shard(object.id)) {
+            shard.insert(object.id.0, object);
+            self.len += 1;
         }
-        self.objects.insert(object.id.0, object);
         Ok(())
     }
 
@@ -123,22 +200,20 @@ impl AssociationDirectory {
         hier: &RnetHierarchy,
         id: ObjectId,
     ) -> Result<Object, RoadError> {
-        let object = self.objects.remove(&id.0).ok_or(RoadError::UnknownObject(id))?;
+        if self.object(id).is_none() {
+            return Err(RoadError::UnknownObject(id));
+        }
+        let object = self
+            .objects
+            .make_mut(Self::object_shard(id))
+            .and_then(|shard| shard.remove(&id.0))
+            .ok_or(RoadError::UnknownObject(id))?;
+        self.len -= 1;
         let (a, b) = g.edge(object.edge).endpoints();
-        if let Some(v) = self.node_objects.get_mut(&a.0) {
-            v.retain(|&o| o != id);
-        }
-        if let Some(v) = self.node_objects.get_mut(&b.0) {
-            v.retain(|&o| o != id);
-        }
-        if let Some(v) = self.edge_objects.get_mut(&object.edge.0) {
-            v.retain(|&o| o != id);
-        }
-        let mut r = hier.leaf_of_edge(object.edge);
-        while r.is_valid() {
-            self.abstracts[r.0 as usize].remove(object.category);
-            r = hier.parent(r);
-        }
+        self.node_objects.remove(a.0, id);
+        self.node_objects.remove(b.0, id);
+        self.edge_objects.remove(object.edge.0, id);
+        self.update_chain(hier, hier.leaf_of_edge(object.edge), |a| a.remove(object.category));
         Ok(object)
     }
 
@@ -150,64 +225,108 @@ impl AssociationDirectory {
         id: ObjectId,
         category: CategoryId,
     ) -> Result<CategoryId, RoadError> {
-        let object = self.objects.get_mut(&id.0).ok_or(RoadError::UnknownObject(id))?;
-        let old = object.category;
+        let object = self.object(id).ok_or(RoadError::UnknownObject(id))?;
+        let (old, edge) = (object.category, object.edge);
         if old == category {
             return Ok(old);
         }
-        object.category = category;
-        let edge = object.edge;
-        let mut r = hier.leaf_of_edge(edge);
-        while r.is_valid() {
-            let a = &mut self.abstracts[r.0 as usize];
+        if let Some(object) =
+            self.objects.make_mut(Self::object_shard(id)).and_then(|shard| shard.get_mut(&id.0))
+        {
+            object.category = category;
+        }
+        self.update_chain(hier, hier.leaf_of_edge(edge), |a| {
             a.remove(old);
             a.insert(category);
+        });
+        Ok(old)
+    }
+
+    /// Applies `update` to the abstract of `leaf` and of every ancestor.
+    fn update_chain(
+        &mut self,
+        hier: &RnetHierarchy,
+        leaf: RnetId,
+        mut update: impl FnMut(&mut ObjectAbstract),
+    ) {
+        let mut r = leaf;
+        while r.is_valid() {
+            if let Some(a) = self.abstracts.make_mut(r.0 as usize) {
+                update(a);
+            }
             r = hier.parent(r);
         }
-        Ok(old)
     }
 
     /// Objects associated with node `n` (those on its incident edges).
     pub fn objects_at_node(&self, n: NodeId) -> impl Iterator<Item = &Object> {
-        self.node_objects.get(&n.0).into_iter().flatten().filter_map(|id| self.objects.get(&id.0))
+        self.node_objects.get(n.0).iter().filter_map(|&id| self.object(id))
     }
 
     /// `true` when some object is associated with node `n`.
     pub fn node_has_objects(&self, n: NodeId) -> bool {
-        self.node_objects.get(&n.0).map(|v| !v.is_empty()).unwrap_or(false)
+        !self.node_objects.get(n.0).is_empty()
     }
 
     /// Objects on edge `e`.
     pub fn objects_on_edge(&self, e: EdgeId) -> impl Iterator<Item = &Object> {
-        self.edge_objects.get(&e.0).into_iter().flatten().filter_map(|id| self.objects.get(&id.0))
+        self.edge_objects.get(e.0).iter().filter_map(|&id| self.object(id))
     }
 
     /// The abstract of an Rnet.
+    ///
+    /// # Panics
+    /// Panics when `r` is not an Rnet of the directory's hierarchy.
     pub fn abstract_of(&self, r: RnetId) -> &ObjectAbstract {
-        &self.abstracts[r.0 as usize]
+        match self.abstracts.get(r.0 as usize) {
+            Some(a) => a,
+            None => panic!("R{} is outside the directory's {} Rnets", r.0, self.abstracts.len()),
+        }
     }
 
     /// SearchObject against an Rnet: may it contain objects matching the
     /// filter? (Figure 10, line 7.)
     #[inline]
     pub fn rnet_may_match(&self, r: RnetId, filter: &ObjectFilter) -> bool {
-        self.abstracts[r.0 as usize].may_match(filter)
+        self.abstract_of(r).may_match(filter)
     }
 
     /// Count of stored objects matching `filter` (exact, full scan).
     pub fn matching_count(&self, filter: &ObjectFilter) -> usize {
-        self.objects.values().filter(|o| filter.matches(o)).count()
+        self.objects().filter(|o| filter.matches(o)).count()
     }
 
     /// Modelled serialized size in bytes: per-node associations (node id +
     /// object id + offset per entry) plus non-empty Rnet abstracts — the
     /// quantities Figure 13/14 charge to ROAD's object side.
     pub fn size_bytes(&self) -> usize {
-        let node_entries: usize = self.node_objects.values().map(|v| v.len()).sum();
-        let node_bytes = node_entries * 20 + self.node_objects.len() * 8;
+        let (nodes, node_entries) =
+            self.node_objects.iter().fold((0, 0), |(n, e), (_, list)| (n + 1, e + list.len()));
+        let node_bytes = node_entries * 20 + nodes * 8;
         let abstract_bytes: usize =
             self.abstracts.iter().filter(|a| !a.is_empty()).map(|a| a.size_bytes() + 8).sum();
         node_bytes + abstract_bytes
+    }
+
+    /// How many of its shards and chunks — object maps, list maps,
+    /// abstract chunks — this directory physically shares with `other`,
+    /// position by position: a fork shares all of them, and an object
+    /// update un-shares the ones it writes (see the module docs).
+    pub fn shared_shards(&self, other: &AssociationDirectory) -> usize {
+        self.objects.shared_chunks(&other.objects)
+            + self.node_objects.shards.shared_chunks(&other.node_objects.shards)
+            + self.edge_objects.shards.shared_chunks(&other.edge_objects.shards)
+            + self.abstracts.shared_chunks(&other.abstracts)
+    }
+
+    /// Bytes of shards and chunks copied to un-share them from the
+    /// directory's clones, over its whole history (a map's own entries are
+    /// cloned with it and not counted; [`road_network::cow`]).
+    pub(crate) fn bytes_copied(&self) -> u64 {
+        self.objects.bytes_copied()
+            + self.node_objects.shards.bytes_copied()
+            + self.edge_objects.shards.bytes_copied()
+            + self.abstracts.bytes_copied()
     }
 
     /// Checks Lemma 1 (`O(R) = ⋃ O(R_i)`) and association consistency
@@ -215,7 +334,7 @@ impl AssociationDirectory {
     pub fn validate(&self, g: &RoadNetwork, hier: &RnetHierarchy) -> Result<(), String> {
         // Recount abstract totals per Rnet.
         let mut totals = vec![0u32; hier.num_rnets()];
-        for o in self.objects.values() {
+        for o in self.objects() {
             let mut r = hier.leaf_of_edge(o.edge);
             while r.is_valid() {
                 totals[r.0 as usize] += 1;
@@ -228,19 +347,21 @@ impl AssociationDirectory {
             }
         }
         // Node associations match edge endpoints.
-        for o in self.objects.values() {
+        for o in self.objects() {
             let (a, b) = g.edge(o.edge).endpoints();
             for n in [a, b] {
-                let ok = self.node_objects.get(&n.0).map(|v| v.contains(&o.id)).unwrap_or(false);
-                if !ok {
+                if !self.node_objects.get(n.0).contains(&o.id) {
                     return Err(format!("{:?} missing from node {n} association", o.id));
                 }
             }
         }
-        // No dangling associations.
-        for (n, list) in &self.node_objects {
-            for id in list {
-                if !self.objects.contains_key(&id.0) {
+        // No dangling or empty associations.
+        for (n, list) in self.node_objects.iter() {
+            if list.is_empty() {
+                return Err(format!("node {n} keeps an empty association"));
+            }
+            for &id in list {
+                if self.object(id).is_none() {
                     return Err(format!("node {n} references deleted {id:?}"));
                 }
             }
@@ -357,6 +478,49 @@ mod tests {
         assert_eq!(fuel.len(), 1);
         let leaf = hier.leaf_of_edge(e);
         assert!(fuel.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(5))));
+    }
+
+    /// Removing an object used to leave an empty list behind for each of
+    /// its endpoints and its edge, so a directory's size — and the cost of
+    /// every fork of it — grew with its history. After a seeded history of
+    /// moves and removes, the directory must be indistinguishable from one
+    /// rebuilt from the objects it holds.
+    #[test]
+    fn a_history_of_moves_and_removes_leaves_what_a_rebuild_has() {
+        use crate::framework::RoadFramework;
+        use crate::search::KnnQuery;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let fw = RoadFramework::builder(simple::grid(16, 16, 1.0)).levels(2).build().unwrap();
+        let (g, hier) = (fw.network(), fw.hierarchy());
+        let edges: Vec<EdgeId> = g.edge_ids().collect();
+        let mut rng = StdRng::seed_from_u64(0xD1_2EC7);
+        let mut ad = AssociationDirectory::new(hier);
+        for i in 0..120u64 {
+            let e = edges[rng.random_range(0..edges.len())];
+            ad.insert(g, hier, obj(i, e, (i % 4) as u16)).unwrap();
+        }
+        for step in 0..600 {
+            let id = ObjectId(rng.random_range(0..120));
+            let Ok(mut o) = ad.remove(g, hier, id) else { continue };
+            if step % 5 != 0 {
+                o.edge = edges[rng.random_range(0..edges.len())];
+                ad.insert(g, hier, o).unwrap();
+            }
+        }
+        ad.validate(g, hier).unwrap();
+        let mut rebuilt = AssociationDirectory::new(hier);
+        for o in ad.objects() {
+            rebuilt.insert(g, hier, o.clone()).unwrap();
+        }
+        assert!(ad.len() < 120, "the history removed nothing");
+        assert_eq!(ad.size_bytes(), rebuilt.size_bytes());
+        for n in g.node_ids() {
+            assert_eq!(ad.node_has_objects(n), rebuilt.node_has_objects(n), "node {n}");
+            let q = KnnQuery::new(n, 4);
+            assert_eq!(fw.knn(&ad, &q).unwrap().hits, fw.knn(&rebuilt, &q).unwrap().hits);
+        }
     }
 
     #[test]

@@ -75,16 +75,19 @@ impl UpdateOutcome {
 
 /// The ROAD framework over one road network.
 ///
-/// Internally copy-on-write: the network, hierarchy and per-Rnet shortcut
-/// maps live behind [`Arc`]s, so [`Clone`] is a cheap fork (`O(#Rnets)`
-/// pointer bumps) that shares every payload with the original. Maintenance
-/// methods un-share lazily — the first mutation after a fork copies only
-/// the component it touches (weight updates copy the network's edge
-/// records, the query arena's weight column and the refreshed Rnets'
-/// shortcut maps; topology changes additionally copy the network's
-/// adjacency and the hierarchy) — which is what makes the live
-/// engine's snapshot publication affordable under a sustained update
-/// stream (see [`crate::live`]).
+/// Internally copy-on-write: the network, hierarchy and query arena live
+/// behind [`Arc`]s and the per-Rnet shortcut arenas behind one `Arc` each,
+/// in chunks of 64 pointers, so [`Clone`] is a cheap fork (a pointer bump
+/// per component and per chunk) that shares every payload with the
+/// original. Maintenance methods
+/// un-share lazily and by the chunk: a weight update copies the chunks of
+/// edge records and arena weights it writes and the chunk of each
+/// refreshed Rnet's pointer, plus that Rnet's fresh shortcut arena;
+/// topology changes additionally copy the network's adjacency and the
+/// hierarchy and rebuild the arena. That is what makes the live engine's
+/// snapshot publication affordable under a sustained update stream (see
+/// [`crate::live`]), and [`LiveStats::bytes_copied`](crate::LiveStats::bytes_copied)
+/// counts it.
 pub struct RoadFramework {
     g: Arc<RoadNetwork>,
     cfg: RoadConfig,
@@ -93,6 +96,9 @@ pub struct RoadFramework {
     /// Pre-joined flat adjacency for the query path (see [`crate::arena`]);
     /// kept current by every maintenance operation.
     arena: Arc<QueryArena>,
+    /// Bytes the copy-on-write columns of arenas a topology edit has since
+    /// replaced had copied; part of `bytes_copied`.
+    retired_copies: u64,
     scratch: BuildScratch,
 }
 
@@ -107,6 +113,7 @@ impl Clone for RoadFramework {
             hier: Arc::clone(&self.hier),
             shortcuts: self.shortcuts.clone(),
             arena: Arc::clone(&self.arena),
+            retired_copies: self.retired_copies,
             scratch: BuildScratch::default(),
         }
     }
@@ -125,6 +132,7 @@ impl RoadFramework {
             hier: Arc::new(hier),
             shortcuts,
             arena,
+            retired_copies: 0,
             scratch: BuildScratch::default(),
         })
     }
@@ -151,6 +159,7 @@ impl RoadFramework {
             hier: Arc::new(hier),
             shortcuts,
             arena,
+            retired_copies: 0,
             scratch: BuildScratch::default(),
         })
     }
@@ -166,7 +175,15 @@ impl RoadFramework {
     ) -> Result<Self, RoadError> {
         hier.validate(&g).map_err(RoadError::InvalidConfig)?;
         let arena = Arc::new(QueryArena::build(&g, &hier, cfg.metric));
-        Ok(RoadFramework { g, cfg, hier, shortcuts, arena, scratch: BuildScratch::default() })
+        Ok(RoadFramework {
+            g,
+            cfg,
+            hier,
+            shortcuts,
+            arena,
+            retired_copies: 0,
+            scratch: BuildScratch::default(),
+        })
     }
 
     /// Builds the framework over a caller-supplied leaf partition (e.g.
@@ -193,6 +210,7 @@ impl RoadFramework {
             hier: Arc::new(hier),
             shortcuts,
             arena,
+            retired_copies: 0,
             scratch: BuildScratch::default(),
         })
     }
@@ -212,6 +230,27 @@ impl RoadFramework {
     #[inline]
     pub(crate) fn arena(&self) -> &QueryArena {
         &self.arena
+    }
+
+    /// How many chunks of the query arena's weight column this framework
+    /// physically shares with `other` — the arena's counterpart of
+    /// [`RoadNetwork::shared_edge_chunks`]: a fork shares all of them, a
+    /// reweight un-shares the chunk of each endpoint, a topology edit
+    /// rebuilds the arena and shares none.
+    pub fn shared_arena_chunks(&self, other: &RoadFramework) -> usize {
+        self.arena.shared_weight_chunks(&other.arena)
+    }
+
+    /// Bytes the framework's copy-on-write columns — edge records, arena
+    /// weights, the per-Rnet shortcut table — copied to un-share chunks
+    /// from its clones, over its whole history. Fresh shortcut arenas of
+    /// refreshed Rnets and the topology copies of topology edits are
+    /// writes, not copies, and are not counted.
+    pub(crate) fn bytes_copied(&self) -> u64 {
+        self.g.bytes_copied()
+            + self.arena.bytes_copied()
+            + self.shortcuts.bytes_copied()
+            + self.retired_copies
     }
 
     /// The underlying network.
@@ -464,6 +503,8 @@ impl RoadFramework {
             if self.g.weight(e, self.cfg.metric) == weight {
                 continue;
             }
+            // Both `make_mut`s are shallow: a forked network or arena is one
+            // pointer per chunk, and the write then copies one chunk.
             Arc::make_mut(&mut self.g).set_weight(e, self.cfg.metric, weight)?;
             Arc::make_mut(&mut self.arena).patch_weight(&self.g, e, weight);
             let leaf = self.hier.leaf_of_edge(e);
@@ -508,7 +549,7 @@ impl RoadFramework {
         // The arena's offset table must cover the new node id; an isolated
         // node has no arcs, so a rebuild here is cheap and keeps `arcs`
         // in-range without special cases.
-        self.arena = Arc::new(QueryArena::build(&self.g, &self.hier, self.cfg.metric));
+        self.rebuild_arena();
         n
     }
 
@@ -605,6 +646,13 @@ impl RoadFramework {
         self.repair_after_topology_change(&[a, b], leaf)
     }
 
+    /// Re-joins the query arena from the network and hierarchy, keeping
+    /// the replaced arena's copy count in `bytes_copied`.
+    fn rebuild_arena(&mut self) {
+        self.retired_copies += self.arena.bytes_copied();
+        self.arena = Arc::new(QueryArena::build(&self.g, &self.hier, self.cfg.metric));
+    }
+
     /// After a topology change touching `nodes` and leaf Rnet `leaf`:
     /// refresh border bookkeeping, then recompute shortcuts for the
     /// ancestor closure of every affected Rnet, finest level first.
@@ -624,7 +672,7 @@ impl RoadFramework {
         // Topology changed: re-join the query arena (edge set and leaf
         // assignments moved). O(V + E), dwarfed by the shortcut refreshes
         // below.
-        self.arena = Arc::new(QueryArena::build(&self.g, &self.hier, self.cfg.metric));
+        self.rebuild_arena();
         // Border bookkeeping mutates the hierarchy; un-share it once here
         // (a no-op unless a snapshot fork still references it).
         let hier = Arc::make_mut(&mut self.hier);

@@ -26,20 +26,28 @@
 //! Publication swaps an `Arc` behind a mutex held only for the pointer
 //! exchange: readers never wait on a repair in progress, and the writer
 //! never waits for readers to finish (old snapshots are freed by the last
-//! reader dropping them). The swap is cheap because the framework is
-//! internally copy-on-write ([`RoadFramework`] docs): publishing clones
-//! `O(#Rnets)` `Arc` pointers, and the *next* update after a publish
-//! un-shares only the component it touches. A weight update therefore
-//! costs, per publish cycle: one copy of the network's edge records and
-//! one of the query arena's weight column — two flat `memcpy`s; node
-//! coordinates, adjacency lists and the arena's other columns are written
-//! by topology edits only and stay shared
-//! ([`RoadNetwork::shares_topology_with`](road_network::RoadNetwork::shares_topology_with))
-//! — plus fresh maps for the handful of refreshed Rnets. Every other
-//! Rnet's shortcut data is physically shared across all live snapshots
-//! (`ShortcutStore::shared_rnet_count`); both kinds of sharing are
-//! asserted in `tests/live_tests.rs`. Dropping a snapshot frees what it
-//! alone held, a handful of allocations, off the publication lock.
+//! reader dropping them). The swap is cheap because the framework and the
+//! directory are copy-on-write by the chunk ([`RoadFramework`] and
+//! [`AssociationDirectory`] docs, [`road_network::cow`]): publishing
+//! clones one pointer per component and per chunk of the per-Rnet
+//! shortcut table (86 on a 5,460-Rnet hierarchy), plus one per shard of
+//! the directory when an object changed, and the updates after a publish
+//! copy the chunks they write and nothing else. A weight update copies
+//! the chunk of edge records holding the edge and the chunk of arena
+//! weights of each endpoint — a few kilobytes, however large the network
+//! ([`RoadNetwork::shared_edge_chunks`](road_network::RoadNetwork::shared_edge_chunks),
+//! [`RoadFramework::shared_arena_chunks`]); node coordinates, adjacency
+//! lists and the arena's other columns are written by topology edits only
+//! and stay shared
+//! ([`RoadNetwork::shares_topology_with`](road_network::RoadNetwork::shares_topology_with));
+//! each refreshed Rnet gets a fresh shortcut arena and copies its chunk of
+//! the table, and every other Rnet's shortcut data stays physically shared
+//! across all live snapshots (`ShortcutStore::shared_rnet_count`). An
+//! object move copies the directory shards and abstract chunks it writes
+//! ([`AssociationDirectory::shared_shards`]). The sharing is asserted in
+//! `tests/live_tests.rs`, and [`LiveStats::bytes_copied`] counts what the
+//! copies cost. Dropping a snapshot frees what it alone held — the chunks
+//! the writer has since replaced — off the publication lock.
 //!
 //! ```
 //! use road_core::prelude::*;
@@ -184,6 +192,13 @@ pub struct LiveStats {
     /// — is the evidence that live maintenance repairs locally instead of
     /// rebuilding.
     pub outcome: UpdateOutcome,
+    /// Bytes copy-on-write copied to un-share chunks of the writer's state
+    /// from published snapshots: edge records, arena weights, the per-Rnet
+    /// shortcut table, directory shards and abstract chunks, counted in
+    /// chunk bytes ([`road_network::cow`]; the fresh arenas of refreshed
+    /// Rnets are writes, not copies). The evidence that a tick copies what
+    /// it touched, not the network.
+    pub bytes_copied: u64,
 }
 
 /// The shareable reader side of a live deployment: clone it into every
@@ -202,14 +217,20 @@ impl LiveEngine {
     /// their current state as snapshot version 0. Returns the shareable
     /// reader handle and the unique writer.
     pub fn new(fw: RoadFramework, ad: AssociationDirectory) -> (LiveEngine, UpdateHandle) {
-        let ad = Arc::new(ad);
-        let snapshot =
-            Arc::new(Snapshot { version: 0, fw: Arc::new(fw.clone()), ad: Arc::clone(&ad) });
+        let published_ad = Arc::new(ad.clone());
+        let snapshot = Arc::new(Snapshot {
+            version: 0,
+            fw: Arc::new(fw.clone()),
+            ad: Arc::clone(&published_ad),
+        });
         let shared = Arc::new(Shared { current: Mutex::new(snapshot) });
         let writer = UpdateHandle {
             shared: Arc::clone(&shared),
+            copied_before: fw.bytes_copied() + ad.bytes_copied(),
             fw,
             ad,
+            published_ad,
+            objects_changed: false,
             published_version: 0,
             dirty: false,
             stats: LiveStats::default(),
@@ -252,10 +273,16 @@ impl std::fmt::Debug for LiveEngine {
 pub struct UpdateHandle {
     shared: Arc<Shared>,
     /// Working framework; shares payloads with published snapshots until
-    /// a mutation un-shares the touched component.
+    /// a mutation un-shares the chunks it touches.
     fw: RoadFramework,
     /// Working directory, same copy-on-write discipline.
-    ad: Arc<AssociationDirectory>,
+    ad: AssociationDirectory,
+    /// The directory of the current snapshot, handed on unchanged by a
+    /// publish that changed no object.
+    published_ad: Arc<AssociationDirectory>,
+    objects_changed: bool,
+    /// `bytes_copied` of the state the writer started from.
+    copied_before: u64,
     published_version: u64,
     dirty: bool,
     stats: LiveStats,
@@ -272,13 +299,13 @@ impl UpdateHandle {
     /// already has mutates nothing and leaves the pending/stats state
     /// untouched (no spurious snapshot version on the next publish).
     ///
-    /// Cost: the first change after a publish copies the network's edge
-    /// records and the query arena's weight column (flat copies; nothing
-    /// per node); every change then patches the arena in place (`O(deg)`)
-    /// and refreshes the affected Rnets (`ShortcutStore::refresh_rnet`) —
-    /// a dense elimination and one sealed Dijkstra per border each, the
-    /// Dijkstras being the larger share (ARCHITECTURE.md, "Live updates",
-    /// has the per-tick breakdown).
+    /// Cost: the change copies the chunk of edge records holding `e` and
+    /// the chunk of arena weights of each endpoint where a snapshot still
+    /// shares them (a few kilobytes; nothing per node), patches the arena in
+    /// place (`O(deg)`) and refreshes the affected Rnets
+    /// (`ShortcutStore::refresh_rnet`) — one dense elimination each, whose
+    /// recorded pivots also give the kept shortcuts' waypoints
+    /// (ARCHITECTURE.md, "Live updates", has the per-tick breakdown).
     pub fn set_edge_weight(
         &mut self,
         e: EdgeId,
@@ -295,8 +322,8 @@ impl UpdateHandle {
 
     /// Applies a batch of weight updates in one repair pass; see
     /// [`RoadFramework::set_edge_weights`]. A traffic-feed storm that
-    /// touches many Rnets repairs each affected Rnet once, with same-level
-    /// Rnets refreshed concurrently — far cheaper than per-edge
+    /// touches many Rnets repairs each affected Rnet once, level by level
+    /// on the calling thread — far cheaper than per-edge
     /// [`set_edge_weight`](UpdateHandle::set_edge_weight) calls, and the
     /// resulting store is byte-identical to applying the batch edge by
     /// edge. A batch of pure no-ops leaves the pending/stats state
@@ -345,16 +372,16 @@ impl UpdateHandle {
     /// Inserts an object into the working directory.
     pub fn insert_object(&mut self, object: Object) -> Result<(), RoadError> {
         let fw = &self.fw;
-        Arc::make_mut(&mut self.ad).insert(fw.network(), fw.hierarchy(), object)?;
-        self.bump();
+        self.ad.insert(fw.network(), fw.hierarchy(), object)?;
+        self.bump_objects();
         Ok(())
     }
 
     /// Removes an object from the working directory, returning it.
     pub fn remove_object(&mut self, id: ObjectId) -> Result<Object, RoadError> {
         let fw = &self.fw;
-        let object = Arc::make_mut(&mut self.ad).remove(fw.network(), fw.hierarchy(), id)?;
-        self.bump();
+        let object = self.ad.remove(fw.network(), fw.hierarchy(), id)?;
+        self.bump_objects();
         Ok(object)
     }
 
@@ -368,8 +395,7 @@ impl UpdateHandle {
         edge: EdgeId,
         fraction: f64,
     ) -> Result<(), RoadError> {
-        let fw = &self.fw;
-        let ad = Arc::make_mut(&mut self.ad);
+        let (fw, ad) = (&self.fw, &mut self.ad);
         let old = ad.remove(fw.network(), fw.hierarchy(), id)?;
         let mut moved = old.clone();
         moved.edge = edge;
@@ -384,7 +410,7 @@ impl UpdateHandle {
             }
             return Err(err);
         }
-        self.bump();
+        self.bump_objects();
         Ok(())
     }
 
@@ -395,8 +421,8 @@ impl UpdateHandle {
         category: CategoryId,
     ) -> Result<CategoryId, RoadError> {
         let fw = &self.fw;
-        let old = Arc::make_mut(&mut self.ad).update_category(fw.hierarchy(), id, category)?;
-        self.bump();
+        let old = self.ad.update_category(fw.hierarchy(), id, category)?;
+        self.bump_objects();
         Ok(old)
     }
 
@@ -414,10 +440,13 @@ impl UpdateHandle {
             return self.published_version;
         }
         self.published_version += 1;
+        if std::mem::take(&mut self.objects_changed) {
+            self.published_ad = Arc::new(self.ad.clone());
+        }
         let snapshot = Arc::new(Snapshot {
             version: self.published_version,
             fw: Arc::new(self.fw.clone()),
-            ad: Arc::clone(&self.ad),
+            ad: Arc::clone(&self.published_ad),
         });
         // The guard is gone by the end of the statement: if no reader still
         // holds the previous snapshot, it is freed here, off the lock.
@@ -441,7 +470,8 @@ impl UpdateHandle {
 
     /// Cumulative update/publish counters.
     pub fn stats(&self) -> LiveStats {
-        self.stats
+        let copied = self.fw.bytes_copied() + self.ad.bytes_copied();
+        LiveStats { bytes_copied: copied - self.copied_before, ..self.stats }
     }
 
     /// The writer's working framework — includes unpublished updates.
@@ -468,6 +498,11 @@ impl UpdateHandle {
         self.stats.updates += 1;
         self.dirty = true;
     }
+
+    fn bump_objects(&mut self) {
+        self.objects_changed = true;
+        self.bump();
+    }
 }
 
 impl std::fmt::Debug for UpdateHandle {
@@ -475,7 +510,7 @@ impl std::fmt::Debug for UpdateHandle {
         f.debug_struct("UpdateHandle")
             .field("published_version", &self.published_version)
             .field("pending", &self.dirty)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }

@@ -82,11 +82,14 @@
 //! per-shortcut allocation — and the shape the file format writes, so
 //! serializing needs no sort.
 //!
-//! Each Rnet's arena sits behind its own [`Arc`], so cloning the store is
-//! an `O(#Rnets)` pointer copy and a refresh of one Rnet leaves every other
-//! Rnet's arena physically shared with prior clones. This is what makes
-//! snapshot publication in [`crate::live`] cheap: an update clones only
-//! the affected Rnets' shortcut data.
+//! Each Rnet's arena sits behind its own [`Arc`], and the table of those
+//! `Arc`s is a [`CowChunks`] of 64 pointers a chunk: cloning the store
+//! copies one pointer per chunk (86 on a 5,460-Rnet hierarchy), and a
+//! refresh of one Rnet copies the chunk of pointers that holds it,
+//! leaving every other Rnet's arena — and every other chunk — physically
+//! shared with prior clones. This is what makes snapshot publication in
+//! [`crate::live`] cheap: an update clones only the affected Rnets'
+//! shortcut data and a pointer chunk each.
 
 use crate::hierarchy::{RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
@@ -95,8 +98,13 @@ use road_network::dijkstra::LocalDijkstra;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::minplus;
 use road_network::path::Path;
-use road_network::{NodeId, Weight};
+use road_network::{CowChunks, NodeId, Weight};
 use std::sync::Arc;
+
+/// A copy-on-write chunk of the store's per-Rnet table holds `2^6` arena
+/// pointers: a refresh copies one chunk (512 bytes), a fork one pointer
+/// per chunk.
+const RNET_CHUNK_SHIFT: u32 = 6;
 
 /// Local graphs of at most this many nodes get their border-distance
 /// matrix from dense elimination ([`minplus::border_matrix`]); larger ones
@@ -307,14 +315,15 @@ fn resolve_threads(threads: usize) -> usize {
 
 /// All shortcuts of the hierarchy, grouped per Rnet and source node.
 ///
-/// Cloning the store is cheap (`O(#Rnets)` [`Arc`] bumps) and shares every
-/// per-Rnet arena with the original; a refresh then replaces only the
-/// refreshed Rnet's arena, which is the structural-sharing contract the
+/// Cloning the store is cheap (one [`Arc`] bump per 64 Rnets) and shares
+/// every per-Rnet arena with the original; a refresh then
+/// replaces only the refreshed Rnet's arena and copies the chunk of
+/// pointers that holds it, which is the structural-sharing contract the
 /// live engine's snapshots rely on.
 #[derive(Clone)]
 pub struct ShortcutStore {
-    /// `per_rnet[r]` holds the shortcuts of Rnet `r`, by source border node.
-    per_rnet: Vec<Arc<RnetShortcuts>>,
+    /// Element `r` holds the shortcuts of Rnet `r`, by source border node.
+    per_rnet: CowChunks<Arc<RnetShortcuts>>,
     num_shortcuts: usize,
     /// Modelled serialized bytes of every stored shortcut, maintained
     /// incrementally by [`ShortcutStore::replace_rnet`] exactly like
@@ -354,7 +363,10 @@ impl ShortcutStore {
 
     fn empty(num_rnets: usize) -> Self {
         ShortcutStore {
-            per_rnet: (0..num_rnets).map(|_| Arc::default()).collect(),
+            per_rnet: CowChunks::from_vec(
+                (0..num_rnets).map(|_| Arc::default()).collect(),
+                RNET_CHUNK_SHIFT,
+            ),
             num_shortcuts: 0,
             num_bytes: 0,
         }
@@ -402,7 +414,7 @@ impl ShortcutStore {
 
     /// Outgoing shortcuts of node `n` within Rnet `r`, in stored order.
     pub fn from(&self, r: RnetId, n: NodeId) -> impl Iterator<Item = ShortcutEdge<'_>> {
-        self.per_rnet[r.0 as usize].edges_of(n.0)
+        self.rnet(r).edges_of(n.0)
     }
 
     /// `(target, distance)` of the shortcuts [`ShortcutStore::from`] yields,
@@ -415,7 +427,18 @@ impl ShortcutStore {
 
     /// The stored shortcut `from -> to` within `r`, if kept.
     pub fn between(&self, r: RnetId, from: NodeId, to: NodeId) -> Option<ShortcutEdge<'_>> {
-        self.per_rnet[r.0 as usize].between(from.0, to)
+        self.rnet(r).between(from.0, to)
+    }
+
+    /// The arena of Rnet `r`.
+    ///
+    /// # Panics
+    /// Panics when `r` is not an Rnet of the store's hierarchy.
+    fn rnet(&self, r: RnetId) -> &RnetShortcuts {
+        match self.per_rnet.get(r.0 as usize) {
+            Some(rnet) => rnet,
+            None => panic!("R{} is outside the store's {} Rnets", r.0, self.per_rnet.len()),
+        }
     }
 
     /// Total number of stored (directed) shortcuts.
@@ -432,10 +455,13 @@ impl ShortcutStore {
     }
 
     fn replace_rnet(&mut self, r: RnetId, new: RnetShortcuts) {
-        let slot = &mut self.per_rnet[r.0 as usize];
-        self.num_shortcuts = self.num_shortcuts - slot.num_shortcuts() + new.num_shortcuts();
-        self.num_bytes = self.num_bytes - slot.size_bytes() + new.size_bytes();
-        *slot = Arc::new(new);
+        let old = self.rnet(r);
+        let (old_shortcuts, old_bytes) = (old.num_shortcuts(), old.size_bytes());
+        self.num_shortcuts = self.num_shortcuts - old_shortcuts + new.num_shortcuts();
+        self.num_bytes = self.num_bytes - old_bytes + new.size_bytes();
+        if let Some(slot) = self.per_rnet.make_mut(r.0 as usize) {
+            *slot = Arc::new(new);
+        }
     }
 
     /// How many Rnets' shortcut arenas this store physically shares with
@@ -445,7 +471,21 @@ impl ShortcutStore {
     /// roadbench's `core.live.shared_rnets_share` use to prove updates
     /// never fall back to full rebuilds.
     pub fn shared_rnet_count(&self, other: &ShortcutStore) -> usize {
-        self.per_rnet.iter().zip(&other.per_rnet).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        self.per_rnet.iter().zip(other.per_rnet.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// How many chunks of the per-Rnet table (64 arena pointers each)
+    /// this store physically shares with `other`: a fork shares all
+    /// of them, and a refresh un-shares the one chunk holding its Rnet.
+    pub fn shared_rnet_chunks(&self, other: &ShortcutStore) -> usize {
+        self.per_rnet.shared_chunks(&other.per_rnet)
+    }
+
+    /// Bytes of the per-Rnet table copied to un-share chunks from the
+    /// store's clones (pointers only: a refreshed Rnet's new arena is a
+    /// write, not a copy).
+    pub(crate) fn bytes_copied(&self) -> u64 {
+        self.per_rnet.bytes_copied()
     }
 
     /// Recomputes one Rnet's shortcuts in place; returns `true` when the
@@ -461,7 +501,7 @@ impl ShortcutStore {
         scratch: &mut BuildScratch,
     ) -> bool {
         let new = self.compute_rnet_map(g, hier, kind, r, opts, scratch);
-        let changed = !Self::maps_equivalent(&self.per_rnet[r.0 as usize], &new);
+        let changed = !Self::maps_equivalent(self.rnet(r), &new);
         self.replace_rnet(r, new);
         changed
     }
@@ -610,8 +650,8 @@ impl ShortcutStore {
         scratch.border_locals.extend(0..borders.len() as u32);
         if hier.is_leaf(r) {
             for &e in hier.leaf_edge_list(r) {
-                let w = g.weight(e, kind);
-                let (a, b) = g.edge(e).endpoints();
+                let rec = g.edge(e);
+                let (w, (a, b)) = (rec.weight(kind), rec.endpoints());
                 let (la, lb) = (scratch.local(a.0), scratch.local(b.0));
                 scratch.builder.push(la, lb, w, e.0);
                 scratch.builder.push(lb, la, w, e.0);
@@ -841,7 +881,7 @@ impl ShortcutStore {
     /// locate the store section inside a full image byte-for-byte.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.per_rnet.len() as u32).to_le_bytes());
-        for rnet in &self.per_rnet {
+        for rnet in self.per_rnet.iter() {
             out.extend_from_slice(&(rnet.sources.len() as u32).to_le_bytes());
             // Sources are stored ascending: reproducible files, no sort.
             for (i, from) in rnet.sources.iter().enumerate() {
@@ -884,6 +924,7 @@ impl ShortcutStore {
             num_bytes += rnet.size_bytes();
             per_rnet.push(Arc::new(rnet));
         }
+        let per_rnet = CowChunks::from_vec(per_rnet, RNET_CHUNK_SHIFT);
         Ok(ShortcutStore { per_rnet, num_shortcuts, num_bytes })
     }
 
@@ -910,7 +951,10 @@ impl ShortcutStore {
         ShortcutStore {
             num_shortcuts: maps.iter().map(RnetShortcuts::num_shortcuts).sum(),
             num_bytes: maps.iter().map(RnetShortcuts::size_bytes).sum(),
-            per_rnet: maps.into_iter().map(Arc::new).collect(),
+            per_rnet: CowChunks::from_vec(
+                maps.into_iter().map(Arc::new).collect(),
+                RNET_CHUNK_SHIFT,
+            ),
         }
     }
 
@@ -1043,7 +1087,7 @@ impl ShortcutStore {
         opts: &ShortcutOptions,
     ) -> Result<(), String> {
         let fresh = ShortcutStore::build(g, hier, kind, opts);
-        for (i, (a, b)) in self.per_rnet.iter().zip(&fresh.per_rnet).enumerate() {
+        for (i, (a, b)) in self.per_rnet.iter().zip(fresh.per_rnet.iter()).enumerate() {
             if !Self::maps_equivalent(a, b) {
                 return Err(format!("Rnet R{i} shortcuts diverge from a fresh rebuild"));
             }
@@ -1423,7 +1467,8 @@ mod tests {
         );
         assert!(!changed);
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets() - 1);
-        assert!(!Arc::ptr_eq(&fork.per_rnet[leaf.0 as usize], &store.per_rnet[leaf.0 as usize]));
+        let arena = |s: &ShortcutStore| Arc::clone(s.per_rnet.get(leaf.0 as usize).unwrap());
+        assert!(!Arc::ptr_eq(&arena(&fork), &arena(&store)));
         assert_eq!(fork.num_shortcuts(), store.num_shortcuts());
         assert_eq!(fork.size_bytes(), store.size_bytes());
     }

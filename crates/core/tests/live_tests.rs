@@ -14,9 +14,10 @@ use rand::{RngExt, SeedableRng};
 use road_core::live::LiveEngine;
 use road_core::prelude::*;
 use road_core::search::{oracle_knn, oracle_range};
+use road_core::UpdateOutcome;
 use road_network::dijkstra::shortest_path_weight;
 use road_network::generator::simple;
-use road_network::EdgeId;
+use road_network::{EdgeId, EdgeRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn grid_engine(seed: u64, objects: u64) -> (LiveEngine, road_core::UpdateHandle) {
@@ -622,4 +623,204 @@ fn zero_weight_edges_answer_like_dijkstra_on_every_engine() {
         |q| paged.range(q).unwrap().hits,
         |a, b| paged.network_distance(a, b).unwrap(),
     );
+}
+
+/// A `side`×`side` unit grid over a fixed quadtree partition — `levels`
+/// levels of fanout 4, leaves the blocks of a `2^levels`-wide raster in
+/// Morton order, each edge in the block of its first endpoint — with
+/// `objects` objects on it. No hash order can move the partition, so what
+/// a history refreshes and copies is the same under every hasher.
+fn quadtree_engine(
+    side: usize,
+    levels: u32,
+    objects: u64,
+    seed: u64,
+) -> (LiveEngine, UpdateHandle) {
+    let g = simple::grid(side, side, 1.0);
+    let block = side >> levels;
+    let leaf: Vec<u32> = g
+        .edge_ids()
+        .map(|e| {
+            let p = g.coord(g.edge(e).endpoints().0);
+            let (bx, by) = ((p.x as usize / block) as u32, (p.y as usize / block) as u32);
+            (0..levels).map(|bit| ((bx >> bit & 1) | (by >> bit & 1) << 1) << (2 * bit)).sum()
+        })
+        .collect();
+    let mut cfg = RoadConfig::default();
+    cfg.hierarchy.fanout = 4;
+    cfg.hierarchy.levels = levels;
+    let fw = RoadFramework::build_with_partition(g, cfg, |e| leaf[e.index()]).unwrap();
+    let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ad = AssociationDirectory::new(fw.hierarchy());
+    for i in 0..objects {
+        let e = edges[rng.random_range(0..edges.len())];
+        let o = Object::new(ObjectId(i), e, 0.5, CategoryId((i % 3) as u16));
+        ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+    }
+    LiveEngine::new(fw, ad)
+}
+
+/// One roadbench-shaped tick: a wave of 8 reweights (a unit edge becomes
+/// 0.5, 1.5 or 2), then 4 object moves, then a publish.
+struct Tick {
+    wave: Vec<(EdgeId, Weight)>,
+    moves: Vec<(ObjectId, EdgeId)>,
+}
+
+impl Tick {
+    fn draw(rng: &mut StdRng, edges: &[EdgeId], objects: u64) -> Tick {
+        let edge = |rng: &mut StdRng| edges[rng.random_range(0..edges.len())];
+        let wave = (0..8)
+            .map(|_| (edge(rng), Weight::new([0.5, 1.5, 2.0][rng.random_range(0..3)])))
+            .collect();
+        let moves = (0..4).map(|_| (ObjectId(rng.random_range(0..objects)), edge(rng))).collect();
+        Tick { wave, moves }
+    }
+
+    fn apply(&self, writer: &mut UpdateHandle) -> UpdateOutcome {
+        let outcome = writer.set_edge_weights(&self.wave).unwrap();
+        for &(id, e) in &self.moves {
+            writer.move_object(id, e, 0.5).unwrap();
+        }
+        writer.publish();
+        outcome
+    }
+}
+
+/// A snapshot is a fork of chunked columns, so its immutability rests on
+/// every writer's chunk copy: one held across 200 ticks — each writing
+/// edge records, arena weights, the per-Rnet table and directory shards
+/// it shares — answers kNN, range and distance queries bit for bit as it
+/// did when it was published, and the writer's final state still equals
+/// a rebuild.
+#[test]
+fn a_snapshot_held_across_200_ticks_answers_as_when_published() {
+    let (live, mut writer) = quadtree_engine(32, 3, 60, 0x5A_F00D);
+    let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    Tick::draw(&mut rng, &edges, 60).apply(&mut writer);
+    let held = live.snapshot();
+    let probes: Vec<(NodeId, NodeId)> = (0..24)
+        .map(|_| (NodeId(rng.random_range(0..1024)), NodeId(rng.random_range(0..1024))))
+        .collect();
+    let answers = |snap: &Snapshot| -> Vec<_> {
+        probes
+            .iter()
+            .map(|&(a, b)| {
+                let knn = snap.knn(&KnnQuery::new(a, 5)).unwrap().hits;
+                let range = snap.range(&RangeQuery::new(a, Weight::new(6.0))).unwrap().hits;
+                (knn, range, snap.network_distance(a, b).unwrap())
+            })
+            .collect()
+    };
+    let weights = |snap: &Snapshot| -> Vec<Weight> {
+        edges.iter().map(|&e| snap.framework().network().weight(e, WeightKind::Distance)).collect()
+    };
+    let (published, published_weights) = (answers(&held), weights(&held));
+    let objects: Vec<Object> = held.directory().objects().cloned().collect();
+    for _ in 0..200 {
+        Tick::draw(&mut rng, &edges, 60).apply(&mut writer);
+    }
+    let latest = live.snapshot();
+    assert_eq!(latest.version(), held.version() + 200);
+    assert_ne!(weights(&latest), published_weights, "the ticks changed nothing");
+    assert_eq!(weights(&held), published_weights);
+    assert_eq!(held.directory().objects().cloned().collect::<Vec<_>>(), objects);
+    assert_eq!(answers(&held), published);
+    writer.framework().verify().unwrap();
+    let fw = writer.framework();
+    writer.directory().validate(fw.network(), fw.hierarchy()).unwrap();
+}
+
+/// What one tick copies, held to account chunk by chunk: against the
+/// snapshot published before it, the next one still shares the topology,
+/// every chunk of edge records but the ≤ 8 its reweights land in, every
+/// chunk of arena weights but the ≤ 16 of their endpoints, every chunk of
+/// the per-Rnet table but one per refreshed Rnet (and, as before, every
+/// unrefreshed Rnet's arena), and every directory shard and abstract chunk
+/// but those its 4 moves write.
+#[test]
+fn a_tick_unshares_only_the_chunks_it_writes() {
+    use road_core::association::{ABSTRACT_CHUNK, LIST_SHARD, OBJECT_SHARDS};
+    use std::collections::BTreeSet;
+
+    let (live, mut writer) = quadtree_engine(64, 4, 200, 0xC4_0C5);
+    let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(0xB17E5);
+    for round in 0..3 {
+        let before = live.snapshot();
+        let tick = Tick::draw(&mut rng, &edges, 200);
+        // The shards and chunks the moves write, from where each object is
+        // at its turn: object map, the four endpoint lists, both edge
+        // lists, both abstract chains.
+        let mut touched = BTreeSet::new();
+        let outcome = writer.set_edge_weights(&tick.wave).unwrap();
+        for &(id, to) in &tick.moves {
+            let from = writer.directory().object(id).unwrap().edge;
+            let (g, hier) = (writer.framework().network(), writer.framework().hierarchy());
+            touched.insert((0, id.0 as usize % OBJECT_SHARDS));
+            for e in [from, to] {
+                let (a, b) = g.edge(e).endpoints();
+                touched.insert((1, a.index() / LIST_SHARD));
+                touched.insert((1, b.index() / LIST_SHARD));
+                touched.insert((2, e.index() / LIST_SHARD));
+                let mut r = hier.leaf_of_edge(e);
+                while r.is_valid() {
+                    touched.insert((3, r.0 as usize / ABSTRACT_CHUNK));
+                    r = hier.parent(r);
+                }
+            }
+            writer.move_object(id, to, 0.5).unwrap();
+        }
+        writer.publish();
+        let after = live.snapshot();
+        let (fw0, fw1) = (before.framework(), after.framework());
+        let (g0, g1) = (fw0.network(), fw1.network());
+        let unshared = |total: usize, shared: usize| total - shared;
+
+        assert!(g1.shares_topology_with(g0), "round {round}: a reweight copied the topology");
+        let edge_chunks = unshared(g0.shared_edge_chunks(g0), g1.shared_edge_chunks(g0));
+        assert!((1..=8).contains(&edge_chunks), "round {round}: {edge_chunks} edge chunks copied");
+        let arena_chunks = unshared(fw0.shared_arena_chunks(fw0), fw1.shared_arena_chunks(fw0));
+        assert!((1..=16).contains(&arena_chunks), "round {round}: {arena_chunks} arena chunks");
+        let (s0, s1) = (fw0.shortcuts(), fw1.shortcuts());
+        let rnet_chunks = unshared(s0.shared_rnet_chunks(s0), s1.shared_rnet_chunks(s0));
+        assert!(
+            (1..=outcome.rnets_refreshed).contains(&rnet_chunks),
+            "round {round}: {rnet_chunks} table chunks for {} refreshed Rnets",
+            outcome.rnets_refreshed
+        );
+        let num_rnets = fw0.hierarchy().num_rnets();
+        assert!(s1.shared_rnet_count(s0) >= num_rnets - outcome.rnets_refreshed);
+        let (ad0, ad1) = (before.directory(), after.directory());
+        let shards = unshared(ad0.shared_shards(ad0), ad1.shared_shards(ad0));
+        assert!(
+            (1..=touched.len()).contains(&shards),
+            "round {round}: {shards} directory shards copied, the moves touch {}",
+            touched.len()
+        );
+        assert!(touched.len() < ad0.shared_shards(ad0) / 2, "the moves touch half the directory");
+    }
+}
+
+/// `LiveStats::bytes_copied` is what copy-on-write copied, pinned for a
+/// seeded 50-tick history on a world no hasher can repartition — and it
+/// is a fraction of what copying the network's edge records once per tick,
+/// as every tick did before the columns were chunked, would have cost.
+#[test]
+fn fifty_ticks_copy_a_pinned_number_of_bytes() {
+    let (_live, mut writer) = quadtree_engine(64, 4, 200, 0xB47E5);
+    let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(0x50_71C5);
+    assert_eq!(writer.stats().bytes_copied, 0);
+    let mut refreshed = 0;
+    for _ in 0..50 {
+        refreshed += Tick::draw(&mut rng, &edges, 200).apply(&mut writer).rnets_refreshed;
+    }
+    let stats = writer.stats();
+    assert_eq!((stats.publishes, refreshed), (50, 1226));
+    assert_eq!(stats.bytes_copied, 5_757_304);
+    let edge_records = writer.framework().network().edge_slots() * size_of::<EdgeRecord>();
+    assert!(stats.bytes_copied < 50 * edge_records as u64, "{stats:?}");
 }

@@ -14,20 +14,28 @@
 //! A clone is a copy-on-write fork, cut where the two kinds of update
 //! differ. What a weight change never writes — node coordinates and the
 //! per-node adjacency lists, one heap vector per node — sits behind one
-//! shared [`Arc`]; the flat vector of edge records (endpoints, the three
-//! weights, the tombstone) is owned. Cloning a network therefore copies the
-//! edge records and nothing else, however many nodes it has, dropping a
-//! clone frees one allocation, and only `add_node` / `add_edge` /
-//! `remove_edge` / `restore_edge` un-share the topology
+//! shared [`Arc`]; the edge records (endpoints, the three weights, the
+//! tombstone) are a [`CowChunks`] column of 256 records (10 KB) a chunk.
+//! Cloning a network therefore copies one pointer per chunk of edge
+//! records and nothing else, however many nodes it has; a weight change
+//! then copies the one chunk holding its record
+//! ([`RoadNetwork::shared_edge_chunks`]), and only `add_node` /
+//! `add_edge` / `remove_edge` / `restore_edge` un-share the topology
 //! ([`RoadNetwork::shares_topology_with`]). The live engine's snapshots
 //! (`road_core::live`) rest on this: a traffic update after a publish pays
-//! for one copy of the edge records, not for 100,000 adjacency vectors.
+//! for the chunks it writes, not for 100,000 adjacency vectors or 4.8 MB of
+//! edge records.
 
+use crate::cow::CowChunks;
 use crate::error::NetworkError;
 use crate::geometry::{Point, Rect};
 use crate::ids::{EdgeId, NodeId};
 use crate::weight::Weight;
 use std::sync::Arc;
+
+/// A copy-on-write chunk of edge records holds `2^8` of them (10 KB): a
+/// reweight copies one chunk, a fork one pointer per chunk.
+const EDGE_CHUNK_SHIFT: u32 = 8;
 
 /// Which per-edge metric a search or index should use.
 ///
@@ -102,7 +110,7 @@ struct Topology {
 #[derive(Clone)]
 pub struct RoadNetwork {
     topo: Arc<Topology>,
-    edges: Vec<EdgeRecord>,
+    edges: CowChunks<EdgeRecord>,
     live_edges: usize,
 }
 
@@ -126,6 +134,19 @@ impl RoadNetwork {
         Arc::ptr_eq(&self.topo, &other.topo)
     }
 
+    /// How many chunks of edge records the two networks physically share,
+    /// position by position (see the module docs): a clone shares all of
+    /// them, and each later write un-shares the one chunk it lands in.
+    pub fn shared_edge_chunks(&self, other: &RoadNetwork) -> usize {
+        self.edges.shared_chunks(&other.edges)
+    }
+
+    /// Bytes of edge records this network's copy-on-write column copied to
+    /// un-share chunks from its clones, over its whole history.
+    pub fn bytes_copied(&self) -> u64 {
+        self.edges.bytes_copied()
+    }
+
     /// Number of live (non-deleted) edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -147,13 +168,16 @@ impl RoadNetwork {
     /// The full edge record (including tombstones).
     #[inline]
     pub fn edge(&self, e: EdgeId) -> &EdgeRecord {
-        &self.edges[e.index()]
+        match self.edges.get(e.index()) {
+            Some(rec) => rec,
+            None => panic!("{e} is outside the network's {} edge slots", self.edges.len()),
+        }
     }
 
     /// Weight of a live edge under `kind`.
     #[inline]
     pub fn weight(&self, e: EdgeId, kind: WeightKind) -> Weight {
-        self.edges[e.index()].weight(kind)
+        self.edge(e).weight(kind)
     }
 
     /// The endpoint of `e` that is not `n`.
@@ -162,7 +186,7 @@ impl RoadNetwork {
     /// Panics if `n` is not an endpoint of `e`.
     #[inline]
     pub fn other_endpoint(&self, e: EdgeId, n: NodeId) -> NodeId {
-        let rec = &self.edges[e.index()];
+        let rec = self.edge(e);
         if rec.a == n {
             rec.b
         } else {
@@ -207,7 +231,7 @@ impl RoadNetwork {
     /// Straight-line length of an edge from its endpoint coordinates.
     #[inline]
     pub fn euclidean_length(&self, e: EdgeId) -> f64 {
-        let (a, b) = self.edges[e.index()].endpoints();
+        let (a, b) = self.edge(e).endpoints();
         self.coord(a).distance(self.coord(b))
     }
 
@@ -227,10 +251,8 @@ impl RoadNetwork {
         kind: WeightKind,
         w: Weight,
     ) -> Result<Weight, NetworkError> {
-        let rec = self.edges.get_mut(e.index()).ok_or(NetworkError::EdgeOutOfBounds(e))?;
-        if rec.deleted {
-            return Err(NetworkError::EdgeDeleted(e));
-        }
+        self.check_live(e)?;
+        let rec = self.edges.make_mut(e.index()).ok_or(NetworkError::EdgeOutOfBounds(e))?;
         let slot = match kind {
             WeightKind::Distance => &mut rec.distance,
             WeightKind::TravelTime => &mut rec.travel_time,
@@ -281,10 +303,8 @@ impl RoadNetwork {
 
     /// Removes (tombstones) a live edge. The id stays allocated.
     pub fn remove_edge(&mut self, e: EdgeId) -> Result<(), NetworkError> {
-        let rec = self.edges.get_mut(e.index()).ok_or(NetworkError::EdgeOutOfBounds(e))?;
-        if rec.deleted {
-            return Err(NetworkError::EdgeDeleted(e));
-        }
+        self.check_live(e)?;
+        let rec = self.edges.make_mut(e.index()).ok_or(NetworkError::EdgeOutOfBounds(e))?;
         rec.deleted = true;
         let (a, b) = (rec.a, rec.b);
         let adj = &mut Arc::make_mut(&mut self.topo).adj;
@@ -296,10 +316,10 @@ impl RoadNetwork {
 
     /// Restores a previously removed edge with its stored weights.
     pub fn restore_edge(&mut self, e: EdgeId) -> Result<(), NetworkError> {
-        let rec = self.edges.get_mut(e.index()).ok_or(NetworkError::EdgeOutOfBounds(e))?;
-        if !rec.deleted {
+        if self.check_live(e).is_ok() {
             return Ok(());
         }
+        let rec = self.edges.make_mut(e.index()).ok_or(NetworkError::EdgeOutOfBounds(e))?;
         rec.deleted = false;
         let (a, b) = (rec.a, rec.b);
         let adj = &mut Arc::make_mut(&mut self.topo).adj;
@@ -307,6 +327,16 @@ impl RoadNetwork {
         adj[b.index()].push(AdjEntry { edge: e, to: a });
         self.live_edges += 1;
         Ok(())
+    }
+
+    /// `Ok` when `e` is a live edge; checked before a write, so that a
+    /// refused one un-shares no chunk.
+    fn check_live(&self, e: EdgeId) -> Result<(), NetworkError> {
+        match self.edges.get(e.index()) {
+            None => Err(NetworkError::EdgeOutOfBounds(e)),
+            Some(rec) if rec.deleted => Err(NetworkError::EdgeDeleted(e)),
+            Some(_) => Ok(()),
+        }
     }
 
     /// Number of connected components (over live edges).
@@ -449,7 +479,7 @@ impl NetworkBuilder {
         }
         let live_edges = self.edges.len();
         let topo = Arc::new(Topology { coords: self.coords, adj });
-        RoadNetwork { topo, edges: self.edges, live_edges }
+        RoadNetwork { topo, edges: CowChunks::from_vec(self.edges, EDGE_CHUNK_SHIFT), live_edges }
     }
 }
 

@@ -15,6 +15,9 @@
 //!   node contraction with bounded witness search and dense min-plus
 //!   elimination: the border-distance side of shortcut construction, for
 //!   large and for small local graphs respectively;
+//! * [`cow`] — chunked copy-on-write columns: the edge records here, and
+//!   the query arena, shortcut table and object directory of `road-core`,
+//!   so a fork copies only the chunks an update writes;
 //! * [`partition`] — edge-disjoint graph partitioning (geometric bisection
 //!   refined by a Kernighan–Lin pass) used to form Rnets;
 //! * [`generator`] — seeded synthetic road networks calibrated to the
@@ -26,6 +29,7 @@
 
 pub mod astar;
 pub mod contractor;
+pub mod cow;
 pub mod csr;
 pub mod dijkstra;
 pub mod error;
@@ -40,6 +44,7 @@ pub mod path;
 pub mod unionfind;
 pub mod weight;
 
+pub use cow::CowChunks;
 pub use error::NetworkError;
 pub use geometry::{Point, Rect};
 pub use graph::{EdgeRecord, NetworkBuilder, RoadNetwork, WeightKind};
