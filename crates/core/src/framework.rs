@@ -59,6 +59,11 @@ pub struct UpdateOutcome {
     pub borders_promoted: usize,
     /// Nodes demoted from border nodes.
     pub borders_demoted: usize,
+    /// Matrix entries the min-plus kernels relaxed while repairing — the
+    /// eliminations, border closures and keep rules of every refreshed
+    /// Rnet ([`road_network::minplus`]), one add of its length per relaxed
+    /// row: the repair's arithmetic, counted exactly instead of timed.
+    pub minplus_entries: u64,
 }
 
 impl UpdateOutcome {
@@ -70,6 +75,7 @@ impl UpdateOutcome {
         self.rnets_changed += other.rnets_changed;
         self.borders_promoted += other.borders_promoted;
         self.borders_demoted += other.borders_demoted;
+        self.minplus_entries += other.minplus_entries;
     }
 }
 
@@ -535,6 +541,7 @@ impl RoadFramework {
                 .filter(|p| p.is_valid())
                 .collect();
             outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
+            outcome.minplus_entries += self.scratch.take_minplus_entries();
             next.sort_by_key(|r| r.0);
             next.dedup();
             frontier = next;
@@ -707,6 +714,7 @@ impl RoadFramework {
             &mut self.scratch,
         );
         outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
+        outcome.minplus_entries += self.scratch.take_minplus_entries();
         Ok(outcome)
     }
 

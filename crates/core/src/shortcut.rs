@@ -44,6 +44,16 @@
 //! the paper's `S(n1,n3) = (S(n1,nd), S(nd,n3))` read backwards, and the
 //! matrix before the closure holds the border-free distances, so the path
 //! is unpacked ([`minplus::Elimination::unpack`]) and nothing is searched.
+//! The dense arm also computes each pair once: a local graph is undirected
+//! — a leaf's edges are assembled both ways at one weight, a child's kept
+//! `b → t` and `t → b` are one path summed from either end — so its matrix
+//! is symmetric up to rounding, and the elimination, the border closure and
+//! the keep rule all work its lower triangle (see [`road_network::minplus`]
+//! for why that changes no bit on a leaf). The keep verdict is then one per
+//! pair — `b → t` is kept iff `t → b` is — while what is stored stays
+//! directional: each direction's distance is the left-to-right sum of its
+//! own arcs, read from the triangle the kernels never write, so the two may
+//! differ in the last bit exactly as two Dijkstra labels would.
 //! The contractor keeps no such record, so its arm runs one *sealed*
 //! Dijkstra per source border over the local CSR arena
 //! ([`LocalDijkstra::run_csr`] with `seal_below` = the border count):
@@ -60,13 +70,13 @@
 //! different paths do not add up to the same length (pinned by
 //! `tests/construction_oracle.rs`, and by the images and update histories
 //! of `tests/search_counters.rs`, which were recorded while the dense arm
-//! still searched). Where several border-free paths are equally short
-//! (integer weights on a grid) a sealed Dijkstra stores the one it settles
-//! first and the elimination the one its last strictly improving pivot
-//! left; the builders then still keep the same pairs in the same order at
-//! bit-equal distances, and every stored chain is a valid border-free
-//! path of exactly that length — which is all a search, or
-//! [`ShortcutStore::expand`], ever asks of it.
+//! still searched and worked the whole square). Where several border-free
+//! paths are equally short (integer weights on a grid) a sealed Dijkstra
+//! stores the one it settles first and the elimination the one its last
+//! strictly improving pivot left; the builders then still keep the same
+//! pairs in the same order at bit-equal distances, and every stored chain
+//! is a valid border-free path of exactly that length — which is all a
+//! search, or [`ShortcutStore::expand`], ever asks of it.
 //!
 //! Each shortcut stores its intermediate *waypoints* — physical nodes at
 //! the finest level, child border nodes above — which is exactly the
@@ -117,13 +127,19 @@ const RNET_CHUNK_SHIFT: u32 = 6;
 /// Dijkstra above it (the module docs say when the two can differ in
 /// *which* equally short path they store).
 ///
-/// The value is the measured crossover against the arm above it, on the
-/// graphs where that arm is at its best — sparse leaves (average degree
-/// 2.1–2.5, CONT@0.1 and SF@0.25 built 3 and 4 levels deep): dense
-/// elimination wins 2.2–3.1x at 257–448 nodes, 1.4x at 449–512, and loses
-/// (0.8x) at 513–640. On the upper levels' near-cliques of child shortcuts
-/// (65–192 nodes, average degree 16–62) it wins 70–138x at every size seen
-/// (ARCHITECTURE.md, "Shortcut construction", has the table).
+/// The value was the measured crossover against the arm above it, on the
+/// graphs where that arm is at its best — sparse leaves — before the
+/// elimination recorded its pivots: dense won 1.4x at 449–512 nodes and
+/// lost (0.8x) at 513–640. Measured again with the pivots recorded and one
+/// triangle worked (the fill of the border matrix alone, one thread):
+/// on CONT@0.1's leaves at 4 levels (arcs per node 1.9–2.7) dense wins
+/// 1.6x at 257–448 nodes and loses (0.8x) at 449–629, on SF@0.25's at 3
+/// levels (2.4–2.6) it still wins 1.5x at 643–761, and on the upper
+/// levels' near-cliques of child shortcuts (23–184 nodes, up to 62 arcs
+/// per node) it wins 36–160x (ARCHITECTURE.md, "Shortcut construction",
+/// has the table). The value stays: on a world whose equally short paths
+/// tie, moving it changes which chain a leaf between the two values
+/// stores.
 pub const DENSE_MAX_NODES: usize = 512;
 
 /// Settle bound for each witness search of the contractor arm. Bounded
@@ -722,19 +738,31 @@ impl ShortcutStore {
         out: &mut RnetShortcuts,
     ) {
         let nb = borders.len();
+        // Lemma 4 (matrix form): a pair is covered when some third border
+        // splits it, both legs positive, at no more than its distance — ties
+        // drop. The elimination's `dmat` is symmetric, so every pair is
+        // covered over one triangle; the contractor's and the oracle's need
+        // not be, and are covered a source row at a time.
+        let entries = match paths {
+            PathSource::Elimination => minplus::cover_pairs(&scratch.dmat, nb, &mut scratch.cover),
+            PathSource::SealedDijkstra => {
+                let (dmat, cover) = (&scratch.dmat, &mut scratch.cover);
+                cover.resize(nb * nb, f64::INFINITY);
+                let rows = cover.chunks_exact_mut(nb).enumerate();
+                rows.map(|(b, row)| minplus::cover_row(dmat, nb, b, row)).sum()
+            }
+        };
+        scratch.minplus_entries += entries;
         // Sources in ascending node order, the arena's and the file's; a
-        // source's list depends on nothing but its own matrix row.
+        // source's list depends on nothing but its own matrix rows.
         scratch.sort_sources(borders);
         for si in 0..nb {
             let bi = scratch.source_order[si] as usize;
-            // Lemma 4 (matrix form): a pair is covered when some third
-            // border splits it, both legs positive, at no more than its
-            // distance — ties drop.
-            minplus::cover_row(&scratch.dmat, nb, bi, &mut scratch.cover);
             scratch.kept.clear();
             // roadlint: hot-path
             let row = &scratch.dmat[bi * nb..(bi + 1) * nb];
-            for (ti, (&d, &cover)) in row.iter().zip(&scratch.cover).enumerate() {
+            let covers = &scratch.cover[bi * nb..(bi + 1) * nb];
+            for (ti, (&d, &cover)) in row.iter().zip(covers).enumerate() {
                 // An infinite distance is an internally disconnected Rnet:
                 // no shortcut.
                 if ti != bi && d != f64::INFINITY && d < cover {
@@ -1163,9 +1191,12 @@ pub(crate) struct BuildScratch {
     border_locals: Vec<u32>,
     /// Row-major `nb x nb` all-pairs border distances of the current Rnet.
     dmat: Vec<f64>,
-    /// The current source border's row of the keep rule: per target, the
+    /// Row-major `nb x nb` keep rule of the current Rnet: per pair, the
     /// cheapest split through a third border.
     cover: Vec<f64>,
+    /// Matrix entries the min-plus kernels relaxed since the last
+    /// [`BuildScratch::take_minplus_entries`].
+    minplus_entries: u64,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
     /// Border locals in ascending global node id: the order sources are
@@ -1209,7 +1240,8 @@ impl BuildScratch {
     /// All-pairs distances of the assembled graph's `nb` borders into
     /// `dmat`, interiors pivoted out of a dense matrix that remembers how.
     fn eliminate_into_dmat(&mut self, nb: usize) -> PathSource {
-        minplus::border_matrix(&self.csr, nb, &mut self.elim, &mut self.dmat);
+        self.minplus_entries +=
+            minplus::border_matrix(&self.csr, nb, &mut self.elim, &mut self.dmat);
         PathSource::Elimination
     }
 
@@ -1227,8 +1259,16 @@ impl BuildScratch {
             WITNESS_SETTLE_LIMIT,
             &mut self.remainder_builder,
         );
-        minplus::close_arcs(nb, self.remainder_builder.arcs(), &mut self.dmat);
+        self.minplus_entries +=
+            minplus::close_arcs(nb, self.remainder_builder.arcs(), &mut self.dmat);
         PathSource::SealedDijkstra
+    }
+
+    /// The matrix entries the min-plus kernels relaxed since the last call:
+    /// what a repair's eliminations, closures and keep rules cost, counted
+    /// rather than timed.
+    pub(crate) fn take_minplus_entries(&mut self) -> u64 {
+        std::mem::take(&mut self.minplus_entries)
     }
 
     /// Fills `source_order` for `borders` (whose locals are `0..nb`).

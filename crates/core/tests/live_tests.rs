@@ -14,11 +14,12 @@ use rand::{RngExt, SeedableRng};
 use road_core::live::LiveEngine;
 use road_core::prelude::*;
 use road_core::search::{oracle_knn, oracle_range};
-use road_core::UpdateOutcome;
+use road_core::{LiveStats, UpdateOutcome};
 use road_network::dijkstra::shortest_path_weight;
 use road_network::generator::simple;
 use road_network::{EdgeId, EdgeRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 fn grid_engine(seed: u64, objects: u64) -> (LiveEngine, road_core::UpdateHandle) {
     let g = simple::grid(12, 12, 1.0);
@@ -804,23 +805,43 @@ fn a_tick_unshares_only_the_chunks_it_writes() {
     }
 }
 
-/// `LiveStats::bytes_copied` is what copy-on-write copied, pinned for a
-/// seeded 50-tick history on a world no hasher can repartition — and it
-/// is a fraction of what copying the network's edge records once per tick,
-/// as every tick did before the columns were chunked, would have cost.
+/// A seeded 50-tick history on a world no hasher can repartition, run once
+/// for the pins below: the writer's stats after it, the Rnets it refreshed,
+/// and what one copy of the network's edge records weighs.
+fn fifty_ticks() -> &'static (LiveStats, usize, u64) {
+    static HISTORY: OnceLock<(LiveStats, usize, u64)> = OnceLock::new();
+    HISTORY.get_or_init(|| {
+        let (_live, mut writer) = quadtree_engine(64, 4, 200, 0xB47E5);
+        let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
+        let mut rng = StdRng::seed_from_u64(0x50_71C5);
+        assert_eq!(writer.stats().bytes_copied, 0);
+        let mut refreshed = 0;
+        for _ in 0..50 {
+            refreshed += Tick::draw(&mut rng, &edges, 200).apply(&mut writer).rnets_refreshed;
+        }
+        let edge_records = writer.framework().network().edge_slots() * size_of::<EdgeRecord>();
+        (writer.stats(), refreshed, edge_records as u64)
+    })
+}
+
+/// `LiveStats::bytes_copied` is what copy-on-write copied, pinned for the
+/// 50-tick history — and it is a fraction of what copying the network's
+/// edge records once per tick, as every tick did before the columns were
+/// chunked, would have cost.
 #[test]
 fn fifty_ticks_copy_a_pinned_number_of_bytes() {
-    let (_live, mut writer) = quadtree_engine(64, 4, 200, 0xB47E5);
-    let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
-    let mut rng = StdRng::seed_from_u64(0x50_71C5);
-    assert_eq!(writer.stats().bytes_copied, 0);
-    let mut refreshed = 0;
-    for _ in 0..50 {
-        refreshed += Tick::draw(&mut rng, &edges, 200).apply(&mut writer).rnets_refreshed;
-    }
-    let stats = writer.stats();
+    let &(stats, refreshed, edge_records) = fifty_ticks();
     assert_eq!((stats.publishes, refreshed), (50, 1226));
     assert_eq!(stats.bytes_copied, 5_757_304);
-    let edge_records = writer.framework().network().edge_slots() * size_of::<EdgeRecord>();
-    assert!(stats.bytes_copied < 50 * edge_records as u64, "{stats:?}");
+    assert!(stats.bytes_copied < 50 * edge_records, "{stats:?}");
+}
+
+/// `UpdateOutcome::minplus_entries` is the repair's arithmetic, pinned for
+/// the same history: a kernel that does more or less work moves it, a
+/// timer never has to be patched in to see that.
+#[test]
+fn fifty_ticks_relax_a_pinned_number_of_matrix_entries() {
+    let &(stats, refreshed, _) = fifty_ticks();
+    assert_eq!(stats.outcome.rnets_refreshed, refreshed);
+    assert_eq!(stats.outcome.minplus_entries, 126_028_953);
 }

@@ -21,6 +21,12 @@
 //! interior nodes only and sums, left to right, to that distance — and on
 //! floats without ties, where the shortest path is unique, Dijkstra's own
 //! predecessor chain node for node at Dijkstra's own bits.
+//!
+//! The dense kernels work one triangle of each matrix, which on a symmetric
+//! graph must change no bit: the elimination's distances and recorded
+//! pivots, the closed border block and the keep rule's cover of every pair
+//! equal those of the square kernels they replaced ([`square`], a scalar
+//! copy kept here as the reference, and [`minplus::cover_row`]).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -147,8 +153,102 @@ fn arc(g: &CsrGraph, u: u32, v: u32) -> Option<f64> {
         .reduce(f64::min)
 }
 
+/// What the dense kernels computed over the whole square, before they
+/// were cut to one triangle.
+struct Square {
+    /// The `n x n` matrix after the interior pivots.
+    dist: Vec<f64>,
+    /// Per entry the last pivot that strictly improved it.
+    mid: Vec<Option<u32>>,
+    /// The sealed block, closed.
+    closed: Vec<f64>,
+}
+
+/// The square elimination and closure, scalar: pivot `k` relaxes every
+/// live pair `(i, j)`, both below `k`, through `d[i][k] + d[k][j]`.
+fn square(g: &CsrGraph, sealed: usize) -> Square {
+    let n = g.num_nodes();
+    let mut d = vec![f64::INFINITY; n * n];
+    for i in 0..n {
+        d[i * n + i] = 0.0;
+    }
+    for u in 0..n as u32 {
+        for (v, w, _) in g.out(u) {
+            let at = u as usize * n + v as usize;
+            d[at] = if w.get() < d[at] { w.get() } else { d[at] };
+        }
+    }
+    let mut mid = vec![None; n * n];
+    for k in (sealed..n).rev() {
+        for i in 0..k {
+            for j in 0..k {
+                let via = d[i * n + k] + d[k * n + j];
+                if via < d[i * n + j] {
+                    (d[i * n + j], mid[i * n + j]) = (via, Some(k as u32));
+                }
+            }
+        }
+    }
+    let mut closed: Vec<f64> =
+        (0..sealed).flat_map(|i| d[i * n..i * n + sealed].to_vec()).collect();
+    for k in 0..sealed {
+        for i in (0..sealed).filter(|&i| i != k) {
+            for j in 0..sealed {
+                let via = closed[i * sealed + k] + closed[k * sealed + j];
+                if via < closed[i * sealed + j] {
+                    closed[i * sealed + j] = via;
+                }
+            }
+        }
+    }
+    Square { dist: d, mid, closed }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn one_triangle_computes_what_the_square_did(
+        size in prop_oneof![2usize..=24, 2usize..=96, 2usize..=300],
+        density in prop_oneof![
+            Just(Density::Tree), Just(Density::Sparse), Just(Density::Dense), Just(Density::Clique)
+        ],
+        sealed_eighths in 0usize..=8,
+        split in (0u8..4).prop_map(|s| s == 0),
+        weights in prop_oneof![
+            Just(Weights::Dyadic), Just(Weights::Float), Just(Weights::TieFreeFloat)
+        ],
+        seed in 0u64..1_000_000,
+    ) {
+        let n = size_for(density, size);
+        let g = local_graph(n, density, split, weights, seed);
+        let sealed = sealed_for(n, sealed_eighths, seed);
+        let at = format!("n={n} sealed={sealed} {density:?} split={split} {weights:?}");
+
+        let (mut elim, mut closed) = (minplus::Elimination::default(), Vec::new());
+        minplus::border_matrix(&g, sealed, &mut elim, &mut closed);
+        let want = square(&g, sealed);
+        for i in 0..n as u32 {
+            for j in (0..n as u32).filter(|&j| j != i) {
+                let (d, sq) = (elim.border_free(i, j), want.dist[i as usize * n + j as usize]);
+                prop_assert_eq!(d.to_bits(), sq.to_bits(), "d({}, {}) = {} not {}, {}", i, j, d, sq, &at);
+                prop_assert_eq!(elim.pivot(i, j), want.mid[i as usize * n + j as usize],
+                    "pivot of ({}, {}), {}", i, j, &at);
+            }
+        }
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&closed), bits(&want.closed), "closed block, {}", &at);
+
+        let (mut pairs, mut row) = (Vec::new(), vec![0.0; sealed]);
+        minplus::cover_pairs(&closed, sealed, &mut pairs);
+        for b in 0..sealed {
+            minplus::cover_row(&closed, sealed, b, &mut row);
+            for t in (0..sealed).filter(|&t| t != b) {
+                prop_assert_eq!(pairs[b * sealed + t].to_bits(), row[t].to_bits(),
+                    "cover of ({}, {}), {}", b, t, &at);
+            }
+        }
+    }
 
     #[test]
     fn dense_matrix_equals_contraction_closure_and_dijkstra(
