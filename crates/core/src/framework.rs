@@ -12,7 +12,7 @@ use crate::arena::QueryArena;
 use crate::association::AssociationDirectory;
 use crate::hierarchy::{HierarchyConfig, RnetHierarchy, RnetId};
 use crate::search::{self, KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats};
-use crate::shortcut::{BuildScratch, ShortcutOptions, ShortcutStore};
+use crate::shortcut::{ShortcutOptions, ShortcutStore, WorkerScratches};
 use crate::workspace::SearchWorkspace;
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
@@ -105,7 +105,10 @@ pub struct RoadFramework {
     /// Bytes the copy-on-write columns of arenas a topology edit has since
     /// replaced had copied; part of `bytes_copied`.
     retired_copies: u64,
-    scratch: BuildScratch,
+    /// The writer's warm scratches for the repair fan-out, one per worker
+    /// (up to `cfg.shortcuts.threads`), made as repairs first need them.
+    /// A clone — every published snapshot — starts with none.
+    workers: WorkerScratches,
 }
 
 impl Clone for RoadFramework {
@@ -120,7 +123,7 @@ impl Clone for RoadFramework {
             shortcuts: self.shortcuts.clone(),
             arena: Arc::clone(&self.arena),
             retired_copies: self.retired_copies,
-            scratch: BuildScratch::default(),
+            workers: WorkerScratches::default(),
         }
     }
 }
@@ -131,16 +134,7 @@ impl RoadFramework {
     pub fn build(g: RoadNetwork, cfg: RoadConfig) -> Result<Self, RoadError> {
         let hier = RnetHierarchy::build_on(&g, &cfg.hierarchy, cfg.shortcuts.threads)?;
         let shortcuts = ShortcutStore::build(&g, &hier, cfg.metric, &cfg.shortcuts);
-        let arena = Arc::new(QueryArena::build(&g, &hier, cfg.metric));
-        Ok(RoadFramework {
-            g: Arc::new(g),
-            cfg,
-            hier: Arc::new(hier),
-            shortcuts,
-            arena,
-            retired_copies: 0,
-            scratch: BuildScratch::default(),
-        })
+        Ok(Self::assemble(Arc::new(g), cfg, Arc::new(hier), shortcuts))
     }
 
     /// Fluent construction helper.
@@ -157,17 +151,7 @@ impl RoadFramework {
         hier: RnetHierarchy,
         shortcuts: ShortcutStore,
     ) -> Result<Self, RoadError> {
-        hier.validate(&g).map_err(RoadError::InvalidConfig)?;
-        let arena = Arc::new(QueryArena::build(&g, &hier, cfg.metric));
-        Ok(RoadFramework {
-            g: Arc::new(g),
-            cfg,
-            hier: Arc::new(hier),
-            shortcuts,
-            arena,
-            retired_copies: 0,
-            scratch: BuildScratch::default(),
-        })
+        Self::from_shared_parts(Arc::new(g), cfg, Arc::new(hier), shortcuts)
     }
 
     /// [`RoadFramework::from_parts`] over already-shared network and
@@ -180,16 +164,20 @@ impl RoadFramework {
         shortcuts: ShortcutStore,
     ) -> Result<Self, RoadError> {
         hier.validate(&g).map_err(RoadError::InvalidConfig)?;
+        Ok(Self::assemble(g, cfg, hier, shortcuts))
+    }
+
+    /// The framework over consistent parts, its query arena joined from
+    /// them and its repair scratches not yet made.
+    fn assemble(
+        g: Arc<RoadNetwork>,
+        cfg: RoadConfig,
+        hier: Arc<RnetHierarchy>,
+        shortcuts: ShortcutStore,
+    ) -> Self {
         let arena = Arc::new(QueryArena::build(&g, &hier, cfg.metric));
-        Ok(RoadFramework {
-            g,
-            cfg,
-            hier,
-            shortcuts,
-            arena,
-            retired_copies: 0,
-            scratch: BuildScratch::default(),
-        })
+        let workers = WorkerScratches::default();
+        RoadFramework { g, cfg, hier, shortcuts, arena, retired_copies: 0, workers }
     }
 
     /// Builds the framework over a caller-supplied leaf partition (e.g.
@@ -209,16 +197,7 @@ impl RoadFramework {
             leaf_index_of,
         )?;
         let shortcuts = ShortcutStore::build(&g, &hier, cfg.metric, &cfg.shortcuts);
-        let arena = Arc::new(QueryArena::build(&g, &hier, cfg.metric));
-        Ok(RoadFramework {
-            g: Arc::new(g),
-            cfg,
-            hier: Arc::new(hier),
-            shortcuts,
-            arena,
-            retired_copies: 0,
-            scratch: BuildScratch::default(),
-        })
+        Ok(Self::assemble(Arc::new(g), cfg, Arc::new(hier), shortcuts))
     }
 
     /// Serializes the framework (network + hierarchy + shortcuts); see
@@ -483,9 +462,13 @@ impl RoadFramework {
     }
 
     /// Applies a batch of weight updates and repairs every affected Rnet
-    /// once, level by level, on the calling thread; a parent joins the
-    /// next frontier only while its children's shortcut sets keep changing,
-    /// exactly the per-edge early-break of [`RoadFramework::set_edge_weight`].
+    /// once, level by level; a parent joins the next frontier only while
+    /// its children's shortcut sets keep changing, exactly the per-edge
+    /// early-break of [`RoadFramework::set_edge_weight`]. Rnets of one
+    /// level are independent (Lemma 2), so each frontier fans out over
+    /// [`ShortcutOptions::threads`] workers on scratches the framework
+    /// keeps warm from update to update; the thread count never changes a
+    /// stored byte or a counter of the outcome.
     ///
     /// The whole batch is validated before any weight is written: one bad
     /// edge rejects the batch with the network untouched.  Updates that
@@ -531,7 +514,7 @@ impl RoadFramework {
                 self.cfg.metric,
                 &frontier,
                 &self.cfg.shortcuts,
-                &mut self.scratch,
+                &mut self.workers,
             );
             let mut next: Vec<RnetId> = frontier
                 .iter()
@@ -541,7 +524,7 @@ impl RoadFramework {
                 .filter(|p| p.is_valid())
                 .collect();
             outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
-            outcome.minplus_entries += self.scratch.take_minplus_entries();
+            outcome.minplus_entries += self.workers.take_minplus_entries();
             next.sort_by_key(|r| r.0);
             next.dedup();
             frontier = next;
@@ -699,9 +682,10 @@ impl RoadFramework {
                 add_chain(hier, r, &mut affected);
             }
         }
-        // Refresh finest-first so parents see up-to-date child shortcuts;
-        // the id tiebreak keeps the commit order (and thus the store's
-        // byte layout) independent of hash-set iteration order.
+        // Refresh finest-first so parents see up-to-date child shortcuts
+        // (`refresh_rnets` fans out one level at a time); the id tiebreak
+        // keeps the commit order (and thus the store's byte layout)
+        // independent of hash-set iteration order.
         let mut order: Vec<RnetId> = affected.iter().map(|&r| RnetId(r)).collect();
         order.sort_by_key(|&r| (std::cmp::Reverse(self.hier.level_of(r)), r.0));
         outcome.rnets_refreshed += order.len();
@@ -711,10 +695,10 @@ impl RoadFramework {
             self.cfg.metric,
             &order,
             &self.cfg.shortcuts,
-            &mut self.scratch,
+            &mut self.workers,
         );
         outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
-        outcome.minplus_entries += self.scratch.take_minplus_entries();
+        outcome.minplus_entries += self.workers.take_minplus_entries();
         Ok(outcome)
     }
 
@@ -775,10 +759,10 @@ impl RoadBuilder {
     }
 
     /// Sets the worker-thread count of the build — the hierarchy's
-    /// partitioning rounds and shortcut construction (`0` = all hardware
-    /// threads, `1` = inline); repair after an update always runs on the
-    /// calling thread. A pure speed knob: it never changes the partition
-    /// or a single output byte.
+    /// partitioning rounds and shortcut construction — and of repair after
+    /// an update, which fans each level out the way a build does (`0` = all
+    /// hardware threads, `1` = inline). A pure speed knob: it never changes
+    /// the partition or a single output byte.
     pub fn shortcut_threads(mut self, threads: usize) -> Self {
         self.cfg.shortcuts.threads = threads;
         self

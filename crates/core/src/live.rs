@@ -302,9 +302,11 @@ impl UpdateHandle {
     /// Cost: the change copies the chunk of edge records holding `e` and
     /// the chunk of arena weights of each endpoint where a snapshot still
     /// shares them (a few kilobytes; nothing per node), patches the arena in
-    /// place (`O(deg)`) and refreshes the affected Rnets
-    /// (`ShortcutStore::refresh_rnet`) — one dense elimination each, whose
-    /// recorded pivots also give the kept shortcuts' waypoints
+    /// place (`O(deg)`) and refreshes the affected Rnets level by level
+    /// (`ShortcutStore::refresh_rnets`) — one dense elimination each, whose
+    /// recorded pivots also give the kept shortcuts' waypoints, a level's
+    /// Rnets fanned out over the framework's
+    /// [`threads`](crate::shortcut::ShortcutOptions::threads)
     /// (ARCHITECTURE.md, "Live updates", has the per-tick breakdown).
     pub fn set_edge_weight(
         &mut self,
@@ -322,8 +324,9 @@ impl UpdateHandle {
 
     /// Applies a batch of weight updates in one repair pass; see
     /// [`RoadFramework::set_edge_weights`]. A traffic-feed storm that
-    /// touches many Rnets repairs each affected Rnet once, level by level
-    /// on the calling thread — far cheaper than per-edge
+    /// touches many Rnets repairs each affected Rnet once, level by level,
+    /// each level fanned out over the framework's repair workers — far
+    /// cheaper than per-edge
     /// [`set_edge_weight`](UpdateHandle::set_edge_weight) calls, and the
     /// resulting store is byte-identical to applying the batch edge by
     /// edge. A batch of pure no-ops leaves the pending/stats state

@@ -295,21 +295,19 @@ pub struct ShortcutOptions {
     /// Apply Lemma 4: drop shortcuts covered by other shortcuts of the
     /// same Rnet. On by default; the ablation benchmark switches it off.
     pub prune_transitive: bool,
-    /// Worker threads for construction: Rnets of the same level are
-    /// independent (Lemma 2 — a level reads only the level below), so each
-    /// level of a build fans out over scoped workers. `0` means "use
-    /// [`std::thread::available_parallelism`]", `1` runs fully inline.
-    /// [`RoadFramework::build`](crate::RoadFramework::build) builds the
-    /// hierarchy under the same setting — each binary round of the
-    /// partitioner fans its groups out the same way — so this is the
-    /// thread count of the whole build, and of nothing else: repair after
-    /// an update runs on the calling thread whatever it says (a repair
-    /// level is a handful of Rnets of tens of microseconds each, less than
-    /// a worker costs to start). The thread count never changes a single
-    /// output byte: every worker writes its Rnet's map into a per-Rnet
-    /// indexed slot and the slots are committed in hierarchy order, so
-    /// scheduling cannot reorder anything observable (differential tests
-    /// sweep 1/2/4/8 threads to prove it).
+    /// Worker threads for construction and repair: Rnets of the same level
+    /// are independent (Lemma 2 — a level reads only the level below), so
+    /// each level of a build, and each level a repair reaches, fans out
+    /// over scoped workers, each on a scratch kept warm across levels and
+    /// updates. `0` means "use [`std::thread::available_parallelism`]",
+    /// `1` runs fully inline. [`RoadFramework::build`](crate::RoadFramework::build)
+    /// builds the hierarchy under the same setting — each binary round of
+    /// the partitioner fans its groups out the same way. The thread count
+    /// never changes a single output byte: every worker writes its Rnet's
+    /// map into a per-Rnet indexed slot and the slots are committed in
+    /// list order, so scheduling cannot reorder anything observable
+    /// (differential tests sweep 1/2/4/8 threads over builds and update
+    /// histories to prove it).
     pub threads: usize,
 }
 
@@ -350,15 +348,13 @@ pub struct ShortcutStore {
 }
 
 impl ShortcutStore {
-    /// Builds every Rnet's shortcuts bottom-up (finest level first).
-    ///
-    /// Rnets of the same level are independent — a level's maps read only
-    /// the level below — so each level fans out over
-    /// [`ShortcutOptions::threads`] scoped workers, every worker owning its
-    /// own `BuildScratch`. Workers deposit maps into per-Rnet indexed
-    /// slots which are then committed in hierarchy order, so the store is
-    /// **byte-identical** to a single-threaded build regardless of
-    /// scheduling (pinned by `tests/parallel_build.rs`).
+    /// Builds every Rnet's shortcuts bottom-up (finest level first): a
+    /// repair of every Rnet from an empty store (`refresh_rnets`), each
+    /// level fanned out over [`ShortcutOptions::threads`] scoped workers.
+    /// Workers deposit maps into per-Rnet indexed slots committed in
+    /// hierarchy order, so the store is **byte-identical** to a
+    /// single-threaded build regardless of scheduling (pinned by
+    /// `tests/parallel_build.rs`).
     pub fn build(
         g: &RoadNetwork,
         hier: &RnetHierarchy,
@@ -366,14 +362,9 @@ impl ShortcutStore {
         opts: &ShortcutOptions,
     ) -> Self {
         let mut store = ShortcutStore::empty(hier.num_rnets());
-        let mut scratch = BuildScratch::default();
-        for level in (1..=hier.levels()).rev() {
-            let rnets: Vec<RnetId> = hier.rnets_at_level(level).collect();
-            let maps = store.compute_level_maps(g, hier, kind, &rnets, opts, &mut scratch);
-            for (&r, map) in rnets.iter().zip(maps) {
-                store.replace_rnet(r, map);
-            }
-        }
+        let finest_first: Vec<RnetId> =
+            (1..=hier.levels()).rev().flat_map(|level| hier.rnets_at_level(level)).collect();
+        store.refresh_rnets(g, hier, kind, &finest_first, opts, &mut WorkerScratches::default());
         store
     }
 
@@ -388,15 +379,17 @@ impl ShortcutStore {
         }
     }
 
-    /// Computes the shortcut maps of one level's (or more generally, of
-    /// mutually independent) Rnets of a build, fanned out over scoped
-    /// worker threads. Every thread owns a contiguous chunk of `rnets`: the
-    /// calling thread takes the first on the scratch it was handed — warm
-    /// from the levels before — and each other chunk gets a spawned worker
-    /// with a fresh [`BuildScratch`]. Every map lands in the slot indexed by its
-    /// Rnet's position, so the result is independent of scheduling. `self`
-    /// is only read (the children's maps), never written — commits happen
-    /// afterwards, in order, on the caller's thread.
+    /// Computes the shortcut maps of one level's Rnets — of a build or of a
+    /// repair — fanned out over scoped worker threads, one per scratch in
+    /// `scratches`. Every thread owns a contiguous chunk of `rnets` and the
+    /// scratch at its chunk's position: the calling thread takes the first
+    /// chunk on the first scratch, and each other chunk gets a spawned
+    /// worker on the next one, all of them warm from the levels and
+    /// updates before. With one scratch nothing is spawned. Every map lands
+    /// in the slot indexed by its Rnet's position, so the result is
+    /// independent of scheduling. `self` is only read (the children's
+    /// maps), never written — commits happen afterwards, in order, on the
+    /// caller's thread.
     fn compute_level_maps(
         &self,
         g: &RoadNetwork,
@@ -404,9 +397,13 @@ impl ShortcutStore {
         kind: WeightKind,
         rnets: &[RnetId],
         opts: &ShortcutOptions,
-        scratch: &mut BuildScratch,
+        scratches: &mut [BuildScratch],
     ) -> Vec<RnetShortcuts> {
-        let threads = resolve_threads(opts.threads).min(rnets.len().max(1));
+        debug_assert!(
+            rnets.windows(2).all(|w| hier.level_of(w[0]) == hier.level_of(w[1])),
+            "a fan-out computes one level: a parent must not be computed beside its child"
+        );
+        assert!(!scratches.is_empty(), "the calling thread computes on the first scratch");
         let mut maps: Vec<RnetShortcuts> = Vec::new();
         maps.resize_with(rnets.len(), RnetShortcuts::default);
         let fill = |chunk: &[RnetId], out: &mut [RnetShortcuts], scratch: &mut BuildScratch| {
@@ -414,14 +411,14 @@ impl ShortcutStore {
                 *slot = self.compute_rnet_map(g, hier, kind, r, opts, scratch);
             }
         };
-        let chunk_len = rnets.len().div_ceil(threads).max(1);
-        let mut chunks = rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len));
+        let chunk_len = rnets.len().div_ceil(scratches.len()).max(1);
+        let mut chunks = rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len)).zip(scratches);
         let own = chunks.next();
         std::thread::scope(|scope| {
-            for (chunk, out) in chunks {
-                scope.spawn(move || fill(chunk, out, &mut BuildScratch::default()));
+            for ((chunk, out), scratch) in chunks {
+                scope.spawn(move || fill(chunk, out, scratch));
             }
-            if let Some((chunk, out)) = own {
+            if let Some(((chunk, out), scratch)) = own {
                 fill(chunk, out, scratch);
             }
         });
@@ -504,33 +501,17 @@ impl ShortcutStore {
         self.per_rnet.bytes_copied()
     }
 
-    /// Recomputes one Rnet's shortcuts in place; returns `true` when the
-    /// shortcut set changed (the signal that drives upward propagation in
-    /// the filter-and-refresh maintenance of Section 5.2).
-    pub(crate) fn refresh_rnet(
-        &mut self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        r: RnetId,
-        opts: &ShortcutOptions,
-        scratch: &mut BuildScratch,
-    ) -> bool {
-        let new = self.compute_rnet_map(g, hier, kind, r, opts, scratch);
-        let changed = !Self::maps_equivalent(self.rnet(r), &new);
-        self.replace_rnet(r, new);
-        changed
-    }
-
-    /// Recomputes several Rnets' shortcuts one after the other, on the
-    /// calling thread: `rnets` must be sorted finest level first (ties in
-    /// any order — Rnets of one level are independent), so parents always
-    /// read fully repaired children. Returns the per-Rnet "shortcut set
-    /// changed" flags, aligned with `rnets`.
-    ///
-    /// Unlike a build, repair does not fan a level out: a level of a tick
-    /// is 4–8 Rnets of tens of microseconds each, less than a worker and
-    /// its cold scratch cost (ARCHITECTURE.md, "Parallel construction").
+    /// Recomputes Rnets' shortcuts in place: `rnets` must be sorted finest
+    /// level first (ties in any order — Rnets of one level are
+    /// independent). Each run of one level is computed by
+    /// [`ShortcutStore::compute_level_maps`] against the store as the finer
+    /// runs left it, fanned out over `workers`' warm scratches, and
+    /// committed in list order before the next, coarser run starts — so
+    /// parents always read fully repaired children, and the store is
+    /// byte-equal whatever the thread count. Returns the per-Rnet "shortcut
+    /// set changed" flags, aligned with `rnets`: the signal that drives
+    /// upward propagation in the filter-and-refresh maintenance of
+    /// Section 5.2.
     // roadlint: order-sink
     pub(crate) fn refresh_rnets(
         &mut self,
@@ -539,13 +520,22 @@ impl ShortcutStore {
         kind: WeightKind,
         rnets: &[RnetId],
         opts: &ShortcutOptions,
-        scratch: &mut BuildScratch,
+        workers: &mut WorkerScratches,
     ) -> Vec<bool> {
         debug_assert!(
             rnets.windows(2).all(|w| hier.level_of(w[0]) >= hier.level_of(w[1])),
             "refresh_rnets input must be sorted finest level first"
         );
-        rnets.iter().map(|&r| self.refresh_rnet(g, hier, kind, r, opts, scratch)).collect()
+        let mut changed = Vec::with_capacity(rnets.len());
+        for run in rnets.chunk_by(|a, b| hier.level_of(*a) == hier.level_of(*b)) {
+            let scratches = workers.for_level(opts, run.len());
+            let maps = self.compute_level_maps(g, hier, kind, run, opts, scratches);
+            for (&r, map) in run.iter().zip(maps) {
+                changed.push(!Self::maps_equivalent(self.rnet(r), &map));
+                self.replace_rnet(r, map);
+            }
+        }
+        changed
     }
 
     /// Same `(from, to)` pairs at approximately equal distances? List order
@@ -628,6 +618,10 @@ impl ShortcutStore {
         scratch: &mut BuildScratch,
         fill_dmat: impl FnOnce(&mut BuildScratch, usize) -> PathSource,
     ) -> RnetShortcuts {
+        #[cfg(test)]
+        {
+            scratch.rnets_computed += 1;
+        }
         let borders = hier.borders(r);
         let mut out = RnetShortcuts::default();
         if borders.len() < 2 {
@@ -1161,12 +1155,49 @@ enum PathSource {
     SealedDijkstra,
 }
 
+/// The scratches of the level fan-out, one per worker: the first is the
+/// calling thread's, and the next is made the first time a level has
+/// enough Rnets for another worker, up to [`ShortcutOptions::threads`].
+/// Kept across levels and, in a framework, across updates — a fresh
+/// scratch per worker and level costs more than repairing a level on one
+/// thread (ARCHITECTURE.md, "Parallel construction").
+#[derive(Default)]
+pub(crate) struct WorkerScratches {
+    scratches: Vec<BuildScratch>,
+    /// [`ShortcutOptions::threads`] resolved once (asking the OS reads
+    /// cgroup files, as long as a small Rnet's repair); `0` before the
+    /// first level.
+    threads: usize,
+}
+
+impl WorkerScratches {
+    /// The scratches a level of `rnets` Rnets fans out over: one per
+    /// thread, never more than one per Rnet, and at least the caller's.
+    fn for_level(&mut self, opts: &ShortcutOptions, rnets: usize) -> &mut [BuildScratch] {
+        if self.threads == 0 {
+            self.threads = resolve_threads(opts.threads);
+        }
+        let workers = self.threads.min(rnets).max(1);
+        if self.scratches.len() < workers {
+            self.scratches.resize_with(workers, BuildScratch::default);
+        }
+        &mut self.scratches[..workers]
+    }
+
+    /// The matrix entries the min-plus kernels relaxed, on every worker,
+    /// since the last call: what a repair's eliminations, closures and
+    /// keep rules cost, counted rather than timed.
+    pub(crate) fn take_minplus_entries(&mut self) -> u64 {
+        self.scratches.iter_mut().map(|s| std::mem::take(&mut s.minplus_entries)).sum()
+    }
+}
+
 /// Reusable allocations for shortcut computation: the local-id interner,
 /// the CSR arena of the Rnet being built, the elimination matrices and the
 /// contraction state (one arm each), the border-distance matrix and the
 /// shared Dijkstra.
 #[derive(Default)]
-pub(crate) struct BuildScratch {
+struct BuildScratch {
     /// Global → local ids of the graph being assembled, dense over the
     /// network's node ids: `generation << 32 | local`, valid where the
     /// upper half is the current generation — so starting the next graph
@@ -1186,6 +1217,9 @@ pub(crate) struct BuildScratch {
     /// Sealed Dijkstras run by pruned finalisations so far.
     #[cfg(test)]
     sealed_runs: usize,
+    /// Rnets whose maps this scratch computed so far.
+    #[cfg(test)]
+    rnets_computed: usize,
     /// The identity list `0..nb` (borders own the first local ids) — the
     /// target set handed to each matrix Dijkstra.
     border_locals: Vec<u32>,
@@ -1195,7 +1229,7 @@ pub(crate) struct BuildScratch {
     /// cheapest split through a third border.
     cover: Vec<f64>,
     /// Matrix entries the min-plus kernels relaxed since the last
-    /// [`BuildScratch::take_minplus_entries`].
+    /// [`WorkerScratches::take_minplus_entries`].
     minplus_entries: u64,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
@@ -1262,13 +1296,6 @@ impl BuildScratch {
         self.minplus_entries +=
             minplus::close_arcs(nb, self.remainder_builder.arcs(), &mut self.dmat);
         PathSource::SealedDijkstra
-    }
-
-    /// The matrix entries the min-plus kernels relaxed since the last call:
-    /// what a repair's eliminations, closures and keep rules cost, counted
-    /// rather than timed.
-    pub(crate) fn take_minplus_entries(&mut self) -> u64 {
-        std::mem::take(&mut self.minplus_entries)
     }
 
     /// Fills `source_order` for `borders` (whose locals are `0..nb`).
@@ -1442,48 +1469,85 @@ mod tests {
         }
     }
 
+    /// Refreshes the one Rnet `r`; returns whether its shortcut set changed.
+    fn refresh_one(
+        store: &mut ShortcutStore,
+        g: &RoadNetwork,
+        hier: &RnetHierarchy,
+        r: RnetId,
+        opts: &ShortcutOptions,
+        workers: &mut WorkerScratches,
+    ) -> bool {
+        store.refresh_rnets(g, hier, WeightKind::Distance, &[r], opts, workers)[0]
+    }
+
     #[test]
     fn refresh_detects_weight_changes() {
         let mut g = simple::grid(6, 6, 1.0);
         let (hier, mut store) = build(&g, 4, 2, true);
-        let mut scratch = BuildScratch::default();
+        let (opts, mut workers) = (ShortcutOptions::default(), WorkerScratches::default());
         // Pick an edge inside some leaf Rnet with shortcuts.
         let e = g.edge_ids().next().unwrap();
         let leaf = hier.leaf_of_edge(e);
         // No-op refresh: nothing changed.
-        let changed = store.refresh_rnet(
-            &g,
-            &hier,
-            WeightKind::Distance,
-            leaf,
-            &Default::default(),
-            &mut scratch,
-        );
+        let changed = refresh_one(&mut store, &g, &hier, leaf, &opts, &mut workers);
         assert!(!changed, "refresh without a weight change must be a no-op");
-        // Make the edge very expensive and refresh.
+        // Make the edge very expensive, then refresh the ancestor chain
+        // finest first: the store equals a full rebuild.
         g.set_weight(e, WeightKind::Distance, Weight::new(100.0)).unwrap();
-        store.refresh_rnet(
-            &g,
-            &hier,
-            WeightKind::Distance,
-            leaf,
-            &Default::default(),
-            &mut scratch,
-        );
-        // Full rebuild equivalence after refreshing every ancestor chain.
-        let mut r = leaf;
+        let (mut chain, mut r) = (Vec::new(), leaf);
         while r.is_valid() {
-            store.refresh_rnet(
-                &g,
-                &hier,
-                WeightKind::Distance,
-                r,
-                &Default::default(),
-                &mut scratch,
-            );
+            chain.push(r);
             r = hier.parent(r);
         }
-        store.verify_against_rebuild(&g, &hier, WeightKind::Distance, &Default::default()).unwrap();
+        store.refresh_rnets(&g, &hier, WeightKind::Distance, &chain, &opts, &mut workers);
+        store.verify_against_rebuild(&g, &hier, WeightKind::Distance, &opts).unwrap();
+    }
+
+    /// Repair fans a level out over the warm scratches: refreshing a level
+    /// of several Rnets at `threads = 2` computes some of them on the
+    /// second scratch, and at `threads = 1` the first scratch computes them
+    /// all — so a silent fallback to inline repair fails here, not only in
+    /// a timing. The scratches outlive the call, as a framework keeps them.
+    #[test]
+    fn a_repaired_level_fans_out_over_a_second_scratch_only_at_two_threads() {
+        let g = simple::grid(8, 8, 1.0);
+        let (hier, mut store) = build(&g, 4, 2, true);
+        let leaves: Vec<RnetId> = hier.rnets_at_level(hier.levels()).collect();
+        assert!(leaves.len() >= 2, "{leaves:?}");
+        for threads in [1, 2] {
+            let opts = ShortcutOptions { threads, ..Default::default() };
+            let mut workers = WorkerScratches::default();
+            for round in 1..=2 {
+                let kind = WeightKind::Distance;
+                let changed = store.refresh_rnets(&g, &hier, kind, &leaves, &opts, &mut workers);
+                assert_eq!(changed, vec![false; leaves.len()]);
+                let computed: Vec<usize> =
+                    workers.scratches.iter().map(|s| s.rnets_computed).collect();
+                assert_eq!(computed.iter().sum::<usize>(), round * leaves.len(), "{computed:?}");
+                let second = computed.get(1).copied().unwrap_or(0);
+                if threads == 1 {
+                    assert_eq!(second, 0, "threads = 1 fanned out: {computed:?}");
+                } else {
+                    assert!(second >= round, "threads = 2 repaired inline: {computed:?}");
+                }
+            }
+        }
+    }
+
+    /// The fan-out computes one level at a time: a run mixing a parent
+    /// with its child would read the child's map while it is replaced.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a fan-out computes one level")]
+    fn a_run_of_two_levels_is_refused() {
+        let g = simple::grid(6, 6, 1.0);
+        let (hier, store) = build(&g, 4, 2, true);
+        let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
+        let opts = ShortcutOptions::default();
+        let mut scratches = [BuildScratch::default(), BuildScratch::default()];
+        let run = [leaf, hier.parent(leaf)];
+        store.compute_level_maps(&g, &hier, WeightKind::Distance, &run, &opts, &mut scratches);
     }
 
     /// The structural-sharing contract behind snapshot publication: a fork
@@ -1496,15 +1560,8 @@ mod tests {
         let mut fork = store.clone();
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets());
         let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
-        let mut scratch = BuildScratch::default();
-        let changed = fork.refresh_rnet(
-            &g,
-            &hier,
-            WeightKind::Distance,
-            leaf,
-            &Default::default(),
-            &mut scratch,
-        );
+        let mut workers = WorkerScratches::default();
+        let changed = refresh_one(&mut fork, &g, &hier, leaf, &Default::default(), &mut workers);
         assert!(!changed);
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets() - 1);
         let arena = |s: &ShortcutStore| Arc::clone(s.per_rnet.get(leaf.0 as usize).unwrap());
@@ -1799,16 +1856,17 @@ mod tests {
             let slower = Weight::new(g.weight(e, kind).get() * 1.75);
             g.set_weight(e, kind, slower).unwrap();
         }
-        let mut scratch = BuildScratch::default();
+        let mut workers = WorkerScratches::default();
         let mut changed = 0;
         for level in (1..=hier.levels()).rev() {
             for r in hier.rnets_at_level(level) {
-                changed += usize::from(store.refresh_rnet(&g, &hier, kind, r, &opts, &mut scratch));
-                assert!(scratch.csr.num_nodes() <= DENSE_MAX_NODES, "{r:?} is above the switch");
+                changed += usize::from(refresh_one(&mut store, &g, &hier, r, &opts, &mut workers));
+                let nodes = workers.scratches[0].csr.num_nodes();
+                assert!(nodes <= DENSE_MAX_NODES, "{r:?} is above the switch");
             }
         }
         assert!(changed > 0 && store.num_shortcuts() > 0);
-        assert_eq!(scratch.sealed_runs, 0);
+        assert_eq!(workers.scratches[0].sealed_runs, 0);
         store.verify_against_rebuild(&g, &hier, kind, &opts).unwrap();
 
         // 1,200 nodes in two leaves: the contractor's, and its finalisation.
@@ -1817,8 +1875,8 @@ mod tests {
         let hier = RnetHierarchy::build(&g, &cfg).unwrap();
         let mut store = ShortcutStore::build(&g, &hier, kind, &opts);
         let leaf = hier.rnets_at_level(1).next().unwrap();
-        store.refresh_rnet(&g, &hier, kind, leaf, &opts, &mut scratch);
-        assert!(scratch.csr.num_nodes() > DENSE_MAX_NODES);
-        assert!(scratch.sealed_runs > 0);
+        refresh_one(&mut store, &g, &hier, leaf, &opts, &mut workers);
+        assert!(workers.scratches[0].csr.num_nodes() > DENSE_MAX_NODES);
+        assert!(workers.scratches[0].sealed_runs > 0);
     }
 }

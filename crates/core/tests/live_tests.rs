@@ -629,13 +629,16 @@ fn zero_weight_edges_answer_like_dijkstra_on_every_engine() {
 /// A `side`×`side` unit grid over a fixed quadtree partition — `levels`
 /// levels of fanout 4, leaves the blocks of a `2^levels`-wide raster in
 /// Morton order, each edge in the block of its first endpoint — with
-/// `objects` objects on it. No hash order can move the partition, so what
-/// a history refreshes and copies is the same under every hasher.
+/// `objects` objects on it, built and repaired on `threads` workers (`0`:
+/// the host's). No hash order can move the partition, so what a history
+/// refreshes and copies is the same under every hasher, as it is at every
+/// thread count.
 fn quadtree_engine(
     side: usize,
     levels: u32,
     objects: u64,
     seed: u64,
+    threads: usize,
 ) -> (LiveEngine, UpdateHandle) {
     let g = simple::grid(side, side, 1.0);
     let block = side >> levels;
@@ -650,6 +653,7 @@ fn quadtree_engine(
     let mut cfg = RoadConfig::default();
     cfg.hierarchy.fanout = 4;
     cfg.hierarchy.levels = levels;
+    cfg.shortcuts.threads = threads;
     let fw = RoadFramework::build_with_partition(g, cfg, |e| leaf[e.index()]).unwrap();
     let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -697,7 +701,7 @@ impl Tick {
 /// a rebuild.
 #[test]
 fn a_snapshot_held_across_200_ticks_answers_as_when_published() {
-    let (live, mut writer) = quadtree_engine(32, 3, 60, 0x5A_F00D);
+    let (live, mut writer) = quadtree_engine(32, 3, 60, 0x5A_F00D, 0);
     let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     Tick::draw(&mut rng, &edges, 60).apply(&mut writer);
@@ -746,7 +750,7 @@ fn a_tick_unshares_only_the_chunks_it_writes() {
     use road_core::association::{ABSTRACT_CHUNK, LIST_SHARD, OBJECT_SHARDS};
     use std::collections::BTreeSet;
 
-    let (live, mut writer) = quadtree_engine(64, 4, 200, 0xC4_0C5);
+    let (live, mut writer) = quadtree_engine(64, 4, 200, 0xC4_0C5, 0);
     let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
     let mut rng = StdRng::seed_from_u64(0xB17E5);
     for round in 0..3 {
@@ -805,13 +809,14 @@ fn a_tick_unshares_only_the_chunks_it_writes() {
     }
 }
 
-/// A seeded 50-tick history on a world no hasher can repartition, run once
+/// A seeded 50-tick history on a world no hasher can repartition, with the
+/// writer repairing on `threads` workers (1 or 2), run once per thread count
 /// for the pins below: the writer's stats after it, the Rnets it refreshed,
 /// and what one copy of the network's edge records weighs.
-fn fifty_ticks() -> &'static (LiveStats, usize, u64) {
-    static HISTORY: OnceLock<(LiveStats, usize, u64)> = OnceLock::new();
-    HISTORY.get_or_init(|| {
-        let (_live, mut writer) = quadtree_engine(64, 4, 200, 0xB47E5);
+fn fifty_ticks(threads: usize) -> &'static (LiveStats, usize, u64) {
+    static HISTORIES: [OnceLock<(LiveStats, usize, u64)>; 2] = [OnceLock::new(), OnceLock::new()];
+    HISTORIES[threads - 1].get_or_init(|| {
+        let (_live, mut writer) = quadtree_engine(64, 4, 200, 0xB47E5, threads);
         let edges: Vec<EdgeId> = writer.framework().network().edge_ids().collect();
         let mut rng = StdRng::seed_from_u64(0x50_71C5);
         assert_eq!(writer.stats().bytes_copied, 0);
@@ -825,23 +830,28 @@ fn fifty_ticks() -> &'static (LiveStats, usize, u64) {
 }
 
 /// `LiveStats::bytes_copied` is what copy-on-write copied, pinned for the
-/// 50-tick history — and it is a fraction of what copying the network's
-/// edge records once per tick, as every tick did before the columns were
-/// chunked, would have cost.
+/// 50-tick history at one and two repair workers — and it is a fraction of
+/// what copying the network's edge records once per tick, as every tick did
+/// before the columns were chunked, would have cost.
 #[test]
 fn fifty_ticks_copy_a_pinned_number_of_bytes() {
-    let &(stats, refreshed, edge_records) = fifty_ticks();
-    assert_eq!((stats.publishes, refreshed), (50, 1226));
-    assert_eq!(stats.bytes_copied, 5_757_304);
-    assert!(stats.bytes_copied < 50 * edge_records, "{stats:?}");
+    for threads in [1, 2] {
+        let &(stats, refreshed, edge_records) = fifty_ticks(threads);
+        assert_eq!((stats.publishes, refreshed), (50, 1226), "{threads} threads");
+        assert_eq!(stats.bytes_copied, 5_757_304, "{threads} threads");
+        assert!(stats.bytes_copied < 50 * edge_records, "{stats:?}");
+    }
 }
 
 /// `UpdateOutcome::minplus_entries` is the repair's arithmetic, pinned for
-/// the same history: a kernel that does more or less work moves it, a
-/// timer never has to be patched in to see that.
+/// the same history at one and two repair workers: a kernel that does more
+/// or less work moves it, a timer never has to be patched in to see that,
+/// and which worker relaxed an entry never does.
 #[test]
 fn fifty_ticks_relax_a_pinned_number_of_matrix_entries() {
-    let &(stats, refreshed, _) = fifty_ticks();
-    assert_eq!(stats.outcome.rnets_refreshed, refreshed);
-    assert_eq!(stats.outcome.minplus_entries, 126_028_953);
+    for threads in [1, 2] {
+        let &(stats, refreshed, _) = fifty_ticks(threads);
+        assert_eq!(stats.outcome.rnets_refreshed, refreshed, "{threads} threads");
+        assert_eq!(stats.outcome.minplus_entries, 126_028_953, "{threads} threads");
+    }
 }

@@ -16,11 +16,14 @@
 //! partition differs from run to run, never within one: one process, one
 //! hasher seed, and the thread count still cannot matter.)
 //!
-//! The same must hold for maintenance: a batched, level-by-level repair
-//! ([`RoadFramework::set_edge_weights`]) has to leave the framework
-//! byte-identical to applying the same updates one at a time through the
-//! per-Rnet refresh chain, whatever thread count the framework was built
-//! under (repair itself runs on the calling thread).
+//! The same must hold for maintenance, which fans each level out the way a
+//! build does, on scratches the framework keeps warm: one seeded history of
+//! weight storms, edge additions and removals (repair lists that span
+//! levels) leaves frameworks built and repairing on 1/2/4/8 workers
+//! byte-identical after every step, with equal [`UpdateOutcome`]s, and a
+//! batched, level-by-level repair ([`RoadFramework::set_edge_weights`])
+//! leaves the framework byte-identical to applying the same updates one at
+//! a time.
 //!
 //! Weights are exact in f64 (small integers / dyadic rationals), so
 //! "equivalent" and "bit-identical" coincide — any scheduling leak shows
@@ -38,7 +41,7 @@ use road_core::shortcut::{ShortcutOptions, ShortcutStore};
 use road_core::{HierarchyConfig, RnetHierarchy, UpdateOutcome};
 use road_network::generator::simple;
 use road_network::graph::RoadNetwork;
-use road_network::ids::EdgeId;
+use road_network::ids::{EdgeId, NodeId};
 
 /// Rewrites every edge's Distance weight deterministically from `seed` —
 /// small integers or dyadic rationals `k/64`, both exact in f64.
@@ -266,4 +269,120 @@ fn oversubscribed_threads_are_harmless() {
         &ShortcutOptions { threads: 64, ..Default::default() },
     );
     assert_eq!(serialize(&seq), serialize(&over));
+}
+
+/// One step of a repair history.
+enum Step {
+    /// A weight storm through `set_edge_weights`.
+    Storm(Vec<(EdgeId, Weight)>),
+    /// A new edge between two nodes that had none.
+    Add(NodeId, NodeId, Weight),
+    /// An edge removed.
+    Remove(EdgeId),
+}
+
+/// A seeded history over `g`: six storms of 12 exact integer reweights,
+/// with an edge added after the second and fifth and one removed after the
+/// third and sixth — topology repairs, whose lists run from a leaf to the
+/// root and across sibling subtrees.
+fn repair_history(g: &RoadNetwork, seed: u64) -> Vec<Step> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4E9A_1125);
+    let weight = |rng: &mut StdRng| Weight::new(rng.random_range(1..=16u32) as f64);
+    let mut live: Vec<EdgeId> = g.edge_ids().collect();
+    let mut added = Vec::new();
+    let mut steps = Vec::new();
+    for round in 0..6 {
+        let storm = (0..12).map(|_| (live[rng.random_range(0..live.len())], weight(&mut rng)));
+        steps.push(Step::Storm(storm.collect()));
+        match round % 3 {
+            1 => loop {
+                let n = g.num_nodes() as u32;
+                let (a, b) = (NodeId(rng.random_range(0..n)), NodeId(rng.random_range(0..n)));
+                let fresh = a != b && g.edge_between(a, b).is_none();
+                if fresh && !added.contains(&(a.min(b), a.max(b))) {
+                    added.push((a.min(b), a.max(b)));
+                    steps.push(Step::Add(a, b, weight(&mut rng)));
+                    break;
+                }
+            },
+            2 => steps.push(Step::Remove(live.swap_remove(rng.random_range(0..live.len())))),
+            _ => {}
+        }
+    }
+    steps
+}
+
+/// Replays `history` on `fw`: after every step, the image and the step's
+/// outcome.
+fn replay(mut fw: RoadFramework, history: &[Step]) -> Vec<(Vec<u8>, UpdateOutcome)> {
+    history
+        .iter()
+        .map(|step| {
+            let outcome = match *step {
+                Step::Storm(ref updates) => fw.set_edge_weights(updates).unwrap(),
+                Step::Add(a, b, w) => fw.add_edge(a, b, (w, w, Weight::ZERO)).unwrap().1,
+                Step::Remove(e) => fw.remove_edge(e, &[]).unwrap(),
+            };
+            (fw.to_bytes(), outcome)
+        })
+        .collect()
+}
+
+/// Frameworks built by `build(threads)` on 1, 2, 4 and 8 workers, put
+/// through one seeded repair history, agree step for step: the same image
+/// bytes and the same `UpdateOutcome`, `minplus_entries` included — so
+/// which worker repaired an Rnet, and with it the fan-out, is unobservable.
+fn assert_repair_thread_counts_agree(
+    build: impl Fn(usize) -> RoadFramework,
+    seed: u64,
+    label: &str,
+) {
+    let reference = build(1);
+    let history = repair_history(reference.network(), seed);
+    let expected = replay(reference, &history);
+    assert!(
+        expected.iter().any(|(_, outcome)| outcome.rnets_changed > 0),
+        "{label}: nothing moved"
+    );
+    for threads in [2usize, 4, 8] {
+        let steps = replay(build(threads), &history);
+        for (i, (got, want)) in steps.iter().zip(&expected).enumerate() {
+            assert_eq!(got.1, want.1, "{label}: outcome of step {i} diverged at {threads} threads");
+            assert!(got.0 == want.0, "{label}: image after step {i} diverged at {threads} threads");
+        }
+    }
+}
+
+/// The repair thread sweep on random worlds of eight leaves: weight storms
+/// repair a level at a time, edge additions and removals a closure that
+/// spans every level in one `refresh_rnets` call.
+#[test]
+fn repair_is_byte_identical_at_every_thread_count() {
+    for seed in [3u64, 58, 711] {
+        let mut g = simple::random_connected(48, 14, seed);
+        reweight(&mut g, seed, false);
+        let build = |threads: usize| {
+            let builder = RoadFramework::builder(g.clone()).fanout(2).levels(3);
+            builder.shortcut_threads(threads).build().unwrap()
+        };
+        assert_repair_thread_counts_agree(build, seed, &format!("random world, seed {seed}"));
+    }
+}
+
+/// The same sweep where repair runs both arms of the builder: the storms on
+/// [`common::two_arm_grid`] reach its contractor leaf and its dense ones.
+#[test]
+fn repair_of_both_arms_is_byte_identical_at_every_thread_count() {
+    let mut g = common::two_arm_grid();
+    reweight(&mut g, 42, false);
+    let hier = common::two_arm_hierarchy(&g);
+    let build = |threads: usize| {
+        let mut cfg = RoadConfig::default();
+        cfg.hierarchy.fanout = 2;
+        cfg.hierarchy.levels = 2;
+        cfg.shortcuts.threads = threads;
+        let leaf = |e| hier.leaf_index_of_edge(e).unwrap();
+        RoadFramework::build_with_partition(g.clone(), cfg, leaf).unwrap()
+    };
+    assert_repair_thread_counts_agree(build, 42, "two-arm grid");
 }

@@ -99,12 +99,20 @@ impl Tally {
 }
 
 fn world() -> (RoadFramework, AssociationDirectory) {
-    world_of(0.012, 4, 3)
+    world_of(0.012, 4, 3, 0)
 }
 
-fn world_of(scale: f64, fanout: usize, levels: u32) -> (RoadFramework, AssociationDirectory) {
+/// The golden world's kind at another size, built (and, for a framework
+/// that is then updated, repaired) on `threads` workers, `0` the host's.
+fn world_of(
+    scale: f64,
+    fanout: usize,
+    levels: u32,
+    threads: usize,
+) -> (RoadFramework, AssociationDirectory) {
     let net = Dataset::SfStreets.generate_scaled(scale, SEED).unwrap();
-    let fw = RoadFramework::builder(net).fanout(fanout).levels(levels).build().unwrap();
+    let builder = RoadFramework::builder(net).fanout(fanout).levels(levels);
+    let fw = builder.shortcut_threads(threads).build().unwrap();
     let mut ad = AssociationDirectory::new(fw.hierarchy());
     let edges: Vec<EdgeId> = fw.network().edge_ids().collect();
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
@@ -348,7 +356,7 @@ fn answer(
 #[test]
 fn a_reused_workspace_answers_exactly_like_a_fresh_one() {
     let (fw, ad) = world();
-    let (small_fw, small_ad) = world_of(0.004, 2, 3);
+    let (small_fw, small_ad) = world_of(0.004, 2, 3, 0);
     assert_ne!(fw.hierarchy().num_rnets(), small_fw.hierarchy().num_rnets());
     let memory = (&fw, &ad);
     let paged = PagedEngine::new(&small_fw, &small_ad, PagedOptions::with_buffer_pages(8)).unwrap();
@@ -422,10 +430,22 @@ fn persisted_image_is_byte_identical_to_the_recorded_one() {
 /// the commit before the dense arm took its waypoints from the elimination
 /// instead of one sealed Dijkstra per border: on float weights the
 /// shortest border-free path of a kept pair is unique, so either way
-/// stores the same path at the same bits.
+/// stores the same path at the same bits. The writer repairs inline and
+/// fanned out over four workers, and both leave the recorded store.
 #[test]
 fn a_300_tick_update_history_leaves_the_recorded_store() {
-    let (fw, ad) = world_of(0.03, 4, 4);
+    for threads in [1, 4] {
+        assert_eq!(
+            three_hundred_ticks(threads),
+            (6152, 4735, 446_740, 0x2895_319a_b433_6db2),
+            "Rnets refreshed, Rnets changed, store bytes, FNV-1a-64 at {threads} threads"
+        );
+    }
+}
+
+/// The history above on a writer built and repairing on `threads` workers.
+fn three_hundred_ticks(threads: usize) -> (usize, usize, usize, u64) {
+    let (fw, ad) = world_of(0.03, 4, 4, threads);
     let (live, mut writer) = LiveEngine::new(fw, ad);
     let net = writer.framework().network();
     let edges: Vec<EdgeId> = net.edge_ids().collect();
@@ -452,11 +472,7 @@ fn a_300_tick_update_history_leaves_the_recorded_store() {
     let snap = live.snapshot();
     let mut store = Vec::new();
     snap.framework().shortcuts().serialize_into(&mut store);
-    assert_eq!(
-        (refreshed, changed, store.len(), fnv1a(FNV_OFFSET, &store)),
-        (6152, 4735, 446_740, 0x2895_319a_b433_6db2),
-        "Rnets refreshed, Rnets changed, store bytes, FNV-1a-64"
-    );
+    (refreshed, changed, store.len(), fnv1a(FNV_OFFSET, &store))
 }
 
 /// `(image bytes, shortcuts, FNV-1a-64 of the image)` of a default build of
