@@ -1,5 +1,5 @@
 //! Workspace call graph: the symbol table the interprocedural passes
-//! (taint, lock-order v2, swallowed-error) resolve call sites against.
+//! (taint, lock-order v2, determinism) resolve call sites against.
 //!
 //! Construction is purely token-shaped, like everything else in this
 //! crate:
@@ -20,9 +20,9 @@
 //! typed lookups to same-file-by-name and finally to the workspace-wide
 //! union — the right over-approximation for lock footprints, where a
 //! missed edge is worse than a spurious one. `resolve_confident` stops
-//! at the typed and same-file levels: the taint and swallowed-error
-//! passes must not smear one type's summary over every same-named method
-//! (`get`, `insert`, …) in the workspace.
+//! at the typed and same-file levels: the taint pass must not smear one
+//! type's summary over every same-named method (`get`, `insert`, …) in
+//! the workspace.
 
 use crate::lexer::Token;
 use crate::markers::Marker;
@@ -71,8 +71,6 @@ pub struct FnInfo {
     /// Token range `(open_brace, close_brace)` of the body.
     pub body: Option<(usize, usize)>,
     pub guard_returning: bool,
-    /// `Result` appears in the return-type region of the signature.
-    pub returns_result: bool,
     /// Parameter names with `self` excluded, so indices align with
     /// call-site argument positions for method calls.
     pub params: Vec<String>,
@@ -216,7 +214,6 @@ impl CallGraph {
                     line: f.line,
                     body: f.body,
                     guard_returning: f.guard_returning,
-                    returns_result: sig.returns_result,
                     params: sig.params,
                     in_test_mod: syntax::in_ranges(&fd.test_ranges, f.fn_idx),
                     taint_source,
@@ -240,19 +237,6 @@ impl CallGraph {
 
     pub fn fns_in_file(&self, fi: usize) -> &[FnId] {
         &self.file_fns[fi]
-    }
-
-    /// The innermost function whose body contains token `tok_idx` of file
-    /// `fi`.
-    pub fn enclosing_fn(&self, fi: usize, tok_idx: usize) -> Option<FnId> {
-        self.file_fns[fi]
-            .iter()
-            .copied()
-            .filter(|&id| self.fns[id].body.is_some_and(|(a, b)| tok_idx > a && tok_idx < b))
-            .min_by_key(|&id| {
-                let (a, b) = self.fns[id].body.unwrap_or((0, usize::MAX));
-                b - a
-            })
     }
 
     /// `Type::name` for methods, `name` for free fns.
@@ -283,9 +267,8 @@ impl CallGraph {
 
     /// Strictest tier: only hits the resolver is confident about (typed
     /// receiver, free fn, `self.…`). A plain `expr.m(…)` never resolves —
-    /// the guard-io and swallowed-error rules must not attribute
-    /// `children.insert(…)` (a `Vec` method) to a same-named workspace
-    /// fn.
+    /// the guard-io rule must not attribute `children.insert(…)` (a `Vec`
+    /// method) to a same-named workspace fn.
     pub fn resolve_exact(&self, caller: FnId, site: &CallSite) -> Vec<FnId> {
         let (hit, confident) = self.resolve_inner(caller, site);
         if confident {
@@ -553,7 +536,6 @@ fn struct_fields(tokens: &[Token]) -> Vec<(String, String, Option<String>, Vec<S
 #[derive(Default)]
 struct Signature {
     params: Vec<String>,
-    returns_result: bool,
     /// Uppercase idents of each param's type region, aligned with
     /// `params` (outermost first).
     param_chains: Vec<Vec<String>>,
@@ -604,7 +586,6 @@ fn signature(tokens: &[Token], f: &FnSpan) -> Signature {
     let sig_end = f.body.map(|(o, _)| o).unwrap_or_else(|| {
         (close + 1..tokens.len()).find(|&k| tokens[k].is_punct(';')).unwrap_or(tokens.len())
     });
-    sig.returns_result = (close + 1..sig_end).any(|k| tokens[k].ident() == Some("Result"));
     sig.ret_chain = type_chain(tokens, close + 1, sig_end);
     sig
 }
@@ -687,7 +668,6 @@ mod tests {
         let hit = cg.resolve_confident(run, &site);
         assert_eq!(hit.len(), 1);
         assert_eq!(cg.qualified(hit[0]), "Pool::fault");
-        assert!(cg.fns[hit[0]].returns_result);
         assert_eq!(cg.fns[hit[0]].params, ["n"]);
     }
 

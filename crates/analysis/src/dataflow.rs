@@ -1,4 +1,4 @@
-//! Rule 6: untrusted-input taint for the decode path — the taint rule
+//! Rule 5: untrusted-input taint for the decode path — the taint rule
 //! table of the [`crate::flow`] engine.
 //!
 //! * **Sources**: `from_le_bytes` (every raw byte reader in the

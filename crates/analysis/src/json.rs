@@ -5,26 +5,24 @@
 
 use crate::flow::Verdict;
 use crate::Analysis;
-use std::fmt::Write;
 
 /// Renders the full machine-readable report.
 pub fn render(a: &Analysis) -> String {
     let mut s = String::with_capacity(4096);
     s.push('{');
-    let _ = write!(s, "\"files_scanned\":{},", a.files_scanned);
+    s.push_str(&format!("\"files_scanned\":{},", a.files_scanned));
     s.push_str("\"findings\":[");
     for (i, f) in a.findings.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(
-            s,
+        s.push_str(&format!(
             "{{\"file\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
             esc(&f.file),
             f.line,
             esc(f.rule),
             esc(&f.message)
-        );
+        ));
     }
     s.push_str("],\"lock_graph\":{\"classes\":[");
     for (i, c) in a.graph.classes.iter().enumerate() {
@@ -38,15 +36,14 @@ pub fn render(a: &Analysis) -> String {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(
-            s,
+        s.push_str(&format!(
             "{{\"from\":{},\"to\":{},\"file\":{},\"line\":{},\"function\":{}}}",
             esc(from),
             esc(to),
             esc(&site.file),
             site.line,
             esc(&site.function)
-        );
+        ));
     }
     s.push_str("]},\"taint\":[");
     verdicts(&mut s, &a.taint);
@@ -62,13 +59,12 @@ fn verdicts(s: &mut String, rows: &[Verdict]) {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(
-            s,
+        s.push_str(&format!(
             "{{\"source\":{},\"sanitizer\":{},\"sink\":{}}}",
             esc(&v.source),
             esc(&v.sanitizer),
             esc(&v.sink)
-        );
+        ));
     }
 }
 
@@ -83,9 +79,7 @@ fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -108,5 +102,6 @@ mod tests {
         assert!(j.contains("\"taint\":[]"));
         assert!(j.ends_with("\"order\":[]}"));
         assert_eq!(esc("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(esc("\u{1}\t\u{1f}"), "\"\\u0001\\t\\u001f\"");
     }
 }

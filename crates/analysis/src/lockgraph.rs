@@ -1,4 +1,4 @@
-//! Rules 2 and 7: lock-order discipline and guard-across-IO, on the
+//! Rules 2 and 6: lock-order discipline and guard-across-IO, on the
 //! workspace call graph.
 //!
 //! The pass extracts every lock acquisition (`.lock()`, and zero-argument
@@ -27,7 +27,7 @@
 //! self-edges are dropped: both are over-approximation escape valves;
 //! the direct-acquisition edges that define the discipline are exact.
 //!
-//! **Guard-across-IO** (rule 7): `PageStore` IO — acquiring the `store`
+//! **Guard-across-IO** (rule 6): `PageStore` IO — acquiring the `store`
 //! class, or calling anything whose may-set contains it — while a guard
 //! of any class other than `stripe`/`store` is held is a finding: page
 //! faults can block for a disk round-trip, and only the buffer pool's

@@ -8,7 +8,6 @@
 //! |---|---|
 //! | `serving-path` | file opts into the panic-freedom and lock rules |
 //! | `hot-path` / `end hot-path` | fence a region where heap allocation is banned |
-//! | `decode-fn` | next function's `with_capacity` calls need a bound check |
 //! | `allow(panic) reason="…"` | escape: this line and the next may panic |
 //! | `allow(panic-fn) reason="…"` | escape: the next function may panic |
 //! | `allow(alloc) reason="…"` | escape: this line and the next may allocate |
@@ -18,7 +17,6 @@
 //! | `taint-source` | the next function's return value is untrusted input |
 //! | `sanitized reason="…"` | taint escape: a sink on this/next line is bounded |
 //! | `allow(io-under-lock) reason="…"` | escape: guard intentionally held across page IO |
-//! | `allow(discard) reason="…"` | escape: the `Result` discard on this line is intentional |
 //! | `order-sink` | the next function is an order-sensitive commit: its arguments' order reaches serialized bytes |
 //! | `ordered reason="…"` | determinism escape: the unordered flow on this/next line is order-independent |
 //!
@@ -34,7 +32,6 @@ pub enum Marker {
     ServingPath,
     HotPathStart,
     HotPathEnd,
-    DecodeFn,
     AllowPanic,
     AllowPanicFn,
     AllowAlloc,
@@ -45,7 +42,6 @@ pub enum Marker {
     /// Taint escape with its reason text (shown in the verdict table).
     Sanitized(String),
     AllowIoUnderLock,
-    AllowDiscard,
     /// The next function commits its arguments in an order that reaches
     /// serialized bytes (the determinism pass treats every call to it as
     /// an order-sensitive sink).
@@ -150,8 +146,6 @@ pub fn parse(file: &str, comments: &[Comment]) -> Markers {
         } else if rest.starts_with("hot-path") {
             open_fences += 1;
             out.markers.push(MarkerAt { marker: Marker::HotPathStart, line: c.line });
-        } else if rest.starts_with("decode-fn") {
-            out.markers.push(MarkerAt { marker: Marker::DecodeFn, line: c.line });
         } else if rest.starts_with("taint-source") {
             out.markers.push(MarkerAt { marker: Marker::TaintSource, line: c.line });
         } else if rest.starts_with("sanitized") {
@@ -176,8 +170,6 @@ pub fn parse(file: &str, comments: &[Comment]) -> Markers {
             }
         } else if rest.starts_with("allow(io-under-lock)") {
             reasoned(&mut out, Marker::AllowIoUnderLock, "allow(io-under-lock)");
-        } else if rest.starts_with("allow(discard)") {
-            reasoned(&mut out, Marker::AllowDiscard, "allow(discard)");
         } else if rest.starts_with("allow(panic-fn)") {
             reasoned(&mut out, Marker::AllowPanicFn, "allow(panic-fn)");
         } else if rest.starts_with("allow(panic)") {
@@ -279,6 +271,19 @@ mod tests {
         assert_eq!(ordered(4), Some("commutative integer sum"));
         assert_eq!(m.hygiene.len(), 1, "{:?}", m.hygiene);
         assert!(m.hygiene[0].message.contains("`ordered`"));
+    }
+
+    /// The directives of the retired decode-bound and swallowed-error
+    /// rules are unknown now: a stale one is a finding, not a no-op.
+    #[test]
+    fn retired_directives_are_unknown() {
+        let m = parse_src(
+            "// roadlint: decode-fn\n\
+             // roadlint: allow(discard) reason=\"best-effort\"\n",
+        );
+        assert!(m.markers.is_empty(), "{:?}", m.markers);
+        assert_eq!(m.hygiene.len(), 2);
+        assert!(m.hygiene.iter().all(|f| f.message.contains("unknown roadlint directive")));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Rules 9–11: the determinism prover — the order rule table of the
+//! Rules 7–9: the determinism prover — the order rule table of the
 //! [`crate::flow`] engine, plus the scheduling check.
 //!
 //! The workspace's load-bearing invariant since the parallel-build PRs is
@@ -7,7 +7,7 @@
 //! `FastMap::iter()` feeding a serializer would break that silently; this
 //! pass proves statically that it cannot happen. Three rules:
 //!
-//! * **unordered-iter** (rule 9) — iterating a hash-ordered container
+//! * **unordered-iter** (rule 7) — iterating a hash-ordered container
 //!   (`FastMap`/`FastSet`/`HashMap`/`HashSet`, via `.iter()`, `.keys()`,
 //!   `.values()`, `.drain()`, `into_iter()` or `for … in &map`) is the
 //!   source; it must not reach a byte-output sink (`extend_from_slice`,
@@ -16,13 +16,13 @@
 //!   `order-sink` marker). Sanitizers: collect-then-`sort*`, a
 //!   `BTreeMap`/`BTreeSet` rebind, or a reasoned
 //!   `// roadlint: ordered reason="…"` escape.
-//! * **float-order** (rule 10) — float accumulation whose iteration
+//! * **float-order** (rule 8) — float accumulation whose iteration
 //!   domain is unordered (`.sum::<f64>()`, `+=` on an `f64`/`f32`/
 //!   `Weight` accumulator inside the loop, `min_by`/`max_by` via
 //!   `partial_cmp`) is flagged even without a byte sink: float
 //!   reassociation is exactly the bug class the byte-equality pin cannot
 //!   tolerate. `total_cmp` is the sanctioned deterministic tie-break.
-//! * **sched-order** (rule 11) — inside a `std::thread::scope` fan-out,
+//! * **sched-order** (rule 9) — inside a `std::thread::scope` fan-out,
 //!   results must land in index-addressed slots (`chunks_mut`) or be
 //!   joined in spawn order, never consumed in thread-completion order
 //!   (`.recv()` loops, `Mutex<Vec>::push`).
@@ -473,7 +473,7 @@ impl FnCx<'_, Order> {
     /// Walks a method chain after an iteration source, tracking how the
     /// stream's order evolves: adapters preserve it, sorts and BTree
     /// collects fix it, clean reducers terminate it, float reductions
-    /// fire rule 10.
+    /// fire rule 8.
     fn chain(&mut self, mut cur: Prov, mut k: usize, b: usize) -> Prov {
         let toks = self.toks();
         while k + 1 < b && toks[k].is_punct('.') {
@@ -575,7 +575,7 @@ impl FnCx<'_, Order> {
         out
     }
 
-    /// A float accumulation saw domain provenance `v` (rule 10).
+    /// A float accumulation saw domain provenance `v` (rule 8).
     fn float_event(&mut self, v: Prov, desc: String, line: u32) {
         let desc = match v {
             Prov::Param(_) => format!("{desc} (float reduction)"),
@@ -585,7 +585,7 @@ impl FnCx<'_, Order> {
     }
 }
 
-/// Rule 11: scheduling-dependence inside `std::thread::scope` fan-outs.
+/// Rule 9: scheduling-dependence inside `std::thread::scope` fan-outs.
 /// Results must land in index-addressed slots or be joined in spawn
 /// order — never consumed in thread-completion order.
 fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, report: &mut Report) {

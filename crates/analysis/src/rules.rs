@@ -9,10 +9,6 @@
 //! * **atomic-ordering** — every `Ordering::Relaxed` needs an adjacent
 //!   `relaxed-ok reason="…"`; `Ordering::SeqCst` is flagged outright
 //!   (pick the weakest sufficient ordering, or justify via `seqcst-ok`).
-//! * **decode-bound** — in `decode-fn` functions, `with_capacity`
-//!   must be dominated by a bound/error check (heuristic: an `Err`,
-//!   `min`, `clamp`, `assert*` token or `?` earlier in the function, up
-//!   to the end of the allocating statement).
 //!
 //! Unit-test modules (`#[cfg(test)] mod`) are exempt from all of these.
 
@@ -55,11 +51,6 @@ const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
 /// Method calls that allocate a fresh container.
 const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "clone", "collect"];
 
-/// Tokens accepted as evidence of a bound/error check before a
-/// `with_capacity` in a decode function.
-const BOUND_EVIDENCE: &[&str] =
-    &["Err", "min", "clamp", "assert", "assert_eq", "debug_assert", "take"];
-
 /// Runs every per-file rule over one parsed file.
 pub fn check_file(fd: &FileData) -> Vec<Finding> {
     let file = fd.path.as_str();
@@ -68,7 +59,6 @@ pub fn check_file(fd: &FileData) -> Vec<Finding> {
 
     let mut findings = markers.hygiene.clone();
     let panic_fn_ranges = marked_fn_bodies(file, markers, Marker::AllowPanicFn, fns, &mut findings);
-    let decode_fns = marked_fns(file, markers, Marker::DecodeFn, fns, &mut findings);
     // `taint-source` markers have their fn association resolved by the
     // call graph; here we only check they are not dangling.
     let _ = marked_fns(file, markers, Marker::TaintSource, fns, &mut findings);
@@ -80,7 +70,6 @@ pub fn check_file(fd: &FileData) -> Vec<Finding> {
     }
     hot_alloc_rule(&ctx, &mut findings);
     atomic_ordering_rule(&ctx, &mut findings);
-    decode_bound_rule(&ctx, &decode_fns, &mut findings);
     findings
 }
 
@@ -309,39 +298,6 @@ fn atomic_ordering_rule(ctx: &Ctx, findings: &mut Vec<Finding>) {
                 }
             }
             _ => {}
-        }
-    }
-}
-
-/// Rule 5: `with_capacity` in decode functions must follow a bound check.
-fn decode_bound_rule(ctx: &Ctx, decode_fns: &[&FnSpan], findings: &mut Vec<Finding>) {
-    let toks = ctx.tokens;
-    for f in decode_fns {
-        let Some((body_start, body_end)) = f.body else { continue };
-        for i in body_start..body_end {
-            if toks[i].ident() != Some("with_capacity")
-                || !toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            {
-                continue;
-            }
-            // Evidence window: function body start up to the end of the
-            // allocating statement (so `n.min(cap)` inside the call
-            // counts).
-            let stmt_end = (i..body_end).find(|&k| toks[k].is_punct(';')).unwrap_or(body_end);
-            let evidence = (body_start..stmt_end).any(|k| {
-                toks[k].ident().is_some_and(|id| BOUND_EVIDENCE.contains(&id))
-                    || toks[k].is_punct('?')
-            });
-            if !evidence {
-                findings.push(ctx.finding(
-                    "decode-bound",
-                    toks[i].line,
-                    format!(
-                        "with_capacity in decode function `{}` is not preceded by a bound/error check on the decoded count",
-                        f.name
-                    ),
-                ));
-            }
         }
     }
 }

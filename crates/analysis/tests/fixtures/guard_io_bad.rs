@@ -1,6 +1,6 @@
 // roadlint: serving-path
 // An `image` guard held across a call whose typed resolution reaches
-// PageStore IO (Pool::alloc acquires `store`): rule 7, found through the
+// PageStore IO (Pool::alloc acquires `store`): rule 6, found through the
 // call graph, not at the acquisition site.
 use std::sync::Mutex;
 

@@ -80,14 +80,6 @@ fn atomic_ordering_rule_requires_justifications() {
 }
 
 #[test]
-fn decode_bound_rule_requires_a_dominating_check() {
-    let a = analyze_fixture("decode_bound.rs");
-    let bounds: Vec<_> = a.findings.iter().filter(|f| f.rule == "decode-bound").collect();
-    assert_eq!(bounds.len(), 1, "{:?}", a.findings);
-    assert!(bounds[0].message.contains("decode_unbounded"));
-}
-
-#[test]
 fn lock_order_rule_finds_opposite_acquisition_orders() {
     let a = analyze_fixture("lock_cycle.rs");
     let order: Vec<_> = a.findings.iter().filter(|f| f.rule == "lock-order").collect();
@@ -136,8 +128,8 @@ fn taint_sanitizers_suppress_and_appear_in_the_verdict_table() {
 
 #[test]
 fn cross_file_taint_needs_the_workspace_call_graph() {
-    // Each file alone is what v1's file-local decode-bound rule saw:
-    // nothing. The flow source -> helper -> sink spans three files.
+    // Each file alone shows no flow: source -> helper -> sink spans
+    // three files.
     for f in ["taint_source_reader.rs", "taint_alloc_helper.rs", "taint_decode_flow.rs"] {
         let a = analyze_fixture(f);
         assert!(a.findings.is_empty(), "{f} alone should be clean: {:?}", a.findings);
@@ -177,20 +169,6 @@ fn guard_across_io_is_found_through_the_call_graph() {
     assert!(a.graph.edges.contains_key(&("image".to_owned(), "store".to_owned())));
 
     let ok = analyze_fixture("guard_io_ok.rs");
-    assert!(ok.findings.is_empty(), "{:?}", ok.findings);
-}
-
-#[test]
-fn swallowed_results_fire_and_escape() {
-    let a = analyze_fixture("discard_bad.rs");
-    let sw: Vec<_> = a.findings.iter().filter(|f| f.rule == "swallowed-error").collect();
-    assert_eq!(sw.len(), 3, "{:?}", a.findings);
-    let msgs: String = sw.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.contains("`let _ =`"), "{msgs}");
-    assert!(msgs.contains("bare `flush"), "{msgs}");
-    assert!(msgs.contains(".ok()"), "{msgs}");
-
-    let ok = analyze_fixture("discard_ok.rs");
     assert!(ok.findings.is_empty(), "{:?}", ok.findings);
 }
 
@@ -288,7 +266,7 @@ fn the_workspace_itself_is_clean() {
     assert!(verdict("Reader::u32", "Reader::require", "loop bound"), "prelude chains missing");
     assert!(verdict("le_u64", "partition_point()", "slice index/range"), "bptree chains missing");
     assert!(
-        a.taint.iter().any(|v| v.sink.contains("ShortcutStore::skip_rnet_section")),
+        a.taint.iter().any(|v| v.sink.contains("ShortcutStore::walk_rnet_section")),
         "lazy-open walker not in the verdict table"
     );
     // The determinism chains over the real serialize/commit surface —

@@ -61,7 +61,13 @@ const _: () = {
 impl QueryEngine {
     /// Wraps a framework and a directory for concurrent serving.
     pub fn new(fw: RoadFramework, ad: AssociationDirectory) -> Self {
-        QueryEngine { fw: Arc::new(fw), ad: Arc::new(ad) }
+        Self::from_shared(Arc::new(fw), Arc::new(ad))
+    }
+
+    /// Wraps state another owner shares: a live snapshot's framework and
+    /// the directory it hands on unchanged across publishes.
+    pub(crate) fn from_shared(fw: Arc<RoadFramework>, ad: Arc<AssociationDirectory>) -> Self {
+        QueryEngine { fw, ad }
     }
 
     /// The wrapped framework.

@@ -17,11 +17,12 @@
 //!   [`publish`](UpdateHandle::publish).
 //! * **Any number of readers.** A [`LiveEngine`] handle is cheaply
 //!   clonable; [`snapshot`](LiveEngine::snapshot) hands back an
-//!   `Arc<`[`Snapshot`]`>` — an immutable framework + directory pair that
+//!   `Arc<`[`Snapshot`]`>` — a [`QueryEngine`] with a version, which
 //!   keeps answering on exactly the state it was published with, no
-//!   matter what the writer does next. Readers drive the same zero-alloc
-//!   [`knn_with`](Snapshot::knn_with) / [`range_with`](Snapshot::range_with)
-//!   hot path as [`QueryEngine`](crate::QueryEngine).
+//!   matter what the writer does next. A snapshot dereferences to its
+//!   engine, so readers drive the same zero-alloc
+//!   [`knn_with`](QueryEngine::knn_with) / [`range_with`](QueryEngine::range_with)
+//!   hot path, batches and aggregate queries as any `QueryEngine`.
 //!
 //! Publication swaps an `Arc` behind a mutex held only for the pointer
 //! exchange: readers never wait on a repair in progress, and the writer
@@ -77,15 +78,15 @@
 // roadlint: serving-path
 
 use crate::association::AssociationDirectory;
+use crate::engine::QueryEngine;
 use crate::framework::{RoadFramework, UpdateOutcome};
 use crate::model::{CategoryId, Object, ObjectId};
-use crate::search::{KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats};
-use crate::workspace::SearchWorkspace;
 use crate::RoadError;
 use road_network::{EdgeId, NodeId, Point, Weight};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One published, immutable state of the road network and its objects.
+/// One published, immutable state of the road network and its objects:
+/// a [`QueryEngine`] with a version, which it dereferences to.
 ///
 /// A snapshot answers queries on exactly the state it was published with,
 /// for as long as any reader holds it; later publications never mutate it.
@@ -93,10 +94,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// of a request (or a batch of requests) — re-acquiring per query is
 /// cheap, but holding one guarantees a consistent view across several
 /// queries.
+#[derive(Debug)]
 pub struct Snapshot {
     version: u64,
-    fw: Arc<RoadFramework>,
-    ad: Arc<AssociationDirectory>,
+    engine: QueryEngine,
 }
 
 impl Snapshot {
@@ -105,61 +106,13 @@ impl Snapshot {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// The framework as of this publication.
-    pub fn framework(&self) -> &RoadFramework {
-        &self.fw
-    }
-
-    /// The object directory as of this publication.
-    pub fn directory(&self) -> &AssociationDirectory {
-        &self.ad
-    }
-
-    /// kNN through the per-thread workspace pool.
-    pub fn knn(&self, query: &KnnQuery) -> Result<SearchResult, RoadError> {
-        self.fw.knn(&self.ad, query)
-    }
-
-    /// Range query through the per-thread workspace pool.
-    pub fn range(&self, query: &RangeQuery) -> Result<SearchResult, RoadError> {
-        self.fw.range(&self.ad, query)
-    }
-
-    /// Allocation-free kNN into caller-owned scratch; the serving-loop hot
-    /// path. See [`RoadFramework::knn_with`].
-    pub fn knn_with(
-        &self,
-        query: &KnnQuery,
-        ws: &mut SearchWorkspace,
-        hits: &mut Vec<SearchHit>,
-    ) -> Result<SearchStats, RoadError> {
-        self.fw.knn_with(&self.ad, query, ws, hits)
-    }
-
-    /// Allocation-free range query into caller-owned scratch.
-    pub fn range_with(
-        &self,
-        query: &RangeQuery,
-        ws: &mut SearchWorkspace,
-        hits: &mut Vec<SearchHit>,
-    ) -> Result<SearchStats, RoadError> {
-        self.fw.range_with(&self.ad, query, ws, hits)
-    }
-
-    /// Point-to-point network distance through the overlay.
-    pub fn network_distance(&self, from: NodeId, to: NodeId) -> Result<Option<Weight>, RoadError> {
-        self.fw.network_distance(from, to)
-    }
 }
 
-impl std::fmt::Debug for Snapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("version", &self.version)
-            .field("framework", &*self.fw)
-            .field("objects", &self.ad.len())
-            .finish()
+impl std::ops::Deref for Snapshot {
+    type Target = QueryEngine;
+
+    fn deref(&self) -> &QueryEngine {
+        &self.engine
     }
 }
 
@@ -220,8 +173,7 @@ impl LiveEngine {
         let published_ad = Arc::new(ad.clone());
         let snapshot = Arc::new(Snapshot {
             version: 0,
-            fw: Arc::new(fw.clone()),
-            ad: Arc::clone(&published_ad),
+            engine: QueryEngine::from_shared(Arc::new(fw.clone()), Arc::clone(&published_ad)),
         });
         let shared = Arc::new(Shared { current: Mutex::new(snapshot) });
         let writer = UpdateHandle {
@@ -448,8 +400,10 @@ impl UpdateHandle {
         }
         let snapshot = Arc::new(Snapshot {
             version: self.published_version,
-            fw: Arc::new(self.fw.clone()),
-            ad: Arc::clone(&self.published_ad),
+            engine: QueryEngine::from_shared(
+                Arc::new(self.fw.clone()),
+                Arc::clone(&self.published_ad),
+            ),
         });
         // The guard is gone by the end of the statement: if no reader still
         // holds the previous snapshot, it is freed here, off the lock.

@@ -58,19 +58,22 @@ impl Object {
     }
 
     /// `δ(o, n)` — the object's offset from endpoint `n` of its edge under
-    /// the given metric.
+    /// the given metric. An object at an endpoint sits on it: its offset
+    /// from that endpoint is zero even when the edge is closed (weight
+    /// `+∞`, where the product would be NaN).
     ///
     /// # Panics
     /// Panics if `n` is not an endpoint of the object's edge.
     pub fn offset_from(&self, g: &RoadNetwork, kind: WeightKind, n: NodeId) -> Weight {
         let (a, b) = g.edge(self.edge).endpoints();
         let w = g.weight(self.edge, kind).get();
-        if n == a {
-            Weight::new(w * self.fraction)
+        let share = if n == a {
+            self.fraction
         } else {
             assert_eq!(n, b, "{n} is not an endpoint of {:?}", self.edge);
-            Weight::new(w * (1.0 - self.fraction))
-        }
+            1.0 - self.fraction
+        };
+        Weight::new(if share == 0.0 { 0.0 } else { w * share })
     }
 
     /// The object's planar position (interpolated along its edge).
@@ -136,6 +139,18 @@ mod tests {
         let total = o.offset_from(&g, WeightKind::Distance, NodeId(0))
             + o.offset_from(&g, WeightKind::Distance, NodeId(1));
         assert_eq!(total, g.weight(e, WeightKind::Distance));
+    }
+
+    #[test]
+    fn an_object_at_an_endpoint_of_a_closed_edge_sits_on_it() {
+        let (mut g, e) = two_node_net();
+        g.set_weight(e, WeightKind::Distance, Weight::INFINITY).unwrap();
+        for (fraction, on) in [(0.0, NodeId(0)), (1.0, NodeId(1))] {
+            let o = Object::new(ObjectId(1), e, fraction, CategoryId(0));
+            let far = NodeId(1 - on.0);
+            assert_eq!(o.offset_from(&g, WeightKind::Distance, on), Weight::ZERO);
+            assert_eq!(o.offset_from(&g, WeightKind::Distance, far), Weight::INFINITY);
+        }
     }
 
     #[test]

@@ -331,7 +331,6 @@ fn read_f64_at(buf: &[u8], at: usize) -> f64 {
 /// record's byte length (`4`-byte header + `count * entry` bytes) before
 /// any offset arithmetic or allocation is sized from it. A record that
 /// fails the check decoded from corrupt pages.
-// roadlint: decode-fn
 fn record_count(buf: &[u8], entry: usize) -> Result<usize, RoadError> {
     if buf.len() < 4 {
         return Err(StorageError::CorruptPage("record shorter than its count header").into());
@@ -2267,10 +2266,11 @@ mod tests {
         let disk =
             PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8).with_stripes(1)).unwrap();
         disk.knn(&KnnQuery::new(NodeId(0), 2)).unwrap();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut tally = IoTally::default();
-            let _ = disk.pool.with_page(PageId(0), &mut tally, |_| panic!("poison the stripe"));
+            disk.pool.with_page(PageId(0), &mut tally, |_| panic!("poison the stripe"))
         }));
+        assert!(poisoner.is_err(), "the page closure panics while holding the stripe");
         let Err(err) = disk.knn(&KnnQuery::new(NodeId(0), 2)) else {
             panic!("query on a poisoned pool must fail");
         };

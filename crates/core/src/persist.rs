@@ -127,7 +127,6 @@ impl<'a> Reader<'a> {
 
 /// Everything before the shortcut-store section: configuration, network and
 /// hierarchy. Shared by the monolithic and the page-granular open paths.
-// roadlint: decode-fn
 fn parse_prelude(r: &mut Reader) -> Result<(RoadConfig, RoadNetwork, RnetHierarchy), RoadError> {
     if r.take(8)? != MAGIC {
         return Err(corrupt("bad magic (not a ROAD framework file?)"));
@@ -225,29 +224,17 @@ pub struct PagedImage {
 impl PagedImage {
     /// Opens an image, validating it end to end without materializing the
     /// shortcut store.
-    // roadlint: decode-fn
     pub fn open(bytes: Vec<u8>) -> Result<Self, RoadError> {
         let mut r = Reader { buf: &bytes, pos: 0 };
         let (cfg, g, hier) = parse_prelude(&mut r)?;
         let num_nodes = g.num_nodes() as u32;
         let mut pos = r.pos;
-        let num_rnets = {
-            let end = pos + 4;
-            let b = bytes.get(pos..end).and_then(|b| b.first_chunk::<4>());
-            let b = *b.ok_or_else(|| corrupt("truncated shortcut store"))?;
-            pos = end;
-            u32::from_le_bytes(b) as usize
-        };
-        if num_rnets != hier.num_rnets() {
-            return Err(corrupt(format!(
-                "shortcut store describes {num_rnets} Rnets, hierarchy has {}",
-                hier.num_rnets()
-            )));
-        }
+        let num_rnets = ShortcutStore::read_store_header(&bytes, &mut pos, hier.num_rnets())
+            .map_err(corrupt)?;
         let mut rnet_ranges = Vec::with_capacity(num_rnets);
         for _ in 0..num_rnets {
             let start = pos;
-            ShortcutStore::skip_rnet_section(&bytes, &mut pos, num_nodes).map_err(corrupt)?;
+            ShortcutStore::walk_rnet_section(&bytes, &mut pos, num_nodes, None).map_err(corrupt)?;
             rnet_ranges.push((start, pos));
         }
         if pos != bytes.len() {
@@ -298,10 +285,10 @@ impl PagedImage {
         self.rnet_ranges.len()
     }
 
-    /// Serialized size of one Rnet's shortcut section in bytes.
-    pub fn rnet_section_bytes(&self, r: usize) -> usize {
-        let (start, end) = self.rnet_ranges[r];
-        end - start
+    /// Serialized size of Rnet `r`'s shortcut section in bytes; `None`
+    /// when `r` is not below [`num_rnets`](Self::num_rnets).
+    pub fn rnet_section_bytes(&self, r: usize) -> Option<usize> {
+        self.rnet_ranges.get(r).map(|&(start, end)| end - start)
     }
 
     /// Decodes one Rnet's shortcut arena — the per-Rnet unit of lazy
@@ -320,13 +307,20 @@ impl PagedImage {
     ) -> Result<crate::shortcut::RnetShortcuts, RoadError> {
         let (start, _) = self.rnet_ranges[r];
         let mut pos = start;
-        ShortcutStore::decode_rnet_section(&self.bytes, &mut pos, self.g.num_nodes() as u32)
-            .map_err(|e| {
-                corrupt(format!(
-                    "Rnet {r} shortcut section no longer decodes (image corrupted after \
-                     open?): {e}"
-                ))
-            })
+        let mut out = crate::shortcut::RnetShortcuts::default();
+        ShortcutStore::walk_rnet_section(
+            &self.bytes,
+            &mut pos,
+            self.g.num_nodes() as u32,
+            Some(&mut out),
+        )
+        .map_err(|e| {
+            corrupt(format!(
+                "Rnet {r} shortcut section no longer decodes (image corrupted after \
+                 open?): {e}"
+            ))
+        })?;
+        Ok(out)
     }
 
     /// Materializes the full framework (decodes every Rnet) — the upgrade

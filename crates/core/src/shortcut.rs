@@ -929,7 +929,6 @@ impl ShortcutStore {
     /// node id against `num_nodes`, so a truncated or bit-flipped buffer
     /// fails with an error instead of panicking, over-allocating, or
     /// producing a store that panics at query time.
-    // roadlint: decode-fn
     pub(crate) fn deserialize(
         buf: &[u8],
         pos: &mut usize,
@@ -941,7 +940,8 @@ impl ShortcutStore {
         let mut num_shortcuts = 0usize;
         let mut num_bytes = 0usize;
         for _ in 0..num_rnets {
-            let rnet = Self::decode_rnet_section(buf, pos, num_nodes)?;
+            let mut rnet = RnetShortcuts::default();
+            Self::walk_rnet_section(buf, pos, num_nodes, Some(&mut rnet))?;
             num_shortcuts += rnet.num_shortcuts();
             num_bytes += rnet.size_bytes();
             per_rnet.push(Arc::new(rnet));
@@ -980,16 +980,22 @@ impl ShortcutStore {
         }
     }
 
-    /// Decodes one Rnet's section of a serialized store, validating counts
+    /// Walks one Rnet's section of a serialized store, validating counts
     /// against the remaining bytes, node ids against `num_nodes` and the
     /// sources' strictly ascending order (which every writer of this
     /// format has produced, and which rules out duplicate sources).
-    // roadlint: decode-fn
-    pub(crate) fn decode_rnet_section(
+    ///
+    /// With `out`, the section is decoded into it. Without, no arena is
+    /// built: how a lazily-opened image records per-Rnet byte ranges up
+    /// front at a fraction of the decode cost. Both modes make the same
+    /// checks, so a section that passes the walk can never fail to decode
+    /// later.
+    pub(crate) fn walk_rnet_section(
         buf: &[u8],
         pos: &mut usize,
         num_nodes: u32,
-    ) -> Result<RnetShortcuts, String> {
+        mut out: Option<&mut RnetShortcuts>,
+    ) -> Result<(), String> {
         let check_node = |id: u32| -> Result<NodeId, String> {
             if id >= num_nodes {
                 return Err(format!("shortcut references node {id} outside 0..{num_nodes}"));
@@ -1003,23 +1009,26 @@ impl ShortcutStore {
         if num_sources > (buf.len() - *pos) / 8 {
             return Err("truncated shortcut store (source count exceeds buffer)".into());
         }
-        let mut out = RnetShortcuts::default();
-        if num_sources > 0 {
+        if let Some(out) = out.as_deref_mut().filter(|_| num_sources > 0) {
             out.sources.reserve_exact(num_sources);
             out.head_offsets.reserve_exact(num_sources + 1);
         }
+        let mut last_source: Option<u32> = None;
         for _ in 0..num_sources {
             let from = check_node(read_u32(buf, pos)?)?.0;
-            if out.sources.last().is_some_and(|&last| last >= from) {
+            if last_source.is_some_and(|last| last >= from) {
                 return Err(format!("duplicate or unsorted shortcut source node {from}"));
             }
+            last_source = Some(from);
             let num_edges = read_u32(buf, pos)? as usize;
             // A shortcut costs at least 16 bytes; an over-claimed count
             // must not drive a huge allocation.
             if num_edges > (buf.len() - *pos) / 16 {
                 return Err("truncated shortcut store (edge count exceeds buffer)".into());
             }
-            out.heads.reserve(num_edges);
+            if let Some(out) = out.as_deref_mut() {
+                out.heads.reserve(num_edges);
+            }
             for _ in 0..num_edges {
                 let to = check_node(read_u32(buf, pos)?)?;
                 let dist = read_f64(buf, pos)?;
@@ -1030,70 +1039,22 @@ impl ShortcutStore {
                 if via_len > (buf.len() - *pos) / 4 {
                     return Err("truncated shortcut store (via count exceeds buffer)".into());
                 }
-                out.vias.reserve(via_len);
+                if let Some(out) = out.as_deref_mut() {
+                    out.vias.reserve(via_len);
+                }
                 for _ in 0..via_len {
-                    out.vias.push(check_node(read_u32(buf, pos)?)?);
+                    let via = check_node(read_u32(buf, pos)?)?;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.vias.push(via);
+                    }
                 }
                 section_fits_arena(start, *pos)?;
-                out.push_head(to, Weight::new(dist));
-            }
-            out.end_source(from);
-        }
-        Ok(out)
-    }
-
-    /// Walks (and fully validates) one Rnet's section without building the
-    /// arena — how a lazily-opened image records per-Rnet byte ranges up
-    /// front at a fraction of the decode cost. Must reject everything
-    /// [`ShortcutStore::decode_rnet_section`] rejects (including duplicate
-    /// or unsorted source nodes), so a section that passes here can never
-    /// fail to decode later.
-    pub(crate) fn skip_rnet_section(
-        buf: &[u8],
-        pos: &mut usize,
-        num_nodes: u32,
-    ) -> Result<(), String> {
-        let check_node = |id: u32| -> Result<(), String> {
-            if id >= num_nodes {
-                return Err(format!("shortcut references node {id} outside 0..{num_nodes}"));
-            }
-            Ok(())
-        };
-        let start = *pos;
-        let num_sources = read_u32(buf, pos)? as usize;
-        // Same fail-fast bound as decode_rnet_section: at least 8 bytes per
-        // source.
-        if num_sources > (buf.len() - *pos) / 8 {
-            return Err("truncated shortcut store (source count exceeds buffer)".into());
-        }
-        let mut last_source: Option<u32> = None;
-        for _ in 0..num_sources {
-            let from = read_u32(buf, pos)?;
-            check_node(from)?;
-            if last_source.is_some_and(|last| last >= from) {
-                return Err(format!("duplicate or unsorted shortcut source node {from}"));
-            }
-            last_source = Some(from);
-            let num_edges = read_u32(buf, pos)? as usize;
-            if num_edges > (buf.len() - *pos) / 16 {
-                return Err("truncated shortcut store (edge count exceeds buffer)".into());
-            }
-            for _ in 0..num_edges {
-                check_node(read_u32(buf, pos)?)?;
-                let dist = read_f64(buf, pos)?;
-                if dist.is_nan() || dist < 0.0 {
-                    return Err(format!("corrupt shortcut distance {dist}"));
+                if let Some(out) = out.as_deref_mut() {
+                    out.push_head(to, Weight::new(dist));
                 }
-                let via_len = read_u32(buf, pos)? as usize;
-                if via_len > (buf.len() - *pos) / 4 {
-                    return Err("truncated shortcut store (via run exceeds buffer)".into());
-                }
-                let end = *pos + via_len * 4;
-                for _ in 0..via_len {
-                    check_node(read_u32(buf, pos)?)?;
-                }
-                debug_assert_eq!(*pos, end);
-                section_fits_arena(start, *pos)?;
+            }
+            if let Some(out) = out.as_deref_mut() {
+                out.end_source(from);
             }
         }
         Ok(())
@@ -1632,11 +1593,11 @@ mod tests {
         assert!(ShortcutStore::maps_equivalent(&arena(&[]), &arena(&[(4, vec![])])));
     }
 
-    /// The skip-scan must reject everything the decode rejects — a
-    /// section passing `skip_rnet_section` can never fail to decode later
-    /// (the lazy image relies on this to keep per-Rnet decodes
-    /// infallible). Duplicate source nodes are the one structural error
-    /// the byte-walk could otherwise miss.
+    /// The walk without an arena must reject everything the decode
+    /// rejects — a section it passes can never fail to decode later (the
+    /// lazy image relies on this to keep per-Rnet decodes infallible).
+    /// Duplicate source nodes are the one structural error a byte-walk
+    /// could otherwise miss.
     #[test]
     fn skip_scan_rejects_duplicate_sources_like_decode() {
         // A hand-built section: 2 sources, both node 0, each with one
@@ -1651,11 +1612,40 @@ mod tests {
             buf.extend_from_slice(&0u32.to_le_bytes()); // via_len
         }
         let mut pos = 0;
-        let decode = ShortcutStore::decode_rnet_section(&buf, &mut pos, 4);
+        let mut arena = RnetShortcuts::default();
+        let decode = ShortcutStore::walk_rnet_section(&buf, &mut pos, 4, Some(&mut arena));
         let mut pos = 0;
-        let skip = ShortcutStore::skip_rnet_section(&buf, &mut pos, 4);
+        let skip = ShortcutStore::walk_rnet_section(&buf, &mut pos, 4, None);
         assert!(decode.is_err(), "decode must reject duplicate sources");
         assert!(skip.is_err(), "skip-scan must reject exactly what decode rejects");
+    }
+
+    /// On a built store the two modes of the walk read the same bytes,
+    /// section by section, and the decoded arenas serialize back to them.
+    #[test]
+    fn the_walk_reads_a_built_store_the_same_in_both_modes() {
+        let g = simple::grid(6, 6, 1.0);
+        let (hier, store) = build(&g, 2, 2, false);
+        let mut buf = Vec::new();
+        store.serialize_into(&mut buf);
+        let num_nodes = g.num_nodes() as u32;
+        let mut skipped = 0;
+        ShortcutStore::read_store_header(&buf, &mut skipped, hier.num_rnets()).unwrap();
+        let mut decoded = skipped;
+        let mut maps = Vec::new();
+        for _ in 0..hier.num_rnets() {
+            ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, None).unwrap();
+            let mut rnet = RnetShortcuts::default();
+            ShortcutStore::walk_rnet_section(&buf, &mut decoded, num_nodes, Some(&mut rnet))
+                .unwrap();
+            assert_eq!(skipped, decoded);
+            maps.push(rnet);
+        }
+        assert_eq!(skipped, buf.len());
+        assert!(store.num_shortcuts() > 0);
+        let mut again = Vec::new();
+        ShortcutStore::from_rnet_maps(maps).serialize_into(&mut again);
+        assert_eq!(again, buf);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::live::LiveEngine;
 use road_core::prelude::*;
-use road_core::search::{oracle_knn, oracle_range};
+use road_core::search::{oracle_knn, oracle_range, Aggregate, AggregateKnnQuery};
 use road_core::{LiveStats, UpdateOutcome};
 use road_network::dijkstra::shortest_path_weight;
 use road_network::generator::simple;
@@ -189,6 +189,36 @@ fn held_snapshots_are_unaffected_by_later_publishes() {
         &oracle_knn(fresh.framework(), fresh.directory(), &q),
         "fresh snapshot",
     );
+}
+
+/// A snapshot is a `QueryEngine` with a version: a held one answers
+/// `batch_knn`, `batch_range` and `aggregate_knn` exactly as an engine
+/// over the same state does, after the writer has moved on.
+#[test]
+fn a_held_snapshot_batches_like_a_query_engine_over_its_state() {
+    let (live, mut writer) = grid_engine(11, 16);
+    writer.set_edge_weight(EdgeId(3), Weight::new(6.0)).unwrap();
+    writer.move_object(ObjectId(2), EdgeId(40), 0.25).unwrap();
+    writer.publish();
+    let held = live.snapshot();
+    let engine = QueryEngine::new(held.framework().clone(), held.directory().clone());
+    for e in 0..30 {
+        writer.set_edge_weight(EdgeId(e), Weight::new(9.0)).unwrap();
+    }
+    writer.remove_object(ObjectId(0)).unwrap();
+    writer.publish();
+    assert!(live.snapshot().version() > held.version());
+
+    let knns: Vec<KnnQuery> = (0..24).map(|n| KnnQuery::new(NodeId(n * 6), 3)).collect();
+    let ranges: Vec<RangeQuery> =
+        (0..24).map(|n| RangeQuery::new(NodeId(n * 6), Weight::new(2.5))).collect();
+    assert_eq!(held.batch_knn(&knns, 2).unwrap(), engine.batch_knn(&knns, 2).unwrap());
+    assert_eq!(held.batch_range(&ranges, 2).unwrap(), engine.batch_range(&ranges, 2).unwrap());
+    for aggregate in [Aggregate::Sum, Aggregate::Max] {
+        let q = AggregateKnnQuery::new(vec![NodeId(0), NodeId(77), NodeId(143)], 4)
+            .with_aggregate(aggregate);
+        assert_eq!(held.aggregate_knn(&q).unwrap(), engine.aggregate_knn(&q).unwrap());
+    }
 }
 
 /// Updates are invisible until `publish`, and `publish` with nothing

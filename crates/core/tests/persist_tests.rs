@@ -126,6 +126,10 @@ fn corrupt_inputs_are_rejected() {
 /// the line. This pins the satellite guarantee "corrupt images can never
 /// take a serving process down".
 #[test]
+#[allow(
+    clippy::let_underscore_must_use,
+    reason = "a corruption sweep asks only that nothing panics: Ok and Err are both answers"
+)]
 fn systematic_corruption_never_panics() {
     let fw = RoadFramework::builder(simple::grid(5, 5, 1.0)).fanout(2).levels(2).build().unwrap();
     let bytes = fw.to_bytes();
@@ -216,8 +220,8 @@ fn shortcut_count_offsets(bytes: &[u8], store_at: usize) -> (usize, usize) {
 }
 
 /// Over-claimed counts inside a shortcut Rnet section must fail fast on
-/// BOTH decode paths — the monolithic restore (`decode_rnet_section`)
-/// and the lazy page-granular open (`skip_rnet_section`) — instead of
+/// BOTH decode paths — the monolithic restore and the lazy page-granular
+/// open (`walk_rnet_section` with and without an arena) — instead of
 /// spinning a four-billion-iteration loop over a buffer that cannot
 /// possibly hold that many records. Pins the fail-fast source/via
 /// bounds the taint pass demanded.
@@ -249,6 +253,10 @@ fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
 /// stress pass: every byte truncated, and random multi-byte stomps.
 #[test]
 #[ignore = "stress: exhaustive corruption sweep, run via --include-ignored"]
+#[allow(
+    clippy::let_underscore_must_use,
+    reason = "a corruption sweep asks only that nothing panics: Ok and Err are both answers"
+)]
 fn stress_exhaustive_corruption_sweep() {
     let fw = RoadFramework::builder(simple::grid(6, 6, 1.0)).fanout(2).levels(2).build().unwrap();
     let bytes = fw.to_bytes();
@@ -279,13 +287,44 @@ fn paged_image_open_matches_monolithic_restore() {
     assert_eq!(image.network().num_nodes(), fw.network().num_nodes());
     assert_eq!(image.metric(), fw.metric());
     // Per-Rnet sections tile the shortcut payload.
-    let section_total: usize = (0..image.num_rnets()).map(|r| image.rnet_section_bytes(r)).sum();
+    let section_total: usize =
+        (0..image.num_rnets()).map(|r| image.rnet_section_bytes(r).unwrap()).sum();
     assert!(section_total < bytes.len());
     // Materializing the lazy image equals the monolithic restore.
     let via_image = image.into_framework().unwrap();
     let via_bytes = RoadFramework::from_bytes(&bytes).unwrap();
     assert_eq!(via_image.shortcuts().num_shortcuts(), via_bytes.shortcuts().num_shortcuts());
     via_image.verify().unwrap();
+}
+
+/// `rnet_section_bytes` answers `None` for an Rnet the image does not
+/// have, where it used to index out of bounds.
+#[test]
+fn rnet_section_bytes_past_the_last_rnet_is_none() {
+    let fw = RoadFramework::builder(simple::grid(5, 5, 1.0)).fanout(2).levels(2).build().unwrap();
+    let image = road_core::PagedImage::open(fw.to_bytes()).unwrap();
+    let last = image.num_rnets() - 1;
+    assert!(image.rnet_section_bytes(last).is_some_and(|n| n >= 4));
+    assert_eq!(image.rnet_section_bytes(image.num_rnets()), None);
+    assert_eq!(image.rnet_section_bytes(usize::MAX), None);
+}
+
+/// Both open paths read the shortcut store's header with the same check:
+/// an image whose store claims another Rnet count fails each with the
+/// same message.
+#[test]
+fn both_open_paths_reject_a_wrong_rnet_count_alike() {
+    let fw = RoadFramework::builder(simple::grid(4, 4, 1.0)).fanout(2).levels(2).build().unwrap();
+    let mut bytes = fw.to_bytes();
+    let mut store = Vec::new();
+    fw.shortcuts().serialize_into(&mut store);
+    let store_at = bytes.len() - store.len();
+    let claimed = fw.hierarchy().num_rnets() as u32 + 1;
+    bytes[store_at..store_at + 4].copy_from_slice(&claimed.to_le_bytes());
+    let whole = RoadFramework::from_bytes(&bytes).unwrap_err().to_string();
+    let paged = road_core::PagedImage::open(bytes).unwrap_err().to_string();
+    assert!(whole.contains(&format!("describes {claimed} Rnets")), "{whole}");
+    assert_eq!(whole, paged);
 }
 
 #[test]
@@ -297,7 +336,7 @@ fn file_roundtrip() {
     road_core::persist::save_to(&fw, &path).unwrap();
     let restored = road_core::persist::load_from(&path).unwrap();
     restored.verify().unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&path).unwrap();
     assert!(road_core::persist::load_from(dir.join("missing.roadfw")).is_err());
 }
 

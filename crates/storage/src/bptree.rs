@@ -134,7 +134,6 @@ impl BNode {
     /// build-time form insert, remove and range work on. The header is
     /// validated by [`node_header`] *before* the entry count sizes any
     /// allocation or offset arithmetic.
-    // roadlint: decode-fn
     // roadlint: allow(panic-fn) reason="every offset below is bounded by node_header's count validation"
     fn decode(page: &Page, int_cap: usize) -> Result<Self, StorageError> {
         let b = page.bytes();

@@ -728,7 +728,7 @@ mod tests {
         // Poison `a`'s stripe: panic while holding its lock.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut t = IoTally::default();
-            let _ = p.with_page(a, &mut t, |_| panic!("die holding the stripe lock"));
+            p.with_page(a, &mut t, |_| panic!("die holding the stripe lock"))
         }));
         assert!(panicked.is_err(), "closure panic must unwind out of with_page");
         // Same stripe: every access reports Err.
