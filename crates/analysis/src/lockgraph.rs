@@ -50,9 +50,7 @@ const RECEIVER_CLASSES: &[(&str, &str)] = &[
     ("stripe", "stripe"),
     ("stripes", "stripe"),
     ("store", "store"),
-    ("append", "append"),
-    ("rnet_locks", "rnet-decode"),
-    ("image", "image"),
+    ("page_in", "page-in"),
     ("current", "publish"),
     ("shared", "publish"),
 ];
@@ -551,17 +549,17 @@ mod tests {
     #[test]
     fn block_scoped_guard_expires_at_block_end() {
         // Two sequential `{ let g = lock(); … }` blocks of the same class
-        // must NOT look like a re-acquisition (paged.rs::append_record).
+        // must NOT look like a re-acquisition (paged.rs::ensure_rnet_loaded).
         let (_, findings) = run(&[(
             "t.rs",
             "// roadlint: serving-path
             fn seq(&self) {
                 let a = {
-                    let cursor = self.append.lock();
+                    let cursor = self.page_in.lock();
                     cursor.page()
                 };
                 let b = {
-                    let cursor = self.append.lock();
+                    let cursor = self.page_in.lock();
                     cursor.page()
                 };
             }",
@@ -575,13 +573,13 @@ mod tests {
             "t.rs",
             "// roadlint: serving-path
             fn a(&self) {
-                let g = self.rnet_locks.get(idx).ok_or(Bad)?.lock().map_err(E)?;
+                let g = self.stripes.get(idx).ok_or(Bad)?.lock().map_err(E)?;
                 g.touch();
             }",
         )]);
         assert!(locks[0].fns[0].events.iter().any(|e| matches!(
             e,
-            LockEvent::Acquire { class, held: true, .. } if class == "rnet-decode"
+            LockEvent::Acquire { class, held: true, .. } if class == "stripe"
         )));
     }
 
@@ -592,17 +590,17 @@ mod tests {
             "// roadlint: serving-path
             impl P {
                 fn ab(&self) {
-                    let a = self.append.lock();
+                    let a = self.page_in.lock();
                     let b = self.store.write();
                 }
                 fn ba(&self) {
                     let b = self.store.write();
-                    let a = self.append.lock();
+                    let a = self.page_in.lock();
                 }
             }",
         )]);
-        assert!(graph.edges.contains_key(&("append".into(), "store".into())));
-        assert!(graph.edges.contains_key(&("store".into(), "append".into())));
+        assert!(graph.edges.contains_key(&("page-in".into(), "store".into())));
+        assert!(graph.edges.contains_key(&("store".into(), "page-in".into())));
         assert!(findings.iter().any(|f| f.message.contains("lock-order cycle")));
     }
 
@@ -616,21 +614,21 @@ mod tests {
                     let s = self.stripe.lock();
                 }
                 fn high(&self) {
-                    let g = self.image.lock();
+                    let g = self.page_in.lock();
                     // roadlint: allow(io-under-lock) reason=\"n/a: no store here\"
                     self.low();
                 }
             }",
         )]);
         assert!(findings.is_empty(), "{findings:?}");
-        assert!(graph.edges.contains_key(&("image".into(), "stripe".into())));
+        assert!(graph.edges.contains_key(&("page-in".into(), "stripe".into())));
     }
 
     #[test]
     fn cross_file_call_footprint_is_computed() {
         // The callee lives in another file (≈ another crate): the edge
-        // image → store must still appear, and guard-io must fire since
-        // an image guard is held across PageStore IO.
+        // page-in → store must still appear, and guard-io must fire since
+        // a page-in guard is held across PageStore IO.
         let (graph, findings) = run(&[
             (
                 "core/paged.rs",
@@ -638,7 +636,7 @@ mod tests {
                 struct Eng { pool: Arc<Pool> }
                 impl Eng {
                     fn fault(&self) {
-                        let g = self.image.lock();
+                        let g = self.page_in.lock();
                         self.pool.alloc(1);
                     }
                 }",
@@ -654,9 +652,9 @@ mod tests {
                 }",
             ),
         ]);
-        assert!(graph.edges.contains_key(&("image".into(), "store".into())), "{graph:?}");
+        assert!(graph.edges.contains_key(&("page-in".into(), "store".into())), "{graph:?}");
         assert!(
-            findings.iter().any(|f| f.rule == "guard-io" && f.message.contains("image")),
+            findings.iter().any(|f| f.rule == "guard-io" && f.message.contains("page-in")),
             "{findings:?}"
         );
     }
@@ -668,8 +666,8 @@ mod tests {
             "// roadlint: serving-path
             impl P {
                 fn f(&self) {
-                    let g = self.append.lock();
-                    // roadlint: allow(io-under-lock) reason=\"append cursor serializes writers\"
+                    let g = self.page_in.lock();
+                    // roadlint: allow(io-under-lock) reason=\"page-in lock serializes appends\"
                     let s = self.store.write();
                 }
             }",
@@ -681,7 +679,7 @@ mod tests {
             "// roadlint: serving-path
             impl P {
                 fn f(&self) {
-                    let g = self.append.lock();
+                    let g = self.page_in.lock();
                     let s = self.store.write();
                 }
             }",

@@ -1,7 +1,7 @@
 // roadlint: serving-path
-// An `image` guard held across a call whose typed resolution reaches
-// PageStore IO (Pool::alloc acquires `store`): rule 6, found through the
-// call graph, not at the acquisition site.
+// An `image` guard (a class named by marker) held across a call whose
+// typed resolution reaches PageStore IO (Pool::alloc acquires `store`):
+// rule 6, found through the call graph, not at the acquisition site.
 use std::sync::Mutex;
 
 pub struct Pool {
@@ -22,7 +22,7 @@ pub struct Eng {
 
 impl Eng {
     pub fn fault(&self) -> u32 {
-        let g = self.image.lock().unwrap_or_else(|p| p.into_inner());
+        let g = self.image.lock().unwrap_or_else(|p| p.into_inner()); // roadlint: lock(image)
         *g + self.pool.alloc()
     }
 }

@@ -29,7 +29,7 @@ pub struct Eng {
 
 impl Eng {
     pub fn fault_escaped(&self) -> u32 {
-        let g = self.image.lock().unwrap_or_else(|p| p.into_inner());
+        let g = self.image.lock().unwrap_or_else(|p| p.into_inner()); // roadlint: lock(image)
         // roadlint: allow(io-under-lock) reason="fixture: one-time load serialized by this guard"
         *g + self.pool.alloc()
     }

@@ -68,7 +68,9 @@ impl RoadEngine {
             for o in objects {
                 ad.insert(fw.network(), fw.hierarchy(), o)?;
             }
-            let opts = PagedOptions::with_buffer_pages(buffer_pages);
+            // One stripe: the paper's single LRU, the pool NetExp,
+            // Euclidean and DistIdx count their faults through.
+            let opts = PagedOptions::with_buffer_pages(buffer_pages).with_stripes(1);
             let paged = PagedEngine::new(&fw, &ad, opts)?;
             Ok(RoadEngine { fw, ad, paged: paged.into(), opts, build_seconds: 0.0 })
         });
@@ -144,8 +146,12 @@ impl Engine for RoadEngine {
     fn remove_object(&mut self, id: ObjectId) -> UpdateCost {
         self.update(|fw, ad| {
             // Tolerate unknown ids for trait uniformity (the other engines
-            // treat removal of a missing object as a no-op).
-            let _ = ad.remove(fw.network(), fw.hierarchy(), id);
+            // treat removal of a missing object as a no-op); anything else
+            // is a harness bug.
+            match ad.remove(fw.network(), fw.hierarchy(), id) {
+                Ok(_) | Err(RoadError::UnknownObject(_)) => {}
+                Err(e) => panic!("removing {id:?}: {e}"),
+            }
         })
     }
 
@@ -214,14 +220,15 @@ mod tests {
     }
 
     /// The figures' ROAD column is the shipped engines: faults are a cold
-    /// `PagedEngine` query's, hits are `QueryEngine`'s, size is the page
-    /// store's. A 3-page buffer makes the fault count depend on eviction.
+    /// query's on a one-stripe `PagedEngine` — the paper's single LRU, the
+    /// one the other engines count through — hits are `QueryEngine`'s,
+    /// size is the page store's. A 3-page buffer makes the fault count
+    /// depend on eviction, and on how the pool is striped.
     #[test]
     fn faults_hits_and_size_are_the_shipped_engines() {
         let mut e = engine_with(3);
-        let paged =
-            PagedEngine::new(e.framework(), e.directory(), PagedOptions::with_buffer_pages(3))
-                .unwrap();
+        let opts = PagedOptions::with_buffer_pages(3).with_stripes(1);
+        let paged = PagedEngine::new(e.framework(), e.directory(), opts).unwrap();
         let mem = QueryEngine::new(e.framework().clone(), e.directory().clone());
         assert_eq!(e.index_size_bytes(), paged.disk_size_bytes());
         let cat0 = ObjectFilter::Category(CategoryId(0));
@@ -267,6 +274,18 @@ mod tests {
         let q = RangeQuery::new(NodeId(70), Weight::new(6.0)).with_filter(cat2.clone());
         let want = oracle_range(e.framework(), e.directory(), &q);
         assert_eq!(e.range(q.node, q.radius, &cat2).hits, want);
+    }
+
+    /// Removing an id the directory never held is a no-op, as on the other
+    /// engines: only `UnknownObject` is tolerated.
+    #[test]
+    fn removing_an_unknown_object_changes_nothing() {
+        let mut e = engine();
+        let before = e.knn(NodeId(77), 3, &ObjectFilter::Any).hits;
+        e.remove_object(ObjectId(999));
+        assert_eq!(e.directory().len(), 3);
+        assert_eq!(e.knn(NodeId(77), 3, &ObjectFilter::Any).hits, before);
+        assert_oracle_knn(&mut e, NodeId(77), 3, &ObjectFilter::Any);
     }
 
     #[test]

@@ -106,12 +106,16 @@
 //!   concurrency, and the tally is settled into the pool's cumulative
 //!   counters once, when the query ends — with an answer or an error — so
 //!   the tallies of returned queries sum to the pool's stats;
-//! * **once-only lazy Rnet decode** — each Rnet's shortcut-record
-//!   locations live in a `OnceLock`, initialized under a per-Rnet mutex
-//!   (double-checked: the fast path is a lock-free `get`). Two threads
-//!   never decode the same section twice, and readers never observe a
-//!   half-decoded Rnet because the locations publish only after every
-//!   record is on its page;
+//! * **one page-in lock** — a lazily opened engine keeps its retained
+//!   image, its append cursor and its loaded count behind one mutex. A
+//!   page-in decodes the Rnet's section outside it, so different Rnets
+//!   still decode in parallel, then appends and publishes the records
+//!   under it, so each Rnet lands as one contiguous run of the append
+//!   region. Each Rnet's shortcut-record locations live in a `OnceLock`
+//!   set under that lock (double-checked: the fast path is a lock-free
+//!   `get`), and they publish only after every record is on its page, so
+//!   readers never observe a half-loaded Rnet. Two threads racing on one
+//!   Rnet may both decode it; only the first to take the lock appends;
 //! * **per-thread scratch** — reassembly buffers and
 //!   [`SearchWorkspace`]s come from thread-local pools, exactly like the
 //!   in-memory engine's hot path.
@@ -177,7 +181,6 @@ use road_storage::{
     PAGE_SIZE,
 };
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -420,19 +423,18 @@ impl PagedOptions {
     }
 }
 
-/// The lazy-open state: the retained image plus the bookkeeping that makes
-/// first-touch Rnet decoding safe under concurrency.
-struct LazyBacking {
-    /// The retained image, dropped (set to `None`) once every Rnet is
-    /// resident — a fully loaded replica must not keep a second copy of
-    /// the overlay in RAM. `Arc` so a decode can run outside the lock.
-    image: Mutex<Option<Arc<PagedImage>>>,
-    /// One lock per Rnet: the writer side of the double-checked
-    /// `OnceLock` init, so two threads never decode the same section
-    /// twice while *different* Rnets decode in parallel.
-    rnet_locks: Vec<Mutex<()>>,
+/// What a page-in changes, behind the engine's one page-in lock.
+struct PageIn {
+    /// Sequential-append cursor `(page, fill)` for directory records and
+    /// lazily paged-in shortcut records.
+    cursor: Option<(u32, usize)>,
+    /// The retained image of a lazily opened engine; `None` for an eager
+    /// one, and dropped once every Rnet is resident — a fully loaded
+    /// replica must not keep a second copy of the overlay in RAM. `Arc`
+    /// so a section decodes outside the lock.
+    image: Option<Arc<PagedImage>>,
     /// How many Rnets are resident (monotone, saturates at the total).
-    rnets_loaded: AtomicUsize,
+    loaded: usize,
 }
 
 /// A disk-resident ROAD engine: serves `knn`/`range` by reading node,
@@ -451,7 +453,7 @@ pub struct PagedEngine {
     node_loc: Vec<u64>,
     /// Per Rnet: `(border node, shortcut-record location)`, ascending by
     /// node. Set exactly once — at build time for eager engines, under the
-    /// per-Rnet lock on first query touch for lazily opened ones. Readers
+    /// page-in lock on first query touch for lazily opened ones. Readers
     /// go through the lock-free `get`; a `Some` table is always complete.
     rnet_shortcuts: Vec<OnceLock<Vec<(u32, u64)>>>,
     /// One bit per node: set iff the node carries objects, i.e. has an
@@ -462,12 +464,10 @@ pub struct PagedEngine {
     assoc_index: BPlusTree,
     /// Rnet id -> abstract-record location.
     abstract_index: BPlusTree,
-    /// `Some` iff the engine was opened page-granularly from an image.
-    lazy: Option<LazyBacking>,
-    /// Sequential-append cursor `(page, fill)` for directory records and
-    /// lazily paged-in shortcut records. The mutex also serializes
-    /// multi-page allocation runs (consecutive page ids).
-    append: Mutex<Option<(u32, usize)>>,
+    /// The page-in lock: the append cursor, the retained image and the
+    /// loaded count. Every allocation after the build happens under it,
+    /// so a multi-page record's allocation run gets consecutive page ids.
+    page_in: Mutex<PageIn>,
     /// The sealed-page watermark: no page below it is written after the
     /// build, so a query may keep reading one from the handle it holds.
     /// Pages at or above it — the append region's open page and whatever
@@ -502,8 +502,8 @@ impl PagedEngine {
         for (slot, map) in eng.rnet_shortcuts.iter().zip(per_rnet) {
             slot.set(map).map_err(|_| StorageError::Internal("fresh OnceLock set twice"))?;
         }
-        eng.lay_directory_region(fw.network(), ad)?;
-        eng.finish_build()?;
+        let cursor = eng.lay_directory_region(fw.network(), ad)?;
+        eng.finish_build(cursor, None)?;
         Ok(eng)
     }
 
@@ -527,14 +527,8 @@ impl PagedEngine {
             opts,
         )?;
         eng.lay_node_region(image.network(), None)?;
-        eng.lay_directory_region(image.network(), &ad)?;
-        let num_rnets = image.num_rnets();
-        eng.lazy = Some(LazyBacking {
-            image: Mutex::new(Some(Arc::new(image))),
-            rnet_locks: (0..num_rnets).map(|_| Mutex::new(())).collect(),
-            rnets_loaded: AtomicUsize::new(0),
-        });
-        eng.finish_build()?;
+        let cursor = eng.lay_directory_region(image.network(), &ad)?;
+        eng.finish_build(cursor, Some(image))?;
         Ok(eng)
     }
 
@@ -569,8 +563,7 @@ impl PagedEngine {
             occupied: vec![0; num_nodes.div_ceil(64)],
             assoc_index,
             abstract_index,
-            lazy: None,
-            append: Mutex::new(None),
+            page_in: Mutex::new(PageIn { cursor: None, image: None, loaded: 0 }),
             sealed_pages: 0,
             node_region_pages: 0,
         })
@@ -643,12 +636,13 @@ impl PagedEngine {
     }
 
     /// Lays the directory region (association + abstract records) and
-    /// builds the two B+-tree indexes over it.
+    /// builds the two B+-tree indexes over it. Returns the append cursor
+    /// the region ends at.
     fn lay_directory_region(
         &mut self,
         g: &RoadNetwork,
         ad: &AssociationDirectory,
-    ) -> Result<(), RoadError> {
+    ) -> Result<Option<(u32, usize)>, RoadError> {
         if ad.abstract_kind() != AbstractKind::Counts {
             return Err(RoadError::InvalidConfig(
                 "paged serving requires exact-count abstracts (AbstractKind::Counts)".into(),
@@ -658,6 +652,7 @@ impl PagedEngine {
         let kind = self.kind;
         let mut tally = IoTally::default();
         let mut rec = Vec::new();
+        let mut cursor = None;
         // Association records in node order; only nodes carrying objects.
         let mut assoc_entries = Vec::new();
         for i in 0..self.num_nodes {
@@ -666,7 +661,7 @@ impl PagedEngine {
                 continue;
             }
             encode_assoc_record(ad.objects_at_node(n), g, kind, n, &mut rec);
-            let loc = self.append_record(&rec, &mut tally)?;
+            let loc = self.append_record(&mut cursor, &rec, &mut tally)?;
             assoc_entries.push((n.0 as u64, loc));
             if let Some(word) = self.occupied.get_mut(i / 64) {
                 *word |= 1 << (i % 64);
@@ -684,7 +679,7 @@ impl PagedEngine {
                 RoadError::Internal("abstract kind changed between check and layout".into())
             })?;
             encode_abstract_record(a.total(), &counts, &mut rec);
-            let loc = self.append_record(&rec, &mut tally)?;
+            let loc = self.append_record(&mut cursor, &rec, &mut tally)?;
             abstract_entries.push((r as u64, loc));
         }
         // Index both regions (keys inserted in ascending order for a
@@ -703,22 +698,27 @@ impl PagedEngine {
                 v,
             )?;
         }
-        Ok(())
+        Ok(cursor)
     }
 
     /// Build epilogue: flush everything to the store and start cold, the
-    /// paper's measurement discipline, and seal what can no longer be
-    /// written — every page below the append cursor's (a lazy page-in
-    /// continues on that one), or every page when nothing was appended.
-    fn finish_build(&mut self) -> Result<(), RoadError> {
+    /// paper's measurement discipline; seal what can no longer be written
+    /// — every page below the append cursor's (a lazy page-in continues on
+    /// that one), or every page when nothing was appended; and hand the
+    /// cursor and a lazy engine's image to the page-in lock.
+    fn finish_build(
+        &mut self,
+        cursor: Option<(u32, usize)>,
+        image: Option<PagedImage>,
+    ) -> Result<(), RoadError> {
         self.pool.clear_cache()?;
         self.pool.reset_stats();
-        let cursor =
-            *self.append.get_mut().map_err(|_| StorageError::LockPoisoned("append cursor"))?;
         self.sealed_pages = match cursor {
             Some((page, _)) => page,
             None => self.pool.num_pages() as u32,
         };
+        let loaded = if image.is_some() { 0 } else { self.rnet_shortcuts.len() };
+        self.page_in = Mutex::new(PageIn { cursor, image: image.map(Arc::new), loaded });
         Ok(())
     }
 
@@ -729,43 +729,30 @@ impl PagedEngine {
     }
 
     /// Appends a record into the sequential region (directory records and
-    /// lazily paged-in shortcut records), first-fit within pages. The
-    /// cursor mutex makes concurrent appends (two Rnets decoding in
-    /// parallel) claim disjoint byte ranges; the page writes themselves
-    /// happen outside the cursor lock, synchronized by the pool's stripe
-    /// locks.
-    fn append_record(&self, bytes: &[u8], tally: &mut IoTally) -> Result<u64, RoadError> {
+    /// lazily paged-in shortcut records) at `cursor`, first-fit within
+    /// pages. The build owns its cursor; a page-in holds the page-in lock,
+    /// so a multi-page record's allocation run gets consecutive page ids.
+    fn append_record(
+        &self,
+        cursor: &mut Option<(u32, usize)>,
+        bytes: &[u8],
+        tally: &mut IoTally,
+    ) -> Result<u64, RoadError> {
         let len = bytes.len();
         if len > PAGE_SIZE {
-            // Multi-page record: needs consecutive page ids, so the whole
-            // allocation run stays under the cursor lock (every
-            // query-time allocation goes through this method).
-            let first = {
-                let mut cursor =
-                    self.append.lock().map_err(|_| StorageError::LockPoisoned("append cursor"))?;
-                // roadlint: allow(io-under-lock) reason="consecutive page ids require the whole allocation run under the cursor; alloc extends the store tail, it never faults a cold page in"
-                let first = self.pool.alloc()?;
-                for _ in 1..len.div_ceil(PAGE_SIZE) {
-                    // roadlint: allow(io-under-lock) reason="same allocation run as above"
-                    self.pool.alloc()?;
-                }
-                *cursor = None;
-                first
-            };
+            let first = self.pool.alloc()?;
+            for _ in 1..len.div_ceil(PAGE_SIZE) {
+                self.pool.alloc()?;
+            }
+            *cursor = None;
             self.write_bytes(first.0, 0, bytes, tally)?;
             return pack_loc(first.0, 0, len);
         }
-        let (page, fill) = {
-            let mut cursor =
-                self.append.lock().map_err(|_| StorageError::LockPoisoned("append cursor"))?;
-            let (page, fill) = match *cursor {
-                Some((page, fill)) if fill + len <= PAGE_SIZE => (page, fill),
-                // roadlint: allow(io-under-lock) reason="claiming the next append page must be atomic with the cursor update; alloc extends the store tail, it never faults a cold page in"
-                _ => (self.pool.alloc()?.0, 0),
-            };
-            *cursor = Some((page, fill + len));
-            (page, fill)
+        let (page, fill) = match *cursor {
+            Some((page, fill)) if fill + len <= PAGE_SIZE => (page, fill),
+            _ => (self.pool.alloc()?.0, 0),
         };
+        *cursor = Some((page, fill + len));
         self.write_bytes(page, fill, bytes, tally)?;
         pack_loc(page, fill as u32, len)
     }
@@ -796,73 +783,63 @@ impl PagedEngine {
     }
 
     /// Pages Rnet `r`'s shortcut records in from the retained image if
-    /// this engine is lazy and has not touched `r` yet — the
-    /// double-checked per-Rnet init described in the module docs. Once
-    /// the last Rnet lands on pages the image is dropped: a fully
-    /// resident replica must not keep a second copy of the overlay in
-    /// RAM.
+    /// this engine is lazy and has not touched `r` yet. The section decodes
+    /// outside the page-in lock, so different Rnets decode in parallel; its
+    /// records are then appended and published under the lock, so each
+    /// Rnet lands as one contiguous run of the append region. Two threads
+    /// that race on one Rnet may both decode it; the one that takes the
+    /// lock second finds it published and drops its copy. Once the last
+    /// Rnet lands on pages the image is dropped: a fully resident replica
+    /// must not keep a second copy of the overlay in RAM.
     ///
     /// A section that fails to decode (image corrupted after `open`)
     /// returns `Err` and leaves the Rnet unloaded, so the failure
     /// surfaces on every query that needs the Rnet instead of silently
     /// serving it as "no shortcuts".
     fn ensure_rnet_loaded(&self, r: RnetId, tally: &mut IoTally) -> Result<(), RoadError> {
-        let Some(lazy) = &self.lazy else {
-            return Ok(()); // eager: everything resident since build
-        };
         let idx = r.0 as usize;
         let slot = self
             .rnet_shortcuts
             .get(idx)
             .ok_or(StorageError::Internal("Rnet id outside the hierarchy"))?;
-        // Fast path: lock-free, and the common case after warm-up.
+        // Fast path: lock-free, and every Rnet of an eager engine.
         if slot.get().is_some() {
             return Ok(());
         }
-        let _guard = lazy
-            .rnet_locks
-            .get(idx)
-            .ok_or(StorageError::Internal("Rnet id outside the lazy lock table"))?
-            .lock()
-            .map_err(|_| StorageError::LockPoisoned("per-Rnet decode"))?;
-        // Double-check under the lock: another thread may have just won.
-        if slot.get().is_some() {
-            return Ok(());
-        }
-        let image = self.lock_image(lazy)?.clone().ok_or_else(|| {
-            RoadError::InvalidConfig("lazy image dropped while Rnets were still unloaded".into())
-        })?;
-        // Decode outside the image lock so other Rnets can load in
-        // parallel; the per-Rnet guard already excludes duplicate work.
+        // Under the lock an unpublished Rnet means the image is still
+        // there: it is dropped only after the last Rnet publishes.
+        let image = {
+            let page_in = self.page_in.lock().map_err(|_| StorageError::LockPoisoned("page-in"))?;
+            if slot.get().is_some() {
+                return Ok(());
+            }
+            page_in.image.clone().ok_or_else(|| {
+                RoadError::InvalidConfig(
+                    "lazy image dropped while Rnets were still unloaded".into(),
+                )
+            })?
+        };
         let shortcuts = image.shortcuts_of_rnet(idx)?;
+        let mut page_in = self.page_in.lock().map_err(|_| StorageError::LockPoisoned("page-in"))?;
+        // Another thread may have published `r` while this one decoded.
+        if slot.get().is_some() {
+            return Ok(());
+        }
         let mut rec = Vec::new();
         let mut locs = Vec::new();
         for (from, list) in shortcuts.by_source() {
             encode_shortcut_record(list, &mut rec);
-            // roadlint: allow(io-under-lock) reason="the per-Rnet decode guard exists precisely to serialize this one-time page-in; only queries for the same unloaded Rnet wait on it"
-            let loc = self.append_record(&rec, tally)?;
-            locs.push((from, loc));
+            // roadlint: allow(io-under-lock) reason="the page-in lock makes each Rnet one contiguous run and an allocation run consecutive; the section was decoded before it was taken, and only page-ins wait on it"
+            locs.push((from, self.append_record(&mut page_in.cursor, &rec, tally)?));
         }
         // Publish only after every record is on its page: readers that
-        // win the `get` race see a complete table or none at all. The
-        // per-Rnet guard excludes a concurrent set; a lost race would
-        // mean the guard is broken, so it surfaces as an error.
-        slot.set(locs)
-            .map_err(|_| StorageError::Internal("per-Rnet decode raced despite the lock"))?;
-        let loaded = lazy.rnets_loaded.fetch_add(1, Ordering::AcqRel) + 1;
-        if loaded == self.rnet_shortcuts.len() {
-            *self.lock_image(lazy)? = None;
+        // win the `get` race see a complete table or none at all.
+        slot.set(locs).map_err(|_| StorageError::Internal("Rnet published outside the lock"))?;
+        page_in.loaded += 1;
+        if page_in.loaded == self.rnet_shortcuts.len() {
+            page_in.image = None;
         }
         Ok(())
-    }
-
-    /// Locks the lazy image slot; `Err` if a decode thread panicked while
-    /// holding it.
-    fn lock_image<'a>(
-        &self,
-        lazy: &'a LazyBacking,
-    ) -> Result<std::sync::MutexGuard<'a, Option<Arc<PagedImage>>>, RoadError> {
-        Ok(lazy.image.lock().map_err(|_| StorageError::LockPoisoned("lazy image"))?)
     }
 
     // ------------------------------------------------------------------
@@ -1037,20 +1014,15 @@ impl PagedEngine {
     /// a retained image; becomes `false` once every Rnet is resident (the
     /// image is dropped at that point).
     pub fn is_lazy(&self) -> bool {
-        // Introspection: recover a poisoned image lock (the Option inside
-        // stays coherent) so diagnostics work after a thread died.
-        self.lazy
-            .as_ref()
-            .is_some_and(|l| l.image.lock().unwrap_or_else(|p| p.into_inner()).is_some())
+        self.rnets_loaded() < self.rnet_shortcuts.len()
     }
 
     /// How many Rnets' shortcut sections have been paged in so far
-    /// (equals the Rnet count for eager engines).
+    /// (equals the Rnet count for eager engines). Introspection: a
+    /// poisoned page-in lock is recovered (a page-in bumps the count after
+    /// its last fallible step) so diagnostics work after a thread died.
     pub fn rnets_loaded(&self) -> usize {
-        match &self.lazy {
-            None => self.hier.num_rnets(),
-            Some(l) => l.rnets_loaded.load(Ordering::Acquire),
-        }
+        self.page_in.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).loaded
     }
 
     /// Pages every remaining Rnet in (prefetch): a lazy engine becomes
@@ -2035,7 +2007,8 @@ mod tests {
     /// The append region's open page of a freshly opened lazy engine, and
     /// the Rnets whose abstract record lies on it.
     fn open_page_and_its_rnets(lazy: &PagedEngine) -> (u32, Vec<RnetId>) {
-        let open_page = lazy.append.lock().unwrap().expect("directory records were appended").0;
+        let open_page =
+            lazy.page_in.lock().unwrap().cursor.expect("directory records were appended").0;
         let mut trail = Trail { pool: &lazy.pool, pages: Vec::new() };
         let rnets = (0..lazy.hier.num_rnets() as u32)
             .map(RnetId)
@@ -2121,6 +2094,134 @@ mod tests {
         let want: Vec<(u32, Weight)> =
             fw.shortcuts().heads(r, n).iter().map(|sc| (sc.to.0, sc.dist)).collect();
         assert_eq!(got, want);
+    }
+
+    /// Eight threads fire cold queries at freshly opened lazy engines on
+    /// tiny pools (one frame per stripe), so Rnets page in side by side.
+    /// Answers equal the in-memory engine's, and each paged-in Rnet's
+    /// records form one run of the append region: sorted by position, no
+    /// other Rnet's record lies inside it.
+    #[test]
+    fn concurrent_page_ins_land_each_rnet_as_one_run() {
+        const THREADS: usize = 8;
+        // Few objects and filters, so queries bypass Rnets and page them in.
+        let (fw, ad) = setup_on_grid(12, 6);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let queries: Vec<KnnQuery> = (0..144u32)
+            .map(|n| {
+                let q = KnnQuery::new(NodeId((n * 37) % 144), 1 + n as usize % 3);
+                q.with_filter(ObjectFilter::Category(CategoryId((n % 4) as u16)))
+            })
+            .collect();
+        let want: Vec<_> = queries.iter().map(|q| engine.knn(q).unwrap().hits).collect();
+        for (pages, round) in [2usize, 4, 8].into_iter().flat_map(|p| (0..3).map(move |r| (p, r))) {
+            let lazy = {
+                let objects: Vec<Object> = ad.objects().cloned().collect();
+                let image = PagedImage::open(fw.to_bytes()).unwrap();
+                let opts = PagedOptions::with_buffer_pages(pages).with_stripes(pages);
+                PagedEngine::open(image, objects, opts).unwrap()
+            };
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (lazy, start, queries, want) = (&lazy, &start, &queries, &want);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..queries.len() {
+                            let idx = (i + t * 19) % queries.len();
+                            let got = lazy.knn(&queries[idx]).unwrap().hits;
+                            assert_eq!(got, want[idx], "pages {pages} round {round} #{idx}");
+                        }
+                    });
+                }
+            });
+            assert!(lazy.rnets_loaded() > THREADS, "{} Rnets paged in", lazy.rnets_loaded());
+            let mut records: Vec<(usize, usize)> = lazy
+                .rnet_shortcuts
+                .iter()
+                .enumerate()
+                .filter_map(|(r, slot)| Some((r, slot.get()?)))
+                .flat_map(|(r, locs)| locs.iter().map(move |&(_, loc)| (loc, r)))
+                .map(|(loc, r)| {
+                    let (page, offset, _) = unpack_loc(loc);
+                    (page as usize * PAGE_SIZE + offset as usize, r)
+                })
+                .collect();
+            records.sort_unstable();
+            let mut closed = std::collections::BTreeSet::new();
+            for pair in records.windows(2) {
+                let (prev, next) = (pair[0].1, pair[1].1);
+                if prev != next {
+                    closed.insert(prev);
+                    assert!(!closed.contains(&next), "Rnet {next} split by Rnet {prev}'s records");
+                }
+            }
+        }
+    }
+
+    /// Threads that start at the same node race on the same Rnets. Each
+    /// Rnet is published once — the thread that takes the page-in lock
+    /// second drops the copy it decoded — so the loaded count equals the
+    /// published tables, and every paged-in record lies at or above the
+    /// sealed-page watermark.
+    #[test]
+    fn racing_page_ins_of_one_rnet_publish_it_once() {
+        const THREADS: usize = 4;
+        let (fw, ad) = setup(10);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        for n in [0u32, 27, 63] {
+            let q = KnnQuery::new(NodeId(n), 4);
+            let want = engine.knn(&q).unwrap().hits;
+            let lazy = lazy_twin(&fw, &ad, 4);
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    let (lazy, start, q, want) = (&lazy, &start, &q, &want);
+                    scope.spawn(move || {
+                        start.wait();
+                        assert_eq!(&lazy.knn(q).unwrap().hits, want, "node {n}");
+                    });
+                }
+            });
+            let published: Vec<&Vec<(u32, u64)>> =
+                lazy.rnet_shortcuts.iter().filter_map(OnceLock::get).collect();
+            assert!(!published.is_empty(), "node {n}: nothing paged in");
+            assert_eq!(lazy.rnets_loaded(), published.len(), "node {n}");
+            for &(_, loc) in published.iter().copied().flatten() {
+                assert!(
+                    unpack_loc(loc).0 >= lazy.sealed_pages,
+                    "node {n}: record on a sealed page"
+                );
+            }
+        }
+    }
+
+    /// A panic while holding the page-in lock poisons it. A later query
+    /// that needs an Rnet paged in gets `Err(Storage(LockPoisoned))`, not a
+    /// panic, and the loaded count stays readable. An eager engine never
+    /// takes the lock to serve, so poisoning its lock changes nothing.
+    #[test]
+    fn a_poisoned_page_in_lock_surfaces_as_query_error() {
+        let (fw, ad) = setup(10);
+        let q = KnnQuery::new(NodeId(27), 4);
+        let want = QueryEngine::new(fw.clone(), ad.clone()).knn(&q).unwrap().hits;
+        let lazy = lazy_twin(&fw, &ad, 50);
+        let eager = PagedEngine::new(&fw, &ad, PagedOptions::default()).unwrap();
+        for disk in [&lazy, &eager] {
+            let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = disk.page_in.lock().unwrap();
+                panic!("poison the page-in lock");
+            }));
+            assert!(poisoner.is_err(), "the panic unwinds out of the held lock");
+        }
+        let Err(err) = lazy.knn(&q) else {
+            panic!("a page-in behind a poisoned lock must fail");
+        };
+        assert_eq!(err, RoadError::Storage(StorageError::LockPoisoned("page-in")));
+        assert_eq!(lazy.rnets_loaded(), 0);
+        assert!(lazy.is_lazy());
+        assert_eq!(eager.knn(&q).unwrap().hits, want);
+        assert_eq!(eager.rnets_loaded(), eager.hierarchy().num_rnets());
     }
 
     // ------------------------------------------------------------------

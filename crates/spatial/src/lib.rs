@@ -9,13 +9,9 @@
 //! * [`bloom`] — a counting Bloom filter (ref \[1\]); one of the compact
 //!   representations the paper suggests for *object abstracts*, made
 //!   counting so that object deletion works without rebuilding.
-//! * [`signature`] — superimposed-coding signatures (ref \[5\]); the other
-//!   compact abstract representation.
 
 pub mod bloom;
 pub mod rtree;
-pub mod signature;
 
 pub use bloom::CountingBloom;
 pub use rtree::RTree;
-pub use signature::Signature;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use road_network::geometry::Point;
-use road_spatial::{CountingBloom, RTree, Signature};
+use road_spatial::{CountingBloom, RTree};
 
 fn points_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0f64..1000.0, 0.0f64..1000.0), 1..120)
@@ -79,29 +79,6 @@ proptest! {
         prop_assert!(bloom.is_empty());
         for &k in &keys {
             prop_assert!(!bloom.may_contain(k), "stale counters for {}", k);
-        }
-    }
-
-    /// Signatures have no false negatives, and a parent superimposing its
-    /// children covers every child (Lemma 1's compact form).
-    #[test]
-    fn signature_superimposition(groups in prop::collection::vec(
-            prop::collection::vec(0u64..10_000, 1..20), 1..6)) {
-        let mut parent = Signature::new(512, 3);
-        let mut children = Vec::new();
-        for group in &groups {
-            let mut child = Signature::new(512, 3);
-            for &v in group {
-                child.insert(v);
-            }
-            parent.union_with(&child);
-            children.push(child);
-        }
-        for (child, group) in children.iter().zip(&groups) {
-            prop_assert!(parent.covers(child));
-            for &v in group {
-                prop_assert!(parent.may_contain(v));
-            }
         }
     }
 }

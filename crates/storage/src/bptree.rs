@@ -7,7 +7,7 @@
 //! `u64` record pointers (page id + offset, or an inline small payload).
 //!
 //! Every node occupies one 4 KB page and is read and written through a
-//! [`PagePool`] — the single-threaded [`crate::BufferPool`] or a per-query
+//! [`PagePool`] — the single-owner [`crate::BufferPool`] handle or a per-query
 //! [`crate::striped::TalliedPool`] view of the concurrent striped pool —
 //! so tree operations produce realistic page-fault patterns. Branching
 //! factors are configurable (tests use tiny fanouts to force deep trees);
@@ -835,7 +835,7 @@ mod tests {
         for k in 0..500u64 {
             t.insert(&mut p, k, !k).unwrap();
         }
-        p.clear_cache();
+        p.clear_cache().unwrap();
         for k in (0..500u64).step_by(17) {
             assert_eq!(t.get(&mut p, k).unwrap(), Some(!k));
         }
@@ -978,7 +978,7 @@ mod tests {
                 fanout,
                 &ops,
                 |p| p.stats().logical_reads,
-                |p| p.clear_cache(),
+                |p| p.clear_cache().unwrap(),
             );
             let striped = StripedBufferPool::new(PageStore::new(), 8, 4);
             in_place_get_matches_decoded(

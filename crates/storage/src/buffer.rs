@@ -1,14 +1,18 @@
-//! The buffer pool: LRU page frames with dirty write-back.
+//! The buffer pool's counters, the page-access trait the paged B+-tree
+//! reads through, and [`BufferPool`]: the single-owner handle of a
+//! one-stripe [`StripedBufferPool`].
 //!
+//! There is one pool implementation, in [`crate::striped`]. The handle
+//! reaches it through `&mut`, so no access takes a lock, and keeps its own
+//! [`IoTally`] — the counters are exact the moment an access returns.
 //! Matches the paper's cache model: a fixed number of frames (50 by
 //! default) replaced LRU, cold at the start of every measured query.
 // roadlint: serving-path
 
 use crate::error::StorageError;
-use crate::lru::LruCache;
 use crate::page::{Page, PageId};
 use crate::store::PageStore;
-use std::sync::Arc;
+use crate::striped::{IoTally, StripedBufferPool};
 
 /// Buffer-pool counters. `page_faults` is the paper's I/O metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,9 +40,9 @@ impl BufferStats {
 }
 
 /// Page-granular storage access: what the paged [`crate::BPlusTree`] needs
-/// from its backing pool. Implemented by the single-threaded [`BufferPool`]
-/// and by [`crate::striped::TalliedPool`], a per-query view of the
-/// concurrent [`crate::striped::StripedBufferPool`].
+/// from its backing pool. Implemented by the single-owner [`BufferPool`]
+/// and by [`crate::striped::TalliedPool`], a per-caller view of a shared
+/// [`StripedBufferPool`] — the same pool code behind both.
 ///
 /// Every method is fallible: the striped implementation surfaces a
 /// poisoned stripe or store lock as [`StorageError::LockPoisoned`] instead
@@ -57,138 +61,61 @@ pub trait PagePool {
     ) -> Result<R, StorageError>;
 }
 
-/// A cached page: a handle shared with the store until the first write
-/// through the pool copies it.
-struct Frame {
-    page: Arc<Page>,
-    dirty: bool,
-}
-
-/// An LRU buffer pool over a [`PageStore`].
+/// A buffer pool with one owner: a one-stripe [`StripedBufferPool`]
+/// reached through `&mut`, so no access takes a lock, plus the owner's
+/// [`IoTally`].
 pub struct BufferPool {
-    store: PageStore,
-    frames: LruCache<u32, Frame>,
-    stats: BufferStats,
+    pool: StripedBufferPool,
+    tally: IoTally,
 }
 
 impl BufferPool {
     /// Wraps `store` with a pool of `capacity` frames.
+    ///
+    /// # Panics
+    /// Panics when `capacity` is zero.
     pub fn new(store: PageStore, capacity: usize) -> Self {
-        BufferPool { store, frames: LruCache::new(capacity), stats: BufferStats::default() }
-    }
-
-    /// Allocates a fresh zeroed page (cached clean).
-    pub fn alloc(&mut self) -> PageId {
-        let id = self.store.alloc();
-        self.cache_insert(id.0, Frame { page: Arc::new(Page::zeroed()), dirty: false });
-        id
-    }
-
-    fn cache_insert(&mut self, id: u32, frame: Frame) {
-        if let Some((evicted_id, evicted)) = self.frames.put(id, frame) {
-            if evicted.dirty {
-                self.stats.write_backs += 1;
-                self.store.write(PageId(evicted_id), evicted.page);
-            }
-        }
-    }
-
-    /// Runs `f` on the frame of page `id`. A hit is one LRU probe; only a
-    /// miss goes to the store, and that is where a page id enters it: ids
-    /// reach here off page bytes (a B+-tree child pointer, a packed record
-    /// location), so one the store never allocated is a corrupt page, not
-    /// an index. The lookup after the fault-in cannot miss (the LRU holds
-    /// at least one frame and the admitted page is the most recent), but
-    /// the invariant is reported as `Err` rather than unwound: serving
-    /// threads must survive storage bugs.
-    fn with_frame<R>(
-        &mut self,
-        id: PageId,
-        f: impl FnOnce(&mut Frame) -> R,
-    ) -> Result<R, StorageError> {
-        self.stats.logical_reads += 1;
-        if let Some(frame) = self.frames.get(&id.0) {
-            return Ok(f(frame));
-        }
-        if id.index() >= self.store.num_pages() {
-            return Err(StorageError::CorruptPage("page id outside the store"));
-        }
-        self.stats.page_faults += 1;
-        let page = self.store.read(id);
-        self.cache_insert(id.0, Frame { page, dirty: false });
-        self.frames.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
-    }
-
-    /// Reads page `id` through the cache.
-    pub fn with_page<R>(
-        &mut self,
-        id: PageId,
-        f: impl FnOnce(&Page) -> R,
-    ) -> Result<R, StorageError> {
-        self.with_frame(id, |frame| f(&frame.page))
-    }
-
-    /// Mutates page `id` through the cache, marking it dirty.
-    pub fn with_page_mut<R>(
-        &mut self,
-        id: PageId,
-        f: impl FnOnce(&mut Page) -> R,
-    ) -> Result<R, StorageError> {
-        self.with_frame(id, |frame| {
-            frame.dirty = true;
-            f(Arc::make_mut(&mut frame.page))
-        })
+        BufferPool { pool: StripedBufferPool::new(store, capacity, 1), tally: IoTally::default() }
     }
 
     /// Writes every dirty frame back to the store (frames stay cached, in
     /// the order they were).
-    pub fn flush(&mut self) {
-        // Collect dirty ids first; iteration cannot borrow mutably.
-        let dirty: Vec<u32> =
-            self.frames.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
-        for id in dirty {
-            let Some(frame) = self.frames.peek_mut(&id) else { continue };
-            frame.dirty = false;
-            self.stats.write_backs += 1;
-            self.store.write(PageId(id), Arc::clone(&frame.page));
-        }
+    pub fn flush(&mut self) -> Result<(), StorageError> {
+        self.pool.write_back_all_owned(false)
     }
 
     /// Flushes and empties the cache — the paper initialises every query
     /// with an empty cache.
-    pub fn clear_cache(&mut self) {
-        self.flush();
-        self.frames.clear();
+    pub fn clear_cache(&mut self) -> Result<(), StorageError> {
+        self.pool.write_back_all_owned(true)
     }
 
     /// Pool counters.
     pub fn stats(&self) -> BufferStats {
-        self.stats
+        BufferStats {
+            logical_reads: self.tally.logical_reads,
+            page_faults: self.tally.page_faults,
+            write_backs: self.pool.stats().write_backs,
+        }
     }
 
     /// Zeroes the pool counters (cache contents unchanged).
     pub fn reset_stats(&mut self) {
-        self.stats = BufferStats::default();
-    }
-
-    /// The underlying store (for size accounting).
-    pub fn store(&self) -> &PageStore {
-        &self.store
-    }
-
-    /// Number of frames the pool may hold.
-    pub fn capacity(&self) -> usize {
-        self.frames.capacity()
+        self.tally = IoTally::default();
+        self.pool.reset_stats();
     }
 }
 
+/// Page access: [`StripedBufferPool::alloc`], `with_page` and
+/// `with_page_mut`, through `&mut` and charged to the owner's tally.
 impl PagePool for BufferPool {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        Ok(BufferPool::alloc(self))
+        self.pool.alloc_owned()
     }
 
+    #[inline]
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, StorageError> {
-        BufferPool::with_page(self, id, f)
+        self.pool.with_page_owned(id, &mut self.tally, f)
     }
 
     fn with_page_mut<R>(
@@ -196,7 +123,7 @@ impl PagePool for BufferPool {
         id: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        BufferPool::with_page_mut(self, id, f)
+        self.pool.with_page_mut_owned(id, &mut self.tally, f)
     }
 }
 
@@ -207,7 +134,7 @@ mod tests {
     #[test]
     fn cached_reads_do_not_fault() {
         let mut pool = BufferPool::new(PageStore::new(), 4);
-        let p = pool.alloc();
+        let p = pool.alloc().unwrap();
         pool.reset_stats();
         for _ in 0..10 {
             pool.with_page(p, |pg| assert_eq!(pg.bytes()[0], 0)).unwrap();
@@ -220,11 +147,11 @@ mod tests {
     #[test]
     fn eviction_writes_back_dirty_pages() {
         let mut pool = BufferPool::new(PageStore::new(), 2);
-        let a = pool.alloc();
+        let a = pool.alloc().unwrap();
         pool.with_page_mut(a, |pg| pg.bytes_mut()[0] = 42).unwrap();
         // Fill the pool until `a` is evicted.
-        let _b = pool.alloc();
-        let _c = pool.alloc();
+        let _b = pool.alloc().unwrap();
+        let _c = pool.alloc().unwrap();
         assert!(pool.stats().write_backs >= 1);
         // Fault `a` back in: the write-back preserved the data.
         pool.with_page(a, |pg| assert_eq!(pg.bytes()[0], 42)).unwrap();
@@ -234,11 +161,11 @@ mod tests {
     #[test]
     fn clear_cache_then_cold_reads_fault() {
         let mut pool = BufferPool::new(PageStore::new(), 8);
-        let ids: Vec<PageId> = (0..4).map(|_| pool.alloc()).collect();
+        let ids: Vec<PageId> = (0..4).map(|_| pool.alloc().unwrap()).collect();
         for (i, &id) in ids.iter().enumerate() {
             pool.with_page_mut(id, |pg| pg.bytes_mut()[0] = i as u8).unwrap();
         }
-        pool.clear_cache();
+        pool.clear_cache().unwrap();
         pool.reset_stats();
         for (i, &id) in ids.iter().enumerate() {
             pool.with_page(id, |pg| assert_eq!(pg.bytes()[0], i as u8)).unwrap();
@@ -254,11 +181,68 @@ mod tests {
     #[test]
     fn flush_persists_without_dropping_frames() {
         let mut pool = BufferPool::new(PageStore::new(), 4);
-        let a = pool.alloc();
+        let a = pool.alloc().unwrap();
         pool.with_page_mut(a, |pg| pg.bytes_mut()[1] = 9).unwrap();
-        pool.flush();
+        pool.flush().unwrap();
         pool.reset_stats();
         pool.with_page(a, |pg| assert_eq!(pg.bytes()[1], 9)).unwrap();
         assert_eq!(pool.stats().page_faults, 0, "flush must not evict");
+    }
+
+    /// `reset_stats` zeroes the counters and nothing else: cached frames
+    /// keep their bytes, their LRU order and their dirty state.
+    #[test]
+    fn reset_stats_keeps_cached_pages() {
+        let mut pool = BufferPool::new(PageStore::new(), 2);
+        let a = pool.alloc().unwrap();
+        pool.with_page_mut(a, |pg| pg.bytes_mut()[3] = 4).unwrap();
+        let b = pool.alloc().unwrap();
+        pool.with_page(b, |_| ()).unwrap();
+        pool.reset_stats();
+        assert_eq!(pool.stats(), BufferStats::default());
+        pool.with_page(a, |pg| assert_eq!(pg.bytes()[3], 4)).unwrap();
+        assert_eq!(pool.stats().page_faults, 0, "the reset evicted a frame");
+        // Recency is now `b`, `a`: the first allocation evicts clean `b`,
+        // the second evicts `a`, still dirty, and writes it back.
+        pool.alloc().unwrap();
+        assert_eq!(pool.stats().write_backs, 0);
+        pool.alloc().unwrap();
+        assert_eq!(pool.stats().write_backs, 1, "the reset cleaned a dirty frame");
+        pool.with_page(a, |pg| assert_eq!(pg.bytes()[3], 4)).unwrap();
+    }
+
+    /// A page id the store never allocated (one read off a corrupt page)
+    /// is an `Err`, not a panic, and faults nothing in.
+    #[test]
+    fn an_unallocated_page_is_an_error_not_a_panic() {
+        let mut pool = BufferPool::new(PageStore::new(), 2);
+        let a = pool.alloc().unwrap();
+        let wild = PageId(a.0 + 1);
+        let corrupt = Err(StorageError::CorruptPage("page id outside the store"));
+        assert_eq!(pool.with_page(wild, |_| ()), corrupt);
+        assert_eq!(pool.with_page_mut(wild, |pg| pg.bytes_mut()[0] = 1), corrupt);
+        assert_eq!(pool.stats().page_faults, 0);
+        pool.with_page(a, |pg| assert_eq!(pg.bytes()[0], 0)).unwrap();
+    }
+
+    /// Through the handle, as through the shared pool: a clear writes each
+    /// dirty frame back once, a clean frame never, and an empty cache
+    /// writes nothing.
+    #[test]
+    fn clear_cache_writes_back_each_dirty_frame_once() {
+        let mut pool = BufferPool::new(PageStore::new(), 8);
+        let ids: Vec<PageId> = (0..6).map(|_| pool.alloc().unwrap()).collect();
+        for &id in ids.iter().step_by(2) {
+            pool.with_page_mut(id, |pg| pg.bytes_mut()[0] = 1).unwrap();
+        }
+        pool.with_page(ids[1], |_| ()).unwrap();
+        pool.clear_cache().unwrap();
+        assert_eq!(pool.stats().write_backs, 3);
+        pool.clear_cache().unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().write_backs, 3, "an empty cache wrote a page back");
+        for (i, &id) in ids.iter().enumerate() {
+            pool.with_page(id, |pg| assert_eq!(pg.bytes()[0], u8::from(i % 2 == 0))).unwrap();
+        }
     }
 }

@@ -12,17 +12,17 @@
 //! * [`error`] — [`StorageError`], how fallible paths report poisoned
 //!   locks and corrupt pages instead of panicking a serving thread;
 //! * [`page`] — fixed 4 KB pages and page ids;
-//! * [`store`] — the simulated disk (a growable array of pages with
-//!   physical read/write counters); pages are held by handle, so a read
-//!   hands out the stored page and nothing is copied until someone writes;
+//! * [`store`] — the simulated disk (a growable array of pages, counting
+//!   nothing); pages are held by handle, so a read hands out the stored
+//!   page and nothing is copied until someone writes;
 //! * [`lru`] — a generic O(1) LRU cache;
-//! * [`buffer`] — the buffer pool: LRU page frames with dirty write-back,
-//!   plus the [`PagePool`] access trait;
-//! * [`striped`] — the concurrent buffer pool: the LRU sharded into lock
-//!   stripes keyed by page id, frames that share the store's page handles
-//!   (copy-on-write), exact per-query [`IoTally`] deltas settled into the
-//!   cumulative counters once per query (what lets one disk-resident
-//!   engine serve many threads);
+//! * [`striped`] — the one buffer pool: LRU page frames with dirty
+//!   write-back, sharded into lock stripes keyed by page id, frames that
+//!   share the store's page handles (copy-on-write), exact per-query
+//!   [`IoTally`] deltas settled into the cumulative counters once per
+//!   query (what lets one disk-resident engine serve many threads);
+//! * [`buffer`] — the pool's [`BufferStats`], the [`PagePool`] access
+//!   trait, and [`BufferPool`]: a one-stripe pool's lock-free owner;
 //! * [`bptree`] — a real paged B+-tree (the paper's Route Overlay and
 //!   Association Directory both index by node/Rnet id through B+-trees);
 //! * [`ccam`] — connectivity-clustered node-to-page assignment after

@@ -1,13 +1,26 @@
-//! The concurrent buffer pool: an LRU sharded into lock stripes.
+//! The buffer pool: an LRU sharded into lock stripes, with dirty
+//! write-back.
 //!
-//! The single-threaded [`BufferPool`](crate::BufferPool) moves its LRU
-//! list on every read, so sharing it between serving threads would mean a
-//! global mutex — one cache-warm query serializing every other. This pool
-//! shards the frame cache into `N` **stripes** keyed by page id
-//! (`page % N`), each an independent LRU behind its own mutex: threads
-//! touching different stripes never contend, and the paper's cost model is
-//! preserved because every page access still goes through exactly one LRU
-//! cache with bounded total capacity.
+//! Every page access in the workspace goes through this one pool. Shared
+//! between serving threads, one LRU list would mean a global mutex — one
+//! cache-warm query serializing every other. So the frame cache is sharded
+//! into `N` **stripes** keyed by page id (`page % N`), each an independent
+//! LRU behind its own mutex: threads touching different stripes never
+//! contend, and the paper's cost model is preserved because every page
+//! access still goes through exactly one LRU cache with bounded total
+//! capacity.
+//!
+//! ## Two doors, one logic
+//!
+//! The LRU probe, the fault-in and the dirty write-back are written once,
+//! on one stripe's frames (`Stripe`). A shared caller (`&self`) reaches a
+//! stripe through its mutex and the store through its `RwLock`. An owner
+//! holding `&mut` reaches the same code through `Mutex::get_mut` /
+//! `RwLock::get_mut`: no lock is taken and no atomic is bumped. The
+//! single-owner [`BufferPool`](crate::BufferPool) — the paged B+-tree's
+//! pool in tests and in roadbench's probe — is a one-stripe pool used
+//! through that door, so its access stream, faults and eviction order are
+//! those of a one-stripe shared pool.
 //!
 //! ## Capacity split
 //!
@@ -103,14 +116,134 @@ struct Frame {
     dirty: bool,
 }
 
+/// The frames of one stripe.
+type Frames = LruCache<u32, Frame>;
+
+/// The store and the write-back counter, as a stripe operation reaches
+/// them: through the store's lock from the shared pool, or directly from an
+/// owner holding `&mut` — no lock taken, no atomic bumped.
+enum Disk<'a> {
+    Locked(&'a RwLock<PageStore>, &'a AtomicU64),
+    Owned(&'a mut RwLock<PageStore>, &'a mut u64),
+}
+
+impl Disk<'_> {
+    /// Page `id` by handle, no bytes moved. This is where a page id enters
+    /// the store, and ids reach here off page bytes (a B+-tree child
+    /// pointer, a packed record location): one the store never allocated
+    /// is a corrupt page, not an index.
+    fn read(&mut self, id: PageId) -> Result<Arc<Page>, StorageError> {
+        let poisoned = StorageError::LockPoisoned("page store");
+        let page = match self {
+            Disk::Locked(store, _) => store.read().map_err(|_| poisoned)?.read(id),
+            Disk::Owned(store, _) => store.get_mut().map_err(|_| poisoned)?.read(id),
+        };
+        page.ok_or(StorageError::CorruptPage("page id outside the store"))
+    }
+
+    /// Writes a dirty frame's page back, counting the write-back.
+    fn write_back(&mut self, id: u32, page: Arc<Page>) -> Result<(), StorageError> {
+        let poisoned = StorageError::LockPoisoned("page store");
+        match self {
+            Disk::Locked(store, write_backs) => {
+                // roadlint: relaxed-ok reason="monotonic stats counter, read only by stats()"
+                write_backs.fetch_add(1, Ordering::Relaxed);
+                store.write().map_err(|_| poisoned)?.write(PageId(id), page);
+            }
+            Disk::Owned(store, write_backs) => {
+                **write_backs += 1;
+                store.get_mut().map_err(|_| poisoned)?.write(PageId(id), page);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One stripe's frames with the disk behind them: the LRU probe, the
+/// fault-in and the dirty write-back, written once for the locked and the
+/// owned path. A locked caller holds the stripe lock for as long as this
+/// lives, and the store lock is taken inside it (`stripe -> store`).
+struct Stripe<'a> {
+    frames: &'a mut Frames,
+    disk: Disk<'a>,
+}
+
+impl Stripe<'_> {
+    /// Inserts a frame, writing back the evicted frame if it was dirty.
+    fn insert(&mut self, id: u32, frame: Frame) -> Result<(), StorageError> {
+        match self.frames.put(id, frame) {
+            Some((evicted_id, evicted)) if evicted.dirty => {
+                self.disk.write_back(evicted_id, evicted.page)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Runs `f` on the frame of page `id`, charging `tally` one logical
+    /// read plus a fault if the page was not resident. A hit is one LRU
+    /// probe; a miss faults the stored page in by handle. The lookup after
+    /// the fault-in cannot miss (the admitted page is the most recent), but
+    /// the invariant is reported as `Err`: serving threads must survive
+    /// storage bugs.
+    fn with_frame<R>(
+        &mut self,
+        id: PageId,
+        tally: &mut IoTally,
+        f: impl FnOnce(&mut Frame) -> R,
+    ) -> Result<R, StorageError> {
+        tally.logical_reads += 1;
+        if let Some(frame) = self.frames.get(&id.0) {
+            return Ok(f(frame));
+        }
+        self.fault_in(id, tally)?;
+        self.frames.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
+    }
+
+    /// The miss path of [`Stripe::with_frame`], kept out of line so that a
+    /// hit stays small enough to inline into its caller.
+    #[cold]
+    #[inline(never)]
+    fn fault_in(&mut self, id: PageId, tally: &mut IoTally) -> Result<(), StorageError> {
+        let page = self.disk.read(id)?;
+        tally.page_faults += 1;
+        self.insert(id.0, Frame { page, dirty: false })
+    }
+
+    /// Writes the dirty frames back to the store, then with `clear`
+    /// empties the stripe. Kept frames stay cached, clean and in the LRU
+    /// order they were in, so a later eviction will not write them again.
+    fn write_back_dirty(&mut self, clear: bool) -> Result<(), StorageError> {
+        let dirty: Vec<u32> =
+            self.frames.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
+        for id in dirty {
+            let Some(frame) = self.frames.peek_mut(&id) else { continue };
+            frame.dirty = false;
+            let page = Arc::clone(&frame.page);
+            self.disk.write_back(id, page)?;
+        }
+        if clear {
+            self.frames.clear();
+        }
+        Ok(())
+    }
+}
+
+/// Marks a frame dirty and hands out its page for writing: copied first
+/// when the store or a [pinned](StripedBufferPool::pin) reader still holds
+/// it.
+fn write_frame<R>(frame: &mut Frame, f: impl FnOnce(&mut Page) -> R) -> R {
+    frame.dirty = true;
+    f(Arc::make_mut(&mut frame.page))
+}
+
 /// A thread-safe, lock-striped LRU buffer pool over a [`PageStore`].
 ///
-/// All methods take `&self`; the pool is `Send + Sync` and is what lets
+/// Shared access takes `&self`; the pool is `Send + Sync` and is what lets
 /// the core crate's `PagedEngine` serve `knn`/`range` from many threads at
 /// once. See the [module docs](crate::striped) for the design.
 pub struct StripedBufferPool {
     store: RwLock<PageStore>,
-    stripes: Vec<Mutex<LruCache<u32, Frame>>>,
+    stripes: Vec<Mutex<Frames>>,
     /// `stripes.len()`, as the `u32` a page id is reduced by: the stripe of
     /// every access is one 32-bit remainder.
     num_stripes: u32,
@@ -142,7 +275,7 @@ impl StripedBufferPool {
         let per_stripe =
             |i: usize| (capacity / stripes + usize::from(i < capacity % stripes)).max(1);
         let capacity = (0..stripes).map(per_stripe).sum();
-        let stripes: Vec<Mutex<LruCache<u32, Frame>>> =
+        let stripes: Vec<Mutex<Frames>> =
             (0..stripes).map(|i| Mutex::new(LruCache::new(per_stripe(i)))).collect();
         StripedBufferPool {
             store: RwLock::new(store),
@@ -158,33 +291,32 @@ impl StripedBufferPool {
     /// Locks the stripe owning page `id`; `Err` if a previous holder
     /// panicked.
     #[inline]
-    fn stripe(&self, id: PageId) -> Result<MutexGuard<'_, LruCache<u32, Frame>>, StorageError> {
+    fn stripe(&self, id: PageId) -> Result<MutexGuard<'_, Frames>, StorageError> {
         // roadlint: allow(panic) reason="index is id % stripes.len(), in range by construction"
         self.stripes[(id.0 % self.num_stripes) as usize]
             .lock()
             .map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))
     }
 
-    /// Inserts a frame into `stripe`, writing back the evicted frame if it
-    /// was dirty. Caller holds the stripe lock; the store lock is taken
-    /// after (`stripe -> store` order).
-    fn insert_frame(
-        &self,
-        stripe: &mut LruCache<u32, Frame>,
-        id: u32,
-        frame: Frame,
-    ) -> Result<(), StorageError> {
-        if let Some((evicted_id, evicted)) = stripe.put(id, frame) {
-            if evicted.dirty {
-                // roadlint: relaxed-ok reason="monotonic stats counter, read only by stats()"
-                self.write_backs.fetch_add(1, Ordering::Relaxed);
-                self.store
-                    .write()
-                    .map_err(|_| StorageError::LockPoisoned("page store"))?
-                    .write(PageId(evicted_id), evicted.page);
-            }
-        }
-        Ok(())
+    /// The shared path to the disk: through the store's lock.
+    fn disk(&self) -> Disk<'_> {
+        Disk::Locked(&self.store, &self.write_backs)
+    }
+
+    /// The stripe owning page `id`, reached by an owner: `get_mut`, no lock
+    /// taken. A one-stripe pool skips the division. A stripe poisoned while
+    /// the pool was shared stays an `Err`.
+    #[inline]
+    fn owned(&mut self, id: PageId) -> Result<Stripe<'_>, StorageError> {
+        let frames = match self.stripes.as_mut_slice() {
+            [only] => only,
+            all => all
+                .get_mut((id.0 % self.num_stripes) as usize)
+                .ok_or(StorageError::Internal("stripe index"))?,
+        };
+        let frames =
+            frames.get_mut().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
+        Ok(Stripe { frames, disk: Disk::Owned(&mut self.store, self.write_backs.get_mut()) })
     }
 
     /// Allocates a fresh zeroed page (cached clean).
@@ -195,50 +327,20 @@ impl StripedBufferPool {
     pub fn alloc(&self) -> Result<PageId, StorageError> {
         let id = self.store.write().map_err(|_| StorageError::LockPoisoned("page store"))?.alloc();
         let mut stripe = self.stripe(id)?;
-        let page = Arc::new(Page::zeroed());
-        self.insert_frame(&mut stripe, id.0, Frame { page, dirty: false })?;
+        let frame = Frame { page: Arc::new(Page::zeroed()), dirty: false };
+        Stripe { frames: &mut stripe, disk: self.disk() }.insert(id.0, frame)?;
         Ok(id)
     }
 
-    /// Faults `id` into its (locked) stripe, where it is not resident: the
-    /// frame takes a handle to the stored page, no bytes move. This is
-    /// where a page id enters the store, and ids reach here off page bytes
-    /// (a B+-tree child pointer, a packed record location): one the store
-    /// never allocated is a corrupt page, not an index. A resident page
-    /// cannot be unallocated, so hits skip the check.
-    fn fault_in(
-        &self,
-        stripe: &mut LruCache<u32, Frame>,
-        id: PageId,
-        tally: &mut IoTally,
-    ) -> Result<(), StorageError> {
-        let page = {
-            let store = self.store.read().map_err(|_| StorageError::LockPoisoned("page store"))?;
-            if id.index() >= store.num_pages() {
-                return Err(StorageError::CorruptPage("page id outside the store"));
-            }
-            store.read(id)
-        };
-        tally.page_faults += 1;
-        self.insert_frame(stripe, id.0, Frame { page, dirty: false })
-    }
-
-    /// Runs `f` on the frame of page `id` under its stripe's lock, charging
-    /// `tally` one logical read plus a fault if the page was not resident.
-    /// A hit is one probe of the stripe's LRU.
+    /// Runs `f` on the frame of page `id` under its stripe's lock.
     fn with_frame<R>(
         &self,
         id: PageId,
         tally: &mut IoTally,
         f: impl FnOnce(&mut Frame) -> R,
     ) -> Result<R, StorageError> {
-        tally.logical_reads += 1;
         let mut stripe = self.stripe(id)?;
-        if let Some(frame) = stripe.get(&id.0) {
-            return Ok(f(frame));
-        }
-        self.fault_in(&mut stripe, id, tally)?;
-        stripe.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
+        Stripe { frames: &mut stripe, disk: self.disk() }.with_frame(id, tally, f)
     }
 
     /// Hands out page `id` by handle: the stripe lock is held for the LRU
@@ -277,10 +379,7 @@ impl StripedBufferPool {
         tally: &mut IoTally,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        self.with_frame(id, tally, |frame| {
-            frame.dirty = true;
-            f(Arc::make_mut(&mut frame.page))
-        })
+        self.with_frame(id, tally, |frame| write_frame(frame, f))
     }
 
     /// Adds a caller's finished `tally` to the cumulative counters — once
@@ -293,21 +392,15 @@ impl StripedBufferPool {
         self.page_faults.fetch_add(tally.page_faults, Ordering::Relaxed);
     }
 
-    /// Writes the dirty frames of a (locked) stripe back to the store. The
-    /// frames stay cached, clean and in the LRU order they were in, so a
-    /// later eviction will not write them again.
-    fn write_back_dirty(&self, stripe: &mut LruCache<u32, Frame>) -> Result<(), StorageError> {
-        let dirty: Vec<u32> = stripe.iter().filter(|(_, fr)| fr.dirty).map(|(id, _)| *id).collect();
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let mut store = self.store.write().map_err(|_| StorageError::LockPoisoned("page store"))?;
-        for id in dirty {
-            let Some(frame) = stripe.peek_mut(&id) else { continue };
-            frame.dirty = false;
-            // roadlint: relaxed-ok reason="monotonic stats counter, read only by stats()"
-            self.write_backs.fetch_add(1, Ordering::Relaxed);
-            store.write(PageId(id), Arc::clone(&frame.page));
+    /// Writes the dirty frames of every stripe back, and with `clear`
+    /// empties each stripe under the **same** acquisition of its lock: a
+    /// write that lands between a flush and a separate clear would be
+    /// dropped with its frame.
+    fn write_back_all(&self, clear: bool) -> Result<(), StorageError> {
+        for stripe in &self.stripes {
+            let mut stripe =
+                stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
+            Stripe { frames: &mut stripe, disk: self.disk() }.write_back_dirty(clear)?;
         }
         Ok(())
     }
@@ -315,26 +408,56 @@ impl StripedBufferPool {
     /// Writes every dirty frame back to the store (frames stay cached and
     /// become clean).
     pub fn flush(&self) -> Result<(), StorageError> {
-        for stripe in &self.stripes {
-            let mut stripe =
-                stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
-            self.write_back_dirty(&mut stripe)?;
-        }
-        Ok(())
+        self.write_back_all(false)
     }
 
     /// Flushes and empties every stripe — the paper initialises every
-    /// measured query with an empty cache. Each stripe is written back and
-    /// emptied under **one** acquisition of its lock: a write that lands
-    /// between a flush and a separate clear would be dropped with its
-    /// frame. Faults after a clear are counted once per access like any
-    /// other cold read.
+    /// measured query with an empty cache. Faults after a clear are
+    /// counted once per access like any other cold read.
     pub fn clear_cache(&self) -> Result<(), StorageError> {
-        for stripe in &self.stripes {
-            let mut stripe =
-                stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
-            self.write_back_dirty(&mut stripe)?;
-            stripe.clear();
+        self.write_back_all(true)
+    }
+
+    // -- The owner's path: `&mut self`, no lock taken, the same logic --
+
+    /// [`StripedBufferPool::alloc`] for an owner.
+    pub(crate) fn alloc_owned(&mut self) -> Result<PageId, StorageError> {
+        let id =
+            self.store.get_mut().map_err(|_| StorageError::LockPoisoned("page store"))?.alloc();
+        let frame = Frame { page: Arc::new(Page::zeroed()), dirty: false };
+        self.owned(id)?.insert(id.0, frame)?;
+        Ok(id)
+    }
+
+    /// [`StripedBufferPool::with_page`] for an owner.
+    #[inline]
+    pub(crate) fn with_page_owned<R>(
+        &mut self,
+        id: PageId,
+        tally: &mut IoTally,
+        f: impl FnOnce(&Page) -> R,
+    ) -> Result<R, StorageError> {
+        self.owned(id)?.with_frame(id, tally, |frame| f(&frame.page))
+    }
+
+    /// [`StripedBufferPool::with_page_mut`] for an owner.
+    pub(crate) fn with_page_mut_owned<R>(
+        &mut self,
+        id: PageId,
+        tally: &mut IoTally,
+        f: impl FnOnce(&mut Page) -> R,
+    ) -> Result<R, StorageError> {
+        self.owned(id)?.with_frame(id, tally, |frame| write_frame(frame, f))
+    }
+
+    /// [`StripedBufferPool::flush`] (`clear == false`) or
+    /// [`StripedBufferPool::clear_cache`] for an owner.
+    pub(crate) fn write_back_all_owned(&mut self, clear: bool) -> Result<(), StorageError> {
+        for frames in &mut self.stripes {
+            let frames =
+                frames.get_mut().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
+            let disk = Disk::Owned(&mut self.store, self.write_backs.get_mut());
+            Stripe { frames, disk }.write_back_dirty(clear)?;
         }
         Ok(())
     }
@@ -681,6 +804,32 @@ mod tests {
         // A fault shares the stored page instead of copying it.
         p.clear_cache().unwrap();
         assert!(Arc::ptr_eq(&back, &p.pin(a, &mut tally).unwrap()));
+    }
+
+    /// The owner's `&mut` path and the locked path reach the same frames,
+    /// the same store and the same write-back count: what one caches is a
+    /// hit for the other, and a dirty frame evicted or cleared through the
+    /// owner's path is counted where `stats()` reads it.
+    #[test]
+    fn owned_and_locked_access_share_one_pool() {
+        let mut p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc_owned().unwrap();
+        p.with_page_mut_owned(a, &mut tally, |pg| pg.bytes_mut()[0] = 5).unwrap();
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 5)).unwrap();
+        let b = p.alloc().unwrap();
+        p.with_page_mut(b, &mut tally, |pg| pg.bytes_mut()[0] = 6).unwrap();
+        p.with_page_owned(b, &mut tally, |pg| assert_eq!(pg.bytes()[0], 6)).unwrap();
+        assert_eq!(tally, IoTally { logical_reads: 4, page_faults: 0 });
+        // `a` is the least recent: an owner's allocation evicts it, dirty.
+        p.alloc_owned().unwrap();
+        assert_eq!(p.stats().write_backs, 1);
+        p.write_back_all_owned(true).unwrap();
+        assert_eq!(p.stats().write_backs, 2, "`b` was dirty, the new page clean");
+        assert_eq!(p.cached_pages(), 0);
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 5)).unwrap();
+        p.with_page_owned(b, &mut tally, |pg| assert_eq!(pg.bytes()[0], 6)).unwrap();
+        assert_eq!(tally.page_faults, 2);
     }
 
     #[test]

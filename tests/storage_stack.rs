@@ -6,10 +6,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_network::generator::simple;
-use road_spatial::{CountingBloom, Signature};
+use road_spatial::CountingBloom;
 use road_storage::ccam::NodeClustering;
 use road_storage::lru::LruCache;
-use road_storage::{BPlusTree, BufferPool, IoTracker, PageStore, DEFAULT_BUFFER_PAGES, PAGE_SIZE};
+use road_storage::{
+    BPlusTree, BufferPool, IoTally, IoTracker, PagePool, PageStore, StripedBufferPool, TalliedPool,
+    DEFAULT_BUFFER_PAGES, PAGE_SIZE,
+};
 
 #[test]
 fn bptree_as_association_directory_index() {
@@ -22,7 +25,7 @@ fn bptree_as_association_directory_index() {
     for (i, node) in (0..10_000u64).step_by(7).enumerate() {
         tree.insert(&mut pool, node, i as u64 / per_page).unwrap();
     }
-    pool.clear_cache();
+    pool.clear_cache().unwrap();
     pool.reset_stats();
     // A cold lookup path costs height+1 page faults at most.
     let v = tree.get(&mut pool, 7 * 100).unwrap();
@@ -81,7 +84,7 @@ fn ccam_beats_random_placement_for_expansion_io() {
 #[test]
 fn buffer_pool_bounds_resident_pages() {
     let mut pool = BufferPool::new(PageStore::new(), 10);
-    let ids: Vec<_> = (0..100).map(|_| pool.alloc()).collect();
+    let ids: Vec<_> = (0..100).map(|_| pool.alloc().unwrap()).collect();
     for (i, &id) in ids.iter().enumerate() {
         pool.with_page_mut(id, |p| p.bytes_mut()[0] = i as u8).unwrap();
     }
@@ -90,7 +93,7 @@ fn buffer_pool_bounds_resident_pages() {
         pool.with_page(id, |p| assert_eq!(p.bytes()[0], i as u8)).unwrap();
     }
     // … and the store carries the truth after a flush.
-    pool.clear_cache();
+    pool.clear_cache().unwrap();
     for (i, &id) in ids.iter().enumerate() {
         pool.with_page(id, |p| assert_eq!(p.bytes()[0], i as u8)).unwrap();
     }
@@ -129,8 +132,8 @@ fn lru_eviction_order_under_repin() {
 #[test]
 fn buffer_pool_repin_protects_hot_page() {
     let mut pool = BufferPool::new(PageStore::new(), 3);
-    let pages: Vec<_> = (0..6).map(|_| pool.alloc()).collect();
-    pool.clear_cache();
+    let pages: Vec<_> = (0..6).map(|_| pool.alloc().unwrap()).collect();
+    pool.clear_cache().unwrap();
     pool.reset_stats();
     // Fault in 0, 1, 2; re-pin 0; then stream 3 and 4 (evicting 1 and 2).
     for &p in &pages[..3] {
@@ -239,40 +242,6 @@ fn bloom_false_positive_rate_within_bound() {
     assert!((0..200u64).all(|t| !bloom.may_contain(5_000_000 + t)));
 }
 
-/// Superimposed-coding signatures obey the same bound (they are a Bloom
-/// filter without deletion), and union must never lose members.
-#[test]
-fn signature_false_positive_rate_and_union() {
-    let (width, bits, items) = (1024usize, 4u32, 150usize);
-    let mut sig = Signature::new(width, bits);
-    for v in 0..items as u64 {
-        sig.insert(v);
-    }
-    for v in 0..items as u64 {
-        assert!(sig.may_contain(v), "false negative for {v}");
-    }
-    let trials = 20_000u64;
-    let fps = (0..trials).filter(|t| sig.may_contain(1_000_000 + t)).count();
-    let rate = fps as f64 / trials as f64;
-    let k = bits as f64;
-    let bound = (1.0 - (-k * items as f64 / width as f64).exp()).powf(k);
-    assert!(
-        rate <= bound * 2.0 + 0.005,
-        "signature FP rate {rate:.4} exceeds 2x theoretical bound {bound:.4}"
-    );
-    // Union covers both operand sets (Lemma 1's superimposition).
-    let mut a = Signature::new(width, bits);
-    let mut b = Signature::new(width, bits);
-    for v in 0..40u64 {
-        a.insert(v);
-        b.insert(1000 + v);
-    }
-    let mut u = a.clone();
-    u.union_with(&b);
-    assert!((0..40u64).all(|v| u.may_contain(v) && u.may_contain(1000 + v)));
-    assert!(u.covers(&a) && u.covers(&b));
-}
-
 /// Stress pass (CI `--include-ignored`): a large randomized B+-tree soak
 /// under a tiny buffer, checked against a model at every step batch.
 #[test]
@@ -325,5 +294,58 @@ proptest! {
         let got = tree.entries(&mut pool).unwrap();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// One pool: the single-owner `BufferPool` is a one-stripe
+    /// `StripedBufferPool` reached without a lock. The same stream of
+    /// allocations, reads, writes, flushes and clears through the handle
+    /// and through a `TalliedPool` over a one-stripe shared pool reads the
+    /// same bytes and counts the same reads, faults and write-backs after
+    /// every step — so the two fault on the same accesses and evict in the
+    /// same order.
+    #[test]
+    fn owner_handle_and_shared_pool_are_one_pool(
+        frames in 1usize..6,
+        ops in prop::collection::vec((0u8..6, 0usize..32, 1u8..255), 1..160),
+    ) {
+        let mut owner = BufferPool::new(PageStore::new(), frames);
+        let shared = StripedBufferPool::new(PageStore::new(), frames, 1);
+        let mut tally = IoTally::default();
+        let mut pages = Vec::new();
+        for (step, (op, at, byte)) in ops.into_iter().enumerate() {
+            let mut view = TalliedPool { pool: &shared, tally: &mut tally };
+            match (op, pages.len()) {
+                (0, _) | (_, 0) => {
+                    let id = owner.alloc().unwrap();
+                    prop_assert_eq!(view.alloc().unwrap(), id);
+                    pages.push(id);
+                }
+                (1 | 2, n) => {
+                    let id = pages[at % n];
+                    let read = |p: &road_storage::Page| p.bytes()[at];
+                    prop_assert_eq!(owner.with_page(id, read).unwrap(), view.with_page(id, read).unwrap());
+                }
+                (3, n) => {
+                    let id = pages[at % n];
+                    owner.with_page_mut(id, |p| p.bytes_mut()[at] = byte).unwrap();
+                    view.with_page_mut(id, |p| p.bytes_mut()[at] = byte).unwrap();
+                }
+                (4, _) => {
+                    owner.flush().unwrap();
+                    shared.flush().unwrap();
+                }
+                _ => {
+                    owner.clear_cache().unwrap();
+                    shared.clear_cache().unwrap();
+                }
+            }
+            let st = owner.stats();
+            let shared_st = shared.stats();
+            prop_assert_eq!(
+                (st.logical_reads, st.page_faults, st.write_backs),
+                (tally.logical_reads, tally.page_faults, shared_st.write_backs),
+                "after step {}", step
+            );
+        }
     }
 }
