@@ -3,9 +3,11 @@
 //! 1. **Object distribution** — footnote 3 of the paper predicts ROAD
 //!    gains more from clustered objects (more empty Rnets to prune);
 //! 2. **Lemma-4 shortcut pruning** — transitive-shortcut removal trades
-//!    nothing for a smaller overlay;
-//! 3. **Abstract representation** — exact counts vs counting-Bloom
-//!    summaries (size vs precision of pruning).
+//!    nothing for a smaller overlay.
+//!
+//! The abstract representation is not an ablation: abstracts are exact
+//! per-category counts, the one form the disk-resident engine serves
+//! (`road_core::abstracts`).
 
 use super::Ctx;
 use crate::runner::EngineKind;
@@ -13,17 +15,13 @@ use crate::table::{fmt_f, fmt_mb, fmt_ms, fmt_secs, print_table};
 use crate::{config, runner, workload};
 use road_baselines::road_engine::{RoadEngine, RoadEngineConfig};
 use road_baselines::Engine;
-use road_core::abstracts::AbstractKind;
-use road_core::association::AssociationDirectory;
 use road_core::model::ObjectFilter;
-use road_core::search::KnnQuery;
 use road_network::generator::Dataset;
 
-/// Runs all three ablations on CA.
+/// Runs both ablations on CA.
 pub fn run(ctx: &Ctx) {
     distribution(ctx);
     pruning(ctx);
-    abstracts(ctx);
 }
 
 /// Uniform vs clustered objects: ROAD's advantage over NetExp widens when
@@ -95,54 +93,6 @@ fn pruning(ctx: &Ctx) {
     print_table(
         "Ablation 2 — Lemma-4 transitive-shortcut pruning (CA, 5NN)",
         &["variant", "shortcuts", "index size", "build (s)", "query CPU (ms)", "query I/O"],
-        &rows,
-    );
-}
-
-/// Exact-count vs Bloom abstracts: directory size against wasted descents.
-fn abstracts(ctx: &Ctx) {
-    let ds = Dataset::CaHighways;
-    let g = config::network(ds, &ctx.scale, &ctx.params);
-    let levels = config::levels(ds, &g, &ctx.scale, &ctx.params);
-    let count = ctx.scaled_count(ctx.params.objects, ctx.scale.factor(ds));
-    let objects = workload::uniform_objects(&g, count, ctx.params.seed + 36);
-    let nodes = workload::query_nodes(&g, ctx.scale.queries.min(30), ctx.params.seed + 37);
-
-    let fw = road_core::RoadFramework::builder(g)
-        .fanout(ctx.params.fanout)
-        .levels(levels)
-        .metric(ctx.params.metric)
-        .build()
-        .expect("framework builds");
-
-    let mut rows = Vec::new();
-    for (label, kind) in
-        [("exact counts", AbstractKind::Counts), ("counting Bloom", AbstractKind::Bloom)]
-    {
-        let mut ad = AssociationDirectory::with_kind(fw.hierarchy(), kind);
-        for o in &objects {
-            ad.insert(fw.network(), fw.hierarchy(), o.clone()).unwrap();
-        }
-        let mut descended = 0usize;
-        let mut bypassed = 0usize;
-        let t = std::time::Instant::now();
-        for &n in &nodes {
-            let res = fw.knn(&ad, &KnnQuery::new(n, ctx.params.k)).unwrap();
-            descended += res.stats.rnets_descended;
-            bypassed += res.stats.rnets_bypassed;
-        }
-        let ms = t.elapsed().as_secs_f64() * 1e3 / nodes.len() as f64;
-        rows.push(vec![
-            label.to_string(),
-            fmt_mb(ad.size_bytes()),
-            fmt_ms(ms),
-            fmt_f(descended as f64 / nodes.len() as f64),
-            fmt_f(bypassed as f64 / nodes.len() as f64),
-        ]);
-    }
-    print_table(
-        "Ablation 3 — abstract representation (CA, 5NN)",
-        &["abstract", "directory size", "query (ms)", "Rnets descended", "Rnets bypassed"],
         &rows,
     );
 }

@@ -3,57 +3,30 @@
 //! An object abstract summarises the objects inside an Rnet so a search can
 //! decide — without descending — whether the Rnet may contain objects of
 //! interest. The paper suggests aggregated values, Bloom filters or
-//! signatures; the primary representation here is **exact per-category
+//! signatures; the one representation here is **exact per-category
 //! counts**, which (a) answer every filter our LDSQs use with no false
 //! positives, and (b) support decrement-on-delete, keeping Lemma 1
-//! (`O(R) = ⋃ O(R_i)`) true under object churn. A counting-Bloom summary
-//! over raw category ids can be enabled to model the compact
-//! representation's size/precision trade-off (ablation experiment).
+//! (`O(R) = ⋃ O(R_i)`) true under object churn. It is also the only one the
+//! disk-resident engine can serve: `PagedEngine` lays each abstract onto
+//! its page as the sorted `(category, count)` pairs, and a lossy sketch has
+//! no counts to lay out.
 
 use crate::model::{CategoryId, ObjectFilter};
 use road_network::hash::FastMap;
-use road_spatial::CountingBloom;
 
-/// How abstracts answer "does this Rnet contain objects of interest?".
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AbstractKind {
-    /// Exact per-category counters (no false positives).
-    #[default]
-    Counts,
-    /// Counting Bloom filter over category ids plus a total counter;
-    /// may yield false positives (wasted descents, never wrong answers).
-    Bloom,
-}
-
-/// The abstract of one Rnet.
+/// The abstract of one Rnet: how many of its objects fall in each
+/// category.
 #[derive(Clone, Debug, Default)]
 pub struct ObjectAbstract {
     total: u32,
     per_category: FastMap<u16, u32>,
-    bloom: Option<CountingBloom>,
 }
 
 impl ObjectAbstract {
-    /// An empty abstract of the given kind.
-    pub fn new(kind: AbstractKind) -> Self {
-        match kind {
-            AbstractKind::Counts => ObjectAbstract::default(),
-            AbstractKind::Bloom => ObjectAbstract {
-                total: 0,
-                per_category: FastMap::default(),
-                bloom: Some(CountingBloom::new(64, 3)),
-            },
-        }
-    }
-
     /// Records one object of `category`.
     pub fn insert(&mut self, category: CategoryId) {
         self.total += 1;
-        if let Some(bloom) = &mut self.bloom {
-            bloom.insert(category.0 as u64);
-        } else {
-            *self.per_category.entry(category.0).or_insert(0) += 1;
-        }
+        *self.per_category.entry(category.0).or_insert(0) += 1;
     }
 
     /// Removes one object of `category`.
@@ -64,9 +37,7 @@ impl ObjectAbstract {
     pub fn remove(&mut self, category: CategoryId) {
         debug_assert!(self.total > 0, "abstract underflow");
         self.total = self.total.saturating_sub(1);
-        if let Some(bloom) = &mut self.bloom {
-            bloom.remove(category.0 as u64);
-        } else if let Some(c) = self.per_category.get_mut(&category.0) {
+        if let Some(c) = self.per_category.get_mut(&category.0) {
             *c -= 1;
             if *c == 0 {
                 self.per_category.remove(&category.0);
@@ -86,8 +57,8 @@ impl ObjectAbstract {
         self.total == 0
     }
 
-    /// May the Rnet contain an object matching `filter`? Exact under
-    /// [`AbstractKind::Counts`]; may report false positives under Bloom.
+    /// May the Rnet contain an object matching `filter`? Exact: `true`
+    /// only when one does.
     pub fn may_match(&self, filter: &ObjectFilter) -> bool {
         if self.total == 0 {
             return false;
@@ -100,42 +71,26 @@ impl ObjectAbstract {
     }
 
     fn may_have_category(&self, c: CategoryId) -> bool {
-        if let Some(bloom) = &self.bloom {
-            bloom.may_contain(c.0 as u64)
-        } else {
-            self.per_category.contains_key(&c.0)
-        }
+        self.per_category.contains_key(&c.0)
     }
 
-    /// Per-category counts in ascending category order, or `None` for the
-    /// Bloom representation (which has no exact counts to serialize). The
-    /// paged engine lays these onto abstract records.
-    pub(crate) fn sorted_counts(&self) -> Option<Vec<(u16, u32)>> {
-        if self.bloom.is_some() {
-            return None;
-        }
+    /// Per-category counts in ascending category order. The paged engine
+    /// lays these onto abstract records.
+    pub(crate) fn sorted_counts(&self) -> Vec<(u16, u32)> {
         let mut counts: Vec<(u16, u32)> = self.per_category.iter().map(|(&c, &n)| (c, n)).collect();
         counts.sort_unstable_by_key(|&(c, _)| c);
-        Some(counts)
+        counts
     }
 
-    /// Exact count for a category (counts representation only).
-    pub fn category_count(&self, c: CategoryId) -> Option<u32> {
-        if self.bloom.is_some() {
-            None
-        } else {
-            Some(self.per_category.get(&c.0).copied().unwrap_or(0))
-        }
+    /// Exact count for a category.
+    pub fn category_count(&self, c: CategoryId) -> u32 {
+        self.per_category.get(&c.0).copied().unwrap_or(0)
     }
 
     /// Modelled serialized size in bytes (for the index-size experiments):
-    /// a 4-byte total plus either 6 bytes per distinct category or the
-    /// Bloom array.
+    /// a 4-byte total plus 6 bytes per distinct category.
     pub fn size_bytes(&self) -> usize {
-        4 + match &self.bloom {
-            Some(b) => b.size_bytes(),
-            None => self.per_category.len() * 6,
-        }
+        4 + self.per_category.len() * 6
     }
 }
 
@@ -145,13 +100,15 @@ mod tests {
 
     #[test]
     fn counts_track_inserts_and_removes() {
-        let mut a = ObjectAbstract::new(AbstractKind::Counts);
+        let mut a = ObjectAbstract::default();
         assert!(a.is_empty());
         a.insert(CategoryId(1));
         a.insert(CategoryId(1));
         a.insert(CategoryId(2));
         assert_eq!(a.total(), 3);
-        assert_eq!(a.category_count(CategoryId(1)), Some(2));
+        assert_eq!(a.category_count(CategoryId(1)), 2);
+        assert_eq!(a.category_count(CategoryId(3)), 0);
+        assert_eq!(a.sorted_counts(), vec![(1, 2), (2, 1)]);
         assert!(a.may_match(&ObjectFilter::Category(CategoryId(2))));
         assert!(!a.may_match(&ObjectFilter::Category(CategoryId(3))));
         a.remove(CategoryId(2));
@@ -161,43 +118,65 @@ mod tests {
         a.remove(CategoryId(1));
         assert!(a.is_empty());
         assert!(!a.may_match(&ObjectFilter::Any));
+        assert!(a.sorted_counts().is_empty());
     }
 
     #[test]
     fn any_of_filters() {
-        let mut a = ObjectAbstract::new(AbstractKind::Counts);
+        let mut a = ObjectAbstract::default();
         a.insert(CategoryId(5));
         assert!(a.may_match(&ObjectFilter::AnyOf(vec![CategoryId(4), CategoryId(5)])));
         assert!(!a.may_match(&ObjectFilter::AnyOf(vec![CategoryId(4)])));
         assert!(!a.may_match(&ObjectFilter::AnyOf(vec![])));
     }
 
+    /// Removing one of a category's objects decrements its count and keeps
+    /// it listed; removing its last one drops it from `sorted_counts`, so
+    /// the paged layout never writes a zero count. The total and the other
+    /// categories follow.
     #[test]
-    fn bloom_has_no_false_negatives_and_supports_delete() {
-        let mut a = ObjectAbstract::new(AbstractKind::Bloom);
-        for c in 0..20u16 {
+    fn removals_decrement_then_drop_a_category() {
+        let mut a = ObjectAbstract::default();
+        for c in [3u16, 1, 3, 2] {
             a.insert(CategoryId(c));
         }
-        for c in 0..20u16 {
-            assert!(a.may_match(&ObjectFilter::Category(CategoryId(c))));
+        a.remove(CategoryId(3));
+        assert_eq!((a.total(), a.category_count(CategoryId(3))), (3, 1));
+        assert_eq!(a.sorted_counts(), vec![(1, 1), (2, 1), (3, 1)]);
+        assert!(a.may_match(&ObjectFilter::Category(CategoryId(3))));
+        a.remove(CategoryId(1));
+        assert_eq!(a.total(), 2);
+        assert_eq!(a.sorted_counts(), vec![(2, 1), (3, 1)]);
+        assert!(!a.may_match(&ObjectFilter::Category(CategoryId(1))));
+        assert!(a.may_match(&ObjectFilter::AnyOf(vec![CategoryId(1), CategoryId(2)])));
+    }
+
+    /// The paged engine writes `sorted_counts` onto its page as is, so the
+    /// pairs come out in category order whatever order objects went in.
+    #[test]
+    fn sorted_counts_are_in_category_order() {
+        let mut a = ObjectAbstract::default();
+        for c in (0..300u16).rev().step_by(7) {
+            for _ in 0..=c % 4 {
+                a.insert(CategoryId(c));
+            }
         }
-        for c in 0..20u16 {
-            a.remove(CategoryId(c));
+        let counts = a.sorted_counts();
+        assert_eq!(counts.len(), 43);
+        assert!(counts.windows(2).all(|w| w[0].0 < w[1].0), "{counts:?}");
+        assert_eq!(counts.iter().map(|&(_, n)| n).sum::<u32>(), a.total());
+        for (c, n) in counts {
+            assert_eq!(a.category_count(CategoryId(c)), n);
         }
-        assert!(a.is_empty());
-        assert!(!a.may_match(&ObjectFilter::Category(CategoryId(3))));
-        assert_eq!(a.category_count(CategoryId(3)), None, "bloom has no exact counts");
     }
 
     #[test]
     fn size_model_grows_with_categories() {
-        let mut a = ObjectAbstract::new(AbstractKind::Counts);
+        let mut a = ObjectAbstract::default();
         let empty = a.size_bytes();
         for c in 0..10u16 {
             a.insert(CategoryId(c));
         }
-        assert!(a.size_bytes() > empty);
-        let b = ObjectAbstract::new(AbstractKind::Bloom);
-        assert!(b.size_bytes() > 64, "bloom abstract pays its array");
+        assert_eq!(a.size_bytes(), empty + 10 * 6);
     }
 }

@@ -22,7 +22,7 @@
 //! and every other one stays shared
 //! ([`AssociationDirectory::shared_shards`]).
 
-use crate::abstracts::{AbstractKind, ObjectAbstract};
+use crate::abstracts::ObjectAbstract;
 use crate::hierarchy::{RnetHierarchy, RnetId};
 use crate::model::{CategoryId, Object, ObjectFilter, ObjectId};
 use crate::RoadError;
@@ -98,7 +98,6 @@ impl Lists {
 /// an object, and a network-side update never touches it.
 #[derive(Clone)]
 pub struct AssociationDirectory {
-    kind: AbstractKind,
     len: usize,
     objects: CowChunks<FastMap<u64, Object>>,
     node_objects: Lists,
@@ -107,27 +106,18 @@ pub struct AssociationDirectory {
 }
 
 impl AssociationDirectory {
-    /// An empty directory sized for `hier`, with exact-count abstracts.
+    /// An empty directory sized for `hier`.
     pub fn new(hier: &RnetHierarchy) -> Self {
-        Self::with_kind(hier, AbstractKind::Counts)
-    }
-
-    /// An empty directory with the chosen abstract representation.
-    pub fn with_kind(hier: &RnetHierarchy, kind: AbstractKind) -> Self {
-        let abstracts = (0..hier.num_rnets()).map(|_| ObjectAbstract::new(kind)).collect();
         AssociationDirectory {
-            kind,
             len: 0,
             objects: CowChunks::from_vec(vec![FastMap::default(); OBJECT_SHARDS], 0),
             node_objects: Lists::new(),
             edge_objects: Lists::new(),
-            abstracts: CowChunks::from_vec(abstracts, ABSTRACT_CHUNK_SHIFT),
+            abstracts: CowChunks::from_vec(
+                vec![ObjectAbstract::default(); hier.num_rnets()],
+                ABSTRACT_CHUNK_SHIFT,
+            ),
         }
-    }
-
-    /// The abstract representation this directory uses.
-    pub fn abstract_kind(&self) -> AbstractKind {
-        self.kind
     }
 
     /// Number of objects.
@@ -273,22 +263,30 @@ impl AssociationDirectory {
         self.edge_objects.get(e.0).iter().filter_map(|&id| self.object(id))
     }
 
-    /// The abstract of an Rnet.
-    ///
-    /// # Panics
-    /// Panics when `r` is not an Rnet of the directory's hierarchy.
-    pub fn abstract_of(&self, r: RnetId) -> &ObjectAbstract {
-        match self.abstracts.get(r.0 as usize) {
-            Some(a) => a,
-            None => panic!("R{} is outside the directory's {} Rnets", r.0, self.abstracts.len()),
-        }
+    /// The abstract of an Rnet, or `None` when `r` is not an Rnet of the
+    /// directory's hierarchy.
+    pub fn abstract_of(&self, r: RnetId) -> Option<&ObjectAbstract> {
+        self.abstracts.get(r.0 as usize)
     }
 
     /// SearchObject against an Rnet: may it contain objects matching the
-    /// filter? (Figure 10, line 7.)
+    /// filter? (Figure 10, line 7.) An `r` past the directory's Rnets —
+    /// the directory was built for another hierarchy — is an error.
     #[inline]
-    pub fn rnet_may_match(&self, r: RnetId, filter: &ObjectFilter) -> bool {
-        self.abstract_of(r).may_match(filter)
+    pub fn rnet_may_match(&self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError> {
+        match self.abstract_of(r) {
+            Some(a) => Ok(a.may_match(filter)),
+            None => Err(self.foreign_rnet(r)),
+        }
+    }
+
+    /// The error for an Rnet id the directory has no abstract for.
+    pub(crate) fn foreign_rnet(&self, r: RnetId) -> RoadError {
+        RoadError::InvalidConfig(format!(
+            "R{} is outside the directory's {} Rnets: it was built for another hierarchy",
+            r.0,
+            self.abstracts.len()
+        ))
     }
 
     /// Count of stored objects matching `filter` (exact, full scan).
@@ -397,7 +395,7 @@ mod tests {
         assert_eq!(ad.len(), 10);
         ad.validate(&g, &hier).unwrap();
         // Level-1 abstracts must sum to the object count (Lemma 1).
-        let total: u32 = hier.rnets_at_level(1).map(|r| ad.abstract_of(r).total()).sum();
+        let total: u32 = hier.rnets_at_level(1).map(|r| ad.abstract_of(r).unwrap().total()).sum();
         assert_eq!(total, 10);
         for i in 0..10u64 {
             let o = ad.remove(&g, &hier, ObjectId(i)).unwrap();
@@ -405,7 +403,7 @@ mod tests {
         }
         assert!(ad.is_empty());
         ad.validate(&g, &hier).unwrap();
-        assert!(hier.rnets_at_level(1).all(|r| ad.abstract_of(r).is_empty()));
+        assert!(hier.rnets_at_level(1).all(|r| ad.abstract_of(r).unwrap().is_empty()));
     }
 
     #[test]
@@ -456,10 +454,10 @@ mod tests {
         let e = g.edge_ids().next().unwrap();
         ad.insert(&g, &hier, obj(1, e, 0)).unwrap();
         let leaf = hier.leaf_of_edge(e);
-        assert!(ad.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(0))));
+        assert!(ad.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(0))).unwrap());
         ad.update_category(&hier, ObjectId(1), CategoryId(7)).unwrap();
-        assert!(!ad.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(0))));
-        assert!(ad.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(7))));
+        assert!(!ad.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(0))).unwrap());
+        assert!(ad.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(7))).unwrap());
         ad.validate(&g, &hier).unwrap();
         assert_eq!(ad.matching_count(&ObjectFilter::Category(CategoryId(7))), 1);
     }
@@ -470,14 +468,39 @@ mod tests {
         // different directories over the same hierarchy.
         let (g, hier) = setup();
         let mut hotels = AssociationDirectory::new(&hier);
-        let mut fuel = AssociationDirectory::with_kind(&hier, AbstractKind::Bloom);
+        let mut fuel = AssociationDirectory::new(&hier);
         let e = g.edge_ids().next().unwrap();
         hotels.insert(&g, &hier, obj(1, e, 0)).unwrap();
         fuel.insert(&g, &hier, obj(1, e, 5)).unwrap(); // same id, no clash
         assert_eq!(hotels.len(), 1);
         assert_eq!(fuel.len(), 1);
+        // Each directory's abstracts see only its own objects.
         let leaf = hier.leaf_of_edge(e);
-        assert!(fuel.rnet_may_match(leaf, &ObjectFilter::Category(CategoryId(5))));
+        let (hotel, station) =
+            (ObjectFilter::Category(CategoryId(0)), ObjectFilter::Category(CategoryId(5)));
+        assert!(hotels.rnet_may_match(leaf, &hotel).unwrap());
+        assert!(!hotels.rnet_may_match(leaf, &station).unwrap());
+        assert!(fuel.rnet_may_match(leaf, &station).unwrap());
+        assert!(!fuel.rnet_may_match(leaf, &hotel).unwrap());
+        fuel.remove(&g, &hier, ObjectId(1)).unwrap();
+        assert_eq!((hotels.len(), fuel.len()), (1, 0));
+        assert_eq!(hotels.object(ObjectId(1)).map(|o| o.category), Some(CategoryId(0)));
+    }
+
+    /// An Rnet id past the hierarchy the directory was sized for has no
+    /// abstract, and asking whether it may match is an `InvalidConfig`
+    /// that names the id.
+    #[test]
+    fn an_rnet_past_the_hierarchy_has_no_abstract() {
+        let (_g, hier) = setup();
+        let ad = AssociationDirectory::new(&hier);
+        let past = RnetId(hier.num_rnets() as u32);
+        assert!(ad.abstract_of(RnetId(past.0 - 1)).is_some());
+        assert!(ad.abstract_of(past).is_none());
+        match ad.rnet_may_match(past, &ObjectFilter::Any) {
+            Err(RoadError::InvalidConfig(msg)) => assert!(msg.contains(&format!("R{}", past.0))),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     /// Removing an object used to leave an empty list behind for each of

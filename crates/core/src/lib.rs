@@ -60,7 +60,7 @@ pub mod search;
 pub mod shortcut;
 pub mod workspace;
 
-pub use abstracts::{AbstractKind, ObjectAbstract};
+pub use abstracts::ObjectAbstract;
 pub use association::AssociationDirectory;
 pub use engine::QueryEngine;
 pub use error::RoadError;

@@ -172,7 +172,7 @@ use crate::search::{
     SearchStats,
 };
 use crate::workspace::SearchWorkspace;
-use crate::{AbstractKind, RoadError};
+use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, NodeId, Weight};
 use road_storage::{
@@ -643,11 +643,6 @@ impl PagedEngine {
         g: &RoadNetwork,
         ad: &AssociationDirectory,
     ) -> Result<Option<(u32, usize)>, RoadError> {
-        if ad.abstract_kind() != AbstractKind::Counts {
-            return Err(RoadError::InvalidConfig(
-                "paged serving requires exact-count abstracts (AbstractKind::Counts)".into(),
-            ));
-        }
         let hier = Arc::clone(&self.hier);
         let kind = self.kind;
         let mut tally = IoTally::default();
@@ -671,16 +666,14 @@ impl PagedEngine {
         // absent record answers "cannot match", same as an empty abstract).
         let mut abstract_entries = Vec::new();
         for r in 0..hier.num_rnets() {
-            let a = ad.abstract_of(RnetId(r as u32));
+            let r = RnetId(r as u32);
+            let a = ad.abstract_of(r).ok_or_else(|| ad.foreign_rnet(r))?;
             if a.is_empty() {
                 continue;
             }
-            let counts = a.sorted_counts().ok_or_else(|| {
-                RoadError::Internal("abstract kind changed between check and layout".into())
-            })?;
-            encode_abstract_record(a.total(), &counts, &mut rec);
+            encode_abstract_record(a.total(), &a.sorted_counts(), &mut rec);
             let loc = self.append_record(&mut cursor, &rec, &mut tally)?;
-            abstract_entries.push((r as u64, loc));
+            abstract_entries.push((u64::from(r.0), loc));
         }
         // Index both regions (keys inserted in ascending order for a
         // deterministic tree shape).
@@ -2336,15 +2329,41 @@ mod tests {
         }
     }
 
+    /// A directory built for a shallower hierarchy of the same network has
+    /// fewer Rnets than the framework it is handed to. Every engine answers
+    /// `InvalidConfig` at the first Rnet past them, and none panics.
     #[test]
-    fn bloom_directories_are_rejected() {
-        let g = simple::grid(4, 4, 1.0);
-        let fw = RoadFramework::builder(g).fanout(4).levels(1).build().unwrap();
-        let ad = AssociationDirectory::with_kind(fw.hierarchy(), AbstractKind::Bloom);
+    fn a_directory_for_another_hierarchy_is_an_error() {
+        let (shallow, ad) = setup(12);
+        let deep =
+            RoadFramework::builder(simple::grid(8, 8, 1.0)).fanout(4).levels(3).build().unwrap();
+        assert!(ad.abstract_of(RnetId(shallow.hierarchy().num_rnets() as u32 - 1)).is_some());
+        assert!(deep.hierarchy().num_rnets() > shallow.hierarchy().num_rnets());
+        let invalid = |r: Result<SearchResult, RoadError>| {
+            assert!(matches!(r, Err(RoadError::InvalidConfig(_))), "{:?}", r.map(|r| r.hits));
+        };
+        let q = KnnQuery::new(NodeId(0), 64);
+        invalid(deep.knn(&ad, &q));
+        invalid(QueryEngine::new(deep.clone(), ad.clone()).knn(&q));
+        let (live, _writer) = crate::live::LiveEngine::new(deep.clone(), ad.clone());
+        invalid(live.snapshot().knn(&q));
         assert!(matches!(
-            PagedEngine::new(&fw, &ad, PagedOptions::default()),
+            PagedEngine::new(&deep, &ad, PagedOptions::default()),
             Err(RoadError::InvalidConfig(_))
         ));
+    }
+
+    /// Range and aggregate kNN queries consult the same abstracts as kNN,
+    /// so a directory for another hierarchy fails them the same way.
+    #[test]
+    fn range_and_aggregate_queries_reject_a_directory_for_another_hierarchy() {
+        let (_shallow, ad) = setup(12);
+        let deep =
+            RoadFramework::builder(simple::grid(8, 8, 1.0)).fanout(4).levels(3).build().unwrap();
+        let range = RangeQuery::new(NodeId(0), Weight::new(100.0));
+        assert!(matches!(deep.range(&ad, &range), Err(RoadError::InvalidConfig(_))));
+        let agg = AggregateKnnQuery::new(vec![NodeId(0), NodeId(63)], 64);
+        assert!(matches!(deep.aggregate_knn(&ad, &agg), Err(RoadError::InvalidConfig(_))));
     }
 
     #[test]

@@ -433,7 +433,7 @@ impl SearchSource for MemorySource<'_> {
     }
 
     fn rnet_may_match(&mut self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError> {
-        Ok(self.ad.map(|ad| ad.rnet_may_match(r, filter)).unwrap_or(false))
+        self.ad.map_or(Ok(false), |ad| ad.rnet_may_match(r, filter))
     }
 
     fn edges_at(

@@ -4,7 +4,7 @@
 //! somewhere: the NetExp baseline runs it directly over the whole network
 //! (ref \[16\]), ROAD runs it over the Route Overlay where shortcut jumps are
 //! extra relaxations, shortcut construction runs it inside each Rnet, and
-//! the Euclidean baseline uses A* (see [`crate::astar`]).
+//! the Euclidean baseline uses A* (`road_baselines::euclidean::AStar`).
 //!
 //! The central type here is [`Dijkstra`], a reusable search state with
 //! generation-stamped distance labels. Re-running a query does not pay an
@@ -43,9 +43,6 @@ pub struct Dijkstra {
     round: u32,
     heap: BinaryHeap<Reverse<(Weight, u32)>>,
     settled_count: usize,
-    /// Scratch for [`Dijkstra::one_to_many`]; kept to avoid a per-call
-    /// allocation (cleared, capacity retained).
-    target_scratch: crate::hash::FastSet<u32>,
 }
 
 impl Dijkstra {
@@ -59,7 +56,6 @@ impl Dijkstra {
             round: 0,
             heap: BinaryHeap::new(),
             settled_count: 0,
-            target_scratch: crate::hash::FastSet::default(),
         }
     }
 
@@ -244,30 +240,6 @@ impl Dijkstra {
     ) -> Option<Path> {
         self.one_to_one(g, kind, src, dst)?;
         self.path_to(src, dst)
-    }
-
-    /// Distances from `src` to each of `targets`, stopping as soon as all
-    /// are settled. `None` entries are unreachable targets.
-    pub fn one_to_many(
-        &mut self,
-        g: &RoadNetwork,
-        kind: WeightKind,
-        src: NodeId,
-        targets: &[NodeId],
-    ) -> Vec<Option<Weight>> {
-        let mut remaining = std::mem::take(&mut self.target_scratch);
-        remaining.clear();
-        remaining.extend(targets.iter().map(|t| t.0));
-        self.expand(g, kind, src, |n, _| {
-            remaining.remove(&n.0);
-            if remaining.is_empty() {
-                Control::Break
-            } else {
-                Control::Continue
-            }
-        });
-        self.target_scratch = remaining;
-        targets.iter().map(|&t| self.distance(t)).collect()
     }
 }
 
@@ -460,22 +432,6 @@ impl LocalDijkstra {
             None
         }
     }
-
-    /// Walks predecessor links from `dst` back to the source, returning the
-    /// label sequence in forward order. `None` if `dst` was not reached.
-    pub fn labels_to(&self, dst: u32) -> Option<Vec<u32>> {
-        if self.dist(dst).is_infinite() {
-            return None;
-        }
-        let mut labels = Vec::new();
-        let mut cur = dst;
-        while let Some((p, l)) = self.pred(cur) {
-            labels.push(l);
-            cur = p;
-        }
-        labels.reverse();
-        Some(labels)
-    }
 }
 
 #[cfg(test)]
@@ -595,14 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn one_to_many_early_exits() {
-        let g = diamond();
-        let mut d = Dijkstra::for_network(&g);
-        let res = d.one_to_many(&g, WeightKind::Distance, NodeId(0), &[NodeId(1), NodeId(3)]);
-        assert_eq!(res, vec![Some(Weight::new(1.0)), Some(Weight::new(2.0))]);
-    }
-
-    #[test]
     fn edge_filter_confines_search() {
         let g = diamond();
         let mut d = Dijkstra::for_network(&g);
@@ -656,6 +604,22 @@ mod tests {
         assert_eq!(estimate_diameter(&g, WeightKind::Distance), Weight::new(8.0));
     }
 
+    /// The arc labels on the last run's path to `dst`, source first, read
+    /// off the predecessor links. `None` if `dst` was not reached.
+    fn labels_to(ld: &LocalDijkstra, dst: u32) -> Option<Vec<u32>> {
+        if ld.dist(dst).is_infinite() {
+            return None;
+        }
+        let mut labels = Vec::new();
+        let mut cur = dst;
+        while let Some((p, l)) = ld.pred(cur) {
+            labels.push(l);
+            cur = p;
+        }
+        labels.reverse();
+        Some(labels)
+    }
+
     /// The diamond as a local CSR graph, arcs labelled by edge id.
     fn diamond_csr(g: &RoadNetwork) -> crate::csr::CsrGraph {
         let mut b = crate::csr::CsrBuilder::default();
@@ -678,7 +642,7 @@ mod tests {
         ld.run_csr(&csr, 0, &[], 0);
         assert_eq!(ld.dist(3), Weight::new(2.0));
         assert_eq!(ld.dist(2), Weight::new(3.0));
-        assert_eq!(ld.labels_to(3), Some(vec![0, 1]));
+        assert_eq!(labels_to(&ld, 3), Some(vec![0, 1]));
         // early-exit variant still produces correct labels for the target
         ld.run_csr(&csr, 0, &[1], 0);
         assert_eq!(ld.dist(1), Weight::new(1.0));
@@ -705,12 +669,12 @@ mod tests {
         // the sealed node itself keeps its direct (settled) label.
         lc.run_csr(&csr, 0, &[], 2);
         assert_eq!(lc.dist(3), Weight::new(4.0));
-        assert_eq!(lc.labels_to(3), Some(vec![2, 3]));
+        assert_eq!(labels_to(&lc, 3), Some(vec![2, 3]));
         assert_eq!(lc.dist(1), Weight::new(1.0));
 
         // Early exit with targets still settles the requested nodes.
         lc.run_csr(&csr, 0, &[3], 0);
         assert_eq!(lc.dist(3), Weight::new(2.0));
-        assert_eq!(lc.labels_to(3), Some(vec![0, 1]));
+        assert_eq!(labels_to(&lc, 3), Some(vec![0, 1]));
     }
 }

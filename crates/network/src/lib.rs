@@ -8,9 +8,9 @@
 //!
 //! * [`graph::RoadNetwork`] — an undirected weighted graph with coordinates
 //!   and multiple edge-weight metrics (travel distance, trip time, toll);
-//! * [`dijkstra`] / [`astar`] — network-expansion primitives (visitor-based
-//!   Dijkstra, one-to-one / one-to-many variants, A* with a Euclidean
-//!   admissible heuristic);
+//! * [`dijkstra`] — network-expansion primitives (visitor-based
+//!   Dijkstra over the network, and over small local CSR graphs); the
+//!   Euclidean baseline's A* lives with that baseline in `road-baselines`;
 //! * [`csr`] / [`contractor`] / [`minplus`] — flat CSR adjacency arenas,
 //!   node contraction with bounded witness search and dense min-plus
 //!   elimination: the border-distance side of shortcut construction, for
@@ -27,7 +27,6 @@
 //! The crate is dependency-light and entirely deterministic for a given
 //! seed, which keeps every experiment in the workspace reproducible.
 
-pub mod astar;
 pub mod contractor;
 pub mod cow;
 pub mod csr;

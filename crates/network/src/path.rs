@@ -109,11 +109,11 @@ impl Path {
         sum.approx_eq(self.total)
     }
 
-    /// Reconstructs a path from Dijkstra predecessor links.
+    /// Reconstructs a path from Dijkstra (or A*) predecessor links.
     ///
     /// `pred[n]` holds the `(previous node, via edge)` pair for every
     /// settled node, with `src` mapping to itself.
-    pub(crate) fn from_predecessors(
+    pub fn from_predecessors(
         src: NodeId,
         dst: NodeId,
         total: Weight,
@@ -199,5 +199,20 @@ mod tests {
         assert_eq!(p.source(), ns[2]);
         assert_eq!(p.target(), ns[0]);
         assert!(p.validate(&g, WeightKind::Distance));
+    }
+
+    /// A predecessor chain walks back from `dst` to `src` into a path in
+    /// forward order; a node on the way with no predecessor means `dst`
+    /// was not reached from `src`, and there is no path.
+    #[test]
+    fn from_predecessors_walks_back_to_the_source() {
+        let (g, ns, es) = line();
+        let pred = |n: NodeId| (n.0 > 0).then(|| (NodeId(n.0 - 1), es[n.0 as usize - 1]));
+        let p = Path::from_predecessors(ns[0], ns[3], Weight::new(6.0), pred).unwrap();
+        assert_eq!((p.source(), p.target(), p.len()), (ns[0], ns[3], 3));
+        assert!(p.validate(&g, WeightKind::Distance));
+        let trivial = Path::from_predecessors(ns[2], ns[2], Weight::ZERO, pred).unwrap();
+        assert!(trivial.is_empty());
+        assert!(Path::from_predecessors(ns[1], ns[3], Weight::new(5.0), |_| None).is_none());
     }
 }

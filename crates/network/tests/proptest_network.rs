@@ -1,9 +1,7 @@
 //! Property tests for the graph substrate: metric properties of shortest
-//! paths, A*/Dijkstra equivalence, and partition invariants on arbitrary
-//! connected networks.
+//! paths and partition invariants on arbitrary connected networks.
 
 use proptest::prelude::*;
-use road_network::astar::AStar;
 use road_network::dijkstra::{shortest_path, shortest_path_weight, Dijkstra};
 use road_network::generator::simple;
 use road_network::graph::WeightKind;
@@ -57,22 +55,6 @@ proptest! {
             prop_assert_eq!(p.target(), b);
             let d = shortest_path_weight(&g, WeightKind::Distance, a, b).unwrap();
             prop_assert!(p.total().approx_eq(d));
-        }
-    }
-
-    /// A* with the derived admissible heuristic equals Dijkstra, for every
-    /// metric.
-    #[test]
-    fn astar_equals_dijkstra(g in net_strategy(), a in 0u32..60, b in 0u32..60) {
-        let a = NodeId(a % g.num_nodes() as u32);
-        let b = NodeId(b % g.num_nodes() as u32);
-        for kind in WeightKind::ALL {
-            let want = shortest_path_weight(&g, kind, a, b);
-            let got = AStar::for_network(&g, kind).one_to_one(&g, kind, a, b);
-            match (got, want) {
-                (Some(x), Some(y)) => prop_assert!(x.approx_eq(y), "{:?}: {} vs {}", kind, x, y),
-                (x, y) => prop_assert_eq!(x.is_some(), y.is_some()),
-            }
         }
     }
 

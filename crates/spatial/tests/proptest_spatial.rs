@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use road_network::geometry::Point;
-use road_spatial::{CountingBloom, RTree};
+use road_spatial::RTree;
 
 fn points_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0f64..1000.0, 0.0f64..1000.0), 1..120)
@@ -60,25 +60,5 @@ proptest! {
             .filter(|&&(p, _)| p.distance(q) <= radius).map(|&(_, id)| id).collect();
         want.sort_unstable();
         prop_assert_eq!(got.into_iter().map(|(id, _)| id).collect::<Vec<_>>(), want);
-    }
-
-    /// Counting Bloom filters never report a present key absent, and a
-    /// full removal restores emptiness.
-    #[test]
-    fn bloom_counting_semantics(keys in prop::collection::btree_set(0u64..5000, 1..150)) {
-        let mut bloom = CountingBloom::for_expected_items(keys.len());
-        for &k in &keys {
-            bloom.insert(k);
-        }
-        for &k in &keys {
-            prop_assert!(bloom.may_contain(k));
-        }
-        for &k in &keys {
-            bloom.remove(k);
-        }
-        prop_assert!(bloom.is_empty());
-        for &k in &keys {
-            prop_assert!(!bloom.may_contain(k), "stale counters for {}", k);
-        }
     }
 }

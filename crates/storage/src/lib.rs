@@ -24,7 +24,8 @@
 //! * [`buffer`] — the pool's [`BufferStats`], the [`PagePool`] access
 //!   trait, and [`BufferPool`]: a one-stripe pool's lock-free owner;
 //! * [`bptree`] — a real paged B+-tree (the paper's Route Overlay and
-//!   Association Directory both index by node/Rnet id through B+-trees);
+//!   Association Directory both index by node/Rnet id through B+-trees),
+//!   built by inserts once and then only read by point lookups;
 //! * [`ccam`] — connectivity-clustered node-to-page assignment after
 //!   Shekhar & Liu's CCAM (ref \[18\]), used for node records by every
 //!   evaluated approach;

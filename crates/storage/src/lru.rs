@@ -96,20 +96,10 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.slots[i].value.as_mut()
     }
 
-    /// Looks up `key` without touching recency.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).and_then(|&i| self.slots[i].value.as_ref())
-    }
-
     /// Mutable access to `key`'s value without touching recency.
     pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
         let &i = self.map.get(key)?;
         self.slots[i].value.as_mut()
-    }
-
-    /// `true` if `key` is cached (recency untouched).
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
     }
 
     /// Inserts or updates `key`, marking it most recently used. Returns the
@@ -156,15 +146,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         entry
     }
 
-    /// Removes `key`, returning its value if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.map.remove(key)?;
-        self.unlink(i);
-        self.free.push(i);
-        self.slots[i].key = None;
-        self.slots[i].value.take()
-    }
-
     /// Drops every entry (capacity unchanged).
     pub fn clear(&mut self) {
         self.map.clear();
@@ -177,15 +158,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// Iterates entries from most to least recently used.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         LruIter { cache: self, cur: self.head }
-    }
-
-    /// Drains all entries in least-recently-used-first order.
-    pub fn drain_lru_first(&mut self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(kv) = self.pop_lru() {
-            out.push(kv);
-        }
-        out
     }
 }
 
@@ -219,8 +191,7 @@ mod tests {
         assert_eq!(c.get(&1), Some(&mut "a")); // 1 becomes MRU
         let evicted = c.put(3, "c");
         assert_eq!(evicted, Some((2, "b"))); // 2 was LRU
-        assert!(c.contains(&1));
-        assert!(c.contains(&3));
+        assert_eq!(c.iter().map(|(&k, _)| k).collect::<Vec<_>>(), vec![3, 1]);
         assert_eq!(c.len(), 2);
     }
 
@@ -232,21 +203,32 @@ mod tests {
         c.put(1, 11); // refresh 1
         let evicted = c.put(3, 30);
         assert_eq!(evicted, Some((2, 20)));
-        assert_eq!(c.peek(&1), Some(&11));
+        assert_eq!(c.peek_mut(&1), Some(&mut 11));
+    }
+
+    /// `peek_mut` reads and edits a value without refreshing it: the entry
+    /// it touched is still the next one evicted.
+    #[test]
+    fn peek_mut_leaves_recency_alone() {
+        let mut c = LruCache::new(2);
+        c.put(1, 10);
+        c.put(2, 20);
+        *c.peek_mut(&1).unwrap() += 1;
+        assert_eq!(c.put(3, 30), Some((1, 11)));
+        assert_eq!(c.peek_mut(&1), None);
     }
 
     #[test]
-    fn remove_and_reuse_slots() {
+    fn evictions_reuse_slots() {
         let mut c = LruCache::new(3);
-        c.put(1, 1);
-        c.put(2, 2);
-        assert_eq!(c.remove(&1), Some(1));
-        assert_eq!(c.remove(&1), None);
-        c.put(3, 3);
-        c.put(4, 4);
+        for k in 0..10 {
+            c.put(k, k);
+        }
+        assert_eq!(c.pop_lru(), Some((7, 7)));
+        c.put(10, 10);
         assert_eq!(c.len(), 3);
         // arena should not have grown beyond capacity slots
-        assert!(c.slots.len() <= 3);
+        assert_eq!(c.slots.len(), 3);
     }
 
     #[test]
@@ -256,7 +238,7 @@ mod tests {
         c.put('b', 2);
         c.put('c', 3);
         c.get(&'a');
-        let drained = c.drain_lru_first();
+        let drained: Vec<_> = std::iter::from_fn(|| c.pop_lru()).collect();
         assert_eq!(drained, vec![('b', 2), ('c', 3), ('a', 1)]);
         assert!(c.is_empty());
     }
@@ -325,13 +307,8 @@ mod tests {
                     }
                 }
                 _ => {
-                    // remove
-                    let got = lru.remove(&key);
-                    let pos = model.iter().position(|&(k, _)| k == key);
-                    assert_eq!(got, pos.map(|p| model[p].1));
-                    if let Some(p) = pos {
-                        model.remove(p);
-                    }
+                    // pop the least recently used
+                    assert_eq!(lru.pop_lru(), model.pop());
                 }
             }
             assert_eq!(lru.len(), model.len());

@@ -6,13 +6,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_network::generator::simple;
-use road_spatial::CountingBloom;
 use road_storage::ccam::NodeClustering;
 use road_storage::lru::LruCache;
 use road_storage::{
     BPlusTree, BufferPool, IoTally, IoTracker, PagePool, PageStore, StripedBufferPool, TalliedPool,
     DEFAULT_BUFFER_PAGES, PAGE_SIZE,
 };
+use std::collections::BTreeMap;
 
 #[test]
 fn bptree_as_association_directory_index() {
@@ -149,97 +149,89 @@ fn buffer_pool_repin_protects_hot_page() {
     assert_eq!(pool.stats().page_faults, faults_before + 1);
 }
 
+/// Holds `tree` to `model` over `universe`: `get` on every present and
+/// absent key, and `len`. Then the page count: the tree is the pool's only
+/// user, so the next page the pool allocates is the one after its last.
+fn assert_tree_matches_model(
+    tree: &BPlusTree,
+    pool: &mut BufferPool,
+    model: &BTreeMap<u64, u64>,
+    universe: impl IntoIterator<Item = u64>,
+) {
+    for key in universe {
+        assert_eq!(tree.get(pool, key).unwrap(), model.get(&key).copied(), "key {key}");
+    }
+    assert_eq!(tree.len() as usize, model.len());
+    assert_eq!(pool.alloc().unwrap().index(), tree.num_pages(), "pages the tree owns");
+}
+
 /// B+-tree structural edge cases at the smallest legal fanouts: splits at
-/// exactly-full nodes, merges at exactly-half-empty nodes, root collapse —
+/// exactly-full leaves and internal nodes, and root splits up to height 2 —
 /// for every (leaf_cap, int_cap) boundary combination.
 #[test]
-fn bptree_split_merge_at_boundary_fanouts() {
+fn bptree_splits_at_boundary_fanouts() {
     for (leaf_cap, int_cap) in [(3usize, 3usize), (3, 4), (4, 3), (4, 4), (5, 3)] {
         let mut pool = BufferPool::new(PageStore::new(), 8);
         let mut tree = BPlusTree::with_caps(&mut pool, leaf_cap, int_cap).unwrap();
-        let mut model = std::collections::BTreeMap::new();
-        // Ascending fill to one past every split boundary.
+        let mut model = BTreeMap::new();
+        // Ascending fill to one past every split boundary; even keys, so
+        // every odd one is an absent key between two present ones.
         let n = (leaf_cap * int_cap * int_cap + 1) as u64;
         for k in 0..n {
             assert_eq!(
-                tree.insert(&mut pool, k, !k).unwrap(),
-                model.insert(k, !k),
-                "caps {leaf_cap}/{int_cap}"
-            );
-        }
-        assert!(tree.height() >= 2, "caps {leaf_cap}/{int_cap} never built height");
-        assert_eq!(
-            tree.entries(&mut pool).unwrap(),
-            model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
-        );
-        // Descending removal drains through every merge/borrow path.
-        for k in (0..n).rev() {
-            assert_eq!(
-                tree.remove(&mut pool, k).unwrap(),
-                model.remove(&k),
+                tree.insert(&mut pool, 2 * k, !k).unwrap(),
+                model.insert(2 * k, !k),
                 "caps {leaf_cap}/{int_cap}"
             );
             if k % 7 == 0 {
-                // Interleaved probes keep lookups honest mid-rebalance.
-                assert_eq!(tree.get(&mut pool, k / 2).unwrap(), model.get(&(k / 2)).copied());
+                // Interleaved probes keep lookups honest mid-split.
+                assert_eq!(tree.get(&mut pool, k).unwrap(), model.get(&k).copied());
             }
         }
-        assert!(tree.is_empty());
-        assert_eq!(tree.height(), 0, "caps {leaf_cap}/{int_cap} left a tall empty tree");
-        assert_eq!(tree.num_pages(), 1);
+        assert!(tree.height() >= 2, "caps {leaf_cap}/{int_cap} never built height");
+        assert_tree_matches_model(&tree, &mut pool, &model, (0..=2 * n).chain([u64::MAX]));
     }
 }
 
-/// Zigzag insert/remove around one boundary key count, alternating ends —
-/// the pattern that historically breaks borrow-direction bookkeeping.
+/// Zigzag inserts around one boundary key count, alternating ends — every
+/// split then lands at both edges of a subtree, not only its right one.
 #[test]
 fn bptree_zigzag_at_split_boundary() {
     let mut pool = BufferPool::new(PageStore::new(), 8);
     let mut tree = BPlusTree::with_caps(&mut pool, 3, 3).unwrap();
+    let mut model = BTreeMap::new();
     for round in 0..40u64 {
         let base = round * 100;
-        for k in 0..9 {
-            tree.insert(&mut pool, base + k, k).unwrap();
-        }
-        // Remove from alternating ends to force left- and right-sibling
-        // merges in the same subtree.
         for (i, k) in (0..9).enumerate() {
             let key = if i % 2 == 0 { base + k } else { base + 8 - k };
-            tree.remove(&mut pool, key).unwrap();
+            assert_eq!(tree.insert(&mut pool, key, k).unwrap(), model.insert(key, k));
         }
     }
-    assert!(tree.is_empty());
-    assert_eq!(tree.num_pages(), 1);
+    assert_tree_matches_model(&tree, &mut pool, &model, 0..=4_000);
 }
 
-/// The counting Bloom filter's false-positive rate must stay within a
-/// small factor of the theoretical bound `(1 - e^{-kn/m})^k`.
+/// Two trees in one pool, as a paged engine lays out its node and abstract
+/// directories: inserts into both interleave, each tree answers only for
+/// its own keys, and their pages are every page the pool handed out.
 #[test]
-fn bloom_false_positive_rate_within_bound() {
-    let (cells, hashes, items) = (1024usize, 4u32, 150usize);
-    let mut bloom = CountingBloom::new(cells, hashes);
-    for key in 0..items as u64 {
-        bloom.insert(key);
+fn bptree_two_trees_share_one_pool() {
+    let mut pool = BufferPool::new(PageStore::new(), 8);
+    let mut nodes = BPlusTree::with_caps(&mut pool, 3, 3).unwrap();
+    let mut rnets = BPlusTree::with_caps(&mut pool, 4, 5).unwrap();
+    let (mut node_model, mut rnet_model) = (BTreeMap::new(), BTreeMap::new());
+    for k in 0..300u64 {
+        assert_eq!(nodes.insert(&mut pool, 2 * k, k).unwrap(), node_model.insert(2 * k, k));
+        if k % 3 != 0 {
+            let key = 2 * k + 1;
+            assert_eq!(rnets.insert(&mut pool, key, !k).unwrap(), rnet_model.insert(key, !k));
+        }
     }
-    // No false negatives, ever.
-    for key in 0..items as u64 {
-        assert!(bloom.may_contain(key), "false negative for {key}");
+    for key in 0..=601 {
+        assert_eq!(nodes.get(&mut pool, key).unwrap(), node_model.get(&key).copied(), "{key}");
+        assert_eq!(rnets.get(&mut pool, key).unwrap(), rnet_model.get(&key).copied(), "{key}");
     }
-    let trials = 20_000u64;
-    let fps = (0..trials).filter(|t| bloom.may_contain(1_000_000 + t)).count();
-    let rate = fps as f64 / trials as f64;
-    let k = hashes as f64;
-    let bound = (1.0 - (-k * items as f64 / cells as f64).exp()).powf(k);
-    assert!(
-        rate <= bound * 2.0 + 0.005,
-        "bloom FP rate {rate:.4} exceeds 2x theoretical bound {bound:.4}"
-    );
-    // Deleting everything restores an empty (all-negative) filter.
-    for key in 0..items as u64 {
-        bloom.remove(key);
-    }
-    assert!(bloom.is_empty());
-    assert!((0..200u64).all(|t| !bloom.may_contain(5_000_000 + t)));
+    assert_eq!((nodes.len(), rnets.len()), (300, 200));
+    assert_eq!(pool.alloc().unwrap().index(), nodes.num_pages() + rnets.num_pages());
 }
 
 /// Stress pass (CI `--include-ignored`): a large randomized B+-tree soak
@@ -250,28 +242,21 @@ fn stress_bptree_soak_under_tiny_buffer() {
     let mut rng = StdRng::seed_from_u64(2024);
     let mut pool = BufferPool::new(PageStore::new(), 4);
     let mut tree = BPlusTree::with_caps(&mut pool, 4, 4).unwrap();
-    let mut model = std::collections::BTreeMap::new();
+    let mut model = BTreeMap::new();
     for step in 0..100_000u64 {
         let key = rng.random_range(0..4_000u64);
-        match rng.random_range(0..5) {
-            0..=2 => {
-                assert_eq!(tree.insert(&mut pool, key, step).unwrap(), model.insert(key, step));
-            }
-            3 => {
-                assert_eq!(tree.remove(&mut pool, key).unwrap(), model.remove(&key));
-            }
-            _ => {
-                assert_eq!(tree.get(&mut pool, key).unwrap(), model.get(&key).copied());
-            }
+        if rng.random_range(0..5) < 3 {
+            assert_eq!(tree.insert(&mut pool, key, step).unwrap(), model.insert(key, step));
+        } else {
+            assert_eq!(tree.get(&mut pool, key).unwrap(), model.get(&key).copied());
         }
         if step % 20_000 == 0 {
-            assert_eq!(
-                tree.entries(&mut pool).unwrap(),
-                model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
-            );
+            for k in 0..4_000u64 {
+                assert_eq!(tree.get(&mut pool, k).unwrap(), model.get(&k).copied(), "key {k}");
+            }
         }
     }
-    assert_eq!(tree.len() as usize, model.len());
+    assert_tree_matches_model(&tree, &mut pool, &model, 0..=4_000);
 }
 
 proptest! {
@@ -280,20 +265,18 @@ proptest! {
     /// The paged B+-tree agrees with BTreeMap under arbitrary workloads
     /// and tiny buffers (heavy eviction).
     #[test]
-    fn bptree_model_under_tiny_buffer(ops in prop::collection::vec((0u8..3, 0u64..200), 1..120)) {
+    fn bptree_model_under_tiny_buffer(ops in prop::collection::vec((0u8..2, 0u64..200), 1..120)) {
         let mut pool = BufferPool::new(PageStore::new(), 4);
         let mut tree = BPlusTree::with_caps(&mut pool, 4, 4).unwrap();
-        let mut model = std::collections::BTreeMap::new();
+        let mut model = BTreeMap::new();
         for (op, key) in ops {
-            match op {
-                0 => { prop_assert_eq!(tree.insert(&mut pool, key, key + 1).unwrap(), model.insert(key, key + 1)); }
-                1 => { prop_assert_eq!(tree.remove(&mut pool, key).unwrap(), model.remove(&key)); }
-                _ => { prop_assert_eq!(tree.get(&mut pool, key).unwrap(), model.get(&key).copied()); }
+            if op == 0 {
+                prop_assert_eq!(tree.insert(&mut pool, key, key + 1).unwrap(), model.insert(key, key + 1));
+            } else {
+                prop_assert_eq!(tree.get(&mut pool, key).unwrap(), model.get(&key).copied());
             }
         }
-        let got = tree.entries(&mut pool).unwrap();
-        let want: Vec<(u64, u64)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
+        assert_tree_matches_model(&tree, &mut pool, &model, 0..=200);
     }
 
     /// One pool: the single-owner `BufferPool` is a one-stripe
