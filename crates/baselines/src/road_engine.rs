@@ -27,13 +27,11 @@ pub struct RoadEngineConfig {
     pub fanout: usize,
     /// Hierarchy depth `l`.
     pub levels: u32,
-    /// Lemma-4 transitive-shortcut pruning.
-    pub prune_transitive: bool,
 }
 
 impl Default for RoadEngineConfig {
     fn default() -> Self {
-        RoadEngineConfig { fanout: 4, levels: 4, prune_transitive: true }
+        RoadEngineConfig { fanout: 4, levels: 4 }
     }
 }
 
@@ -62,7 +60,6 @@ impl RoadEngine {
                 .fanout(cfg.fanout)
                 .levels(cfg.levels)
                 .metric(kind)
-                .prune_transitive_shortcuts(cfg.prune_transitive)
                 .build()?;
             let mut ad = AssociationDirectory::new(fw.hierarchy());
             for o in objects {
@@ -79,7 +76,7 @@ impl RoadEngine {
         Ok(engine)
     }
 
-    /// Direct access to the wrapped framework (ablation benches use it).
+    /// Direct access to the wrapped framework.
     pub fn framework(&self) -> &RoadFramework {
         &self.fw
     }
@@ -194,7 +191,7 @@ mod tests {
             WeightKind::Distance,
             objects,
             buffer_pages,
-            RoadEngineConfig { fanout: 4, levels: 2, prune_transitive: true },
+            RoadEngineConfig { fanout: 4, levels: 2 },
         )
         .unwrap()
     }

@@ -38,7 +38,7 @@ fn engines(g: &RoadNetwork, kind: WeightKind, objects: &[Object]) -> Vec<Box<dyn
                 kind,
                 objects.to_vec(),
                 50,
-                RoadEngineConfig { fanout: 4, levels: 3, prune_transitive: true },
+                RoadEngineConfig { fanout: 4, levels: 3 },
             )
             .unwrap(),
         ),
@@ -215,7 +215,7 @@ fn road_visits_fewest_nodes_with_sparse_objects() {
         WeightKind::Distance,
         objects,
         50,
-        RoadEngineConfig { fanout: 4, levels: 3, prune_transitive: true },
+        RoadEngineConfig { fanout: 4, levels: 3 },
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(31);

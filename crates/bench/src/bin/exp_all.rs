@@ -16,7 +16,7 @@ fn main() {
         println!("fig17_knn            kNN time vs k / |O| / network");
         println!("fig18_range          range time vs r / |O| / network");
         println!("fig19_levels         hierarchy depth sweep (index vs query time)");
-        println!("ablation             distribution / pruning / abstract ablations");
+        println!("ablation             object distribution (footnote 3)");
         return;
     }
     let ctx = road_bench::experiments::Ctx::from_args();

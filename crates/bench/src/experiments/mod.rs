@@ -1,5 +1,5 @@
 //! One module per figure of the paper's evaluation (Section 6), plus the
-//! design-choice ablations called out in ARCHITECTURE.md.
+//! object-distribution ablation of its footnote 3.
 
 pub mod ablation;
 pub mod fig11;

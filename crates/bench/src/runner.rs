@@ -67,7 +67,7 @@ pub fn build_engine(
                 params.metric,
                 objects.to_vec(),
                 params.buffer_pages,
-                RoadEngineConfig { fanout: params.fanout, levels, prune_transitive: true },
+                RoadEngineConfig { fanout: params.fanout, levels },
             )
             .expect("framework builds"),
         ),

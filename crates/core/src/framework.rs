@@ -752,12 +752,6 @@ impl RoadBuilder {
         self
     }
 
-    /// Enables or disables Lemma-4 shortcut pruning.
-    pub fn prune_transitive_shortcuts(mut self, on: bool) -> Self {
-        self.cfg.shortcuts.prune_transitive = on;
-        self
-    }
-
     /// Sets the worker-thread count of the build — the hierarchy's
     /// partitioning rounds and shortcut construction — and of repair after
     /// an update, which fans each level out the way a build does (`0` = all

@@ -14,7 +14,7 @@
 //! ```text
 //! magic "ROADFW01"
 //! u8  metric          (0 distance, 1 travel-time, 2 toll)
-//! u8  prune_transitive
+//! u8  lemma4          (always 1: every store is pruned)
 //! u32 fanout, u32 levels
 //! u32 num_nodes, then per node: f64 x, f64 y
 //! u32 edge_slots, then per slot:
@@ -32,6 +32,8 @@ use road_network::{EdgeId, Point, Weight};
 
 const MAGIC: &[u8; 8] = b"ROADFW01";
 const NO_LEAF: u32 = u32::MAX;
+/// Header byte 9: the shortcut store is Lemma-4 pruned, as every store is.
+const LEMMA4: u8 = 1;
 
 fn metric_tag(kind: WeightKind) -> u8 {
     match kind {
@@ -62,7 +64,7 @@ pub fn to_bytes(fw: &RoadFramework) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + g.num_nodes() * 16 + g.edge_slots() * 40);
     out.extend_from_slice(MAGIC);
     out.push(metric_tag(fw.metric()));
-    out.push(fw.config().shortcuts.prune_transitive as u8);
+    out.push(LEMMA4);
     out.extend_from_slice(&(hier.fanout() as u32).to_le_bytes());
     out.extend_from_slice(&hier.levels().to_le_bytes());
     out.extend_from_slice(&(g.num_nodes() as u32).to_le_bytes());
@@ -132,7 +134,9 @@ fn parse_prelude(r: &mut Reader) -> Result<(RoadConfig, RoadNetwork, RnetHierarc
         return Err(corrupt("bad magic (not a ROAD framework file?)"));
     }
     let metric = metric_from_tag(r.u8()?)?;
-    let prune = r.u8()? != 0;
+    if r.u8()? != LEMMA4 {
+        return Err(corrupt("header byte 9 is not 1 (every store is Lemma-4 pruned)"));
+    }
     let fanout = r.u32()? as usize;
     let levels = r.u32()?;
 
@@ -180,7 +184,6 @@ fn parse_prelude(r: &mut Reader) -> Result<(RoadConfig, RoadNetwork, RnetHierarc
     let mut cfg = RoadConfig { metric, ..Default::default() };
     cfg.hierarchy.fanout = fanout;
     cfg.hierarchy.levels = levels;
-    cfg.shortcuts.prune_transitive = prune;
     Ok((cfg, g, hier))
 }
 

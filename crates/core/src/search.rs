@@ -545,6 +545,13 @@ pub(crate) fn execute_source_into(
     if source.index() >= num_nodes {
         return Err(RoadError::NodeOutOfBounds(source));
     }
+    // A routing target is probed from the first Rnet the search meets, so
+    // it is checked before anything expands, like the source.
+    if let Mode::ToNode(target) = mode {
+        if target.index() >= num_nodes {
+            return Err(RoadError::NodeOutOfBounds(target));
+        }
+    }
 
     let mut stats = SearchStats { workspace_reused: ws.reuse_count() > 0, ..Default::default() };
     let io_before = src.io_counters();

@@ -12,10 +12,12 @@
 //! Lemma 4 pruning: a shortcut whose path passes through *another border of
 //! the same Rnet* is transitively reachable via that border's own shortcuts
 //! at equal total distance, so it is dropped. This keeps the overlay graphs
-//! and Route Overlay sparse without losing correctness. The canonical form
-//! used here is the *matrix rule*: with `dmat` the all-pairs border distance
-//! matrix of the Rnet's local graph, the pair `(b, t)` is kept iff
-//! `dmat[b][t]` is finite and no third border `m` satisfies
+//! and Route Overlay sparse without losing correctness. It is not optional:
+//! every store this module builds or repairs is pruned (ARCHITECTURE.md,
+//! design note 2, has the measurement against an unpruned overlay). The
+//! canonical form used here is the *matrix rule*: with `dmat` the all-pairs
+//! border distance matrix of the Rnet's local graph, the pair `(b, t)` is
+//! kept iff `dmat[b][t]` is finite and no third border `m` satisfies
 //! `dmat[b][m] + dmat[m][t] <= dmat[b][t]` *with both legs strictly
 //! positive* (ties drop — by the triangle inequality a covering pair splits
 //! at *exactly* the original distance). Each leg of a cover is then
@@ -290,11 +292,8 @@ impl RnetShortcuts {
 }
 
 /// Shortcut construction options.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShortcutOptions {
-    /// Apply Lemma 4: drop shortcuts covered by other shortcuts of the
-    /// same Rnet. On by default; the ablation benchmark switches it off.
-    pub prune_transitive: bool,
     /// Worker threads for construction and repair: Rnets of the same level
     /// are independent (Lemma 2 — a level reads only the level below), so
     /// each level of a build, and each level a repair reaches, fans out
@@ -309,12 +308,6 @@ pub struct ShortcutOptions {
     /// (differential tests sweep 1/2/4/8 threads over builds and update
     /// histories to prove it).
     pub threads: usize,
-}
-
-impl Default for ShortcutOptions {
-    fn default() -> Self {
-        ShortcutOptions { prune_transitive: true, threads: 0 }
-    }
 }
 
 /// Resolves the `threads` option: `0` asks the OS for the available
@@ -396,7 +389,6 @@ impl ShortcutStore {
         hier: &RnetHierarchy,
         kind: WeightKind,
         rnets: &[RnetId],
-        opts: &ShortcutOptions,
         scratches: &mut [BuildScratch],
     ) -> Vec<RnetShortcuts> {
         debug_assert!(
@@ -408,7 +400,7 @@ impl ShortcutStore {
         maps.resize_with(rnets.len(), RnetShortcuts::default);
         let fill = |chunk: &[RnetId], out: &mut [RnetShortcuts], scratch: &mut BuildScratch| {
             for (&r, slot) in chunk.iter().zip(out) {
-                *slot = self.compute_rnet_map(g, hier, kind, r, opts, scratch);
+                *slot = self.compute_rnet_map(g, hier, kind, r, scratch);
             }
         };
         let chunk_len = rnets.len().div_ceil(scratches.len()).max(1);
@@ -529,7 +521,7 @@ impl ShortcutStore {
         let mut changed = Vec::with_capacity(rnets.len());
         for run in rnets.chunk_by(|a, b| hier.level_of(*a) == hier.level_of(*b)) {
             let scratches = workers.for_level(opts, run.len());
-            let maps = self.compute_level_maps(g, hier, kind, run, opts, scratches);
+            let maps = self.compute_level_maps(g, hier, kind, run, scratches);
             for (&r, map) in run.iter().zip(maps) {
                 changed.push(!Self::maps_equivalent(self.rnet(r), &map));
                 self.replace_rnet(r, map);
@@ -572,27 +564,24 @@ impl ShortcutStore {
     /// Computes the shortcut map of one Rnet from the network (finest
     /// level) or from its children's current shortcuts (upper levels).
     ///
-    /// Pruned builds (the default) compute the all-pairs border distance
-    /// matrix `dmat` first — by dense elimination when the local graph has
-    /// at most [`DENSE_MAX_NODES`] nodes, by node contraction above — and
-    /// materialise what the keep rule leaves, from the elimination's own
-    /// record or by a sealed Dijkstra per border respectively; unpruned
-    /// builds (the ablation baseline) keep the per-border sweep, since
-    /// without Lemma 4 every reachable pair is materialised anyway.
+    /// The all-pairs border distance matrix `dmat` comes first — by dense
+    /// elimination when the local graph has at most [`DENSE_MAX_NODES`]
+    /// nodes, by node contraction above — and what Lemma 4's keep rule
+    /// leaves of it is materialised from the elimination's own record or
+    /// by a sealed Dijkstra per border respectively.
     fn compute_rnet_map(
         &self,
         g: &RoadNetwork,
         hier: &RnetHierarchy,
         kind: WeightKind,
         r: RnetId,
-        opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
     ) -> RnetShortcuts {
         // Either arm eliminates the interiors and closes over the borders;
         // they differ in what holds the graph while it shrinks. Under exact
         // arithmetic both reproduce the sweep's distances bit-for-bit (all
         // three are exact sums of the same edge weights).
-        self.compute_rnet_map_with(g, hier, kind, r, opts, scratch, |scratch, nb| {
+        self.compute_rnet_map_with(g, hier, kind, r, scratch, |scratch, nb| {
             if scratch.csr.num_nodes() <= DENSE_MAX_NODES {
                 scratch.eliminate_into_dmat(nb)
             } else {
@@ -607,14 +596,12 @@ impl ShortcutStore {
     /// canonical assembly, keep rule, emission — is shared by the
     /// size-switched build and the all-pairs oracle, which is what pins
     /// their outputs byte-equal wherever shortest paths are unique.
-    #[allow(clippy::too_many_arguments)]
     fn compute_rnet_map_with(
         &self,
         g: &RoadNetwork,
         hier: &RnetHierarchy,
         kind: WeightKind,
         r: RnetId,
-        opts: &ShortcutOptions,
         scratch: &mut BuildScratch,
         fill_dmat: impl FnOnce(&mut BuildScratch, usize) -> PathSource,
     ) -> RnetShortcuts {
@@ -628,10 +615,6 @@ impl ShortcutStore {
             return out;
         }
         self.assemble_local(g, hier, kind, r, scratch, borders);
-        if !opts.prune_transitive {
-            self.sweep_unpruned(scratch, borders, &mut out);
-            return out;
-        }
         let paths = fill_dmat(scratch, borders.len());
         self.finalize_from_matrix(scratch, borders, paths, &mut out);
         out
@@ -683,37 +666,6 @@ impl ShortcutStore {
         }
         let (builder, csr) = (&mut scratch.builder, &mut scratch.csr);
         builder.finish_into(scratch.global.len(), csr);
-    }
-
-    /// Unpruned construction: one full Dijkstra per border, keeping every
-    /// reachable pair with its full waypoint chain (borders included).
-    fn sweep_unpruned(
-        &self,
-        scratch: &mut BuildScratch,
-        borders: &[NodeId],
-        out: &mut RnetShortcuts,
-    ) {
-        scratch.sort_sources(borders);
-        for si in 0..borders.len() {
-            let bi = scratch.source_order[si];
-            scratch.dij.run_csr(&scratch.csr, bi, &scratch.border_locals, 0);
-            let first = out.heads.len();
-            for (ti, &t) in borders.iter().enumerate() {
-                if ti as u32 == bi {
-                    continue;
-                }
-                let dist = scratch.dij.dist(ti as u32);
-                if dist.is_infinite() {
-                    continue; // internally disconnected Rnet: no shortcut
-                }
-                scratch.push_via_chain(bi, ti as u32, &mut out.vias);
-                out.push_head(t, dist);
-            }
-            if out.heads.len() > first {
-                out.end_source(borders[bi as usize].0);
-            }
-        }
-        out.shrink_to_fit();
     }
 
     /// Shared finalisation of a pruned build: apply the matrix keep rule to
@@ -819,13 +771,8 @@ impl ShortcutStore {
     /// bytes wherever no kept pair has two equally short border-free paths
     /// (the module docs have the tie case).
     #[doc(hidden)]
-    pub fn build_with_oracle(
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        opts: &ShortcutOptions,
-    ) -> Self {
-        Self::build_inline_with(g, hier, kind, opts, |scratch, nb| {
+    pub fn build_with_oracle(g: &RoadNetwork, hier: &RnetHierarchy, kind: WeightKind) -> Self {
+        Self::build_inline_with(g, hier, kind, |scratch, nb| {
             scratch.dmat.clear();
             for bi in 0..nb {
                 scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
@@ -841,15 +788,13 @@ impl ShortcutStore {
         g: &RoadNetwork,
         hier: &RnetHierarchy,
         kind: WeightKind,
-        opts: &ShortcutOptions,
         fill_dmat: impl Fn(&mut BuildScratch, usize) -> PathSource,
     ) -> Self {
         let mut store = ShortcutStore::empty(hier.num_rnets());
         let mut scratch = BuildScratch::default();
         for level in (1..=hier.levels()).rev() {
             for r in hier.rnets_at_level(level) {
-                let map =
-                    store.compute_rnet_map_with(g, hier, kind, r, opts, &mut scratch, &fill_dmat);
+                let map = store.compute_rnet_map_with(g, hier, kind, r, &mut scratch, &fill_dmat);
                 store.replace_rnet(r, map);
             }
         }
@@ -1290,20 +1235,10 @@ mod tests {
     use road_network::dijkstra::Dijkstra;
     use road_network::generator::simple;
 
-    fn build(
-        g: &RoadNetwork,
-        fanout: usize,
-        levels: u32,
-        prune: bool,
-    ) -> (RnetHierarchy, ShortcutStore) {
+    fn build(g: &RoadNetwork, fanout: usize, levels: u32) -> (RnetHierarchy, ShortcutStore) {
         let cfg = HierarchyConfig { fanout, levels, ..Default::default() };
         let hier = RnetHierarchy::build(g, &cfg).unwrap();
-        let store = ShortcutStore::build(
-            g,
-            &hier,
-            WeightKind::Distance,
-            &ShortcutOptions { prune_transitive: prune, ..Default::default() },
-        );
+        let store = ShortcutStore::build(g, &hier, WeightKind::Distance, &Default::default());
         (hier, store)
     }
 
@@ -1350,7 +1285,7 @@ mod tests {
     #[test]
     fn chain_shortcuts_bridge_segments() {
         let g = simple::chain(16, 1.0);
-        let (hier, store) = build(&g, 2, 2, true);
+        let (hier, store) = build(&g, 2, 2);
         assert!(store.num_shortcuts() > 0);
         assert_shortcuts_exact(&g, &hier, &store);
     }
@@ -1358,31 +1293,15 @@ mod tests {
     #[test]
     fn grid_shortcuts_match_restricted_dijkstra() {
         let g = simple::grid(8, 8, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
+        let (hier, store) = build(&g, 4, 2);
         assert!(store.num_shortcuts() > 0);
         assert_shortcuts_exact(&g, &hier, &store);
     }
 
     #[test]
-    fn unpruned_store_is_superset_of_pruned() {
-        let g = simple::grid(9, 7, 1.0);
-        let (_, pruned) = build(&g, 4, 2, true);
-        let (hier, full) = build(&g, 4, 2, false);
-        assert!(full.num_shortcuts() >= pruned.num_shortcuts());
-        assert_shortcuts_exact(&g, &hier, &full);
-        // Pruning must actually remove something on a grid this size.
-        assert!(
-            full.num_shortcuts() > pruned.num_shortcuts(),
-            "Lemma 4 pruning had no effect: {} vs {}",
-            full.num_shortcuts(),
-            pruned.num_shortcuts()
-        );
-    }
-
-    #[test]
     fn expansion_yields_valid_physical_paths() {
         let g = simple::grid(8, 8, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
+        let (hier, store) = build(&g, 4, 2);
         let mut expanded = 0;
         for lv in 1..=hier.levels() {
             for r in hier.rnets_at_level(lv) {
@@ -1411,7 +1330,7 @@ mod tests {
     #[test]
     fn pruned_shortcut_paths_avoid_other_borders() {
         let g = simple::grid(10, 10, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
+        let (hier, store) = build(&g, 4, 2);
         for lv in 1..=hier.levels() {
             for r in hier.rnets_at_level(lv) {
                 let borders = hier.borders(r);
@@ -1445,7 +1364,7 @@ mod tests {
     #[test]
     fn refresh_detects_weight_changes() {
         let mut g = simple::grid(6, 6, 1.0);
-        let (hier, mut store) = build(&g, 4, 2, true);
+        let (hier, mut store) = build(&g, 4, 2);
         let (opts, mut workers) = (ShortcutOptions::default(), WorkerScratches::default());
         // Pick an edge inside some leaf Rnet with shortcuts.
         let e = g.edge_ids().next().unwrap();
@@ -1473,11 +1392,11 @@ mod tests {
     #[test]
     fn a_repaired_level_fans_out_over_a_second_scratch_only_at_two_threads() {
         let g = simple::grid(8, 8, 1.0);
-        let (hier, mut store) = build(&g, 4, 2, true);
+        let (hier, mut store) = build(&g, 4, 2);
         let leaves: Vec<RnetId> = hier.rnets_at_level(hier.levels()).collect();
         assert!(leaves.len() >= 2, "{leaves:?}");
         for threads in [1, 2] {
-            let opts = ShortcutOptions { threads, ..Default::default() };
+            let opts = ShortcutOptions { threads };
             let mut workers = WorkerScratches::default();
             for round in 1..=2 {
                 let kind = WeightKind::Distance;
@@ -1503,12 +1422,11 @@ mod tests {
     #[should_panic(expected = "a fan-out computes one level")]
     fn a_run_of_two_levels_is_refused() {
         let g = simple::grid(6, 6, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
+        let (hier, store) = build(&g, 4, 2);
         let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
-        let opts = ShortcutOptions::default();
         let mut scratches = [BuildScratch::default(), BuildScratch::default()];
         let run = [leaf, hier.parent(leaf)];
-        store.compute_level_maps(&g, &hier, WeightKind::Distance, &run, &opts, &mut scratches);
+        store.compute_level_maps(&g, &hier, WeightKind::Distance, &run, &mut scratches);
     }
 
     /// The structural-sharing contract behind snapshot publication: a fork
@@ -1517,7 +1435,7 @@ mod tests {
     #[test]
     fn a_fork_shares_every_rnet_and_a_refresh_replaces_exactly_one() {
         let g = simple::grid(8, 8, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
+        let (hier, store) = build(&g, 4, 2);
         let mut fork = store.clone();
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets());
         let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
@@ -1625,7 +1543,7 @@ mod tests {
     #[test]
     fn the_walk_reads_a_built_store_the_same_in_both_modes() {
         let g = simple::grid(6, 6, 1.0);
-        let (hier, store) = build(&g, 2, 2, false);
+        let (hier, store) = build(&g, 2, 2);
         let mut buf = Vec::new();
         store.serialize_into(&mut buf);
         let num_nodes = g.num_nodes() as u32;
@@ -1643,6 +1561,9 @@ mod tests {
         }
         assert_eq!(skipped, buf.len());
         assert!(store.num_shortcuts() > 0);
+        // Waypoints on board, so the via loop of the walk runs too: a list
+        // entry without any is 16 bytes.
+        assert!(store.size_bytes() > 16 * store.num_shortcuts(), "no shortcut carries waypoints");
         let mut again = Vec::new();
         ShortcutStore::from_rnet_maps(maps).serialize_into(&mut again);
         assert_eq!(again, buf);
@@ -1672,22 +1593,20 @@ mod tests {
         assert!(diverged, "time-metric shortcuts should differ from distance-metric ones");
     }
 
-    /// The pruning rule, verified post hoc against restricted shortest-path
-    /// distances on a unit grid (heavy with equal-weight ties): the store
-    /// holds `(b, t)` **iff** the restricted distance is finite and no
-    /// third border `m` covers it with `d(b,m) + d(m,t) <= d(b,t)`, both
-    /// legs positive (which on this grid every leg between distinct nodes
-    /// is).  Since
-    /// `d` is a shortest-path distance, a covering split can only be
-    /// *exactly equal* (triangle inequality), so every covered pair this
-    /// test sees is an equal-weight tie — pinning that ties drop the
-    /// shortcut rather than keep it.
-    #[test]
-    fn matrix_rule_governs_membership_and_ties_drop() {
-        let g = simple::grid(8, 8, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
+    /// The keep rule, verified post hoc against restricted shortest-path
+    /// distances on a unit grid (heavy with equal-weight ties, and every
+    /// sum exact): the store holds `(b, t)` **iff** the restricted distance
+    /// is finite and no third border `m` covers it with
+    /// `d(b,m) + d(m,t) == d(b,t)`, both legs positive (which on a unit
+    /// grid every leg between distinct nodes is). Since `d` is a
+    /// shortest-path distance no split is ever shorter (triangle
+    /// inequality, asserted), so every covered pair is an equal-weight tie.
+    /// Returns how many reachable pairs the rule dropped.
+    fn assert_keep_rule_on_grid(w: usize, h: usize) -> usize {
+        let g = simple::grid(w, h, 1.0);
+        let (hier, store) = build(&g, 4, 2);
         let mut dij = Dijkstra::for_network(&g);
-        let mut tie_dropped = false;
+        let mut dropped = 0;
         for lv in 1..=hier.levels() {
             for r in hier.rnets_at_level(lv) {
                 let borders = hier.borders(r);
@@ -1715,24 +1634,40 @@ mod tests {
                         let d = dmat[bi * nb + ti];
                         let covered = (0..nb).any(|mi| {
                             let (first, second) = (dmat[bi * nb + mi], dmat[mi * nb + ti]);
-                            first > Weight::ZERO && second > Weight::ZERO && first + second <= d
+                            assert!(first + second >= d, "{r:?}: a split beats a shortest path");
+                            first > Weight::ZERO && second > Weight::ZERO && first + second == d
                         });
                         let keep = d.is_finite() && !covered;
                         let present = store.between(r, borders[bi], borders[ti]).is_some();
                         assert_eq!(
                             present, keep,
-                            "{r:?}: membership of {}->{} disagrees with the matrix rule \
-                             (d = {d}, covered = {covered})",
+                            "{w}x{h} {r:?}: membership of {}->{} disagrees with the keep \
+                             rule (d = {d}, covered = {covered})",
                             borders[bi], borders[ti]
                         );
-                        if d.is_finite() && covered {
-                            tie_dropped = true;
-                        }
+                        dropped += usize::from(d.is_finite() && covered);
                     }
                 }
             }
         }
-        assert!(tie_dropped, "unit grid produced no equal-weight tie to pin");
+        dropped
+    }
+
+    /// Every covered pair is a tie, so a drop on the 8x8 unit grid pins
+    /// that ties drop the shortcut rather than keep it.
+    #[test]
+    fn matrix_rule_governs_membership_and_ties_drop() {
+        assert!(
+            assert_keep_rule_on_grid(8, 8) > 0,
+            "unit grid produced no equal-weight tie to pin"
+        );
+    }
+
+    /// Lemma 4 on an odd-sided grid: the store is exactly the pairs the
+    /// keep rule admits, and the rule drops at least one reachable pair.
+    #[test]
+    fn lemma4_keeps_exactly_the_uncovered_pairs_on_an_odd_grid() {
+        assert!(assert_keep_rule_on_grid(9, 7) > 0, "9x7: Lemma 4 dropped no reachable pair");
     }
 
     /// Degenerate leaves: a single-border Rnet keeps no shortcuts at all,
@@ -1813,20 +1748,20 @@ mod tests {
         let kind = WeightKind::Distance;
         let switched = bytes(&ShortcutStore::build(&g, &hier, kind, &opts));
         let sizes = std::cell::RefCell::new(Vec::new());
-        let dense = ShortcutStore::build_inline_with(&g, &hier, kind, &opts, |scratch, nb| {
+        let dense = ShortcutStore::build_inline_with(&g, &hier, kind, |scratch, nb| {
             sizes.borrow_mut().push(scratch.csr.num_nodes());
             scratch.eliminate_into_dmat(nb)
         });
         let sizes = sizes.into_inner();
         assert!(sizes.iter().any(|&n| n > DENSE_MAX_NODES), "nothing above the switch: {sizes:?}");
         assert!(sizes.iter().any(|&n| n <= DENSE_MAX_NODES), "nothing below it: {sizes:?}");
-        let contracted = ShortcutStore::build_inline_with(&g, &hier, kind, &opts, |scratch, nb| {
+        let contracted = ShortcutStore::build_inline_with(&g, &hier, kind, |scratch, nb| {
             scratch.contract_into_dmat(nb)
         });
         assert!(dense.num_shortcuts() > 0);
         assert_eq!(bytes(&dense), switched, "dense elimination everywhere diverged");
         assert_eq!(bytes(&contracted), switched, "contraction everywhere diverged");
-        let oracle = ShortcutStore::build_with_oracle(&g, &hier, kind, &opts);
+        let oracle = ShortcutStore::build_with_oracle(&g, &hier, kind);
         assert_eq!(bytes(&oracle), switched, "the all-pairs oracle diverged");
     }
 
@@ -1837,7 +1772,7 @@ mod tests {
     #[test]
     fn below_the_switch_no_sealed_dijkstra_runs() {
         let kind = WeightKind::Distance;
-        let opts = ShortcutOptions { threads: 1, ..Default::default() };
+        let opts = ShortcutOptions { threads: 1 };
         let mut g = road_network::generator::Dataset::CaHighways.generate_scaled(0.02, 5).unwrap();
         let cfg = HierarchyConfig { fanout: 4, levels: 3, ..Default::default() };
         let hier = RnetHierarchy::build(&g, &cfg).unwrap();

@@ -94,7 +94,7 @@ fn assert_stores_byte_equal(
     label: &str,
 ) {
     let fast = ShortcutStore::build(g, hier, WeightKind::Distance, opts);
-    let oracle = ShortcutStore::build_with_oracle(g, hier, WeightKind::Distance, opts);
+    let oracle = ShortcutStore::build_with_oracle(g, hier, WeightKind::Distance);
     assert_eq!(fast.num_shortcuts(), oracle.num_shortcuts(), "{label}: shortcut counts diverged");
     assert_eq!(serialize(&fast), serialize(&oracle), "{label}: serialized bytes diverged");
 }
@@ -135,7 +135,7 @@ fn assert_stores_equal_up_to_tied_paths(
     label: &str,
 ) {
     let fast = ShortcutStore::build(g, hier, WeightKind::Distance, opts);
-    let oracle = ShortcutStore::build_with_oracle(g, hier, WeightKind::Distance, opts);
+    let oracle = ShortcutStore::build_with_oracle(g, hier, WeightKind::Distance);
     common::assert_stores_equal_up_to_tied_paths(g, hier, &fast, &oracle, label);
 }
 
@@ -269,7 +269,7 @@ fn multi_component_worlds_byte_agree() {
 fn store_is_contraction_order_independent() {
     let (g, hier) = two_arm_world(42, 2);
     let build = |threads: usize| {
-        let opts = ShortcutOptions { threads, ..Default::default() };
+        let opts = ShortcutOptions { threads };
         serialize(&ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts))
     };
     let reference = build(1);
@@ -302,20 +302,9 @@ fn jittered_two_arm_world_builds_the_same_bytes_every_way() {
     let (mut g, hier) = two_arm_world(0x11ED, 2);
     jitter(&mut g, 0x11ED);
     for threads in [1usize, 2, 4, 8] {
-        let opts = ShortcutOptions { threads, ..Default::default() };
+        let opts = ShortcutOptions { threads };
         assert_stores_byte_equal(&g, &hier, &opts, "jittered two-arm world");
     }
-}
-
-/// Unpruned (ablation) builds go through the always-compiled sweep in both
-/// entry points; they must agree bitwise too.
-#[test]
-fn unpruned_builds_byte_agree() {
-    let mut g = simple::grid(7, 7, 1.0);
-    reweight(&mut g, 7, true, 0);
-    let hier = hier_for(&g, 2, 2);
-    let opts = ShortcutOptions { prune_transitive: false, ..Default::default() };
-    assert_stores_byte_equal(&g, &hier, &opts, "unpruned grid");
 }
 
 /// Medium-world stress diff (CI runs it under `--include-ignored`): a

@@ -205,6 +205,46 @@ fn point_to_point_distance_matches_dijkstra() {
     }
 }
 
+/// A routing target past the network is `NodeOutOfBounds` on every engine,
+/// never a panic: the search checks a `ToNode` target beside its source,
+/// and an aggregate group's later members reach the search as targets.
+#[test]
+fn a_target_past_the_network_is_out_of_bounds_on_every_engine() {
+    use road_core::search::AggregateKnnQuery;
+    let fw = build(simple::grid(8, 8, 1.0), 4, 2);
+    let ad = scatter_objects(&fw, 12, 1, 3);
+    let (inside, past) = (NodeId(3), NodeId(10_000));
+    let oob = Some(road_core::RoadError::NodeOutOfBounds(past));
+    let groups = [vec![inside, past], vec![past, inside]].map(|g| AggregateKnnQuery::new(g, 3));
+
+    assert_eq!(fw.network_distance(inside, past).err(), oob, "framework distance");
+    assert_eq!(fw.shortest_path(inside, past).err(), oob, "framework path");
+    for q in &groups {
+        assert_eq!(fw.aggregate_knn(&ad, q).err(), oob, "framework aggregate");
+    }
+
+    let engine = QueryEngine::new(fw.clone(), ad.clone());
+    let (live, _writer) = LiveEngine::new(fw.clone(), ad.clone());
+    let snapshot = live.snapshot();
+    for (label, engine) in [("engine", &engine), ("snapshot", &**snapshot)] {
+        assert_eq!(engine.network_distance(inside, past).err(), oob, "{label} distance");
+        for q in &groups {
+            assert_eq!(engine.aggregate_knn(q).err(), oob, "{label} aggregate");
+        }
+    }
+
+    let opts = PagedOptions::with_buffer_pages(4);
+    let eager = PagedEngine::new(&fw, &ad, opts).unwrap();
+    let image = PagedImage::open(fw.to_bytes()).unwrap();
+    let lazy = PagedEngine::open(image, ad.objects().cloned().collect(), opts).unwrap();
+    for (label, paged) in [("eager paged", &eager), ("lazy paged", &lazy)] {
+        assert_eq!(paged.network_distance(inside, past).err(), oob, "{label} distance");
+        for q in &groups {
+            assert_eq!(paged.aggregate_knn(q).err(), oob, "{label} aggregate");
+        }
+    }
+}
+
 #[test]
 fn k_larger_than_objects_returns_all() {
     let fw = build(simple::grid(8, 8, 1.0), 4, 2);

@@ -15,8 +15,10 @@
 //! - every snapshot held so far, against the answers recorded when it was
 //!   published;
 //! - a `QueryEngine` over the writer's state;
-//! - every few publishes, a lazily opened `PagedEngine` over `to_bytes()`
-//!   on a 4-page pool.
+//! - every few publishes, a `QueryEngine` over `RoadFramework::from_bytes`
+//!   of the snapshot's `to_bytes()` (which must write those bytes again),
+//!   and a lazily opened `PagedEngine` over the same image on a 4-page
+//!   pool.
 //!
 //! `AssociationDirectory::validate` runs after every step. The vendored
 //! proptest does not shrink, so a failing case prints its seed and the
@@ -301,8 +303,15 @@ impl<'a> History<'a> {
             ("writer's state", Box::new(writer)),
         ];
         if self.held.len().is_multiple_of(PAGED_EVERY) {
+            let bytes = fw.to_bytes();
+            let reopened = RoadFramework::from_bytes(&bytes).unwrap();
+            assert!(
+                reopened.to_bytes() == bytes,
+                "v{version}: a reopened image writes other bytes"
+            );
+            engines.push(("eager reopen", Box::new(QueryEngine::new(reopened, ad.clone()))));
             let objects: Vec<Object> = ad.objects().cloned().collect();
-            let image = PagedImage::open(fw.to_bytes()).unwrap();
+            let image = PagedImage::open(bytes).unwrap();
             let paged =
                 PagedEngine::open(image, objects, PagedOptions::with_buffer_pages(4)).unwrap();
             assert!(paged.is_lazy());

@@ -206,10 +206,10 @@ fn thread_counts_agree_across_orders_and_budgets() {
     let mut g = common::two_arm_grid();
     reweight(&mut g, 42, false);
     let hier = common::two_arm_hierarchy(&g);
-    let sequential = ShortcutOptions { threads: 1, ..Default::default() };
+    let sequential = ShortcutOptions { threads: 1 };
     let reference = ShortcutStore::build(&g, &hier, WeightKind::Distance, &sequential);
     for threads in [2usize, 4, 8] {
-        let opts = ShortcutOptions { threads, ..Default::default() };
+        let opts = ShortcutOptions { threads };
         let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
         assert_eq!(
             serialize(&store),
@@ -256,18 +256,10 @@ fn oversubscribed_threads_are_harmless() {
     let mut g = simple::grid(6, 6, 1.0);
     reweight(&mut g, 3, true);
     let hier = hier_for(&g, 2, 2);
-    let seq = ShortcutStore::build(
-        &g,
-        &hier,
-        WeightKind::Distance,
-        &ShortcutOptions { threads: 1, ..Default::default() },
-    );
-    let over = ShortcutStore::build(
-        &g,
-        &hier,
-        WeightKind::Distance,
-        &ShortcutOptions { threads: 64, ..Default::default() },
-    );
+    let seq =
+        ShortcutStore::build(&g, &hier, WeightKind::Distance, &ShortcutOptions { threads: 1 });
+    let over =
+        ShortcutStore::build(&g, &hier, WeightKind::Distance, &ShortcutOptions { threads: 64 });
     assert_eq!(serialize(&seq), serialize(&over));
 }
 

@@ -117,6 +117,14 @@ fn corrupt_inputs_are_rejected() {
     let mut bad = bytes.clone();
     bad[8] = 9;
     assert!(RoadFramework::from_bytes(&bad).is_err());
+    // Byte 9 says the store is Lemma-4 pruned, and is always 1.
+    assert_eq!(bytes[9], 1);
+    for flag in [0, 2] {
+        let mut bad = bytes.clone();
+        bad[9] = flag;
+        assert!(RoadFramework::from_bytes(&bad).is_err(), "byte 9 = {flag}");
+        assert!(road_core::PagedImage::open(bad).is_err(), "paged open with byte 9 = {flag}");
+    }
 }
 
 /// Systematic robustness sweep: truncations at every stride must return
