@@ -6,9 +6,11 @@
 //! `Arc<RoadFramework>` + `Arc<AssociationDirectory>` behind a cheaply
 //! clonable handle, pairs every serving thread with its own reusable
 //! [`SearchWorkspace`], and offers a batch entry point that fans a query
-//! load out over scoped threads. Single queries route through the same
-//! per-thread workspace pool the framework uses, so steady-state serving
-//! performs no per-query container allocations (see the
+//! load out over scoped threads. Like the framework's and the paged
+//! engine's, each door is one call of a query runner in [`crate::search`]:
+//! pooled doors borrow a workspace from the per-thread pool, `_with` doors
+//! and batch workers reuse the caller's, so steady-state serving performs
+//! no per-query container allocations (see the
 //! [`workspace`](crate::workspace) module docs).
 //!
 //! ```
@@ -33,7 +35,8 @@
 use crate::association::AssociationDirectory;
 use crate::framework::RoadFramework;
 use crate::search::{
-    AggregateKnnQuery, KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats,
+    self, AggregateKnnQuery, Backend, KnnQuery, MemorySource, RangeQuery, SearchHit, SearchResult,
+    SearchStats,
 };
 use crate::workspace::SearchWorkspace;
 use crate::RoadError;
@@ -82,12 +85,12 @@ impl QueryEngine {
 
     /// kNN through the per-thread workspace pool.
     pub fn knn(&self, query: &KnnQuery) -> Result<SearchResult, RoadError> {
-        self.fw.knn(&self.ad, query)
+        search::run(self, query.node, &query.filter, query.mode())
     }
 
     /// Range query through the per-thread workspace pool.
     pub fn range(&self, query: &RangeQuery) -> Result<SearchResult, RoadError> {
-        self.fw.range(&self.ad, query)
+        search::run(self, query.node, &query.filter, query.mode())
     }
 
     /// Allocation-free kNN into caller-owned scratch; the serving-loop hot
@@ -98,7 +101,7 @@ impl QueryEngine {
         ws: &mut SearchWorkspace,
         hits: &mut Vec<SearchHit>,
     ) -> Result<SearchStats, RoadError> {
-        self.fw.knn_with(&self.ad, query, ws, hits)
+        search::run_into(self, query.node, &query.filter, query.mode(), ws, hits)
     }
 
     /// Allocation-free range query into caller-owned scratch.
@@ -108,17 +111,18 @@ impl QueryEngine {
         ws: &mut SearchWorkspace,
         hits: &mut Vec<SearchHit>,
     ) -> Result<SearchStats, RoadError> {
-        self.fw.range_with(&self.ad, query, ws, hits)
+        search::run_into(self, query.node, &query.filter, query.mode(), ws, hits)
     }
 
-    /// Aggregate kNN over a query group.
+    /// Aggregate kNN over a query group; see
+    /// [`RoadFramework::aggregate_knn_with_stats`] for the strategy.
     pub fn aggregate_knn(&self, query: &AggregateKnnQuery) -> Result<Vec<SearchHit>, RoadError> {
-        self.fw.aggregate_knn(&self.ad, query)
+        Ok(search::aggregate(self, query)?.0)
     }
 
     /// Point-to-point network distance through the overlay.
     pub fn network_distance(&self, from: NodeId, to: NodeId) -> Result<Option<Weight>, RoadError> {
-        self.fw.network_distance(from, to)
+        Ok(search::distance(self, from, to)?.distance_to_node(to))
     }
 
     /// Evaluates a batch of kNN queries on up to `threads` scoped worker
@@ -200,6 +204,15 @@ pub(crate) fn run_batch<Q: Sync>(
         }
         Ok(out)
     })
+}
+
+/// Every door above opens the wrapped framework and directory in place.
+impl Backend for QueryEngine {
+    type Source<'a> = MemorySource<'a>;
+
+    fn source(&self, objects: bool) -> MemorySource<'_> {
+        MemorySource { fw: &self.fw, ad: Some(&*self.ad) }.source(objects)
+    }
 }
 
 impl std::fmt::Debug for QueryEngine {

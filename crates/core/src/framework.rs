@@ -11,7 +11,10 @@
 use crate::arena::QueryArena;
 use crate::association::AssociationDirectory;
 use crate::hierarchy::{HierarchyConfig, RnetHierarchy, RnetId};
-use crate::search::{self, KnnQuery, RangeQuery, SearchHit, SearchResult, SearchStats};
+use crate::search::{
+    self, AggregateKnnQuery, KnnQuery, MemorySource, RangeQuery, SearchHit, SearchResult,
+    SearchStats,
+};
 use crate::shortcut::{ShortcutOptions, ShortcutStore, WorkerScratches};
 use crate::workspace::SearchWorkspace;
 use crate::RoadError;
@@ -292,20 +295,14 @@ impl RoadFramework {
         ad: &AssociationDirectory,
         query: &KnnQuery,
     ) -> Result<SearchResult, RoadError> {
-        search::execute(
-            self,
-            Some(ad),
-            query.node,
-            &query.filter,
-            search::Mode::Knn(query.k, query.max_distance),
-        )
+        let be = MemorySource { fw: self, ad: Some(ad) };
+        search::run(&be, query.node, &query.filter, query.mode())
     }
 
     /// kNN into caller-owned scratch: the workspace and the hit buffer are
     /// reused across calls, so a steady-state serving loop performs **zero
     /// per-query container allocations**. Returns the work counters;
-    /// answers land in `hits` (cleared first). This is the hot path behind
-    /// [`crate::engine::QueryEngine`].
+    /// answers land in `hits` (cleared first).
     pub fn knn_with(
         &self,
         ad: &AssociationDirectory,
@@ -313,15 +310,8 @@ impl RoadFramework {
         ws: &mut SearchWorkspace,
         hits: &mut Vec<SearchHit>,
     ) -> Result<SearchStats, RoadError> {
-        search::execute_into(
-            self,
-            Some(ad),
-            query.node,
-            &query.filter,
-            search::Mode::Knn(query.k, query.max_distance),
-            ws,
-            hits,
-        )
+        let be = MemorySource { fw: self, ad: Some(ad) };
+        search::run_into(&be, query.node, &query.filter, query.mode(), ws, hits)
     }
 
     /// Range query into caller-owned scratch; see [`RoadFramework::knn_with`].
@@ -332,15 +322,8 @@ impl RoadFramework {
         ws: &mut SearchWorkspace,
         hits: &mut Vec<SearchHit>,
     ) -> Result<SearchStats, RoadError> {
-        search::execute_into(
-            self,
-            Some(ad),
-            query.node,
-            &query.filter,
-            search::Mode::Range(query.radius),
-            ws,
-            hits,
-        )
+        let be = MemorySource { fw: self, ad: Some(ad) };
+        search::run_into(&be, query.node, &query.filter, query.mode(), ws, hits)
     }
 
     /// Evaluates a range query against a directory.
@@ -349,13 +332,8 @@ impl RoadFramework {
         ad: &AssociationDirectory,
         query: &RangeQuery,
     ) -> Result<SearchResult, RoadError> {
-        search::execute(
-            self,
-            Some(ad),
-            query.node,
-            &query.filter,
-            search::Mode::Range(query.radius),
-        )
+        let be = MemorySource { fw: self, ad: Some(ad) };
+        search::run(&be, query.node, &query.filter, query.mode())
     }
 
     /// Aggregate kNN over a query group (ref \[19\]'s ANN queries on the
@@ -365,7 +343,7 @@ impl RoadFramework {
     pub fn aggregate_knn(
         &self,
         ad: &AssociationDirectory,
-        query: &crate::search::AggregateKnnQuery,
+        query: &AggregateKnnQuery,
     ) -> Result<Vec<SearchHit>, RoadError> {
         Ok(self.aggregate_knn_with_stats(ad, query)?.0)
     }
@@ -384,33 +362,13 @@ impl RoadFramework {
     /// k-th best answer. Pruning against that bound is sound for both
     /// `Sum` and `Max` because every per-member distance lower-bounds the
     /// combined aggregate — an object outside the bound for *any* member
-    /// cannot make the top k. (The previous implementation ran an
-    /// unbounded `Range(∞)` expansion per member, exhausting the whole
-    /// component each time.)
+    /// cannot make the top k.
     pub fn aggregate_knn_with_stats(
         &self,
         ad: &AssociationDirectory,
-        query: &crate::search::AggregateKnnQuery,
+        query: &AggregateKnnQuery,
     ) -> Result<(Vec<SearchHit>, SearchStats), RoadError> {
-        // The algorithm lives in `search::aggregate_knn_backend`, shared
-        // verbatim with the disk-resident engine
-        // (`PagedEngine::aggregate_knn`), so the two cannot drift apart.
-        struct MemoryBackend<'a> {
-            fw: &'a RoadFramework,
-            ad: &'a AssociationDirectory,
-        }
-        impl search::AggregateBackend for MemoryBackend<'_> {
-            fn expand(
-                &mut self,
-                node: NodeId,
-                filter: &crate::model::ObjectFilter,
-                mode: search::Mode,
-                with_directory: bool,
-            ) -> Result<SearchResult, RoadError> {
-                search::execute(self.fw, with_directory.then_some(self.ad), node, filter, mode)
-            }
-        }
-        search::aggregate_knn_backend(&mut MemoryBackend { fw: self, ad }, query)
+        search::aggregate(&MemorySource { fw: self, ad: Some(ad) }, query)
     }
 
     /// Point-to-point network distance through the overlay: with no
@@ -418,13 +376,7 @@ impl RoadFramework {
     /// via shortcuts, so this is hierarchical routing in the style of
     /// HEPV/HiTi — a capability ROAD gets for free.
     pub fn network_distance(&self, from: NodeId, to: NodeId) -> Result<Option<Weight>, RoadError> {
-        let res = search::execute(
-            self,
-            None,
-            from,
-            &crate::model::ObjectFilter::Any,
-            search::Mode::ToNode(to),
-        )?;
+        let res = search::distance(&MemorySource { fw: self, ad: None }, from, to)?;
         Ok(res.distance_to_node(to))
     }
 
@@ -435,13 +387,7 @@ impl RoadFramework {
         from: NodeId,
         to: NodeId,
     ) -> Result<Option<road_network::Path>, RoadError> {
-        let res = search::execute(
-            self,
-            None,
-            from,
-            &crate::model::ObjectFilter::Any,
-            search::Mode::ToNode(to),
-        )?;
+        let res = search::distance(&MemorySource { fw: self, ad: None }, from, to)?;
         Ok(res.path_to_node(self, to))
     }
 

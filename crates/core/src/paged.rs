@@ -122,14 +122,15 @@
 //!
 //! ## Oracle agreement
 //!
-//! `PagedEngine` runs the **same** expansion loop as the in-memory engine
-//! — [`crate::search`]'s loop is generic over a `SearchSource`, and this
-//! module only swaps the storage behind it. Record visit order matches the
-//! in-memory iteration order and distances are stored as exact `f64` bits,
-//! so results are byte-for-byte identical (distances, ids, tie order) at
-//! *every* buffer size, including a pathological 1-page-per-stripe pool,
-//! from any number of threads. The `paged_tests` proptest harness pins
-//! this down.
+//! `PagedEngine` runs the **same** expansion loop as the in-memory engine,
+//! through the same query runners — [`crate::search`]'s loop is generic
+//! over a `SearchSource`, its runners over a `Backend`, and this module
+//! only swaps the storage behind them (`PagedSource`). Record visit order
+//! matches the in-memory iteration order and distances are stored as exact
+//! `f64` bits, so results are byte-for-byte identical (distances, ids, tie
+//! order) at *every* buffer size, including a pathological
+//! 1-page-per-stripe pool, from any number of threads. The `paged_tests`
+//! proptest harness pins this down.
 //!
 //! ## Page-granular open
 //!
@@ -168,7 +169,7 @@ use crate::hierarchy::{RnetHierarchy, RnetId};
 use crate::model::{CategoryId, Object, ObjectFilter};
 use crate::persist::PagedImage;
 use crate::search::{
-    self, AggregateKnnQuery, KnnQuery, Mode, RangeQuery, SearchHit, SearchResult, SearchSource,
+    self, AggregateKnnQuery, Backend, KnnQuery, RangeQuery, SearchHit, SearchResult, SearchSource,
     SearchStats,
 };
 use crate::workspace::SearchWorkspace;
@@ -836,21 +837,18 @@ impl PagedEngine {
     }
 
     // ------------------------------------------------------------------
-    // Queries — mirrors `QueryEngine` (all take `&self`)
+    // Queries — `QueryEngine`'s doors, one `search` runner call each (all
+    // take `&self`; every query opens its own `PagedSource`)
     // ------------------------------------------------------------------
 
     /// Evaluates a kNN query from pages.
     pub fn knn(&self, query: &KnnQuery) -> Result<SearchResult, RoadError> {
-        let mode = Mode::Knn(query.k, query.max_distance);
-        let mut src = PagedSource::new(self, true);
-        search::execute_source(&mut src, query.node, &query.filter, mode)
+        search::run(self, query.node, &query.filter, query.mode())
     }
 
     /// Evaluates a range query from pages.
     pub fn range(&self, query: &RangeQuery) -> Result<SearchResult, RoadError> {
-        let mode = Mode::Range(query.radius);
-        let mut src = PagedSource::new(self, true);
-        search::execute_source(&mut src, query.node, &query.filter, mode)
+        search::run(self, query.node, &query.filter, query.mode())
     }
 
     /// Allocation-free kNN into caller-owned scratch; see
@@ -861,9 +859,7 @@ impl PagedEngine {
         ws: &mut SearchWorkspace,
         hits: &mut Vec<SearchHit>,
     ) -> Result<SearchStats, RoadError> {
-        let mode = Mode::Knn(query.k, query.max_distance);
-        let mut src = PagedSource::new(self, true);
-        search::execute_source_into(&mut src, query.node, &query.filter, mode, ws, hits)
+        search::run_into(self, query.node, &query.filter, query.mode(), ws, hits)
     }
 
     /// Allocation-free range query into caller-owned scratch.
@@ -873,9 +869,7 @@ impl PagedEngine {
         ws: &mut SearchWorkspace,
         hits: &mut Vec<SearchHit>,
     ) -> Result<SearchStats, RoadError> {
-        let mode = Mode::Range(query.radius);
-        let mut src = PagedSource::new(self, true);
-        search::execute_source_into(&mut src, query.node, &query.filter, mode, ws, hits)
+        search::run_into(self, query.node, &query.filter, query.mode(), ws, hits)
     }
 
     /// Evaluates a batch of kNN queries on up to `threads` scoped worker
@@ -900,10 +894,9 @@ impl PagedEngine {
     }
 
     /// Aggregate kNN over a query group, evaluated from pages — the same
-    /// algorithm as
-    /// [`RoadFramework::aggregate_knn`](crate::framework::RoadFramework::aggregate_knn)
-    /// (one shared implementation), so paged and in-memory answers are
-    /// identical by construction.
+    /// runner as
+    /// [`RoadFramework::aggregate_knn`](crate::framework::RoadFramework::aggregate_knn),
+    /// so paged and in-memory answers are identical by construction.
     pub fn aggregate_knn(&self, query: &AggregateKnnQuery) -> Result<Vec<SearchHit>, RoadError> {
         Ok(self.aggregate_knn_with_stats(query)?.0)
     }
@@ -914,27 +907,12 @@ impl PagedEngine {
         &self,
         query: &AggregateKnnQuery,
     ) -> Result<(Vec<SearchHit>, SearchStats), RoadError> {
-        struct PagedBackend<'a>(&'a PagedEngine);
-        impl search::AggregateBackend for PagedBackend<'_> {
-            fn expand(
-                &mut self,
-                node: NodeId,
-                filter: &ObjectFilter,
-                mode: Mode,
-                with_directory: bool,
-            ) -> Result<SearchResult, RoadError> {
-                let mut src = PagedSource::new(self.0, with_directory);
-                search::execute_source(&mut src, node, filter, mode)
-            }
-        }
-        search::aggregate_knn_backend(&mut PagedBackend(self), query)
+        search::aggregate(self, query)
     }
 
     /// Point-to-point network distance through the paged overlay.
     pub fn network_distance(&self, from: NodeId, to: NodeId) -> Result<Option<Weight>, RoadError> {
-        let mut src = PagedSource::new(self, false);
-        let res = search::execute_source(&mut src, from, &ObjectFilter::Any, Mode::ToNode(to))?;
-        Ok(res.distance_to_node(to))
+        Ok(search::distance(self, from, to)?.distance_to_node(to))
     }
 
     // ------------------------------------------------------------------
@@ -1146,7 +1124,7 @@ fn record<'s>(
 /// pooled buffer for the rare record that straddles pages. Creating one is
 /// what makes `&self` queries possible — all mutable state is here, not in
 /// the engine.
-struct PagedSource<'a> {
+pub(crate) struct PagedSource<'a> {
     pages: PageSlot<'a>,
     /// `false` for point-to-point routing: the directory is not consulted,
     /// matching the in-memory engine's `ad: None` behaviour.
@@ -1159,6 +1137,15 @@ impl<'a> PagedSource<'a> {
     fn new(eng: &'a PagedEngine, use_directory: bool) -> Self {
         let pages = PageSlot { eng, tally: IoTally::default(), last: None };
         PagedSource { pages, use_directory, scratch: take_scratch() }
+    }
+}
+
+/// Each expansion reads through its own [`PagedSource`].
+impl Backend for PagedEngine {
+    type Source<'a> = PagedSource<'a>;
+
+    fn source(&self, objects: bool) -> PagedSource<'_> {
+        PagedSource::new(self, objects)
     }
 }
 
@@ -1776,10 +1763,51 @@ mod tests {
         Contains(RnetId, NodeId),
     }
 
-    /// A `PagedSource` that writes down every call the search loop makes.
+    /// A `PagedEngine` whose sources write down every call the search loop
+    /// makes, and what the query was charged as its source ends.
+    struct Recording<'a> {
+        disk: &'a PagedEngine,
+        asks: RefCell<Vec<Ask>>,
+        /// The ended query's tally and the pool's logical reads at that
+        /// moment, before the source settled the one into the other.
+        ended: std::cell::Cell<Option<(IoTally, u64)>>,
+    }
+
+    impl<'a> Recording<'a> {
+        fn new(disk: &'a PagedEngine) -> Self {
+            Recording { disk, asks: RefCell::default(), ended: Default::default() }
+        }
+    }
+
+    impl Backend for Recording<'_> {
+        type Source<'s>
+            = Recorded<'s>
+        where
+            Self: 's;
+
+        fn source(&self, objects: bool) -> Recorded<'_> {
+            Recorded { inner: PagedSource::new(self.disk, objects), log: self }
+        }
+    }
+
+    /// A `PagedSource` that writes its calls into its [`Recording`].
     struct Recorded<'a> {
         inner: PagedSource<'a>,
-        asks: Vec<Ask>,
+        log: &'a Recording<'a>,
+    }
+
+    impl Recorded<'_> {
+        fn note(&self, ask: Ask) {
+            self.log.asks.borrow_mut().push(ask);
+        }
+    }
+
+    /// Runs before the inner source's own drop settles the tally.
+    impl Drop for Recorded<'_> {
+        fn drop(&mut self) {
+            let reads = self.inner.pages.eng.buffer_stats().logical_reads;
+            self.log.ended.set(Some((self.inner.pages.tally, reads)));
+        }
     }
 
     impl SearchSource for Recorded<'_> {
@@ -1797,11 +1825,11 @@ mod tests {
             n: NodeId,
             visit: impl FnMut(u64, CategoryId, Weight),
         ) -> Result<(), RoadError> {
-            self.asks.push(Ask::Objects(n));
+            self.note(Ask::Objects(n));
             self.inner.objects_at(n, visit)
         }
         fn rnet_may_match(&mut self, r: RnetId, filter: &ObjectFilter) -> Result<bool, RoadError> {
-            self.asks.push(Ask::Verdict(r));
+            self.note(Ask::Verdict(r));
             self.inner.rnet_may_match(r, filter)
         }
         fn edges_at(
@@ -1810,7 +1838,7 @@ mod tests {
             leaf: Option<RnetId>,
             visit: impl FnMut(EdgeId, u32, Weight),
         ) -> Result<(), RoadError> {
-            self.asks.push(Ask::Edges(n));
+            self.note(Ask::Edges(n));
             self.inner.edges_at(n, leaf, visit)
         }
         fn shortcuts_at(
@@ -1819,11 +1847,11 @@ mod tests {
             n: NodeId,
             visit: impl FnMut(u32, Weight),
         ) -> Result<(), RoadError> {
-            self.asks.push(Ask::Shortcuts(r, n));
+            self.note(Ask::Shortcuts(r, n));
             self.inner.shortcuts_at(r, n, visit)
         }
         fn rnet_contains_node(&mut self, r: RnetId, t: NodeId) -> Result<bool, RoadError> {
-            self.asks.push(Ask::Contains(r, t));
+            self.note(Ask::Contains(r, t));
             self.inner.rnet_contains_node(r, t)
         }
         fn io_counters(&self) -> (u64, u64) {
@@ -1914,25 +1942,28 @@ mod tests {
         let mut ws = SearchWorkspace::new();
         let mut hits = Vec::new();
         let rare = ObjectFilter::Category(CategoryId(2));
+        let be = Recording::new(&disk);
         let mut skipped = 0;
         for i in 0..120u32 {
             let n = NodeId((i * 37) % 400);
-            let (filter, mode, directory) = match i % 4 {
-                0 => (ObjectFilter::Any, Mode::Knn(3, None), true),
-                1 => (rare.clone(), Mode::Knn(5, None), true),
-                2 => (ObjectFilter::Any, Mode::Range(Weight::new(2.5)), true),
-                _ => (ObjectFilter::Any, Mode::ToNode(NodeId(399 - n.0)), false),
+            let mut run = |filter: &ObjectFilter, mode| {
+                search::run_into(&be, n, filter, mode, &mut ws, &mut hits)
             };
-            let mut src = Recorded { inner: PagedSource::new(&disk, directory), asks: Vec::new() };
-            let stats = search::execute_source_into(&mut src, n, &filter, mode, &mut ws, &mut hits)
-                .unwrap();
-            let accesses = layout_accesses(&disk, &ad, &src.asks);
+            let stats = match i % 4 {
+                0 => run(&ObjectFilter::Any, KnnQuery::new(n, 3).mode()),
+                1 => run(&rare, KnnQuery::new(n, 5).mode()),
+                2 => run(&ObjectFilter::Any, RangeQuery::new(n, Weight::new(2.5)).mode()),
+                _ => search::distance(&be, n, NodeId(399 - n.0)).map(|res| res.stats),
+            }
+            .unwrap();
+            let asks = be.asks.take();
+            let accesses = layout_accesses(&disk, &ad, &asks);
             let mut last = None;
             let charged = accesses
                 .iter()
                 .filter(|&&p| last.replace(p) != Some(p) || p >= disk.sealed_pages)
                 .count();
-            assert_eq!(stats.pages_read, charged, "query #{i}: {:?}", src.asks);
+            assert_eq!(stats.pages_read, charged, "query #{i}: {asks:?}");
             let cold = accesses.iter().filter(|&&p| seen.insert(p)).count();
             assert_eq!(stats.page_faults, cold, "query #{i}");
             skipped += accesses.len() - charged;
@@ -1970,14 +2001,11 @@ mod tests {
         let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
         stomp_u32(&disk, disk.node_loc[0], 4 + 12 + 4, BAD_F64_HIGH_WORDS[0]);
         disk.reset_io_stats();
-        let spent = {
-            let mut src = PagedSource::new(&disk, true);
-            let far = Mode::Range(Weight::new(20.0));
-            let res = search::execute_source(&mut src, NodeId(63), &ObjectFilter::Any, far);
-            assert_corrupt_page(res, "range");
-            assert_eq!(disk.buffer_stats().logical_reads, 0, "settled when the query ends");
-            src.pages.tally
-        };
+        let far = RangeQuery::new(NodeId(63), Weight::new(20.0));
+        let be = Recording::new(&disk);
+        assert_corrupt_page(search::run(&be, far.node, &far.filter, far.mode()), "range");
+        let (spent, reads_before) = be.ended.take().unwrap();
+        assert_eq!(reads_before, 0, "settled when the query ends");
         assert!(spent.logical_reads > 10 && spent.page_faults > 0, "{spent:?}");
         let pool = disk.buffer_stats();
         assert_eq!(

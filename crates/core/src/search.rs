@@ -69,6 +69,11 @@ impl KnnQuery {
         self.max_distance = Some(max_distance);
         self
     }
+
+    /// The loop's termination discipline for this query.
+    pub(crate) fn mode(&self) -> Mode {
+        Mode::Knn(self.k, self.max_distance)
+    }
 }
 
 /// A range query (e.g. Q1 in the paper's introduction).
@@ -92,6 +97,11 @@ impl RangeQuery {
     pub fn with_filter(mut self, filter: ObjectFilter) -> Self {
         self.filter = filter;
         self
+    }
+
+    /// The loop's termination discipline for this query.
+    pub(crate) fn mode(&self) -> Mode {
+        Mode::Range(self.radius)
     }
 }
 
@@ -336,9 +346,12 @@ pub(crate) enum Mode {
 /// from. One implementation serves from the deserialized in-memory
 /// structures ([`MemorySource`]); the other reads every record through a
 /// buffer pool over 4 KB pages ([`crate::paged::PagedEngine`]). Both feed
-/// the **same** expansion loop ([`execute_source_into`]), which is what
-/// guarantees the paged engine answers byte-for-byte like the in-memory
-/// one: the traversal logic cannot diverge, only the storage behind it.
+/// the **same** expansion loop ([`execute_source_into`]) through the
+/// **same** runners ([`run`], [`run_into`], [`aggregate`], [`distance`]),
+/// each engine saying only how it opens a source ([`Backend`]) — which is
+/// what guarantees the paged engine answers byte-for-byte like the
+/// in-memory one: the traversal logic cannot diverge, only the storage
+/// behind it.
 ///
 /// Visitor methods take `&mut self` because paged reads mutate the buffer
 /// pool (faults, LRU order, lazy Rnet loads). Visit order is part of the
@@ -399,10 +412,36 @@ pub(crate) trait SearchSource {
     }
 }
 
+/// An engine as the query doors see it: something that opens a
+/// [`SearchSource`] for each expansion. Every public door of every engine
+/// is one call of a runner below on its backend.
+pub(crate) trait Backend {
+    /// One expansion's view of the engine's storage.
+    type Source<'a>: SearchSource
+    where
+        Self: 'a;
+    /// Opens a source. `objects = false` is the point-to-point routing
+    /// configuration: the directory is not consulted.
+    fn source(&self, objects: bool) -> Self::Source<'_>;
+}
+
 /// The RAM-resident source: the framework's own structures.
 pub(crate) struct MemorySource<'a> {
     pub fw: &'a RoadFramework,
     pub ad: Option<&'a AssociationDirectory>,
+}
+
+/// The in-memory engines' backend is their source: reading RAM needs no
+/// per-query state.
+impl<'f> Backend for MemorySource<'f> {
+    type Source<'a>
+        = MemorySource<'f>
+    where
+        Self: 'a;
+
+    fn source(&self, objects: bool) -> MemorySource<'f> {
+        MemorySource { fw: self.fw, ad: self.ad.filter(|_| objects) }
+    }
 }
 
 impl SearchSource for MemorySource<'_> {
@@ -482,32 +521,22 @@ impl SearchSource for MemorySource<'_> {
     }
 }
 
-/// Core expansion shared by kNN, range and point-to-point queries, using a
-/// workspace borrowed from the per-thread pool. The workspace travels into
-/// the returned [`SearchResult`] (keeping distance labels readable) and is
-/// recycled when the result is dropped.
-pub(crate) fn execute(
-    fw: &RoadFramework,
-    ad: Option<&AssociationDirectory>,
-    source: NodeId,
+/// A query on a workspace borrowed from the per-thread pool: the pooled
+/// doors. Only point-to-point routing ([`Mode::ToNode`]) opens its source
+/// without the directory. The workspace travels into the returned
+/// [`SearchResult`] (keeping distance labels readable) and is recycled
+/// when the result is dropped.
+pub(crate) fn run(
+    be: &impl Backend,
+    node: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
 ) -> Result<SearchResult, RoadError> {
-    execute_source(&mut MemorySource { fw, ad }, source, filter, mode)
-}
-
-/// [`execute`] over an arbitrary [`SearchSource`] (the paged engine routes
-/// its pooled-workspace queries through here).
-pub(crate) fn execute_source(
-    src: &mut impl SearchSource,
-    source: NodeId,
-    filter: &ObjectFilter,
-    mode: Mode,
-) -> Result<SearchResult, RoadError> {
+    let mut src = be.source(!matches!(mode, Mode::ToNode(_)));
     let mut ws = workspace::acquire();
     let mut hits = Vec::new();
-    match execute_source_into(src, source, filter, mode, &mut ws, &mut hits) {
-        Ok(stats) => Ok(SearchResult { hits, stats, source, ws: PooledWorkspace::new(ws) }),
+    match execute_source_into(&mut src, node, filter, mode, &mut ws, &mut hits) {
+        Ok(stats) => Ok(SearchResult { hits, stats, source: node, ws: PooledWorkspace::new(ws) }),
         Err(e) => {
             workspace::release(ws);
             Err(e)
@@ -515,19 +544,29 @@ pub(crate) fn execute_source(
     }
 }
 
-/// Allocation-free core expansion: every scratch container lives in `ws`
-/// and answers land in the caller's `hits` buffer (cleared first). After
+/// A kNN or range query into the caller's workspace and hit buffer (cleared
+/// first): the allocation-free `_with` doors and the batch workers. After
 /// the call, `ws` still holds this query's distance/predecessor labels.
-pub(crate) fn execute_into(
-    fw: &RoadFramework,
-    ad: Option<&AssociationDirectory>,
-    source: NodeId,
+pub(crate) fn run_into(
+    be: &impl Backend,
+    node: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
     ws: &mut SearchWorkspace,
     hits: &mut Vec<SearchHit>,
 ) -> Result<SearchStats, RoadError> {
-    execute_source_into(&mut MemorySource { fw, ad }, source, filter, mode, ws, hits)
+    execute_source_into(&mut be.source(true), node, filter, mode, ws, hits)
+}
+
+/// Point-to-point routing from `from` until `to` settles: the distance
+/// doors read [`SearchResult::distance_to_node`] off the result,
+/// `shortest_path` reads [`SearchResult::path_to_node`].
+pub(crate) fn distance(
+    be: &impl Backend,
+    from: NodeId,
+    to: NodeId,
+) -> Result<SearchResult, RoadError> {
+    run(be, from, &ObjectFilter::Any, Mode::ToNode(to))
 }
 
 /// The one expansion loop behind every engine (see [`SearchSource`]).
@@ -697,29 +736,12 @@ pub(crate) fn execute_source_into(
     Ok(stats)
 }
 
-/// One engine's way of running a single expansion — the only primitive
-/// aggregate kNN needs. Implemented by the in-memory framework (over
-/// [`MemorySource`]) and by the paged engine (over its page-backed
-/// source), so the aggregate algorithm is written once and both engines
-/// answer identically by construction.
-pub(crate) trait AggregateBackend {
-    /// Runs one expansion from `node`. `with_directory = false` is the
-    /// point-to-point routing configuration (no objects consulted).
-    fn expand(
-        &mut self,
-        node: NodeId,
-        filter: &ObjectFilter,
-        mode: Mode,
-        with_directory: bool,
-    ) -> Result<SearchResult, RoadError>;
-}
-
-/// Aggregate kNN over any [`AggregateBackend`]; see
+/// Aggregate kNN over any [`Backend`]; see
 /// [`RoadFramework::aggregate_knn_with_stats`] for the strategy
 /// (discovery expansion from member 0, then triangle-inequality-bounded
 /// expansions for the remaining members).
-pub(crate) fn aggregate_knn_backend(
-    be: &mut dyn AggregateBackend,
+pub(crate) fn aggregate(
+    be: &impl Backend,
     query: &AggregateKnnQuery,
 ) -> Result<(Vec<SearchHit>, SearchStats), RoadError> {
     let Some(&first_node) = query.nodes.first() else {
@@ -732,13 +754,13 @@ pub(crate) fn aggregate_knn_backend(
     let m = query.nodes.len();
     if m == 1 {
         // A single-member group is a plain kNN.
-        let mut res = be.expand(first_node, &query.filter, Mode::Knn(query.k, None), true)?;
+        let mut res = run(be, first_node, &query.filter, Mode::Knn(query.k, None))?;
         total.absorb(&res.stats);
         return Ok((std::mem::take(&mut res.hits), total));
     }
 
     // Member 0: unbounded discovery of every candidate.
-    let first = be.expand(first_node, &query.filter, Mode::Range(Weight::INFINITY), true)?;
+    let first = run(be, first_node, &query.filter, Mode::Range(Weight::INFINITY))?;
     total.absorb(&first.stats);
     if first.hits.is_empty() {
         return Ok((Vec::new(), total));
@@ -748,7 +770,7 @@ pub(crate) fn aggregate_knn_backend(
     let mut member_dist: Vec<Weight> = Vec::with_capacity(m);
     member_dist.push(Weight::ZERO);
     for &q in query.nodes.iter().skip(1) {
-        let res = be.expand(first_node, &ObjectFilter::Any, Mode::ToNode(q), false)?;
+        let res = distance(be, first_node, q)?;
         total.absorb(&res.stats);
         member_dist.push(res.distance_to_node(q).unwrap_or(Weight::INFINITY));
     }
@@ -785,7 +807,7 @@ pub(crate) fn aggregate_knn_backend(
             // expansion; under-admitting costs correctness.
             Weight::new(kth.get() * (1.0 + 1e-9) + f64::MIN_POSITIVE)
         };
-        let res = be.expand(member_node, &query.filter, Mode::Range(bound), true)?;
+        let res = run(be, member_node, &query.filter, Mode::Range(bound))?;
         total.absorb(&res.stats);
         let di: FastMap<u64, Weight> = res.hits.iter().map(|h| (h.object.0, h.distance)).collect();
         cands.retain_mut(|c| match di.get(&c.0 .0) {

@@ -820,7 +820,14 @@ impl ShortcutStore {
         let mut path = Path::trivial(from);
         if hier.is_leaf(r) {
             for hop in seq.windows(2) {
-                let e = g.edge_between(hop[0], hop[1])?;
+                // Parallel edges (two carriageways) may join the hop's
+                // nodes, in other leaves too; the shortcut's length was
+                // computed over the lightest of `r`'s.
+                let e = g
+                    .neighbors(hop[0])
+                    .filter(|&(e, v)| v == hop[1] && hier.leaf_of_edge(e) == r)
+                    .map(|(e, _)| e)
+                    .min_by_key(|&e| (g.weight(e, kind), e))?;
                 let seg = Path::from_parts(vec![hop[0], hop[1]], vec![e], g.weight(e, kind));
                 path.extend(&seg);
             }

@@ -11,7 +11,7 @@ use road_core::prelude::*;
 use road_core::search::{oracle_knn, oracle_range};
 use road_network::generator::{simple, Dataset};
 use road_network::graph::RoadNetwork;
-use road_network::EdgeId;
+use road_network::{EdgeId, NetworkBuilder, Point};
 
 /// Deterministically scatters `count` objects over the network's edges.
 fn scatter_objects(
@@ -201,6 +201,51 @@ fn point_to_point_distance_matches_dijkstra() {
         if let Some(p) = fw.shortest_path(a, b).unwrap() {
             assert!(p.validate(fw.network(), fw.metric()));
             assert!(p.total().approx_eq(want.unwrap()));
+        }
+    }
+}
+
+/// Two carriageways between the same junctions: `NetworkBuilder` accepts
+/// parallel edges, and a path unpacked from a leaf shortcut must take the
+/// one the shortcut was measured over, not the first in adjacency order.
+/// A 12×12 grid whose every street is added twice, heavy (5) then light
+/// (1): weights are integers, so a path's total is exactly its distance.
+#[test]
+fn shortest_paths_over_parallel_edges_weigh_their_distance() {
+    let side = 12;
+    let mut b = NetworkBuilder::default();
+    for y in 0..side {
+        for x in 0..side {
+            b.add_node(Point::new(x as f64, y as f64));
+        }
+    }
+    let id = |x: usize, y: usize| NodeId((y * side + x) as u32);
+    for y in 0..side {
+        for x in 0..side {
+            let ends = [(x + 1 < side).then(|| id(x + 1, y)), (y + 1 < side).then(|| id(x, y + 1))];
+            for to in ends.into_iter().flatten() {
+                b.add_edge(id(x, y), to, 5.0).unwrap();
+                b.add_edge(id(x, y), to, 1.0).unwrap();
+            }
+        }
+    }
+    let fw = build(b.build(), 4, 2);
+    let g = fw.network();
+    let nodes = (side * side) as u32;
+    for a in (0..nodes).step_by(7).map(NodeId) {
+        for t in (0..nodes).step_by(11).map(NodeId) {
+            let want = road_network::dijkstra::shortest_path_weight(g, fw.metric(), a, t);
+            let got = fw.network_distance(a, t).unwrap();
+            assert_eq!(got, want, "{a}->{t}");
+            let path = fw.shortest_path(a, t).unwrap().expect("the grid is connected");
+            assert_eq!(Some(path.total()), got, "{a}->{t}: path {:?}", path.edges());
+            let sum = path.edges().iter().fold(Weight::ZERO, |s, &e| s + g.weight(e, fw.metric()));
+            assert_eq!(sum, path.total(), "{a}->{t}");
+            assert_eq!((path.source(), path.target()), (a, t));
+            for (hop, &e) in path.nodes().windows(2).zip(path.edges()) {
+                let (u, v) = g.edge(e).endpoints();
+                assert!((u, v) == (hop[0], hop[1]) || (v, u) == (hop[0], hop[1]), "{a}->{t}");
+            }
         }
     }
 }
