@@ -213,12 +213,35 @@ fn hot_alloc_rule(ctx: &Ctx, findings: &mut Vec<Finding>) {
             continue;
         }
         if let Some(name) = t.ident() {
-            // `Vec::new(…)`-shaped constructor paths.
+            // `Vec::new(…)`-shaped constructor paths, with or without a
+            // turbofish (`Vec::<u8>::with_capacity(…)`).
             if ALLOC_TYPES.contains(&name)
                 && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
                 && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
             {
-                if let Some(ctor) = toks.get(i + 3).and_then(|t| t.ident()) {
+                let mut at = i + 3;
+                if toks.get(at).is_some_and(|t| t.is_punct('<')) {
+                    let mut angle = 0usize;
+                    while let Some(t) = toks.get(at) {
+                        if t.is_punct('<') {
+                            angle += 1;
+                        } else if t.is_punct('>') && !toks[at - 1].is_punct('-') {
+                            angle -= 1;
+                            if angle == 0 {
+                                break;
+                            }
+                        }
+                        at += 1;
+                    }
+                    // Past the closing `>` and the `::` after it.
+                    at += 3;
+                    if !(toks.get(at - 2).is_some_and(|t| t.is_punct(':'))
+                        && toks.get(at - 1).is_some_and(|t| t.is_punct(':')))
+                    {
+                        continue;
+                    }
+                }
+                if let Some(ctor) = toks.get(at).and_then(|t| t.ident()) {
                     if ALLOC_CTORS.contains(&ctor) {
                         report(
                             i,

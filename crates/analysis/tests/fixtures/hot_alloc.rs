@@ -10,7 +10,8 @@ pub fn expand(work: &mut Vec<u32>, out: &mut String) {
         // roadlint: allow(alloc) reason="cold error-path formatting, once per failure"
         let excused = x.to_string();
         out.push_str(&excused);
-        drop((fresh, boxed, s, c));
+        let typed = Vec::<Box<dyn Fn() -> u32>>::with_capacity(4);
+        drop((fresh, boxed, s, c, typed));
     }
     // roadlint: end hot-path
     let outside = Vec::new();

@@ -18,6 +18,16 @@
 //! of three. Predecessor links stay in their own array — only an improving
 //! relaxation writes them and only path reconstruction reads them.
 //!
+//! The priority queue is two 4-ary min-heaps of packed `u128` keys, one
+//! for nodes (`distance bits << 64 | node`) and one for objects
+//! (`distance bits << 64 | object id`). A [`Weight`] is never NaN or
+//! `-0.0`, so its bits order like the weight itself, and one integer
+//! compare orders `(distance, id)`. `SearchWorkspace::pop` takes the
+//! node whenever its distance is at most the top object's — the tie rule
+//! documented on `QueueKey`. The heaps are exact, not radix or monotone
+//! buckets: zero-weight edges, objects at offset 0 and `d + w` rounding
+//! back to `d` all push keys equal to the last one popped.
+//!
 //! A second stamped table, indexed by Rnet id, memoises the query's
 //! enter-or-bypass **verdict** on each Rnet. `ChoosePath` needs that
 //! verdict at every border node whose shortcut tree lists the Rnet, and it
@@ -52,8 +62,6 @@ use crate::hierarchy::RnetId;
 use road_network::hash::FastSet;
 use road_network::{EdgeId, Weight};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// How a hop in the predecessor chain was made.
 #[derive(Clone, Copy, Debug)]
@@ -62,18 +70,114 @@ pub(crate) enum Hop {
     Shortcut(RnetId),
 }
 
-/// Priority-queue key. The variant order is load-bearing: at equal
-/// distance a **node** must pop before an **object**, so that every node
-/// able to host an equal-distance object is expanded (and its objects
-/// enqueued) before any object at that distance is reported. Equal-distance
-/// objects then pop in ascending object-id order — exactly the
-/// `(distance, object id)` tie-break the brute-force oracles use. (The
-/// previous ordering popped objects first, which could report the wrong
-/// object when a tie straddled the k-th slot.)
+/// What a queue entry stands for. The tie rule lives in
+/// [`SearchWorkspace::pop`]: at equal distance a **node** pops before an
+/// **object**, so that every node able to host an equal-distance object is
+/// expanded (and its objects enqueued) before any object at that distance
+/// is reported. Equal-distance nodes pop in ascending node id, and
+/// equal-distance objects in ascending object id — exactly the
+/// `(distance, object id)` tie-break the brute-force oracles use. The
+/// derived order (`Node < Object`, then id) is that same rule, which the
+/// queue's test checks against a `BinaryHeap`.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
 pub(crate) enum QueueKey {
     Node(u32),
     Object(u64),
+}
+
+/// A 4-ary min-heap of packed `(distance bits << 64 | id)` keys.
+///
+/// Four children per slot make it half as deep as a binary heap, and a
+/// slot's children are 64 contiguous bytes, compared as two pairs. Keys
+/// are plain integers: no `Ord` impl runs per compare.
+#[derive(Default)]
+struct QuadHeap(Vec<u128>);
+
+impl QuadHeap {
+    #[inline]
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<u128> {
+        self.0.first().copied()
+    }
+
+    #[inline]
+    fn push(&mut self, key: u128) {
+        // Sift a hole up from the new last slot, then drop `key` into it.
+        let mut at = self.0.len();
+        self.0.push(key);
+        while at > 0 {
+            let up = (at - 1) / 4;
+            let Some(&parent) = self.0.get(up) else { break };
+            if parent <= key {
+                break;
+            }
+            if let Some(slot) = self.0.get_mut(at) {
+                *slot = parent;
+            }
+            at = up;
+        }
+        if let Some(slot) = self.0.get_mut(at) {
+            *slot = key;
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u128> {
+        let last = self.0.pop()?;
+        let Some(&top) = self.0.first() else { return Some(last) };
+        // Sift a hole down from the root, then drop `last` into it.
+        let mut at = 0;
+        loop {
+            let first = 4 * at + 1;
+            // The least child: of a full group of four, else of the
+            // heap's last, partial group; a leaf has none and stops here.
+            let least = match self.0.get(first..first + 4) {
+                Some(&[a, b, c, d]) => {
+                    let ab = if b < a { (b, first + 1) } else { (a, first) };
+                    let cd = if d < c { (d, first + 3) } else { (c, first + 2) };
+                    if cd.0 < ab.0 {
+                        cd
+                    } else {
+                        ab
+                    }
+                }
+                _ => {
+                    let mut least = (u128::MAX, at);
+                    for (i, &kid) in self.0.get(first..).unwrap_or_default().iter().enumerate() {
+                        if kid < least.0 {
+                            least = (kid, first + i);
+                        }
+                    }
+                    least
+                }
+            };
+            if least.0 >= last {
+                break;
+            }
+            if let Some(slot) = self.0.get_mut(at) {
+                *slot = least.0;
+            }
+            at = least.1;
+        }
+        if let Some(slot) = self.0.get_mut(at) {
+            *slot = last;
+        }
+        Some(top)
+    }
+}
+
+#[inline]
+fn pack(d: Weight, id: u64) -> u128 {
+    u128::from(d.get().to_bits()) << 64 | u128::from(id)
+}
+
+#[inline]
+fn unpack(key: u128) -> (Weight, u64) {
+    (Weight::new(f64::from_bits((key >> 64) as u64)), key as u64)
 }
 
 const NO_PRED: u32 = u32::MAX;
@@ -116,8 +220,10 @@ pub struct SearchWorkspace {
     verdicts: Vec<Verdict>,
     /// Current round; bumped per query.
     round: u32,
-    /// Pending nodes and objects in non-descending distance order.
-    heap: BinaryHeap<Reverse<(Weight, QueueKey)>>,
+    /// Pending nodes, least `(distance, node)` on top.
+    nodes: QuadHeap,
+    /// Pending objects, least `(distance, object id)` on top.
+    objects: QuadHeap,
     /// Objects already reported this round (object ids are sparse `u64`s,
     /// so this one stays a hash set; `clear()` keeps its capacity).
     seen_objects: FastSet<u64>,
@@ -144,7 +250,8 @@ impl SearchWorkspace {
             pred: vec![NO_LINK; num_nodes],
             verdicts: Vec::new(),
             round: 0,
-            heap: BinaryHeap::new(),
+            nodes: QuadHeap::default(),
+            objects: QuadHeap::default(),
             seen_objects: FastSet::default(),
             runs: 0,
         }
@@ -179,7 +286,8 @@ impl SearchWorkspace {
             self.verdicts.fill(UNASKED);
             self.round = 1;
         }
-        self.heap.clear();
+        self.nodes.clear();
+        self.objects.clear();
         self.seen_objects.clear();
         self.runs += 1;
     }
@@ -235,7 +343,7 @@ impl SearchWorkspace {
             if let Some(link) = self.pred.get_mut(to as usize) {
                 *link = (from, hop);
             }
-            self.heap.push(Reverse((nd, QueueKey::Node(to))));
+            self.nodes.push(pack(nd, u64::from(to)));
             true
         } else {
             false
@@ -259,12 +367,27 @@ impl SearchWorkspace {
 
     #[inline]
     pub(crate) fn push(&mut self, d: Weight, key: QueueKey) {
-        self.heap.push(Reverse((d, key)));
+        match key {
+            QueueKey::Node(n) => self.nodes.push(pack(d, u64::from(n))),
+            QueueKey::Object(oid) => self.objects.push(pack(d, oid)),
+        }
     }
 
+    /// The least pending entry in `(distance, Node < Object, id)` order:
+    /// the top node unless the top object is strictly nearer.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<(Weight, QueueKey)> {
-        self.heap.pop().map(|Reverse(e)| e)
+        let node_first = match (self.nodes.peek(), self.objects.peek()) {
+            (Some(node), Some(object)) => node >> 64 <= object >> 64,
+            (node, _) => node.is_some(),
+        };
+        if node_first {
+            let (d, n) = unpack(self.nodes.pop()?);
+            Some((d, QueueKey::Node(n as u32)))
+        } else {
+            let (d, oid) = unpack(self.objects.pop()?);
+            Some((d, QueueKey::Object(oid)))
+        }
     }
 
     /// First sighting of object `oid` this round?
@@ -429,5 +552,61 @@ mod tests {
         assert!(QueueKey::Node(u32::MAX) < QueueKey::Object(0));
         assert!(QueueKey::Object(3) < QueueKey::Object(5));
         assert!(QueueKey::Node(1) < QueueKey::Node(2));
+    }
+
+    /// The two heaps and `pop`'s tie rule pop exactly what one
+    /// `BinaryHeap` over `(Weight, QueueKey)` pops, on seeded interleavings
+    /// of pushes and pops with tie-heavy distances and extreme ids.
+    #[test]
+    fn queue_pops_in_the_order_of_a_binary_heap_over_queue_keys() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let dists = [0.0, 1.0, 1.0, 2.0, f64::INFINITY].map(Weight::new);
+        let nodes = [0, 1, 2, 3, u32::MAX];
+        let objects = [0, 1, 2, u64::from(u32::MAX) + 1, u64::MAX];
+        let mut ws = SearchWorkspace::new();
+        let (mut deepest, mut ties) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // The last round left entries queued, as a query that returned
+            // an error midway does: `begin` must drop every one of them.
+            ws.begin(0, 0);
+            assert_eq!(ws.pop(), None, "seed {seed}: begin left an entry queued");
+            let mut reference = BinaryHeap::new();
+            let push_share = rng.random_range(0.5..0.95);
+            for _ in 0..rng.random_range(1..3000) {
+                if rng.random_bool(push_share) {
+                    let d = dists[rng.random_range(0..dists.len())];
+                    let key = if rng.random_bool(0.5) {
+                        QueueKey::Node(nodes[rng.random_range(0..nodes.len())])
+                    } else {
+                        QueueKey::Object(objects[rng.random_range(0..objects.len())])
+                    };
+                    ws.push(d, key);
+                    reference.push(Reverse((d, key)));
+                    deepest = deepest.max(reference.len());
+                } else {
+                    let want = reference.pop().map(|Reverse(e)| e);
+                    if let Some((d, QueueKey::Node(_))) = want {
+                        ties += usize::from(ws.objects.peek().is_some_and(|o| unpack(o).0 == d));
+                    }
+                    assert_eq!(ws.pop(), want, "seed {seed}");
+                }
+            }
+            // Drain every other round; the rest stay queued for `begin`.
+            if seed % 2 == 0 {
+                while let Some(Reverse(want)) = reference.pop() {
+                    assert_eq!(ws.pop(), Some(want), "seed {seed}");
+                }
+                assert_eq!(ws.pop(), None);
+            }
+        }
+        // 4-ary levels hold 1, 4, 16, 64, 256, 1024 slots: six or more
+        // levels were in use, and nodes popped ahead of equal objects.
+        assert!(deepest > 341, "deepest heap {deepest}");
+        assert!(ties > 0);
     }
 }

@@ -1,0 +1,159 @@
+//! A warm serving loop allocates nothing.
+//!
+//! `knn_with` / `range_with` promise zero per-query allocations once the
+//! caller's workspace and hit buffer have grown to the network. This
+//! binary installs a counting global allocator and checks the promise on
+//! a `QueryEngine` and on a `LiveEngine` snapshot: a query mix runs once
+//! to warm the scratch, then again, and the second pass must make no
+//! allocation at all. Only the measuring thread counts, so the test
+//! harness's other threads cannot disturb the figure.
+
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use road_core::prelude::*;
+use road_network::generator::simple;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts allocations made on threads that opted in, then defers to the
+/// system allocator.
+struct Counting;
+
+thread_local! {
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator may run while a thread's locals are torn down.
+    if let Ok(true) = MEASURING.try_with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; counting touches only const-initialised thread-locals, which
+// never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded as received.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(0));
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
+enum Query {
+    Knn(KnnQuery),
+    Range(RangeQuery),
+}
+
+/// An 18x18 grid with 60 objects in three categories, and a mix of kNN
+/// (k = 1, 5, 20), category-filtered kNN and range queries.
+fn world() -> (RoadFramework, AssociationDirectory, Vec<Query>) {
+    let g = simple::grid(18, 18, 1.0);
+    let fw = RoadFramework::builder(g).fanout(4).levels(2).build().unwrap();
+    let mut ad = AssociationDirectory::new(fw.hierarchy());
+    let edges: Vec<_> = fw.network().edge_ids().collect();
+    let mut rng = StdRng::seed_from_u64(2718);
+    for i in 0..60u64 {
+        let e = edges[rng.random_range(0..edges.len())];
+        let o = Object::new(
+            ObjectId(i),
+            e,
+            rng.random_range(0.0..=1.0),
+            CategoryId(rng.random_range(0..3)),
+        );
+        ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
+    }
+    let nodes = fw.network().num_nodes() as u32;
+    let mut queries = Vec::new();
+    for q in 0..50u16 {
+        let node = NodeId(rng.random_range(0..nodes));
+        queries.push(match q % 5 {
+            0 => Query::Knn(KnnQuery::new(node, 1)),
+            1 => Query::Knn(KnnQuery::new(node, 5)),
+            2 => Query::Knn(KnnQuery::new(node, 20)),
+            3 => Query::Knn(
+                KnnQuery::new(node, 5).with_filter(ObjectFilter::Category(CategoryId(q % 3))),
+            ),
+            _ => Query::Range(RangeQuery::new(node, Weight::new(4.0))),
+        });
+    }
+    (fw, ad, queries)
+}
+
+/// Runs the mix twice through the `_with` doors of `engine` and returns
+/// the second pass's allocation count.
+fn warm_allocations(engine: &QueryEngine, queries: &[Query]) -> u64 {
+    let mut ws = SearchWorkspace::new();
+    let mut hits = Vec::new();
+    let pass = |ws: &mut SearchWorkspace, hits: &mut Vec<SearchHit>| {
+        for q in queries {
+            let stats = match q {
+                Query::Knn(q) => engine.knn_with(q, ws, hits),
+                Query::Range(q) => engine.range_with(q, ws, hits),
+            };
+            assert!(stats.unwrap().nodes_settled > 0);
+        }
+    };
+    pass(&mut ws, &mut hits);
+    allocations_in(|| pass(&mut ws, &mut hits))
+}
+
+#[test]
+fn a_warm_query_engine_allocates_nothing() {
+    let (fw, ad, queries) = world();
+    let engine = QueryEngine::new(fw, ad);
+    assert_eq!(warm_allocations(&engine, &queries), 0);
+}
+
+#[test]
+fn a_warm_snapshot_allocates_nothing() {
+    let (fw, ad, queries) = world();
+    let e = fw.network().edge_ids().next().unwrap();
+    let (live, mut writer) = LiveEngine::new(fw, ad);
+    // A published update: the snapshot shares all but the repaired Rnets
+    // with its predecessor.
+    writer.set_edge_weight(e, Weight::new(3.0)).unwrap();
+    writer.publish();
+    let snapshot = live.snapshot();
+    assert_eq!(snapshot.version(), 1);
+    assert_eq!(warm_allocations(&snapshot, &queries), 0);
+}
+
+#[test]
+fn the_counter_sees_an_allocation() {
+    let n = allocations_in(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(8))));
+    assert_eq!(n, 1);
+}

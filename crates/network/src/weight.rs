@@ -6,6 +6,10 @@
 //! can live in `BinaryHeap`s and `BTreeMap`s. `+∞` is permitted: it is the
 //! sentinel the maintenance algorithms use for deleted edges (Section 5.2.2
 //! models edge deletion as "change of its edge distance to infinity").
+//!
+//! `−0.0` is stored as `+0.0`, so equal weights have equal bits and the
+//! raw bit pattern (`get().to_bits()` as a `u64`) orders weights exactly as
+//! [`Ord`] does — the search queue keys on it directly.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -21,7 +25,7 @@ impl Weight {
     /// Infinite weight: unreachable, or a tombstoned edge.
     pub const INFINITY: Weight = Weight(f64::INFINITY);
 
-    /// Wraps a raw value.
+    /// Wraps a raw value; `-0.0` becomes `+0.0`.
     ///
     /// # Panics
     /// Panics if `v` is NaN or negative — both indicate a logic error in the
@@ -31,16 +35,17 @@ impl Weight {
     pub fn new(v: f64) -> Self {
         assert!(!v.is_nan(), "weight must not be NaN");
         assert!(v >= 0.0, "weight must be non-negative, got {v}");
-        Weight(v)
+        // `-0.0 + 0.0` is `+0.0`; every other value passes unchanged.
+        Weight(v + 0.0)
     }
 
-    /// Fallible constructor for untrusted input.
+    /// Fallible constructor for untrusted input; `-0.0` becomes `+0.0`.
     #[inline]
     pub fn try_new(v: f64) -> Result<Self, crate::NetworkError> {
         if v.is_nan() || v < 0.0 {
             Err(crate::NetworkError::InvalidWeight(v))
         } else {
-            Ok(Weight(v))
+            Ok(Weight(v + 0.0))
         }
     }
 
@@ -103,8 +108,9 @@ impl Eq for Weight {}
 impl Ord for Weight {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Safe: NaN is rejected at construction, so total_cmp agrees with
-        // the IEEE partial order on every value we can hold.
+        // Safe: NaN is rejected and -0.0 normalised at construction, so
+        // total_cmp agrees with `==` and the IEEE partial order on every
+        // value we can hold.
         self.0.total_cmp(&other.0)
     }
 }
@@ -187,6 +193,17 @@ mod tests {
         assert!(Weight::try_new(f64::NAN).is_err());
         assert!(Weight::try_new(-0.5).is_err());
         assert!(Weight::try_new(3.0).is_ok());
+    }
+
+    #[test]
+    fn negative_zero_is_zero_to_eq_ord_and_bits() {
+        use std::collections::BTreeSet;
+        for w in [Weight::new(-0.0), Weight::try_new(-0.0).unwrap(), Weight::from(-0.0)] {
+            assert_eq!(w, Weight::ZERO);
+            assert_eq!(w.cmp(&Weight::ZERO), Ordering::Equal);
+            assert_eq!(w.get().to_bits(), Weight::ZERO.get().to_bits());
+            assert_eq!(BTreeSet::from([w, Weight::ZERO]).len(), 1);
+        }
     }
 
     #[test]
