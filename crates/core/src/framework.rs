@@ -10,7 +10,7 @@
 
 use crate::arena::QueryArena;
 use crate::association::AssociationDirectory;
-use crate::hierarchy::{HierarchyConfig, RnetHierarchy, RnetId};
+use crate::hierarchy::{BordersBefore, HierarchyConfig, RnetHierarchy, RnetId};
 use crate::search::{
     self, AggregateKnnQuery, KnnQuery, MemorySource, RangeQuery, SearchHit, SearchResult,
     SearchStats,
@@ -459,6 +459,7 @@ impl RoadFramework {
                 &self.hier,
                 self.cfg.metric,
                 &frontier,
+                &BordersBefore::default(),
                 &self.cfg.shortcuts,
                 &mut self.workers,
             );
@@ -605,6 +606,7 @@ impl RoadFramework {
         }
         let mut outcome = UpdateOutcome::default();
         let mut affected: FastSet<u32> = FastSet::default();
+        let mut before = BordersBefore::default();
         // Topology changed: re-join the query arena (edge set and leaf
         // assignments moved). O(V + E), dwarfed by the shortcut refreshes
         // below.
@@ -616,7 +618,7 @@ impl RoadFramework {
             add_chain(hier, leaf, &mut affected);
         }
         for &n in nodes {
-            let (gained, lost) = hier.refresh_node_borders(&self.g, n)?;
+            let (gained, lost) = hier.refresh_node_borders(&self.g, n, &mut before)?;
             outcome.borders_promoted += usize::from(!gained.is_empty());
             outcome.borders_demoted += usize::from(!lost.is_empty());
             for r in gained.into_iter().chain(lost) {
@@ -640,6 +642,7 @@ impl RoadFramework {
             &self.hier,
             self.cfg.metric,
             &order,
+            &before,
             &self.cfg.shortcuts,
             &mut self.workers,
         );

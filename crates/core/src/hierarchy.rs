@@ -33,6 +33,10 @@ use road_network::{EdgeId, NodeId};
 use std::fmt;
 use tree::{LevelTable, ShortcutTrees};
 
+/// The border lists of Rnets as they were before a topology edit changed
+/// them, by Rnet id (see [`RnetHierarchy::refresh_node_borders`]).
+pub(crate) type BordersBefore = FastMap<u32, Vec<NodeId>>;
+
 /// Identifier of an Rnet in the hierarchy (level-order numbering).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RnetId(pub u32);
@@ -361,6 +365,13 @@ impl RnetHierarchy {
         self.trees.of(n)
     }
 
+    /// `n`'s slot in `r` — its index in [`RnetHierarchy::borders`] — read
+    /// off its shortcut tree; `None` unless `n` borders `r`.
+    #[inline]
+    pub fn slot_of(&self, n: NodeId, r: RnetId) -> Option<usize> {
+        self.shortcut_tree(n).iter().find(|e| e.rnet == r).map(|e| e.slot())
+    }
+
     /// `true` if `n` is a border node of `r`.
     pub fn is_border_of(&self, n: NodeId, r: RnetId) -> bool {
         self.bordered_rnets(n).contains(&r)
@@ -413,6 +424,10 @@ impl RnetHierarchy {
                 continue;
             }
             self.table.flatten(&rnets, &mut tree)?;
+            // `n` goes behind the borders its Rnets already have.
+            for entry in &mut tree {
+                *entry = entry.with_slot(self.borders[entry.rnet.index()].len())?;
+            }
             self.trees.set(n, &tree)?;
             for &r in &rnets {
                 self.borders[r.index()].push(n);
@@ -452,22 +467,42 @@ impl RnetHierarchy {
 
     /// Recomputes which Rnets `n` borders after its incident edges changed,
     /// and with them its shortcut tree. Returns `(gained, lost)` Rnet lists
-    /// (promotion / demotion). `Err` only when the tree arena would outgrow
-    /// its 32-bit offsets, before anything is changed.
+    /// (promotion / demotion). Every Rnet whose border list changed has its
+    /// borders' slots restamped. `Err` only when the tree would outgrow its
+    /// fields or the arena its 32-bit offsets, before anything is changed.
+    ///
+    /// `before` collects the border list of every Rnet this changes as it
+    /// was before its first change: the key a shortcut arena built before
+    /// the edit is still indexed by.
     pub(crate) fn refresh_node_borders(
         &mut self,
         g: &RoadNetwork,
         n: NodeId,
+        before: &mut BordersBefore,
     ) -> Result<(Vec<RnetId>, Vec<RnetId>), crate::RoadError> {
         let new = self.compute_node_borders(g, n);
-        let mut tree = Vec::new();
-        self.table.flatten(&new, &mut tree)?;
-        self.trees.set(n, &tree)?;
         let old = self.node_rnets.get(&n.0).cloned().unwrap_or_default();
         let gained: Vec<RnetId> = new.iter().copied().filter(|r| !old.contains(r)).collect();
         let lost: Vec<RnetId> = old.iter().copied().filter(|r| !new.contains(r)).collect();
+        // `n` keeps its place where it stays a border and goes last where
+        // it becomes one.
+        let mut tree = Vec::new();
+        self.table.flatten(&new, &mut tree)?;
+        for entry in &mut tree {
+            let list = &self.borders[entry.rnet.index()];
+            let slot = list.iter().position(|&m| m == n).unwrap_or(list.len());
+            *entry = entry.with_slot(slot)?;
+        }
+        self.trees.set(n, &tree)?;
+        for &r in gained.iter().chain(&lost) {
+            before.entry(r.0).or_insert_with(|| self.borders[r.index()].clone());
+        }
         for &r in &lost {
             self.borders[r.index()].retain(|&m| m != n);
+            // Every border behind `n` moved up one slot.
+            for (slot, &m) in self.borders[r.index()].iter().enumerate() {
+                self.trees.stamp(m, r, slot)?;
+            }
         }
         for &r in &gained {
             self.borders[r.index()].push(n);
@@ -537,14 +572,21 @@ impl RnetHierarchy {
             }
             // The flattened tree is the border list in ChoosePath order,
             // every `skip` one past its subtree: forward, inside the tree,
-            // and nested within its parent's.
+            // and nested within its parent's; every slot `n`'s place in its
+            // Rnet's border list.
             let tree = self.shortcut_tree(n);
             self.table.flatten(got, &mut fresh).map_err(|e| e.to_string())?;
-            if tree != fresh.as_slice() {
+            let shape = |t: &[TreeEntry]| -> Vec<(RnetId, usize, bool)> {
+                t.iter().map(|e| (e.rnet, e.skip(), e.is_leaf())).collect()
+            };
+            if shape(tree) != shape(&fresh) {
                 return Err(format!("node {n} shortcut tree {tree:?} is stale; want {fresh:?}"));
             }
             open.clear(); // ends of the subtrees enclosing entry `i`
             for (i, entry) in tree.iter().enumerate() {
+                if self.borders(entry.rnet).get(entry.slot()) != Some(&n) {
+                    return Err(format!("node {n} shortcut tree {tree:?}: bad slot at {i}"));
+                }
                 open.retain(|&end| end > i);
                 let enclosing = open.last().copied().unwrap_or(tree.len());
                 if entry.skip() <= i || entry.skip() > enclosing {
@@ -764,8 +806,9 @@ mod tests {
         let (a, b) = g.edge(e).endpoints();
         g.remove_edge(e).unwrap();
         hier.unassign_edge(e);
-        hier.refresh_node_borders(&g, a).unwrap();
-        hier.refresh_node_borders(&g, b).unwrap();
+        let mut before = BordersBefore::default();
+        hier.refresh_node_borders(&g, a, &mut before).unwrap();
+        hier.refresh_node_borders(&g, b, &mut before).unwrap();
         hier.validate(&g).unwrap();
         // Add a fresh edge far away and assign it to the leaf of a
         // neighbouring edge.
@@ -774,8 +817,8 @@ mod tests {
         let new_e = g.add_edge(u, v, ew, ew, road_network::Weight::ZERO).unwrap();
         let leaf = hier.leaf_of_edge(g.neighbors(u).next().unwrap().0);
         hier.assign_edge(new_e, leaf);
-        hier.refresh_node_borders(&g, u).unwrap();
-        hier.refresh_node_borders(&g, v).unwrap();
+        hier.refresh_node_borders(&g, u, &mut before).unwrap();
+        hier.refresh_node_borders(&g, v, &mut before).unwrap();
         hier.validate(&g).unwrap();
     }
 
@@ -861,6 +904,29 @@ mod tests {
         }
     }
 
+    /// Every tree entry holds `n`'s place in its Rnet's border list, and
+    /// the run a bypass reaches through it is the one a by-node reference
+    /// finds: `n`'s position in `borders(r)`, looked up in a store rebuilt
+    /// from scratch over the same hierarchy.
+    fn assert_slots_address_runs(fw: &crate::framework::RoadFramework) {
+        use crate::shortcut::ShortcutStore;
+        let hier = fw.hierarchy();
+        let fresh = ShortcutStore::build(fw.network(), hier, fw.metric(), &Default::default());
+        for n in fw.network().node_ids() {
+            for &entry in hier.shortcut_tree(n) {
+                let (r, borders) = (entry.rnet, hier.borders(entry.rnet));
+                assert_eq!(borders.get(entry.slot()), Some(&n), "{n}: {entry:?}");
+                let by_node = borders.iter().position(|&m| m == n).unwrap();
+                let (got, want) =
+                    (fw.shortcuts().heads_at(r, entry.slot()), fresh.heads_at(r, by_node));
+                assert_eq!(got.len(), want.len(), "{n} across {r:?}: {got:?} vs {want:?}");
+                for (a, b) in got.iter().zip(want) {
+                    assert!(a.to == b.to && a.dist.approx_eq(b.dist), "{n} across {r:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn validate_rejects_a_tree_that_is_not_its_border_list() {
         let (g, hier) = build_grid(8, 8, 4, 2);
@@ -884,7 +950,38 @@ mod tests {
         let mut gone = hier.clone();
         gone.trees.set(deep, &[]).unwrap();
         assert!(gone.validate(&g).unwrap_err().contains("shortcut tree"));
+        // The right shape with a slot pointing at another border.
+        let mut moved = hier.clone();
+        let r = own[0].rnet;
+        let other = (own[0].slot() + 1) % hier.borders(r).len();
+        moved.trees.stamp(deep, r, other).unwrap();
+        assert!(moved.validate(&g).unwrap_err().contains("bad slot"));
         hier.validate(&g).unwrap();
+    }
+
+    /// Two hubs joined by `spokes` two-edge paths, the hub sides in two
+    /// leaves: every spoke node borders both, so each leaf has `spokes`
+    /// borders. The 65,537th cannot be given a slot: the build is an
+    /// error, not a wrapped slot.
+    #[test]
+    fn an_rnet_past_sixteen_bits_of_borders_is_an_error() {
+        let star = |spokes: u32| {
+            let mut b = RoadNetwork::builder();
+            for i in 0..spokes + 2 {
+                b.add_node(road_network::Point::new(f64::from(i), 0.0));
+            }
+            for i in 2..spokes + 2 {
+                b.add_edge(NodeId(0), NodeId(i), 1.0).unwrap();
+                b.add_edge(NodeId(i), NodeId(1), 1.0).unwrap();
+            }
+            let g = b.build();
+            RnetHierarchy::from_leaf_assignment(&g, 2, 1, |e| e.0 % 2)
+        };
+        let widest = star(1 << 16).unwrap();
+        assert_eq!(widest.borders(RnetId(0)).len(), 1 << 16);
+        assert_eq!(widest.slot_of(NodeId((1 << 16) + 1), RnetId(1)), Some(65_535));
+        let err = star((1 << 16) + 1).err().expect("a 65,537th border was given a slot");
+        assert!(err.to_string().contains("an Rnet of 65537 borders"), "{err}");
     }
 
     #[test]
@@ -911,7 +1008,9 @@ mod tests {
 
         /// ... and stays pinned through `add_edge` / `remove_edge`
         /// histories, which promote interior nodes to borders, demote
-        /// borders, and rewrite trees in the middle of the arena.
+        /// borders, and rewrite trees in the middle of the arena — and so
+        /// do the slots, which a demotion shifts for every border behind
+        /// the demoted one.
         #[test]
         fn flattened_tree_survives_topology_histories(
             side in 4usize..8,
@@ -953,6 +1052,7 @@ mod tests {
                 added.push(e);
                 promoted += outcome.borders_promoted;
                 assert_visit_order_pinned(fw.network(), fw.hierarchy(), seed ^ step);
+                assert_slots_address_runs(&fw);
             }
             let connectors = added.len();
             for step in 0..connectors + 3 {
@@ -963,6 +1063,7 @@ mod tests {
                 });
                 demoted += fw.remove_edge(e, &[]).unwrap().borders_demoted;
                 assert_visit_order_pinned(fw.network(), fw.hierarchy(), seed ^ step as u64);
+                assert_slots_address_runs(&fw);
             }
             // Deep hierarchies over small grids have no interior node left
             // to promote; everywhere else the history must move borders.

@@ -10,6 +10,13 @@
 //! scan — after a bypass continue at [`TreeEntry::skip`], otherwise at the
 //! next entry — with no stack and no level arithmetic per settled node.
 //!
+//! Every entry also carries the node's *slot* in its Rnet: its index in
+//! [`borders`](super::RnetHierarchy::borders). The shortcut store keeps
+//! one run per border, indexed by that slot, so a bypass reads its run
+//! without looking the node up. Slots are stamped whenever a border list
+//! is installed or changed; [`RnetHierarchy::validate`](super::RnetHierarchy::validate)
+//! checks every one.
+//!
 //! Sibling order is part of the search's tie-breaking contract (the first
 //! relaxation to reach a label keeps it), so it is pinned: top-level Rnets
 //! in reverse [`bordered_rnets`](super::RnetHierarchy::bordered_rnets)
@@ -22,8 +29,8 @@ use super::RnetId;
 use crate::RoadError;
 use road_network::NodeId;
 
-/// Bit 31 of `TreeEntry::skip_leaf`: the Rnet is at the finest level.
-const LEAF_BIT: u32 = 1 << 31;
+/// Bit 15 of `TreeEntry::skip_leaf`: the Rnet is at the finest level.
+const LEAF_BIT: u16 = 1 << 15;
 
 /// One Rnet of a border node's flattened shortcut tree; 8 bytes, what
 /// [`overlay_size_bytes`](crate::RoadFramework::overlay_size_bytes)
@@ -32,9 +39,11 @@ const LEAF_BIT: u32 = 1 << 31;
 pub struct TreeEntry {
     /// The Rnet this entry stands for.
     pub rnet: RnetId,
-    /// Low 31 bits: index within the node's tree one past this Rnet's
-    /// subtree. Bit 31: the leaf flag.
-    skip_leaf: u32,
+    /// Low 15 bits: index within the node's tree one past this Rnet's
+    /// subtree. Bit 15: the leaf flag.
+    skip_leaf: u16,
+    /// The node's index in the Rnet's border list.
+    slot: u16,
 }
 
 impl TreeEntry {
@@ -51,14 +60,30 @@ impl TreeEntry {
         self.skip_leaf & LEAF_BIT != 0
     }
 
-    /// Checked: a subtree end that does not fit 31 bits is an error, never
+    /// The node's index in [`borders`](super::RnetHierarchy::borders) of
+    /// this Rnet: where its shortcuts across the Rnet are stored.
+    #[inline]
+    pub fn slot(self) -> usize {
+        self.slot as usize
+    }
+
+    /// Checked: a subtree end that does not fit 15 bits is an error, never
     /// a truncated (and therefore backwards) jump.
     fn with_skip(self, skip: usize) -> Result<Self, RoadError> {
-        match u32::try_from(skip) {
+        match u16::try_from(skip) {
             Ok(s) if s < LEAF_BIT => {
                 Ok(TreeEntry { skip_leaf: (self.skip_leaf & LEAF_BIT) | s, ..self })
             }
-            _ => Err(too_large()),
+            _ => Err(too_large(format!("a shortcut tree of {skip} entries"))),
+        }
+    }
+
+    /// Checked: a border index that does not fit 16 bits is an error,
+    /// never a truncated slot (and therefore another node's shortcuts).
+    pub(super) fn with_slot(self, slot: usize) -> Result<Self, RoadError> {
+        match u16::try_from(slot) {
+            Ok(slot) => Ok(TreeEntry { slot, ..self }),
+            Err(_) => Err(too_large(format!("an Rnet of {} borders", slot + 1))),
         }
     }
 }
@@ -66,12 +91,14 @@ impl TreeEntry {
 impl std::fmt::Debug for TreeEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let leaf = if self.is_leaf() { " leaf" } else { "" };
-        write!(f, "{:?}{leaf} ->{}", self.rnet, self.skip())
+        write!(f, "{:?}{leaf} ->{} @{}", self.rnet, self.skip(), self.slot)
     }
 }
 
-fn too_large() -> RoadError {
-    RoadError::InvalidConfig("shortcut trees exceed 2^31 entries".into())
+/// A tree past `2^15 - 1` entries, an Rnet past `2^16` borders or a tree
+/// arena past `u32` offsets.
+fn too_large(what: String) -> RoadError {
+    RoadError::InvalidConfig(format!("{what} exceeds the shortcut tree's fields"))
 }
 
 /// Level and parent of every Rnet, indexed by id. Total: an id outside the
@@ -115,7 +142,8 @@ impl LevelTable {
     }
 
     /// Flattens the shortcut tree over `rnets` (a node's bordered Rnets,
-    /// level ascending) into `out`, in `ChoosePath` visit order.
+    /// level ascending) into `out`, in `ChoosePath` visit order; every
+    /// slot is 0 until the caller stamps it.
     pub(super) fn flatten(
         &self,
         rnets: &[RnetId],
@@ -139,7 +167,7 @@ impl LevelTable {
         let at = out.len();
         let lv = self.level_of(r);
         let leaf = if lv == self.levels { LEAF_BIT } else { 0 };
-        out.push(TreeEntry { rnet: r, skip_leaf: leaf });
+        out.push(TreeEntry { rnet: r, skip_leaf: leaf, slot: 0 });
         for &c in rnets.iter().rev() {
             if self.level_of(c) == lv + 1 && self.parent(c) == r {
                 self.emit(c, rnets, out)?;
@@ -190,7 +218,7 @@ impl ShortcutTrees {
             .ok()
             .and_then(|len| lo.checked_add(len))
             .filter(|new_hi| new_hi.checked_add(end - hi).is_some())
-            .ok_or_else(too_large)?;
+            .ok_or_else(|| too_large("the shortcut tree arena".into()))?;
         self.entries.splice(lo as usize..hi as usize, tree.iter().copied());
         if new_hi != hi {
             for o in self.offsets.iter_mut().skip(i + 1) {
@@ -198,5 +226,59 @@ impl ShortcutTrees {
             }
         }
         Ok(())
+    }
+
+    /// Sets the slot of `n`'s entry for `r`; `Err` when it does not fit,
+    /// a no-op when `n` does not border `r`.
+    pub(super) fn stamp(&mut self, n: NodeId, r: RnetId, slot: usize) -> Result<(), RoadError> {
+        let i = n.index();
+        let (Some(&lo), Some(&hi)) = (self.offsets.get(i), self.offsets.get(i + 1)) else {
+            return Ok(());
+        };
+        let Some(tree) = self.entries.get_mut(lo as usize..hi as usize) else { return Ok(()) };
+        if let Some(entry) = tree.iter_mut().find(|e| e.rnet == r) {
+            *entry = entry.with_slot(slot)?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A subtree end of 32,767 is the last a tree can hold; one past it —
+    /// a tree of 2^15 entries — is an error, not a jump wrapped back to
+    /// the start. (Flattening a tree that long takes a node bordering
+    /// 2^15 Rnets; the entry's own check is what such a build meets.)
+    #[test]
+    fn a_tree_past_fifteen_bits_of_skip_is_an_error() {
+        let entry = TreeEntry { rnet: RnetId(3), skip_leaf: LEAF_BIT, slot: 9 };
+        let last = entry.with_skip((1 << 15) - 1).unwrap();
+        assert_eq!((last.skip(), last.is_leaf(), last.slot()), (32_767, true, 9));
+        let err = entry.with_skip(1 << 15).unwrap_err().to_string();
+        assert!(err.contains("a shortcut tree of 32768 entries"), "{err}");
+        let table = LevelTable::new(&[0, 4, 20], 4);
+        let mut out = Vec::new();
+        table.flatten(&[RnetId(1), RnetId(2), RnetId(9)], &mut out).unwrap();
+        let shape: Vec<(u32, usize, bool)> =
+            out.iter().map(|e| (e.rnet.0, e.skip(), e.is_leaf())).collect();
+        assert_eq!(shape, [(2, 1, false), (1, 3, false), (9, 3, true)]);
+    }
+
+    /// Slot 65,535 is the last a border can take; the 65,537th border of
+    /// an Rnet is an error, in the entry and through the arena.
+    #[test]
+    fn a_slot_past_sixteen_bits_is_an_error() {
+        let entry = TreeEntry { rnet: RnetId(3), skip_leaf: LEAF_BIT | 1, slot: 0 };
+        let last = entry.with_slot(65_535).unwrap();
+        assert_eq!((last.slot(), last.skip(), last.is_leaf()), (65_535, 1, true));
+        let err = entry.with_slot(65_536).unwrap_err().to_string();
+        assert!(err.contains("an Rnet of 65537 borders"), "{err}");
+        let mut trees = ShortcutTrees::default();
+        trees.set(NodeId(2), &[entry]).unwrap();
+        trees.stamp(NodeId(2), RnetId(3), 65_535).unwrap();
+        assert!(trees.stamp(NodeId(2), RnetId(3), 65_536).is_err());
+        assert_eq!(trees.of(NodeId(2))[0].slot(), 65_535, "a refused stamp changes nothing");
     }
 }

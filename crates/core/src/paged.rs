@@ -452,11 +452,13 @@ pub struct PagedEngine {
     /// Per node: packed location of its adjacency record (immutable after
     /// build).
     node_loc: Vec<u64>,
-    /// Per Rnet: `(border node, shortcut-record location)`, ascending by
-    /// node. Set exactly once — at build time for eager engines, under the
-    /// page-in lock on first query touch for lazily opened ones. Readers
-    /// go through the lock-free `get`; a `Some` table is always complete.
-    rnet_shortcuts: Vec<OnceLock<Vec<(u32, u64)>>>,
+    /// Per Rnet: the shortcut-record location of each border, indexed by
+    /// its slot (its index in the Rnet's border list, read off its shortcut
+    /// tree); [`LOC_NONE`] for a border without shortcuts. Set exactly once
+    /// — at build time for eager engines, under the page-in lock on first
+    /// query touch for lazily opened ones. Readers go through the
+    /// lock-free `get`; a `Some` table is always complete.
+    rnet_shortcuts: Vec<OnceLock<Vec<u64>>>,
     /// One bit per node: set iff the node carries objects, i.e. has an
     /// association record and a key in `assoc_index`. RAM only (see the
     /// module docs); immutable after build.
@@ -573,27 +575,40 @@ impl PagedEngine {
     /// Lays the node region: every node's adjacency record, plus (eagerly)
     /// its outgoing shortcut records, CCAM-clustered so that BFS-adjacent
     /// nodes share pages. Returns the per-Rnet shortcut-record locations,
-    /// ascending by node (empty when `shortcuts` is `None` — the lazy path
-    /// fills them at first touch instead).
+    /// by slot (empty when `shortcuts` is `None` — the lazy path fills them
+    /// at first touch instead).
     fn lay_node_region(
         &mut self,
         g: &RoadNetwork,
         shortcuts: Option<&crate::shortcut::ShortcutStore>,
-    ) -> Result<Vec<Vec<(u32, u64)>>, RoadError> {
+    ) -> Result<Vec<Vec<u64>>, RoadError> {
         let hier = Arc::clone(&self.hier);
         let kind = self.kind;
         let mut tally = IoTally::default();
         let mut rec = Vec::new();
-        let mut per_rnet: Vec<Vec<(u32, u64)>> = vec![Vec::new(); hier.num_rnets()];
+        let mut per_rnet: Vec<Vec<u64>> = match shortcuts {
+            Some(_) => (0..hier.num_rnets() as u32)
+                .map(|r| vec![LOC_NONE; hier.borders(RnetId(r)).len()])
+                .collect(),
+            None => Vec::new(),
+        };
+        // `n`'s shortcuts across each Rnet it borders, in
+        // `bordered_rnets` order: the order its records are laid out in.
+        let h: &RnetHierarchy = &hier;
+        let runs = |n: NodeId| {
+            shortcuts.into_iter().flat_map(move |sc| {
+                h.bordered_rnets(n).iter().filter_map(move |&r| {
+                    let slot = h.slot_of(n, r)?;
+                    Some((r, slot, sc.heads_at(r, slot)))
+                })
+            })
+        };
         // Blob size = node record + (eager only) its shortcut records.
         let blob_size = |n: NodeId| -> usize {
             let mut bytes = 4 + ADJ_ENTRY * g.neighbors(n).count();
-            if let Some(sc) = shortcuts {
-                for &r in hier.bordered_rnets(n) {
-                    let list = sc.heads(r, n);
-                    if !list.is_empty() {
-                        bytes += 4 + SC_ENTRY * list.len();
-                    }
+            for (_, _, list) in runs(n) {
+                if !list.is_empty() {
+                    bytes += 4 + SC_ENTRY * list.len();
                 }
             }
             bytes
@@ -614,23 +629,20 @@ impl PagedEngine {
                 *slot = pack_loc(page, offset, rec.len())?;
             }
             offset += rec.len() as u32;
-            if let Some(sc) = shortcuts {
-                for &r in hier.bordered_rnets(n) {
-                    let list = sc.heads(r, n);
-                    if list.is_empty() {
-                        continue;
-                    }
-                    encode_shortcut_record(list, &mut rec);
-                    // A multi-page blob crosses page boundaries; recompute
-                    // the page/offset split for this record's start.
-                    let (p, o) = (page + offset / PAGE_SIZE as u32, offset % PAGE_SIZE as u32);
-                    self.write_bytes(p, o as usize, &rec, &mut tally)?;
-                    // Nodes arrive in ascending order, so each table does.
-                    if let Some(locs) = per_rnet.get_mut(r.0 as usize) {
-                        locs.push((n.0, pack_loc(p, o, rec.len())?));
-                    }
-                    offset += rec.len() as u32;
+            for (r, slot, list) in runs(n) {
+                if list.is_empty() {
+                    continue;
                 }
+                encode_shortcut_record(list, &mut rec);
+                // A multi-page blob crosses page boundaries; recompute the
+                // page/offset split for this record's start.
+                let (p, o) = (page + offset / PAGE_SIZE as u32, offset % PAGE_SIZE as u32);
+                self.write_bytes(p, o as usize, &rec, &mut tally)?;
+                if let Some(at) = per_rnet.get_mut(r.0 as usize).and_then(|locs| locs.get_mut(slot))
+                {
+                    *at = pack_loc(p, o, rec.len())?;
+                }
+                offset += rec.len() as u32;
             }
         }
         Ok(per_rnet)
@@ -820,11 +832,16 @@ impl PagedEngine {
             return Ok(());
         }
         let mut rec = Vec::new();
-        let mut locs = Vec::new();
-        for (from, list) in shortcuts.by_source() {
+        let borders = self.hier.borders(r);
+        let mut locs = vec![LOC_NONE; borders.len()];
+        // By ascending source node, as the records were always appended.
+        for (slot, _, list) in shortcuts.runs_by_source(borders) {
             encode_shortcut_record(list, &mut rec);
             // roadlint: allow(io-under-lock) reason="the page-in lock makes each Rnet one contiguous run and an allocation run consecutive; the section was decoded before it was taken, and only page-ins wait on it"
-            locs.push((from, self.append_record(&mut page_in.cursor, &rec, tally)?));
+            let loc = self.append_record(&mut page_in.cursor, &rec, tally)?;
+            if let Some(at) = locs.get_mut(slot) {
+                *at = loc;
+            }
         }
         // Publish only after every record is on its page: readers that
         // win the `get` race see a complete table or none at all.
@@ -1262,18 +1279,16 @@ impl SearchSource for PagedSource<'_> {
     fn shortcuts_at(
         &mut self,
         r: RnetId,
-        n: NodeId,
+        slot: usize,
         mut visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError> {
         let eng = self.pages.eng;
         eng.ensure_rnet_loaded(r, &mut self.pages.tally)?;
-        let Some(&(_, loc)) =
-            eng.rnet_shortcuts.get(r.0 as usize).and_then(|slot| slot.get()).and_then(|locs| {
-                locs.binary_search_by_key(&n.0, |&(from, _)| from).ok().and_then(|i| locs.get(i))
-            })
-        else {
+        let table = eng.rnet_shortcuts.get(r.0 as usize).and_then(OnceLock::get);
+        let loc = table.and_then(|locs| locs.get(slot)).copied().unwrap_or(LOC_NONE);
+        if loc == LOC_NONE {
             return Ok(());
-        };
+        }
         let buf = record(&mut self.pages, &mut self.scratch, loc)?;
         let count = record_count(buf, SC_ENTRY)?;
         for i in 0..count {
@@ -1425,18 +1440,36 @@ mod tests {
     /// from "Rnet has no shortcuts" and produce wrong answers.
     #[test]
     fn corrupted_after_open_surfaces_as_query_error() {
+        // An id far outside the network, which open-time validation would
+        // have rejected had it been there.
+        assert_first_targets_corrupted_after_open_fail(|_, _| u32::MAX);
+    }
+
+    /// The same for a target inside the network that is not a border of
+    /// its Rnet: only the decode's border check can tell it is corrupt.
+    #[test]
+    fn a_target_off_its_rnets_borders_after_open_is_a_query_error() {
+        assert_first_targets_corrupted_after_open_fail(|hier, r| {
+            let off = (0..64u32).find(|&n| hier.slot_of(NodeId(n), r).is_none());
+            off.expect("a node that does not border the Rnet")
+        });
+    }
+
+    /// Overwrites the first shortcut target of every section that carries
+    /// one with `bad(hier, r)` after a lazy open; the queries that page
+    /// such an Rnet in fail, the others answer as the in-memory engine.
+    fn assert_first_targets_corrupted_after_open_fail(bad: impl Fn(&RnetHierarchy, RnetId) -> u32) {
         let (fw, ad) = setup(1); // one object: most Rnets bypass via shortcuts
         let objects: Vec<Object> = ad.objects().cloned().collect();
         let mut image = PagedImage::open(fw.to_bytes()).unwrap();
-        // Corrupt every section that actually carries a shortcut record:
-        // overwrite the first record's node-id field with an id far
-        // outside the network, which open-time validation would have
-        // rejected had it been there.
+        // A section with a record: source count, source, shortcut count,
+        // then the first target.
         let mut corrupted = 0;
         for r in 0..image.num_rnets() {
             let (start, end) = image.rnet_range(r);
             if end - start > 12 {
-                image.bytes_mut()[start + 12..start + 16].copy_from_slice(&u32::MAX.to_le_bytes());
+                let to = bad(fw.hierarchy(), RnetId(r as u32));
+                image.bytes_mut()[start + 12..start + 16].copy_from_slice(&to.to_le_bytes());
                 corrupted += 1;
             }
         }
@@ -1527,11 +1560,7 @@ mod tests {
         let (fw, ad) = setup(0);
         let engine = QueryEngine::new(fw.clone(), ad.clone());
         let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
-        let top = fw.hierarchy().rnets_at_level(1).next().unwrap();
-        let &(from, loc) = disk.rnet_shortcuts[top.0 as usize]
-            .get()
-            .and_then(|locs| locs.first())
-            .expect("a level-1 Rnet of the grid has shortcuts");
+        let (from, loc) = first_shortcut_record(&fw, &disk);
         let knn = KnnQuery::new(NodeId(from), 1);
         let range = RangeQuery::new(NodeId(from), Weight::new(6.0));
         // First shortcut entry: count header, then `to`.
@@ -1543,6 +1572,16 @@ mod tests {
             disk.network_distance(NodeId(from), NodeId(63)).unwrap(),
             fw.network_distance(NodeId(from), NodeId(63)).unwrap()
         );
+    }
+
+    /// The first border of the first level-1 Rnet with a shortcut record,
+    /// and where that record lies.
+    fn first_shortcut_record(fw: &RoadFramework, disk: &PagedEngine) -> (u32, u64) {
+        let top = fw.hierarchy().rnets_at_level(1).next().unwrap();
+        let locs = disk.rnet_shortcuts[top.0 as usize].get().unwrap();
+        let slot = locs.iter().position(|&loc| loc != LOC_NONE);
+        let slot = slot.expect("a level-1 Rnet of the grid has shortcuts");
+        (fw.hierarchy().borders(top)[slot].0, locs[slot])
     }
 
     /// High words that make the `f64` they top NaN and negative.
@@ -1604,11 +1643,7 @@ mod tests {
         let (fw, ad) = setup(0);
         let engine = QueryEngine::new(fw.clone(), ad.clone());
         let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
-        let top = fw.hierarchy().rnets_at_level(1).next().unwrap();
-        let &(from, loc) = disk.rnet_shortcuts[top.0 as usize]
-            .get()
-            .and_then(|locs| locs.first())
-            .expect("a level-1 Rnet of the grid has shortcuts");
+        let (from, loc) = first_shortcut_record(&fw, &disk);
         let knn = KnnQuery::new(NodeId(from), 1);
         let range = RangeQuery::new(NodeId(from), Weight::new(6.0));
         // First shortcut entry: count header, target, then the distance.
@@ -1759,7 +1794,7 @@ mod tests {
         Objects(NodeId),
         Verdict(RnetId),
         Edges(NodeId),
-        Shortcuts(RnetId, NodeId),
+        Shortcuts(RnetId, usize),
         Contains(RnetId, NodeId),
     }
 
@@ -1844,11 +1879,11 @@ mod tests {
         fn shortcuts_at(
             &mut self,
             r: RnetId,
-            n: NodeId,
+            slot: usize,
             visit: impl FnMut(u32, Weight),
         ) -> Result<(), RoadError> {
-            self.note(Ask::Shortcuts(r, n));
-            self.inner.shortcuts_at(r, n, visit)
+            self.note(Ask::Shortcuts(r, slot));
+            self.inner.shortcuts_at(r, slot, visit)
         }
         fn rnet_contains_node(&mut self, r: RnetId, t: NodeId) -> Result<bool, RoadError> {
             self.note(Ask::Contains(r, t));
@@ -1914,10 +1949,10 @@ mod tests {
                 Ask::Edges(n) | Ask::Contains(_, n) => {
                     trail.pages.extend(pages_of(disk.node_loc[n.index()]));
                 }
-                Ask::Shortcuts(r, n) => {
-                    let locs = disk.rnet_shortcuts[r.0 as usize].get().unwrap();
-                    if let Ok(i) = locs.binary_search_by_key(&n.0, |&(from, _)| from) {
-                        trail.pages.extend(pages_of(locs[i].1));
+                Ask::Shortcuts(r, slot) => {
+                    let loc = disk.rnet_shortcuts[r.0 as usize].get().unwrap()[slot];
+                    if loc != LOC_NONE {
+                        trail.pages.extend(pages_of(loc));
                     }
                 }
             }
@@ -2079,7 +2114,9 @@ mod tests {
         }
         let landed_on_it = on_it.iter().any(|r| {
             let locs = lazy.rnet_shortcuts[r.0 as usize].get();
-            locs.is_some_and(|locs| locs.iter().any(|&(_, loc)| unpack_loc(loc).0 == open_page))
+            locs.is_some_and(|locs| {
+                locs.iter().any(|&loc| loc != LOC_NONE && unpack_loc(loc).0 == open_page)
+            })
         });
         assert!(landed_on_it, "no page-in continued on the page its abstract was read from");
         assert!(lazy.pool.cached_pages() < lazy.buffer_capacity(), "nothing was evicted");
@@ -2092,10 +2129,10 @@ mod tests {
         let (fw, ad) = setup(12);
         let lazy = lazy_twin(&fw, &ad, 256);
         let (open_page, on_it) = open_page_and_its_rnets(&lazy);
-        let (r, n) = on_it
+        let (r, slot) = on_it
             .iter()
-            .flat_map(|&r| fw.hierarchy().borders(r).iter().map(move |&n| (r, n)))
-            .find(|&(r, n)| !fw.shortcuts().heads(r, n).is_empty())
+            .flat_map(|&r| (0..fw.hierarchy().borders(r).len()).map(move |slot| (r, slot)))
+            .find(|&(r, slot)| !fw.shortcuts().heads_at(r, slot).is_empty())
             .expect("an Rnet with objects and shortcuts");
         let mut reader = PagedSource::new(&lazy, true);
         let nothing = ObjectFilter::Category(CategoryId(99));
@@ -2104,16 +2141,17 @@ mod tests {
         std::thread::scope(|scope| {
             let paged_in = scope.spawn(|| {
                 let mut other = PagedSource::new(&lazy, true);
-                other.shortcuts_at(r, n, |_, _| ()).unwrap();
+                other.shortcuts_at(r, slot, |_, _| ()).unwrap();
             });
             paged_in.join().unwrap();
         });
-        let loc = lazy.rnet_shortcuts[r.0 as usize].get().unwrap()[0].1;
-        assert_eq!(unpack_loc(loc).0, open_page, "the page-in must continue on the pinned page");
+        let locs = lazy.rnet_shortcuts[r.0 as usize].get().unwrap();
+        let first = locs.iter().copied().filter(|&loc| loc != LOC_NONE).min().unwrap();
+        assert_eq!(unpack_loc(first).0, open_page, "the page-in must continue on the pinned page");
         let mut got = Vec::new();
-        reader.shortcuts_at(r, n, |to, dist| got.push((to, dist))).unwrap();
+        reader.shortcuts_at(r, slot, |to, dist| got.push((to, dist))).unwrap();
         let want: Vec<(u32, Weight)> =
-            fw.shortcuts().heads(r, n).iter().map(|sc| (sc.to.0, sc.dist)).collect();
+            fw.shortcuts().heads_at(r, slot).iter().map(|sc| (sc.to.0, sc.dist)).collect();
         assert_eq!(got, want);
     }
 
@@ -2162,7 +2200,9 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter_map(|(r, slot)| Some((r, slot.get()?)))
-                .flat_map(|(r, locs)| locs.iter().map(move |&(_, loc)| (loc, r)))
+                .flat_map(|(r, locs)| {
+                    locs.iter().filter(|&&loc| loc != LOC_NONE).map(move |&loc| (loc, r))
+                })
                 .map(|(loc, r)| {
                     let (page, offset, _) = unpack_loc(loc);
                     (page as usize * PAGE_SIZE + offset as usize, r)
@@ -2204,11 +2244,11 @@ mod tests {
                     });
                 }
             });
-            let published: Vec<&Vec<(u32, u64)>> =
+            let published: Vec<&Vec<u64>> =
                 lazy.rnet_shortcuts.iter().filter_map(OnceLock::get).collect();
             assert!(!published.is_empty(), "node {n}: nothing paged in");
             assert_eq!(lazy.rnets_loaded(), published.len(), "node {n}");
-            for &(_, loc) in published.iter().copied().flatten() {
+            for &loc in published.iter().copied().flatten().filter(|&&loc| loc != LOC_NONE) {
                 assert!(
                     unpack_loc(loc).0 >= lazy.sealed_pages,
                     "node {n}: record on a sealed page"

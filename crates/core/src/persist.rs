@@ -24,7 +24,7 @@
 //! ```
 
 use crate::framework::{RoadConfig, RoadFramework};
-use crate::hierarchy::RnetHierarchy;
+use crate::hierarchy::{RnetHierarchy, RnetId};
 use crate::shortcut::ShortcutStore;
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
@@ -89,7 +89,7 @@ pub fn to_bytes(fw: &RoadFramework) -> Vec<u8> {
         let idx = hier.leaf_index_of_edge(EdgeId(i as u32)).unwrap_or(NO_LEAF);
         out.extend_from_slice(&idx.to_le_bytes());
     }
-    fw.shortcuts().serialize_into(&mut out);
+    fw.shortcuts().serialize_into(hier, &mut out);
     out
 }
 
@@ -194,9 +194,8 @@ pub fn from_bytes(bytes: &[u8]) -> Result<RoadFramework, RoadError> {
 
     // --- shortcuts -----------------------------------------------------
     let mut pos = r.pos;
-    let shortcuts =
-        ShortcutStore::deserialize(bytes, &mut pos, g.num_nodes() as u32, hier.num_rnets())
-            .map_err(corrupt)?;
+    let shortcuts = ShortcutStore::deserialize(bytes, &mut pos, g.num_nodes() as u32, &hier)
+        .map_err(corrupt)?;
     if pos != bytes.len() {
         return Err(corrupt(format!("{} trailing bytes", bytes.len() - pos)));
     }
@@ -212,9 +211,9 @@ pub fn from_bytes(bytes: &[u8]) -> Result<RoadFramework, RoadError> {
 /// touch instead of deserializing the whole store up front.
 ///
 /// Because `open` fully validates every section (counts against remaining
-/// bytes, node ids against the network), later per-Rnet decodes cannot
-/// fail: corruption is rejected at open time, exactly like the monolithic
-/// [`from_bytes`] path.
+/// bytes, node ids against the network, shortcut ends against their
+/// Rnet's borders), later per-Rnet decodes cannot fail: corruption is
+/// rejected at open time, exactly like the monolithic [`from_bytes`] path.
 pub struct PagedImage {
     bytes: Vec<u8>,
     cfg: RoadConfig,
@@ -235,9 +234,10 @@ impl PagedImage {
         let num_rnets = ShortcutStore::read_store_header(&bytes, &mut pos, hier.num_rnets())
             .map_err(corrupt)?;
         let mut rnet_ranges = Vec::with_capacity(num_rnets);
-        for _ in 0..num_rnets {
+        for r in 0..num_rnets as u32 {
             let start = pos;
-            ShortcutStore::walk_rnet_section(&bytes, &mut pos, num_nodes, None).map_err(corrupt)?;
+            ShortcutStore::walk_rnet_section(&bytes, &mut pos, num_nodes, &hier, RnetId(r), None)
+                .map_err(corrupt)?;
             rnet_ranges.push((start, pos));
         }
         if pos != bytes.len() {
@@ -315,6 +315,8 @@ impl PagedImage {
             &self.bytes,
             &mut pos,
             self.g.num_nodes() as u32,
+            &self.hier,
+            RnetId(r as u32),
             Some(&mut out),
         )
         .map_err(|e| {

@@ -284,7 +284,8 @@ impl SearchResult {
                     fw.network().weight(e, fw.metric()),
                 ),
                 Hop::Shortcut(r) => {
-                    let sc = fw.shortcuts().between(r, NodeId(prev), NodeId(cur))?;
+                    let sc =
+                        fw.shortcuts().between(fw.hierarchy(), r, NodeId(prev), NodeId(cur))?;
                     fw.shortcuts().expand(
                         fw.network(),
                         fw.hierarchy(),
@@ -388,8 +389,10 @@ pub(crate) trait SearchSource {
         leaf: Option<RnetId>,
         visit: impl FnMut(EdgeId, u32, Weight),
     ) -> Result<(), RoadError>;
-    /// Visits the outgoing shortcuts of `n` within Rnet `r` as
-    /// `(target border node, shortcut distance)`. Fallible: a paged source
+    /// Visits the outgoing shortcuts of the border in `slot` of Rnet `r`
+    /// (its index in [`RnetHierarchy::borders`](crate::hierarchy::RnetHierarchy::borders),
+    /// read off its shortcut tree) as `(target border node, shortcut
+    /// distance)`. Fallible: a paged source
     /// may have to decode the Rnet's shortcut section from a retained
     /// image on first touch, and a section found corrupt *at query time*
     /// must surface as an error — silently visiting nothing would be
@@ -398,7 +401,7 @@ pub(crate) trait SearchSource {
     fn shortcuts_at(
         &mut self,
         r: RnetId,
-        n: NodeId,
+        slot: usize,
         visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError>;
     /// Does Rnet `r` contain node `t` (as member or border)? Drives
@@ -502,10 +505,10 @@ impl SearchSource for MemorySource<'_> {
     fn shortcuts_at(
         &mut self,
         r: RnetId,
-        n: NodeId,
+        slot: usize,
         mut visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError> {
-        for sc in self.fw.shortcuts().heads(r, n) {
+        for sc in self.fw.shortcuts().heads_at(r, slot) {
             visit(sc.to.0, sc.dist);
         }
         Ok(())
@@ -706,7 +709,7 @@ pub(crate) fn execute_source_into(
                     if !enter {
                         // Bypass: jump to the Rnet's other borders.
                         stats.rnets_bypassed += 1;
-                        src.shortcuts_at(r, NodeId(n), |to, dist| {
+                        src.shortcuts_at(r, entry.slot(), |to, dist| {
                             stats.shortcuts_taken += 1;
                             if ws.relax(n, to, d + dist, Hop::Shortcut(r)) {
                                 stats.heap_pushes += 1;
@@ -940,10 +943,10 @@ mod tests {
         fn shortcuts_at(
             &mut self,
             r: RnetId,
-            n: NodeId,
+            slot: usize,
             visit: impl FnMut(u32, Weight),
         ) -> Result<(), RoadError> {
-            self.inner.shortcuts_at(r, n, visit)
+            self.inner.shortcuts_at(r, slot, visit)
         }
         fn rnet_contains_node(&mut self, r: RnetId, t: NodeId) -> Result<bool, RoadError> {
             self.containments_asked.push(r);

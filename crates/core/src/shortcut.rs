@@ -86,13 +86,18 @@
 //! [`ShortcutStore::expand`] turns a shortcut back into a full physical
 //! [`Path`].
 //!
-//! An Rnet's shortcuts live in one flat arena (`RnetShortcuts`): source
-//! border nodes sorted ascending, an offset table, contiguous 16-byte
-//! heads `(dist, to, via_end)` in per-source order, and one waypoint
-//! vector the heads index into. That is the shape the search loop reads —
-//! a bypass is a binary search and a linear scan over heads, no hash, no
-//! per-shortcut allocation — and the shape the file format writes, so
-//! serializing needs no sort.
+//! An Rnet's shortcuts live in one flat arena (`RnetShortcuts`): one run
+//! of contiguous 16-byte heads `(dist, to, via_end)` per border node, in
+//! the order of [`RnetHierarchy::borders`] (a border's *slot*), an offset
+//! table over the runs, and one waypoint vector the heads index into. The
+//! slot of a border in each Rnet it borders sits in its shortcut tree
+//! ([`crate::hierarchy::TreeEntry::slot`]), so a bypass indexes its run
+//! and scans the heads: no search, no hash, no per-shortcut allocation.
+//! The file format lists each Rnet's non-empty runs by ascending source
+//! node instead; the writer orders the slots by their nodes, and the
+//! decoder maps every stored source back to its slot through the
+//! hierarchy, rejecting a source or a target that is not a border of the
+//! Rnet.
 //!
 //! Each Rnet's arena sits behind its own [`Arc`], and the table of those
 //! `Arc`s is a [`CowChunks`] of 64 pointers a chunk: cloning the store
@@ -103,7 +108,7 @@
 //! [`crate::live`] cheap: an update clones only the affected Rnets'
 //! shortcut data and a pointer chunk each.
 
-use crate::hierarchy::{RnetHierarchy, RnetId};
+use crate::hierarchy::{BordersBefore, RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
 use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
@@ -178,14 +183,14 @@ pub(crate) struct ShortcutHead {
     via_end: u32,
 }
 
-/// All shortcuts of one Rnet, flat (see the module docs): `sources[i]`'s
-/// shortcuts are `heads[head_offsets[i]..head_offsets[i + 1]]`, stored in
-/// the order the builder kept them, and head `k`'s waypoints are
+/// All shortcuts of one Rnet, flat (see the module docs): the shortcuts of
+/// the border in slot `s` of the Rnet's border list are
+/// `heads[head_offsets[s]..head_offsets[s + 1]]`, stored in the order the
+/// builder kept them, and head `k`'s waypoints are
 /// `vias[heads[k - 1].via_end..heads[k].via_end]`. `head_offsets` is empty
-/// when `sources` is, so an Rnet without shortcuts allocates nothing.
+/// when `heads` is, so an Rnet without shortcuts allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RnetShortcuts {
-    sources: Vec<u32>,
     head_offsets: Vec<u32>,
     heads: Vec<ShortcutHead>,
     vias: Vec<NodeId>,
@@ -208,37 +213,46 @@ impl RnetShortcuts {
         16 * self.heads.len() + 4 * self.vias.len()
     }
 
-    /// Index range in `heads` of the `i`-th source's shortcuts.
-    fn run(&self, i: usize) -> std::ops::Range<usize> {
-        match (self.head_offsets.get(i), self.head_offsets.get(i + 1)) {
+    /// Index range in `heads` of the run in `slot`; empty past the last.
+    #[inline]
+    fn run(&self, slot: usize) -> std::ops::Range<usize> {
+        match (self.head_offsets.get(slot), self.head_offsets.get(slot.wrapping_add(1))) {
             (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
             _ => 0..0,
         }
     }
 
-    /// Index range in `heads` of the shortcuts leaving border node `n`;
-    /// empty when it has none in this Rnet.
-    #[inline]
-    fn run_of(&self, n: u32) -> std::ops::Range<usize> {
-        match self.sources.binary_search(&n) {
-            Ok(i) => self.run(i),
-            Err(_) => 0..0,
-        }
+    /// Runs closed so far: one per slot, or none at all.
+    fn num_runs(&self) -> usize {
+        self.head_offsets.len().saturating_sub(1)
     }
 
-    /// The heads of the shortcuts leaving border node `n`.
+    /// The heads of the shortcuts leaving the border in `slot`.
     #[inline]
-    pub(crate) fn heads_of(&self, n: u32) -> &[ShortcutHead] {
-        self.heads.get(self.run_of(n)).unwrap_or(&[])
+    pub(crate) fn heads_at(&self, slot: usize) -> &[ShortcutHead] {
+        self.heads.get(self.run(slot)).unwrap_or(&[])
     }
 
-    /// Every source in ascending order with its heads — the order the file
-    /// format and the paged engine's lazy page-in write them.
-    pub(crate) fn by_source(&self) -> impl Iterator<Item = (u32, &[ShortcutHead])> {
-        self.sources
-            .iter()
-            .enumerate()
-            .map(|(i, &from)| (from, self.heads.get(self.run(i)).unwrap_or(&[])))
+    /// The non-empty runs as `(slot, source, heads)`, by ascending source
+    /// node — the order the file format and the paged engine's lazy
+    /// page-in write them. `borders` is the border list the arena is
+    /// indexed by: in node order, so the slots are too, unless a topology
+    /// edit appended to it, and only then are they sorted.
+    pub(crate) fn runs_by_source<'a>(
+        &'a self,
+        borders: &'a [NodeId],
+    ) -> impl Iterator<Item = (usize, NodeId, &'a [ShortcutHead])> + 'a {
+        let by_node = (!borders.is_sorted()).then(|| {
+            let mut slots: Vec<usize> = (0..borders.len()).collect();
+            slots.sort_unstable_by_key(|&slot| borders.get(slot).copied());
+            slots
+        });
+        (0..borders.len())
+            .map(move |i| by_node.as_ref().and_then(|slots| slots.get(i).copied()).unwrap_or(i))
+            .filter_map(move |slot| {
+                let heads = self.heads_at(slot);
+                Some((slot, *borders.get(slot)?, heads)).filter(|_| !heads.is_empty())
+            })
     }
 
     /// The `k`-th head with its waypoints.
@@ -252,39 +266,46 @@ impl RnetShortcuts {
         Some(ShortcutEdge { to: head.to, dist: head.dist, via })
     }
 
-    /// The shortcuts leaving `n`, waypoints included.
-    fn edges_of(&self, n: u32) -> impl Iterator<Item = ShortcutEdge<'_>> {
-        self.run_of(n).filter_map(|k| self.edge(k))
+    /// The shortcuts leaving the border in `slot`, waypoints included.
+    fn edges_at(&self, slot: usize) -> impl Iterator<Item = ShortcutEdge<'_>> {
+        self.run(slot).filter_map(|k| self.edge(k))
     }
 
-    /// The shortcut `from -> to`, found over the heads alone.
-    fn between(&self, from: u32, to: NodeId) -> Option<ShortcutEdge<'_>> {
-        let run = self.run_of(from);
+    /// The shortcut from the border in `slot` to `to`, found over the
+    /// heads alone.
+    fn between(&self, slot: usize, to: NodeId) -> Option<ShortcutEdge<'_>> {
+        let run = self.run(slot);
         let at = self.heads.get(run.clone())?.iter().position(|sc| sc.to == to)?;
         self.edge(run.start + at)
     }
 
-    /// Appends a shortcut of the source being written; its waypoints are
+    /// Appends a shortcut of the run being written; its waypoints are
     /// whatever the caller pushed onto `vias` since the previous head.
     fn push_head(&mut self, to: NodeId, dist: Weight) {
         self.heads.push(ShortcutHead { dist, to, via_end: arena_offset(self.vias.len()) });
     }
 
-    /// Closes the run of heads pushed since the previous source. Sources
-    /// must arrive in strictly ascending order.
-    fn end_source(&mut self, from: u32) {
-        debug_assert!(self.sources.last().is_none_or(|&last| last < from));
+    /// Closes the run of the next slot: the heads pushed since the
+    /// previous run closed, possibly none.
+    fn end_run(&mut self) {
         if self.head_offsets.is_empty() {
             self.head_offsets.push(0);
         }
-        self.sources.push(from);
         self.head_offsets.push(arena_offset(self.heads.len()));
     }
 
-    /// Gives back the growth slack of a finished arena: it lives as long
-    /// as the store (and every snapshot sharing it) does.
-    fn shrink_to_fit(&mut self) {
-        self.sources.shrink_to_fit();
+    /// Closes empty runs up to `slots`, then finishes the arena: without
+    /// a shortcut it keeps no offsets, and it gives back its growth slack
+    /// — it lives as long as the store (and every snapshot sharing it)
+    /// does.
+    fn finish(&mut self, slots: usize) {
+        if self.heads.is_empty() {
+            self.head_offsets = Vec::new();
+        } else {
+            while self.num_runs() < slots {
+                self.end_run();
+            }
+        }
         self.head_offsets.shrink_to_fit();
         self.heads.shrink_to_fit();
         self.vias.shrink_to_fit();
@@ -357,7 +378,8 @@ impl ShortcutStore {
         let mut store = ShortcutStore::empty(hier.num_rnets());
         let finest_first: Vec<RnetId> =
             (1..=hier.levels()).rev().flat_map(|level| hier.rnets_at_level(level)).collect();
-        store.refresh_rnets(g, hier, kind, &finest_first, opts, &mut WorkerScratches::default());
+        let (before, mut workers) = (BordersBefore::default(), WorkerScratches::default());
+        store.refresh_rnets(g, hier, kind, &finest_first, &before, opts, &mut workers);
         store
     }
 
@@ -417,22 +439,37 @@ impl ShortcutStore {
         maps
     }
 
-    /// Outgoing shortcuts of node `n` within Rnet `r`, in stored order.
-    pub fn from(&self, r: RnetId, n: NodeId) -> impl Iterator<Item = ShortcutEdge<'_>> {
-        self.rnet(r).edges_of(n.0)
+    /// Outgoing shortcuts of node `n` within Rnet `r`, in stored order;
+    /// none unless `n` borders `r` in `hier`, the hierarchy the store was
+    /// built over.
+    pub fn from<'a>(
+        &'a self,
+        hier: &RnetHierarchy,
+        r: RnetId,
+        n: NodeId,
+    ) -> impl Iterator<Item = ShortcutEdge<'a>> {
+        let rnet = self.rnet(r);
+        hier.slot_of(n, r).into_iter().flat_map(move |slot| rnet.edges_at(slot))
     }
 
-    /// `(target, distance)` of the shortcuts [`ShortcutStore::from`] yields,
-    /// without their waypoints: what a bypass relaxes and what the paged
-    /// engine lays onto its hot records.
+    /// `(target, distance)` of the shortcuts leaving the border in `slot`
+    /// of Rnet `r` (see [`crate::hierarchy::TreeEntry::slot`]), without
+    /// their waypoints: what a bypass relaxes and what the paged engine
+    /// lays onto its hot records.
     #[inline]
-    pub(crate) fn heads(&self, r: RnetId, n: NodeId) -> &[ShortcutHead] {
-        self.per_rnet.get(r.0 as usize).map_or(&[], |rnet| rnet.heads_of(n.0))
+    pub(crate) fn heads_at(&self, r: RnetId, slot: usize) -> &[ShortcutHead] {
+        self.per_rnet.get(r.0 as usize).map_or(&[], |rnet| rnet.heads_at(slot))
     }
 
     /// The stored shortcut `from -> to` within `r`, if kept.
-    pub fn between(&self, r: RnetId, from: NodeId, to: NodeId) -> Option<ShortcutEdge<'_>> {
-        self.rnet(r).between(from.0, to)
+    pub fn between(
+        &self,
+        hier: &RnetHierarchy,
+        r: RnetId,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<ShortcutEdge<'_>> {
+        self.rnet(r).between(hier.slot_of(from, r)?, to)
     }
 
     /// The arena of Rnet `r`.
@@ -503,14 +540,17 @@ impl ShortcutStore {
     /// byte-equal whatever the thread count. Returns the per-Rnet "shortcut
     /// set changed" flags, aligned with `rnets`: the signal that drives
     /// upward propagation in the filter-and-refresh maintenance of
-    /// Section 5.2.
+    /// Section 5.2. An Rnet's old arena is read under its border list in
+    /// `before` when a topology edit changed it, under `hier`'s otherwise.
     // roadlint: order-sink
+    #[allow(clippy::too_many_arguments, reason = "the store's one repair entry point")]
     pub(crate) fn refresh_rnets(
         &mut self,
         g: &RoadNetwork,
         hier: &RnetHierarchy,
         kind: WeightKind,
         rnets: &[RnetId],
+        before: &BordersBefore,
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
     ) -> Vec<bool> {
@@ -523,25 +563,31 @@ impl ShortcutStore {
             let scratches = workers.for_level(opts, run.len());
             let maps = self.compute_level_maps(g, hier, kind, run, scratches);
             for (&r, map) in run.iter().zip(maps) {
-                changed.push(!Self::maps_equivalent(self.rnet(r), &map));
+                let borders = hier.borders(r);
+                let old = before.get(&r.0).map_or(borders, Vec::as_slice);
+                changed.push(!Self::maps_equivalent(self.rnet(r), old, &map, borders));
                 self.replace_rnet(r, map);
             }
         }
         changed
     }
 
-    /// Same `(from, to)` pairs at approximately equal distances? List order
-    /// within a source follows `hier.borders(r)`, which a border change
-    /// between the two builds may have permuted, so a target is looked for
-    /// in place first and anywhere in the list second. Targets are unique
-    /// within a source (one matrix cell each), which makes the equal-length
-    /// one-way match a bijection.
-    fn maps_equivalent(a: &RnetShortcuts, b: &RnetShortcuts) -> bool {
-        let non_empty =
-            |rnet| RnetShortcuts::by_source(rnet).filter(|(_, heads)| !heads.is_empty());
-        let (mut runs_a, mut runs_b) = (non_empty(a), non_empty(b));
+    /// Same `(from, to)` pairs at approximately equal distances? Each
+    /// arena is read under the border list it is indexed by, which a
+    /// border change between the two builds may have permuted; so runs are
+    /// matched by source node, and a target is looked for in place first
+    /// and anywhere in the list second. Targets are unique within a source
+    /// (one matrix cell each), which makes the equal-length one-way match a
+    /// bijection.
+    fn maps_equivalent(
+        a: &RnetShortcuts,
+        a_borders: &[NodeId],
+        b: &RnetShortcuts,
+        b_borders: &[NodeId],
+    ) -> bool {
+        let (mut runs_a, mut runs_b) = (a.runs_by_source(a_borders), b.runs_by_source(b_borders));
         loop {
-            let ((from_a, ha), (from_b, hb)) = match (runs_a.next(), runs_b.next()) {
+            let ((_, from_a, ha), (_, from_b, hb)) = match (runs_a.next(), runs_b.next()) {
                 (None, None) => return true,
                 (Some(ra), Some(rb)) => (ra, rb),
                 _ => return false,
@@ -651,8 +697,8 @@ impl ShortcutStore {
             }
         } else {
             for child in hier.children(r) {
-                for &from in hier.borders(child) {
-                    let heads = self.heads(child, from);
+                for (slot, &from) in hier.borders(child).iter().enumerate() {
+                    let heads = self.heads_at(child, slot);
                     if heads.is_empty() {
                         continue;
                     }
@@ -699,11 +745,9 @@ impl ShortcutStore {
             }
         };
         scratch.minplus_entries += entries;
-        // Sources in ascending node order, the arena's and the file's; a
-        // source's list depends on nothing but its own matrix rows.
-        scratch.sort_sources(borders);
-        for si in 0..nb {
-            let bi = scratch.source_order[si] as usize;
+        // One run per border, in slot order — the borders' local ids; a
+        // source's run depends on nothing but its own matrix rows.
+        for bi in 0..nb {
             scratch.kept.clear();
             // roadlint: hot-path
             let row = &scratch.dmat[bi * nb..(bi + 1) * nb];
@@ -717,9 +761,9 @@ impl ShortcutStore {
             }
             // roadlint: end hot-path
             if scratch.kept.is_empty() {
+                out.end_run();
                 continue;
             }
-            let first = out.heads.len();
             // A kept pair may still have no border-free path: every path
             // runs through another border, and the matrix rule kept it all
             // the same — the border sits at distance zero from one end (a
@@ -754,11 +798,9 @@ impl ShortcutStore {
                     }
                 }
             }
-            if out.heads.len() > first {
-                out.end_source(borders[bi].0);
-            }
+            out.end_run();
         }
-        out.shrink_to_fit();
+        out.finish(nb);
     }
 
     /// Legacy all-pairs construction, kept as the differential-testing
@@ -836,7 +878,7 @@ impl ShortcutStore {
                 // Pick the child providing the cheapest (u, v) shortcut.
                 let mut best: Option<(RnetId, ShortcutEdge<'_>)> = None;
                 for c in hier.children(r) {
-                    if let Some(s) = self.between(c, hop[0], hop[1]) {
+                    if let Some(s) = self.between(hier, c, hop[0], hop[1]) {
                         if best.map(|(_, bs)| s.dist < bs.dist).unwrap_or(true) {
                             best = Some((c, s));
                         }
@@ -850,17 +892,23 @@ impl ShortcutStore {
         Some(path)
     }
 
-    /// Appends a flat binary encoding of the store to `out` (see
-    /// [`crate::persist`] for the enclosing format). Public so tests can
-    /// locate the store section inside a full image byte-for-byte.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+    /// Appends a flat binary encoding of the store, built over `hier`, to
+    /// `out` (see [`crate::persist`] for the enclosing format). Public so
+    /// tests can locate the store section inside a full image
+    /// byte-for-byte.
+    pub fn serialize_into(&self, hier: &RnetHierarchy, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.per_rnet.len() as u32).to_le_bytes());
-        for rnet in self.per_rnet.iter() {
-            out.extend_from_slice(&(rnet.sources.len() as u32).to_le_bytes());
-            // Sources are stored ascending: reproducible files, no sort.
-            for (i, from) in rnet.sources.iter().enumerate() {
-                let run = rnet.run(i);
-                out.extend_from_slice(&from.to_le_bytes());
+        for (r, rnet) in self.per_rnet.iter().enumerate() {
+            // Each Rnet's non-empty runs by ascending source node: the
+            // file does not depend on the order of the border list. Their
+            // count goes in front once they are written.
+            let count_at = out.len();
+            out.extend_from_slice(&0u32.to_le_bytes());
+            let mut count = 0u32;
+            for (slot, from, _) in rnet.runs_by_source(hier.borders(RnetId(r as u32))) {
+                count += 1;
+                let run = rnet.run(slot);
+                out.extend_from_slice(&from.0.to_le_bytes());
                 out.extend_from_slice(&(run.len() as u32).to_le_bytes());
                 for sc in run.filter_map(|k| rnet.edge(k)) {
                     out.extend_from_slice(&sc.to.0.to_le_bytes());
@@ -871,29 +919,34 @@ impl ShortcutStore {
                     }
                 }
             }
+            if let Some(at) = out.get_mut(count_at..count_at + 4) {
+                at.copy_from_slice(&count.to_le_bytes());
+            }
         }
     }
 
     /// Decodes a store previously written by
-    /// [`ShortcutStore::serialize_into`]; `pos` is advanced past it.
+    /// [`ShortcutStore::serialize_into`] for the hierarchy `hier` over
+    /// `num_nodes` nodes; `pos` is advanced past it.
     ///
-    /// Every count is validated against the bytes that remain and every
-    /// node id against `num_nodes`, so a truncated or bit-flipped buffer
-    /// fails with an error instead of panicking, over-allocating, or
-    /// producing a store that panics at query time.
+    /// Every count is validated against the bytes that remain, every node
+    /// id against `num_nodes` and every shortcut's ends against the borders
+    /// of its Rnet, so a truncated or bit-flipped buffer fails with an
+    /// error instead of panicking, over-allocating, or producing a store
+    /// that panics or answers wrongly at query time.
     pub(crate) fn deserialize(
         buf: &[u8],
         pos: &mut usize,
         num_nodes: u32,
-        expected_rnets: usize,
+        hier: &RnetHierarchy,
     ) -> Result<Self, String> {
-        let num_rnets = Self::read_store_header(buf, pos, expected_rnets)?;
+        let num_rnets = Self::read_store_header(buf, pos, hier.num_rnets())?;
         let mut per_rnet = Vec::with_capacity(num_rnets.min(buf.len() / 4 + 1));
         let mut num_shortcuts = 0usize;
         let mut num_bytes = 0usize;
-        for _ in 0..num_rnets {
+        for r in 0..num_rnets as u32 {
             let mut rnet = RnetShortcuts::default();
-            Self::walk_rnet_section(buf, pos, num_nodes, Some(&mut rnet))?;
+            Self::walk_rnet_section(buf, pos, num_nodes, hier, RnetId(r), Some(&mut rnet))?;
             num_shortcuts += rnet.num_shortcuts();
             num_bytes += rnet.size_bytes();
             per_rnet.push(Arc::new(rnet));
@@ -932,20 +985,25 @@ impl ShortcutStore {
         }
     }
 
-    /// Walks one Rnet's section of a serialized store, validating counts
-    /// against the remaining bytes, node ids against `num_nodes` and the
-    /// sources' strictly ascending order (which every writer of this
-    /// format has produced, and which rules out duplicate sources).
+    /// Walks Rnet `r`'s section of a serialized store, validating counts
+    /// against the remaining bytes, node ids against `num_nodes`, every
+    /// source and target against `hier.borders(r)` and the sources'
+    /// strictly ascending slots. A hierarchy read from a file lists each
+    /// Rnet's borders by ascending node, which is the order every writer of
+    /// this format has emitted the sources in; so a valid section passes,
+    /// and a duplicate source cannot.
     ///
-    /// With `out`, the section is decoded into it. Without, no arena is
-    /// built: how a lazily-opened image records per-Rnet byte ranges up
-    /// front at a fraction of the decode cost. Both modes make the same
-    /// checks, so a section that passes the walk can never fail to decode
-    /// later.
+    /// With `out`, the section is decoded into it, each stored source's
+    /// run in its slot. Without, no arena is built: how a lazily-opened
+    /// image records per-Rnet byte ranges up front at a fraction of the
+    /// decode cost. Both modes make the same checks, so a section that
+    /// passes the walk can never fail to decode later.
     pub(crate) fn walk_rnet_section(
         buf: &[u8],
         pos: &mut usize,
         num_nodes: u32,
+        hier: &RnetHierarchy,
+        r: RnetId,
         mut out: Option<&mut RnetShortcuts>,
     ) -> Result<(), String> {
         let check_node = |id: u32| -> Result<NodeId, String> {
@@ -961,17 +1019,37 @@ impl ShortcutStore {
         if num_sources > (buf.len() - *pos) / 8 {
             return Err("truncated shortcut store (source count exceeds buffer)".into());
         }
+        // A shortcut joins two borders of its Rnet: a source elsewhere has
+        // no slot, and a target elsewhere would be a jump to anywhere. A
+        // hierarchy read from a file lists each Rnet's borders in node
+        // order, so a slot is found by binary search; another list is
+        // scanned.
+        let borders = hier.borders(r);
+        let sorted = borders.is_sorted();
+        let border_slot = |id: u32, end: &str| -> Result<usize, String> {
+            let n = check_node(id)?;
+            let slot = match sorted {
+                true => borders.binary_search(&n).ok(),
+                false => borders.iter().position(|&b| b == n),
+            };
+            slot.ok_or_else(|| format!("shortcut {end} {n} is not a border of {r:?}"))
+        };
         if let Some(out) = out.as_deref_mut().filter(|_| num_sources > 0) {
-            out.sources.reserve_exact(num_sources);
-            out.head_offsets.reserve_exact(num_sources + 1);
+            out.head_offsets.reserve_exact(borders.len() + 1);
         }
-        let mut last_source: Option<u32> = None;
+        let mut next_slot = 0;
         for _ in 0..num_sources {
-            let from = check_node(read_u32(buf, pos)?)?.0;
-            if last_source.is_some_and(|last| last >= from) {
+            let from = read_u32(buf, pos)?;
+            let slot = border_slot(from, "source")?;
+            if slot < next_slot {
                 return Err(format!("duplicate or unsorted shortcut source node {from}"));
             }
-            last_source = Some(from);
+            next_slot = slot + 1;
+            if let Some(out) = out.as_deref_mut() {
+                while out.num_runs() < slot {
+                    out.end_run();
+                }
+            }
             let num_edges = read_u32(buf, pos)? as usize;
             // A shortcut costs at least 16 bytes; an over-claimed count
             // must not drive a huge allocation.
@@ -982,7 +1060,8 @@ impl ShortcutStore {
                 out.heads.reserve(num_edges);
             }
             for _ in 0..num_edges {
-                let to = check_node(read_u32(buf, pos)?)?;
+                let to = read_u32(buf, pos)?;
+                border_slot(to, "target")?;
                 let dist = read_f64(buf, pos)?;
                 if dist.is_nan() || dist < 0.0 {
                     return Err(format!("corrupt shortcut distance {dist}"));
@@ -1002,12 +1081,15 @@ impl ShortcutStore {
                 }
                 section_fits_arena(start, *pos)?;
                 if let Some(out) = out.as_deref_mut() {
-                    out.push_head(to, Weight::new(dist));
+                    out.push_head(NodeId(to), Weight::new(dist));
                 }
             }
             if let Some(out) = out.as_deref_mut() {
-                out.end_source(from);
+                out.end_run();
             }
+        }
+        if let Some(out) = out {
+            out.finish(borders.len());
         }
         Ok(())
     }
@@ -1023,7 +1105,8 @@ impl ShortcutStore {
     ) -> Result<(), String> {
         let fresh = ShortcutStore::build(g, hier, kind, opts);
         for (i, (a, b)) in self.per_rnet.iter().zip(fresh.per_rnet.iter()).enumerate() {
-            if !Self::maps_equivalent(a, b) {
+            let borders = hier.borders(RnetId(i as u32));
+            if !Self::maps_equivalent(a, borders, b, borders) {
                 return Err(format!("Rnet R{i} shortcuts diverge from a fresh rebuild"));
             }
         }
@@ -1146,9 +1229,6 @@ struct BuildScratch {
     minplus_entries: u64,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
-    /// Border locals in ascending global node id: the order sources are
-    /// written into the Rnet's arena.
-    source_order: Vec<u32>,
 }
 
 impl BuildScratch {
@@ -1211,13 +1291,6 @@ impl BuildScratch {
         PathSource::SealedDijkstra
     }
 
-    /// Fills `source_order` for `borders` (whose locals are `0..nb`).
-    fn sort_sources(&mut self, borders: &[NodeId]) {
-        self.source_order.clear();
-        self.source_order.extend(0..borders.len() as u32);
-        self.source_order.sort_unstable_by_key(|&bi| borders[bi as usize].0);
-    }
-
     /// Appends the waypoints of the last Dijkstra's path `from -> to`
     /// (both local ids, endpoints excluded) to `vias` as global node ids,
     /// in travel order.
@@ -1256,7 +1329,7 @@ mod tests {
         for lv in 1..=hier.levels() {
             for r in hier.rnets_at_level(lv) {
                 for &b in hier.borders(r) {
-                    for sc in store.from(r, b) {
+                    for sc in store.from(hier, r, b) {
                         let want = {
                             let mut found = None;
                             dij.expand_filtered_multi(
@@ -1313,7 +1386,7 @@ mod tests {
         for lv in 1..=hier.levels() {
             for r in hier.rnets_at_level(lv) {
                 for &b in hier.borders(r) {
-                    for sc in store.from(r, b) {
+                    for sc in store.from(&hier, r, b) {
                         let p = store
                             .expand(&g, &hier, WeightKind::Distance, r, b, sc)
                             .expect("expandable");
@@ -1342,7 +1415,7 @@ mod tests {
             for r in hier.rnets_at_level(lv) {
                 let borders = hier.borders(r);
                 for &b in borders {
-                    for sc in store.from(r, b) {
+                    for sc in store.from(&hier, r, b) {
                         for w in sc.via {
                             assert!(
                                 !borders.contains(w),
@@ -1365,7 +1438,15 @@ mod tests {
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
     ) -> bool {
-        store.refresh_rnets(g, hier, WeightKind::Distance, &[r], opts, workers)[0]
+        store.refresh_rnets(
+            g,
+            hier,
+            WeightKind::Distance,
+            &[r],
+            &BordersBefore::default(),
+            opts,
+            workers,
+        )[0]
     }
 
     #[test]
@@ -1387,7 +1468,15 @@ mod tests {
             chain.push(r);
             r = hier.parent(r);
         }
-        store.refresh_rnets(&g, &hier, WeightKind::Distance, &chain, &opts, &mut workers);
+        store.refresh_rnets(
+            &g,
+            &hier,
+            WeightKind::Distance,
+            &chain,
+            &BordersBefore::default(),
+            &opts,
+            &mut workers,
+        );
         store.verify_against_rebuild(&g, &hier, WeightKind::Distance, &opts).unwrap();
     }
 
@@ -1407,7 +1496,15 @@ mod tests {
             let mut workers = WorkerScratches::default();
             for round in 1..=2 {
                 let kind = WeightKind::Distance;
-                let changed = store.refresh_rnets(&g, &hier, kind, &leaves, &opts, &mut workers);
+                let changed = store.refresh_rnets(
+                    &g,
+                    &hier,
+                    kind,
+                    &leaves,
+                    &BordersBefore::default(),
+                    &opts,
+                    &mut workers,
+                );
                 assert_eq!(changed, vec![false; leaves.len()]);
                 let computed: Vec<usize> =
                     workers.scratches.iter().map(|s| s.rnets_computed).collect();
@@ -1436,6 +1533,49 @@ mod tests {
         store.compute_level_maps(&g, &hier, WeightKind::Distance, &run, &mut scratches);
     }
 
+    /// A border that leaves an Rnet moves every border behind it up one
+    /// slot. Its run was empty and nothing led to it, so the Rnet's
+    /// shortcuts are what they were — which the repair sees only by
+    /// reading the old arena under the old border list, matched by node.
+    /// Read under the new list the runs would be off by one slot.
+    #[test]
+    fn a_border_leaving_an_rnet_is_compared_under_the_old_slots() {
+        // Leaf 1: a - c - m, and a dead-end spur n - y; leaf 0: a - p - n
+        // and p - q - m. So a, n and m border both leaves, and n reaches
+        // no other border inside leaf 1.
+        let (a, n, m, c, y, p, q) = (0, 1, 2, 3, 4, 5, 6);
+        let mut b = RoadNetwork::builder();
+        for i in 0..7 {
+            b.add_node(road_network::Point::new(f64::from(i), 0.0));
+        }
+        let leaf1 = [(a, c), (c, m), (n, y)];
+        for (u, v) in leaf1.into_iter().chain([(a, p), (n, p), (m, q), (p, q)]) {
+            b.add_edge(NodeId(u), NodeId(v), 1.0).unwrap();
+        }
+        let mut g = b.build();
+        let mut hier = RnetHierarchy::from_leaf_assignment(&g, 2, 1, |e| u32::from(e.0 < 3))
+            .expect("two leaves");
+        let (r, spur) = (RnetId(1), road_network::EdgeId(2));
+        assert_eq!(hier.borders(r), [NodeId(a), NodeId(n), NodeId(m)]);
+        let kind = WeightKind::Distance;
+        let (opts, mut workers) = (ShortcutOptions::default(), WorkerScratches::default());
+        let store = ShortcutStore::build(&g, &hier, kind, &opts);
+        assert!(store.heads_at(r, 1).is_empty(), "the spur's border has no run");
+        g.remove_edge(spur).unwrap();
+        hier.unassign_edge(spur);
+        let mut before = BordersBefore::default();
+        for end in [n, y] {
+            hier.refresh_node_borders(&g, NodeId(end), &mut before).unwrap();
+        }
+        assert_eq!(hier.borders(r), [NodeId(a), NodeId(m)]);
+        let refresh = |before: &BordersBefore, workers: &mut WorkerScratches| {
+            store.clone().refresh_rnets(&g, &hier, kind, &[r], before, &opts, workers)
+        };
+        assert_eq!(refresh(&before, &mut workers), [false]);
+        // The same old arena read under the new border list: wrong.
+        assert_eq!(refresh(&BordersBefore::default(), &mut workers), [true]);
+    }
+
     /// The structural-sharing contract behind snapshot publication: a fork
     /// shares every Rnet's allocation, and refreshing one Rnet replaces
     /// exactly that one.
@@ -1456,40 +1596,57 @@ mod tests {
         assert_eq!(fork.size_bytes(), store.size_bytes());
     }
 
-    /// `maps_equivalent` as it was over hash maps — flatten to `(from, to,
-    /// dist)`, sort, compare pairwise — kept as the reference for its
-    /// allocation-free successor's verdicts.
-    fn flatten_sort_equivalent(a: &RnetShortcuts, b: &RnetShortcuts) -> bool {
-        let flatten = |m: &RnetShortcuts| {
-            let mut v: Vec<(u32, u32, Weight)> = m
-                .by_source()
-                .flat_map(|(from, list)| list.iter().map(move |sc| (from, sc.to.0, sc.dist)))
+    /// `maps_equivalent`'s reference: flatten each arena to `(from, to,
+    /// dist)` slot by slot under its own border list, sort, compare
+    /// pairwise.
+    fn flatten_sort_equivalent(
+        a: &RnetShortcuts,
+        a_borders: &[NodeId],
+        b: &RnetShortcuts,
+        b_borders: &[NodeId],
+    ) -> bool {
+        let flatten = |m: &RnetShortcuts, borders: &[NodeId]| {
+            let mut v: Vec<(u32, u32, Weight)> = (0..borders.len())
+                .flat_map(|slot| {
+                    let from = borders[slot].0;
+                    m.heads_at(slot).iter().map(move |sc| (from, sc.to.0, sc.dist))
+                })
                 .collect();
             v.sort_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)).then(x.2.cmp(&y.2)));
             v
         };
-        let (fa, fb) = (flatten(a), flatten(b));
+        let (fa, fb) = (flatten(a, a_borders), flatten(b, b_borders));
         fa.len() == fb.len()
             && fa.iter().zip(&fb).all(|(x, y)| x.0 == y.0 && x.1 == y.1 && x.2.approx_eq(y.2))
     }
 
-    fn arena(lists: &[(u32, Vec<(u32, f64)>)]) -> RnetShortcuts {
+    /// An arena indexed by `borders` holding `lists` of `(source node,
+    /// shortcuts)`; every source must be among `borders`.
+    fn arena(borders: &[NodeId], lists: &[(u32, Vec<(u32, f64)>)]) -> RnetShortcuts {
         let mut out = RnetShortcuts::default();
-        for (from, list) in lists {
-            for &(to, dist) in list {
-                out.vias.push(NodeId(to)); // a waypoint, so heads and vias differ in length
-                out.push_head(NodeId(to), Weight::new(dist));
+        for &b in borders {
+            for (_, list) in lists.iter().filter(|(from, _)| *from == b.0) {
+                for &(to, dist) in list {
+                    out.vias.push(NodeId(to)); // a waypoint, so heads and vias differ in length
+                    out.push_head(NodeId(to), Weight::new(dist));
+                }
             }
-            out.end_source(*from);
+            out.end_run();
         }
+        out.finish(borders.len());
         out
     }
 
+    /// The verdict matches runs by source node, so it holds across two
+    /// border lists in different orders — what a topology edit leaves
+    /// between an Rnet's old arena and its repaired one.
     #[test]
     fn maps_equivalent_keeps_the_flatten_and_sort_verdicts() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let base = vec![(2, vec![(5, 1.0), (7, 2.5), (9, 4.0)]), (5, vec![(2, 1.0)]), (9, vec![])];
+        let nodes = |ids: &[u32]| -> Vec<NodeId> { ids.iter().map(|&n| NodeId(n)).collect() };
+        let (borders_a, borders_b) = (nodes(&[9, 2, 5, 3]), nodes(&[3, 5, 9, 2]));
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut next = |bound: u64| rng.random_range(0..bound);
         let (mut same, mut different) = (0, 0);
@@ -1504,10 +1661,12 @@ mod tests {
                 5 => drop(other.remove(2)),                        // empty source == absent
                 _ => other.insert(1, (3, vec![(2, 1.0)])),         // a new source
             }
-            let (a, b) = (arena(&base), arena(&other));
-            let verdict = ShortcutStore::maps_equivalent(&a, &b);
-            assert_eq!(verdict, flatten_sort_equivalent(&a, &b), "{base:?} vs {other:?}");
-            assert_eq!(verdict, ShortcutStore::maps_equivalent(&b, &a), "not symmetric");
+            let (a, b) = (arena(&borders_a, &base), arena(&borders_b, &other));
+            let verdict = ShortcutStore::maps_equivalent(&a, &borders_a, &b, &borders_b);
+            let reference = flatten_sort_equivalent(&a, &borders_a, &b, &borders_b);
+            assert_eq!(verdict, reference, "{base:?} vs {other:?}");
+            let swapped = ShortcutStore::maps_equivalent(&b, &borders_b, &a, &borders_a);
+            assert_eq!(verdict, swapped, "not symmetric");
             if verdict {
                 same += 1;
             } else {
@@ -1515,7 +1674,50 @@ mod tests {
             }
         }
         assert!(same > 50 && different > 50, "{same} equivalent, {different} not");
-        assert!(ShortcutStore::maps_equivalent(&arena(&[]), &arena(&[(4, vec![])])));
+        let four = nodes(&[4]);
+        let empty = arena(&four, &[(4, vec![])]);
+        assert!(ShortcutStore::maps_equivalent(&arena(&[], &[]), &[], &empty, &four));
+    }
+
+    /// Path 0-1-2-3 over two leaves, the middle edge alone in leaf 1:
+    /// nodes 1 and 2 border both leaves, node 0 borders none.
+    fn two_border_leaf() -> (RnetHierarchy, RnetId) {
+        let g = simple::chain(4, 1.0);
+        let edges: Vec<_> = g.edge_ids().collect();
+        let hier =
+            RnetHierarchy::from_leaf_assignment(&g, 2, 1, |e| u32::from(e == edges[1])).unwrap();
+        let middle = hier.leaf_of_edge(edges[1]);
+        assert_eq!(hier.borders(middle), [NodeId(1), NodeId(2)]);
+        (hier, middle)
+    }
+
+    /// A section of `(source, targets)` runs, each shortcut at distance
+    /// 1.0 with no waypoints.
+    fn section(runs: &[(u32, &[u32])]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for &(from, targets) in runs {
+            buf.extend_from_slice(&from.to_le_bytes());
+            buf.extend_from_slice(&(targets.len() as u32).to_le_bytes());
+            for &to in targets {
+                buf.extend_from_slice(&to.to_le_bytes());
+                buf.extend_from_slice(&1.0f64.to_le_bytes());
+                buf.extend_from_slice(&0u32.to_le_bytes()); // via_len
+            }
+        }
+        buf
+    }
+
+    /// Both modes of the walk on one section: the decode's arena, or its
+    /// error — which the walk without an arena must return too.
+    fn walk_both(hier: &RnetHierarchy, r: RnetId, buf: &[u8]) -> Result<RnetShortcuts, String> {
+        let mut arena = RnetShortcuts::default();
+        let (mut decoded, mut skipped) = (0, 0);
+        let decode =
+            ShortcutStore::walk_rnet_section(buf, &mut decoded, 4, hier, r, Some(&mut arena));
+        let skip = ShortcutStore::walk_rnet_section(buf, &mut skipped, 4, hier, r, None);
+        assert_eq!(decode, skip, "the walk without an arena must reject exactly what decode does");
+        decode.map(|()| arena)
     }
 
     /// The walk without an arena must reject everything the decode
@@ -1525,24 +1727,38 @@ mod tests {
     /// could otherwise miss.
     #[test]
     fn skip_scan_rejects_duplicate_sources_like_decode() {
-        // A hand-built section: 2 sources, both node 0, each with one
-        // shortcut to node 1 at distance 1.0 and no waypoints.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&2u32.to_le_bytes()); // num_sources
-        for _ in 0..2 {
-            buf.extend_from_slice(&0u32.to_le_bytes()); // from = 0 (duplicate)
-            buf.extend_from_slice(&1u32.to_le_bytes()); // num_edges
-            buf.extend_from_slice(&1u32.to_le_bytes()); // to
-            buf.extend_from_slice(&1.0f64.to_le_bytes()); // dist
-            buf.extend_from_slice(&0u32.to_le_bytes()); // via_len
-        }
-        let mut pos = 0;
-        let mut arena = RnetShortcuts::default();
-        let decode = ShortcutStore::walk_rnet_section(&buf, &mut pos, 4, Some(&mut arena));
-        let mut pos = 0;
-        let skip = ShortcutStore::walk_rnet_section(&buf, &mut pos, 4, None);
-        assert!(decode.is_err(), "decode must reject duplicate sources");
-        assert!(skip.is_err(), "skip-scan must reject exactly what decode rejects");
+        let (hier, middle) = two_border_leaf();
+        let err = walk_both(&hier, middle, &section(&[(1, &[2]), (1, &[2])])).unwrap_err();
+        assert!(err.contains("duplicate or unsorted"), "{err}");
+        let err = walk_both(&hier, middle, &section(&[(2, &[1]), (1, &[2])])).unwrap_err();
+        assert!(err.contains("duplicate or unsorted"), "{err}");
+    }
+
+    /// A shortcut whose source or target is not a border of its Rnet is
+    /// corrupt: the source has no slot, and the target would be a jump to
+    /// an arbitrary node. Both are in the network, so only the border
+    /// check can catch them.
+    #[test]
+    fn a_shortcut_end_off_the_rnets_borders_is_rejected() {
+        let (hier, middle) = two_border_leaf();
+        let err = walk_both(&hier, middle, &section(&[(0, &[2])])).unwrap_err();
+        assert!(err.contains("source n0 is not a border"), "{err}");
+        let err = walk_both(&hier, middle, &section(&[(1, &[3])])).unwrap_err();
+        assert!(err.contains("target n3 is not a border"), "{err}");
+        let err = walk_both(&hier, middle, &section(&[(1, &[7])])).unwrap_err();
+        assert!(err.contains("outside 0..4"), "{err}");
+    }
+
+    /// A stored source lands in its slot, the runs before it empty.
+    #[test]
+    fn a_decoded_source_lands_in_its_slot() {
+        let (hier, middle) = two_border_leaf();
+        let arena = walk_both(&hier, middle, &section(&[(2, &[1])])).unwrap();
+        assert!(arena.heads_at(0).is_empty());
+        let heads: Vec<NodeId> = arena.heads_at(1).iter().map(|sc| sc.to).collect();
+        assert_eq!(heads, [NodeId(1)]);
+        let empty = walk_both(&hier, middle, &section(&[])).unwrap();
+        assert_eq!((empty.num_runs(), empty.num_shortcuts()), (0, 0));
     }
 
     /// On a built store the two modes of the walk read the same bytes,
@@ -1552,18 +1768,24 @@ mod tests {
         let g = simple::grid(6, 6, 1.0);
         let (hier, store) = build(&g, 2, 2);
         let mut buf = Vec::new();
-        store.serialize_into(&mut buf);
+        store.serialize_into(&hier, &mut buf);
         let num_nodes = g.num_nodes() as u32;
         let mut skipped = 0;
         ShortcutStore::read_store_header(&buf, &mut skipped, hier.num_rnets()).unwrap();
         let mut decoded = skipped;
         let mut maps = Vec::new();
-        for _ in 0..hier.num_rnets() {
-            ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, None).unwrap();
-            let mut rnet = RnetShortcuts::default();
-            ShortcutStore::walk_rnet_section(&buf, &mut decoded, num_nodes, Some(&mut rnet))
+        for r in (0..hier.num_rnets() as u32).map(RnetId) {
+            ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, &hier, r, None)
                 .unwrap();
+            let mut rnet = RnetShortcuts::default();
+            let out = Some(&mut rnet);
+            ShortcutStore::walk_rnet_section(&buf, &mut decoded, num_nodes, &hier, r, out).unwrap();
             assert_eq!(skipped, decoded);
+            assert_eq!(
+                rnet.head_offsets,
+                store.rnet(r).head_offsets,
+                "{r:?}: runs off their slots"
+            );
             maps.push(rnet);
         }
         assert_eq!(skipped, buf.len());
@@ -1572,7 +1794,7 @@ mod tests {
         // entry without any is 16 bytes.
         assert!(store.size_bytes() > 16 * store.num_shortcuts(), "no shortcut carries waypoints");
         let mut again = Vec::new();
-        ShortcutStore::from_rnet_maps(maps).serialize_into(&mut again);
+        ShortcutStore::from_rnet_maps(maps).serialize_into(&hier, &mut again);
         assert_eq!(again, buf);
     }
 
@@ -1588,8 +1810,8 @@ mod tests {
         let mut diverged = false;
         for r in hier.rnets_at_level(hier.levels()) {
             for &b in hier.borders(r) {
-                for sc in dist_store.from(r, b) {
-                    if let Some(t) = time_store.between(r, b, sc.to) {
+                for sc in dist_store.from(&hier, r, b) {
+                    if let Some(t) = time_store.between(&hier, r, b, sc.to) {
                         if !t.dist.approx_eq(sc.dist) {
                             diverged = true;
                         }
@@ -1645,7 +1867,7 @@ mod tests {
                             first > Weight::ZERO && second > Weight::ZERO && first + second == d
                         });
                         let keep = d.is_finite() && !covered;
-                        let present = store.between(r, borders[bi], borders[ti]).is_some();
+                        let present = store.between(&hier, r, borders[bi], borders[ti]).is_some();
                         assert_eq!(
                             present, keep,
                             "{w}x{h} {r:?}: membership of {}->{} disagrees with the keep \
@@ -1694,13 +1916,14 @@ mod tests {
         let (b, c) = (NodeId(1), NodeId(2));
         let middle = hier.leaf_of_edge(edges[1]);
         let outer = hier.leaf_of_edge(edges[0]);
-        let sc = store.between(middle, b, c).expect("zero-interior leaf keeps the direct arc");
+        let sc =
+            store.between(&hier, middle, b, c).expect("zero-interior leaf keeps the direct arc");
         assert_eq!(sc.dist, Weight::new(1.0));
         assert!(sc.via.is_empty(), "direct border-to-border arc must have no waypoints");
-        assert!(store.between(middle, c, b).is_some(), "shortcuts are stored per direction");
+        assert!(store.between(&hier, middle, c, b).is_some(), "shortcuts are stored per direction");
         // b and c are disconnected inside leaf 0: absent, not infinite.
-        assert!(store.between(outer, b, c).is_none());
-        assert!(store.between(outer, c, b).is_none());
+        assert!(store.between(&hier, outer, b, c).is_none());
+        assert!(store.between(&hier, outer, c, b).is_none());
 
         // Path a-b-c split at b: every leaf sees exactly one border, so the
         // whole store is empty.
@@ -1749,7 +1972,7 @@ mod tests {
         let opts = ShortcutOptions::default();
         let bytes = |store: &ShortcutStore| {
             let mut out = Vec::new();
-            store.serialize_into(&mut out);
+            store.serialize_into(&hier, &mut out);
             out
         };
         let kind = WeightKind::Distance;

@@ -78,7 +78,7 @@ fn local_arcs(
     } else {
         for child in hier.children(r) {
             for &from in hier.borders(child) {
-                for sc in store.from(child, from) {
+                for sc in store.from(hier, child, from) {
                     arc(from, sc.to, sc.dist);
                 }
             }
@@ -109,14 +109,14 @@ pub fn assert_stores_equal_up_to_tied_paths(
         let borders = hier.borders(r);
         for &from in borders {
             let heads = |s: &ShortcutStore| -> Vec<(NodeId, u64)> {
-                s.from(r, from).map(|sc| (sc.to, sc.dist.get().to_bits())).collect()
+                s.from(hier, r, from).map(|sc| (sc.to, sc.dist.get().to_bits())).collect()
             };
             assert_eq!(heads(a), heads(b), "{label}: {r:?} shortcuts of {from} diverged");
         }
         for (store, name) in [(a, "first"), (b, "second")] {
             let arcs = local_arcs(g, hier, store, r);
             for &from in borders {
-                for sc in store.from(r, from) {
+                for sc in store.from(hier, r, from) {
                     let at = format!(
                         "{label}: {name} store, {r:?} {from} -> {} via {:?}",
                         sc.to, sc.via

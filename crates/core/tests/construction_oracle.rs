@@ -78,9 +78,9 @@ fn two_component_net(seed: u64) -> RoadNetwork {
     b.build()
 }
 
-fn serialize(store: &ShortcutStore) -> Vec<u8> {
+fn serialize(hier: &RnetHierarchy, store: &ShortcutStore) -> Vec<u8> {
     let mut out = Vec::new();
-    store.serialize_into(&mut out);
+    store.serialize_into(hier, &mut out);
     out
 }
 
@@ -96,7 +96,11 @@ fn assert_stores_byte_equal(
     let fast = ShortcutStore::build(g, hier, WeightKind::Distance, opts);
     let oracle = ShortcutStore::build_with_oracle(g, hier, WeightKind::Distance);
     assert_eq!(fast.num_shortcuts(), oracle.num_shortcuts(), "{label}: shortcut counts diverged");
-    assert_eq!(serialize(&fast), serialize(&oracle), "{label}: serialized bytes diverged");
+    assert_eq!(
+        serialize(hier, &fast),
+        serialize(hier, &oracle),
+        "{label}: serialized bytes diverged"
+    );
 }
 
 fn hier_for(g: &RoadNetwork, fanout: usize, levels: u32) -> RnetHierarchy {
@@ -270,7 +274,7 @@ fn store_is_contraction_order_independent() {
     let (g, hier) = two_arm_world(42, 2);
     let build = |threads: usize| {
         let opts = ShortcutOptions { threads };
-        serialize(&ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts))
+        serialize(&hier, &ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts))
     };
     let reference = build(1);
     for threads in [2usize, 4, 8] {

@@ -367,7 +367,7 @@ fn weight_update_propagation_stops_early() {
             .hierarchy()
             .borders(leaf)
             .iter()
-            .flat_map(|&bn| fw.shortcuts().from(leaf, bn))
+            .flat_map(|&bn| fw.shortcuts().from(fw.hierarchy(), leaf, bn))
             .any(|sc| sc.via.contains(&a) || sc.via.contains(&b) || sc.to == a || sc.to == b);
         if !covered
             && !fw.hierarchy().bordered_rnets(a).contains(&leaf)

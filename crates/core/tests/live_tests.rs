@@ -467,9 +467,9 @@ fn contraction_refresh_equals_fresh_rebuild_after_mixed_churn() {
     let fresh =
         ShortcutStore::build(fw.network(), fw.hierarchy(), fw.metric(), &Default::default());
     let mut repaired_bytes = Vec::new();
-    fw.shortcuts().serialize_into(&mut repaired_bytes);
+    fw.shortcuts().serialize_into(fw.hierarchy(), &mut repaired_bytes);
     let mut fresh_bytes = Vec::new();
-    fresh.serialize_into(&mut fresh_bytes);
+    fresh.serialize_into(fw.hierarchy(), &mut fresh_bytes);
     assert_eq!(fw.shortcuts().num_shortcuts(), fresh.num_shortcuts());
     assert_eq!(
         repaired_bytes, fresh_bytes,

@@ -58,9 +58,9 @@ fn reweight(g: &mut RoadNetwork, seed: u64, dyadic: bool) {
     }
 }
 
-fn serialize(store: &ShortcutStore) -> Vec<u8> {
+fn serialize(hier: &RnetHierarchy, store: &ShortcutStore) -> Vec<u8> {
     let mut out = Vec::new();
-    store.serialize_into(&mut out);
+    store.serialize_into(hier, &mut out);
     out
 }
 
@@ -80,7 +80,7 @@ fn assert_thread_counts_byte_identical(g: &RoadNetwork, fanout: usize, levels: u
             .unwrap()
     };
     let reference = build(1);
-    let ref_store = serialize(reference.shortcuts());
+    let ref_store = serialize(reference.hierarchy(), reference.shortcuts());
     let ref_image = reference.to_bytes();
     for threads in [2usize, 4, 8] {
         let fw = build(threads);
@@ -102,7 +102,7 @@ fn assert_thread_counts_byte_identical(g: &RoadNetwork, fanout: usize, levels: u
             }
         }
         assert_eq!(
-            serialize(fw.shortcuts()),
+            serialize(fw.hierarchy(), fw.shortcuts()),
             ref_store,
             "{label}: serialized bytes diverged at {threads} threads"
         );
@@ -212,8 +212,8 @@ fn thread_counts_agree_across_orders_and_budgets() {
         let opts = ShortcutOptions { threads };
         let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
         assert_eq!(
-            serialize(&store),
-            serialize(&reference),
+            serialize(&hier, &store),
+            serialize(&hier, &reference),
             "two-arm grid diverged on {threads} workers"
         );
         assert_eq!(store.size_bytes(), reference.size_bytes());
@@ -260,7 +260,7 @@ fn oversubscribed_threads_are_harmless() {
         ShortcutStore::build(&g, &hier, WeightKind::Distance, &ShortcutOptions { threads: 1 });
     let over =
         ShortcutStore::build(&g, &hier, WeightKind::Distance, &ShortcutOptions { threads: 64 });
-    assert_eq!(serialize(&seq), serialize(&over));
+    assert_eq!(serialize(&hier, &seq), serialize(&hier, &over));
 }
 
 /// One step of a repair history.

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
 use road_core::search::oracle_knn;
+use road_core::RnetId;
 use road_network::generator::{simple, Dataset};
 use road_network::EdgeId;
 
@@ -239,7 +240,7 @@ fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
     let bytes = fw.to_bytes();
     // The store is the last section: locate it by re-serializing it alone.
     let mut store = Vec::new();
-    fw.shortcuts().serialize_into(&mut store);
+    fw.shortcuts().serialize_into(fw.hierarchy(), &mut store);
     let store_at = bytes.len() - store.len();
     assert_eq!(&bytes[store_at..], &store[..], "shortcut store is not the tail section");
     let (sources_at, via_len_at) = shortcut_count_offsets(&bytes, store_at);
@@ -254,6 +255,53 @@ fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
             "huge {what} should fail the count-vs-remaining-bytes check"
         );
         assert!(road_core::PagedImage::open(bad).is_err(), "paged open accepted huge {what}");
+    }
+}
+
+/// The first shortcut run of the store section starting at `store_at`:
+/// its Rnet, and the offsets of its source field and of its first
+/// shortcut's target field.
+fn first_run(bytes: &[u8], store_at: usize) -> (RnetId, usize, usize) {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut pos = store_at + 4;
+    for r in 0..u32_at(store_at) as u32 {
+        let num_sources = u32_at(pos);
+        pos += 4;
+        if num_sources > 0 {
+            return (RnetId(r), pos, pos + 8);
+        }
+    }
+    panic!("grid framework built no shortcuts to corrupt");
+}
+
+/// A shortcut whose source or target is a node of the network but not a
+/// border of its Rnet passes every id check, and used to decode: the bad
+/// target became a jump to an arbitrary node, silently wrong answers. The
+/// monolithic restore, the page-granular open and a lazily reopened paged
+/// engine each refuse it with an `Err`, and none panics.
+#[test]
+fn a_shortcut_end_off_its_rnets_borders_fails_every_open_path() {
+    let fw = RoadFramework::builder(simple::grid(6, 6, 1.0)).fanout(2).levels(2).build().unwrap();
+    let bytes = fw.to_bytes();
+    let mut store = Vec::new();
+    fw.shortcuts().serialize_into(fw.hierarchy(), &mut store);
+    let store_at = bytes.len() - store.len();
+    let (r, source_at, target_at) = first_run(&bytes, store_at);
+    let inside = (0..fw.network().num_nodes() as u32)
+        .find(|&n| fw.hierarchy().slot_of(NodeId(n), r).is_none())
+        .expect("a node that does not border the Rnet");
+    for (end, at) in [("source", source_at), ("target", target_at)] {
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&inside.to_le_bytes());
+        let want = format!("shortcut {end} n{inside} is not a border of {r:?}");
+        let whole = RoadFramework::from_bytes(&bad).unwrap_err().to_string();
+        assert!(whole.contains(&want), "from_bytes, bad {end}: {whole}");
+        let paged = road_core::PagedImage::open(bad.clone()).unwrap_err().to_string();
+        assert_eq!(paged, whole, "page-granular open, bad {end}");
+        let lazy = road_core::PagedImage::open(bad).and_then(|image| {
+            road_core::PagedEngine::open(image, Vec::new(), road_core::PagedOptions::default())
+        });
+        assert!(lazy.is_err(), "a lazily reopened engine accepted a bad {end}");
     }
 }
 
@@ -325,7 +373,7 @@ fn both_open_paths_reject_a_wrong_rnet_count_alike() {
     let fw = RoadFramework::builder(simple::grid(4, 4, 1.0)).fanout(2).levels(2).build().unwrap();
     let mut bytes = fw.to_bytes();
     let mut store = Vec::new();
-    fw.shortcuts().serialize_into(&mut store);
+    fw.shortcuts().serialize_into(fw.hierarchy(), &mut store);
     let store_at = bytes.len() - store.len();
     let claimed = fw.hierarchy().num_rnets() as u32 + 1;
     bytes[store_at..store_at + 4].copy_from_slice(&claimed.to_le_bytes());
@@ -484,8 +532,8 @@ fn repaired_overlay_roundtrips_byte_identical_via_paged_open() {
         &Default::default(),
     );
     let mut repaired = Vec::new();
-    fw.shortcuts().serialize_into(&mut repaired);
+    fw.shortcuts().serialize_into(fw.hierarchy(), &mut repaired);
     let mut rebuilt = Vec::new();
-    fresh.serialize_into(&mut rebuilt);
+    fresh.serialize_into(fw.hierarchy(), &mut rebuilt);
     assert_eq!(repaired, rebuilt, "repaired overlay diverged from a fresh rebuild");
 }

@@ -471,7 +471,7 @@ fn three_hundred_ticks(threads: usize) -> (usize, usize, usize, u64) {
     }
     let snap = live.snapshot();
     let mut store = Vec::new();
-    snap.framework().shortcuts().serialize_into(&mut store);
+    snap.framework().shortcuts().serialize_into(snap.framework().hierarchy(), &mut store);
     (refreshed, changed, store.len(), fnv1a(FNV_OFFSET, &store))
 }
 

@@ -3,16 +3,19 @@
 //! `knn_with` / `range_with` promise zero per-query allocations once the
 //! caller's workspace and hit buffer have grown to the network. This
 //! binary installs a counting global allocator and checks the promise on
-//! a `QueryEngine` and on a `LiveEngine` snapshot: a query mix runs once
-//! to warm the scratch, then again, and the second pass must make no
-//! allocation at all. Only the measuring thread counts, so the test
-//! harness's other threads cannot disturb the figure.
+//! a `QueryEngine`, on a `LiveEngine` snapshot and on a `PagedEngine`
+//! whose pool holds its whole image: a query mix runs once to warm the
+//! scratch (and the pool, and a lazy engine's page-ins), then again, and
+//! the second pass must make no allocation at all. Only the measuring
+//! thread counts, so the test harness's other threads cannot disturb the
+//! figure.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
+use road_core::{RoadError, SearchStats};
 use road_network::generator::simple;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -113,9 +116,63 @@ fn world() -> (RoadFramework, AssociationDirectory, Vec<Query>) {
     (fw, ad, queries)
 }
 
+/// The allocation-free doors an engine serves the mix through.
+trait Doors {
+    fn knn_with(
+        &self,
+        q: &KnnQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> Result<SearchStats, RoadError>;
+    fn range_with(
+        &self,
+        q: &RangeQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> Result<SearchStats, RoadError>;
+}
+
+impl Doors for QueryEngine {
+    fn knn_with(
+        &self,
+        q: &KnnQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> Result<SearchStats, RoadError> {
+        QueryEngine::knn_with(self, q, ws, hits)
+    }
+    fn range_with(
+        &self,
+        q: &RangeQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> Result<SearchStats, RoadError> {
+        QueryEngine::range_with(self, q, ws, hits)
+    }
+}
+
+impl Doors for PagedEngine {
+    fn knn_with(
+        &self,
+        q: &KnnQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> Result<SearchStats, RoadError> {
+        PagedEngine::knn_with(self, q, ws, hits)
+    }
+    fn range_with(
+        &self,
+        q: &RangeQuery,
+        ws: &mut SearchWorkspace,
+        hits: &mut Vec<SearchHit>,
+    ) -> Result<SearchStats, RoadError> {
+        PagedEngine::range_with(self, q, ws, hits)
+    }
+}
+
 /// Runs the mix twice through the `_with` doors of `engine` and returns
 /// the second pass's allocation count.
-fn warm_allocations(engine: &QueryEngine, queries: &[Query]) -> u64 {
+fn warm_allocations(engine: &impl Doors, queries: &[Query]) -> u64 {
     let mut ws = SearchWorkspace::new();
     let mut hits = Vec::new();
     let pass = |ws: &mut SearchWorkspace, hits: &mut Vec<SearchHit>| {
@@ -149,7 +206,32 @@ fn a_warm_snapshot_allocates_nothing() {
     writer.publish();
     let snapshot = live.snapshot();
     assert_eq!(snapshot.version(), 1);
-    assert_eq!(warm_allocations(&snapshot, &queries), 0);
+    let engine: &QueryEngine = &snapshot;
+    assert_eq!(warm_allocations(engine, &queries), 0);
+}
+
+/// Pool hits only: one stripe as large as the image, so the first pass
+/// caches every page it reads and the second faults none. An eager engine
+/// and a lazily opened one — whose first pass also paged its Rnets in.
+#[test]
+fn a_warm_pool_hit_paged_engine_allocates_nothing() {
+    let (fw, ad, queries) = world();
+    let eager_pages = PagedEngine::new(&fw, &ad, PagedOptions::default()).unwrap().num_disk_pages();
+    // Room for the lazy engine's appended shortcut records besides.
+    let whole = PagedOptions::with_buffer_pages(2 * eager_pages).with_stripes(1);
+    let eager = PagedEngine::new(&fw, &ad, whole).unwrap();
+    let objects: Vec<Object> = ad.objects().cloned().collect();
+    let image = PagedImage::open(fw.to_bytes()).unwrap();
+    let lazy = PagedEngine::open(image, objects, whole).unwrap();
+    for (disk, name) in [(&eager, "eager"), (&lazy, "lazy")] {
+        assert_eq!(warm_allocations(disk, &queries), 0, "{name}");
+        assert!(disk.num_disk_pages() <= disk.buffer_capacity(), "{name}: the pool holds it all");
+        // Two more warm passes, counted: pool hits, every one.
+        disk.reset_io_stats();
+        assert_eq!(warm_allocations(disk, &queries), 0, "{name}, again");
+        let io = disk.buffer_stats();
+        assert!(io.logical_reads > 0 && io.page_faults == 0, "{name}: {io:?}");
+    }
 }
 
 #[test]
