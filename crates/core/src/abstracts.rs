@@ -12,21 +12,30 @@
 //! no counts to lay out.
 
 use crate::model::{CategoryId, ObjectFilter};
-use road_network::hash::FastMap;
 
 /// The abstract of one Rnet: how many of its objects fall in each
 /// category.
 #[derive(Clone, Debug, Default)]
 pub struct ObjectAbstract {
     total: u32,
-    per_category: FastMap<u16, u32>,
+    /// `(category, count)` pairs, ascending category, no zero count: an
+    /// Rnet holds a handful of categories, so a sorted vector beats a map.
+    per_category: Vec<(u16, u32)>,
 }
 
 impl ObjectAbstract {
+    /// Where `c` is in `per_category`, or where it would go.
+    fn find(&self, c: CategoryId) -> Result<usize, usize> {
+        self.per_category.binary_search_by_key(&c.0, |&(k, _)| k)
+    }
+
     /// Records one object of `category`.
     pub fn insert(&mut self, category: CategoryId) {
         self.total += 1;
-        *self.per_category.entry(category.0).or_insert(0) += 1;
+        match self.find(category) {
+            Ok(i) => self.per_category[i].1 += 1,
+            Err(i) => self.per_category.insert(i, (category.0, 1)),
+        }
     }
 
     /// Removes one object of `category`.
@@ -37,13 +46,13 @@ impl ObjectAbstract {
     pub fn remove(&mut self, category: CategoryId) {
         debug_assert!(self.total > 0, "abstract underflow");
         self.total = self.total.saturating_sub(1);
-        if let Some(c) = self.per_category.get_mut(&category.0) {
-            *c -= 1;
-            if *c == 0 {
-                self.per_category.remove(&category.0);
-            }
-        } else {
+        let Ok(i) = self.find(category) else {
             debug_assert!(false, "removing unknown category {category:?}");
+            return;
+        };
+        self.per_category[i].1 -= 1;
+        if self.per_category[i].1 == 0 {
+            self.per_category.remove(i);
         }
     }
 
@@ -71,20 +80,18 @@ impl ObjectAbstract {
     }
 
     fn may_have_category(&self, c: CategoryId) -> bool {
-        self.per_category.contains_key(&c.0)
+        self.per_category.iter().any(|&(k, _)| k == c.0)
     }
 
     /// Per-category counts in ascending category order. The paged engine
-    /// lays these onto abstract records.
-    pub(crate) fn sorted_counts(&self) -> Vec<(u16, u32)> {
-        let mut counts: Vec<(u16, u32)> = self.per_category.iter().map(|(&c, &n)| (c, n)).collect();
-        counts.sort_unstable_by_key(|&(c, _)| c);
-        counts
+    /// lays these onto abstract records as they are.
+    pub(crate) fn counts(&self) -> &[(u16, u32)] {
+        &self.per_category
     }
 
     /// Exact count for a category.
     pub fn category_count(&self, c: CategoryId) -> u32 {
-        self.per_category.get(&c.0).copied().unwrap_or(0)
+        self.find(c).map_or(0, |i| self.per_category[i].1)
     }
 
     /// Modelled serialized size in bytes (for the index-size experiments):
@@ -108,7 +115,7 @@ mod tests {
         assert_eq!(a.total(), 3);
         assert_eq!(a.category_count(CategoryId(1)), 2);
         assert_eq!(a.category_count(CategoryId(3)), 0);
-        assert_eq!(a.sorted_counts(), vec![(1, 2), (2, 1)]);
+        assert_eq!(a.counts(), [(1, 2), (2, 1)]);
         assert!(a.may_match(&ObjectFilter::Category(CategoryId(2))));
         assert!(!a.may_match(&ObjectFilter::Category(CategoryId(3))));
         a.remove(CategoryId(2));
@@ -118,7 +125,7 @@ mod tests {
         a.remove(CategoryId(1));
         assert!(a.is_empty());
         assert!(!a.may_match(&ObjectFilter::Any));
-        assert!(a.sorted_counts().is_empty());
+        assert!(a.counts().is_empty());
     }
 
     #[test]
@@ -131,7 +138,7 @@ mod tests {
     }
 
     /// Removing one of a category's objects decrements its count and keeps
-    /// it listed; removing its last one drops it from `sorted_counts`, so
+    /// it listed; removing its last one drops it from `counts`, so
     /// the paged layout never writes a zero count. The total and the other
     /// categories follow.
     #[test]
@@ -142,31 +149,78 @@ mod tests {
         }
         a.remove(CategoryId(3));
         assert_eq!((a.total(), a.category_count(CategoryId(3))), (3, 1));
-        assert_eq!(a.sorted_counts(), vec![(1, 1), (2, 1), (3, 1)]);
+        assert_eq!(a.counts(), [(1, 1), (2, 1), (3, 1)]);
         assert!(a.may_match(&ObjectFilter::Category(CategoryId(3))));
         a.remove(CategoryId(1));
         assert_eq!(a.total(), 2);
-        assert_eq!(a.sorted_counts(), vec![(2, 1), (3, 1)]);
+        assert_eq!(a.counts(), [(2, 1), (3, 1)]);
         assert!(!a.may_match(&ObjectFilter::Category(CategoryId(1))));
         assert!(a.may_match(&ObjectFilter::AnyOf(vec![CategoryId(1), CategoryId(2)])));
     }
 
-    /// The paged engine writes `sorted_counts` onto its page as is, so the
+    /// The paged engine writes `counts` onto its page as is, so the
     /// pairs come out in category order whatever order objects went in.
     #[test]
-    fn sorted_counts_are_in_category_order() {
+    fn counts_are_in_category_order() {
         let mut a = ObjectAbstract::default();
         for c in (0..300u16).rev().step_by(7) {
             for _ in 0..=c % 4 {
                 a.insert(CategoryId(c));
             }
         }
-        let counts = a.sorted_counts();
+        let counts = a.counts();
         assert_eq!(counts.len(), 43);
         assert!(counts.windows(2).all(|w| w[0].0 < w[1].0), "{counts:?}");
         assert_eq!(counts.iter().map(|&(_, n)| n).sum::<u32>(), a.total());
-        for (c, n) in counts {
+        for &(c, n) in counts {
             assert_eq!(a.category_count(CategoryId(c)), n);
+        }
+    }
+
+    /// A seeded interleaving of inserts and removes over categories that
+    /// include both ends of `u16`, first met out of order: after every
+    /// step the abstract answers what a `BTreeMap` of counts does.
+    #[test]
+    fn churn_matches_a_btreemap_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::BTreeMap;
+        let pool = [u16::MAX, 7, 0, 300, 1, u16::MAX - 1, 42, 9];
+        let absent = CategoryId(8);
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut a, mut model) = (ObjectAbstract::default(), BTreeMap::<u16, u32>::new());
+            for step in 0..600 {
+                if model.is_empty() || rng.random_range(0..5u32) < 3 {
+                    let c = pool[rng.random_range(0..pool.len())];
+                    a.insert(CategoryId(c));
+                    *model.entry(c).or_insert(0) += 1;
+                } else {
+                    let present: Vec<u16> = model.keys().copied().collect();
+                    let c = present[rng.random_range(0..present.len())];
+                    a.remove(CategoryId(c));
+                    let n = model.get_mut(&c).unwrap();
+                    *n -= 1;
+                    if *n == 0 {
+                        model.remove(&c);
+                    }
+                }
+                let want: Vec<(u16, u32)> = model.iter().map(|(&c, &n)| (c, n)).collect();
+                assert_eq!(a.counts(), want.as_slice(), "seed {seed}, step {step}");
+                assert_eq!(a.total(), model.values().sum::<u32>());
+                assert_eq!(a.size_bytes(), 4 + 6 * model.len());
+                assert_eq!(a.may_match(&ObjectFilter::Any), !model.is_empty());
+                for &c in &pool {
+                    let (id, has) = (CategoryId(c), model.contains_key(&c));
+                    assert_eq!(a.category_count(id), model.get(&c).copied().unwrap_or(0));
+                    assert_eq!(a.may_match(&ObjectFilter::Category(id)), has);
+                    assert_eq!(a.may_match(&ObjectFilter::AnyOf(vec![absent, id])), has);
+                }
+                let ends = ObjectFilter::AnyOf(vec![CategoryId(u16::MAX), CategoryId(0)]);
+                let has_end = model.contains_key(&0) || model.contains_key(&u16::MAX);
+                assert_eq!(a.may_match(&ends), has_end);
+                assert!(!a.may_match(&ObjectFilter::Category(absent)));
+            }
         }
     }
 

@@ -46,6 +46,7 @@ const ABSTRACT_CHUNK_SHIFT: u32 = 3;
 /// list leaves its map when its last object does.
 #[derive(Clone)]
 struct Lists {
+    /// Hashed: a shard holds lists for the few of its ids carrying objects.
     shards: CowChunks<FastMap<u32, Vec<ObjectId>>>,
 }
 
@@ -99,6 +100,7 @@ impl Lists {
 #[derive(Clone)]
 pub struct AssociationDirectory {
     len: usize,
+    /// Hashed: keyed by `ObjectId`, a sparse user-chosen `u64`.
     objects: CowChunks<FastMap<u64, Object>>,
     node_objects: Lists,
     edge_objects: Lists,

@@ -19,7 +19,6 @@ use crate::shortcut::{ShortcutOptions, ShortcutStore, WorkerScratches};
 use crate::workspace::SearchWorkspace;
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
-use road_network::hash::FastSet;
 use road_network::{EdgeId, NodeId, Point, Weight};
 use std::sync::Arc;
 
@@ -280,7 +279,7 @@ impl RoadFramework {
         for n in self.g.node_ids() {
             bytes += 16; // node header + coordinates
             bytes += 8 * self.g.degree(n); // adjacency entries
-            bytes += 8 * self.hier.bordered_rnets(n).len(); // shortcut-tree entries
+            bytes += 8 * self.hier.shortcut_tree(n).len(); // shortcut-tree entries
         }
         bytes + self.shortcuts.size_bytes()
     }
@@ -598,14 +597,14 @@ impl RoadFramework {
         nodes: &[NodeId],
         leaf: RnetId,
     ) -> Result<UpdateOutcome, RoadError> {
-        fn add_chain(hier: &RnetHierarchy, mut r: RnetId, set: &mut FastSet<u32>) {
+        fn add_chain(hier: &RnetHierarchy, mut r: RnetId, affected: &mut Vec<RnetId>) {
             while r.is_valid() {
-                set.insert(r.0);
+                affected.push(r);
                 r = hier.parent(r);
             }
         }
         let mut outcome = UpdateOutcome::default();
-        let mut affected: FastSet<u32> = FastSet::default();
+        let mut affected: Vec<RnetId> = Vec::new();
         let mut before = BordersBefore::default();
         // Topology changed: re-join the query arena (edge set and leaf
         // assignments moved). O(V + E), dwarfed by the shortcut refreshes
@@ -626,22 +625,22 @@ impl RoadFramework {
             }
             // Every Rnet the node still borders may gain/lose shortcuts
             // through the changed edge set.
-            for &r in hier.bordered_rnets(n) {
-                add_chain(hier, r, &mut affected);
+            for e in hier.shortcut_tree(n) {
+                add_chain(hier, e.rnet, &mut affected);
             }
         }
         // Refresh finest-first so parents see up-to-date child shortcuts
         // (`refresh_rnets` fans out one level at a time); the id tiebreak
-        // keeps the commit order (and thus the store's byte layout)
-        // independent of hash-set iteration order.
-        let mut order: Vec<RnetId> = affected.iter().map(|&r| RnetId(r)).collect();
-        order.sort_by_key(|&r| (std::cmp::Reverse(self.hier.level_of(r)), r.0));
-        outcome.rnets_refreshed += order.len();
+        // makes the commit order (and thus the store's byte layout) a total
+        // order, which also puts duplicates side by side.
+        affected.sort_unstable_by_key(|&r| (std::cmp::Reverse(self.hier.level_of(r)), r.0));
+        affected.dedup();
+        outcome.rnets_refreshed += affected.len();
         let changed = self.shortcuts.refresh_rnets(
             &self.g,
             &self.hier,
             self.cfg.metric,
-            &order,
+            &affected,
             &before,
             &self.cfg.shortcuts,
             &mut self.workers,

@@ -11,9 +11,9 @@
 //! are numbered so a leaf's ancestor at any level is integer arithmetic
 //! (`index / p^(l - level)`), which is also what makes the Route Overlay's
 //! "flattened" storage possible. Border-node sets are maintained per Rnet,
-//! and per node we keep the list of Rnets it borders ordered by level —
-//! exactly the *shortcut tree* shape of Figure 6 — together with that tree
-//! flattened into the order `ChoosePath` walks it (see [`TreeEntry`]).
+//! and per node the Rnets it borders are one list: its *shortcut tree*
+//! (Figure 6), flattened into the order `ChoosePath` walks it (see
+//! [`TreeEntry`]).
 //!
 //! Construction is the partitioner's: `l` levels of fanout `2^x` are
 //! `l * x` binary rounds of [`road_network::partition::split_rounds`] over
@@ -27,15 +27,15 @@ mod tree;
 pub use tree::TreeEntry;
 
 use road_network::graph::RoadNetwork;
-use road_network::hash::{FastMap, FastSet};
 use road_network::partition::{split_rounds, PartitionOptions};
 use road_network::{EdgeId, NodeId};
 use std::fmt;
 use tree::{LevelTable, ShortcutTrees};
 
 /// The border lists of Rnets as they were before a topology edit changed
-/// them, by Rnet id (see [`RnetHierarchy::refresh_node_borders`]).
-pub(crate) type BordersBefore = FastMap<u32, Vec<NodeId>>;
+/// them (see [`RnetHierarchy::refresh_node_borders`]). An edit changes a
+/// handful of Rnets, so the list is searched linearly.
+pub(crate) type BordersBefore = Vec<(RnetId, Vec<NodeId>)>;
 
 /// Identifier of an Rnet in the hierarchy (level-order numbering).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,11 +102,10 @@ pub struct RnetHierarchy {
     leaf_of_edge: Vec<RnetId>,
     /// Border nodes per Rnet id.
     borders: Vec<Vec<NodeId>>,
-    /// For each border node: the Rnets it borders, sorted by level asc.
-    node_rnets: FastMap<u32, Vec<RnetId>>,
     /// Level and parent per Rnet id (what `level_offsets` implies, O(1)).
     table: LevelTable,
-    /// For each border node: `node_rnets[n]` as a flattened shortcut tree.
+    /// For each border node: the Rnets it borders, as its flattened
+    /// shortcut tree — the one per-node list of them.
     trees: ShortcutTrees,
 }
 
@@ -223,7 +222,6 @@ impl RnetHierarchy {
             fanout: fanout as u32,
             levels: levels as u32,
             borders: vec![Vec::new(); level_offsets[levels] as usize],
-            node_rnets: FastMap::default(),
             table: LevelTable::new(&level_offsets, fanout as u32),
             trees: ShortcutTrees::default(),
             level_offsets,
@@ -338,28 +336,10 @@ impl RnetHierarchy {
         &self.borders[r.index()]
     }
 
-    /// The Rnets `n` borders, **sorted by level ascending** (the shape of
-    /// the node's shortcut tree); empty for interior nodes.
-    ///
-    /// The ordering is a load-bearing invariant, not a convenience: the
-    /// flattened [`RnetHierarchy::shortcut_tree`] roots itself at the
-    /// *first* entry's level, so a list not led by the coarsest level would
-    /// silently drop entire subtrees, and the paged engine places a node's
-    /// shortcut records in this order. [`RnetHierarchy::validate`] checks
-    /// it for every node; here it is asserted in debug builds on every
-    /// access.
-    pub fn bordered_rnets(&self, n: NodeId) -> &[RnetId] {
-        let rnets = self.node_rnets.get(&n.0).map(Vec::as_slice).unwrap_or(&[]);
-        debug_assert!(
-            rnets.windows(2).all(|w| self.level_of(w[0]) <= self.level_of(w[1])),
-            "bordered_rnets({n}) not sorted by level ascending: {rnets:?}"
-        );
-        rnets
-    }
-
     /// The shortcut tree of `n` (Figure 6) flattened into `ChoosePath`
-    /// visit order — [`RnetHierarchy::bordered_rnets`] rearranged so the
-    /// top-down walk is one forward scan; empty for interior nodes.
+    /// visit order, so the top-down walk is one forward scan: every Rnet
+    /// `n` borders, once, its first entry at `n`'s coarsest border level;
+    /// empty for interior nodes.
     #[inline]
     pub fn shortcut_tree(&self, n: NodeId) -> &[TreeEntry] {
         self.trees.of(n)
@@ -374,17 +354,19 @@ impl RnetHierarchy {
 
     /// `true` if `n` is a border node of `r`.
     pub fn is_border_of(&self, n: NodeId, r: RnetId) -> bool {
-        self.bordered_rnets(n).contains(&r)
+        self.shortcut_tree(n).iter().any(|e| e.rnet == r)
     }
 
     /// The coarsest level at which `n` is a border node (`None` = interior).
     pub fn border_level(&self, n: NodeId) -> Option<u32> {
-        self.bordered_rnets(n).first().map(|&r| self.level_of(r))
+        self.shortcut_tree(n).first().map(|e| self.level_of(e.rnet))
     }
 
     /// Computes the Rnets `n` should border from its current incident
     /// edges: for each level from the coarsest where its edges span two
-    /// Rnets down to the finest, every Rnet containing one of its edges.
+    /// Rnets down to the finest, every Rnet containing one of its edges —
+    /// ascending id, which is level ascending (ids are numbered level by
+    /// level).
     fn compute_node_borders(&self, g: &RoadNetwork, n: NodeId) -> Vec<RnetId> {
         // Distinct leaves of incident edges.
         let mut leaves: Vec<u32> = Vec::new();
@@ -432,7 +414,6 @@ impl RnetHierarchy {
             for &r in &rnets {
                 self.borders[r.index()].push(n);
             }
-            self.node_rnets.insert(n.0, rnets);
         }
         Ok(self)
     }
@@ -481,21 +462,26 @@ impl RnetHierarchy {
         before: &mut BordersBefore,
     ) -> Result<(Vec<RnetId>, Vec<RnetId>), crate::RoadError> {
         let new = self.compute_node_borders(g, n);
-        let old = self.node_rnets.get(&n.0).cloned().unwrap_or_default();
-        let gained: Vec<RnetId> = new.iter().copied().filter(|r| !old.contains(r)).collect();
-        let lost: Vec<RnetId> = old.iter().copied().filter(|r| !new.contains(r)).collect();
-        // `n` keeps its place where it stays a border and goes last where
-        // it becomes one.
+        let old = self.shortcut_tree(n).to_vec();
+        let gained: Vec<RnetId> =
+            new.iter().copied().filter(|&r| !old.iter().any(|e| e.rnet == r)).collect();
+        let lost: Vec<RnetId> = old.iter().map(|e| e.rnet).filter(|r| !new.contains(r)).collect();
+        // `n` keeps its old entry's slot where it stays a border and goes
+        // last where it becomes one.
         let mut tree = Vec::new();
         self.table.flatten(&new, &mut tree)?;
         for entry in &mut tree {
-            let list = &self.borders[entry.rnet.index()];
-            let slot = list.iter().position(|&m| m == n).unwrap_or(list.len());
+            let slot = match old.iter().find(|e| e.rnet == entry.rnet) {
+                Some(kept) => kept.slot(),
+                None => self.borders[entry.rnet.index()].len(),
+            };
             *entry = entry.with_slot(slot)?;
         }
         self.trees.set(n, &tree)?;
         for &r in gained.iter().chain(&lost) {
-            before.entry(r.0).or_insert_with(|| self.borders[r.index()].clone());
+            if !before.iter().any(|&(seen, _)| seen == r) {
+                before.push((r, self.borders[r.index()].clone()));
+            }
         }
         for &r in &lost {
             self.borders[r.index()].retain(|&m| m != n);
@@ -507,11 +493,6 @@ impl RnetHierarchy {
         for &r in &gained {
             self.borders[r.index()].push(n);
         }
-        if new.is_empty() {
-            self.node_rnets.remove(&n.0);
-        } else {
-            self.node_rnets.insert(n.0, new);
-        }
         Ok((gained, lost))
     }
 
@@ -519,19 +500,22 @@ impl RnetHierarchy {
     pub fn validate(&self, g: &RoadNetwork) -> Result<(), String> {
         // 1. Every live edge belongs to exactly one leaf Rnet; leaf lists
         //    partition the live edges.
-        let mut seen: FastSet<u32> = FastSet::default();
+        let mut seen = vec![false; g.edge_slots()];
         for edges in &self.leaf_edges {
             for &e in edges {
+                let Some(was_seen) = seen.get_mut(e.index()) else {
+                    return Err(format!("leaf list holds unknown edge {e}"));
+                };
                 if g.edge(e).is_deleted() {
                     return Err(format!("leaf list holds deleted edge {e}"));
                 }
-                if !seen.insert(e.0) {
+                if std::mem::replace(was_seen, true) {
                     return Err(format!("edge {e} in two leaf Rnets"));
                 }
             }
         }
         for e in g.edge_ids() {
-            if !seen.contains(&e.0) {
+            if !seen[e.index()] {
                 return Err(format!("edge {e} not assigned to any leaf Rnet"));
             }
             if !self.leaf_of_edge(e).is_valid() {
@@ -548,34 +532,23 @@ impl RnetHierarchy {
                 }
             }
         }
-        // 3. Border derivation matches Definition 1/4 at every level.
-        let (mut fresh, mut open) = (Vec::new(), Vec::<usize>::new());
+        // 3. Each node's tree holds the Rnets Definition 1/4 derive from
+        //    the network, in ChoosePath order.
+        let (mut fresh, mut open, mut got) = (Vec::new(), Vec::<usize>::new(), Vec::new());
         for n in g.node_ids() {
             let expect = self.compute_node_borders(g, n);
-            let got = self.bordered_rnets(n);
-            if got != expect.as_slice() {
-                return Err(format!("node {n} border list mismatch: {got:?} vs {expect:?}"));
-            }
-            // The list must be level-ascending — ChoosePath seeds its
-            // descent from the first entry's (topmost) level and would
-            // skip subtrees otherwise.
-            let levels: Vec<u32> = got.iter().map(|&r| self.level_of(r)).collect();
-            if !levels.windows(2).all(|w| w[0] <= w[1]) {
-                return Err(format!(
-                    "node {n} border list not level-ascending: {got:?} (levels {levels:?})"
-                ));
-            }
-            for &r in got {
-                if !self.borders(r).contains(&n) {
-                    return Err(format!("border list of {r:?} is missing {n}"));
-                }
-            }
-            // The flattened tree is the border list in ChoosePath order,
-            // every `skip` one past its subtree: forward, inside the tree,
-            // and nested within its parent's; every slot `n`'s place in its
-            // Rnet's border list.
             let tree = self.shortcut_tree(n);
-            self.table.flatten(got, &mut fresh).map_err(|e| e.to_string())?;
+            got.clear();
+            got.extend(tree.iter().map(|e| e.rnet));
+            got.sort_unstable();
+            if got != expect {
+                return Err(format!("node {n} border set mismatch: {tree:?} vs {expect:?}"));
+            }
+            // The flattened tree is that set in ChoosePath order, every
+            // `skip` one past its subtree: forward, inside the tree, and
+            // nested within its parent's; every slot `n`'s place in its
+            // Rnet's border list.
+            self.table.flatten(&expect, &mut fresh).map_err(|e| e.to_string())?;
             let shape = |t: &[TreeEntry]| -> Vec<(RnetId, usize, bool)> {
                 t.iter().map(|e| (e.rnet, e.skip(), e.is_leaf())).collect()
             };
@@ -601,7 +574,7 @@ impl RnetHierarchy {
         // 4. Rnet border lists contain only genuine borders.
         for (ri, list) in self.borders.iter().enumerate() {
             for &n in list {
-                if !self.bordered_rnets(n).contains(&RnetId(ri as u32)) {
+                if !self.compute_node_borders(g, n).contains(&RnetId(ri as u32)) {
                     return Err(format!("{n} listed as border of R{ri} but does not border it"));
                 }
             }
@@ -689,24 +662,21 @@ mod tests {
         let (g, hier) = build_grid(12, 12, 4, 3);
         let mut border_count = 0;
         for n in g.node_ids() {
-            let rnets = hier.bordered_rnets(n);
-            if rnets.is_empty() {
+            let levels: Vec<u32> =
+                hier.shortcut_tree(n).iter().map(|e| hier.level_of(e.rnet)).collect();
+            if levels.is_empty() {
                 continue;
             }
             border_count += 1;
             let bl = hier.border_level(n).unwrap();
+            // The tree is rooted at the coarsest level it holds.
+            assert_eq!(levels.iter().min(), Some(&bl));
             // Once a border, a border at every finer level.
             for lv in bl..=hier.levels() {
-                assert!(
-                    rnets.iter().any(|&r| hier.level_of(r) == lv),
-                    "{n} border at {bl} but not at {lv}"
-                );
+                assert!(levels.contains(&lv), "{n} border at {bl} but not at {lv}");
             }
-            // Levels are sorted ascending.
-            let levels: Vec<u32> = rnets.iter().map(|&r| hier.level_of(r)).collect();
-            assert!(levels.windows(2).all(|w| w[0] <= w[1]));
             // It borders at least two Rnets at its border level.
-            let at_bl = rnets.iter().filter(|&&r| hier.level_of(r) == bl).count();
+            let at_bl = levels.iter().filter(|&&lv| lv == bl).count();
             assert!(at_bl >= 2, "{n} borders only {at_bl} Rnet at level {bl}");
         }
         assert!(border_count > 0, "a partitioned grid must have border nodes");
@@ -720,7 +690,7 @@ mod tests {
         let cfg = HierarchyConfig { fanout: 2, levels: 1, partition: PartitionOptions::default() };
         let hier = RnetHierarchy::build(&g, &cfg).unwrap();
         hier.validate(&g).unwrap();
-        let all_borders: FastSet<u32> =
+        let all_borders: std::collections::BTreeSet<u32> =
             hier.rnets_at_level(1).flat_map(|r| hier.borders(r).iter().map(|n| n.0)).collect();
         assert_eq!(all_borders.len(), 1, "one cut point expected: {all_borders:?}");
     }
@@ -823,11 +793,14 @@ mod tests {
     }
 
     /// The Rnets `ChoosePath` consults at `n`, in order, under a bypass
-    /// verdict per Rnet — by the stack descent over `bordered_rnets` the
-    /// search loop ran before the tree was flattened (levels by binary
-    /// search, parents by id arithmetic, as then), kept as the reference.
+    /// verdict per Rnet — by the stack descent over the level-ascending
+    /// border list the search loop ran before the tree was flattened
+    /// (levels by binary search, parents by id arithmetic, as then), kept
+    /// as the reference. The list is recomputed from the network, not
+    /// read off the tree under test.
     fn stack_descent(
         hier: &RnetHierarchy,
+        g: &RoadNetwork,
         n: NodeId,
         bypass: &impl Fn(RnetId) -> bool,
     ) -> Vec<RnetId> {
@@ -840,7 +813,7 @@ mod tests {
             let idx = (r.0 - hier.level_offsets[lv - 1]) / hier.fanout;
             RnetId(hier.level_offsets[lv - 2] + idx)
         };
-        let bordered = hier.bordered_rnets(n);
+        let bordered = hier.compute_node_borders(g, n);
         let Some(&top) = bordered.first() else { return Vec::new() };
         let top_level = level_of(top);
         let mut stack: Vec<RnetId> =
@@ -852,7 +825,7 @@ mod tests {
                 continue;
             }
             let lv = level_of(r);
-            for &c in bordered {
+            for &c in &bordered {
                 if level_of(c) == lv + 1 && parent(c) == r {
                     stack.push(c);
                 }
@@ -880,7 +853,7 @@ mod tests {
         for n in g.node_ids() {
             assert_eq!(
                 tree_scan(hier, n, &|_| false).len(),
-                hier.bordered_rnets(n).len(),
+                hier.compute_node_borders(g, n).len(),
                 "{n}: descending everywhere must visit every bordered Rnet"
             );
             for mix in 0..5u64 {
@@ -895,10 +868,9 @@ mod tests {
                 };
                 assert_eq!(
                     tree_scan(hier, n, &bypass),
-                    stack_descent(hier, n, &bypass),
-                    "{n} (verdict mix {mix}): tree {:?} over {:?}",
-                    hier.shortcut_tree(n),
-                    hier.bordered_rnets(n)
+                    stack_descent(hier, g, n, &bypass),
+                    "{n} (verdict mix {mix}): tree {:?}",
+                    hier.shortcut_tree(n)
                 );
             }
         }
@@ -935,21 +907,29 @@ mod tests {
             .find(|&n| hier.shortcut_tree(n).len() > 2 && !hier.shortcut_tree(n)[0].is_leaf())
             .expect("a node bordering two levels");
         let own = hier.shortcut_tree(deep).to_vec();
-        // Cut short, the first subtree's `skip` points past the end.
+        // Cut short: an Rnet `deep` borders is missing from its tree.
         let mut cut = hier.clone();
         cut.trees.set(deep, &own[..own.len() - 1]).unwrap();
-        assert!(cut.validate(&g).unwrap_err().contains("shortcut tree"));
-        // Siblings in `bordered_rnets` order instead of reversed: same
-        // Rnets, another visit order, other ties.
+        assert!(cut.validate(&g).unwrap_err().contains("border set mismatch"));
+        // Siblings in ascending id order instead of reversed: same Rnets,
+        // another visit order, other ties.
         let mut reversed = hier.clone();
         let top_len = own[0].skip();
         let mut swapped = own[top_len..].to_vec();
         swapped.extend_from_slice(&own[..top_len]);
         reversed.trees.set(deep, &swapped).unwrap();
-        assert!(reversed.validate(&g).unwrap_err().contains("shortcut tree"));
+        assert!(reversed.validate(&g).unwrap_err().contains("is stale"));
         let mut gone = hier.clone();
         gone.trees.set(deep, &[]).unwrap();
-        assert!(gone.validate(&g).unwrap_err().contains("shortcut tree"));
+        assert!(gone.validate(&g).unwrap_err().contains("border set mismatch"));
+        // The right length, but one leaf entry names a leaf `deep` does
+        // not border.
+        let mut foreign = hier.clone();
+        let mut swapped_leaf = own.clone();
+        let last = swapped_leaf.last_mut().unwrap();
+        last.rnet = hier.rnets_at_level(2).find(|&r| !hier.is_border_of(deep, r)).unwrap();
+        foreign.trees.set(deep, &swapped_leaf).unwrap();
+        assert!(foreign.validate(&g).unwrap_err().contains("border set mismatch"));
         // The right shape with a slot pointing at another border.
         let mut moved = hier.clone();
         let r = own[0].rnet;
@@ -1038,7 +1018,7 @@ mod tests {
                 };
                 let at_a = leaves_at(a);
                 (0..num_nodes).map(|i| NodeId(((from + i) % num_nodes) as u32)).find(|&b| {
-                    hier.bordered_rnets(b).is_empty()
+                    hier.shortcut_tree(b).is_empty()
                         && leaves_at(b).iter().all(|leaf| !at_a.contains(leaf))
                 })
             };

@@ -5,7 +5,8 @@
 //! (Section 3.3, Figure 6) so that `ChoosePath` is one top-down walk. The
 //! tree of a border node is derived from the Rnets it borders; here it is
 //! derived *once*, when the node's borders are installed or refreshed, and
-//! stored in the order the walk visits it: a pre-order listing in which
+//! stored — as the only per-node list of those Rnets — in the order the
+//! walk visits it: a pre-order listing in which
 //! every entry knows where its subtree ends. `ChoosePath` then is a forward
 //! scan — after a bypass continue at [`TreeEntry::skip`], otherwise at the
 //! next entry — with no stack and no level arithmetic per settled node.
@@ -19,10 +20,10 @@
 //!
 //! Sibling order is part of the search's tie-breaking contract (the first
 //! relaxation to reach a label keeps it), so it is pinned: top-level Rnets
-//! in reverse [`bordered_rnets`](super::RnetHierarchy::bordered_rnets)
-//! order, each followed by its children in reverse order — what the LIFO
-//! descent over that list used to pop. A `cfg(test)` copy of that descent
-//! is the reference the proptests compare against.
+//! in descending id order, each followed by its children in descending id
+//! order — what the LIFO descent over the level-ascending (that is,
+//! id-ascending) border list used to pop. A `cfg(test)` copy of that
+//! descent is the reference the proptests compare against.
 // roadlint: serving-path
 
 use super::RnetId;
@@ -142,8 +143,8 @@ impl LevelTable {
     }
 
     /// Flattens the shortcut tree over `rnets` (a node's bordered Rnets,
-    /// level ascending) into `out`, in `ChoosePath` visit order; every
-    /// slot is 0 until the caller stamps it.
+    /// ascending id — hence level ascending) into `out`, in `ChoosePath`
+    /// visit order; every slot is 0 until the caller stamps it.
     pub(super) fn flatten(
         &self,
         rnets: &[RnetId],

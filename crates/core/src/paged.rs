@@ -592,23 +592,15 @@ impl PagedEngine {
                 .collect(),
             None => Vec::new(),
         };
-        // `n`'s shortcuts across each Rnet it borders, in
-        // `bordered_rnets` order: the order its records are laid out in.
-        let h: &RnetHierarchy = &hier;
-        let runs = |n: NodeId| {
-            shortcuts.into_iter().flat_map(move |sc| {
-                h.bordered_rnets(n).iter().filter_map(move |&r| {
-                    let slot = h.slot_of(n, r)?;
-                    Some((r, slot, sc.heads_at(r, slot)))
-                })
-            })
-        };
         // Blob size = node record + (eager only) its shortcut records.
         let blob_size = |n: NodeId| -> usize {
             let mut bytes = 4 + ADJ_ENTRY * g.neighbors(n).count();
-            for (_, _, list) in runs(n) {
-                if !list.is_empty() {
-                    bytes += 4 + SC_ENTRY * list.len();
+            if let Some(sc) = shortcuts {
+                for e in hier.shortcut_tree(n) {
+                    let list = sc.heads_at(e.rnet, e.slot());
+                    if !list.is_empty() {
+                        bytes += 4 + SC_ENTRY * list.len();
+                    }
                 }
             }
             bytes
@@ -620,6 +612,9 @@ impl PagedEngine {
         }
         self.node_region_pages = clustering.num_pages();
         self.node_loc = vec![LOC_NONE; g.num_nodes()];
+        // `n`'s `(rnet, slot)` pairs in ascending Rnet id — level ascending:
+        // the order its shortcut records are laid out in.
+        let mut by_id: Vec<(RnetId, usize)> = Vec::new();
         for n in g.node_ids() {
             let loc = clustering.locate(n);
             let (page, mut offset) = (base + loc.page, loc.offset);
@@ -629,7 +624,12 @@ impl PagedEngine {
                 *slot = pack_loc(page, offset, rec.len())?;
             }
             offset += rec.len() as u32;
-            for (r, slot, list) in runs(n) {
+            let Some(sc) = shortcuts else { continue };
+            by_id.clear();
+            by_id.extend(hier.shortcut_tree(n).iter().map(|e| (e.rnet, e.slot())));
+            by_id.sort_unstable();
+            for &(r, slot) in &by_id {
+                let list = sc.heads_at(r, slot);
                 if list.is_empty() {
                     continue;
                 }
@@ -684,7 +684,7 @@ impl PagedEngine {
             if a.is_empty() {
                 continue;
             }
-            encode_abstract_record(a.total(), &a.sorted_counts(), &mut rec);
+            encode_abstract_record(a.total(), a.counts(), &mut rec);
             let loc = self.append_record(&mut cursor, &rec, &mut tally)?;
             abstract_entries.push((u64::from(r.0), loc));
         }

@@ -812,6 +812,7 @@ pub(crate) fn aggregate(
         };
         let res = run(be, member_node, &query.filter, Mode::Range(bound))?;
         total.absorb(&res.stats);
+        // Hashed: keyed by `ObjectId`, a sparse user-chosen `u64`.
         let di: FastMap<u64, Weight> = res.hits.iter().map(|h| (h.object.0, h.distance)).collect();
         cands.retain_mut(|c| match di.get(&c.0 .0) {
             Some(&d) => {
@@ -862,6 +863,7 @@ fn oracle(
 ) -> Vec<SearchHit> {
     let g = fw.network();
     let kind = fw.metric();
+    // Hashed: keyed by `ObjectId`, a sparse user-chosen `u64`.
     let mut best: FastMap<u64, Weight> = FastMap::default();
     // The oracle reuses a thread-pooled Dijkstra: agreement suites fire
     // thousands of reference queries, and a fresh `O(|N|)` state per query

@@ -564,7 +564,7 @@ impl ShortcutStore {
             let maps = self.compute_level_maps(g, hier, kind, run, scratches);
             for (&r, map) in run.iter().zip(maps) {
                 let borders = hier.borders(r);
-                let old = before.get(&r.0).map_or(borders, Vec::as_slice);
+                let old = before.iter().find(|&&(id, _)| id == r).map_or(borders, |(_, old)| old);
                 changed.push(!Self::maps_equivalent(self.rnet(r), old, &map, borders));
                 self.replace_rnet(r, map);
             }

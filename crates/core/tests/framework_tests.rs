@@ -370,8 +370,8 @@ fn weight_update_propagation_stops_early() {
             .flat_map(|&bn| fw.shortcuts().from(fw.hierarchy(), leaf, bn))
             .any(|sc| sc.via.contains(&a) || sc.via.contains(&b) || sc.to == a || sc.to == b);
         if !covered
-            && !fw.hierarchy().bordered_rnets(a).contains(&leaf)
-            && !fw.hierarchy().bordered_rnets(b).contains(&leaf)
+            && !fw.hierarchy().is_border_of(a, leaf)
+            && !fw.hierarchy().is_border_of(b, leaf)
         {
             quiet = Some(e);
             break;

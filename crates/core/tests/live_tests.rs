@@ -863,14 +863,14 @@ fn fifty_ticks(threads: usize) -> &'static (LiveStats, usize, u64) {
 /// 50-tick history at one and two repair workers — and it is a fraction of
 /// what copying the network's edge records once per tick, as every tick did
 /// before the columns were chunked, would have cost. 6,004 of the copied
-/// elements are object abstracts, `size_of::<ObjectAbstract>()` = 40 bytes
-/// each on a 64-bit target.
+/// elements are object abstracts, `size_of::<ObjectAbstract>()` = 32 bytes
+/// each on a 64-bit target (a `u32` total and a `Vec` of counts).
 #[test]
 fn fifty_ticks_copy_a_pinned_number_of_bytes() {
     for threads in [1, 2] {
         let &(stats, refreshed, edge_records) = fifty_ticks(threads);
         assert_eq!((stats.publishes, refreshed), (50, 1226), "{threads} threads");
-        assert_eq!(stats.bytes_copied, 5_517_144, "{threads} threads");
+        assert_eq!(stats.bytes_copied, 5_469_112, "{threads} threads");
         assert!(stats.bytes_copied < 50 * edge_records, "{stats:?}");
     }
 }

@@ -71,6 +71,7 @@ pub fn generate(cfg: &HighwayConfig) -> Result<RoadNetwork, NetworkError> {
     //    then keep adding the next-shortest until the edge budget is met.
     let mut uf = UnionFind::new(bb as u32 as usize);
     let mut chosen: Vec<(u32, u32)> = Vec::with_capacity(backbone_edges);
+    // Hashed: node pairs, of which the backbone takes a sparse few.
     let mut used = std::collections::HashSet::new();
     for &(_, a, b) in &candidates {
         if chosen.len() == backbone_edges && uf.components() == 1 {
@@ -183,6 +184,7 @@ fn knn_candidates(pts: &[(f64, f64)], extent: f64, k: usize) -> Vec<(f64, u32, u
         buckets[cy * cells_per_side + cx].push(i as u32);
     }
     let mut out: Vec<(f64, u32, u32)> = Vec::with_capacity(n * k);
+    // Hashed: node pairs, k per point out of n².
     let mut seen = std::collections::HashSet::new();
     let mut near: Vec<(f64, u32)> = Vec::new();
     for (i, &(x, y)) in pts.iter().enumerate() {

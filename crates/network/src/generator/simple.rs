@@ -79,10 +79,9 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> RoadNetwork 
     // Random chords, skipping duplicates/self-loops (best effort).
     let mut added = 0;
     let mut attempts = 0;
-    let mut existing: std::collections::HashSet<(u32, u32)> = (1..n)
-        .map(|_| (0, 0)) // placeholder replaced below
-        .collect();
-    existing.clear();
+    // Chords already drawn, by node pair: at most `extra_edges` of the n²
+    // pairs, so a set.
+    let mut existing = std::collections::HashSet::new();
     while added < extra_edges && attempts < extra_edges * 20 + 40 {
         attempts += 1;
         if n < 2 {

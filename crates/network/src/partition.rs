@@ -530,14 +530,14 @@ impl Bisector {
 
 /// Number of nodes incident to edges on both sides — the KL objective.
 pub fn internal_border_count(g: &RoadNetwork, edges: &[EdgeId], side: &[bool]) -> usize {
-    let mut counts: FastMap<u32, [u32; 2]> = FastMap::default();
+    let mut counts = vec![[0u32; 2]; g.num_nodes()];
     for (&e, &s) in edges.iter().zip(side) {
         let (a, b) = g.edge(e).endpoints();
         for n in [a, b] {
-            counts.entry(n.0).or_insert([0, 0])[s as usize] += 1;
+            counts[n.index()][s as usize] += 1;
         }
     }
-    counts.values().filter(|&&c| on_both_sides(c)).count()
+    counts.into_iter().filter(|&c| on_both_sides(c)).count()
 }
 
 #[cfg(test)]
