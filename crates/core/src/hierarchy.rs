@@ -892,7 +892,7 @@ mod tests {
                 let (got, want) =
                     (fw.shortcuts().heads_at(r, entry.slot()), fresh.heads_at(r, by_node));
                 assert_eq!(got.len(), want.len(), "{n} across {r:?}: {got:?} vs {want:?}");
-                for (a, b) in got.iter().zip(want) {
+                for (a, b) in got.iter().zip(want.iter()) {
                     assert!(a.to == b.to && a.dist.approx_eq(b.dist), "{n} across {r:?}");
                 }
             }

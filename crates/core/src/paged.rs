@@ -255,10 +255,10 @@ fn encode_node_record(
     }
 }
 
-fn encode_shortcut_record(list: &[crate::shortcut::ShortcutHead], out: &mut Vec<u8>) {
+fn encode_shortcut_record(list: crate::shortcut::Heads<'_>, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-    for sc in list {
+    for sc in list.iter() {
         out.extend_from_slice(&sc.to.0.to_le_bytes());
         out.extend_from_slice(&sc.dist.get().to_le_bytes());
     }

@@ -25,7 +25,7 @@
 
 use crate::framework::{RoadConfig, RoadFramework};
 use crate::hierarchy::{RnetHierarchy, RnetId};
-use crate::shortcut::ShortcutStore;
+use crate::shortcut::{RnetBuilder, ShortcutStore};
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, Point, Weight};
@@ -294,7 +294,7 @@ impl PagedImage {
         self.rnet_ranges.get(r).map(|&(start, end)| end - start)
     }
 
-    /// Decodes one Rnet's shortcut arena — the per-Rnet unit of lazy
+    /// Decodes one Rnet's shortcut tables — the per-Rnet unit of lazy
     /// loading. Cheap for object-free Rnets, and never touches any other
     /// Rnet's bytes.
     ///
@@ -308,24 +308,23 @@ impl PagedImage {
         &self,
         r: usize,
     ) -> Result<crate::shortcut::RnetShortcuts, RoadError> {
-        let (start, _) = self.rnet_ranges[r];
-        let mut pos = start;
-        let mut out = crate::shortcut::RnetShortcuts::default();
-        ShortcutStore::walk_rnet_section(
+        let (start, end) = self.rnet_ranges[r];
+        let (mut pos, id) = (start, RnetId(r as u32));
+        let mut builder = RnetBuilder::for_section(self.hier.borders(id).len(), end - start);
+        ShortcutStore::decode_rnet_section(
             &self.bytes,
             &mut pos,
             self.g.num_nodes() as u32,
             &self.hier,
-            RnetId(r as u32),
-            Some(&mut out),
+            id,
+            &mut builder,
         )
         .map_err(|e| {
             corrupt(format!(
                 "Rnet {r} shortcut section no longer decodes (image corrupted after \
                  open?): {e}"
             ))
-        })?;
-        Ok(out)
+        })
     }
 
     /// Materializes the full framework (decodes every Rnet) — the upgrade

@@ -508,7 +508,7 @@ impl SearchSource for MemorySource<'_> {
         slot: usize,
         mut visit: impl FnMut(u32, Weight),
     ) -> Result<(), RoadError> {
-        for sc in self.fw.shortcuts().heads_at(r, slot) {
+        for sc in self.fw.shortcuts().heads_at(r, slot).iter() {
             visit(sc.to.0, sc.dist);
         }
         Ok(())
@@ -538,7 +538,7 @@ pub(crate) fn run(
     let mut src = be.source(!matches!(mode, Mode::ToNode(_)));
     let mut ws = workspace::acquire();
     let mut hits = Vec::new();
-    match execute_source_into(&mut src, node, filter, mode, &mut ws, &mut hits) {
+    match execute_source_into(&mut src, node, filter, mode, true, &mut ws, &mut hits) {
         Ok(stats) => Ok(SearchResult { hits, stats, source: node, ws: PooledWorkspace::new(ws) }),
         Err(e) => {
             workspace::release(ws);
@@ -548,8 +548,10 @@ pub(crate) fn run(
 }
 
 /// A kNN or range query into the caller's workspace and hit buffer (cleared
-/// first): the allocation-free `_with` doors and the batch workers. After
-/// the call, `ws` still holds this query's distance/predecessor labels.
+/// first): the allocation-free `_with` doors and the batch workers. Nothing
+/// reconstructs a path from `ws` afterwards, so the query records none:
+/// the workspace keeps this query's distance labels, and no predecessor
+/// link is written.
 pub(crate) fn run_into(
     be: &impl Backend,
     node: NodeId,
@@ -558,7 +560,7 @@ pub(crate) fn run_into(
     ws: &mut SearchWorkspace,
     hits: &mut Vec<SearchHit>,
 ) -> Result<SearchStats, RoadError> {
-    execute_source_into(&mut be.source(true), node, filter, mode, ws, hits)
+    execute_source_into(&mut be.source(true), node, filter, mode, false, ws, hits)
 }
 
 /// Point-to-point routing from `from` until `to` settles: the distance
@@ -573,11 +575,14 @@ pub(crate) fn distance(
 }
 
 /// The one expansion loop behind every engine (see [`SearchSource`]).
+/// `paths` says whether the round records predecessor links
+/// ([`SearchWorkspace::begin`]); it changes nothing else.
 pub(crate) fn execute_source_into(
     src: &mut impl SearchSource,
     source: NodeId,
     filter: &ObjectFilter,
     mode: Mode,
+    paths: bool,
     ws: &mut SearchWorkspace,
     hits: &mut Vec<SearchHit>,
 ) -> Result<SearchStats, RoadError> {
@@ -598,7 +603,7 @@ pub(crate) fn execute_source_into(
     let mut stats = SearchStats { workspace_reused: ws.reuse_count() > 0, ..Default::default() };
     let io_before = src.io_counters();
     hits.clear();
-    ws.begin(num_nodes, hier.num_rnets());
+    ws.begin(num_nodes, hier.num_rnets(), paths);
 
     let want = match mode {
         Mode::Knn(k, _) => k,
@@ -983,7 +988,8 @@ mod tests {
             };
             let any = ObjectFilter::Any;
             let stats =
-                execute_source_into(&mut src, NodeId(0), &any, mode, &mut ws, &mut hits).unwrap();
+                execute_source_into(&mut src, NodeId(0), &any, mode, false, &mut ws, &mut hits)
+                    .unwrap();
             let asked = match ad {
                 Some(_) => &src.abstracts_asked,
                 None => &src.containments_asked,

@@ -86,27 +86,30 @@
 //! [`ShortcutStore::expand`] turns a shortcut back into a full physical
 //! [`Path`].
 //!
-//! An Rnet's shortcuts live in one flat arena (`RnetShortcuts`): one run
-//! of contiguous 16-byte heads `(dist, to, via_end)` per border node, in
-//! the order of [`RnetHierarchy::borders`] (a border's *slot*), an offset
-//! table over the runs, and one waypoint vector the heads index into. The
-//! slot of a border in each Rnet it borders sits in its shortcut tree
+//! An Rnet's shortcuts live in two flat tables (`RnetShortcuts`). The
+//! *hot* one holds only what a bypass reads: a table of run starts, one
+//! per border node in the order of [`RnetHierarchy::borders`] (a border's
+//! *slot*) and one more, followed by one run of 12-byte heads `(to, dist)`
+//! per slot, all in one allocation. The *cold* one holds the waypoints and
+//! where each head's waypoints end. The slot of a border in each Rnet it
+//! borders sits in its shortcut tree
 //! ([`crate::hierarchy::TreeEntry::slot`]), so a bypass indexes its run
-//! and scans the heads: no search, no hash, no per-shortcut allocation.
-//! The file format lists each Rnet's non-empty runs by ascending source
-//! node instead; the writer orders the slots by their nodes, and the
-//! decoder maps every stored source back to its slot through the
-//! hierarchy, rejecting a source or a target that is not a border of the
-//! Rnet.
+//! and scans the heads: no search, no hash, no per-shortcut allocation,
+//! and two dependent loads from the per-Rnet table to the first head —
+//! the hot table's pointer, then the run's two starts. The file format
+//! lists each Rnet's non-empty runs by ascending source node instead; the
+//! writer orders the slots by their nodes, and the decoder maps every
+//! stored source back to its slot through the hierarchy, rejecting a
+//! source or a target that is not a border of the Rnet.
 //!
-//! Each Rnet's arena sits behind its own [`Arc`], and the table of those
-//! `Arc`s is a [`CowChunks`] of 64 pointers a chunk: cloning the store
-//! copies one pointer per chunk (86 on a 5,460-Rnet hierarchy), and a
-//! refresh of one Rnet copies the chunk of pointers that holds it,
-//! leaving every other Rnet's arena — and every other chunk — physically
-//! shared with prior clones. This is what makes snapshot publication in
+//! Each table sits behind its own [`Arc`], and the per-Rnet table of those
+//! pairs of `Arc`s is a [`CowChunks`] of 64 pairs a chunk: cloning the
+//! store copies one pointer per chunk (86 on a 5,460-Rnet hierarchy), and
+//! a refresh of one Rnet copies the chunk of pairs that holds it, leaving
+//! every other Rnet's tables — and every other chunk — physically shared
+//! with prior clones. This is what makes snapshot publication in
 //! [`crate::live`] cheap: an update clones only the affected Rnets'
-//! shortcut data and a pointer chunk each.
+//! shortcut data and a chunk of pairs each.
 
 use crate::hierarchy::{BordersBefore, RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
@@ -118,9 +121,9 @@ use road_network::path::Path;
 use road_network::{CowChunks, NodeId, Weight};
 use std::sync::Arc;
 
-/// A copy-on-write chunk of the store's per-Rnet table holds `2^6` arena
-/// pointers: a refresh copies one chunk (512 bytes), a fork one pointer
-/// per chunk.
+/// A copy-on-write chunk of the store's per-Rnet table holds `2^6` pairs
+/// of table pointers: a refresh copies one chunk (1,536 bytes), a fork one
+/// pointer per chunk.
 const RNET_CHUNK_SHIFT: u32 = 6;
 
 /// Local graphs of at most this many nodes get their border-distance
@@ -172,32 +175,89 @@ pub struct ShortcutEdge<'a> {
     pub via: &'a [NodeId],
 }
 
-/// The fixed-size part of a stored shortcut — all a bypass reads. 16 bytes,
-/// the header size [`ShortcutStore::size_bytes`] models.
-#[derive(Clone, Copy, Debug)]
+/// A stored shortcut as a bypass reads it: its target and length, without
+/// waypoints.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct ShortcutHead {
-    pub(crate) dist: Weight,
     pub(crate) to: NodeId,
-    /// End of this shortcut's waypoints in the Rnet's waypoint vector;
-    /// they start where the previous head's end.
-    via_end: u32,
+    pub(crate) dist: Weight,
 }
 
-/// All shortcuts of one Rnet, flat (see the module docs): the shortcuts of
-/// the border in slot `s` of the Rnet's border list are
-/// `heads[head_offsets[s]..head_offsets[s + 1]]`, stored in the order the
-/// builder kept them, and head `k`'s waypoints are
-/// `vias[heads[k - 1].via_end..heads[k].via_end]`. `head_offsets` is empty
-/// when `heads` is, so an Rnet without shortcuts allocates nothing.
+/// Words of a head in an Rnet's hot table: `to`, then the bits of `dist`,
+/// low word first.
+const HEAD_WORDS: usize = 3;
+
+/// All shortcuts of one Rnet (see the module docs), in two allocations.
+///
+/// `hot` is what a bypass reads, in 32-bit words: a start table with one
+/// entry per slot and one more, then the heads of every run back to back
+/// ([`HEAD_WORDS`] each), in slot order and within a run in the order the
+/// builder kept them. The shortcuts of the border in slot `s` are the
+/// words `hot[s]..hot[s + 1]`. A start is a word index into `hot` itself,
+/// so the first run starts right after the table, and `hot[0]` is also the
+/// table's length: a slot at or past it has no run. An Rnet without
+/// shortcuts has no words at all. So from the table's pointer a bypass
+/// reaches its heads in one more load.
+///
+/// `cold` holds the waypoints, which only path expansion, repair and the
+/// file format read: head `k`'s are `vias[ends[k - 1]..ends[k]]`.
+///
+/// Cloning shares both; the per-Rnet table of the store holds this pair
+/// itself, so copy-on-write un-shares a chunk of pairs, never a table.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RnetShortcuts {
-    head_offsets: Vec<u32>,
-    heads: Vec<ShortcutHead>,
-    vias: Vec<NodeId>,
+    hot: Arc<[u32]>,
+    cold: Arc<Waypoints>,
 }
 
-/// Arena offsets are `u32`. The builder can only get past that by holding
-/// 64 GiB of heads or 16 GiB of waypoints for a single Rnet.
+/// The waypoints of an Rnet's shortcuts, by head (see [`RnetShortcuts`]).
+#[derive(Debug, Default)]
+struct Waypoints {
+    ends: Box<[u32]>,
+    vias: Box<[NodeId]>,
+}
+
+/// The heads of one run, borrowed from an Rnet's hot table.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Heads<'a>(&'a [[u32; HEAD_WORDS]]);
+
+impl<'a> Heads<'a> {
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The `k`-th head of the run.
+    pub(crate) fn get(self, k: usize) -> Option<ShortcutHead> {
+        self.0.get(k).map(|&words| unpack_head(words))
+    }
+
+    #[inline]
+    pub(crate) fn iter(self) -> impl Iterator<Item = ShortcutHead> + 'a {
+        self.0.iter().map(|&words| unpack_head(words))
+    }
+}
+
+#[inline]
+fn unpack_head([to, lo, hi]: [u32; HEAD_WORDS]) -> ShortcutHead {
+    ShortcutHead {
+        to: NodeId(to),
+        dist: Weight::new(f64::from_bits(u64::from(hi) << 32 | u64::from(lo))),
+    }
+}
+
+fn pack_head(to: NodeId, dist: Weight) -> [u32; HEAD_WORDS] {
+    let bits = dist.get().to_bits();
+    [to.0, bits as u32, (bits >> 32) as u32]
+}
+
+/// Table offsets are `u32`. The builder can only get past that by holding
+/// 16 GiB of heads or of waypoints for a single Rnet.
 fn arena_offset(len: usize) -> u32 {
     assert!(len <= u32::MAX as usize, "one Rnet's shortcut arena outgrew its 32-bit offsets");
     len as u32
@@ -205,43 +265,58 @@ fn arena_offset(len: usize) -> u32 {
 
 impl RnetShortcuts {
     fn num_shortcuts(&self) -> usize {
-        self.heads.len()
+        self.cold.ends.len()
     }
 
     /// Modelled serialized bytes: 16 per head, 4 per waypoint.
     fn size_bytes(&self) -> usize {
-        16 * self.heads.len() + 4 * self.vias.len()
+        16 * self.cold.ends.len() + 4 * self.cold.vias.len()
     }
 
-    /// Index range in `heads` of the run in `slot`; empty past the last.
+    /// Length of the start table; 0 without shortcuts.
     #[inline]
-    fn run(&self, slot: usize) -> std::ops::Range<usize> {
-        match (self.head_offsets.get(slot), self.head_offsets.get(slot.wrapping_add(1))) {
-            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
-            _ => 0..0,
-        }
+    fn table_len(&self) -> usize {
+        self.hot.first().map_or(0, |&len| len as usize)
     }
 
-    /// Runs closed so far: one per slot, or none at all.
-    fn num_runs(&self) -> usize {
-        self.head_offsets.len().saturating_sub(1)
+    /// Word range in `hot` of the run in `slot`; empty past the last.
+    #[inline]
+    fn run_words(&self, slot: usize) -> std::ops::Range<usize> {
+        match self.hot.get(slot..self.table_len()).and_then(|starts| starts.first_chunk()) {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            None => 0..0,
+        }
     }
 
     /// The heads of the shortcuts leaving the border in `slot`.
     #[inline]
-    pub(crate) fn heads_at(&self, slot: usize) -> &[ShortcutHead] {
-        self.heads.get(self.run(slot)).unwrap_or(&[])
+    pub(crate) fn heads_at(&self, slot: usize) -> Heads<'_> {
+        Heads(self.hot.get(self.run_words(slot)).unwrap_or_default().as_chunks().0)
+    }
+
+    /// Index range of the run in `slot` among all the Rnet's heads (the
+    /// index its waypoint ends go by).
+    fn run(&self, slot: usize) -> std::ops::Range<usize> {
+        let (words, table) = (self.run_words(slot), self.table_len());
+        let head = |word: usize| word.saturating_sub(table) / HEAD_WORDS;
+        head(words.start)..head(words.end)
+    }
+
+    /// Do `self` and `other` share their allocations (one is a clone of
+    /// the other), rather than merely hold equal shortcuts?
+    fn is_shared_with(&self, other: &RnetShortcuts) -> bool {
+        Arc::ptr_eq(&self.hot, &other.hot) && Arc::ptr_eq(&self.cold, &other.cold)
     }
 
     /// The non-empty runs as `(slot, source, heads)`, by ascending source
     /// node — the order the file format and the paged engine's lazy
-    /// page-in write them. `borders` is the border list the arena is
+    /// page-in write them. `borders` is the border list the table is
     /// indexed by: in node order, so the slots are too, unless a topology
     /// edit appended to it, and only then are they sorted.
     pub(crate) fn runs_by_source<'a>(
         &'a self,
         borders: &'a [NodeId],
-    ) -> impl Iterator<Item = (usize, NodeId, &'a [ShortcutHead])> + 'a {
+    ) -> impl Iterator<Item = (usize, NodeId, Heads<'a>)> + 'a {
         let by_node = (!borders.is_sorted()).then(|| {
             let mut slots: Vec<usize> = (0..borders.len()).collect();
             slots.sort_unstable_by_key(|&slot| borders.get(slot).copied());
@@ -257,12 +332,13 @@ impl RnetShortcuts {
 
     /// The `k`-th head with its waypoints.
     fn edge(&self, k: usize) -> Option<ShortcutEdge<'_>> {
-        let head = self.heads.get(k)?;
+        let words = self.hot.get(self.table_len()..)?.as_chunks().0.get(k)?;
+        let (head, ends) = (unpack_head(*words), &self.cold.ends);
         let via_start = match k.checked_sub(1) {
-            Some(before) => self.heads.get(before)?.via_end,
+            Some(before) => *ends.get(before)?,
             None => 0,
         };
-        let via = self.vias.get(via_start as usize..head.via_end as usize)?;
+        let via = self.cold.vias.get(via_start as usize..*ends.get(k)? as usize)?;
         Some(ShortcutEdge { to: head.to, dist: head.dist, via })
     }
 
@@ -274,41 +350,81 @@ impl RnetShortcuts {
     /// The shortcut from the border in `slot` to `to`, found over the
     /// heads alone.
     fn between(&self, slot: usize, to: NodeId) -> Option<ShortcutEdge<'_>> {
-        let run = self.run(slot);
-        let at = self.heads.get(run.clone())?.iter().position(|sc| sc.to == to)?;
-        self.edge(run.start + at)
+        let at = self.heads_at(slot).iter().position(|sc| sc.to == to)?;
+        self.edge(self.run(slot).start + at)
+    }
+}
+
+/// An Rnet's shortcuts while they are written — by the builder, in slot
+/// order, or by the decoder, skipping to each stored source's slot — and
+/// copied into an [`RnetShortcuts`] by [`RnetBuilder::finish`], which
+/// leaves it empty for the next Rnet.
+#[derive(Default)]
+pub(crate) struct RnetBuilder {
+    /// End of each closed run in `heads`, by slot.
+    run_ends: Vec<u32>,
+    heads: Vec<[u32; HEAD_WORDS]>,
+    /// End of each head's waypoints in `vias`.
+    via_ends: Vec<u32>,
+    vias: Vec<NodeId>,
+}
+
+impl RnetBuilder {
+    /// A builder with room for whatever a serialized section of `bytes`
+    /// bytes holds for an Rnet of `slots` borders (a head takes at least
+    /// 16 bytes of it, a waypoint 4), so decoding it grows no buffer.
+    pub(crate) fn for_section(slots: usize, bytes: usize) -> Self {
+        RnetBuilder {
+            run_ends: Vec::with_capacity(slots),
+            heads: Vec::with_capacity(bytes / 16),
+            via_ends: Vec::with_capacity(bytes / 16),
+            vias: Vec::with_capacity(bytes / 4),
+        }
+    }
+
+    /// Runs closed so far.
+    fn num_runs(&self) -> usize {
+        self.run_ends.len()
     }
 
     /// Appends a shortcut of the run being written; its waypoints are
     /// whatever the caller pushed onto `vias` since the previous head.
     fn push_head(&mut self, to: NodeId, dist: Weight) {
-        self.heads.push(ShortcutHead { dist, to, via_end: arena_offset(self.vias.len()) });
+        self.heads.push(pack_head(to, dist));
+        self.via_ends.push(arena_offset(self.vias.len()));
     }
 
     /// Closes the run of the next slot: the heads pushed since the
     /// previous run closed, possibly none.
     fn end_run(&mut self) {
-        if self.head_offsets.is_empty() {
-            self.head_offsets.push(0);
-        }
-        self.head_offsets.push(arena_offset(self.heads.len()));
+        self.run_ends.push(arena_offset(self.heads.len()));
     }
 
-    /// Closes empty runs up to `slots`, then finishes the arena: without
-    /// a shortcut it keeps no offsets, and it gives back its growth slack
-    /// — it lives as long as the store (and every snapshot sharing it)
-    /// does.
-    fn finish(&mut self, slots: usize) {
-        if self.heads.is_empty() {
-            self.head_offsets = Vec::new();
-        } else {
-            while self.num_runs() < slots {
-                self.end_run();
-            }
+    /// Closes empty runs up to `slots`, copies what was written into the
+    /// two tables of an [`RnetShortcuts`] — exactly sized, since they live
+    /// as long as the store (and every snapshot sharing them) does — and
+    /// empties the builder for the next Rnet.
+    fn finish(&mut self, slots: usize) -> RnetShortcuts {
+        while self.num_runs() < slots {
+            self.end_run();
         }
-        self.head_offsets.shrink_to_fit();
-        self.heads.shrink_to_fit();
-        self.vias.shrink_to_fit();
+        let hot = if self.heads.is_empty() {
+            Arc::default()
+        } else {
+            let table = self.run_ends.len() + 1;
+            let start = |heads: u32| arena_offset(table + HEAD_WORDS * heads as usize);
+            let starts = std::iter::once(0).chain(self.run_ends.iter().copied()).map(start);
+            starts.chain(self.heads.as_flattened().iter().copied()).collect()
+        };
+        let cold = Arc::new(Waypoints {
+            ends: self.via_ends.as_slice().into(),
+            vias: self.vias.as_slice().into(),
+        });
+        self.run_ends.clear();
+        self.heads.clear();
+        self.via_ends.clear();
+        self.vias.clear();
+        RnetShortcuts { hot, cold }
     }
 }
 
@@ -344,14 +460,14 @@ fn resolve_threads(threads: usize) -> usize {
 /// All shortcuts of the hierarchy, grouped per Rnet and source node.
 ///
 /// Cloning the store is cheap (one [`Arc`] bump per 64 Rnets) and shares
-/// every per-Rnet arena with the original; a refresh then
-/// replaces only the refreshed Rnet's arena and copies the chunk of
-/// pointers that holds it, which is the structural-sharing contract the
-/// live engine's snapshots rely on.
+/// every Rnet's tables with the original; a refresh then replaces only
+/// the refreshed Rnet's tables and copies the chunk of pointers that holds
+/// them, which is the structural-sharing contract the live engine's
+/// snapshots rely on.
 #[derive(Clone)]
 pub struct ShortcutStore {
     /// Element `r` holds the shortcuts of Rnet `r`, by source border node.
-    per_rnet: CowChunks<Arc<RnetShortcuts>>,
+    per_rnet: CowChunks<RnetShortcuts>,
     num_shortcuts: usize,
     /// Modelled serialized bytes of every stored shortcut, maintained
     /// incrementally by [`ShortcutStore::replace_rnet`] exactly like
@@ -386,7 +502,7 @@ impl ShortcutStore {
     fn empty(num_rnets: usize) -> Self {
         ShortcutStore {
             per_rnet: CowChunks::from_vec(
-                (0..num_rnets).map(|_| Arc::default()).collect(),
+                (0..num_rnets).map(|_| RnetShortcuts::default()).collect(),
                 RNET_CHUNK_SHIFT,
             ),
             num_shortcuts: 0,
@@ -457,8 +573,8 @@ impl ShortcutStore {
     /// their waypoints: what a bypass relaxes and what the paged engine
     /// lays onto its hot records.
     #[inline]
-    pub(crate) fn heads_at(&self, r: RnetId, slot: usize) -> &[ShortcutHead] {
-        self.per_rnet.get(r.0 as usize).map_or(&[], |rnet| rnet.heads_at(slot))
+    pub(crate) fn heads_at(&self, r: RnetId, slot: usize) -> Heads<'_> {
+        self.per_rnet.get(r.0 as usize).map(|rnet| rnet.heads_at(slot)).unwrap_or_default()
     }
 
     /// The stored shortcut `from -> to` within `r`, if kept.
@@ -472,7 +588,7 @@ impl ShortcutStore {
         self.rnet(r).between(hier.slot_of(from, r)?, to)
     }
 
-    /// The arena of Rnet `r`.
+    /// The tables of Rnet `r`.
     ///
     /// # Panics
     /// Panics when `r` is not an Rnet of the store's hierarchy.
@@ -502,21 +618,21 @@ impl ShortcutStore {
         self.num_shortcuts = self.num_shortcuts - old_shortcuts + new.num_shortcuts();
         self.num_bytes = self.num_bytes - old_bytes + new.size_bytes();
         if let Some(slot) = self.per_rnet.make_mut(r.0 as usize) {
-            *slot = Arc::new(new);
+            *slot = new;
         }
     }
 
-    /// How many Rnets' shortcut arenas this store physically shares with
+    /// How many Rnets' shortcut tables this store physically shares with
     /// `other` (same allocation, not merely equal contents). Two stores
     /// related by snapshot forks share every Rnet that no intervening
     /// maintenance refreshed — the quantity the live-serving tests and
     /// roadbench's `core.live.shared_rnets_share` use to prove updates
     /// never fall back to full rebuilds.
     pub fn shared_rnet_count(&self, other: &ShortcutStore) -> usize {
-        self.per_rnet.iter().zip(other.per_rnet.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        self.per_rnet.iter().zip(other.per_rnet.iter()).filter(|(a, b)| a.is_shared_with(b)).count()
     }
 
-    /// How many chunks of the per-Rnet table (64 arena pointers each)
+    /// How many chunks of the per-Rnet table (64 pairs of pointers each)
     /// this store physically shares with `other`: a fork shares all
     /// of them, and a refresh un-shares the one chunk holding its Rnet.
     pub fn shared_rnet_chunks(&self, other: &ShortcutStore) -> usize {
@@ -524,7 +640,7 @@ impl ShortcutStore {
     }
 
     /// Bytes of the per-Rnet table copied to un-share chunks from the
-    /// store's clones (pointers only: a refreshed Rnet's new arena is a
+    /// store's clones (pointers only: a refreshed Rnet's new tables are a
     /// write, not a copy).
     pub(crate) fn bytes_copied(&self) -> u64 {
         self.per_rnet.bytes_copied()
@@ -656,14 +772,16 @@ impl ShortcutStore {
             scratch.rnets_computed += 1;
         }
         let borders = hier.borders(r);
-        let mut out = RnetShortcuts::default();
         if borders.len() < 2 {
-            return out;
+            return RnetShortcuts::default();
         }
         self.assemble_local(g, hier, kind, r, scratch, borders);
         let paths = fill_dmat(scratch, borders.len());
+        let mut out = std::mem::take(&mut scratch.out);
         self.finalize_from_matrix(scratch, borders, paths, &mut out);
-        out
+        let map = out.finish(borders.len());
+        scratch.out = out;
+        map
     }
 
     /// Assembles Rnet `r`'s local graph into `scratch.csr` under the
@@ -703,7 +821,7 @@ impl ShortcutStore {
                         continue;
                     }
                     let lf = scratch.local(from.0);
-                    for sc in heads {
+                    for sc in heads.iter() {
                         let lt = scratch.local(sc.to.0);
                         scratch.builder.push(lf, lt, sc.dist, 0);
                     }
@@ -727,7 +845,7 @@ impl ShortcutStore {
         scratch: &mut BuildScratch,
         borders: &[NodeId],
         paths: PathSource,
-        out: &mut RnetShortcuts,
+        out: &mut RnetBuilder,
     ) {
         let nb = borders.len();
         // Lemma 4 (matrix form): a pair is covered when some third border
@@ -800,7 +918,6 @@ impl ShortcutStore {
             }
             out.end_run();
         }
-        out.finish(nb);
     }
 
     /// Legacy all-pairs construction, kept as the differential-testing
@@ -944,12 +1061,13 @@ impl ShortcutStore {
         let mut per_rnet = Vec::with_capacity(num_rnets.min(buf.len() / 4 + 1));
         let mut num_shortcuts = 0usize;
         let mut num_bytes = 0usize;
+        let mut builder = RnetBuilder::default();
         for r in 0..num_rnets as u32 {
-            let mut rnet = RnetShortcuts::default();
-            Self::walk_rnet_section(buf, pos, num_nodes, hier, RnetId(r), Some(&mut rnet))?;
+            let rnet =
+                Self::decode_rnet_section(buf, pos, num_nodes, hier, RnetId(r), &mut builder)?;
             num_shortcuts += rnet.num_shortcuts();
             num_bytes += rnet.size_bytes();
-            per_rnet.push(Arc::new(rnet));
+            per_rnet.push(rnet);
         }
         let per_rnet = CowChunks::from_vec(per_rnet, RNET_CHUNK_SHIFT);
         Ok(ShortcutStore { per_rnet, num_shortcuts, num_bytes })
@@ -978,10 +1096,7 @@ impl ShortcutStore {
         ShortcutStore {
             num_shortcuts: maps.iter().map(RnetShortcuts::num_shortcuts).sum(),
             num_bytes: maps.iter().map(RnetShortcuts::size_bytes).sum(),
-            per_rnet: CowChunks::from_vec(
-                maps.into_iter().map(Arc::new).collect(),
-                RNET_CHUNK_SHIFT,
-            ),
+            per_rnet: CowChunks::from_vec(maps, RNET_CHUNK_SHIFT),
         }
     }
 
@@ -993,18 +1108,19 @@ impl ShortcutStore {
     /// this format has emitted the sources in; so a valid section passes,
     /// and a duplicate source cannot.
     ///
-    /// With `out`, the section is decoded into it, each stored source's
-    /// run in its slot. Without, no arena is built: how a lazily-opened
-    /// image records per-Rnet byte ranges up front at a fraction of the
-    /// decode cost. Both modes make the same checks, so a section that
-    /// passes the walk can never fail to decode later.
+    /// With `out`, the section is written into it, each stored source's
+    /// run in its slot ([`ShortcutStore::decode_rnet_section`] finishes
+    /// it). Without, nothing is built: how a lazily-opened image records
+    /// per-Rnet byte ranges up front at a fraction of the decode cost.
+    /// Both modes make the same checks, so a section that passes the walk
+    /// can never fail to decode later.
     pub(crate) fn walk_rnet_section(
         buf: &[u8],
         pos: &mut usize,
         num_nodes: u32,
         hier: &RnetHierarchy,
         r: RnetId,
-        mut out: Option<&mut RnetShortcuts>,
+        mut out: Option<&mut RnetBuilder>,
     ) -> Result<(), String> {
         let check_node = |id: u32| -> Result<NodeId, String> {
             if id >= num_nodes {
@@ -1035,7 +1151,7 @@ impl ShortcutStore {
             slot.ok_or_else(|| format!("shortcut {end} {n} is not a border of {r:?}"))
         };
         if let Some(out) = out.as_deref_mut().filter(|_| num_sources > 0) {
-            out.head_offsets.reserve_exact(borders.len() + 1);
+            out.run_ends.reserve(borders.len());
         }
         let mut next_slot = 0;
         for _ in 0..num_sources {
@@ -1058,6 +1174,7 @@ impl ShortcutStore {
             }
             if let Some(out) = out.as_deref_mut() {
                 out.heads.reserve(num_edges);
+                out.via_ends.reserve(num_edges);
             }
             for _ in 0..num_edges {
                 let to = read_u32(buf, pos)?;
@@ -1088,10 +1205,23 @@ impl ShortcutStore {
                 out.end_run();
             }
         }
-        if let Some(out) = out {
-            out.finish(borders.len());
-        }
         Ok(())
+    }
+
+    /// Decodes Rnet `r`'s section of a serialized store (see
+    /// [`ShortcutStore::walk_rnet_section`], which checks it) through
+    /// `builder`, which comes back empty either way.
+    pub(crate) fn decode_rnet_section(
+        buf: &[u8],
+        pos: &mut usize,
+        num_nodes: u32,
+        hier: &RnetHierarchy,
+        r: RnetId,
+        builder: &mut RnetBuilder,
+    ) -> Result<RnetShortcuts, String> {
+        let walked = Self::walk_rnet_section(buf, pos, num_nodes, hier, r, Some(builder));
+        let rnet = builder.finish(hier.borders(r).len());
+        walked.map(|()| rnet)
     }
 
     /// Rebuilds from scratch and verifies this store describes the same
@@ -1114,10 +1244,10 @@ impl ShortcutStore {
     }
 }
 
-/// An Rnet's arena addresses heads and waypoints by `u32`. A head takes 16
-/// bytes of its section and a waypoint 4, so a section of up to 16 GiB
-/// fits; both walkers refuse a longer one, shortcut by shortcut, before
-/// `arena_offset` could be asked for more.
+/// An Rnet's tables address heads and waypoints by `u32`. A head takes 16
+/// bytes of its section and 12 of the hot table, a waypoint 4 of each, so
+/// a section of up to 16 GiB fits; both walkers refuse a longer one,
+/// shortcut by shortcut, before `arena_offset` could be asked for more.
 fn section_fits_arena(start: usize, pos: usize) -> Result<(), String> {
     if (pos - start) / 4 > u32::MAX as usize {
         return Err("shortcut section exceeds the 32-bit arena offsets".into());
@@ -1229,6 +1359,9 @@ struct BuildScratch {
     minplus_entries: u64,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
+    /// The shortcuts of the Rnet being finalised, until they are copied
+    /// into its tables.
+    out: RnetBuilder,
 }
 
 impl BuildScratch {
@@ -1590,8 +1723,9 @@ mod tests {
         let changed = refresh_one(&mut fork, &g, &hier, leaf, &Default::default(), &mut workers);
         assert!(!changed);
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets() - 1);
-        let arena = |s: &ShortcutStore| Arc::clone(s.per_rnet.get(leaf.0 as usize).unwrap());
-        assert!(!Arc::ptr_eq(&arena(&fork), &arena(&store)));
+        let tables = |s: &ShortcutStore| s.per_rnet.get(leaf.0 as usize).unwrap().clone();
+        let (ours, theirs) = (tables(&fork), tables(&store));
+        assert!(!Arc::ptr_eq(&ours.hot, &theirs.hot) && !Arc::ptr_eq(&ours.cold, &theirs.cold));
         assert_eq!(fork.num_shortcuts(), store.num_shortcuts());
         assert_eq!(fork.size_bytes(), store.size_bytes());
     }
@@ -1623,7 +1757,7 @@ mod tests {
     /// An arena indexed by `borders` holding `lists` of `(source node,
     /// shortcuts)`; every source must be among `borders`.
     fn arena(borders: &[NodeId], lists: &[(u32, Vec<(u32, f64)>)]) -> RnetShortcuts {
-        let mut out = RnetShortcuts::default();
+        let mut out = RnetBuilder::default();
         for &b in borders {
             for (_, list) in lists.iter().filter(|(from, _)| *from == b.0) {
                 for &(to, dist) in list {
@@ -1633,8 +1767,7 @@ mod tests {
             }
             out.end_run();
         }
-        out.finish(borders.len());
-        out
+        out.finish(borders.len())
     }
 
     /// The verdict matches runs by source node, so it holds across two
@@ -1711,13 +1844,22 @@ mod tests {
     /// Both modes of the walk on one section: the decode's arena, or its
     /// error — which the walk without an arena must return too.
     fn walk_both(hier: &RnetHierarchy, r: RnetId, buf: &[u8]) -> Result<RnetShortcuts, String> {
-        let mut arena = RnetShortcuts::default();
         let (mut decoded, mut skipped) = (0, 0);
-        let decode =
-            ShortcutStore::walk_rnet_section(buf, &mut decoded, 4, hier, r, Some(&mut arena));
+        let decode = ShortcutStore::decode_rnet_section(
+            buf,
+            &mut decoded,
+            4,
+            hier,
+            r,
+            &mut RnetBuilder::default(),
+        );
         let skip = ShortcutStore::walk_rnet_section(buf, &mut skipped, 4, hier, r, None);
-        assert_eq!(decode, skip, "the walk without an arena must reject exactly what decode does");
-        decode.map(|()| arena)
+        let verdict = decode.as_ref().map(|_| ()).map_err(String::clone);
+        assert_eq!(
+            verdict, skip,
+            "the walk without a builder must reject exactly what decode does"
+        );
+        decode
     }
 
     /// The walk without an arena must reject everything the decode
@@ -1749,7 +1891,9 @@ mod tests {
         assert!(err.contains("outside 0..4"), "{err}");
     }
 
-    /// A stored source lands in its slot, the runs before it empty.
+    /// A stored source lands in its slot, the runs before it empty: the
+    /// hot table starts both runs right after its three starts, and a slot
+    /// past the last reads an empty run, not the heads as starts.
     #[test]
     fn a_decoded_source_lands_in_its_slot() {
         let (hier, middle) = two_border_leaf();
@@ -1757,12 +1901,24 @@ mod tests {
         assert!(arena.heads_at(0).is_empty());
         let heads: Vec<NodeId> = arena.heads_at(1).iter().map(|sc| sc.to).collect();
         assert_eq!(heads, [NodeId(1)]);
+        assert_eq!(arena.hot[..3], [3, 3, 6]);
+        assert_eq!((arena.hot.len(), arena.num_shortcuts()), (6, 1));
+        assert!((2..7).chain([usize::MAX]).all(|slot| arena.heads_at(slot).is_empty()));
         let empty = walk_both(&hier, middle, &section(&[])).unwrap();
-        assert_eq!((empty.num_runs(), empty.num_shortcuts()), (0, 0));
+        assert_eq!((empty.hot.len(), empty.num_shortcuts()), (0, 0));
+        assert!(empty.heads_at(0).is_empty());
+    }
+
+    /// The words of an Rnet's two tables: the hot table, then the
+    /// waypoint ends and the waypoints.
+    fn table_words(rnet: &RnetShortcuts) -> (Vec<u32>, Vec<u32>) {
+        let cold = rnet.cold.ends.iter().copied().chain(rnet.cold.vias.iter().map(|v| v.0));
+        (rnet.hot.to_vec(), cold.collect())
     }
 
     /// On a built store the two modes of the walk read the same bytes,
-    /// section by section, and the decoded arenas serialize back to them.
+    /// section by section; the decoded tables equal the built ones word
+    /// for word, and serialize back to the same bytes.
     #[test]
     fn the_walk_reads_a_built_store_the_same_in_both_modes() {
         let g = simple::grid(6, 6, 1.0);
@@ -1773,19 +1929,22 @@ mod tests {
         let mut skipped = 0;
         ShortcutStore::read_store_header(&buf, &mut skipped, hier.num_rnets()).unwrap();
         let mut decoded = skipped;
-        let mut maps = Vec::new();
+        let (mut maps, mut builder) = (Vec::new(), RnetBuilder::default());
         for r in (0..hier.num_rnets() as u32).map(RnetId) {
             ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, &hier, r, None)
                 .unwrap();
-            let mut rnet = RnetShortcuts::default();
-            let out = Some(&mut rnet);
-            ShortcutStore::walk_rnet_section(&buf, &mut decoded, num_nodes, &hier, r, out).unwrap();
+            let rnet = ShortcutStore::decode_rnet_section(
+                &buf,
+                &mut decoded,
+                num_nodes,
+                &hier,
+                r,
+                &mut builder,
+            )
+            .unwrap();
             assert_eq!(skipped, decoded);
-            assert_eq!(
-                rnet.head_offsets,
-                store.rnet(r).head_offsets,
-                "{r:?}: runs off their slots"
-            );
+            let built = store.rnet(r);
+            assert_eq!(table_words(&rnet), table_words(built), "{r:?}: tables differ");
             maps.push(rnet);
         }
         assert_eq!(skipped, buf.len());

@@ -15,8 +15,13 @@
 //!
 //! Distance, label stamp and settle stamp of a node share one 16-byte
 //! record: a relaxation reads all three, and from one cache line instead
-//! of three. Predecessor links stay in their own array — only an improving
-//! relaxation writes them and only path reconstruction reads them.
+//! of three. Predecessor links stay in their own array, and only a round
+//! that records paths touches it: `SearchWorkspace::begin` says whether
+//! this one does. Only path reconstruction reads a link, and only the
+//! pooled doors, whose [`SearchResult`](crate::search::SearchResult) serves
+//! `path_to_node`, record them. A `_with` query or a batch worker writes
+//! none — an improving relaxation then writes one random line, not two —
+//! and a workspace that only ever serves those never allocates the array.
 //!
 //! The priority queue is two 4-ary min-heaps of packed `u128` keys, one
 //! for nodes (`distance bits << 64 | node`) and one for objects
@@ -53,7 +58,7 @@
 //! * **implicitly** — the convenience APIs (`knn`, `range`, …) borrow a
 //!   workspace from a small per-thread pool and hand it to the returned
 //!   [`SearchResult`](crate::search::SearchResult), which keeps the dense
-//!   distance/predecessor labels alive for `distance_to_node` /
+//!   distance labels and predecessor links alive for `distance_to_node` /
 //!   `path_to_node` and recycles the workspace back into the pool when the
 //!   result is dropped.
 // roadlint: serving-path
@@ -64,7 +69,7 @@ use road_network::{EdgeId, Weight};
 use std::cell::RefCell;
 
 /// How a hop in the predecessor chain was made.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Hop {
     Edge(EdgeId),
     Shortcut(RnetId),
@@ -214,8 +219,11 @@ const UNASKED: Verdict = Verdict { stamp: 0, enter: false };
 pub struct SearchWorkspace {
     /// Tentative distance, label generation and settle generation per node.
     labels: Vec<Label>,
-    /// Predecessor link per node; valid iff the node's label is.
+    /// Predecessor link per node; valid iff the node's label is and the
+    /// round records paths. Grown only by a round that does.
     pred: Vec<(u32, Hop)>,
+    /// Whether this round writes `pred` (see [`Self::begin`]).
+    paths: bool,
     /// Enter-or-bypass verdict per Rnet, stamped like the labels.
     verdicts: Vec<Verdict>,
     /// Current round; bumped per query.
@@ -243,11 +251,14 @@ impl SearchWorkspace {
         Self::with_node_capacity(0)
     }
 
-    /// A workspace pre-sized for `num_nodes` nodes.
+    /// A workspace pre-sized for `num_nodes` nodes. The predecessor links
+    /// are left to the first query that records paths: the doors that take
+    /// a caller's workspace never do.
     pub fn with_node_capacity(num_nodes: usize) -> Self {
         SearchWorkspace {
             labels: vec![UNSEEN; num_nodes],
-            pred: vec![NO_LINK; num_nodes],
+            pred: Vec::new(),
+            paths: false,
             verdicts: Vec::new(),
             round: 0,
             nodes: QuadHeap::default(),
@@ -269,12 +280,19 @@ impl SearchWorkspace {
 
     /// Starts a new round: grows the arrays if the network or its
     /// hierarchy did, bumps the generation, and clears the
-    /// (capacity-retaining) containers.
-    pub(crate) fn begin(&mut self, num_nodes: usize, num_rnets: usize) {
+    /// (capacity-retaining) containers. With `paths`, the round records a
+    /// predecessor link per labelled node; without, it writes none and
+    /// [`Self::pred_of`] answers `None` all round. Whether a round records
+    /// is a property of the door that runs it: only a result that can
+    /// reconstruct a path asks for it.
+    pub(crate) fn begin(&mut self, num_nodes: usize, num_rnets: usize, paths: bool) {
         if num_nodes > self.labels.len() {
             self.labels.resize(num_nodes, UNSEEN);
+        }
+        if paths && num_nodes > self.pred.len() {
             self.pred.resize(num_nodes, NO_LINK);
         }
+        self.paths = paths;
         if num_rnets > self.verdicts.len() {
             self.verdicts.resize(num_rnets, UNASKED);
         }
@@ -298,10 +316,13 @@ impl SearchWorkspace {
         self.labels.get(n as usize).filter(|l| l.stamp == self.round).map(|l| l.dist)
     }
 
-    /// Predecessor link of `n` this round (`None` for sources and
-    /// unlabelled nodes).
+    /// Predecessor link of `n` this round (`None` for sources, unlabelled
+    /// nodes, and every node of a round that records no paths).
     #[inline]
     pub(crate) fn pred_of(&self, n: u32) -> Option<(u32, Hop)> {
+        if !self.paths {
+            return None;
+        }
         self.label_of(n)?;
         self.pred.get(n as usize).copied().filter(|link| link.0 != NO_PRED)
     }
@@ -309,12 +330,19 @@ impl SearchWorkspace {
     /// Labels the source node at distance zero with no predecessor.
     #[inline]
     pub(crate) fn label_source(&mut self, n: u32) {
-        if let (Some(label), Some(link)) =
-            (self.labels.get_mut(n as usize), self.pred.get_mut(n as usize))
-        {
-            label.dist = Weight::ZERO;
-            label.stamp = self.round;
-            *link = NO_LINK;
+        let Some(label) = self.labels.get_mut(n as usize) else { return };
+        label.dist = Weight::ZERO;
+        label.stamp = self.round;
+        self.link(n, NO_LINK);
+    }
+
+    /// Records `n`'s predecessor link, if this round records paths.
+    #[inline]
+    fn link(&mut self, n: u32, link: (u32, Hop)) {
+        if self.paths {
+            if let Some(slot) = self.pred.get_mut(n as usize) {
+                *slot = link;
+            }
         }
     }
 
@@ -340,9 +368,7 @@ impl SearchWorkspace {
         if nd < cur && label.settled != self.round {
             label.dist = nd;
             label.stamp = self.round;
-            if let Some(link) = self.pred.get_mut(to as usize) {
-                *link = (from, hop);
-            }
+            self.link(to, (from, hop));
             self.nodes.push(pack(nd, u64::from(to)));
             true
         } else {
@@ -468,13 +494,13 @@ mod tests {
     #[test]
     fn generations_invalidate_without_clearing() {
         let mut ws = SearchWorkspace::with_node_capacity(4);
-        ws.begin(4, 0);
+        ws.begin(4, 0, true);
         ws.label_source(2);
         assert_eq!(ws.label_of(2), Some(Weight::ZERO));
         assert!(ws.relax(2, 3, Weight::new(1.5), Hop::Edge(EdgeId(0))));
         assert_eq!(ws.label_of(3), Some(Weight::new(1.5)));
         // New round: every label is stale, nothing was cleared.
-        ws.begin(4, 0);
+        ws.begin(4, 0, true);
         assert_eq!(ws.label_of(2), None);
         assert_eq!(ws.label_of(3), None);
         assert_eq!(ws.reuse_count(), 2);
@@ -483,7 +509,7 @@ mod tests {
     #[test]
     fn settling_is_once_per_round_and_ids_past_the_arrays_are_inert() {
         let mut ws = SearchWorkspace::with_node_capacity(4);
-        ws.begin(4, 0);
+        ws.begin(4, 0, true);
         ws.label_source(1);
         assert!(ws.relax(1, 2, Weight::new(2.0), Hop::Edge(EdgeId(7))));
         assert!(!ws.relax(1, 2, Weight::new(2.0), Hop::Edge(EdgeId(8))), "a tie keeps the label");
@@ -496,14 +522,54 @@ mod tests {
         assert!(!ws.settle(u32::MAX, Weight::ZERO));
         assert_eq!(ws.label_of(9), None);
         assert!(ws.pred_of(9).is_none());
-        ws.begin(4, 0);
+        ws.begin(4, 0, true);
         assert!(ws.settle(2, Weight::ZERO), "a new round forgets the settle");
+    }
+
+    /// A round that records no paths writes no link and reads none back;
+    /// a recording round after it, on the same workspace, links every node
+    /// it labels anew — the source's empty link included — and shows no
+    /// link an earlier round left.
+    #[test]
+    fn a_round_without_paths_writes_no_link_and_a_recording_one_relinks() {
+        let (edge, cut) = (|e| Hop::Edge(EdgeId(e)), Hop::Shortcut(RnetId(3)));
+        let mut ws = SearchWorkspace::with_node_capacity(4);
+        ws.begin(4, 0, false);
+        ws.label_source(0);
+        assert!(ws.relax(0, 1, Weight::new(1.0), edge(5)));
+        assert!(ws.relax(1, 2, Weight::new(2.0), cut));
+        assert_eq!(ws.label_of(2), Some(Weight::new(2.0)));
+        assert!(ws.pred.is_empty(), "a round without paths grew the links");
+        assert_eq!((ws.pred_of(1), ws.pred_of(2)), (None, None));
+
+        ws.begin(4, 0, true);
+        ws.label_source(3);
+        assert!(ws.relax(3, 2, Weight::new(1.0), edge(7)));
+        assert!(ws.relax(2, 1, Weight::new(2.0), cut));
+        assert_eq!(ws.pred_of(2), Some((3, edge(7))));
+        assert_eq!(ws.pred_of(1), Some((2, cut)));
+        assert_eq!((ws.pred_of(3), ws.pred_of(0)), (None, None), "source and unlabelled");
+        let recorded = ws.pred.clone();
+
+        ws.begin(4, 0, false);
+        ws.label_source(1);
+        assert!(ws.relax(1, 2, Weight::new(1.0), edge(9)));
+        assert!(ws.relax(1, 3, Weight::new(1.0), cut));
+        assert_eq!(ws.pred, recorded, "a round without paths wrote a link");
+        assert_eq!((ws.pred_of(2), ws.pred_of(3)), (None, None));
+
+        ws.begin(4, 0, true);
+        ws.label_source(1);
+        assert!(ws.relax(1, 0, Weight::new(1.0), edge(10)));
+        assert_eq!(ws.pred_of(1), None, "the source kept the link of an earlier round");
+        assert_eq!(ws.pred_of(0), Some((1, edge(10))));
+        assert_eq!(ws.pred_of(2), None, "a link of an earlier round shows through");
     }
 
     #[test]
     fn verdicts_last_one_round_and_the_stamp_wrap_clears_them() {
         let mut ws = SearchWorkspace::new();
-        ws.begin(4, 3);
+        ws.begin(4, 3, false);
         assert_eq!(ws.verdict(RnetId(2)), None);
         ws.set_verdict(RnetId(2), true);
         ws.set_verdict(RnetId(0), false);
@@ -514,19 +580,19 @@ mod tests {
         assert_eq!(ws.verdict(RnetId::NONE), None);
         // A new round forgets; a bigger hierarchy grows the table, a
         // smaller one leaves it be.
-        ws.begin(4, 6);
+        ws.begin(4, 6, false);
         assert_eq!(ws.verdict(RnetId(2)), None);
         ws.set_verdict(RnetId(5), true);
-        ws.begin(4, 2);
+        ws.begin(4, 2, false);
         assert_eq!(ws.verdict(RnetId(5)), None);
         // Round 1 again after the wrap: the verdict stamped in the first
         // round 1 must be gone, like the labels.
         ws.round = 0;
-        ws.begin(4, 6);
+        ws.begin(4, 6, false);
         ws.set_verdict(RnetId(1), true);
         ws.label_source(1);
         ws.round = u32::MAX;
-        ws.begin(4, 6);
+        ws.begin(4, 6, false);
         assert_eq!(ws.round, 1);
         assert_eq!(ws.verdict(RnetId(1)), None);
         assert_eq!(ws.label_of(1), None);
@@ -573,7 +639,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             // The last round left entries queued, as a query that returned
             // an error midway does: `begin` must drop every one of them.
-            ws.begin(0, 0);
+            ws.begin(0, 0, false);
             assert_eq!(ws.pop(), None, "seed {seed}: begin left an entry queued");
             let mut reference = BinaryHeap::new();
             let push_share = rng.random_range(0.5..0.95);

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
-use road_core::search::{oracle_knn, oracle_range};
+use road_core::search::{oracle_knn, oracle_range, SearchResult};
 use road_network::generator::{simple, Dataset};
 use road_network::graph::RoadNetwork;
 use road_network::{EdgeId, NetworkBuilder, Point};
@@ -181,6 +181,58 @@ fn path_reconstruction_is_valid_and_matches_distance() {
         let o = ad.object(hit.object).unwrap();
         assert_eq!(o.edge, edge);
     }
+}
+
+/// The `_with` doors record no predecessor links and the pooled doors do,
+/// interleaved on one thread: every path a pooled result rebuilds — one
+/// held across `_with` queries, and one taken right after them — sums to
+/// the oracle's distance, and the `_with` answers are the oracle's too.
+#[test]
+fn paths_stay_exact_when_with_doors_and_pooled_doors_interleave() {
+    let fw = build(simple::grid(14, 14, 1.0), 4, 2);
+    let ad = scatter_objects(&fw, 12, 1, 5);
+    let (g, kind) = (fw.network(), fw.metric());
+    let (mut ws, mut hits) = (SearchWorkspace::new(), Vec::new());
+    let mut rng = StdRng::seed_from_u64(41);
+    let n = g.num_nodes() as u32;
+    let assert_paths_to_hits = |res: &SearchResult, from: NodeId, ctx: &str| {
+        for hit in &res.hits {
+            let (path, _, offset) = res.path_to_hit(&fw, &ad, hit).expect(ctx);
+            assert!(path.validate(g, kind) && path.source() == from, "{ctx}");
+            assert!((path.total() + offset).approx_eq(hit.distance), "{ctx}: {hit:?}");
+        }
+    };
+    let mut paths = 0;
+    for round in 0..24 {
+        let (a, b) = (NodeId(rng.random_range(0..n)), NodeId(rng.random_range(0..n)));
+        let ctx = format!("round {round}, {a} and {b}");
+        let held = fw.knn(&ad, &KnnQuery::new(a, 3)).unwrap();
+        assert_hits_equal(&held.hits, &oracle_knn(&fw, &ad, &KnnQuery::new(a, 3)), &ctx);
+        let knn = KnnQuery::new(b, 5);
+        fw.knn_with(&ad, &knn, &mut ws, &mut hits).unwrap();
+        assert_hits_equal(&hits, &oracle_knn(&fw, &ad, &knn), &ctx);
+        let range = RangeQuery::new(a, Weight::new(6.0));
+        fw.range_with(&ad, &range, &mut ws, &mut hits).unwrap();
+        assert_hits_equal(&hits, &oracle_range(&fw, &ad, &range), &ctx);
+        assert_paths_to_hits(&held, a, &ctx);
+        let want = road_network::dijkstra::shortest_path_weight(g, kind, a, b);
+        let path = fw.shortest_path(a, b).unwrap();
+        assert_eq!(path.as_ref().map(|p| p.total()), want, "{ctx}");
+        assert!(path.is_some_and(|p| p.validate(g, kind) && p.source() == a), "{ctx}");
+        fw.knn_with(&ad, &knn, &mut ws, &mut hits).unwrap();
+        let after = fw.knn(&ad, &knn).unwrap();
+        assert_paths_to_hits(&after, b, &ctx);
+        for hit in &hits {
+            let end = g.edge(ad.object(hit.object).unwrap().edge).endpoints().0;
+            if let Some(d) = after.distance_to_node(end) {
+                let p = after.path_to_node(&fw, end).expect(&ctx);
+                assert!(p.total().approx_eq(d), "{ctx}: {end}");
+                paths += 1;
+            }
+        }
+        paths += held.hits.len() + after.hits.len() + 1;
+    }
+    assert!(paths > 100, "{paths} paths checked");
 }
 
 #[test]
