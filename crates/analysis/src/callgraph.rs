@@ -1,5 +1,5 @@
 //! Workspace call graph: the symbol table the interprocedural passes
-//! (taint, lock-order v2, determinism) resolve call sites against.
+//! (taint, lock order) resolve call sites against.
 //!
 //! Construction is purely token-shaped, like everything else in this
 //! crate:
@@ -77,15 +77,6 @@ pub struct FnInfo {
     pub in_test_mod: bool,
     /// Carries a `taint-source` marker: its return value is untrusted.
     pub taint_source: bool,
-    /// Carries an `order-sink` marker: the determinism pass treats every
-    /// argument of every call to it as order-sensitive.
-    pub order_sink: bool,
-    /// Per-parameter type-name chains (uppercase idents of the declared
-    /// type, outermost first; empty for untyped/`self`-skipped slots),
-    /// aligned with `params`.
-    pub param_chains: Vec<Vec<String>>,
-    /// Type-name chain of the return-type region, outermost first.
-    pub ret_chain: Vec<String>,
 }
 
 /// The receiver hint of a call site.
@@ -163,11 +154,6 @@ pub struct CallGraph {
     by_name: BTreeMap<String, Vec<FnId>>,
     /// `(owner struct, field) -> reduced type name`.
     field_types: BTreeMap<(String, String), String>,
-    /// `(owner struct, field) -> uppercase idents of the declared type,
-    /// outermost first` (unreduced — the determinism pass needs to see
-    /// the wrappers, since `Vec<FastMap<…>>` iterates deterministically
-    /// while `Arc<FastMap<…>>` does not).
-    field_chains: BTreeMap<(String, String), Vec<String>>,
     file_fns: Vec<Vec<FnId>>,
 }
 
@@ -177,24 +163,14 @@ impl CallGraph {
         for (fi, fd) in files.iter().enumerate() {
             let toks = &fd.lexed.tokens;
             let impls = impl_spans(toks);
-            for (owner, field, ftype, chain) in struct_fields(toks) {
-                cg.field_chains.entry((owner.clone(), field.clone())).or_insert(chain);
-                if let Some(ftype) = ftype {
-                    cg.field_types.entry((owner, field)).or_insert(ftype);
-                }
+            for (owner, field, ftype) in struct_fields(toks) {
+                cg.field_types.entry((owner, field)).or_insert(ftype);
             }
             let taint_lines: Vec<u32> = fd
                 .markers
                 .markers
                 .iter()
                 .filter(|m| m.marker == Marker::TaintSource)
-                .map(|m| m.line)
-                .collect();
-            let order_sink_lines: Vec<u32> = fd
-                .markers
-                .markers
-                .iter()
-                .filter(|m| m.marker == Marker::OrderSink)
                 .map(|m| m.line)
                 .collect();
             for f in &fd.fns {
@@ -204,9 +180,7 @@ impl CallGraph {
                     .filter(|(_, (a, b))| f.fn_idx > *a && f.fn_idx < *b)
                     .min_by_key(|(_, (a, b))| b - a)
                     .map(|(t, _)| t.clone());
-                let sig = signature(toks, f);
                 let taint_source = taint_lines.iter().any(|&l| f.line > l && f.line - l <= 5);
-                let order_sink = order_sink_lines.iter().any(|&l| f.line > l && f.line - l <= 5);
                 let info = FnInfo {
                     file_idx: fi,
                     name: f.name.clone(),
@@ -214,12 +188,9 @@ impl CallGraph {
                     line: f.line,
                     body: f.body,
                     guard_returning: f.guard_returning,
-                    params: sig.params,
+                    params: params(toks, f),
                     in_test_mod: syntax::in_ranges(&fd.test_ranges, f.fn_idx),
                     taint_source,
-                    order_sink,
-                    param_chains: sig.param_chains,
-                    ret_chain: sig.ret_chain,
                 };
                 match &info.self_type {
                     Some(t) => {
@@ -315,13 +286,6 @@ impl CallGraph {
                 (self.free_by_name.get(&site.name).cloned().unwrap_or_default(), true)
             }
         }
-    }
-
-    /// The declared-type chain of a struct field (uppercase idents,
-    /// outermost first) — the typed receiver table of the determinism
-    /// pass.
-    pub fn field_chain(&self, owner: &str, field: &str) -> Option<&[String]> {
-        self.field_chains.get(&(owner.to_owned(), field.to_owned())).map(|v| v.as_slice())
     }
 
     fn same_file(&self, fi: usize, name: &str, free_only: bool) -> Vec<FnId> {
@@ -431,14 +395,11 @@ fn impl_spans(tokens: &[Token]) -> Vec<(String, (usize, usize))> {
     out
 }
 
-/// Named struct fields as `(owner, field, reduced type name, full type
-/// chain)`. The reduced name (innermost non-wrapper, for method
-/// resolution) is `None` when the type reduces to no
-/// workspace-resolvable name (primitives, tuples, generics); the chain
-/// keeps every uppercase ident in declaration order for the determinism
-/// pass.
-#[allow(clippy::type_complexity)]
-fn struct_fields(tokens: &[Token]) -> Vec<(String, String, Option<String>, Vec<String>)> {
+/// Named struct fields as `(owner, field, reduced type name)`: the first
+/// uppercase non-wrapper ident of the field's type, for method resolution.
+/// Fields whose type reduces to no workspace-resolvable name (primitives,
+/// tuples, generics) are left out.
+fn struct_fields(tokens: &[Token]) -> Vec<(String, String, String)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -497,7 +458,6 @@ fn struct_fields(tokens: &[Token]) -> Vec<(String, String, Option<String>, Vec<S
                 let field = t.ident().unwrap_or_default().to_owned();
                 let mut d2 = 0i64;
                 let mut ftype = None;
-                let mut chain = Vec::new();
                 for m in k + 2..close {
                     let u = &tokens[m];
                     if u.is_punct('(') || u.is_punct('[') || u.is_punct('{') || u.is_punct('<') {
@@ -514,16 +474,16 @@ fn struct_fields(tokens: &[Token]) -> Vec<(String, String, Option<String>, Vec<S
                     } else if u.is_punct(',') && d2 == 0 {
                         break;
                     } else if let Some(id) = u.ident() {
-                        if id.starts_with(|c: char| c.is_ascii_uppercase()) {
-                            chain.push(id.to_owned());
-                            if ftype.is_none() && !WRAPPERS.contains(&id) {
-                                ftype = Some(id.to_owned());
-                            }
+                        if ftype.is_none()
+                            && id.starts_with(|c: char| c.is_ascii_uppercase())
+                            && !WRAPPERS.contains(&id)
+                        {
+                            ftype = Some(id.to_owned());
                         }
                     }
                 }
-                if !chain.is_empty() {
-                    out.push((owner.clone(), field, ftype, chain));
+                if let Some(ftype) = ftype {
+                    out.push((owner.clone(), field, ftype));
                 }
             }
         }
@@ -532,38 +492,24 @@ fn struct_fields(tokens: &[Token]) -> Vec<(String, String, Option<String>, Vec<S
     out
 }
 
-/// What `signature` extracts from a fn's signature tokens.
-#[derive(Default)]
-struct Signature {
-    params: Vec<String>,
-    /// Uppercase idents of each param's type region, aligned with
-    /// `params` (outermost first).
-    param_chains: Vec<Vec<String>>,
-    /// Uppercase idents of the return-type region, outermost first.
-    ret_chain: Vec<String>,
-}
-
-/// Extracts the parameter binders and type-name chains from a fn's
-/// signature tokens.
-fn signature(tokens: &[Token], f: &FnSpan) -> Signature {
+/// The parameter binders of a fn's signature.
+fn params(tokens: &[Token], f: &FnSpan) -> Vec<String> {
     // Params: first `(` after the name (skipping generics).
     let mut j = f.fn_idx + 2;
     while j < tokens.len() && !tokens[j].is_punct('(') {
         j += 1;
     }
     if j >= tokens.len() {
-        return Signature::default();
+        return Vec::new();
     }
     let close = syntax::match_delim(tokens, j);
-    let mut sig = Signature::default();
+    let mut params = Vec::new();
     for (a, b) in split_args(tokens, j, close) {
         // Binder: the first ident before the `:`, skipping `mut`/`ref`;
         // a bare `self` (with any `&`/`mut` decoration) is not a param.
         let mut binder = None;
-        let mut colon = None;
-        for (k, t) in tokens.iter().enumerate().take(b).skip(a) {
+        for t in tokens.iter().take(b).skip(a) {
             if t.is_punct(':') {
-                colon = Some(k);
                 break;
             }
             match t.ident() {
@@ -577,29 +523,9 @@ fn signature(tokens: &[Token], f: &FnSpan) -> Signature {
                 None => {}
             }
         }
-        if let Some(bnd) = binder {
-            sig.params.push(bnd);
-            sig.param_chains.push(type_chain(tokens, colon.map_or(b, |c| c + 1), b));
-        }
+        params.extend(binder);
     }
-    // Return-type region: from the params close to the body `{` or `;`.
-    let sig_end = f.body.map(|(o, _)| o).unwrap_or_else(|| {
-        (close + 1..tokens.len()).find(|&k| tokens[k].is_punct(';')).unwrap_or(tokens.len())
-    });
-    sig.ret_chain = type_chain(tokens, close + 1, sig_end);
-    sig
-}
-
-/// The uppercase idents of a type region, in order.
-fn type_chain(tokens: &[Token], a: usize, b: usize) -> Vec<String> {
-    tokens
-        .iter()
-        .take(b)
-        .skip(a)
-        .filter_map(|t| t.ident())
-        .filter(|id| id.starts_with(|c: char| c.is_ascii_uppercase()))
-        .map(str::to_owned)
-        .collect()
+    params
 }
 
 #[cfg(test)]
@@ -634,18 +560,9 @@ mod tests {
             }")
             .tokens,
         );
-        assert!(fields.contains(&(
-            "Engine".into(),
-            "pool".into(),
-            Some("StripedBufferPool".into()),
-            vec!["Arc".into(), "StripedBufferPool".into()]
-        )));
-        assert!(fields.iter().any(|(_, f, t, c)| {
-            f == "locks"
-                && t.as_deref() == Some("LruCache")
-                && c.first().map(String::as_str) == Some("Vec")
-        }));
-        assert!(!fields.iter().any(|(_, f, _, _)| f == "count"), "{fields:?}");
+        assert!(fields.contains(&("Engine".into(), "pool".into(), "StripedBufferPool".into())));
+        assert!(fields.contains(&("Engine".into(), "locks".into(), "LruCache".into())));
+        assert!(!fields.iter().any(|(_, f, _)| f == "count"), "{fields:?}");
     }
 
     #[test]

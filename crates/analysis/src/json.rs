@@ -1,9 +1,8 @@
 //! Hand-rolled JSON rendering of an [`Analysis`] for the CI artifact
-//! (`roadlint --json`). No serde: the report is five flat arrays of
+//! (`roadlint --json`). No serde: the report is four flat arrays of
 //! strings and integers, not worth a dependency the container may not
 //! have.
 
-use crate::flow::Verdict;
 use crate::Analysis;
 
 /// Renders the full machine-readable report.
@@ -46,16 +45,7 @@ pub fn render(a: &Analysis) -> String {
         ));
     }
     s.push_str("]},\"taint\":[");
-    verdicts(&mut s, &a.taint);
-    s.push_str("],\"order\":[");
-    verdicts(&mut s, &a.order);
-    s.push_str("]}");
-    s
-}
-
-/// The rows of one verdict table, comma-separated.
-fn verdicts(s: &mut String, rows: &[Verdict]) {
-    for (i, v) in rows.iter().enumerate() {
+    for (i, v) in a.taint.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -66,6 +56,8 @@ fn verdicts(s: &mut String, rows: &[Verdict]) {
             esc(&v.sink)
         ));
     }
+    s.push_str("]}");
+    s
 }
 
 /// JSON string literal with the mandatory escapes.
@@ -94,13 +86,11 @@ mod tests {
 
     #[test]
     fn report_shape_and_escaping() {
-        let a =
-            analyze_sources([("t.rs", "// roadlint: serving-path\nfn f(&self) { x.unwrap(); }")]);
+        let a = analyze_sources([("t.rs", "fn f(&self) { x.store(1, Ordering::Relaxed); }")]);
         let j = render(&a);
         assert!(j.starts_with("{\"files_scanned\":1,"));
-        assert!(j.contains("\"rule\":\"panic\""));
-        assert!(j.contains("\"taint\":[]"));
-        assert!(j.ends_with("\"order\":[]}"));
+        assert!(j.contains("\"rule\":\"atomic-ordering\""));
+        assert!(j.ends_with("\"taint\":[]}"));
         assert_eq!(esc("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(esc("\u{1}\t\u{1f}"), "\"\\u0001\\t\\u001f\"");
     }

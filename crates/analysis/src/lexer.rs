@@ -289,10 +289,10 @@ mod tests {
 
     #[test]
     fn comments_are_captured_not_tokenized() {
-        let l = lex("// roadlint: serving-path\nfn f() {}\n/* block\nspan */ fn g() {}");
+        let l = lex("// roadlint: hot-path\nfn f() {}\n/* block\nspan */ fn g() {}");
         assert_eq!(l.comments.len(), 2);
         assert_eq!(l.comments[0].line, 1);
-        assert!(l.comments[0].text.contains("serving-path"));
+        assert!(l.comments[0].text.contains("hot-path"));
         assert_eq!(l.comments[1].line, 3);
         // The `fn g` after the block comment lands on line 4.
         let g = l.tokens.iter().find(|t| t.ident() == Some("g")).cloned();

@@ -1,10 +1,9 @@
 //! roadlint — project-specific static analysis for the ROAD workspace.
 //!
 //! A dependency-free, token-level pass proving the invariants of the
-//! serving path (see ARCHITECTURE.md §"Invariants and static analysis"):
+//! serving path that rustc, clippy and the types cannot (see
+//! ARCHITECTURE.md §"Invariants and static analysis"):
 //!
-//! 1. **panic** — `serving-path` files contain no `.unwrap()` /
-//!    `.expect()`, no panicking macros and no slice indexing;
 //! 2. **lock-order** — the acquired-while-held graph over the named lock
 //!    classes is a DAG, with cross-crate footprints computed on the
 //!    workspace call graph;
@@ -14,50 +13,35 @@
 //!    `relaxed-ok` justification and bare `Ordering::SeqCst` is flagged;
 //! 5. **taint** — integers decoded from untrusted bytes must flow
 //!    through a sanitizer before sizing an allocation, indexing a slice
-//!    or bounding a loop ([`dataflow`]: the taint rule table of
-//!    [`flow`]);
+//!    or bounding a loop ([`dataflow`]);
 //! 6. **guard-io** — no guard other than the buffer pool's own stripe
-//!    is held across `PageStore` IO ([`lockgraph`]);
-//! 7. **unordered-iter** — iteration over hash-ordered containers must
-//!    not reach byte output or order-sensitive commits unsorted
-//!    ([`order`]: the order rule table of [`flow`]);
-//! 8. **float-order** — float reductions over unordered domains are
-//!    flagged: reassociation breaks byte-identical builds (a second
-//!    sink kind of the same table);
-//! 9. **sched-order** — `thread::scope` fan-outs must deposit results
-//!    into index-addressed slots or join in spawn order, never consume
-//!    in thread-completion order (a scan [`order`] runs beside the
-//!    engine).
+//!    is held across `PageStore` IO ([`lockgraph`]).
 //!
-//! Two properties are proved by stronger checks than token heuristics,
-//! so roadlint leaves them alone: a discarded `Result` fails rustc's
+//! The other rules moved to the compiler, and the numbers stay theirs:
+//! rule 1, panic-freedom, is each serving-path module's
+//! `#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::panic,
+//! …, clippy::disallowed_macros))]`; rules 7 and 8, hash order into bytes
+//! and float sums, are the types of `road_network::hash` (no unordered
+//! iteration) with `clippy.toml` disallowing std's hash containers and the
+//! named `hash_order` walk; rule 9, scheduling order, is
+//! `road_network::fanout::fan_out`, with `clippy.toml` disallowing
+//! `std::thread::scope`. A discarded `Result` fails rustc's
 //! `unused_must_use` and clippy's `let_underscore_must_use` /
-//! `unused_result_ok` (denied in the workspace lint table), and a
-//! decoded count that sizes an allocation is a taint sink (rule 5).
+//! `unused_result_ok`.
 //!
-//! **One engine, two rule tables.** Rules 5, 7 and 8 are the same
-//! interprocedural dataflow — [`flow`]: one provenance lattice
-//! (`Clean < Fixed < Param < Raw`), one statement walker, one
-//! per-function summary, one capped fixpoint over [`callgraph`] (which
-//! the lock pass shares for its footprints). [`dataflow`] and [`order`]
-//! hold only what makes each a rule: its sources, sanitizers, sinks and
-//! event hooks, as the two implementors of [`flow::Rule`].
-//!
-//! Rules 5–9 resolve calls across files and crates via [`callgraph`].
-//! The pass walks every `.rs` file of the workspace (skipping `target`,
-//! `vendor`, test trees, fixtures, dot-directories and anything listed in
-//! a root `roadlint.toml` `skip = […]` entry) and exits non-zero on any
-//! finding, which makes it usable as a hard CI gate; `--json` emits a
-//! machine-readable report for CI artifacts.
+//! Rules 2, 5 and 6 resolve calls across files and crates via
+//! [`callgraph`]. The pass walks every `.rs` file of the workspace
+//! (skipping `target`, `vendor`, test trees, fixtures, dot-directories and
+//! anything listed in a root `roadlint.toml` `skip = […]` entry) and exits
+//! non-zero on any finding, which makes it usable as a hard CI gate;
+//! `--json` emits a machine-readable report for CI artifacts.
 
 pub mod callgraph;
 pub mod dataflow;
-pub mod flow;
 pub mod json;
 pub mod lexer;
 pub mod lockgraph;
 pub mod markers;
-pub mod order;
 pub mod rules;
 pub mod syntax;
 
@@ -71,9 +55,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line; 0 for whole-file findings.
     pub line: u32,
-    /// Stable rule identifier (`panic`, `lock-order`, `hot-alloc`,
-    /// `atomic-ordering`, `taint`, `guard-io`, `unordered-iter`,
-    /// `float-order`, `sched-order`, `marker`).
+    /// Stable rule identifier (`lock-order`, `hot-alloc`,
+    /// `atomic-ordering`, `taint`, `guard-io`, `marker`).
     pub rule: &'static str,
     pub message: String,
 }
@@ -114,11 +97,7 @@ pub struct Analysis {
     pub graph: lockgraph::LockGraph,
     /// The taint verdict table: every sanitized flow that reached a sink
     /// (for `--taint`).
-    pub taint: Vec<flow::Verdict>,
-    /// The order verdict table: every sanitized unordered flow that
-    /// reached a byte-output or commit sink, plus the clean fan-out
-    /// shapes (for `--order` / `--order-dag`).
-    pub order: Vec<flow::Verdict>,
+    pub taint: Vec<dataflow::Verdict>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -141,9 +120,6 @@ pub fn analyze_sources<'a>(sources: impl IntoIterator<Item = (&'a str, &'a str)>
     let (taint_findings, verdicts) = dataflow::check(&files, &cg);
     analysis.findings.extend(taint_findings);
     analysis.taint = verdicts;
-    let (order_rule_findings, order_verdicts) = order::check(&files, &cg);
-    analysis.findings.extend(order_rule_findings);
-    analysis.order = order_verdicts;
     analysis.findings.sort();
     analysis.findings.dedup();
     analysis

@@ -19,9 +19,10 @@
 //!   to a function returning a `…Guard` type counts as acquiring the
 //!   callee's classes.
 //!
-//! Extraction runs on all files (callees outside `serving-path` files
+//! Extraction runs on all files (callees outside serving-path files
 //! still contribute footprints); edge emission and findings are gated to
-//! `serving-path` files. Any cycle — including a self-edge, i.e.
+//! serving-path files, the modules that deny panics to clippy
+//! ([`syntax::denies_panics`]). Any cycle — including a self-edge, i.e.
 //! re-acquiring a held class — fails the build. Transient guards
 //! deliberately do not propagate through calls, and call-derived
 //! self-edges are dropped: both are over-approximation escape valves;
@@ -36,7 +37,7 @@
 //! `// roadlint: allow(io-under-lock) reason="…"`.
 
 use crate::callgraph::{self, CallGraph, FnId};
-use crate::flow;
+use crate::dataflow;
 use crate::lexer::Token;
 use crate::markers::Marker;
 use crate::syntax;
@@ -136,7 +137,7 @@ pub struct LockGraph {
 }
 
 /// Extracts the per-function lock events of one file. Unclassifiable
-/// acquisitions are findings in `serving-path` files only.
+/// acquisitions are findings in serving-path files only.
 pub fn extract_file_locks(
     fd: &FileData,
     fi: usize,
@@ -144,7 +145,7 @@ pub fn extract_file_locks(
     findings: &mut Vec<Finding>,
 ) -> FileLocks {
     let toks = &fd.lexed.tokens;
-    let serving = fd.markers.serving_path();
+    let serving = syntax::denies_panics(&fd.lexed.tokens);
     let escaped = |line: u32| {
         fd.markers.has_on_line(&Marker::AllowIoUnderLock, line)
             || (line > 0 && fd.markers.has_on_line(&Marker::AllowIoUnderLock, line - 1))
@@ -320,7 +321,7 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
         events[f.id] = &f.events;
     }
     let mut foot = vec![Footprint::default(); cg.fns.len()];
-    let converged = flow::fixpoint(&mut foot, |id, foot| {
+    let converged = dataflow::fixpoint(&mut foot, |id, foot| {
         let mut s = foot[id].clone();
         for e in events[id] {
             match e {
@@ -345,7 +346,7 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
             file: String::new(),
             line: 0,
             rule: "lock-order",
-            message: format!("lock footprints did not converge in {} rounds", flow::ROUNDS),
+            message: format!("lock footprints did not converge in {} rounds", dataflow::ROUNDS),
         });
     }
 
@@ -526,7 +527,7 @@ mod tests {
     fn held_vs_transient_classification() {
         let (locks, _, _) = extract(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             impl P {
                 fn a(&self) {
                     let id = self.store.write().map_err(E)?.alloc();
@@ -552,7 +553,7 @@ mod tests {
         // must NOT look like a re-acquisition (paged.rs::ensure_rnet_loaded).
         let (_, findings) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             fn seq(&self) {
                 let a = {
                     let cursor = self.page_in.lock();
@@ -571,7 +572,7 @@ mod tests {
     fn chained_receiver_resolves_through_adapters() {
         let (locks, _, _) = extract(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             fn a(&self) {
                 let g = self.stripes.get(idx).ok_or(Bad)?.lock().map_err(E)?;
                 g.touch();
@@ -587,7 +588,7 @@ mod tests {
     fn opposite_orders_cycle() {
         let (graph, findings) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             impl P {
                 fn ab(&self) {
                     let a = self.page_in.lock();
@@ -608,7 +609,7 @@ mod tests {
     fn consistent_order_is_clean_and_call_edges_propagate() {
         let (graph, findings) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             impl P {
                 fn low(&self) {
                     let s = self.stripe.lock();
@@ -632,7 +633,7 @@ mod tests {
         let (graph, findings) = run(&[
             (
                 "core/paged.rs",
-                "// roadlint: serving-path
+                "#![deny(clippy::indexing_slicing)]
                 struct Eng { pool: Arc<Pool> }
                 impl Eng {
                     fn fault(&self) {
@@ -643,7 +644,7 @@ mod tests {
             ),
             (
                 "storage/pool.rs",
-                "// roadlint: serving-path
+                "#![deny(clippy::indexing_slicing)]
                 struct Pool { x: u32 }
                 impl Pool {
                     fn alloc(&self, n: u32) {
@@ -663,7 +664,7 @@ mod tests {
     fn guard_io_escape_suppresses() {
         let (_, findings) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             impl P {
                 fn f(&self) {
                     let g = self.page_in.lock();
@@ -676,7 +677,7 @@ mod tests {
         // Without the escape the same shape is a finding.
         let (_, bad) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             impl P {
                 fn f(&self) {
                     let g = self.page_in.lock();
@@ -691,7 +692,7 @@ mod tests {
     fn stripe_held_across_store_io_is_allowed() {
         let (_, findings) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             impl P {
                 fn f(&self) {
                     let g = self.stripe.lock();
@@ -706,7 +707,7 @@ mod tests {
     fn reacquiring_a_held_class_is_a_self_cycle() {
         let (_, findings) = run(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             fn double(&self) {
                 let a = self.stripes[0].lock();
                 let b = self.stripes[1].lock();
@@ -719,17 +720,41 @@ mod tests {
     fn unclassified_receiver_is_a_finding_unless_marked() {
         let (_, _, bad) = extract(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             fn f(&self) { let g = self.mystery.lock(); }",
         )]);
         assert!(bad.iter().any(|f| f.rule == "lock-order"));
         let (_, _, ok) = extract(&[(
             "t.rs",
-            "// roadlint: serving-path
+            "#![deny(clippy::indexing_slicing)]
             fn f(&self) {
                 let g = self.mystery.lock(); // roadlint: lock(mystery)
             }",
         )]);
         assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    /// A file off the serving path (no `deny` of `clippy::indexing_slicing`)
+    /// still lends its callers footprints, but emits no edge and no
+    /// unclassified-receiver finding of its own.
+    #[test]
+    fn only_serving_path_files_emit_edges_and_findings() {
+        let body = "impl P {
+                fn a(&self) {
+                    let g = self.page_in.lock().map_err(E)?;
+                    let s = self.store.write().map_err(E)?;
+                    let m = self.mystery.lock();
+                }
+            }";
+        let (graph, findings) = run(&[("t.rs", body)]);
+        assert!(graph.edges.is_empty(), "{:?}", graph.edges);
+        assert!(findings.is_empty(), "{findings:?}");
+        let serving = format!("#![deny(clippy::indexing_slicing)]\n{body}");
+        let (graph, findings) = run(&[("t.rs", serving.as_str())]);
+        assert!(graph.edges.contains_key(&("page-in".to_owned(), "store".to_owned())));
+        assert!(
+            findings.iter().any(|f| f.message.contains("unrecognized receiver")),
+            "{findings:?}"
+        );
     }
 }

@@ -6,10 +6,7 @@
 //!
 //! | directive | effect |
 //! |---|---|
-//! | `serving-path` | file opts into the panic-freedom and lock rules |
 //! | `hot-path` / `end hot-path` | fence a region where heap allocation is banned |
-//! | `allow(panic) reason="…"` | escape: this line and the next may panic |
-//! | `allow(panic-fn) reason="…"` | escape: the next function may panic |
 //! | `allow(alloc) reason="…"` | escape: this line and the next may allocate |
 //! | `relaxed-ok reason="…"` | justifies an adjacent `Ordering::Relaxed` |
 //! | `seqcst-ok reason="…"` | justifies an adjacent `Ordering::SeqCst` |
@@ -17,11 +14,12 @@
 //! | `taint-source` | the next function's return value is untrusted input |
 //! | `sanitized reason="…"` | taint escape: a sink on this/next line is bounded |
 //! | `allow(io-under-lock) reason="…"` | escape: guard intentionally held across page IO |
-//! | `order-sink` | the next function is an order-sensitive commit: its arguments' order reaches serialized bytes |
-//! | `ordered reason="…"` | determinism escape: the unordered flow on this/next line is order-independent |
 //!
 //! Every escape *requires* a non-empty reason; an escape without one is
 //! itself a finding and does not suppress anything.
+//!
+//! The serving path is not a marker: it is the modules that deny panics
+//! to clippy ([`crate::syntax::denies_panics`]).
 
 use crate::lexer::Comment;
 use crate::Finding;
@@ -29,11 +27,8 @@ use crate::Finding;
 /// One parsed marker directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Marker {
-    ServingPath,
     HotPathStart,
     HotPathEnd,
-    AllowPanic,
-    AllowPanicFn,
     AllowAlloc,
     RelaxedOk,
     SeqCstOk,
@@ -42,13 +37,6 @@ pub enum Marker {
     /// Taint escape with its reason text (shown in the verdict table).
     Sanitized(String),
     AllowIoUnderLock,
-    /// The next function commits its arguments in an order that reaches
-    /// serialized bytes (the determinism pass treats every call to it as
-    /// an order-sensitive sink).
-    OrderSink,
-    /// Determinism escape with its reason text (shown in the order
-    /// verdict table).
-    Ordered(String),
 }
 
 /// A marker plus the line its comment starts on.
@@ -67,11 +55,6 @@ pub struct Markers {
 }
 
 impl Markers {
-    /// True if the file carries a `serving-path` marker.
-    pub fn serving_path(&self) -> bool {
-        self.markers.iter().any(|m| m.marker == Marker::ServingPath)
-    }
-
     /// True if `marker` appears on line `l`.
     pub fn has_on_line(&self, marker: &Marker, l: u32) -> bool {
         self.markers.iter().any(|m| &m.marker == marker && m.line == l)
@@ -138,9 +121,7 @@ pub fn parse(file: &str, comments: &[Comment]) -> Markers {
                 )));
             }
         };
-        if rest.starts_with("serving-path") {
-            out.markers.push(MarkerAt { marker: Marker::ServingPath, line: c.line });
-        } else if rest.starts_with("end hot-path") {
+        if rest.starts_with("end hot-path") {
             open_fences -= 1;
             out.markers.push(MarkerAt { marker: Marker::HotPathEnd, line: c.line });
         } else if rest.starts_with("hot-path") {
@@ -157,23 +138,8 @@ pub fn parse(file: &str, comments: &[Comment]) -> Markers {
                     "`sanitized` requires a non-empty reason=\"…\" and suppresses nothing without one".to_owned(),
                 )),
             }
-        } else if rest.starts_with("order-sink") {
-            out.markers.push(MarkerAt { marker: Marker::OrderSink, line: c.line });
-        } else if rest.starts_with("ordered") {
-            match reason_text(rest) {
-                Some(reason) => out
-                    .markers
-                    .push(MarkerAt { marker: Marker::Ordered(reason.to_owned()), line: c.line }),
-                None => out.hygiene.push(hygiene(
-                    "`ordered` requires a non-empty reason=\"…\" and suppresses nothing without one".to_owned(),
-                )),
-            }
         } else if rest.starts_with("allow(io-under-lock)") {
             reasoned(&mut out, Marker::AllowIoUnderLock, "allow(io-under-lock)");
-        } else if rest.starts_with("allow(panic-fn)") {
-            reasoned(&mut out, Marker::AllowPanicFn, "allow(panic-fn)");
-        } else if rest.starts_with("allow(panic)") {
-            reasoned(&mut out, Marker::AllowPanic, "allow(panic)");
         } else if rest.starts_with("allow(alloc)") {
             reasoned(&mut out, Marker::AllowAlloc, "allow(alloc)");
         } else if rest.starts_with("relaxed-ok") {
@@ -231,16 +197,15 @@ mod tests {
     #[test]
     fn directives_parse_with_lines() {
         let m = parse_src(
-            "// roadlint: serving-path\n\
-             fn a() {}\n\
+            "fn a() {}\n\
+             fn b() {}\n\
              // roadlint: hot-path\n\
              // roadlint: end hot-path\n\
-             // roadlint: allow(panic) reason=\"bounded above\"\n\
+             // roadlint: allow(alloc) reason=\"bounded above\"\n\
              // roadlint: lock(stripe)\n",
         );
-        assert!(m.serving_path());
         assert_eq!(m.hot_ranges(), vec![(3, 4)]);
-        assert!(m.has_on_line(&Marker::AllowPanic, 5));
+        assert!(m.has_on_line(&Marker::AllowAlloc, 5));
         assert_eq!(m.lock_class_on_line(6), Some("stripe"));
         assert!(m.hygiene.is_empty());
     }
@@ -248,41 +213,31 @@ mod tests {
     #[test]
     fn escapes_without_reasons_are_findings() {
         let m = parse_src(
-            "// roadlint: allow(panic)\n\
+            "// roadlint: allow(alloc)\n\
              // roadlint: relaxed-ok reason=\"  \"\n\
              // roadlint: frobnicate\n",
         );
         assert_eq!(m.hygiene.len(), 3);
-        assert!(!m.has_on_line(&Marker::AllowPanic, 1));
+        assert!(!m.has_on_line(&Marker::AllowAlloc, 1));
         assert!(m.hygiene[2].message.contains("unknown"));
     }
 
-    #[test]
-    fn order_directives_parse_and_require_reasons() {
-        let m = parse_src(
-            "// roadlint: order-sink\n\
-             fn commit() {}\n\
-             // roadlint: ordered reason=\"commutative integer sum\"\n\
-             // roadlint: ordered\n",
-        );
-        assert!(m.has_on_line(&Marker::OrderSink, 1));
-        let ordered = |l| m.reason_near(l, <crate::order::Order as crate::flow::Rule>::escape);
-        assert_eq!(ordered(3), Some("commutative integer sum"));
-        assert_eq!(ordered(4), Some("commutative integer sum"));
-        assert_eq!(m.hygiene.len(), 1, "{:?}", m.hygiene);
-        assert!(m.hygiene[0].message.contains("`ordered`"));
-    }
-
-    /// The directives of the retired decode-bound and swallowed-error
-    /// rules are unknown now: a stale one is a finding, not a no-op.
+    /// The directives of retired rules — decode-bound, swallowed-error,
+    /// panic-freedom and determinism, now rustc's, clippy's and the
+    /// types' — are unknown: a stale one is a finding, not a no-op.
     #[test]
     fn retired_directives_are_unknown() {
         let m = parse_src(
             "// roadlint: decode-fn\n\
-             // roadlint: allow(discard) reason=\"best-effort\"\n",
+             // roadlint: allow(discard) reason=\"best-effort\"\n\
+             // roadlint: serving-path\n\
+             // roadlint: allow(panic) reason=\"bounded\"\n\
+             // roadlint: allow(panic-fn) reason=\"bounded\"\n\
+             // roadlint: order-sink\n\
+             // roadlint: ordered reason=\"sorted later\"\n",
         );
         assert!(m.markers.is_empty(), "{:?}", m.markers);
-        assert_eq!(m.hygiene.len(), 2);
+        assert_eq!(m.hygiene.len(), 7);
         assert!(m.hygiene.iter().all(|f| f.message.contains("unknown roadlint directive")));
     }
 

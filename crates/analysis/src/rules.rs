@@ -1,8 +1,5 @@
 //! The per-file roadlint rules.
 //!
-//! * **panic** — in `serving-path` files, no `.unwrap()` / `.expect()`,
-//!   no panicking macros, no slice indexing. Escapes: `allow(panic)`
-//!   (line) and `allow(panic-fn)` (whole function), reasons mandatory.
 //! * **hot-alloc** — inside `hot-path` fences, no fresh heap
 //!   allocations (`Vec::new`, `vec![]`, `Box::new`, `format!`,
 //!   `.to_vec()`, `.clone()`, `.collect()`, …). Escape: `allow(alloc)`.
@@ -16,20 +13,6 @@ use crate::lexer::Token;
 use crate::markers::{Marker, Markers};
 use crate::syntax::{self, FnSpan};
 use crate::{FileData, Finding};
-
-/// Macros that abort the current thread when reached / failing.
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
 
 /// Types whose constructors allocate.
 const ALLOC_TYPES: &[&str] = &[
@@ -58,16 +41,11 @@ pub fn check_file(fd: &FileData) -> Vec<Finding> {
     let fns = &fd.fns;
 
     let mut findings = markers.hygiene.clone();
-    let panic_fn_ranges = marked_fn_bodies(file, markers, Marker::AllowPanicFn, fns, &mut findings);
     // `taint-source` markers have their fn association resolved by the
     // call graph; here we only check they are not dangling.
-    let _ = marked_fns(file, markers, Marker::TaintSource, fns, &mut findings);
+    dangling_markers(file, markers, Marker::TaintSource, fns, &mut findings);
 
     let ctx = Ctx { file, tokens: &fd.lexed.tokens, markers, test_ranges: &fd.test_ranges };
-
-    if markers.serving_path() {
-        panic_rule(&ctx, &panic_fn_ranges, &mut findings);
-    }
     hot_alloc_rule(&ctx, &mut findings);
     atomic_ordering_rule(&ctx, &mut findings);
     findings
@@ -98,31 +76,19 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Resolves `marker` occurrences to the body ranges of the functions they
-/// precede; a marker with no function within 5 lines is a hygiene finding.
-fn marked_fn_bodies(
+/// Reports each occurrence of `marker` with no function directly below
+/// it.
+fn dangling_markers(
     file: &str,
     markers: &Markers,
     marker: Marker,
     fns: &[FnSpan],
     findings: &mut Vec<Finding>,
-) -> Vec<(usize, usize)> {
-    marked_fns(file, markers, marker, fns, findings).iter().filter_map(|f| f.body).collect()
-}
-
-/// The functions directly following each occurrence of `marker`.
-fn marked_fns<'f>(
-    file: &str,
-    markers: &Markers,
-    marker: Marker,
-    fns: &'f [FnSpan],
-    findings: &mut Vec<Finding>,
-) -> Vec<&'f FnSpan> {
-    let mut out = Vec::new();
+) {
     for m in markers.markers.iter().filter(|m| m.marker == marker) {
         let next = fns.iter().filter(|f| f.line > m.line).min_by_key(|f| f.line);
         match next {
-            Some(f) if f.line - m.line <= 5 => out.push(f),
+            Some(f) if f.line - m.line <= 5 => {}
             _ => findings.push(Finding {
                 file: file.to_owned(),
                 line: m.line,
@@ -132,63 +98,6 @@ fn marked_fns<'f>(
                     marker
                 ),
             }),
-        }
-    }
-    out
-}
-
-/// Rule 1: panic-freedom of `serving-path` files.
-fn panic_rule(ctx: &Ctx, allow_fn_ranges: &[(usize, usize)], findings: &mut Vec<Finding>) {
-    let toks = ctx.tokens;
-    let mut report = |i: usize, line: u32, msg: String| {
-        if ctx.excluded(i)
-            || syntax::in_ranges(allow_fn_ranges, i)
-            || ctx.line_escaped(&Marker::AllowPanic, line)
-        {
-            return;
-        }
-        findings.push(ctx.finding("panic", line, msg));
-    };
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        // `.unwrap(` / `.expect(`
-        if t.is_punct('.') {
-            if let (Some(m), true) = (
-                toks.get(i + 1).and_then(|t| t.ident()),
-                toks.get(i + 2).is_some_and(|t| t.is_punct('(')),
-            ) {
-                if m == "unwrap" || m == "expect" {
-                    report(
-                        i + 1,
-                        toks[i + 1].line,
-                        format!(
-                            ".{m}() can panic on the serving path; propagate the error instead"
-                        ),
-                    );
-                }
-            }
-        }
-        // panicking macros
-        if let Some(name) = t.ident() {
-            if PANIC_MACROS.contains(&name) && toks.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-                report(i, t.line, format!("{name}! can panic on the serving path"));
-            }
-        }
-        // slice indexing: `[` directly after an expression tail
-        if t.is_punct('[') && i > 0 {
-            let prev = &toks[i - 1];
-            let indexes = prev.ident().is_some() || prev.is_punct(')') || prev.is_punct(']');
-            // `ident![…]` is a macro invocation, not an index.
-            let is_macro = prev.ident().is_some() && i >= 2 && toks[i - 2].is_punct('!');
-            // Exempt attribute-shaped `ident [` after `#` (not expressible
-            // here, `#[…]` already has `#` as prev) — nothing to do.
-            if indexes && !is_macro {
-                report(
-                    i,
-                    t.line,
-                    "slice/array indexing can panic on the serving path; use .get()".to_owned(),
-                );
-            }
         }
     }
 }

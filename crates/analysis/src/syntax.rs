@@ -126,8 +126,24 @@ pub fn functions(tokens: &[Token]) -> Vec<FnSpan> {
     out
 }
 
+/// True when the file is on the serving path: one of its inner attributes
+/// denies `clippy::indexing_slicing`, as the serving-path modules'
+/// `#![cfg_attr(not(test), deny(clippy::indexing_slicing, …))]` does.
+pub fn denies_panics(tokens: &[Token]) -> bool {
+    (2..tokens.len()).any(|open| {
+        let inner = tokens[open - 2].is_punct('#')
+            && tokens[open - 1].is_punct('!')
+            && tokens[open].is_punct('[');
+        inner && {
+            let attr = &tokens[open..match_delim(tokens, open).min(tokens.len())];
+            let has = |name| attr.iter().any(|t| t.ident() == Some(name));
+            has("deny") && has("indexing_slicing")
+        }
+    })
+}
+
 /// Token ranges covered by `#[cfg(test)] mod … { … }` items: unit-test
-/// modules are exempt from every serving-path rule.
+/// modules are exempt from every rule.
 pub fn test_mod_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -220,5 +236,21 @@ mod tests {
         assert!(in_ranges(&ranges, unwrap_idx));
         let live_idx = l.tokens.iter().position(|t| t.ident() == Some("live")).expect("live");
         assert!(!in_ranges(&ranges, live_idx));
+    }
+
+    /// The serving path is the modules that deny `clippy::indexing_slicing`
+    /// in an inner attribute, plain or under `cfg_attr`; an `expect` of it,
+    /// an outer attribute or none at all is not.
+    #[test]
+    fn serving_path_is_the_modules_that_deny_indexing() {
+        let serving = |src: &str| denies_panics(&lex(src).tokens);
+        assert!(serving("#![deny(clippy::indexing_slicing)] fn f() {}"));
+        assert!(serving(
+            "//! Docs.\n#![cfg_attr(not(test), deny(clippy::panic, clippy::indexing_slicing))]\n"
+        ));
+        assert!(!serving("#![deny(clippy::panic)] fn f() {}"));
+        assert!(!serving("#![expect(clippy::indexing_slicing, reason = \"x\")] fn f() {}"));
+        assert!(!serving("#[deny(clippy::indexing_slicing)] fn f() {}"));
+        assert!(!serving("fn f() { let xs = [0]; xs[0] }"));
     }
 }

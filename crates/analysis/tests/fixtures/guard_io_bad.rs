@@ -1,4 +1,4 @@
-// roadlint: serving-path
+#![deny(clippy::indexing_slicing)]
 // An `image` guard (a class named by marker) held across a call whose
 // typed resolution reaches PageStore IO (Pool::alloc acquires `store`):
 // rule 6, found through the call graph, not at the acquisition site.

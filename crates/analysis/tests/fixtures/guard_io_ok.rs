@@ -1,4 +1,4 @@
-// roadlint: serving-path
+#![deny(clippy::indexing_slicing)]
 // The two sanctioned ways to run PageStore IO with a guard held: under
 // the pool's own stripe (the documented stripe -> store order), or with
 // a reasoned escape.

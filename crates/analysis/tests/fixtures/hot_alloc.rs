@@ -1,4 +1,4 @@
-// roadlint: serving-path
+// Rule 3: allocations inside and outside a hot-path fence.
 pub fn expand(work: &mut Vec<u32>, out: &mut String) {
     // roadlint: hot-path
     while let Some(x) = work.pop() {

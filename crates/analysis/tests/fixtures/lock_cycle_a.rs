@@ -1,4 +1,4 @@
-// roadlint: serving-path
+#![deny(clippy::indexing_slicing)]
 // Half of the cross-file lock-cycle pair: page-in -> store (the
 // documented direction). Clean on its own.
 use std::sync::Mutex;

@@ -1,4 +1,4 @@
-// roadlint: serving-path
+#![deny(clippy::indexing_slicing)]
 // The other half of the cross-file lock-cycle pair: store -> page-in,
 // the reverse of lock_cycle_a. Clean on its own; a cycle only when both
 // files are in the same workspace graph.

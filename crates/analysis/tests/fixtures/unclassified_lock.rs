@@ -1,4 +1,4 @@
-// roadlint: serving-path
+#![deny(clippy::indexing_slicing)]
 use std::sync::Mutex;
 
 pub struct P {

@@ -7,7 +7,7 @@
 // targets library code (see clippy.toml for the unit-test exemption).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use road_analysis::{analyze_sources, Analysis, Finding};
+use road_analysis::{analyze_sources, Analysis};
 
 fn analyze_fixture(name: &str) -> Analysis {
     analyze_fixtures(&[name])
@@ -25,39 +25,6 @@ fn analyze_fixtures(names: &[&str]) -> Analysis {
         })
         .collect();
     analyze_sources(srcs.iter().map(|(n, s)| (n.as_str(), s.as_str())))
-}
-
-fn rules(findings: &[Finding]) -> Vec<&'static str> {
-    findings.iter().map(|f| f.rule).collect()
-}
-
-#[test]
-fn panic_rule_fires_on_every_forbidden_shape() {
-    let a = analyze_fixture("panic_bad.rs");
-    let panics: Vec<_> = a.findings.iter().filter(|f| f.rule == "panic").collect();
-    // unwrap, expect, panic!, debug_assert!, xs[0]
-    assert_eq!(panics.len(), 5, "{:?}", a.findings);
-    let msgs: String = panics.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.contains(".unwrap()"));
-    assert!(msgs.contains(".expect()"));
-    assert!(msgs.contains("panic!"));
-    assert!(msgs.contains("debug_assert!"));
-    assert!(msgs.contains("indexing"));
-}
-
-#[test]
-fn panic_escapes_suppress_with_reasons() {
-    let a = analyze_fixture("panic_escapes.rs");
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-}
-
-#[test]
-fn panic_escape_without_reason_suppresses_nothing() {
-    let a = analyze_fixture("panic_escape_no_reason.rs");
-    let r = rules(&a.findings);
-    // The reasonless escape is itself a finding AND the unwrap still fires.
-    assert!(r.contains(&"marker"), "{:?}", a.findings);
-    assert!(r.contains(&"panic"), "{:?}", a.findings);
 }
 
 #[test]
@@ -174,68 +141,6 @@ fn guard_across_io_is_found_through_the_call_graph() {
 }
 
 #[test]
-fn unordered_iteration_fires_on_emission_and_commits() {
-    let a = analyze_fixture("order_unordered_bad.rs");
-    let o: Vec<_> = a.findings.iter().filter(|f| f.rule == "unordered-iter").collect();
-    assert_eq!(o.len(), 2, "{:?}", a.findings);
-    let msgs: String = o.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.contains("byte output"), "{msgs}");
-    assert!(msgs.contains("order-sensitive commit Store::commit"), "{msgs}");
-}
-
-#[test]
-fn order_sanitizers_suppress_and_appear_in_the_verdict_table() {
-    let a = analyze_fixture("order_unordered_ok.rs");
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-    let sanitizers: String = a.order.iter().map(|v| v.sanitizer.as_str()).collect();
-    assert!(sanitizers.contains("sort_unstable()"), "{sanitizers}");
-    assert!(sanitizers.contains("BTreeMap rebind"), "{sanitizers}");
-    assert!(sanitizers.contains("marker:"), "{sanitizers}");
-}
-
-#[test]
-fn float_reduction_order_fires_and_sorted_domains_suppress() {
-    let a = analyze_fixture("float_order_bad.rs");
-    let o: Vec<_> = a.findings.iter().filter(|f| f.rule == "float-order").collect();
-    assert_eq!(o.len(), 3, "{:?}", a.findings);
-    let msgs: String = o.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.contains("`total +=`"), "{msgs}");
-    assert!(msgs.contains(".sum()"), "{msgs}");
-    assert!(msgs.contains("partial_cmp"), "{msgs}");
-
-    let ok = analyze_fixture("float_order_ok.rs");
-    assert!(ok.findings.is_empty(), "{:?}", ok.findings);
-    assert!(ok.order.iter().any(|v| v.sanitizer.contains("sort_by()")), "{:?}", ok.order);
-}
-
-#[test]
-fn scheduling_dependence_fires_and_indexed_deposits_suppress() {
-    let a = analyze_fixture("sched_bad.rs");
-    let o: Vec<_> = a.findings.iter().filter(|f| f.rule == "sched-order").collect();
-    assert_eq!(o.len(), 2, "{:?}", a.findings);
-    let msgs: String = o.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.contains("recv"), "{msgs}");
-    assert!(msgs.contains("lock()"), "{msgs}");
-
-    let ok = analyze_fixture("sched_ok.rs");
-    assert!(ok.findings.is_empty(), "{:?}", ok.findings);
-    assert!(ok.order.iter().any(|v| v.sanitizer.contains("chunks_mut")), "{:?}", ok.order);
-}
-
-#[test]
-fn cross_file_unordered_chain_needs_the_workspace_call_graph() {
-    for f in ["order_emit_helper.rs", "order_cross_file.rs"] {
-        let a = analyze_fixture(f);
-        assert!(a.findings.is_empty(), "{f} alone should be clean: {:?}", a.findings);
-    }
-    let a = analyze_fixtures(&["order_emit_helper.rs", "order_cross_file.rs"]);
-    let o: Vec<_> = a.findings.iter().filter(|f| f.rule == "unordered-iter").collect();
-    assert_eq!(o.len(), 1, "{:?}", a.findings);
-    assert_eq!(o[0].file, "order_cross_file.rs");
-    assert!(o[0].message.contains("emit_all"), "{:?}", o[0]);
-}
-
-#[test]
 fn the_workspace_itself_is_clean() {
     // The CI gate in executable form: the real workspace must lint clean.
     let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
@@ -264,64 +169,6 @@ fn the_workspace_itself_is_clean() {
         a.taint.iter().any(|v| v.sink.contains("ShortcutStore::walk_rnet_section")),
         "lazy-open walker not in the verdict table"
     );
-    // The determinism chains over the real serialize/commit surface —
-    // mirrored canonically in determinism.expected (diffed in CI). Every
-    // unordered iteration that reaches bytes must be here with its
-    // sanitizer, and the parallel fan-outs with their deposit shape.
-    let chain = |src: &str, san: &str, sink: &str| {
-        a.order
-            .iter()
-            .any(|v| v.source.contains(src) && v.sanitizer.contains(san) && v.sink.contains(sink))
-    };
-    // An Rnet's shortcuts are stored with their sources ascending, so the
-    // store's serializer and the paged engine's lazy page-in iterate no
-    // hash-ordered container any more: their `keys() => sort_unstable()`
-    // chains are gone, not merely sanitized. Nor does the repair: the
-    // Rnets it commits are a sorted, deduplicated `Vec`, not a hash set.
-    for emitter in [
-        "ShortcutStore::serialize_into",
-        "PagedEngine::ensure_rnet_loaded",
-        "RoadFramework::repair_after_topology_change",
-    ] {
-        assert!(
-            !a.order.iter().any(|v| v.source.contains(emitter) || v.sink.contains(emitter)),
-            "{emitter} iterates something unordered again: {:#?}",
-            a.order
-        );
-    }
-    assert!(
-        chain("ShortcutStore::compute_level_maps", "chunks_mut", "deterministic commit order"),
-        "parallel-build fan-out verdict missing: {:#?}",
-        a.order
-    );
-    assert!(
-        chain("run_batch", "joined in spawn order", "deterministic commit order"),
-        "run_batch fan-out verdict missing: {:#?}",
-        a.order
-    );
-}
-
-/// `--order-dag` keys a chain by function and file: the `:line` after a
-/// path goes, wherever it stands, and nothing else does.
-#[test]
-fn order_dag_chains_carry_no_line_numbers() {
-    let v = road_analysis::flow::Verdict {
-        source: "`affected`.iter() in A::repair (crates/core/src/framework.rs:653)".to_owned(),
-        sanitizer: "sort_by_key()".to_owned(),
-        sink: "order-sensitive commit S::refresh (arg 4) at crates/core/src/framework.rs:656"
-            .to_owned(),
-    };
-    assert_eq!(
-        v.chain_key(),
-        "`affected`.iter() in A::repair (crates/core/src/framework.rs) => sort_by_key() => \
-         order-sensitive commit S::refresh (arg 4) at crates/core/src/framework.rs"
-    );
-    let other_colons = road_analysis::flow::Verdict {
-        source: "A::b".to_owned(),
-        sanitizer: "marker: x:12".to_owned(),
-        sink: "c.rs:7".to_owned(),
-    };
-    assert_eq!(other_colons.chain_key(), "A::b => marker: x:12 => c.rs");
 }
 
 /// Every fixture's `.rs` file, sorted by name, analysed as ONE workspace.
@@ -338,9 +185,8 @@ fn analyze_all_fixtures() -> Analysis {
 
 #[test]
 fn every_rule_output_over_all_fixtures_is_pinned_byte_for_byte() {
-    // The golden was rendered by the two-engine code before the passes
-    // were merged onto `flow.rs`; any refactor of the analyser must keep
-    // every finding, lock edge and verdict chain of every rule identical.
+    // Any refactor of the analyser must keep every finding, lock edge and
+    // taint verdict chain of every rule identical.
     let got = road_analysis::json::render(&analyze_all_fixtures());
     let path = format!("{}/tests/fixtures/all.expected.json", env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));

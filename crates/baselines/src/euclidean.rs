@@ -170,7 +170,8 @@ impl Engine for EuclideanEngine {
         let (candidates, visited) = if scale > 0.0 {
             self.rtree.range(from, radius.get() / scale)
         } else {
-            let all: Vec<(u64, f64)> = self.objects.keys().map(|&oid| (oid, 0.0)).collect();
+            let all: Vec<(u64, f64)> =
+                self.objects.sorted().into_iter().map(|(&oid, _)| (oid, 0.0)).collect();
             (all, Vec::new())
         };
         for n in visited {

@@ -29,7 +29,19 @@
 //! slots skipped are padding no node's span covers, and `arcs(n)` still
 //! zips four contiguous slices.
 
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::hierarchy::{RnetHierarchy, RnetId};
 use road_network::graph::{RoadNetwork, WeightKind};

@@ -85,9 +85,10 @@ impl Lists {
         }
     }
 
-    /// Every non-empty list with its id (arbitrary order).
+    /// Every non-empty list with its id, by ascending id (a shard holds
+    /// one id range).
     fn iter(&self) -> impl Iterator<Item = (u32, &Vec<ObjectId>)> {
-        self.shards.iter().flat_map(|shard| shard.iter().map(|(&id, list)| (id, list)))
+        self.shards.iter().flat_map(FastMap::sorted).map(|(&id, list)| (id, list))
     }
 }
 
@@ -141,9 +142,13 @@ impl AssociationDirectory {
         self.objects.get(Self::object_shard(id))?.get(&id.0)
     }
 
-    /// Iterates all objects (arbitrary order).
+    /// Iterates all objects, shard by shard, each shard in its hash order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an engine reopened from this walk (PagedEngine::open) files its objects in this order, and the pinned images and counters were recorded on it"
+    )]
     pub fn objects(&self) -> impl Iterator<Item = &Object> {
-        self.objects.iter().flat_map(|shard| shard.values())
+        self.objects.iter().flat_map(|shard| shard.hash_order().map(|(_, o)| o))
     }
 
     /// Inserts an object (Section 5.1): associates it with both endpoint

@@ -30,7 +30,19 @@
 //! assert_eq!(answers.len(), 16);
 //! ```
 
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::association::AssociationDirectory;
 use crate::framework::RoadFramework;
@@ -40,6 +52,7 @@ use crate::search::{
 };
 use crate::workspace::SearchWorkspace;
 use crate::RoadError;
+use road_network::fanout::fan_out;
 use road_network::{NodeId, Weight};
 use std::sync::Arc;
 
@@ -152,10 +165,10 @@ impl QueryEngine {
     }
 }
 
-/// Fans `queries` out over up to `threads` scoped workers, each with one
-/// reused [`SearchWorkspace`], and returns the hit lists in query order —
-/// the batch engine behind [`QueryEngine`] and the paged engine's batch
-/// API.
+/// Fans `queries` out over up to `threads` workers ([`fan_out`]), each
+/// with one reused [`SearchWorkspace`], and returns the hit lists in query
+/// order — the batch engine behind [`QueryEngine`] and the paged engine's
+/// batch API.
 ///
 /// **Error contract:** when several queries fail, the reported error is
 /// that of the **lowest query index**, independent of which worker thread
@@ -163,7 +176,8 @@ impl QueryEngine {
 /// stop at their first failure, so the first failing chunk's error is the
 /// globally lowest-index failure; all workers are joined before any error
 /// is returned, and the chunk results are then scanned in query order —
-/// never in completion order.
+/// never in completion order. A worker that panics makes the batch
+/// `RoadError::Internal("batch worker panicked")`.
 pub(crate) fn run_batch<Q: Sync>(
     queries: &[Q],
     threads: usize,
@@ -181,29 +195,16 @@ pub(crate) fn run_batch<Q: Sync>(
             .collect()
     };
     let threads = threads.clamp(1, queries.len().max(1));
-    if threads == 1 {
-        return run_chunk(queries);
+    let chunk_len = queries.len().div_ceil(threads).max(1);
+    // Every chunk's result is in before any is read, and they are read in
+    // query order: the reported error cannot depend on completion order.
+    let results = fan_out(queries.chunks(chunk_len), run_chunk)
+        .map_err(|_| RoadError::Internal("batch worker panicked".into()))?;
+    let mut out = Vec::with_capacity(queries.len());
+    for chunk in results {
+        out.extend(chunk?);
     }
-    let chunk_len = queries.len().div_ceil(threads);
-    let run_chunk = &run_chunk;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> =
-            queries.chunks(chunk_len).map(|chunk| scope.spawn(move || run_chunk(chunk))).collect();
-        // Join everything first, then scan chunk results in query order:
-        // the reported error must not depend on worker completion order.
-        let results: Vec<Result<Vec<Vec<SearchHit>>, RoadError>> = workers
-            .into_iter()
-            .map(|w| {
-                w.join()
-                    .unwrap_or_else(|_| Err(RoadError::Internal("batch worker panicked".into())))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in results {
-            out.extend(chunk?);
-        }
-        Ok(out)
-    })
+    Ok(out)
 }
 
 /// Every door above opens the wrapped framework and directory in place.
@@ -221,5 +222,29 @@ impl std::fmt::Debug for QueryEngine {
             .field("framework", &*self.fw)
             .field("objects", &self.ad.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker that panics — on a spawned thread or on the calling one —
+    /// makes the batch an `Err`, never a panic of the caller.
+    #[test]
+    fn a_panicking_worker_is_an_internal_error() {
+        let queries: Vec<u32> = (0..8).collect();
+        for (threads, bad) in [(1, 5), (4, 0), (4, 5)] {
+            let got = run_batch(&queries, threads, |&q, _, _| {
+                if q == bad {
+                    panic!("query {q}");
+                }
+                Ok(SearchStats::default())
+            });
+            let Err(RoadError::Internal(msg)) = got else { panic!("{threads}/{bad}: {got:?}") };
+            assert_eq!(msg, "batch worker panicked");
+        }
+        let hits = run_batch(&queries, 4, |_, _, _| Ok(SearchStats::default())).unwrap();
+        assert_eq!(hits.len(), queries.len());
     }
 }

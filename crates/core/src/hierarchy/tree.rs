@@ -24,7 +24,19 @@
 //! order — what the LIFO descent over the level-ascending (that is,
 //! id-ascending) border list used to pop. A `cfg(test)` copy of that
 //! descent is the reference the proptests compare against.
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use super::RnetId;
 use crate::RoadError;

@@ -75,7 +75,19 @@
 //! assert_eq!(after.framework().network().weight(edge, WeightKind::Distance), Weight::new(40.0));
 //! ```
 
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::association::AssociationDirectory;
 use crate::engine::QueryEngine;

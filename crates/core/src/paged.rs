@@ -161,7 +161,19 @@
 //! assert_eq!(res.hits.len(), 1);
 //! assert!(res.stats.pages_read > 0, "served from pages");
 //! ```
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::association::AssociationDirectory;
 use crate::framework::RoadFramework;
@@ -300,7 +312,10 @@ fn encode_abstract_record(total: u32, counts: &[(u16, u32)], out: &mut Vec<u8>) 
 // `record_count`), which bounds all the offsets derived from it.
 
 #[inline]
-// roadlint: allow(panic-fn) reason="offset bounded by the caller's record_count validation"
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offset bounded by the caller's record_count validation"
+)]
 fn read_u32_at(buf: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&buf[at..at + 4]);
@@ -308,7 +323,10 @@ fn read_u32_at(buf: &[u8], at: usize) -> u32 {
 }
 
 #[inline]
-// roadlint: allow(panic-fn) reason="offset bounded by the caller's record_count validation"
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offset bounded by the caller's record_count validation"
+)]
 fn read_u16_at(buf: &[u8], at: usize) -> u16 {
     let mut b = [0u8; 2];
     b.copy_from_slice(&buf[at..at + 2]);
@@ -316,7 +334,10 @@ fn read_u16_at(buf: &[u8], at: usize) -> u16 {
 }
 
 #[inline]
-// roadlint: allow(panic-fn) reason="offset bounded by the caller's record_count validation"
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offset bounded by the caller's record_count validation"
+)]
 fn read_u64_at(buf: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&buf[at..at + 8]);
@@ -324,7 +345,10 @@ fn read_u64_at(buf: &[u8], at: usize) -> u64 {
 }
 
 #[inline]
-// roadlint: allow(panic-fn) reason="offset bounded by the caller's record_count validation"
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offset bounded by the caller's record_count validation"
+)]
 fn read_f64_at(buf: &[u8], at: usize) -> f64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&buf[at..at + 8]);
@@ -765,7 +789,10 @@ impl PagedEngine {
 
     /// Writes `bytes` starting at (`page`, `offset`), walking page
     /// boundaries for multi-page records.
-    // roadlint: allow(panic-fn) reason="slice arithmetic clamped by take = min(rest, page remainder)"
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slice arithmetic clamped by take = min(rest, page remainder)"
+    )]
     fn write_bytes(
         &self,
         page: u32,
@@ -1112,7 +1139,10 @@ impl PagePool for PageSlot<'_> {
 /// The record at `loc`, where it lies: a slice of the slot's page. Only a
 /// record that straddles pages is reassembled, in `scratch`. Every page
 /// the record touches costs one access through the slot.
-// roadlint: allow(panic-fn) reason="page slices bounded by off + len <= PAGE_SIZE and take = min(left, page remainder); off < PAGE_SIZE by unpack_loc's 12-bit field"
+#[expect(
+    clippy::indexing_slicing,
+    reason = "page slices bounded by off + len <= PAGE_SIZE and take = min(left, page remainder); off < PAGE_SIZE by unpack_loc's 12-bit field"
+)]
 fn record<'s>(
     pages: &'s mut PageSlot<'_>,
     scratch: &'s mut Vec<u8>,
@@ -1334,6 +1364,10 @@ impl SearchSource for PagedSource<'_> {
 // roadlint: end hot-path
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "concurrency tests race threads against one engine on purpose; nothing they return is committed in completion order"
+)]
 mod tests {
     use super::*;
     use crate::engine::QueryEngine;

@@ -24,7 +24,19 @@
 //! The memo changes how often the source is asked, never what it answers:
 //! hits, tie order and every expansion counter are those of the loop that
 //! asked every time.
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::association::AssociationDirectory;
 use crate::framework::RoadFramework;
@@ -894,6 +906,7 @@ fn oracle(
         });
     });
     let mut hits: Vec<SearchHit> = best
+        .into_sorted()
         .into_iter()
         .map(|(o, d)| SearchHit { object: ObjectId(o), distance: d })
         .filter(|h| radius.map(|r| h.distance <= r).unwrap_or(true))

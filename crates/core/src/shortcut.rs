@@ -115,6 +115,7 @@ use crate::hierarchy::{BordersBefore, RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
 use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
+use road_network::fanout::fan_out;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::minplus;
 use road_network::path::Path;
@@ -511,14 +512,14 @@ impl ShortcutStore {
     }
 
     /// Computes the shortcut maps of one level's Rnets — of a build or of a
-    /// repair — fanned out over scoped worker threads, one per scratch in
-    /// `scratches`. Every thread owns a contiguous chunk of `rnets` and the
-    /// scratch at its chunk's position: the calling thread takes the first
-    /// chunk on the first scratch, and each other chunk gets a spawned
-    /// worker on the next one, all of them warm from the levels and
-    /// updates before. With one scratch nothing is spawned. Every map lands
-    /// in the slot indexed by its Rnet's position, so the result is
-    /// independent of scheduling. `self` is only read (the children's
+    /// repair — fanned out ([`fan_out`]) over worker threads, one per
+    /// scratch in `scratches`. Every thread owns a contiguous chunk of
+    /// `rnets` and the scratch at its chunk's position: the calling thread
+    /// takes the first chunk on the first scratch, and each other chunk
+    /// gets a spawned worker on the next one, all of them warm from the
+    /// levels and updates before. With one scratch nothing is spawned.
+    /// Every map lands in the slot indexed by its Rnet's position, so the
+    /// result is independent of scheduling. `self` is only read (the children's
     /// maps), never written — commits happen afterwards, in order, on the
     /// caller's thread.
     fn compute_level_maps(
@@ -542,16 +543,9 @@ impl ShortcutStore {
             }
         };
         let chunk_len = rnets.len().div_ceil(scratches.len()).max(1);
-        let mut chunks = rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len)).zip(scratches);
-        let own = chunks.next();
-        std::thread::scope(|scope| {
-            for ((chunk, out), scratch) in chunks {
-                scope.spawn(move || fill(chunk, out, scratch));
-            }
-            if let Some(((chunk, out), scratch)) = own {
-                fill(chunk, out, scratch);
-            }
-        });
+        let chunks = rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len)).zip(scratches);
+        fan_out(chunks, |((chunk, out), scratch)| fill(chunk, out, scratch))
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         maps
     }
 
@@ -658,7 +652,6 @@ impl ShortcutStore {
     /// upward propagation in the filter-and-refresh maintenance of
     /// Section 5.2. An Rnet's old arena is read under its border list in
     /// `before` when a topology edit changed it, under `hier`'s otherwise.
-    // roadlint: order-sink
     #[allow(clippy::too_many_arguments, reason = "the store's one repair entry point")]
     pub(crate) fn refresh_rnets(
         &mut self,

@@ -61,7 +61,19 @@
 //!   distance labels and predecessor links alive for `distance_to_node` /
 //!   `path_to_node` and recycles the workspace back into the pool when the
 //!   result is dropped.
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::hierarchy::RnetId;
 use road_network::hash::FastSet;

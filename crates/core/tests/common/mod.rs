@@ -6,8 +6,8 @@ use road_core::shortcut::{ShortcutStore, DENSE_MAX_NODES};
 use road_core::{RnetHierarchy, RnetId};
 use road_network::generator::simple;
 use road_network::graph::{RoadNetwork, WeightKind};
+use road_network::hash::FastMap;
 use road_network::{NodeId, Weight};
-use std::collections::HashMap;
 
 const WIDTH: u32 = 27;
 const HEIGHT: u32 = 26;
@@ -60,8 +60,8 @@ fn local_arcs(
     hier: &RnetHierarchy,
     store: &ShortcutStore,
     r: RnetId,
-) -> HashMap<(NodeId, NodeId), f64> {
-    let mut arcs = HashMap::new();
+) -> FastMap<(NodeId, NodeId), f64> {
+    let mut arcs = FastMap::default();
     let mut arc = |u: NodeId, v: NodeId, w: Weight| {
         if w.is_finite() {
             let slot = arcs.entry((u, v)).or_insert(f64::INFINITY);

@@ -746,7 +746,7 @@ fn aggregate_knn_bounded_expansions_prune_and_agree() {
         // Reference: the unbounded per-member evaluation (the previous
         // implementation), combined the same way.
         let mut unbounded_settled = 0usize;
-        let mut acc: std::collections::HashMap<u64, (Weight, usize)> = Default::default();
+        let mut acc: std::collections::BTreeMap<u64, (Weight, usize)> = Default::default();
         for &m in &group {
             let res = fw.range(&ad, &RangeQuery::new(m, Weight::INFINITY)).unwrap();
             unbounded_settled += res.stats.nodes_settled;

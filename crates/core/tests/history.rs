@@ -48,7 +48,7 @@ use road_core::{RoadError, SearchResult, SearchStats};
 use road_network::dijkstra::shortest_path_weight;
 use road_network::generator::simple;
 use road_network::EdgeId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -218,10 +218,10 @@ fn oracle_group(
     ad: &AssociationDirectory,
     q: &AggregateKnnQuery,
 ) -> Vec<SearchHit> {
-    let mut combined: Option<HashMap<ObjectId, Weight>> = None;
+    let mut combined: Option<BTreeMap<ObjectId, Weight>> = None;
     for &member in &q.nodes {
         let reach = RangeQuery::new(member, Weight::INFINITY).with_filter(q.filter.clone());
-        let d: HashMap<ObjectId, Weight> =
+        let d: BTreeMap<ObjectId, Weight> =
             oracle_range(fw, ad, &reach).into_iter().map(|h| (h.object, h.distance)).collect();
         combined = Some(match combined {
             None => d.into_iter().map(|(o, d)| (o, q.aggregate.combine(Weight::ZERO, d))).collect(),

@@ -13,6 +13,10 @@
 // Integration tests may unwrap freely; the workspace unwrap/expect denial
 // targets library code (see clippy.toml for the unit-test exemption).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "concurrency tests race threads against one engine on purpose; nothing they return is committed in completion order"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

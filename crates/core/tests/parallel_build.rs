@@ -168,7 +168,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5708_4EED);
         let edges: Vec<_> = g.edge_ids().collect();
         let mut updates: Vec<(EdgeId, Weight)> = Vec::new();
-        let mut picked = std::collections::HashSet::new();
+        let mut picked = road_network::hash::FastSet::default();
         while updates.len() < storm.min(edges.len()) {
             let e = edges[rng.random_range(0..edges.len())];
             if picked.insert(e) {

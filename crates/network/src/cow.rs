@@ -21,7 +21,19 @@
 //! within one chunk, which is how the query arena keeps every node's arcs
 //! in one slice (`road_core::arena`).
 
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -18,7 +18,19 @@
 //! reuse: `finish_into` writes into a caller-owned [`CsrGraph`], and all
 //! scratch vectors are recycled across Rnets.
 
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::weight::Weight;
 
@@ -141,7 +153,10 @@ impl CsrBuilder {
     /// Freeze the pushed arcs into `out` as a CSR arena over `num_nodes`
     /// dense ids.  Arcs whose source id is `>= num_nodes` are dropped.
     /// Stable: arcs of one source keep their push order.
-    // roadlint: allow(panic-fn) reason="counting-sort cursors are derived from the builder's own arc vectors; every index is bounded by the prefix sums computed two passes above"
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counting-sort cursors are derived from the builder's own arc vectors; every index is bounded by the prefix sums computed two passes above"
+    )]
     pub fn finish_into(&mut self, num_nodes: usize, out: &mut CsrGraph) {
         out.clear();
         self.cursor.clear();

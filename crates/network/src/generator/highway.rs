@@ -12,6 +12,7 @@
 use super::{add_subdivided_edge, allocate_proportional, RoadClass};
 use crate::error::NetworkError;
 use crate::graph::{NetworkBuilder, RoadNetwork};
+use crate::hash::FastSet;
 use crate::unionfind::UnionFind;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -72,7 +73,7 @@ pub fn generate(cfg: &HighwayConfig) -> Result<RoadNetwork, NetworkError> {
     let mut uf = UnionFind::new(bb as u32 as usize);
     let mut chosen: Vec<(u32, u32)> = Vec::with_capacity(backbone_edges);
     // Hashed: node pairs, of which the backbone takes a sparse few.
-    let mut used = std::collections::HashSet::new();
+    let mut used = FastSet::default();
     for &(_, a, b) in &candidates {
         if chosen.len() == backbone_edges && uf.components() == 1 {
             break;
@@ -185,7 +186,7 @@ fn knn_candidates(pts: &[(f64, f64)], extent: f64, k: usize) -> Vec<(f64, u32, u
     }
     let mut out: Vec<(f64, u32, u32)> = Vec::with_capacity(n * k);
     // Hashed: node pairs, k per point out of n².
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FastSet::default();
     let mut near: Vec<(f64, u32)> = Vec::new();
     for (i, &(x, y)) in pts.iter().enumerate() {
         near.clear();

@@ -2,6 +2,7 @@
 
 use crate::geometry::Point;
 use crate::graph::{NetworkBuilder, RoadNetwork};
+use crate::hash::FastSet;
 use crate::ids::NodeId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -81,7 +82,7 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> RoadNetwork 
     let mut attempts = 0;
     // Chords already drawn, by node pair: at most `extra_edges` of the n²
     // pairs, so a set.
-    let mut existing = std::collections::HashSet::new();
+    let mut existing = FastSet::default();
     while added < extra_edges && attempts < extra_edges * 20 + 40 {
         attempts += 1;
         if n < 2 {

@@ -20,6 +20,9 @@
 //!   so a fork copies only the chunks an update writes;
 //! * [`partition`] — edge-disjoint graph partitioning (geometric bisection
 //!   refined by a Kernighan–Lin pass) used to form Rnets;
+//! * [`fanout`] — the one thread fan-out, results by job index;
+//! * [`hash`] — the Fx hasher and the hash containers without unordered
+//!   iteration;
 //! * [`generator`] — seeded synthetic road networks calibrated to the
 //!   paper's three real datasets (CA / NA / SF), plus small shapes for
 //!   testing.
@@ -32,6 +35,7 @@ pub mod cow;
 pub mod csr;
 pub mod dijkstra;
 pub mod error;
+pub mod fanout;
 pub mod generator;
 pub mod geometry;
 pub mod graph;

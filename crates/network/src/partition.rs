@@ -48,17 +48,21 @@
 //!
 //! * one fresh `FastMap` per bisection, global node id → local id, filled
 //!   by `entry()` in edge order (`a` then `b`). It hands out the local
-//!   ids; its iteration order, read once, seeds every pass's border set;
+//!   ids; its `hash_order()`, read once, seeds every pass's border set;
 //! * one fresh `FastSet` per pass holding the current border nodes, keyed
 //!   by *global* id (`BorderNode` carries the local id along without
 //!   hashing it), receiving exactly the inserts and removes — redundant
 //!   ones included, since a redundant insert may still grow the table —
-//!   that flipping an edge has always issued.
+//!   that flipping an edge has always issued, and walked by `hash_order()`.
+//!
+//! Those two walks are the `#[expect(clippy::disallowed_methods)]` on
+//! `kl_refine`.
 //!
 //! Nothing else in a bisection hashes. `tests/partition_golden.rs` holds
 //! the result to the bytes recorded from the hash-map implementation this
 //! replaced.
 
+use crate::fanout::fan_out;
 use crate::geometry::Point;
 use crate::graph::RoadNetwork;
 use crate::hash::{FastMap, FastSet};
@@ -132,8 +136,8 @@ impl EdgeGroups {
 /// of the recursion.
 ///
 /// The groups of a round are independent and are fanned out over up to
-/// `workers` scoped threads (`0` = all the host has, `1` runs inline); the
-/// result does not depend on `workers`.
+/// `workers` threads (`0` = all the host has, `1` runs inline) by
+/// [`fan_out`]; the result does not depend on `workers`.
 ///
 /// # Panics
 /// Panics if `edges` holds more than `u32::MAX` entries.
@@ -160,23 +164,21 @@ pub fn split_rounds(
         // Slot `k`: how many of group `k`'s edges went left.
         let mut lefts = vec![0u32; groups];
         let chunk_len = groups.div_ceil(bisectors.len());
-        if chunk_len == groups {
-            bisectors[0].split_groups(&table, opts, &mut positions, &bounds, &mut lefts);
-        } else {
-            std::thread::scope(|scope| {
-                let table = table.as_slice();
-                let mut arena = positions.as_mut_slice();
-                let mut first = 0;
-                for (out, bisector) in lefts.chunks_mut(chunk_len).zip(&mut bisectors) {
-                    let bounds = &bounds[first..=first + out.len()];
-                    first += out.len();
-                    let len = (bounds[out.len()] - bounds[0]) as usize;
-                    let (mine, rest) = std::mem::take(&mut arena).split_at_mut(len);
-                    arena = rest;
-                    scope.spawn(move || bisector.split_groups(table, opts, mine, bounds, out));
-                }
-            });
-        }
+        let mut arena = positions.as_mut_slice();
+        let mut first = 0;
+        let jobs = lefts.chunks_mut(chunk_len).zip(&mut bisectors).map(|(out, bisector)| {
+            let bounds = &bounds[first..=first + out.len()];
+            first += out.len();
+            let len = (bounds[out.len()] - bounds[0]) as usize;
+            let (mine, rest) = std::mem::take(&mut arena).split_at_mut(len);
+            arena = rest;
+            (out, bisector, mine, bounds)
+        });
+        let table = table.as_slice();
+        fan_out(jobs, |(out, bisector, mine, bounds)| {
+            bisector.split_groups(table, opts, mine, bounds, out)
+        })
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         let mut next = Vec::with_capacity(2 * groups + 1);
         for (&start, &left) in bounds.iter().zip(&lefts) {
             next.extend([start, start + left]);
@@ -376,6 +378,10 @@ impl Bisector {
     /// the prefix with the highest cumulative gain. Stops when a pass
     /// yields no improvement, i.e. "until further exchanges do not reduce
     /// the number of border nodes".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the two order authorities (module docs) are walked in hash order until the partition is re-recorded"
+    )]
     fn kl_refine(&mut self, table: &[EdgeInfo], group: &[u32], opts: &PartitionOptions) {
         let m = group.len();
         let move_cap =
@@ -400,7 +406,8 @@ impl Bisector {
         }
         let n = self.global.len();
         self.seed.clear();
-        self.seed.extend(local_of.iter().map(|(&global, &local)| BorderNode { global, local }));
+        self.seed
+            .extend(local_of.hash_order().map(|(&global, &local)| BorderNode { global, local }));
         drop(local_of);
 
         // Node → incident edges by counting sort (the candidate scan walks
@@ -463,7 +470,7 @@ impl Bisector {
                 // Candidates: unlocked edges touching a current border
                 // node; the first of maximal gain wins.
                 let mut best: Option<(i64, usize)> = None;
-                for node in &border {
+                for node in border.hash_order() {
                     let v = node.local as usize;
                     for &i in &self.incident[self.starts[v] as usize..self.starts[v + 1] as usize] {
                         let i = i as usize;

@@ -31,7 +31,19 @@
 //! node, 16 in a leaf), allocating nothing. It touches the pages the
 //! decoded descent touched, in the same order, so page-access and fault
 //! counts are those of the textbook descent.
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::buffer::PagePool;
 use crate::error::StorageError;
@@ -66,7 +78,7 @@ struct BNode {
 
 /// Reads a little-endian `u64` at `off`. Callers validate `off` against
 /// the page size first (the count checks in [`node_header`]).
-// roadlint: allow(panic-fn) reason="offset bounded by the caller's count validation"
+#[expect(clippy::indexing_slicing, reason = "offset bounded by the caller's count validation")]
 fn le_u64(b: &[u8], off: usize) -> u64 {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(&b[off..off + 8]);
@@ -74,7 +86,7 @@ fn le_u64(b: &[u8], off: usize) -> u64 {
 }
 
 /// Reads a little-endian `u32` at `off`; same contract as [`le_u64`].
-// roadlint: allow(panic-fn) reason="offset bounded by the caller's count validation"
+#[expect(clippy::indexing_slicing, reason = "offset bounded by the caller's count validation")]
 fn le_u32(b: &[u8], off: usize) -> u32 {
     let mut buf = [0u8; 4];
     buf.copy_from_slice(&b[off..off + 4]);
@@ -88,7 +100,6 @@ fn le_u32(b: &[u8], off: usize) -> u32 {
 /// (internal) *before* anyone forms an offset or sizes an allocation from
 /// it — the one gate both the in-place lookup and [`BNode::decode`] go
 /// through.
-// roadlint: allow(panic-fn) reason="constant offsets into a PAGE_SIZE array"
 fn node_header(b: &[u8; PAGE_SIZE], int_cap: usize) -> Result<(bool, usize), StorageError> {
     let tag = b[0];
     let count = u16::from_le_bytes([b[2], b[3]]) as usize;
@@ -120,7 +131,6 @@ impl BNode {
     /// build-time form insert works on. The header is validated by
     /// [`node_header`] *before* the entry count sizes any allocation or
     /// offset arithmetic.
-    // roadlint: allow(panic-fn) reason="every offset below is bounded by node_header's count validation"
     fn decode(page: &Page, int_cap: usize) -> Result<Self, StorageError> {
         let b = page.bytes();
         let (leaf, count) = node_header(b, int_cap)?;
@@ -149,7 +159,10 @@ impl BNode {
         }
     }
 
-    // roadlint: allow(panic-fn) reason="write path encodes nodes the tree built itself; counts are bounded by the fanout invariant"
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "write path encodes nodes the tree built itself; counts are bounded by the fanout invariant"
+    )]
     fn encode(&self, page: &mut Page, int_cap: usize) {
         let b = page.bytes_mut();
         b[0] = if self.leaf { TAG_LEAF } else { TAG_INTERNAL };
@@ -187,16 +200,17 @@ impl BPlusTree {
     /// # Panics
     /// Panics on fanouts that are too small to split (< 3) or that would
     /// not fit a page.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "construction-time configuration check, not a serving path"
+    )]
     pub fn with_caps(
         pool: &mut impl PagePool,
         leaf_cap: usize,
         int_cap: usize,
     ) -> Result<Self, StorageError> {
-        // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
         assert!(leaf_cap >= 3 && int_cap >= 3, "B+-tree fanout too small");
-        // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
         assert!(8 + leaf_cap * 16 <= PAGE_SIZE, "leaf fanout does not fit a page");
-        // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
         assert!(
             8 + int_cap * 8 + (int_cap + 1) * 4 <= PAGE_SIZE,
             "internal fanout does not fit a page"
@@ -288,7 +302,10 @@ impl BPlusTree {
     }
 
     /// Splits the full child at `child_idx` of the internal node `parent`.
-    // roadlint: allow(panic-fn) reason="build/maintenance write path over nodes the tree built; indices bounded by the fanout invariant"
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build/maintenance write path over nodes the tree built; indices bounded by the fanout invariant"
+    )]
     fn split_child(
         &mut self,
         pool: &mut impl PagePool,
@@ -326,7 +343,10 @@ impl BPlusTree {
         self.write_node(pool, parent_page, &parent)
     }
 
-    // roadlint: allow(panic-fn) reason="build/maintenance write path; indices bounded by the preemptive-split invariant"
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build/maintenance write path; indices bounded by the preemptive-split invariant"
+    )]
     fn insert_nonfull(
         &mut self,
         pool: &mut impl PagePool,

@@ -7,7 +7,19 @@
 //! [`IoTally`] — the counters are exact the moment an access returns.
 //! Matches the paper's cache model: a fixed number of frames (50 by
 //! default) replaced LRU, cold at the start of every measured query.
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::error::StorageError;
 use crate::page::{Page, PageId};

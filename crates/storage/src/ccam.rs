@@ -214,14 +214,14 @@ mod tests {
         let size = |n: NodeId| 300 + (n.0 as usize * 97) % 900;
         let c = NodeClustering::build(&g, size);
         // Recompute fill per page and assert <= PAGE_SIZE.
-        let mut fill = std::collections::HashMap::new();
+        let mut fill = road_network::hash::FastMap::default();
         for n in g.node_ids() {
             let (p, span) = c.span_of(n);
             if span == 1 {
                 *fill.entry(p).or_insert(0usize) += size(n);
             }
         }
-        for (&p, &f) in &fill {
+        for (&p, &f) in fill.sorted() {
             assert!(f <= PAGE_SIZE, "page {p} overfilled: {f}");
         }
     }

@@ -83,7 +83,19 @@
 //! surfaces as [`StorageError::LockPoisoned`] on every later access to
 //! that stripe — the serving thread gets an `Err`, never a propagated
 //! panic.
-// roadlint: serving-path
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use crate::buffer::{BufferStats, PagePool};
 use crate::error::StorageError;
@@ -266,11 +278,13 @@ impl StripedBufferPool {
     /// # Panics
     /// Panics when `capacity` or `stripes` is zero, or when `stripes` does
     /// not fit the `u32` that page ids are.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "construction-time configuration check, not a serving path"
+    )]
     pub fn new(store: PageStore, capacity: usize, stripes: usize) -> Self {
-        // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
         assert!(capacity > 0, "buffer-pool capacity must be positive");
         let num_stripes = u32::try_from(stripes).unwrap_or(0);
-        // roadlint: allow(panic) reason="construction-time configuration check, not a serving path"
         assert!(num_stripes > 0, "stripe count must be positive (and no more than page ids)");
         let per_stripe =
             |i: usize| (capacity / stripes + usize::from(i < capacity % stripes)).max(1);
@@ -291,8 +305,11 @@ impl StripedBufferPool {
     /// Locks the stripe owning page `id`; `Err` if a previous holder
     /// panicked.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the index is id % stripes.len(), in range by construction"
+    )]
     fn stripe(&self, id: PageId) -> Result<MutexGuard<'_, Frames>, StorageError> {
-        // roadlint: allow(panic) reason="index is id % stripes.len(), in range by construction"
         self.stripes[(id.0 % self.num_stripes) as usize]
             .lock()
             .map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))
@@ -552,6 +569,10 @@ impl PagePool for TalliedPool<'_> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "concurrency tests race threads against one engine on purpose; nothing they return is committed in completion order"
+)]
 mod tests {
     use super::*;
 

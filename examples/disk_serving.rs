@@ -17,6 +17,7 @@
 
 use road_core::paged::{PagedEngine, PagedOptions};
 use road_core::prelude::*;
+use road_network::fanout::fan_out;
 use road_network::generator::simple;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -92,32 +93,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    the replica directly — no Mutex wrapper — each oracle-checking
     //    its own slice of the burst. Per-thread SearchStats stay exact
     //    (each query's page counters come from its private tally).
-    let served: usize = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..4u32)
-            .map(|t| {
-                let replica = &replica;
-                let oracle = &oracle;
-                scope.spawn(move || {
-                    let mut ws = SearchWorkspace::new();
-                    let mut hits = Vec::new();
-                    let mut served = 0usize;
-                    for i in 0..40u32 {
-                        if i % 4 != t {
-                            continue;
-                        }
-                        let q = KnnQuery::new(NodeId((i * 14) % 576), 3)
-                            .with_filter(ObjectFilter::Category(FUEL));
-                        replica.knn_with(&q, &mut ws, &mut hits).expect("valid query");
-                        let mem = oracle.knn(&q).expect("valid query");
-                        assert_eq!(hits, mem.hits, "concurrent paged serving must stay exact");
-                        served += 1;
-                    }
-                    served
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().expect("serving thread panicked")).sum()
-    });
+    let served: usize = fan_out(0..4u32, |t| {
+        let mut ws = SearchWorkspace::new();
+        let mut hits = Vec::new();
+        let mut served = 0usize;
+        for i in (0..40u32).filter(|i| i % 4 == t) {
+            let q =
+                KnnQuery::new(NodeId((i * 14) % 576), 3).with_filter(ObjectFilter::Category(FUEL));
+            replica.knn_with(&q, &mut ws, &mut hits).expect("valid query");
+            let mem = oracle.knn(&q).expect("valid query");
+            assert_eq!(hits, mem.hits, "concurrent paged serving must stay exact");
+            served += 1;
+        }
+        served
+    })
+    .expect("serving thread panicked")
+    .into_iter()
+    .sum();
     println!(
         "concurrent burst: {served} queries from 4 threads on one shared replica, all \
          oracle-checked ({} buffer stripes)",
