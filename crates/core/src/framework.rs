@@ -107,9 +107,10 @@ pub struct RoadFramework {
     /// Bytes the copy-on-write columns of arenas a topology edit has since
     /// replaced had copied; part of `bytes_copied`.
     retired_copies: u64,
-    /// The writer's warm scratches for the repair fan-out, one per worker
-    /// (up to `cfg.shortcuts.threads`), made as repairs first need them.
-    /// A clone — every published snapshot — starts with none.
+    /// The writer's repair fan-out: a warm scratch on the calling thread
+    /// and up to `cfg.shortcuts.threads - 1` parked workers with one each,
+    /// made as repairs first need them and joined when the framework is
+    /// dropped. A clone — every published snapshot — starts with none.
     workers: WorkerScratches,
 }
 
@@ -411,9 +412,10 @@ impl RoadFramework {
     /// its children's shortcut sets keep changing, exactly the per-edge
     /// early-break of [`RoadFramework::set_edge_weight`]. Rnets of one
     /// level are independent (Lemma 2), so each frontier fans out over
-    /// [`ShortcutOptions::threads`] workers on scratches the framework
-    /// keeps warm from update to update; the thread count never changes a
-    /// stored byte or a counter of the outcome.
+    /// [`ShortcutOptions::threads`] threads: the caller and worker threads
+    /// the framework spawns at the first such frontier and keeps parked,
+    /// with their scratches warm, from update to update. The thread count
+    /// never changes a stored byte or a counter of the outcome.
     ///
     /// The whole batch is validated before any weight is written: one bad
     /// edge rejects the batch with the network untouched.  Updates that
@@ -453,7 +455,7 @@ impl RoadFramework {
         // loop walks the hierarchy finest-first.
         while !frontier.is_empty() {
             outcome.rnets_refreshed += frontier.len();
-            let changed = self.shortcuts.refresh_rnets(
+            let changed = self.shortcuts.repair(
                 &self.g,
                 &self.hier,
                 self.cfg.metric,
@@ -630,13 +632,13 @@ impl RoadFramework {
             }
         }
         // Refresh finest-first so parents see up-to-date child shortcuts
-        // (`refresh_rnets` fans out one level at a time); the id tiebreak
+        // (`repair` fans out one level at a time); the id tiebreak
         // makes the commit order (and thus the store's byte layout) a total
         // order, which also puts duplicates side by side.
         affected.sort_unstable_by_key(|&r| (std::cmp::Reverse(self.hier.level_of(r)), r.0));
         affected.dedup();
         outcome.rnets_refreshed += affected.len();
-        let changed = self.shortcuts.refresh_rnets(
+        let changed = self.shortcuts.repair(
             &self.g,
             &self.hier,
             self.cfg.metric,

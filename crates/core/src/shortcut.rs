@@ -115,7 +115,7 @@ use crate::hierarchy::{BordersBefore, RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
 use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
-use road_network::fanout::fan_out;
+use road_network::fanout::{fan_out, WarmWorkers};
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::minplus;
 use road_network::path::Path;
@@ -495,8 +495,15 @@ impl ShortcutStore {
         let mut store = ShortcutStore::empty(hier.num_rnets());
         let finest_first: Vec<RnetId> =
             (1..=hier.levels()).rev().flat_map(|level| hier.rnets_at_level(level)).collect();
-        let (before, mut workers) = (BordersBefore::default(), WorkerScratches::default());
-        store.refresh_rnets(g, hier, kind, &finest_first, &before, opts, &mut workers);
+        let threads = resolve_threads(opts.threads);
+        let mut scratches: Vec<BuildScratch> = Vec::new();
+        store.refresh_rnets(hier, &finest_first, &BordersBefore::default(), |store, run| {
+            let workers = threads.min(run.len()).max(1);
+            if scratches.len() < workers {
+                scratches.resize_with(workers, BuildScratch::default);
+            }
+            store.compute_level_maps(g, hier, kind, run, &mut scratches[..workers])
+        });
         store
     }
 
@@ -511,17 +518,18 @@ impl ShortcutStore {
         }
     }
 
-    /// Computes the shortcut maps of one level's Rnets — of a build or of a
-    /// repair — fanned out ([`fan_out`]) over worker threads, one per
-    /// scratch in `scratches`. Every thread owns a contiguous chunk of
-    /// `rnets` and the scratch at its chunk's position: the calling thread
-    /// takes the first chunk on the first scratch, and each other chunk
-    /// gets a spawned worker on the next one, all of them warm from the
-    /// levels and updates before. With one scratch nothing is spawned.
-    /// Every map lands in the slot indexed by its Rnet's position, so the
-    /// result is independent of scheduling. `self` is only read (the children's
-    /// maps), never written — commits happen afterwards, in order, on the
-    /// caller's thread.
+    /// Computes the shortcut maps of one level's Rnets of a build, fanned
+    /// out ([`fan_out`]) over scoped threads, one per scratch in
+    /// `scratches`. Every thread owns a contiguous chunk of `rnets` and the
+    /// scratch at its chunk's position: the calling thread takes the first
+    /// chunk on the first scratch, and each other chunk gets a spawned
+    /// thread on the next one, all of them warm from the levels before.
+    /// With one scratch nothing is spawned. Every map lands in the slot
+    /// indexed by its Rnet's position, so the result is independent of
+    /// scheduling. `self` is only read (the children's maps), never
+    /// written — commits happen afterwards, in order, on the caller's
+    /// thread. A repair computes a level the same way on parked threads
+    /// instead ([`WorkerScratches::level_maps`]).
     fn compute_level_maps(
         &self,
         g: &RoadNetwork,
@@ -640,28 +648,44 @@ impl ShortcutStore {
         self.per_rnet.bytes_copied()
     }
 
-    /// Recomputes Rnets' shortcuts in place: `rnets` must be sorted finest
-    /// level first (ties in any order — Rnets of one level are
-    /// independent). Each run of one level is computed by
-    /// [`ShortcutStore::compute_level_maps`] against the store as the finer
-    /// runs left it, fanned out over `workers`' warm scratches, and
-    /// committed in list order before the next, coarser run starts — so
-    /// parents always read fully repaired children, and the store is
-    /// byte-equal whatever the thread count. Returns the per-Rnet "shortcut
-    /// set changed" flags, aligned with `rnets`: the signal that drives
-    /// upward propagation in the filter-and-refresh maintenance of
-    /// Section 5.2. An Rnet's old arena is read under its border list in
-    /// `before` when a topology edit changed it, under `hier`'s otherwise.
+    /// Recomputes Rnets' shortcuts in place, the maps of each level
+    /// computed on `workers`' parked threads: the repair of a framework,
+    /// whose network and hierarchy are shared handles a worker can own
+    /// while it computes. See [`ShortcutStore::refresh_rnets`].
     #[allow(clippy::too_many_arguments, reason = "the store's one repair entry point")]
-    pub(crate) fn refresh_rnets(
+    pub(crate) fn repair(
         &mut self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
+        g: &Arc<RoadNetwork>,
+        hier: &Arc<RnetHierarchy>,
         kind: WeightKind,
         rnets: &[RnetId],
         before: &BordersBefore,
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
+    ) -> Vec<bool> {
+        self.refresh_rnets(hier, rnets, before, |store, run| {
+            workers.level_maps(store, g, hier, kind, run, opts)
+        })
+    }
+
+    /// Recomputes Rnets' shortcuts in place: `rnets` must be sorted finest
+    /// level first (ties in any order — Rnets of one level are
+    /// independent). Each run of one level is computed by `level_maps`
+    /// against the store as the finer runs left it — a build's scoped
+    /// fan-out or a repair's parked workers — and committed in list order
+    /// before the next, coarser run starts, so parents always read fully
+    /// repaired children, and the store is byte-equal whatever the thread
+    /// count. Returns the per-Rnet "shortcut set changed" flags, aligned
+    /// with `rnets`: the signal that drives upward propagation in the
+    /// filter-and-refresh maintenance of Section 5.2. An Rnet's old arena
+    /// is read under its border list in `before` when a topology edit
+    /// changed it, under `hier`'s otherwise.
+    fn refresh_rnets(
+        &mut self,
+        hier: &RnetHierarchy,
+        rnets: &[RnetId],
+        before: &BordersBefore,
+        mut level_maps: impl FnMut(&ShortcutStore, &[RnetId]) -> Vec<RnetShortcuts>,
     ) -> Vec<bool> {
         debug_assert!(
             rnets.windows(2).all(|w| hier.level_of(w[0]) >= hier.level_of(w[1])),
@@ -669,8 +693,7 @@ impl ShortcutStore {
         );
         let mut changed = Vec::with_capacity(rnets.len());
         for run in rnets.chunk_by(|a, b| hier.level_of(*a) == hier.level_of(*b)) {
-            let scratches = workers.for_level(opts, run.len());
-            let maps = self.compute_level_maps(g, hier, kind, run, scratches);
+            let maps = level_maps(self, run);
             for (&r, map) in run.iter().zip(maps) {
                 let borders = hier.borders(r);
                 let old = before.iter().find(|&&(id, _)| id == r).map_or(borders, |(_, old)| old);
@@ -1274,40 +1297,112 @@ enum PathSource {
     SealedDijkstra,
 }
 
-/// The scratches of the level fan-out, one per worker: the first is the
-/// calling thread's, and the next is made the first time a level has
-/// enough Rnets for another worker, up to [`ShortcutOptions::threads`].
+/// A repair's level fan-out: the calling thread's scratch and up to
+/// [`ShortcutOptions::threads`]` - 1` parked workers, each with a scratch
+/// of its own, spawned the first time a level has enough Rnets for them.
 /// Kept across levels and, in a framework, across updates — a fresh
 /// scratch per worker and level costs more than repairing a level on one
-/// thread (ARCHITECTURE.md, "Parallel construction").
-#[derive(Default)]
+/// thread, and a thread spawned and joined per level some 45 µs, about
+/// six times a tick (ARCHITECTURE.md, "Parallel construction"). A
+/// framework's clone starts with none of either, so a published snapshot
+/// owns no thread.
 pub(crate) struct WorkerScratches {
-    scratches: Vec<BuildScratch>,
+    /// The calling thread's scratch: the first chunk of every level.
+    own: BuildScratch,
+    /// The other chunks' threads, each computing on its own scratch.
+    helpers: WarmWorkers<BuildScratch, LevelJob, LevelMaps>,
     /// [`ShortcutOptions::threads`] resolved once (asking the OS reads
     /// cgroup files, as long as a small Rnet's repair); `0` before the
     /// first level.
     threads: usize,
+    /// Matrix entries the min-plus kernels relaxed since the last
+    /// [`WorkerScratches::take_minplus_entries`], on every thread.
+    minplus_entries: u64,
+}
+
+impl Default for WorkerScratches {
+    fn default() -> Self {
+        WorkerScratches {
+            own: BuildScratch::default(),
+            helpers: WarmWorkers::new(LevelJob::run),
+            threads: 0,
+            minplus_entries: 0,
+        }
+    }
 }
 
 impl WorkerScratches {
-    /// The scratches a level of `rnets` Rnets fans out over: one per
-    /// thread, never more than one per Rnet, and at least the caller's.
-    fn for_level(&mut self, opts: &ShortcutOptions, rnets: usize) -> &mut [BuildScratch] {
+    /// The maps of one level's `rnets`, in order: one contiguous chunk per
+    /// thread, never more chunks than Rnets, the first computed on the
+    /// calling thread and each other one on a parked worker. Every job
+    /// owns handles to the network, the hierarchy and a clone of `store`,
+    /// and its worker drops them before answering, so the commits that
+    /// follow find the store's chunks as unshared as they were.
+    fn level_maps(
+        &mut self,
+        store: &ShortcutStore,
+        g: &Arc<RoadNetwork>,
+        hier: &Arc<RnetHierarchy>,
+        kind: WeightKind,
+        rnets: &[RnetId],
+        opts: &ShortcutOptions,
+    ) -> Vec<RnetShortcuts> {
         if self.threads == 0 {
             self.threads = resolve_threads(opts.threads);
         }
-        let workers = self.threads.min(rnets).max(1);
-        if self.scratches.len() < workers {
-            self.scratches.resize_with(workers, BuildScratch::default);
+        let chunk_len = rnets.len().div_ceil(self.threads).max(1);
+        let jobs = rnets.chunks(chunk_len).map(|chunk| LevelJob {
+            store: store.clone(),
+            g: Arc::clone(g),
+            hier: Arc::clone(hier),
+            kind,
+            rnets: chunk.to_vec(),
+        });
+        let answers = self
+            .helpers
+            .run(&mut self.own, jobs)
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        let mut maps = Vec::with_capacity(rnets.len());
+        for answer in answers {
+            maps.extend(answer.maps);
+            self.minplus_entries += answer.minplus_entries;
         }
-        &mut self.scratches[..workers]
+        maps
     }
 
-    /// The matrix entries the min-plus kernels relaxed, on every worker,
+    /// The matrix entries the min-plus kernels relaxed, on every thread,
     /// since the last call: what a repair's eliminations, closures and
     /// keep rules cost, counted rather than timed.
     pub(crate) fn take_minplus_entries(&mut self) -> u64 {
-        self.scratches.iter_mut().map(|s| std::mem::take(&mut s.minplus_entries)).sum()
+        std::mem::take(&mut self.minplus_entries)
+    }
+}
+
+/// One chunk of a repaired level, sent to the thread that computes it:
+/// everything it reads, owned.
+struct LevelJob {
+    store: ShortcutStore,
+    g: Arc<RoadNetwork>,
+    hier: Arc<RnetHierarchy>,
+    kind: WeightKind,
+    rnets: Vec<RnetId>,
+}
+
+/// A [`LevelJob`]'s answer: its chunk's maps in chunk order, and the
+/// matrix entries the kernels relaxed computing them.
+struct LevelMaps {
+    maps: Vec<RnetShortcuts>,
+    minplus_entries: u64,
+}
+
+impl LevelJob {
+    /// Computes the job's maps on `scratch`; the job, and with it every
+    /// handle it holds, is dropped on return.
+    fn run(scratch: &mut BuildScratch, job: LevelJob) -> LevelMaps {
+        let LevelJob { store, g, hier, kind, rnets } = job;
+        let maps =
+            rnets.iter().map(|&r| store.compute_rnet_map(&g, &hier, kind, r, scratch)).collect();
+        LevelMaps { maps, minplus_entries: std::mem::take(&mut scratch.minplus_entries) }
     }
 }
 
@@ -1347,8 +1442,8 @@ struct BuildScratch {
     /// Row-major `nb x nb` keep rule of the current Rnet: per pair, the
     /// cheapest split through a third border.
     cover: Vec<f64>,
-    /// Matrix entries the min-plus kernels relaxed since the last
-    /// [`WorkerScratches::take_minplus_entries`].
+    /// Matrix entries the min-plus kernels relaxed since the job that
+    /// last took them.
     minplus_entries: u64,
     /// Kept target locals of the current source border (matrix rule).
     kept: Vec<u32>,
@@ -1555,24 +1650,30 @@ mod tests {
         }
     }
 
+    /// Repairs Rnets the way a framework does: `rnets` finest first, on
+    /// `workers`.
+    fn repair(
+        store: &mut ShortcutStore,
+        g: &Arc<RoadNetwork>,
+        hier: &Arc<RnetHierarchy>,
+        rnets: &[RnetId],
+        opts: &ShortcutOptions,
+        workers: &mut WorkerScratches,
+    ) -> Vec<bool> {
+        let (kind, before) = (WeightKind::Distance, BordersBefore::default());
+        store.repair(g, hier, kind, rnets, &before, opts, workers)
+    }
+
     /// Refreshes the one Rnet `r`; returns whether its shortcut set changed.
     fn refresh_one(
         store: &mut ShortcutStore,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
+        g: &Arc<RoadNetwork>,
+        hier: &Arc<RnetHierarchy>,
         r: RnetId,
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
     ) -> bool {
-        store.refresh_rnets(
-            g,
-            hier,
-            WeightKind::Distance,
-            &[r],
-            &BordersBefore::default(),
-            opts,
-            workers,
-        )[0]
+        repair(store, g, hier, &[r], opts, workers)[0]
     }
 
     #[test]
@@ -1583,8 +1684,10 @@ mod tests {
         // Pick an edge inside some leaf Rnet with shortcuts.
         let e = g.edge_ids().next().unwrap();
         let leaf = hier.leaf_of_edge(e);
+        let hier = Arc::new(hier);
         // No-op refresh: nothing changed.
-        let changed = refresh_one(&mut store, &g, &hier, leaf, &opts, &mut workers);
+        let changed =
+            refresh_one(&mut store, &Arc::new(g.clone()), &hier, leaf, &opts, &mut workers);
         assert!(!changed, "refresh without a weight change must be a no-op");
         // Make the edge very expensive, then refresh the ancestor chain
         // finest first: the store equals a full rebuild.
@@ -1594,53 +1697,38 @@ mod tests {
             chain.push(r);
             r = hier.parent(r);
         }
-        store.refresh_rnets(
-            &g,
-            &hier,
-            WeightKind::Distance,
-            &chain,
-            &BordersBefore::default(),
-            &opts,
-            &mut workers,
-        );
+        let g = Arc::new(g);
+        repair(&mut store, &g, &hier, &chain, &opts, &mut workers);
         store.verify_against_rebuild(&g, &hier, WeightKind::Distance, &opts).unwrap();
     }
 
-    /// Repair fans a level out over the warm scratches: refreshing a level
-    /// of several Rnets at `threads = 2` computes some of them on the
-    /// second scratch, and at `threads = 1` the first scratch computes them
-    /// all — so a silent fallback to inline repair fails here, not only in
-    /// a timing. The scratches outlive the call, as a framework keeps them.
+    /// Repair fans a level out over parked workers: refreshing a level of
+    /// several Rnets at `threads = 2` leaves some of them to one worker
+    /// thread, and at `threads = 1` the calling thread's scratch computes
+    /// them all — so a silent fallback to inline repair fails here, not
+    /// only in a timing. The worker outlives the call, as a framework
+    /// keeps it, and the second round spawns no other.
     #[test]
     fn a_repaired_level_fans_out_over_a_second_scratch_only_at_two_threads() {
         let g = simple::grid(8, 8, 1.0);
         let (hier, mut store) = build(&g, 4, 2);
         let leaves: Vec<RnetId> = hier.rnets_at_level(hier.levels()).collect();
         assert!(leaves.len() >= 2, "{leaves:?}");
+        let (g, hier) = (Arc::new(g), Arc::new(hier));
         for threads in [1, 2] {
             let opts = ShortcutOptions { threads };
             let mut workers = WorkerScratches::default();
             for round in 1..=2 {
-                let kind = WeightKind::Distance;
-                let changed = store.refresh_rnets(
-                    &g,
-                    &hier,
-                    kind,
-                    &leaves,
-                    &BordersBefore::default(),
-                    &opts,
-                    &mut workers,
-                );
+                let changed = repair(&mut store, &g, &hier, &leaves, &opts, &mut workers);
                 assert_eq!(changed, vec![false; leaves.len()]);
-                let computed: Vec<usize> =
-                    workers.scratches.iter().map(|s| s.rnets_computed).collect();
-                assert_eq!(computed.iter().sum::<usize>(), round * leaves.len(), "{computed:?}");
-                let second = computed.get(1).copied().unwrap_or(0);
+                let own = workers.own.rnets_computed;
                 if threads == 1 {
-                    assert_eq!(second, 0, "threads = 1 fanned out: {computed:?}");
+                    assert_eq!(own, round * leaves.len(), "threads = 1 fanned out");
                 } else {
-                    assert!(second >= round, "threads = 2 repaired inline: {computed:?}");
+                    let half = leaves.len().div_ceil(2);
+                    assert_eq!(own, round * half, "threads = 2 repaired inline");
                 }
+                assert_eq!(workers.helpers.threads(), threads - 1);
             }
         }
     }
@@ -1694,8 +1782,9 @@ mod tests {
             hier.refresh_node_borders(&g, NodeId(end), &mut before).unwrap();
         }
         assert_eq!(hier.borders(r), [NodeId(a), NodeId(m)]);
+        let (g, hier) = (Arc::new(g), Arc::new(hier));
         let refresh = |before: &BordersBefore, workers: &mut WorkerScratches| {
-            store.clone().refresh_rnets(&g, &hier, kind, &[r], before, &opts, workers)
+            store.clone().repair(&g, &hier, kind, &[r], before, &opts, workers)
         };
         assert_eq!(refresh(&before, &mut workers), [false]);
         // The same old arena read under the new border list: wrong.
@@ -1713,7 +1802,8 @@ mod tests {
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets());
         let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
         let mut workers = WorkerScratches::default();
-        let changed = refresh_one(&mut fork, &g, &hier, leaf, &Default::default(), &mut workers);
+        let (g, shared) = (Arc::new(g), Arc::new(hier.clone()));
+        let changed = refresh_one(&mut fork, &g, &shared, leaf, &Default::default(), &mut workers);
         assert!(!changed);
         assert_eq!(fork.shared_rnet_count(&store), hier.num_rnets() - 1);
         let tables = |s: &ShortcutStore| s.per_rnet.get(leaf.0 as usize).unwrap().clone();
@@ -2165,15 +2255,16 @@ mod tests {
         }
         let mut workers = WorkerScratches::default();
         let mut changed = 0;
+        let (g, hier) = (Arc::new(g), Arc::new(hier));
         for level in (1..=hier.levels()).rev() {
             for r in hier.rnets_at_level(level) {
                 changed += usize::from(refresh_one(&mut store, &g, &hier, r, &opts, &mut workers));
-                let nodes = workers.scratches[0].csr.num_nodes();
+                let nodes = workers.own.csr.num_nodes();
                 assert!(nodes <= DENSE_MAX_NODES, "{r:?} is above the switch");
             }
         }
         assert!(changed > 0 && store.num_shortcuts() > 0);
-        assert_eq!(workers.scratches[0].sealed_runs, 0);
+        assert_eq!(workers.own.sealed_runs, 0);
         store.verify_against_rebuild(&g, &hier, kind, &opts).unwrap();
 
         // 1,200 nodes in two leaves: the contractor's, and its finalisation.
@@ -2182,8 +2273,9 @@ mod tests {
         let hier = RnetHierarchy::build(&g, &cfg).unwrap();
         let mut store = ShortcutStore::build(&g, &hier, kind, &opts);
         let leaf = hier.rnets_at_level(1).next().unwrap();
+        let (g, hier) = (Arc::new(g), Arc::new(hier));
         refresh_one(&mut store, &g, &hier, leaf, &opts, &mut workers);
-        assert!(workers.scratches[0].csr.num_nodes() > DENSE_MAX_NODES);
-        assert!(workers.scratches[0].sealed_runs > 0);
+        assert!(workers.own.csr.num_nodes() > DENSE_MAX_NODES);
+        assert!(workers.own.sealed_runs > 0);
     }
 }

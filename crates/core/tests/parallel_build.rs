@@ -140,8 +140,9 @@ proptest! {
     /// Repair parity: a weight-update storm applied as one batched,
     /// level-by-level repair to a framework built on 4 workers leaves it
     /// byte-identical to the same updates applied one edge at a time to a
-    /// framework built inline — and both frameworks still verify against a
-    /// fresh rebuild.
+    /// framework built inline; so does an edge added and one removed
+    /// after it, topology repairs on the workers the storm left parked —
+    /// and both frameworks still verify against a fresh rebuild.
     #[test]
     fn batched_parallel_repair_matches_sequential(
         n in 20usize..60,
@@ -186,6 +187,21 @@ proptest! {
         // The batch repairs each affected Rnet at most once per update
         // wave; edge-at-a-time repair can only do more work.
         prop_assert!(par_outcome.rnets_refreshed <= seq_outcome.rnets_refreshed);
+
+        let n = g.num_nodes() as u32;
+        let (a, b) = loop {
+            let (a, b) = (NodeId(rng.random_range(0..n)), NodeId(rng.random_range(0..n)));
+            if a != b && g.edge_between(a, b).is_none() {
+                break (a, b);
+            }
+        };
+        let w = Weight::new(rng.random_range(1..=16u32) as f64);
+        let gone = edges[rng.random_range(0..edges.len())];
+        for fw in [&mut fw_seq, &mut fw_par] {
+            fw.add_edge(a, b, (w, w, Weight::ZERO)).unwrap();
+            fw.remove_edge(gone, &[]).unwrap();
+        }
+        prop_assert_eq!(fw_seq.to_bytes(), fw_par.to_bytes(), "topology repair bytes diverged");
         fw_seq.verify().unwrap();
         fw_par.verify().unwrap();
     }

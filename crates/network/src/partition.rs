@@ -277,7 +277,7 @@ struct Bisector {
     /// The answer: side of each edge of the group.
     side: Vec<bool>,
     /// Per edge, its midpoint's coordinate along the wider axis (as
-    /// [`total_order_bits`]) above its position: sorted as plain integers.
+    /// [`total_order_bits`]) above its position: compared as plain integers.
     keys: Vec<u128>,
     /// Endpoints of each edge, as local ids.
     ends: Vec<[u32; 2]>,
@@ -344,8 +344,8 @@ impl Bisector {
     }
 
     /// The geometric half: order edges by their midpoint along the wider
-    /// axis of the bounding box and cut the sorted order in the middle,
-    /// giving two spatially coherent halves with equal edge counts.
+    /// axis of the bounding box and cut that order in the middle, giving
+    /// two spatially coherent halves with equal edge counts.
     fn geometric_split(&mut self, table: &[EdgeInfo], group: &[u32]) {
         let mids = group.iter().map(|&pos| table[pos as usize].mid);
         let mut min_x = f64::INFINITY;
@@ -361,14 +361,18 @@ impl Bisector {
         let use_x = (max_x - min_x) >= (max_y - min_y);
         self.keys.clear();
         // Coordinate above, position below: ties go to the lower position,
-        // a total order, so the unstable sort has one answer.
+        // so the keys are unique and the upper half is one set of edges
+        // whichever way a selection leaves either half ordered.
         self.keys.extend(mids.zip(0u32..).map(|(m, i)| {
             (total_order_bits(if use_x { m.x } else { m.y }) as u128) << 32 | i as u128
         }));
-        self.keys.sort_unstable();
+        let half = self.keys.len() / 2;
+        if half < self.keys.len() {
+            self.keys.select_nth_unstable(half);
+        }
         self.side.clear();
         self.side.resize(self.keys.len(), false);
-        for &k in &self.keys[self.keys.len() / 2..] {
+        for &k in &self.keys[half..] {
             self.side[k as u32 as usize] = true;
         }
     }
