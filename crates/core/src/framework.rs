@@ -107,7 +107,7 @@ pub struct RoadFramework {
     /// Bytes the copy-on-write columns of arenas a topology edit has since
     /// replaced had copied; part of `bytes_copied`.
     retired_copies: u64,
-    /// The writer's repair fan-out: a warm scratch on the calling thread
+    /// The writer's repair threads: a warm scratch on the calling thread
     /// and up to `cfg.shortcuts.threads - 1` parked workers with one each,
     /// made as repairs first need them and joined when the framework is
     /// dropped. A clone — every published snapshot — starts with none.
@@ -408,14 +408,16 @@ impl RoadFramework {
     }
 
     /// Applies a batch of weight updates and repairs every affected Rnet
-    /// once, level by level; a parent joins the next frontier only while
-    /// its children's shortcut sets keep changing, exactly the per-edge
-    /// early-break of [`RoadFramework::set_edge_weight`]. Rnets of one
-    /// level are independent (Lemma 2), so each frontier fans out over
-    /// [`ShortcutOptions::threads`] threads: the caller and worker threads
-    /// the framework spawns at the first such frontier and keeps parked,
-    /// with their scratches warm, from update to update. The thread count
-    /// never changes a stored byte or a counter of the outcome.
+    /// once: the finest Rnet of each changed edge is recomputed, and an
+    /// ancestor only while one of its children's shortcut sets changed —
+    /// exactly the per-edge early-break of
+    /// [`RoadFramework::set_edge_weight`]. A parent waits for its own
+    /// children and for nothing else (Lemma 2), so the repair runs as one
+    /// dependency-ordered plan over [`ShortcutOptions::threads`] threads:
+    /// the caller and worker threads the framework spawns at the first
+    /// repair that can use them and keeps parked, with their scratches
+    /// warm, from update to update, each woken once per update. The thread
+    /// count never changes a stored byte or a counter of the outcome.
     ///
     /// The whole batch is validated before any weight is written: one bad
     /// edge rejects the batch with the network untouched.  Updates that
@@ -425,7 +427,6 @@ impl RoadFramework {
         &mut self,
         updates: &[(EdgeId, Weight)],
     ) -> Result<UpdateOutcome, RoadError> {
-        let mut outcome = UpdateOutcome::default();
         for &(e, _) in updates {
             if e.index() >= self.g.edge_slots() {
                 return Err(road_network::error::NetworkError::EdgeOutOfBounds(e).into());
@@ -434,7 +435,7 @@ impl RoadFramework {
                 return Err(road_network::error::NetworkError::EdgeDeleted(e).into());
             }
         }
-        let mut frontier: Vec<RnetId> = Vec::new();
+        let mut leaves: Vec<RnetId> = Vec::new();
         for &(e, weight) in updates {
             if self.g.weight(e, self.cfg.metric) == weight {
                 continue;
@@ -445,39 +446,18 @@ impl RoadFramework {
             Arc::make_mut(&mut self.arena).patch_weight(&self.g, e, weight);
             let leaf = self.hier.leaf_of_edge(e);
             if leaf.is_valid() {
-                frontier.push(leaf);
+                leaves.push(leaf);
             }
         }
-        frontier.sort_by_key(|r| r.0);
-        frontier.dedup();
-        // Leaves all sit at the finest level and parents of a level share
-        // the next-coarser one, so each frontier is a single level and the
-        // loop walks the hierarchy finest-first.
-        while !frontier.is_empty() {
-            outcome.rnets_refreshed += frontier.len();
-            let changed = self.shortcuts.repair(
-                &self.g,
-                &self.hier,
-                self.cfg.metric,
-                &frontier,
-                &BordersBefore::default(),
-                &self.cfg.shortcuts,
-                &mut self.workers,
-            );
-            let mut next: Vec<RnetId> = frontier
-                .iter()
-                .zip(&changed)
-                .filter(|&(_, &c)| c)
-                .map(|(&r, _)| self.hier.parent(r))
-                .filter(|p| p.is_valid())
-                .collect();
-            outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
-            outcome.minplus_entries += self.workers.take_minplus_entries();
-            next.sort_by_key(|r| r.0);
-            next.dedup();
-            frontier = next;
-        }
-        Ok(outcome)
+        Ok(self.shortcuts.repair(
+            &self.g,
+            &self.hier,
+            self.cfg.metric,
+            &leaves,
+            &BordersBefore::default(),
+            &self.cfg.shortcuts,
+            &mut self.workers,
+        ))
     }
 
     /// Adds a new intersection (used when road construction introduces new
@@ -593,7 +573,7 @@ impl RoadFramework {
 
     /// After a topology change touching `nodes` and leaf Rnet `leaf`:
     /// refresh border bookkeeping, then recompute shortcuts for the
-    /// ancestor closure of every affected Rnet, finest level first.
+    /// ancestor closure of every affected Rnet.
     fn repair_after_topology_change(
         &mut self,
         nodes: &[NodeId],
@@ -631,14 +611,9 @@ impl RoadFramework {
                 add_chain(hier, e.rnet, &mut affected);
             }
         }
-        // Refresh finest-first so parents see up-to-date child shortcuts
-        // (`repair` fans out one level at a time); the id tiebreak
-        // makes the commit order (and thus the store's byte layout) a total
-        // order, which also puts duplicates side by side.
-        affected.sort_unstable_by_key(|&r| (std::cmp::Reverse(self.hier.level_of(r)), r.0));
-        affected.dedup();
-        outcome.rnets_refreshed += affected.len();
-        let changed = self.shortcuts.repair(
+        // Every Rnet on the list is refreshed; the list is closed under
+        // parents, so none is left to the children's verdicts.
+        let repaired = self.shortcuts.repair(
             &self.g,
             &self.hier,
             self.cfg.metric,
@@ -647,8 +622,7 @@ impl RoadFramework {
             &self.cfg.shortcuts,
             &mut self.workers,
         );
-        outcome.rnets_changed += changed.iter().filter(|&&c| c).count();
-        outcome.minplus_entries += self.workers.take_minplus_entries();
+        outcome.absorb(&repaired);
         Ok(outcome)
     }
 
@@ -704,8 +678,9 @@ impl RoadBuilder {
 
     /// Sets the worker-thread count of the build — the hierarchy's
     /// partitioning rounds and shortcut construction — and of repair after
-    /// an update, which fans each level out the way a build does (`0` = all
-    /// hardware threads, `1` = inline). A pure speed knob: it never changes
+    /// an update, which drains its Rnets the way a build does, a parent as
+    /// soon as its own children are done (`0` = all hardware threads, `1` =
+    /// inline). A pure speed knob: it never changes
     /// the partition or a single output byte.
     pub fn shortcut_threads(mut self, threads: usize) -> Self {
         self.cfg.shortcuts.threads = threads;

@@ -266,10 +266,10 @@ impl UpdateHandle {
     /// Cost: the change copies the chunk of edge records holding `e` and
     /// the chunk of arena weights of each endpoint where a snapshot still
     /// shares them (a few kilobytes; nothing per node), patches the arena in
-    /// place (`O(deg)`) and refreshes the affected Rnets level by level
-    /// (`ShortcutStore::refresh_rnets`) — one dense elimination each, whose
-    /// recorded pivots also give the kept shortcuts' waypoints, a level's
-    /// Rnets fanned out over the framework's
+    /// place (`O(deg)`) and refreshes the enclosing leaf and, while its
+    /// shortcut set changes, its ancestors — one dense elimination each,
+    /// whose recorded pivots also give the kept shortcuts' waypoints, run
+    /// on the framework's
     /// [`threads`](crate::shortcut::ShortcutOptions::threads)
     /// (ARCHITECTURE.md, "Live updates", has the per-tick breakdown).
     pub fn set_edge_weight(
@@ -288,8 +288,8 @@ impl UpdateHandle {
 
     /// Applies a batch of weight updates in one repair pass; see
     /// [`RoadFramework::set_edge_weights`]. A traffic-feed storm that
-    /// touches many Rnets repairs each affected Rnet once, level by level,
-    /// each level fanned out over the framework's repair workers — far
+    /// touches many Rnets repairs each affected Rnet once, a parent as soon
+    /// as its own children are done, on the framework's repair workers — far
     /// cheaper than per-edge
     /// [`set_edge_weight`](UpdateHandle::set_edge_weight) calls, and the
     /// resulting store is byte-identical to applying the batch edge by

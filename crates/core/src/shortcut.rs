@@ -111,15 +111,18 @@
 //! [`crate::live`] cheap: an update clones only the affected Rnets'
 //! shortcut data and a chunk of pairs each.
 
+use crate::framework::UpdateOutcome;
 use crate::hierarchy::{BordersBefore, RnetHierarchy, RnetId};
 use road_network::contractor::{ContractionOrder, Contractor};
 use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
-use road_network::fanout::{fan_out, WarmWorkers};
+use road_network::fanout::{fan_out, Aborted, Plan, PlanTask, WarmWorkers};
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::minplus;
 use road_network::path::Path;
 use road_network::{CowChunks, NodeId, Weight};
+use std::cmp::Reverse;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A copy-on-write chunk of the store's per-Rnet table holds `2^6` pairs
@@ -432,17 +435,20 @@ impl RnetBuilder {
 /// Shortcut construction options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShortcutOptions {
-    /// Worker threads for construction and repair: Rnets of the same level
-    /// are independent (Lemma 2 — a level reads only the level below), so
-    /// each level of a build, and each level a repair reaches, fans out
-    /// over scoped workers, each on a scratch kept warm across levels and
-    /// updates. `0` means "use [`std::thread::available_parallelism`]",
-    /// `1` runs fully inline. [`RoadFramework::build`](crate::RoadFramework::build)
-    /// builds the hierarchy under the same setting — each binary round of
-    /// the partitioner fans its groups out the same way. The thread count
-    /// never changes a single output byte: every worker writes its Rnet's
-    /// map into a per-Rnet indexed slot and the slots are committed in
-    /// list order, so scheduling cannot reorder anything observable
+    /// Worker threads for construction and repair: an Rnet reads only its
+    /// own children's shortcuts (Lemma 2), so a build, and each repair,
+    /// runs as one plan ([`road_network::fanout::Plan`]) that these threads
+    /// drain together, each on a scratch of its own, a parent as soon as
+    /// its last child is done, whatever the rest of its level is doing.
+    /// A build drains on scoped threads; a framework's repairs on worker
+    /// threads it keeps parked, scratches warm, across updates. `0` means
+    /// "use [`std::thread::available_parallelism`]", `1` runs fully inline.
+    /// [`RoadFramework::build`](crate::RoadFramework::build) builds the
+    /// hierarchy under the same setting — each binary round of the
+    /// partitioner fans its groups out over scoped threads. The thread
+    /// count never changes a single output byte: every Rnet's map lands in
+    /// the slot of its task and the slots are committed in hierarchy order
+    /// at the end, so scheduling cannot reorder anything observable
     /// (differential tests sweep 1/2/4/8 threads over builds and update
     /// histories to prove it).
     pub threads: usize,
@@ -479,31 +485,44 @@ pub struct ShortcutStore {
 }
 
 impl ShortcutStore {
-    /// Builds every Rnet's shortcuts bottom-up (finest level first): a
-    /// repair of every Rnet from an empty store (`refresh_rnets`), each
-    /// level fanned out over [`ShortcutOptions::threads`] scoped workers.
-    /// Workers deposit maps into per-Rnet indexed slots committed in
-    /// hierarchy order, so the store is **byte-identical** to a
-    /// single-threaded build regardless of scheduling (pinned by
-    /// `tests/parallel_build.rs`).
+    /// Builds every Rnet's shortcuts bottom-up: one refresh of every Rnet
+    /// from an empty store, drained by [`ShortcutOptions::threads`] scoped
+    /// threads ([`fan_out`]), each on a scratch of its own: at two threads
+    /// one takes the Rnets up from the first, the other down from the last,
+    /// so each allocates a contiguous run of maps. A parent is computed as
+    /// soon as its own children are, whatever the rest of its level is
+    /// doing, and the maps are committed in hierarchy order at the end, so
+    /// the store is **byte-identical** to a single-threaded build
+    /// regardless of scheduling (pinned by `tests/parallel_build.rs`).
     pub fn build(
         g: &RoadNetwork,
         hier: &RnetHierarchy,
         kind: WeightKind,
         opts: &ShortcutOptions,
     ) -> Self {
+        Self::build_with(g, hier, kind, resolve_threads(opts.threads), size_switched)
+    }
+
+    /// [`ShortcutStore::build`] on at most `threads` threads, every Rnet's
+    /// `dmat` filled by `fill_dmat` (see [`Refresh::refresh`]).
+    fn build_with(
+        g: &RoadNetwork,
+        hier: &RnetHierarchy,
+        kind: WeightKind,
+        threads: usize,
+        fill_dmat: impl Fn(&mut BuildScratch, usize) -> PathSource + Sync,
+    ) -> Self {
         let mut store = ShortcutStore::empty(hier.num_rnets());
-        let finest_first: Vec<RnetId> =
-            (1..=hier.levels()).rev().flat_map(|level| hier.rnets_at_level(level)).collect();
-        let threads = resolve_threads(opts.threads);
+        let every: Vec<RnetId> = (0..hier.num_rnets() as u32).map(RnetId).collect();
+        let before = BordersBefore::default();
+        let run = Refresh::new(store.clone(), g, hier, kind, before, &every);
         let mut scratches: Vec<BuildScratch> = Vec::new();
-        store.refresh_rnets(hier, &finest_first, &BordersBefore::default(), |store, run| {
-            let workers = threads.min(run.len()).max(1);
-            if scratches.len() < workers {
-                scratches.resize_with(workers, BuildScratch::default);
-            }
-            store.compute_level_maps(g, hier, kind, run, &mut scratches[..workers])
-        });
+        scratches.resize_with(threads.min(run.plan.width()).max(1), BuildScratch::default);
+        fan_out(scratches.iter_mut().enumerate(), |(thread, scratch)| {
+            run.drain(scratch, thread, &fill_dmat)
+        })
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        run.commit(&mut store);
         store
     }
 
@@ -516,45 +535,6 @@ impl ShortcutStore {
             num_shortcuts: 0,
             num_bytes: 0,
         }
-    }
-
-    /// Computes the shortcut maps of one level's Rnets of a build, fanned
-    /// out ([`fan_out`]) over scoped threads, one per scratch in
-    /// `scratches`. Every thread owns a contiguous chunk of `rnets` and the
-    /// scratch at its chunk's position: the calling thread takes the first
-    /// chunk on the first scratch, and each other chunk gets a spawned
-    /// thread on the next one, all of them warm from the levels before.
-    /// With one scratch nothing is spawned. Every map lands in the slot
-    /// indexed by its Rnet's position, so the result is independent of
-    /// scheduling. `self` is only read (the children's maps), never
-    /// written — commits happen afterwards, in order, on the caller's
-    /// thread. A repair computes a level the same way on parked threads
-    /// instead ([`WorkerScratches::level_maps`]).
-    fn compute_level_maps(
-        &self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        rnets: &[RnetId],
-        scratches: &mut [BuildScratch],
-    ) -> Vec<RnetShortcuts> {
-        debug_assert!(
-            rnets.windows(2).all(|w| hier.level_of(w[0]) == hier.level_of(w[1])),
-            "a fan-out computes one level: a parent must not be computed beside its child"
-        );
-        assert!(!scratches.is_empty(), "the calling thread computes on the first scratch");
-        let mut maps: Vec<RnetShortcuts> = Vec::new();
-        maps.resize_with(rnets.len(), RnetShortcuts::default);
-        let fill = |chunk: &[RnetId], out: &mut [RnetShortcuts], scratch: &mut BuildScratch| {
-            for (&r, slot) in chunk.iter().zip(out) {
-                *slot = self.compute_rnet_map(g, hier, kind, r, scratch);
-            }
-        };
-        let chunk_len = rnets.len().div_ceil(scratches.len()).max(1);
-        let chunks = rnets.chunks(chunk_len).zip(maps.chunks_mut(chunk_len)).zip(scratches);
-        fan_out(chunks, |((chunk, out), scratch)| fill(chunk, out, scratch))
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        maps
     }
 
     /// Outgoing shortcuts of node `n` within Rnet `r`, in stored order;
@@ -634,6 +614,14 @@ impl ShortcutStore {
         self.per_rnet.iter().zip(other.per_rnet.iter()).filter(|(a, b)| a.is_shared_with(b)).count()
     }
 
+    /// Whether this store physically shares Rnet `r`'s tables with
+    /// `other`: true of every Rnet that no maintenance refreshed since one
+    /// store was forked from the other.
+    pub fn shares_rnet(&self, other: &ShortcutStore, r: RnetId) -> bool {
+        let i = r.0 as usize;
+        self.per_rnet.get(i).zip(other.per_rnet.get(i)).is_some_and(|(a, b)| a.is_shared_with(b))
+    }
+
     /// How many chunks of the per-Rnet table (64 pairs of pointers each)
     /// this store physically shares with `other`: a fork shares all
     /// of them, and a refresh un-shares the one chunk holding its Rnet.
@@ -648,60 +636,41 @@ impl ShortcutStore {
         self.per_rnet.bytes_copied()
     }
 
-    /// Recomputes Rnets' shortcuts in place, the maps of each level
-    /// computed on `workers`' parked threads: the repair of a framework,
-    /// whose network and hierarchy are shared handles a worker can own
-    /// while it computes. See [`ShortcutStore::refresh_rnets`].
+    /// Recomputes the shortcuts of the Rnets in `forced` and of their
+    /// ancestors in place — filter-and-refresh (Section 5.2): each Rnet in
+    /// `forced` is recomputed, and each ancestor only if one of its
+    /// children's shortcut sets changed (Lemma 2), so a list closed under
+    /// parents refreshes every Rnet on it. The refresh is drained on the
+    /// calling thread and `workers`' parked threads, a parent as soon as
+    /// its own children are done; the maps are committed at the end, finest
+    /// level first and then by id, so the store and the returned counters
+    /// are the same at every thread count. An Rnet's old arena is read
+    /// under its border list in `before` when a topology edit changed it,
+    /// under `hier`'s otherwise. A panic in any Rnet's computation is
+    /// re-raised here with nothing committed.
     #[allow(clippy::too_many_arguments, reason = "the store's one repair entry point")]
     pub(crate) fn repair(
         &mut self,
         g: &Arc<RoadNetwork>,
         hier: &Arc<RnetHierarchy>,
         kind: WeightKind,
-        rnets: &[RnetId],
+        forced: &[RnetId],
         before: &BordersBefore,
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
-    ) -> Vec<bool> {
-        self.refresh_rnets(hier, rnets, before, |store, run| {
-            workers.level_maps(store, g, hier, kind, run, opts)
-        })
-    }
-
-    /// Recomputes Rnets' shortcuts in place: `rnets` must be sorted finest
-    /// level first (ties in any order — Rnets of one level are
-    /// independent). Each run of one level is computed by `level_maps`
-    /// against the store as the finer runs left it — a build's scoped
-    /// fan-out or a repair's parked workers — and committed in list order
-    /// before the next, coarser run starts, so parents always read fully
-    /// repaired children, and the store is byte-equal whatever the thread
-    /// count. Returns the per-Rnet "shortcut set changed" flags, aligned
-    /// with `rnets`: the signal that drives upward propagation in the
-    /// filter-and-refresh maintenance of Section 5.2. An Rnet's old arena
-    /// is read under its border list in `before` when a topology edit
-    /// changed it, under `hier`'s otherwise.
-    fn refresh_rnets(
-        &mut self,
-        hier: &RnetHierarchy,
-        rnets: &[RnetId],
-        before: &BordersBefore,
-        mut level_maps: impl FnMut(&ShortcutStore, &[RnetId]) -> Vec<RnetShortcuts>,
-    ) -> Vec<bool> {
-        debug_assert!(
-            rnets.windows(2).all(|w| hier.level_of(w[0]) >= hier.level_of(w[1])),
-            "refresh_rnets input must be sorted finest level first"
-        );
-        let mut changed = Vec::with_capacity(rnets.len());
-        for run in rnets.chunk_by(|a, b| hier.level_of(*a) == hier.level_of(*b)) {
-            let maps = level_maps(self, run);
-            for (&r, map) in run.iter().zip(maps) {
-                let borders = hier.borders(r);
-                let old = before.iter().find(|&&(id, _)| id == r).map_or(borders, |(_, old)| old);
-                changed.push(!Self::maps_equivalent(self.rnet(r), old, &map, borders));
-                self.replace_rnet(r, map);
-            }
+    ) -> UpdateOutcome {
+        if forced.is_empty() {
+            return UpdateOutcome::default();
         }
-        changed
+        let (g, hier, before) = (Arc::clone(g), Arc::clone(hier), before.clone());
+        let run = Refresh::new(self.clone(), g, hier, kind, before, forced);
+        let run = Arc::new(run);
+        workers.drain(&run, opts);
+        // Every job dropped its handle before it answered.
+        let Some(run) = Arc::into_inner(run) else {
+            panic!("a repair job outlived its run");
+        };
+        run.commit(self)
     }
 
     /// Same `(from, to)` pairs at approximately equal distances? Each
@@ -739,115 +708,6 @@ impl ShortcutStore {
         }
     }
 
-    /// Computes the shortcut map of one Rnet from the network (finest
-    /// level) or from its children's current shortcuts (upper levels).
-    ///
-    /// The all-pairs border distance matrix `dmat` comes first — by dense
-    /// elimination when the local graph has at most [`DENSE_MAX_NODES`]
-    /// nodes, by node contraction above — and what Lemma 4's keep rule
-    /// leaves of it is materialised from the elimination's own record or
-    /// by a sealed Dijkstra per border respectively.
-    fn compute_rnet_map(
-        &self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        r: RnetId,
-        scratch: &mut BuildScratch,
-    ) -> RnetShortcuts {
-        // Either arm eliminates the interiors and closes over the borders;
-        // they differ in what holds the graph while it shrinks. Under exact
-        // arithmetic both reproduce the sweep's distances bit-for-bit (all
-        // three are exact sums of the same edge weights).
-        self.compute_rnet_map_with(g, hier, kind, r, scratch, |scratch, nb| {
-            if scratch.csr.num_nodes() <= DENSE_MAX_NODES {
-                scratch.eliminate_into_dmat(nb)
-            } else {
-                scratch.contract_into_dmat(nb)
-            }
-        })
-    }
-
-    /// [`ShortcutStore::compute_rnet_map`] with the way `scratch.dmat` is
-    /// filled from the assembled local graph left to the caller, who also
-    /// says where that left the kept pairs' paths: everything around it —
-    /// canonical assembly, keep rule, emission — is shared by the
-    /// size-switched build and the all-pairs oracle, which is what pins
-    /// their outputs byte-equal wherever shortest paths are unique.
-    fn compute_rnet_map_with(
-        &self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        r: RnetId,
-        scratch: &mut BuildScratch,
-        fill_dmat: impl FnOnce(&mut BuildScratch, usize) -> PathSource,
-    ) -> RnetShortcuts {
-        #[cfg(test)]
-        {
-            scratch.rnets_computed += 1;
-        }
-        let borders = hier.borders(r);
-        if borders.len() < 2 {
-            return RnetShortcuts::default();
-        }
-        self.assemble_local(g, hier, kind, r, scratch, borders);
-        let paths = fill_dmat(scratch, borders.len());
-        let mut out = std::mem::take(&mut scratch.out);
-        self.finalize_from_matrix(scratch, borders, paths, &mut out);
-        let map = out.finish(borders.len());
-        scratch.out = out;
-        map
-    }
-
-    /// Assembles Rnet `r`'s local graph into `scratch.csr` under the
-    /// *canonical numbering*: every border of `r` gets local id `0..nb` in
-    /// `hier.borders(r)` order first (reachable or not), interiors follow in
-    /// first-appearance order. Upper levels iterate children's borders in
-    /// hierarchy order and look the lists up by key, so the assembly — and
-    /// with it everything downstream — depends only on map *contents*,
-    /// never on map iteration order.
-    fn assemble_local(
-        &self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        r: RnetId,
-        scratch: &mut BuildScratch,
-        borders: &[NodeId],
-    ) {
-        scratch.clear(g.num_nodes());
-        for &b in borders {
-            scratch.local(b.0);
-        }
-        scratch.border_locals.extend(0..borders.len() as u32);
-        if hier.is_leaf(r) {
-            for &e in hier.leaf_edge_list(r) {
-                let rec = g.edge(e);
-                let (w, (a, b)) = (rec.weight(kind), rec.endpoints());
-                let (la, lb) = (scratch.local(a.0), scratch.local(b.0));
-                scratch.builder.push(la, lb, w, e.0);
-                scratch.builder.push(lb, la, w, e.0);
-            }
-        } else {
-            for child in hier.children(r) {
-                for (slot, &from) in hier.borders(child).iter().enumerate() {
-                    let heads = self.heads_at(child, slot);
-                    if heads.is_empty() {
-                        continue;
-                    }
-                    let lf = scratch.local(from.0);
-                    for sc in heads.iter() {
-                        let lt = scratch.local(sc.to.0);
-                        scratch.builder.push(lf, lt, sc.dist, 0);
-                    }
-                }
-            }
-        }
-        let (builder, csr) = (&mut scratch.builder, &mut scratch.csr);
-        builder.finish_into(scratch.global.len(), csr);
-    }
-
     /// Shared finalisation of a pruned build: apply the matrix keep rule to
     /// `scratch.dmat`, then give each kept pair its border-free distance
     /// and waypoints from wherever `paths` says they are — the elimination
@@ -857,7 +717,6 @@ impl ShortcutStore {
     /// way the distance is the sum of the path's arc weights from the
     /// source onwards, so the same path is stored at the same bits.
     fn finalize_from_matrix(
-        &self,
         scratch: &mut BuildScratch,
         borders: &[NodeId],
         paths: PathSource,
@@ -938,7 +797,7 @@ impl ShortcutStore {
 
     /// Legacy all-pairs construction, kept as the differential-testing
     /// oracle: `dmat` comes from one *full* local-graph Dijkstra per border
-    /// (the pre-contraction sweep) instead of an elimination.
+    /// (the pre-contraction sweep) instead of an elimination, on one thread.
     /// Shares the canonical assembly, the matrix rule and the contractor
     /// arm's sealed finalisation with [`ShortcutStore::build`], and either
     /// elimination preserves all pairwise border distances exactly, so the
@@ -947,7 +806,7 @@ impl ShortcutStore {
     /// (the module docs have the tie case).
     #[doc(hidden)]
     pub fn build_with_oracle(g: &RoadNetwork, hier: &RnetHierarchy, kind: WeightKind) -> Self {
-        Self::build_inline_with(g, hier, kind, |scratch, nb| {
+        Self::build_with(g, hier, kind, 1, |scratch, nb| {
             scratch.dmat.clear();
             for bi in 0..nb {
                 scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
@@ -955,25 +814,6 @@ impl ShortcutStore {
             }
             PathSource::SealedDijkstra
         })
-    }
-
-    /// [`ShortcutStore::build`] on the calling thread, every Rnet's `dmat`
-    /// filled by `fill_dmat` (see [`ShortcutStore::compute_rnet_map_with`]).
-    fn build_inline_with(
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        fill_dmat: impl Fn(&mut BuildScratch, usize) -> PathSource,
-    ) -> Self {
-        let mut store = ShortcutStore::empty(hier.num_rnets());
-        let mut scratch = BuildScratch::default();
-        for level in (1..=hier.levels()).rev() {
-            for r in hier.rnets_at_level(level) {
-                let map = store.compute_rnet_map_with(g, hier, kind, r, &mut scratch, &fill_dmat);
-                store.replace_rnet(r, map);
-            }
-        }
-        store
     }
 
     /// Expands a shortcut of Rnet `r` starting at `from` into the full
@@ -1297,112 +1137,250 @@ enum PathSource {
     SealedDijkstra,
 }
 
-/// A repair's level fan-out: the calling thread's scratch and up to
+/// Fills `scratch.dmat` the way a build and every repair do: by dense
+/// elimination up to [`DENSE_MAX_NODES`] local nodes, by node contraction
+/// above. Under exact arithmetic both reproduce the all-pairs sweep's
+/// distances bit for bit (all three are exact sums of the same edge
+/// weights).
+fn size_switched(scratch: &mut BuildScratch, nb: usize) -> PathSource {
+    if scratch.csr.num_nodes() <= DENSE_MAX_NODES {
+        scratch.eliminate_into_dmat(nb)
+    } else {
+        scratch.contract_into_dmat(nb)
+    }
+}
+
+/// One refresh — a build or a repair — as every thread that drains it
+/// reads it: the network and the hierarchy (borrowed by a build; shared
+/// handles in a repair, whose parked workers own their jobs), the store as
+/// it was before the refresh, the Rnets it may recompute in commit order
+/// (finest level first, then by id) with the [`Plan`] over them, and the
+/// old border lists of Rnets a topology edit changed.
+struct Refresh<G, H> {
+    store: ShortcutStore,
+    g: G,
+    hier: H,
+    kind: WeightKind,
+    before: BordersBefore,
+    rnets: Vec<RnetId>,
+    plan: Plan<Refreshed>,
+}
+
+/// A recomputed Rnet: its new tables, and the matrix entries the min-plus
+/// kernels relaxed computing them.
+struct Refreshed {
+    map: RnetShortcuts,
+    minplus_entries: u64,
+}
+
+/// A repair's refresh: what a parked worker is sent, one handle per thread.
+type RepairRun = Refresh<Arc<RoadNetwork>, Arc<RnetHierarchy>>;
+
+/// The position of `r` in `rnets`, sorted finest level first and then by
+/// id; `None` when `r` is not there.
+fn task_of(rnets: &[RnetId], hier: &RnetHierarchy, r: RnetId) -> Option<usize> {
+    let key = |r: RnetId| (Reverse(hier.level_of(r)), r.0);
+    rnets.binary_search_by_key(&key(r), |&x| key(x)).ok()
+}
+
+impl<G: Deref<Target = RoadNetwork>, H: Deref<Target = RnetHierarchy>> Refresh<G, H> {
+    /// The refresh of `forced` over `store`: every Rnet in `forced` is a
+    /// forced task, and every ancestor of one that is not itself in
+    /// `forced` a conditional one. Task `i` of the plan is `rnets[i]`.
+    fn new(
+        store: ShortcutStore,
+        g: G,
+        hier: H,
+        kind: WeightKind,
+        before: BordersBefore,
+        forced: &[RnetId],
+    ) -> Self {
+        let h: &RnetHierarchy = &hier;
+        let mut tasks: Vec<(RnetId, bool)> = Vec::new();
+        for &r in forced {
+            tasks.push((r, true));
+            let mut up = h.parent(r);
+            while up.is_valid() {
+                tasks.push((up, false));
+                up = h.parent(up);
+            }
+        }
+        // A forced copy sorts before a conditional one and survives the
+        // dedup.
+        tasks.sort_unstable_by_key(|&(r, forced)| (Reverse(h.level_of(r)), r.0, !forced));
+        tasks.dedup_by_key(|&mut (r, _)| r);
+        let rnets: Vec<RnetId> = tasks.iter().map(|&(r, _)| r).collect();
+        let plan = Plan::new(
+            tasks
+                .iter()
+                .map(|&(r, forced)| PlanTask { parent: task_of(&rnets, h, h.parent(r)), forced }),
+        );
+        Refresh { store, g, hier, kind, before, rnets, plan }
+    }
+
+    /// Runs the share of the refresh of the `thread`-th thread draining
+    /// it on `scratch`; see [`Plan::drain`].
+    fn drain(
+        &self,
+        scratch: &mut BuildScratch,
+        thread: usize,
+        fill_dmat: &impl Fn(&mut BuildScratch, usize) -> PathSource,
+    ) -> Result<(), Aborted> {
+        self.plan.drain(thread, |task| self.refresh(task, scratch, fill_dmat))
+    }
+
+    /// Recomputes the Rnet of `task` from the network (finest level) or
+    /// from its children's shortcuts (upper levels), and says whether its
+    /// shortcut set changed.
+    ///
+    /// The all-pairs border distance matrix `dmat` comes first, filled by
+    /// `fill_dmat` from the assembled local graph, which also says where
+    /// that left the kept pairs' paths: everything around it — canonical
+    /// assembly, keep rule, emission — is shared by the size-switched
+    /// build and the all-pairs oracle, which is what pins their outputs
+    /// byte-equal wherever shortest paths are unique.
+    fn refresh(
+        &self,
+        task: usize,
+        scratch: &mut BuildScratch,
+        fill_dmat: impl FnOnce(&mut BuildScratch, usize) -> PathSource,
+    ) -> (Refreshed, bool) {
+        #[cfg(test)]
+        {
+            scratch.rnets_computed += 1;
+        }
+        let r = self.rnets[task];
+        let borders = self.hier.borders(r);
+        let map = if borders.len() < 2 {
+            RnetShortcuts::default()
+        } else {
+            self.assemble_local(r, scratch, borders);
+            let paths = fill_dmat(scratch, borders.len());
+            let mut out = std::mem::take(&mut scratch.out);
+            ShortcutStore::finalize_from_matrix(scratch, borders, paths, &mut out);
+            let map = out.finish(borders.len());
+            scratch.out = out;
+            map
+        };
+        let old = self.before.iter().find(|&&(id, _)| id == r).map_or(borders, |(_, old)| old);
+        let changed = !ShortcutStore::maps_equivalent(self.store.rnet(r), old, &map, borders);
+        let minplus_entries = std::mem::take(&mut scratch.minplus_entries);
+        (Refreshed { map, minplus_entries }, changed)
+    }
+
+    /// Child `c`'s tables as this refresh reads them: what it computed
+    /// for `c` if `c` ran, the store's otherwise.
+    fn child(&self, c: RnetId) -> &RnetShortcuts {
+        match task_of(&self.rnets, &self.hier, c).and_then(|task| self.plan.result(task)) {
+            Some((done, _)) => &done.map,
+            None => self.store.rnet(c),
+        }
+    }
+
+    /// Assembles Rnet `r`'s local graph into `scratch.csr` under the
+    /// *canonical numbering*: every border of `r` gets local id `0..nb` in
+    /// `hier.borders(r)` order first (reachable or not), interiors follow in
+    /// first-appearance order. Upper levels iterate children's borders in
+    /// hierarchy order and look the lists up by key, so the assembly — and
+    /// with it everything downstream — depends only on map *contents*,
+    /// never on map iteration order.
+    fn assemble_local(&self, r: RnetId, scratch: &mut BuildScratch, borders: &[NodeId]) {
+        let (g, hier) = (&*self.g, &*self.hier);
+        scratch.clear(g.num_nodes());
+        for &b in borders {
+            scratch.local(b.0);
+        }
+        scratch.border_locals.extend(0..borders.len() as u32);
+        if hier.is_leaf(r) {
+            for &e in hier.leaf_edge_list(r) {
+                let rec = g.edge(e);
+                let (w, (a, b)) = (rec.weight(self.kind), rec.endpoints());
+                let (la, lb) = (scratch.local(a.0), scratch.local(b.0));
+                scratch.builder.push(la, lb, w, e.0);
+                scratch.builder.push(lb, la, w, e.0);
+            }
+        } else {
+            for child in hier.children(r) {
+                let tables = self.child(child);
+                for (slot, &from) in hier.borders(child).iter().enumerate() {
+                    let heads = tables.heads_at(slot);
+                    if heads.is_empty() {
+                        continue;
+                    }
+                    let lf = scratch.local(from.0);
+                    for sc in heads.iter() {
+                        let lt = scratch.local(sc.to.0);
+                        scratch.builder.push(lf, lt, sc.dist, 0);
+                    }
+                }
+            }
+        }
+        let (builder, csr) = (&mut scratch.builder, &mut scratch.csr);
+        builder.finish_into(scratch.global.len(), csr);
+    }
+
+    /// Commits every recomputed Rnet's tables into `store` in task order —
+    /// finest level first, then by id — after dropping the refresh's own
+    /// clone of the store, so the commits find its chunks as unshared as
+    /// they were; returns what the refresh refreshed, changed and relaxed.
+    fn commit(self, store: &mut ShortcutStore) -> UpdateOutcome {
+        let Refresh { store: as_before, rnets, plan, .. } = self;
+        drop(as_before);
+        let mut outcome = UpdateOutcome::default();
+        for (r, done) in rnets.into_iter().zip(plan.into_results()) {
+            let Some((refreshed, changed)) = done else { continue };
+            outcome.rnets_refreshed += 1;
+            outcome.rnets_changed += usize::from(changed);
+            outcome.minplus_entries += refreshed.minplus_entries;
+            store.replace_rnet(r, refreshed.map);
+        }
+        outcome
+    }
+}
+
+/// A repair's threads: the calling thread's scratch and up to
 /// [`ShortcutOptions::threads`]` - 1` parked workers, each with a scratch
-/// of its own, spawned the first time a level has enough Rnets for them.
-/// Kept across levels and, in a framework, across updates — a fresh
-/// scratch per worker and level costs more than repairing a level on one
-/// thread, and a thread spawned and joined per level some 45 µs, about
-/// six times a tick (ARCHITECTURE.md, "Parallel construction"). A
+/// of its own, spawned the first time a repair can keep them busy. Kept
+/// across updates — a fresh scratch per worker and repair costs more than
+/// a small repair on one thread, and a thread spawned and joined per
+/// repair some 45 µs (ARCHITECTURE.md, "Parallel construction"). A
 /// framework's clone starts with none of either, so a published snapshot
 /// owns no thread.
 pub(crate) struct WorkerScratches {
-    /// The calling thread's scratch: the first chunk of every level.
+    /// The calling thread's scratch.
     own: BuildScratch,
-    /// The other chunks' threads, each computing on its own scratch.
-    helpers: WarmWorkers<BuildScratch, LevelJob, LevelMaps>,
+    /// The other threads, each draining on its own scratch.
+    helpers: WarmWorkers<BuildScratch, (Arc<RepairRun>, usize), Result<(), Aborted>>,
     /// [`ShortcutOptions::threads`] resolved once (asking the OS reads
     /// cgroup files, as long as a small Rnet's repair); `0` before the
-    /// first level.
+    /// first repair.
     threads: usize,
-    /// Matrix entries the min-plus kernels relaxed since the last
-    /// [`WorkerScratches::take_minplus_entries`], on every thread.
-    minplus_entries: u64,
 }
 
 impl Default for WorkerScratches {
     fn default() -> Self {
         WorkerScratches {
             own: BuildScratch::default(),
-            helpers: WarmWorkers::new(LevelJob::run),
+            helpers: WarmWorkers::new(|scratch, (run, thread)| {
+                run.drain(scratch, thread, &size_switched)
+            }),
             threads: 0,
-            minplus_entries: 0,
         }
     }
 }
 
 impl WorkerScratches {
-    /// The maps of one level's `rnets`, in order: one contiguous chunk per
-    /// thread, never more chunks than Rnets, the first computed on the
-    /// calling thread and each other one on a parked worker. Every job
-    /// owns handles to the network, the hierarchy and a clone of `store`,
-    /// and its worker drops them before answering, so the commits that
-    /// follow find the store's chunks as unshared as they were.
-    fn level_maps(
-        &mut self,
-        store: &ShortcutStore,
-        g: &Arc<RoadNetwork>,
-        hier: &Arc<RnetHierarchy>,
-        kind: WeightKind,
-        rnets: &[RnetId],
-        opts: &ShortcutOptions,
-    ) -> Vec<RnetShortcuts> {
+    /// Drains `run` on the calling thread and on as many parked workers as
+    /// its plan can keep busy at once, one wake-up each; returns when every
+    /// job has dropped its handle.
+    fn drain(&mut self, run: &Arc<RepairRun>, opts: &ShortcutOptions) {
         if self.threads == 0 {
             self.threads = resolve_threads(opts.threads);
         }
-        let chunk_len = rnets.len().div_ceil(self.threads).max(1);
-        let jobs = rnets.chunks(chunk_len).map(|chunk| LevelJob {
-            store: store.clone(),
-            g: Arc::clone(g),
-            hier: Arc::clone(hier),
-            kind,
-            rnets: chunk.to_vec(),
-        });
-        let answers = self
-            .helpers
-            .run(&mut self.own, jobs)
+        let jobs = self.threads.min(run.plan.width()).max(1);
+        self.helpers
+            .run(&mut self.own, (0..jobs).map(|thread| (Arc::clone(run), thread)))
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        let mut maps = Vec::with_capacity(rnets.len());
-        for answer in answers {
-            maps.extend(answer.maps);
-            self.minplus_entries += answer.minplus_entries;
-        }
-        maps
-    }
-
-    /// The matrix entries the min-plus kernels relaxed, on every thread,
-    /// since the last call: what a repair's eliminations, closures and
-    /// keep rules cost, counted rather than timed.
-    pub(crate) fn take_minplus_entries(&mut self) -> u64 {
-        std::mem::take(&mut self.minplus_entries)
-    }
-}
-
-/// One chunk of a repaired level, sent to the thread that computes it:
-/// everything it reads, owned.
-struct LevelJob {
-    store: ShortcutStore,
-    g: Arc<RoadNetwork>,
-    hier: Arc<RnetHierarchy>,
-    kind: WeightKind,
-    rnets: Vec<RnetId>,
-}
-
-/// A [`LevelJob`]'s answer: its chunk's maps in chunk order, and the
-/// matrix entries the kernels relaxed computing them.
-struct LevelMaps {
-    maps: Vec<RnetShortcuts>,
-    minplus_entries: u64,
-}
-
-impl LevelJob {
-    /// Computes the job's maps on `scratch`; the job, and with it every
-    /// handle it holds, is dropped on return.
-    fn run(scratch: &mut BuildScratch, job: LevelJob) -> LevelMaps {
-        let LevelJob { store, g, hier, kind, rnets } = job;
-        let maps =
-            rnets.iter().map(|&r| store.compute_rnet_map(&g, &hier, kind, r, scratch)).collect();
-        LevelMaps { maps, minplus_entries: std::mem::take(&mut scratch.minplus_entries) }
     }
 }
 
@@ -1650,21 +1628,22 @@ mod tests {
         }
     }
 
-    /// Repairs Rnets the way a framework does: `rnets` finest first, on
-    /// `workers`.
+    /// Repairs Rnets the way a framework does: `forced` and, while their
+    /// shortcut sets change, their ancestors, on `workers`.
     fn repair(
         store: &mut ShortcutStore,
         g: &Arc<RoadNetwork>,
         hier: &Arc<RnetHierarchy>,
-        rnets: &[RnetId],
+        forced: &[RnetId],
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
-    ) -> Vec<bool> {
+    ) -> UpdateOutcome {
         let (kind, before) = (WeightKind::Distance, BordersBefore::default());
-        store.repair(g, hier, kind, rnets, &before, opts, workers)
+        store.repair(g, hier, kind, forced, &before, opts, workers)
     }
 
-    /// Refreshes the one Rnet `r`; returns whether its shortcut set changed.
+    /// Refreshes Rnet `r`, and its ancestors while shortcut sets change;
+    /// returns whether `r`'s changed.
     fn refresh_one(
         store: &mut ShortcutStore,
         g: &Arc<RoadNetwork>,
@@ -1673,7 +1652,7 @@ mod tests {
         opts: &ShortcutOptions,
         workers: &mut WorkerScratches,
     ) -> bool {
-        repair(store, g, hier, &[r], opts, workers)[0]
+        repair(store, g, hier, &[r], opts, workers).rnets_changed > 0
     }
 
     #[test]
@@ -1702,14 +1681,13 @@ mod tests {
         store.verify_against_rebuild(&g, &hier, WeightKind::Distance, &opts).unwrap();
     }
 
-    /// Repair fans a level out over parked workers: refreshing a level of
-    /// several Rnets at `threads = 2` leaves some of them to one worker
-    /// thread, and at `threads = 1` the calling thread's scratch computes
-    /// them all — so a silent fallback to inline repair fails here, not
-    /// only in a timing. The worker outlives the call, as a framework
-    /// keeps it, and the second round spawns no other.
+    /// Repair drains over parked workers: at `threads = 1` the calling
+    /// thread's scratch computes every leaf and no worker is spawned, and
+    /// at `threads = 2` one worker is spawned and sent the plan. The
+    /// worker outlives the call, as a framework keeps it, and the second
+    /// round spawns no other. Nothing changes, so no ancestor runs.
     #[test]
-    fn a_repaired_level_fans_out_over_a_second_scratch_only_at_two_threads() {
+    fn a_repair_drains_on_a_parked_worker_only_at_two_threads() {
         let g = simple::grid(8, 8, 1.0);
         let (hier, mut store) = build(&g, 4, 2);
         let leaves: Vec<RnetId> = hier.rnets_at_level(hier.levels()).collect();
@@ -1719,32 +1697,59 @@ mod tests {
             let opts = ShortcutOptions { threads };
             let mut workers = WorkerScratches::default();
             for round in 1..=2 {
-                let changed = repair(&mut store, &g, &hier, &leaves, &opts, &mut workers);
-                assert_eq!(changed, vec![false; leaves.len()]);
-                let own = workers.own.rnets_computed;
+                let outcome = repair(&mut store, &g, &hier, &leaves, &opts, &mut workers);
+                assert_eq!((outcome.rnets_refreshed, outcome.rnets_changed), (leaves.len(), 0));
                 if threads == 1 {
+                    let own = workers.own.rnets_computed;
                     assert_eq!(own, round * leaves.len(), "threads = 1 fanned out");
-                } else {
-                    let half = leaves.len().div_ceil(2);
-                    assert_eq!(own, round * half, "threads = 2 repaired inline");
                 }
                 assert_eq!(workers.helpers.threads(), threads - 1);
             }
         }
     }
 
-    /// The fan-out computes one level at a time: a run mixing a parent
-    /// with its child would read the child's map while it is replaced.
+    /// A repair that panics at a coarse level commits nothing, the finer
+    /// levels it had finished included, and the next repair on the same
+    /// workers — a fresh one where the panic ended a worker — runs to the
+    /// rebuilt store. The panic comes from a corrupt sibling: a leaf whose
+    /// stored shortcut leads to a node the network does not have, read by
+    /// the parent of a leaf the repair changed — every edge of it three
+    /// times as long.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "a fan-out computes one level")]
-    fn a_run_of_two_levels_is_refused() {
-        let g = simple::grid(6, 6, 1.0);
-        let (hier, store) = build(&g, 4, 2);
-        let leaf = hier.rnets_at_level(hier.levels()).next().unwrap();
-        let mut scratches = [BuildScratch::default(), BuildScratch::default()];
-        let run = [leaf, hier.parent(leaf)];
-        store.compute_level_maps(&g, &hier, WeightKind::Distance, &run, &mut scratches);
+    fn a_panicking_repair_commits_nothing_and_the_next_one_runs() {
+        let mut g = simple::grid(8, 8, 1.0);
+        let (hier, built) = build(&g, 4, 2);
+        let kind = WeightKind::Distance;
+        let e = g.edge_ids().next().unwrap();
+        let leaf = hier.leaf_of_edge(e);
+        let sibling = hier.children(hier.parent(leaf)).find(|&c| c != leaf).unwrap();
+        let borders = hier.borders(sibling).to_vec();
+        assert!(borders.len() >= 2, "{borders:?}");
+        let mut store = built.clone();
+        store.replace_rnet(sibling, arena(&borders, &[(borders[0].0, vec![(u32::MAX, 1.0)])]));
+        for &e in hier.leaf_edge_list(leaf) {
+            g.set_weight(e, kind, Weight::new(3.0)).unwrap();
+        }
+        let (g, hier) = (Arc::new(g), Arc::new(hier));
+        let bytes = |s: &ShortcutStore| {
+            let mut out = Vec::new();
+            s.serialize_into(&hier, &mut out);
+            out
+        };
+        let corrupt = bytes(&store);
+        let opts = ShortcutOptions { threads: 2 };
+        let mut workers = WorkerScratches::default();
+        for _ in 0..3 {
+            let repaired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                repair(&mut store, &g, &hier, &[leaf], &opts, &mut workers)
+            }));
+            assert!(repaired.is_err(), "the parent read the corrupt sibling");
+            assert_eq!(bytes(&store), corrupt, "a panicking repair committed");
+        }
+        store.replace_rnet(sibling, built.rnet(sibling).clone());
+        let outcome = repair(&mut store, &g, &hier, &[leaf], &opts, &mut workers);
+        assert!(outcome.rnets_changed > 0);
+        store.verify_against_rebuild(&g, &hier, kind, &opts).unwrap();
     }
 
     /// A border that leaves an Rnet moves every border behind it up one
@@ -1784,11 +1789,12 @@ mod tests {
         assert_eq!(hier.borders(r), [NodeId(a), NodeId(m)]);
         let (g, hier) = (Arc::new(g), Arc::new(hier));
         let refresh = |before: &BordersBefore, workers: &mut WorkerScratches| {
-            store.clone().repair(&g, &hier, kind, &[r], before, &opts, workers)
+            let outcome = store.clone().repair(&g, &hier, kind, &[r], before, &opts, workers);
+            (outcome.rnets_refreshed, outcome.rnets_changed)
         };
-        assert_eq!(refresh(&before, &mut workers), [false]);
+        assert_eq!(refresh(&before, &mut workers), (1, 0));
         // The same old arena read under the new border list: wrong.
-        assert_eq!(refresh(&BordersBefore::default(), &mut workers), [true]);
+        assert_eq!(refresh(&BordersBefore::default(), &mut workers), (1, 1));
     }
 
     /// The structural-sharing contract behind snapshot publication: a fork
@@ -2219,15 +2225,15 @@ mod tests {
         };
         let kind = WeightKind::Distance;
         let switched = bytes(&ShortcutStore::build(&g, &hier, kind, &opts));
-        let sizes = std::cell::RefCell::new(Vec::new());
-        let dense = ShortcutStore::build_inline_with(&g, &hier, kind, |scratch, nb| {
-            sizes.borrow_mut().push(scratch.csr.num_nodes());
+        let sizes = std::sync::Mutex::new(Vec::new());
+        let dense = ShortcutStore::build_with(&g, &hier, kind, 1, |scratch, nb| {
+            sizes.lock().unwrap().push(scratch.csr.num_nodes());
             scratch.eliminate_into_dmat(nb)
         });
-        let sizes = sizes.into_inner();
+        let sizes = sizes.into_inner().unwrap();
         assert!(sizes.iter().any(|&n| n > DENSE_MAX_NODES), "nothing above the switch: {sizes:?}");
         assert!(sizes.iter().any(|&n| n <= DENSE_MAX_NODES), "nothing below it: {sizes:?}");
-        let contracted = ShortcutStore::build_inline_with(&g, &hier, kind, |scratch, nb| {
+        let contracted = ShortcutStore::build_with(&g, &hier, kind, 1, |scratch, nb| {
             scratch.contract_into_dmat(nb)
         });
         assert!(dense.num_shortcuts() > 0);

@@ -16,14 +16,14 @@
 //! partition differs from run to run, never within one: one process, one
 //! hasher seed, and the thread count still cannot matter.)
 //!
-//! The same must hold for maintenance, which fans each level out the way a
-//! build does, on scratches the framework keeps warm: one seeded history of
-//! weight storms, edge additions and removals (repair lists that span
-//! levels) leaves frameworks built and repairing on 1/2/4/8 workers
-//! byte-identical after every step, with equal [`UpdateOutcome`]s, and a
-//! batched, level-by-level repair ([`RoadFramework::set_edge_weights`])
-//! leaves the framework byte-identical to applying the same updates one at
-//! a time.
+//! The same must hold for maintenance, which drains its Rnets the way a
+//! build does — a parent as soon as its own children are done — on
+//! scratches the framework keeps warm: one seeded history of weight storms,
+//! edge additions and removals (repairs that span levels) leaves
+//! frameworks built and repairing on 1/2/4/8 workers byte-identical after
+//! every step, with equal [`UpdateOutcome`]s, and a batched repair
+//! ([`RoadFramework::set_edge_weights`]) leaves the framework
+//! byte-identical to applying the same updates one at a time.
 //!
 //! Weights are exact in f64 (small integers / dyadic rationals), so
 //! "equivalent" and "bit-identical" coincide — any scheduling leak shows
@@ -320,50 +320,64 @@ fn repair_history(g: &RoadNetwork, seed: u64) -> Vec<Step> {
     steps
 }
 
-/// Replays `history` on `fw`: after every step, the image and the step's
-/// outcome.
-fn replay(mut fw: RoadFramework, history: &[Step]) -> Vec<(Vec<u8>, UpdateOutcome)> {
+/// Replays `history` on `fw`: after every step, the image, the step's
+/// outcome and how many levels hold an Rnet the step refreshed — one whose
+/// tables the framework no longer shares with its fork from before.
+fn replay(mut fw: RoadFramework, history: &[Step]) -> Vec<(Vec<u8>, UpdateOutcome, usize)> {
     history
         .iter()
         .map(|step| {
+            let fork = fw.clone();
             let outcome = match *step {
                 Step::Storm(ref updates) => fw.set_edge_weights(updates).unwrap(),
                 Step::Add(a, b, w) => fw.add_edge(a, b, (w, w, Weight::ZERO)).unwrap().1,
                 Step::Remove(e) => fw.remove_edge(e, &[]).unwrap(),
             };
-            (fw.to_bytes(), outcome)
+            let hier = fw.hierarchy();
+            let levels = (1..=hier.levels())
+                .filter(|&level| {
+                    let mut rnets = hier.rnets_at_level(level);
+                    rnets.any(|r| !fw.shortcuts().shares_rnet(fork.shortcuts(), r))
+                })
+                .count();
+            (fw.to_bytes(), outcome, levels)
         })
         .collect()
 }
 
 /// Frameworks built by `build(threads)` on 1, 2, 4 and 8 workers, put
 /// through one seeded repair history, agree step for step: the same image
-/// bytes and the same `UpdateOutcome`, `minplus_entries` included — so
-/// which worker repaired an Rnet, and with it the fan-out, is unobservable.
+/// bytes, the same `UpdateOutcome`, `minplus_entries` included, and the
+/// same refreshed levels — so which worker repaired an Rnet, and in what
+/// order, is unobservable. Returns the most levels one weight storm
+/// refreshed.
 fn assert_repair_thread_counts_agree(
     build: impl Fn(usize) -> RoadFramework,
     seed: u64,
     label: &str,
-) {
+) -> usize {
     let reference = build(1);
     let history = repair_history(reference.network(), seed);
     let expected = replay(reference, &history);
     assert!(
-        expected.iter().any(|(_, outcome)| outcome.rnets_changed > 0),
+        expected.iter().any(|(_, outcome, _)| outcome.rnets_changed > 0),
         "{label}: nothing moved"
     );
     for threads in [2usize, 4, 8] {
         let steps = replay(build(threads), &history);
         for (i, (got, want)) in steps.iter().zip(&expected).enumerate() {
             assert_eq!(got.1, want.1, "{label}: outcome of step {i} diverged at {threads} threads");
+            assert_eq!(got.2, want.2, "{label}: levels of step {i} diverged at {threads} threads");
             assert!(got.0 == want.0, "{label}: image after step {i} diverged at {threads} threads");
         }
     }
+    let storms = history.iter().zip(&expected).filter(|(step, _)| matches!(step, Step::Storm(_)));
+    storms.map(|(_, (.., levels))| *levels).max().unwrap_or(0)
 }
 
 /// The repair thread sweep on random worlds of eight leaves: weight storms
-/// repair a level at a time, edge additions and removals a closure that
-/// spans every level in one `refresh_rnets` call.
+/// repair the ancestors of their leaves while shortcut sets change, edge
+/// additions and removals a closure that spans every level.
 #[test]
 fn repair_is_byte_identical_at_every_thread_count() {
     for seed in [3u64, 58, 711] {
@@ -373,7 +387,8 @@ fn repair_is_byte_identical_at_every_thread_count() {
             let builder = RoadFramework::builder(g.clone()).fanout(2).levels(3);
             builder.shortcut_threads(threads).build().unwrap()
         };
-        assert_repair_thread_counts_agree(build, seed, &format!("random world, seed {seed}"));
+        let label = format!("random world, seed {seed}");
+        assert_repair_thread_counts_agree(build, seed, &label);
     }
 }
 
@@ -393,4 +408,20 @@ fn repair_of_both_arms_is_byte_identical_at_every_thread_count() {
         RoadFramework::build_with_partition(g.clone(), cfg, leaf).unwrap()
     };
     assert_repair_thread_counts_agree(build, 42, "two-arm grid");
+}
+
+/// The sweep on a hierarchy of 256 leaves (fanout 4, 4 levels), where a
+/// storm's twelve leaves sit in different subtrees and the repair plan has
+/// Rnets of several levels to interleave: some storm refreshes Rnets at
+/// three levels or more in one update.
+#[test]
+fn repair_of_a_deep_hierarchy_is_byte_identical_at_every_thread_count() {
+    let mut g = simple::grid(24, 24, 1.0);
+    reweight(&mut g, 9, false);
+    let build = |threads: usize| {
+        let builder = RoadFramework::builder(g.clone()).fanout(4).levels(4);
+        builder.shortcut_threads(threads).build().unwrap()
+    };
+    let levels = assert_repair_thread_counts_agree(build, 9, "24 x 24 grid, 4 levels");
+    assert!(levels >= 3, "no storm refreshed more than {levels} levels");
 }

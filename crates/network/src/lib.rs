@@ -20,7 +20,8 @@
 //!   so a fork copies only the chunks an update writes;
 //! * [`partition`] — edge-disjoint graph partitioning (geometric bisection
 //!   refined by a Kernighan–Lin pass) used to form Rnets;
-//! * [`fanout`] — the one thread fan-out, results by job index;
+//! * [`fanout`] — the thread fan-outs, scoped and parked, and the plan of
+//!   dependent tasks they drain, results by job and task index;
 //! * [`hash`] — the Fx hasher and the hash containers without unordered
 //!   iteration;
 //! * [`generator`] — seeded synthetic road networks calibrated to the
