@@ -186,15 +186,21 @@ impl RnetHierarchy {
         let level_offsets = checked_level_offsets(fanout, levels)?;
         let num_leaves =
             (level_offsets[levels as usize] - level_offsets[levels as usize - 1]) as usize;
-        let mut leaf_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); num_leaves];
+        // Counted first, so every leaf's list is allocated once, at size.
+        let mut counts = vec![0usize; num_leaves];
         for e in g.edge_ids() {
             let idx = leaf_index_of(e);
-            if idx as usize >= num_leaves {
+            let Some(count) = counts.get_mut(idx as usize) else {
                 return Err(crate::RoadError::InvalidConfig(format!(
                     "edge {e} assigned to leaf {idx}, but only {num_leaves} leaves exist"
                 )));
-            }
-            leaf_edges[idx as usize].push(e);
+            };
+            *count += 1;
+        }
+        let mut leaf_edges: Vec<Vec<EdgeId>> =
+            counts.iter().map(|&count| Vec::with_capacity(count)).collect();
+        for e in g.edge_ids() {
+            leaf_edges[leaf_index_of(e) as usize].push(e);
         }
         Self::from_leaves(g, fanout, level_offsets, leaf_edges)
     }
@@ -221,7 +227,7 @@ impl RnetHierarchy {
         RnetHierarchy {
             fanout: fanout as u32,
             levels: levels as u32,
-            borders: vec![Vec::new(); level_offsets[levels] as usize],
+            borders: Vec::new(),
             table: LevelTable::new(&level_offsets, fanout as u32),
             trees: ShortcutTrees::default(),
             level_offsets,
@@ -362,57 +368,76 @@ impl RnetHierarchy {
         self.shortcut_tree(n).first().map(|e| self.level_of(e.rnet))
     }
 
-    /// Computes the Rnets `n` should border from its current incident
-    /// edges: for each level from the coarsest where its edges span two
-    /// Rnets down to the finest, every Rnet containing one of its edges —
-    /// ascending id, which is level ascending (ids are numbered level by
-    /// level).
-    fn compute_node_borders(&self, g: &RoadNetwork, n: NodeId) -> Vec<RnetId> {
-        // Distinct leaves of incident edges.
-        let mut leaves: Vec<u32> = Vec::new();
-        for (e, _) in g.neighbors(n) {
-            let r = self.leaf_of_edge(e);
-            if r.is_valid() {
-                let idx = r.0 - self.level_offsets[self.levels as usize - 1];
-                if !leaves.contains(&idx) {
-                    leaves.push(idx);
-                }
-            }
-        }
-        if leaves.len() < 2 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
+    /// Derives into `out` the Rnets `n` should border from its current
+    /// incident edges: for each level from the coarsest where its edges
+    /// span two Rnets down to the finest, every Rnet containing one of its
+    /// edges — ascending id, which is level ascending (ids are numbered
+    /// level by level). `leaves` is scratch; with both buffers grown, the
+    /// derivation allocates nothing.
+    ///
+    /// The distinct leaf indices of the edges are sorted once; an
+    /// ancestor index is a leaf index divided by a power of the fanout, so
+    /// each level's are sorted too, distinct where they change, and span
+    /// two Rnets exactly when the first and the last differ.
+    fn node_borders(
+        &self,
+        g: &RoadNetwork,
+        n: NodeId,
+        leaves: &mut Vec<u32>,
+        out: &mut Vec<RnetId>,
+    ) {
+        out.clear();
+        leaves.clear();
+        let leaf_base = self.level_offsets[self.levels as usize - 1];
+        let valid = g.neighbors(n).map(|(e, _)| self.leaf_of_edge(e)).filter(|r| r.is_valid());
+        leaves.extend(valid.map(|r| r.0 - leaf_base));
+        leaves.sort_unstable();
+        leaves.dedup();
+        let (Some(&first), Some(&last)) = (leaves.first(), leaves.last()) else { return };
         for lv in 1..=self.levels {
             let shift = self.fanout.pow(self.levels - lv);
-            let mut at_level: Vec<u32> = leaves.iter().map(|&i| i / shift).collect();
-            at_level.sort_unstable();
-            at_level.dedup();
-            if at_level.len() < 2 {
+            if first / shift == last / shift {
                 continue; // not yet a border at this coarse level
             }
             let base = self.level_offsets[lv as usize - 1];
-            out.extend(at_level.into_iter().map(|i| RnetId(base + i)));
+            let mut prev = None;
+            for &leaf in leaves.iter() {
+                let at = leaf / shift;
+                if prev != Some(at) {
+                    out.push(RnetId(base + at));
+                    prev = Some(at);
+                }
+            }
         }
-        out
     }
 
-    /// Derives every node's borders and shortcut tree (construction).
+    /// Derives every node's borders and shortcut tree (construction), in
+    /// two passes over the nodes: the first derives each node's Rnets and
+    /// gives it the next slot in each, counting; the second files every
+    /// node into its slots of border lists allocated at their final size.
+    /// What allocates is one list per Rnet and the tree arena's growth,
+    /// never a node.
     fn with_borders_installed(mut self, g: &RoadNetwork) -> Result<Self, crate::RoadError> {
-        let mut tree = Vec::new();
+        let (mut leaves, mut rnets, mut tree) = (Vec::new(), Vec::new(), Vec::new());
+        let mut counts = vec![0usize; self.num_rnets()];
         for n in g.node_ids() {
-            let rnets = self.compute_node_borders(g, n);
+            self.node_borders(g, n, &mut leaves, &mut rnets);
             if rnets.is_empty() {
                 continue;
             }
             self.table.flatten(&rnets, &mut tree)?;
             // `n` goes behind the borders its Rnets already have.
             for entry in &mut tree {
-                *entry = entry.with_slot(self.borders[entry.rnet.index()].len())?;
+                let count = &mut counts[entry.rnet.index()];
+                *entry = entry.with_slot(*count)?;
+                *count += 1;
             }
             self.trees.set(n, &tree)?;
-            for &r in &rnets {
-                self.borders[r.index()].push(n);
+        }
+        self.borders = counts.iter().map(|&count| vec![NodeId(u32::MAX); count]).collect();
+        for n in g.node_ids() {
+            for entry in self.trees.of(n) {
+                self.borders[entry.rnet.index()][entry.slot()] = n;
             }
         }
         Ok(self)
@@ -461,7 +486,8 @@ impl RnetHierarchy {
         n: NodeId,
         before: &mut BordersBefore,
     ) -> Result<(Vec<RnetId>, Vec<RnetId>), crate::RoadError> {
-        let new = self.compute_node_borders(g, n);
+        let mut new = Vec::new();
+        self.node_borders(g, n, &mut Vec::new(), &mut new);
         let old = self.shortcut_tree(n).to_vec();
         let gained: Vec<RnetId> =
             new.iter().copied().filter(|&r| !old.iter().any(|e| e.rnet == r)).collect();
@@ -534,9 +560,10 @@ impl RnetHierarchy {
         }
         // 3. Each node's tree holds the Rnets Definition 1/4 derive from
         //    the network, in ChoosePath order.
+        let (mut leaves, mut expect) = (Vec::new(), Vec::new());
         let (mut fresh, mut open, mut got) = (Vec::new(), Vec::<usize>::new(), Vec::new());
         for n in g.node_ids() {
-            let expect = self.compute_node_borders(g, n);
+            self.node_borders(g, n, &mut leaves, &mut expect);
             let tree = self.shortcut_tree(n);
             got.clear();
             got.extend(tree.iter().map(|e| e.rnet));
@@ -549,10 +576,8 @@ impl RnetHierarchy {
             // nested within its parent's; every slot `n`'s place in its
             // Rnet's border list.
             self.table.flatten(&expect, &mut fresh).map_err(|e| e.to_string())?;
-            let shape = |t: &[TreeEntry]| -> Vec<(RnetId, usize, bool)> {
-                t.iter().map(|e| (e.rnet, e.skip(), e.is_leaf())).collect()
-            };
-            if shape(tree) != shape(&fresh) {
+            let shape = |e: &TreeEntry| (e.rnet, e.skip(), e.is_leaf());
+            if !tree.iter().map(shape).eq(fresh.iter().map(shape)) {
                 return Err(format!("node {n} shortcut tree {tree:?} is stale; want {fresh:?}"));
             }
             open.clear(); // ends of the subtrees enclosing entry `i`
@@ -574,7 +599,8 @@ impl RnetHierarchy {
         // 4. Rnet border lists contain only genuine borders.
         for (ri, list) in self.borders.iter().enumerate() {
             for &n in list {
-                if !self.compute_node_borders(g, n).contains(&RnetId(ri as u32)) {
+                self.node_borders(g, n, &mut leaves, &mut expect);
+                if !expect.contains(&RnetId(ri as u32)) {
                     return Err(format!("{n} listed as border of R{ri} but does not border it"));
                 }
             }
@@ -587,6 +613,13 @@ impl RnetHierarchy {
 mod tests {
     use super::*;
     use road_network::generator::simple;
+
+    /// The Rnets `n` borders, derived afresh from its edges.
+    fn node_borders(hier: &RnetHierarchy, g: &RoadNetwork, n: NodeId) -> Vec<RnetId> {
+        let mut out = Vec::new();
+        hier.node_borders(g, n, &mut Vec::new(), &mut out);
+        out
+    }
 
     fn build_grid(w: usize, h: usize, fanout: usize, levels: u32) -> (RoadNetwork, RnetHierarchy) {
         let g = simple::grid(w, h, 1.0);
@@ -813,7 +846,7 @@ mod tests {
             let idx = (r.0 - hier.level_offsets[lv - 1]) / hier.fanout;
             RnetId(hier.level_offsets[lv - 2] + idx)
         };
-        let bordered = hier.compute_node_borders(g, n);
+        let bordered = node_borders(hier, g, n);
         let Some(&top) = bordered.first() else { return Vec::new() };
         let top_level = level_of(top);
         let mut stack: Vec<RnetId> =
@@ -853,7 +886,7 @@ mod tests {
         for n in g.node_ids() {
             assert_eq!(
                 tree_scan(hier, n, &|_| false).len(),
-                hier.compute_node_borders(g, n).len(),
+                node_borders(hier, g, n).len(),
                 "{n}: descending everywhere must visit every bordered Rnet"
             );
             for mix in 0..5u64 {

@@ -108,14 +108,15 @@
 //!   the tallies of returned queries sum to the pool's stats;
 //! * **one page-in lock** — a lazily opened engine keeps its retained
 //!   image, its append cursor and its loaded count behind one mutex. A
-//!   page-in decodes the Rnet's section outside it, so different Rnets
-//!   still decode in parallel, then appends and publishes the records
-//!   under it, so each Rnet lands as one contiguous run of the append
-//!   region. Each Rnet's shortcut-record locations live in a `OnceLock`
-//!   set under that lock (double-checked: the fast path is a lock-free
-//!   `get`), and they publish only after every record is on its page, so
-//!   readers never observe a half-loaded Rnet. Two threads racing on one
-//!   Rnet may both decode it; only the first to take the lock appends;
+//!   page-in checks the Rnet's section and copies its heads into records
+//!   outside it, so different Rnets are still copied in parallel, then
+//!   appends and publishes the records under it, so each Rnet lands as
+//!   one contiguous run of the append region. Each Rnet's shortcut-record
+//!   locations live in a `OnceLock` set under that lock (double-checked:
+//!   the fast path is a lock-free `get`), and they publish only after
+//!   every record is on its page, so readers never observe a half-loaded
+//!   Rnet. Two threads racing on one Rnet may both copy it; only the
+//!   first to take the lock appends;
 //! * **per-thread scratch** — reassembly buffers and
 //!   [`SearchWorkspace`]s come from thread-local pools, exactly like the
 //!   in-memory engine's hot path.
@@ -136,12 +137,15 @@
 //!
 //! [`PagedEngine::open`] serves straight from a persisted `ROADFW01` image
 //! ([`PagedImage`]) without ever materializing the in-memory shortcut
-//! store: an Rnet's shortcut section is decoded and laid onto pages the
-//! first time a query touches the Rnet. A cold server reaches its first
-//! answer after paging in only the Rnets that query actually crossed. A
-//! section that no longer decodes (image bytes corrupted after `open`)
-//! surfaces as `Err` through the query path instead of a silent wrong
-//! answer.
+//! store: the first time a query touches an Rnet, its shortcut section is
+//! walked once more, with every check `open` made, and the `(to, dist)`
+//! heads are copied straight into shortcut records — no waypoint is read
+//! and no in-memory table is built — which are then laid onto pages. A
+//! cold server reaches its first answer after paging in only the Rnets
+//! that query actually crossed. A section that no longer passes the walk
+//! (image bytes corrupted after `open`) surfaces as `Err` through the
+//! query path instead of a silent wrong answer, and nothing of it reaches
+//! a page.
 //!
 //! ```
 //! use road_core::paged::{PagedEngine, PagedOptions};
@@ -193,7 +197,7 @@ use road_storage::{
     StorageError, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_PAGES, DEFAULT_BUFFER_STRIPES,
     PAGE_SIZE,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -267,12 +271,56 @@ fn encode_node_record(
     }
 }
 
-fn encode_shortcut_record(list: crate::shortcut::Heads<'_>, out: &mut Vec<u8>) {
+pub(crate) fn encode_shortcut_record(list: crate::shortcut::Heads<'_>, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&(list.len() as u32).to_le_bytes());
     for sc in list.iter() {
         out.extend_from_slice(&sc.to.0.to_le_bytes());
         out.extend_from_slice(&sc.dist.get().to_le_bytes());
+    }
+}
+
+/// An Rnet's shortcut records as a page-in copies them out of its image
+/// section: each non-empty run's record, byte for byte what
+/// [`encode_shortcut_record`] writes for it, back to back in the order
+/// the section stores them — by ascending source node, the order they are
+/// appended in. No waypoint is read: the walk checks each run of them by
+/// its largest id and skips it.
+#[derive(Default)]
+pub(crate) struct ShortcutRecords {
+    bytes: Vec<u8>,
+    /// Slot and start in `bytes` of each record.
+    starts: Vec<(usize, usize)>,
+}
+
+impl ShortcutRecords {
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.starts.clear();
+    }
+
+    /// Each record, with the slot of its source.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let ends = self.starts.iter().skip(1).map(|&(_, start)| start).chain([self.bytes.len()]);
+        let records = self.starts.iter().zip(ends);
+        records.filter_map(|(&(slot, start), end)| Some((slot, self.bytes.get(start..end)?)))
+    }
+}
+
+impl crate::shortcut::SectionSink for ShortcutRecords {
+    fn open_run(&mut self, slot: usize, len: usize) {
+        // An empty run has no record, as in the eager layout.
+        if len > 0 {
+            self.starts.push((slot, self.bytes.len()));
+            self.bytes.reserve(4 + SC_ENTRY * len);
+            self.bytes.extend_from_slice(&(len as u32).to_le_bytes());
+        }
+    }
+
+    fn shortcut(&mut self, to: NodeId, dist: f64) {
+        self.bytes.extend_from_slice(&to.0.to_le_bytes());
+        // `-0.0` goes onto the page as `+0.0`, the bits a `Weight` holds.
+        self.bytes.extend_from_slice(&(dist + 0.0).to_le_bytes());
     }
 }
 
@@ -396,6 +444,9 @@ const SCRATCH_POOL_CAP: usize = 8;
 
 thread_local! {
     static SCRATCH_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// A page-in's records, kept for the thread's next page-in.
+    static RECORDS: Cell<ShortcutRecords> =
+        const { Cell::new(ShortcutRecords { bytes: Vec::new(), starts: Vec::new() }) };
 }
 
 fn take_scratch() -> Vec<u8> {
@@ -456,7 +507,7 @@ struct PageIn {
     /// The retained image of a lazily opened engine; `None` for an eager
     /// one, and dropped once every Rnet is resident — a fully loaded
     /// replica must not keep a second copy of the overlay in RAM. `Arc`
-    /// so a section decodes outside the lock.
+    /// so a section is copied outside the lock.
     image: Option<Arc<PagedImage>>,
     /// How many Rnets are resident (monotone, saturates at the total).
     loaded: usize,
@@ -536,8 +587,8 @@ impl PagedEngine {
 
     /// Opens a persisted image **page-granularly** and maps `objects` onto
     /// it: node and directory records are laid out up front (cheap), but
-    /// an Rnet's shortcut section is decoded from the image and paged in
-    /// only when a query first touches that Rnet.
+    /// an Rnet's shortcut heads are copied from the image onto pages only
+    /// when a query first touches that Rnet.
     pub fn open(
         image: PagedImage,
         objects: Vec<Object>,
@@ -816,19 +867,20 @@ impl PagedEngine {
     }
 
     /// Pages Rnet `r`'s shortcut records in from the retained image if
-    /// this engine is lazy and has not touched `r` yet. The section decodes
-    /// outside the page-in lock, so different Rnets decode in parallel; its
-    /// records are then appended and published under the lock, so each
-    /// Rnet lands as one contiguous run of the append region. Two threads
-    /// that race on one Rnet may both decode it; the one that takes the
-    /// lock second finds it published and drops its copy. Once the last
-    /// Rnet lands on pages the image is dropped: a fully resident replica
-    /// must not keep a second copy of the overlay in RAM.
+    /// this engine is lazy and has not touched `r` yet. The Rnet's section
+    /// is checked and its heads copied into records outside the page-in
+    /// lock, so different Rnets page in in parallel; the records are then
+    /// appended and published under the lock, so each Rnet lands as one
+    /// contiguous run of the append region. Two threads that race on one
+    /// Rnet may both copy it; the one that takes the lock second finds it
+    /// published and drops its copy. Once the last Rnet lands on pages the
+    /// image is dropped: a fully resident replica must not keep a second
+    /// copy of the overlay in RAM.
     ///
-    /// A section that fails to decode (image corrupted after `open`)
-    /// returns `Err` and leaves the Rnet unloaded, so the failure
-    /// surfaces on every query that needs the Rnet instead of silently
-    /// serving it as "no shortcuts".
+    /// A section that fails a check (image corrupted after `open`)
+    /// returns `Err` before the lock, appends nothing and leaves the Rnet
+    /// unloaded, so the failure surfaces on every query that needs the
+    /// Rnet instead of silently serving it as "no shortcuts".
     fn ensure_rnet_loaded(&self, r: RnetId, tally: &mut IoTally) -> Result<(), RoadError> {
         let idx = r.0 as usize;
         let slot = self
@@ -852,27 +904,42 @@ impl PagedEngine {
                 )
             })?
         };
-        let shortcuts = image.shortcuts_of_rnet(idx)?;
+        let mut records = RECORDS.take();
+        records.clear();
+        let loaded = image
+            .walk_rnet(idx, &mut records)
+            .and_then(|()| self.append_rnet(r, slot, &records, tally));
+        RECORDS.set(records);
+        loaded
+    }
+
+    /// Appends a paged-in Rnet's checked records under the page-in lock
+    /// and publishes their locations in `published`.
+    fn append_rnet(
+        &self,
+        r: RnetId,
+        published: &OnceLock<Vec<u64>>,
+        records: &ShortcutRecords,
+        tally: &mut IoTally,
+    ) -> Result<(), RoadError> {
         let mut page_in = self.page_in.lock().map_err(|_| StorageError::LockPoisoned("page-in"))?;
-        // Another thread may have published `r` while this one decoded.
-        if slot.get().is_some() {
+        // Another thread may have published `r` while this one copied it.
+        if published.get().is_some() {
             return Ok(());
         }
-        let mut rec = Vec::new();
-        let borders = self.hier.borders(r);
-        let mut locs = vec![LOC_NONE; borders.len()];
-        // By ascending source node, as the records were always appended.
-        for (slot, _, list) in shortcuts.runs_by_source(borders) {
-            encode_shortcut_record(list, &mut rec);
-            // roadlint: allow(io-under-lock) reason="the page-in lock makes each Rnet one contiguous run and an allocation run consecutive; the section was decoded before it was taken, and only page-ins wait on it"
-            let loc = self.append_record(&mut page_in.cursor, &rec, tally)?;
+        let mut locs = vec![LOC_NONE; self.hier.borders(r).len()];
+        for (slot, rec) in records.records() {
+            // roadlint: allow(io-under-lock) reason="the page-in lock makes each Rnet one contiguous run and an allocation run consecutive; the section was checked and copied into records before it was taken, and only page-ins wait on it"
+            let loc = self.append_record(&mut page_in.cursor, rec, tally)?;
             if let Some(at) = locs.get_mut(slot) {
                 *at = loc;
             }
         }
         // Publish only after every record is on its page: readers that
         // win the `get` race see a complete table or none at all.
-        slot.set(locs).map_err(|_| StorageError::Internal("Rnet published outside the lock"))?;
+        published
+            .set(locs)
+            .map_err(|_| StorageError::Internal("Rnet published outside the lock"))?;
         page_in.loaded += 1;
         if page_in.loaded == self.rnet_shortcuts.len() {
             page_in.image = None;
@@ -1467,49 +1534,132 @@ mod tests {
         assert_eq!(disk.knn(&q).unwrap().hits, engine.knn(&q).unwrap().hits);
     }
 
-    /// Satellite regression: a lazily opened image whose bytes are
-    /// corrupted *after* `open` (so open-time validation passed) must
-    /// surface the decode failure as `Err` through the query path — never
-    /// as a silently empty shortcut set, which would be indistinguishable
-    /// from "Rnet has no shortcuts" and produce wrong answers.
+    /// A lazily opened image whose bytes are corrupted *after* `open` (so
+    /// open-time validation passed) must surface the failure as `Err`
+    /// through the query path — never as a silently empty shortcut set,
+    /// which would be indistinguishable from "Rnet has no shortcuts" and
+    /// produce wrong answers.
     #[test]
     fn corrupted_after_open_surfaces_as_query_error() {
         // An id far outside the network, which open-time validation would
         // have rejected had it been there.
-        assert_first_targets_corrupted_after_open_fail(|_, _| u32::MAX);
-    }
-
-    /// The same for a target inside the network that is not a border of
-    /// its Rnet: only the decode's border check can tell it is corrupt.
-    #[test]
-    fn a_target_off_its_rnets_borders_after_open_is_a_query_error() {
-        assert_first_targets_corrupted_after_open_fail(|hier, r| {
-            let off = (0..64u32).find(|&n| hier.slot_of(NodeId(n), r).is_none());
-            off.expect("a node that does not border the Rnet")
+        assert_corrupted_after_open_fails(|_, _, section| {
+            overwrite(section, FIRST_TARGET, &u32::MAX.to_le_bytes())
         });
     }
 
-    /// Overwrites the first shortcut target of every section that carries
-    /// one with `bad(hier, r)` after a lazy open; the queries that page
-    /// such an Rnet in fail, the others answer as the in-memory engine.
-    fn assert_first_targets_corrupted_after_open_fail(bad: impl Fn(&RnetHierarchy, RnetId) -> u32) {
+    /// The same for a target inside the network that is not a border of
+    /// its Rnet: only the walk's border check can tell it is corrupt.
+    #[test]
+    fn a_target_off_its_rnets_borders_after_open_is_a_query_error() {
+        assert_corrupted_after_open_fails(|hier, r, section| {
+            let off = (0..64u32).find(|&n| hier.slot_of(NodeId(n), r).is_none());
+            let off = off.expect("a node that does not border the Rnet");
+            overwrite(section, FIRST_TARGET, &off.to_le_bytes())
+        });
+    }
+
+    /// A waypoint at the node count: the walk checks every run of
+    /// waypoints by its largest id, though a page-in reads none of them.
+    #[test]
+    fn a_waypoint_past_the_network_after_open_is_a_query_error() {
+        assert_corrupted_after_open_fails(|_, _, section| {
+            first_waypoint(section).is_some_and(|at| overwrite(section, at, &64u32.to_le_bytes()))
+        });
+    }
+
+    /// A NaN distance, which no `Weight` may hold.
+    #[test]
+    fn a_nan_distance_after_open_is_a_query_error() {
+        assert_corrupted_after_open_fails(|_, _, section| {
+            overwrite(section, FIRST_DIST, &f64::NAN.to_le_bytes())
+        });
+    }
+
+    /// A negative distance.
+    #[test]
+    fn a_negative_distance_after_open_is_a_query_error() {
+        assert_corrupted_after_open_fails(|_, _, section| {
+            overwrite(section, FIRST_DIST, &(-1.0f64).to_le_bytes())
+        });
+    }
+
+    /// A waypoint count that runs a few bytes past the end of its section,
+    /// into the next one: a page-in walks the section's own bytes only.
+    #[test]
+    fn a_waypoint_count_past_the_section_after_open_is_a_query_error() {
+        assert_corrupted_after_open_fails(|_, _, section| {
+            let past = (section.len().saturating_sub(FIRST_VIAS) / 4 + 1) as u32;
+            overwrite(section, FIRST_VIAS - 4, &past.to_le_bytes())
+        });
+    }
+
+    /// Where a section's first shortcut keeps its target, its distance and
+    /// its waypoints: behind the source count, the source and its shortcut
+    /// count; the waypoint count sits just before the waypoints.
+    const FIRST_TARGET: usize = 12;
+    const FIRST_DIST: usize = 16;
+    const FIRST_VIAS: usize = 28;
+
+    /// Writes `value` at byte `at` of `section`; `false`, writing nothing,
+    /// when the section ends before that (it holds no shortcut).
+    fn overwrite(section: &mut [u8], at: usize, value: &[u8]) -> bool {
+        let dst = section.get_mut(at..at + value.len());
+        dst.map(|dst| dst.copy_from_slice(value)).is_some()
+    }
+
+    /// Byte offset of the first waypoint the section stores, if any.
+    fn first_waypoint(section: &[u8]) -> Option<usize> {
+        let word = |at: usize| u32::from_le_bytes(section[at..at + 4].try_into().unwrap()) as usize;
+        let mut at = 4;
+        for _ in 0..word(0) {
+            let shortcuts = word(at + 4);
+            at += 8;
+            for _ in 0..shortcuts {
+                let vias = word(at + 12);
+                at += 16;
+                if vias > 0 {
+                    return Some(at);
+                }
+                at += 4 * vias;
+            }
+        }
+        None
+    }
+
+    /// Corrupts, after a lazy open, every section in which `corrupt`
+    /// finds something to overwrite (it is handed the hierarchy, the Rnet
+    /// and the section's bytes). Paging such an Rnet in fails with an
+    /// error that names the shortcut section, and before anything is
+    /// appended: the page count and the append cursor stay where they
+    /// were, and the Rnet stays unloaded. Queries that page such an Rnet
+    /// in fail the same way, the others answer as the in-memory engine,
+    /// and the prefetch fails.
+    fn assert_corrupted_after_open_fails(
+        corrupt: impl Fn(&RnetHierarchy, RnetId, &mut [u8]) -> bool,
+    ) {
         let (fw, ad) = setup(1); // one object: most Rnets bypass via shortcuts
         let objects: Vec<Object> = ad.objects().cloned().collect();
         let mut image = PagedImage::open(fw.to_bytes()).unwrap();
-        // A section with a record: source count, source, shortcut count,
-        // then the first target.
-        let mut corrupted = 0;
-        for r in 0..image.num_rnets() {
-            let (start, end) = image.rnet_range(r);
-            if end - start > 12 {
-                let to = bad(fw.hierarchy(), RnetId(r as u32));
-                image.bytes_mut()[start + 12..start + 16].copy_from_slice(&to.to_le_bytes());
-                corrupted += 1;
+        let mut corrupted = Vec::new();
+        for r in (0..image.num_rnets() as u32).map(RnetId) {
+            let (start, end) = image.rnet_range(r.0 as usize);
+            if corrupt(fw.hierarchy(), r, &mut image.bytes_mut()[start..end]) {
+                corrupted.push(r);
             }
         }
-        assert!(corrupted > 0, "world must have shortcut sections to corrupt");
+        assert!(!corrupted.is_empty(), "world must have shortcut sections to corrupt");
         let engine = QueryEngine::new(fw.clone(), ad);
         let disk = PagedEngine::open(image, objects, PagedOptions::default()).unwrap();
+        let cursor = |disk: &PagedEngine| disk.page_in.lock().unwrap().cursor;
+        for &r in &corrupted {
+            let (pages, at) = (disk.num_disk_pages(), cursor(&disk));
+            let err = disk.ensure_rnet_loaded(r, &mut IoTally::default()).unwrap_err();
+            assert!(err.to_string().contains("shortcut section"), "{r:?}: {err}");
+            assert_eq!((disk.num_disk_pages(), cursor(&disk)), (pages, at), "{r:?} appended");
+            assert!(disk.rnet_shortcuts[r.0 as usize].get().is_none(), "{r:?} marked resident");
+        }
+        assert_eq!(disk.rnets_loaded(), 0);
         let mut failures = 0;
         for n in 0..64u32 {
             let q = KnnQuery::new(NodeId(n), 2);
@@ -1525,8 +1675,51 @@ mod tests {
         }
         assert!(failures > 0, "no query touched a corrupt section — test is vacuous");
         // The corrupt Rnets must not be marked resident.
-        assert!(disk.rnets_loaded() < disk.hierarchy().num_rnets());
+        for &r in &corrupted {
+            assert!(disk.rnet_shortcuts[r.0 as usize].get().is_none(), "{r:?} marked resident");
+        }
         assert!(disk.load_all_rnets().is_err(), "prefetch must also surface the corruption");
+    }
+
+    /// Differential: on every Rnet of a lazily opened image, the records a
+    /// page-in copies onto pages are byte for byte what the eager layout
+    /// encodes the decoded heads to, slot by slot — on a five-level grid
+    /// and on a shrunken preset world.
+    #[test]
+    fn a_page_in_appends_the_records_the_decoded_heads_encode_to() {
+        let grid = RoadFramework::builder(simple::grid(16, 16, 1.0)).fanout(2).levels(5);
+        let preset = road_network::generator::Dataset::CaHighways.generate_scaled(0.02, 5).unwrap();
+        let levels = road_network::generator::Dataset::CaHighways
+            .suggested_levels(preset.num_edges(), 4)
+            .max(4);
+        let preset = RoadFramework::builder(preset).fanout(4).levels(levels);
+        for fw in [grid.build().unwrap(), preset.build().unwrap()] {
+            let bytes = fw.to_bytes();
+            let decoder = PagedImage::open(bytes.clone()).unwrap();
+            let image = PagedImage::open(bytes).unwrap();
+            let disk = PagedEngine::open(image, Vec::new(), PagedOptions::default()).unwrap();
+            disk.load_all_rnets().unwrap();
+            let mut pages = PageSlot { eng: &disk, tally: IoTally::default(), last: None };
+            let (mut scratch, mut want) = (Vec::new(), Vec::new());
+            let mut records = 0;
+            for r in (0..fw.hierarchy().num_rnets() as u32).map(RnetId) {
+                let decoded = decoder.shortcuts_of_rnet(r.0 as usize).unwrap();
+                let locs = disk.rnet_shortcuts[r.0 as usize].get().unwrap();
+                assert_eq!(locs.len(), fw.hierarchy().borders(r).len());
+                for (slot, &loc) in locs.iter().enumerate() {
+                    let heads = decoded.heads_at(slot);
+                    if heads.is_empty() {
+                        assert_eq!(loc, LOC_NONE, "{r:?} slot {slot}: a record of no heads");
+                        continue;
+                    }
+                    encode_shortcut_record(heads, &mut want);
+                    let got = record(&mut pages, &mut scratch, loc).unwrap();
+                    assert_eq!(got, &want[..], "{r:?} slot {slot}");
+                    records += 1;
+                }
+            }
+            assert!(records > 100, "only {records} records compared");
+        }
     }
 
     /// Overwrites the `u32` at byte `at` of the record at `loc` through the
@@ -2256,7 +2449,7 @@ mod tests {
 
     /// Threads that start at the same node race on the same Rnets. Each
     /// Rnet is published once — the thread that takes the page-in lock
-    /// second drops the copy it decoded — so the loaded count equals the
+    /// second drops the records it copied — so the loaded count equals the
     /// published tables, and every paged-in record lies at or above the
     /// sealed-page watermark.
     #[test]

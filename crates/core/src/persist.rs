@@ -25,7 +25,7 @@
 
 use crate::framework::{RoadConfig, RoadFramework};
 use crate::hierarchy::{RnetHierarchy, RnetId};
-use crate::shortcut::{RnetBuilder, ShortcutStore};
+use crate::shortcut::{RnetBuilder, SectionSink, ShortcutStore};
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, Point, Weight};
@@ -206,14 +206,16 @@ pub fn from_bytes(bytes: &[u8]) -> Result<RoadFramework, RoadError> {
 /// A `ROADFW01` image opened **page-granularly**: the prelude (config,
 /// network, hierarchy) is parsed eagerly, but the shortcut store — the
 /// bulk of a built overlay — is only *walked* to record and validate each
-/// Rnet's byte range. Individual Rnets are decoded on demand, which lets
-/// [`crate::paged::PagedEngine::open`] page shortcut data in on first
-/// touch instead of deserializing the whole store up front.
+/// Rnet's byte range. Individual Rnets are walked again on demand, which
+/// lets [`crate::paged::PagedEngine::open`] copy an Rnet's shortcut heads
+/// onto pages on first touch instead of deserializing the whole store up
+/// front.
 ///
 /// Because `open` fully validates every section (counts against remaining
 /// bytes, node ids against the network, shortcut ends against their
-/// Rnet's borders), later per-Rnet decodes cannot fail: corruption is
-/// rejected at open time, exactly like the monolithic [`from_bytes`] path.
+/// Rnet's borders), later per-Rnet walks of unchanged bytes cannot fail:
+/// corruption is rejected at open time, exactly like the monolithic
+/// [`from_bytes`] path.
 pub struct PagedImage {
     bytes: Vec<u8>,
     cfg: RoadConfig,
@@ -236,8 +238,15 @@ impl PagedImage {
         let mut rnet_ranges = Vec::with_capacity(num_rnets);
         for r in 0..num_rnets as u32 {
             let start = pos;
-            ShortcutStore::walk_rnet_section(&bytes, &mut pos, num_nodes, &hier, RnetId(r), None)
-                .map_err(corrupt)?;
+            ShortcutStore::walk_rnet_section(
+                &bytes,
+                &mut pos,
+                num_nodes,
+                &hier,
+                RnetId(r),
+                &mut (),
+            )
+            .map_err(corrupt)?;
             rnet_ranges.push((start, pos));
         }
         if pos != bytes.len() {
@@ -294,37 +303,48 @@ impl PagedImage {
         self.rnet_ranges.get(r).map(|&(start, end)| end - start)
     }
 
-    /// Decodes one Rnet's shortcut tables — the per-Rnet unit of lazy
-    /// loading. Cheap for object-free Rnets, and never touches any other
-    /// Rnet's bytes.
+    /// Walks Rnet `r`'s shortcut section again, with every check `open`
+    /// made, into `out` — the paged engine's page-in copies it onto pages
+    /// this way, [`PagedImage::into_framework`] decodes it. The walk reads
+    /// the section's own bytes and nothing past them, and must end where
+    /// the section does.
     ///
-    /// Fallible even though `open` validated every section: the decode
-    /// runs arbitrarily later, and bytes that changed in the meantime
-    /// (torn mmap, bit rot, a buggy writer) must surface as an error
-    /// through the query path — not as a silently empty shortcut set,
-    /// which would produce *wrong answers* indistinguishable from "this
-    /// Rnet has no shortcuts".
+    /// Fallible even though `open` validated every section: the walk runs
+    /// arbitrarily later, and bytes that changed in the meantime (torn
+    /// mmap, bit rot, a buggy writer) must surface as an error through the
+    /// query path — not as a silently empty shortcut set, which would
+    /// produce *wrong answers* indistinguishable from "this Rnet has no
+    /// shortcuts".
+    pub(crate) fn walk_rnet(&self, r: usize, out: &mut impl SectionSink) -> Result<(), RoadError> {
+        let section = self.rnet_ranges.get(r).and_then(|&(start, end)| self.bytes.get(start..end));
+        let walked = section.ok_or_else(|| "no such section".to_owned()).and_then(|section| {
+            let (mut pos, id) = (0, RnetId(r as u32));
+            let num_nodes = self.g.num_nodes() as u32;
+            ShortcutStore::walk_rnet_section(section, &mut pos, num_nodes, &self.hier, id, out)?;
+            match section.len() - pos {
+                0 => Ok(()),
+                left => Err(format!("{left} bytes of the section left unread")),
+            }
+        });
+        walked.map_err(|e| {
+            corrupt(format!(
+                "Rnet {r} shortcut section no longer checks out (image corrupted after \
+                 open?): {e}"
+            ))
+        })
+    }
+
+    /// Decodes one Rnet's shortcut tables (see [`PagedImage::walk_rnet`]).
     pub(crate) fn shortcuts_of_rnet(
         &self,
         r: usize,
     ) -> Result<crate::shortcut::RnetShortcuts, RoadError> {
-        let (start, end) = self.rnet_ranges[r];
-        let (mut pos, id) = (start, RnetId(r as u32));
-        let mut builder = RnetBuilder::for_section(self.hier.borders(id).len(), end - start);
-        ShortcutStore::decode_rnet_section(
-            &self.bytes,
-            &mut pos,
-            self.g.num_nodes() as u32,
-            &self.hier,
-            id,
-            &mut builder,
-        )
-        .map_err(|e| {
-            corrupt(format!(
-                "Rnet {r} shortcut section no longer decodes (image corrupted after \
-                 open?): {e}"
-            ))
-        })
+        let slots = self.hier.borders(RnetId(r as u32)).len();
+        let bytes = self.rnet_section_bytes(r).unwrap_or(0);
+        let mut builder = RnetBuilder::for_section(slots, bytes);
+        let walked = self.walk_rnet(r, &mut builder);
+        let rnet = builder.finish(slots);
+        walked.map(|()| rnet)
     }
 
     /// Materializes the full framework (decodes every Rnet) — the upgrade

@@ -408,7 +408,7 @@ impl RnetBuilder {
     /// two tables of an [`RnetShortcuts`] — exactly sized, since they live
     /// as long as the store (and every snapshot sharing them) does — and
     /// empties the builder for the next Rnet.
-    fn finish(&mut self, slots: usize) -> RnetShortcuts {
+    pub(crate) fn finish(&mut self, slots: usize) -> RnetShortcuts {
         while self.num_runs() < slots {
             self.end_run();
         }
@@ -429,6 +429,55 @@ impl RnetBuilder {
         self.via_ends.clear();
         self.vias.clear();
         RnetShortcuts { hot, cold }
+    }
+}
+
+/// What [`ShortcutStore::walk_rnet_section`] writes a section into as it
+/// checks it: nothing (`()`), an [`RnetBuilder`], or the paged engine's
+/// shortcut records. Per stored source the walk calls `open_run`, then
+/// `waypoints` and `shortcut` for each of its shortcuts, then
+/// `close_run`; each call comes after the checks of what it hands over.
+/// A section that fails a check leaves the sink half written.
+pub(crate) trait SectionSink {
+    /// A stored source's run begins: its slot and its shortcut count.
+    fn open_run(&mut self, _slot: usize, _len: usize) {}
+
+    /// The waypoints of the next shortcut, 4 little-endian bytes each,
+    /// every one below the node count.
+    fn waypoints(&mut self, _raw: &[[u8; 4]]) {}
+
+    /// A shortcut of the run: a border of the Rnet as its target, a
+    /// distance that is neither NaN nor negative.
+    fn shortcut(&mut self, _to: NodeId, _dist: f64) {}
+
+    /// The run's last shortcut has been handed over.
+    fn close_run(&mut self) {}
+}
+
+/// The walk that only checks.
+impl SectionSink for () {}
+
+/// The decoder: each stored source's run lands in its slot, the runs
+/// before it empty.
+impl SectionSink for RnetBuilder {
+    fn open_run(&mut self, slot: usize, len: usize) {
+        while self.num_runs() < slot {
+            self.end_run();
+        }
+        self.heads.reserve(len);
+        self.via_ends.reserve(len);
+    }
+
+    fn waypoints(&mut self, raw: &[[u8; 4]]) {
+        self.vias.extend(raw.iter().map(|&id| NodeId(u32::from_le_bytes(id))));
+    }
+
+    fn shortcut(&mut self, to: NodeId, dist: f64) {
+        self.push_head(to, Weight::new(dist));
+    }
+
+    fn close_run(&mut self) {
+        self.end_run();
     }
 }
 
@@ -956,27 +1005,29 @@ impl ShortcutStore {
         }
     }
 
-    /// Walks Rnet `r`'s section of a serialized store, validating counts
-    /// against the remaining bytes, node ids against `num_nodes`, every
-    /// source and target against `hier.borders(r)` and the sources'
-    /// strictly ascending slots. A hierarchy read from a file lists each
-    /// Rnet's borders by ascending node, which is the order every writer of
-    /// this format has emitted the sources in; so a valid section passes,
-    /// and a duplicate source cannot.
+    /// Walks Rnet `r`'s section of a serialized store into `out`,
+    /// validating counts against the remaining bytes, node ids against
+    /// `num_nodes`, every source and target against `hier.borders(r)`,
+    /// every distance (neither NaN nor negative) and the sources' strictly
+    /// ascending slots. A hierarchy read from a file lists each Rnet's
+    /// borders by ascending node, which is the order every writer of this
+    /// format has emitted the sources in; so a valid section passes, and a
+    /// duplicate source cannot. A run of waypoints is checked by its
+    /// largest id and handed over as stored.
     ///
-    /// With `out`, the section is written into it, each stored source's
-    /// run in its slot ([`ShortcutStore::decode_rnet_section`] finishes
-    /// it). Without, nothing is built: how a lazily-opened image records
-    /// per-Rnet byte ranges up front at a fraction of the decode cost.
-    /// Both modes make the same checks, so a section that passes the walk
-    /// can never fail to decode later.
+    /// The one section walker: the sink decides what a checked section
+    /// becomes — nothing (`()`, how a lazily-opened image records per-Rnet
+    /// byte ranges up front), an [`RnetBuilder`]
+    /// ([`ShortcutStore::decode_rnet_section`]) or a paged engine's
+    /// shortcut records. Every sink sees the same checks, so a section
+    /// that passes one walk passes them all.
     pub(crate) fn walk_rnet_section(
         buf: &[u8],
         pos: &mut usize,
         num_nodes: u32,
         hier: &RnetHierarchy,
         r: RnetId,
-        mut out: Option<&mut RnetBuilder>,
+        out: &mut impl SectionSink,
     ) -> Result<(), String> {
         let check_node = |id: u32| -> Result<NodeId, String> {
             if id >= num_nodes {
@@ -1006,9 +1057,6 @@ impl ShortcutStore {
             };
             slot.ok_or_else(|| format!("shortcut {end} {n} is not a border of {r:?}"))
         };
-        if let Some(out) = out.as_deref_mut().filter(|_| num_sources > 0) {
-            out.run_ends.reserve(borders.len());
-        }
         let mut next_slot = 0;
         for _ in 0..num_sources {
             let from = read_u32(buf, pos)?;
@@ -1017,21 +1065,13 @@ impl ShortcutStore {
                 return Err(format!("duplicate or unsorted shortcut source node {from}"));
             }
             next_slot = slot + 1;
-            if let Some(out) = out.as_deref_mut() {
-                while out.num_runs() < slot {
-                    out.end_run();
-                }
-            }
             let num_edges = read_u32(buf, pos)? as usize;
             // A shortcut costs at least 16 bytes; an over-claimed count
             // must not drive a huge allocation.
             if num_edges > (buf.len() - *pos) / 16 {
                 return Err("truncated shortcut store (edge count exceeds buffer)".into());
             }
-            if let Some(out) = out.as_deref_mut() {
-                out.heads.reserve(num_edges);
-                out.via_ends.reserve(num_edges);
-            }
+            out.open_run(slot, num_edges);
             for _ in 0..num_edges {
                 let to = read_u32(buf, pos)?;
                 border_slot(to, "target")?;
@@ -1040,26 +1080,17 @@ impl ShortcutStore {
                     return Err(format!("corrupt shortcut distance {dist}"));
                 }
                 let via_len = read_u32(buf, pos)? as usize;
-                if via_len > (buf.len() - *pos) / 4 {
-                    return Err("truncated shortcut store (via count exceeds buffer)".into());
+                let vias = buf.get(*pos..).unwrap_or_default().as_chunks::<4>().0.get(..via_len);
+                let vias = vias.ok_or("truncated shortcut store (via count exceeds buffer)")?;
+                if let Some(max) = vias.iter().map(|&id| u32::from_le_bytes(id)).max() {
+                    check_node(max)?;
                 }
-                if let Some(out) = out.as_deref_mut() {
-                    out.vias.reserve(via_len);
-                }
-                for _ in 0..via_len {
-                    let via = check_node(read_u32(buf, pos)?)?;
-                    if let Some(out) = out.as_deref_mut() {
-                        out.vias.push(via);
-                    }
-                }
+                *pos += 4 * via_len;
                 section_fits_arena(start, *pos)?;
-                if let Some(out) = out.as_deref_mut() {
-                    out.push_head(NodeId(to), Weight::new(dist));
-                }
+                out.waypoints(vias);
+                out.shortcut(NodeId(to), dist);
             }
-            if let Some(out) = out.as_deref_mut() {
-                out.end_run();
-            }
+            out.close_run();
         }
         Ok(())
     }
@@ -1075,7 +1106,7 @@ impl ShortcutStore {
         r: RnetId,
         builder: &mut RnetBuilder,
     ) -> Result<RnetShortcuts, String> {
-        let walked = Self::walk_rnet_section(buf, pos, num_nodes, hier, r, Some(builder));
+        let walked = Self::walk_rnet_section(buf, pos, num_nodes, hier, r, builder);
         let rnet = builder.finish(hier.borders(r).len());
         walked.map(|()| rnet)
     }
@@ -1930,10 +1961,12 @@ mod tests {
         buf
     }
 
-    /// Both modes of the walk on one section: the decode's arena, or its
-    /// error — which the walk without an arena must return too.
-    fn walk_both(hier: &RnetHierarchy, r: RnetId, buf: &[u8]) -> Result<RnetShortcuts, String> {
-        let (mut decoded, mut skipped) = (0, 0);
+    /// The three sinks of the walk on one section: the decode's arena, or
+    /// its error — which the walk into nothing and the walk into a paged
+    /// engine's shortcut records must return too. Where it passes, the
+    /// records are what the eager layout encodes the arena's heads to.
+    fn walk_all(hier: &RnetHierarchy, r: RnetId, buf: &[u8]) -> Result<RnetShortcuts, String> {
+        let (mut decoded, mut skipped, mut copied) = (0, 0, 0);
         let decode = ShortcutStore::decode_rnet_section(
             buf,
             &mut decoded,
@@ -1942,12 +1975,26 @@ mod tests {
             r,
             &mut RnetBuilder::default(),
         );
-        let skip = ShortcutStore::walk_rnet_section(buf, &mut skipped, 4, hier, r, None);
+        let skip = ShortcutStore::walk_rnet_section(buf, &mut skipped, 4, hier, r, &mut ());
+        let mut records = crate::paged::ShortcutRecords::default();
+        let copy = ShortcutStore::walk_rnet_section(buf, &mut copied, 4, hier, r, &mut records);
         let verdict = decode.as_ref().map(|_| ()).map_err(String::clone);
-        assert_eq!(
-            verdict, skip,
-            "the walk without a builder must reject exactly what decode does"
-        );
+        assert_eq!(verdict, skip, "the walk into nothing must reject exactly what decode does");
+        assert_eq!(verdict, copy, "the walk into records must reject exactly what decode does");
+        if let Ok(arena) = &decode {
+            assert_eq!((skipped, copied), (decoded, decoded));
+            let want: Vec<(usize, Vec<u8>)> = arena
+                .runs_by_source(hier.borders(r))
+                .map(|(slot, _, heads)| {
+                    let mut rec = Vec::new();
+                    crate::paged::encode_shortcut_record(heads, &mut rec);
+                    (slot, rec)
+                })
+                .collect();
+            let got: Vec<(usize, Vec<u8>)> =
+                records.records().map(|(slot, rec)| (slot, rec.to_vec())).collect();
+            assert_eq!(got, want, "records differ from the encoded heads");
+        }
         decode
     }
 
@@ -1959,9 +2006,9 @@ mod tests {
     #[test]
     fn skip_scan_rejects_duplicate_sources_like_decode() {
         let (hier, middle) = two_border_leaf();
-        let err = walk_both(&hier, middle, &section(&[(1, &[2]), (1, &[2])])).unwrap_err();
+        let err = walk_all(&hier, middle, &section(&[(1, &[2]), (1, &[2])])).unwrap_err();
         assert!(err.contains("duplicate or unsorted"), "{err}");
-        let err = walk_both(&hier, middle, &section(&[(2, &[1]), (1, &[2])])).unwrap_err();
+        let err = walk_all(&hier, middle, &section(&[(2, &[1]), (1, &[2])])).unwrap_err();
         assert!(err.contains("duplicate or unsorted"), "{err}");
     }
 
@@ -1972,11 +2019,11 @@ mod tests {
     #[test]
     fn a_shortcut_end_off_the_rnets_borders_is_rejected() {
         let (hier, middle) = two_border_leaf();
-        let err = walk_both(&hier, middle, &section(&[(0, &[2])])).unwrap_err();
+        let err = walk_all(&hier, middle, &section(&[(0, &[2])])).unwrap_err();
         assert!(err.contains("source n0 is not a border"), "{err}");
-        let err = walk_both(&hier, middle, &section(&[(1, &[3])])).unwrap_err();
+        let err = walk_all(&hier, middle, &section(&[(1, &[3])])).unwrap_err();
         assert!(err.contains("target n3 is not a border"), "{err}");
-        let err = walk_both(&hier, middle, &section(&[(1, &[7])])).unwrap_err();
+        let err = walk_all(&hier, middle, &section(&[(1, &[7])])).unwrap_err();
         assert!(err.contains("outside 0..4"), "{err}");
     }
 
@@ -1986,14 +2033,14 @@ mod tests {
     #[test]
     fn a_decoded_source_lands_in_its_slot() {
         let (hier, middle) = two_border_leaf();
-        let arena = walk_both(&hier, middle, &section(&[(2, &[1])])).unwrap();
+        let arena = walk_all(&hier, middle, &section(&[(2, &[1])])).unwrap();
         assert!(arena.heads_at(0).is_empty());
         let heads: Vec<NodeId> = arena.heads_at(1).iter().map(|sc| sc.to).collect();
         assert_eq!(heads, [NodeId(1)]);
         assert_eq!(arena.hot[..3], [3, 3, 6]);
         assert_eq!((arena.hot.len(), arena.num_shortcuts()), (6, 1));
         assert!((2..7).chain([usize::MAX]).all(|slot| arena.heads_at(slot).is_empty()));
-        let empty = walk_both(&hier, middle, &section(&[])).unwrap();
+        let empty = walk_all(&hier, middle, &section(&[])).unwrap();
         assert_eq!((empty.hot.len(), empty.num_shortcuts()), (0, 0));
         assert!(empty.heads_at(0).is_empty());
     }
@@ -2005,9 +2052,10 @@ mod tests {
         (rnet.hot.to_vec(), cold.collect())
     }
 
-    /// On a built store the two modes of the walk read the same bytes,
+    /// On a built store every sink of the walk reads the same bytes,
     /// section by section; the decoded tables equal the built ones word
-    /// for word, and serialize back to the same bytes.
+    /// for word and serialize back to the same bytes, and the copied
+    /// records are what the eager layout encodes the built heads to.
     #[test]
     fn the_walk_reads_a_built_store_the_same_in_both_modes() {
         let g = simple::grid(6, 6, 1.0);
@@ -2017,11 +2065,25 @@ mod tests {
         let num_nodes = g.num_nodes() as u32;
         let mut skipped = 0;
         ShortcutStore::read_store_header(&buf, &mut skipped, hier.num_rnets()).unwrap();
-        let mut decoded = skipped;
+        let (mut decoded, mut copied) = (skipped, skipped);
         let (mut maps, mut builder) = (Vec::new(), RnetBuilder::default());
+        let (mut records, mut rec) = (crate::paged::ShortcutRecords::default(), Vec::new());
         for r in (0..hier.num_rnets() as u32).map(RnetId) {
-            ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, &hier, r, None)
+            ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, &hier, r, &mut ())
                 .unwrap();
+            records.clear();
+            ShortcutStore::walk_rnet_section(&buf, &mut copied, num_nodes, &hier, r, &mut records)
+                .unwrap();
+            let runs = store.rnet(r).runs_by_source(hier.borders(r));
+            let want: Vec<(usize, Vec<u8>)> = runs
+                .map(|(slot, _, heads)| {
+                    crate::paged::encode_shortcut_record(heads, &mut rec);
+                    (slot, rec.clone())
+                })
+                .collect();
+            let got: Vec<(usize, Vec<u8>)> =
+                records.records().map(|(slot, bytes)| (slot, bytes.to_vec())).collect();
+            assert_eq!(got, want, "{r:?}: records differ from the encoded heads");
             let rnet = ShortcutStore::decode_rnet_section(
                 &buf,
                 &mut decoded,
@@ -2031,7 +2093,7 @@ mod tests {
                 &mut builder,
             )
             .unwrap();
-            assert_eq!(skipped, decoded);
+            assert_eq!((skipped, copied), (decoded, decoded));
             let built = store.rnet(r);
             assert_eq!(table_words(&rnet), table_words(built), "{r:?}: tables differ");
             maps.push(rnet);

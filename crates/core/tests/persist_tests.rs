@@ -230,7 +230,7 @@ fn shortcut_count_offsets(bytes: &[u8], store_at: usize) -> (usize, usize) {
 
 /// Over-claimed counts inside a shortcut Rnet section must fail fast on
 /// BOTH decode paths — the monolithic restore and the lazy page-granular
-/// open (`walk_rnet_section` with and without an arena) — instead of
+/// open (`walk_rnet_section` into a builder and into nothing) — instead of
 /// spinning a four-billion-iteration loop over a buffer that cannot
 /// possibly hold that many records. Pins the fail-fast source/via
 /// bounds the taint pass demanded.

@@ -6,16 +6,17 @@
 //! a `QueryEngine`, on a `LiveEngine` snapshot and on a `PagedEngine`
 //! whose pool holds its whole image: a query mix runs once to warm the
 //! scratch (and the pool, and a lazy engine's page-ins), then again, and
-//! the second pass must make no allocation at all. Only the measuring
-//! thread counts, so the test harness's other threads cannot disturb the
-//! figure.
+//! the second pass must make no allocation at all. The same counter holds
+//! the hierarchy's border derivation to allocations per Rnet, not per
+//! node. Only the measuring thread counts, so the test harness's other
+//! threads cannot disturb the figure.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
-use road_core::{RoadError, SearchStats};
+use road_core::{HierarchyConfig, RnetHierarchy, RoadError, SearchStats};
 use road_network::generator::simple;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -238,4 +239,30 @@ fn a_warm_pool_hit_paged_engine_allocates_nothing() {
 fn the_counter_sees_an_allocation() {
     let n = allocations_in(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(8))));
     assert_eq!(n, 1);
+}
+
+/// Deriving a hierarchy's borders allocates per Rnet, not per node: the
+/// per-node derivation runs over buffers the caller grows once, and each
+/// leaf's edge list and each Rnet's border list is allocated once, at its
+/// final size. Restoring a hierarchy from its leaf assignment (every image
+/// open does) and validating it, on a grid of 9,216 nodes and 340 Rnets: a
+/// list per node would be thousands of allocations.
+#[test]
+fn border_derivation_allocates_per_rnet_not_per_node() {
+    let g = simple::grid(96, 96, 1.0);
+    let cfg = HierarchyConfig { fanout: 4, levels: 4, ..Default::default() };
+    let built = RnetHierarchy::build(&g, &cfg).unwrap();
+    let leaf = |e| built.leaf_index_of_edge(e).unwrap();
+    let mut restored = None;
+    let opened = allocations_in(|| {
+        restored = Some(RnetHierarchy::from_leaf_assignment(&g, 4, 4, leaf).unwrap());
+    });
+    let restored = restored.unwrap();
+    let validated = allocations_in(|| restored.validate(&g).unwrap());
+    let rnets = restored.num_rnets() as u64;
+    assert_eq!((g.num_nodes(), rnets), (9_216, 340));
+    // A border list per Rnet, an edge list per leaf, a few growing arenas.
+    assert!(opened <= 2 * rnets + 64, "{opened} allocations restoring {rnets} Rnets");
+    // A handful of buffers, however many nodes and Rnets are checked.
+    assert!(validated <= 64, "{validated} allocations validating {rnets} Rnets");
 }
