@@ -1,7 +1,7 @@
 //! The roadlint CLI.
 //!
 //! ```text
-//! roadlint [ROOT] [--graph] [--taint] [--dag] [--json]
+//! roadlint [ROOT] [--graph] [--dag] [--json]
 //! ```
 //!
 //! Walks the workspace at ROOT (default: the current directory), runs
@@ -9,8 +9,6 @@
 //!
 //! * `--graph` additionally prints the acquired-while-held lock graph
 //!   with example sites;
-//! * `--taint` additionally prints the taint verdict table
-//!   (source → sanitizer → sink);
 //! * `--dag` prints ONLY canonical `from -> to` lines to stdout (for
 //!   diffing against a committed `lockgraph.expected`); findings go to
 //!   stderr;
@@ -25,17 +23,15 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut graph = false;
-    let mut taint = false;
     let mut dag = false;
     let mut json = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--graph" => graph = true,
-            "--taint" => taint = true,
             "--dag" => dag = true,
             "--json" => json = true,
             "--help" | "-h" => {
-                println!("usage: roadlint [ROOT] [--graph] [--taint] [--dag] [--json]");
+                println!("usage: roadlint [ROOT] [--graph] [--dag] [--json]");
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with('-') => {
@@ -85,12 +81,6 @@ fn main() -> ExitCode {
         println!("lock classes: {:?}", analysis.graph.classes);
         for ((from, to), site) in &analysis.graph.edges {
             println!("  {from} -> {to}   (e.g. {}:{} in {})", site.file, site.line, site.function);
-        }
-    }
-    if taint {
-        println!("taint verdicts (source -> sanitizer -> sink):");
-        for v in &analysis.taint {
-            println!("  {}\n    -> sanitized by {}\n    -> {}", v.source, v.sanitizer, v.sink);
         }
     }
     for f in &analysis.findings {

@@ -1,5 +1,5 @@
-//! Workspace call graph: the symbol table the interprocedural passes
-//! (taint, lock order) resolve call sites against.
+//! Workspace call graph: the symbol table the lock pass resolves call
+//! sites against.
 //!
 //! Construction is purely token-shaped, like everything else in this
 //! crate:
@@ -19,14 +19,13 @@
 //! Two resolution strengths exist on purpose. `resolve` falls back from
 //! typed lookups to same-file-by-name and finally to the workspace-wide
 //! union — the right over-approximation for lock footprints, where a
-//! missed edge is worse than a spurious one. `resolve_confident` stops
-//! at the typed and same-file levels: the taint pass must not smear one
-//! type's summary over every same-named method (`get`, `insert`, …) in
-//! the workspace.
+//! missed edge is worse than a spurious one. `resolve_exact` keeps only
+//! the hits the resolver is confident about: the guard-across-IO rule
+//! must not smear one type's IO over every same-named method (`get`,
+//! `insert`, …) in the workspace.
 
 use crate::lexer::Token;
-use crate::markers::Marker;
-use crate::syntax::{self, FnSpan};
+use crate::syntax;
 use crate::FileData;
 use std::collections::BTreeMap;
 
@@ -59,7 +58,7 @@ const NOT_CALLS: &[&str] = &[
 ];
 
 /// One function of the workspace, with everything resolution and the
-/// dataflow passes need.
+/// lock pass need.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     pub file_idx: usize,
@@ -71,12 +70,7 @@ pub struct FnInfo {
     /// Token range `(open_brace, close_brace)` of the body.
     pub body: Option<(usize, usize)>,
     pub guard_returning: bool,
-    /// Parameter names with `self` excluded, so indices align with
-    /// call-site argument positions for method calls.
-    pub params: Vec<String>,
     pub in_test_mod: bool,
-    /// Carries a `taint-source` marker: its return value is untrusted.
-    pub taint_source: bool,
 }
 
 /// The receiver hint of a call site.
@@ -166,13 +160,6 @@ impl CallGraph {
             for (owner, field, ftype) in struct_fields(toks) {
                 cg.field_types.entry((owner, field)).or_insert(ftype);
             }
-            let taint_lines: Vec<u32> = fd
-                .markers
-                .markers
-                .iter()
-                .filter(|m| m.marker == Marker::TaintSource)
-                .map(|m| m.line)
-                .collect();
             for f in &fd.fns {
                 let id = cg.fns.len();
                 let self_type = impls
@@ -180,7 +167,6 @@ impl CallGraph {
                     .filter(|(_, (a, b))| f.fn_idx > *a && f.fn_idx < *b)
                     .min_by_key(|(_, (a, b))| b - a)
                     .map(|(t, _)| t.clone());
-                let taint_source = taint_lines.iter().any(|&l| f.line > l && f.line - l <= 5);
                 let info = FnInfo {
                     file_idx: fi,
                     name: f.name.clone(),
@@ -188,9 +174,7 @@ impl CallGraph {
                     line: f.line,
                     body: f.body,
                     guard_returning: f.guard_returning,
-                    params: params(toks, f),
                     in_test_mod: syntax::in_ranges(&fd.test_ranges, f.fn_idx),
-                    taint_source,
                 };
                 match &info.self_type {
                     Some(t) => {
@@ -228,12 +212,6 @@ impl CallGraph {
             return hit;
         }
         self.by_name.get(&site.name).cloned().unwrap_or_default()
-    }
-
-    /// Typed + same-file resolution only: an empty result means "treat
-    /// the callee as unknown", never "use every same-named fn".
-    pub fn resolve_confident(&self, caller: FnId, site: &CallSite) -> Vec<FnId> {
-        self.resolve_inner(caller, site).0
     }
 
     /// Strictest tier: only hits the resolver is confident about (typed
@@ -297,29 +275,6 @@ impl CallGraph {
             })
             .collect()
     }
-}
-
-/// Splits the argument region `(open, close)` of a call into per-argument
-/// token sub-ranges (empty for `()`).
-pub fn split_args(tokens: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    if close <= open + 1 {
-        return out;
-    }
-    let mut start = open + 1;
-    let mut depth = 0i64;
-    for (j, t) in tokens.iter().enumerate().take(close).skip(open + 1) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            out.push((start, j));
-            start = j + 1;
-        }
-    }
-    out.push((start, close));
-    out
 }
 
 /// `impl` blocks as `(type name, body token range)`.
@@ -492,42 +447,6 @@ fn struct_fields(tokens: &[Token]) -> Vec<(String, String, String)> {
     out
 }
 
-/// The parameter binders of a fn's signature.
-fn params(tokens: &[Token], f: &FnSpan) -> Vec<String> {
-    // Params: first `(` after the name (skipping generics).
-    let mut j = f.fn_idx + 2;
-    while j < tokens.len() && !tokens[j].is_punct('(') {
-        j += 1;
-    }
-    if j >= tokens.len() {
-        return Vec::new();
-    }
-    let close = syntax::match_delim(tokens, j);
-    let mut params = Vec::new();
-    for (a, b) in split_args(tokens, j, close) {
-        // Binder: the first ident before the `:`, skipping `mut`/`ref`;
-        // a bare `self` (with any `&`/`mut` decoration) is not a param.
-        let mut binder = None;
-        for t in tokens.iter().take(b).skip(a) {
-            if t.is_punct(':') {
-                break;
-            }
-            match t.ident() {
-                Some("mut") | Some("ref") => {}
-                Some("self") => {
-                    binder = None;
-                    break;
-                }
-                Some(id) if binder.is_none() => binder = Some(id.to_owned()),
-                Some(_) => {}
-                None => {}
-            }
-        }
-        params.extend(binder);
-    }
-    params
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,10 +501,9 @@ mod tests {
         let toks = &lex("self . pool . fault ( 3 )").tokens;
         let site = call_at(toks, 4).expect("site");
         assert_eq!(site.recv, Receiver::SelfField("pool".into()));
-        let hit = cg.resolve_confident(run, &site);
+        let hit = cg.resolve_exact(run, &site);
         assert_eq!(hit.len(), 1);
         assert_eq!(cg.qualified(hit[0]), "Pool::fault");
-        assert_eq!(cg.fns[hit[0]].params, ["n"]);
     }
 
     #[test]
@@ -595,7 +513,7 @@ mod tests {
         let f = cg.fns.iter().position(|x| x.name == "f").expect("f");
         let toks = &lex("Vec :: with_capacity ( 9 )").tokens;
         let site = call_at(toks, 3).expect("site");
-        assert!(cg.resolve_confident(f, &site).is_empty());
+        assert!(cg.resolve_exact(f, &site).is_empty());
         assert!(cg.resolve(f, &site).is_empty());
     }
 }

@@ -1,5 +1,5 @@
 //! Hand-rolled JSON rendering of an [`Analysis`] for the CI artifact
-//! (`roadlint --json`). No serde: the report is four flat arrays of
+//! (`roadlint --json`). No serde: the report is three flat arrays of
 //! strings and integers, not worth a dependency the container may not
 //! have.
 
@@ -44,19 +44,7 @@ pub fn render(a: &Analysis) -> String {
             esc(&site.function)
         ));
     }
-    s.push_str("]},\"taint\":[");
-    for (i, v) in a.taint.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"source\":{},\"sanitizer\":{},\"sink\":{}}}",
-            esc(&v.source),
-            esc(&v.sanitizer),
-            esc(&v.sink)
-        ));
-    }
-    s.push_str("]}");
+    s.push_str("]}}");
     s
 }
 
@@ -86,11 +74,11 @@ mod tests {
 
     #[test]
     fn report_shape_and_escaping() {
-        let a = analyze_sources([("t.rs", "fn f(&self) { x.store(1, Ordering::Relaxed); }")]);
+        let a = analyze_sources([("t.rs", "// roadlint: hot-path\nfn f() {}")]);
         let j = render(&a);
         assert!(j.starts_with("{\"files_scanned\":1,"));
-        assert!(j.contains("\"rule\":\"atomic-ordering\""));
-        assert!(j.ends_with("\"taint\":[]}"));
+        assert!(j.contains("\"rule\":\"marker\""));
+        assert!(j.ends_with("\"lock_graph\":{\"classes\":[],\"edges\":[]}}"));
         assert_eq!(esc("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(esc("\u{1}\t\u{1f}"), "\"\\u0001\\t\\u001f\"");
     }

@@ -1,48 +1,44 @@
 //! roadlint — project-specific static analysis for the ROAD workspace.
 //!
-//! A dependency-free, token-level pass proving the invariants of the
-//! serving path that rustc, clippy and the types cannot (see
+//! A dependency-free, token-level pass proving the two invariants of the
+//! serving path that rustc, clippy, the types and the tests do not (see
 //! ARCHITECTURE.md §"Invariants and static analysis"):
 //!
 //! 2. **lock-order** — the acquired-while-held graph over the named lock
 //!    classes is a DAG, with cross-crate footprints computed on the
 //!    workspace call graph;
-//! 3. **hot-alloc** — `hot-path` fences contain no fresh heap
-//!    allocations;
-//! 4. **atomic-ordering** — every `Ordering::Relaxed` carries a
-//!    `relaxed-ok` justification and bare `Ordering::SeqCst` is flagged;
-//! 5. **taint** — integers decoded from untrusted bytes must flow
-//!    through a sanitizer before sizing an allocation, indexing a slice
-//!    or bounding a loop ([`dataflow`]);
 //! 6. **guard-io** — no guard other than the buffer pool's own stripe
 //!    is held across `PageStore` IO ([`lockgraph`]).
 //!
-//! The other rules moved to the compiler, and the numbers stay theirs:
-//! rule 1, panic-freedom, is each serving-path module's
+//! The other rules moved, and the numbers stay theirs: rule 1,
+//! panic-freedom, is each serving-path module's
 //! `#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::panic,
-//! …, clippy::disallowed_macros))]`; rules 7 and 8, hash order into bytes
-//! and float sums, are the types of `road_network::hash` (no unordered
-//! iteration) with `clippy.toml` disallowing std's hash containers and the
-//! named `hash_order` walk; rule 9, scheduling order, is
+//! …, clippy::disallowed_macros))]`; rule 3, allocation-free hot paths, is
+//! the counted allocations of `crates/core/tests/warm_alloc.rs`; rule 4,
+//! justified atomic orderings, is `road_storage::striped`'s one counter
+//! type, with `clippy.toml` disallowing std's atomics elsewhere; rule 5,
+//! decoded counts bounded, is `road_storage::decode`'s cursor, with
+//! `clippy.toml` disallowing `from_le_bytes` elsewhere; rules 7 and 8, hash
+//! order into bytes and float sums, are the types of `road_network::hash`
+//! (no unordered iteration) with `clippy.toml` disallowing std's hash
+//! containers and the named `hash_order` walk; rule 9, scheduling order, is
 //! `road_network::fanout::fan_out`, with `clippy.toml` disallowing
 //! `std::thread::scope`. A discarded `Result` fails rustc's
 //! `unused_must_use` and clippy's `let_underscore_must_use` /
 //! `unused_result_ok`.
 //!
-//! Rules 2, 5 and 6 resolve calls across files and crates via
-//! [`callgraph`]. The pass walks every `.rs` file of the workspace
-//! (skipping `target`, `vendor`, test trees, fixtures, dot-directories and
-//! anything listed in a root `roadlint.toml` `skip = […]` entry) and exits
-//! non-zero on any finding, which makes it usable as a hard CI gate;
-//! `--json` emits a machine-readable report for CI artifacts.
+//! Both rules resolve calls across files and crates via [`callgraph`].
+//! The pass walks every `.rs` file of the workspace (skipping `target`,
+//! `vendor`, test trees, fixtures, dot-directories and anything listed in
+//! a root `roadlint.toml` `skip = […]` entry) and exits non-zero on any
+//! finding, which makes it usable as a hard CI gate; `--json` emits a
+//! machine-readable report for CI artifacts.
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod json;
 pub mod lexer;
 pub mod lockgraph;
 pub mod markers;
-pub mod rules;
 pub mod syntax;
 
 use std::fmt;
@@ -55,8 +51,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line; 0 for whole-file findings.
     pub line: u32,
-    /// Stable rule identifier (`lock-order`, `hot-alloc`,
-    /// `atomic-ordering`, `taint`, `guard-io`, `marker`).
+    /// Stable rule identifier (`lock-order`, `guard-io`, `marker`).
     pub rule: &'static str,
     pub message: String,
 }
@@ -95,9 +90,6 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// The acquired-while-held lock graph (for `--graph` / `--dag`).
     pub graph: lockgraph::LockGraph,
-    /// The taint verdict table: every sanitized flow that reached a sink
-    /// (for `--taint`).
-    pub taint: Vec<dataflow::Verdict>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -111,15 +103,12 @@ pub fn analyze_sources<'a>(sources: impl IntoIterator<Item = (&'a str, &'a str)>
     let mut analysis = Analysis { files_scanned: files.len(), ..Default::default() };
     let mut locks = Vec::new();
     for (fi, fd) in files.iter().enumerate() {
-        analysis.findings.extend(rules::check_file(fd));
+        analysis.findings.extend(fd.markers.hygiene.iter().cloned());
         locks.push(lockgraph::extract_file_locks(fd, fi, &cg, &mut analysis.findings));
     }
     let (graph, order_findings) = lockgraph::check(&locks, &cg);
     analysis.graph = graph;
     analysis.findings.extend(order_findings);
-    let (taint_findings, verdicts) = dataflow::check(&files, &cg);
-    analysis.findings.extend(taint_findings);
-    analysis.taint = verdicts;
     analysis.findings.sort();
     analysis.findings.dedup();
     analysis

@@ -37,7 +37,6 @@
 //! `// roadlint: allow(io-under-lock) reason="…"`.
 
 use crate::callgraph::{self, CallGraph, FnId};
-use crate::dataflow;
 use crate::lexer::Token;
 use crate::markers::Marker;
 use crate::syntax;
@@ -307,6 +306,29 @@ fn statement_is_let(toks: &[Token], at: usize, body_start: usize) -> bool {
     false
 }
 
+/// Round cap of [`fixpoint`]. Footprints only grow, one round per
+/// call-chain hop against the scan order — 9 on this workspace.
+const ROUNDS: usize = 32;
+
+/// Runs `step` over every function until no footprint changes; `false`
+/// when [`ROUNDS`] ran out first.
+fn fixpoint<S: PartialEq>(sums: &mut [S], mut step: impl FnMut(FnId, &[S]) -> S) -> bool {
+    for _ in 0..ROUNDS {
+        let mut changed = false;
+        for id in 0..sums.len() {
+            let s = step(id, sums);
+            if s != sums[id] {
+                sums[id] = s;
+                changed = true;
+            }
+        }
+        if !changed {
+            return true;
+        }
+    }
+    false
+}
+
 /// Builds the acquired-while-held graph from every file's lock events and
 /// reports ordering violations (cycles, including self-edges) and
 /// guard-across-IO sites in serving files.
@@ -321,7 +343,7 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
         events[f.id] = &f.events;
     }
     let mut foot = vec![Footprint::default(); cg.fns.len()];
-    let converged = dataflow::fixpoint(&mut foot, |id, foot| {
+    let converged = fixpoint(&mut foot, |id, foot| {
         let mut s = foot[id].clone();
         for e in events[id] {
             match e {
@@ -336,7 +358,7 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
                 _ => {}
             }
         }
-        Some(s)
+        s
     });
     let mut findings = Vec::new();
     if !converged {
@@ -346,7 +368,7 @@ pub fn check(locks: &[FileLocks], cg: &CallGraph) -> (LockGraph, Vec<Finding>) {
             file: String::new(),
             line: 0,
             rule: "lock-order",
-            message: format!("lock footprints did not converge in {} rounds", dataflow::ROUNDS),
+            message: format!("lock footprints did not converge in {} rounds", ROUNDS),
         });
     }
 

@@ -6,17 +6,12 @@
 //!
 //! | directive | effect |
 //! |---|---|
-//! | `hot-path` / `end hot-path` | fence a region where heap allocation is banned |
-//! | `allow(alloc) reason="…"` | escape: this line and the next may allocate |
-//! | `relaxed-ok reason="…"` | justifies an adjacent `Ordering::Relaxed` |
-//! | `seqcst-ok reason="…"` | justifies an adjacent `Ordering::SeqCst` |
 //! | `lock(<class>)` | classifies an unrecognized lock acquisition on this line |
-//! | `taint-source` | the next function's return value is untrusted input |
-//! | `sanitized reason="…"` | taint escape: a sink on this/next line is bounded |
 //! | `allow(io-under-lock) reason="…"` | escape: guard intentionally held across page IO |
 //!
-//! Every escape *requires* a non-empty reason; an escape without one is
-//! itself a finding and does not suppress anything.
+//! The escape *requires* a non-empty reason; one without is itself a
+//! finding and suppresses nothing. Any other directive is an unknown one,
+//! also a finding: the markers of retired rules cannot linger as no-ops.
 //!
 //! The serving path is not a marker: it is the modules that deny panics
 //! to clippy ([`crate::syntax::denies_panics`]).
@@ -27,15 +22,7 @@ use crate::Finding;
 /// One parsed marker directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Marker {
-    HotPathStart,
-    HotPathEnd,
-    AllowAlloc,
-    RelaxedOk,
-    SeqCstOk,
     LockClass(String),
-    TaintSource,
-    /// Taint escape with its reason text (shown in the verdict table).
-    Sanitized(String),
     AllowIoUnderLock,
 }
 
@@ -47,7 +34,7 @@ pub struct MarkerAt {
 }
 
 /// All markers of one file, plus hygiene findings (unknown directives,
-/// escapes without reasons).
+/// an escape without a reason).
 #[derive(Debug, Default)]
 pub struct Markers {
     pub markers: Vec<MarkerAt>,
@@ -67,42 +54,11 @@ impl Markers {
             _ => None,
         })
     }
-
-    /// The reason of an escape marker on line `l` or the line above;
-    /// `pick` extracts the reason from the marker kind the caller honours.
-    pub fn reason_near<'m>(
-        &'m self,
-        l: u32,
-        pick: impl Fn(&'m Marker) -> Option<&'m str>,
-    ) -> Option<&'m str> {
-        let near = |m: &&MarkerAt| m.line == l || (l > 0 && m.line == l - 1);
-        self.markers.iter().filter(near).find_map(|m| pick(&m.marker))
-    }
-
-    /// Hot-path fence line ranges `(start, end)`, inclusive. Unbalanced
-    /// fences are reported in `hygiene` by `parse`.
-    pub fn hot_ranges(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        let mut open: Option<u32> = None;
-        for m in &self.markers {
-            match m.marker {
-                Marker::HotPathStart => open = Some(m.line),
-                Marker::HotPathEnd => {
-                    if let Some(s) = open.take() {
-                        out.push((s, m.line));
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
-    }
 }
 
 /// Parses the markers out of a file's comments.
 pub fn parse(file: &str, comments: &[Comment]) -> Markers {
     let mut out = Markers::default();
-    let mut open_fences = 0i32;
     for c in comments {
         let Some(pos) = c.text.find("roadlint:") else { continue };
         let rest = c.text[pos + "roadlint:".len()..].trim();
@@ -112,40 +68,14 @@ pub fn parse(file: &str, comments: &[Comment]) -> Markers {
             rule: "marker",
             message: msg,
         };
-        let reasoned = |out: &mut Markers, marker: Marker, what: &str| {
+        if rest.starts_with("allow(io-under-lock)") {
             if has_reason(rest) {
-                out.markers.push(MarkerAt { marker, line: c.line });
+                out.markers.push(MarkerAt { marker: Marker::AllowIoUnderLock, line: c.line });
             } else {
-                out.hygiene.push(hygiene(format!(
-                    "`{what}` requires a non-empty reason=\"…\" and suppresses nothing without one"
-                )));
+                out.hygiene.push(hygiene(
+                    "`allow(io-under-lock)` requires a non-empty reason=\"…\" and suppresses nothing without one".to_owned(),
+                ));
             }
-        };
-        if rest.starts_with("end hot-path") {
-            open_fences -= 1;
-            out.markers.push(MarkerAt { marker: Marker::HotPathEnd, line: c.line });
-        } else if rest.starts_with("hot-path") {
-            open_fences += 1;
-            out.markers.push(MarkerAt { marker: Marker::HotPathStart, line: c.line });
-        } else if rest.starts_with("taint-source") {
-            out.markers.push(MarkerAt { marker: Marker::TaintSource, line: c.line });
-        } else if rest.starts_with("sanitized") {
-            match reason_text(rest) {
-                Some(reason) => out
-                    .markers
-                    .push(MarkerAt { marker: Marker::Sanitized(reason.to_owned()), line: c.line }),
-                None => out.hygiene.push(hygiene(
-                    "`sanitized` requires a non-empty reason=\"…\" and suppresses nothing without one".to_owned(),
-                )),
-            }
-        } else if rest.starts_with("allow(io-under-lock)") {
-            reasoned(&mut out, Marker::AllowIoUnderLock, "allow(io-under-lock)");
-        } else if rest.starts_with("allow(alloc)") {
-            reasoned(&mut out, Marker::AllowAlloc, "allow(alloc)");
-        } else if rest.starts_with("relaxed-ok") {
-            reasoned(&mut out, Marker::RelaxedOk, "relaxed-ok");
-        } else if rest.starts_with("seqcst-ok") {
-            reasoned(&mut out, Marker::SeqCstOk, "seqcst-ok");
         } else if let Some(cls) = rest.strip_prefix("lock(").and_then(|r| r.split(')').next()) {
             if cls.is_empty() {
                 out.hygiene.push(hygiene("`lock(…)` needs a class name".to_owned()));
@@ -160,29 +90,14 @@ pub fn parse(file: &str, comments: &[Comment]) -> Markers {
             )));
         }
     }
-    if open_fences != 0 {
-        out.hygiene.push(Finding {
-            file: file.to_owned(),
-            line: 0,
-            rule: "marker",
-            message: "unbalanced hot-path fences (every `hot-path` needs an `end hot-path`)"
-                .to_owned(),
-        });
-    }
     out
 }
 
-/// True when the directive tail carries `reason="<non-empty>"`.
+/// True when the directive tail carries a non-empty `reason="…"`.
 fn has_reason(rest: &str) -> bool {
-    reason_text(rest).is_some()
-}
-
-/// The non-empty `reason="…"` text of a directive tail, if present.
-fn reason_text(rest: &str) -> Option<&str> {
-    let at = rest.find("reason=\"")?;
+    let Some(at) = rest.find("reason=\"") else { return false };
     let tail = &rest[at + "reason=\"".len()..];
-    let r = tail.split('"').next()?.trim();
-    (!r.is_empty()).then_some(r)
+    tail.split('"').next().is_some_and(|r| !r.trim().is_empty())
 }
 
 #[cfg(test)]
@@ -198,33 +113,30 @@ mod tests {
     fn directives_parse_with_lines() {
         let m = parse_src(
             "fn a() {}\n\
-             fn b() {}\n\
-             // roadlint: hot-path\n\
-             // roadlint: end hot-path\n\
-             // roadlint: allow(alloc) reason=\"bounded above\"\n\
+             // roadlint: allow(io-under-lock) reason=\"bounded above\"\n\
              // roadlint: lock(stripe)\n",
         );
-        assert_eq!(m.hot_ranges(), vec![(3, 4)]);
-        assert!(m.has_on_line(&Marker::AllowAlloc, 5));
-        assert_eq!(m.lock_class_on_line(6), Some("stripe"));
+        assert!(m.has_on_line(&Marker::AllowIoUnderLock, 2));
+        assert_eq!(m.lock_class_on_line(3), Some("stripe"));
         assert!(m.hygiene.is_empty());
     }
 
     #[test]
     fn escapes_without_reasons_are_findings() {
         let m = parse_src(
-            "// roadlint: allow(alloc)\n\
-             // roadlint: relaxed-ok reason=\"  \"\n\
+            "// roadlint: allow(io-under-lock)\n\
+             // roadlint: allow(io-under-lock) reason=\"  \"\n\
              // roadlint: frobnicate\n",
         );
         assert_eq!(m.hygiene.len(), 3);
-        assert!(!m.has_on_line(&Marker::AllowAlloc, 1));
+        assert!(!m.has_on_line(&Marker::AllowIoUnderLock, 1));
         assert!(m.hygiene[2].message.contains("unknown"));
     }
 
     /// The directives of retired rules — decode-bound, swallowed-error,
-    /// panic-freedom and determinism, now rustc's, clippy's and the
-    /// types' — are unknown: a stale one is a finding, not a no-op.
+    /// panic-freedom, determinism, allocation fences, atomic orderings and
+    /// decode taint, now rustc's, clippy's, the types' and counted tests' —
+    /// are unknown: a stale one is a finding, not a no-op.
     #[test]
     fn retired_directives_are_unknown() {
         let m = parse_src(
@@ -234,17 +146,17 @@ mod tests {
              // roadlint: allow(panic) reason=\"bounded\"\n\
              // roadlint: allow(panic-fn) reason=\"bounded\"\n\
              // roadlint: order-sink\n\
-             // roadlint: ordered reason=\"sorted later\"\n",
+             // roadlint: ordered reason=\"sorted later\"\n\
+             // roadlint: hot-path\n\
+             // roadlint: end hot-path\n\
+             // roadlint: allow(alloc) reason=\"cold path\"\n\
+             // roadlint: relaxed-ok reason=\"stats counter\"\n\
+             // roadlint: seqcst-ok reason=\"handshake\"\n\
+             // roadlint: taint-source\n\
+             // roadlint: sanitized reason=\"checked above\"\n",
         );
         assert!(m.markers.is_empty(), "{:?}", m.markers);
-        assert_eq!(m.hygiene.len(), 7);
+        assert_eq!(m.hygiene.len(), 14);
         assert!(m.hygiene.iter().all(|f| f.message.contains("unknown roadlint directive")));
-    }
-
-    #[test]
-    fn unbalanced_fence_is_a_finding() {
-        let m = parse_src("// roadlint: hot-path\nfn f() {}\n");
-        assert_eq!(m.hygiene.len(), 1);
-        assert!(m.hygiene[0].message.contains("unbalanced"));
     }
 }

@@ -14,7 +14,7 @@ fn analyze_fixture(name: &str) -> Analysis {
 }
 
 /// Analyzes several fixtures as ONE workspace — how the cross-file rules
-/// (call-graph taint, lock cycles split over files) are exercised.
+/// (lock cycles split over files) are exercised.
 fn analyze_fixtures(names: &[&str]) -> Analysis {
     let srcs: Vec<(String, String)> = names
         .iter()
@@ -25,26 +25,6 @@ fn analyze_fixtures(names: &[&str]) -> Analysis {
         })
         .collect();
     analyze_sources(srcs.iter().map(|(n, s)| (n.as_str(), s.as_str())))
-}
-
-#[test]
-fn hot_alloc_rule_fires_inside_fences_only() {
-    let a = analyze_fixture("hot_alloc.rs");
-    let allocs: Vec<_> = a.findings.iter().filter(|f| f.rule == "hot-alloc").collect();
-    // Vec::new, Box::new, vec!, format!, .clone(), the turbofish
-    // Vec::<…>::with_capacity — the escaped .to_string() and the
-    // Vec::new outside the fence stay quiet.
-    assert_eq!(allocs.len(), 6, "{:?}", a.findings);
-    assert!(a.findings.iter().all(|f| f.rule == "hot-alloc"), "{:?}", a.findings);
-}
-
-#[test]
-fn atomic_ordering_rule_requires_justifications() {
-    let a = analyze_fixture("ordering.rs");
-    let atomics: Vec<_> = a.findings.iter().filter(|f| f.rule == "atomic-ordering").collect();
-    assert_eq!(atomics.len(), 2, "{:?}", a.findings);
-    assert!(atomics[0].message.contains("Relaxed"));
-    assert!(atomics[1].message.contains("SeqCst"));
 }
 
 #[test]
@@ -70,46 +50,6 @@ fn unclassified_acquisition_is_a_finding() {
     let order: Vec<_> = a.findings.iter().filter(|f| f.rule == "lock-order").collect();
     assert_eq!(order.len(), 1, "{:?}", a.findings);
     assert!(order[0].message.contains("unrecognized receiver"));
-}
-
-#[test]
-fn taint_rule_fires_on_every_sink_shape() {
-    let a = analyze_fixture("taint_bad.rs");
-    let taint: Vec<_> = a.findings.iter().filter(|f| f.rule == "taint").collect();
-    assert_eq!(taint.len(), 3, "{:?}", a.findings);
-    let msgs: String = taint.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.contains("with_capacity()"), "{msgs}");
-    assert!(msgs.contains("loop bound"), "{msgs}");
-    assert!(msgs.contains("slice index/range"), "{msgs}");
-}
-
-#[test]
-fn taint_sanitizers_suppress_and_appear_in_the_verdict_table() {
-    let a = analyze_fixture("taint_sanitized.rs");
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-    assert_eq!(a.taint.len(), 3, "{:?}", a.taint);
-    let sanitizers: String = a.taint.iter().map(|v| v.sanitizer.as_str()).collect();
-    assert!(sanitizers.contains("guard"), "{sanitizers}");
-    assert!(sanitizers.contains("min()"), "{sanitizers}");
-    assert!(sanitizers.contains("marker:"), "{sanitizers}");
-}
-
-#[test]
-fn cross_file_taint_needs_the_workspace_call_graph() {
-    // Each file alone shows no flow: source -> helper -> sink spans
-    // three files.
-    for f in ["taint_source_reader.rs", "taint_alloc_helper.rs", "taint_decode_flow.rs"] {
-        let a = analyze_fixture(f);
-        assert!(a.findings.is_empty(), "{f} alone should be clean: {:?}", a.findings);
-    }
-    let a = analyze_fixtures(&[
-        "taint_source_reader.rs",
-        "taint_alloc_helper.rs",
-        "taint_decode_flow.rs",
-    ]);
-    let taint: Vec<_> = a.findings.iter().filter(|f| f.rule == "taint").collect();
-    assert_eq!(taint.len(), 1, "{:?}", a.findings);
-    assert!(taint[0].message.contains("read_count"), "{:?}", taint[0]);
 }
 
 #[test]
@@ -152,23 +92,6 @@ fn the_workspace_itself_is_clean() {
     let edges: Vec<(&str, &str)> =
         a.graph.edges.keys().map(|(f, t)| (f.as_str(), t.as_str())).collect();
     assert_eq!(edges, [("page-in", "store"), ("page-in", "stripe"), ("stripe", "store")]);
-    // Every decode loop/allocation must appear in the taint verdict table
-    // with its sanitizer — spot-check the load-bearing chains: the
-    // shortcut section counts (fail-fast guards added with this rule),
-    // the persist prelude (Reader::require as an interprocedural
-    // sanitizer), and the B+-tree's partition_point-bounded indices.
-    let verdict = |src: &str, san: &str, sink: &str| {
-        a.taint
-            .iter()
-            .any(|v| v.source.contains(src) && v.sanitizer.contains(san) && v.sink.contains(sink))
-    };
-    assert!(verdict("read_u32", "guard", "loop bound"), "shortcut count chains missing");
-    assert!(verdict("Reader::u32", "Reader::require", "loop bound"), "prelude chains missing");
-    assert!(verdict("le_u64", "partition_point()", "slice index/range"), "bptree chains missing");
-    assert!(
-        a.taint.iter().any(|v| v.sink.contains("ShortcutStore::walk_rnet_section")),
-        "lazy-open walker not in the verdict table"
-    );
 }
 
 /// Every fixture's `.rs` file, sorted by name, analysed as ONE workspace.
@@ -185,10 +108,43 @@ fn analyze_all_fixtures() -> Analysis {
 
 #[test]
 fn every_rule_output_over_all_fixtures_is_pinned_byte_for_byte() {
-    // Any refactor of the analyser must keep every finding, lock edge and
-    // taint verdict chain of every rule identical.
+    // Any refactor of the analyser must keep every finding and lock edge
+    // of every rule identical.
     let got = road_analysis::json::render(&analyze_all_fixtures());
     let path = format!("{}/tests/fixtures/all.expected.json", env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     assert_eq!(got, want.trim_end(), "report over all fixtures drifted from {path}");
+}
+
+/// Runs the roadlint binary with `args`: its exit code and its stdout and
+/// stderr.
+fn roadlint(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_roadlint"))
+        .args(args)
+        .output()
+        .expect("run roadlint");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// CI's lock-DAG gate in executable form: over the workspace, `--dag`
+/// exits clean and prints the committed `lockgraph.expected` byte for byte.
+#[test]
+fn the_dag_output_equals_the_committed_lockgraph() {
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(format!("{root}/lockgraph.expected")).unwrap();
+    let (code, stdout, stderr) = roadlint(&[&root, "--dag"]);
+    assert_eq!(code, Some(0), "findings: {stderr}");
+    assert_eq!(stdout, expected);
+}
+
+/// `--taint` went with the decode-count rule: asking for it is a usage
+/// error, so a script that still reads the taint table fails instead of
+/// reading a report without one.
+#[test]
+fn the_retired_taint_flag_is_a_usage_error() {
+    let (code, stdout, stderr) = roadlint(&[".", "--taint"]);
+    assert_eq!(code, Some(2));
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("unknown flag `--taint`"), "{stderr}");
 }

@@ -74,7 +74,8 @@ pub struct HierarchyConfig {
     pub fanout: usize,
     /// Number of levels `l` (the paper uses 4 for CA, 8 for NA/SF).
     pub levels: u32,
-    /// Partitioner tuning.
+    /// Carries nothing: the partitioner's settings are constants (see
+    /// [`PartitionOptions`]).
     pub partition: PartitionOptions,
 }
 
@@ -164,7 +165,7 @@ impl RnetHierarchy {
         let level_offsets = checked_level_offsets(cfg.fanout, cfg.levels)?;
         let edges: Vec<EdgeId> = g.edge_ids().collect();
         let rounds = cfg.levels * cfg.fanout.trailing_zeros();
-        let leaves = split_rounds(g, &edges, rounds, &cfg.partition, threads);
+        let leaves = split_rounds(g, &edges, rounds, threads);
         let leaf_edges =
             leaves.iter().map(|leaf| leaf.iter().map(|&pos| edges[pos as usize]).collect());
         Self::from_leaves(g, cfg.fanout, level_offsets, leaf_edges.collect())

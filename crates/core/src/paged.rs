@@ -192,6 +192,7 @@ use crate::workspace::SearchWorkspace;
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, NodeId, Weight};
+use road_storage::decode::{Cursor, Table};
 use road_storage::{
     BPlusTree, BufferStats, IoTally, NodeClustering, Page, PageId, PagePool, PageStore,
     StorageError, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_PAGES, DEFAULT_BUFFER_STRIPES,
@@ -355,67 +356,12 @@ fn encode_abstract_record(total: u32, counts: &[(u16, u32)], out: &mut Vec<u8>) 
     }
 }
 
-// The fixed-width readers index the record buffer directly; every caller
-// first validates the record's entry count against its byte length (see
-// `record_count`), which bounds all the offsets derived from it.
-
-#[inline]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "offset bounded by the caller's record_count validation"
-)]
-fn read_u32_at(buf: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-#[inline]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "offset bounded by the caller's record_count validation"
-)]
-fn read_u16_at(buf: &[u8], at: usize) -> u16 {
-    let mut b = [0u8; 2];
-    b.copy_from_slice(&buf[at..at + 2]);
-    u16::from_le_bytes(b)
-}
-
-#[inline]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "offset bounded by the caller's record_count validation"
-)]
-fn read_u64_at(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
-#[inline]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "offset bounded by the caller's record_count validation"
-)]
-fn read_f64_at(buf: &[u8], at: usize) -> f64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    f64::from_le_bytes(b)
-}
-
-/// Reads a record's leading `u32` entry count and validates it against the
-/// record's byte length (`4`-byte header + `count * entry` bytes) before
-/// any offset arithmetic or allocation is sized from it. A record that
-/// fails the check decoded from corrupt pages.
-fn record_count(buf: &[u8], entry: usize) -> Result<usize, RoadError> {
-    if buf.len() < 4 {
-        return Err(StorageError::CorruptPage("record shorter than its count header").into());
-    }
-    let count = read_u32_at(buf, 0) as usize;
-    if count > (buf.len() - 4) / entry {
-        return Err(StorageError::CorruptPage("record entry count exceeds record length").into());
-    }
-    Ok(count)
+/// A record's entries: its leading `u32` count, checked against the
+/// record's length before any offset is formed from it, and the `entry`-byte
+/// entries behind it, read in place. A record that fails the check decoded
+/// from corrupt pages.
+fn record_entries(buf: &[u8], entry: usize) -> Result<Table<'_>, RoadError> {
+    Ok(Cursor::new(buf).table(entry).map_err(StorageError::from)?)
 }
 
 /// A node id read off a page, checked against the network before anything
@@ -431,8 +377,8 @@ fn node_on_page(id: u32, num_nodes: usize, what: &'static str) -> Result<u32, Ro
 /// A weight read off a page. NaN or negative bits are a corrupt page, not
 /// the assertion inside `Weight::new`.
 #[inline]
-fn weight_on_page(buf: &[u8], at: usize, what: &'static str) -> Result<Weight, RoadError> {
-    Weight::try_new(read_f64_at(buf, at)).map_err(|_| StorageError::CorruptPage(what).into())
+fn weight_on_page(bits: f64, what: &'static str) -> Result<Weight, RoadError> {
+    Weight::try_new(bits).map_err(|_| StorageError::CorruptPage(what).into())
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,11 +1084,11 @@ impl std::fmt::Debug for PagedEngine {
 // ---------------------------------------------------------------------------
 
 // The page path and the per-query record accessors: run once per page
-// access / settled node / consulted Rnet, so fresh heap allocations are
-// banned from here on — records are decoded in the pinned page (a handle
-// clone is not an allocation), the one buffer is the pooled scratch and
-// every map lookup is lock-free.
-// roadlint: hot-path
+// access / settled node / consulted Rnet, so they make no heap allocation —
+// records are decoded in the pinned page (a handle clone is not an
+// allocation), the one buffer is the pooled scratch and every map lookup
+// is lock-free. `warm_alloc.rs` counts a warm paged query's allocations:
+// zero.
 
 /// The page path of one query: the engine's pool, the query's own I/O
 /// tally, and one slot — the page the query accessed last, by handle.
@@ -1300,13 +1246,12 @@ impl SearchSource for PagedSource<'_> {
             StorageError::CorruptPage("association tree lost the record of an occupied node"),
         )?;
         let buf = record(&mut self.pages, &mut self.scratch, loc)?;
-        let count = record_count(buf, OBJ_ENTRY)?;
-        for i in 0..count {
-            let at = 4 + i * OBJ_ENTRY;
-            let id = read_u64_at(buf, at);
-            let category = CategoryId(read_u16_at(buf, at + 8));
+        let objects = record_entries(buf, OBJ_ENTRY)?;
+        for i in 0..objects.len() {
+            let id = objects.u64(i, 0);
+            let category = CategoryId(objects.u16(i, 8));
             let offset =
-                weight_on_page(buf, at + 10, "association record holds an invalid offset")?;
+                weight_on_page(objects.f64(i, 10), "association record holds an invalid offset")?;
             visit(id, category, offset);
         }
         Ok(())
@@ -1318,17 +1263,10 @@ impl SearchSource for PagedSource<'_> {
             return Ok(false); // no record = empty abstract = cannot match
         };
         let buf = record(&mut self.pages, &mut self.scratch, loc)?;
-        if buf.len() < 8 {
-            return Err(StorageError::CorruptPage("abstract record shorter than header").into());
-        }
-        let total = read_u32_at(buf, 0);
-        let ncats = read_u32_at(buf, 4) as usize;
-        if ncats > (buf.len() - 8) / CAT_ENTRY {
-            return Err(StorageError::CorruptPage("abstract category count exceeds record").into());
-        }
-        let has_cat = |c: CategoryId| -> bool {
-            (0..ncats).any(|i| read_u16_at(buf, 8 + i * CAT_ENTRY) == c.0)
-        };
+        let mut rec = Cursor::new(buf);
+        let total = rec.u32().map_err(StorageError::from)?;
+        let cats = rec.table(CAT_ENTRY).map_err(StorageError::from)?;
+        let has_cat = |c: CategoryId| -> bool { (0..cats.len()).any(|i| cats.u16(i, 0) == c.0) };
         Ok(total > 0
             && match filter {
                 ObjectFilter::Any => true,
@@ -1350,21 +1288,20 @@ impl SearchSource for PagedSource<'_> {
             .copied()
             .ok_or(StorageError::Internal("node id outside the node-record table"))?;
         let buf = record(&mut self.pages, &mut self.scratch, loc)?;
-        let count = record_count(buf, ADJ_ENTRY)?;
-        for i in 0..count {
-            let at = 4 + i * ADJ_ENTRY;
+        let arcs = record_entries(buf, ADJ_ENTRY)?;
+        for i in 0..arcs.len() {
             if let Some(r) = leaf {
-                if read_u32_at(buf, at + 8) != r.0 {
+                if arcs.u32(i, 8) != r.0 {
                     continue;
                 }
             }
-            let w = weight_on_page(buf, at + 12, "adjacency record holds an invalid weight")?;
+            let w = weight_on_page(arcs.f64(i, 12), "adjacency record holds an invalid weight")?;
             if w.is_infinite() {
                 continue; // closed edge: stored for containment, never relaxed
             }
-            let e = EdgeId(read_u32_at(buf, at));
+            let e = EdgeId(arcs.u32(i, 0));
             let v = node_on_page(
-                read_u32_at(buf, at + 4),
+                arcs.u32(i, 4),
                 eng.num_nodes,
                 "adjacency record names a node outside the network",
             )?;
@@ -1387,15 +1324,15 @@ impl SearchSource for PagedSource<'_> {
             return Ok(());
         }
         let buf = record(&mut self.pages, &mut self.scratch, loc)?;
-        let count = record_count(buf, SC_ENTRY)?;
-        for i in 0..count {
-            let at = 4 + i * SC_ENTRY;
+        let heads = record_entries(buf, SC_ENTRY)?;
+        for i in 0..heads.len() {
             let to = node_on_page(
-                read_u32_at(buf, at),
+                heads.u32(i, 0),
                 eng.num_nodes,
                 "shortcut record names a node outside the network",
             )?;
-            let dist = weight_on_page(buf, at + 4, "shortcut record holds an invalid distance")?;
+            let dist =
+                weight_on_page(heads.f64(i, 4), "shortcut record holds an invalid distance")?;
             visit(to, dist);
         }
         Ok(())
@@ -1414,9 +1351,9 @@ impl SearchSource for PagedSource<'_> {
             .copied()
             .ok_or(StorageError::Internal("node id outside the node-record table"))?;
         let buf = record(&mut self.pages, &mut self.scratch, loc)?;
-        let count = record_count(buf, ADJ_ENTRY)?;
-        for i in 0..count {
-            let leaf = RnetId(read_u32_at(buf, 4 + i * ADJ_ENTRY + 8));
+        let arcs = record_entries(buf, ADJ_ENTRY)?;
+        for i in 0..arcs.len() {
+            let leaf = RnetId(arcs.u32(i, 8));
             if leaf.is_valid() && hier.level_of(leaf) >= lv && hier.ancestor_at(leaf, lv) == r {
                 return Ok(true);
             }
@@ -1428,12 +1365,11 @@ impl SearchSource for PagedSource<'_> {
         (self.pages.tally.logical_reads, self.pages.tally.page_faults)
     }
 }
-// roadlint: end hot-path
 
 #[cfg(test)]
 #[expect(
     clippy::disallowed_methods,
-    reason = "concurrency tests race threads against one engine on purpose; nothing they return is committed in completion order"
+    reason = "concurrency tests race threads against one engine on purpose, nothing they return committed in completion order; corruption tests read back the image and page bytes they stomp"
 )]
 mod tests {
     use super::*;
@@ -1584,14 +1520,23 @@ mod tests {
         });
     }
 
-    /// A waypoint count that runs a few bytes past the end of its section,
-    /// into the next one: a page-in walks the section's own bytes only.
+    /// Each count of a section — its sources, the first source's
+    /// shortcuts, the first shortcut's waypoints — claiming `u32::MAX`
+    /// elements, or one more than the section's bytes after it hold at the
+    /// smallest size an element takes (which runs into the next section: a
+    /// page-in walks the section's own bytes only).
     #[test]
-    fn a_waypoint_count_past_the_section_after_open_is_a_query_error() {
-        assert_corrupted_after_open_fails(|_, _, section| {
-            let past = (section.len().saturating_sub(FIRST_VIAS) / 4 + 1) as u32;
-            overwrite(section, FIRST_VIAS - 4, &past.to_le_bytes())
-        });
+    fn overclaimed_section_counts_after_open_are_query_errors() {
+        // (offset, smallest element size) in a section with a shortcut
+        for (at, size) in [(0, 8), (8, 16), (FIRST_VIAS - 4, 4)] {
+            for huge in [true, false] {
+                assert_corrupted_after_open_fails(|_, _, section| {
+                    let fits = section.len().saturating_sub(at + 4) / size;
+                    let claim = if huge { u32::MAX } else { fits as u32 + 1 };
+                    section.len() >= FIRST_VIAS && overwrite(section, at, &claim.to_le_bytes())
+                });
+            }
+        }
     }
 
     /// Where a section's first shortcut keeps its target, its distance and
@@ -1799,6 +1744,39 @@ mod tests {
             disk.network_distance(NodeId(from), NodeId(63)).unwrap(),
             fw.network_distance(NodeId(from), NodeId(63)).unwrap()
         );
+    }
+
+    /// A record's entry count is checked against the record's own length
+    /// before any entry is read. Node 0's adjacency record and a shortcut
+    /// record, each claiming `u32::MAX` entries or one more than it holds,
+    /// are `CorruptPage` through every query door, and the pool serves
+    /// again once the page is good.
+    #[test]
+    fn an_overclaimed_record_count_on_a_page_is_an_error_not_a_panic() {
+        for objects in [12, 0] {
+            let (fw, ad) = setup(objects);
+            let engine = QueryEngine::new(fw.clone(), ad.clone());
+            let disk = PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8)).unwrap();
+            // With objects, node 0's first settle reads its adjacency; with
+            // none, every Rnet is bypassed and a border's shortcuts are read.
+            let (from, loc, entry) = match objects {
+                0 => {
+                    let (from, loc) = first_shortcut_record(&fw, &disk);
+                    (from, loc, SC_ENTRY)
+                }
+                _ => (0, disk.node_loc[0], ADJ_ENTRY),
+            };
+            let knn = KnnQuery::new(NodeId(from), 3);
+            let range = RangeQuery::new(NodeId(from), Weight::new(6.0));
+            let one_more = ((unpack_loc(loc).2 - 4) / entry + 1) as u32;
+            for claim in [u32::MAX, one_more] {
+                let good = stomp_u32(&disk, loc, 0, claim);
+                assert_every_door_corrupt(&disk, &knn, &range);
+                stomp_u32(&disk, loc, 0, good);
+            }
+            assert_eq!(disk.knn(&knn).unwrap().hits, engine.knn(&knn).unwrap().hits);
+            assert_eq!(disk.range(&range).unwrap().hits, engine.range(&range).unwrap().hits);
+        }
     }
 
     /// The first border of the first level-1 Rnet with a shortcut record,

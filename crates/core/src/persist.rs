@@ -29,8 +29,13 @@ use crate::shortcut::{RnetBuilder, SectionSink, ShortcutStore};
 use crate::RoadError;
 use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, Point, Weight};
+use road_storage::decode::{Cursor, DecodeError};
 
 const MAGIC: &[u8; 8] = b"ROADFW01";
+/// A node's record: `f64 x, f64 y`.
+const NODE_BYTES: usize = 16;
+/// An edge slot's record: `u32 a, u32 b`, three `f64` weights, `u8 deleted`.
+const EDGE_BYTES: usize = 33;
 const NO_LEAF: u32 = u32::MAX;
 /// Header byte 9: the shortcut store is Lemma-4 pruned, as every store is.
 const LEMMA4: u8 = 1;
@@ -93,73 +98,46 @@ pub fn to_bytes(fw: &RoadFramework) -> Vec<u8> {
     out
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RoadError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| corrupt("length overflow"))?;
-        let s = self.buf.get(self.pos..end).ok_or_else(|| corrupt("truncated buffer"))?;
-        self.pos = end;
-        Ok(s)
-    }
-    /// Fails early when fewer than `n` bytes remain — the guard that keeps
-    /// absurd element counts in corrupted images from driving giant
-    /// allocations or long decode loops.
-    fn require(&self, n: usize) -> Result<(), RoadError> {
-        if self.pos.checked_add(n).map(|end| end <= self.buf.len()) != Some(true) {
-            return Err(corrupt("truncated buffer (count exceeds remaining bytes)"));
-        }
-        Ok(())
-    }
-    fn u8(&mut self) -> Result<u8, RoadError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, RoadError> {
-        let b = self.take(4)?.first_chunk::<4>().copied();
-        Ok(u32::from_le_bytes(b.ok_or_else(|| corrupt("truncated u32"))?))
-    }
-    fn f64(&mut self) -> Result<f64, RoadError> {
-        let b = self.take(8)?.first_chunk::<8>().copied();
-        Ok(f64::from_le_bytes(b.ok_or_else(|| corrupt("truncated f64"))?))
-    }
+/// A prelude read that ran out of bytes.
+fn truncated(e: DecodeError) -> RoadError {
+    corrupt(format!("truncated buffer ({e})"))
 }
 
 /// Everything before the shortcut-store section: configuration, network and
 /// hierarchy. Shared by the monolithic and the page-granular open paths.
-fn parse_prelude(r: &mut Reader) -> Result<(RoadConfig, RoadNetwork, RnetHierarchy), RoadError> {
-    if r.take(8)? != MAGIC {
+fn parse_prelude(
+    r: &mut Cursor<'_>,
+) -> Result<(RoadConfig, RoadNetwork, RnetHierarchy), RoadError> {
+    if r.take(8).map_err(truncated)? != MAGIC {
         return Err(corrupt("bad magic (not a ROAD framework file?)"));
     }
-    let metric = metric_from_tag(r.u8()?)?;
-    if r.u8()? != LEMMA4 {
+    let metric = metric_from_tag(r.u8().map_err(truncated)?)?;
+    if r.u8().map_err(truncated)? != LEMMA4 {
         return Err(corrupt("header byte 9 is not 1 (every store is Lemma-4 pruned)"));
     }
-    let fanout = r.u32()? as usize;
-    let levels = r.u32()?;
+    let fanout = r.u32().map_err(truncated)? as usize;
+    let levels = r.u32().map_err(truncated)?;
 
     // --- network -------------------------------------------------------
-    let num_nodes = r.u32()? as usize;
-    r.require(num_nodes.checked_mul(16).ok_or_else(|| corrupt("node count overflow"))?)?;
+    let num_nodes = r.count(NODE_BYTES).map_err(truncated)?;
     let mut builder = RoadNetwork::builder();
     for _ in 0..num_nodes {
-        let x = r.f64()?;
-        let y = r.f64()?;
+        let x = r.f64().map_err(truncated)?;
+        let y = r.f64().map_err(truncated)?;
         builder.add_node(Point::new(x, y));
     }
-    let edge_slots = r.u32()? as usize;
-    r.require(edge_slots.checked_mul(33).ok_or_else(|| corrupt("edge count overflow"))?)?;
+    // A slot's record, then its leaf index further on.
+    let edge_slots = r.count(EDGE_BYTES + 4).map_err(truncated)?;
+    let weight = |r: &mut Cursor<'_>| {
+        Weight::try_new(r.f64().map_err(truncated)?).map_err(|e| corrupt(e.to_string()))
+    };
     let mut deleted = Vec::new();
     for i in 0..edge_slots {
-        let a = road_network::NodeId(r.u32()?);
-        let b = road_network::NodeId(r.u32()?);
-        let d = Weight::try_new(r.f64()?).map_err(|e| corrupt(e.to_string()))?;
-        let t = Weight::try_new(r.f64()?).map_err(|e| corrupt(e.to_string()))?;
-        let toll = Weight::try_new(r.f64()?).map_err(|e| corrupt(e.to_string()))?;
+        let a = road_network::NodeId(r.u32().map_err(truncated)?);
+        let b = road_network::NodeId(r.u32().map_err(truncated)?);
+        let (d, t, toll) = (weight(r)?, weight(r)?, weight(r)?);
         builder.add_edge_full(a, b, d, t, toll).map_err(|e| corrupt(e.to_string()))?;
-        if r.u8()? != 0 {
+        if r.u8().map_err(truncated)? != 0 {
             deleted.push(EdgeId(i as u32));
         }
     }
@@ -169,10 +147,9 @@ fn parse_prelude(r: &mut Reader) -> Result<(RoadConfig, RoadNetwork, RnetHierarc
     }
 
     // --- hierarchy -----------------------------------------------------
-    r.require(edge_slots.checked_mul(4).ok_or_else(|| corrupt("edge count overflow"))?)?;
     let mut leaf_idx = Vec::with_capacity(edge_slots);
     for _ in 0..edge_slots {
-        leaf_idx.push(r.u32()?);
+        leaf_idx.push(r.u32().map_err(truncated)?);
     }
     for e in g.edge_ids() {
         if leaf_idx[e.index()] == NO_LEAF {
@@ -189,15 +166,14 @@ fn parse_prelude(r: &mut Reader) -> Result<(RoadConfig, RoadNetwork, RnetHierarc
 
 /// Restores a framework serialized by [`to_bytes`].
 pub fn from_bytes(bytes: &[u8]) -> Result<RoadFramework, RoadError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Cursor::new(bytes);
     let (cfg, g, hier) = parse_prelude(&mut r)?;
 
     // --- shortcuts -----------------------------------------------------
-    let mut pos = r.pos;
-    let shortcuts = ShortcutStore::deserialize(bytes, &mut pos, g.num_nodes() as u32, &hier)
-        .map_err(corrupt)?;
-    if pos != bytes.len() {
-        return Err(corrupt(format!("{} trailing bytes", bytes.len() - pos)));
+    let shortcuts =
+        ShortcutStore::deserialize(&mut r, g.num_nodes() as u32, &hier).map_err(corrupt)?;
+    if r.remaining() > 0 {
+        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
     }
 
     RoadFramework::from_parts(g, cfg, hier, shortcuts)
@@ -229,28 +205,20 @@ impl PagedImage {
     /// Opens an image, validating it end to end without materializing the
     /// shortcut store.
     pub fn open(bytes: Vec<u8>) -> Result<Self, RoadError> {
-        let mut r = Reader { buf: &bytes, pos: 0 };
-        let (cfg, g, hier) = parse_prelude(&mut r)?;
+        let mut c = Cursor::new(&bytes);
+        let (cfg, g, hier) = parse_prelude(&mut c)?;
         let num_nodes = g.num_nodes() as u32;
-        let mut pos = r.pos;
-        let num_rnets = ShortcutStore::read_store_header(&bytes, &mut pos, hier.num_rnets())
-            .map_err(corrupt)?;
+        let num_rnets =
+            ShortcutStore::read_store_header(&mut c, hier.num_rnets()).map_err(corrupt)?;
         let mut rnet_ranges = Vec::with_capacity(num_rnets);
         for r in 0..num_rnets as u32 {
-            let start = pos;
-            ShortcutStore::walk_rnet_section(
-                &bytes,
-                &mut pos,
-                num_nodes,
-                &hier,
-                RnetId(r),
-                &mut (),
-            )
-            .map_err(corrupt)?;
-            rnet_ranges.push((start, pos));
+            let start = c.pos();
+            ShortcutStore::walk_rnet_section(&mut c, num_nodes, &hier, RnetId(r), &mut ())
+                .map_err(corrupt)?;
+            rnet_ranges.push((start, c.pos()));
         }
-        if pos != bytes.len() {
-            return Err(corrupt(format!("{} trailing bytes", bytes.len() - pos)));
+        if c.remaining() > 0 {
+            return Err(corrupt(format!("{} trailing bytes", c.remaining())));
         }
         Ok(PagedImage {
             bytes,
@@ -318,10 +286,10 @@ impl PagedImage {
     pub(crate) fn walk_rnet(&self, r: usize, out: &mut impl SectionSink) -> Result<(), RoadError> {
         let section = self.rnet_ranges.get(r).and_then(|&(start, end)| self.bytes.get(start..end));
         let walked = section.ok_or_else(|| "no such section".to_owned()).and_then(|section| {
-            let (mut pos, id) = (0, RnetId(r as u32));
+            let (mut c, id) = (Cursor::new(section), RnetId(r as u32));
             let num_nodes = self.g.num_nodes() as u32;
-            ShortcutStore::walk_rnet_section(section, &mut pos, num_nodes, &self.hier, id, out)?;
-            match section.len() - pos {
+            ShortcutStore::walk_rnet_section(&mut c, num_nodes, &self.hier, id, out)?;
+            match c.remaining() {
                 0 => Ok(()),
                 left => Err(format!("{left} bytes of the section left unread")),
             }

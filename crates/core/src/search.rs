@@ -635,8 +635,8 @@ pub(crate) fn execute_source_into(
     stats.heap_pushes += 1;
 
     // The LDSQ expansion loop: every scratch container below is recycled
-    // workspace state. roadlint rejects fresh heap allocations in here.
-    // roadlint: hot-path
+    // workspace state. `warm_alloc.rs` holds a warm query, routing
+    // included, to zero allocations on every engine.
     while let Some((d, key)) = ws.pop() {
         match key {
             QueueKey::Object(oid) => {
@@ -749,7 +749,6 @@ pub(crate) fn execute_source_into(
             }
         }
     }
-    // roadlint: end hot-path
     let io_after = src.io_counters();
     stats.pages_read = (io_after.0 - io_before.0) as usize;
     stats.page_faults = (io_after.1 - io_before.1) as usize;

@@ -121,6 +121,7 @@ use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::minplus;
 use road_network::path::Path;
 use road_network::{CowChunks, NodeId, Weight};
+use road_storage::decode::{Cursor, DecodeError, Words};
 use std::cmp::Reverse;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -442,9 +443,8 @@ pub(crate) trait SectionSink {
     /// A stored source's run begins: its slot and its shortcut count.
     fn open_run(&mut self, _slot: usize, _len: usize) {}
 
-    /// The waypoints of the next shortcut, 4 little-endian bytes each,
-    /// every one below the node count.
-    fn waypoints(&mut self, _raw: &[[u8; 4]]) {}
+    /// The waypoints of the next shortcut, every one below the node count.
+    fn waypoints(&mut self, _vias: Words<'_>) {}
 
     /// A shortcut of the run: a border of the Rnet as its target, a
     /// distance that is neither NaN nor negative.
@@ -468,8 +468,8 @@ impl SectionSink for RnetBuilder {
         self.via_ends.reserve(len);
     }
 
-    fn waypoints(&mut self, raw: &[[u8; 4]]) {
-        self.vias.extend(raw.iter().map(|&id| NodeId(u32::from_le_bytes(id))));
+    fn waypoints(&mut self, vias: Words<'_>) {
+        self.vias.extend(vias.iter().map(NodeId));
     }
 
     fn shortcut(&mut self, to: NodeId, dist: f64) {
@@ -791,7 +791,6 @@ impl ShortcutStore {
         // source's run depends on nothing but its own matrix rows.
         for bi in 0..nb {
             scratch.kept.clear();
-            // roadlint: hot-path
             let row = &scratch.dmat[bi * nb..(bi + 1) * nb];
             let covers = &scratch.cover[bi * nb..(bi + 1) * nb];
             for (ti, (&d, &cover)) in row.iter().zip(covers).enumerate() {
@@ -801,7 +800,6 @@ impl ShortcutStore {
                     scratch.kept.push(ti as u32);
                 }
             }
-            // roadlint: end hot-path
             if scratch.kept.is_empty() {
                 out.end_run();
                 continue;
@@ -815,7 +813,6 @@ impl ShortcutStore {
             match paths {
                 PathSource::Elimination => {
                     let (elim, global) = (&mut scratch.elim, &scratch.global);
-                    // roadlint: hot-path
                     for &t in &scratch.kept {
                         let dist = elim
                             .unpack(bi as u32, t, |k| out.vias.push(NodeId(global[k as usize])));
@@ -823,7 +820,6 @@ impl ShortcutStore {
                             out.push_head(NodeId(global[t as usize]), Weight::new(dist));
                         }
                     }
-                    // roadlint: end hot-path
                 }
                 PathSource::SealedDijkstra => {
                     #[cfg(test)]
@@ -957,19 +953,17 @@ impl ShortcutStore {
     /// error instead of panicking, over-allocating, or producing a store
     /// that panics or answers wrongly at query time.
     pub(crate) fn deserialize(
-        buf: &[u8],
-        pos: &mut usize,
+        c: &mut Cursor<'_>,
         num_nodes: u32,
         hier: &RnetHierarchy,
     ) -> Result<Self, String> {
-        let num_rnets = Self::read_store_header(buf, pos, hier.num_rnets())?;
-        let mut per_rnet = Vec::with_capacity(num_rnets.min(buf.len() / 4 + 1));
+        let num_rnets = Self::read_store_header(c, hier.num_rnets())?;
+        let mut per_rnet = Vec::with_capacity(num_rnets);
         let mut num_shortcuts = 0usize;
         let mut num_bytes = 0usize;
         let mut builder = RnetBuilder::default();
         for r in 0..num_rnets as u32 {
-            let rnet =
-                Self::decode_rnet_section(buf, pos, num_nodes, hier, RnetId(r), &mut builder)?;
+            let rnet = Self::decode_rnet_section(c, num_nodes, hier, RnetId(r), &mut builder)?;
             num_shortcuts += rnet.num_shortcuts();
             num_bytes += rnet.size_bytes();
             per_rnet.push(rnet);
@@ -978,15 +972,15 @@ impl ShortcutStore {
         Ok(ShortcutStore { per_rnet, num_shortcuts, num_bytes })
     }
 
-    /// Reads and validates the store header (the Rnet-section count)
-    /// against the hierarchy — shared by the monolithic decode and the
-    /// page-granular open so the two paths cannot drift.
+    /// Reads and validates the store header (the Rnet-section count, each
+    /// section at least its 4-byte source count) against the hierarchy —
+    /// shared by the monolithic decode and the page-granular open so the
+    /// two paths cannot drift.
     pub(crate) fn read_store_header(
-        buf: &[u8],
-        pos: &mut usize,
+        c: &mut Cursor<'_>,
         expected_rnets: usize,
     ) -> Result<usize, String> {
-        let num_rnets = read_u32(buf, pos)? as usize;
+        let num_rnets = c.count(4).map_err(truncated("Rnet count"))?;
         if num_rnets != expected_rnets {
             return Err(format!(
                 "shortcut store describes {num_rnets} Rnets, hierarchy has {expected_rnets}"
@@ -1022,8 +1016,7 @@ impl ShortcutStore {
     /// shortcut records. Every sink sees the same checks, so a section
     /// that passes one walk passes them all.
     pub(crate) fn walk_rnet_section(
-        buf: &[u8],
-        pos: &mut usize,
+        c: &mut Cursor<'_>,
         num_nodes: u32,
         hier: &RnetHierarchy,
         r: RnetId,
@@ -1035,13 +1028,9 @@ impl ShortcutStore {
             }
             Ok(NodeId(id))
         };
-        let start = *pos;
-        let num_sources = read_u32(buf, pos)? as usize;
-        // A source costs at least 8 bytes (node id + edge count); reject an
-        // over-claimed count before looping on it.
-        if num_sources > (buf.len() - *pos) / 8 {
-            return Err("truncated shortcut store (source count exceeds buffer)".into());
-        }
+        let start = c.pos();
+        // A source costs at least 8 bytes (node id + edge count).
+        let num_sources = c.count(8).map_err(truncated("source count"))?;
         // A shortcut joins two borders of its Rnet: a source elsewhere has
         // no slot, and a target elsewhere would be a jump to anywhere. A
         // hierarchy read from a file lists each Rnet's borders in node
@@ -1059,34 +1048,27 @@ impl ShortcutStore {
         };
         let mut next_slot = 0;
         for _ in 0..num_sources {
-            let from = read_u32(buf, pos)?;
+            let from = c.u32().map_err(truncated("source"))?;
             let slot = border_slot(from, "source")?;
             if slot < next_slot {
                 return Err(format!("duplicate or unsorted shortcut source node {from}"));
             }
             next_slot = slot + 1;
-            let num_edges = read_u32(buf, pos)? as usize;
-            // A shortcut costs at least 16 bytes; an over-claimed count
-            // must not drive a huge allocation.
-            if num_edges > (buf.len() - *pos) / 16 {
-                return Err("truncated shortcut store (edge count exceeds buffer)".into());
-            }
+            // A shortcut costs at least 16 bytes.
+            let num_edges = c.count(16).map_err(truncated("edge count"))?;
             out.open_run(slot, num_edges);
             for _ in 0..num_edges {
-                let to = read_u32(buf, pos)?;
+                let to = c.u32().map_err(truncated("target"))?;
                 border_slot(to, "target")?;
-                let dist = read_f64(buf, pos)?;
+                let dist = c.f64().map_err(truncated("distance"))?;
                 if dist.is_nan() || dist < 0.0 {
                     return Err(format!("corrupt shortcut distance {dist}"));
                 }
-                let via_len = read_u32(buf, pos)? as usize;
-                let vias = buf.get(*pos..).unwrap_or_default().as_chunks::<4>().0.get(..via_len);
-                let vias = vias.ok_or("truncated shortcut store (via count exceeds buffer)")?;
-                if let Some(max) = vias.iter().map(|&id| u32::from_le_bytes(id)).max() {
+                let vias = c.words().map_err(truncated("waypoints"))?;
+                if let Some(max) = vias.iter().max() {
                     check_node(max)?;
                 }
-                *pos += 4 * via_len;
-                section_fits_arena(start, *pos)?;
+                section_fits_arena(start, c.pos())?;
                 out.waypoints(vias);
                 out.shortcut(NodeId(to), dist);
             }
@@ -1099,14 +1081,13 @@ impl ShortcutStore {
     /// [`ShortcutStore::walk_rnet_section`], which checks it) through
     /// `builder`, which comes back empty either way.
     pub(crate) fn decode_rnet_section(
-        buf: &[u8],
-        pos: &mut usize,
+        c: &mut Cursor<'_>,
         num_nodes: u32,
         hier: &RnetHierarchy,
         r: RnetId,
         builder: &mut RnetBuilder,
     ) -> Result<RnetShortcuts, String> {
-        let walked = Self::walk_rnet_section(buf, pos, num_nodes, hier, r, builder);
+        let walked = Self::walk_rnet_section(c, num_nodes, hier, r, builder);
         let rnet = builder.finish(hier.borders(r).len());
         walked.map(|()| rnet)
     }
@@ -1142,20 +1123,10 @@ fn section_fits_arena(start: usize, pos: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let end = pos.checked_add(4).ok_or("truncated shortcut store")?;
-    let b = buf.get(*pos..end).and_then(|b| b.first_chunk::<4>());
-    let b = *b.ok_or("truncated shortcut store")?;
-    *pos = end;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let end = pos.checked_add(8).ok_or("truncated shortcut store")?;
-    let b = buf.get(*pos..end).and_then(|b| b.first_chunk::<8>());
-    let b = *b.ok_or("truncated shortcut store")?;
-    *pos = end;
-    Ok(f64::from_le_bytes(b))
+/// The error of a section read that ran out of bytes: which field, and
+/// whether the bytes ended or a count claimed more than they hold.
+fn truncated(field: &'static str) -> impl Fn(DecodeError) -> String {
+    move |e| format!("truncated shortcut store ({field}: {e})")
 }
 
 /// Where [`ShortcutStore::finalize_from_matrix`] finds the border-free path
@@ -1966,23 +1937,18 @@ mod tests {
     /// engine's shortcut records must return too. Where it passes, the
     /// records are what the eager layout encodes the arena's heads to.
     fn walk_all(hier: &RnetHierarchy, r: RnetId, buf: &[u8]) -> Result<RnetShortcuts, String> {
-        let (mut decoded, mut skipped, mut copied) = (0, 0, 0);
-        let decode = ShortcutStore::decode_rnet_section(
-            buf,
-            &mut decoded,
-            4,
-            hier,
-            r,
-            &mut RnetBuilder::default(),
-        );
-        let skip = ShortcutStore::walk_rnet_section(buf, &mut skipped, 4, hier, r, &mut ());
+        let mut decoded = Cursor::new(buf);
+        let (mut skipped, mut copied) = (decoded.clone(), decoded.clone());
+        let mut builder = RnetBuilder::default();
+        let decode = ShortcutStore::decode_rnet_section(&mut decoded, 4, hier, r, &mut builder);
+        let skip = ShortcutStore::walk_rnet_section(&mut skipped, 4, hier, r, &mut ());
         let mut records = crate::paged::ShortcutRecords::default();
-        let copy = ShortcutStore::walk_rnet_section(buf, &mut copied, 4, hier, r, &mut records);
+        let copy = ShortcutStore::walk_rnet_section(&mut copied, 4, hier, r, &mut records);
         let verdict = decode.as_ref().map(|_| ()).map_err(String::clone);
         assert_eq!(verdict, skip, "the walk into nothing must reject exactly what decode does");
         assert_eq!(verdict, copy, "the walk into records must reject exactly what decode does");
         if let Ok(arena) = &decode {
-            assert_eq!((skipped, copied), (decoded, decoded));
+            assert_eq!((skipped.pos(), copied.pos()), (decoded.pos(), decoded.pos()));
             let want: Vec<(usize, Vec<u8>)> = arena
                 .runs_by_source(hier.borders(r))
                 .map(|(slot, _, heads)| {
@@ -2063,16 +2029,15 @@ mod tests {
         let mut buf = Vec::new();
         store.serialize_into(&hier, &mut buf);
         let num_nodes = g.num_nodes() as u32;
-        let mut skipped = 0;
-        ShortcutStore::read_store_header(&buf, &mut skipped, hier.num_rnets()).unwrap();
-        let (mut decoded, mut copied) = (skipped, skipped);
+        let mut skipped = Cursor::new(&buf);
+        ShortcutStore::read_store_header(&mut skipped, hier.num_rnets()).unwrap();
+        let (mut decoded, mut copied) = (skipped.clone(), skipped.clone());
         let (mut maps, mut builder) = (Vec::new(), RnetBuilder::default());
         let (mut records, mut rec) = (crate::paged::ShortcutRecords::default(), Vec::new());
         for r in (0..hier.num_rnets() as u32).map(RnetId) {
-            ShortcutStore::walk_rnet_section(&buf, &mut skipped, num_nodes, &hier, r, &mut ())
-                .unwrap();
+            ShortcutStore::walk_rnet_section(&mut skipped, num_nodes, &hier, r, &mut ()).unwrap();
             records.clear();
-            ShortcutStore::walk_rnet_section(&buf, &mut copied, num_nodes, &hier, r, &mut records)
+            ShortcutStore::walk_rnet_section(&mut copied, num_nodes, &hier, r, &mut records)
                 .unwrap();
             let runs = store.rnet(r).runs_by_source(hier.borders(r));
             let want: Vec<(usize, Vec<u8>)> = runs
@@ -2084,21 +2049,15 @@ mod tests {
             let got: Vec<(usize, Vec<u8>)> =
                 records.records().map(|(slot, bytes)| (slot, bytes.to_vec())).collect();
             assert_eq!(got, want, "{r:?}: records differ from the encoded heads");
-            let rnet = ShortcutStore::decode_rnet_section(
-                &buf,
-                &mut decoded,
-                num_nodes,
-                &hier,
-                r,
-                &mut builder,
-            )
-            .unwrap();
-            assert_eq!((skipped, copied), (decoded, decoded));
+            let rnet =
+                ShortcutStore::decode_rnet_section(&mut decoded, num_nodes, &hier, r, &mut builder)
+                    .unwrap();
+            assert_eq!((skipped.pos(), copied.pos()), (decoded.pos(), decoded.pos()));
             let built = store.rnet(r);
             assert_eq!(table_words(&rnet), table_words(built), "{r:?}: tables differ");
             maps.push(rnet);
         }
-        assert_eq!(skipped, buf.len());
+        assert_eq!(skipped.pos(), buf.len());
         assert!(store.num_shortcuts() > 0);
         // Waypoints on board, so the via loop of the walk runs too: a list
         // entry without any is 16 bytes.

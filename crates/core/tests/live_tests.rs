@@ -10,7 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 #![expect(
     clippy::disallowed_methods,
-    reason = "concurrency tests race threads against one engine on purpose; nothing they return is committed in completion order"
+    clippy::disallowed_types,
+    reason = "concurrency tests race threads, and atomic flags and counters, against one engine on purpose; nothing they return is committed in completion order"
 )]
 
 use rand::rngs::StdRng;

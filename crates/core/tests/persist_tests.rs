@@ -5,14 +5,20 @@
 // Integration tests may unwrap freely; the workspace unwrap/expect denial
 // targets library code (see clippy.toml for the unit-test exemption).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the corruption tests walk the image bytes they write to find the counts they stomp"
+)]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
 use road_core::search::oracle_knn;
-use road_core::RnetId;
+use road_core::{RnetId, RoadError};
 use road_network::generator::{simple, Dataset};
 use road_network::EdgeId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 fn scatter(fw: &RoadFramework, count: usize, seed: u64) -> AssociationDirectory {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -28,6 +34,63 @@ fn scatter(fw: &RoadFramework, count: usize, seed: u64) -> AssociationDirectory 
         ad.insert(fw.network(), fw.hierarchy(), o).unwrap();
     }
     ad
+}
+
+/// Records the largest single allocation made on a thread that opted in,
+/// then defers to the system allocator.
+struct Largest;
+
+thread_local! {
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    // `try_with`: the allocator may run while a thread's locals are torn down.
+    if let Ok(true) = MEASURING.try_with(Cell::get) {
+        LARGEST.with(|n| n.set(n.get().max(size)));
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; recording touches only const-initialised thread-locals, which
+// never allocate.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        // SAFETY: forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded as received.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Largest = Largest;
+
+/// What `f` returns, and the largest allocation, in bytes, it made on this
+/// thread.
+fn largest_allocation_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|n| n.set(0));
+    MEASURING.with(|m| m.set(true));
+    let out = f();
+    MEASURING.with(|m| m.set(false));
+    (out, LARGEST.with(Cell::get))
 }
 
 #[test]
@@ -171,30 +234,6 @@ fn systematic_corruption_never_panics() {
     }
 }
 
-/// Absurd element counts written into the header region must be rejected
-/// up front instead of driving giant allocations (the OOM vector: a
-/// `u32::MAX` count used as a `Vec::with_capacity` hint).
-#[test]
-fn absurd_counts_fail_fast_without_allocating() {
-    let fw = RoadFramework::builder(simple::grid(4, 4, 1.0)).fanout(2).levels(1).build().unwrap();
-    let bytes = fw.to_bytes();
-    // Offsets of the u32 count fields in the format: num_nodes at 18,
-    // edge_slots right after the node table, and the shortcut store's
-    // num_rnets near the end (patch a huge per-source edge count instead:
-    // first u32 after num_rnets+num_sources).
-    let num_nodes_at = 18;
-    let mut bad = bytes.clone();
-    bad[num_nodes_at..num_nodes_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(RoadFramework::from_bytes(&bad).is_err());
-    assert!(road_core::PagedImage::open(bad).is_err());
-
-    let edge_slots_at = 18 + 4 + 16 * fw.network().num_nodes();
-    let mut bad = bytes.clone();
-    bad[edge_slots_at..edge_slots_at + 4].copy_from_slice(&0x7FFF_FFFFu32.to_le_bytes());
-    assert!(RoadFramework::from_bytes(&bad).is_err());
-    assert!(road_core::PagedImage::open(bad).is_err());
-}
-
 /// Walks the shortcut-store section (the last section of the image,
 /// laid out as `num_rnets`, then per Rnet `num_sources`, per source
 /// `from num_edges`, per edge `to dist via_len via…`) and returns the
@@ -228,14 +267,13 @@ fn shortcut_count_offsets(bytes: &[u8], store_at: usize) -> (usize, usize) {
     panic!("grid framework built no shortcuts to corrupt");
 }
 
-/// Over-claimed counts inside a shortcut Rnet section must fail fast on
-/// BOTH decode paths — the monolithic restore and the lazy page-granular
-/// open (`walk_rnet_section` into a builder and into nothing) — instead of
-/// spinning a four-billion-iteration loop over a buffer that cannot
-/// possibly hold that many records. Pins the fail-fast source/via
-/// bounds the taint pass demanded.
-#[test]
-fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
+/// A count field of an image: its name, its offset, the smallest size of
+/// one element it counts, and the name a shortcut-store error gives it.
+type Count = (&'static str, usize, usize, &'static str);
+
+/// The image of a grid framework with shortcuts, and every count the
+/// decoders read in it.
+fn overclaimable_counts() -> (Vec<u8>, [Count; 6]) {
     let fw = RoadFramework::builder(simple::grid(4, 4, 1.0)).fanout(2).levels(2).build().unwrap();
     let bytes = fw.to_bytes();
     // The store is the last section: locate it by re-serializing it alone.
@@ -244,17 +282,104 @@ fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
     let store_at = bytes.len() - store.len();
     assert_eq!(&bytes[store_at..], &store[..], "shortcut store is not the tail section");
     let (sources_at, via_len_at) = shortcut_count_offsets(&bytes, store_at);
+    let num_nodes_at = 18;
+    let edge_slots_at = num_nodes_at + 4 + 16 * fw.network().num_nodes();
+    let counts = [
+        ("num_nodes", num_nodes_at, 16, ""),
+        ("edge_slots", edge_slots_at, 33 + 4, ""),
+        ("num_rnets", store_at, 4, "Rnet count"),
+        ("num_sources", sources_at, 8, "source count"),
+        ("num_edges", sources_at + 8, 16, "edge count"),
+        ("via_len", via_len_at, 4, "waypoints"),
+    ];
+    (bytes, counts)
+}
 
-    for (what, at) in [("num_sources", sources_at), ("via_len", via_len_at)] {
-        let mut bad = bytes.clone();
-        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = RoadFramework::from_bytes(&bad);
-        assert!(err.is_err(), "monolithic restore accepted huge {what}");
-        assert!(
-            format!("{}", err.unwrap_err()).contains("exceeds buffer"),
-            "huge {what} should fail the count-vs-remaining-bytes check"
-        );
-        assert!(road_core::PagedImage::open(bad).is_err(), "paged open accepted huge {what}");
+/// `bytes` with the count at `at` claiming `u32::MAX` elements or one more
+/// than the bytes after it could hold at `size` bytes each.
+fn overclaimed(bytes: &[u8], at: usize, size: usize) -> [(u32, Vec<u8>); 2] {
+    let fits = (bytes.len() - at - 4) / size;
+    [u32::MAX, fits as u32 + 1].map(|claim| {
+        let mut bad = bytes.to_vec();
+        bad[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+        (claim, bad)
+    })
+}
+
+/// A lazy engine opened over `bytes`.
+fn open_lazily(bytes: Vec<u8>) -> Result<road_core::PagedEngine, RoadError> {
+    road_core::PagedImage::open(bytes).and_then(|image| {
+        road_core::PagedEngine::open(image, Vec::new(), road_core::PagedOptions::default())
+    })
+}
+
+/// Every count the decoders read, claiming `u32::MAX` elements or one more
+/// than the bytes after it could hold at the smallest size an element
+/// takes: each is an `Err`, not a panic, a giant allocation or a
+/// four-billion-iteration loop, on the monolithic restore, the
+/// page-granular open and the lazy engine opened from it. (A lazy engine's
+/// page-in of a section corrupted after open is `paged.rs`'s
+/// `overclaimed_section_counts_after_open_are_query_errors`.)
+#[test]
+fn every_overclaimed_count_fails_every_decode_path() {
+    let (bytes, counts) = overclaimable_counts();
+    for (what, at, size, _) in counts {
+        for (claim, bad) in overclaimed(&bytes, at, size) {
+            assert!(RoadFramework::from_bytes(&bad).is_err(), "restore accepted {what} = {claim}");
+            assert!(
+                road_core::PagedImage::open(bad.clone()).is_err(),
+                "paged open accepted {what} = {claim}"
+            );
+            assert!(open_lazily(bad).is_err(), "a lazily opened engine accepted {what} = {claim}");
+        }
+    }
+}
+
+/// An over-claimed count fails before it sizes anything: while a decode of
+/// an image with one over-claimed count runs, no single allocation is
+/// larger than the largest one a decode of the intact image makes. A
+/// count that reserved its claim before the check would ask for at least
+/// 4 GiB at `u32::MAX`.
+#[test]
+fn absurd_counts_fail_fast_without_allocating() {
+    let (bytes, counts) = overclaimable_counts();
+    type Decodes = fn(Vec<u8>) -> bool;
+    let paths: [(&str, Decodes); 3] = [
+        ("restore", |b| RoadFramework::from_bytes(&b).is_ok()),
+        ("paged open", |b| road_core::PagedImage::open(b).is_ok()),
+        ("lazy open", |b| open_lazily(b).is_ok()),
+    ];
+    for (path, decode) in paths {
+        let intact = bytes.clone();
+        let (ok, ceiling) = largest_allocation_in(|| decode(intact));
+        assert!(ok, "{path} refused the intact image");
+        for (what, at, size, _) in counts {
+            for (claim, bad) in overclaimed(&bytes, at, size) {
+                let (ok, largest) = largest_allocation_in(|| decode(bad));
+                assert!(!ok, "{path} accepted {what} = {claim}");
+                assert!(
+                    largest <= ceiling,
+                    "{path}, {what} = {claim}: a {largest}-byte allocation (intact image: {ceiling})"
+                );
+            }
+        }
+    }
+}
+
+/// The store's counts fail the count check itself, on both decode paths and
+/// with the same error: the one that names the field and says its count
+/// exceeds the bytes left.
+#[test]
+fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
+    let (bytes, counts) = overclaimable_counts();
+    for (what, at, size, field) in counts.into_iter().filter(|c| !c.3.is_empty()) {
+        let want = format!("truncated shortcut store ({field}: count exceeds the bytes left)");
+        for (claim, bad) in overclaimed(&bytes, at, size) {
+            let whole = RoadFramework::from_bytes(&bad).unwrap_err().to_string();
+            assert!(whole.contains(&want), "restore, {what} = {claim}: {whole}");
+            let paged = road_core::PagedImage::open(bad).unwrap_err().to_string();
+            assert_eq!(paged, whole, "page-granular open, {what} = {claim}");
+        }
     }
 }
 

@@ -38,8 +38,8 @@
 //! neither.
 //!
 //! Everything here is scratch-reusable: one [`Contractor`] serves every Rnet
-//! of a build, and the per-node contraction loop performs no heap
-//! allocation (enforced by the `hot-path` lint fence below).
+//! of a build, and a warm contractor performs no heap allocation, however
+//! many nodes it contracts (`road_core`'s `warm_alloc.rs` counts them).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -197,7 +197,6 @@ impl Contractor {
             let d = self.adj[x as usize].len();
             self.buckets[d].push(x);
         }
-        // roadlint: hot-path (contraction order: bucket re-files only)
         let mut d = 0usize;
         while d <= n {
             let Some(x) = self.buckets[d].pop() else {
@@ -214,7 +213,6 @@ impl Contractor {
             }
             self.contract_node(x, settle_limit);
         }
-        // roadlint: end hot-path
     }
 
     /// Contracts the single interior node `x`: detach it from the overlay,
@@ -222,7 +220,6 @@ impl Contractor {
     /// surviving two-hop arcs.
     fn contract_node(&mut self, x: u32, settle_limit: usize) {
         let xi = x as usize;
-        // roadlint: hot-path (contraction: no per-node heap allocation)
         // Detach x: snapshot its out-arcs, then erase x from every
         // neighbour's list while capturing the incoming weights.  After
         // this block no arc touches x, so witness searches skip it for
@@ -311,7 +308,6 @@ impl Contractor {
                 }
             }
         }
-        // roadlint: end hot-path
     }
 
     /// Bounded witness Dijkstra from neighbour `ui` of the node being
@@ -330,7 +326,6 @@ impl Contractor {
             self.wround = 1;
         }
         self.wheap.clear();
-        // roadlint: hot-path (witness search: generation-stamped, allocation-free)
         let Contractor { adj, nbrs, wdist, wstamp, wround, wheap, wtgt, .. } = self;
         let round = *wround;
         let mut remaining = 0usize;
@@ -372,7 +367,6 @@ impl Contractor {
                 }
             }
         }
-        // roadlint: end hot-path
     }
 
     /// Distance label of `n` from the most recent witness search

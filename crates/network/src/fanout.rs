@@ -413,6 +413,10 @@ impl Shape {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the scheduler's tests order and stamp racing jobs with atomics on purpose"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -347,6 +347,10 @@ impl FxHasher {
 
 impl Hasher for FxHasher {
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hashing folds the bytes it is handed in 8-byte words; nothing read here is a count"
+    )]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {

@@ -77,8 +77,6 @@
 use crate::csr::CsrGraph;
 use crate::weight::Weight;
 
-// roadlint: hot-path (dense elimination: flat matrices, caller-owned scratch)
-
 /// `dst[j] = min(dst[j], a + src[j])`.
 #[inline]
 fn relax_row(dst: &mut [f64], a: f64, src: &[f64]) {
@@ -454,8 +452,6 @@ pub fn cover_pairs(d: &[f64], n: usize, cover: &mut Vec<f64>) -> u64 {
     mirror(cover, n);
     relaxed
 }
-
-// roadlint: end hot-path
 
 /// Whether every open arc of the seeded `n x n` matrix `d` has a reverse
 /// arc of [`Weight::approx_eq`] weight.

@@ -69,22 +69,19 @@ use crate::hash::{FastMap, FastSet};
 use crate::ids::EdgeId;
 use std::hash::{Hash, Hasher};
 
-/// Tuning knobs for the bisection.
-#[derive(Clone, Debug)]
-pub struct PartitionOptions {
-    /// Number of Kernighan–Lin improvement passes over the cut.
-    pub kl_passes: usize,
-    /// Each side must keep at least this fraction of the edges.
-    pub min_balance: f64,
-    /// Upper bound on tentative moves per KL pass (0 = automatic).
-    pub move_cap: usize,
-}
+/// Kernighan–Lin improvement passes over a cut.
+const KL_PASSES: usize = 3;
 
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        PartitionOptions { kl_passes: 3, min_balance: 0.40, move_cap: 0 }
-    }
-}
+/// Each side of a bisection keeps at least this fraction of the edges.
+const MIN_BALANCE: f64 = 0.40;
+
+/// The partitioner's settings, which are constants (three KL passes, at
+/// least 40% of the edges on each side, `4 * sqrt(m) + 64` tentative moves
+/// per pass over `m` edges): nothing chose other values but tests. The
+/// type stays, empty, because the benchmark harness names it, in
+/// [`partition_edges`]' argument and in the hierarchy's configuration.
+#[derive(Clone, Debug, Default)]
+pub struct PartitionOptions {}
 
 /// Splits `edges` into `parts` (a power of two) groups by recursive
 /// geometric bisection + KL refinement, on all available hardware threads.
@@ -96,11 +93,11 @@ pub fn partition_edges(
     g: &RoadNetwork,
     edges: &[EdgeId],
     parts: usize,
-    opts: &PartitionOptions,
+    _: &PartitionOptions,
 ) -> Vec<u16> {
     assert!(parts > 0 && parts.is_power_of_two(), "fanout must be a power of two, got {parts}");
     assert!(parts <= u16::MAX as usize + 1, "fanout too large");
-    let groups = split_rounds(g, edges, parts.trailing_zeros(), opts, 0);
+    let groups = split_rounds(g, edges, parts.trailing_zeros(), 0);
     let mut assignment = vec![0u16; edges.len()];
     for (part, group) in groups.iter().enumerate() {
         for &pos in group {
@@ -141,13 +138,7 @@ impl EdgeGroups {
 ///
 /// # Panics
 /// Panics if `edges` holds more than `u32::MAX` entries.
-pub fn split_rounds(
-    g: &RoadNetwork,
-    edges: &[EdgeId],
-    rounds: u32,
-    opts: &PartitionOptions,
-    workers: usize,
-) -> EdgeGroups {
+pub fn split_rounds(g: &RoadNetwork, edges: &[EdgeId], rounds: u32, workers: usize) -> EdgeGroups {
     assert!(edges.len() <= u32::MAX as usize, "edge positions must fit 32 bits");
     let total = edges.len() as u32;
     let mut positions: Vec<u32> = (0..total).collect();
@@ -176,7 +167,7 @@ pub fn split_rounds(
         });
         let table = table.as_slice();
         fan_out(jobs, |(out, bisector, mine, bounds)| {
-            bisector.split_groups(table, opts, mine, bounds, out)
+            bisector.split_groups(table, mine, bounds, out)
         })
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         let mut next = Vec::with_capacity(2 * groups + 1);
@@ -190,10 +181,10 @@ pub fn split_rounds(
 }
 
 /// Bisects an edge set: `false` = left half, `true` = right half.
-pub fn bisect(g: &RoadNetwork, edges: &[EdgeId], opts: &PartitionOptions) -> Vec<bool> {
+pub fn bisect(g: &RoadNetwork, edges: &[EdgeId]) -> Vec<bool> {
     let mut bisector = Bisector::default();
     let group: Vec<u32> = (0..edges.len() as u32).collect();
-    bisector.bisect(&edge_table(g, edges), &group, opts);
+    bisector.bisect(&edge_table(g, edges), &group);
     bisector.side
 }
 
@@ -307,7 +298,6 @@ impl Bisector {
     fn split_groups(
         &mut self,
         table: &[EdgeInfo],
-        opts: &PartitionOptions,
         arena: &mut [u32],
         bounds: &[u32],
         lefts: &mut [u32],
@@ -318,7 +308,7 @@ impl Bisector {
                 *left = group.len() as u32;
                 continue;
             }
-            self.bisect(table, group, opts);
+            self.bisect(table, group);
             self.right.clear();
             let mut kept = 0;
             for i in 0..group.len() {
@@ -336,10 +326,10 @@ impl Bisector {
 
     /// Geometric split, then KL refinement, of the edges at positions
     /// `group` of `table`; the answer is in `self.side`.
-    fn bisect(&mut self, table: &[EdgeInfo], group: &[u32], opts: &PartitionOptions) {
+    fn bisect(&mut self, table: &[EdgeInfo], group: &[u32]) {
         self.geometric_split(table, group);
-        if group.len() >= 4 && opts.kl_passes > 0 {
-            self.kl_refine(table, group, opts);
+        if group.len() >= 4 {
+            self.kl_refine(table, group);
         }
     }
 
@@ -386,11 +376,10 @@ impl Bisector {
         clippy::disallowed_methods,
         reason = "the two order authorities (module docs) are walked in hash order until the partition is re-recorded"
     )]
-    fn kl_refine(&mut self, table: &[EdgeInfo], group: &[u32], opts: &PartitionOptions) {
+    fn kl_refine(&mut self, table: &[EdgeInfo], group: &[u32]) {
         let m = group.len();
-        let move_cap =
-            if opts.move_cap > 0 { opts.move_cap } else { ((m as f64).sqrt() as usize) * 4 + 64 };
-        let min_side = ((m as f64) * opts.min_balance).floor() as i64;
+        let move_cap = ((m as f64).sqrt() as usize) * 4 + 64;
+        let min_side = ((m as f64) * MIN_BALANCE).floor() as i64;
 
         // Local ids from the first order authority (module docs): one
         // `entry()` per endpoint in edge order, `a` then `b`.
@@ -446,7 +435,7 @@ impl Bisector {
 
         self.moved.clear();
         self.moved.reserve(move_cap.min(m));
-        for _pass in 0..opts.kl_passes {
+        for _pass in 0..KL_PASSES {
             self.counts.clear();
             self.counts.resize(n, [0, 0]);
             let mut side_sizes = [0i64; 2];
@@ -469,7 +458,6 @@ impl Bisector {
             let mut best_cumulative = 0i64;
             let mut best_len = 0usize;
 
-            // roadlint: hot-path
             for _step in 0..move_cap {
                 // Candidates: unlocked edges touching a current border
                 // node; the first of maximal gain wins.
@@ -526,7 +514,6 @@ impl Bisector {
                     break;
                 }
             }
-            // roadlint: end hot-path
 
             // Roll back past the best prefix.
             for &i in &self.moved[best_len..] {
@@ -593,7 +580,7 @@ mod tests {
     fn bisection_balances_edge_counts() {
         let g = simple::grid(8, 8, 1.0);
         let edges = all_edges(&g);
-        let side = bisect(&g, &edges, &PartitionOptions::default());
+        let side = bisect(&g, &edges);
         let right = side.iter().filter(|&&s| s).count();
         let left = side.len() - right;
         let min = (side.len() as f64 * 0.40) as usize;
@@ -604,9 +591,11 @@ mod tests {
     fn kl_does_not_worsen_geometric_cut() {
         let g = simple::grid(10, 10, 1.0);
         let edges = all_edges(&g);
-        let geo = bisect(&g, &edges, &PartitionOptions { kl_passes: 0, ..Default::default() });
-        let geo_cost = internal_border_count(&g, &edges, &geo);
-        let refined = bisect(&g, &edges, &PartitionOptions::default());
+        let mut bisector = Bisector::default();
+        let group: Vec<u32> = (0..edges.len() as u32).collect();
+        bisector.geometric_split(&edge_table(&g, &edges), &group);
+        let geo_cost = internal_border_count(&g, &edges, &bisector.side);
+        let refined = bisect(&g, &edges);
         let refined_cost = internal_border_count(&g, &edges, &refined);
         assert!(refined_cost <= geo_cost, "KL worsened the cut: {refined_cost} > {geo_cost}");
     }
@@ -617,7 +606,7 @@ mod tests {
         // grid line (12 nodes), certainly far less than half the nodes.
         let g = simple::grid(12, 12, 1.0);
         let edges = all_edges(&g);
-        let side = bisect(&g, &edges, &PartitionOptions::default());
+        let side = bisect(&g, &edges);
         let cost = internal_border_count(&g, &edges, &side);
         assert!(cost <= 24, "border too fat: {cost}");
         assert!(cost >= 12 - 4, "suspiciously thin border: {cost}");
@@ -648,7 +637,7 @@ mod tests {
         // border node in the middle.
         let g = simple::chain(16, 1.0);
         let edges = all_edges(&g);
-        let side = bisect(&g, &edges, &PartitionOptions::default());
+        let side = bisect(&g, &edges);
         let cost = internal_border_count(&g, &edges, &side);
         assert_eq!(cost, 1, "chain bisection should meet at a single node");
     }
@@ -672,25 +661,24 @@ mod tests {
     fn rounds_do_not_depend_on_the_worker_count() {
         let g = crate::generator::Dataset::SfStreets.generate_scaled(0.01, 5).unwrap();
         let edges = all_edges(&g);
-        let opts = PartitionOptions::default();
-        let reference = groups_of(&split_rounds(&g, &edges, 7, &opts, 1));
+        let reference = groups_of(&split_rounds(&g, &edges, 7, 1));
         assert_eq!(reference.len(), 128);
         assert!(reference.iter().all(|group| group.windows(2).all(|w| w[0] < w[1])));
         let mut seen: Vec<u32> = reference.concat();
         seen.sort_unstable();
         assert!(seen.iter().copied().eq(0..edges.len() as u32), "groups partition the positions");
         for workers in [0, 2, 3, 4, 8, 200] {
-            let groups = groups_of(&split_rounds(&g, &edges, 7, &opts, workers));
+            let groups = groups_of(&split_rounds(&g, &edges, 7, workers));
             assert_eq!(groups, reference, "{workers} workers");
         }
     }
 
     #[test]
     fn lopsided_rounds_keep_their_part_slots_on_any_worker_count() {
-        // K5 and nothing to keep the sides balanced: KL empties one of
-        // them, so every round is one group with all ten edges among
-        // empty ones — and most workers' runs of groups are zero edges
-        // long. Empty and one-edge groups still take their two slots.
+        // K5's ten edges over six rounds: after the fourth every group
+        // holds at most one edge, so most of the 64 groups are empty —
+        // and most workers' runs of groups are zero edges long. Empty and
+        // one-edge groups still take their two slots.
         let mut b = crate::graph::NetworkBuilder::default();
         let nodes: Vec<_> =
             (0..5).map(|i| b.add_node(Point::new((i * i) as f64, (7 * i % 5) as f64))).collect();
@@ -701,17 +689,17 @@ mod tests {
         }
         let g = b.build();
         let edges = all_edges(&g);
-        let opts = PartitionOptions { min_balance: 0.0, ..Default::default() };
-        let reference = groups_of(&split_rounds(&g, &edges, 6, &opts, 1));
+        let reference = groups_of(&split_rounds(&g, &edges, 6, 1));
         assert_eq!(reference.len(), 64);
-        assert_eq!(reference.iter().filter(|group| group.len() == 10).count(), 1);
-        assert_eq!(reference.iter().filter(|group| group.is_empty()).count(), 63);
+        assert_eq!(reference.iter().map(Vec::len).sum::<usize>(), 10);
+        assert!(reference.iter().all(|group| group.len() <= 1));
+        assert_eq!(reference.iter().filter(|group| group.is_empty()).count(), 54);
         for workers in [2, 3, 5, 8, 64, 100] {
-            let groups = groups_of(&split_rounds(&g, &edges, 6, &opts, workers));
+            let groups = groups_of(&split_rounds(&g, &edges, 6, workers));
             assert_eq!(groups, reference, "{workers} workers");
         }
         // A lone edge is never bisected: it stays in part 0 of 2^rounds.
-        let lone = groups_of(&split_rounds(&g, &edges[3..4], 4, &opts, 3));
+        let lone = groups_of(&split_rounds(&g, &edges[3..4], 4, 3));
         assert_eq!(lone.len(), 16);
         assert_eq!(lone[0], [0]);
         assert!(lone[1..].iter().all(Vec::is_empty));

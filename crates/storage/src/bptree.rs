@@ -46,6 +46,7 @@
 )]
 
 use crate::buffer::PagePool;
+use crate::decode::{Cursor, Table};
 use crate::error::StorageError;
 use crate::page::{Page, PageId, PAGE_SIZE};
 
@@ -76,45 +77,44 @@ struct BNode {
     children: Vec<u32>, // internal only
 }
 
-/// Reads a little-endian `u64` at `off`. Callers validate `off` against
-/// the page size first (the count checks in [`node_header`]).
-#[expect(clippy::indexing_slicing, reason = "offset bounded by the caller's count validation")]
-fn le_u64(b: &[u8], off: usize) -> u64 {
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&b[off..off + 8]);
-    u64::from_le_bytes(buf)
+/// A node as its page holds it, header checked: a leaf's `(key, value)`
+/// pairs, or an internal node's keys and the children around them.
+enum NodeView<'a> {
+    Leaf(Table<'a>),
+    Internal { keys: Table<'a>, children: Table<'a> },
 }
 
-/// Reads a little-endian `u32` at `off`; same contract as [`le_u64`].
-#[expect(clippy::indexing_slicing, reason = "offset bounded by the caller's count validation")]
-fn le_u32(b: &[u8], off: usize) -> u32 {
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&b[off..off + 4]);
-    u32::from_le_bytes(buf)
-}
-
-/// Reads a node's header off its page: `(is a leaf, entry count)`. Bytes
-/// 0, 2 and 3 of the 8-byte header hold the tag and the count; the rest
-/// are zero. The count comes off raw page bytes, so it is validated here
-/// against what the page can physically hold (leaf) or the tree's fanout
-/// (internal) *before* anyone forms an offset or sizes an allocation from
-/// it — the one gate both the in-place lookup and [`BNode::decode`] go
-/// through.
-fn node_header(b: &[u8; PAGE_SIZE], int_cap: usize) -> Result<(bool, usize), StorageError> {
-    let tag = b[0];
-    let count = u16::from_le_bytes([b[2], b[3]]) as usize;
-    if tag == TAG_LEAF {
-        if 8 + count * 16 > PAGE_SIZE {
-            return Err(StorageError::CorruptPage("leaf entry count exceeds page capacity"));
+/// Reads a node's header off its page and lays its entry tables over the
+/// bytes after it. Bytes 0, 2 and 3 of the 8-byte header hold the tag and
+/// the count; the rest are zero. The count comes off raw page bytes, so
+/// the cursor checks it against what the page can physically hold, and an
+/// internal node's also against the tree's fanout, *before* anyone forms an
+/// offset or sizes an allocation from it — the one gate both the in-place
+/// lookup and [`BNode::decode`] go through. An internal node keeps its
+/// keys at offset 8 and its children at `8 + int_cap * 8`.
+fn node_view(b: &[u8; PAGE_SIZE], int_cap: usize) -> Result<NodeView<'_>, StorageError> {
+    let mut c = Cursor::new(b);
+    let tag = c.u8()?;
+    c.take(1)?;
+    match tag {
+        TAG_LEAF => {
+            let too_many = StorageError::CorruptPage("leaf entry count exceeds page capacity");
+            let count = c.count_u16(16).map_err(|_| too_many)?;
+            c.take(4)?;
+            Ok(NodeView::Leaf(c.table_of(count, 16)?))
         }
-        Ok((true, count))
-    } else if tag == TAG_INTERNAL {
-        if count > int_cap {
-            return Err(StorageError::CorruptPage("internal key count exceeds fanout"));
+        TAG_INTERNAL => {
+            let too_many = StorageError::CorruptPage("internal key count exceeds fanout");
+            let count = c.count_u16(8).map_err(|_| too_many)?;
+            if count > int_cap {
+                return Err(too_many);
+            }
+            c.take(4)?;
+            let keys = c.table_of(count, 8)?;
+            c.take((int_cap - count) * 8)?;
+            Ok(NodeView::Internal { keys, children: c.table_of(count + 1, 4)? })
         }
-        Ok((false, count))
-    } else {
-        Err(StorageError::CorruptPage("unknown B+-tree node tag"))
+        _ => Err(StorageError::CorruptPage("unknown B+-tree node tag")),
     }
 }
 
@@ -129,33 +129,21 @@ impl BNode {
 
     /// Decodes one tree node from its page into owned vectors — the
     /// build-time form insert works on. The header is validated by
-    /// [`node_header`] *before* the entry count sizes any allocation or
+    /// [`node_view`] *before* the entry count sizes any allocation or
     /// offset arithmetic.
     fn decode(page: &Page, int_cap: usize) -> Result<Self, StorageError> {
-        let b = page.bytes();
-        let (leaf, count) = node_header(b, int_cap)?;
-        if leaf {
-            let mut keys = Vec::with_capacity(count);
-            let mut vals = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = 8 + i * 16;
-                keys.push(le_u64(b, off));
-                vals.push(le_u64(b, off + 8));
+        match node_view(page.bytes(), int_cap)? {
+            NodeView::Leaf(entries) => {
+                let keys = (0..entries.len()).map(|i| entries.u64(i, 0)).collect();
+                let vals = (0..entries.len()).map(|i| entries.u64(i, 8)).collect();
+                Ok(BNode { leaf: true, keys, vals, children: Vec::new() })
             }
-            Ok(BNode { leaf: true, keys, vals, children: Vec::new() })
-        } else {
-            let mut keys = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = 8 + i * 8;
-                keys.push(le_u64(b, off));
-            }
-            let child_base = 8 + int_cap * 8;
-            let mut children = Vec::with_capacity(count + 1);
-            for i in 0..=count {
-                let off = child_base + i * 4;
-                children.push(le_u32(b, off));
-            }
-            Ok(BNode { leaf: false, keys, vals: Vec::new(), children })
+            NodeView::Internal { keys, children } => Ok(BNode {
+                leaf: false,
+                keys: (0..keys.len()).map(|i| keys.u64(i, 0)).collect(),
+                vals: Vec::new(),
+                children: (0..children.len()).map(|i| children.u32(i, 0)).collect(),
+            }),
         }
     }
 
@@ -390,23 +378,16 @@ impl BPlusTree {
 
 // The serving read path. A directory lookup runs once per settled node and
 // once per consulted Rnet of every paged query, so it searches the encoded
-// page in place — no `BNode`, no allocation; the fence makes that roadlint's
-// business as well as this comment's.
-// roadlint: hot-path
+// page in place — no `BNode`, no allocation; `road_core`'s `warm_alloc.rs`
+// counts a warm paged query's allocations, these lookups included: zero.
 
-/// `partition_point` over the `count` encoded keys of a node, `stride`
-/// bytes apart from offset 8: the index of the first key failing `pred`.
-/// `count` has passed [`node_header`], which bounds every offset formed.
-fn key_partition_point(
-    b: &[u8; PAGE_SIZE],
-    count: usize,
-    stride: usize,
-    pred: impl Fn(u64) -> bool,
-) -> usize {
-    let (mut lo, mut hi) = (0, count);
+/// `partition_point` over the keys of a node's entry table (the key is
+/// each entry's first 8 bytes): the index of the first key failing `pred`.
+fn key_partition_point(keys: &Table, pred: impl Fn(u64) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, keys.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if pred(le_u64(b, 8 + mid * stride)) {
+        if pred(keys.u64(mid, 0)) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -417,14 +398,12 @@ fn key_partition_point(
 
 /// The child of the internal node encoded in `b` that covers `key`.
 fn child_covering(b: &[u8; PAGE_SIZE], int_cap: usize, key: u64) -> Result<PageId, StorageError> {
-    let (leaf, count) = node_header(b, int_cap)?;
-    if leaf {
+    let NodeView::Internal { keys, children } = node_view(b, int_cap)? else {
         return Err(StorageError::CorruptPage("leaf node above the tree's leaf level"));
-    }
-    // `idx <= count <= int_cap`, and `with_caps` checked that `int_cap`
-    // keys plus `int_cap + 1` children fit the page.
-    let idx = key_partition_point(b, count, 8, |k| k <= key);
-    Ok(PageId(le_u32(b, 8 + int_cap * 8 + idx * 4)))
+    };
+    // `idx <= keys.len()`, and there is one child more than keys.
+    let idx = key_partition_point(&keys, |k| k <= key);
+    Ok(PageId(children.u32(idx, 0)))
 }
 
 /// The value stored under `key` in the leaf encoded in `b`.
@@ -433,13 +412,11 @@ fn value_in_leaf(
     int_cap: usize,
     key: u64,
 ) -> Result<Option<u64>, StorageError> {
-    let (leaf, count) = node_header(b, int_cap)?;
-    if !leaf {
+    let NodeView::Leaf(entries) = node_view(b, int_cap)? else {
         return Err(StorageError::CorruptPage("internal node at the tree's leaf level"));
-    }
-    let idx = key_partition_point(b, count, 16, |k| k < key);
-    let at = 8 + idx * 16;
-    Ok((idx < count && le_u64(b, at) == key).then(|| le_u64(b, at + 8)))
+    };
+    let idx = key_partition_point(&entries, |k| k < key);
+    Ok((idx < entries.len() && entries.u64(idx, 0) == key).then(|| entries.u64(idx, 8)))
 }
 
 impl BPlusTree {
@@ -457,7 +434,6 @@ impl BPlusTree {
         pool.with_page(page, |p| value_in_leaf(p.bytes(), int_cap, key))?
     }
 }
-// roadlint: end hot-path
 
 #[cfg(test)]
 mod tests {

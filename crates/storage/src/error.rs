@@ -1,7 +1,8 @@
 //! Error type for the storage layer's fallible paths.
 //!
-//! The serving stack must not panic under traffic (the `roadlint`
-//! invariant enforced over this crate): a poisoned lock or a page whose
+//! The serving stack must not panic under traffic (clippy holds each
+//! serving-path module to it with a `deny` of the panicking lints): a
+//! poisoned lock or a page whose
 //! decoded header contradicts the page format surfaces as a
 //! [`StorageError`] and propagates to the query as an `Err`, never as an
 //! unwound thread.

@@ -11,6 +11,9 @@
 //!
 //! * [`error`] — [`StorageError`], how fallible paths report poisoned
 //!   locks and corrupt pages instead of panicking a serving thread;
+//! * [`decode`] — the [`Cursor`] every image, page and record decoder
+//!   reads untrusted bytes through: counts checked against the bytes left
+//!   before they size anything;
 //! * [`page`] — fixed 4 KB pages and page ids;
 //! * [`store`] — the simulated disk (a growable array of pages, counting
 //!   nothing); pages are held by handle, so a read hands out the stored
@@ -36,6 +39,7 @@
 pub mod bptree;
 pub mod buffer;
 pub mod ccam;
+pub mod decode;
 pub mod error;
 pub mod io_tracker;
 pub mod lru;
@@ -46,6 +50,7 @@ pub mod striped;
 pub use bptree::BPlusTree;
 pub use buffer::{BufferPool, BufferStats, PagePool};
 pub use ccam::{NodeClustering, RecordLocation};
+pub use decode::{Cursor, DecodeError};
 pub use error::StorageError;
 pub use io_tracker::IoTracker;
 pub use lru::LruCache;
