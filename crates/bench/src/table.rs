@@ -2,7 +2,7 @@
 //! recorder so a harness run can also be captured as a machine-readable
 //! artifact (`exp_all` writes `BENCH_<scale>.json` from it).
 
-use std::sync::Mutex;
+use std::sync::PoisonError;
 
 /// One table as printed by [`print_table`].
 #[derive(Clone, Debug)]
@@ -12,17 +12,21 @@ pub struct RecordedTable {
     pub rows: Vec<Vec<String>>,
 }
 
-static RECORDER: Mutex<Option<Vec<RecordedTable>>> = Mutex::new(None);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the process-wide table recorder: held to push or take a table, never across anything else"
+)]
+static RECORDER: std::sync::Mutex<Option<Vec<RecordedTable>>> = std::sync::Mutex::new(None);
 
 /// Starts capturing every subsequently printed table (process-wide).
 pub fn start_recording() {
-    *RECORDER.lock().unwrap_or_else(|p| p.into_inner()) = Some(Vec::new());
+    *RECORDER.lock().unwrap_or_else(PoisonError::into_inner) = Some(Vec::new());
 }
 
 /// Stops capturing and returns everything recorded since
 /// [`start_recording`].
 pub fn take_recorded() -> Vec<RecordedTable> {
-    RECORDER.lock().unwrap_or_else(|p| p.into_inner()).take().unwrap_or_default()
+    RECORDER.lock().unwrap_or_else(PoisonError::into_inner).take().unwrap_or_default()
 }
 
 /// Prints a titled GitHub-flavoured markdown table.
@@ -33,7 +37,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("| {} |", row.join(" | "));
     }
-    if let Some(rec) = RECORDER.lock().unwrap_or_else(|p| p.into_inner()).as_mut() {
+    if let Some(rec) = RECORDER.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
         rec.push(RecordedTable {
             title: title.to_owned(),
             header: header.iter().map(|h| (*h).to_owned()).collect(),

@@ -141,6 +141,14 @@ fn checked_level_offsets(fanout: usize, levels: u32) -> Result<Vec<u32>, crate::
     Ok(level_offsets)
 }
 
+/// How many Rnets a hierarchy of `fanout` over `levels` has, the shape
+/// checked as [`RnetHierarchy::from_leaf_assignment`] checks it: what an
+/// image's reader holds against the bytes left before the shape sizes
+/// anything.
+pub(crate) fn rnet_count(fanout: usize, levels: u32) -> Result<usize, crate::RoadError> {
+    Ok(checked_level_offsets(fanout, levels)?.last().map_or(0, |&n| n as usize))
+}
+
 impl RnetHierarchy {
     /// Builds the hierarchy by recursive geometric + KL partitioning, on
     /// all available hardware threads (the partition does not depend on

@@ -95,7 +95,7 @@ use crate::framework::{RoadFramework, UpdateOutcome};
 use crate::model::{CategoryId, Object, ObjectId};
 use crate::RoadError;
 use road_network::{EdgeId, NodeId, Point, Weight};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, PoisonError};
 
 /// One published, immutable state of the road network and its objects:
 /// a [`QueryEngine`] with a version, which it dereferences to.
@@ -129,17 +129,28 @@ impl std::ops::Deref for Snapshot {
 }
 
 /// State shared between the reader handles and the writer: the currently
-/// published snapshot, swapped atomically under a briefly-held mutex.
+/// published snapshot, swapped atomically under a briefly-held mutex. The
+/// guard never leaves [`Shared::load`] and [`Shared::swap`].
 struct Shared {
-    current: Mutex<Arc<Snapshot>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the published snapshot's lock: held to clone or exchange one Arc, never across a repair, a query or a free"
+    )]
+    current: std::sync::Mutex<Arc<Snapshot>>,
 }
 
 impl Shared {
-    /// The mutex is held only to clone or store an `Arc`, so a poisoned
-    /// lock (a reader panicking mid-clone) leaves the pointer itself
-    /// intact; recover the guard instead of propagating the panic.
-    fn lock(&self) -> MutexGuard<'_, Arc<Snapshot>> {
-        self.current.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// The published snapshot. The mutex is held only to clone or store an
+    /// `Arc`, so a poisoned lock leaves the pointer itself intact: both
+    /// doors recover the guard instead of propagating the panic.
+    fn load(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publishes `next`, returning the snapshot it replaces — to be
+    /// dropped, and freed if no reader holds it, after the lock is gone.
+    fn swap(&self, next: Arc<Snapshot>) -> Arc<Snapshot> {
+        std::mem::replace(&mut self.current.lock().unwrap_or_else(PoisonError::into_inner), next)
     }
 }
 
@@ -187,7 +198,7 @@ impl LiveEngine {
             version: 0,
             engine: QueryEngine::from_shared(Arc::new(fw.clone()), Arc::clone(&published_ad)),
         });
-        let shared = Arc::new(Shared { current: Mutex::new(snapshot) });
+        let shared = Arc::new(Shared { current: snapshot.into() });
         let writer = UpdateHandle {
             shared: Arc::clone(&shared),
             copied_before: fw.bytes_copied() + ad.bytes_copied(),
@@ -206,12 +217,12 @@ impl LiveEngine {
     /// — never waits on a repair in progress, only (at worst) on another
     /// pointer exchange.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.shared.lock())
+        self.shared.load()
     }
 
     /// Version of the currently published snapshot.
     pub fn version(&self) -> u64 {
-        self.shared.lock().version
+        self.shared.load().version
     }
 }
 
@@ -417,10 +428,9 @@ impl UpdateHandle {
                 Arc::clone(&self.published_ad),
             ),
         });
-        // The guard is gone by the end of the statement: if no reader still
-        // holds the previous snapshot, it is freed here, off the lock.
-        let previous = std::mem::replace(&mut *self.shared.lock(), snapshot);
-        drop(previous);
+        // If no reader still holds the previous snapshot, it is freed here,
+        // off the lock.
+        drop(self.shared.swap(snapshot));
         self.dirty = false;
         self.stats.publishes += 1;
         self.published_version

@@ -194,12 +194,11 @@ use road_network::graph::{RoadNetwork, WeightKind};
 use road_network::{EdgeId, NodeId, Weight};
 use road_storage::decode::{Cursor, Table};
 use road_storage::{
-    BPlusTree, BufferStats, IoTally, NodeClustering, Page, PageId, PagePool, PageStore,
-    StorageError, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_PAGES, DEFAULT_BUFFER_STRIPES,
-    PAGE_SIZE,
+    BPlusTree, BufferStats, IoTally, NodeClustering, OwnedPool, Page, PageId, PagePool, PageStore,
+    StorageError, StripedBufferPool, DEFAULT_BUFFER_PAGES, DEFAULT_BUFFER_STRIPES, PAGE_SIZE,
 };
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Record locations: (page, offset, length) packed into one u64
@@ -230,6 +229,45 @@ fn unpack_loc(loc: u64) -> (u32, u32, usize) {
     let offset = ((loc >> LOC_LEN_BITS) & ((1 << LOC_OFFSET_BITS) - 1)) as u32;
     let len = (loc & ((1 << LOC_LEN_BITS) - 1)) as usize;
     (page, offset, len)
+}
+
+/// Where the next record of `len` bytes goes in the sequential region
+/// (directory records and lazily paged-in shortcut records) at `cursor`,
+/// first-fit within pages: on the open page when it fits there, else on
+/// fresh pages from `alloc`, as many as the record spans. The appender
+/// allocates alone — the build owns its cursor, a page-in holds the
+/// page-in lock — so a multi-page record's pages are consecutive.
+fn place_record(
+    cursor: &mut Option<(u32, usize)>,
+    len: usize,
+    mut alloc: impl FnMut() -> Result<PageId, StorageError>,
+) -> Result<(PageId, usize), RoadError> {
+    if len > PAGE_SIZE {
+        let first = alloc()?;
+        for _ in 1..len.div_ceil(PAGE_SIZE) {
+            alloc()?;
+        }
+        *cursor = None;
+        return Ok((first, 0));
+    }
+    let (page, fill) = match *cursor {
+        Some((page, fill)) if fill + len <= PAGE_SIZE => (PageId(page), fill),
+        _ => (alloc()?, 0),
+    };
+    *cursor = Some((page.0, fill + len));
+    Ok((page, fill))
+}
+
+/// Appends `rec` at the build's `cursor` through its owner view, and
+/// returns the record's location.
+fn append_owned(
+    pages: &mut OwnedPool<'_>,
+    cursor: &mut Option<(u32, usize)>,
+    rec: &[u8],
+) -> Result<u64, RoadError> {
+    let (page, at) = place_record(cursor, rec.len(), || pages.alloc())?;
+    pages.write(page, at, rec)?;
+    pack_loc(page.0, at as u32, rec.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -491,7 +529,13 @@ pub struct PagedEngine {
     /// The page-in lock: the append cursor, the retained image and the
     /// loaded count. Every allocation after the build happens under it,
     /// so a multi-page record's allocation run gets consecutive page ids.
-    page_in: Mutex<PageIn>,
+    /// It is taken before any pool lock, and is the one guard held across
+    /// pool I/O (`page-in -> stripe -> store`).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the page-in lock makes each Rnet one contiguous run and an allocation run consecutive; the section was checked and copied into records before it was taken, and only page-ins wait on it"
+    )]
+    page_in: std::sync::Mutex<PageIn>,
     /// The sealed-page watermark: no page below it is written after the
     /// build, so a query may keep reading one from the handle it holds.
     /// Pages at or above it — the append region's open page and whatever
@@ -572,10 +616,10 @@ impl PagedEngine {
         // would round up to 8 frames and break the paper's capacity
         // accounting (and the faults-vs-buffer-size sweeps).
         let stripes = opts.buffer_stripes.min(opts.buffer_pages);
-        let pool = StripedBufferPool::new(PageStore::new(), opts.buffer_pages, stripes);
+        let mut pool = StripedBufferPool::new(PageStore::new(), opts.buffer_pages, stripes);
         let mut tally = IoTally::default();
-        let assoc_index = BPlusTree::new(&mut TalliedPool { pool: &pool, tally: &mut tally })?;
-        let abstract_index = BPlusTree::new(&mut TalliedPool { pool: &pool, tally: &mut tally })?;
+        let assoc_index = BPlusTree::new(&mut pool.owner(&mut tally))?;
+        let abstract_index = BPlusTree::new(&mut pool.owner(&mut tally))?;
         let num_rnets = hier.num_rnets();
         Ok(PagedEngine {
             hier,
@@ -587,7 +631,7 @@ impl PagedEngine {
             occupied: vec![0; num_nodes.div_ceil(64)],
             assoc_index,
             abstract_index,
-            page_in: Mutex::new(PageIn { cursor: None, image: None, loaded: 0 }),
+            page_in: PageIn { cursor: None, image: None, loaded: 0 }.into(),
             sealed_pages: 0,
             node_region_pages: 0,
         })
@@ -628,8 +672,9 @@ impl PagedEngine {
         };
         let clustering = NodeClustering::build(g, blob_size);
         let base = self.pool.num_pages() as u32;
+        let mut pages = self.pool.owner(&mut tally);
         for _ in 0..clustering.num_pages() {
-            self.pool.alloc()?;
+            pages.alloc()?;
         }
         self.node_region_pages = clustering.num_pages();
         self.node_loc = vec![LOC_NONE; g.num_nodes()];
@@ -640,7 +685,7 @@ impl PagedEngine {
             let loc = clustering.locate(n);
             let (page, mut offset) = (base + loc.page, loc.offset);
             encode_node_record(g, &hier, kind, n, &mut rec);
-            self.write_bytes(page, offset as usize, &rec, &mut tally)?;
+            pages.write(PageId(page), offset as usize, &rec)?;
             if let Some(slot) = self.node_loc.get_mut(n.index()) {
                 *slot = pack_loc(page, offset, rec.len())?;
             }
@@ -658,7 +703,7 @@ impl PagedEngine {
                 // A multi-page blob crosses page boundaries; recompute the
                 // page/offset split for this record's start.
                 let (p, o) = (page + offset / PAGE_SIZE as u32, offset % PAGE_SIZE as u32);
-                self.write_bytes(p, o as usize, &rec, &mut tally)?;
+                pages.write(PageId(p), o as usize, &rec)?;
                 if let Some(at) = per_rnet.get_mut(r.0 as usize).and_then(|locs| locs.get_mut(slot))
                 {
                     *at = pack_loc(p, o, rec.len())?;
@@ -682,6 +727,7 @@ impl PagedEngine {
         let mut tally = IoTally::default();
         let mut rec = Vec::new();
         let mut cursor = None;
+        let mut pages = self.pool.owner(&mut tally);
         // Association records in node order; only nodes carrying objects.
         let mut assoc_entries = Vec::new();
         for i in 0..self.num_nodes {
@@ -690,7 +736,7 @@ impl PagedEngine {
                 continue;
             }
             encode_assoc_record(ad.objects_at_node(n), g, kind, n, &mut rec);
-            let loc = self.append_record(&mut cursor, &rec, &mut tally)?;
+            let loc = append_owned(&mut pages, &mut cursor, &rec)?;
             assoc_entries.push((n.0 as u64, loc));
             if let Some(word) = self.occupied.get_mut(i / 64) {
                 *word |= 1 << (i % 64);
@@ -706,24 +752,16 @@ impl PagedEngine {
                 continue;
             }
             encode_abstract_record(a.total(), a.counts(), &mut rec);
-            let loc = self.append_record(&mut cursor, &rec, &mut tally)?;
+            let loc = append_owned(&mut pages, &mut cursor, &rec)?;
             abstract_entries.push((u64::from(r.0), loc));
         }
         // Index both regions (keys inserted in ascending order for a
         // deterministic tree shape).
         for (k, v) in assoc_entries {
-            self.assoc_index.insert(
-                &mut TalliedPool { pool: &self.pool, tally: &mut tally },
-                k,
-                v,
-            )?;
+            self.assoc_index.insert(&mut pages, k, v)?;
         }
         for (k, v) in abstract_entries {
-            self.abstract_index.insert(
-                &mut TalliedPool { pool: &self.pool, tally: &mut tally },
-                k,
-                v,
-            )?;
+            self.abstract_index.insert(&mut pages, k, v)?;
         }
         Ok(cursor)
     }
@@ -745,7 +783,7 @@ impl PagedEngine {
             None => self.pool.num_pages() as u32,
         };
         let loaded = if image.is_some() { 0 } else { self.rnet_shortcuts.len() };
-        self.page_in = Mutex::new(PageIn { cursor, image: image.map(Arc::new), loaded });
+        self.page_in = PageIn { cursor, image: image.map(Arc::new), loaded }.into();
         Ok(())
     }
 
@@ -753,63 +791,6 @@ impl PagedEngine {
     #[inline]
     fn node_occupied(&self, n: NodeId) -> bool {
         self.occupied.get(n.index() / 64).is_some_and(|word| word >> (n.index() % 64) & 1 == 1)
-    }
-
-    /// Appends a record into the sequential region (directory records and
-    /// lazily paged-in shortcut records) at `cursor`, first-fit within
-    /// pages. The build owns its cursor; a page-in holds the page-in lock,
-    /// so a multi-page record's allocation run gets consecutive page ids.
-    fn append_record(
-        &self,
-        cursor: &mut Option<(u32, usize)>,
-        bytes: &[u8],
-        tally: &mut IoTally,
-    ) -> Result<u64, RoadError> {
-        let len = bytes.len();
-        if len > PAGE_SIZE {
-            let first = self.pool.alloc()?;
-            for _ in 1..len.div_ceil(PAGE_SIZE) {
-                self.pool.alloc()?;
-            }
-            *cursor = None;
-            self.write_bytes(first.0, 0, bytes, tally)?;
-            return pack_loc(first.0, 0, len);
-        }
-        let (page, fill) = match *cursor {
-            Some((page, fill)) if fill + len <= PAGE_SIZE => (page, fill),
-            _ => (self.pool.alloc()?.0, 0),
-        };
-        *cursor = Some((page, fill + len));
-        self.write_bytes(page, fill, bytes, tally)?;
-        pack_loc(page, fill as u32, len)
-    }
-
-    /// Writes `bytes` starting at (`page`, `offset`), walking page
-    /// boundaries for multi-page records.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "slice arithmetic clamped by take = min(rest, page remainder)"
-    )]
-    fn write_bytes(
-        &self,
-        page: u32,
-        offset: usize,
-        bytes: &[u8],
-        tally: &mut IoTally,
-    ) -> Result<(), RoadError> {
-        let mut p = page;
-        let mut off = offset;
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let take = rest.len().min(PAGE_SIZE - off);
-            self.pool.with_page_mut(PageId(p), tally, |pg| {
-                pg.bytes_mut()[off..off + take].copy_from_slice(&rest[..take]);
-            })?;
-            rest = &rest[take..];
-            off = 0;
-            p += 1;
-        }
-        Ok(())
     }
 
     /// Pages Rnet `r`'s shortcut records in from the retained image if
@@ -875,10 +856,10 @@ impl PagedEngine {
         }
         let mut locs = vec![LOC_NONE; self.hier.borders(r).len()];
         for (slot, rec) in records.records() {
-            // roadlint: allow(io-under-lock) reason="the page-in lock makes each Rnet one contiguous run and an allocation run consecutive; the section was checked and copied into records before it was taken, and only page-ins wait on it"
-            let loc = self.append_record(&mut page_in.cursor, rec, tally)?;
-            if let Some(at) = locs.get_mut(slot) {
-                *at = loc;
+            let (page, at) = place_record(&mut page_in.cursor, rec.len(), || self.pool.alloc())?;
+            self.pool.write(page, at, rec, tally)?;
+            if let Some(loc) = locs.get_mut(slot) {
+                *loc = pack_loc(page.0, at as u32, rec.len())?;
             }
         }
         // Publish only after every record is on its page: readers that
@@ -1676,13 +1657,11 @@ mod tests {
         let pos = offset as usize + at;
         let (page, off) = (page + (pos / PAGE_SIZE) as u32, pos % PAGE_SIZE);
         assert!(off + 4 <= PAGE_SIZE, "field straddles a page boundary");
-        let mut old = [0u8; 4];
-        disk.pool
-            .with_page_mut(PageId(page), &mut IoTally::default(), |pg| {
-                old.copy_from_slice(&pg.bytes()[off..off + 4]);
-                pg.bytes_mut()[off..off + 4].copy_from_slice(&value.to_le_bytes());
-            })
-            .unwrap();
+        let mut tally = IoTally::default();
+        let page = PageId(page);
+        let old: [u8; 4] =
+            disk.pool.pin(page, &mut tally).unwrap().bytes()[off..off + 4].try_into().unwrap();
+        disk.pool.write(page, off, &value.to_le_bytes(), &mut tally).unwrap();
         u32::from_le_bytes(old)
     }
 
@@ -1864,10 +1843,8 @@ mod tests {
 
     /// The location of node `n`'s association record, through the tree.
     fn assoc_loc(disk: &PagedEngine, n: u32) -> Option<u64> {
-        let mut tally = IoTally::default();
-        disk.assoc_index
-            .get(&mut TalliedPool { pool: &disk.pool, tally: &mut tally }, n as u64)
-            .unwrap()
+        let mut pages = PageSlot { eng: disk, tally: IoTally::default(), last: None };
+        disk.assoc_index.get(&mut pages, n as u64).unwrap()
     }
 
     /// And for an object's offset in an association record.
@@ -2328,7 +2305,7 @@ mod tests {
     }
 
     /// The same trap with the page-in on another thread: this query's pin
-    /// of the open page predates the other thread's `append_record` to it.
+    /// of the open page predates the other thread's append to it.
     #[test]
     fn another_threads_page_in_after_the_pin_is_not_read_through_the_pin() {
         let (fw, ad) = setup(12);
@@ -2648,28 +2625,27 @@ mod tests {
         );
     }
 
-    /// Satellite regression: a stripe mutex poisoned by a panicking reader
-    /// must surface to later queries as `Err(Storage(LockPoisoned))` —
-    /// the serving thread itself must not panic.
+    /// A page closure that panics unwinds out of `with_page` holding no
+    /// pool lock, so it poisons nothing: later queries, single and
+    /// batched, answer as before. (A stripe poisoned by a thread that died
+    /// holding it fails every pool door, `striped.rs`' unit tests show,
+    /// and a query passes that `Err` up.)
     #[test]
-    fn poisoned_stripe_surfaces_as_query_error() {
+    fn a_panicking_page_closure_poisons_nothing() {
         use road_storage::{IoTally, PageId};
         let (fw, ad) = setup(8);
-        // One stripe so every page shares the mutex we are about to poison.
+        // One stripe: every page behind the one mutex a held guard would poison.
         let disk =
             PagedEngine::new(&fw, &ad, PagedOptions::with_buffer_pages(8).with_stripes(1)).unwrap();
-        disk.knn(&KnnQuery::new(NodeId(0), 2)).unwrap();
-        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let knn = KnnQuery::new(NodeId(0), 2);
+        let before = disk.knn(&knn).unwrap().hits;
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut tally = IoTally::default();
-            disk.pool.with_page(PageId(0), &mut tally, |_| panic!("poison the stripe"))
+            disk.pool.with_page(PageId(0), &mut tally, |_| panic!("die in a page closure"))
         }));
-        assert!(poisoner.is_err(), "the page closure panics while holding the stripe");
-        let Err(err) = disk.knn(&KnnQuery::new(NodeId(0), 2)) else {
-            panic!("query on a poisoned pool must fail");
-        };
-        assert_eq!(err, RoadError::Storage(StorageError::LockPoisoned("buffer-pool stripe")));
-        // Batch serving reports the same error instead of tearing down.
+        assert!(panicked.is_err(), "the closure's panic unwinds out of with_page");
+        assert_eq!(disk.knn(&knn).unwrap().hits, before);
         let queries = [KnnQuery::new(NodeId(1), 1), KnnQuery::new(NodeId(2), 1)];
-        assert!(disk.batch_knn(&queries, 2).is_err());
+        assert_eq!(disk.batch_knn(&queries, 2).unwrap().len(), 2);
     }
 }

@@ -156,6 +156,17 @@ fn parse_prelude(
             return Err(corrupt(format!("live edge {e} has no leaf assignment")));
         }
     }
+    // The shortcut store is all that is left: its Rnet count, then a
+    // section per Rnet of at least its own 4-byte count. A shape whose
+    // Rnets cannot fit fails here, before the hierarchy sizes a list per
+    // leaf by it.
+    let rnets = crate::hierarchy::rnet_count(fanout, levels)?;
+    if rnets.saturating_add(1).saturating_mul(4) > r.remaining() {
+        return Err(corrupt(format!(
+            "fanout {fanout} over {levels} levels makes {rnets} Rnets, more than the {} bytes left hold",
+            r.remaining()
+        )));
+    }
     let hier = RnetHierarchy::from_leaf_assignment(&g, fanout, levels, |e| leaf_idx[e.index()])?;
 
     let mut cfg = RoadConfig { metric, ..Default::default() };

@@ -2214,6 +2214,10 @@ mod tests {
     /// and "the shortest border-free path" means one path — an unpacked
     /// elimination and a sealed Dijkstra are only bound to agree on that.
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the kernel hook is Fn + Sync; a mutex collects the local graph sizes it is handed"
+    )]
     fn either_arm_builds_the_same_bytes_on_a_world_straddling_the_switch() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};

@@ -286,7 +286,7 @@ fn stress_paged_agreement_large_network() {
 /// nothing and a fresh lazy engine per round, all threads released at
 /// once onto the same category-filtered queries, so that one thread's pin
 /// of the append region's open page predates another thread's
-/// `append_record` to it (the deterministic form of that interleaving is
+/// append to it (the deterministic form of that interleaving is
 /// `another_threads_page_in_after_the_pin_is_not_read_through_the_pin` in
 /// `paged.rs`).
 #[test]

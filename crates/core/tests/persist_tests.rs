@@ -267,13 +267,19 @@ fn shortcut_count_offsets(bytes: &[u8], store_at: usize) -> (usize, usize) {
     panic!("grid framework built no shortcuts to corrupt");
 }
 
-/// A count field of an image: its name, its offset, the smallest size of
-/// one element it counts, and the name a shortcut-store error gives it.
-type Count = (&'static str, usize, usize, &'static str);
+/// A count field of an image: its name, its offset, the two claims it is
+/// corrupted to, and the name a shortcut-store error gives it.
+type Count = (&'static str, usize, [u32; 2], &'static str);
 
 /// The image of a grid framework with shortcuts, and every count the
-/// decoders read in it.
-fn overclaimable_counts() -> (Vec<u8>, [Count; 6]) {
+/// decoders read in it. A count claims `u32::MAX` elements or one more
+/// than the bytes after it could hold at the smallest size an element
+/// takes. The hierarchy's fanout and levels claim `u32::MAX` (outside the
+/// shapes a hierarchy may have) or a shape a hierarchy may have whose
+/// Rnets' 4-byte section counts alone overrun the bytes left: fanout 256
+/// over the image's 2 levels (65,792 Rnets), or 12 levels of fanout 2
+/// (8,190).
+fn overclaimable_counts() -> (Vec<u8>, [Count; 8]) {
     let fw = RoadFramework::builder(simple::grid(4, 4, 1.0)).fanout(2).levels(2).build().unwrap();
     let bytes = fw.to_bytes();
     // The store is the last section: locate it by re-serializing it alone.
@@ -284,22 +290,23 @@ fn overclaimable_counts() -> (Vec<u8>, [Count; 6]) {
     let (sources_at, via_len_at) = shortcut_count_offsets(&bytes, store_at);
     let num_nodes_at = 18;
     let edge_slots_at = num_nodes_at + 4 + 16 * fw.network().num_nodes();
+    let over = |at: usize, size: usize| [u32::MAX, ((bytes.len() - at - 4) / size) as u32 + 1];
     let counts = [
-        ("num_nodes", num_nodes_at, 16, ""),
-        ("edge_slots", edge_slots_at, 33 + 4, ""),
-        ("num_rnets", store_at, 4, "Rnet count"),
-        ("num_sources", sources_at, 8, "source count"),
-        ("num_edges", sources_at + 8, 16, "edge count"),
-        ("via_len", via_len_at, 4, "waypoints"),
+        ("fanout", 10, [u32::MAX, 256], ""),
+        ("levels", 14, [u32::MAX, 12], ""),
+        ("num_nodes", num_nodes_at, over(num_nodes_at, 16), ""),
+        ("edge_slots", edge_slots_at, over(edge_slots_at, 33 + 4), ""),
+        ("num_rnets", store_at, over(store_at, 4), "Rnet count"),
+        ("num_sources", sources_at, over(sources_at, 8), "source count"),
+        ("num_edges", sources_at + 8, over(sources_at + 8, 16), "edge count"),
+        ("via_len", via_len_at, over(via_len_at, 4), "waypoints"),
     ];
     (bytes, counts)
 }
 
-/// `bytes` with the count at `at` claiming `u32::MAX` elements or one more
-/// than the bytes after it could hold at `size` bytes each.
-fn overclaimed(bytes: &[u8], at: usize, size: usize) -> [(u32, Vec<u8>); 2] {
-    let fits = (bytes.len() - at - 4) / size;
-    [u32::MAX, fits as u32 + 1].map(|claim| {
+/// `bytes` with the count at `at` making each of its two `claims`.
+fn overclaimed(bytes: &[u8], at: usize, claims: [u32; 2]) -> [(u32, Vec<u8>); 2] {
+    claims.map(|claim| {
         let mut bad = bytes.to_vec();
         bad[at..at + 4].copy_from_slice(&claim.to_le_bytes());
         (claim, bad)
@@ -323,8 +330,8 @@ fn open_lazily(bytes: Vec<u8>) -> Result<road_core::PagedEngine, RoadError> {
 #[test]
 fn every_overclaimed_count_fails_every_decode_path() {
     let (bytes, counts) = overclaimable_counts();
-    for (what, at, size, _) in counts {
-        for (claim, bad) in overclaimed(&bytes, at, size) {
+    for (what, at, claims, _) in counts {
+        for (claim, bad) in overclaimed(&bytes, at, claims) {
             assert!(RoadFramework::from_bytes(&bad).is_err(), "restore accepted {what} = {claim}");
             assert!(
                 road_core::PagedImage::open(bad.clone()).is_err(),
@@ -353,8 +360,8 @@ fn absurd_counts_fail_fast_without_allocating() {
         let intact = bytes.clone();
         let (ok, ceiling) = largest_allocation_in(|| decode(intact));
         assert!(ok, "{path} refused the intact image");
-        for (what, at, size, _) in counts {
-            for (claim, bad) in overclaimed(&bytes, at, size) {
+        for (what, at, claims, _) in counts {
+            for (claim, bad) in overclaimed(&bytes, at, claims) {
                 let (ok, largest) = largest_allocation_in(|| decode(bad));
                 assert!(!ok, "{path} accepted {what} = {claim}");
                 assert!(
@@ -372,9 +379,9 @@ fn absurd_counts_fail_fast_without_allocating() {
 #[test]
 fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
     let (bytes, counts) = overclaimable_counts();
-    for (what, at, size, field) in counts.into_iter().filter(|c| !c.3.is_empty()) {
+    for (what, at, claims, field) in counts.into_iter().filter(|c| !c.3.is_empty()) {
         let want = format!("truncated shortcut store ({field}: count exceeds the bytes left)");
-        for (claim, bad) in overclaimed(&bytes, at, size) {
+        for (claim, bad) in overclaimed(&bytes, at, claims) {
             let whole = RoadFramework::from_bytes(&bad).unwrap_err().to_string();
             assert!(whole.contains(&want), "restore, {what} = {claim}: {whole}");
             let paged = road_core::PagedImage::open(bad).unwrap_err().to_string();

@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, OnceLock};
 use std::thread::JoinHandle;
 
 /// Runs `work` on every job — the first on the calling thread, each other
@@ -222,7 +222,11 @@ pub struct Plan<T> {
     width: usize,
     /// Each task's result and whether it changed, once it ran.
     results: Vec<OnceLock<(T, bool)>>,
-    progress: Mutex<Progress>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the plan's progress lock: held for its own bookkeeping and a condvar wait, released before a task's work runs"
+    )]
+    progress: std::sync::Mutex<Progress>,
     /// Signalled when a task becomes ready for a waiting thread, when the
     /// last task ends, and when a task panics.
     released: Condvar,
@@ -301,7 +305,7 @@ impl<T: Send + Sync> Plan<T> {
             shape,
             width: starts.len(),
             results: (0..n).map(|_| OnceLock::new()).collect(),
-            progress: Mutex::new(progress),
+            progress: progress.into(),
             released: Condvar::new(),
         }
     }
@@ -344,7 +348,7 @@ impl<T: Send + Sync> Plan<T> {
         thread: usize,
         mut work: impl FnMut(usize) -> (T, bool),
     ) -> Result<(), Aborted> {
-        let mut progress = self.lock();
+        let mut progress = self.progress.lock().expect(UNPOISONED);
         loop {
             if progress.aborted {
                 return Err(Aborted);
@@ -362,13 +366,13 @@ impl<T: Send + Sync> Plan<T> {
             let (value, changed) = match catch_unwind(AssertUnwindSafe(|| work(task))) {
                 Ok(done) => done,
                 Err(payload) => {
-                    self.lock().aborted = true;
+                    self.progress.lock().expect(UNPOISONED).aborted = true;
                     self.released.notify_all();
                     resume_unwind(payload);
                 }
             };
             self.results[task].get_or_init(|| (value, changed));
-            progress = self.lock();
+            progress = self.progress.lock().expect(UNPOISONED);
             self.shape.end(&mut progress, task, changed);
             if progress.open == 0 {
                 self.released.notify_all();
@@ -378,11 +382,6 @@ impl<T: Send + Sync> Plan<T> {
                 self.released.notify_one();
             }
         }
-    }
-
-    /// The shared progress.
-    fn lock(&self) -> MutexGuard<'_, Progress> {
-        self.progress.lock().expect(UNPOISONED)
     }
 }
 
@@ -415,7 +414,7 @@ impl Shape {
 #[cfg(test)]
 #[expect(
     clippy::disallowed_types,
-    reason = "the scheduler's tests order and stamp racing jobs with atomics on purpose"
+    reason = "the scheduler's tests order and stamp racing jobs with atomics and mutexes on purpose"
 )]
 mod tests {
     use super::*;

@@ -7,9 +7,10 @@
 //! `u64` record pointers (page id + offset, or an inline small payload).
 //!
 //! Every node occupies one 4 KB page and is read and written through a
-//! [`PagePool`] — the single-owner [`crate::BufferPool`] handle or a per-query
-//! [`crate::striped::TalliedPool`] view of the concurrent striped pool —
-//! so tree operations produce realistic page-fault patterns. Branching
+//! [`PagePool`] — the single-owner [`crate::BufferPool`] handle, the
+//! [`crate::OwnedPool`] view an engine builds its trees through, or a
+//! query's read-only view of the shared pool's pinned pages — so tree
+//! operations produce realistic page-fault patterns. Branching
 //! factors are configurable (tests use tiny fanouts to force deep trees);
 //! the defaults fill a page.
 //!
@@ -440,7 +441,7 @@ mod tests {
     use super::*;
     use crate::buffer::BufferPool;
     use crate::store::PageStore;
-    use crate::striped::{IoTally, StripedBufferPool, TalliedPool};
+    use crate::striped::{IoTally, StripedBufferPool};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -749,13 +750,13 @@ mod tests {
                 |p| p.stats().logical_reads,
                 |p| p.clear_cache().unwrap(),
             );
-            let striped = StripedBufferPool::new(PageStore::new(), 8, 4);
+            let mut striped = StripedBufferPool::new(PageStore::new(), 8, 4);
             in_place_get_matches_decoded(
-                &mut TalliedPool { pool: &striped, tally: &mut IoTally::default() },
+                &mut striped.owner(&mut IoTally::default()),
                 fanout,
                 &keys,
                 |p| p.tally.logical_reads,
-                |p| p.pool.clear_cache().unwrap(),
+                |p| p.pool.write_back_all_owned(true).unwrap(),
             );
         }
     }
@@ -862,7 +863,7 @@ mod tests {
             }
         }
         check(&mut pool());
-        let striped = StripedBufferPool::new(PageStore::new(), 8, 4);
-        check(&mut TalliedPool { pool: &striped, tally: &mut IoTally::default() });
+        let mut striped = StripedBufferPool::new(PageStore::new(), 8, 4);
+        check(&mut striped.owner(&mut IoTally::default()));
     }
 }

@@ -53,13 +53,14 @@ impl BufferStats {
 
 /// Page-granular storage access: what the paged [`crate::BPlusTree`] needs
 /// from its backing pool. Implemented by the single-owner [`BufferPool`]
-/// and by [`crate::striped::TalliedPool`], a per-caller view of a shared
-/// [`StripedBufferPool`] — the same pool code behind both.
+/// and by [`crate::OwnedPool`], the owner's view of a
+/// [`StripedBufferPool`] — the same pool code behind both, and no lock
+/// held while a closure runs.
 ///
-/// Every method is fallible: the striped implementation surfaces a
-/// poisoned stripe or store lock as [`StorageError::LockPoisoned`] instead
-/// of panicking the serving thread, so the trait carries the `Result`
-/// through to every caller.
+/// Every method is fallible: a stripe poisoned while the pool was shared
+/// surfaces as [`StorageError::LockPoisoned`], and a page id the store
+/// never allocated as [`StorageError::CorruptPage`], so the trait carries
+/// the `Result` through to every caller.
 pub trait PagePool {
     /// Allocates a fresh zeroed page (cached clean).
     fn alloc(&mut self) -> Result<PageId, StorageError>;
@@ -118,16 +119,16 @@ impl BufferPool {
     }
 }
 
-/// Page access: [`StripedBufferPool::alloc`], `with_page` and
-/// `with_page_mut`, through `&mut` and charged to the owner's tally.
+/// Page access: the pool's [owner view](StripedBufferPool::owner),
+/// charged to the owner's tally.
 impl PagePool for BufferPool {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        self.pool.alloc_owned()
+        self.pool.owner(&mut self.tally).alloc()
     }
 
     #[inline]
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, StorageError> {
-        self.pool.with_page_owned(id, &mut self.tally, f)
+        self.pool.owner(&mut self.tally).with_page(id, f)
     }
 
     fn with_page_mut<R>(
@@ -135,7 +136,7 @@ impl PagePool for BufferPool {
         id: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        self.pool.with_page_mut_owned(id, &mut self.tally, f)
+        self.pool.owner(&mut self.tally).with_page_mut(id, f)
     }
 }
 

@@ -56,7 +56,7 @@ pub use io_tracker::IoTracker;
 pub use lru::LruCache;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use store::PageStore;
-pub use striped::{IoTally, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_STRIPES};
+pub use striped::{IoTally, OwnedPool, StripedBufferPool, DEFAULT_BUFFER_STRIPES};
 
 /// The paper's buffer-pool capacity: "a memory cache of 50 pages with LRU
 /// replacement scheme".

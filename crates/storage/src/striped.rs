@@ -12,15 +12,17 @@
 //!
 //! ## Two doors, one logic
 //!
-//! The LRU probe, the fault-in and the dirty write-back are written once,
-//! on one stripe's frames (`Stripe`). A shared caller (`&self`) reaches a
-//! stripe through its mutex and the store through its `RwLock`. An owner
-//! holding `&mut` reaches the same code through `Mutex::get_mut` /
-//! `RwLock::get_mut`: no lock is taken and no atomic is bumped. The
+//! The LRU probe, the fault-in, the write and the dirty write-back are
+//! written once, on one stripe's frames (`Stripe`). A shared caller
+//! (`&self`) reaches a stripe through its mutex and the store through its
+//! `RwLock`. An owner holding `&mut` reaches the same code through an
+//! [`OwnedPool`] ([`StripedBufferPool::owner`]): `Mutex::get_mut` /
+//! `RwLock::get_mut`, no lock taken and no atomic bumped. The
 //! single-owner [`BufferPool`](crate::BufferPool) — the paged B+-tree's
 //! pool in tests and in roadbench's probe — is a one-stripe pool used
 //! through that door, so its access stream, faults and eviction order are
-//! those of a one-stripe shared pool.
+//! those of a one-stripe shared pool; a `PagedEngine` lays its pages out
+//! and fills its B+-trees through it too, while it is built.
 //!
 //! ## Capacity split
 //!
@@ -47,17 +49,16 @@
 //! A frame holds an `Arc<Page>`, the same handle the [`PageStore`] holds: a
 //! fault clones the handle instead of copying 4 KB, and a write-back hands
 //! the frame's handle to the store. [`StripedBufferPool::pin`] gives a
-//! reader that handle and releases the stripe: the lock is held for the
-//! bookkeeping — the LRU probe, a fault-in, the handle clone — never while
-//! a record is decoded or a B+-tree node searched. What makes that safe is
-//! **copy-on-write**, and it is the contract: [`with_page_mut`] goes
-//! through [`Arc::make_mut`], so a page somebody else still holds (the
-//! store, a pinned reader) is copied before the first byte changes. A
-//! pinned handle is a snapshot — it never shows a half-written page, and
-//! it never shows a write made after it was taken either; a reader that
-//! must see such writes pins again.
-//!
-//! [`with_page_mut`]: StripedBufferPool::with_page_mut
+//! reader that handle and releases the stripe, and
+//! [`StripedBufferPool::with_page`] runs its closure on such a handle: the
+//! lock is held for the bookkeeping — the LRU probe, a fault-in, the handle
+//! clone — never while a record is decoded or a B+-tree node searched.
+//! What makes that safe is **copy-on-write**, and it is the contract:
+//! [`StripedBufferPool::write`] goes through [`Arc::make_mut`], so a page
+//! somebody else still holds (the store, a pinned reader) is copied before
+//! the first byte changes. A pinned handle is a snapshot — it never shows a
+//! half-written page, and it never shows a write made after it was taken
+//! either; a reader that must see such writes pins again.
 //!
 //! ## Exact per-query accounting
 //!
@@ -72,17 +73,29 @@
 //!
 //! ## Lock order and poisoning
 //!
-//! Lock order is `stripe -> store`, everywhere: the allocation path
-//! releases the store lock before touching a stripe, and fault/write-back
-//! paths take the store lock only while already holding a stripe. No path
-//! holds two stripe locks at once. The `roadlint` pass extracts every
-//! acquisition site in this file and checks the acquired-while-held graph
-//! stays acyclic.
+//! The pool's guards are held by pool code only: no door of the shared
+//! pool runs caller code under one. [`StripedBufferPool::pin`] and
+//! [`StripedBufferPool::with_page`] hold a stripe for the LRU probe, a
+//! fault-in and the handle clone; [`StripedBufferPool::write`] for the
+//! same and a copy of the caller's bytes; [`StripedBufferPool::alloc`]
+//! takes the store, releases it and then takes a stripe; a flush or a
+//! clear takes the stripes one after another. The order is
+//! `stripe -> store`: the store lock is taken inside a stripe, for a
+//! fault-in or a write-back, and never the other way. A path holds one
+//! stripe at most: a locked `Stripe` borrows its caller's [`IoTally`]
+//! mutably for as long as it lives, so a second stripe taken for the same
+//! caller under the first does not compile (E0499). The one lock above the
+//! pool, a lazily opened `PagedEngine`'s page-in lock, is taken before any
+//! of these (`page-in -> stripe -> store`). `clippy.toml` disallows std's
+//! lock and guard types; the two fields of [`StripedBufferPool`] that
+//! declare these locks carry an `#[expect]` each that says why.
 //!
-//! A poisoned lock (a caller's closure panicked inside `with_page`)
-//! surfaces as [`StorageError::LockPoisoned`] on every later access to
-//! that stripe — the serving thread gets an `Err`, never a propagated
-//! panic.
+//! A poisoned lock — a thread panicked while it held a stripe; no pool
+//! code does, and no caller's code runs under one — surfaces as
+//! [`StorageError::LockPoisoned`] on every later access to that stripe:
+//! the serving thread gets an `Err`, never a propagated panic.
+//! Introspection ([`StripedBufferPool::cached_pages`],
+//! [`StripedBufferPool::num_pages`]) recovers the lock instead.
 #![cfg_attr(
     not(test),
     deny(
@@ -100,9 +113,10 @@
 use crate::buffer::{BufferStats, PagePool};
 use crate::error::StorageError;
 use crate::lru::LruCache;
-use crate::page::{Page, PageId};
+use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::store::PageStore;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::ops::DerefMut;
+use std::sync::{Arc, PoisonError};
 
 /// The pool's cumulative statistics counters, and the one place outside
 /// tests that holds a std atomic (`clippy.toml` disallows them everywhere
@@ -174,12 +188,15 @@ struct Frame {
 /// The frames of one stripe.
 type Frames = LruCache<u32, Frame>;
 
+const STRIPE_POISONED: StorageError = StorageError::LockPoisoned("buffer-pool stripe");
+const STORE_POISONED: StorageError = StorageError::LockPoisoned("page store");
+
 /// The store and the write-back counter, as a stripe operation reaches
-/// them: through the store's lock from the shared pool, or directly from an
-/// owner holding `&mut` — no lock taken, no atomic bumped.
+/// them: through the pool's store lock from the shared pool, or directly
+/// from an owner holding `&mut` — no lock taken, no atomic bumped.
 enum Disk<'a> {
-    Locked(&'a RwLock<PageStore>, &'a StatCounter),
-    Owned(&'a mut RwLock<PageStore>, &'a mut u64),
+    Locked(&'a StripedBufferPool),
+    Owned(&'a mut PageStore, &'a mut u64),
 }
 
 impl Disk<'_> {
@@ -188,41 +205,43 @@ impl Disk<'_> {
     /// pointer, a packed record location): one the store never allocated
     /// is a corrupt page, not an index.
     fn read(&mut self, id: PageId) -> Result<Arc<Page>, StorageError> {
-        let poisoned = StorageError::LockPoisoned("page store");
         let page = match self {
-            Disk::Locked(store, _) => store.read().map_err(|_| poisoned)?.read(id),
-            Disk::Owned(store, _) => store.get_mut().map_err(|_| poisoned)?.read(id),
+            Disk::Locked(pool) => pool.store.read().map_err(|_| STORE_POISONED)?.read(id),
+            Disk::Owned(store, _) => store.read(id),
         };
         page.ok_or(StorageError::CorruptPage("page id outside the store"))
     }
 
     /// Writes a dirty frame's page back, counting the write-back.
     fn write_back(&mut self, id: u32, page: Arc<Page>) -> Result<(), StorageError> {
-        let poisoned = StorageError::LockPoisoned("page store");
         match self {
-            Disk::Locked(store, write_backs) => {
-                write_backs.add(1);
-                store.write().map_err(|_| poisoned)?.write(PageId(id), page);
+            Disk::Locked(pool) => {
+                pool.write_backs.add(1);
+                pool.store.write().map_err(|_| STORE_POISONED)?.write(PageId(id), page);
             }
             Disk::Owned(store, write_backs) => {
                 **write_backs += 1;
-                store.get_mut().map_err(|_| poisoned)?.write(PageId(id), page);
+                store.write(PageId(id), page);
             }
         }
         Ok(())
     }
 }
 
-/// One stripe's frames with the disk behind them: the LRU probe, the
-/// fault-in and the dirty write-back, written once for the locked and the
-/// owned path. A locked caller holds the stripe lock for as long as this
-/// lives, and the store lock is taken inside it (`stripe -> store`).
-struct Stripe<'a> {
-    frames: &'a mut Frames,
+/// One stripe's frames with the disk behind them and the caller's tally:
+/// the LRU probe, the fault-in, the write and the dirty write-back,
+/// written once for the locked and the owned path. `F` is the stripe's
+/// guard on the locked path — held for as long as this lives, with the
+/// store lock taken inside it (`stripe -> store`) — and `&mut Frames` on
+/// the owned one. The tally is borrowed mutably for as long, so one
+/// caller cannot hold two stripes at once (see the module docs).
+struct Stripe<'a, F> {
+    frames: F,
     disk: Disk<'a>,
+    tally: &'a mut IoTally,
 }
 
-impl Stripe<'_> {
+impl<F: DerefMut<Target = Frames>> Stripe<'_, F> {
     /// Inserts a frame, writing back the evicted frame if it was dirty.
     fn insert(&mut self, id: u32, frame: Frame) -> Result<(), StorageError> {
         match self.frames.put(id, frame) {
@@ -233,7 +252,7 @@ impl Stripe<'_> {
         }
     }
 
-    /// Runs `f` on the frame of page `id`, charging `tally` one logical
+    /// Runs `f` on the frame of page `id`, charging the tally one logical
     /// read plus a fault if the page was not resident. A hit is one LRU
     /// probe; a miss faults the stored page in by handle. The lookup after
     /// the fault-in cannot miss (the admitted page is the most recent), but
@@ -242,14 +261,13 @@ impl Stripe<'_> {
     fn with_frame<R>(
         &mut self,
         id: PageId,
-        tally: &mut IoTally,
         f: impl FnOnce(&mut Frame) -> R,
     ) -> Result<R, StorageError> {
-        tally.logical_reads += 1;
+        self.tally.logical_reads += 1;
         if let Some(frame) = self.frames.get(&id.0) {
             return Ok(f(frame));
         }
-        self.fault_in(id, tally)?;
+        self.fault_in(id)?;
         self.frames.get(&id.0).map(f).ok_or(StorageError::Internal("frame evicted during fault-in"))
     }
 
@@ -257,10 +275,23 @@ impl Stripe<'_> {
     /// hit stays small enough to inline into its caller.
     #[cold]
     #[inline(never)]
-    fn fault_in(&mut self, id: PageId, tally: &mut IoTally) -> Result<(), StorageError> {
+    fn fault_in(&mut self, id: PageId) -> Result<(), StorageError> {
         let page = self.disk.read(id)?;
-        tally.page_faults += 1;
+        self.tally.page_faults += 1;
         self.insert(id.0, Frame { page, dirty: false })
+    }
+
+    /// Copies `bytes` into page `id` at `offset` — one piece of a
+    /// [`write_run`], which keeps it inside the page.
+    fn write(&mut self, id: PageId, offset: usize, bytes: &[u8]) -> Result<(), StorageError> {
+        self.with_frame(id, |frame| {
+            write_frame(frame, |page| {
+                let to = page.bytes_mut().get_mut(offset..offset + bytes.len())?;
+                to.copy_from_slice(bytes);
+                Some(())
+            })
+        })?
+        .ok_or(StorageError::Internal("write piece past the page end"))
     }
 
     /// Writes the dirty frames back to the store, then with `clear`
@@ -290,14 +321,47 @@ fn write_frame<R>(frame: &mut Frame, f: impl FnOnce(&mut Page) -> R) -> R {
     f(Arc::make_mut(&mut frame.page))
 }
 
+/// Cuts a run of `bytes` written at (`id`, `offset`) into pages: what fits
+/// page `id` from `offset` on, then the rest from the start of each
+/// following page id, `piece` writing each. An offset outside the page is
+/// an `Err` before anything is written; an empty run writes nothing.
+fn write_run(
+    mut id: PageId,
+    mut offset: usize,
+    mut bytes: &[u8],
+    mut piece: impl FnMut(PageId, usize, &[u8]) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    if offset >= PAGE_SIZE {
+        return Err(StorageError::Internal("write offset outside the page"));
+    }
+    while !bytes.is_empty() {
+        let (head, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - offset));
+        piece(id, offset, head)?;
+        if !rest.is_empty() {
+            let next = id.0.checked_add(1).ok_or(StorageError::Internal("write past page ids"))?;
+            id = PageId(next);
+        }
+        (offset, bytes) = (0, rest);
+    }
+    Ok(())
+}
+
 /// A thread-safe, lock-striped LRU buffer pool over a [`PageStore`].
 ///
 /// Shared access takes `&self`; the pool is `Send + Sync` and is what lets
 /// the core crate's `PagedEngine` serve `knn`/`range` from many threads at
 /// once. See the [module docs](crate::striped) for the design.
 pub struct StripedBufferPool {
-    store: RwLock<PageStore>,
-    stripes: Vec<Mutex<Frames>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the store lock: held by pool code for one page read, write or allocation, inside a stripe or alone, never across anything else"
+    )]
+    store: std::sync::RwLock<PageStore>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the stripe locks: held by pool code for an LRU probe, a fault-in, a handle clone, a copy of the caller's bytes or a write-back, never by a caller and never two at once"
+    )]
+    stripes: Vec<std::sync::Mutex<Frames>>,
     /// `stripes.len()`, as the `u32` a page id is reduced by: the stripe of
     /// every access is one 32-bit remainder.
     num_stripes: u32,
@@ -330,52 +394,57 @@ impl StripedBufferPool {
         assert!(num_stripes > 0, "stripe count must be positive (and no more than page ids)");
         let per_stripe =
             |i: usize| (capacity / stripes + usize::from(i < capacity % stripes)).max(1);
-        let capacity = (0..stripes).map(per_stripe).sum();
-        let stripes: Vec<Mutex<Frames>> =
-            (0..stripes).map(|i| Mutex::new(LruCache::new(per_stripe(i)))).collect();
         StripedBufferPool {
-            store: RwLock::new(store),
-            stripes,
+            store: store.into(),
+            stripes: (0..stripes).map(|i| LruCache::new(per_stripe(i)).into()).collect(),
             num_stripes,
-            capacity,
+            capacity: (0..stripes).map(per_stripe).sum(),
             logical_reads: StatCounter::default(),
             page_faults: StatCounter::default(),
             write_backs: StatCounter::default(),
         }
     }
 
-    /// Locks the stripe owning page `id`; `Err` if a previous holder
-    /// panicked.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the index is id % stripes.len(), in range by construction"
-    )]
-    fn stripe(&self, id: PageId) -> Result<MutexGuard<'_, Frames>, StorageError> {
-        self.stripes[(id.0 % self.num_stripes) as usize]
-            .lock()
-            .map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))
+    /// Locks stripe `index` for a caller charging `tally`; `Err` if a
+    /// previous holder panicked. Every lock of a stripe is taken here.
+    fn stripe_at<'a>(
+        &'a self,
+        index: usize,
+        tally: &'a mut IoTally,
+    ) -> Result<Stripe<'a, impl DerefMut<Target = Frames> + 'a>, StorageError> {
+        let frames = self.stripes.get(index).ok_or(StorageError::Internal("stripe index"))?;
+        let frames = frames.lock().map_err(|_| STRIPE_POISONED)?;
+        Ok(Stripe { frames, disk: Disk::Locked(self), tally })
     }
 
-    /// The shared path to the disk: through the store's lock.
-    fn disk(&self) -> Disk<'_> {
-        Disk::Locked(&self.store, &self.write_backs)
+    /// Locks the stripe owning page `id`.
+    #[inline]
+    fn stripe<'a>(
+        &'a self,
+        id: PageId,
+        tally: &'a mut IoTally,
+    ) -> Result<Stripe<'a, impl DerefMut<Target = Frames> + 'a>, StorageError> {
+        self.stripe_at((id.0 % self.num_stripes) as usize, tally)
     }
 
     /// The stripe owning page `id`, reached by an owner: `get_mut`, no lock
     /// taken. A one-stripe pool skips the division. A stripe poisoned while
     /// the pool was shared stays an `Err`.
     #[inline]
-    fn owned(&mut self, id: PageId) -> Result<Stripe<'_>, StorageError> {
+    fn owned<'a>(
+        &'a mut self,
+        id: PageId,
+        tally: &'a mut IoTally,
+    ) -> Result<Stripe<'a, &'a mut Frames>, StorageError> {
         let frames = match self.stripes.as_mut_slice() {
             [only] => only,
             all => all
                 .get_mut((id.0 % self.num_stripes) as usize)
                 .ok_or(StorageError::Internal("stripe index"))?,
         };
-        let frames =
-            frames.get_mut().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
-        Ok(Stripe { frames, disk: Disk::Owned(&mut self.store, self.write_backs.get_mut()) })
+        let frames = frames.get_mut().map_err(|_| STRIPE_POISONED)?;
+        let store = self.store.get_mut().map_err(|_| STORE_POISONED)?;
+        Ok(Stripe { frames, disk: Disk::Owned(store, self.write_backs.get_mut()), tally })
     }
 
     /// Allocates a fresh zeroed page (cached clean).
@@ -384,61 +453,65 @@ impl StripedBufferPool {
     /// callers that need *consecutive* page ids (multi-page records) must
     /// serialize their own allocation runs.
     pub fn alloc(&self) -> Result<PageId, StorageError> {
-        let id = self.store.write().map_err(|_| StorageError::LockPoisoned("page store"))?.alloc();
-        let mut stripe = self.stripe(id)?;
+        let id = self.store.write().map_err(|_| STORE_POISONED)?.alloc();
         let frame = Frame { page: Arc::new(Page::zeroed()), dirty: false };
-        Stripe { frames: &mut stripe, disk: self.disk() }.insert(id.0, frame)?;
+        self.stripe(id, &mut IoTally::default())?.insert(id.0, frame)?;
         Ok(id)
     }
 
-    /// Runs `f` on the frame of page `id` under its stripe's lock.
-    fn with_frame<R>(
-        &self,
-        id: PageId,
-        tally: &mut IoTally,
-        f: impl FnOnce(&mut Frame) -> R,
-    ) -> Result<R, StorageError> {
-        let mut stripe = self.stripe(id)?;
-        Stripe { frames: &mut stripe, disk: self.disk() }.with_frame(id, tally, f)
-    }
-
-    /// Hands out page `id` by handle: the stripe lock is held for the LRU
-    /// probe (a fault-in when the page is not resident) and the handle
-    /// clone, and released before the caller reads a byte. Same accounting
-    /// and error contract as [`StripedBufferPool::with_page`].
+    /// Hands out page `id` by handle, charging `tally` one logical read
+    /// plus a fault if the page was not resident: the stripe lock is held
+    /// for the LRU probe (a fault-in when the page is not resident) and
+    /// the handle clone, and released before the caller reads a byte.
+    /// `Err` when the stripe or store lock is poisoned, or when `id` names
+    /// a page the store does not have.
     ///
     /// The handle is a snapshot. Copy-on-write is the contract: a later
-    /// [`StripedBufferPool::with_page_mut`] on `id` writes to a copy, so the
+    /// [`StripedBufferPool::write`] to `id` writes to a copy, so the
     /// handle keeps reading the bytes it was taken on — whole, never
     /// half-written, and never newer. Pin again to see a later write.
     pub fn pin(&self, id: PageId, tally: &mut IoTally) -> Result<Arc<Page>, StorageError> {
-        self.with_frame(id, tally, |frame| Arc::clone(&frame.page))
+        self.stripe(id, tally)?.with_frame(id, |frame| Arc::clone(&frame.page))
     }
 
-    /// Reads page `id` through the cache, charging `tally` one logical read
-    /// plus a fault if the page was not resident; `f` runs under the
-    /// stripe's lock. `Err` when the stripe or store lock is poisoned, or
-    /// when `id` names a page the store does not have.
+    /// Reads page `id` through the cache: `f` runs on a
+    /// [pinned](StripedBufferPool::pin) handle, after the stripe lock is
+    /// released. Same accounting and error contract as `pin`.
     pub fn with_page<R>(
         &self,
         id: PageId,
         tally: &mut IoTally,
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R, StorageError> {
-        self.with_frame(id, tally, |frame| f(&frame.page))
+        let page = self.pin(id, tally)?;
+        Ok(f(&page))
     }
 
-    /// Mutates page `id` through the cache, marking it dirty; same
-    /// accounting and error contract as [`StripedBufferPool::with_page`].
-    /// A page shared with the store or a [pinned](StripedBufferPool::pin)
-    /// reader is copied first, so neither ever sees the write.
-    pub fn with_page_mut<R>(
+    /// Copies `bytes` into the pages from (`id`, `offset`) on, marking each
+    /// page dirty: a run longer than the rest of page `id` continues at the
+    /// start of the next page id. Charges `tally` one access (and a fault
+    /// when cold) per page written, as [`StripedBufferPool::pin`] does. A
+    /// page shared with the store or a pinned reader is copied first, so
+    /// neither ever sees the write. Nothing of the caller's runs under the
+    /// stripe lock; an `offset` outside the page is an `Err`.
+    pub fn write(
         &self,
         id: PageId,
+        offset: usize,
+        bytes: &[u8],
         tally: &mut IoTally,
-        f: impl FnOnce(&mut Page) -> R,
-    ) -> Result<R, StorageError> {
-        self.with_frame(id, tally, |frame| write_frame(frame, f))
+    ) -> Result<(), StorageError> {
+        write_run(id, offset, bytes, |id, offset, piece| {
+            self.stripe(id, tally)?.write(id, offset, piece)
+        })
+    }
+
+    /// The pool's owner view: `&mut self` and the owner's `tally`, every
+    /// access through the owned path (no lock taken, no atomic bumped). A
+    /// [`PagePool`], so a [`crate::BPlusTree`] is built and read through
+    /// it.
+    pub fn owner<'a>(&'a mut self, tally: &'a mut IoTally) -> OwnedPool<'a> {
+        OwnedPool { pool: self, tally }
     }
 
     /// Adds a caller's finished `tally` to the cumulative counters — once
@@ -454,10 +527,8 @@ impl StripedBufferPool {
     /// write that lands between a flush and a separate clear would be
     /// dropped with its frame.
     fn write_back_all(&self, clear: bool) -> Result<(), StorageError> {
-        for stripe in &self.stripes {
-            let mut stripe =
-                stripe.lock().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
-            Stripe { frames: &mut stripe, disk: self.disk() }.write_back_dirty(clear)?;
+        for index in 0..self.stripes.len() {
+            self.stripe_at(index, &mut IoTally::default())?.write_back_dirty(clear)?;
         }
         Ok(())
     }
@@ -475,46 +546,14 @@ impl StripedBufferPool {
         self.write_back_all(true)
     }
 
-    // -- The owner's path: `&mut self`, no lock taken, the same logic --
-
-    /// [`StripedBufferPool::alloc`] for an owner.
-    pub(crate) fn alloc_owned(&mut self) -> Result<PageId, StorageError> {
-        let id =
-            self.store.get_mut().map_err(|_| StorageError::LockPoisoned("page store"))?.alloc();
-        let frame = Frame { page: Arc::new(Page::zeroed()), dirty: false };
-        self.owned(id)?.insert(id.0, frame)?;
-        Ok(id)
-    }
-
-    /// [`StripedBufferPool::with_page`] for an owner.
-    #[inline]
-    pub(crate) fn with_page_owned<R>(
-        &mut self,
-        id: PageId,
-        tally: &mut IoTally,
-        f: impl FnOnce(&Page) -> R,
-    ) -> Result<R, StorageError> {
-        self.owned(id)?.with_frame(id, tally, |frame| f(&frame.page))
-    }
-
-    /// [`StripedBufferPool::with_page_mut`] for an owner.
-    pub(crate) fn with_page_mut_owned<R>(
-        &mut self,
-        id: PageId,
-        tally: &mut IoTally,
-        f: impl FnOnce(&mut Page) -> R,
-    ) -> Result<R, StorageError> {
-        self.owned(id)?.with_frame(id, tally, |frame| write_frame(frame, f))
-    }
-
     /// [`StripedBufferPool::flush`] (`clear == false`) or
     /// [`StripedBufferPool::clear_cache`] for an owner.
     pub(crate) fn write_back_all_owned(&mut self, clear: bool) -> Result<(), StorageError> {
+        let store = self.store.get_mut().map_err(|_| STORE_POISONED)?;
         for frames in &mut self.stripes {
-            let frames =
-                frames.get_mut().map_err(|_| StorageError::LockPoisoned("buffer-pool stripe"))?;
-            let disk = Disk::Owned(&mut self.store, self.write_backs.get_mut());
-            Stripe { frames, disk }.write_back_dirty(clear)?;
+            let frames = frames.get_mut().map_err(|_| STRIPE_POISONED)?;
+            let disk = Disk::Owned(store, self.write_backs.get_mut());
+            Stripe { frames, disk, tally: &mut IoTally::default() }.write_back_dirty(clear)?;
         }
         Ok(())
     }
@@ -555,42 +594,51 @@ impl StripedBufferPool {
     /// bookkeeping stays coherent — see the module docs) so diagnostics
     /// keep working even after a serving thread died.
     pub fn cached_pages(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).len()) // roadlint: lock(stripe)
-            .sum()
+        self.stripes.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
     /// Pages allocated in the backing store. Introspection: recovers a
     /// poisoned store lock like [`StripedBufferPool::cached_pages`].
     pub fn num_pages(&self) -> usize {
-        self.store.read().unwrap_or_else(|poisoned| poisoned.into_inner()).num_pages()
+        self.store.read().unwrap_or_else(PoisonError::into_inner).num_pages()
     }
 
     /// Backing-store size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.store.read().unwrap_or_else(|poisoned| poisoned.into_inner()).size_bytes()
+        self.store.read().unwrap_or_else(PoisonError::into_inner).size_bytes()
     }
 }
 
-/// One caller's view of a [`StripedBufferPool`]: a shared pool reference
-/// plus that caller's private [`IoTally`]. Implements [`PagePool`], so a
-/// [`crate::BPlusTree`] built or searched through the concurrent pool
-/// charges the right caller.
-pub struct TalliedPool<'a> {
-    /// The shared pool.
-    pub pool: &'a StripedBufferPool,
-    /// The caller's delta counters.
-    pub tally: &'a mut IoTally,
+/// The owner's view of a [`StripedBufferPool`]: the pool through `&mut`
+/// plus the owner's [`IoTally`], from [`StripedBufferPool::owner`]. Same
+/// frames, store and accounting as the shared doors, and no lock: a
+/// [`PagePool`] whose closures run with nothing held.
+pub struct OwnedPool<'a> {
+    pub(crate) pool: &'a mut StripedBufferPool,
+    pub(crate) tally: &'a mut IoTally,
 }
 
-impl PagePool for TalliedPool<'_> {
+impl OwnedPool<'_> {
+    /// [`StripedBufferPool::write`] for the owner.
+    pub fn write(&mut self, id: PageId, offset: usize, bytes: &[u8]) -> Result<(), StorageError> {
+        write_run(id, offset, bytes, |id, offset, piece| {
+            self.pool.owned(id, self.tally)?.write(id, offset, piece)
+        })
+    }
+}
+
+impl PagePool for OwnedPool<'_> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        self.pool.alloc()
+        let store = self.pool.store.get_mut().map_err(|_| STORE_POISONED)?;
+        let id = store.alloc();
+        let frame = Frame { page: Arc::new(Page::zeroed()), dirty: false };
+        self.pool.owned(id, self.tally)?.insert(id.0, frame)?;
+        Ok(id)
     }
 
+    #[inline]
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, StorageError> {
-        self.pool.with_page(id, self.tally, f)
+        self.pool.owned(id, self.tally)?.with_frame(id, |frame| f(&frame.page))
     }
 
     fn with_page_mut<R>(
@@ -598,7 +646,7 @@ impl PagePool for TalliedPool<'_> {
         id: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        self.pool.with_page_mut(id, self.tally, f)
+        self.pool.owned(id, self.tally)?.with_frame(id, |frame| write_frame(frame, f))
     }
 }
 
@@ -606,13 +654,19 @@ impl PagePool for TalliedPool<'_> {
 #[expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "concurrency tests race threads, and an atomic flag, against one engine on purpose; nothing they return is committed in completion order"
+    reason = "concurrency tests race threads, and an atomic flag, against one pool on purpose, and reach into its stripe mutexes; nothing they return is committed in completion order"
 )]
 mod tests {
     use super::*;
+    use crate::bptree::BPlusTree;
 
     fn pool(capacity: usize, stripes: usize) -> StripedBufferPool {
         StripedBufferPool::new(PageStore::new(), capacity, stripes)
+    }
+
+    /// The mutex of the stripe owning page `id`.
+    fn stripe_of(p: &StripedBufferPool, id: PageId) -> &std::sync::Mutex<Frames> {
+        &p.stripes[id.index() % p.stripes.len()]
     }
 
     #[test]
@@ -631,7 +685,7 @@ mod tests {
         let mut tally = IoTally::default();
         let ids: Vec<PageId> = (0..12).map(|_| p.alloc().unwrap()).collect();
         for (i, &id) in ids.iter().enumerate() {
-            p.with_page_mut(id, &mut tally, |pg| pg.bytes_mut()[7] = i as u8).unwrap();
+            p.write(id, 7, &[i as u8], &mut tally).unwrap();
         }
         p.clear_cache().unwrap();
         p.reset_stats();
@@ -652,6 +706,36 @@ mod tests {
         assert_eq!((st.logical_reads, st.page_faults), (24, 12));
     }
 
+    /// A write longer than the rest of its page continues at the start of
+    /// the next page id, one access per page; an empty one touches nothing,
+    /// and one that starts outside the page is an `Err` that writes
+    /// nothing.
+    #[test]
+    fn a_write_runs_on_across_page_boundaries() {
+        let p = pool(8, 2);
+        let ids: Vec<PageId> = (0..3).map(|_| p.alloc().unwrap()).collect();
+        let run: Vec<u8> = (0..PAGE_SIZE + 20).map(|i| (i % 251) as u8 + 1).collect();
+        let mut tally = IoTally::default();
+        p.write(ids[0], PAGE_SIZE - 10, &run, &mut tally).unwrap();
+        assert_eq!(tally.logical_reads, 3, "one access per page the run touches");
+        let mut back = Vec::new();
+        for &id in &ids {
+            back.extend_from_slice(p.pin(id, &mut tally).unwrap().bytes());
+        }
+        assert_eq!(back[PAGE_SIZE - 10..PAGE_SIZE + run.len() - 10], run[..]);
+        assert!(back[..PAGE_SIZE - 10]
+            .iter()
+            .chain(&back[PAGE_SIZE + run.len() - 10..])
+            .all(|&b| b == 0));
+        let mut tally = IoTally::default();
+        p.write(ids[1], 5, &[], &mut tally).unwrap();
+        assert_eq!(
+            p.write(ids[1], PAGE_SIZE, &[1], &mut tally),
+            Err(StorageError::Internal("write offset outside the page"))
+        );
+        assert_eq!(tally, IoTally::default());
+    }
+
     /// Regression (stats drift): `clear_cache` flushes dirty frames as
     /// clean, so the flush write-back is the only one — evicting or
     /// re-clearing must not write the same page again, and faults after a
@@ -661,7 +745,7 @@ mod tests {
         let p = pool(8, 2);
         let mut tally = IoTally::default();
         let a = p.alloc().unwrap();
-        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[0] = 1).unwrap();
+        p.write(a, 0, &[1], &mut tally).unwrap();
         p.clear_cache().unwrap();
         let after_first = p.stats().write_backs;
         assert_eq!(after_first, 1, "one dirty frame, one write-back");
@@ -748,8 +832,7 @@ mod tests {
                     let mut tally = IoTally::default();
                     // Each thread owns a disjoint quarter of the pages.
                     for (i, &id) in ids.iter().enumerate().skip(t * 4).take(4) {
-                        p.with_page_mut(id, &mut tally, |pg| pg.bytes_mut()[100] = i as u8 + 1)
-                            .unwrap();
+                        p.write(id, 100, &[i as u8 + 1], &mut tally).unwrap();
                     }
                 });
             }
@@ -788,7 +871,7 @@ mod tests {
             let mut tally = IoTally::default();
             for round in 0..ROUNDS {
                 for (i, &id) in ids.iter().enumerate() {
-                    p.with_page_mut(id, &mut tally, |pg| pg.bytes_mut()[round] = stamp(i)).unwrap();
+                    p.write(id, round, &[stamp(i)], &mut tally).unwrap();
                 }
             }
             done.store(true, Ordering::Release);
@@ -814,7 +897,7 @@ mod tests {
         let mut tally = IoTally::default();
         let (a, b, c) = (p.alloc().unwrap(), p.alloc().unwrap(), p.alloc().unwrap());
         p.clear_cache().unwrap();
-        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[0] = 1).unwrap();
+        p.write(a, 0, &[1], &mut tally).unwrap();
         p.with_page(b, &mut tally, |_| ()).unwrap();
         p.flush().unwrap();
         assert_eq!(p.stats().write_backs, 1);
@@ -829,17 +912,17 @@ mod tests {
     }
 
     /// Copy-on-write is the contract of `pin`: a handle keeps reading the
-    /// bytes it was taken on, whole, while `with_page_mut` on the same id
-    /// writes to a copy that the pool (and the next `pin`) sees — also
-    /// across an eviction and a `clear_cache`.
+    /// bytes it was taken on, whole, while `write` on the same id writes to
+    /// a copy that the pool (and the next `pin`) sees — also across an
+    /// eviction and a `clear_cache`.
     #[test]
     fn a_pinned_handle_is_a_snapshot() {
         let p = pool(2, 1);
         let mut tally = IoTally::default();
         let a = p.alloc().unwrap();
-        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[..4].fill(1)).unwrap();
+        p.write(a, 0, &[1; 4], &mut tally).unwrap();
         let old = p.pin(a, &mut tally).unwrap();
-        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[..4].fill(2)).unwrap();
+        p.write(a, 0, &[2; 4], &mut tally).unwrap();
         assert_eq!(old.bytes()[..4], [1; 4], "a pinned page changed under its reader");
         p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[..4], [2; 4])).unwrap();
         let new = p.pin(a, &mut tally).unwrap();
@@ -847,7 +930,7 @@ mod tests {
         // Unpinned and unshared, the frame is written in place.
         drop(new);
         let at = p.pin(a, &mut tally).map(|h| Arc::as_ptr(&h)).unwrap();
-        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[4] = 3).unwrap();
+        p.write(a, 4, &[3], &mut tally).unwrap();
         assert_eq!(p.pin(a, &mut tally).map(|h| Arc::as_ptr(&h)).unwrap(), at);
         // The write survives eviction and a clear; the old handle still
         // reads what it read.
@@ -862,29 +945,29 @@ mod tests {
         assert!(Arc::ptr_eq(&back, &p.pin(a, &mut tally).unwrap()));
     }
 
-    /// The owner's `&mut` path and the locked path reach the same frames,
-    /// the same store and the same write-back count: what one caches is a
-    /// hit for the other, and a dirty frame evicted or cleared through the
-    /// owner's path is counted where `stats()` reads it.
+    /// The owner's view and the locked doors reach the same frames, the
+    /// same store and the same write-back count: what one caches is a hit
+    /// for the other, and a dirty frame evicted or cleared through the
+    /// owner's view is counted where `stats()` reads it.
     #[test]
     fn owned_and_locked_access_share_one_pool() {
         let mut p = pool(2, 1);
         let mut tally = IoTally::default();
-        let a = p.alloc_owned().unwrap();
-        p.with_page_mut_owned(a, &mut tally, |pg| pg.bytes_mut()[0] = 5).unwrap();
+        let a = p.owner(&mut tally).alloc().unwrap();
+        p.owner(&mut tally).write(a, 0, &[5]).unwrap();
         p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 5)).unwrap();
         let b = p.alloc().unwrap();
-        p.with_page_mut(b, &mut tally, |pg| pg.bytes_mut()[0] = 6).unwrap();
-        p.with_page_owned(b, &mut tally, |pg| assert_eq!(pg.bytes()[0], 6)).unwrap();
+        p.write(b, 0, &[6], &mut tally).unwrap();
+        p.owner(&mut tally).with_page(b, |pg| assert_eq!(pg.bytes()[0], 6)).unwrap();
         assert_eq!(tally, IoTally { logical_reads: 4, page_faults: 0 });
         // `a` is the least recent: an owner's allocation evicts it, dirty.
-        p.alloc_owned().unwrap();
+        p.owner(&mut tally).alloc().unwrap();
         assert_eq!(p.stats().write_backs, 1);
         p.write_back_all_owned(true).unwrap();
         assert_eq!(p.stats().write_backs, 2, "`b` was dirty, the new page clean");
         assert_eq!(p.cached_pages(), 0);
         p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 5)).unwrap();
-        p.with_page_owned(b, &mut tally, |pg| assert_eq!(pg.bytes()[0], 6)).unwrap();
+        p.owner(&mut tally).with_page(b, |pg| assert_eq!(pg.bytes()[0], 6)).unwrap();
         assert_eq!(tally.page_faults, 2);
     }
 
@@ -906,64 +989,91 @@ mod tests {
         let _ = pool(0, 4);
     }
 
-    /// The panic-freedom satellite: a closure that panics inside
-    /// `with_page` poisons that stripe, and every later access to the
-    /// stripe surfaces `Err(LockPoisoned)` — never a propagated panic.
+    /// No caller code runs under a pool guard: inside a `with_page`
+    /// closure the page's stripe is free — a lock another thread (or the
+    /// caller itself) takes there cannot order against it.
     #[test]
-    fn poisoned_stripe_surfaces_as_err_not_panic() {
-        let p = pool(8, 2);
+    fn a_with_page_closure_runs_with_its_stripe_released() {
+        let p = pool(4, 2);
         let mut tally = IoTally::default();
         let a = p.alloc().unwrap();
-        let sibling = {
-            // A page in the same stripe as `a` (same id parity).
-            let mut id = p.alloc().unwrap();
-            while id.index() % 2 != a.index() % 2 {
-                id = p.alloc().unwrap();
-            }
-            id
-        };
-        let other = {
-            // A page in the other stripe.
-            let mut id = p.alloc().unwrap();
-            while id.index() % 2 == a.index() % 2 {
-                id = p.alloc().unwrap();
-            }
-            id
-        };
-        // Poison `a`'s stripe: panic while holding its lock.
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut t = IoTally::default();
-            p.with_page(a, &mut t, |_| panic!("die holding the stripe lock"))
-        }));
-        assert!(panicked.is_err(), "closure panic must unwind out of with_page");
-        // Same stripe: every access reports Err.
-        assert_eq!(
-            p.with_page(a, &mut tally, |_| ()),
-            Err(StorageError::LockPoisoned("buffer-pool stripe"))
-        );
-        assert_eq!(
-            p.with_page_mut(sibling, &mut tally, |_| ()),
-            Err(StorageError::LockPoisoned("buffer-pool stripe"))
-        );
-        assert!(p.flush().is_err(), "flush walks every stripe");
-        // The untouched stripe still serves.
-        assert!(p.with_page(other, &mut tally, |_| ()).is_ok());
-        // Introspection recovers instead of failing.
-        let _ = p.cached_pages();
-        assert!(p.num_pages() >= 3);
+        let free = p.with_page(a, &mut tally, |_| stripe_of(&p, a).try_lock().is_ok()).unwrap();
+        assert!(free, "the closure ran under the stripe lock");
     }
 
-    /// B+-tree over the concurrent pool via `TalliedPool`: shared reads
-    /// from several threads agree with the single-threaded answer.
+    /// A thread that panics while it holds a stripe poisons it: every
+    /// door to that stripe — shared and owned, reads, writes, allocations
+    /// landing there, flush and clear — returns `Err(LockPoisoned)`, never
+    /// a propagated panic; the other stripe still serves, and
+    /// introspection recovers.
     #[test]
-    fn bptree_reads_through_tallied_pool() {
-        use crate::bptree::BPlusTree;
-        let p = pool(8, 4);
+    fn a_poisoned_stripe_fails_every_door_and_introspection_recovers() {
+        let mut p = pool(8, 2);
         let mut tally = IoTally::default();
-        let mut tree =
-            BPlusTree::with_caps(&mut TalliedPool { pool: &p, tally: &mut tally }, 4, 4).unwrap();
+        let (a, other) = (p.alloc().unwrap(), p.alloc().unwrap());
+        p.write(a, 0, &[1], &mut tally).unwrap();
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = stripe_of(&p, a).lock().unwrap();
+                    panic!("die holding the stripe lock");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        let poisoned = StorageError::LockPoisoned("buffer-pool stripe");
+        assert_eq!(p.pin(a, &mut tally).err(), Some(poisoned));
+        assert_eq!(p.with_page(a, &mut tally, |_| ()), Err(poisoned));
+        assert_eq!(p.write(a, 0, &[2], &mut tally), Err(poisoned));
+        assert_eq!(p.flush(), Err(poisoned), "flush walks every stripe");
+        assert_eq!(p.clear_cache(), Err(poisoned), "so does clear");
+        // Of two allocations one lands in each stripe.
+        let allocs = [p.alloc(), p.alloc()];
+        assert!(allocs.contains(&Err(poisoned)), "{allocs:?}");
+        assert!(p.with_page(other, &mut tally, |_| ()).is_ok(), "the other stripe serves");
+        assert_eq!(p.cached_pages(), 3, "introspection recovers the poisoned stripe");
+        assert_eq!(p.num_pages(), 4);
+        let mut owner = p.owner(&mut tally);
+        assert_eq!(owner.with_page(a, |_| ()), Err(poisoned));
+        assert_eq!(owner.with_page_mut(a, |_| ()), Err(poisoned));
+        assert_eq!(owner.write(a, 0, &[3]), Err(poisoned));
+        assert!(owner.with_page(other, |_| ()).is_ok());
+        assert_eq!(p.write_back_all_owned(false), Err(poisoned));
+    }
+
+    /// A read-only [`PagePool`] over the shared pool, through `pin`.
+    struct Pinned<'a>(&'a StripedBufferPool, IoTally);
+
+    impl PagePool for Pinned<'_> {
+        fn alloc(&mut self) -> Result<PageId, StorageError> {
+            unreachable!("lookups do not allocate")
+        }
+        fn with_page<R>(
+            &mut self,
+            id: PageId,
+            f: impl FnOnce(&Page) -> R,
+        ) -> Result<R, StorageError> {
+            self.0.with_page(id, &mut self.1, f)
+        }
+        fn with_page_mut<R>(
+            &mut self,
+            _: PageId,
+            _: impl FnOnce(&mut Page) -> R,
+        ) -> Result<R, StorageError> {
+            unreachable!("lookups do not write")
+        }
+    }
+
+    /// A B+-tree built through the owner view is read back concurrently
+    /// through the shared pool: every thread gets the single-threaded
+    /// answers.
+    #[test]
+    fn bptree_built_by_the_owner_reads_back_under_threads() {
+        let mut p = pool(8, 4);
+        let mut tally = IoTally::default();
+        let mut tree = BPlusTree::with_caps(&mut p.owner(&mut tally), 4, 4).unwrap();
         for k in 0..300u64 {
-            tree.insert(&mut TalliedPool { pool: &p, tally: &mut tally }, k, k * 3).unwrap();
+            tree.insert(&mut p.owner(&mut tally), k, k * 3).unwrap();
         }
         p.clear_cache().unwrap();
         p.reset_stats();
@@ -972,16 +1082,12 @@ mod tests {
                 let p = &p;
                 let tree = &tree;
                 scope.spawn(move || {
-                    let mut tally = IoTally::default();
+                    let mut view = Pinned(p, IoTally::default());
                     for i in 0..300u64 {
                         let k = (i * 11 + t) % 300;
-                        let got = tree
-                            .get(&mut TalliedPool { pool: p, tally: &mut tally }, k)
-                            .unwrap()
-                            .expect("key present");
-                        assert_eq!(got, k * 3);
+                        assert_eq!(tree.get(&mut view, k).unwrap(), Some(k * 3));
                     }
-                    assert!(tally.logical_reads > 0);
+                    assert!(view.1.logical_reads > 0);
                 });
             }
         });

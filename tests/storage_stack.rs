@@ -9,7 +9,7 @@ use road_network::generator::simple;
 use road_storage::ccam::NodeClustering;
 use road_storage::lru::LruCache;
 use road_storage::{
-    BPlusTree, BufferPool, IoTally, IoTracker, PagePool, PageStore, StripedBufferPool, TalliedPool,
+    BPlusTree, BufferPool, IoTally, IoTracker, PagePool, PageStore, StripedBufferPool,
     DEFAULT_BUFFER_PAGES, PAGE_SIZE,
 };
 use std::collections::BTreeMap;
@@ -281,11 +281,11 @@ proptest! {
 
     /// One pool: the single-owner `BufferPool` is a one-stripe
     /// `StripedBufferPool` reached without a lock. The same stream of
-    /// allocations, reads, writes, flushes and clears through the handle
-    /// and through a `TalliedPool` over a one-stripe shared pool reads the
-    /// same bytes and counts the same reads, faults and write-backs after
-    /// every step — so the two fault on the same accesses and evict in the
-    /// same order.
+    /// allocations, reads, writes, flushes and clears through the handle's
+    /// closures and through a one-stripe shared pool's closure-free doors
+    /// (`alloc`, `with_page` and `pin`, `write`) reads the same bytes and
+    /// counts the same reads, faults and write-backs after every step — so
+    /// the two fault on the same accesses and evict in the same order.
     #[test]
     fn owner_handle_and_shared_pool_are_one_pool(
         frames in 1usize..6,
@@ -296,22 +296,26 @@ proptest! {
         let mut tally = IoTally::default();
         let mut pages = Vec::new();
         for (step, (op, at, byte)) in ops.into_iter().enumerate() {
-            let mut view = TalliedPool { pool: &shared, tally: &mut tally };
             match (op, pages.len()) {
                 (0, _) | (_, 0) => {
                     let id = owner.alloc().unwrap();
-                    prop_assert_eq!(view.alloc().unwrap(), id);
+                    prop_assert_eq!(shared.alloc().unwrap(), id);
                     pages.push(id);
                 }
-                (1 | 2, n) => {
+                (1, n) => {
                     let id = pages[at % n];
                     let read = |p: &road_storage::Page| p.bytes()[at];
-                    prop_assert_eq!(owner.with_page(id, read).unwrap(), view.with_page(id, read).unwrap());
+                    prop_assert_eq!(owner.with_page(id, read).unwrap(), shared.with_page(id, &mut tally, read).unwrap());
+                }
+                (2, n) => {
+                    let id = pages[at % n];
+                    let read = |p: &road_storage::Page| p.bytes()[at];
+                    prop_assert_eq!(owner.with_page(id, read).unwrap(), read(&shared.pin(id, &mut tally).unwrap()));
                 }
                 (3, n) => {
                     let id = pages[at % n];
                     owner.with_page_mut(id, |p| p.bytes_mut()[at] = byte).unwrap();
-                    view.with_page_mut(id, |p| p.bytes_mut()[at] = byte).unwrap();
+                    shared.write(id, at, &[byte], &mut tally).unwrap();
                 }
                 (4, _) => {
                     owner.flush().unwrap();
