@@ -111,4 +111,31 @@ mod tests {
     fn table_prints_without_panicking() {
         print_table("t", &["a", "b"], &[vec!["1".into(), "2".into()]]);
     }
+
+    /// The recorder captures what is printed between a start and a take,
+    /// and nothing after; a thread that panicked holding it leaves it
+    /// recording. One test, as the recorder is process-wide.
+    #[test]
+    fn the_recorder_captures_tables_until_taken_and_survives_a_poisoning() {
+        let recorded = |title: &str| take_recorded().iter().filter(|t| t.title == title).count();
+        start_recording();
+        print_table("recorded", &["k"], &[vec!["v".into()]]);
+        let tables = take_recorded();
+        let mine: Vec<_> = tables.iter().filter(|t| t.title == "recorded").collect();
+        assert_eq!(mine.len(), 1);
+        assert_eq!(
+            (&mine[0].header, &mine[0].rows),
+            (&vec!["k".to_owned()], &vec![vec!["v".to_owned()]])
+        );
+        print_table("after the take", &["k"], &[]);
+        assert_eq!(recorded("after the take"), 0, "recorded with no recording started");
+        let poisoner = std::panic::catch_unwind(|| {
+            let _held = RECORDER.lock().unwrap();
+            panic!("poison the recorder");
+        });
+        assert!(poisoner.is_err() && RECORDER.is_poisoned());
+        start_recording();
+        print_table("poisoned", &["k"], &[]);
+        assert_eq!(recorded("poisoned"), 1);
+    }
 }

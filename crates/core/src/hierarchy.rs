@@ -649,6 +649,28 @@ mod tests {
         }
     }
 
+    /// The Rnet count an image's reader checks its bytes against is the
+    /// count a built hierarchy of that shape has, and a shape the
+    /// hierarchy refuses is refused here too, with no count.
+    #[test]
+    fn rnet_count_is_a_built_hierarchys_and_refuses_what_it_refuses() {
+        for (fanout, levels) in [(2, 3), (4, 2), (4, 3)] {
+            let (_, hier) = build_grid(10, 10, fanout, levels);
+            assert_eq!(rnet_count(fanout, levels).unwrap(), hier.num_rnets());
+        }
+        assert_eq!(rnet_count(65_536, 1).unwrap(), 65_536);
+        assert_eq!(rnet_count(2, 12).unwrap(), (1 << 13) - 2);
+        for (fanout, levels) in
+            [(3, 2), (0, 2), (1, 2), (1 << 17, 1), (4, 0), (2, 13), (1 << 16, 2)]
+        {
+            let refused = rnet_count(fanout, levels);
+            assert!(
+                matches!(refused, Err(crate::RoadError::InvalidConfig(_))),
+                "fanout {fanout} over {levels} levels: {refused:?}"
+            );
+        }
+    }
+
     #[test]
     fn id_arithmetic_roundtrips() {
         let (_, hier) = build_grid(8, 8, 4, 3);

@@ -504,3 +504,122 @@ const _: () = {
     assert_send_sync::<Snapshot>();
     assert_send::<UpdateHandle>();
 };
+
+#[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a reader thread loads beside the writer on purpose; what it records is checked per thread"
+)]
+mod tests {
+    use super::*;
+    use road_network::generator::simple;
+
+    /// A live deployment over a small grid, and the id of one of its edges.
+    fn live() -> (LiveEngine, UpdateHandle, EdgeId) {
+        let fw = RoadFramework::builder(simple::grid(6, 6, 1.0)).fanout(4).levels(2).build();
+        let fw = fw.unwrap();
+        let ad = AssociationDirectory::new(fw.hierarchy());
+        let e = fw.network().edge_ids().next().unwrap();
+        let (reader, writer) = LiveEngine::new(fw, ad);
+        (reader, writer, e)
+    }
+
+    /// Applies one weight change and publishes it.
+    fn tick(writer: &mut UpdateHandle, e: EdgeId, i: u64) -> u64 {
+        writer.set_edge_weight(e, Weight::new(1.0 + (i % 7) as f64)).unwrap();
+        writer.publish()
+    }
+
+    /// The snapshot lock hands out no guard: a loaded snapshot is held
+    /// with the lock free, and a publish leaves it free.
+    #[test]
+    fn load_and_swap_return_with_the_snapshot_lock_free() {
+        let (reader, mut writer, e) = live();
+        let held = reader.snapshot();
+        assert!(reader.shared.current.try_lock().is_ok(), "a held snapshot holds the lock");
+        assert_eq!(tick(&mut writer, e, 1), 1);
+        assert!(reader.shared.current.try_lock().is_ok(), "publish");
+        assert_eq!((held.version(), reader.version()), (0, 1));
+    }
+
+    /// `swap` hands back the very snapshot it replaced, and `load` the one
+    /// it published; a reader's held snapshot outlives the swap.
+    #[test]
+    fn swap_hands_back_the_snapshot_it_replaced() {
+        let (reader, _writer, _) = live();
+        let first = reader.shared.load();
+        let next = Arc::new(Snapshot { version: 9, engine: first.engine.clone() });
+        let replaced = reader.shared.swap(Arc::clone(&next));
+        assert!(Arc::ptr_eq(&replaced, &first));
+        assert!(Arc::ptr_eq(&reader.shared.load(), &next));
+        drop(replaced);
+        assert_eq!((first.version(), Arc::strong_count(&first)), (0, 1));
+        assert_eq!(reader.version(), 9);
+    }
+
+    /// A reader that panicked holding the snapshot lock leaves the pointer
+    /// whole: loads and publishes go on, neither propagates the panic.
+    #[test]
+    fn a_poisoned_snapshot_lock_still_serves_and_publishes() {
+        let (reader, mut writer, e) = live();
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = reader.shared.current.lock().unwrap();
+            panic!("poison the snapshot lock");
+        }));
+        assert!(poisoner.is_err());
+        assert!(reader.shared.current.is_poisoned());
+        assert_eq!(reader.version(), 0);
+        assert_eq!(tick(&mut writer, e, 1), 1);
+        assert_eq!(reader.snapshot().version(), 1);
+    }
+
+    /// The published snapshot is shared, not owned by the writer: readers
+    /// cloned before the writer is dropped, and readers cloned from them
+    /// after, go on serving the last publication.
+    #[test]
+    fn readers_outlive_the_writer_on_its_last_publication() {
+        let (reader, mut writer, e) = live();
+        assert_eq!(tick(&mut writer, e, 3), 1);
+        let from_writer = writer.reader();
+        writer.set_edge_weight(e, Weight::new(9.0)).unwrap();
+        drop(writer);
+        let later = reader.clone();
+        for r in [&reader, &from_writer, &later] {
+            assert_eq!(r.version(), 1);
+            let snapshot = r.snapshot();
+            assert!(Arc::ptr_eq(&snapshot, &reader.snapshot()));
+            let hits = snapshot.knn(&crate::search::KnnQuery::new(NodeId(0), 1)).unwrap().hits;
+            assert!(hits.is_empty(), "no objects were ever inserted");
+        }
+    }
+
+    /// A reader loading beside a publishing writer never sees the version
+    /// go back, and ends on the last one published.
+    #[test]
+    fn a_reader_beside_the_writer_sees_versions_only_rise() {
+        const TICKS: u64 = 40;
+        let (reader, mut writer, e) = live();
+        std::thread::scope(|scope| {
+            // Dropped when the writer is done, or when it fails: the
+            // watcher stops either way.
+            let (done, finished) = std::sync::mpsc::channel::<()>();
+            let watching = &reader;
+            let watcher = scope.spawn(move || {
+                let mut seen = vec![watching.version()];
+                while finished.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
+                    seen.push(watching.snapshot().version());
+                }
+                seen.push(watching.version());
+                seen
+            });
+            for i in 1..=TICKS {
+                assert_eq!(tick(&mut writer, e, i), i);
+            }
+            drop(done);
+            let seen = watcher.join().unwrap();
+            assert_eq!(seen.last(), Some(&TICKS));
+            assert!(seen.windows(2).all(|w| w[0] <= w[1]), "a version went back");
+        });
+        assert_eq!(reader.version(), TICKS);
+    }
+}

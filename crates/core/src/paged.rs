@@ -2467,6 +2467,84 @@ mod tests {
         assert_eq!(eager.rnets_loaded(), eager.hierarchy().num_rnets());
     }
 
+    /// The lock order `page-in -> stripe -> store` cannot be turned round
+    /// by a caller: a query run inside a `with_page` closure of the
+    /// engine's own one-stripe pool pages Rnets in (page-in lock, then the
+    /// stripe) and answers, because the closure runs with no stripe held.
+    #[test]
+    fn a_query_inside_a_page_closure_pages_in_and_answers() {
+        use road_storage::{IoTally, PageId};
+        let (fw, ad) = setup(10);
+        let q = KnnQuery::new(NodeId(27), 4);
+        let want = QueryEngine::new(fw.clone(), ad.clone()).knn(&q).unwrap().hits;
+        let image = PagedImage::open(fw.to_bytes()).unwrap();
+        let options = PagedOptions::with_buffer_pages(50).with_stripes(1);
+        let lazy = PagedEngine::open(image, ad.objects().cloned().collect(), options).unwrap();
+        assert_eq!(lazy.rnets_loaded(), 0);
+        let mut tally = IoTally::default();
+        let got = lazy.pool.with_page(PageId(0), &mut tally, |_| lazy.knn(&q)).unwrap();
+        assert_eq!(got.unwrap().hits, want);
+        assert!(lazy.rnets_loaded() > 0, "the query paged nothing in");
+    }
+
+    /// Only page-ins wait on the page-in lock: with it held elsewhere, a
+    /// query whose Rnets are all resident answers, and one that needs an
+    /// Rnet paged in waits until the lock is released, then answers too.
+    #[test]
+    fn only_a_page_in_waits_on_the_page_in_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (fw, ad) = setup(10);
+        let engine = QueryEngine::new(fw.clone(), ad.clone());
+        let lazy = Arc::new(lazy_twin(&fw, &ad, 50));
+        let resident = KnnQuery::new(NodeId(0), 2);
+        lazy.knn(&resident).unwrap();
+        let loaded = lazy.rnets_loaded();
+        let far = KnnQuery::new(NodeId(63), 2);
+        let answer = |q: &KnnQuery| {
+            let (lazy, q, (sent, got)) = (Arc::clone(&lazy), q.clone(), mpsc::channel());
+            // Detached: if it waited for good, the test fails on the
+            // timeout below instead of hanging on a join.
+            std::thread::spawn(move || sent.send(lazy.knn(&q).map(|r| r.hits)));
+            got
+        };
+        let held = lazy.page_in.lock().unwrap();
+        let got = answer(&resident).recv_timeout(Duration::from_secs(20));
+        assert_eq!(got, Ok(engine.knn(&resident).map(|r| r.hits)), "a resident query waited");
+        let waiting = answer(&far);
+        assert!(
+            waiting.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a page-in did not wait"
+        );
+        assert_eq!(held.loaded, loaded, "nothing was paged in under the held lock");
+        drop(held);
+        let got = waiting.recv_timeout(Duration::from_secs(20));
+        assert_eq!(got, Ok(engine.knn(&far).map(|r| r.hits)));
+        assert!(lazy.rnets_loaded() > loaded);
+    }
+
+    /// Every query door of a lazy engine returns with the page-in lock
+    /// free, whether it paged Rnets in or not: the one guard held across
+    /// pool I/O never outlives the page-in that took it.
+    #[test]
+    fn every_query_door_returns_with_the_page_in_lock_free() {
+        let (fw, ad) = setup(10);
+        let lazy = lazy_twin(&fw, &ad, 8);
+        let free = |disk: &PagedEngine| disk.page_in.try_lock().is_ok();
+        lazy.knn(&KnnQuery::new(NodeId(0), 3)).unwrap();
+        assert!(free(&lazy), "knn");
+        lazy.range(&RangeQuery::new(NodeId(63), Weight::new(3.0))).unwrap();
+        assert!(free(&lazy), "range");
+        let queries = [KnnQuery::new(NodeId(9), 2), KnnQuery::new(NodeId(54), 2)];
+        lazy.batch_knn(&queries, 2).unwrap();
+        assert!(free(&lazy), "batch_knn");
+        lazy.network_distance(NodeId(7), NodeId(56)).unwrap();
+        assert!(free(&lazy), "network_distance");
+        lazy.aggregate_knn(&AggregateKnnQuery::new(vec![NodeId(18), NodeId(45)], 2)).unwrap();
+        assert!(free(&lazy), "aggregate_knn");
+        assert!(lazy.rnets_loaded() > 0 && free(&lazy), "rnets_loaded");
+    }
+
     // ------------------------------------------------------------------
     // Occupancy
     // ------------------------------------------------------------------

@@ -390,6 +390,21 @@ fn overclaimed_shortcut_counts_fail_fast_on_both_decode_paths() {
     }
 }
 
+/// A valid shape whose Rnets cannot fit the bytes after the prelude —
+/// fanout 2 over 12 levels is 8,190 Rnets, each section at least its
+/// 4-byte count — fails the prelude's own check, which names the shape, on
+/// both decode paths alike, before the hierarchy sizes anything by it.
+#[test]
+fn a_shape_whose_rnets_outgrow_the_image_fails_the_prelude_check() {
+    let (bytes, counts) = overclaimable_counts();
+    let (_, levels_at, _, _) = counts.into_iter().find(|c| c.0 == "levels").unwrap();
+    let [(_, bad), _] = overclaimed(&bytes, levels_at, [12, 12]);
+    let whole = RoadFramework::from_bytes(&bad).unwrap_err().to_string();
+    assert!(whole.contains("fanout 2 over 12 levels makes 8190 Rnets, more than the"), "{whole}");
+    assert_eq!(road_core::PagedImage::open(bad.clone()).unwrap_err().to_string(), whole);
+    assert_eq!(open_lazily(bad).unwrap_err().to_string(), whole);
+}
+
 /// The first shortcut run of the store section starting at `store_at`:
 /// its Rnet, and the offsets of its source field and of its first
 /// shortcut's target field.

@@ -851,6 +851,62 @@ mod tests {
         }
     }
 
+    /// A task's work runs with the plan's progress lock released, on the
+    /// calling thread alone and beside a second thread: the lock is the
+    /// scheduler's, never held across what a task does.
+    #[test]
+    fn a_task_runs_with_the_plan_lock_released() {
+        let tasks = [task(Some(2), true), task(Some(2), true), task(None, true)];
+        for threads in [1, 2] {
+            let plan: Plan<bool> = Plan::new(tasks);
+            let drained = fan_out(0..threads, |t| {
+                plan.drain(t, |_| (plan.progress.try_lock().is_ok(), true))
+            });
+            assert!(drained.unwrap().iter().all(Result::is_ok));
+            let free: Vec<_> = plan.into_results().into_iter().map(|r| r.map(|(f, _)| f)).collect();
+            assert_eq!(free, [Some(true); 3], "{threads} threads");
+        }
+    }
+
+    /// A drain after the plan has run returns at once and runs nothing:
+    /// every task has ended, so no thread waits for one.
+    #[test]
+    fn draining_a_finished_plan_runs_nothing() {
+        let tasks = [task(Some(1), true), task(None, false), task(None, true)];
+        let plan: Plan<usize> = Plan::new(tasks);
+        plan.drain(0, |i| (i, true)).unwrap();
+        for thread in [0, 1] {
+            plan.drain(thread, |i| panic!("task {i} ran twice")).unwrap();
+        }
+        assert_eq!(plan.into_results(), [Some((0, true)), Some((1, true)), Some((2, true))]);
+    }
+
+    /// Two ready tasks of one plan that wait for each other both run to
+    /// the end on two threads: one thread's task running does not keep the
+    /// other from taking its own. (Each waits at most ten seconds, so a
+    /// plan that serialized its tasks fails here instead of hanging.)
+    #[test]
+    fn two_tasks_of_one_plan_meet_while_both_run() {
+        let tasks = [task(Some(2), true), task(Some(2), true), task(None, true)];
+        let plan: Plan<bool> = Plan::new(tasks);
+        let arrived = AtomicUsize::new(0);
+        let meet = |task: usize| {
+            if task == 2 {
+                return (true, true);
+            }
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while arrived.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            (arrived.load(Ordering::SeqCst) == 2, true)
+        };
+        let drained = fan_out(0..2, |t| plan.drain(t, meet)).unwrap();
+        assert!(drained.iter().all(Result::is_ok));
+        let met: Vec<_> = plan.into_results().into_iter().map(|r| r.map(|(m, _)| m)).collect();
+        assert_eq!(met, [Some(true); 3], "the two leaves never ran at once");
+    }
+
     /// 10,000 random forests with random forced flags and change flags:
     /// at 2, 4 and 8 threads every forest runs the tasks a one-thread run
     /// does, to the same results.

@@ -1041,6 +1041,475 @@ mod tests {
         assert_eq!(p.write_back_all_owned(false), Err(poisoned));
     }
 
+    /// A `with_page` closure may go through the pool again for its own
+    /// page, nested or by `pin`: one stripe, so a guard held around the
+    /// closure would have been taken twice on one thread.
+    #[test]
+    fn a_with_page_closure_can_pin_and_read_its_own_page() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        p.write(a, 3, &[9], &mut tally).unwrap();
+        let mut inner = IoTally::default();
+        let read = p
+            .with_page(a, &mut tally, |pg| {
+                assert!(stripe_of(&p, a).try_lock().is_ok(), "held: the nesting would deadlock");
+                let nested = p.with_page(a, &mut inner, |again| again.bytes()[3]).unwrap();
+                let pinned = p.pin(a, &mut inner).unwrap().bytes()[3];
+                (pg.bytes()[3], nested, pinned)
+            })
+            .unwrap();
+        assert_eq!(read, (9, 9, 9));
+        assert_eq!(inner, IoTally { logical_reads: 2, page_faults: 0 });
+    }
+
+    /// A `with_page` closure may write its own page: the write lands in the
+    /// pool, and the closure goes on reading the snapshot it was handed.
+    #[test]
+    fn a_with_page_closure_can_write_its_own_page_and_keeps_its_snapshot() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        let mut inner = IoTally::default();
+        let seen = p
+            .with_page(a, &mut tally, |pg| {
+                assert!(stripe_of(&p, a).try_lock().is_ok(), "held: the write would deadlock");
+                p.write(a, 0, &[7; 8], &mut inner).unwrap();
+                pg.bytes()[..8].to_vec()
+            })
+            .unwrap();
+        assert_eq!(seen, [0; 8], "the closure's page changed under it");
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[..8], [7; 8])).unwrap();
+        assert_eq!(inner, IoTally { logical_reads: 1, page_faults: 0 });
+    }
+
+    /// The pool-wide doors run from inside a `with_page` closure too: an
+    /// allocation, a flush and a clear each lock the stripe the closure's
+    /// page lives in, and the page the closure holds is left alone.
+    #[test]
+    fn a_with_page_closure_can_allocate_flush_and_clear() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        p.write(a, 0, &[4], &mut tally).unwrap();
+        let b = p
+            .with_page(a, &mut tally, |pg| {
+                assert!(stripe_of(&p, a).try_lock().is_ok(), "held: the doors would deadlock");
+                let b = p.alloc().unwrap();
+                p.flush().unwrap();
+                p.clear_cache().unwrap();
+                assert_eq!(pg.bytes()[0], 4, "a clear reached into a pinned page");
+                b
+            })
+            .unwrap();
+        assert_eq!(b, PageId(a.0 + 1));
+        assert_eq!(p.stats().write_backs, 1, "the flush cleaned `a`, the clear found it clean");
+        assert_eq!(p.cached_pages(), 0);
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 4)).unwrap();
+    }
+
+    /// A `with_page` closure may wait on another thread that reads the same
+    /// page: nothing of the pool's is held while the caller's code runs.
+    #[test]
+    fn a_with_page_closure_can_wait_on_another_thread_reading_its_page() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        p.write(a, 1, &[6], &mut tally).unwrap();
+        let theirs = p
+            .with_page(a, &mut tally, |_| {
+                assert!(stripe_of(&p, a).try_lock().is_ok(), "held: the wait would deadlock");
+                std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| {
+                            let mut theirs = IoTally::default();
+                            p.with_page(a, &mut theirs, |pg| pg.bytes()[1])
+                        })
+                        .join()
+                        .unwrap()
+                })
+            })
+            .unwrap();
+        assert_eq!(theirs, Ok(6));
+    }
+
+    /// Every door returns with every stripe and the store free, a pinned
+    /// handle held or not: the pool's guards never outlive the call that
+    /// takes them.
+    #[test]
+    fn every_door_returns_with_the_pools_locks_free() {
+        let p = pool(4, 2);
+        let free = |p: &StripedBufferPool| {
+            p.stripes.iter().all(|s| s.try_lock().is_ok()) && p.store.try_write().is_ok()
+        };
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        assert!(free(&p), "alloc");
+        let pinned = p.pin(a, &mut tally).unwrap();
+        assert!(free(&p), "a held pin");
+        p.with_page(a, &mut tally, |_| ()).unwrap();
+        assert!(free(&p), "with_page");
+        p.write(a, PAGE_SIZE - 2, &[1; 2], &mut tally).unwrap();
+        assert!(free(&p), "write");
+        p.flush().unwrap();
+        assert!(free(&p), "flush");
+        p.clear_cache().unwrap();
+        assert!(free(&p), "clear_cache");
+        p.settle(&tally);
+        assert_eq!((p.cached_pages(), p.num_pages(), p.size_bytes()), (0, 1, PAGE_SIZE));
+        assert!(free(&p), "introspection");
+        assert_eq!(pinned.bytes()[PAGE_SIZE - 2..], [0; 2]);
+    }
+
+    /// A page id the store never allocated reaches the pool off page bytes
+    /// (a child pointer, a record location): every door reports it as a
+    /// corrupt page, runs no closure and faults nothing in.
+    #[test]
+    fn a_page_the_store_never_allocated_is_a_corrupt_page_at_every_door() {
+        let p = pool(4, 2);
+        let a = p.alloc().unwrap();
+        let wild = PageId(7);
+        let corrupt = StorageError::CorruptPage("page id outside the store");
+        let mut tally = IoTally::default();
+        assert_eq!(p.pin(wild, &mut tally).err(), Some(corrupt));
+        let mut ran = false;
+        assert_eq!(p.with_page(wild, &mut tally, |_| ran = true), Err(corrupt));
+        assert!(!ran, "a closure ran on a page that does not exist");
+        assert_eq!(p.write(wild, 0, &[1], &mut tally), Err(corrupt));
+        assert_eq!(tally.page_faults, 0);
+        assert_eq!((p.cached_pages(), p.num_pages()), (1, 1));
+        assert!(p.pin(a, &mut tally).is_ok());
+    }
+
+    /// A write run is cut at page ends: what fits the first page from the
+    /// offset on, each following page from its start, the last one short;
+    /// a piece that fails ends the run.
+    #[test]
+    fn write_run_cuts_a_run_into_page_pieces() {
+        let mut pieces = Vec::new();
+        let run = vec![0u8; 2 * PAGE_SIZE + 50];
+        write_run(PageId(3), PAGE_SIZE - 100, &run, |id, offset, bytes| {
+            pieces.push((id.0, offset, bytes.len()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(pieces, [(3, PAGE_SIZE - 100, 100), (4, 0, PAGE_SIZE), (5, 0, PAGE_SIZE - 50)]);
+        pieces.clear();
+        let failed = StorageError::Internal("piece");
+        let got = write_run(PageId(0), 0, &run, |id, offset, bytes| {
+            pieces.push((id.0, offset, bytes.len()));
+            if id.0 == 1 {
+                Err(failed)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(got, Err(failed));
+        assert_eq!(pieces, [(0, 0, PAGE_SIZE), (1, 0, PAGE_SIZE)]);
+    }
+
+    /// A run that would go on past the last page id is an `Err` once the
+    /// last page's piece is written, not a wrap to page 0.
+    #[test]
+    fn write_run_stops_at_the_last_page_id() {
+        let mut pieces = Vec::new();
+        let got = write_run(PageId(u32::MAX), PAGE_SIZE - 1, &[1, 2], |id, offset, bytes| {
+            pieces.push((id.0, offset, bytes.len()));
+            Ok(())
+        });
+        assert_eq!(got, Err(StorageError::Internal("write past page ids")));
+        assert_eq!(pieces, [(u32::MAX, PAGE_SIZE - 1, 1)]);
+    }
+
+    /// A thread that panics holding the store lock poisons it: a fault-in,
+    /// an allocation and a write-back need the store and return
+    /// `Err(LockPoisoned)`, while resident pages go on serving from their
+    /// stripe and introspection recovers the lock.
+    #[test]
+    fn a_poisoned_store_fails_what_needs_it_while_resident_pages_serve() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let (a, b, c) = (p.alloc().unwrap(), p.alloc().unwrap(), p.alloc().unwrap());
+        // Two frames: `c`'s allocation evicted `a`, clean.
+        p.write(c, 0, &[1], &mut tally).unwrap();
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = p.store.write().unwrap();
+                    panic!("die holding the store lock");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        let poisoned = StorageError::LockPoisoned("page store");
+        assert_eq!(p.pin(b, &mut tally).map(|pg| pg.bytes()[0]), Ok(0), "a resident page");
+        assert_eq!(p.pin(a, &mut tally).err(), Some(poisoned), "a fault-in");
+        assert_eq!(p.alloc(), Err(poisoned));
+        assert_eq!(p.flush(), Err(poisoned), "`c` is dirty");
+        assert_eq!(
+            p.with_page(c, &mut tally, |pg| pg.bytes()[0]),
+            Ok(1),
+            "the stripe still serves"
+        );
+        assert_eq!((p.num_pages(), p.size_bytes()), (3, 3 * PAGE_SIZE));
+    }
+
+    /// A write to a page that is not resident faults it in first, once: the
+    /// write charges the access and the fault, and the next write is a hit.
+    #[test]
+    fn a_write_to_a_cold_page_faults_it_in_once() {
+        let p = pool(4, 1);
+        let a = p.alloc().unwrap();
+        p.clear_cache().unwrap();
+        let mut tally = IoTally::default();
+        p.write(a, 0, &[1], &mut tally).unwrap();
+        assert_eq!(tally, IoTally { logical_reads: 1, page_faults: 1 });
+        p.write(a, 1, &[2], &mut tally).unwrap();
+        assert_eq!(tally, IoTally { logical_reads: 2, page_faults: 1 });
+        p.clear_cache().unwrap();
+        assert_eq!(p.stats().write_backs, 1);
+        assert_eq!(p.pin(a, &mut tally).unwrap().bytes()[..3], [1, 2, 0]);
+    }
+
+    /// A page lives in the stripe its id picks, and a stripe's misses
+    /// evict only its own frames: a scan through one stripe leaves what
+    /// another holds resident.
+    #[test]
+    fn a_stripe_evicts_only_its_own_pages() {
+        let p = pool(4, 2); // two frames a stripe
+        let ids: Vec<PageId> = (0..8).map(|_| p.alloc().unwrap()).collect();
+        p.clear_cache().unwrap();
+        let mut tally = IoTally::default();
+        for id in [ids[1], ids[3]] {
+            p.pin(id, &mut tally).unwrap();
+        }
+        // Stripe 0's four pages through its two frames.
+        for id in [ids[0], ids[2], ids[4], ids[6]] {
+            p.pin(id, &mut tally).unwrap();
+        }
+        assert_eq!(tally.page_faults, 6);
+        for id in [ids[1], ids[3]] {
+            p.pin(id, &mut tally).unwrap();
+        }
+        assert_eq!(tally.page_faults, 6, "stripe 0's misses evicted stripe 1's pages");
+        assert_eq!(p.cached_pages(), 4);
+    }
+
+    /// The capacity split, per stripe: remainder first, at least one frame
+    /// each, exact in total from one frame a stripe on, and never smaller
+    /// for a larger request — the per-stripe monotonicity the module docs
+    /// build LRU's inclusion property on.
+    #[test]
+    fn stripe_capacities_are_remainder_first_and_monotone() {
+        let caps = |p: &StripedBufferPool| -> Vec<usize> {
+            p.stripes.iter().map(|s| s.lock().unwrap().capacity()).collect()
+        };
+        assert_eq!(caps(&pool(50, 8)), [7, 7, 6, 6, 6, 6, 6, 6]);
+        assert_eq!(caps(&pool(3, 4)), [1, 1, 1, 1]);
+        for stripes in 1..=8 {
+            let mut before = vec![0; stripes];
+            for capacity in 1..=40 {
+                let p = pool(capacity, stripes);
+                let now = caps(&p);
+                assert!(now.iter().zip(&before).all(|(n, b)| n >= b), "{capacity}/{stripes}");
+                assert_eq!(now.iter().sum::<usize>(), p.capacity());
+                assert_eq!(p.capacity(), capacity.max(stripes));
+                before = now;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stripe count")]
+    fn zero_stripes_rejected() {
+        let _ = pool(4, 0);
+    }
+
+    /// The owner's `write` and the shared one are one write: the same runs
+    /// leave the same pages, charge the same tallies and write back as
+    /// often; an offset outside the page is the same `Err` from both.
+    #[test]
+    fn owner_and_shared_writes_leave_the_same_pages_and_tallies() {
+        let shared = pool(3, 2);
+        let mut owned = pool(3, 2);
+        let (mut shared_tally, mut owned_tally) = (IoTally::default(), IoTally::default());
+        for _ in 0..4 {
+            let id = shared.alloc().unwrap();
+            assert_eq!(owned.owner(&mut owned_tally).alloc().unwrap(), id);
+        }
+        shared.clear_cache().unwrap();
+        owned.write_back_all_owned(true).unwrap();
+        let runs = [(0, 10, 5_000), (2, PAGE_SIZE - 1, 2), (1, 0, 1), (3, 0, PAGE_SIZE)];
+        for (n, (id, offset, len)) in runs.into_iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|i| (i + n) as u8 | 1).collect();
+            shared.write(PageId(id), offset, &bytes, &mut shared_tally).unwrap();
+            owned.owner(&mut owned_tally).write(PageId(id), offset, &bytes).unwrap();
+            assert_eq!(shared_tally, owned_tally, "run {n}");
+        }
+        let outside = Err(StorageError::Internal("write offset outside the page"));
+        assert_eq!(shared.write(PageId(0), PAGE_SIZE, &[1], &mut shared_tally), outside);
+        assert_eq!(owned.owner(&mut owned_tally).write(PageId(0), PAGE_SIZE, &[1]), outside);
+        for id in (0..4).map(PageId) {
+            let theirs = owned.owner(&mut owned_tally).with_page(id, |pg| pg.bytes().to_vec());
+            assert_eq!(shared.pin(id, &mut shared_tally).unwrap().bytes(), &theirs.unwrap()[..]);
+        }
+        assert_eq!(shared_tally, owned_tally);
+        assert_eq!(shared.stats().write_backs, owned.stats().write_backs);
+    }
+
+    /// The store lock is released before the stripe is taken, and ids
+    /// still come out distinct: threads allocating at once get every id
+    /// once, each thread's in rising order.
+    #[test]
+    fn concurrent_allocations_hand_out_distinct_ids() {
+        let p = pool(8, 4);
+        let per_thread: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| (0..50).map(|_| p.alloc().unwrap().0).collect::<Vec<_>>()))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for ids in &per_thread {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        }
+        let mut all: Vec<u32> = per_thread.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..200).collect::<Vec<u32>>());
+        assert_eq!(p.num_pages(), 200);
+        assert!(p.cached_pages() <= p.capacity());
+    }
+
+    /// Readers pinning pages while a writer rewrites them whole, page
+    /// after page, see one write's bytes on every page they get, never a
+    /// page half old and half new.
+    #[test]
+    fn readers_beside_a_writer_only_ever_see_whole_pages() {
+        const ROUNDS: u8 = 120;
+        let p = pool(4, 2);
+        let ids: Vec<PageId> = (0..2).map(|_| p.alloc().unwrap()).collect();
+        std::thread::scope(|scope| {
+            for reader in 0..2 {
+                let (p, ids) = (&p, &ids);
+                scope.spawn(move || {
+                    let mut tally = IoTally::default();
+                    for i in 0..600 {
+                        let page = p.pin(ids[(i + reader) % 2], &mut tally).unwrap();
+                        let first = page.bytes()[0];
+                        assert!(page.bytes().iter().all(|&b| b == first), "a torn page");
+                    }
+                });
+            }
+            let mut tally = IoTally::default();
+            for round in 1..=ROUNDS {
+                for &id in &ids {
+                    p.write(id, 0, &[round; PAGE_SIZE], &mut tally).unwrap();
+                }
+            }
+        });
+        let mut tally = IoTally::default();
+        for &id in &ids {
+            assert!(p.pin(id, &mut tally).unwrap().bytes().iter().all(|&b| b == ROUNDS));
+        }
+    }
+
+    /// Readers faulting pages in while another thread clears the cache in
+    /// a loop always read the stored bytes: a clear between a reader's
+    /// probe and its fault-in cannot make a read fail or come back empty.
+    #[test]
+    fn readers_racing_a_clearing_thread_read_the_stored_bytes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let p = pool(8, 2);
+        let ids: Vec<PageId> = (0..16).map(|_| p.alloc().unwrap()).collect();
+        let mut tally = IoTally::default();
+        for (i, &id) in ids.iter().enumerate() {
+            p.write(id, 9, &[i as u8 + 1], &mut tally).unwrap();
+        }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    p.clear_cache().unwrap();
+                }
+            });
+            let readers: Vec<_> = (0..2)
+                .map(|r| {
+                    let (p, ids) = (&p, &ids);
+                    scope.spawn(move || {
+                        let mut tally = IoTally::default();
+                        for i in 0..800 {
+                            let at = (i * 5 + r) % ids.len();
+                            let byte = p.with_page(ids[at], &mut tally, |pg| pg.bytes()[9]);
+                            assert_eq!(byte, Ok(at as u8 + 1), "page {at}");
+                        }
+                        tally
+                    })
+                })
+                .collect();
+            let faults: u64 = readers.into_iter().map(|r| r.join().unwrap().page_faults).sum();
+            done.store(true, Ordering::Release);
+            assert!(faults > 0, "no read raced a clear");
+        });
+    }
+
+    /// The owner view charges the owner's tally and no shared counter:
+    /// the pool's statistics stay at zero until the tally is settled.
+    #[test]
+    fn an_owner_view_charges_only_its_tally_until_settled() {
+        let mut p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.owner(&mut tally).alloc().unwrap();
+        p.write_back_all_owned(true).unwrap();
+        for _ in 0..2 {
+            p.owner(&mut tally).with_page(a, |_| ()).unwrap();
+        }
+        p.owner(&mut tally).with_page_mut(a, |pg| pg.bytes_mut()[0] = 1).unwrap();
+        assert_eq!(tally, IoTally { logical_reads: 3, page_faults: 1 });
+        assert_eq!(p.stats(), BufferStats::default());
+        p.settle(&tally);
+        assert_eq!(p.stats(), BufferStats { logical_reads: 3, page_faults: 1, write_backs: 0 });
+    }
+
+    /// An allocation hands out the next page id, zeroed and cached clean:
+    /// reading it costs no fault, and a clear writes nothing back.
+    #[test]
+    fn alloc_hands_out_zeroed_pages_cached_clean() {
+        let p = pool(4, 2);
+        let ids: Vec<PageId> = (0..3).map(|_| p.alloc().unwrap()).collect();
+        assert_eq!(ids, [PageId(0), PageId(1), PageId(2)]);
+        let mut tally = IoTally::default();
+        for &id in &ids {
+            assert!(p.pin(id, &mut tally).unwrap().bytes().iter().all(|&b| b == 0));
+        }
+        assert_eq!(tally, IoTally { logical_reads: 3, page_faults: 0 });
+        p.clear_cache().unwrap();
+        assert_eq!(p.stats().write_backs, 0);
+        assert_eq!(p.size_bytes(), 3 * PAGE_SIZE);
+    }
+
+    /// `flush` and `clear_cache` walk every stripe: each dirty frame is
+    /// written back once, wherever it lives, and a clear after a flush
+    /// writes back only what was dirtied since.
+    #[test]
+    fn flush_and_clear_write_back_every_stripes_dirty_frames() {
+        let p = pool(8, 4);
+        let ids: Vec<PageId> = (0..8).map(|_| p.alloc().unwrap()).collect();
+        let mut tally = IoTally::default();
+        for (i, &id) in ids.iter().enumerate() {
+            p.write(id, 0, &[i as u8 + 1], &mut tally).unwrap();
+        }
+        p.flush().unwrap();
+        assert_eq!((p.stats().write_backs, p.cached_pages()), (8, 8));
+        for &id in &ids[..4] {
+            p.write(id, 1, &[0xEE], &mut tally).unwrap();
+        }
+        p.clear_cache().unwrap();
+        assert_eq!((p.stats().write_backs, p.cached_pages()), (12, 0));
+        for (i, &id) in ids.iter().enumerate() {
+            let want = [i as u8 + 1, if i < 4 { 0xEE } else { 0 }];
+            assert_eq!(p.pin(id, &mut tally).unwrap().bytes()[..2], want, "page {i}");
+        }
+    }
+
     /// A read-only [`PagePool`] over the shared pool, through `pin`.
     struct Pinned<'a>(&'a StripedBufferPool, IoTally);
 

@@ -259,6 +259,30 @@ fn stress_bptree_soak_under_tiny_buffer() {
     assert_tree_matches_model(&tree, &mut pool, &model, 0..=4_000);
 }
 
+/// The shared pool's read doors as a [`PagePool`], for lookups: `with_page`
+/// runs on a pinned page, and nothing is allocated or written.
+struct SharedReads<'a>(&'a StripedBufferPool, IoTally);
+
+impl PagePool for SharedReads<'_> {
+    fn alloc(&mut self) -> Result<road_storage::PageId, road_storage::StorageError> {
+        Err(road_storage::StorageError::Internal("lookups do not allocate"))
+    }
+    fn with_page<R>(
+        &mut self,
+        id: road_storage::PageId,
+        f: impl FnOnce(&road_storage::Page) -> R,
+    ) -> Result<R, road_storage::StorageError> {
+        self.0.with_page(id, &mut self.1, f)
+    }
+    fn with_page_mut<R>(
+        &mut self,
+        _: road_storage::PageId,
+        _: impl FnOnce(&mut road_storage::Page) -> R,
+    ) -> Result<R, road_storage::StorageError> {
+        Err(road_storage::StorageError::Internal("lookups do not write"))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -334,5 +358,60 @@ proptest! {
                 "after step {}", step
             );
         }
+    }
+
+    /// Write runs at any offset and of any length up to two pages land
+    /// where a flat model of the pages says, page boundaries and all: every
+    /// page reads back as the model after every run, through a pool small
+    /// enough to evict at any stripe count, and again after a clear.
+    fn write_runs_read_back_whole_at_any_stripe_count(
+        frames in 1usize..6,
+        stripes in 1usize..5,
+        runs in prop::collection::vec((0usize..8, 0usize..PAGE_SIZE, 1usize..2 * PAGE_SIZE, 1u8..255), 1..24),
+    ) {
+        const PAGES: usize = 8;
+        let pool = StripedBufferPool::new(PageStore::new(), frames, stripes);
+        let ids: Vec<_> = (0..PAGES).map(|_| pool.alloc().unwrap()).collect();
+        let mut model = vec![0u8; PAGES * PAGE_SIZE];
+        let mut tally = IoTally::default();
+        let mut check = |pool: &StripedBufferPool, model: &[u8]| {
+            for (i, &id) in ids.iter().enumerate() {
+                let page = pool.pin(id, &mut tally).unwrap();
+                prop_assert!(page.bytes()[..] == model[i * PAGE_SIZE..(i + 1) * PAGE_SIZE], "page {}", i);
+            }
+        };
+        for (page, offset, len, byte) in runs {
+            let start = page * PAGE_SIZE + offset;
+            let len = len.min(model.len() - start);
+            let bytes: Vec<u8> = (0..len).map(|i| byte.wrapping_add(i as u8)).collect();
+            pool.write(ids[page], offset, &bytes, &mut IoTally::default()).unwrap();
+            model[start..start + len].copy_from_slice(&bytes);
+            check(&pool, &model);
+        }
+        pool.clear_cache().unwrap();
+        check(&pool, &model);
+    }
+
+    /// A B+-tree filled through the owner view of a striped pool of any
+    /// stripe count and a tiny capacity is the model map, read back through
+    /// the shared pool's pinned pages.
+    fn a_bptree_built_by_a_striped_owner_reads_back_through_shared_doors(
+        stripes in 1usize..5,
+        frames in 1usize..8,
+        ops in prop::collection::vec((0u64..300, 0u64..u64::MAX), 1..200),
+    ) {
+        let mut pool = StripedBufferPool::new(PageStore::new(), frames, stripes);
+        let mut tally = IoTally::default();
+        let mut tree = BPlusTree::with_caps(&mut pool.owner(&mut tally), 4, 4).unwrap();
+        let mut model = BTreeMap::new();
+        for (key, value) in ops {
+            prop_assert_eq!(tree.insert(&mut pool.owner(&mut tally), key, value).unwrap(), model.insert(key, value));
+        }
+        pool.clear_cache().unwrap();
+        let mut shared = SharedReads(&pool, IoTally::default());
+        for key in 0..300 {
+            prop_assert_eq!(tree.get(&mut shared, key).unwrap(), model.get(&key).copied(), "key {}", key);
+        }
+        prop_assert!(shared.1.page_faults > 0);
     }
 }
